@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/social-sensing/sstd/internal/hmm/hmmtest"
+	"github.com/social-sensing/sstd/internal/tracegen"
 )
 
 // benchEngine returns an engine with one 120-interval claim and a warm
@@ -71,6 +72,30 @@ func BenchmarkDecodeClaimSeed(b *testing.B) {
 		}
 		if len(est) == 0 {
 			b.Fatal("empty decode")
+		}
+	}
+}
+
+// BenchmarkDecodeClaimLong is one cold decode at the production shape —
+// what dtm.finalize pays per job on the minute grid: quantize, Baum-Welch
+// from the informative prior to convergence (36 iterations on this
+// series), Viterbi. The series is the first Boston claim of the
+// decode_heavy workload.
+func BenchmarkDecodeClaimLong(b *testing.B) {
+	series := claimSeries(b, tracegen.BostonBombing())[0]
+	dec, err := NewDecoder(DefaultDecoderConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := NewDecodeScratch()
+	if _, err := dec.DecodeInto(sc, series); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dec.DecodeInto(sc, series); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -605,14 +605,13 @@ func (m *Manager) execute(ctx context.Context, payload []byte) ([]byte, error) {
 
 // collect merges task results into jobs and finalizes completed jobs.
 func (m *Manager) collect(ctx context.Context) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case r, ok := <-m.master.Results():
-			if !ok {
-				return
-			}
+	// Keep receiving until Master.Shutdown closes the channel: the pool's
+	// connection handlers block on it while delivering, and close() waits
+	// for them, so a collector that stopped at cancellation would leave
+	// Close hanging once more results are pending than the channel
+	// buffers. Results that arrive after cancellation are dropped.
+	for r := range m.master.Results() {
+		if ctx.Err() == nil {
 			m.handleResult(ctx, r)
 		}
 	}

@@ -42,16 +42,11 @@ func AccuracyTableOn(tr *socialsensing.Trace, o Options) ([]evalmetrics.Report, 
 	width := evalWidth(tr, o)
 	var out []evalmetrics.Report
 
-	// SSTD.
-	sstdFn, err := sstdBatch(tr, o)
-	if err != nil {
-		return nil, fmt.Errorf("sstd: %w", err)
-	}
-	conf, err := evalmetrics.EvaluateDynamic(tr, sstdFn, width)
+	sstd, err := sstdAccuracy(tr, o)
 	if err != nil {
 		return nil, err
 	}
-	out = append(out, evalmetrics.ReportOf("SSTD", conf))
+	out = append(out, sstd)
 
 	// DynaTD (streaming).
 	batches, err := stream.SplitByInterval(tr, width)
@@ -63,7 +58,7 @@ func AccuracyTableOn(tr *socialsensing.Trace, o Options) ([]evalmetrics.Report, 
 		bs[i] = batch{start: b.Start, reports: b.Reports}
 	}
 	tl := runStreaming(baselines.NewDynaTD(), bs)
-	conf, err = evalmetrics.EvaluateDynamic(tr, tl.truthFunc(), width)
+	conf, err := evalmetrics.EvaluateDynamic(tr, tl.truthFunc(), width)
 	if err != nil {
 		return nil, err
 	}
@@ -80,4 +75,19 @@ func AccuracyTableOn(tr *socialsensing.Trace, o Options) ([]evalmetrics.Report, 
 		out = append(out, evalmetrics.ReportOf(est.Name(), conf))
 	}
 	return out, nil
+}
+
+// sstdAccuracy is the SSTD row of an accuracy table: the engine's batch
+// decode of the whole trace scored per interval. o must have its defaults
+// filled.
+func sstdAccuracy(tr *socialsensing.Trace, o Options) (evalmetrics.Report, error) {
+	fn, err := sstdBatch(tr, o)
+	if err != nil {
+		return evalmetrics.Report{}, fmt.Errorf("sstd: %w", err)
+	}
+	conf, err := evalmetrics.EvaluateDynamic(tr, fn, evalWidth(tr, o))
+	if err != nil {
+		return evalmetrics.Report{}, err
+	}
+	return evalmetrics.ReportOf("SSTD", conf), nil
 }

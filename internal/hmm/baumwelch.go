@@ -115,11 +115,32 @@ func (m *Discrete) BaumWelchWS(ws *Workspace, sequences [][]int, cfg TrainConfig
 		totalLL := 0.0
 
 		// Flight-recorder phase probes chain one timestamp through the
-		// iteration: forward/backward/E-step per sequence, then the
-		// M-step, each tagged with the iteration number.
+		// iteration: forward/backward (and, for n > 2, the E-step) per
+		// sequence, then the M-step, each tagged with the iteration number.
 		tp := fr.Start()
+		// Per-symbol γ is read only by the emission re-estimate.
+		symGamma := bNum
+		if cfg.FreezeEmissions {
+			symGamma = nil
+		}
+		if n == 2 {
+			ws.loadPairTable(sym)
+		}
 		for _, obs := range sequences {
 			T := len(obs)
+			if n == 2 {
+				// The decoder's models are always 2-state: one fused pass
+				// whose backward sweep is also the E-step.
+				ll, err := ws.forwardPair(m.Pi, obs, sym)
+				if err != nil {
+					return res, fmt.Errorf("baum-welch E-step: %w", err)
+				}
+				tp = fr.Probe(flightrec.ProbeHMMForward, tp, int64(iter), frParent)
+				totalLL += ll
+				ws.backwardPair(obs, sym, piAcc, aNum, symGamma)
+				tp = fr.Probe(flightrec.ProbeHMMBackward, tp, int64(iter), frParent)
+				continue
+			}
 			ll, err := m.forwardWS(ws, obs)
 			if err != nil {
 				return res, fmt.Errorf("baum-welch E-step: %w", err)
@@ -129,45 +150,6 @@ func (m *Discrete) BaumWelchWS(ws *Workspace, sequences [][]int, cfg TrainConfig
 			m.backwardWS(ws, obs, ws.scale)
 			tp = fr.Probe(flightrec.ProbeHMMBackward, tp, int64(iter), frParent)
 			a, b, alpha, beta := ws.a, ws.b, ws.alpha, ws.beta
-			if n == 2 {
-				// Unrolled 2-state E-step: per-step posteriors go straight
-				// to the accumulators and the four xi sums live in
-				// registers until the sequence is done.
-				a00, a01, a10, a11 := a[0], a[1], a[2], a[3]
-				var x00, x01, x10, x11 float64
-				for t := 0; t < T; t++ {
-					al0, al1 := alpha[t*2], alpha[t*2+1]
-					g0 := al0 * beta[t*2]
-					g1 := al1 * beta[t*2+1]
-					if gsum := g0 + g1; gsum > 0 {
-						ginv := 1 / gsum
-						g0 *= ginv
-						g1 *= ginv
-						ot := obs[t]
-						if t == 0 {
-							piAcc[0] += g0
-							piAcc[1] += g1
-						}
-						bNum[ot] += g0
-						bNum[sym+ot] += g1
-					}
-					if t < T-1 {
-						on := obs[t+1]
-						e0 := b[on] * beta[(t+1)*2]
-						e1 := b[sym+on] * beta[(t+1)*2+1]
-						x00 += al0 * a00 * e0
-						x01 += al0 * a01 * e1
-						x10 += al1 * a10 * e0
-						x11 += al1 * a11 * e1
-					}
-				}
-				aNum[0] += x00
-				aNum[1] += x01
-				aNum[2] += x10
-				aNum[3] += x11
-				tp = fr.Probe(flightrec.ProbeHMMEStep, tp, int64(iter), frParent)
-				continue
-			}
 			// gamma[t][i] and xi accumulation.
 			for t := 0; t < T; t++ {
 				gsum := 0.0
@@ -272,4 +254,129 @@ func (m *Discrete) BaumWelchWS(ws *Workspace, sequences [][]int, cfg TrainConfig
 		prevLL = totalLL
 	}
 	return res, nil
+}
+
+// The 2-state EM pass keeps α and β unnormalised and rescales them only
+// when the running α mass drops below pairRescaleBelow, always by the
+// same power of two. Multiplying by a power of two changes the exponent
+// field and nothing else, so the rescaled recursions carry exactly the
+// mantissas of the unscaled ones: the scaling contributes no rounding,
+// needs no reciprocal in either dependency chain, and leaves the
+// log-likelihood as log(final mass) minus an integer count of rescales
+// times ln 2^256 — one math.Log per sequence. The threshold leaves 766
+// binary orders of headroom above the subnormals, so a single step would
+// have to shrink the mass by more than 1e-230 to lose precision.
+const (
+	pairRescaleBelow = 0x1p-256
+	pairRescaleBy    = 0x1p+256
+	pairRescaleLog   = 256 * math.Ln2
+)
+
+// loadPairTable fills ws.pair with M[k][i][j] = a_ij * b_j(k) from the
+// flattened parameters loadDiscrete left in ws, so a recursion step in
+// either direction is four multiplies and two adds.
+func (ws *Workspace) loadPairTable(sym int) {
+	if cap(ws.pair) < sym {
+		ws.pair = make([][4]float64, sym)
+	}
+	ws.pair = ws.pair[:sym]
+	a, b := ws.a, ws.b
+	for k := range ws.pair {
+		b0, b1 := b[k], b[sym+k]
+		ws.pair[k] = [4]float64{a[0] * b0, a[1] * b1, a[2] * b0, a[3] * b1}
+	}
+}
+
+// forwardPair is the forward sweep of the fused 2-state pass. It fills
+// ws.alpha (T*2) with the unnormalised α, records in ws.rescaled every
+// step after which α was multiplied by pairRescaleBy (once per entry),
+// and returns the sequence's log-likelihood.
+func (ws *Workspace) forwardPair(pi []float64, obs []int, sym int) (float64, error) {
+	T := len(obs)
+	ws.alpha = growF(ws.alpha, T*2)
+	alpha, pair, rescaled := ws.alpha, ws.pair, ws.rescaled[:0]
+	p0 := pi[0] * ws.b[obs[0]]
+	p1 := pi[1] * ws.b[sym+obs[0]]
+	for t := 0; ; {
+		if s := p0 + p1; s < pairRescaleBelow {
+			if s <= 0 {
+				ws.rescaled = rescaled
+				return 0, fmt.Errorf("hmm: zero-probability observation at t=%d", t)
+			}
+			for ; s < pairRescaleBelow; s *= pairRescaleBy {
+				p0 *= pairRescaleBy
+				p1 *= pairRescaleBy
+				rescaled = append(rescaled, int32(t))
+			}
+		}
+		alpha[2*t], alpha[2*t+1] = p0, p1
+		if t++; t == T {
+			break
+		}
+		m := &pair[obs[t]]
+		p0, p1 = p0*m[0]+p1*m[2], p0*m[1]+p1*m[3]
+	}
+	ws.rescaled = rescaled
+	return math.Log(p0+p1) - float64(len(rescaled))*pairRescaleLog, nil
+}
+
+// backwardPair is the backward sweep and the E-step in one: β lives in
+// two registers, scaled by the final α mass and by the rescales
+// forwardPair recorded, so that α_t(i)·M[o_t+1][i][j]·β_t+1(j) is the
+// transition posterior ξ_t(i,j) as it stands — no β lattice, no per-step
+// normalisation. It adds Σ_t ξ_t to aNum and γ_0 to piAcc, and, when
+// bNum is non-nil (emissions are being re-estimated), γ_t to
+// bNum[i][o_t].
+func (ws *Workspace) backwardPair(obs []int, sym int, piAcc, aNum, bNum []float64) {
+	T := len(obs)
+	alpha, pair, rescaled := ws.alpha[:2*T], ws.pair, ws.rescaled
+	c0 := 1 / (alpha[2*T-2] + alpha[2*T-1])
+	c1 := c0
+	if bNum != nil {
+		o := obs[T-1]
+		bNum[o] += alpha[2*T-2] * c0
+		bNum[sym+o] += alpha[2*T-1] * c1
+	}
+	// A rescale recorded at step p moved α_p and everything after it, so
+	// β picks it up between the steps for t = p and t = p-1; rescales at
+	// step 0 have no earlier step to reach.
+	first := 0
+	for first < len(rescaled) && rescaled[first] == 0 {
+		first++
+	}
+	var x00, x01, x10, x11 float64
+	hi := T - 2
+	for e := len(rescaled) - 1; ; e-- {
+		lo := 0
+		if e >= first {
+			lo = int(rescaled[e])
+		}
+		for t := hi; t >= lo; t-- {
+			m := &pair[obs[t+1]]
+			al0, al1 := alpha[2*t], alpha[2*t+1]
+			e00, e01, e10, e11 := m[0]*c0, m[1]*c1, m[2]*c0, m[3]*c1
+			c0, c1 = e00+e01, e10+e11
+			x00 += al0 * e00
+			x01 += al0 * e01
+			x10 += al1 * e10
+			x11 += al1 * e11
+			if bNum != nil {
+				o := obs[t]
+				bNum[o] += al0 * c0
+				bNum[sym+o] += al1 * c1
+			}
+		}
+		if e < first {
+			break
+		}
+		c0 *= pairRescaleBy
+		c1 *= pairRescaleBy
+		hi = lo - 1
+	}
+	piAcc[0] += alpha[0] * c0
+	piAcc[1] += alpha[1] * c1
+	aNum[0] += x00
+	aNum[1] += x01
+	aNum[2] += x10
+	aNum[3] += x11
 }

@@ -55,6 +55,84 @@ func BenchmarkBaumWelch(b *testing.B) {
 	}
 }
 
+// The *Long pair measures the kernel at the production shape: one claim's
+// minute-grid series (T = 5 748, the decode_heavy workload's mean) of
+// five symbols that persist for runs of about seven intervals, emissions
+// frozen as core.DefaultDecoderConfig trains them. T = 128 fits every
+// lattice in L1 and hides the memory traffic a real claim pays.
+const (
+	benchLongT     = 5748
+	benchLongIters = 20
+	benchLongRun   = 7
+)
+
+func benchLongModelAndObs() (*hmm.Discrete, []int) {
+	obs := runObs(rand.New(rand.NewSource(42)), benchLongT, benchSym, benchLongRun)
+	// The decoder's informative prior: sticky transitions, linear
+	// emission ramps.
+	m := &hmm.Discrete{
+		A:  [][]float64{{0.9, 0.1}, {0.1, 0.9}},
+		B:  [][]float64{make([]float64, benchSym), make([]float64, benchSym)},
+		Pi: []float64{0.5, 0.5},
+	}
+	for k := 0; k < benchSym; k++ {
+		m.B[0][k] = float64(benchSym-k) / 15
+		m.B[1][k] = float64(k+1) / 15
+	}
+	return m, obs
+}
+
+func benchLongCfg() hmm.TrainConfig {
+	cfg := benchCfg()
+	cfg.MaxIterations = benchLongIters
+	cfg.FreezeEmissions = true
+	return cfg
+}
+
+func reportPerIntervalIter(b *testing.B) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchLongT/benchLongIters, "ns/interval/iter")
+}
+
+func BenchmarkBaumWelchLong(b *testing.B) {
+	m, obs := benchLongModelAndObs()
+	pristine := m.Clone()
+	seqs := [][]int{obs}
+	cfg := benchLongCfg()
+	ws := hmm.NewWorkspace()
+	run := func() {
+		restoreDiscrete(m, pristine)
+		if res, err := m.BaumWelchWS(ws, seqs, cfg); err != nil || res.Iterations != benchLongIters {
+			b.Fatalf("BaumWelchWS: %+v, %v", res, err)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(3, run); allocs != 0 {
+		b.Fatalf("BaumWelchWS allocates %.1f objects per run at T=%d, want 0", allocs, benchLongT)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	reportPerIntervalIter(b)
+}
+
+func BenchmarkBaumWelchLongSeed(b *testing.B) {
+	m, obs := benchLongModelAndObs()
+	pristine := m.Clone()
+	seqs := [][]int{obs}
+	cfg := benchLongCfg()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		restoreDiscrete(m, pristine)
+		if _, err := hmmtest.BaumWelch(m, seqs, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerIntervalIter(b)
+}
+
 func BenchmarkBaumWelchSeed(b *testing.B) {
 	m, obs := benchModelAndObs()
 	pristine := m.Clone()

@@ -1,8 +1,10 @@
 package hmm_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/social-sensing/sstd/internal/hmm"
@@ -344,6 +346,157 @@ func TestOldAPIMatchesReference(t *testing.T) {
 		for tt := range wantPath {
 			if gotPath[tt] != wantPath[tt] {
 				t.Fatalf("trial %d: path[%d] = %d, reference %d", trial, tt, gotPath[tt], wantPath[tt])
+			}
+		}
+	}
+}
+
+// runObs draws T symbols that persist for runs of 1..2*mean-1 steps, the
+// shape of a quantized ACS series.
+func runObs(rng *rand.Rand, T, sym, mean int) []int {
+	obs := make([]int, T)
+	for t := 0; t < T; {
+		k := rng.Intn(sym)
+		for n := 1 + rng.Intn(2*mean-1); n > 0 && t < T; n-- {
+			obs[t] = k
+			t++
+		}
+	}
+	return obs
+}
+
+// matchReferenceFit trains a clone of m with the package kernel and
+// another with the frozen reference and requires the same iteration
+// count and every result within equivTol. The reference knows no warm
+// start, so a warm fit is compared with a reference run capped at the
+// iterations the warm fit took.
+func matchReferenceFit(t *testing.T, name string, m *hmm.Discrete, seqs [][]int, cfg hmm.TrainConfig) {
+	t.Helper()
+	m1, m2 := m.Clone(), m.Clone()
+	r1, err := m1.BaumWelchWS(hmm.NewWorkspace(), seqs, cfg)
+	if err != nil {
+		t.Fatalf("%s: BaumWelchWS: %v", name, err)
+	}
+	refCfg := cfg
+	if cfg.WarmStart {
+		refCfg.MaxIterations = r1.Iterations
+	}
+	r2, err := hmmtest.BaumWelch(m2, seqs, refCfg)
+	if err != nil {
+		t.Fatalf("%s: reference BaumWelch: %v", name, err)
+	}
+	if r1.Iterations != r2.Iterations || !close2(r1.LogLikelihood, r2.LogLikelihood) {
+		t.Fatalf("%s: result %+v vs reference %+v", name, r1, r2)
+	}
+	check := func(what string, got, want []float64) {
+		for i := range want {
+			// !close2 alone would let a NaN pair through.
+			if math.IsNaN(got[i]) || math.IsInf(got[i], 0) || !close2(got[i], want[i]) {
+				t.Fatalf("%s: %s[%d] = %v, reference %v", name, what, i, got[i], want[i])
+			}
+		}
+	}
+	if math.IsNaN(r1.LogLikelihood) || math.IsInf(r1.LogLikelihood, 0) {
+		t.Fatalf("%s: log-likelihood %v", name, r1.LogLikelihood)
+	}
+	check("Pi", m1.Pi, m2.Pi)
+	for i := range m2.A {
+		check("A row", m1.A[i], m2.A[i])
+		check("B row", m1.B[i], m2.B[i])
+	}
+}
+
+// TestPairPassMatchesReferenceAtTheEdges drives the fused 2-state EM pass
+// through the inputs its power-of-two rescaling and register-carried β
+// could get wrong: sequences long enough to rescale hundreds of times,
+// sequences too short to have a transition, constant observations,
+// emissions small enough to rescale at step 0 and several times per
+// step, an exact-zero emission, and every combination of frozen or
+// re-estimated emissions, one to three sequences, cold and warm.
+func TestPairPassMatchesReferenceAtTheEdges(t *testing.T) {
+	const sym = 5
+	rng := rand.New(rand.NewSource(606))
+	base := hmm.TrainConfig{MaxIterations: 5, Tolerance: 1e-12, SmoothA: 1e-3, SmoothB: 1e-3, SmoothPi: 1e-3}
+	constant := make([]int, 300)
+	for i := range constant {
+		constant[i] = 3
+	}
+	tiny := randDiscrete(rng, 2, sym)
+	tiny.B[0][0], tiny.B[0][1] = 1e-100, tiny.B[0][1]+tiny.B[0][0]-1e-100
+	tiny.B[1][0], tiny.B[1][1] = 3e-90, tiny.B[1][1]+tiny.B[1][0]-3e-90
+	mostlyZeros := make([]int, 400)
+	for i := 0; i < len(mostlyZeros); i += 7 {
+		mostlyZeros[i] = 1 + rng.Intn(sym-1)
+	}
+	oneSided := randDiscrete(rng, 2, sym)
+	oneSided.B[0][2], oneSided.B[0][3] = 0, oneSided.B[0][3]+oneSided.B[0][2]
+
+	cases := []struct {
+		name string
+		m    *hmm.Discrete
+		seqs [][]int
+	}{
+		{"T=100k", randDiscrete(rng, 2, sym), [][]int{runObs(rng, 100_000, sym, 7)}},
+		{"T=1", randDiscrete(rng, 2, sym), [][]int{{2}}},
+		{"T=2", randDiscrete(rng, 2, sym), [][]int{{4, 0}}},
+		{"T=1,2,3 together", randDiscrete(rng, 2, sym), [][]int{{1}, {0, 3}, {2, 2, 4}}},
+		{"constant", randDiscrete(rng, 2, sym), [][]int{constant}},
+		{"1e-100 emissions", tiny, [][]int{mostlyZeros, {0}, {0, 0, 0}}},
+		{"zero emission in one state", oneSided, [][]int{runObs(rng, 500, sym, 3), runObs(rng, 200, sym, 3)}},
+		{"three sequences", randDiscrete(rng, 2, sym), [][]int{runObs(rng, 700, sym, 7), runObs(rng, 90, sym, 2), runObs(rng, 1500, sym, 12)}},
+	}
+	for _, tc := range cases {
+		for _, freeze := range []bool{true, false} {
+			cfg := base
+			cfg.FreezeEmissions = freeze
+			name := fmt.Sprintf("%s/freeze=%v", tc.name, freeze)
+			matchReferenceFit(t, name+"/cold", tc.m, tc.seqs, cfg)
+
+			// Warm: seed from the cold fit's own result, on the same data
+			// and on its first half, so both warm stops are exercised.
+			seed := tc.m.Clone()
+			if _, err := seed.BaumWelch(tc.seqs, cfg); err != nil {
+				t.Fatalf("%s: seeding fit: %v", name, err)
+			}
+			cfg.WarmStart = true
+			matchReferenceFit(t, name+"/warm", seed, tc.seqs, cfg)
+			half := make([][]int, len(tc.seqs))
+			for i, s := range tc.seqs {
+				half[i] = s[:(len(s)+1)/2]
+			}
+			matchReferenceFit(t, name+"/warm-prefix", seed, half, cfg)
+		}
+	}
+}
+
+// TestPairPassZeroProbabilityNamesTheStep: when no state can emit the
+// observed symbol the α mass is exactly zero from that step on. The pass
+// must report the first such step, as the per-step scaling it replaced
+// did, rather than carry a zero into its logarithm.
+func TestPairPassZeroProbabilityNamesTheStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(707))
+	for _, at := range []int{0, 1, 17, 4999} {
+		m := randDiscrete(rng, 2, 4)
+		for i := range m.B {
+			m.B[i][2] += m.B[i][3]
+			m.B[i][3] = 0
+		}
+		obs := runObs(rng, 5000, 3, 7)
+		obs[at] = 3
+		// Alone, and behind a sequence every symbol of which can be emitted.
+		for _, seqs := range [][][]int{{obs}, {runObs(rng, 300, 3, 7), obs}} {
+			for _, freeze := range []bool{true, false} {
+				cfg := hmm.TrainConfig{MaxIterations: 3, FreezeEmissions: freeze, SmoothA: 1e-3, SmoothPi: 1e-3}
+				mm := m.Clone()
+				res, err := mm.BaumWelch(seqs, cfg)
+				want := fmt.Sprintf("zero-probability observation at t=%d", at)
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("at=%d freeze=%v: err = %v (result %+v), want it to contain %q", at, freeze, err, res, want)
+				}
+				_, refErr := hmmtest.BaumWelch(m.Clone(), seqs, cfg)
+				if refErr == nil || !strings.Contains(refErr.Error(), want) {
+					t.Fatalf("at=%d: reference err = %v, want it to contain %q", at, refErr, want)
+				}
 			}
 		}
 	}

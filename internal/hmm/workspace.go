@@ -55,6 +55,12 @@ type Workspace struct {
 	gamma []float64 // n per-step posterior scratch
 	row   []float64 // max(n, sym) old-row scratch for warm-start deltas
 
+	// Fused 2-state Baum-Welch pass: pair[k] is the per-iteration table
+	// {a_i0*b_0(k), a_i1*b_1(k)} for i = 0, 1 and rescaled lists the steps
+	// after which the forward sweep rescaled α (see forwardPair).
+	pair     [][4]float64
+	rescaled []int32
+
 	// Flight-recorder hookup: kernels probe phase timings into fr (one
 	// private ring per workspace — the workspace's single-goroutine
 	// contract makes it single-writer), tagging events with frParent,

@@ -32,7 +32,11 @@ type ProbeID int32
 
 const (
 	// HMM kernel phases, one probe per Baum-Welch iteration phase plus
-	// the Viterbi decode — the θ1 kernel cost of Eq. 10.
+	// the Viterbi decode — the θ1 kernel cost of Eq. 10. The discrete
+	// 2-state pass accumulates its expected counts inside the backward
+	// sweep, so its iterations report forward, backward and M-step only;
+	// ProbeHMMEStep is the separate third sweep of the general-n
+	// discrete and the Gaussian paths.
 	ProbeHMMForward ProbeID = iota
 	ProbeHMMBackward
 	ProbeHMMEStep

@@ -10,6 +10,7 @@
 #   scripts/check.sh flightrec  flight-recorder smoke: forced deep-dive dump in a 2-worker run
 #   scripts/check.sh telemetry  telemetry-plane smoke: SLO burn -> merged multi-host cluster trace
 #   scripts/check.sh sched      sharded-scheduler tier: fairness/invariant tests + contention benches -> BENCH_sched.json + 100k-claim sweep
+#   scripts/check.sh accuracy   accuracy gate: SSTD rows of Tables III-V against the checked-in golden + HMM kernel equivalence
 #   scripts/check.sh all        tier-1 + tier-2
 #
 # scripts/benchdiff.sh wraps the bench tier with a regression gate against
@@ -245,6 +246,19 @@ sched() {
 	go test -count=1 -v -run 'TestSchedulerLoadSweep100k' ./internal/workqueue
 }
 
+accuracy() {
+	# The product is the decoded truth timeline: recompute the SSTD rows of
+	# Tables III-V (scale 0.02, seed 7) against
+	# internal/experiments/testdata/accuracy_golden.json, then the two
+	# checks that say why they hold — the kernels against the frozen
+	# reference at 1e-12 and the pinned EM iteration counts on the
+	# benchmark's series.
+	echo "== accuracy: Tables III-V golden + kernel equivalence =="
+	go test -count=1 -v -run 'TestAccuracyGolden' ./internal/experiments
+	go test -count=1 -run 'MatchesReference|TestPairPass' ./internal/hmm
+	go test -count=1 -run 'TestEMIterationCountsPinned' ./internal/core
+}
+
 case "${1:-tier1}" in
 tier1) tier1 ;;
 race) race ;;
@@ -255,12 +269,13 @@ wire) wire ;;
 flightrec) flightrec ;;
 telemetry) telemetry ;;
 sched) sched ;;
+accuracy) accuracy ;;
 all)
 	tier1
 	race
 	;;
 *)
-	echo "usage: $0 [tier1|race|bench|chaos|load|wire|flightrec|telemetry|sched|all]" >&2
+	echo "usage: $0 [tier1|race|bench|chaos|load|wire|flightrec|telemetry|sched|accuracy|all]" >&2
 	exit 2
 	;;
 esac
