@@ -360,7 +360,9 @@ func New(cfg Config) (*Manager, error) {
 }
 
 // Start brings up the worker pool, the result collector and (when enabled)
-// the control loop.
+// the control loop. Cancelling ctx stops the workers and the control loop
+// and makes the collector drop what still arrives, but only Close shuts
+// the master down and ends the collector: call Close after cancelling too.
 func (m *Manager) Start(ctx context.Context) {
 	ctx, m.cancel = context.WithCancel(ctx)
 	m.pool.Resize(ctx, m.cfg.Workers)

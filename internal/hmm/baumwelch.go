@@ -263,13 +263,14 @@ func (m *Discrete) BaumWelchWS(ws *Workspace, sequences [][]int, cfg TrainConfig
 // mantissas of the unscaled ones: the scaling contributes no rounding,
 // needs no reciprocal in either dependency chain, and leaves the
 // log-likelihood as log(final mass) minus an integer count of rescales
-// times ln 2^256 — one math.Log per sequence. The threshold leaves 766
+// times ln 2^64 — one math.Log per sequence. The threshold leaves 958
 // binary orders of headroom above the subnormals, so a single step would
-// have to shrink the mass by more than 1e-230 to lose precision.
+// have to shrink the mass by more than 1e-288 to lose precision (the
+// per-step normalisation this replaced reached 1e-308).
 const (
-	pairRescaleBelow = 0x1p-256
-	pairRescaleBy    = 0x1p+256
-	pairRescaleLog   = 256 * math.Ln2
+	pairRescaleBelow = 0x1p-64
+	pairRescaleBy    = 0x1p+64
+	pairRescaleLog   = 64 * math.Ln2
 )
 
 // loadPairTable fills ws.pair with M[k][i][j] = a_ij * b_j(k) from the

@@ -411,7 +411,8 @@ func matchReferenceFit(t *testing.T, name string, m *hmm.Discrete, seqs [][]int,
 // could get wrong: sequences long enough to rescale hundreds of times,
 // sequences too short to have a transition, constant observations,
 // emissions small enough to rescale at step 0 and several times per
-// step, an exact-zero emission, and every combination of frozen or
+// step, a single step that takes the mass down by 1e-250, an exact-zero
+// emission, and every combination of frozen or
 // re-estimated emissions, one to three sequences, cold and warm.
 func TestPairPassMatchesReferenceAtTheEdges(t *testing.T) {
 	const sym = 5
@@ -428,6 +429,18 @@ func TestPairPassMatchesReferenceAtTheEdges(t *testing.T) {
 	for i := 0; i < len(mostlyZeros); i += 7 {
 		mostlyZeros[i] = 1 + rng.Intn(sym-1)
 	}
+	// One step that shrinks the mass by 1e-250 wherever the mass stood
+	// before it: the rescale threshold has to leave that much headroom.
+	cliff := randDiscrete(rng, 2, sym)
+	cliff.B[0][0], cliff.B[0][1] = 1e-250, cliff.B[0][1]+cliff.B[0][0]-1e-250
+	cliff.B[1][0], cliff.B[1][1] = 3e-250, cliff.B[1][1]+cliff.B[1][0]-3e-250
+	rareZeros := make([]int, 600)
+	for i := range rareZeros {
+		rareZeros[i] = 1 + rng.Intn(sym-1)
+	}
+	for i := 5; i < len(rareZeros); i += 41 {
+		rareZeros[i] = 0
+	}
 	oneSided := randDiscrete(rng, 2, sym)
 	oneSided.B[0][2], oneSided.B[0][3] = 0, oneSided.B[0][3]+oneSided.B[0][2]
 
@@ -442,6 +455,7 @@ func TestPairPassMatchesReferenceAtTheEdges(t *testing.T) {
 		{"T=1,2,3 together", randDiscrete(rng, 2, sym), [][]int{{1}, {0, 3}, {2, 2, 4}}},
 		{"constant", randDiscrete(rng, 2, sym), [][]int{constant}},
 		{"1e-100 emissions", tiny, [][]int{mostlyZeros, {0}, {0, 0, 0}}},
+		{"1e-250 emission in a single step", cliff, [][]int{rareZeros, {0, 2}}},
 		{"zero emission in one state", oneSided, [][]int{runObs(rng, 500, sym, 3), runObs(rng, 200, sym, 3)}},
 		{"three sequences", randDiscrete(rng, 2, sym), [][]int{runObs(rng, 700, sym, 7), runObs(rng, 90, sym, 2), runObs(rng, 1500, sym, 12)}},
 	}
