@@ -1,7 +1,8 @@
 // Package chaos is a deterministic, seedable fault-injection layer for
-// the workqueue cluster. It wraps the transport (net.Conn, at the
-// newline-framed codec level) and the worker exec path to inject the
-// failure modes the paper's elastic Work Queue deployment (§IV) assumes
+// the workqueue cluster. It wraps the transport (net.Conn, one
+// length-prefixed wire frame at a time) and the worker exec path to
+// inject the failure modes the paper's elastic Work Queue deployment
+// (§IV) assumes
 // are routine — dropped and corrupted frames, arbitrary delivery delay,
 // connection resets, worker crashes and hangs, and clock skew — so that
 // requeue, liveness eviction, backoff and quarantine paths are exercised
@@ -77,9 +78,9 @@ type Spec struct {
 	// DelayMin/DelayMax bound the injected delivery delay (defaults
 	// 1ms..20ms when Delay > 0).
 	DelayMin, DelayMax time.Duration
-	// SkewNs shifts every clock stamp ("sent_ns", "start_unix_ns")
-	// crossing the wrapped connection, simulating a worker whose clock
-	// runs ahead (positive) or behind (negative) of the master's.
+	// SkewNs shifts every clock stamp (message and task send times,
+	// span starts) crossing the wrapped connection, simulating a worker
+	// whose clock runs ahead (positive) or behind (negative) of the master's.
 	SkewNs int64
 
 	// Exec faults.

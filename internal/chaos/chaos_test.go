@@ -1,12 +1,16 @@
 package chaos
 
 import (
-	"bufio"
 	"bytes"
+	"encoding/binary"
+	"io"
 	"net"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
+
+	"github.com/social-sensing/sstd/internal/workqueue"
 )
 
 func TestParseSpec(t *testing.T) {
@@ -112,8 +116,31 @@ func TestScriptedFaultOverrides(t *testing.T) {
 	}
 }
 
+// testFrame wraps body in a wire frame header: magic, version 1, uvarint
+// body length. The chaos layer only reads the header, so the body need
+// not decode.
+func testFrame(body ...byte) []byte {
+	out := binary.AppendUvarint([]byte{workqueue.WireMagic, 1}, uint64(len(body)))
+	return append(out, body...)
+}
+
+// goldenFrame loads one of the codec's checked-in frames — a complete,
+// CRC-stamped message for the tests that need a frame that decodes.
+func goldenFrame(t *testing.T, name string) []byte {
+	t.Helper()
+	frame, err := os.ReadFile(filepath.Join("..", "workqueue", "testdata", "golden", name+".bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// TestCorruptFrameModes: each damage shape is deterministic and does to
+// the frame what its name says.
 func TestCorruptFrameModes(t *testing.T) {
-	frame := []byte(`{"type":"result","worker_id":"w0","sent_ns":1722900000000000000}` + "\n")
+	frame := goldenFrame(t, "result")
+	_, lenBytes := binary.Uvarint(frame[2:])
+	hdr := 2 + lenBytes // magic, version, body length
 	seen := map[string]bool{}
 	for h := uint64(0); h < 64; h++ {
 		got, mode := CorruptFrame(h, frame)
@@ -121,11 +148,22 @@ func TestCorruptFrameModes(t *testing.T) {
 		if !bytes.Equal(got, again) {
 			t.Fatalf("mode %s not deterministic", mode)
 		}
-		if bytes.Equal(got, frame) && mode != "truncate" {
+		if bytes.Equal(got, frame) {
 			t.Fatalf("mode %s left the frame intact (h=%d)", mode, h)
 		}
-		if mode != "truncate" && (len(got) == 0 || got[len(got)-1] != '\n') {
-			t.Fatalf("mode %s lost the frame delimiter", mode)
+		switch mode {
+		case "bitflip", "garbage": // body damage under an intact header
+			if len(got) != len(frame) || !bytes.Equal(got[:hdr], frame[:hdr]) {
+				t.Fatalf("mode %s touched the framing (h=%d)", mode, h)
+			}
+		case "truncate":
+			if len(got) >= len(frame) || !bytes.Equal(got, frame[:len(got)]) {
+				t.Fatalf("truncate is not a strict prefix (h=%d)", h)
+			}
+		case "oversize": // the header now announces more than the frame cap
+			if n, ok := workqueue.WireFrameSplit(got); !ok || n != len(got) {
+				t.Fatalf("oversize header not flushed through as garbage: split %d/%v of %d", n, ok, len(got))
+			}
 		}
 		seen[mode] = true
 	}
@@ -136,62 +174,71 @@ func TestCorruptFrameModes(t *testing.T) {
 	}
 }
 
-// TestSkewRewritePrecision checks the digit-level rewrite preserves
-// int64 nanosecond precision (a JSON round trip through float64 would
-// corrupt stamps above 2^53).
-func TestSkewRewrite(t *testing.T) {
-	skew := int64(250 * time.Millisecond)
-	in := New(Spec{SkewNs: skew}, nil, nil)
-	c := &Conn{in: in, stream: "s"}
-	const stamp = int64(1722900000123456789) // > 2^53, full ns precision
-	frame := []byte(`{"type":"heartbeat","sent_ns":1722900000123456789,"spans":[{"name":"exec","start_unix_ns":1722900000123456789,"dur_ns":5}]}` + "\n")
-	got := string(c.applySkew(frame))
-	want := strings.ReplaceAll(string(frame), "1722900000123456789", "1722900000373456789")
-	if got != want {
-		t.Fatalf("skew rewrite:\n got %s\nwant %s", got, want)
+// readN reads exactly n bytes from c or fails the test after 2s.
+func readN(t *testing.T, c net.Conn, n int) []byte {
+	t.Helper()
+	_ = c.SetReadDeadline(time.Now().Add(2 * time.Second))
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(c, buf); err != nil {
+		t.Fatalf("read %d bytes: %v", n, err)
 	}
-	_ = stamp
+	return buf
+}
+
+// TestSkewShiftsStampsExactly: a frame crossing a skewed connection has
+// its clock stamp moved by exactly SkewNs as an int64 — the golden task's
+// stamp is odd and above 2^53, so any float64 detour would round it.
+func TestSkewShiftsStampsExactly(t *testing.T) {
+	const stamp = int64(1722900000123456789)
+	skew := int64(250 * time.Millisecond)
+	if int64(float64(stamp+skew)) == stamp+skew {
+		t.Fatal("test stamp is float64-representable — it proves nothing")
+	}
+	frame := goldenFrame(t, "task")
+	before, after := binary.AppendVarint(nil, stamp), binary.AppendVarint(nil, stamp+skew)
+	if !bytes.Contains(frame, before) {
+		t.Fatal("golden task frame does not carry the expected stamp")
+	}
+	in := New(Spec{SkewNs: skew}, nil, nil)
+	a, b := net.Pipe()
+	defer b.Close()
+	w := in.WrapConn("s", a)
+	go func() {
+		w.Write(frame)
+		w.Close()
+	}()
+	got := readN(t, b, len(frame)) // same-width varint: the length is unchanged
+	if !bytes.Contains(got, after) || bytes.Contains(got, before) {
+		t.Fatalf("skewed frame does not carry stamp+skew exactly\n got % x\nwant it to contain % x", got, after)
+	}
+	if evs := in.Events(); len(evs) != 1 || evs[0].Fault != FaultSkew {
+		t.Fatalf("events: %+v", evs)
+	}
 }
 
 // TestConnFrameFaults drives a wrapped pipe through a scripted schedule
-// and checks the peer sees exactly the surviving frames.
+// and checks the peer sees exactly the surviving frames — counting
+// frames, not writes: frame 0 arrives in two pieces and frame 1 shares a
+// write with frame 2.
 func TestConnFrameFaults(t *testing.T) {
 	in := New(Spec{Script: []ScriptedFault{{Fault: FaultDrop, From: 1, To: 2}}}, nil, nil)
 	a, b := net.Pipe()
 	defer b.Close()
 	w := in.WrapConn("s", a)
-	lines := make(chan string, 3)
+	f0, f1, f2 := testFrame(0), testFrame(1), testFrame(2)
 	go func() {
-		r := bufio.NewReader(b)
-		for {
-			l, err := r.ReadString('\n')
-			if err != nil {
-				close(lines)
-				return
-			}
-			lines <- strings.TrimSpace(l)
-		}
+		w.Write(f0[:2])
+		w.Write(f0[2:])
+		w.Write(append(f1, f2...))
+		w.Close()
 	}()
-	for _, l := range []string{`{"n":0}`, `{"n":1}`, `{"n":2}`} {
-		if _, err := w.Write([]byte(l + "\n")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, want := range []string{`{"n":0}`, `{"n":2}`} {
-		select {
-		case got := <-lines:
-			if got != want {
-				t.Fatalf("got %q want %q", got, want)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("timed out waiting for %q", want)
-		}
+	if got := readN(t, b, len(f0)+len(f2)); !bytes.Equal(got, append(f0, f2...)) {
+		t.Fatalf("peer saw % x, want frames 0 and 2", got)
 	}
 	evs := in.Events()
 	if len(evs) != 1 || evs[0].Fault != FaultDrop || evs[0].Index != 1 {
 		t.Fatalf("events: %+v", evs)
 	}
-	w.Close()
 }
 
 // TestConnReset checks a scripted reset severs the link and surfaces an
@@ -203,7 +250,7 @@ func TestConnReset(t *testing.T) {
 	w := in.WrapConn("s", a)
 	done := make(chan error, 1)
 	go func() {
-		_, err := w.Write([]byte("{}\n"))
+		_, err := w.Write(testFrame(0))
 		done <- err
 	}()
 	// The read side must observe EOF (the reset closed the pipe).
@@ -216,24 +263,23 @@ func TestConnReset(t *testing.T) {
 	}
 }
 
-// TestPartialWritesAssembleFrames checks the wrapper buffers split
-// writes until the newline arrives, counting frames (not writes).
-func TestPartialWritesAssembleFrames(t *testing.T) {
-	in := New(Spec{}, nil, nil)
+// TestNonFramePassedThrough: bytes that do not begin with the wire magic
+// are not a frame — even a drop-everything plan hands them to the peer
+// untouched and unnumbered, for its codec to reject.
+func TestNonFramePassedThrough(t *testing.T) {
+	in := New(Spec{Drop: 1}, nil, nil)
 	a, b := net.Pipe()
 	defer b.Close()
 	w := in.WrapConn("s", a)
+	line := []byte(`{"type":"hello"}` + "\n")
 	go func() {
-		w.Write([]byte(`{"n"`))
-		w.Write([]byte(`:7}` + "\n"))
+		w.Write(line)
 		w.Close()
 	}()
-	r := bufio.NewReader(b)
-	l, err := r.ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
+	if got := readN(t, b, len(line)); !bytes.Equal(got, line) {
+		t.Fatalf("peer saw %q, want %q", got, line)
 	}
-	if strings.TrimSpace(l) != `{"n":7}` {
-		t.Fatalf("got %q", l)
+	if evs := in.Events(); len(evs) != 0 {
+		t.Fatalf("non-frame bytes were faulted: %+v", evs)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
-	"regexp"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,14 +12,14 @@ import (
 )
 
 // Conn wraps a workqueue connection and applies the injector's schedule
-// to outgoing frames. The codec speaks either length-prefixed binary
-// (the default) or newline-delimited JSON; the wrapper buffers partial
-// writes until a full frame is available — a binary frame's length
-// header or a JSON frame's terminating '\n' marks the boundary —
+// to outgoing frames. The wrapper buffers partial writes until the
+// frame's length header says it is complete (workqueue.WireFrameSplit),
 // numbers it, and lets the fault plan decide its fate: pass, drop,
-// corrupt, delay, or reset the connection. Clock skew rewrites the
-// frame's timestamp fields in place, by regex digit-rewrite for JSON
-// and by decode/shift/re-encode for binary.
+// corrupt, delay, or reset the connection. Clock skew shifts the frame's
+// timestamp fields by decode/shift/re-encode
+// (workqueue.ShiftBinaryStamps). Bytes that do not begin with the wire
+// magic are no frame at all: they are passed through whole, unnumbered
+// and unfaulted, for the peer's codec to reject.
 //
 // Only the write side is faulted: wrapping both endpoints of a link
 // (as Injector.PoolWrapper does) covers both directions, and keeping
@@ -43,44 +41,6 @@ func (in *Injector) WrapConn(stream string, c net.Conn) net.Conn {
 	return &Conn{Conn: c, in: in, stream: stream}
 }
 
-// skewRe matches the wire protocol's absolute clock stamps: message and
-// task send times ("sent_ns") and remote span starts ("start_unix_ns").
-// Rewriting the raw digits — instead of a JSON round trip — preserves
-// int64 nanosecond precision, which float64-backed decoding would lose
-// above 2^53.
-var skewRe = regexp.MustCompile(`"(sent_ns|start_unix_ns)":(-?\d+)`)
-
-// applySkew shifts every clock stamp in the frame by SkewNs.
-func (c *Conn) applySkew(frame []byte) []byte {
-	return skewRe.ReplaceAllFunc(frame, func(m []byte) []byte {
-		sub := skewRe.FindSubmatch(m)
-		v, err := strconv.ParseInt(string(sub[2]), 10, 64)
-		if err != nil {
-			return m
-		}
-		return []byte(fmt.Sprintf("%q:%d", sub[1], v+c.in.spec.SkewNs))
-	})
-}
-
-// nextFrame reports the length of the complete frame at the head of
-// buf, or ok=false when more bytes are needed. A buffer beginning with
-// the binary wire magic is cut at the length-prefixed boundary
-// (workqueue.WireFrameSplit); anything else is newline-delimited JSON.
-func nextFrame(buf []byte) (int, bool) {
-	if len(buf) == 0 {
-		return 0, false
-	}
-	if buf[0] == workqueue.WireMagic {
-		return workqueue.WireFrameSplit(buf)
-	}
-	for i, b := range buf {
-		if b == '\n' {
-			return i + 1, true
-		}
-	}
-	return 0, false
-}
-
 // Write applies the fault plan frame by frame. It reports the full
 // length as written even when frames are dropped — the peer simply
 // never sees them, exactly like loss inside the network.
@@ -89,7 +49,15 @@ func (c *Conn) Write(p []byte) (int, error) {
 	defer c.wmu.Unlock()
 	c.wbuf = append(c.wbuf, p...)
 	for {
-		end, ok := nextFrame(c.wbuf)
+		if len(c.wbuf) > 0 && c.wbuf[0] != workqueue.WireMagic {
+			_, err := c.Conn.Write(c.wbuf)
+			c.wbuf = nil
+			if err != nil {
+				return 0, err
+			}
+			return len(p), nil
+		}
+		end, ok := workqueue.WireFrameSplit(c.wbuf)
 		if !ok {
 			return len(p), nil
 		}
@@ -97,11 +65,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		idx := c.widx
 		c.widx++
 		if c.in.spec.SkewNs != 0 {
-			if frame[0] == workqueue.WireMagic {
-				frame = workqueue.ShiftBinaryStamps(frame, c.in.spec.SkewNs)
-			} else {
-				frame = c.applySkew(frame)
-			}
+			frame = workqueue.ShiftBinaryStamps(frame, c.in.spec.SkewNs)
 			c.in.record(FaultSkew, c.stream, idx, time.Duration(c.in.spec.SkewNs).String(), time.Now())
 		}
 		fault, _ := c.in.decide(transportFaults, c.stream, idx)
@@ -138,69 +102,19 @@ func (c *Conn) Write(p []byte) (int, error) {
 	}
 }
 
-// CorruptFrame deterministically mangles one frame; the hash selects
-// among four corruption modes. JSON frames stay newline-terminated
-// (except "truncate", which may cut mid-frame and splice into the next —
-// exactly what a torn TCP segment looks like to the codec); binary
-// frames get the equivalent damage shapes via corruptBinaryFrame.
-// Exported so the fuzz corpus can grow the same shapes the chaos layer
-// produces.
+// CorruptFrame deterministically mangles one complete wire frame; the
+// hash selects among four damage shapes: "bitflip" flips a body byte
+// (framing intact, content damage — the CRC's job to catch), "truncate"
+// cuts the tail so the next frame's bytes are absorbed as body (a torn
+// TCP segment), "oversize" rewrites the length header to an absurd value
+// (the codec's frame cap must reject it), and "garbage" randomizes the
+// body under an intact header. Exported so the fuzz corpus can grow the
+// same shapes the chaos layer produces.
 func CorruptFrame(h uint64, frame []byte) ([]byte, string) {
 	if len(frame) == 0 {
 		return frame, "empty"
 	}
-	if frame[0] == workqueue.WireMagic {
-		return corruptBinaryFrame(h, frame)
-	}
-	body := frame[:len(frame)-1] // strip '\n'
-	switch h % 4 {
-	case 0: // bitflip: one byte, somewhere in the body
-		if len(body) == 0 {
-			return frame, "bitflip"
-		}
-		out := append([]byte(nil), body...)
-		pos := int((h >> 2) % uint64(len(out)))
-		out[pos] ^= byte(1 << ((h >> 32) % 8))
-		return append(out, '\n'), "bitflip"
-	case 1: // truncate: cut the tail off, newline included
-		cut := 0
-		if len(body) > 0 {
-			cut = int((h >> 2) % uint64(len(body)))
-		}
-		return append([]byte(nil), frame[:cut]...), "truncate"
-	case 2: // oversize: balloon the frame with a digit run (corrupt length)
-		out := make([]byte, 0, len(body)+8192)
-		mid := len(body) / 2
-		out = append(out, body[:mid]...)
-		for i := 0; i < 8192; i++ {
-			out = append(out, '9')
-		}
-		out = append(out, body[mid:]...)
-		return append(out, '\n'), "oversize"
-	default: // garbage: replace the frame with non-JSON noise
-		out := make([]byte, len(body))
-		x := h
-		for i := range out {
-			x = splitmix64(x)
-			b := byte(x)
-			if b == '\n' {
-				b = '?'
-			}
-			out[i] = b
-		}
-		return append(out, '\n'), "garbage"
-	}
-}
-
-// corruptBinaryFrame mangles one complete binary wire frame with the
-// same four damage shapes as the JSON path, mapped onto the binary
-// framing: "bitflip" flips a body byte (framing intact, content damage —
-// the CRC's job to catch), "truncate" cuts the tail so the next frame's
-// bytes are absorbed as body (a torn TCP segment), "oversize" rewrites
-// the length header to an absurd value (the codec's frame cap must
-// reject it), and "garbage" randomizes the body under an intact header.
-func corruptBinaryFrame(h uint64, frame []byte) ([]byte, string) {
-	_, used := binary.Uvarint(frame[2:])
+	_, used := binary.Uvarint(frame[min(2, len(frame)):])
 	if used <= 0 || 2+used >= len(frame) {
 		// Header-only or unparseable frame: flip a byte anywhere.
 		out := append([]byte(nil), frame...)

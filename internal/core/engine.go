@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -119,8 +120,14 @@ func NewEngine(cfg Config) (*Engine, error) {
 
 // Ingest adds one report to its claim's ACS accumulator, creating the
 // per-claim state on first sight (the paper dynamically spawns a TD job
-// when a new claim appears).
+// when a new claim appears). A report whose contribution score is not
+// finite is refused: one NaN in an interval sum would poison every later
+// sliding-window value of its claim.
 func (e *Engine) Ingest(r socialsensing.Report) error {
+	if s := r.ContributionScore(); math.IsNaN(s) || math.IsInf(s, 0) {
+		return fmt.Errorf("core: report on claim %q at %v has non-finite contribution score %v (uncertainty %v, independence %v)",
+			r.Claim, r.Timestamp, s, r.Uncertainty, r.Independence)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st, ok := e.claims[r.Claim]

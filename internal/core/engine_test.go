@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -47,6 +48,52 @@ func newTestEngine(t *testing.T, par int) *Engine {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// TestIngestRejectsNonFiniteScore: a report whose contribution score is
+// NaN or infinite is refused at the door — it creates no claim state and
+// leaves the claim's ACS series finite for the reports that follow.
+func TestIngestRejectsNonFiniteScore(t *testing.T) {
+	good := socialsensing.Report{
+		Source: "s", Claim: "c1", Timestamp: origin(),
+		Attitude: socialsensing.Agree, Uncertainty: 0.2, Independence: 0.9,
+	}
+	for name, x := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)} {
+		for field, set := range map[string]func(*socialsensing.Report){
+			"uncertainty":  func(r *socialsensing.Report) { r.Uncertainty = x },
+			"independence": func(r *socialsensing.Report) { r.Independence = x },
+		} {
+			t.Run(name+" "+field, func(t *testing.T) {
+				e := newTestEngine(t, 0)
+				bad := good
+				set(&bad)
+				if err := e.Ingest(bad); err == nil {
+					t.Fatal("non-finite report accepted")
+				}
+				if n, claims := e.ReportCount(), e.Claims(); n != 0 || len(claims) != 0 {
+					t.Fatalf("rejected report left state behind: %d reports, claims %v", n, claims)
+				}
+				// Five intervals of good reports around a second bad one:
+				// past the 3-interval window a poisoned sum would still
+				// show, since NaN - NaN is NaN.
+				for m := 0; m < 5; m++ {
+					r := good
+					r.Timestamp = origin().Add(time.Duration(m) * time.Minute)
+					if err := e.Ingest(r); err != nil {
+						t.Fatal(err)
+					}
+					if m == 0 {
+						_ = e.Ingest(bad)
+					}
+				}
+				for i, v := range e.ACSSeries("c1") {
+					if math.IsNaN(v) || math.IsInf(v, 0) {
+						t.Fatalf("ACS[%d] = %v after a rejected report", i, v)
+					}
+				}
+			})
+		}
+	}
 }
 
 func TestEngineRecoversTruthFlip(t *testing.T) {

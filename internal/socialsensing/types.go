@@ -159,6 +159,10 @@ func (tr *Trace) ReportsByClaim() map[ClaimID][]Report {
 	return out
 }
 
+// inUnit reports whether x lies in [0,1]. Written so that NaN, for which
+// every comparison is false, is out of range.
+func inUnit(x float64) bool { return x >= 0 && x <= 1 }
+
 // Validate performs basic sanity checks on the trace and returns a
 // descriptive error for the first violation found.
 func (tr *Trace) Validate() error {
@@ -180,7 +184,7 @@ func (tr *Trace) Validate() error {
 		if sources[s.ID] {
 			return fmt.Errorf("trace %q: duplicate source %q", tr.Name, s.ID)
 		}
-		if s.Reliability < 0 || s.Reliability > 1 {
+		if !inUnit(s.Reliability) {
 			return fmt.Errorf("trace %q: source %q reliability %v out of [0,1]", tr.Name, s.ID, s.Reliability)
 		}
 		sources[s.ID] = true
@@ -196,10 +200,10 @@ func (tr *Trace) Validate() error {
 		if r.Timestamp.Before(prev) {
 			return fmt.Errorf("trace %q: report %d out of time order", tr.Name, i)
 		}
-		if r.Uncertainty < 0 || r.Uncertainty > 1 {
+		if !inUnit(r.Uncertainty) {
 			return fmt.Errorf("trace %q: report %d uncertainty %v out of [0,1]", tr.Name, i, r.Uncertainty)
 		}
-		if r.Independence < 0 || r.Independence > 1 {
+		if !inUnit(r.Independence) {
 			return fmt.Errorf("trace %q: report %d independence %v out of [0,1]", tr.Name, i, r.Independence)
 		}
 		if r.Attitude < Disagree || r.Attitude > Agree {

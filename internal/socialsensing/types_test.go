@@ -1,6 +1,7 @@
 package socialsensing
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -154,10 +155,11 @@ func TestValidateOK(t *testing.T) {
 }
 
 func TestValidateFailures(t *testing.T) {
-	tests := []struct {
+	type mutation struct {
 		name   string
 		mutate func(*Trace)
-	}{
+	}
+	tests := []mutation{
 		{"no name", func(tr *Trace) { tr.Name = "" }},
 		{"end before start", func(tr *Trace) { tr.End = tr.Start.Add(-time.Second) }},
 		{"duplicate claim", func(tr *Trace) { tr.Claims = append(tr.Claims, tr.Claims[0]) }},
@@ -169,6 +171,15 @@ func TestValidateFailures(t *testing.T) {
 		{"bad uncertainty", func(tr *Trace) { tr.Reports[0].Uncertainty = 2 }},
 		{"bad independence", func(tr *Trace) { tr.Reports[0].Independence = -0.1 }},
 		{"bad attitude", func(tr *Trace) { tr.Reports[0].Attitude = 3 }},
+	}
+	// NaN fails every ordered comparison, so a range check written as
+	// x < 0 || x > 1 lets it through; the infinities ride along.
+	for name, x := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)} {
+		tests = append(tests,
+			mutation{name + " reliability", func(tr *Trace) { tr.Sources[0].Reliability = x }},
+			mutation{name + " uncertainty", func(tr *Trace) { tr.Reports[0].Uncertainty = x }},
+			mutation{name + " independence", func(tr *Trace) { tr.Reports[0].Independence = x }},
+		)
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

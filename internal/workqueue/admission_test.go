@@ -172,8 +172,11 @@ func TestAdmissionRejectionLogged(t *testing.T) {
 func TestMasterAdmitJob(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	// Nobody reads Results here, so the buffer holds every task submitted
+	// below: once unblocked the worker may finish any number of them before
+	// Pool.Close lands, and a full buffer wedges the handler Close waits for.
 	m := NewMaster(MasterConfig{
-		ResultBuffer: 4,
+		ResultBuffer: 512,
 		Admission:    &AdmissionConfig{TaskRatePerWorker: 100},
 	})
 	block := make(chan struct{})

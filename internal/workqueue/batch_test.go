@@ -148,7 +148,7 @@ func fakeBatchWorker(t *testing.T, ctx context.Context, m *Master, id string, ad
 // ackAll replies one msgResultBatch per received frame, acking every
 // task in dispatch order, until total tasks have been acked. It returns
 // the per-frame task counts.
-func ackAll(t *testing.T, c *codec, id string, total int) (frameSizes []int, frameTypes []string) {
+func ackAll(t *testing.T, c *codec, id string, total int) (frameSizes []int, frameTypes []msgType) {
 	t.Helper()
 	acked := 0
 	for acked < total {

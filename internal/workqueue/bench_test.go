@@ -2,9 +2,7 @@ package workqueue
 
 import (
 	"context"
-	"encoding/json"
 	"testing"
-	"time"
 )
 
 // benchTracedTaskMsg is a representative dispatch: a task carrying its
@@ -17,52 +15,6 @@ func benchTracedTaskMsg() message {
 		Trace:        &TraceContext{TraceID: "f3a9b2c1-42", ParentSpanID: 91},
 		SentUnixNano: 1491040800000000000,
 	}}
-}
-
-// benchSpanResultLine is the reply: a result plus the worker's stage
-// spans and clock stamps, as it appears on the wire.
-var benchSpanResultLine = func() []byte {
-	m := message{
-		Type:         msgResult,
-		Result:       &Result{TaskID: "claim-17/3", JobID: "claim-17", WorkerID: "w-1", Output: []byte(`{"sums":{"0":1.5}}`), Elapsed: 2 * time.Millisecond},
-		SentUnixNano: 1491040800002000000,
-		TaskDelayNs:  150000,
-	}
-	for _, stage := range []string{StageRecv, StageDecode, StageExec, StageEncode, StageSend} {
-		m.Spans = append(m.Spans, RemoteSpan{
-			TraceID: "f3a9b2c1-42", Parent: 91, Name: stage, TaskID: "claim-17/3",
-			StartUnixNano: 1491040800000000000, DurNs: 400000,
-		})
-	}
-	b, err := json.Marshal(m)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}()
-
-// BenchmarkMessageEncodeTraced measures serializing a dispatch with its
-// trace context — the master-side per-task wire cost.
-func BenchmarkMessageEncodeTraced(b *testing.B) {
-	m := benchTracedTaskMsg()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := json.Marshal(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMessageDecodeResultSpans measures parsing a result that ships
-// all five worker stage spans — the master-side per-result wire cost.
-func BenchmarkMessageDecodeResultSpans(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var m message
-		if err := json.Unmarshal(benchSpanResultLine, &m); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkStageSpanTraced measures a worker recording one stage span on

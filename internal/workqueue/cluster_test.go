@@ -229,28 +229,45 @@ func TestStragglerNeedsQuorum(t *testing.T) {
 }
 
 // TestUnknownMessageRejectedNotFatal: a foreign worker speaking another
-// dialect is dropped, but the master keeps serving other workers.
+// dialect — a message type a worker never sends, or bytes that are no
+// wire frame at all — is dropped, but the master keeps serving other
+// workers.
 func TestUnknownMessageRejectedNotFatal(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	m := NewMaster(MasterConfig{ResultBuffer: 4})
-	mconn, wconn := pipePair()
-	done := make(chan error, 1)
-	go func() { done <- m.HandleWorker(ctx, mconn) }()
-	c := newCodec(wconn)
-	if err := c.send(message{Type: msgHello, WorkerID: "foreign"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.send(message{Type: "gossip", WorkerID: "foreign"}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "gossip") {
-			t.Errorf("handler error = %v, want unexpected-message rejection", err)
+	for _, tc := range []struct {
+		name string
+		// speak may fail: the handler severs the link as soon as it has
+		// seen enough, and a write error past that point is the
+		// rejection working.
+		speak   func(c *codec)
+		wantErr string
+	}{
+		{"unexpected type", func(c *codec) {
+			_ = c.send(message{Type: msgTaskBatch, WorkerID: "foreign"})
+		}, "unexpected message"},
+		{"not a frame", func(c *codec) {
+			_, _ = c.conn.Write([]byte(`{"type":"gossip","worker_id":"foreign"}` + "\n"))
+		}, ErrWireFormat.Error()},
+	} {
+		mconn, wconn := pipePair()
+		done := make(chan error, 1)
+		go func() { done <- m.HandleWorker(ctx, mconn) }()
+		c := newCodec(wconn)
+		if err := c.send(message{Type: msgHello, WorkerID: "foreign"}); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("handler did not reject the foreign message")
+		go tc.speak(c)
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: handler error = %v, want %q", tc.name, err, tc.wantErr)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: handler did not reject the foreign message", tc.name)
+		}
+		_ = c.close()
 	}
 	// The master is still functional.
 	p := NewPool(m, echoExec)

@@ -1,20 +1,17 @@
 package workqueue
 
-import (
-	"bufio"
-	"net"
-)
+import "net"
 
 // DecodeFrame runs one frame through the production codec's recv path.
 // It exists for external test packages (FuzzDecode lives outside the
 // package because its corpus is built with internal/chaos, which imports
 // workqueue — an in-package import would cycle).
-func DecodeFrame(line []byte) error {
+func DecodeFrame(frame []byte) error {
 	a, b := net.Pipe()
 	defer func() { _ = a.Close(); _ = b.Close() }()
 	go func() {
-		_, _ = a.Write(line)
-		_ = a.Close() // EOF terminates frames without a newline
+		_, _ = a.Write(frame)
+		_ = a.Close() // EOF ends a frame that promises more bytes than it has
 	}()
 	_, err := newCodec(b).recv()
 	return err
@@ -23,39 +20,17 @@ func DecodeFrame(line []byte) error {
 // MaxFrameBytes exposes the frame cap to external tests.
 const MaxFrameBytes = maxFrameBytes
 
-// EncodeTaskFrame produces one valid JSON wire frame (CRC stamped by the
-// production send path) carrying a task — pristine material for external
-// tests to mangle.
-func EncodeTaskFrame(id, job string, payload []byte) []byte {
-	a, b := net.Pipe()
-	defer func() { _ = a.Close(); _ = b.Close() }()
-	framed := make(chan []byte, 1)
-	go func() {
-		line, _ := bufio.NewReader(b).ReadBytes('\n')
-		framed <- line
-	}()
-	c := newCodec(a)
-	c.setJSON(true)
-	_ = c.send(message{Type: msgTask, Task: &Task{ID: id, JobID: job, Payload: payload}})
-	return <-framed
-}
-
-// EncodeTaskFrameBinary is EncodeTaskFrame for the binary wire format:
-// one complete length-prefixed frame, CRC stamped, produced by the
-// production encoder.
+// EncodeTaskFrameBinary produces one complete wire frame, CRC stamped,
+// carrying a task — pristine material for external tests to mangle.
 func EncodeTaskFrameBinary(id, job string, payload []byte) []byte {
 	m := message{Type: msgTask, Task: &Task{ID: id, JobID: job, Payload: payload}}
 	m.CRC = m.checksum()
-	frame, err := appendWireFrame(nil, &m)
-	if err != nil {
-		panic(err)
-	}
-	return frame
+	return appendWireFrame(nil, &m)
 }
 
-// EncodeResultBatchFrameBinary produces one complete binary frame
-// carrying a batch of n synthetic results — material for the frame-cap
-// and oversize-batch-count tests.
+// EncodeResultBatchFrameBinary produces one complete wire frame carrying
+// a batch of n synthetic results — material for the frame-cap and
+// oversize-batch-count tests.
 func EncodeResultBatchFrameBinary(n, payloadBytes int) []byte {
 	m := message{Type: msgResultBatch, WorkerID: "w"}
 	for i := 0; i < n; i++ {
@@ -65,9 +40,5 @@ func EncodeResultBatchFrameBinary(n, payloadBytes int) []byte {
 		})
 	}
 	m.CRC = m.checksum()
-	frame, err := appendWireFrame(nil, &m)
-	if err != nil {
-		panic(err)
-	}
-	return frame
+	return appendWireFrame(nil, &m)
 }

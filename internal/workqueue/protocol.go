@@ -10,12 +10,16 @@
 // messages: periodic liveness pings plus compact telemetry snapshots
 // (task counts, exec-time histogram, connection bytes, runtime stats)
 // that feed the master's per-worker health registry (cluster.go).
+//
+// Every message travels as one length-prefixed binary frame (wire.go);
+// there is no second format and no negotiation. This file holds the
+// message envelope, its integrity checksum and the codec that moves
+// frames over a connection.
 package workqueue
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -91,31 +95,59 @@ type WorkerStats struct {
 	Exec obs.HistogramSnapshot `json:"exec"`
 }
 
+// msgType is a message's kind and, as a number, its type byte on the
+// wire: values are part of the format, so new kinds are appended.
+type msgType byte
+
 // Message types exchanged between master and worker.
 const (
-	msgHello    = "hello"
-	msgTask     = "task"
-	msgResult   = "result"
-	msgShutdown = "shutdown"
+	msgHello msgType = iota + 1
+	msgTask
+	msgResult
+	msgShutdown
 	// msgHeartbeat is a worker liveness ping; msgStats is a heartbeat
 	// carrying a WorkerStats snapshot. Both may arrive at any time,
 	// including while a task is executing.
-	msgHeartbeat = "heartbeat"
-	msgStats     = "stats"
+	msgHeartbeat
+	msgStats
 	// msgFreeze is the master's FreezeRings broadcast: every worker
 	// snapshots its flight-recorder rings and replies with msgFlightDump.
 	// A worker may also send msgFlightDump unsolicited (Seq 0, Trigger
 	// set) when its own recorder trips, which the master treats as a
 	// cluster-wide trip.
-	msgFreeze     = "freeze"
-	msgFlightDump = "flight-dump"
+	msgFreeze
+	msgFlightDump
 	// msgTaskBatch carries several tasks in one frame (master→worker);
 	// msgResultBatch carries several results back (worker→master). Both
 	// sides fall back to the singular forms when batching is not
 	// negotiated (hello.Batch == 0).
-	msgTaskBatch   = "task-batch"
-	msgResultBatch = "result-batch"
+	msgTaskBatch
+	msgResultBatch
 )
+
+// wireTypeName names every message type. The names are hashed into the
+// frame checksum, so renaming one invalidates frames already encoded; a
+// type byte without a name here is rejected by the decoder.
+var wireTypeName = [...]string{
+	msgHello:       "hello",
+	msgTask:        "task",
+	msgResult:      "result",
+	msgShutdown:    "shutdown",
+	msgHeartbeat:   "heartbeat",
+	msgStats:       "stats",
+	msgFreeze:      "freeze",
+	msgFlightDump:  "flight-dump",
+	msgTaskBatch:   "task-batch",
+	msgResultBatch: "result-batch",
+}
+
+// String returns the type's name, or "" for a byte that names no type.
+func (t msgType) String() string {
+	if int(t) < len(wireTypeName) {
+		return wireTypeName[t]
+	}
+	return ""
+}
 
 // FreezeRequest asks a worker for its flight-recorder snapshot, part of
 // cross-host dump collection.
@@ -144,13 +176,13 @@ type FlightDump struct {
 	Events []flightrec.Event `json:"events,omitempty"`
 }
 
-// message is the wire envelope: one JSON object per line.
+// message is the wire envelope: one binary frame each (wire.go).
 type message struct {
-	Type     string       `json:"type"`
-	WorkerID string       `json:"worker_id,omitempty"`
-	Task     *Task        `json:"task,omitempty"`
-	Result   *Result      `json:"result,omitempty"`
-	Stats    *WorkerStats `json:"stats,omitempty"`
+	Type     msgType
+	WorkerID string
+	Task     *Task
+	Result   *Result
+	Stats    *WorkerStats
 	// SentUnixNano stamps the worker's clock as the message goes on the
 	// wire; the master's receive time minus it is the worker→master leg
 	// of the clock-skew estimate. TaskDelayNs is the worker-observed
@@ -159,42 +191,40 @@ type message struct {
 	// cancels transit and leaves clock skew (NTP's derivation); summing
 	// them estimates the RTT. Both ride on heartbeats, stats and results,
 	// so skew converges even for workers that never heartbeat.
-	SentUnixNano int64 `json:"sent_ns,omitempty"`
-	TaskDelayNs  int64 `json:"task_delay_ns,omitempty"`
+	SentUnixNano int64
+	TaskDelayNs  int64
 	// Spans are finished worker-side stage spans being shipped to the
 	// master (on results, heartbeats and stats messages alike).
-	Spans []RemoteSpan `json:"spans,omitempty"`
+	Spans []RemoteSpan
 	// Telemetry piggybacks a delta-encoded metrics snapshot on stats
 	// messages, feeding the master's time-series store. Excluded from the
 	// CRC like the clock stamps: telemetry damage is not worth a
 	// disconnect.
-	Telemetry *obs.TelemetryShip `json:"telemetry,omitempty"`
+	Telemetry *obs.TelemetryShip
 	// Freeze rides on msgFreeze (master→worker); Dump on msgFlightDump
 	// (worker→master).
-	Freeze *FreezeRequest `json:"freeze,omitempty"`
-	Dump   *FlightDump    `json:"dump,omitempty"`
+	Freeze *FreezeRequest
+	Dump   *FlightDump
 	// Batch rides on hello: the largest task batch the worker is willing
 	// to accept in one frame (0 = unbatched, the pre-batching protocol).
 	// The master dispatches min(its configured batch size, this).
-	Batch int `json:"batch,omitempty"`
+	Batch int
 	// Tasks rides on msgTaskBatch, Results on msgResultBatch. Like their
 	// singular counterparts both are CRC-guarded, element by element.
-	Tasks   []Task   `json:"tasks,omitempty"`
-	Results []Result `json:"results,omitempty"`
+	Tasks   []Task
+	Results []Result
 	// CRC guards the corruption-sensitive fields (message type, task and
 	// result identity, payloads) against frames that are damaged in
-	// flight yet still parse as JSON — without it a single flipped bit
-	// inside a base64 payload delivers silently wrong data. Clock stamps
-	// and telemetry are deliberately excluded: a peer with a skewed
-	// clock is a timing condition, not corruption. Zero means unchecked
-	// (older peers).
-	CRC uint32 `json:"crc,omitempty"`
+	// flight yet still decode — without it a single flipped bit inside a
+	// payload delivers silently wrong data. Clock stamps and telemetry
+	// are deliberately excluded: a peer with a skewed clock is a timing
+	// condition, not corruption. recv checks it on every frame.
+	CRC uint32
 }
 
 // checksum computes the integrity check over the guarded fields. It
-// hashes decoded field values, not wire bytes, so a message carries the
-// same checksum whether it travels as JSON or binary — a frame can be
-// re-encoded across codecs without invalidating its CRC.
+// hashes decoded field values, not wire bytes, so a frame that is decoded
+// and re-encoded (the chaos layer's clock-skew rewrite) keeps its CRC.
 func (m *message) checksum() uint32 {
 	h := crc32.NewIEEE()
 	write := func(s string) { _, _ = io.WriteString(h, s); _, _ = h.Write([]byte{0}) }
@@ -215,7 +245,7 @@ func (m *message) checksum() uint32 {
 		_, _ = h.Write(r.Output)
 		_, _ = h.Write([]byte{0})
 	}
-	write(m.Type)
+	write(m.Type.String())
 	write(m.WorkerID)
 	if m.Task != nil {
 		sumTask(m.Task)
@@ -236,14 +266,8 @@ func (m *message) checksum() uint32 {
 // its guarded content.
 var ErrChecksum = errors.New("workqueue: frame checksum mismatch")
 
-// codec frames messages over a connection in one of two formats: the
-// length-prefixed binary wire format (wire.go, the default) or
-// newline-delimited JSON (the original protocol, kept for compatibility
-// and as the differential-testing reference). recv auto-detects the
-// format of every incoming frame — a binary frame's magic byte 0xF5 can
-// never begin a JSON document — and the send side mirrors the format the
-// peer last spoke, so a JSON-only peer is answered in JSON with no
-// negotiation handshake. Sends are serialized by a mutex so a worker's
+// codec frames messages over a connection in the length-prefixed binary
+// wire format (wire.go). Sends are serialized by a mutex so a worker's
 // heartbeat goroutine and its task loop can share the connection; recv
 // is single-reader. Wire bytes are counted in both directions for the
 // stats snapshots.
@@ -251,13 +275,9 @@ type codec struct {
 	conn     net.Conn
 	r        *bufio.Reader
 	w        io.Writer
-	enc      *json.Encoder
 	sendMu   sync.Mutex
 	bytesIn  atomic.Int64
 	bytesOut atomic.Int64
-	// sendJSON selects the outbound format; flipped by recv to mirror
-	// the peer (atomic: recv and senders are separate goroutines).
-	sendJSON atomic.Bool
 	// fr probes frame encode/decode and CRC phases into the flight
 	// recorder. The send side is mutex-serialized and recv is
 	// single-reader, so one ring per codec keeps writers private.
@@ -276,14 +296,8 @@ func newCodecWith(conn net.Conn, rec *flightrec.Recorder) *codec {
 	c := &codec{conn: conn, fr: rec.NewRing("codec")}
 	c.r = bufio.NewReader(countingReader{conn, &c.bytesIn})
 	c.w = countingWriter{conn, &c.bytesOut}
-	c.enc = json.NewEncoder(c.w)
 	return c
 }
-
-// setJSON pins the outbound format (true = newline-delimited JSON).
-// The dialing side calls this before its hello to pick the protocol;
-// the accepting side just mirrors whatever arrives.
-func (c *codec) setJSON(v bool) { c.sendJSON.Store(v) }
 
 // flightParent links a frame's codec events under the span that owns the
 // task it carries; telemetry-only frames stay unparented.
@@ -297,7 +311,7 @@ func (m *message) flightParent() int64 {
 	return 0
 }
 
-// send writes one message, stamping its integrity checksum.
+// send writes one message as one frame, stamping its integrity checksum.
 func (c *codec) send(m message) error {
 	parent := m.flightParent()
 	tp := c.fr.Start()
@@ -305,76 +319,47 @@ func (c *codec) send(m message) error {
 	tp = c.fr.Probe(flightrec.ProbeCodecCRC, tp, 0, parent)
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	before := c.bytesOut.Load()
-	// A message type the binary format has no byte for travels as JSON:
-	// recv auto-detects per frame, so formats may mix freely on one
-	// connection — the forward-compatibility story for new types.
-	_, encodable := wireTypeOf[m.Type]
-	if c.sendJSON.Load() || !encodable {
-		if err := c.enc.Encode(m); err != nil {
-			return obs.Wrap(fmt.Errorf("workqueue: send %s: %w", m.Type, err))
-		}
-	} else {
-		bp := wireBufPool.Get().(*[]byte)
-		frame, err := appendWireFrame((*bp)[:0], &m)
-		if err != nil {
-			wireBufPool.Put(bp)
-			return obs.Wrap(fmt.Errorf("workqueue: send %s: %w", m.Type, err))
-		}
-		_, err = c.w.Write(frame)
-		*bp = frame[:0]
-		wireBufPool.Put(bp)
-		if err != nil {
-			return obs.Wrap(fmt.Errorf("workqueue: send %s: %w", m.Type, err))
-		}
+	bp := wireBufPool.Get().(*[]byte)
+	frame := appendWireFrame((*bp)[:0], &m)
+	_, err := c.w.Write(frame)
+	*bp = frame[:0]
+	wireBufPool.Put(bp)
+	if err != nil {
+		return obs.Wrap(fmt.Errorf("workqueue: send %s: %w", m.Type, err))
 	}
-	c.fr.Probe(flightrec.ProbeCodecEncode, tp, c.bytesOut.Load()-before, parent)
+	c.fr.Probe(flightrec.ProbeCodecEncode, tp, int64(len(frame)), parent)
 	return nil
 }
 
 // maxFrameBytes bounds one wire frame. A corrupt or malicious peer that
-// streams bytes without a newline would otherwise grow the recv buffer
-// without limit; past this cap recv fails and the connection is dropped
-// by the caller. Generous enough for any legitimate task payload.
+// announces an absurd body length would otherwise drive an allocation of
+// that size; past this cap recv fails and the connection is dropped by
+// the caller. Generous enough for any legitimate task payload.
 const maxFrameBytes = 32 << 20
 
-// ErrFrameTooLarge is returned by recv when a frame exceeds
-// maxFrameBytes before its terminating newline arrives.
+// ErrFrameTooLarge is returned by recv when a frame's announced length
+// exceeds maxFrameBytes.
 var ErrFrameTooLarge = errors.New("workqueue: frame exceeds size limit")
 
-// recv reads the next message, sniffing its format from the first byte
-// (WireMagic → binary, anything else → JSON) and mirroring that format
-// onto the send side. Frames larger than maxFrameBytes are rejected with
-// ErrFrameTooLarge instead of being buffered whole, so a corrupt length
-// cannot blow up allocation.
+// recv reads the next frame into a pooled buffer, decodes it and checks
+// its CRC. Every error is fatal to the connection: after a bad magic
+// byte, version, length or body the stream has no frame boundary left to
+// resynchronise on. A frame announcing more than maxFrameBytes is
+// rejected with ErrFrameTooLarge before any of its body is buffered.
 func (c *codec) recv() (message, error) {
-	first, err := c.r.Peek(1)
+	magic, err := c.r.ReadByte()
 	if err != nil {
 		return message{}, obs.Wrap(err)
 	}
-	if first[0] == WireMagic {
-		m, err := c.recvBinary()
-		if err == nil {
-			c.sendJSON.Store(false)
-		}
-		return m, err
+	if magic != WireMagic {
+		return message{}, obs.Wrap(fmt.Errorf("%w: first byte %#02x is not the frame magic", ErrWireFormat, magic))
 	}
-	m, err := c.recvJSON()
-	if err == nil {
-		c.sendJSON.Store(true)
+	version, err := c.r.ReadByte()
+	if err != nil {
+		return message{}, obs.Wrap(fmt.Errorf("%w: frame version: %v", ErrWireFormat, err))
 	}
-	return m, err
-}
-
-// recvBinary reads one length-prefixed binary frame into a pooled
-// buffer and decodes it.
-func (c *codec) recvBinary() (message, error) {
-	var hdr [2]byte
-	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
-		return message{}, obs.Wrap(err)
-	}
-	if hdr[1] != wireVersion {
-		return message{}, obs.Wrap(fmt.Errorf("%w: unsupported version %d", ErrWireFormat, hdr[1]))
+	if version != wireVersion {
+		return message{}, obs.Wrap(fmt.Errorf("%w: unsupported version %d", ErrWireFormat, version))
 	}
 	n, err := binary.ReadUvarint(c.r)
 	if err != nil {
@@ -392,7 +377,7 @@ func (c *codec) recvBinary() (message, error) {
 	body = body[:n]
 	*bp = body[:0]
 	if _, err := io.ReadFull(c.r, body); err != nil {
-		return message{}, obs.Wrap(fmt.Errorf("workqueue: read binary frame: %w", err))
+		return message{}, obs.Wrap(fmt.Errorf("workqueue: read frame: %w", err))
 	}
 	tp := c.fr.Start()
 	m, err := decodeWireBody(body)
@@ -401,42 +386,7 @@ func (c *codec) recvBinary() (message, error) {
 	}
 	parent := m.flightParent()
 	tp = c.fr.Probe(flightrec.ProbeCodecDecode, tp, int64(len(body))+3, parent)
-	if m.CRC != 0 && m.CRC != m.checksum() {
-		return message{}, obs.Wrap(fmt.Errorf("%w (type %q)", ErrChecksum, m.Type))
-	}
-	c.fr.Probe(flightrec.ProbeCodecCRC, tp, 0, parent)
-	return m, nil
-}
-
-// recvJSON reads one newline-delimited JSON frame — the original
-// protocol, kept as the compatibility path and differential reference.
-func (c *codec) recvJSON() (message, error) {
-	var line []byte
-	for {
-		chunk, err := c.r.ReadSlice('\n')
-		line = append(line, chunk...)
-		if err == nil {
-			break
-		}
-		if err == bufio.ErrBufferFull {
-			if len(line) > maxFrameBytes {
-				return message{}, obs.Wrap(ErrFrameTooLarge)
-			}
-			continue
-		}
-		return message{}, obs.Wrap(err)
-	}
-	if len(line) > maxFrameBytes {
-		return message{}, obs.Wrap(ErrFrameTooLarge)
-	}
-	tp := c.fr.Start()
-	var m message
-	if err := json.Unmarshal(line, &m); err != nil {
-		return message{}, obs.Wrap(fmt.Errorf("workqueue: decode message: %w", err))
-	}
-	parent := m.flightParent()
-	tp = c.fr.Probe(flightrec.ProbeCodecDecode, tp, int64(len(line)), parent)
-	if m.CRC != 0 && m.CRC != m.checksum() {
+	if m.CRC != m.checksum() {
 		return message{}, obs.Wrap(fmt.Errorf("%w (type %q)", ErrChecksum, m.Type))
 	}
 	c.fr.Probe(flightrec.ProbeCodecCRC, tp, 0, parent)

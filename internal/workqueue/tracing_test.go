@@ -74,30 +74,31 @@ func TestRemoteSpanRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUntracedProtocolBackwardCompat: messages from before tracing — a
-// task with no trace context, a result with no spans or clock stamps —
-// decode to zero values, and the worker-side trace helpers treat them as
-// "tracing off" rather than failing.
-func TestUntracedProtocolBackwardCompat(t *testing.T) {
+// TestUntracedMessagesTraceOff: an untraced exchange — a task with no
+// trace context, a result with no spans or clock stamps — decodes to zero
+// values, and the worker-side trace helpers treat them as "tracing off"
+// rather than failing.
+func TestUntracedMessagesTraceOff(t *testing.T) {
 	a, b := pipePair()
-	cb := newCodec(b)
+	ca, cb := newCodec(a), newCodec(b)
+	defer func() { _ = ca.close() }()
 	go func() {
-		_, _ = a.Write([]byte(`{"type":"task","task":{"id":"t","job_id":"j","payload":"eA=="}}` + "\n"))
-		_, _ = a.Write([]byte(`{"type":"result","result":{"task_id":"t","worker_id":"w","elapsed_ns":5}}` + "\n"))
+		_ = ca.send(message{Type: msgTask, Task: &Task{ID: "t", JobID: "j", Payload: []byte("x")}})
+		_ = ca.send(message{Type: msgResult, Result: &Result{TaskID: "t", WorkerID: "w", Elapsed: 5}})
 	}()
 	m, err := cb.recv()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Task == nil || m.Task.Trace != nil || m.Task.SentUnixNano != 0 {
-		t.Errorf("old task gained trace state: %+v", m.Task)
+		t.Errorf("untraced task gained trace state: %+v", m.Task)
 	}
 	m, err = cb.recv()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Spans != nil || m.SentUnixNano != 0 || m.TaskDelayNs != 0 {
-		t.Errorf("old result gained trace state: %+v", m)
+		t.Errorf("untraced result gained trace state: %+v", m)
 	}
 
 	// A nil trace context means no TaskTrace, and every helper no-ops.

@@ -1,7 +1,7 @@
 package workqueue
 
-// wire.go is the length-prefixed binary wire format — the fast codec the
-// cluster speaks by default. A frame is
+// wire.go is the length-prefixed binary wire format — the only format
+// the cluster speaks. A frame is
 //
 //	magic(0xF5) version(0x01) uvarint(bodyLen) body
 //
@@ -14,12 +14,11 @@ package workqueue
 // allocation. Map-backed telemetry is emitted with sorted keys so
 // encoding is deterministic and golden frames stay byte-stable.
 //
-// The JSON codec (protocol.go) remains fully supported: recv sniffs the
-// first byte of each frame (0xF5 never begins a JSON document) and
-// decodes either format, and the send side mirrors whatever format the
-// peer last spoke. The CRC32 integrity check is computed over the same
-// decoded field values in both formats, so a frame re-encoded across
-// codecs keeps its checksum.
+// This file is the one place that knows the layout: the codec
+// (protocol.go) reads and writes frames through it, and the chaos layer
+// cuts, skews and damages frames through WireFrameSplit and
+// ShiftBinaryStamps. The CRC32 integrity check (message.checksum) is
+// computed over decoded field values, not frame bytes.
 import (
 	"encoding/binary"
 	"errors"
@@ -33,61 +32,19 @@ import (
 	"github.com/social-sensing/sstd/internal/obs/flightrec"
 )
 
-// WireMagic is the first byte of every binary frame. It is not a legal
-// first byte of any JSON document (or of UTF-8 text at all), which is
-// what lets recv distinguish the two formats without negotiation.
+// WireMagic is the first byte of every frame. It is not a legal first
+// byte of UTF-8 text, so a peer speaking anything else — an HTTP client,
+// a line protocol — is rejected on its first byte.
 const WireMagic byte = 0xF5
 
 // wireVersion is the binary format revision. Bump it for incompatible
 // layout changes; the decoder rejects versions it does not know.
 const wireVersion byte = 1
 
-// ErrWireFormat is returned by the binary decoder for a structurally
-// invalid body: truncated varints, lengths past the frame end, unknown
-// message types or trailing garbage.
+// ErrWireFormat is returned by recv for a structurally invalid frame: a
+// wrong magic byte or version, truncated varints, lengths past the frame
+// end, unknown message types or trailing garbage.
 var ErrWireFormat = errors.New("workqueue: malformed binary frame")
-
-// Binary message type bytes. The wire carries these; the decoded message
-// keeps the string constants of protocol.go so the rest of the package
-// (and the JSON codec) is format-agnostic.
-const (
-	wireHello byte = iota + 1
-	wireTask
-	wireResult
-	wireShutdown
-	wireHeartbeat
-	wireStats
-	wireFreeze
-	wireFlightDump
-	wireTaskBatch
-	wireResultBatch
-)
-
-var wireTypeOf = map[string]byte{
-	msgHello:       wireHello,
-	msgTask:        wireTask,
-	msgResult:      wireResult,
-	msgShutdown:    wireShutdown,
-	msgHeartbeat:   wireHeartbeat,
-	msgStats:       wireStats,
-	msgFreeze:      wireFreeze,
-	msgFlightDump:  wireFlightDump,
-	msgTaskBatch:   wireTaskBatch,
-	msgResultBatch: wireResultBatch,
-}
-
-var wireTypeName = [...]string{
-	wireHello:       msgHello,
-	wireTask:        msgTask,
-	wireResult:      msgResult,
-	wireShutdown:    msgShutdown,
-	wireHeartbeat:   msgHeartbeat,
-	wireStats:       msgStats,
-	wireFreeze:      msgFreeze,
-	wireFlightDump:  msgFlightDump,
-	wireTaskBatch:   msgTaskBatch,
-	wireResultBatch: msgResultBatch,
-}
 
 // Field-presence bits, in encode order.
 const (
@@ -236,7 +193,7 @@ func (r *wireReader) str() string {
 
 // blob returns a copy of the next byte string (the frame buffer is
 // pooled; decoded messages must own their bytes). Zero length decodes as
-// nil, matching the JSON codec's omitempty round trip.
+// nil.
 func (r *wireReader) blob() []byte {
 	n := r.count(1)
 	if r.err != nil || n == 0 {
@@ -587,14 +544,9 @@ func wireFlags(m *message) uint64 {
 	return f
 }
 
-// appendWireFrame encodes m as one complete binary frame (header
-// included) appended to dst. It fails only for a message type the format
-// has no byte for.
-func appendWireFrame(dst []byte, m *message) ([]byte, error) {
-	mt, ok := wireTypeOf[m.Type]
-	if !ok {
-		return dst, fmt.Errorf("workqueue: no binary encoding for message type %q", m.Type)
-	}
+// appendWireFrame encodes m as one complete frame (header included)
+// appended to dst.
+func appendWireFrame(dst []byte, m *message) []byte {
 	// Reserve header room, encode the body after it, then write the
 	// header immediately before the body — one buffer, no copy.
 	base := len(dst)
@@ -602,7 +554,7 @@ func appendWireFrame(dst []byte, m *message) ([]byte, error) {
 		dst = append(dst, 0)
 	}
 	w := wireWriter{b: dst}
-	w.byte(mt)
+	w.byte(byte(m.Type))
 	flags := wireFlags(m)
 	w.u64(flags)
 	if flags&wfWorkerID != 0 {
@@ -671,18 +623,16 @@ func appendWireFrame(dst []byte, m *message) ([]byte, error) {
 		copy(w.b[base:], w.b[start:])
 		w.b = w.b[:len(w.b)-(start-base)]
 	}
-	return w.b, nil
+	return w.b
 }
 
 // decodeWireBody decodes one binary frame body (header already consumed).
 func decodeWireBody(body []byte) (message, error) {
 	r := wireReader{b: body}
-	mt := r.byte()
-	if int(mt) >= len(wireTypeName) || wireTypeName[mt] == "" {
-		return message{}, fmt.Errorf("%w: unknown message type %d", ErrWireFormat, mt)
+	m := message{Type: msgType(r.byte())}
+	if m.Type.String() == "" {
+		return message{}, fmt.Errorf("%w: unknown message type %d", ErrWireFormat, byte(m.Type))
 	}
-	var m message
-	m.Type = wireTypeName[mt]
 	flags := r.u64()
 	if flags&wfWorkerID != 0 {
 		m.WorkerID = r.str()
@@ -788,14 +738,14 @@ func WireFrameSplit(buf []byte) (int, bool) {
 }
 
 // ShiftBinaryStamps rewrites the absolute clock stamps of one complete
-// binary frame by deltaNs — the binary counterpart of the chaos layer's
-// JSON regex rewrite. Shifted fields mirror the JSON path exactly: the
-// envelope and task send stamps ("sent_ns") and remote span starts
-// ("start_unix_ns"). Relative fields (task_delay_ns, durations, timeout
-// budgets) and the CRC-guarded identity fields are untouched, so a
-// skewed frame still passes its checksum — skew stays a timing
-// condition, not corruption. A frame that does not decode is returned
-// unchanged (it is already garbage; the codec will reject it).
+// frame by deltaNs — the chaos layer's clock-skew fault. Shifted fields
+// are the envelope and task send stamps (SentUnixNano) and remote span
+// starts (StartUnixNano), moved as int64 nanoseconds with no float in
+// between. Relative fields (TaskDelayNs, durations, timeout budgets) and
+// the CRC-guarded identity fields are untouched, so a skewed frame still
+// passes its checksum — skew stays a timing condition, not corruption. A
+// frame that does not decode is returned unchanged (it is already
+// garbage; the codec will reject it).
 func ShiftBinaryStamps(frame []byte, deltaNs int64) []byte {
 	total, ok := WireFrameSplit(frame)
 	if !ok || total != len(frame) || frame[1] != wireVersion {
@@ -821,9 +771,5 @@ func ShiftBinaryStamps(frame []byte, deltaNs int64) []byte {
 	for i := range m.Spans {
 		shift(&m.Spans[i].StartUnixNano)
 	}
-	out, err := appendWireFrame(nil, &m)
-	if err != nil {
-		return frame
-	}
-	return out
+	return appendWireFrame(nil, &m)
 }

@@ -1,23 +1,22 @@
 package workqueue
 
-// BenchmarkWire* measures the binary wire format against the JSON
-// reference — the encode/decode ns/op pairs behind BENCH_wire.json and
-// the Eq. 10 transfer-term discussion in DESIGN.md. The one-connection
-// throughput benchmark at the bottom is the end-to-end batching number:
-// tasks/sec through a single master↔worker connection, lock-step vs
-// batched.
+// BenchmarkWire* measures the wire format — the encode/decode ns/op
+// behind BENCH_wire.json and the Eq. 10 transfer-term discussion in
+// DESIGN.md. The one-connection throughput benchmark at the bottom is
+// the end-to-end batching number: tasks/sec through a single
+// master↔worker connection, lock-step vs batched.
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
 )
 
-// benchSpanResultMsg is the traced reply of benchSpanResultLine as a
-// message value: a result plus all five worker stage spans and the
-// clock stamps — the shape that dominates master-side decode.
+// benchSpanResultMsg is the traced reply: a result plus all five worker
+// stage spans and the clock stamps — the shape that dominates
+// master-side decode.
 func benchSpanResultMsg() message {
 	m := message{
 		Type:         msgResult,
@@ -46,75 +45,33 @@ func benchTaskBatchMsg(n int) message {
 	return m
 }
 
-// BenchmarkWireEncodeTaskJSON / Binary: serializing one traced dispatch.
-func BenchmarkWireEncodeTaskJSON(b *testing.B) {
-	m := benchTracedTaskMsg()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := json.Marshal(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkWireEncodeTaskBinary: serializing one traced dispatch.
 func BenchmarkWireEncodeTaskBinary(b *testing.B) {
 	m := benchTracedTaskMsg()
 	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = appendWireFrame(buf[:0], &m)
-		if err != nil {
-			b.Fatal(err)
-		}
+		buf = appendWireFrame(buf[:0], &m)
 	}
 }
 
-// BenchmarkWireEncodeResultSpansJSON / Binary: serializing a traced
-// result with its five stage spans — the worker-side per-result cost.
-func BenchmarkWireEncodeResultSpansJSON(b *testing.B) {
-	m := benchSpanResultMsg()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := json.Marshal(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkWireEncodeResultSpansBinary: serializing a traced result with
+// its five stage spans — the worker-side per-result cost.
 func BenchmarkWireEncodeResultSpansBinary(b *testing.B) {
 	m := benchSpanResultMsg()
 	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = appendWireFrame(buf[:0], &m)
-		if err != nil {
-			b.Fatal(err)
-		}
+		buf = appendWireFrame(buf[:0], &m)
 	}
 }
 
-// BenchmarkWireDecodeResultSpansJSON / Binary: parsing that traced
-// result back — the master-side per-result cost Eq. 10 charges to the
-// transfer term.
-func BenchmarkWireDecodeResultSpansJSON(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var m message
-		if err := json.Unmarshal(benchSpanResultLine, &m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkWireDecodeResultSpansBinary: parsing that traced result back
+// — the master-side per-result cost Eq. 10 charges to the transfer term.
 func BenchmarkWireDecodeResultSpansBinary(b *testing.B) {
 	m := benchSpanResultMsg()
-	frame, err := appendWireFrame(nil, &m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, used := uvarintAt(frame, 2)
+	frame := appendWireFrame(nil, &m)
+	_, used := binary.Uvarint(frame[2:])
 	body := frame[2+used:]
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -124,28 +81,14 @@ func BenchmarkWireDecodeResultSpansBinary(b *testing.B) {
 	}
 }
 
-// BenchmarkWireEncodeTaskBatch8JSON / Binary: eight traced tasks in one
-// frame — the batched dispatch the master sends per claim.
-func BenchmarkWireEncodeTaskBatch8JSON(b *testing.B) {
-	m := benchTaskBatchMsg(8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := json.Marshal(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkWireEncodeTaskBatch8Binary: eight traced tasks in one frame —
+// the batched dispatch the master sends per claim.
 func BenchmarkWireEncodeTaskBatch8Binary(b *testing.B) {
 	m := benchTaskBatchMsg(8)
 	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = appendWireFrame(buf[:0], &m)
-		if err != nil {
-			b.Fatal(err)
-		}
+		buf = appendWireFrame(buf[:0], &m)
 	}
 }
 

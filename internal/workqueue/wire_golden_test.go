@@ -10,6 +10,7 @@ package workqueue
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"net"
 	"os"
@@ -93,8 +94,8 @@ func goldenMessages() []message {
 	}
 }
 
-func goldenPath(typ string) string {
-	return filepath.Join("testdata", "golden", typ+".bin")
+func goldenPath(typ msgType) string {
+	return filepath.Join("testdata", "golden", typ.String()+".bin")
 }
 
 // TestGoldenFramesStable: encoding the fixture messages must reproduce
@@ -103,12 +104,9 @@ func goldenPath(typ string) string {
 func TestGoldenFramesStable(t *testing.T) {
 	for _, m := range goldenMessages() {
 		m := m
-		t.Run(m.Type, func(t *testing.T) {
+		t.Run(m.Type.String(), func(t *testing.T) {
 			m.CRC = m.checksum()
-			frame, err := appendWireFrame(nil, &m)
-			if err != nil {
-				t.Fatal(err)
-			}
+			frame := appendWireFrame(nil, &m)
 			path := goldenPath(m.Type)
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -129,11 +127,7 @@ func TestGoldenFramesStable(t *testing.T) {
 			}
 			// Re-encoding the same message must be deterministic (the
 			// telemetry maps are the only unordered inputs).
-			again, err := appendWireFrame(nil, &m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(frame, again) {
+			if again := appendWireFrame(nil, &m); !bytes.Equal(frame, again) {
 				t.Fatalf("encoding %s is nondeterministic", m.Type)
 			}
 		})
@@ -150,7 +144,7 @@ func TestGoldenFramesDecode(t *testing.T) {
 	}
 	for _, m := range goldenMessages() {
 		m := m
-		t.Run(m.Type, func(t *testing.T) {
+		t.Run(m.Type.String(), func(t *testing.T) {
 			frame, err := os.ReadFile(goldenPath(m.Type))
 			if err != nil {
 				t.Fatalf("read golden (regenerate with -update): %v", err)
@@ -174,16 +168,38 @@ func TestGoldenFramesDecode(t *testing.T) {
 	}
 }
 
-// TestGoldenCoversAllWireTypes: a new binary message type must ship a
-// golden frame with it.
+// TestGoldenFrameWithoutCRCRejected: a frame whose CRC presence bit is
+// clear (and whose four CRC bytes are gone with it, so it still parses)
+// is not an "unchecked" frame — one flipped flag bit must not turn the
+// integrity check off. Every golden frame re-framed that way is refused
+// with ErrChecksum.
+func TestGoldenFrameWithoutCRCRejected(t *testing.T) {
+	for _, m := range goldenMessages() {
+		golden, err := os.ReadFile(goldenPath(m.Type))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.CRC = 0 // wireFlags leaves wfCRC clear and the field unwritten
+		stripped := appendWireFrame(nil, &m)
+		if len(stripped) != len(golden)-4 {
+			t.Fatalf("%s: stripped frame is %d bytes, golden %d — want exactly the CRC gone", m.Type, len(stripped), len(golden))
+		}
+		if err := DecodeFrame(stripped); !errors.Is(err, ErrChecksum) {
+			t.Errorf("%s: frame without a CRC: got %v, want ErrChecksum", m.Type, err)
+		}
+	}
+}
+
+// TestGoldenCoversAllWireTypes: a new message type must ship a golden
+// frame with it.
 func TestGoldenCoversAllWireTypes(t *testing.T) {
-	have := make(map[string]bool)
+	have := make(map[msgType]bool)
 	for _, m := range goldenMessages() {
 		have[m.Type] = true
 	}
-	for typ := range wireTypeOf {
-		if !have[typ] {
-			t.Errorf("wire type %q has no golden frame — add it to goldenMessages and run -update", typ)
+	for typ, name := range wireTypeName {
+		if name != "" && !have[msgType(typ)] {
+			t.Errorf("wire type %q has no golden frame — add it to goldenMessages and run -update", name)
 		}
 	}
 }

@@ -1,13 +1,14 @@
 package workqueue
 
-// Differential codec tests: every message type, filled with seeded
-// pseudo-random content, must decode to the identical Go value whether
-// it traveled as newline-delimited JSON or as a binary wire frame. The
-// JSON codec is the reference implementation; the binary codec is the
-// optimization under test — any field the fast path drops, reorders or
-// re-types shows up here as a DeepEqual diff naming the seed.
+// Round-trip property tests: every message type, filled with seeded
+// pseudo-random content, must come out of send → recv as the identical Go
+// value — any field the codec drops, reorders or re-types shows up here
+// as a DeepEqual diff naming the seed. Together with the golden frames
+// (the bytes are the parent's) and FuzzDecode (bad bytes are rejected)
+// this is the codec's correctness argument.
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -17,9 +18,8 @@ import (
 	"github.com/social-sensing/sstd/internal/obs/flightrec"
 )
 
-// genString draws a short valid-UTF-8 string (JSON cannot carry invalid
-// UTF-8, so the codecs are only defined to agree on clean strings).
-// Includes multi-byte runes and JSON-escape-sensitive characters.
+// genString draws a short string, including multi-byte runes, quotes
+// and control characters.
 func genString(rng *rand.Rand) string {
 	const alphabet = "abcXYZ079-_./:\"\\\n\téλ中💥 "
 	runes := []rune(alphabet)
@@ -32,7 +32,7 @@ func genString(rng *rand.Rand) string {
 }
 
 // genBytes draws nil or a non-empty blob — never a non-nil empty slice,
-// which both codecs' omitempty semantics collapse to nil on decode.
+// which the wire collapses to nil on decode.
 func genBytes(rng *rand.Rand) []byte {
 	if rng.Intn(3) == 0 {
 		return nil
@@ -157,7 +157,7 @@ func genDump(rng *rand.Rand) *FlightDump {
 // genMessage builds a seeded message of the given type with the field
 // population the production senders use, plus randomized optional
 // envelope fields (clock stamps, piggybacked spans).
-func genMessage(rng *rand.Rand, typ string) message {
+func genMessage(rng *rand.Rand, typ msgType) message {
 	m := message{Type: typ}
 	switch typ {
 	case msgHello:
@@ -221,104 +221,87 @@ func genMessage(rng *rand.Rand, typ string) message {
 		}
 		m.Spans = genSpans(rng)
 	default:
-		panic("genMessage: unknown type " + typ)
+		panic("genMessage: unknown type " + typ.String())
 	}
 	return m
 }
 
-// wireMessageTypes is every type the binary format encodes — kept in a
-// test-side list so a new message type that forgets differential
-// coverage fails TestDifferentialCoversAllWireTypes below.
-func wireMessageTypes() []string {
-	return []string{
+// wireMessageTypes is every type genMessage can fill — kept in a
+// test-side list so a new message type that forgets round-trip coverage
+// fails TestRoundTripCoversAllWireTypes below.
+func wireMessageTypes() []msgType {
+	return []msgType{
 		msgHello, msgTask, msgResult, msgShutdown, msgHeartbeat,
 		msgStats, msgFreeze, msgFlightDump, msgTaskBatch, msgResultBatch,
 	}
 }
 
-// codecRoundTrip pushes m through the production send/recv paths in the
-// given format and returns the decoded message.
-func codecRoundTrip(t *testing.T, m message, asJSON bool) message {
+// codecRoundTrip pushes m through the production send/recv paths and
+// returns the decoded message.
+func codecRoundTrip(t *testing.T, m message) message {
 	t.Helper()
 	a, b := pipePair()
 	ca, cb := newCodec(a), newCodec(b)
 	defer func() { _ = ca.close() }()
-	ca.setJSON(asJSON)
 	errc := make(chan error, 1)
 	go func() { errc <- ca.send(m) }()
 	got, err := cb.recv()
 	if err != nil {
-		t.Fatalf("recv (json=%v): %v", asJSON, err)
+		t.Fatalf("recv: %v", err)
 	}
 	if err := <-errc; err != nil {
-		t.Fatalf("send (json=%v): %v", asJSON, err)
+		t.Fatalf("send: %v", err)
 	}
 	return got
 }
 
-// TestDifferentialCodecs is the harness that proves the binary format
-// correct: for every message type and many seeds, the JSON and binary
-// round trips must agree with each other and with the sent value
-// (CRC-stamped), field for field.
-func TestDifferentialCodecs(t *testing.T) {
-	const seedsPerType = 32
+// TestWireRoundTrip is the codec's property test: for every message type
+// and many seeds, what recv returns equals what send was given
+// (CRC-stamped), field for field — and sending the received value again
+// reproduces it, checksum included, which is what lets the chaos layer
+// decode, shift and re-encode a frame without tripping the CRC.
+func TestWireRoundTrip(t *testing.T) {
+	const seedsPerType = 200
 	for _, typ := range wireMessageTypes() {
-		typ := typ
-		t.Run(typ, func(t *testing.T) {
+		t.Run(typ.String(), func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(0); seed < seedsPerType; seed++ {
-				rng := rand.New(rand.NewSource(seed*1000 + int64(len(typ))))
+				rng := rand.New(rand.NewSource(seed*1000 + int64(typ)))
 				m := genMessage(rng, typ)
 				want := m
 				want.CRC = m.checksum() // send stamps this
-				jsonGot := codecRoundTrip(t, m, true)
-				binGot := codecRoundTrip(t, m, false)
-				if !reflect.DeepEqual(jsonGot, want) {
-					t.Fatalf("seed %d: JSON round trip diverged\n got %+v\nwant %+v", seed, jsonGot, want)
+				got := codecRoundTrip(t, m)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d: round trip diverged\n got %+v\nwant %+v", seed, got, want)
 				}
-				if !reflect.DeepEqual(binGot, want) {
-					t.Fatalf("seed %d: binary round trip diverged\n got %+v\nwant %+v", seed, binGot, want)
-				}
-				if !reflect.DeepEqual(jsonGot, binGot) {
-					t.Fatalf("seed %d: codecs disagree\njson %+v\n bin %+v", seed, jsonGot, binGot)
+				if again := codecRoundTrip(t, got); !reflect.DeepEqual(again, want) {
+					t.Fatalf("seed %d: re-encoding the decoded message diverged\n got %+v\nwant %+v", seed, again, want)
 				}
 			}
 		})
 	}
 }
 
-// TestDifferentialCoversAllWireTypes pins the test list to the codec's
-// type table: adding a binary message type without differential coverage
-// is a failure, not an oversight.
-func TestDifferentialCoversAllWireTypes(t *testing.T) {
-	covered := make(map[string]bool)
+// TestRoundTripCoversAllWireTypes pins the test list to the codec's type
+// table: adding a message type without round-trip coverage is a failure,
+// not an oversight.
+func TestRoundTripCoversAllWireTypes(t *testing.T) {
+	covered := make(map[msgType]bool)
 	for _, typ := range wireMessageTypes() {
 		covered[typ] = true
 	}
-	for typ := range wireTypeOf {
-		if !covered[typ] {
-			t.Errorf("wire type %q has no differential coverage — add it to wireMessageTypes and genMessage", typ)
+	named := 0
+	for typ, name := range wireTypeName {
+		if name == "" {
+			continue
+		}
+		named++
+		if !covered[msgType(typ)] {
+			t.Errorf("wire type %q has no round-trip coverage — add it to wireMessageTypes and genMessage", name)
 		}
 	}
-	if len(covered) != len(wireTypeOf) {
-		t.Errorf("differential list has %d types, codec table has %d", len(covered), len(wireTypeOf))
-	}
-}
-
-// TestCrossCodecChecksumStable: the CRC is computed over decoded values,
-// so a message decoded from JSON and re-encoded as binary (or vice
-// versa) keeps its checksum — the property that lets a frame cross a
-// codec boundary (e.g. a JSON-speaking submitter behind a binary
-// cluster) without a spurious integrity failure.
-func TestCrossCodecChecksumStable(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for _, typ := range []string{msgTask, msgResult, msgTaskBatch, msgResultBatch} {
-		m := genMessage(rng, typ)
-		fromJSON := codecRoundTrip(t, m, true)
-		again := codecRoundTrip(t, fromJSON, false) // re-encode binary, CRC re-stamped
-		if again.CRC != fromJSON.CRC {
-			t.Errorf("%s: checksum changed across codecs: %08x -> %08x", typ, fromJSON.CRC, again.CRC)
-		}
+	if len(covered) != named {
+		t.Errorf("round-trip list has %d types, codec table has %d", len(covered), named)
 	}
 }
 
@@ -334,11 +317,7 @@ func TestWireFramesConcatenate(t *testing.T) {
 		m := genMessage(rng, typ)
 		m.CRC = m.checksum()
 		msgs = append(msgs, m)
-		var err error
-		buf, err = appendWireFrame(buf, &m)
-		if err != nil {
-			t.Fatalf("encode %s: %v", typ, err)
-		}
+		buf = appendWireFrame(buf, &m)
 	}
 	for i, want := range msgs {
 		n, ok := WireFrameSplit(buf)
@@ -347,7 +326,7 @@ func TestWireFramesConcatenate(t *testing.T) {
 		}
 		frame := buf[:n]
 		buf = buf[n:]
-		_, used := uvarintAt(frame, 2)
+		_, used := binary.Uvarint(frame[2:])
 		got, err := decodeWireBody(frame[2+used:])
 		if err != nil {
 			t.Fatalf("frame %d (%s): decode: %v", i, want.Type, err)
@@ -361,75 +340,57 @@ func TestWireFramesConcatenate(t *testing.T) {
 	}
 }
 
-// uvarintAt decodes the uvarint starting at off, returning value and width.
-func uvarintAt(b []byte, off int) (uint64, int) {
-	var v uint64
-	var shift uint
-	for i := off; i < len(b); i++ {
-		c := b[i]
-		v |= uint64(c&0x7f) << shift
-		if c < 0x80 {
-			return v, i - off + 1
-		}
-		shift += 7
-	}
-	return 0, 0
-}
-
 // TestShiftBinaryStampsMovesClocksOnly: the chaos skew rewrite shifts
-// exactly the absolute clock stamps (envelope sent_ns, task sent_ns,
-// span starts) and nothing else — and the shifted frame still passes its
-// CRC, because skew must read as a timing condition, not corruption.
+// exactly the absolute clock stamps (envelope and task SentUnixNano,
+// span starts) and nothing else, to the nanosecond — stamps above 2^53
+// that a float64 would round come out exact — and the shifted frame still
+// passes its CRC, because skew must read as a timing condition, not
+// corruption.
 func TestShiftBinaryStampsMovesClocksOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const delta = int64(5 * time.Second)
-	for _, typ := range []string{msgHeartbeat, msgTask, msgTaskBatch, msgResultBatch} {
+	precise := 0 // shifted stamps float64 cannot represent
+	shift := func(v *int64) {
+		if *v == 0 {
+			return
+		}
+		*v += delta
+		if *v > 1<<53 && int64(float64(*v)) != *v {
+			precise++
+		}
+	}
+	for _, typ := range []msgType{msgHeartbeat, msgTask, msgTaskBatch, msgResultBatch} {
 		m := genMessage(rng, typ)
 		m.CRC = m.checksum()
-		frame, err := appendWireFrame(nil, &m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shifted := ShiftBinaryStamps(frame, delta)
-		_, used := uvarintAt(shifted, 2)
+		shifted := ShiftBinaryStamps(appendWireFrame(nil, &m), delta)
+		_, used := binary.Uvarint(shifted[2:])
 		got, err := decodeWireBody(shifted[2+used:])
 		if err != nil {
 			t.Fatalf("%s: shifted frame does not decode: %v", typ, err)
 		}
-		if got.CRC != 0 && got.CRC != got.checksum() {
+		if got.CRC != got.checksum() {
 			t.Errorf("%s: skew broke the checksum — skew must not read as corruption", typ)
 		}
 		want := m
-		if want.SentUnixNano != 0 {
-			want.SentUnixNano += delta
-		}
+		shift(&want.SentUnixNano)
 		if want.Task != nil {
 			tt := *want.Task
-			if tt.SentUnixNano != 0 {
-				tt.SentUnixNano += delta
-			}
+			shift(&tt.SentUnixNano)
 			want.Task = &tt
 		}
-		if len(want.Tasks) > 0 {
-			ts := append([]Task(nil), want.Tasks...)
-			for i := range ts {
-				if ts[i].SentUnixNano != 0 {
-					ts[i].SentUnixNano += delta
-				}
-			}
-			want.Tasks = ts
+		want.Tasks = append([]Task(nil), want.Tasks...)
+		for i := range want.Tasks {
+			shift(&want.Tasks[i].SentUnixNano)
 		}
-		if len(want.Spans) > 0 {
-			ss := append([]RemoteSpan(nil), want.Spans...)
-			for i := range ss {
-				if ss[i].StartUnixNano != 0 {
-					ss[i].StartUnixNano += delta
-				}
-			}
-			want.Spans = ss
+		want.Spans = append([]RemoteSpan(nil), want.Spans...)
+		for i := range want.Spans {
+			shift(&want.Spans[i].StartUnixNano)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: skew rewrote more than the clock stamps\n got %+v\nwant %+v", typ, got, want)
 		}
+	}
+	if precise < 4 {
+		t.Fatalf("only %d shifted stamps lie above 2^53 off the float64 grid — int64 precision went untested", precise)
 	}
 }

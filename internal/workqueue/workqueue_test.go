@@ -180,6 +180,10 @@ func TestTCPWorkers(t *testing.T) {
 		}(i)
 	}
 
+	// One worker echoes all twelve tasks in under a millisecond: submit
+	// only once all three have registered, or the first to connect may
+	// drain the queue alone.
+	waitFor(t, func() bool { return m.WorkerCount() == 3 }, "TCP workers to attach")
 	const n = 12
 	for i := 0; i < n; i++ {
 		if err := m.Submit(Task{ID: fmt.Sprintf("t%d", i), JobID: "j", Payload: []byte("x")}); err != nil {

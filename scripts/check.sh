@@ -6,7 +6,7 @@
 #   scripts/check.sh bench      microbenchmarks -> BENCH_obs.json + BENCH_hmm.json + BENCH_wire.json
 #   scripts/check.sh chaos      chaos soak: seeded fault-injection schedules under -race
 #   scripts/check.sh load       10-second capacity smoke sweep -> BENCH_load.json
-#   scripts/check.sh wire       binary-codec batching smoke: differential/golden tests + 2-worker batched sweep
+#   scripts/check.sh wire       wire-codec batching smoke: round-trip/golden tests + 2-worker batched sweep
 #   scripts/check.sh flightrec  flight-recorder smoke: forced deep-dive dump in a 2-worker run
 #   scripts/check.sh telemetry  telemetry-plane smoke: SLO burn -> merged multi-host cluster trace
 #   scripts/check.sh sched      sharded-scheduler tier: fairness/invariant tests + contention benches -> BENCH_sched.json + 100k-claim sweep
@@ -56,18 +56,18 @@ bench() {
 	# wire-protocol benches (BenchmarkWire*) get their own baseline below.
 	out=$(
 		go test -run '^$' -bench . -benchmem ./internal/obs ./internal/obs/flightrec ./internal/obs/tsdb
-		go test -run '^$' -bench '^Benchmark(Message|StageSpan)' -benchmem ./internal/workqueue
+		go test -run '^$' -bench '^BenchmarkStageSpan' -benchmem ./internal/workqueue
 	)
 	echo "$out"
 	echo "$out" | bench_json >BENCH_obs.json
 	echo "wrote BENCH_obs.json ($(grep -c '"name"' BENCH_obs.json) benchmarks)"
 
-	# The wire-protocol baseline: JSON-vs-binary encode/decode pairs for a
-	# traced task/result (the Eq. 10 transfer term) plus end-to-end
-	# tasks/sec through one master connection — lock-step vs batched, on a
-	# raw pipe (internal/workqueue) and across a 250µs-per-frame delay
-	# link (internal/chaos), where batching's amortization is the
-	# headline ratio.
+	# The wire-protocol baseline: frame encode/decode costs for a traced
+	# task, result and 8-task batch (the Eq. 10 transfer term) plus
+	# end-to-end tasks/sec through one master connection — lock-step vs
+	# batched, on a raw pipe (internal/workqueue) and across a
+	# 250µs-per-frame delay link (internal/chaos), where batching's
+	# amortization is the headline ratio.
 	echo "== bench: go test -bench '^BenchmarkWire' on internal/workqueue and internal/chaos =="
 	out=$(go test -run '^$' -bench '^BenchmarkWire' -benchmem ./internal/workqueue ./internal/chaos)
 	echo "$out"
@@ -131,13 +131,14 @@ load() {
 }
 
 wire() {
-	# Binary-codec batching smoke: the codec-correctness suite (JSON-vs-
-	# binary differential round trips, golden frame fixtures, batching
-	# invariants), then a short 2-worker loadgen sweep with task batching
-	# on — the whole cluster speaking the binary wire format end to end.
-	echo "== wire: differential/golden codec tests + batching invariants =="
-	go test -count=1 -run 'TestDifferential|TestGolden|TestBatch|TestPartialBatch|TestUnbatched|TestMidBatch|TestCrossCodec|TestWireFrames|TestShiftBinary|TestBinary' ./internal/workqueue
-	echo "== wire: 2-worker batched sweep over the binary codec =="
+	# Wire-codec batching smoke: the codec-correctness suite (send → recv
+	# round-trip property, golden frame fixtures, rejection of damaged
+	# frames and non-frames, batching invariants), then a short 2-worker
+	# loadgen sweep with task batching on — the whole cluster speaking the
+	# wire format end to end.
+	echo "== wire: round-trip/golden codec tests + batching invariants =="
+	go test -count=1 -run 'TestWireRoundTrip|TestRoundTripCovers|TestGolden|TestBatch|TestPartialBatch|TestUnbatched|TestMidBatch|TestWireFrames|TestShiftBinary|TestBinary|TestNonFrame|FuzzDecode' ./internal/workqueue
+	echo "== wire: 2-worker batched sweep over the wire codec =="
 	dir=$(mktemp -d)
 	go run ./cmd/loadgen -trace boston -scale 0.005 -workers 2 \
 		-start-rate 4 -rate-factor 2 -max-rate 32 \
