@@ -13,7 +13,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -24,6 +23,7 @@ import (
 
 	"github.com/social-sensing/sstd/internal/chaos"
 	"github.com/social-sensing/sstd/internal/core"
+	"github.com/social-sensing/sstd/internal/dtm"
 	"github.com/social-sensing/sstd/internal/obs"
 	"github.com/social-sensing/sstd/internal/obs/flightrec"
 	"github.com/social-sensing/sstd/internal/obs/slo"
@@ -34,18 +34,14 @@ import (
 	"github.com/social-sensing/sstd/internal/workqueue"
 )
 
-// taskPayload mirrors the worker-side payload of cmd/sstd-worker: a chunk
-// of one claim's reports plus the interval grid.
-type taskPayload struct {
-	Claim    socialsensing.ClaimID  `json:"claim"`
-	Origin   time.Time              `json:"origin"`
-	Interval time.Duration          `json:"interval_ns"`
-	Reports  []socialsensing.Report `json:"reports"`
-}
-
-// taskOutput mirrors the worker's result: partial ACS interval sums.
-type taskOutput struct {
-	Sums map[int]float64 `json:"sums"`
+// job is one admitted TD job on its way through the cluster.
+type job struct {
+	// outputs[i] is the output of the task that ran chunk i; it stays nil
+	// for a task that failed.
+	outputs      [][]byte
+	intervals    int
+	done, failed int
+	span         *obs.Span
 }
 
 func main() {
@@ -301,12 +297,15 @@ func run() error {
 
 	width := tr.Duration() / time.Duration(*intervals)
 	byClaim := tr.ReportsByClaim()
-	tasksPerJob := make(map[string]int, len(byClaim))
-	jobSpans := make(map[string]*obs.Span, len(byClaim))
-	taskTotal := 0
+	jobs := make(map[string]*job, len(byClaim))
+	taskChunk := make(map[string]int) // task ID -> chunk index
 	rejected := 0
 	for claim, reports := range byClaim {
-		chunks := split(reports, *tasksPer)
+		chunks := dtm.SplitReports(reports, *tasksPer)
+		payloads, intervals, err := dtm.EncodeTasks(chunks, tr.Start, width)
+		if err != nil {
+			return err
+		}
 		// One distributed trace per TD job: the root span's context rides
 		// on every task, so the workers' stage spans land in the same
 		// timeline (nil tracer = nil span = no tracing, same protocol).
@@ -323,19 +322,12 @@ func run() error {
 			fmt.Fprintf(os.Stderr, "sstd-master: job %s rejected: %v\n", claim, d.Err)
 			continue
 		}
-		tasksPerJob[string(claim)] = len(chunks)
-		jobSpans[string(claim)] = jobSpan
+		jobs[string(claim)] = &job{outputs: make([][]byte, len(chunks)), intervals: intervals, span: jobSpan}
 		var tc *workqueue.TraceContext
 		if id := jobSpan.TraceID(); id != "" {
 			tc = &workqueue.TraceContext{TraceID: id, ParentSpanID: jobSpan.SpanID()}
 		}
-		for i, chunk := range chunks {
-			payload, err := json.Marshal(taskPayload{
-				Claim: claim, Origin: tr.Start, Interval: width, Reports: chunk,
-			})
-			if err != nil {
-				return err
-			}
+		for i, payload := range payloads {
 			task := workqueue.Task{
 				ID:      fmt.Sprintf("%s/%d", claim, i),
 				JobID:   string(claim),
@@ -343,10 +335,10 @@ func run() error {
 				Span:    jobSpan.SpanID(),
 				Trace:   tc,
 			}
+			taskChunk[task.ID] = i
 			if err := master.Submit(task); err != nil {
 				return err
 			}
-			taskTotal++
 		}
 		if d.Shed {
 			// Degraded lane: near-zero scheduler weight, so the shed job
@@ -354,21 +346,20 @@ func run() error {
 			master.SetJobPriority(string(claim), 0.001)
 		}
 	}
-	admitted := len(tasksPerJob)
-	fmt.Printf("submitted %d tasks across %d jobs", taskTotal, admitted)
+	admitted := len(jobs)
+	fmt.Printf("submitted %d tasks across %d jobs", len(taskChunk), admitted)
 	if rejected > 0 {
 		fmt.Printf(" (%d jobs rejected by admission control)", rejected)
 	}
 	fmt.Println()
 
-	// Merge partial sums per job and decode when each job completes.
+	// Collect each job's task outputs and, once the last one is in, fold
+	// them in chunk order and decode: the printed truth does not depend on
+	// which worker answered first.
 	dec, err := core.NewDecoder(core.DefaultDecoderConfig())
 	if err != nil {
 		return err
 	}
-	sums := make(map[string]map[int]float64)
-	done := make(map[string]int)
-	failedTasks := make(map[string]int)
 	start := time.Now()
 	finished := 0
 	for finished < admitted {
@@ -376,6 +367,7 @@ func run() error {
 		if !ok {
 			return fmt.Errorf("results closed with %d/%d jobs finished", finished, admitted)
 		}
+		j := jobs[res.JobID]
 		if res.Err != "" {
 			// A task that exhausted its retries (quarantined) or failed
 			// terminally costs its chunk of data, not the run: the job
@@ -385,25 +377,19 @@ func run() error {
 				return fmt.Errorf("task failed at stage %q: %s", res.ErrStage, res.Err)
 			}
 			fmt.Fprintf(os.Stderr, "sstd-master: task %s failed (stage %q): %s\n", res.TaskID, res.ErrStage, res.Err)
-			failedTasks[res.JobID]++
+			j.failed++
 		} else {
-			var out taskOutput
-			if err := json.Unmarshal(res.Output, &out); err != nil {
-				return fmt.Errorf("task %s output: %w", res.TaskID, err)
-			}
-			if sums[res.JobID] == nil {
-				sums[res.JobID] = make(map[int]float64)
-			}
-			for idx, s := range out.Sums {
-				sums[res.JobID][idx] += s
-			}
+			j.outputs[taskChunk[res.TaskID]] = res.Output
 		}
-		done[res.JobID]++
-		if done[res.JobID] == tasksPerJob[res.JobID] {
+		j.done++
+		if j.done == len(j.outputs) {
 			finished++
-			jobSpans[res.JobID].Finish()
-			series := windowed(sums[res.JobID], *window)
-			truth, err := dec.Decode(series)
+			j.span.Finish()
+			sums, err := dtm.FoldOutputs(j.outputs, j.intervals)
+			if err != nil {
+				return fmt.Errorf("job %s: %w", res.JobID, err)
+			}
+			truth, err := dec.Decode(dtm.WindowedSeries(sums, *window))
 			if err != nil {
 				return fmt.Errorf("decode %s: %w", res.JobID, err)
 			}
@@ -414,8 +400,8 @@ func run() error {
 				}
 			}
 			degraded := ""
-			if n := failedTasks[res.JobID]; n > 0 {
-				degraded = fmt.Sprintf("  DEGRADED (%d/%d tasks lost)", n, tasksPerJob[res.JobID])
+			if j.failed > 0 {
+				degraded = fmt.Sprintf("  DEGRADED (%d/%d tasks lost)", j.failed, len(j.outputs))
 			}
 			fmt.Printf("job %-28s done: %3d intervals, true in %3d%s\n", res.JobID, len(truth), trueCount, degraded)
 		}
@@ -510,57 +496,4 @@ func loadTrace(in, profile string, scale float64, seed int64) (*socialsensing.Tr
 		return nil, err
 	}
 	return g.Generate(scale)
-}
-
-func split(reports []socialsensing.Report, n int) [][]socialsensing.Report {
-	if n < 1 {
-		n = 1
-	}
-	if len(reports) == 0 {
-		return [][]socialsensing.Report{{}}
-	}
-	if n > len(reports) {
-		n = len(reports)
-	}
-	size := len(reports) / n
-	rem := len(reports) % n
-	chunks := make([][]socialsensing.Report, 0, n)
-	start := 0
-	for i := 0; i < n; i++ {
-		end := start + size
-		if i < rem {
-			end++
-		}
-		chunks = append(chunks, reports[start:end])
-		start = end
-	}
-	return chunks
-}
-
-func windowed(sums map[int]float64, window int) []float64 {
-	maxIdx := 0
-	for idx := range sums {
-		if idx > maxIdx {
-			maxIdx = idx
-		}
-	}
-	dense := make([]float64, maxIdx+1)
-	for idx, s := range sums {
-		if idx >= 0 {
-			dense[idx] = s
-		}
-	}
-	if window < 1 {
-		window = 1
-	}
-	out := make([]float64, len(dense))
-	acc := 0.0
-	for t := range dense {
-		acc += dense[t]
-		if t >= window {
-			acc -= dense[t-window]
-		}
-		out[t] = acc
-	}
-	return out
 }

@@ -17,7 +17,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -29,23 +28,11 @@ import (
 	"time"
 
 	"github.com/social-sensing/sstd/internal/chaos"
+	"github.com/social-sensing/sstd/internal/dtm"
 	"github.com/social-sensing/sstd/internal/obs"
 	"github.com/social-sensing/sstd/internal/obs/flightrec"
-	"github.com/social-sensing/sstd/internal/socialsensing"
 	"github.com/social-sensing/sstd/internal/workqueue"
 )
-
-// taskPayload mirrors cmd/sstd-master's task encoding.
-type taskPayload struct {
-	Claim    socialsensing.ClaimID  `json:"claim"`
-	Origin   time.Time              `json:"origin"`
-	Interval time.Duration          `json:"interval_ns"`
-	Reports  []socialsensing.Report `json:"reports"`
-}
-
-type taskOutput struct {
-	Sums map[int]float64 `json:"sums"`
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -141,8 +128,10 @@ func run() error {
 	}
 
 	w := &workqueue.Worker{
-		ID:             workerID,
-		Exec:           execute,
+		ID: workerID,
+		// The SSTD preprocessing step: partial per-interval contribution
+		// score sums for one chunk of a claim's reports.
+		Exec:           dtm.ExecuteTask,
 		HeartbeatEvery: *heartbeat,
 		StatsEvery:     *statsEvery,
 		ExecTimeout:    *execTimeout,
@@ -166,7 +155,7 @@ func run() error {
 		}
 		inj := chaos.New(spec, metrics, tracer)
 		w.WrapConn = func(c net.Conn) net.Conn { return inj.WrapConn("worker/"+workerID, c) }
-		w.Exec = inj.WrapExec("exec/"+workerID, execute, nil)
+		w.Exec = inj.WrapExec("exec/"+workerID, dtm.ExecuteTask, nil)
 		fmt.Printf("CHAOS: fault injection armed (seed %d) — test use only\n", spec.Seed)
 	}
 	fmt.Printf("worker %s connecting to %s\n", workerID, *master)
@@ -180,35 +169,4 @@ func run() error {
 	}
 	fmt.Println("worker done")
 	return nil
-}
-
-// execute computes the partial per-interval contribution score sums for a
-// chunk of reports (the SSTD preprocessing step). Failures are tagged with
-// the pipeline stage so the master's result carries provenance, and the
-// same stages are timed as spans on the task's distributed trace.
-func execute(ctx context.Context, payload []byte) ([]byte, error) {
-	decode := workqueue.StartStageSpan(ctx, workqueue.StageDecode)
-	var p taskPayload
-	if err := json.Unmarshal(payload, &p); err != nil {
-		return nil, workqueue.StageError(workqueue.StageDecode, fmt.Errorf("bad payload: %w", err))
-	}
-	if p.Interval <= 0 {
-		return nil, workqueue.StageError(workqueue.StageDecode, errors.New("payload has no interval"))
-	}
-	decode.Finish()
-	out := taskOutput{Sums: make(map[int]float64)}
-	for _, r := range p.Reports {
-		idx := 0
-		if r.Timestamp.After(p.Origin) {
-			idx = int(r.Timestamp.Sub(p.Origin) / p.Interval)
-		}
-		out.Sums[idx] += r.ContributionScore()
-	}
-	encode := workqueue.StartStageSpan(ctx, workqueue.StageEncode)
-	b, err := json.Marshal(out)
-	if err != nil {
-		return nil, workqueue.StageError(workqueue.StageEncode, err)
-	}
-	encode.Finish()
-	return b, nil
 }

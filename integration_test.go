@@ -1,15 +1,23 @@
 package sstd_test
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"net"
+	"os/exec"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/social-sensing/sstd"
 	"github.com/social-sensing/sstd/internal/baselines"
 	"github.com/social-sensing/sstd/internal/core"
+	"github.com/social-sensing/sstd/internal/dtm"
 	"github.com/social-sensing/sstd/internal/evalmetrics"
 	"github.com/social-sensing/sstd/internal/socialsensing"
 	"github.com/social-sensing/sstd/internal/stream"
@@ -143,8 +151,9 @@ func TestDistributedMatchesLocalOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Distributed: master over TCP; workers compute partial ACS sums
-	// exactly like cmd/sstd-worker.
+	// Distributed: master over TCP; workers run the same executor as
+	// cmd/sstd-worker, the master side encodes and folds like
+	// cmd/sstd-master.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	master := workqueue.NewMaster(workqueue.MasterConfig{Seed: 1, ResultBuffer: 128})
@@ -153,81 +162,54 @@ func TestDistributedMatchesLocalOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() { _ = master.Serve(ctx, l) }()
-	type payload struct {
-		Claim    socialsensing.ClaimID  `json:"claim"`
-		Origin   time.Time              `json:"origin"`
-		Interval time.Duration          `json:"interval_ns"`
-		Reports  []socialsensing.Report `json:"reports"`
-	}
-	type output struct {
-		Sums map[int]float64 `json:"sums"`
-	}
-	exec := func(_ context.Context, raw []byte) ([]byte, error) {
-		var p payload
-		if err := jsonUnmarshal(raw, &p); err != nil {
-			return nil, err
-		}
-		out := output{Sums: make(map[int]float64)}
-		for _, r := range p.Reports {
-			idx := 0
-			if r.Timestamp.After(p.Origin) {
-				idx = int(r.Timestamp.Sub(p.Origin) / p.Interval)
-			}
-			out.Sums[idx] += r.ContributionScore()
-		}
-		return jsonMarshal(out)
-	}
 	for i := 0; i < 2; i++ {
 		go func(i int) {
-			w := &workqueue.Worker{ID: fmt.Sprintf("itw-%d", i), Exec: exec}
+			w := &workqueue.Worker{ID: fmt.Sprintf("itw-%d", i), Exec: dtm.ExecuteTask}
 			_ = w.Dial(ctx, l.Addr().String())
 		}(i)
 	}
 
-	byClaim := tr.ReportsByClaim()
-	jobs := 0
-	for claim, reports := range byClaim {
+	type job struct {
+		outputs   [][]byte
+		intervals int
+		done      int
+	}
+	jobs := make(map[string]*job)
+	for claim, reports := range tr.ReportsByClaim() {
 		half := len(reports) / 2
-		for i, chunk := range [][]socialsensing.Report{reports[:half], reports[half:]} {
-			raw, err := jsonMarshal(payload{Claim: claim, Origin: tr.Start, Interval: width, Reports: chunk})
-			if err != nil {
-				t.Fatal(err)
-			}
+		payloads, intervals, err := dtm.EncodeTasks([][]socialsensing.Report{reports[:half], reports[half:]}, tr.Start, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[string(claim)] = &job{outputs: make([][]byte, len(payloads)), intervals: intervals}
+		for i, raw := range payloads {
 			if err := master.Submit(workqueue.Task{
 				ID: fmt.Sprintf("%s/%d", claim, i), JobID: string(claim), Payload: raw,
 			}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		jobs++
 	}
 
-	sums := make(map[string]map[int]float64)
-	done := make(map[string]int)
 	finished := 0
 	timeout := time.After(30 * time.Second)
-	for finished < jobs {
+	for finished < len(jobs) {
 		select {
 		case res := <-master.Results():
 			if res.Err != "" {
 				t.Fatalf("task %s: %s", res.TaskID, res.Err)
 			}
-			var out output
-			if err := jsonUnmarshal(res.Output, &out); err != nil {
+			j := jobs[res.JobID]
+			chunk, err := strconv.Atoi(strings.TrimPrefix(res.TaskID, res.JobID+"/"))
+			if err != nil {
 				t.Fatal(err)
 			}
-			if sums[res.JobID] == nil {
-				sums[res.JobID] = make(map[int]float64)
-			}
-			for idx, s := range out.Sums {
-				sums[res.JobID][idx] += s
-			}
-			done[res.JobID]++
-			if done[res.JobID] == 2 {
+			j.outputs[chunk] = res.Output
+			if j.done++; j.done == len(j.outputs) {
 				finished++
 			}
 		case <-timeout:
-			t.Fatalf("timed out with %d/%d jobs", finished, jobs)
+			t.Fatalf("timed out with %d/%d jobs", finished, len(jobs))
 		}
 	}
 
@@ -235,28 +217,12 @@ func TestDistributedMatchesLocalOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for claim, claimSums := range sums {
-		maxIdx := 0
-		for idx := range claimSums {
-			if idx > maxIdx {
-				maxIdx = idx
-			}
+	for claim, j := range jobs {
+		sums, err := dtm.FoldOutputs(j.outputs, j.intervals)
+		if err != nil {
+			t.Fatal(err)
 		}
-		dense := make([]float64, maxIdx+1)
-		for idx, s := range claimSums {
-			dense[idx] = s
-		}
-		window := cfg.ACS.WindowIntervals
-		series := make([]float64, len(dense))
-		acc := 0.0
-		for i := range dense {
-			acc += dense[i]
-			if i >= window {
-				acc -= dense[i-window]
-			}
-			series[i] = acc
-		}
-		truth, err := dec.Decode(series)
+		truth, err := dec.Decode(dtm.WindowedSeries(sums, cfg.ACS.WindowIntervals))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,6 +235,67 @@ func TestDistributedMatchesLocalOverTCP(t *testing.T) {
 				t.Fatalf("claim %s interval %d: distributed %v vs local %v", claim, i, truth[i], localEst[i].Value)
 			}
 		}
+	}
+}
+
+// TestCLIMasterTruthIndependentOfWorkerCount runs the real sstd-master and
+// sstd-worker binaries over TCP twice, with one worker and with three, and
+// requires the printed per-claim truth to be identical: the master folds
+// task outputs in chunk order, not in the order workers happen to answer.
+func TestCLIMasterTruthIndependentOfWorkerCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the CLI binaries")
+	}
+	dir := t.TempDir()
+	for _, name := range []string{"sstd-master", "sstd-worker"} {
+		if out, err := exec.Command("go", "build", "-o", filepath.Join(dir, name), "./cmd/"+name).CombinedOutput(); err != nil {
+			t.Fatalf("build %s: %v\n%s", name, err, out)
+		}
+	}
+	run := func(workers int) []string {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		master := exec.CommandContext(ctx, filepath.Join(dir, "sstd-master"),
+			"-listen", "127.0.0.1:0", "-trace", "boston", "-scale", "0.005", "-seed", "3",
+			"-tasks-per-job", "8", "-min-workers", strconv.Itoa(workers), "-log-level", "error")
+		stdout, err := master.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := master.Start(); err != nil {
+			t.Fatal(err)
+		}
+		var truth []string
+		lines := bufio.NewScanner(stdout)
+		for lines.Scan() {
+			line := lines.Text()
+			if addr, ok := strings.CutPrefix(line, "listening on "); ok {
+				addr, _, _ = strings.Cut(addr, ",")
+				for i := 0; i < workers; i++ {
+					w := exec.CommandContext(ctx, filepath.Join(dir, "sstd-worker"),
+						"-master", addr, "-id", fmt.Sprintf("w%d", i), "-log-level", "error")
+					if err := w.Start(); err != nil {
+						t.Fatal(err)
+					}
+					defer func() { _ = w.Wait() }()
+				}
+			}
+			if strings.HasPrefix(line, "job ") {
+				truth = append(truth, line)
+			}
+		}
+		if err := master.Wait(); err != nil {
+			t.Fatalf("sstd-master with %d workers: %v", workers, err)
+		}
+		sort.Strings(truth)
+		return truth
+	}
+	one, three := run(1), run(3)
+	if len(one) == 0 {
+		t.Fatal("sstd-master printed no job lines")
+	}
+	if !reflect.DeepEqual(one, three) {
+		t.Errorf("printed truth depends on the worker count:\n1 worker:  %q\n3 workers: %q", one, three)
 	}
 }
 

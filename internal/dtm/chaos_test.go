@@ -134,7 +134,7 @@ func TestHungTaskDegradesJob(t *testing.T) {
 		return func(ctx context.Context, payload []byte) ([]byte, error) {
 			// The first chunk of c1 (task c1/0) carries the earliest
 			// reports; detect it by content and hang until cancelled.
-			if len(payload) > 0 && containsEarliest(payload) {
+			if containsEarliest(payload) {
 				select {
 				case <-poison:
 				case <-ctx.Done():
@@ -164,24 +164,8 @@ func TestHungTaskDegradesJob(t *testing.T) {
 }
 
 // containsEarliest detects the payload chunk holding the first minute's
-// reports (Report.Timestamp exactly at origin — the lowercase "origin"
-// field every payload carries must not match).
+// reports: the only one whose interval range starts at the origin.
 func containsEarliest(payload []byte) bool {
-	return bytesContains(payload, []byte(`"Timestamp":"2016-09-30T12:00:00Z"`))
-}
-
-func bytesContains(b, sub []byte) bool {
-	for i := 0; i+len(sub) <= len(b); i++ {
-		match := true
-		for j := range sub {
-			if b[i+j] != sub[j] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return true
-		}
-	}
-	return false
+	task, err := parseTask(payload)
+	return err == nil && task.n > 0 && task.base == 0
 }

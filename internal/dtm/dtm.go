@@ -9,7 +9,6 @@ package dtm
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -182,20 +181,6 @@ type JobResult struct {
 	Shed bool
 }
 
-// taskPayload is the unit of work shipped to workers: compute partial
-// per-interval contribution-score sums for a chunk of one claim's reports.
-type taskPayload struct {
-	Claim    socialsensing.ClaimID  `json:"claim"`
-	Origin   time.Time              `json:"origin"`
-	Interval time.Duration          `json:"interval_ns"`
-	Reports  []socialsensing.Report `json:"reports"`
-}
-
-// taskOutput is the sparse partial ACS interval sums a worker returns.
-type taskOutput struct {
-	Sums map[int]float64 `json:"sums"`
-}
-
 // jobState tracks one in-flight TD job on the master side.
 type jobState struct {
 	claim     socialsensing.ClaimID
@@ -213,6 +198,9 @@ type jobState struct {
 	// seen marks tasks whose result already arrived; a duplicate delivery
 	// (result raced a requeue) must not double count.
 	seen map[string]bool
+	// intervals is the number of grid intervals the job's reports span: no
+	// task output may name an interval at or past it.
+	intervals int
 	// merge holds the sharded partial-sum pre-merge: task i folds into
 	// shard i%N in ascending chunk order (out-of-order arrivals are
 	// buffered until their predecessors land), and finalize folds the N
@@ -221,7 +209,7 @@ type jobState struct {
 	// so this is what keeps the decoded truth bit-identical regardless of
 	// result arrival order, while finalize now merges N accumulators
 	// instead of re-folding every task.
-	merge    []mergeShard
+	merge    mergeShards
 	firstErr error
 	// firstErrTrace is the worker-side return trace that rode the wire
 	// with the first failed result (Result.ErrTrace), kept alongside
@@ -381,13 +369,26 @@ func (m *Manager) Start(ctx context.Context) {
 }
 
 // SubmitJob registers a TD job for one claim and enqueues its tasks. The
-// deadline is a soft deadline from now; zero means none.
+// deadline is a soft deadline from now; zero means none. A job that
+// SubmitJob refuses leaves nothing behind: it can be submitted again.
 func (m *Manager) SubmitJob(claim socialsensing.ClaimID, reports []socialsensing.Report, deadline time.Duration) error {
 	if claim == "" {
 		return errors.New("dtm: job needs a claim id")
 	}
 	jobID := string(claim)
-	chunks := splitReports(reports, m.cfg.TasksPerJob)
+	// Encode first: a report the codec refuses must fail the call before
+	// the job is registered, admitted or traced.
+	chunks := SplitReports(reports, m.cfg.TasksPerJob)
+	payloads, intervals, err := EncodeTasks(chunks, m.cfg.Origin, m.cfg.ACS.Interval)
+	if err != nil {
+		return obs.Wrap(fmt.Errorf("dtm: submit job %s: %w", jobID, err))
+	}
+	m.mu.Lock()
+	_, dup := m.jobs[jobID]
+	m.mu.Unlock()
+	if dup {
+		return fmt.Errorf("dtm: job %q already submitted", jobID)
+	}
 	js := &jobState{
 		claim:     claim,
 		submitted: time.Now(),
@@ -398,10 +399,14 @@ func (m *Manager) SubmitJob(claim socialsensing.ClaimID, reports []socialsensing
 		perTask:   make(map[string]int, len(chunks)),
 		taskIndex: make(map[string]int, len(chunks)),
 		seen:      make(map[string]bool, len(chunks)),
-		merge:     make([]mergeShard, mergeShardCount),
+		intervals: intervals,
 	}
-	for s := range js.merge {
-		js.merge[s].sums = make(map[int]float64)
+	tasks := make([]workqueue.Task, len(chunks))
+	for i, chunk := range chunks {
+		taskID := fmt.Sprintf("%s/%d", jobID, i)
+		js.perTask[taskID] = len(chunk)
+		js.taskIndex[taskID] = i
+		tasks[i] = workqueue.Task{ID: taskID, JobID: jobID, Payload: payloads[i]}
 	}
 	// Open the job's root span before publishing js: the collector may
 	// touch a finished job's span as soon as it is visible. The root span
@@ -424,7 +429,9 @@ func (m *Manager) SubmitJob(claim socialsensing.ClaimID, reports []socialsensing
 	}
 	m.mu.Lock()
 	if _, dup := m.jobs[jobID]; dup {
+		// Lost a race against a concurrent submit of the same claim.
 		m.mu.Unlock()
+		js.span.Finish()
 		return fmt.Errorf("dtm: job %q already submitted", jobID)
 	}
 	m.jobs[jobID] = js
@@ -440,23 +447,19 @@ func (m *Manager) SubmitJob(claim socialsensing.ClaimID, reports []socialsensing
 	if trace := js.span.TraceID(); trace != "" {
 		tc = &workqueue.TraceContext{TraceID: trace, ParentSpanID: js.span.SpanID()}
 	}
-	for i, chunk := range chunks {
-		payload, err := json.Marshal(taskPayload{
-			Claim:    claim,
-			Origin:   m.cfg.Origin,
-			Interval: m.cfg.ACS.Interval,
-			Reports:  chunk,
-		})
-		if err != nil {
-			return fmt.Errorf("dtm: marshal task: %w", err)
-		}
-		taskID := fmt.Sprintf("%s/%d", jobID, i)
-		m.mu.Lock()
-		js.perTask[taskID] = len(chunk)
-		js.taskIndex[taskID] = i
-		m.mu.Unlock()
-		if err := m.master.Submit(workqueue.Task{ID: taskID, JobID: jobID, Payload: payload, Span: js.span.SpanID(), Trace: tc}); err != nil {
-			return err
+	for _, task := range tasks {
+		task.Span, task.Trace = js.span.SpanID(), tc
+		if err := m.master.Submit(task); err != nil {
+			// Unregister: a job short of tasks would never complete. What
+			// was already enqueued runs for nobody and is dropped on arrival.
+			m.mu.Lock()
+			delete(m.jobs, jobID)
+			inflight := len(m.jobs)
+			m.mu.Unlock()
+			m.gInflight.SetInt(inflight)
+			js.span.SetAttr("error", err.Error())
+			js.span.Finish()
+			return obs.Wrap(fmt.Errorf("dtm: submit job %s: %w", jobID, err))
 		}
 	}
 	if js.shed {
@@ -564,45 +567,10 @@ func (m *Manager) close() {
 	close(m.results)
 }
 
-// execute is the worker-side task body: partial ACS interval sums for a
-// chunk of reports (the preprocessing step of §III-E, which dominates TD
-// job cost and parallelizes across the data).
+// execute is the pool workers' executor: ExecuteTask plus the configured
+// artificial per-report cost.
 func (m *Manager) execute(ctx context.Context, payload []byte) ([]byte, error) {
-	decode := workqueue.StartStageSpan(ctx, workqueue.StageDecode)
-	var p taskPayload
-	if err := json.Unmarshal(payload, &p); err != nil {
-		return nil, obs.Wrap(workqueue.StageError(workqueue.StageDecode, fmt.Errorf("dtm: bad task payload: %w", err)))
-	}
-	decode.Finish()
-	if p.Interval <= 0 {
-		return nil, obs.Wrap(errors.New("dtm: task payload has no interval"))
-	}
-	out := taskOutput{Sums: make(map[int]float64)}
-	for _, r := range p.Reports {
-		if m.cfg.WorkDelay > 0 {
-			// Busy-burn rather than sleep: sub-millisecond per-report
-			// costs matter here and sleep granularity would distort
-			// them. Stay responsive to preemption.
-			deadline := time.Now().Add(m.cfg.WorkDelay)
-			for time.Now().Before(deadline) {
-				if ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-			}
-		}
-		idx := 0
-		if r.Timestamp.After(p.Origin) {
-			idx = int(r.Timestamp.Sub(p.Origin) / p.Interval)
-		}
-		out.Sums[idx] += r.ContributionScore()
-	}
-	encode := workqueue.StartStageSpan(ctx, workqueue.StageEncode)
-	b, err := json.Marshal(out)
-	if err != nil {
-		return nil, obs.Wrap(workqueue.StageError(workqueue.StageEncode, err))
-	}
-	encode.Finish()
-	return b, nil
+	return executeTask(ctx, payload, m.cfg.WorkDelay)
 }
 
 // collect merges task results into jobs and finalizes completed jobs.
@@ -638,25 +606,22 @@ func (m *Manager) handleResult(ctx context.Context, r workqueue.Result) {
 	if js.remaining < 0 {
 		js.remaining = 0
 	}
-	var sums map[int]float64 // nil (nothing to fold) on any failure
+	var out []byte // nil (nothing to fold) on any failure
 	if r.Err != "" {
 		js.failed++
 		if js.firstErr == nil {
 			js.firstErr = errors.New(r.Err)
 			js.firstErrTrace = r.ErrTrace
 		}
-	} else {
-		var out taskOutput
-		if err := json.Unmarshal(r.Output, &out); err != nil {
-			js.failed++
-			if js.firstErr == nil {
-				js.firstErr = obs.Wrap(fmt.Errorf("dtm: bad task output: %w", err))
-			}
-		} else {
-			sums = out.Sums
+	} else if err := checkOutput(r.Output, js.intervals); err != nil {
+		js.failed++
+		if js.firstErr == nil {
+			js.firstErr = obs.Wrap(malformed("output", err))
 		}
+	} else {
+		out = r.Output
 	}
-	js.mergeTask(js.taskIndex[r.TaskID], sums)
+	js.merge.mergeTask(js.taskIndex[r.TaskID], out)
 	finished := js.done == js.tasks
 	if finished {
 		delete(m.jobs, r.JobID)
@@ -677,35 +642,38 @@ const mergeShardCount = 4
 // mergeShard is one pre-merge accumulator: tasks with chunk index
 // i % mergeShardCount == shard fold into sums in ascending index order.
 // next is the local sequence (i / mergeShardCount) the shard folds next;
-// results arriving ahead of their predecessors wait in buffered.
+// outputs arriving ahead of their predecessors wait, still encoded, in
+// buffered.
 type mergeShard struct {
 	next     int
-	buffered map[int]map[int]float64
-	sums     map[int]float64
+	buffered map[int][]byte
+	sums     []float64
 }
 
-// mergeTask folds one task's partial sums (nil for a failed task) into
-// its shard, draining any buffered successors that become foldable.
-// Callers hold m.mu. Per-interval accumulators are independent, so the
-// random map iteration order within one task cannot affect the result;
-// across tasks each shard folds strictly in chunk order.
-func (js *jobState) mergeTask(index int, sums map[int]float64) {
-	sh := &js.merge[index%len(js.merge)]
-	seq := index / len(js.merge)
+// mergeShards is the sharded partial-sum pre-merge of one job.
+type mergeShards [mergeShardCount]mergeShard
+
+// mergeTask folds one task's output — already through checkOutput, or nil
+// for a failed task — into its shard, draining any buffered successors
+// that become foldable. Within a shard, outputs fold strictly in chunk
+// order.
+func (ms *mergeShards) mergeTask(index int, out []byte) {
+	sh := &ms[index%len(ms)]
+	seq := index / len(ms)
 	if seq != sh.next {
 		if sh.buffered == nil {
-			sh.buffered = make(map[int]map[int]float64)
+			sh.buffered = make(map[int][]byte)
 		}
-		sh.buffered[seq] = sums
+		sh.buffered[seq] = out
 		return
 	}
 	for {
-		for idx, s := range sums {
-			sh.sums[idx] += s
+		if out != nil {
+			sh.sums = foldOutput(sh.sums, out)
 		}
 		sh.next++
 		var ok bool
-		sums, ok = sh.buffered[sh.next]
+		out, ok = sh.buffered[sh.next]
 		if !ok {
 			return
 		}
@@ -717,14 +685,36 @@ func (js *jobState) mergeTask(index int, sums map[int]float64) {
 // a deterministic order no matter how results arrived, so the
 // accumulated floats (and therefore the decoded truth) are bit-identical
 // across runs. Failed tasks contributed nothing to their shard.
-func (js *jobState) mergedSums() map[int]float64 {
-	sums := make(map[int]float64)
-	for s := range js.merge {
-		for idx, v := range js.merge[s].sums {
+func (ms *mergeShards) mergedSums() []float64 {
+	var sums []float64
+	for s := range ms {
+		if n := len(ms[s].sums); n > len(sums) {
+			sums = append(sums, make([]float64, n-len(sums))...)
+		}
+		for idx, v := range ms[s].sums {
 			sums[idx] += v
 		}
 	}
 	return sums
+}
+
+// FoldOutputs merges the task outputs of one job — outputs[i] from the
+// task that ran chunk i, nil for a task that failed — into the job's
+// per-interval contribution-score sums. The fold order is a function of
+// the chunk indices alone, so the same outputs give the same bits however
+// they arrived. intervals is what EncodeTasks reported for the job; an
+// output naming an interval at or past it is malformed.
+func FoldOutputs(outputs [][]byte, intervals int) ([]float64, error) {
+	var ms mergeShards
+	for i, out := range outputs {
+		if out != nil {
+			if err := checkOutput(out, intervals); err != nil {
+				return nil, obs.Wrap(malformed("output", err))
+			}
+		}
+		ms.mergeTask(i, out)
+	}
+	return ms.mergedSums(), nil
 }
 
 // finalize runs the sliding window + HMM decode over the merged interval
@@ -738,20 +728,22 @@ func (m *Manager) finalize(ctx context.Context, js *jobState) {
 		Shed:        js.shed,
 	}
 	res.MetDeadline = js.deadline == 0 || res.Elapsed <= js.deadline
+	// Observe before emitting: whoever holds a JobResult may rely on the
+	// counters and the trace already including that job.
 	defer func() {
 		m.observeJob(js, res)
 		js.span.Finish()
+		m.emit(ctx, res)
 	}()
 	if js.failed >= js.tasks && js.firstErr != nil {
 		// Every task was lost: nothing to decode.
 		res.Err = js.firstErr
-		m.emit(ctx, res)
 		return
 	}
 	res.Degraded = js.failed > 0
 	tp := m.fr.Start()
 	merge := m.tracer.NewSpan("merge "+string(js.claim), js.span.SpanID())
-	series := windowedSeries(js.mergedSums(), m.cfg.ACS.WindowIntervals)
+	series := WindowedSeries(js.merge.mergedSums(), m.cfg.ACS.WindowIntervals)
 	merge.Finish()
 	tp = m.fr.Probe(flightrec.ProbeDTMMerge, tp, int64(len(series)), merge.SpanID())
 	decodeSpan := m.tracer.NewSpan("decode "+string(js.claim), js.span.SpanID())
@@ -766,7 +758,6 @@ func (m *Manager) finalize(ctx context.Context, js *jobState) {
 	m.fr.Probe(flightrec.ProbeDTMFinalize, tp, int64(len(series)), decodeSpan.SpanID())
 	if err != nil {
 		res.Err = obs.Wrap(err)
-		m.emit(ctx, res)
 		return
 	}
 	res.Estimates = make([]core.Estimate, len(truth))
@@ -778,7 +769,6 @@ func (m *Manager) finalize(ctx context.Context, js *jobState) {
 			Value:    v,
 		}
 	}
-	m.emit(ctx, res)
 }
 
 // observeJob records one finished job's metrics, log line and span
@@ -958,62 +948,21 @@ func (m *Manager) recordWorkerRows(now time.Time, totData, totTasks float64) {
 	}
 }
 
-// splitReports divides reports into at most n contiguous chunks of nearly
-// equal size (the paper divides a job's data equally between its tasks).
-// It always returns at least one (possibly empty) chunk so every job has a
-// task and therefore a completion event.
-func splitReports(reports []socialsensing.Report, n int) [][]socialsensing.Report {
-	if n < 1 {
-		n = 1
-	}
-	if len(reports) == 0 {
-		return [][]socialsensing.Report{{}}
-	}
-	if n > len(reports) {
-		n = len(reports)
-	}
-	chunks := make([][]socialsensing.Report, 0, n)
-	size := len(reports) / n
-	rem := len(reports) % n
-	start := 0
-	for i := 0; i < n; i++ {
-		end := start + size
-		if i < rem {
-			end++
-		}
-		chunks = append(chunks, reports[start:end])
-		start = end
-	}
-	return chunks
-}
-
-// windowedSeries converts sparse interval sums into the dense sliding-
-// window ACS sequence of Eq. 4.
-func windowedSeries(sums map[int]float64, window int) []float64 {
+// WindowedSeries converts per-interval sums into the sliding-window ACS
+// sequence of Eq. 4.
+func WindowedSeries(sums []float64, window int) []float64 {
 	if len(sums) == 0 {
 		return nil
-	}
-	maxIdx := 0
-	for idx := range sums {
-		if idx > maxIdx {
-			maxIdx = idx
-		}
-	}
-	dense := make([]float64, maxIdx+1)
-	for idx, s := range sums {
-		if idx >= 0 {
-			dense[idx] = s
-		}
 	}
 	if window < 1 {
 		window = 1
 	}
-	out := make([]float64, len(dense))
+	out := make([]float64, len(sums))
 	acc := 0.0
-	for t := range dense {
-		acc += dense[t]
+	for t := range sums {
+		acc += sums[t]
 		if t >= window {
-			acc -= dense[t-window]
+			acc -= sums[t-window]
 		}
 		out[t] = acc
 	}

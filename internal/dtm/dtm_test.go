@@ -221,7 +221,9 @@ func TestManagerDeadlines(t *testing.T) {
 }
 
 func TestManagerDuplicateJobRejected(t *testing.T) {
-	m, err := New(DefaultConfig(origin()))
+	cfg := DefaultConfig(origin())
+	cfg.WorkDelay = time.Millisecond // keep the first job in flight
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +384,7 @@ func TestSplitReports(t *testing.T) {
 		{7, 0, []int{7}},
 	}
 	for _, tt := range tests {
-		got := splitReports(mk(tt.n), tt.chunks)
+		got := SplitReports(mk(tt.n), tt.chunks)
 		var sizes []int
 		total := 0
 		for _, c := range got {
@@ -390,25 +392,24 @@ func TestSplitReports(t *testing.T) {
 			total += len(c)
 		}
 		if !reflect.DeepEqual(sizes, tt.sizes) {
-			t.Errorf("splitReports(%d, %d) sizes = %v, want %v", tt.n, tt.chunks, sizes, tt.sizes)
+			t.Errorf("SplitReports(%d, %d) sizes = %v, want %v", tt.n, tt.chunks, sizes, tt.sizes)
 		}
 		if total != tt.n {
-			t.Errorf("splitReports(%d, %d) lost reports: %d", tt.n, tt.chunks, total)
+			t.Errorf("SplitReports(%d, %d) lost reports: %d", tt.n, tt.chunks, total)
 		}
 	}
 }
 
 func TestWindowedSeries(t *testing.T) {
-	sums := map[int]float64{0: 1, 1: 1, 3: -1}
-	got := windowedSeries(sums, 2)
+	got := WindowedSeries([]float64{1, 1, 0, -1}, 2)
 	want := []float64{1, 2, 1, -1}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("windowedSeries = %v, want %v", got, want)
+		t.Errorf("WindowedSeries = %v, want %v", got, want)
 	}
-	if got := windowedSeries(nil, 2); got != nil {
+	if got := WindowedSeries(nil, 2); got != nil {
 		t.Errorf("empty sums = %v", got)
 	}
-	if got := windowedSeries(map[int]float64{0: 3}, 0); !reflect.DeepEqual(got, []float64{3}) {
+	if got := WindowedSeries([]float64{3}, 0); !reflect.DeepEqual(got, []float64{3}) {
 		t.Errorf("window 0 clamped = %v", got)
 	}
 }

@@ -1,28 +1,95 @@
 package dtm
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
+	"time"
+
+	"github.com/social-sensing/sstd/internal/socialsensing"
 )
 
-// newMergeState builds a jobState with just the sharded-merge fields, as
-// SubmitJob would for a job of n tasks.
-func newMergeState(n int) *jobState {
-	js := &jobState{
-		tasks: n,
-		merge: make([]mergeShard, mergeShardCount),
+// The ref* functions are the map-based task body and merge the codec
+// replaced, kept as the reference the tests compare against: same addends,
+// same order, so the float bits must agree.
+
+// refTaskSums is one task's sparse partial sums, accumulated in report
+// order.
+func refTaskSums(chunk []socialsensing.Report, origin time.Time, interval time.Duration) map[int]float64 {
+	sums := make(map[int]float64)
+	for _, r := range chunk {
+		idx := 0
+		if r.Timestamp.After(origin) {
+			idx = int(r.Timestamp.Sub(origin) / interval)
+		}
+		sums[idx] += r.ContributionScore()
 	}
-	for s := range js.merge {
-		js.merge[s].sums = make(map[int]float64)
-	}
-	return js
+	return sums
 }
 
-// TestMergeOrderIndependentBits feeds the same per-task partial sums in
-// many random arrival orders and requires the merged floats to be
-// bit-identical every time: the sharded pre-merge must keep the decode
-// arrival-order independent exactly like the old sorted full re-fold did.
+// refMerge folds the tasks' sums (nil for a failed task) into
+// mergeShardCount accumulators in chunk order, then the accumulators in
+// shard order, and returns the dense result.
+func refMerge(tasks []map[int]float64) []float64 {
+	shards := make([]map[int]float64, mergeShardCount)
+	for s := range shards {
+		shards[s] = make(map[int]float64)
+	}
+	for i, sums := range tasks {
+		for idx, v := range sums {
+			shards[i%mergeShardCount][idx] += v
+		}
+	}
+	merged := make(map[int]float64)
+	maxIdx := -1
+	for _, sh := range shards {
+		for idx, v := range sh {
+			merged[idx] += v
+			maxIdx = max(maxIdx, idx)
+		}
+	}
+	dense := make([]float64, maxIdx+1)
+	for idx, v := range merged {
+		dense[idx] = v
+	}
+	return dense
+}
+
+// outputOf encodes sums as a v1 task output listing every entry.
+func outputOf(sums map[int]float64) []byte {
+	idxs := make([]int, 0, len(sums))
+	for idx := range sums {
+		idxs = append(idxs, idx)
+	}
+	sort.Ints(idxs)
+	out := binary.AppendUvarint([]byte{payloadVersion}, uint64(len(idxs)))
+	prev := 0
+	for _, idx := range idxs {
+		out = binary.AppendUvarint(out, uint64(idx-prev))
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(sums[idx]))
+		prev = idx
+	}
+	return out
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMergeOrderIndependentBits feeds the same per-task outputs in many
+// random arrival orders and requires the merged floats to be bit-identical
+// every time, and identical to the map-based reference merge: the sharded
+// pre-merge must keep the decode arrival-order independent.
 func TestMergeOrderIndependentBits(t *testing.T) {
 	const tasks = 17
 	const intervals = 9
@@ -30,65 +97,59 @@ func TestMergeOrderIndependentBits(t *testing.T) {
 	// Sums chosen to make float addition order visible: wildly different
 	// magnitudes so (a+b)+c != a+(b+c) in the low bits.
 	taskSums := make([]map[int]float64, tasks)
+	outputs := make([][]byte, tasks)
 	for i := range taskSums {
 		taskSums[i] = make(map[int]float64, intervals)
 		for k := 0; k < intervals; k++ {
 			taskSums[i][k] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(13)-6))
 		}
-	}
-
-	merge := func(order []int) map[int]uint64 {
-		js := newMergeState(tasks)
-		for _, i := range order {
-			js.mergeTask(i, taskSums[i])
+		outputs[i] = outputOf(taskSums[i])
+		if err := checkOutput(outputs[i], intervals); err != nil {
+			t.Fatal(err)
 		}
-		out := make(map[int]uint64, intervals)
-		for idx, v := range js.mergedSums() {
-			out[idx] = math.Float64bits(v)
-		}
-		return out
 	}
+	want := refMerge(taskSums)
 
 	order := make([]int, tasks)
 	for i := range order {
 		order[i] = i
 	}
-	want := merge(order)
 	for trial := 0; trial < 50; trial++ {
+		var ms mergeShards
+		for _, i := range order {
+			ms.mergeTask(i, outputs[i])
+		}
+		if got := ms.mergedSums(); !sameBits(got, want) {
+			t.Fatalf("trial %d: merged %v, want %v (arrival order leaked into the fold)", trial, got, want)
+		}
 		rng.Shuffle(tasks, func(i, j int) { order[i], order[j] = order[j], order[i] })
-		got := merge(order)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: interval count %d != %d", trial, len(got), len(want))
-		}
-		for idx, bits := range want {
-			if got[idx] != bits {
-				t.Fatalf("trial %d: interval %d merged to %x, want %x (arrival order leaked into the fold)",
-					trial, idx, got[idx], bits)
-			}
-		}
+	}
+	if got, err := FoldOutputs(outputs, intervals); err != nil || !sameBits(got, want) {
+		t.Fatalf("FoldOutputs = %v, %v, want %v", got, err, want)
 	}
 }
 
-// TestMergeFailedTaskUnblocksShard checks that a failed task (nil sums)
+// TestMergeFailedTaskUnblocksShard checks that a failed task (nil output)
 // still advances its shard's fold cursor: successors buffered behind it
 // must fold, contributing their sums, with the failure itself adding
 // nothing.
 func TestMergeFailedTaskUnblocksShard(t *testing.T) {
 	n := 2 * mergeShardCount
-	js := newMergeState(n)
+	var ms mergeShards
+	one := outputOf(map[int]float64{0: 1})
 	// Arrive in reverse, with task 0 failing: every later task on shard 0
 	// is buffered until the nil fold for task 0 releases them.
 	for i := n - 1; i > 0; i-- {
-		js.mergeTask(i, map[int]float64{0: 1})
+		ms.mergeTask(i, one)
 	}
-	js.mergeTask(0, nil)
-	got := js.mergedSums()[0]
-	if want := float64(n - 1); got != want {
-		t.Fatalf("merged sum = %v, want %v (failed task blocked or double-counted its shard)", got, want)
+	ms.mergeTask(0, nil)
+	got := ms.mergedSums()
+	if want := float64(n - 1); len(got) != 1 || got[0] != want {
+		t.Fatalf("merged sums = %v, want [%v] (failed task blocked or double-counted its shard)", got, want)
 	}
-	for s := range js.merge {
-		if len(js.merge[s].buffered) != 0 {
-			t.Fatalf("shard %d still buffers %d entries after all tasks arrived", s, len(js.merge[s].buffered))
+	for s := range ms {
+		if len(ms[s].buffered) != 0 {
+			t.Fatalf("shard %d still buffers %d entries after all tasks arrived", s, len(ms[s].buffered))
 		}
 	}
 }

@@ -17,9 +17,6 @@ func DecodeFrame(frame []byte) error {
 	return err
 }
 
-// MaxFrameBytes exposes the frame cap to external tests.
-const MaxFrameBytes = maxFrameBytes
-
 // EncodeTaskFrameBinary produces one complete wire frame, CRC stamped,
 // carrying a task — pristine material for external tests to mangle.
 func EncodeTaskFrameBinary(id, job string, payload []byte) []byte {

@@ -331,20 +331,20 @@ func (c *codec) send(m message) error {
 	return nil
 }
 
-// maxFrameBytes bounds one wire frame. A corrupt or malicious peer that
+// MaxFrameBytes bounds one wire frame. A corrupt or malicious peer that
 // announces an absurd body length would otherwise drive an allocation of
 // that size; past this cap recv fails and the connection is dropped by
 // the caller. Generous enough for any legitimate task payload.
-const maxFrameBytes = 32 << 20
+const MaxFrameBytes = 32 << 20
 
 // ErrFrameTooLarge is returned by recv when a frame's announced length
-// exceeds maxFrameBytes.
+// exceeds MaxFrameBytes.
 var ErrFrameTooLarge = errors.New("workqueue: frame exceeds size limit")
 
 // recv reads the next frame into a pooled buffer, decodes it and checks
 // its CRC. Every error is fatal to the connection: after a bad magic
 // byte, version, length or body the stream has no frame boundary left to
-// resynchronise on. A frame announcing more than maxFrameBytes is
+// resynchronise on. A frame announcing more than MaxFrameBytes is
 // rejected with ErrFrameTooLarge before any of its body is buffered.
 func (c *codec) recv() (message, error) {
 	magic, err := c.r.ReadByte()
@@ -365,7 +365,7 @@ func (c *codec) recv() (message, error) {
 	if err != nil {
 		return message{}, obs.Wrap(fmt.Errorf("%w: frame length: %v", ErrWireFormat, err))
 	}
-	if n > maxFrameBytes {
+	if n > MaxFrameBytes {
 		return message{}, obs.Wrap(ErrFrameTooLarge)
 	}
 	bp := wireBufPool.Get().(*[]byte)

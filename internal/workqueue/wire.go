@@ -71,7 +71,7 @@ var wireBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return
 
 // wireHeaderRoom reserves space in the encode buffer for the frame
 // header: magic + version + a worst-case 5-byte uvarint length (bodies
-// are capped well under 4 GiB by maxFrameBytes).
+// are capped well under 4 GiB by MaxFrameBytes).
 const wireHeaderRoom = 7
 
 // wireWriter appends primitive values to a growing buffer.
@@ -727,7 +727,7 @@ func WireFrameSplit(buf []byte) (int, bool) {
 		}
 		return 0, false
 	}
-	if used < 0 || n > maxFrameBytes {
+	if used < 0 || n > MaxFrameBytes {
 		return len(buf), true // overflow or absurd length: garbage
 	}
 	total := 2 + used + int(n)

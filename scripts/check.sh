@@ -67,9 +67,11 @@ bench() {
 	# end-to-end tasks/sec through one master connection — lock-step vs
 	# batched, on a raw pipe (internal/workqueue) and across a
 	# 250µs-per-frame delay link (internal/chaos), where batching's
-	# amortization is the headline ratio.
-	echo "== bench: go test -bench '^BenchmarkWire' on internal/workqueue and internal/chaos =="
-	out=$(go test -run '^$' -bench '^BenchmarkWire' -benchmem ./internal/workqueue ./internal/chaos)
+	# amortization is the headline ratio. internal/dtm adds what goes
+	# inside the frame: encoding one payload_heavy-sized task payload,
+	# executing it, and checking + folding its output.
+	echo "== bench: go test -bench '^BenchmarkWire' on internal/workqueue, internal/chaos and internal/dtm =="
+	out=$(go test -run '^$' -bench '^BenchmarkWire' -benchmem ./internal/workqueue ./internal/chaos ./internal/dtm)
 	echo "$out"
 	echo "$out" | bench_json >BENCH_wire.json
 	echo "wrote BENCH_wire.json ($(grep -c '"name"' BENCH_wire.json) benchmarks)"
@@ -138,6 +140,9 @@ wire() {
 	# wire format end to end.
 	echo "== wire: round-trip/golden codec tests + batching invariants =="
 	go test -count=1 -run 'TestWireRoundTrip|TestRoundTripCovers|TestGolden|TestBatch|TestPartialBatch|TestUnbatched|TestMidBatch|TestWireFrames|TestShiftBinary|TestBinary|TestNonFrame|FuzzDecode' ./internal/workqueue
+	# What travels inside the frames: the task payload and output goldens,
+	# the decoders' rejection table and both fuzz targets' seed corpora.
+	go test -count=1 -run 'TestGoldenPayloadsStable|TestDecodersRejectMalformed|TestCodecMatchesMapReferenceBits|FuzzDecodeTask|FuzzFoldOutput' ./internal/dtm
 	echo "== wire: 2-worker batched sweep over the wire codec =="
 	dir=$(mktemp -d)
 	go run ./cmd/loadgen -trace boston -scale 0.005 -workers 2 \
