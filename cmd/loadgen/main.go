@@ -31,8 +31,6 @@ import (
 	"github.com/social-sensing/sstd/internal/obs/flightrec"
 	"github.com/social-sensing/sstd/internal/obs/slo"
 	"github.com/social-sensing/sstd/internal/obs/tsdb"
-	"github.com/social-sensing/sstd/internal/socialsensing"
-	"github.com/social-sensing/sstd/internal/tracegen"
 	"github.com/social-sensing/sstd/internal/traceio"
 	"github.com/social-sensing/sstd/internal/workqueue"
 )
@@ -107,7 +105,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "loadgen: flight recorder armed: deep dives to %s on [%s]\n", *flightRecord, *flightDumpOn)
 	}
 
-	tr, err := loadTrace(*in, *trace, *scale, *seed)
+	tr, err := traceio.LoadOrGenerate(*in, *trace, *scale, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -290,28 +288,6 @@ func parseWorkers(s string) ([]int, error) {
 		return nil, fmt.Errorf("-workers is empty")
 	}
 	return out, nil
-}
-
-func loadTrace(in, profile string, scale float64, seed int64) (*socialsensing.Trace, error) {
-	if in != "" {
-		return traceio.Load(in)
-	}
-	var prof tracegen.Profile
-	switch profile {
-	case "boston":
-		prof = tracegen.BostonBombing()
-	case "paris":
-		prof = tracegen.ParisShooting()
-	case "football":
-		prof = tracegen.CollegeFootball()
-	default:
-		return nil, fmt.Errorf("unknown profile %q", profile)
-	}
-	g, err := tracegen.New(prof, seed)
-	if err != nil {
-		return nil, err
-	}
-	return g.Generate(scale)
 }
 
 func fatal(err error) {

@@ -1,6 +1,8 @@
-// Command sstd-master runs the SSTD Work Queue master over TCP: it loads or
-// generates a trace, listens for sstd-worker processes, distributes the
-// per-claim TD jobs across them and prints results as jobs complete.
+// Command sstd-master runs the SSTD Dynamic Task Manager (internal/dtm)
+// with no in-process pool, behind a TCP listener: it loads or generates a
+// trace, waits for sstd-worker processes to dial in, submits one TD job per
+// claim and prints each job's decoded truth as it completes. SIGINT or
+// SIGTERM stops the run, still writing the requested artifacts.
 //
 // Usage:
 //
@@ -19,30 +21,20 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"github.com/social-sensing/sstd/internal/chaos"
-	"github.com/social-sensing/sstd/internal/core"
 	"github.com/social-sensing/sstd/internal/dtm"
 	"github.com/social-sensing/sstd/internal/obs"
 	"github.com/social-sensing/sstd/internal/obs/flightrec"
 	"github.com/social-sensing/sstd/internal/obs/slo"
 	"github.com/social-sensing/sstd/internal/obs/tsdb"
 	"github.com/social-sensing/sstd/internal/socialsensing"
-	"github.com/social-sensing/sstd/internal/tracegen"
 	"github.com/social-sensing/sstd/internal/traceio"
 	"github.com/social-sensing/sstd/internal/workqueue"
 )
-
-// job is one admitted TD job on its way through the cluster.
-type job struct {
-	// outputs[i] is the output of the task that ran chunk i; it stays nil
-	// for a task that failed.
-	outputs      [][]byte
-	intervals    int
-	done, failed int
-	span         *obs.Span
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -73,12 +65,12 @@ func run() error {
 
 		taskTimeout = flag.Duration("task-timeout", 0, "requeue a task whose result has not arrived after this long (0 = wait forever)")
 		batch       = flag.Int("batch", 0, "task-batch size: coalesce up to N tasks per wire frame to each worker, with a pipelined ack window (0 = lock-step single-task frames)")
-		maxRetries  = flag.Int("max-retries", 0, "quarantine a task after this many lost attempts and finish its job degraded (0 = retry forever)")
+		maxRetries  = flag.Int("max-retries", 0, "quarantine a task after this many lost attempts; its job then completes degraded, or fails if every task is lost (0 = retry forever)")
 
 		controlOut  = flag.String("control-out", "", "write the control/telemetry artifact (metrics snapshot + per-worker tick series) here at exit")
 		sampleEvery = flag.Duration("sample-every", time.Second, "per-worker sampling period for -control-out")
 
-		deadline      = flag.Duration("deadline", 0, "per-job completion budget fed to admission control (0 = none)")
+		deadline      = flag.Duration("deadline", 0, "per-job soft deadline: counted hit or missed at completion (a burst of misses trips the flight recorder) and the budget admission control predicts against (0 = none)")
 		admissionRate = flag.Float64("admission-rate", 0, "fitted per-worker service rate (tasks/s) enabling admission control; jobs predicted past -deadline are rejected (from a loadgen capacity fit)")
 		admissionShed = flag.Bool("admission-shed", false, "shed over-deadline jobs to a near-zero-priority lane instead of rejecting them")
 
@@ -120,7 +112,7 @@ func run() error {
 		}
 	}()
 
-	tr, err := loadTrace(*in, *trace, *scale, *seed)
+	tr, err := traceio.LoadOrGenerate(*in, *trace, *scale, *seed)
 	if err != nil {
 		return err
 	}
@@ -141,7 +133,7 @@ func run() error {
 		tracer = obs.NewTracer(0)
 	}
 	tracer.Instrument(metrics)
-	// Install the recorder before building the master: probe rings bind
+	// Install the recorder before building the manager: probe rings bind
 	// at component construction.
 	flightRec, err := flightrec.EnableCLI(*flightRecord, *flightDumpOn, tracer, metrics, logger)
 	if err != nil {
@@ -193,20 +185,40 @@ func run() error {
 	if *flightRecord != "" {
 		clusterDumps = &workqueue.ClusterDumpConfig{Dir: *flightRecord}
 	}
-	master := workqueue.NewMaster(workqueue.MasterConfig{
-		Seed: *seed, SchedShards: *schedShards, ResultBuffer: 256,
-		Metrics: metrics, Tracer: tracer, Logger: logger,
-		SuspectAfter:    *suspectAfter,
-		DeadAfter:       *deadAfter,
-		StragglerFactor: *straggler,
-		TaskTimeout:     *taskTimeout,
-		MaxRetries:      *maxRetries,
-		BatchSize:       *batch,
-		Admission:       admission,
-		Telemetry:       store,
-		FlightRec:       flightRec,
-		ClusterDumps:    clusterDumps,
-	})
+	var recorder *obs.ControlRecorder
+	if *controlOut != "" {
+		// One tick of per-worker health rows every -sample-every, plus a
+		// final one at Close so a run shorter than a tick still has its
+		// end state.
+		recorder = obs.NewControlRecorder(0)
+	}
+	cfg := dtm.DefaultConfig(tr.Start)
+	cfg.ACS.Interval = tr.Duration() / time.Duration(*intervals)
+	cfg.ACS.WindowIntervals = *window
+	cfg.TasksPerJob = *tasksPer
+	cfg.Workers = 0 // every worker is an sstd-worker dialling -listen
+	cfg.Seed = *seed
+	cfg.SchedShards = *schedShards
+	cfg.SuspectAfter = *suspectAfter
+	cfg.DeadAfter = *deadAfter
+	cfg.StragglerFactor = *straggler
+	cfg.TaskTimeout = *taskTimeout
+	cfg.MaxTaskRetries = *maxRetries
+	cfg.TaskBatch = *batch
+	cfg.Admission = admission
+	cfg.Metrics = metrics
+	cfg.Tracer = tracer
+	cfg.Logger = logger
+	cfg.ControlLog = recorder
+	cfg.SampleEvery = *sampleEvery
+	cfg.Telemetry = store
+	cfg.FlightRec = flightRec
+	cfg.ClusterDumps = clusterDumps
+	mgr, err := dtm.New(cfg)
+	if err != nil {
+		return err
+	}
+	master := mgr.Master()
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return fmt.Errorf("listen %s: %w", *listen, err)
@@ -222,38 +234,10 @@ func run() error {
 		l = chaos.New(spec, metrics, tracer).Listen(l)
 		fmt.Printf("CHAOS: fault injection armed (seed %d) — test use only\n", spec.Seed)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		if err := master.Serve(ctx, l); err != nil {
-			fmt.Fprintln(os.Stderr, "sstd-master: serve:", err)
-		}
-	}()
-	// Per-worker control sampling for the -control-out artifact: one tick
-	// of health-registry rows every -sample-every. The final tick is
-	// recorded at shutdown (below), so a run that finishes between ticks —
-	// or entirely inside the first tick — still produces its end state.
-	var recorder *obs.ControlRecorder
-	samplerStop := make(chan struct{})
-	samplerDone := make(chan struct{})
-	if *controlOut != "" {
-		recorder = obs.NewControlRecorder(0)
-		go func() {
-			defer close(samplerDone)
-			t := time.NewTicker(*sampleEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-samplerStop:
-					return
-				case <-t.C:
-					recordWorkerTick(recorder, master)
-				}
-			}
-		}()
-	} else {
-		close(samplerDone)
-	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	mgr.Start(ctx)
+	mgr.Serve(l)
 	if *status != "" {
 		mux := http.NewServeMux()
 		mux.Handle("/", master.StatusHandler())
@@ -291,155 +275,24 @@ func run() error {
 		fmt.Printf("telemetry endpoint on %s (/metrics, /trace, /logs, /query, /slo, /cluster, /status, /debug/pprof)\n", *telemetry)
 	}
 	fmt.Printf("listening on %s, waiting for %d worker(s)...\n", l.Addr(), *minWorkers)
-	for master.WorkerCount() < *minWorkers {
-		time.Sleep(100 * time.Millisecond)
-	}
-
-	width := tr.Duration() / time.Duration(*intervals)
-	byClaim := tr.ReportsByClaim()
-	jobs := make(map[string]*job, len(byClaim))
-	taskChunk := make(map[string]int) // task ID -> chunk index
-	rejected := 0
-	for claim, reports := range byClaim {
-		chunks := dtm.SplitReports(reports, *tasksPer)
-		payloads, intervals, err := dtm.EncodeTasks(chunks, tr.Start, width)
-		if err != nil {
-			return err
-		}
-		// One distributed trace per TD job: the root span's context rides
-		// on every task, so the workers' stage spans land in the same
-		// timeline (nil tracer = nil span = no tracing, same protocol).
-		jobSpan := tracer.NewTrace("job " + string(claim))
-		// Admission control (enabled by -admission-rate): refuse jobs the
-		// capacity model predicts past their -deadline instead of letting
-		// them queue up and miss anyway. The gate logs the rejection with
-		// its errtrace return path.
-		d := master.AdmitJob(string(claim), jobSpan.TraceID(), len(chunks), *deadline)
-		if !d.Admit {
-			jobSpan.SetAttr("admission", "rejected")
-			jobSpan.Finish()
-			rejected++
-			fmt.Fprintf(os.Stderr, "sstd-master: job %s rejected: %v\n", claim, d.Err)
-			continue
-		}
-		jobs[string(claim)] = &job{outputs: make([][]byte, len(chunks)), intervals: intervals, span: jobSpan}
-		var tc *workqueue.TraceContext
-		if id := jobSpan.TraceID(); id != "" {
-			tc = &workqueue.TraceContext{TraceID: id, ParentSpanID: jobSpan.SpanID()}
-		}
-		for i, payload := range payloads {
-			task := workqueue.Task{
-				ID:      fmt.Sprintf("%s/%d", claim, i),
-				JobID:   string(claim),
-				Payload: payload,
-				Span:    jobSpan.SpanID(),
-				Trace:   tc,
-			}
-			taskChunk[task.ID] = i
-			if err := master.Submit(task); err != nil {
-				return err
-			}
-		}
-		if d.Shed {
-			// Degraded lane: near-zero scheduler weight, so the shed job
-			// only drains on capacity the admitted jobs leave idle.
-			master.SetJobPriority(string(claim), 0.001)
-		}
-	}
-	admitted := len(jobs)
-	fmt.Printf("submitted %d tasks across %d jobs", len(taskChunk), admitted)
-	if rejected > 0 {
-		fmt.Printf(" (%d jobs rejected by admission control)", rejected)
-	}
-	fmt.Println()
-
-	// Collect each job's task outputs and, once the last one is in, fold
-	// them in chunk order and decode: the printed truth does not depend on
-	// which worker answered first.
-	dec, err := core.NewDecoder(core.DefaultDecoderConfig())
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	finished := 0
-	for finished < admitted {
-		res, ok := <-master.Results()
-		if !ok {
-			return fmt.Errorf("results closed with %d/%d jobs finished", finished, admitted)
-		}
-		j := jobs[res.JobID]
-		if res.Err != "" {
-			// A task that exhausted its retries (quarantined) or failed
-			// terminally costs its chunk of data, not the run: the job
-			// completes degraded from the partial sums, matching the DTM's
-			// graceful-degradation policy.
-			if *maxRetries == 0 {
-				return fmt.Errorf("task failed at stage %q: %s", res.ErrStage, res.Err)
-			}
-			fmt.Fprintf(os.Stderr, "sstd-master: task %s failed (stage %q): %s\n", res.TaskID, res.ErrStage, res.Err)
-			j.failed++
-		} else {
-			j.outputs[taskChunk[res.TaskID]] = res.Output
-		}
-		j.done++
-		if j.done == len(j.outputs) {
-			finished++
-			j.span.Finish()
-			sums, err := dtm.FoldOutputs(j.outputs, j.intervals)
-			if err != nil {
-				return fmt.Errorf("job %s: %w", res.JobID, err)
-			}
-			truth, err := dec.Decode(dtm.WindowedSeries(sums, *window))
-			if err != nil {
-				return fmt.Errorf("decode %s: %w", res.JobID, err)
-			}
-			trueCount := 0
-			for _, v := range truth {
-				if v == socialsensing.True {
-					trueCount++
-				}
-			}
-			degraded := ""
-			if j.failed > 0 {
-				degraded = fmt.Sprintf("  DEGRADED (%d/%d tasks lost)", j.failed, len(j.outputs))
-			}
-			fmt.Printf("job %-28s done: %3d intervals, true in %3d%s\n", res.JobID, len(truth), trueCount, degraded)
-		}
-	}
-	fmt.Printf("all %d jobs finished in %s across %d workers\n",
-		admitted, time.Since(start).Round(time.Millisecond), master.WorkerCount())
-	for _, h := range master.ClusterHealth() {
-		flag := ""
-		if h.Straggler {
-			flag = "  STRAGGLER"
-		}
-		fmt.Printf("  worker %-20s %-8s tasks=%-4d exec=%6.1fms rate=%5.2f/s%s\n",
-			h.ID, h.State, h.TasksCompleted, h.EWMAExecMs, h.TasksPerSec, flag)
-	}
-	// Flush the final control tick before teardown: the run usually ends
-	// between sampler ticks, and without this the artifact would miss the
-	// end state (or, for a run shorter than one tick, hold no rows at all).
-	if recorder != nil {
-		close(samplerStop)
-		<-samplerDone
-		recordWorkerTick(recorder, master)
-	}
-	cancel()
-	master.Shutdown()
+	runErr := runJobs(ctx, mgr, tr, *minWorkers, *deadline)
+	// However the run ended, write what was asked for. Close first: the
+	// workers' final span flush (their last send spans) arrives before the
+	// connections close, so the artifacts are complete.
+	mgr.Close()
 	if *controlOut != "" {
 		if err := obs.WriteArtifactFile(*controlOut, metrics, recorder); err != nil {
-			return fmt.Errorf("write control artifact %s: %w", *controlOut, err)
+			runErr = errors.Join(runErr, fmt.Errorf("write control artifact %s: %w", *controlOut, err))
+		} else {
+			fmt.Printf("wrote control artifact to %s (%d worker samples)\n", *controlOut, len(recorder.WorkerSamples()))
 		}
-		fmt.Printf("wrote control artifact to %s (%d worker samples)\n", *controlOut, len(recorder.WorkerSamples()))
 	}
 	if *traceOut != "" {
-		// Shutdown first: the workers' final span flush (their last send
-		// spans) arrives before the connections close, so the export is
-		// complete.
 		if err := tracer.WriteChromeTraceFile(*traceOut); err != nil {
-			return fmt.Errorf("write trace %s: %w", *traceOut, err)
+			runErr = errors.Join(runErr, fmt.Errorf("write trace %s: %w", *traceOut, err))
+		} else {
+			fmt.Printf("wrote Chrome trace to %s (%d spans)\n", *traceOut, tracer.Len())
 		}
-		fmt.Printf("wrote Chrome trace to %s (%d spans)\n", *traceOut, tracer.Len())
 	}
 	if flightRec != nil {
 		// Let a trip near shutdown land its deep-dive file before exit.
@@ -449,51 +302,82 @@ func run() error {
 				d.Path, d.Trigger, d.Events, d.Spans)
 		}
 	}
-	return nil
+	return runErr
 }
 
-// recordWorkerTick appends one control tick of per-worker health rows
-// (observed EWMA throughput, exec and transfer times, clock skew) to the
-// recorder. The standalone master has no WCET model, so the prediction
-// columns stay zero; the loadgen harness fills those in its capacity fit.
-func recordWorkerTick(rec *obs.ControlRecorder, master *workqueue.Master) {
-	rec.BeginTick()
-	now := time.Now()
-	for _, h := range master.ClusterHealth() {
-		if h.State == workqueue.WorkerDead {
+// runJobs waits for minWorkers, submits one TD job per claim and prints
+// every result. A rejected or failed job does not stop the others; the
+// error says how the run fell short, if it did.
+func runJobs(ctx context.Context, mgr *dtm.Manager, tr *socialsensing.Trace, minWorkers int, deadline time.Duration) error {
+	for mgr.Master().WorkerCount() < minWorkers {
+		select {
+		case <-ctx.Done():
+			return errors.New("interrupted waiting for workers")
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+	admitted, rejected := 0, 0
+	for claim, reports := range tr.ReportsByClaim() {
+		// Admission control (-admission-rate) refuses jobs the capacity
+		// model predicts past -deadline instead of letting them queue up
+		// and miss anyway; the gate logs the rejection.
+		switch err := mgr.SubmitJob(claim, reports, deadline); {
+		case errors.Is(err, workqueue.ErrAdmissionRejected):
+			rejected++
+			fmt.Fprintf(os.Stderr, "sstd-master: job %s rejected: %v\n", claim, err)
+		case err != nil:
+			return err
+		default:
+			admitted++
+		}
+	}
+	fmt.Printf("submitted %d jobs", admitted)
+	if rejected > 0 {
+		fmt.Printf(" (%d jobs rejected by admission control)", rejected)
+	}
+	fmt.Println()
+
+	start := time.Now()
+	failed := 0
+	for finished := 0; finished < admitted; finished++ {
+		var res dtm.JobResult
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("interrupted with %d/%d jobs finished", finished, admitted)
+		case res = <-mgr.Results():
+		}
+		if res.Err != nil {
+			// Every task of the job was lost: nothing to decode.
+			failed++
+			fmt.Fprintf(os.Stderr, "sstd-master: job %s failed: %v\n", res.Claim, res.Err)
 			continue
 		}
-		rec.RecordWorker(obs.WorkerSample{
-			Time:               now,
-			Worker:             h.ID,
-			State:              string(h.State),
-			TasksPerSec:        h.TasksPerSec,
-			ObservedExecMs:     h.EWMAExecMs,
-			MeasuredTransferMs: h.EWMATransferMs,
-			ClockSkewMs:        h.ClockSkewMs,
-			Straggler:          h.Straggler,
-		})
+		trueCount := 0
+		for _, e := range res.Estimates {
+			if e.Value == socialsensing.True {
+				trueCount++
+			}
+		}
+		degraded := ""
+		if res.Degraded {
+			// Tasks that exhausted -max-retries cost their chunk of data,
+			// not the job: it is decoded from the partial sums.
+			degraded = fmt.Sprintf("  DEGRADED (%d tasks lost)", res.FailedTasks)
+		}
+		fmt.Printf("job %-28s done: %3d intervals, true in %3d%s\n", res.Claim, len(res.Estimates), trueCount, degraded)
 	}
-}
-
-func loadTrace(in, profile string, scale float64, seed int64) (*socialsensing.Trace, error) {
-	if in != "" {
-		return traceio.Load(in)
+	fmt.Printf("all %d jobs finished in %s across %d workers\n",
+		admitted, time.Since(start).Round(time.Millisecond), mgr.Master().WorkerCount())
+	for _, h := range mgr.ClusterHealth() {
+		flag := ""
+		if h.Straggler {
+			flag = "  STRAGGLER"
+		}
+		fmt.Printf("  worker %-20s %-8s tasks=%-4d exec=%6.1fms rate=%5.2f/s%s\n",
+			h.ID, h.State, h.TasksCompleted, h.EWMAExecMs, h.TasksPerSec, flag)
 	}
-	var prof tracegen.Profile
-	switch profile {
-	case "boston":
-		prof = tracegen.BostonBombing()
-	case "paris":
-		prof = tracegen.ParisShooting()
-	case "football":
-		prof = tracegen.CollegeFootball()
-	default:
-		return nil, fmt.Errorf("unknown profile %q", profile)
+	if failed > 0 {
+		return fmt.Errorf("%d of %d jobs failed", failed, admitted)
 	}
-	g, err := tracegen.New(prof, seed)
-	if err != nil {
-		return nil, err
-	}
-	return g.Generate(scale)
+	return nil
 }

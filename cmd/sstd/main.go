@@ -23,7 +23,6 @@ import (
 	"github.com/social-sensing/sstd/internal/obs"
 	"github.com/social-sensing/sstd/internal/socialsensing"
 	"github.com/social-sensing/sstd/internal/sourcerel"
-	"github.com/social-sensing/sstd/internal/tracegen"
 	"github.com/social-sensing/sstd/internal/traceio"
 )
 
@@ -69,7 +68,7 @@ func run() (retErr error) {
 		}
 	}()
 
-	tr, err := loadTrace(*in, *trace, *scale, *seed)
+	tr, err := traceio.LoadOrGenerate(*in, *trace, *scale, *seed)
 	if err != nil {
 		return err
 	}
@@ -150,28 +149,6 @@ func printSourceRanking(tr *socialsensing.Trace, decoded map[socialsensing.Claim
 		}
 	}
 	return nil
-}
-
-func loadTrace(in, profile string, scale float64, seed int64) (*socialsensing.Trace, error) {
-	if in != "" {
-		return traceio.Load(in)
-	}
-	var prof tracegen.Profile
-	switch profile {
-	case "boston":
-		prof = tracegen.BostonBombing()
-	case "paris":
-		prof = tracegen.ParisShooting()
-	case "football":
-		prof = tracegen.CollegeFootball()
-	default:
-		return nil, fmt.Errorf("unknown profile %q", profile)
-	}
-	g, err := tracegen.New(prof, seed)
-	if err != nil {
-		return nil, err
-	}
-	return g.Generate(scale)
 }
 
 // sinks groups the optional -telemetry outputs threaded into decode.

@@ -31,7 +31,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	prof, err := profileByName(*trace)
+	prof, err := tracegen.ProfileByName(*trace)
 	if err != nil {
 		return err
 	}
@@ -54,17 +54,4 @@ func run() error {
 	fmt.Printf("wrote %s: %d reports, %d sources, %d claims over %s\n",
 		path, st.Reports, st.Sources, st.Claims, st.Duration)
 	return nil
-}
-
-func profileByName(name string) (tracegen.Profile, error) {
-	switch name {
-	case "boston", "boston-bombing":
-		return tracegen.BostonBombing(), nil
-	case "paris", "paris-shooting":
-		return tracegen.ParisShooting(), nil
-	case "football", "college-football":
-		return tracegen.CollegeFootball(), nil
-	default:
-		return tracegen.Profile{}, fmt.Errorf("unknown trace %q (want boston, paris or football)", name)
-	}
 }

@@ -3,8 +3,10 @@ package sstd_test
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
@@ -123,8 +125,8 @@ func TestFullRawTextPipeline(t *testing.T) {
 }
 
 // TestDistributedMatchesLocalOverTCP runs the identical TD workload
-// through the in-process engine and through a real TCP master with two
-// worker connections, checking the decoded truth agrees.
+// through the in-process engine and through a dtm.Manager serving two
+// workers over real TCP connections, checking the decoded truth agrees.
 func TestDistributedMatchesLocalOverTCP(t *testing.T) {
 	gen, err := tracegen.New(tracegen.CollegeFootball(), 3)
 	if err != nil {
@@ -151,89 +153,56 @@ func TestDistributedMatchesLocalOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Distributed: master over TCP; workers run the same executor as
-	// cmd/sstd-worker, the master side encodes and folds like
-	// cmd/sstd-master.
+	// Distributed: the manager sstd-master runs — no in-process pool, a
+	// real TCP listener — with two workers running sstd-worker's executor.
+	mcfg := dtm.DefaultConfig(tr.Start)
+	mcfg.ACS = cfg.ACS
+	mcfg.TasksPerJob = 2
+	mcfg.Workers = 0
+	mcfg.Seed = 1
+	m, err := dtm.New(mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	master := workqueue.NewMaster(workqueue.MasterConfig{Seed: 1, ResultBuffer: 128})
+	m.Start(ctx)
+	defer m.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = master.Serve(ctx, l) }()
+	m.Serve(l)
 	for i := 0; i < 2; i++ {
 		go func(i int) {
 			w := &workqueue.Worker{ID: fmt.Sprintf("itw-%d", i), Exec: dtm.ExecuteTask}
 			_ = w.Dial(ctx, l.Addr().String())
 		}(i)
 	}
-
-	type job struct {
-		outputs   [][]byte
-		intervals int
-		done      int
-	}
-	jobs := make(map[string]*job)
-	for claim, reports := range tr.ReportsByClaim() {
-		half := len(reports) / 2
-		payloads, intervals, err := dtm.EncodeTasks([][]socialsensing.Report{reports[:half], reports[half:]}, tr.Start, width)
-		if err != nil {
+	byClaim := tr.ReportsByClaim()
+	for claim, reports := range byClaim {
+		if err := m.SubmitJob(claim, reports, 0); err != nil {
 			t.Fatal(err)
 		}
-		jobs[string(claim)] = &job{outputs: make([][]byte, len(payloads)), intervals: intervals}
-		for i, raw := range payloads {
-			if err := master.Submit(workqueue.Task{
-				ID: fmt.Sprintf("%s/%d", claim, i), JobID: string(claim), Payload: raw,
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
-
-	finished := 0
 	timeout := time.After(30 * time.Second)
-	for finished < len(jobs) {
+	for finished := 0; finished < len(byClaim); finished++ {
 		select {
-		case res := <-master.Results():
-			if res.Err != "" {
-				t.Fatalf("task %s: %s", res.TaskID, res.Err)
+		case res := <-m.Results():
+			if res.Err != nil || res.Degraded {
+				t.Fatalf("job %s: err=%v degraded=%t", res.Claim, res.Err, res.Degraded)
 			}
-			j := jobs[res.JobID]
-			chunk, err := strconv.Atoi(strings.TrimPrefix(res.TaskID, res.JobID+"/"))
-			if err != nil {
-				t.Fatal(err)
+			localEst := local[res.Claim]
+			if len(localEst) != len(res.Estimates) {
+				t.Fatalf("claim %s length mismatch: %d vs %d", res.Claim, len(localEst), len(res.Estimates))
 			}
-			j.outputs[chunk] = res.Output
-			if j.done++; j.done == len(j.outputs) {
-				finished++
+			for i, e := range res.Estimates {
+				if e.Value != localEst[i].Value {
+					t.Fatalf("claim %s interval %d: distributed %v vs local %v", res.Claim, i, e.Value, localEst[i].Value)
+				}
 			}
 		case <-timeout:
-			t.Fatalf("timed out with %d/%d jobs", finished, len(jobs))
-		}
-	}
-
-	dec, err := core.NewDecoder(core.DefaultDecoderConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for claim, j := range jobs {
-		sums, err := dtm.FoldOutputs(j.outputs, j.intervals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		truth, err := dec.Decode(dtm.WindowedSeries(sums, cfg.ACS.WindowIntervals))
-		if err != nil {
-			t.Fatal(err)
-		}
-		localEst := local[socialsensing.ClaimID(claim)]
-		if len(localEst) != len(truth) {
-			t.Fatalf("claim %s length mismatch: %d vs %d", claim, len(localEst), len(truth))
-		}
-		for i := range truth {
-			if truth[i] != localEst[i].Value {
-				t.Fatalf("claim %s interval %d: distributed %v vs local %v", claim, i, truth[i], localEst[i].Value)
-			}
+			t.Fatalf("timed out with %d/%d jobs", finished, len(byClaim))
 		}
 	}
 }
@@ -246,18 +215,13 @@ func TestCLIMasterTruthIndependentOfWorkerCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the CLI binaries")
 	}
-	dir := t.TempDir()
-	for _, name := range []string{"sstd-master", "sstd-worker"} {
-		if out, err := exec.Command("go", "build", "-o", filepath.Join(dir, name), "./cmd/"+name).CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", name, err, out)
-		}
-	}
-	run := func(workers int) []string {
+	dir := buildCLI(t, "sstd-master", "sstd-worker")
+	run := func(workers int, extra ...string) []string {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
-		master := exec.CommandContext(ctx, filepath.Join(dir, "sstd-master"),
+		master := exec.CommandContext(ctx, filepath.Join(dir, "sstd-master"), append([]string{
 			"-listen", "127.0.0.1:0", "-trace", "boston", "-scale", "0.005", "-seed", "3",
-			"-tasks-per-job", "8", "-min-workers", strconv.Itoa(workers), "-log-level", "error")
+			"-tasks-per-job", "8", "-min-workers", strconv.Itoa(workers), "-log-level", "error"}, extra...)...)
 		stdout, err := master.StdoutPipe()
 		if err != nil {
 			t.Fatal(err)
@@ -290,12 +254,69 @@ func TestCLIMasterTruthIndependentOfWorkerCount(t *testing.T) {
 		sort.Strings(truth)
 		return truth
 	}
-	one, three := run(1), run(3)
+	// A soft deadline changes what is counted, never what is printed.
+	one, three := run(1), run(3, "-deadline", "10s")
 	if len(one) == 0 {
 		t.Fatal("sstd-master printed no job lines")
 	}
 	if !reflect.DeepEqual(one, three) {
 		t.Errorf("printed truth depends on the worker count:\n1 worker:  %q\n3 workers: %q", one, three)
+	}
+}
+
+// buildCLI builds the named commands into a fresh directory.
+func buildCLI(t *testing.T, names ...string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, name := range names {
+		if out, err := exec.Command("go", "build", "-o", filepath.Join(dir, name), "./cmd/"+name).CombinedOutput(); err != nil {
+			t.Fatalf("build %s: %v\n%s", name, err, out)
+		}
+	}
+	return dir
+}
+
+// TestCLIMasterInterrupt sends SIGINT to an sstd-master still waiting for
+// its first worker: it must exit within 5 s, non-zero, with the requested
+// trace file written.
+func TestCLIMasterInterrupt(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the CLI binary")
+	}
+	dir := buildCLI(t, "sstd-master")
+	traceOut := filepath.Join(dir, "trace.json")
+	master := exec.Command(filepath.Join(dir, "sstd-master"),
+		"-listen", "127.0.0.1:0", "-scale", "0.003", "-min-workers", "1", "-trace-out", traceOut, "-log-level", "error")
+	stdout, err := master.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := master.Start(); err != nil {
+		t.Fatal(err)
+	}
+	timer := time.AfterFunc(30*time.Second, func() { _ = master.Process.Kill() })
+	defer timer.Stop()
+	var signalled time.Time
+	lines := bufio.NewScanner(stdout)
+	for lines.Scan() { // until the master exits and its stdout closes
+		if strings.HasPrefix(lines.Text(), "listening on ") {
+			signalled = time.Now()
+			_ = master.Process.Signal(os.Interrupt)
+		}
+	}
+	err = master.Wait()
+	if signalled.IsZero() {
+		t.Fatalf("sstd-master never started listening: %v", err)
+	}
+	if took := time.Since(signalled); took > 5*time.Second {
+		t.Errorf("sstd-master took %s to exit after SIGINT", took)
+	}
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Errorf("interrupted sstd-master: %v, want exit status 1", err)
+	}
+	if _, err := os.Stat(traceOut); err != nil {
+		t.Errorf("-trace-out not written on SIGINT: %v", err)
 	}
 }
 

@@ -41,3 +41,25 @@ func TestCloseFlushesFinalControlTick(t *testing.T) {
 		}
 	}
 }
+
+// TestControlLogSampledWithoutTuner: a ControlLog on a manager whose PID
+// loop is off (sstd-master's -control-out) still gets per-worker rows
+// every SampleEvery, not only the final flush.
+func TestControlLogSampledWithoutTuner(t *testing.T) {
+	rec := obs.NewControlRecorder(0)
+	cfg := DefaultConfig(origin())
+	cfg.Workers = 2
+	cfg.ControlLog = rec
+	cfg.SampleEvery = 5 * time.Millisecond
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start(context.Background())
+	defer m.Close()
+	for start := time.Now(); len(rec.WorkerSamples()) < 2*cfg.Workers; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("%d worker rows after 10s, want periodic ticks", len(rec.WorkerSamples()))
+		}
+	}
+}

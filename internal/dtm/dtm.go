@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -37,7 +36,9 @@ type Config struct {
 	// TasksPerJob is how many tasks each TD job is split into. The paper
 	// keeps this small to bound init overhead (Eq. 11). Default 4.
 	TasksPerJob int
-	// Workers is the initial pool size (GCK starting point). Default 4.
+	// Workers is the initial in-process pool size (GCK starting point).
+	// Zero means no in-process pool: every worker is remote and dials the
+	// listener given to Serve.
 	Workers int
 
 	// EnableControl turns the PID feedback loop on.
@@ -257,8 +258,13 @@ type Manager struct {
 	hJobLatency   *obs.Histogram
 	hDecode       *obs.Histogram
 
+	// ctx ends at Close (or when Start's parent does); wg tracks the
+	// collector and control loop, serving the accept loops of Serve, which
+	// must be gone before the master shuts down.
+	ctx       context.Context
 	cancel    context.CancelFunc
 	wg        sync.WaitGroup
+	serving   sync.WaitGroup
 	closeOnce sync.Once
 }
 
@@ -270,8 +276,11 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.TasksPerJob <= 0 {
 		cfg.TasksPerJob = 4
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 4
+	if cfg.Workers < 0 {
+		return nil, errors.New("dtm: config has a negative worker count")
+	}
+	if cfg.EnableControl && cfg.Workers == 0 {
+		return nil, errors.New("dtm: the control loop resizes the in-process pool and needs Workers > 0")
 	}
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = time.Second
@@ -353,19 +362,35 @@ func New(cfg Config) (*Manager, error) {
 // the master down and ends the collector: call Close after cancelling too.
 func (m *Manager) Start(ctx context.Context) {
 	ctx, m.cancel = context.WithCancel(ctx)
+	m.ctx = ctx
 	m.pool.Resize(ctx, m.cfg.Workers)
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
 		m.collect(ctx)
 	}()
-	if m.tuner != nil {
+	// The loop's sampling half runs for a ControlLog alone; only the
+	// actuation half needs the tuner.
+	if m.tuner != nil || m.recorder != nil {
 		m.wg.Add(1)
 		go func() {
 			defer m.wg.Done()
 			m.controlLoop(ctx)
 		}()
 	}
+}
+
+// Serve accepts remote workers on l — sstd-worker processes, or any
+// workqueue.Worker running ExecuteTask — next to the in-process pool, until
+// Close (or the end of Start's context) closes l. Call it after Start.
+func (m *Manager) Serve(l net.Listener) {
+	m.serving.Add(1)
+	go func() {
+		defer m.serving.Done()
+		if err := m.master.Serve(m.ctx, l); err != nil {
+			m.logger.Error("serve workers", obs.Err(err))
+		}
+	}()
 }
 
 // SubmitJob registers a TD job for one claim and enqueues its tasks. The
@@ -378,8 +403,8 @@ func (m *Manager) SubmitJob(claim socialsensing.ClaimID, reports []socialsensing
 	jobID := string(claim)
 	// Encode first: a report the codec refuses must fail the call before
 	// the job is registered, admitted or traced.
-	chunks := SplitReports(reports, m.cfg.TasksPerJob)
-	payloads, intervals, err := EncodeTasks(chunks, m.cfg.Origin, m.cfg.ACS.Interval)
+	chunks := splitReports(reports, m.cfg.TasksPerJob)
+	payloads, intervals, err := encodeTasks(chunks, m.cfg.Origin, m.cfg.ACS.Interval)
 	if err != nil {
 		return obs.Wrap(fmt.Errorf("dtm: submit job %s: %w", jobID, err))
 	}
@@ -478,30 +503,17 @@ const shedPriority = 0.001
 // Results streams completed TD jobs. Closed by Close.
 func (m *Manager) Results() <-chan JobResult { return m.results }
 
-// Workers reports the current pool size.
+// Workers reports the current in-process pool size.
 func (m *Manager) Workers() int { return m.pool.Size() }
 
 // ClusterHealth exposes the master's per-worker health registry:
 // liveness state, last-seen, throughput estimates and straggler flags.
 func (m *Manager) ClusterHealth() []workqueue.WorkerHealth { return m.master.ClusterHealth() }
 
-// ClusterHandler serves ClusterHealth as JSON (GET only).
-func (m *Manager) ClusterHandler() http.Handler { return m.master.ClusterHandler() }
-
-// ClusterDumpHandler serves the master's cross-host flight-dump history
-// (GET) and triggers a manual collection (POST) — the /dump/cluster
-// endpoint. Useful only when Config.ClusterDumps is set.
-func (m *Manager) ClusterDumpHandler() http.Handler { return m.master.ClusterDumpHandler() }
-
-// ClusterDumpHistory reports completed cross-host collections.
-func (m *Manager) ClusterDumpHistory() []workqueue.ClusterDumpInfo {
-	return m.master.ClusterDumpHistory()
-}
-
-// CollectClusterDump runs one cross-host collection round now.
-func (m *Manager) CollectClusterDump(trigger, detail string) (*workqueue.ClusterDumpInfo, error) {
-	return m.master.CollectClusterDump(trigger, detail)
-}
+// Master is the work-queue master underneath, for its read-only surface:
+// the status, cluster and cluster-dump handlers and the attached-worker
+// count. Tasks go through SubmitJob, never through it.
+func (m *Manager) Master() *workqueue.Master { return m.master }
 
 // JobProgress is a live snapshot of one in-flight TD job.
 type JobProgress struct {
@@ -548,19 +560,13 @@ func (m *Manager) Close() {
 
 func (m *Manager) close() {
 	if m.recorder != nil {
-		m.mu.Lock()
-		var totData, totTasks float64
-		for _, js := range m.jobs {
-			totData += js.dataSize
-			totTasks += float64(js.tasks)
-		}
-		m.mu.Unlock()
 		m.recorder.BeginTick()
-		m.recordWorkerRows(time.Now(), totData, totTasks)
+		m.recordWorkerRows(time.Now())
 	}
 	if m.cancel != nil {
 		m.cancel()
 	}
+	m.serving.Wait()
 	m.pool.Close()
 	m.master.Shutdown()
 	m.wg.Wait()
@@ -698,25 +704,6 @@ func (ms *mergeShards) mergedSums() []float64 {
 	return sums
 }
 
-// FoldOutputs merges the task outputs of one job — outputs[i] from the
-// task that ran chunk i, nil for a task that failed — into the job's
-// per-interval contribution-score sums. The fold order is a function of
-// the chunk indices alone, so the same outputs give the same bits however
-// they arrived. intervals is what EncodeTasks reported for the job; an
-// output naming an interval at or past it is malformed.
-func FoldOutputs(outputs [][]byte, intervals int) ([]float64, error) {
-	var ms mergeShards
-	for i, out := range outputs {
-		if out != nil {
-			if err := checkOutput(out, intervals); err != nil {
-				return nil, obs.Wrap(malformed("output", err))
-			}
-		}
-		ms.mergeTask(i, out)
-	}
-	return ms.mergedSums(), nil
-}
-
 // finalize runs the sliding window + HMM decode over the merged interval
 // sums and emits the job result.
 func (m *Manager) finalize(ctx context.Context, js *jobState) {
@@ -743,7 +730,7 @@ func (m *Manager) finalize(ctx context.Context, js *jobState) {
 	res.Degraded = js.failed > 0
 	tp := m.fr.Start()
 	merge := m.tracer.NewSpan("merge "+string(js.claim), js.span.SpanID())
-	series := WindowedSeries(js.merge.mergedSums(), m.cfg.ACS.WindowIntervals)
+	series := windowedSeries(js.merge.mergedSums(), m.cfg.ACS.WindowIntervals)
 	merge.Finish()
 	tp = m.fr.Probe(flightrec.ProbeDTMMerge, tp, int64(len(series)), merge.SpanID())
 	decodeSpan := m.tracer.NewSpan("decode "+string(js.claim), js.span.SpanID())
@@ -840,16 +827,19 @@ func (m *Manager) controlLoop(ctx context.Context) {
 }
 
 func (m *Manager) controlStep(ctx context.Context) {
+	if m.tuner == nil {
+		// A ControlLog without a tuner: observe the workers, actuate nothing.
+		m.recorder.BeginTick()
+		m.recordWorkerRows(time.Now())
+		return
+	}
 	workers := m.pool.Size()
 	if workers < 1 {
 		workers = 1
 	}
 	m.mu.Lock()
 	statuses := make([]control.JobStatus, 0, len(m.jobs))
-	var totData, totTasks float64
 	for id, js := range m.jobs {
-		totData += js.dataSize
-		totTasks += float64(js.tasks)
 		elapsed := time.Since(js.submitted)
 		// Expected finish from the WCET model on the remaining data at
 		// the current pool size, assuming equal priority share.
@@ -908,7 +898,7 @@ func (m *Manager) controlStep(ctx context.Context) {
 				DeadlineMs:       float64(st.Deadline) / float64(time.Millisecond),
 			})
 		}
-		m.recordWorkerRows(now, totData, totTasks)
+		m.recordWorkerRows(now)
 	}
 }
 
@@ -916,12 +906,15 @@ func (m *Manager) controlStep(ctx context.Context) {
 // worker to the control recorder: observed throughput from the
 // heartbeat-fed health registry next to the WCET model's per-task
 // prediction (Eq. 10 on the current average task size), so the artifact
-// shows where the model and the cluster disagree. Shared by controlStep
-// and the final flush in Close.
-func (m *Manager) recordWorkerRows(now time.Time, totData, totTasks float64) {
-	if m.recorder == nil {
-		return
+// shows where the model and the cluster disagree. Callers open the tick.
+func (m *Manager) recordWorkerRows(now time.Time) {
+	m.mu.Lock()
+	var totData, totTasks float64
+	for _, js := range m.jobs {
+		totData += js.dataSize
+		totTasks += float64(js.tasks)
 	}
+	m.mu.Unlock()
 	var predictedMs float64
 	if totTasks > 0 {
 		predictedMs = float64(m.cfg.WCET.TaskTime(totData/totTasks)) / float64(time.Millisecond)
@@ -948,9 +941,9 @@ func (m *Manager) recordWorkerRows(now time.Time, totData, totTasks float64) {
 	}
 }
 
-// WindowedSeries converts per-interval sums into the sliding-window ACS
+// windowedSeries converts per-interval sums into the sliding-window ACS
 // sequence of Eq. 4.
-func WindowedSeries(sums []float64, window int) []float64 {
+func windowedSeries(sums []float64, window int) []float64 {
 	if len(sums) == 0 {
 		return nil
 	}

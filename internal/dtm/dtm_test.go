@@ -354,6 +354,15 @@ func TestManagerValidation(t *testing.T) {
 		t.Error("zero config accepted")
 	}
 	cfg := DefaultConfig(origin())
+	cfg.Workers = -1
+	if _, err := New(cfg); err == nil {
+		t.Error("negative worker count accepted")
+	}
+	cfg.Workers, cfg.EnableControl = 0, true
+	if _, err := New(cfg); err == nil {
+		t.Error("control loop accepted with no pool to resize")
+	}
+	cfg = DefaultConfig(origin())
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +393,7 @@ func TestSplitReports(t *testing.T) {
 		{7, 0, []int{7}},
 	}
 	for _, tt := range tests {
-		got := SplitReports(mk(tt.n), tt.chunks)
+		got := splitReports(mk(tt.n), tt.chunks)
 		var sizes []int
 		total := 0
 		for _, c := range got {
@@ -392,24 +401,24 @@ func TestSplitReports(t *testing.T) {
 			total += len(c)
 		}
 		if !reflect.DeepEqual(sizes, tt.sizes) {
-			t.Errorf("SplitReports(%d, %d) sizes = %v, want %v", tt.n, tt.chunks, sizes, tt.sizes)
+			t.Errorf("splitReports(%d, %d) sizes = %v, want %v", tt.n, tt.chunks, sizes, tt.sizes)
 		}
 		if total != tt.n {
-			t.Errorf("SplitReports(%d, %d) lost reports: %d", tt.n, tt.chunks, total)
+			t.Errorf("splitReports(%d, %d) lost reports: %d", tt.n, tt.chunks, total)
 		}
 	}
 }
 
 func TestWindowedSeries(t *testing.T) {
-	got := WindowedSeries([]float64{1, 1, 0, -1}, 2)
+	got := windowedSeries([]float64{1, 1, 0, -1}, 2)
 	want := []float64{1, 2, 1, -1}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("WindowedSeries = %v, want %v", got, want)
+		t.Errorf("windowedSeries = %v, want %v", got, want)
 	}
-	if got := WindowedSeries(nil, 2); got != nil {
+	if got := windowedSeries(nil, 2); got != nil {
 		t.Errorf("empty sums = %v", got)
 	}
-	if got := WindowedSeries([]float64{3}, 0); !reflect.DeepEqual(got, []float64{3}) {
+	if got := windowedSeries([]float64{3}, 0); !reflect.DeepEqual(got, []float64{3}) {
 		t.Errorf("window 0 clamped = %v", got)
 	}
 }

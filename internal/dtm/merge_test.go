@@ -124,9 +124,22 @@ func TestMergeOrderIndependentBits(t *testing.T) {
 		}
 		rng.Shuffle(tasks, func(i, j int) { order[i], order[j] = order[j], order[i] })
 	}
-	if got, err := FoldOutputs(outputs, intervals); err != nil || !sameBits(got, want) {
-		t.Fatalf("FoldOutputs = %v, %v, want %v", got, err, want)
+}
+
+// foldOutputs merges one job's task outputs — outputs[i] from the task
+// that ran chunk i, nil for a failed one — the way handleResult and
+// finalize do: each checked in full, then folded by chunk index.
+func foldOutputs(outputs [][]byte, intervals int) ([]float64, error) {
+	var ms mergeShards
+	for i, out := range outputs {
+		if out != nil {
+			if err := checkOutput(out, intervals); err != nil {
+				return nil, err
+			}
+		}
+		ms.mergeTask(i, out)
 	}
+	return ms.mergedSums(), nil
 }
 
 // TestMergeFailedTaskUnblocksShard checks that a failed task (nil output)

@@ -43,11 +43,11 @@ const payloadVersion byte = 1
 // than one frame can hold could not come back anyway.
 const maxSpan = workqueue.MaxFrameBytes / 8
 
-// SplitReports divides reports into at most n contiguous chunks of nearly
+// splitReports divides reports into at most n contiguous chunks of nearly
 // equal size (the paper divides a job's data equally between its tasks).
 // It always returns at least one (possibly empty) chunk so every job has a
 // task and therefore a completion event.
-func SplitReports(reports []socialsensing.Report, n int) [][]socialsensing.Report {
+func splitReports(reports []socialsensing.Report, n int) [][]socialsensing.Report {
 	if n < 1 {
 		n = 1
 	}
@@ -86,12 +86,12 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 // varintLen is the encoded size of binary.AppendVarint(nil, int64(d)).
 func varintLen(d int) int { return uvarintLen(uint64(d<<1) ^ uint64(d>>63)) }
 
-// EncodeTasks encodes one task payload per chunk of a job's reports, all
+// encodeTasks encodes one task payload per chunk of a job's reports, all
 // in a single buffer, and reports the number of grid intervals the job
-// spans — the bound FoldOutputs holds the tasks' outputs to. A NaN or ±Inf
+// spans — the bound handleResult holds the tasks' outputs to. A NaN or ±Inf
 // contribution score is an error naming the claim and the report's
 // position in the job: it would poison every window it falls in.
-func EncodeTasks(chunks [][]socialsensing.Report, origin time.Time, interval time.Duration) (payloads [][]byte, intervals int, err error) {
+func encodeTasks(chunks [][]socialsensing.Report, origin time.Time, interval time.Duration) (payloads [][]byte, intervals int, err error) {
 	if interval <= 0 {
 		return nil, 0, errors.New("dtm: task encoding needs a positive interval")
 	}

@@ -29,7 +29,7 @@ func benchJob(b *testing.B) (chunks [][]socialsensing.Report, origin time.Time) 
 			job = reports
 		}
 	}
-	return SplitReports(job, 4), tr.Start
+	return splitReports(job, 4), tr.Start
 }
 
 func abs(x int) int { return max(x, -x) }
@@ -41,7 +41,7 @@ func BenchmarkWireTaskEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		payloads, _, err := EncodeTasks(chunks[i%4:i%4+1], origin, time.Hour)
+		payloads, _, err := encodeTasks(chunks[i%4:i%4+1], origin, time.Hour)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func BenchmarkWireTaskEncode(b *testing.B) {
 
 func BenchmarkWireTaskExec(b *testing.B) {
 	chunks, origin := benchJob(b)
-	payloads, _, err := EncodeTasks(chunks, origin, time.Hour)
+	payloads, _, err := encodeTasks(chunks, origin, time.Hour)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func BenchmarkWireTaskExec(b *testing.B) {
 
 func BenchmarkWireOutputFold(b *testing.B) {
 	chunks, origin := benchJob(b)
-	payloads, intervals, err := EncodeTasks(chunks, origin, time.Hour)
+	payloads, intervals, err := encodeTasks(chunks, origin, time.Hour)
 	if err != nil {
 		b.Fatal(err)
 	}

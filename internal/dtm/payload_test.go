@@ -70,7 +70,7 @@ func goldenFile(t testing.TB, name string, got []byte) []byte {
 // together with a payloadVersion bump.
 func TestGoldenPayloadsStable(t *testing.T) {
 	for name, chunk := range goldenChunks() {
-		payloads, intervals, err := EncodeTasks([][]socialsensing.Report{chunk}, origin(), time.Minute)
+		payloads, intervals, err := encodeTasks([][]socialsensing.Report{chunk}, origin(), time.Minute)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -85,7 +85,7 @@ func TestGoldenPayloadsStable(t *testing.T) {
 		if want := goldenFile(t, "output_v1_"+name+".bin", out); !bytes.Equal(out, want) {
 			t.Errorf("%s: task output %x, golden %x", name, out, want)
 		}
-		got, err := FoldOutputs([][]byte{out}, intervals)
+		got, err := foldOutputs([][]byte{out}, intervals)
 		if want := refMerge([]map[int]float64{refTaskSums(chunk, origin(), time.Minute)}); err != nil || !sameBits(got, want) {
 			t.Errorf("%s: folded %v, %v, want %v", name, got, err, want)
 		}
@@ -113,8 +113,8 @@ func TestCodecMatchesMapReferenceBits(t *testing.T) {
 		}
 		for _, tasks := range []int{1, 3, 4, 8} {
 			for _, grid := range []time.Duration{time.Minute, time.Hour} {
-				chunks := SplitReports(reports, tasks)
-				payloads, intervals, err := EncodeTasks(chunks, tr.Start, grid)
+				chunks := splitReports(reports, tasks)
+				payloads, intervals, err := encodeTasks(chunks, tr.Start, grid)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -126,7 +126,7 @@ func TestCodecMatchesMapReferenceBits(t *testing.T) {
 					}
 					ref[i] = refTaskSums(chunks[i], tr.Start, grid)
 				}
-				got, err := FoldOutputs(outputs, intervals)
+				got, err := foldOutputs(outputs, intervals)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -210,9 +210,25 @@ func TestDecodersRejectMalformed(t *testing.T) {
 			t.Errorf("output %q: %v", name, err)
 		}
 	}
-	if _, err := FoldOutputs([][]byte{outputs["not ascending"]}, limit); err == nil ||
+	// A worker answering with an output the codec refuses fails its task
+	// with a traced decode-stage error.
+	cfg := DefaultConfig(origin())
+	cfg.Workers, cfg.TasksPerJob = 1, 1
+	cfg.WrapExec = func(workqueue.Executor) workqueue.Executor {
+		return func(context.Context, []byte) ([]byte, error) { return outputs["not ascending"], nil }
+	}
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start(context.Background())
+	defer m.Close()
+	if err := m.SubmitJob("c", flipReports("c", limit, 5, 2, 0, 1), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := drain(t, m, 1)[0].Err; err == nil ||
 		!strings.Contains(err.Error(), workqueue.StageDecode+": dtm: bad task output") || len(obs.ReturnTrace(err)) == 0 {
-		t.Errorf("FoldOutputs: %v is not a traced decode-stage error", err)
+		t.Errorf("job error %v is not a traced decode-stage error", err)
 	}
 }
 
@@ -322,18 +338,18 @@ func openSpans(tr *obs.Tracer) int {
 // carries.
 func TestCodecAllocs(t *testing.T) {
 	encode := func(n int) float64 {
-		chunks := SplitReports(flipReports("c", n/10, n/20, 10, 0.1, 3), 4)
+		chunks := splitReports(flipReports("c", n/10, n/20, 10, 0.1, 3), 4)
 		return testing.AllocsPerRun(20, func() {
-			if _, _, err := EncodeTasks(chunks, origin(), time.Minute); err != nil {
+			if _, _, err := encodeTasks(chunks, origin(), time.Minute); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	small, large := encode(100), encode(10000)
 	if small != large || large > 3 {
-		t.Errorf("EncodeTasks allocations: %v for 100 reports, %v for 10000; want equal and <= 3", small, large)
+		t.Errorf("encodeTasks allocations: %v for 100 reports, %v for 10000; want equal and <= 3", small, large)
 	}
-	payloads, _, err := EncodeTasks(SplitReports(flipReports("c", 1000, 500, 10, 0.1, 3), 4), origin(), time.Minute)
+	payloads, _, err := encodeTasks(splitReports(flipReports("c", 1000, 500, 10, 0.1, 3), 4), origin(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +427,7 @@ func FuzzFoldOutput(f *testing.F) {
 	fuzzSeeds(f, "output_v1_")
 	f.Fuzz(func(t *testing.T, out []byte) {
 		const limit = 1 << 12
-		got, err := FoldOutputs([][]byte{out}, limit)
+		got, err := foldOutputs([][]byte{out}, limit)
 		if err != nil {
 			return
 		}
@@ -433,14 +449,14 @@ func FuzzFoldOutput(f *testing.F) {
 	})
 }
 
-func ExampleEncodeTasks() {
+func ExampleExecuteTask() {
 	reports := []socialsensing.Report{
 		{Claim: "c", Timestamp: origin().Add(2 * time.Minute), Attitude: socialsensing.Agree, Uncertainty: 0.5, Independence: 1},
 		{Claim: "c", Timestamp: origin().Add(2 * time.Minute), Attitude: socialsensing.Agree, Uncertainty: 0.5, Independence: 0.5},
 	}
-	payloads, intervals, _ := EncodeTasks(SplitReports(reports, 1), origin(), time.Minute)
+	payloads, intervals, _ := encodeTasks(splitReports(reports, 1), origin(), time.Minute)
 	out, _ := ExecuteTask(context.Background(), payloads[0])
-	sums, _ := FoldOutputs([][]byte{out}, intervals)
-	fmt.Println(len(payloads[0]), "payload bytes;", sums, WindowedSeries(sums, 2))
+	sums, _ := foldOutputs([][]byte{out}, intervals)
+	fmt.Println(len(payloads[0]), "payload bytes;", sums, windowedSeries(sums, 2))
 	// Output: 22 payload bytes; [0 0 0.75] [0 0 0.75]
 }

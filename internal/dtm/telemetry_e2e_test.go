@@ -103,13 +103,13 @@ func TestClusterTelemetryPlaneEndToEnd(t *testing.T) {
 	// The trip cascades asynchronously (dump goroutine → FreezeRings →
 	// worker replies); poll for the merged trace.
 	deadline := time.Now().Add(10 * time.Second)
-	for len(m.ClusterDumpHistory()) == 0 {
+	for len(m.Master().ClusterDumpHistory()) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("slo burn trip produced no cluster dump")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	d := m.ClusterDumpHistory()[0]
+	d := m.Master().ClusterDumpHistory()[0]
 	if d.Trigger != flightrec.TrigSLOBurn {
 		t.Errorf("dump trigger = %q, want %q", d.Trigger, flightrec.TrigSLOBurn)
 	}
@@ -167,7 +167,7 @@ func TestClusterTelemetryPlaneEndToEnd(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.Handle("/query", store.Handler())
 	mux.Handle("/slo", engine.Handler())
-	mux.Handle("/dump/cluster", m.ClusterDumpHandler())
+	mux.Handle("/dump/cluster", m.Master().ClusterDumpHandler())
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 	c := &sstdctl.Client{Base: srv.URL}

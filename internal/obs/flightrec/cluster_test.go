@@ -9,6 +9,10 @@ import (
 	"github.com/social-sensing/sstd/internal/obs"
 )
 
+// orphanLaneBase is where obs.WriteChromeTrace starts the synthetic lanes
+// of probe events with no known owning span.
+const orphanLaneBase = int64(1) << 40
+
 // chromeDoc decodes the merged trace back for assertions.
 type chromeDoc struct {
 	TraceEvents []struct {
@@ -32,16 +36,16 @@ func TestClusterTraceSkewCorrection(t *testing.T) {
 	ev := func(ring string, localT0 int64) []Event {
 		return []Event{{Ring: ring, Probe: "codec.encode", T0: localT0, T1: localT0 + 10*us}}
 	}
-	hosts := []HostDump{
+	hosts := []obs.HostEvents{
 		// True master-clock times: master 50µs, w-b 100µs, w-c 200µs, w-a 300µs.
 		{Host: "master", Events: ev("master", base+50*us)},
-		{Host: "w-a", SkewNs: 500 * us, Events: ev("codec", base + 300*us - 500*us)},
-		{Host: "w-b", SkewNs: -300 * us, Events: ev("codec", base + 100*us + 300*us)},
-		{Host: "w-c", SkewNs: 0, Events: ev("codec", base + 200*us)},
+		{Host: "w-a", SkewNs: 500 * us, Events: ev("codec", base+300*us-500*us)},
+		{Host: "w-b", SkewNs: -300 * us, Events: ev("codec", base+100*us+300*us)},
+		{Host: "w-c", SkewNs: 0, Events: ev("codec", base+200*us)},
 	}
 
 	var buf bytes.Buffer
-	if err := WriteClusterTrace(&buf, nil, hosts); err != nil {
+	if err := obs.WriteChromeTrace(&buf, nil, hosts); err != nil {
 		t.Fatal(err)
 	}
 	var doc chromeDoc
@@ -117,14 +121,14 @@ func TestClusterTraceSpansAndParents(t *testing.T) {
 		{ID: 7, Name: "job", Start: start, End: start.Add(time.Millisecond)},
 		{ID: 9, Parent: 7, Proc: "w-1", Name: "exec", Start: start.Add(100 * time.Microsecond), End: start.Add(900 * time.Microsecond)},
 	}
-	hosts := []HostDump{
+	hosts := []obs.HostEvents{
 		{Host: "w-1", Events: []Event{
 			{Ring: "codec", Probe: "codec.encode", Parent: 9, T0: start.UnixNano() + 200_000, T1: start.UnixNano() + 210_000},
 			{Ring: "codec", Probe: "codec.decode", T0: start.UnixNano() + 300_000, T1: start.UnixNano() + 310_000},
 		}},
 	}
 	var buf bytes.Buffer
-	if err := WriteClusterTrace(&buf, spans, hosts); err != nil {
+	if err := obs.WriteChromeTrace(&buf, spans, hosts); err != nil {
 		t.Fatal(err)
 	}
 	var doc chromeDoc

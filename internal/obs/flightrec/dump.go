@@ -1,12 +1,9 @@
 package flightrec
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
-	"strconv"
 	"time"
 
 	"github.com/social-sensing/sstd/internal/obs"
@@ -14,14 +11,7 @@ import (
 
 // Event is one decoded probe record, as exported by snapshots and deep
 // dives.
-type Event struct {
-	Ring   string `json:"ring"`
-	Probe  string `json:"probe"`
-	T0     int64  `json:"t0"` // unix nanos
-	T1     int64  `json:"t1"` // unix nanos
-	Arg    int64  `json:"arg,omitempty"`
-	Parent int64  `json:"parent,omitempty"` // owning tracer span ID
-}
+type Event = obs.ProbeEvent
 
 // Events snapshots every ring, returning the events whose end falls
 // within the trailing window (entire history when window <= 0), oldest
@@ -70,206 +60,12 @@ func (r *Recorder) Events(window time.Duration) []Event {
 	return out
 }
 
-// chromeEvent mirrors the obs tracer's Chrome trace_event "complete"
-// record; the deep dive re-emits spans and probe events into one file.
-type chromeEvent struct {
-	Name string            `json:"name"`
-	Cat  string            `json:"cat"`
-	Ph   string            `json:"ph"`
-	Ts   int64             `json:"ts"`  // µs relative to origin
-	Dur  int64             `json:"dur"` // µs
-	Pid  int               `json:"pid"`
-	Tid  int64             `json:"tid"`
-	Args map[string]string `json:"args,omitempty"`
-}
-
-type chromeMeta struct {
-	Name string            `json:"name"`
-	Ph   string            `json:"ph"`
-	Pid  int               `json:"pid"`
-	Tid  int64             `json:"tid,omitempty"`
-	Args map[string]string `json:"args"`
-}
-
-// Synthetic lane base for probe events whose owning span is unknown:
-// far above real span IDs so they render below the span lanes.
-const orphanLaneBase = int64(1) << 40
-
-// WriteDeepDive writes the merged deep-dive Chrome trace: the tracer's
-// buffered spans plus the last window of probe events. Events that
-// carry a parent span ID render in that span's process and lane — the
-// kernel iterations nest visually under their decode span, codec legs
-// under their task's exec span. Parentless events get one synthetic
-// lane per ring.
+// WriteDeepDive writes the deep-dive Chrome trace: the tracer's buffered
+// spans plus the last window of this recorder's probe events — a cluster
+// trace whose only host is the local one (see obs.WriteChromeTrace).
 func (r *Recorder) WriteDeepDive(w io.Writer, window time.Duration) error {
 	if r == nil {
 		return fmt.Errorf("flightrec: no recorder")
 	}
-	var spans []obs.Span
-	if tr := r.tracer.Load(); tr != nil {
-		spans = tr.Spans()
-	}
-	return writeDeepDive(w, spans, r.Events(window))
-}
-
-func writeDeepDiveFile(path string, spans []obs.Span, events []Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := writeDeepDive(f, spans, events); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeDeepDive(w io.Writer, spans []obs.Span, events []Event) error {
-	// Origin: earliest timestamp across both sources, so the trace loads
-	// near t=0.
-	var origin time.Time
-	for _, s := range spans {
-		if origin.IsZero() || s.Start.Before(origin) {
-			origin = s.Start
-		}
-	}
-	for _, e := range events {
-		t := time.Unix(0, e.T0)
-		if origin.IsZero() || t.Before(origin) {
-			origin = t
-		}
-	}
-
-	// Lane resolution mirrors obs.WriteChromeTrace: a span renders on
-	// the lane of its parent chain's root; probe events inherit the lane
-	// (and process) of their owning span.
-	parentOf := make(map[int64]int64, len(spans))
-	procOf := make(map[int64]string, len(spans))
-	for _, s := range spans {
-		parentOf[s.ID] = s.Parent
-		procOf[s.ID] = s.Proc
-	}
-	lane := func(id int64) int64 {
-		for hops := 0; hops < 64; hops++ {
-			p, ok := parentOf[id]
-			if !ok || p == 0 {
-				return id
-			}
-			id = p
-		}
-		return id
-	}
-	pidOf := map[string]int{"": 1}
-	var metas []chromeMeta
-	ensurePid := func(proc string) int {
-		pid, ok := pidOf[proc]
-		if !ok {
-			pid = len(pidOf) + 1
-			pidOf[proc] = pid
-			metas = append(metas, chromeMeta{
-				Name: "process_name", Ph: "M", Pid: pid,
-				Args: map[string]string{"name": "worker " + proc},
-			})
-		}
-		return pid
-	}
-	metas = append(metas, chromeMeta{
-		Name: "process_name", Ph: "M", Pid: 1,
-		Args: map[string]string{"name": "master"},
-	})
-
-	out := make([]chromeEvent, 0, len(spans)+len(events))
-	for _, s := range spans {
-		attrs := make(map[string]string, len(s.Attrs)+3)
-		for k, v := range s.Attrs {
-			attrs[k] = v
-		}
-		// Span IDs ride along so probe events' parent args resolve to a
-		// concrete span when reading the file (and in tests).
-		attrs["id"] = strconv.FormatInt(s.ID, 10)
-		if s.Parent != 0 {
-			attrs["parent"] = strconv.FormatInt(s.Parent, 10)
-		}
-		if s.Trace != "" {
-			attrs["trace"] = s.Trace
-		}
-		out = append(out, chromeEvent{
-			Name: s.Name, Cat: "sstd", Ph: "X",
-			Ts:  s.Start.Sub(origin).Microseconds(),
-			Dur: s.End.Sub(s.Start).Microseconds(),
-			Pid: ensurePid(s.Proc), Tid: lane(s.ID),
-			Args: attrs,
-		})
-	}
-	orphanLane := map[string]int64{}
-	for _, e := range events {
-		pid := 1
-		tid := int64(0)
-		if _, ok := parentOf[e.Parent]; e.Parent != 0 && ok {
-			pid = ensurePid(procOf[e.Parent])
-			tid = lane(e.Parent)
-		} else {
-			l, ok := orphanLane[e.Ring]
-			if !ok {
-				l = orphanLaneBase + int64(len(orphanLane))
-				orphanLane[e.Ring] = l
-				metas = append(metas, chromeMeta{
-					Name: "thread_name", Ph: "M", Pid: 1, Tid: l,
-					Args: map[string]string{"name": "flightrec " + e.Ring},
-				})
-			}
-			tid = l
-		}
-		args := map[string]string{"ring": e.Ring}
-		if e.Arg != 0 {
-			args["arg"] = strconv.FormatInt(e.Arg, 10)
-		}
-		if e.Parent != 0 {
-			args["parent"] = strconv.FormatInt(e.Parent, 10)
-		}
-		out = append(out, chromeEvent{
-			Name: e.Probe, Cat: "flightrec", Ph: "X",
-			Ts:  time.Unix(0, e.T0).Sub(origin).Microseconds(),
-			Dur: (e.T1 - e.T0) / int64(time.Microsecond),
-			Pid: pid, Tid: tid,
-			Args: args,
-		})
-	}
-
-	return writeChromeJSON(w, metas, out)
-}
-
-// writeChromeJSON emits the Chrome trace_event envelope: metadata records
-// first, then the events, one JSON object per line.
-func writeChromeJSON(w io.Writer, metas []chromeMeta, events []chromeEvent) error {
-	if _, err := io.WriteString(w, "{\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	total := len(metas) + len(events)
-	written := 0
-	writeRecord := func(v any) error {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		written++
-		sep := ",\n"
-		if written == total {
-			sep = "\n"
-		}
-		_, err = fmt.Fprintf(w, "%s%s", b, sep)
-		return err
-	}
-	for _, m := range metas {
-		if err := writeRecord(m); err != nil {
-			return err
-		}
-	}
-	for _, ev := range events {
-		if err := writeRecord(ev); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "]}\n")
-	return err
+	return obs.WriteChromeTrace(w, r.tracer.Load().Spans(), []obs.HostEvents{{Events: r.Events(window)}})
 }

@@ -453,7 +453,7 @@ func (r *Recorder) dump(seq int, trigger, detail string) {
 	info := DumpInfo{Time: time.Now(), Trigger: trigger, Detail: detail, Events: len(events), Spans: len(spans)}
 	if r.dir != "" {
 		path := filepath.Join(r.dir, fmt.Sprintf("flightrec-%03d-%s.trace.json", seq, trigger))
-		if err := writeDeepDiveFile(path, spans, events); err != nil {
+		if err := obs.WriteChromeTraceFile(path, spans, []obs.HostEvents{{Events: events}}); err != nil {
 			r.logger.Error("flightrec dump failed", obs.F("err", err.Error()), obs.F("path", path))
 		} else {
 			info.Path = path

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,11 +27,11 @@ type Span struct {
 	// Proc names the process the span was measured in. Empty means this
 	// process (the master); remote spans ingested from workers carry the
 	// worker ID, which the Chrome export maps onto its own process lane.
-	Proc   string            `json:"proc,omitempty"`
-	Name   string            `json:"name"`
-	Attrs  map[string]string `json:"attrs,omitempty"`
-	Start  time.Time         `json:"start"`
-	End    time.Time         `json:"end"`
+	Proc  string            `json:"proc,omitempty"`
+	Name  string            `json:"name"`
+	Attrs map[string]string `json:"attrs,omitempty"`
+	Start time.Time         `json:"start"`
+	End   time.Time         `json:"end"`
 
 	tr *Tracer
 	// ended guards double-Finish; a plain int32 driven by the atomic
@@ -284,151 +283,4 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		spans = []Span{}
 	}
 	return enc.Encode(spans)
-}
-
-// chromeEvent is one Chrome trace_event "complete" (ph=X) record, the
-// format chrome://tracing and Perfetto load directly.
-type chromeEvent struct {
-	Name string            `json:"name"`
-	Cat  string            `json:"cat"`
-	Ph   string            `json:"ph"`
-	Ts   int64             `json:"ts"`  // µs relative to first span
-	Dur  int64             `json:"dur"` // µs
-	Pid  int               `json:"pid"`
-	Tid  int64             `json:"tid"`
-	Args map[string]string `json:"args,omitempty"`
-}
-
-// chromeMeta is a Chrome trace_event metadata record (ph=M), used to
-// name the per-process lanes.
-type chromeMeta struct {
-	Name string            `json:"name"`
-	Ph   string            `json:"ph"`
-	Pid  int               `json:"pid"`
-	Args map[string]string `json:"args"`
-}
-
-// WriteChromeTrace exports the buffered spans in Chrome trace_event
-// format. Timestamps are microseconds relative to the earliest span so
-// traces load near the origin. Spans measured in this process render
-// under pid 1 ("master"); remote spans ingested from workers render
-// under one pid per worker, named by a process_name metadata record —
-// so a distributed run shows queue wait, wire transit and the worker
-// stage breakdown of one task on adjacent per-process lanes. Within a
-// process, each root span gets its own lane (tid); child spans share
-// their parent's lane, which renders a TD job's submit → queue →
-// execute → merge → decode legs as one row.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	spans := t.Spans()
-	var origin time.Time
-	for _, s := range spans {
-		if origin.IsZero() || s.Start.Before(origin) {
-			origin = s.Start
-		}
-	}
-	// Resolve each span's lane: the root of its parent chain (parents
-	// may have been evicted from the ring; fall back to the span ID).
-	parentOf := make(map[int64]int64, len(spans))
-	for _, s := range spans {
-		parentOf[s.ID] = s.Parent
-	}
-	lane := func(id int64) int64 {
-		for hops := 0; hops < 64; hops++ {
-			p, ok := parentOf[id]
-			if !ok || p == 0 {
-				return id
-			}
-			id = p
-		}
-		return id
-	}
-	// Assign one pid per remote process, in first-seen span order so the
-	// export stays deterministic for a deterministic span sequence.
-	pidOf := map[string]int{"": 1}
-	var metas []chromeMeta
-	for _, s := range spans {
-		if _, ok := pidOf[s.Proc]; !ok {
-			pidOf[s.Proc] = len(pidOf) + 1
-			metas = append(metas, chromeMeta{
-				Name: "process_name",
-				Ph:   "M",
-				Pid:  pidOf[s.Proc],
-				Args: map[string]string{"name": "worker " + s.Proc},
-			})
-		}
-	}
-	if len(spans) > 0 {
-		metas = append([]chromeMeta{{
-			Name: "process_name",
-			Ph:   "M",
-			Pid:  1,
-			Args: map[string]string{"name": "master"},
-		}}, metas...)
-	}
-	events := make([]chromeEvent, 0, len(spans))
-	for _, s := range spans {
-		attrs := s.Attrs
-		if s.Trace != "" {
-			attrs = make(map[string]string, len(s.Attrs)+1)
-			for k, v := range s.Attrs {
-				attrs[k] = v
-			}
-			attrs["trace"] = s.Trace
-		}
-		events = append(events, chromeEvent{
-			Name: s.Name,
-			Cat:  "sstd",
-			Ph:   "X",
-			Ts:   s.Start.Sub(origin).Microseconds(),
-			Dur:  s.End.Sub(s.Start).Microseconds(),
-			Pid:  pidOf[s.Proc],
-			Tid:  lane(s.ID),
-			Args: attrs,
-		})
-	}
-	if _, err := io.WriteString(w, "{\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	total := len(metas) + len(events)
-	written := 0
-	writeRecord := func(v any) error {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		written++
-		sep := ",\n"
-		if written == total {
-			sep = "\n"
-		}
-		_, err = fmt.Fprintf(w, "%s%s", b, sep)
-		return err
-	}
-	for _, m := range metas {
-		if err := writeRecord(m); err != nil {
-			return err
-		}
-	}
-	for _, ev := range events {
-		if err := writeRecord(ev); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "]}\n")
-	return err
-}
-
-// WriteChromeTraceFile writes the Chrome trace_event export to path —
-// the one-file artifact of a distributed run, loadable in
-// chrome://tracing or Perfetto.
-func (t *Tracer) WriteChromeTraceFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.WriteChromeTrace(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
 }

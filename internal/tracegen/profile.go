@@ -8,7 +8,10 @@
 // hedged language and bursty arrivals — as documented in DESIGN.md.
 package tracegen
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // ReliabilityBand is one component of the source reliability mixture.
 type ReliabilityBand struct {
@@ -181,4 +184,18 @@ func CollegeFootball() Profile {
 // Profiles returns the three paper traces in evaluation order.
 func Profiles() []Profile {
 	return []Profile{BostonBombing(), ParisShooting(), CollegeFootball()}
+}
+
+// ProfileByName looks a paper trace up by its short name (boston, paris,
+// football) or its Profile.Name (boston-bombing, ...).
+func ProfileByName(name string) (Profile, error) {
+	switch name {
+	case "boston", "boston-bombing":
+		return BostonBombing(), nil
+	case "paris", "paris-shooting":
+		return ParisShooting(), nil
+	case "football", "college-football":
+		return CollegeFootball(), nil
+	}
+	return Profile{}, fmt.Errorf("tracegen: unknown trace %q (want boston, paris or football)", name)
 }

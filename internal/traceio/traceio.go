@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"github.com/social-sensing/sstd/internal/socialsensing"
+	"github.com/social-sensing/sstd/internal/tracegen"
 )
 
 // Write serializes the trace as JSON to w.
@@ -75,4 +76,21 @@ func Load(path string) (*socialsensing.Trace, error) {
 		r = gz
 	}
 	return Read(r)
+}
+
+// LoadOrGenerate is the CLIs' trace input: the file at path when one is
+// given, else the named tracegen profile synthesized at scale and seed.
+func LoadOrGenerate(path, profile string, scale float64, seed int64) (*socialsensing.Trace, error) {
+	if path != "" {
+		return Load(path)
+	}
+	prof, err := tracegen.ProfileByName(profile)
+	if err != nil {
+		return nil, err
+	}
+	g, err := tracegen.New(prof, seed)
+	if err != nil {
+		return nil, err
+	}
+	return g.Generate(scale)
 }

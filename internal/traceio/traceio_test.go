@@ -75,3 +75,30 @@ func TestLoadMissingFile(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
+
+// TestLoadOrGenerate: a path wins over the profile; without one the named
+// profile is synthesized, by short name or full name alike, and an unknown
+// name is an error.
+func TestLoadOrGenerate(t *testing.T) {
+	short, err := LoadOrGenerate("", "football", 0.0005, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := LoadOrGenerate("", "college-football", 0.0005, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if short.Name != "college-football" || short.Summarize() != full.Summarize() {
+		t.Errorf("football = %+v, college-football = %+v", short.Summarize(), full.Summarize())
+	}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := Save(path, short); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := LoadOrGenerate(path, "no-such-profile", 1, 1); err != nil || got.Summarize() != short.Summarize() {
+		t.Errorf("file input: %v, %+v", err, got)
+	}
+	if _, err := LoadOrGenerate("", "no-such-profile", 0.0005, 2); err == nil {
+		t.Error("unknown profile accepted")
+	}
+}

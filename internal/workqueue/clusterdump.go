@@ -163,12 +163,12 @@ func (m *Master) collectClusterDump(trigger, detail string, seed []FlightDump) (
 	// worker's timestamps shifted by the skew estimate onto the master
 	// clock. Hosts that never responded are simply absent.
 	masterEvents := m.clusterRec.Events(cfg.Window)
-	hosts := make([]flightrec.HostDump, 0, len(got)+1)
-	hosts = append(hosts, flightrec.HostDump{Host: "master", Events: masterEvents})
+	hosts := make([]obs.HostEvents, 0, len(got)+1)
+	hosts = append(hosts, obs.HostEvents{Host: "master", Events: masterEvents})
 	names := []string{"master"}
 	total := len(masterEvents)
 	for host, d := range got {
-		hosts = append(hosts, flightrec.HostDump{
+		hosts = append(hosts, obs.HostEvents{
 			Host:   host,
 			SkewNs: m.cluster.clockAdjustNs(host),
 			Events: d.Events,
@@ -179,7 +179,7 @@ func (m *Master) collectClusterDump(trigger, detail string, seed []FlightDump) (
 	sort.Strings(names[1:])
 
 	path := filepath.Join(cfg.Dir, fmt.Sprintf("flightrec-cluster-%03d-%s.trace.json", seq, trigger))
-	if err := flightrec.WriteClusterTraceFile(path, m.tracer.Spans(), hosts); err != nil {
+	if err := obs.WriteChromeTraceFile(path, m.tracer.Spans(), hosts); err != nil {
 		m.logger.Warn("cluster flight dump failed",
 			obs.F("trigger", trigger), obs.F("path", path), obs.Err(err))
 		return nil, obs.Wrap(err)

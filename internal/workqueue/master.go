@@ -171,6 +171,10 @@ type Master struct {
 	// atomic: the hot paths read it without any lock.
 	shards []masterShard
 	closed atomic.Bool
+	// stopping is closed when Shutdown begins: it releases handlers blocked
+	// delivering into a full results channel nobody reads any more.
+	stopping chan struct{}
+	stopOnce sync.Once
 
 	wg sync.WaitGroup
 }
@@ -211,6 +215,7 @@ func NewMaster(cfg MasterConfig) *Master {
 	m := &Master{
 		sched:        newScheduler(cfg.Seed, cfg.SchedShards),
 		results:      make(chan Result, buf),
+		stopping:     make(chan struct{}),
 		maxRetries:   cfg.MaxRetries,
 		cluster:      newCluster(cfg.Metrics, cfg.StragglerFactor),
 		suspectAfter: cfg.SuspectAfter,
@@ -382,7 +387,13 @@ func (m *Master) Serve(ctx context.Context, l net.Listener) error {
 			}
 			return fmt.Errorf("workqueue: accept: %w", err)
 		}
-		go func() { _ = m.HandleWorker(ctx, conn) }()
+		// Count the handler before Serve can return, so a Shutdown that
+		// follows the accept loop's exit waits for it.
+		m.wg.Add(1)
+		go func() {
+			defer m.wg.Done()
+			_ = m.HandleWorker(ctx, conn)
+		}()
 	}
 }
 
@@ -1085,8 +1096,18 @@ func (m *Master) complete(r Result) {
 		m.cCompleted.Inc()
 	}
 	m.hExec.ObserveDuration(r.Elapsed)
-	if !closed {
-		m.results <- r
+	if closed {
+		return
+	}
+	select {
+	case m.results <- r:
+	default:
+		// Full: wait for the reader, or for Shutdown, which must not hang
+		// behind results nobody drains. Only then is a result dropped.
+		select {
+		case m.results <- r:
+		case <-m.stopping:
+		}
 	}
 }
 
@@ -1104,7 +1125,9 @@ func (m *Master) taskStateSizes() (inflight, attempts int) {
 }
 
 // Shutdown closes the task pool, waits for worker handlers spawned by
-// Serve to drain and closes the Results channel. It is safe to call once.
+// Serve to drain and closes the Results channel. A handler blocked
+// delivering into a full Results channel is released and its result
+// dropped; with a reader still draining nothing is lost.
 func (m *Master) Shutdown() {
 	if m.clusterDumps != nil {
 		// Detach the trip cascade: a later trip (possibly under a new
@@ -1112,6 +1135,7 @@ func (m *Master) Shutdown() {
 		// this closed pool.
 		m.clusterRec.SetOnTrip(nil)
 	}
+	m.stopOnce.Do(func() { close(m.stopping) })
 	m.sched.close()
 	m.wg.Wait()
 	if !m.closed.CompareAndSwap(false, true) {

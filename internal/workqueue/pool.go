@@ -122,9 +122,14 @@ func (p *Pool) spawnSlotLocked(ctx context.Context, slot, incarnation int) {
 	if p.WrapConn != nil {
 		mconn, wconn = p.WrapConn(mconn, wconn)
 	}
-	p.wg.Add(2)
+	// The pool waits for its workers; their handlers are the master's,
+	// counted here so a Shutdown right after Close waits for them. Close
+	// must not: a handler may be blocked delivering a result nobody reads,
+	// which only Shutdown releases.
+	p.wg.Add(1)
+	p.master.wg.Add(1)
 	go func() {
-		defer p.wg.Done()
+		defer p.master.wg.Done()
 		_ = p.master.HandleWorker(wctx, mconn)
 	}()
 	go func() {
@@ -168,7 +173,8 @@ func (p *Pool) respawn(ctx context.Context, id string, slot, incarnation int) {
 	p.spawnSlotLocked(ctx, slot, incarnation+1)
 }
 
-// Close cancels all workers and waits for them to exit.
+// Close cancels all workers and waits for them to exit. Their master-side
+// handlers unwind on their own; Master.Shutdown waits for those.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	p.closed = true

@@ -351,7 +351,7 @@ func TestDistributedTraceEndToEnd(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		`"name":"master"`, `"name":"worker wA"`, `"name":"worker wB"`,
+		`"name":"master"`, `"name":"host wA"`, `"name":"host wB"`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("chrome export missing process lane %s", want)

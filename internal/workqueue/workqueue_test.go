@@ -416,3 +416,36 @@ func TestWorkerValidation(t *testing.T) {
 		t.Error("worker without ID/Exec ran")
 	}
 }
+
+// TestShutdownWithUndrainedResults: with more undelivered results than
+// ResultBuffer and nobody reading Results(), every handler ends up blocked
+// in delivery; Pool.Close must not wait behind them and Shutdown must
+// release them instead of hanging.
+func TestShutdownWithUndrainedResults(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m := NewMaster(MasterConfig{Seed: 1, ResultBuffer: 1})
+	p := NewPool(m, func(context.Context, []byte) ([]byte, error) { return nil, nil })
+	p.Resize(ctx, 2)
+	for i := 0; i < 32; i++ {
+		if err := m.Submit(Task{ID: fmt.Sprintf("t%d", i), JobID: "job"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for start := time.Now(); m.WorkerCount() < 2 || len(m.Results()) < cap(m.Results()); time.Sleep(time.Millisecond) {
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("results backlog never built")
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.Close()
+		m.Shutdown()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Pool.Close + Shutdown did not return within 5s with undrained results")
+	}
+}

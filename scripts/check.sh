@@ -112,7 +112,7 @@ chaos() {
 	# command to re-run it.
 	echo "== chaos: seeded fault-injection soak under -race =="
 	go test -race -count=1 -v -run 'TestChaosSoak' ./internal/chaos
-	go test -race -count=1 -run 'TestDecodedTruthIdenticalUnderChaos|TestDegradedJobCompletion|TestHungTaskDegradesJob' ./internal/dtm
+	go test -race -count=1 -run 'TestDecodedTruthIdenticalUnderChaos|TestDegradedJobCompletion|TestHungTaskDegradesJob|TestTCPWorkerDeathRequeuesSameBits' ./internal/dtm
 	go test -race -count=1 -run 'TestRequeueBackoffBoundsRetryRate|TestQuarantineLifecycle' ./internal/workqueue
 }
 
