@@ -33,12 +33,12 @@ func main() {
 
 func run() (retErr error) {
 	var (
-		exp        = flag.String("exp", "all", "experiment to run (comma separated), or all")
-		scale      = flag.Float64("scale", 0.02, "trace scale relative to the paper's datasets")
-		seed       = flag.Int64("seed", 7, "random seed")
-		workers    = flag.Int("workers", 4, "SSTD worker pool size")
-		cost       = flag.Duration("per-report-cost", 50*time.Microsecond, "modelled per-report preprocessing cost for the timing figures")
-		telemetry  = flag.String("telemetry", "", "write the control-loop time series of the PID-driven experiments (fig6, ablation-pid) to this JSON file")
+		exp          = flag.String("exp", "all", "experiment to run (comma separated), or all")
+		scale        = flag.Float64("scale", 0.02, "trace scale relative to the paper's datasets")
+		seed         = flag.Int64("seed", 7, "random seed")
+		workers      = flag.Int("workers", 4, "SSTD worker pool size")
+		cost         = flag.Duration("per-report-cost", 50*time.Microsecond, "modelled per-report preprocessing cost for the timing figures")
+		telemetry    = flag.String("telemetry", "", "write the control-loop time series of the PID-driven experiments (fig6, ablation-pid) to this JSON file")
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		mutexprofile = flag.String("mutexprofile", "", "write a mutex contention profile to this file on exit")

@@ -35,17 +35,17 @@ func main() {
 
 func run() (retErr error) {
 	var (
-		in         = flag.String("in", "", "trace file to process (from the tracegen command)")
-		trace      = flag.String("trace", "paris", "synthetic profile when -in is absent: boston, paris or football")
-		scale      = flag.Float64("scale", 0.01, "synthetic trace scale")
-		seed       = flag.Int64("seed", 1, "random seed")
-		workers    = flag.Int("workers", 4, "worker pool size (0 = run in-process without the distributed layer)")
-		intervals  = flag.Int("intervals", 80, "HMM time steps across the trace")
-		window     = flag.Int("window", 3, "ACS sliding window in intervals")
-		show       = flag.Int("show", 3, "number of claim timelines to print")
-		rank       = flag.Int("rank-sources", 0, "also print the N most / least reliable sources (0 = off)")
-		telemetry  = flag.String("telemetry", "", "write a metrics + control-loop JSON artifact to this file")
-		deadline   = flag.Duration("deadline", 0, "per-job deadline enabling the PID control loop (distributed runs only)")
+		in           = flag.String("in", "", "trace file to process (from the tracegen command)")
+		trace        = flag.String("trace", "paris", "synthetic profile when -in is absent: boston, paris or football")
+		scale        = flag.Float64("scale", 0.01, "synthetic trace scale")
+		seed         = flag.Int64("seed", 1, "random seed")
+		workers      = flag.Int("workers", 4, "worker pool size (0 = run in-process without the distributed layer)")
+		intervals    = flag.Int("intervals", 80, "HMM time steps across the trace")
+		window       = flag.Int("window", 3, "ACS sliding window in intervals")
+		show         = flag.Int("show", 3, "number of claim timelines to print")
+		rank         = flag.Int("rank-sources", 0, "also print the N most / least reliable sources (0 = off)")
+		telemetry    = flag.String("telemetry", "", "write a metrics + control-loop JSON artifact to this file")
+		deadline     = flag.Duration("deadline", 0, "per-job deadline enabling the PID control loop (distributed runs only)")
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		mutexprofile = flag.String("mutexprofile", "", "write a mutex contention profile to this file on exit")

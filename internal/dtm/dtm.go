@@ -1,7 +1,8 @@
 // Package dtm implements the Dynamic Task Manager of the paper's §IV-B/C:
 // the Work Queue master script that (i) spawns a TD job per claim, splits
 // it into tasks and submits them to the pool, (ii) merges task results and
-// runs the final HMM decode, and (iii) closes the feedback control loop —
+// hands the merged series back to the pool for the HMM decode, keeping only
+// the serial tail of Eq. 11, and (iii) closes the feedback control loop —
 // sampling job progress, feeding per-job PID controllers, and actuating the
 // Local Control Knob (job priorities) and Global Control Knob (worker pool
 // size).
@@ -187,30 +188,29 @@ type jobState struct {
 	claim     socialsensing.ClaimID
 	submitted time.Time
 	deadline  time.Duration
+	// tasks counts the scatter tasks, one per chunk; the decode task follows
+	// them. done counts results of either kind, failed lost scatter tasks.
 	tasks     int
 	done      int
 	failed    int
 	dataSize  float64 // total reports
 	remaining float64 // reports not yet completed
-	perTask   map[string]int
-	// taskIndex maps each task ID to its chunk index — the position that
-	// fixes the task's merge shard and fold order below.
-	taskIndex map[string]int
-	// seen marks tasks whose result already arrived; a duplicate delivery
-	// (result raced a requeue) must not double count.
-	seen map[string]bool
-	// intervals is the number of grid intervals the job's reports span: no
-	// task output may name an interval at or past it.
-	intervals int
-	// merge holds the sharded partial-sum pre-merge: task i folds into
-	// shard i%N in ascending chunk order (out-of-order arrivals are
-	// buffered until their predecessors land), and finalize folds the N
-	// pre-merged shard accumulators in shard order. The fold order is a
-	// pure function of the task set — float addition is not associative,
-	// so this is what keeps the decoded truth bit-identical regardless of
-	// result arrival order, while finalize now merges N accumulators
-	// instead of re-folding every task.
-	merge    mergeShards
+	// pending maps each task whose result is still to come to its report
+	// count and chunk index — which fixes a scatter task's merge shard and
+	// fold order; the decode task's is tasks. A result for any other task
+	// is a duplicate delivery (it raced a requeue) and must not count twice.
+	pending map[string]taskSlot
+	// outputs holds the scatter tasks' checked outputs by chunk index, nil
+	// while one is outstanding and for good when it is lost; intervals, the
+	// number of grid intervals the job's reports span, is what no output
+	// may reach, and seriesLen the length of the series the decode task
+	// carried: its answer must be a timeline of exactly that length.
+	outputs              [][]byte
+	intervals, seriesLen int
+	// priority is the scheduler weight the Manager last gave the job (shed
+	// lane or tuner LCK; zero: none yet). The master forgets a job whose
+	// scatter tasks have drained, so the decode task's submit re-applies it.
+	priority float64
 	firstErr error
 	// firstErrTrace is the worker-side return trace that rode the wire
 	// with the first failed result (Result.ErrTrace), kept alongside
@@ -219,19 +219,22 @@ type jobState struct {
 	// shed marks a job the admission gate demoted to the degraded lane.
 	shed bool
 	span *obs.Span // root trace span; nil without a tracer
+	// decode spans the decode task from submit to validated answer; its
+	// queue and exec spans and the worker's kernel events nest under it.
+	decode *obs.Span
 }
+
+type taskSlot struct{ index, reports int }
 
 // Manager is the Dynamic Task Manager.
 type Manager struct {
-	cfg     Config
-	master  *workqueue.Master
-	pool    *workqueue.Pool
-	decoder *core.Decoder
-	// scratch backs every finalize decode; safe unshared because finalize
-	// only ever runs on the single collector goroutine.
-	scratch *core.DecodeScratch
-	results chan JobResult
-	tuner   *control.Tuner
+	cfg    Config
+	master *workqueue.Master
+	pool   *workqueue.Pool
+	// decodeHeader opens every decode task: window and decoder config.
+	decodeHeader []byte
+	results      chan JobResult
+	tuner        *control.Tuner
 
 	mu   sync.Mutex
 	jobs map[string]*jobState
@@ -285,18 +288,18 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = time.Second
 	}
-	dec, err := core.NewDecoder(cfg.Decoder)
-	if err != nil {
-		return nil, err
+	// Hold the configuration to what the workers' own parser accepts.
+	header := appendDecodeHeader(nil, cfg.ACS.WindowIntervals, cfg.Decoder)
+	if _, _, _, err := parseDecodeHeader(header); err != nil {
+		return nil, fmt.Errorf("dtm: decoder config: %w", err)
 	}
 	m := &Manager{
-		cfg:       cfg,
-		decoder:   dec,
-		scratch:   core.NewDecodeScratch(),
-		results:   make(chan JobResult, 64),
-		jobs:      make(map[string]*jobState),
-		fr:        flightrec.Shared("dtm"),
-		missBurst: flightrec.NewBurst(flightrec.TrigDeadlineMiss, 0, 0),
+		cfg:          cfg,
+		decodeHeader: header,
+		results:      make(chan JobResult, 64),
+		jobs:         make(map[string]*jobState),
+		fr:           flightrec.Shared("dtm"),
+		missBurst:    flightrec.NewBurst(flightrec.TrigDeadlineMiss, 0, 0),
 	}
 	m.master = workqueue.NewMaster(workqueue.MasterConfig{
 		Seed:            cfg.Seed,
@@ -317,7 +320,11 @@ func New(cfg Config) (*Manager, error) {
 		FlightRec:       cfg.FlightRec,
 		ClusterDumps:    cfg.ClusterDumps,
 	})
-	exec := workqueue.Executor(m.execute)
+	// The pool's executor is ExecuteTask plus the artificial per-report cost.
+	delay := cfg.WorkDelay
+	exec := workqueue.Executor(func(ctx context.Context, payload []byte) ([]byte, error) {
+		return executeTask(ctx, payload, delay)
+	})
 	if cfg.WrapExec != nil {
 		exec = cfg.WrapExec(exec)
 	}
@@ -421,16 +428,14 @@ func (m *Manager) SubmitJob(claim socialsensing.ClaimID, reports []socialsensing
 		tasks:     len(chunks),
 		dataSize:  float64(len(reports)),
 		remaining: float64(len(reports)),
-		perTask:   make(map[string]int, len(chunks)),
-		taskIndex: make(map[string]int, len(chunks)),
-		seen:      make(map[string]bool, len(chunks)),
+		pending:   map[string]taskSlot{jobID + "/decode": {index: len(chunks)}},
+		outputs:   make([][]byte, len(chunks)),
 		intervals: intervals,
 	}
 	tasks := make([]workqueue.Task, len(chunks))
 	for i, chunk := range chunks {
 		taskID := fmt.Sprintf("%s/%d", jobID, i)
-		js.perTask[taskID] = len(chunk)
-		js.taskIndex[taskID] = i
+		js.pending[taskID] = taskSlot{index: i, reports: len(chunk)}
 		tasks[i] = workqueue.Task{ID: taskID, JobID: jobID, Payload: payloads[i]}
 	}
 	// Open the job's root span before publishing js: the collector may
@@ -443,13 +448,13 @@ func (m *Manager) SubmitJob(claim socialsensing.ClaimID, reports []socialsensing
 	// deadline before any task enters the queue. The gate logs its own
 	// rejection provenance (with err_trace); here we only finish the
 	// just-opened span and surface the errtraced sentinel.
-	if d := m.master.AdmitJob(jobID, js.span.TraceID(), len(chunks), deadline); !d.Admit {
+	if d := m.master.AdmitJob(jobID, js.span.TraceID(), len(chunks)+1, deadline); !d.Admit {
 		js.span.SetAttr("admission", "rejected")
 		js.span.SetAttr("error", d.Err.Error())
 		js.span.Finish()
 		return obs.Wrap(fmt.Errorf("dtm: submit job %s: %w", jobID, d.Err))
 	} else if d.Shed {
-		js.shed = true
+		js.shed, js.priority = true, shedPriority
 		js.span.SetAttr("admission", "shed")
 	}
 	m.mu.Lock()
@@ -466,7 +471,7 @@ func (m *Manager) SubmitJob(claim socialsensing.ClaimID, reports []socialsensing
 	m.gInflight.SetInt(inflight)
 	m.logger.Info("job submitted",
 		obs.JobID(jobID), obs.TraceID(js.span.TraceID()),
-		obs.F("tasks", len(chunks)), obs.F("reports", len(reports)))
+		obs.F("tasks", len(chunks)+1), obs.F("reports", len(reports)))
 
 	var tc *workqueue.TraceContext
 	if trace := js.span.TraceID(); trace != "" {
@@ -477,11 +482,7 @@ func (m *Manager) SubmitJob(claim socialsensing.ClaimID, reports []socialsensing
 		if err := m.master.Submit(task); err != nil {
 			// Unregister: a job short of tasks would never complete. What
 			// was already enqueued runs for nobody and is dropped on arrival.
-			m.mu.Lock()
-			delete(m.jobs, jobID)
-			inflight := len(m.jobs)
-			m.mu.Unlock()
-			m.gInflight.SetInt(inflight)
+			m.unregister(jobID)
 			js.span.SetAttr("error", err.Error())
 			js.span.Finish()
 			return obs.Wrap(fmt.Errorf("dtm: submit job %s: %w", jobID, err))
@@ -490,9 +491,32 @@ func (m *Manager) SubmitJob(claim socialsensing.ClaimID, reports []socialsensing
 	if js.shed {
 		// Degraded lane: the shed job's tasks only win the weighted-random
 		// pick when nothing deadline-bound is queued.
-		m.master.SetJobPriority(jobID, shedPriority)
+		m.setPriority(jobID, shedPriority)
 	}
 	return nil
+}
+
+// unregister takes a job out of the in-flight set and, once it is out —
+// setPriority can then no longer re-introduce it — out of the master.
+func (m *Manager) unregister(jobID string) {
+	m.mu.Lock()
+	delete(m.jobs, jobID)
+	inflight := len(m.jobs)
+	m.mu.Unlock()
+	m.gInflight.SetInt(inflight)
+	m.master.ForgetJob(jobID)
+}
+
+// setPriority actuates a job's Local Control Knob and remembers the value
+// for its decode task. A finished job is left alone: the master has
+// forgotten it and must not learn of it again.
+func (m *Manager) setPriority(jobID string, p float64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if js, ok := m.jobs[jobID]; ok {
+		js.priority = p
+		m.master.SetJobPriority(jobID, p)
+	}
 }
 
 // shedPriority is the scheduler weight of admission-shed jobs — three
@@ -518,7 +542,8 @@ func (m *Manager) Master() *workqueue.Master { return m.master }
 // JobProgress is a live snapshot of one in-flight TD job.
 type JobProgress struct {
 	Claim socialsensing.ClaimID
-	// Tasks and TasksDone count the job's work units.
+	// Tasks and TasksDone count the job's work units: its scatter tasks
+	// and the decode task that follows them.
 	Tasks, TasksDone int
 	// Remaining is the data (reports) not yet processed.
 	Remaining float64
@@ -538,7 +563,7 @@ func (m *Manager) Progress() []JobProgress {
 	for _, js := range m.jobs {
 		out = append(out, JobProgress{
 			Claim:     js.claim,
-			Tasks:     js.tasks,
+			Tasks:     js.tasks + 1,
 			TasksDone: js.done,
 			Remaining: js.remaining,
 			Elapsed:   time.Since(js.submitted),
@@ -573,12 +598,6 @@ func (m *Manager) close() {
 	close(m.results)
 }
 
-// execute is the pool workers' executor: ExecuteTask plus the configured
-// artificial per-report cost.
-func (m *Manager) execute(ctx context.Context, payload []byte) ([]byte, error) {
-	return executeTask(ctx, payload, m.cfg.WorkDelay)
-}
-
 // collect merges task results into jobs and finalizes completed jobs.
 func (m *Manager) collect(ctx context.Context) {
 	// Keep receiving until Master.Shutdown closes the channel: the pool's
@@ -593,168 +612,158 @@ func (m *Manager) collect(ctx context.Context) {
 	}
 }
 
+// handleResult routes one task result to its job: a scatter output is
+// checked and kept, the last of them starts the decode phase, and the
+// decode task's answer completes the job.
 func (m *Manager) handleResult(ctx context.Context, r workqueue.Result) {
 	m.mu.Lock()
 	js, ok := m.jobs[r.JobID]
+	var slot taskSlot
+	if ok {
+		slot, ok = js.pending[r.TaskID]
+	}
 	if !ok {
+		// The first result for a task is the one that sticks.
 		m.mu.Unlock()
 		return
 	}
-	if js.seen[r.TaskID] {
-		// A duplicate delivery (result raced a requeue) must not double
-		// count: the first result for a task is the one that sticks.
-		m.mu.Unlock()
-		return
-	}
-	js.seen[r.TaskID] = true
+	delete(js.pending, r.TaskID)
 	js.done++
-	js.remaining -= float64(js.perTask[r.TaskID])
-	if js.remaining < 0 {
-		js.remaining = 0
-	}
-	var out []byte // nil (nothing to fold) on any failure
-	if r.Err != "" {
-		js.failed++
-		if js.firstErr == nil {
-			js.firstErr = errors.New(r.Err)
-			js.firstErrTrace = r.ErrTrace
-		}
-	} else if err := checkOutput(r.Output, js.intervals); err != nil {
-		js.failed++
-		if js.firstErr == nil {
-			js.firstErr = obs.Wrap(malformed("output", err))
-		}
-	} else {
-		out = r.Output
-	}
-	js.merge.mergeTask(js.taskIndex[r.TaskID], out)
-	finished := js.done == js.tasks
-	if finished {
-		delete(m.jobs, r.JobID)
-	}
-	inflight := len(m.jobs)
+	js.remaining = max(0, js.remaining-float64(slot.reports))
 	m.mu.Unlock()
-	if finished {
-		m.gInflight.SetInt(inflight)
-		m.finalize(ctx, js)
+	// What follows touches only what the collector alone reads and writes.
+	if slot.index == js.tasks {
+		m.finalize(ctx, js, r)
+		return
+	}
+	var err error
+	if r.Err != "" {
+		err = errors.New(r.Err)
+	} else if _, bad := checkOutput(r.Output, js.intervals); bad != nil {
+		err = obs.Wrap(malformed("output", bad))
+	}
+	if err == nil {
+		js.outputs[slot.index] = r.Output
+	} else {
+		js.failed++
+		if js.firstErr == nil {
+			js.firstErr, js.firstErrTrace = err, r.ErrTrace
+		}
+	}
+	switch {
+	case js.done < js.tasks:
+		// More scatter results to come.
+	case js.failed == js.tasks:
+		// Every scatter task was lost: nothing to decode.
+		m.finish(ctx, js, JobResult{Err: js.firstErr})
+	default:
+		m.submitDecode(ctx, js)
 	}
 }
 
-// mergeShardCount fixes how many pre-merge accumulators each job keeps.
-// It is a constant, not GOMAXPROCS: the fold order must not depend on
-// the machine or the decode would drift across hosts.
+// mergeShardCount fixes how many partial sums a job's outputs fold into
+// before those fold into one. It is a constant, not GOMAXPROCS: the fold
+// order must not depend on the machine or the decode would drift across
+// hosts.
 const mergeShardCount = 4
 
-// mergeShard is one pre-merge accumulator: tasks with chunk index
-// i % mergeShardCount == shard fold into sums in ascending index order.
-// next is the local sequence (i / mergeShardCount) the shard folds next;
-// outputs arriving ahead of their predecessors wait, still encoded, in
-// buffered.
-type mergeShard struct {
-	next     int
-	buffered map[int][]byte
-	sums     []float64
+// mergeOutputs encodes a job's decode task, header first, from its scatter
+// outputs — outputs[i] from chunk i, through checkOutput against intervals,
+// nil for a lost task — and returns it with the length of the series it
+// carries. Chunk i folds into partial sum i%mergeShardCount in ascending
+// chunk order and the partial sums fold in shard order: a pure function of
+// the task set — float addition is not associative, so this is what keeps
+// the merged floats, and therefore the decoded truth, bit-identical however
+// the results arrived. Both buffers come from the pool and go back to it.
+func mergeOutputs(header []byte, outputs [][]byte, intervals int) (payload []byte, n int) {
+	merged, shard := getFloats(intervals), getFloats(intervals)
+	defer floatPool.Put(merged)
+	defer floatPool.Put(shard)
+	for s := 0; s < mergeShardCount && s < len(outputs); s++ {
+		sums := *merged // the first partial sum is the start of the merge
+		if s > 0 {
+			sums = *shard
+			clear(sums)
+		}
+		for i := s; i < len(outputs); i += mergeShardCount {
+			if outputs[i] != nil {
+				n = max(n, foldOutput(sums, outputs[i]))
+			}
+		}
+		if s > 0 {
+			for idx, v := range sums {
+				(*merged)[idx] += v
+			}
+		}
+	}
+	return encodeOutput(header, (*merged)[:n], 0), n
 }
 
-// mergeShards is the sharded partial-sum pre-merge of one job.
-type mergeShards [mergeShardCount]mergeShard
-
-// mergeTask folds one task's output — already through checkOutput, or nil
-// for a failed task — into its shard, draining any buffered successors
-// that become foldable. Within a shard, outputs fold strictly in chunk
-// order.
-func (ms *mergeShards) mergeTask(index int, out []byte) {
-	sh := &ms[index%len(ms)]
-	seq := index / len(ms)
-	if seq != sh.next {
-		if sh.buffered == nil {
-			sh.buffered = make(map[int][]byte)
-		}
-		sh.buffered[seq] = out
-		return
+// submitDecode starts a job's second phase once its last scatter result is
+// in: the merged sums go to the pool as the job's decode task.
+func (m *Manager) submitDecode(ctx context.Context, js *jobState) {
+	jobID := string(js.claim)
+	tp := m.fr.Start()
+	merge := m.tracer.NewSpan("merge "+jobID, js.span.SpanID())
+	var payload []byte
+	payload, js.seriesLen = mergeOutputs(m.decodeHeader, js.outputs, js.intervals)
+	js.outputs = nil
+	merge.Finish()
+	m.fr.Probe(flightrec.ProbeDTMMerge, tp, int64(js.seriesLen), merge.SpanID())
+	js.decode = m.tracer.NewSpan("decode "+jobID, js.span.SpanID())
+	task := workqueue.Task{ID: jobID + "/decode", JobID: jobID, Payload: payload, Span: js.decode.SpanID()}
+	if trace := js.span.TraceID(); trace != "" {
+		task.Trace = &workqueue.TraceContext{TraceID: trace, ParentSpanID: task.Span}
 	}
-	for {
-		if out != nil {
-			sh.sums = foldOutput(sh.sums, out)
-		}
-		sh.next++
-		var ok bool
-		out, ok = sh.buffered[sh.next]
-		if !ok {
-			return
-		}
-		delete(sh.buffered, sh.next)
+	// The master forgot the job, priority included, with its last scatter
+	// task: the decode task must not re-enter at the default.
+	m.mu.Lock()
+	if js.priority > 0 {
+		m.master.SetJobPriority(jobID, js.priority)
+	}
+	m.mu.Unlock()
+	if err := m.master.Submit(task); err != nil {
+		err = obs.Wrap(fmt.Errorf("dtm: submit decode task of job %s: %w", jobID, err))
+		m.finish(ctx, js, JobResult{Err: err})
 	}
 }
 
-// mergedSums folds the pre-merged shard accumulators in shard order —
-// a deterministic order no matter how results arrived, so the
-// accumulated floats (and therefore the decoded truth) are bit-identical
-// across runs. Failed tasks contributed nothing to their shard.
-func (ms *mergeShards) mergedSums() []float64 {
-	var sums []float64
-	for s := range ms {
-		if n := len(ms[s].sums); n > len(sums) {
-			sums = append(sums, make([]float64, n-len(sums))...)
+// finalize completes a job from its decode task's answer.
+func (m *Manager) finalize(ctx context.Context, js *jobState, r workqueue.Result) {
+	var res JobResult
+	if r.Err != "" {
+		res.Err, js.firstErrTrace = errors.New(r.Err), r.ErrTrace
+	} else {
+		tp := m.fr.Start()
+		m.hDecode.ObserveDuration(r.Elapsed)
+		est, err := decodeEstimates(r.Output, js.seriesLen, js.claim, m.cfg.Origin, m.cfg.ACS.Interval)
+		if err != nil {
+			err = obs.Wrap(malformed("truth", err))
 		}
-		for idx, v := range ms[s].sums {
-			sums[idx] += v
-		}
+		res.Estimates, res.Err = est, err
+		m.fr.Probe(flightrec.ProbeDTMFinalize, tp, int64(js.seriesLen), js.decode.SpanID())
 	}
-	return sums
+	m.finish(ctx, js, res)
 }
 
-// finalize runs the sliding window + HMM decode over the merged interval
-// sums and emits the job result.
-func (m *Manager) finalize(ctx context.Context, js *jobState) {
-	res := JobResult{
-		Claim:       js.claim,
-		Elapsed:     time.Since(js.submitted),
-		Deadline:    js.deadline,
-		FailedTasks: js.failed,
-		Shed:        js.shed,
-	}
+// finish stamps a job's completion — its truth, or the reason there is
+// none, is in hand — forgets the job and reports it.
+func (m *Manager) finish(ctx context.Context, js *jobState, res JobResult) {
+	res.Claim, res.Deadline, res.FailedTasks, res.Shed = js.claim, js.deadline, js.failed, js.shed
+	res.Degraded = js.failed > 0 && js.failed < js.tasks // decoded, or meant to be, from partial data
+	res.Elapsed = time.Since(js.submitted)
 	res.MetDeadline = js.deadline == 0 || res.Elapsed <= js.deadline
+	m.unregister(string(js.claim))
 	// Observe before emitting: whoever holds a JobResult may rely on the
 	// counters and the trace already including that job.
-	defer func() {
-		m.observeJob(js, res)
-		js.span.Finish()
-		m.emit(ctx, res)
-	}()
-	if js.failed >= js.tasks && js.firstErr != nil {
-		// Every task was lost: nothing to decode.
-		res.Err = js.firstErr
-		return
-	}
-	res.Degraded = js.failed > 0
-	tp := m.fr.Start()
-	merge := m.tracer.NewSpan("merge "+string(js.claim), js.span.SpanID())
-	series := windowedSeries(js.merge.mergedSums(), m.cfg.ACS.WindowIntervals)
-	merge.Finish()
-	tp = m.fr.Probe(flightrec.ProbeDTMMerge, tp, int64(len(series)), merge.SpanID())
-	decodeSpan := m.tracer.NewSpan("decode "+string(js.claim), js.span.SpanID())
-	decodeStart := time.Now()
-	// Parent the kernel's EM-phase flight events under the decode span so
-	// a deep dive nests forward/backward/E/M inside this job's decode.
-	m.scratch.SetFlightParent(decodeSpan.SpanID())
-	truth, err := m.decoder.DecodeInto(m.scratch, series)
-	m.scratch.SetFlightParent(0)
-	m.hDecode.ObserveDuration(time.Since(decodeStart))
-	decodeSpan.Finish()
-	m.fr.Probe(flightrec.ProbeDTMFinalize, tp, int64(len(series)), decodeSpan.SpanID())
-	if err != nil {
-		res.Err = obs.Wrap(err)
-		return
-	}
-	res.Estimates = make([]core.Estimate, len(truth))
-	for t, v := range truth {
-		res.Estimates[t] = core.Estimate{
-			Claim:    js.claim,
-			Interval: t,
-			Start:    m.cfg.Origin.Add(time.Duration(t) * m.cfg.ACS.Interval),
-			Value:    v,
-		}
+	m.observeJob(js, res)
+	js.decode.Finish()
+	js.span.Finish()
+	// Block rather than drop when the consumer is slow, but bail out on
+	// shutdown so Close never deadlocks against a full channel.
+	select {
+	case m.results <- res:
+	case <-ctx.Done():
 	}
 }
 
@@ -801,15 +810,6 @@ func (m *Manager) observeJob(js *jobState, res JobResult) {
 		js.span.SetAttr("deadline_met", fmt.Sprintf("%t", res.MetDeadline))
 	}
 	m.hJobLatency.ObserveDuration(res.Elapsed)
-}
-
-func (m *Manager) emit(ctx context.Context, res JobResult) {
-	// Block rather than drop when the consumer is slow, but bail out on
-	// shutdown so Close never deadlocks against a full channel.
-	select {
-	case m.results <- res:
-	case <-ctx.Done():
-	}
 }
 
 // controlLoop samples job progress and actuates the knobs.
@@ -864,7 +864,7 @@ func (m *Manager) controlStep(ctx context.Context) {
 		return
 	}
 	for jobID, p := range dec.Priorities {
-		m.master.SetJobPriority(jobID, p)
+		m.setPriority(jobID, p)
 	}
 	resized := dec.Workers != m.pool.Size()
 	if resized {
@@ -939,25 +939,4 @@ func (m *Manager) recordWorkerRows(now time.Time) {
 			Straggler:           h.Straggler,
 		})
 	}
-}
-
-// windowedSeries converts per-interval sums into the sliding-window ACS
-// sequence of Eq. 4.
-func windowedSeries(sums []float64, window int) []float64 {
-	if len(sums) == 0 {
-		return nil
-	}
-	if window < 1 {
-		window = 1
-	}
-	out := make([]float64, len(sums))
-	acc := 0.0
-	for t := range sums {
-		acc += sums[t]
-		if t >= window {
-			acc -= sums[t-window]
-		}
-		out[t] = acc
-	}
-	return out
 }

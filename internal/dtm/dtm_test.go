@@ -332,7 +332,8 @@ func TestManagerProgress(t *testing.T) {
 		prog := m.Progress()
 		if len(prog) == 1 {
 			p := prog[0]
-			if p.Claim != "slow" || p.Tasks < 1 || p.Deadline != time.Minute {
+			// Four scatter tasks and the decode task that follows them.
+			if p.Claim != "slow" || p.Tasks != cfg.TasksPerJob+1 || p.TasksDone > p.Tasks || p.Deadline != time.Minute {
 				t.Fatalf("progress = %+v", p)
 			}
 			seen = true
@@ -410,15 +411,17 @@ func TestSplitReports(t *testing.T) {
 }
 
 func TestWindowedSeries(t *testing.T) {
-	got := windowedSeries([]float64{1, 1, 0, -1}, 2)
-	want := []float64{1, 2, 1, -1}
-	if !reflect.DeepEqual(got, want) {
+	sums := []float64{1, 1, 0, -1}
+	got := make([]float64, len(sums))
+	windowedSeries(got, sums, 2)
+	if want := []float64{1, 2, 1, -1}; !reflect.DeepEqual(got, want) {
 		t.Errorf("windowedSeries = %v, want %v", got, want)
 	}
-	if got := windowedSeries(nil, 2); got != nil {
-		t.Errorf("empty sums = %v", got)
-	}
-	if got := windowedSeries([]float64{3}, 0); !reflect.DeepEqual(got, []float64{3}) {
-		t.Errorf("window 0 clamped = %v", got)
+	windowedSeries(nil, nil, 2) // an empty series is no work
+	// A decode task never carries a window under one interval: the header
+	// clamps it, as the master-side window always was.
+	_, window, _, err := parseDecodeHeader(appendDecodeHeader(nil, 0, DefaultConfig(origin()).Decoder))
+	if err != nil || window != 1 {
+		t.Errorf("window 0 travels as %d, %v; want 1", window, err)
 	}
 }

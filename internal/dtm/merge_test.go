@@ -86,10 +86,11 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// TestMergeOrderIndependentBits feeds the same per-task outputs in many
-// random arrival orders and requires the merged floats to be bit-identical
-// every time, and identical to the map-based reference merge: the sharded
-// pre-merge must keep the decode arrival-order independent.
+// TestMergeOrderIndependentBits fills the same per-task outputs in in many
+// random arrival orders, each time with a different random set of tasks
+// lost, and requires the merged floats to be bit-identical to the map-based
+// reference merge of the tasks that survived: the fold is a function of
+// the task set, not of the order results arrived in.
 func TestMergeOrderIndependentBits(t *testing.T) {
 	const tasks = 17
 	const intervals = 9
@@ -104,65 +105,63 @@ func TestMergeOrderIndependentBits(t *testing.T) {
 			taskSums[i][k] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(13)-6))
 		}
 		outputs[i] = outputOf(taskSums[i])
-		if err := checkOutput(outputs[i], intervals); err != nil {
-			t.Fatal(err)
-		}
 	}
-	want := refMerge(taskSums)
-
-	order := make([]int, tasks)
-	for i := range order {
-		order[i] = i
-	}
+	order := rng.Perm(tasks)
 	for trial := 0; trial < 50; trial++ {
-		var ms mergeShards
+		arrived, survived := make([][]byte, tasks), make([]map[int]float64, tasks)
 		for _, i := range order {
-			ms.mergeTask(i, outputs[i])
+			if trial > 0 && rng.Intn(4) == 0 {
+				continue // lost
+			}
+			arrived[i], survived[i] = outputs[i], taskSums[i]
 		}
-		if got := ms.mergedSums(); !sameBits(got, want) {
-			t.Fatalf("trial %d: merged %v, want %v (arrival order leaked into the fold)", trial, got, want)
+		got, err := foldOutputs(t, arrived, intervals)
+		if want := refMerge(survived); err != nil || !sameBits(got, want) {
+			t.Fatalf("trial %d: merged %v, %v, want %v", trial, got, err, want)
 		}
 		rng.Shuffle(tasks, func(i, j int) { order[i], order[j] = order[j], order[i] })
 	}
 }
 
+// mergedSums reads a job's merged sums the way a worker does: out of the
+// output v1 that ends its decode task, folded into a dense buffer.
+func mergedSums(t testing.TB, outputs [][]byte, intervals int) []float64 {
+	t.Helper()
+	payload, n := mergeOutputs(nil, outputs, intervals)
+	got, err := checkOutput(payload, max(n, 1))
+	if err != nil || got != n {
+		t.Fatalf("decode task carries a series of %d, %v; the merge says %d", got, err, n)
+	}
+	sums := make([]float64, n)
+	foldOutput(sums, payload)
+	return sums
+}
+
 // foldOutputs merges one job's task outputs — outputs[i] from the task
 // that ran chunk i, nil for a failed one — the way handleResult and
-// finalize do: each checked in full, then folded by chunk index.
-func foldOutputs(outputs [][]byte, intervals int) ([]float64, error) {
-	var ms mergeShards
-	for i, out := range outputs {
+// submitDecode do: each checked in full, then folded by chunk index.
+func foldOutputs(t testing.TB, outputs [][]byte, intervals int) ([]float64, error) {
+	for _, out := range outputs {
 		if out != nil {
-			if err := checkOutput(out, intervals); err != nil {
+			if _, err := checkOutput(out, intervals); err != nil {
 				return nil, err
 			}
 		}
-		ms.mergeTask(i, out)
 	}
-	return ms.mergedSums(), nil
+	return mergedSums(t, outputs, intervals), nil
 }
 
 // TestMergeFailedTaskUnblocksShard checks that a failed task (nil output)
-// still advances its shard's fold cursor: successors buffered behind it
-// must fold, contributing their sums, with the failure itself adding
-// nothing.
+// costs its shard nothing but its own sums: the later tasks of the same
+// shard still fold, and the failure itself adds nothing.
 func TestMergeFailedTaskUnblocksShard(t *testing.T) {
 	n := 2 * mergeShardCount
-	var ms mergeShards
-	one := outputOf(map[int]float64{0: 1})
-	// Arrive in reverse, with task 0 failing: every later task on shard 0
-	// is buffered until the nil fold for task 0 releases them.
-	for i := n - 1; i > 0; i-- {
-		ms.mergeTask(i, one)
+	outputs := make([][]byte, n)
+	for i := 1; i < n; i++ {
+		outputs[i] = outputOf(map[int]float64{0: 1})
 	}
-	ms.mergeTask(0, nil)
-	got := ms.mergedSums()
+	got := mergedSums(t, outputs, 1)
 	if want := float64(n - 1); len(got) != 1 || got[0] != want {
 		t.Fatalf("merged sums = %v, want [%v] (failed task blocked or double-counted its shard)", got, want)
-	}
-	for s := range ms {
-		if len(ms[s].buffered) != 0 {
-			t.Fatalf("shard %d still buffers %d entries after all tasks arrived", s, len(ms[s].buffered))
-		}
 	}
 }

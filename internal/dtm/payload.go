@@ -1,25 +1,32 @@
 package dtm
 
-// payload.go is the task codec — the one place that knows what a TD task
-// and its result look like on the wire. A worker only needs, per report,
-// the ACS interval it falls in and its contribution score ρ·(1−κ)·η, so
-// that is all that travels: both are computed once at submit, as two
-// columns, and no claim id, source, timestamp or tweet text leaves the
-// master. The score is one column, not ρ, κ and η: two multiplies at
-// submit are cheaper than 16 more bytes per report to encode, checksum,
-// copy and decode.
+// payload.go is the task codec — the one place that knows what a TD job's
+// two kinds of task and their results look like on the wire. A scatter
+// task carries one chunk of reports: per report only the ACS interval it
+// falls in and its contribution score ρ·(1−κ)·η, computed once at submit,
+// as two columns — no claim id, source, timestamp or text leaves the
+// master, and one score column is cheaper to encode, checksum, copy and
+// decode than ρ, κ and η. The decode task is the job's last: its merged
+// sums plus all a stateless worker needs to turn them into a truth
+// timeline — the Eq. 4 window and the decoder configuration.
 //
 //	task v1:   0x01 | uvarint n | uvarint base | uvarint span |
 //	           n × zigzag-varint Δidx (the first relative to base) |
 //	           n × float64-LE score
 //	output v1: 0x01 | uvarint k | k × (uvarint Δidx, float64-LE sum)
+//	decode v1: 0x02 | uvarints window, emission kind, max iterations,
+//	           freeze emissions (0 or 1), #thresholds | float64-LE
+//	           tolerance, smoothing A, B, π, thresholds | output v1
+//	truth v1:  0x01 | uvarint T | first value | uvarint run lengths
 //
-// Every index of a task lies in [base, base+span). An output lists, in
-// strictly ascending order (the first Δidx is the index itself), every
-// interval whose partial sum is non-zero plus always the highest interval
-// the task touched, so the length of the job's series survives a trailing
-// zero sum. Both decoders read outside input: they allocate nothing from a
-// length they have not checked against the bytes that remain.
+// The first byte of a task is its kind. Every index of a scatter task lies
+// in [base, base+span). An output lists, strictly ascending (the first
+// Δidx is the index itself), every interval whose sum is non-zero plus
+// always the highest touched, so the length of the job's series survives a
+// trailing zero sum. A timeline's runs alternate from the first value, none
+// is empty and they sum to T. The decoders read outside input: they
+// allocate nothing from a length they have not checked against the bytes
+// that remain or a fixed cap.
 
 import (
 	"context"
@@ -28,19 +35,27 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
+	"github.com/social-sensing/sstd/internal/core"
 	"github.com/social-sensing/sstd/internal/obs"
+	"github.com/social-sensing/sstd/internal/obs/flightrec"
 	"github.com/social-sensing/sstd/internal/socialsensing"
 	"github.com/social-sensing/sstd/internal/workqueue"
 )
 
-const payloadVersion byte = 1
+// payloadVersion opens a scatter task, an output and a truth timeline;
+// kindDecode opens a decode task.
+const (
+	payloadVersion byte = 1
+	kindDecode     byte = 2
+)
 
-// maxSpan caps the interval range one task may touch. The worker scatters
-// into a dense scratch of span floats, and a dense result of more slots
-// than one frame can hold could not come back anyway.
+// maxSpan caps the interval range one task may touch. The worker folds
+// into a dense buffer of that many floats, and a dense result of more
+// slots than one frame can hold could not come back anyway.
 const maxSpan = workqueue.MaxFrameBytes / 8
 
 // splitReports divides reports into at most n contiguous chunks of nearly
@@ -128,6 +143,9 @@ func encodeTasks(chunks [][]socialsensing.Report, origin time.Time, interval tim
 			size += varintLen(first - lo)
 		}
 	}
+	if intervals > maxSpan {
+		return nil, 0, fmt.Errorf("dtm: the job spans %d intervals, more than the %d its decode task can carry", intervals, maxSpan)
+	}
 	buf := make([]byte, 0, size)
 	payloads = make([][]byte, len(chunks))
 	for c, chunk := range chunks {
@@ -157,13 +175,13 @@ type taskView struct {
 	idx, scores   []byte
 }
 
-// header reads the version byte and then fields uvarints from p,
-// returning the offset of what follows them.
-func header(p []byte, fields ...*uint64) (int, error) {
+// header reads the first byte, which must be kind, and then fields
+// uvarints from p, returning the offset of what follows them.
+func header(p []byte, kind byte, fields ...*uint64) (int, error) {
 	if len(p) == 0 {
 		return 0, errors.New("truncated")
 	}
-	if p[0] != payloadVersion {
+	if p[0] != kind {
 		return 0, errors.New("unknown version")
 	}
 	off := 1
@@ -179,7 +197,7 @@ func header(p []byte, fields ...*uint64) (int, error) {
 
 func parseTask(p []byte) (taskView, error) {
 	var n, base, span uint64
-	off, err := header(p, &n, &base, &span)
+	off, err := header(p, payloadVersion, &n, &base, &span)
 	if err != nil {
 		return taskView{}, err
 	}
@@ -197,21 +215,45 @@ func parseTask(p []byte) (taskView, error) {
 	return taskView{n: int(n), base: int(base), span: int(span), idx: p[off:scores], scores: p[scores:]}, nil
 }
 
-// scratchPool holds the executors' dense per-task accumulators.
-var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
+// floatPool recycles the dense per-interval buffers of both sides: the
+// executors' scatter and decode buffers, the master's merge accumulators.
+// scratchPool holds the workers' HMM scratches, each with the flight
+// recorder it was made under: the kernels bind their probe ring once, so a
+// scratch does not outlive the process's recorder.
+var (
+	floatPool   = sync.Pool{New: func() any { return new([]float64) }}
+	scratchPool sync.Pool
+)
 
-// ExecuteTask is the worker-side task body: the partial per-interval
-// contribution-score sums of one chunk of reports (the preprocessing step
-// of §III-E, which dominates TD job cost and parallelizes across the
-// data). It is a workqueue.Executor; a malformed payload is a
-// decode-stage error.
+type decodeScratch struct {
+	*core.DecodeScratch
+	rec *flightrec.Recorder
+}
+
+// getFloats takes n zeroed floats from floatPool.
+func getFloats(n int) *[]float64 {
+	buf := floatPool.Get().(*[]float64)
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	clear(*buf)
+	return buf
+}
+
+// ExecuteTask is the worker-side body of both kinds of task: the partial
+// per-interval contribution-score sums of one chunk of reports (the
+// preprocessing step of §III-E), or the job's truth timeline — Eq. 4's
+// window over the merged sums, then Baum-Welch and Viterbi on the claim's
+// own HMM, the TD job the paper hands its workers. It is a
+// workqueue.Executor; a malformed payload is a decode-stage error.
 func ExecuteTask(ctx context.Context, payload []byte) ([]byte, error) {
 	return executeTask(ctx, payload, 0)
 }
 
 // executeTask is ExecuteTask with an artificial cost of perReport busy
-// time for every report of the chunk.
+// time for every report of a scatter chunk.
 func executeTask(ctx context.Context, payload []byte, perReport time.Duration) ([]byte, error) {
+	if len(payload) > 0 && payload[0] == kindDecode {
+		return executeDecode(ctx, payload)
+	}
 	decode := workqueue.StartStageSpan(ctx, workqueue.StageDecode)
 	t, err := parseTask(payload)
 	if err != nil {
@@ -231,39 +273,55 @@ func executeTask(ctx context.Context, payload []byte, perReport time.Duration) (
 		decode.Finish()
 		return []byte{payloadVersion, 0}, nil
 	}
-	buf := scratchPool.Get().(*[]float64)
-	defer scratchPool.Put(buf)
-	if cap(*buf) < t.span {
-		*buf = make([]float64, t.span)
-	}
-	sums := (*buf)[:t.span]
-	clear(sums)
-	top, err := t.scatter(sums)
+	buf := getFloats(t.span)
+	defer floatPool.Put(buf)
+	top, err := t.scatter(*buf)
 	if err != nil {
 		return nil, obs.Wrap(malformed("payload", err))
 	}
 	decode.Finish()
 
 	encode := workqueue.StartStageSpan(ctx, workqueue.StageEncode)
-	// Emit the non-zero sums and, always, the highest interval touched.
-	sums = sums[:top+1]
-	k := 1
-	for _, s := range sums[:top] {
-		if s != 0 {
-			k++
-		}
+	out := encodeOutput(nil, (*buf)[:top+1], t.base)
+	encode.Finish()
+	return out, nil
+}
+
+// executeDecode runs a decode task: fold the merged sums into a dense
+// buffer, window them, train and decode, answer with the timeline.
+func executeDecode(ctx context.Context, payload []byte) ([]byte, error) {
+	decode := workqueue.StartStageSpan(ctx, workqueue.StageDecode)
+	end, window, dec, err := parseDecodeHeader(payload)
+	if err != nil {
+		return nil, obs.Wrap(malformed("payload", err))
 	}
-	out := make([]byte, 0, 1+binary.MaxVarintLen64+k*(uvarintLen(uint64(t.base+top))+8))
-	out = append(out, payloadVersion)
-	out = binary.AppendUvarint(out, uint64(k))
-	prev := 0
-	for i, s := range sums {
-		if s != 0 || i == top {
-			out = binary.AppendUvarint(out, uint64(t.base+i-prev))
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(s))
-			prev = t.base + i
-		}
+	merged := payload[end:]
+	n, err := checkOutput(merged, maxSpan)
+	if err != nil {
+		return nil, obs.Wrap(malformed("payload", err))
 	}
+	sums, series := getFloats(n), getFloats(n)
+	defer floatPool.Put(sums)
+	defer floatPool.Put(series)
+	foldOutput(*sums, merged)
+	windowedSeries(*series, *sums, window)
+	decode.Finish()
+
+	// The kernel's EM-phase flight events nest under the job's decode span,
+	// which the task was submitted under.
+	sc, _ := scratchPool.Get().(*decodeScratch)
+	if rec := flightrec.Active(); sc == nil || sc.rec != rec {
+		sc = &decodeScratch{core.NewDecodeScratch(), rec}
+	}
+	defer scratchPool.Put(sc)
+	sc.SetFlightParent(workqueue.TaskSpan(ctx))
+	truth, err := dec.DecodeInto(sc.DecodeScratch, *series)
+	sc.SetFlightParent(0)
+	if err != nil {
+		return nil, obs.Wrap(err)
+	}
+	encode := workqueue.StartStageSpan(ctx, workqueue.StageEncode)
+	out := appendTruth(make([]byte, 0, 32), truth)
 	encode.Finish()
 	return out, nil
 }
@@ -298,62 +356,201 @@ func (t taskView) scatter(sums []float64) (top int, err error) {
 	return top, nil
 }
 
-// malformed marks a payload or output the codec refuses as a
-// decode-stage error.
+// malformed marks a payload, output or truth timeline the codec refuses as
+// a decode-stage error.
 func malformed(what string, err error) error {
 	return workqueue.StageError(workqueue.StageDecode, fmt.Errorf("dtm: bad task %s: %w", what, err))
 }
 
-// checkOutput validates a task output in full: well formed, and every
-// interval index below limit.
-func checkOutput(out []byte, limit int) error {
+// encodeOutput returns prefix followed by sums, slot 0 being interval
+// base, as an output v1: the non-zero sums and always the last.
+func encodeOutput(prefix []byte, sums []float64, base int) []byte {
+	last := len(sums) - 1
+	k, size, prev := 0, 0, 0
+	for i, s := range sums {
+		if s != 0 || i == last {
+			k, size, prev = k+1, size+uvarintLen(uint64(base+i-prev))+8, base+i
+		}
+	}
+	out := make([]byte, len(prefix)+1+uvarintLen(uint64(k))+size)
+	off := copy(out, prefix)
+	out[off] = payloadVersion
+	off += 1 + binary.PutUvarint(out[off+1:], uint64(k))
+	prev = 0
+	for i, s := range sums {
+		if s != 0 || i == last {
+			off += binary.PutUvarint(out[off:], uint64(base+i-prev))
+			binary.LittleEndian.PutUint64(out[off:], math.Float64bits(s))
+			off, prev = off+8, base+i
+		}
+	}
+	return out
+}
+
+// checkOutput validates an output in full — well formed, every interval
+// index below limit — and returns the length of the series it describes:
+// its highest interval plus one.
+func checkOutput(out []byte, limit int) (n int, err error) {
 	var k uint64
-	off, err := header(out, &k)
+	off, err := header(out, payloadVersion, &k)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	// A pair is at least one index byte and eight sum bytes.
 	if k > uint64(len(out)-off)/9 {
-		return errors.New("count exceeds the bytes that follow")
+		return 0, errors.New("count exceeds the bytes that follow")
 	}
 	idx := uint64(0)
 	for i := uint64(0); i < k; i++ {
 		d, w := binary.Uvarint(out[off:])
 		if w <= 0 || len(out)-off-w < 8 {
-			return errors.New("truncated")
+			return 0, errors.New("truncated")
 		}
 		if i > 0 && d == 0 {
-			return errors.New("interval indices not strictly ascending")
+			return 0, errors.New("interval indices not strictly ascending")
 		}
 		// Both terms are at most limit, so the sum cannot wrap.
 		if d >= uint64(limit) || idx+d >= uint64(limit) {
-			return errors.New("interval index out of range")
+			return 0, errors.New("interval index out of range")
 		}
 		idx += d
 		if s := math.Float64frombits(binary.LittleEndian.Uint64(out[off+w:])); s-s != 0 {
-			return errors.New("value is not finite")
+			return 0, errors.New("value is not finite")
 		}
 		off += w + 8
+		n = int(idx) + 1
 	}
 	if off != len(out) {
-		return errors.New("trailing bytes")
+		return 0, errors.New("trailing bytes")
 	}
-	return nil
+	return n, nil
 }
 
 // foldOutput adds the sums of an output checkOutput has accepted into
-// sums, growing it to the output's highest interval.
-func foldOutput(sums []float64, out []byte) []float64 {
+// sums, which reaches past the output's highest interval, and returns the
+// length of the series the output describes.
+func foldOutput(sums []float64, out []byte) (n int) {
 	k, w := binary.Uvarint(out[1:])
 	off, idx := 1+w, 0
 	for ; k > 0; k-- {
 		d, w := binary.Uvarint(out[off:])
 		idx += int(d)
-		if idx >= len(sums) {
-			sums = append(sums, make([]float64, idx+1-len(sums))...)
-		}
 		sums[idx] += math.Float64frombits(binary.LittleEndian.Uint64(out[off+w:]))
 		off += w + 8
+		n = idx + 1
 	}
-	return sums
+	return n
+}
+
+// windowedSeries writes into series the sliding-window ACS sequence of
+// Eq. 4 over the per-interval sums.
+func windowedSeries(series, sums []float64, window int) {
+	acc := 0.0
+	for t := range sums {
+		acc += sums[t]
+		if t >= window {
+			acc -= sums[t-window]
+		}
+		series[t] = acc
+	}
+}
+
+// appendDecodeHeader encodes what every decode task of one Manager starts
+// with. WarmStart does not travel: a job's decode always starts cold.
+func appendDecodeHeader(dst []byte, window int, cfg core.DecoderConfig) []byte {
+	tr, freeze := cfg.Train, 0
+	if tr.FreezeEmissions {
+		freeze = 1
+	}
+	dst = append(dst, kindDecode)
+	// A window is at least one interval and no longer than any series.
+	for _, v := range [...]int{min(max(window, 1), maxSpan), int(cfg.Emissions), max(tr.MaxIterations, 0), freeze, len(cfg.Thresholds)} {
+		dst = binary.AppendUvarint(dst, uint64(v))
+	}
+	for _, v := range append([]float64{tr.Tolerance, tr.SmoothA, tr.SmoothB, tr.SmoothPi}, cfg.Thresholds...) {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
+}
+
+// parseDecodeHeader reads a decode task up to its merged sums: the offset
+// they start at, the window, and a decoder of the configuration.
+func parseDecodeHeader(p []byte) (end, window int, dec *core.Decoder, err error) {
+	var w, kind, iterations, freeze, thresholds uint64
+	off, err := header(p, kindDecode, &w, &kind, &iterations, &freeze, &thresholds)
+	switch {
+	case err != nil:
+	case w == 0 || w > maxSpan:
+		err = errors.New("window out of range")
+	case kind != uint64(core.DiscreteEmissions) && kind != uint64(core.GaussianEmissions):
+		err = errors.New("unknown emission kind")
+	case iterations > math.MaxInt32 || freeze > 1:
+		err = errors.New("training parameter out of range")
+	case thresholds > uint64(len(p)-off)/8 || len(p)-off < 8*(4+int(thresholds)):
+		err = errors.New("parameter count exceeds the bytes that follow")
+	}
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	params, bad := make([]float64, 4+thresholds), 0.0
+	for i := range params {
+		params[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[off+8*i:]))
+		bad += params[i] - params[i] // 0 for a finite value, NaN otherwise, and NaN survives the sum
+	}
+	if bad != 0 {
+		return 0, 0, nil, errors.New("decoder parameter is not finite")
+	}
+	cfg := core.DecoderConfig{Emissions: core.EmissionKind(kind), Thresholds: params[4:]}
+	cfg.Train.MaxIterations, cfg.Train.FreezeEmissions = int(iterations), freeze == 1
+	cfg.Train.Tolerance, cfg.Train.SmoothA, cfg.Train.SmoothB, cfg.Train.SmoothPi = params[0], params[1], params[2], params[3]
+	dec, err = core.NewDecoder(cfg)
+	return off + 8*len(params), int(w), dec, err
+}
+
+// appendTruth appends a decoded timeline as a truth v1.
+func appendTruth(dst []byte, truth []socialsensing.TruthValue) []byte {
+	dst = binary.AppendUvarint(append(dst, payloadVersion), uint64(len(truth)))
+	first := socialsensing.False
+	if len(truth) > 0 {
+		first = truth[0]
+	}
+	dst = append(dst, byte(first))
+	for i, j := 0, 0; i < len(truth); i = j {
+		for j = i + 1; j < len(truth) && truth[j] == truth[i]; j++ {
+		}
+		dst = binary.AppendUvarint(dst, uint64(j-i))
+	}
+	return dst
+}
+
+// decodeEstimates expands the truth v1 answering a decode task of n
+// intervals into the job's estimates, refusing anything but that timeline.
+func decodeEstimates(out []byte, n int, claim socialsensing.ClaimID, origin time.Time, interval time.Duration) ([]core.Estimate, error) {
+	var t uint64
+	off, err := header(out, payloadVersion, &t)
+	switch {
+	case err != nil:
+		return nil, err
+	case t != uint64(n):
+		return nil, fmt.Errorf("a timeline of %d intervals for a series of %d", t, n)
+	case off == len(out) || out[off] > byte(socialsensing.True):
+		return nil, errors.New("no first truth value")
+	}
+	v := socialsensing.TruthValue(out[off])
+	off++
+	est := make([]core.Estimate, n)
+	for at := 0; at < n; v = socialsensing.True - v {
+		d, w := binary.Uvarint(out[off:])
+		if w <= 0 || d == 0 || d > uint64(n-at) {
+			return nil, errors.New("runs do not tile the timeline")
+		}
+		for end := at + int(d); at < end; at++ {
+			est[at] = core.Estimate{Claim: claim, Interval: at, Start: origin.Add(time.Duration(at) * interval), Value: v}
+		}
+		off += w
+	}
+	if off != len(out) {
+		return nil, errors.New("trailing bytes")
+	}
+	return est, nil
 }

@@ -85,8 +85,9 @@ func TestLateWorkerCompletesQueuedJob(t *testing.T) {
 }
 
 // TestTCPWorkerDeathRequeuesSameBits kills one of two TCP workers'
-// connections while it holds tasks: the master requeues them onto the
-// survivor and the job's estimates equal the pool-only run bit for bit.
+// connections while it holds a task — a scatter task in one run, the
+// decode task in the other: the master requeues it onto the survivor and
+// the job's estimates equal the pool-only run bit for bit.
 func TestTCPWorkerDeathRequeuesSameBits(t *testing.T) {
 	cfg := DefaultConfig(origin())
 	cfg.ACS.WindowIntervals = 3
@@ -94,7 +95,7 @@ func TestTCPWorkerDeathRequeuesSameBits(t *testing.T) {
 	cfg.Workers = 2
 	cfg.RequeueBackoff = workqueue.BackoffConfig{Base: time.Millisecond, Max: 5 * time.Millisecond}
 	reports := flipReports("c1", 60, 25, 6, 0.1, 9)
-	run := func(cfg Config, attach func(m *Manager) (wait func())) JobResult {
+	run := func(t *testing.T, cfg Config, attach func(m *Manager) (wait func())) JobResult {
 		t.Helper()
 		m, err := New(cfg)
 		if err != nil {
@@ -113,55 +114,63 @@ func TestTCPWorkerDeathRequeuesSameBits(t *testing.T) {
 		}
 		return res
 	}
-	pool := run(cfg, func(*Manager) func() { return func() {} })
+	pool := run(t, cfg, func(*Manager) func() { return func() {} })
 
-	cfg.Workers = 0
-	cfg.Metrics = obs.NewRegistry()
-	tcp := run(cfg, func(m *Manager) func() {
-		addr := serveTCP(t, m)
-		// The victim is alone when the job arrives, so it holds a task when
-		// the survivor joins and its own connection is cut underneath it.
-		var (
-			conn         net.Conn
-			holding      = make(chan struct{})
-			cut          = make(chan struct{})
-			once         sync.Once
-			wg           sync.WaitGroup
-			waitSurvivor func()
-		)
-		victim := &workqueue.Worker{
-			ID:       "tcp-victim",
-			WrapConn: func(c net.Conn) net.Conn { conn = c; return c },
-			Exec: func(ctx context.Context, p []byte) ([]byte, error) {
-				once.Do(func() { close(holding) })
-				<-cut
-				return ExecuteTask(ctx, p)
-			},
-		}
-		wg.Add(2)
-		go func() { defer wg.Done(); _ = victim.Dial(context.Background(), addr) }()
-		go func() {
-			defer wg.Done()
-			<-holding
-			waitSurvivor = dialWorkers(addr, 1)
-			for m.Master().WorkerCount() < 2 {
-				time.Sleep(time.Millisecond)
+	for phase, kind := range map[string]byte{"scatter": payloadVersion, "decode": kindDecode} {
+		t.Run(phase, func(t *testing.T) {
+			cfg := cfg
+			cfg.Workers = 0
+			cfg.Metrics = obs.NewRegistry()
+			tcp := run(t, cfg, func(m *Manager) func() {
+				addr := serveTCP(t, m)
+				// The victim is alone when the job arrives, so it holds a task of
+				// the kind when the survivor joins and its own connection is cut
+				// underneath it.
+				var (
+					conn         net.Conn
+					holding      = make(chan struct{})
+					cut          = make(chan struct{})
+					once         sync.Once
+					wg           sync.WaitGroup
+					waitSurvivor func()
+				)
+				victim := &workqueue.Worker{
+					ID:       "tcp-victim",
+					WrapConn: func(c net.Conn) net.Conn { conn = c; return c },
+					Exec: func(ctx context.Context, p []byte) ([]byte, error) {
+						if p[0] == kind {
+							once.Do(func() { close(holding) })
+							<-cut
+						}
+						return ExecuteTask(ctx, p)
+					},
+				}
+				wg.Add(2)
+				go func() { defer wg.Done(); _ = victim.Dial(context.Background(), addr) }()
+				go func() {
+					defer wg.Done()
+					<-holding
+					waitSurvivor = dialWorkers(addr, 1)
+					for m.Master().WorkerCount() < 2 {
+						time.Sleep(time.Millisecond)
+					}
+					_ = conn.Close()
+					close(cut)
+				}()
+				for start := time.Now(); m.Master().WorkerCount() < 1; time.Sleep(time.Millisecond) {
+					if time.Since(start) > 10*time.Second {
+						t.Fatal("victim never attached")
+					}
+				}
+				return func() { wg.Wait(); waitSurvivor() }
+			})
+			if cfg.Metrics.Counter("wq_task_retries_total").Value() == 0 {
+				t.Fatal("no task was requeued: the death tested nothing")
 			}
-			_ = conn.Close()
-			close(cut)
-		}()
-		for start := time.Now(); m.Master().WorkerCount() < 1; time.Sleep(time.Millisecond) {
-			if time.Since(start) > 10*time.Second {
-				t.Fatal("victim never attached")
+			if !reflect.DeepEqual(pool.Estimates, tcp.Estimates) {
+				t.Error("estimates after a TCP worker death differ from the pool-only run")
 			}
-		}
-		return func() { wg.Wait(); waitSurvivor() }
-	})
-	if cfg.Metrics.Counter("wq_task_retries_total").Value() == 0 {
-		t.Fatal("no task was requeued: the death tested nothing")
-	}
-	if !reflect.DeepEqual(pool.Estimates, tcp.Estimates) {
-		t.Error("estimates after a TCP worker death differ from the pool-only run")
+		})
 	}
 }
 

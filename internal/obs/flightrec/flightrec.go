@@ -52,7 +52,7 @@ const (
 	ProbeMasterAssign
 	ProbeMasterRequeue
 	ProbeMasterAck
-	// DTM job legs: per-task ACS merge and the finalize (merge+decode).
+	// DTM job legs: outputs merged into the decode task; its answer expanded.
 	ProbeDTMMerge
 	ProbeDTMFinalize
 	// Streaming decoder: window append (decode) and frontier rotation.

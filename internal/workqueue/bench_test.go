@@ -20,7 +20,7 @@ func benchTracedTaskMsg() message {
 // BenchmarkStageSpanTraced measures a worker recording one stage span on
 // a traced task: context lookup, clock reads and the buffer append.
 func BenchmarkStageSpanTraced(b *testing.B) {
-	tt := newTaskTrace(&TraceContext{TraceID: "f3a9b2c1-42", ParentSpanID: 91}, "claim-17/3")
+	tt := newTaskTrace(&TraceContext{TraceID: "f3a9b2c1-42", ParentSpanID: 91}, "claim-17/3", 0)
 	ctx := withTaskTrace(context.Background(), tt)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -36,10 +36,10 @@ type ClusterDumpConfig struct {
 
 // ClusterDumpInfo describes one completed cluster-wide collection.
 type ClusterDumpInfo struct {
-	Seq     int       `json:"seq"`
-	Path    string    `json:"path"`
-	Trigger string    `json:"trigger"`
-	Detail  string    `json:"detail,omitempty"`
+	Seq     int    `json:"seq"`
+	Path    string `json:"path"`
+	Trigger string `json:"trigger"`
+	Detail  string `json:"detail,omitempty"`
 	// Hosts lists the lanes present in the merged trace ("master" first,
 	// then responding workers sorted by ID).
 	Hosts  []string  `json:"hosts"`

@@ -79,6 +79,18 @@ func TestMasterTaskStateDrains(t *testing.T) {
 	if n := m.QueueLen(); n != 0 {
 		t.Errorf("queue length after drained run = %d, want 0", n)
 	}
+	// The stats rows stay until the submitter says the jobs are over; a
+	// priority set on a job it then forgets goes with them.
+	if got := len(m.AllStats()); got != jobs {
+		t.Errorf("%d stats rows after drained run, want %d", got, jobs)
+	}
+	m.SetJobPriority("job-0", 3)
+	for j := 0; j < jobs; j++ {
+		m.ForgetJob(fmt.Sprintf("job-%d", j))
+	}
+	if _, priorities := m.sched.jobStateSizes(); len(m.AllStats()) != 0 || priorities != 0 {
+		t.Errorf("after ForgetJob: %d stats rows, %d scheduler entries, want 0/0", len(m.AllStats()), priorities)
+	}
 
 	pool.Close()
 	m.Shutdown()

@@ -356,6 +356,16 @@ func (m *Master) AllStats() []JobStats {
 	return out
 }
 
+// ForgetJob drops what the master keeps per job, its stats row and its
+// scheduler entry: for submitters that know when a job is over.
+func (m *Master) ForgetJob(jobID string) {
+	sh := m.shardFor(jobID)
+	sh.mu.Lock()
+	delete(sh.stats, jobID)
+	sh.mu.Unlock()
+	m.sched.forgetJob(jobID)
+}
+
 // QueueLen reports tasks waiting for a worker.
 func (m *Master) QueueLen() int { return m.sched.len() }
 
@@ -1086,8 +1096,7 @@ func (m *Master) complete(r Result) {
 	sh.mu.Unlock()
 	m.fr.Probe(flightrec.ProbeMasterAck, tp, int64(len(r.Output)), ackParent)
 	if jobDone {
-		// Drop the drained job's scheduler priority entry so a
-		// long-running master does not accumulate state per job.
+		// The scheduler entry of a drained job goes; ForgetJob drops the rest.
 		m.sched.forgetJob(r.JobID)
 	}
 	if r.Err != "" {

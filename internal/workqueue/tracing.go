@@ -42,17 +42,18 @@ type RemoteSpan struct {
 type TaskTrace struct {
 	traceID string
 	parent  int64
+	span    int64 // Task.Span
 	taskID  string
 
 	mu    sync.Mutex
 	spans []RemoteSpan
 }
 
-func newTaskTrace(tc *TraceContext, taskID string) *TaskTrace {
+func newTaskTrace(tc *TraceContext, taskID string, span int64) *TaskTrace {
 	if tc == nil || tc.TraceID == "" {
 		return nil
 	}
-	return &TaskTrace{traceID: tc.TraceID, parent: tc.ParentSpanID, taskID: taskID}
+	return &TaskTrace{traceID: tc.TraceID, parent: tc.ParentSpanID, span: span, taskID: taskID}
 }
 
 // add records one finished stage span. Nil-safe.
@@ -102,6 +103,15 @@ func withTaskTrace(ctx context.Context, tt *TaskTrace) context.Context {
 func taskTraceFrom(ctx context.Context) *TaskTrace {
 	tt, _ := ctx.Value(taskTraceKey{}).(*TaskTrace)
 	return tt
+}
+
+// TaskSpan is the submitter-side span (Task.Span) of the traced task an
+// executor is running, for parenting its own probes; 0 when untraced.
+func TaskSpan(ctx context.Context) int64 {
+	if tt := taskTraceFrom(ctx); tt != nil {
+		return tt.span
+	}
+	return 0
 }
 
 // StageSpan is one in-progress executor stage measurement. Finish is

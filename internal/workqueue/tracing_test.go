@@ -102,10 +102,10 @@ func TestUntracedMessagesTraceOff(t *testing.T) {
 	}
 
 	// A nil trace context means no TaskTrace, and every helper no-ops.
-	if tt := newTaskTrace(nil, "t"); tt != nil {
+	if tt := newTaskTrace(nil, "t", 0); tt != nil {
 		t.Errorf("newTaskTrace(nil) = %v, want nil", tt)
 	}
-	if tt := newTaskTrace(&TraceContext{}, "t"); tt != nil {
+	if tt := newTaskTrace(&TraceContext{}, "t", 0); tt != nil {
 		t.Errorf("newTaskTrace(empty trace id) = %v, want nil", tt)
 	}
 	var tt *TaskTrace
@@ -123,8 +123,14 @@ func TestUntracedMessagesTraceOff(t *testing.T) {
 // TestStageSpanRecordsOnTrace: StartStageSpan on a traced context lands a
 // named span carrying the wire-provided parent.
 func TestStageSpanRecordsOnTrace(t *testing.T) {
-	tt := newTaskTrace(&TraceContext{TraceID: "abc", ParentSpanID: 42}, "t9")
+	tt := newTaskTrace(&TraceContext{TraceID: "abc", ParentSpanID: 42}, "t9", 7)
 	ctx := withTaskTrace(context.Background(), tt)
+	if got := TaskSpan(ctx); got != 7 {
+		t.Errorf("TaskSpan = %d, want the task's submitter-side span 7", got)
+	}
+	if got := TaskSpan(context.Background()); got != 0 {
+		t.Errorf("TaskSpan of an untraced task = %d, want 0", got)
+	}
 	sp := StartStageSpan(ctx, StageEncode)
 	sp.Finish()
 	sp.Finish() // idempotent

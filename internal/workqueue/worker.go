@@ -340,7 +340,7 @@ func (w *Worker) Run(ctx context.Context, conn net.Conn) error {
 // cancelled): the caller must exit without reporting, leaving the master
 // to requeue.
 func (w *Worker) execOne(ctx context.Context, task *Task, arrivedAt time.Time, inst *workerInstruments, run *workerRun, lg *obs.Logger) (Result, *TaskTrace, bool) {
-	tt := newTaskTrace(task.Trace, task.ID)
+	tt := newTaskTrace(task.Trace, task.ID, task.Span)
 	start := time.Now()
 	tt.add(StageRecv, arrivedAt, start)
 	out, execErr := w.runExec(withTaskTrace(ctx, tt), task)

@@ -1,7 +1,7 @@
 #!/bin/sh
 # CI tiers for the SSTD reproduction.
 #
-#   scripts/check.sh            tier-1: build + tests (the ROADMAP gate)
+#   scripts/check.sh            tier-1: gofmt + build + tests (the ROADMAP gate)
 #   scripts/check.sh race       tier-2: vet + full test suite under -race
 #   scripts/check.sh bench      microbenchmarks -> BENCH_obs.json + BENCH_hmm.json + BENCH_wire.json
 #   scripts/check.sh chaos      chaos soak: seeded fault-injection schedules under -race
@@ -20,7 +20,13 @@ set -eu
 cd "$(dirname "$0")/.."
 
 tier1() {
-	echo "== tier-1: go build ./... && go test ./... =="
+	echo "== tier-1: gofmt -l . && go build ./... && go test ./... =="
+	unformatted=$(gofmt -l .)
+	if [ -n "$unformatted" ]; then
+		echo "gofmt -l names:" >&2
+		echo "$unformatted" >&2
+		exit 1
+	fi
 	go build ./...
 	go test ./...
 }
@@ -69,7 +75,10 @@ bench() {
 	# 250µs-per-frame delay link (internal/chaos), where batching's
 	# amortization is the headline ratio. internal/dtm adds what goes
 	# inside the frame: encoding one payload_heavy-sized task payload,
-	# executing it, and checking + folding its output.
+	# executing it, and checking + folding its output; then, at both
+	# workloads' series lengths, encoding a job's decode task, executing it
+	# (next to the bare decode kernel on the same series) and expanding its
+	# answer.
 	echo "== bench: go test -bench '^BenchmarkWire' on internal/workqueue, internal/chaos and internal/dtm =="
 	out=$(go test -run '^$' -bench '^BenchmarkWire' -benchmem ./internal/workqueue ./internal/chaos ./internal/dtm)
 	echo "$out"
@@ -112,7 +121,7 @@ chaos() {
 	# command to re-run it.
 	echo "== chaos: seeded fault-injection soak under -race =="
 	go test -race -count=1 -v -run 'TestChaosSoak' ./internal/chaos
-	go test -race -count=1 -run 'TestDecodedTruthIdenticalUnderChaos|TestDegradedJobCompletion|TestHungTaskDegradesJob|TestTCPWorkerDeathRequeuesSameBits' ./internal/dtm
+	go test -race -count=1 -run 'TestDecodedTruthIdenticalUnderChaos|TestDegradedJobCompletion|TestHungTaskDegradesJob|TestTCPWorkerDeathRequeuesSameBits|TestLostDecodeTaskFailsJob' ./internal/dtm
 	go test -race -count=1 -run 'TestRequeueBackoffBoundsRetryRate|TestQuarantineLifecycle' ./internal/workqueue
 }
 
@@ -140,9 +149,10 @@ wire() {
 	# wire format end to end.
 	echo "== wire: round-trip/golden codec tests + batching invariants =="
 	go test -count=1 -run 'TestWireRoundTrip|TestRoundTripCovers|TestGolden|TestBatch|TestPartialBatch|TestUnbatched|TestMidBatch|TestWireFrames|TestShiftBinary|TestBinary|TestNonFrame|FuzzDecode' ./internal/workqueue
-	# What travels inside the frames: the task payload and output goldens,
-	# the decoders' rejection table and both fuzz targets' seed corpora.
-	go test -count=1 -run 'TestGoldenPayloadsStable|TestDecodersRejectMalformed|TestCodecMatchesMapReferenceBits|FuzzDecodeTask|FuzzFoldOutput' ./internal/dtm
+	# What travels inside the frames: the goldens of both task kinds and
+	# their answers, the decoders' rejection table and the three fuzz
+	# targets' seed corpora.
+	go test -count=1 -run 'TestGoldenPayloadsStable|TestDecodersRejectMalformed|TestCodecMatchesMapReferenceBits|FuzzDecodeTask|FuzzFoldOutput|FuzzTruthResult' ./internal/dtm
 	echo "== wire: 2-worker batched sweep over the wire codec =="
 	dir=$(mktemp -d)
 	go run ./cmd/loadgen -trace boston -scale 0.005 -workers 2 \
