@@ -205,8 +205,13 @@ func BenchmarkEngineIngestTelemetry(b *testing.B) {
 	}
 }
 
-// BenchmarkScorerPipeline measures raw-text semantic scoring (the
-// preprocessing that dominates TD job cost).
+// BenchmarkScorerPipeline measures raw-text semantic scoring of one
+// claim's stream at a post a second: tokenizing, the three scorers of
+// Eq. 1, and an independence window that fills to 600 reports. On a 2-core
+// box ≈6.5 µs, 236 B and 2 allocations per post (13.7 µs, 5.7 kB and 65
+// before the front end tokenized once into hashed sets). On the raw-post
+// path scoring is a quarter of Process and the claim generator most of the
+// rest: BenchmarkProcess in internal/pipeline has the whole of it.
 func BenchmarkScorerPipeline(b *testing.B) {
 	s := sstd.NewScorer()
 	origin := time.Now()

@@ -89,14 +89,14 @@ func main() {
 				strip += "f"
 			}
 		}
-		tokens := make([]string, 0, 4)
+		tokens := make([]string, 0, len(cl.Centroid))
 		for tok := range cl.Centroid {
 			tokens = append(tokens, tok)
-			if len(tokens) == 4 {
-				break
-			}
 		}
 		sort.Strings(tokens)
+		if len(tokens) > 4 {
+			tokens = tokens[:4]
+		}
 		fmt.Printf("%-12s %5d posts  topic~%v\n  %s\n", cl.ID, cl.Size, tokens, strip)
 	}
 

@@ -3,10 +3,16 @@
 // Jaccard distance. A newly arrived post joins the nearest existing
 // cluster if it is close enough, otherwise it seeds a new cluster; a
 // cluster whose diameter exceeds a threshold is split in two.
+//
+// Each cluster keeps a bounded sample of its members and, derived from
+// that sample, their pairwise distances, per-token member counts and the
+// centroid. All three are adjusted by the one member that arrives and the
+// one it rotates out, never rebuilt from the whole sample.
 package clustering
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -40,26 +46,49 @@ func DefaultConfig() Config {
 	}
 }
 
-// Cluster is one group of similar posts, treated downstream as a claim.
+// Cluster is a snapshot of one group of similar posts, treated downstream
+// as a claim.
 type Cluster struct {
-	ID       string
+	ID string
+	// Centroid is the tokens found in at least half the tracked members.
 	Centroid map[string]bool
 	Size     int
 	Created  time.Time
-
-	members []member
 }
 
-type member struct {
-	tokens map[string]bool
-	text   string
+// cluster is the clusterer's state for one claim.
+type cluster struct {
+	id      string
+	size    int
+	created time.Time
+	// members is the tracked sample, at most MaxMembersTracked posts.
+	members []textutil.Doc
+	// dist holds one row of MaxMembersTracked entries per member:
+	// dist[i*max+j] is the Jaccard distance between members i and j.
+	dist []float64
+	// counts says, for every token of the sample in hash order, how many
+	// members contain it.
+	counts []tokenCount
+	// centroid is the tokens found in at least half the members (a
+	// medoid-like set centroid suited to Jaccard space), or every token
+	// of the sample when no token is that common.
+	centroid []uint64
+}
+
+type tokenCount struct {
+	hash uint64
+	n    int
 }
 
 // Clusterer assigns posts to clusters online. Not safe for concurrent use.
 type Clusterer struct {
 	cfg      Config
-	clusters []*Cluster
+	keywords []uint64
+	clusters []*cluster
 	nextID   int
+	// spare is the counts slice the last adjust replaced, reused by the
+	// next one.
+	spare []tokenCount
 }
 
 // New returns a Clusterer with the given configuration.
@@ -67,51 +96,60 @@ func New(cfg Config) *Clusterer {
 	if cfg.MaxMembersTracked <= 0 {
 		cfg.MaxMembersTracked = 32
 	}
-	return &Clusterer{cfg: cfg}
+	return &Clusterer{cfg: cfg, keywords: textutil.HashSet(cfg.Keywords)}
 }
 
 // Assign routes text observed at time t into a cluster and returns the
 // cluster ID. It returns ok=false when the post is filtered out by the
 // keyword list.
 func (c *Clusterer) Assign(text string, t time.Time) (clusterID string, ok bool) {
-	if len(c.cfg.Keywords) > 0 && !textutil.ContainsAny(text, c.cfg.Keywords) {
+	return c.AssignDoc(textutil.NewDoc(text), t)
+}
+
+// AssignDoc is Assign for a post that is already tokenized.
+func (c *Clusterer) AssignDoc(d textutil.Doc, t time.Time) (clusterID string, ok bool) {
+	if len(c.keywords) > 0 && !d.HasAny(c.keywords) {
 		return "", false
 	}
-	tokens := textutil.TokenSet(text)
-	best := -1
+	var best *cluster
 	bestDist := c.cfg.JoinThreshold
-	for i, cl := range c.clusters {
-		d := textutil.JaccardDistance(tokens, cl.Centroid)
-		if d <= bestDist {
-			best = i
-			bestDist = d
+	for _, cl := range c.clusters {
+		if dist := textutil.JaccardDistance(d.Set, cl.centroid); dist <= bestDist {
+			best, bestDist = cl, dist
 		}
 	}
-	if best == -1 {
-		cl := &Cluster{
-			ID:       fmt.Sprintf("cluster-%d", c.nextID),
-			Centroid: copySet(tokens),
-			Created:  t,
+	if best == nil {
+		best = c.newCluster(t)
+		c.clusters = append(c.clusters, best)
+	}
+	at := c.add(best, d)
+	if len(best.members) >= 4 {
+		if ai, bi, diameter := best.farthest(c.cfg.MaxMembersTracked); diameter > c.cfg.SplitDiameter {
+			best = c.split(best, ai, bi, at)
 		}
-		c.nextID++
-		cl.add(member{tokens: tokens, text: text}, c.cfg.MaxMembersTracked)
-		c.clusters = append(c.clusters, cl)
-		return cl.ID, true
 	}
-	cl := c.clusters[best]
-	cl.add(member{tokens: tokens, text: text}, c.cfg.MaxMembersTracked)
-	cl.updateCentroid()
-	if cl.diameter() > c.cfg.SplitDiameter && len(cl.members) >= 4 {
-		c.split(best)
-	}
-	return cl.ID, true
+	return best.id, true
+}
+
+func (c *Clusterer) newCluster(created time.Time) *cluster {
+	cl := &cluster{id: fmt.Sprintf("cluster-%d", c.nextID), created: created}
+	c.nextID++
+	return cl
 }
 
 // Clusters returns a snapshot of current clusters sorted by descending size.
 func (c *Clusterer) Clusters() []Cluster {
 	out := make([]Cluster, len(c.clusters))
 	for i, cl := range c.clusters {
-		out[i] = Cluster{ID: cl.ID, Centroid: copySet(cl.Centroid), Size: cl.Size, Created: cl.Created}
+		centroid := make(map[string]bool, len(cl.centroid))
+		for _, m := range cl.members {
+			for _, tok := range m.Tokens {
+				if _, ok := slices.BinarySearch(cl.centroid, textutil.Hash(tok)); ok {
+					centroid[tok] = true
+				}
+			}
+		}
+		out[i] = Cluster{ID: cl.id, Centroid: centroid, Size: cl.size, Created: cl.created}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Size != out[j].Size {
@@ -135,20 +173,19 @@ func (c *Clusterer) Compact() int {
 	for i := 0; i < len(c.clusters); i++ {
 		for j := i + 1; j < len(c.clusters); j++ {
 			a, b := c.clusters[i], c.clusters[j]
-			if textutil.JaccardDistance(a.Centroid, b.Centroid) > c.cfg.JoinThreshold {
+			if textutil.JaccardDistance(a.centroid, b.centroid) > c.cfg.JoinThreshold {
 				continue
 			}
 			// Merge the smaller into the larger.
-			if b.Size > a.Size {
+			if b.size > a.size {
 				a, b = b, a
 				c.clusters[i] = a
 			}
-			a.Size += b.Size
+			a.size += b.size
 			for _, m := range b.members {
-				a.add(m, c.cfg.MaxMembersTracked)
-				a.Size-- // add() already counted the member once via Size++
+				c.add(a, m)
+				a.size-- // add already counted the member once
 			}
-			a.updateCentroid()
 			c.clusters = append(c.clusters[:j], c.clusters[j+1:]...)
 			merges++
 			j--
@@ -157,107 +194,113 @@ func (c *Clusterer) Compact() int {
 	return merges
 }
 
-func (cl *Cluster) add(m member, maxTracked int) {
-	cl.Size++
-	if len(cl.members) < maxTracked {
-		cl.members = append(cl.members, m)
-		return
+// add counts one more post in cl and puts it in the tracked sample, at the
+// returned position: appended while the sample has room, then in place of
+// the member a deterministic rotation picks, which keeps the sample fresh
+// without randomness or unbounded growth.
+func (c *Clusterer) add(cl *cluster, d textutil.Doc) (at int) {
+	max := c.cfg.MaxMembersTracked
+	cl.size++
+	if at = len(cl.members); at < max {
+		cl.members = append(cl.members, d)
+		cl.dist = append(cl.dist, make([]float64, max)...)
+	} else {
+		at = cl.size % max
+		c.adjust(cl, cl.members[at].Set, -1)
+		cl.members[at] = d
 	}
-	// Reservoir-style replacement keeps the sample fresh without
-	// unbounded growth; deterministic rotation avoids randomness here.
-	cl.members[cl.Size%maxTracked] = m
-}
+	for j, m := range cl.members {
+		if j != at {
+			dist := textutil.JaccardDistance(d.Set, m.Set)
+			cl.dist[at*max+j], cl.dist[j*max+at] = dist, dist
+		}
+	}
+	c.adjust(cl, d.Set, +1)
 
-// updateCentroid recomputes the centroid as the set of tokens appearing in
-// at least half of the tracked members (a medoid-like set centroid suited
-// to Jaccard space).
-func (cl *Cluster) updateCentroid() {
-	counts := make(map[string]int)
-	for _, m := range cl.members {
-		for tok := range m.tokens {
-			counts[tok]++
-		}
-	}
 	threshold := (len(cl.members) + 1) / 2
-	centroid := make(map[string]bool)
-	for tok, n := range counts {
-		if n >= threshold {
-			centroid[tok] = true
+	cl.centroid = cl.centroid[:0]
+	for _, tc := range cl.counts {
+		if tc.n >= threshold {
+			cl.centroid = append(cl.centroid, tc.hash)
 		}
 	}
-	if len(centroid) == 0 {
+	if len(cl.centroid) == 0 {
 		// Degenerate case (no common tokens): fall back to the union to
 		// keep the centroid non-empty.
-		for tok := range counts {
-			centroid[tok] = true
+		for _, tc := range cl.counts {
+			cl.centroid = append(cl.centroid, tc.hash)
 		}
 	}
-	cl.Centroid = centroid
+	return at
 }
 
-// diameter estimates the max pairwise Jaccard distance among tracked
-// members.
-func (cl *Cluster) diameter() float64 {
-	maxD := 0.0
-	for i := 0; i < len(cl.members); i++ {
+// adjust adds delta to the member count of every token in set, one merge
+// over the two sorted lists; a token whose count reaches zero is dropped.
+func (c *Clusterer) adjust(cl *cluster, set []uint64, delta int) {
+	out := c.spare[:0]
+	old := cl.counts
+	for _, h := range set {
+		for len(old) > 0 && old[0].hash < h {
+			out = append(out, old[0])
+			old = old[1:]
+		}
+		tc := tokenCount{hash: h}
+		if len(old) > 0 && old[0].hash == h {
+			tc, old = old[0], old[1:]
+		}
+		if tc.n += delta; tc.n > 0 {
+			out = append(out, tc)
+		}
+	}
+	out = append(out, old...)
+	cl.counts, c.spare = out, cl.counts
+}
+
+// farthest returns the first pair of tracked members, in index order, that
+// is farthest apart, and their Jaccard distance: the cluster's diameter.
+func (cl *cluster) farthest(max int) (ai, bi int, diameter float64) {
+	ai, bi, diameter = 0, 1, -1
+	for i := range cl.members {
 		for j := i + 1; j < len(cl.members); j++ {
-			d := textutil.JaccardDistance(cl.members[i].tokens, cl.members[j].tokens)
-			if d > maxD {
-				maxD = d
+			if d := cl.dist[i*max+j]; d > diameter {
+				ai, bi, diameter = i, j, d
 			}
 		}
 	}
-	return maxD
+	return ai, bi, diameter
 }
 
-// split breaks cluster idx in two around its two most distant members,
+// split breaks cl in two around its two most distant members ai and bi,
 // mirroring the paper's "a cluster will be broken into two clusters if the
-// diameter is larger than a threshold" rule.
-func (c *Clusterer) split(idx int) {
-	cl := c.clusters[idx]
-	ai, bi := 0, 1
-	maxD := -1.0
-	for i := 0; i < len(cl.members); i++ {
-		for j := i + 1; j < len(cl.members); j++ {
-			d := textutil.JaccardDistance(cl.members[i].tokens, cl.members[j].tokens)
-			if d > maxD {
-				maxD, ai, bi = d, i, j
-			}
-		}
-	}
-	seedA, seedB := cl.members[ai], cl.members[bi]
-	newCl := &Cluster{
-		ID:      fmt.Sprintf("cluster-%d", c.nextID),
-		Created: cl.Created,
-	}
-	c.nextID++
-	var keep, move []member
-	for _, m := range cl.members {
-		da := textutil.JaccardDistance(m.tokens, seedA.tokens)
-		db := textutil.JaccardDistance(m.tokens, seedB.tokens)
-		if db < da {
+// diameter is larger than a threshold" rule. It returns whichever of the
+// two now tracks the member that was at position at.
+func (c *Clusterer) split(cl *cluster, ai, bi, at int) *cluster {
+	max := c.cfg.MaxMembersTracked
+	moves := func(i int) bool { return cl.dist[i*max+bi] < cl.dist[i*max+ai] }
+	var keep, move []textutil.Doc
+	for i, m := range cl.members {
+		if moves(i) {
 			move = append(move, m)
 		} else {
 			keep = append(keep, m)
 		}
 	}
 	if len(move) == 0 || len(keep) == 0 {
-		return // split failed to separate; keep as-is
+		return cl // split failed to separate; keep as-is
 	}
-	moved := len(move)
-	cl.members = keep
-	cl.Size -= moved
-	cl.updateCentroid()
-	newCl.members = move
-	newCl.Size = moved
-	newCl.updateCentroid()
+	holder, newCl := cl, c.newCluster(cl.created)
+	if moves(at) {
+		holder = newCl
+	}
+	size := cl.size - len(move)
+	*cl = cluster{id: cl.id, created: cl.created}
+	for _, m := range keep {
+		c.add(cl, m)
+	}
+	for _, m := range move {
+		c.add(newCl, m)
+	}
+	cl.size = size
 	c.clusters = append(c.clusters, newCl)
-}
-
-func copySet(s map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(s))
-	for k := range s {
-		out[k] = true
-	}
-	return out
+	return holder
 }

@@ -86,6 +86,55 @@ func TestDriftingClusterSplits(t *testing.T) {
 	}
 }
 
+// TestSplitReturnsHoldingCluster is TestDriftingClusterSplits' stream with
+// one shared word, so that the football posts do join the marathon cluster
+// (there they share nothing with its centroid and seed their own). The
+// first one stretches the diameter past the threshold, is the split's far
+// seed and moves to the new cluster: the ID it is reported under must be
+// the new cluster's, not the one it left.
+func TestSplitReturnsHoldingCluster(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.JoinThreshold = 0.99
+	cfg.SplitDiameter = 0.8
+	c := New(cfg)
+	var marathon string
+	for i := 0; i < 4; i++ {
+		marathon, _ = c.Assign(fmt.Sprintf("marathon explosion smoke everywhere %d", i), at())
+	}
+	if c.Len() != 1 {
+		t.Fatalf("%d clusters after the marathon posts, want 1", c.Len())
+	}
+	for i := 0; i < 4; i++ {
+		football, _ := c.Assign(fmt.Sprintf("football touchdown crowd cheering marathon %d", i), at())
+		if c.Len() != 2 {
+			t.Fatalf("%d clusters after football post %d, want the one split into 2", c.Len(), i)
+		}
+		if football == marathon {
+			t.Fatalf("football post %d is reported under the marathon cluster %s", i, marathon)
+		}
+		for _, cl := range c.Clusters() {
+			if cl.Centroid["football"] != (cl.ID == football) || cl.Centroid["smoke"] != (cl.ID == marathon) {
+				t.Errorf("cluster %s has centroid %v; football was assigned %s, marathon %s", cl.ID, cl.Centroid, football, marathon)
+			}
+		}
+	}
+}
+
+// TestFailedSplitKeepsClusterIDsDense: a split that cannot separate its
+// members (only possible below a zero diameter threshold) must not use up
+// a cluster ID.
+func TestFailedSplitKeepsClusterIDsDense(t *testing.T) {
+	c := New(Config{JoinThreshold: 0.7, SplitDiameter: -1})
+	for i := 0; i < 6; i++ {
+		if id, _ := c.Assign("bomb threat at the jfk library", at()); id != "cluster-0" || c.Len() != 1 {
+			t.Fatalf("identical post %d: assigned %s with %d clusters", i, id, c.Len())
+		}
+	}
+	if id, _ := c.Assign("quarterback injured in the football game", at()); id != "cluster-1" {
+		t.Errorf("second cluster is %s, want cluster-1", id)
+	}
+}
+
 func TestClusterSizesConserved(t *testing.T) {
 	c := New(DefaultConfig())
 	n := 50

@@ -10,6 +10,7 @@ import (
 
 	"github.com/social-sensing/sstd/internal/nlp"
 	"github.com/social-sensing/sstd/internal/socialsensing"
+	"github.com/social-sensing/sstd/internal/textutil"
 )
 
 // Post is a raw social-media observation before semantic scoring: a source
@@ -87,22 +88,27 @@ func NewScorer(opts ...Option) *Scorer {
 // returns the resulting report. Posts must arrive in non-decreasing time
 // order per claim for independence detection to work.
 func (s *Scorer) ScorePost(p Post) socialsensing.Report {
+	return s.ScoreDoc(p, textutil.NewDoc(p.Text))
+}
+
+// ScoreDoc is ScorePost for a post whose text is already tokenized into d.
+func (s *Scorer) ScoreDoc(p Post, d textutil.Doc) socialsensing.Report {
 	r := socialsensing.Report{
 		Source:    p.Source,
 		Claim:     p.Claim,
 		Timestamp: p.Timestamp,
 		Text:      p.Text,
 	}
-	r.Attitude = s.attitude.Score(p.Text)
+	r.Attitude = s.attitude.ScoreDoc(d)
 	if s.DisableUncertainty {
 		r.Uncertainty = 0
 	} else {
-		r.Uncertainty = s.hedge.Uncertainty(p.Text)
+		r.Uncertainty = s.hedge.UncertaintyDoc(d)
 	}
 	if s.DisableIndependence {
 		r.Independence = 1
 	} else {
-		r.Independence = s.independence.Score(string(p.Claim), p.Text, p.Timestamp)
+		r.Independence = s.independence.ScoreDoc(string(p.Claim), d, p.Timestamp)
 	}
 	return r
 }

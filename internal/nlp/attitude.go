@@ -16,6 +16,12 @@ import (
 // "rumor", "debunked", "not true") flips a report to Disagree; supportive
 // keywords (or the absence of denial for the emergency traces) yield Agree.
 type AttitudeScorer struct {
+	deny, support               []uint64   // token hash sets
+	denyPhrases, supportPhrases [][]string // token sequences
+}
+
+// Lexicon lists the markers an AttitudeScorer looks for.
+type Lexicon struct {
 	// DenyWords are single tokens indicating the source rejects the claim.
 	DenyWords []string
 	// DenyPhrases are multi-token denial expressions.
@@ -30,21 +36,32 @@ type AttitudeScorer struct {
 	SupportPhrases []string
 }
 
-// NewDefaultAttitudeScorer returns the scorer configured with the denial
-// lexicon the paper lists for the emergency traces. Reports without denial
-// markers are treated as agreeing with the claim they were clustered into.
-func NewDefaultAttitudeScorer() *AttitudeScorer {
+// NewAttitudeScorer compiles a lexicon: words into hash sets, phrases into
+// token sequences.
+func NewAttitudeScorer(lex Lexicon) *AttitudeScorer {
+	phrases := func(in []string) [][]string {
+		out := make([][]string, len(in))
+		for i, p := range in {
+			out[i] = textutil.Tokenize(p)
+		}
+		return out
+	}
 	return &AttitudeScorer{
-		DenyWords:   []string{"false", "fake", "rumor", "rumour", "hoax", "debunked", "untrue", "misinformation"},
-		DenyPhrases: []string{"not true", "no truth", "didn't happen", "did not happen", "fake news"},
+		deny:           textutil.HashSet(lex.DenyWords),
+		support:        textutil.HashSet(lex.SupportWords),
+		denyPhrases:    phrases(lex.DenyPhrases),
+		supportPhrases: phrases(lex.SupportPhrases),
 	}
 }
 
-// NewSportsAttitudeScorer returns the scorer configured for the College
-// Football trace: tweets containing score-change language agree with the
-// "score changed" claim, everything else disagrees.
-func NewSportsAttitudeScorer() *AttitudeScorer {
-	return &AttitudeScorer{
+// The denial lexicon the paper lists for the emergency traces, and the
+// lexicon for the College Football trace.
+var (
+	defaultLexicon = Lexicon{
+		DenyWords:   []string{"false", "fake", "rumor", "rumour", "hoax", "debunked", "untrue", "misinformation"},
+		DenyPhrases: []string{"not true", "no truth", "didn't happen", "did not happen", "fake news"},
+	}
+	sportsLexicon = Lexicon{
 		DenyWords:   []string{"false", "fake", "rumor", "rumour"},
 		DenyPhrases: []string{"not true", "no score", "still scoreless"},
 		SupportWords: []string{
@@ -52,33 +69,45 @@ func NewSportsAttitudeScorer() *AttitudeScorer {
 		},
 		SupportPhrases: []string{"taking the lead", "takes the lead", "field goal", "in the lead"},
 	}
-}
+)
+
+// NewDefaultAttitudeScorer returns the scorer configured with the
+// emergency lexicon. Reports without denial markers are treated as agreeing
+// with the claim they were clustered into.
+func NewDefaultAttitudeScorer() *AttitudeScorer { return NewAttitudeScorer(defaultLexicon) }
+
+// NewSportsAttitudeScorer returns the scorer configured for the College
+// Football trace: tweets containing score-change language agree with the
+// "score changed" claim, everything else disagrees.
+func NewSportsAttitudeScorer() *AttitudeScorer { return NewAttitudeScorer(sportsLexicon) }
 
 // Score returns the attitude of the report text: Disagree when a denial
-// marker is present, otherwise Agree (or Disagree when SupportWords are
+// marker is present, otherwise Agree (or Disagree when support markers are
 // configured and none match). Empty text yields NoReport.
 func (s *AttitudeScorer) Score(text string) socialsensing.Attitude {
-	if len(textutil.Tokenize(text)) == 0 {
+	return s.ScoreDoc(textutil.NewDoc(text))
+}
+
+// ScoreDoc is Score for a text that is already tokenized.
+func (s *AttitudeScorer) ScoreDoc(d textutil.Doc) socialsensing.Attitude {
+	switch {
+	case len(d.Tokens) == 0:
 		return socialsensing.NoReport
-	}
-	if textutil.ContainsAny(text, s.DenyWords) {
+	case d.HasAny(s.deny) || hasAnyPhrase(d, s.denyPhrases):
 		return socialsensing.Disagree
-	}
-	for _, p := range s.DenyPhrases {
-		if textutil.ContainsPhrase(text, p) {
-			return socialsensing.Disagree
-		}
-	}
-	if len(s.SupportWords) == 0 && len(s.SupportPhrases) == 0 {
+	case len(s.support) == 0 && len(s.supportPhrases) == 0:
 		return socialsensing.Agree
-	}
-	if textutil.ContainsAny(text, s.SupportWords) {
+	case d.HasAny(s.support) || hasAnyPhrase(d, s.supportPhrases):
 		return socialsensing.Agree
-	}
-	for _, p := range s.SupportPhrases {
-		if textutil.ContainsPhrase(text, p) {
-			return socialsensing.Agree
-		}
 	}
 	return socialsensing.Disagree
+}
+
+func hasAnyPhrase(d textutil.Doc, phrases [][]string) bool {
+	for _, p := range phrases {
+		if d.HasPhrase(p) {
+			return true
+		}
+	}
+	return false
 }

@@ -2,6 +2,8 @@ package nlp
 
 import (
 	"errors"
+
+	"github.com/social-sensing/sstd/internal/textutil"
 )
 
 // HedgeClassifier is a multinomial Naive Bayes text classifier that scores
@@ -56,8 +58,11 @@ func NewDefaultHedgeClassifier() *HedgeClassifier {
 // Uncertainty returns P(hedged | text) in (0,1) under the NB model. Text
 // with no known tokens falls back to the class prior.
 func (c *HedgeClassifier) Uncertainty(text string) float64 {
-	return c.nb.probPositive(text)
+	return c.UncertaintyDoc(textutil.NewDoc(text))
 }
+
+// UncertaintyDoc is Uncertainty for a text that is already tokenized.
+func (c *HedgeClassifier) UncertaintyDoc(d textutil.Doc) float64 { return c.nb.probPositive(d) }
 
 // VocabSize reports the number of distinct training tokens (used in tests
 // and diagnostics).

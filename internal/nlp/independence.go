@@ -31,7 +31,7 @@ type IndependenceScorer struct {
 
 type seenReport struct {
 	at     time.Time
-	tokens map[string]bool
+	tokens []uint64 // the report's Doc.Set
 }
 
 // NewIndependenceScorer returns a scorer with the default window and
@@ -50,32 +50,31 @@ func NewIndependenceScorer() *IndependenceScorer {
 // records it for future comparisons. Calls must be made in non-decreasing
 // time order per claim.
 func (s *IndependenceScorer) Score(claimID, text string, t time.Time) float64 {
+	return s.ScoreDoc(claimID, textutil.NewDoc(text), t)
+}
+
+// ScoreDoc is Score for a text that is already tokenized.
+func (s *IndependenceScorer) ScoreDoc(claimID string, d textutil.Doc, t time.Time) float64 {
 	if s.recent == nil {
 		s.recent = make(map[string][]seenReport)
 	}
-	toks := textutil.TokenSet(text)
+	window := s.recent[claimID]
 	score := s.OriginalScore
-	if isRetweet(text) {
+	if isRetweet(d.Lower) {
 		score = s.CopyScore
 	} else {
-		for _, prev := range s.recent[claimID] {
+		for _, prev := range window {
 			if t.Sub(prev.at) > s.Window {
 				continue
 			}
-			if textutil.Jaccard(toks, prev.tokens) >= s.SimilarityThreshold {
+			if textutil.Jaccard(d.Set, prev.tokens) >= s.SimilarityThreshold {
 				score = s.CopyScore
 				break
 			}
 		}
 	}
-	s.remember(claimID, seenReport{at: t, tokens: toks})
-	return score
-}
-
-// remember appends the report and drops entries older than the window.
-func (s *IndependenceScorer) remember(claimID string, r seenReport) {
-	window := s.recent[claimID]
-	cutoff := r.at.Add(-s.Window)
+	// Remember the report and drop entries older than the window.
+	cutoff := t.Add(-s.Window)
 	keep := 0
 	for _, prev := range window {
 		if !prev.at.Before(cutoff) {
@@ -83,8 +82,8 @@ func (s *IndependenceScorer) remember(claimID string, r seenReport) {
 			keep++
 		}
 	}
-	window = window[:keep]
-	s.recent[claimID] = append(window, r)
+	s.recent[claimID] = append(window[:keep], seenReport{at: t, tokens: d.Set})
+	return score
 }
 
 // Reset discards all remembered reports.
@@ -92,9 +91,9 @@ func (s *IndependenceScorer) Reset() {
 	s.recent = make(map[string][]seenReport)
 }
 
-// isRetweet detects the conventional retweet markers.
-func isRetweet(text string) bool {
-	lt := strings.ToLower(strings.TrimSpace(text))
+// isRetweet detects the conventional retweet markers in lowercased text.
+func isRetweet(lower string) bool {
+	lt := strings.TrimSpace(lower)
 	return strings.HasPrefix(lt, "rt @") || strings.HasPrefix(lt, "rt:") ||
 		strings.Contains(lt, "retweet")
 }

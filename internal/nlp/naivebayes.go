@@ -3,6 +3,7 @@ package nlp
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/social-sensing/sstd/internal/textutil"
@@ -10,15 +11,16 @@ import (
 
 // binaryNB is a multinomial Naive Bayes model over two classes (positive /
 // negative) with Laplace smoothing — the shared core behind the hedge and
-// stance classifiers.
+// stance classifiers. Training leaves only what scoring reads: the two
+// log-likelihood tables and the log priors.
 type binaryNB struct {
-	vocab     map[string]int
-	posCounts []float64
-	negCounts []float64
-	posTotal  float64
-	negTotal  float64
-	posDocs   int
-	negDocs   int
+	// keys is the vocabulary as sorted token hashes; vocab, logPos and
+	// logNeg are indexed like it.
+	keys           []uint64
+	vocab          []string
+	logPos, logNeg []float64
+	priorPos       float64
+	priorNeg       float64
 }
 
 // errNBEmptyCorpus is returned when either class has no examples.
@@ -29,58 +31,52 @@ func trainBinaryNB(texts []string, positive []bool) (*binaryNB, error) {
 	if len(texts) != len(positive) {
 		return nil, errors.New("nlp: texts and labels length mismatch")
 	}
-	nb := &binaryNB{vocab: make(map[string]int)}
-	type doc struct {
-		tokens []string
-		pos    bool
-	}
-	docs := make([]doc, 0, len(texts))
+	// counts[token] is the token's occurrences in {negative, positive}
+	// examples; totals and docs are the per-class sums.
+	counts := make(map[string][2]float64)
+	var totals, docs [2]float64
 	for i, text := range texts {
-		toks := textutil.Tokenize(text)
-		docs = append(docs, doc{tokens: toks, pos: positive[i]})
-		for _, t := range toks {
-			if _, ok := nb.vocab[t]; !ok {
-				nb.vocab[t] = len(nb.vocab)
-			}
-		}
+		class := 0
 		if positive[i] {
-			nb.posDocs++
-		} else {
-			nb.negDocs++
+			class = 1
+		}
+		docs[class]++
+		for _, t := range textutil.Tokenize(text) {
+			c := counts[t]
+			c[class]++
+			counts[t] = c
+			totals[class]++
 		}
 	}
-	if nb.posDocs == 0 || nb.negDocs == 0 {
+	if docs[0] == 0 || docs[1] == 0 {
 		return nil, errNBEmptyCorpus
 	}
-	nb.posCounts = make([]float64, len(nb.vocab))
-	nb.negCounts = make([]float64, len(nb.vocab))
-	for _, d := range docs {
-		for _, t := range d.tokens {
-			idx := nb.vocab[t]
-			if d.pos {
-				nb.posCounts[idx]++
-				nb.posTotal++
-			} else {
-				nb.negCounts[idx]++
-				nb.negTotal++
-			}
-		}
+	nb := &binaryNB{
+		priorPos: math.Log(docs[1] / (docs[1] + docs[0])),
+		priorNeg: math.Log(docs[0] / (docs[1] + docs[0])),
+		vocab:    make([]string, 0, len(counts)),
+	}
+	for t := range counts {
+		nb.vocab = append(nb.vocab, t)
+	}
+	sort.Slice(nb.vocab, func(i, j int) bool { return textutil.Hash(nb.vocab[i]) < textutil.Hash(nb.vocab[j]) })
+	v := float64(len(nb.vocab))
+	for _, t := range nb.vocab {
+		nb.keys = append(nb.keys, textutil.Hash(t))
+		nb.logPos = append(nb.logPos, math.Log((counts[t][1]+1)/(totals[1]+v)))
+		nb.logNeg = append(nb.logNeg, math.Log((counts[t][0]+1)/(totals[0]+v)))
 	}
 	return nb, nil
 }
 
-// probPositive returns P(positive | text), clamped strictly inside (0,1).
-func (nb *binaryNB) probPositive(text string) float64 {
-	v := float64(len(nb.vocab))
-	logPos := math.Log(float64(nb.posDocs) / float64(nb.posDocs+nb.negDocs))
-	logNeg := math.Log(float64(nb.negDocs) / float64(nb.posDocs+nb.negDocs))
-	for _, t := range textutil.Tokenize(text) {
-		idx, ok := nb.vocab[t]
-		if !ok {
-			continue
+// probPositive returns P(positive | doc), clamped strictly inside (0,1).
+func (nb *binaryNB) probPositive(d textutil.Doc) float64 {
+	logPos, logNeg := nb.priorPos, nb.priorNeg
+	for _, t := range d.Tokens {
+		if idx, ok := slices.BinarySearch(nb.keys, textutil.Hash(t)); ok {
+			logPos += nb.logPos[idx]
+			logNeg += nb.logNeg[idx]
 		}
-		logPos += math.Log((nb.posCounts[idx] + 1) / (nb.posTotal + v))
-		logNeg += math.Log((nb.negCounts[idx] + 1) / (nb.negTotal + v))
 	}
 	m := math.Max(logPos, logNeg)
 	pp := math.Exp(logPos - m)
@@ -99,12 +95,9 @@ type scoredToken struct {
 // topPositiveTokens ranks vocabulary by log-likelihood ratio toward the
 // positive class.
 func (nb *binaryNB) topPositiveTokens(n int) []string {
-	v := float64(len(nb.vocab))
 	all := make([]scoredToken, 0, len(nb.vocab))
-	for tok, idx := range nb.vocab {
-		lp := math.Log((nb.posCounts[idx] + 1) / (nb.posTotal + v))
-		ln := math.Log((nb.negCounts[idx] + 1) / (nb.negTotal + v))
-		all = append(all, scoredToken{tok, lp - ln})
+	for idx, tok := range nb.vocab {
+		all = append(all, scoredToken{tok, nb.logPos[idx] - nb.logNeg[idx]})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].score != all[j].score {

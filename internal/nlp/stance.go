@@ -15,6 +15,8 @@ import (
 // it.
 type AttitudeModel interface {
 	Score(text string) socialsensing.Attitude
+	// ScoreDoc is Score for a text that is already tokenized.
+	ScoreDoc(d textutil.Doc) socialsensing.Attitude
 }
 
 // Interface compliance checks.
@@ -74,16 +76,21 @@ func NewDefaultStanceClassifier() *StanceClassifier {
 
 // SupportProbability returns P(text supports its claim) in (0,1).
 func (c *StanceClassifier) SupportProbability(text string) float64 {
-	return c.nb.probPositive(text)
+	return c.nb.probPositive(textutil.NewDoc(text))
 }
 
 // Score implements AttitudeModel: Agree above the neutral band, Disagree
 // below it, NoReport inside it or for empty text.
 func (c *StanceClassifier) Score(text string) socialsensing.Attitude {
-	if len(textutil.Tokenize(text)) == 0 {
+	return c.ScoreDoc(textutil.NewDoc(text))
+}
+
+// ScoreDoc is Score for a text that is already tokenized.
+func (c *StanceClassifier) ScoreDoc(d textutil.Doc) socialsensing.Attitude {
+	if len(d.Tokens) == 0 {
 		return socialsensing.NoReport
 	}
-	p := c.SupportProbability(text)
+	p := c.nb.probPositive(d)
 	switch {
 	case p > 0.5+c.NeutralBand:
 		return socialsensing.Agree

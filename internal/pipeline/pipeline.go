@@ -15,6 +15,7 @@ import (
 	"github.com/social-sensing/sstd/internal/core"
 	"github.com/social-sensing/sstd/internal/obs"
 	"github.com/social-sensing/sstd/internal/socialsensing"
+	"github.com/social-sensing/sstd/internal/textutil"
 )
 
 // RawPost is an unprocessed observation: who said what, when.
@@ -97,27 +98,38 @@ func New(cfg Config) (*Pipeline, error) {
 func (p *Pipeline) Process(post RawPost) (claim socialsensing.ClaimID, kept bool, err error) {
 	p.posts++
 	p.cPosts.Inc()
-	clusterID, ok := p.clusterer.Assign(post.Text, post.Time)
+	report, ok := p.frontEnd(post)
 	if !ok {
 		p.filtered++
 		p.cFiltered.Inc()
 		return "", false, nil
 	}
-	report := p.scorer.ScorePost(contrib.Post{
-		Source:    post.Source,
-		Claim:     socialsensing.ClaimID(clusterID),
-		Timestamp: post.Time,
-		Text:      post.Text,
-	})
 	if err := p.engine.Ingest(report); err != nil {
 		p.logger.Error("pipeline ingest failed",
-			obs.F("claim", string(clusterID)), obs.F("source", string(post.Source)), obs.Err(err))
+			obs.F("claim", string(report.Claim)), obs.F("source", string(post.Source)), obs.Err(err))
 		return "", false, fmt.Errorf("pipeline: ingest: %w", err)
 	}
 	p.kept++
 	p.cKept.Inc()
 	p.gClusters.SetInt(p.clusterer.Len())
-	return socialsensing.ClaimID(clusterID), true, nil
+	return report.Claim, true, nil
+}
+
+// frontEnd is the paper's preprocessing (§V-A2) for one post: tokenize it
+// once, then filter, attribute it to a claim and score it from that one
+// Doc. ok is false when the keyword filter dropped the post.
+func (p *Pipeline) frontEnd(post RawPost) (report socialsensing.Report, ok bool) {
+	doc := textutil.NewDoc(post.Text)
+	clusterID, ok := p.clusterer.AssignDoc(doc, post.Time)
+	if !ok {
+		return report, false
+	}
+	return p.scorer.ScoreDoc(contrib.Post{
+		Source:    post.Source,
+		Claim:     socialsensing.ClaimID(clusterID),
+		Timestamp: post.Time,
+		Text:      post.Text,
+	}, doc), true
 }
 
 // ProcessAll routes a batch of posts in order.

@@ -1,118 +1,130 @@
 // Package textutil provides the lightweight text processing primitives used
-// throughout the pipeline: tokenization, normalization, Jaccard similarity
-// and shingling. Jaccard distance over token sets is the micro-blog
-// clustering metric used by the paper (citing Uddin et al.).
+// throughout the pipeline: one-pass tokenization of a post into a Doc and
+// Jaccard similarity over hashed token sets. Jaccard distance over token
+// sets is the micro-blog clustering metric used by the paper (citing Uddin
+// et al.).
 package textutil
 
 import (
+	"slices"
 	"strings"
 	"unicode"
 )
 
-// Tokenize splits text into lowercase word tokens. Hashtags and mentions
-// keep their leading marker stripped so "#osu" and "osu" collide, matching
-// the keyword-matching heuristics of the paper's preprocessing. Punctuation
-// is dropped; URLs are kept whole so retweet detection can match them.
-func Tokenize(text string) []string {
-	var tokens []string
-	fields := strings.Fields(text)
+// Doc is one text tokenized once, in the two forms the raw-post path
+// reads: the token sequence (phrase matching, Naive Bayes lookups) and the
+// set of its tokens as sorted, distinct 64-bit hashes (Jaccard, lexicon
+// tests). A Doc is immutable and its slices may be shared.
+//
+// Sets compare tokens by Hash alone. Two distinct tokens collide with
+// probability 2⁻⁶⁴ per pair, so a vocabulary of a million tokens holds a
+// colliding pair with probability below 3·10⁻⁸; a collision would merge
+// the two tokens in every set and nothing else. The shipped vocabulary
+// (trace generator, both Naive Bayes corpora, the attitude lexicons) is
+// tested collision-free.
+type Doc struct {
+	// Lower is the lowercased text the tokens are slices of.
+	Lower string
+	// Tokens is the token sequence, as Tokenize returns it.
+	Tokens []string
+	// Set is Hash of every token: ascending, without repeats.
+	Set []uint64
+}
+
+// NewDoc tokenizes text. Hashtags and mentions keep their leading marker
+// stripped so "#osu" and "osu" collide, matching the keyword-matching
+// heuristics of the paper's preprocessing. Punctuation is dropped; URLs
+// are kept whole so retweet detection can match them.
+func NewDoc(text string) Doc {
+	d := Doc{Lower: strings.ToLower(text)}
+	fields := strings.Fields(d.Lower)
+	tokens := fields[:0] // filtered and trimmed in place
 	for _, f := range fields {
-		lf := strings.ToLower(f)
-		if strings.HasPrefix(lf, "http://") || strings.HasPrefix(lf, "https://") {
-			tokens = append(tokens, lf)
-			continue
+		if !strings.HasPrefix(f, "http://") && !strings.HasPrefix(f, "https://") {
+			f = strings.TrimFunc(f, func(r rune) bool {
+				return !unicode.IsLetter(r) && !unicode.IsNumber(r)
+			})
 		}
-		cleaned := strings.TrimFunc(lf, func(r rune) bool {
-			return !unicode.IsLetter(r) && !unicode.IsNumber(r)
-		})
-		cleaned = strings.TrimLeft(cleaned, "#@")
-		if cleaned != "" {
-			tokens = append(tokens, cleaned)
+		if f != "" {
+			tokens = append(tokens, f)
 		}
 	}
-	return tokens
-}
-
-// TokenSet returns the set of distinct tokens in text.
-func TokenSet(text string) map[string]bool {
-	toks := Tokenize(text)
-	set := make(map[string]bool, len(toks))
-	for _, t := range toks {
-		set[t] = true
+	if len(tokens) > 0 { // none is the nil sequence
+		d.Tokens = tokens
 	}
-	return set
+	d.Set = HashSet(d.Tokens)
+	return d
 }
 
-// Jaccard returns the Jaccard similarity |A∩B| / |A∪B| of two token sets.
+// Tokenize splits text into lowercase word tokens (NewDoc's sequence).
+func Tokenize(text string) []string { return NewDoc(text).Tokens }
+
+// Hash is the 64-bit FNV-1a hash of a token.
+func Hash(token string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(token); i++ {
+		h ^= uint64(token[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
+// HashSet returns the set of tokens as sorted, distinct hashes. The tokens
+// are hashed as given: a lexicon entry that Tokenize would not produce
+// matches nothing.
+func HashSet(tokens []string) []uint64 {
+	set := make([]uint64, len(tokens))
+	for i, tok := range tokens {
+		set[i] = Hash(tok)
+	}
+	slices.Sort(set)
+	return slices.Compact(set)
+}
+
+// intersection counts the hashes two sorted sets share. The merge steps by
+// comparison results instead of branching on them: which side advances is
+// a coin flip the branch predictor loses.
+func intersection(a, b []uint64) int {
+	n := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		x, y := a[i], b[j]
+		n += b2i(x == y)
+		i += b2i(x <= y)
+		j += b2i(y <= x)
+	}
+	return n
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// Jaccard returns the Jaccard similarity |A∩B| / |A∪B| of two hash sets.
 // Two empty sets are defined to have similarity 1.
-func Jaccard(a, b map[string]bool) float64 {
+func Jaccard(a, b []uint64) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
-	inter := 0
-	small, large := a, b
-	if len(b) < len(a) {
-		small, large = b, a
-	}
-	for t := range small {
-		if large[t] {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	return float64(inter) / float64(union)
+	inter := intersection(a, b)
+	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
 // JaccardDistance returns 1 - Jaccard(a, b).
-func JaccardDistance(a, b map[string]bool) float64 { return 1 - Jaccard(a, b) }
+func JaccardDistance(a, b []uint64) float64 { return 1 - Jaccard(a, b) }
 
-// JaccardText is Jaccard over the token sets of two raw strings.
-func JaccardText(a, b string) float64 { return Jaccard(TokenSet(a), TokenSet(b)) }
+// HasAny reports whether any token of the doc is in the sorted set.
+func (d Doc) HasAny(set []uint64) bool { return intersection(d.Set, set) > 0 }
 
-// Shingles returns the set of contiguous n-grams (joined by a space) of the
-// token sequence. n must be >= 1; shorter inputs yield a single shingle of
-// all tokens (or an empty set for empty input).
-func Shingles(tokens []string, n int) map[string]bool {
-	out := make(map[string]bool)
-	if len(tokens) == 0 || n < 1 {
-		return out
-	}
-	if len(tokens) < n {
-		out[strings.Join(tokens, " ")] = true
-		return out
-	}
-	for i := 0; i+n <= len(tokens); i++ {
-		out[strings.Join(tokens[i:i+n], " ")] = true
-	}
-	return out
-}
-
-// ContainsAny reports whether any needle occurs as a token of text.
-func ContainsAny(text string, needles []string) bool {
-	set := TokenSet(text)
-	for _, n := range needles {
-		if set[n] {
-			return true
-		}
-	}
-	return false
-}
-
-// ContainsPhrase reports whether phrase occurs in text when both are
-// normalized to lowercase token sequences.
-func ContainsPhrase(text, phrase string) bool {
-	tt := Tokenize(text)
-	pt := Tokenize(phrase)
-	if len(pt) == 0 {
-		return true
-	}
-	if len(pt) > len(tt) {
-		return false
-	}
+// HasPhrase reports whether the token sequence phrase occurs contiguously
+// in the doc. The empty phrase occurs in every doc.
+func (d Doc) HasPhrase(phrase []string) bool {
 outer:
-	for i := 0; i+len(pt) <= len(tt); i++ {
-		for j, p := range pt {
-			if tt[i+j] != p {
+	for i := 0; i+len(phrase) <= len(d.Tokens); i++ {
+		for j, p := range phrase {
+			if d.Tokens[i+j] != p {
 				continue outer
 			}
 		}

@@ -45,8 +45,8 @@ func TestJaccard(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := JaccardText(tt.a, tt.b); math.Abs(got-tt.want) > 1e-12 {
-				t.Errorf("JaccardText(%q,%q) = %v, want %v", tt.a, tt.b, got, tt.want)
+			if got := Jaccard(NewDoc(tt.a).Set, NewDoc(tt.b).Set); math.Abs(got-tt.want) > 1e-12 {
+				t.Errorf("Jaccard(%q,%q) = %v, want %v", tt.a, tt.b, got, tt.want)
 			}
 		})
 	}
@@ -55,7 +55,7 @@ func TestJaccard(t *testing.T) {
 func TestJaccardProperties(t *testing.T) {
 	// Symmetry and range.
 	f := func(a, b string) bool {
-		sa, sb := TokenSet(a), TokenSet(b)
+		sa, sb := NewDoc(a).Set, NewDoc(b).Set
 		j1, j2 := Jaccard(sa, sb), Jaccard(sb, sa)
 		if j1 != j2 {
 			return false
@@ -67,7 +67,7 @@ func TestJaccardProperties(t *testing.T) {
 	}
 	// Self-similarity is 1.
 	g := func(a string) bool {
-		s := TokenSet(a)
+		s := NewDoc(a).Set
 		return Jaccard(s, s) == 1
 	}
 	if err := quick.Check(g, nil); err != nil {
@@ -79,14 +79,14 @@ func TestJaccardDistanceTriangleish(t *testing.T) {
 	// Jaccard distance is a metric; spot-check the triangle inequality on
 	// random word soups.
 	words := []string{"boston", "paris", "osu", "shooting", "bombing", "police", "fake", "lead", "score", "touchdown"}
-	mk := func(seed int) map[string]bool {
-		s := make(map[string]bool)
+	mk := func(seed int) []uint64 {
+		var s []string
 		for i, w := range words {
 			if (seed>>i)&1 == 1 {
-				s[w] = true
+				s = append(s, w)
 			}
 		}
-		return s
+		return HashSet(s)
 	}
 	for a := 1; a < 64; a += 7 {
 		for b := 1; b < 64; b += 5 {
@@ -103,34 +103,17 @@ func TestJaccardDistanceTriangleish(t *testing.T) {
 	}
 }
 
-func TestShingles(t *testing.T) {
-	toks := []string{"a", "b", "c", "d"}
-	got := Shingles(toks, 2)
-	want := map[string]bool{"a b": true, "b c": true, "c d": true}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Shingles = %v, want %v", got, want)
-	}
-	if got := Shingles([]string{"a"}, 3); !reflect.DeepEqual(got, map[string]bool{"a": true}) {
-		t.Errorf("short input shingles = %v", got)
-	}
-	if got := Shingles(nil, 2); len(got) != 0 {
-		t.Errorf("empty input shingles = %v", got)
-	}
-	if got := Shingles(toks, 0); len(got) != 0 {
-		t.Errorf("n=0 shingles = %v", got)
-	}
-}
-
 func TestContainsAny(t *testing.T) {
 	text := "Liberals putting out fake claims about the terrorist attack"
-	if !ContainsAny(text, []string{"rumor", "fake"}) {
-		t.Error("ContainsAny missed 'fake'")
+	d := NewDoc(text)
+	if !d.HasAny(HashSet([]string{"rumor", "fake"})) {
+		t.Error("HasAny missed 'fake'")
 	}
-	if ContainsAny(text, []string{"touchdown"}) {
-		t.Error("ContainsAny false positive")
+	if d.HasAny(HashSet([]string{"touchdown"})) {
+		t.Error("HasAny false positive")
 	}
-	if ContainsAny(text, nil) {
-		t.Error("ContainsAny with no needles should be false")
+	if d.HasAny(nil) {
+		t.Error("HasAny with no needles should be false")
 	}
 }
 
@@ -148,16 +131,16 @@ func TestContainsPhrase(t *testing.T) {
 		{"the irish are taking the lead in the game extra words", false},
 	}
 	for _, tt := range tests {
-		if got := ContainsPhrase(text, tt.phrase); got != tt.want {
-			t.Errorf("ContainsPhrase(%q) = %v, want %v", tt.phrase, got, tt.want)
+		if got := NewDoc(text).HasPhrase(Tokenize(tt.phrase)); got != tt.want {
+			t.Errorf("HasPhrase(%q) = %v, want %v", tt.phrase, got, tt.want)
 		}
 	}
 }
 
 func TestTokenSetDedups(t *testing.T) {
-	set := TokenSet("boston boston BOSTON #boston")
-	if len(set) != 1 || !set["boston"] {
-		t.Errorf("TokenSet dedup failed: %v", set)
+	set := NewDoc("boston boston BOSTON #boston").Set
+	if len(set) != 1 || set[0] != Hash("boston") {
+		t.Errorf("Doc.Set dedup failed: %v", set)
 	}
 }
 

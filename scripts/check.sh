@@ -3,7 +3,7 @@
 #
 #   scripts/check.sh            tier-1: gofmt + build + tests (the ROADMAP gate)
 #   scripts/check.sh race       tier-2: vet + full test suite under -race
-#   scripts/check.sh bench      microbenchmarks -> BENCH_obs.json + BENCH_hmm.json + BENCH_wire.json
+#   scripts/check.sh bench      microbenchmarks -> BENCH_obs.json + BENCH_hmm.json + BENCH_wire.json; front-end layer benches printed
 #   scripts/check.sh chaos      chaos soak: seeded fault-injection schedules under -race
 #   scripts/check.sh load       10-second capacity smoke sweep -> BENCH_load.json
 #   scripts/check.sh wire       wire-codec batching smoke: round-trip/golden tests + 2-worker batched sweep
@@ -94,6 +94,13 @@ bench() {
 	echo "$out"
 	echo "$out" | bench_json >BENCH_hmm.json
 	echo "wrote BENCH_hmm.json ($(grep -c '"name"' BENCH_hmm.json) benchmarks)"
+
+	# The raw-post front end, layer by layer over one fixed Boston slice
+	# (scale 0.05, seed 42): claim generator, Eq. 1 scorers, and the whole
+	# Process call. Printed, not baselined: CHANGES.md carries the
+	# before/after of the PR that moved them.
+	echo "== bench: front end: BenchmarkAssign, BenchmarkScorePost, BenchmarkProcess =="
+	go test -run '^$' -bench '^Benchmark(Assign|ScorePost|Process)$' -benchmem ./internal/clustering ./internal/contrib ./internal/pipeline
 
 	bench_sched
 }
