@@ -71,7 +71,7 @@ func run() error {
 		sampleEvery = flag.Duration("sample-every", time.Second, "per-worker sampling period for -control-out")
 
 		deadline      = flag.Duration("deadline", 0, "per-job soft deadline: counted hit or missed at completion (a burst of misses trips the flight recorder) and the budget admission control predicts against (0 = none)")
-		admissionRate = flag.Float64("admission-rate", 0, "fitted per-worker service rate (tasks/s) enabling admission control; jobs predicted past -deadline are rejected (from a loadgen capacity fit)")
+		admissionRate = flag.Float64("admission-rate", 0, "measured per-worker service rate (tasks/s) enabling admission control: 1000/(ewmaExecMs+ewmaTransferMs) as /cluster reports it for a busy pool; jobs predicted past -deadline are rejected")
 		admissionShed = flag.Bool("admission-shed", false, "shed over-deadline jobs to a near-zero-priority lane instead of rejecting them")
 
 		chaosSpec = flag.String("chaos-spec", "", "TEST ONLY: fault-injection spec applied to every accepted worker connection, e.g. drop=0.3,corrupt=0.05 (see internal/chaos)")
@@ -318,9 +318,9 @@ func runJobs(ctx context.Context, mgr *dtm.Manager, tr *socialsensing.Trace, min
 	}
 	admitted, rejected := 0, 0
 	for claim, reports := range tr.ReportsByClaim() {
-		// Admission control (-admission-rate) refuses jobs the capacity
-		// model predicts past -deadline instead of letting them queue up
-		// and miss anyway; the gate logs the rejection.
+		// Admission control (-admission-rate) refuses jobs it predicts
+		// past -deadline instead of letting them queue up and miss
+		// anyway; the gate logs the rejection.
 		switch err := mgr.SubmitJob(claim, reports, deadline); {
 		case errors.Is(err, workqueue.ErrAdmissionRejected):
 			rejected++

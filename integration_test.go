@@ -208,9 +208,10 @@ func TestDistributedMatchesLocalOverTCP(t *testing.T) {
 }
 
 // TestCLIMasterTruthIndependentOfWorkerCount runs the real sstd-master and
-// sstd-worker binaries over TCP twice, with one worker and with three, and
-// requires the printed per-claim truth to be identical: the master folds
-// task outputs in chunk order, not in the order workers happen to answer.
+// sstd-worker binaries over TCP with one worker, with three, and with two
+// fed eight tasks to a frame, and requires the printed per-claim truth to
+// be identical: the master folds task outputs in chunk order, not in the
+// order workers happen to answer or the frames they arrive in.
 func TestCLIMasterTruthIndependentOfWorkerCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the CLI binaries")
@@ -255,12 +256,15 @@ func TestCLIMasterTruthIndependentOfWorkerCount(t *testing.T) {
 		return truth
 	}
 	// A soft deadline changes what is counted, never what is printed.
-	one, three := run(1), run(3, "-deadline", "10s")
+	one, three, batched := run(1), run(3, "-deadline", "10s"), run(2, "-batch", "8")
 	if len(one) == 0 {
 		t.Fatal("sstd-master printed no job lines")
 	}
 	if !reflect.DeepEqual(one, three) {
 		t.Errorf("printed truth depends on the worker count:\n1 worker:  %q\n3 workers: %q", one, three)
+	}
+	if !reflect.DeepEqual(one, batched) {
+		t.Errorf("printed truth depends on task batching:\nlock-step: %q\n-batch 8:  %q", one, batched)
 	}
 }
 

@@ -93,9 +93,9 @@ type Config struct {
 	WrapConn func(master, worker net.Conn) (net.Conn, net.Conn)
 	WrapExec func(workqueue.Executor) workqueue.Executor
 
-	// Admission enables capacity-model admission control on SubmitJob:
-	// jobs whose predicted completion (given queue depth and the fitted
-	// or observed per-worker service rate) exceeds their deadline are
+	// Admission enables admission control on SubmitJob: jobs whose
+	// predicted completion (given queue depth and the configured or
+	// observed per-worker service rate) exceeds their deadline are
 	// rejected with workqueue.ErrAdmissionRejected — or, with
 	// Admission.Shed set, admitted into a near-zero-priority degraded
 	// lane. Nil leaves the gate open.
@@ -129,9 +129,9 @@ type Config struct {
 	// recorder whose trips cascade (default flightrec.Active()).
 	ClusterDumps *workqueue.ClusterDumpConfig
 	FlightRec    *flightrec.Recorder
-	// WorkerFlightRec supplies each pool worker's private recorder so
-	// in-process workers answer FreezeRings with per-host rings (see
-	// workqueue.Pool.WorkerRecorder). Nil shares the process recorder.
+	// WorkerFlightRec is a test seam: a private recorder per pool worker,
+	// so in-process workers answer FreezeRings with per-host rings. Nil,
+	// as every binary leaves it, shares the process recorder.
 	WorkerFlightRec func(id string) *flightrec.Recorder
 }
 

@@ -18,8 +18,10 @@ import (
 // deadline, the deadline-miss burst trips the recorder, and the dumped
 // Chrome trace must contain HMM kernel-phase events nested under the
 // job's decode span and codec frame events nested under task exec spans.
+// It is the flightrec tier of scripts/check.sh, which names the directory
+// the dump is left in.
 func TestFlightRecorderDeadlineMissDeepDive(t *testing.T) {
-	dir := t.TempDir()
+	dir := dumpDir(t, "FLIGHTREC_DIR")
 	tracer := obs.NewTracer(4096)
 	rec, err := flightrec.Enable(flightrec.Config{
 		Dir:    dir,
@@ -151,4 +153,19 @@ func TestFlightRecorderDeadlineMissDeepDive(t *testing.T) {
 			t.Errorf("deep dive missing %s events; probes seen: %v", want, probes)
 		}
 	}
+}
+
+// dumpDir is where an end-to-end test leaves its trace: the directory env
+// names when scripts/check.sh or CI set it (CI uploads the trace), a
+// temporary one otherwise.
+func dumpDir(t *testing.T, env string) string {
+	t.Helper()
+	dir := os.Getenv(env)
+	if dir == "" {
+		return t.TempDir()
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	return dir
 }

@@ -25,9 +25,11 @@ import (
 // trips the flight recorder, the trip cascades into a cross-host
 // FreezeRings collection, and the result is ONE merged Chrome trace with
 // master and both workers on distinct per-host lanes — all visible
-// through the sstdctl client against the real HTTP endpoints.
+// through the sstdctl client against the real HTTP endpoints. It is the
+// telemetry tier of scripts/check.sh, which names the directory the
+// merged trace is left in.
 func TestClusterTelemetryPlaneEndToEnd(t *testing.T) {
-	dir := t.TempDir()
+	dir := dumpDir(t, "TELEMETRY_DIR")
 	tracer := obs.NewTracer(4096)
 	reg := obs.NewRegistry()
 	store := tsdb.New(0)

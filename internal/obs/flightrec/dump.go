@@ -67,5 +67,5 @@ func (r *Recorder) WriteDeepDive(w io.Writer, window time.Duration) error {
 	if r == nil {
 		return fmt.Errorf("flightrec: no recorder")
 	}
-	return obs.WriteChromeTrace(w, r.tracer.Load().Spans(), []obs.HostEvents{{Events: r.Events(window)}})
+	return obs.WriteChromeTrace(w, r.tracer.Spans(), []obs.HostEvents{{Events: r.Events(window)}})
 }

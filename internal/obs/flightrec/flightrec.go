@@ -203,8 +203,7 @@ type Config struct {
 	// containing "all" arms everything.
 	DumpOn []string
 	// Tracer supplies the span timeline merged into deep dives; may be
-	// nil (events export on synthetic lanes) and replaced later with
-	// SetTracer.
+	// nil (events export on synthetic lanes).
 	Tracer *obs.Tracer
 	// Metrics, when set, exports flightrec_events_dropped_total,
 	// flightrec_trips_total and flightrec_dumps_total.
@@ -238,11 +237,11 @@ type Recorder struct {
 	dir      string
 	armed    map[string]bool // nil = all triggers armed
 	logger   *obs.Logger
+	tracer   *obs.Tracer
 	base     time.Time // monotonic clock base shared by every ring
 	baseWall int64
 
 	frozen atomic.Bool
-	tracer atomic.Pointer[obs.Tracer]
 	onTrip atomic.Pointer[func(trigger, detail string)]
 
 	cDropped *obs.Counter
@@ -310,11 +309,11 @@ func NewRecorder(cfg Config) (*Recorder, error) {
 		dir:      cfg.Dir,
 		armed:    armed,
 		logger:   cfg.Logger,
+		tracer:   cfg.Tracer,
 		base:     now,
 		baseWall: now.UnixNano(),
 		byName:   make(map[string]*Ring),
 	}
-	r.tracer.Store(cfg.Tracer)
 	if cfg.OnTrip != nil {
 		fn := cfg.OnTrip
 		r.onTrip.Store(&fn)
@@ -373,16 +372,6 @@ func (r *Recorder) NewRing(name string) *Ring {
 	}
 	r.mu.Unlock()
 	return r.Ring(name)
-}
-
-// SetTracer replaces the span timeline merged into deep dives — used by
-// harnesses (loadgen) that build a fresh tracer per measurement step.
-// Nil-safe.
-func (r *Recorder) SetTracer(t *obs.Tracer) {
-	if r == nil {
-		return
-	}
-	r.tracer.Store(t)
 }
 
 // SetOnTrip replaces the post-dump trip hook (nil clears it). The hook
@@ -446,10 +435,7 @@ func (r *Recorder) dump(seq int, trigger, detail string) {
 	// be completing their stores; give them a beat before snapshotting.
 	time.Sleep(time.Millisecond)
 	events := r.Events(r.window)
-	var spans []obs.Span
-	if tr := r.tracer.Load(); tr != nil {
-		spans = tr.Spans()
-	}
+	spans := r.tracer.Spans()
 	info := DumpInfo{Time: time.Now(), Trigger: trigger, Detail: detail, Events: len(events), Spans: len(spans)}
 	if r.dir != "" {
 		path := filepath.Join(r.dir, fmt.Sprintf("flightrec-%03d-%s.trace.json", seq, trigger))

@@ -74,7 +74,6 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil recorder accessors should return zero values")
 	}
 	r.Wait()
-	r.SetTracer(nil)
 
 	// With no default recorder installed the package helpers are inert.
 	Disable()

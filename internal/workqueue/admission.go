@@ -14,26 +14,24 @@ import (
 // infrastructure failures.
 var ErrAdmissionRejected = errors.New("workqueue: admission rejected")
 
-// AdmissionConfig parameterizes the admission gate derived from a
-// measured capacity model (cmd/loadgen fits TaskRatePerWorker from a
-// load sweep; see BENCH_load.json). The gate implements the feedback
-// half of the paper's capacity planning: Eq. 11/12 predict a job's WCET
-// from data volume and worker count — here the same prediction, fed by
-// the fitted per-worker service rate and live queue depth, refuses (or
-// sheds) work that could not meet its deadline anyway instead of letting
-// it poison the deadlines of jobs already queued.
+// AdmissionConfig parameterizes the admission gate. The gate implements
+// the feedback half of the paper's capacity planning: Eq. 11/12 predict a
+// job's WCET from data volume and worker count — here the same
+// prediction, fed by a measured per-worker service rate and live queue
+// depth, refuses (or sheds) work that could not meet its deadline anyway
+// instead of letting it poison the deadlines of jobs already queued.
 type AdmissionConfig struct {
-	// TaskRatePerWorker is the fitted steady-state service rate of one
-	// worker (tasks/second), normally taken from a loadgen capacity fit.
-	// Zero falls back to the cluster's observed per-worker EWMA
-	// completion rate, so the gate still works before a sweep exists.
+	// TaskRatePerWorker is an operator-supplied service rate of one
+	// worker (tasks/second): 1000/(ewmaExecMs+ewmaTransferMs) as /cluster
+	// reports it for a busy pool. Zero uses the same figure measured live
+	// (Master.observedRatePerWorker); a configured rate wins over it.
 	TaskRatePerWorker float64
 	// Deadline is the default completion budget applied to jobs admitted
 	// without one. Zero means jobs without a deadline are always admitted.
 	Deadline time.Duration
 	// SafetyFactor inflates the predicted completion time before the
-	// deadline comparison (a fitted rate is a saturation measurement;
-	// real queues burst). Values <= 0 default to 1.
+	// deadline comparison (the rate is a mean; real queues burst).
+	// Values <= 0 default to 1.
 	SafetyFactor float64
 	// Shed switches the gate from reject to degrade: an over-deadline
 	// job is still admitted but flagged Shed, and the submitter parks it
@@ -52,7 +50,7 @@ type AdmissionDecision struct {
 	Shed bool
 	// PredictedMs is the safety-adjusted completion estimate for the
 	// job's last task given the current backlog; negative means the
-	// prediction was impossible (no workers, no rate).
+	// prediction was impossible (no workers, or no rate measured yet).
 	PredictedMs float64
 	// DeadlineMs is the budget the prediction was compared against.
 	DeadlineMs int64
@@ -60,14 +58,14 @@ type AdmissionDecision struct {
 	QueueDepth int
 	// Workers is the pool size used in the prediction.
 	Workers int
-	// RatePerWorker is the service rate used (fitted or observed).
+	// RatePerWorker is the service rate used (configured or observed).
 	RatePerWorker float64
 	// Err is the errtraced rejection (wrapping ErrAdmissionRejected);
 	// nil when the job was admitted, including shed admissions.
 	Err error
 }
 
-// admissionGate evaluates jobs against the capacity model. It is
+// admissionGate evaluates jobs against the service rate. It is
 // stateless beyond its config; live inputs (queue depth, workers,
 // observed rate) come from the master at decision time.
 type admissionGate struct {
@@ -103,13 +101,15 @@ func newAdmissionGate(cfg AdmissionConfig, reg *obs.Registry, logger *obs.Logger
 // decide predicts when the job's last task would complete — backlog plus
 // the job's own tasks, drained by workers×rate — and compares it to the
 // deadline. The gate mirrors Eq. 11's JobWCET ≈ D·θ2/W shape with the
-// fitted 1/rate standing in for θ2.
+// measured 1/rate standing in for θ2. With workers attached but nothing
+// completed yet there is no rate to predict from, and the job is
+// admitted: refusing it would keep the rate at zero for good.
 func (g *admissionGate) decide(jobID, traceID string, jobTasks int, deadline time.Duration, queueDepth, workers int, observedRate float64) AdmissionDecision {
 	if deadline <= 0 {
 		deadline = g.cfg.Deadline
 	}
 	rate := g.cfg.TaskRatePerWorker
-	rateSource := "fitted"
+	rateSource := "configured"
 	if rate <= 0 {
 		rate = observedRate
 		rateSource = "observed"
@@ -130,7 +130,7 @@ func (g *admissionGate) decide(jobID, traceID string, jobTasks int, deadline tim
 		g.cAccepted.Inc()
 		return d
 	}
-	over := d.PredictedMs < 0 || d.PredictedMs > float64(d.DeadlineMs)
+	over := workers <= 0 || d.PredictedMs > float64(d.DeadlineMs)
 	if !over {
 		g.cAccepted.Inc()
 		return d
@@ -162,8 +162,8 @@ func (g *admissionGate) decide(jobID, traceID string, jobTasks int, deadline tim
 
 // AdmitJob consults the admission gate for a job of jobTasks tasks and
 // the given completion deadline, using the live queue depth, pool size
-// and (when no fitted rate is configured) the observed mean per-worker
-// completion rate. Without an AdmissionConfig the gate is open: every
+// and (when no rate is configured) the observed mean per-worker
+// service rate. Without an AdmissionConfig the gate is open: every
 // job is admitted. traceID tags the decision's log line for correlation.
 func (m *Master) AdmitJob(jobID, traceID string, jobTasks int, deadline time.Duration) AdmissionDecision {
 	if m.admission == nil {
@@ -175,18 +175,18 @@ func (m *Master) AdmitJob(jobID, traceID string, jobTasks int, deadline time.Dur
 		backlog, m.cluster.count(), m.observedRatePerWorker())
 }
 
-// observedRatePerWorker averages the alive workers' EWMA completion
-// rates — the gate's fallback service-rate estimate before a fitted
-// capacity model exists. Workers that have not completed anything yet
-// contribute zero, which keeps the estimate conservative during warmup.
+// observedRatePerWorker is Eq. 10's 1/ET_u as the registry measures it:
+// 1000/(EWMAExecMs+EWMATransferMs), averaged over the alive workers that
+// have completed a task; zero until one has. (WorkerHealth.TasksPerSec is
+// throughput under the offered load, which an idle pool understates.)
 func (m *Master) observedRatePerWorker() float64 {
-	rows := m.cluster.health()
 	n, sum := 0, 0.0
-	for _, h := range rows {
-		if h.State == WorkerDead {
+	for _, h := range m.cluster.health() {
+		ms := h.EWMAExecMs + h.EWMATransferMs
+		if h.State == WorkerDead || h.TasksCompleted+h.TasksFailed == 0 || ms <= 0 {
 			continue
 		}
-		sum += h.TasksPerSec
+		sum += 1000 / ms
 		n++
 	}
 	if n == 0 {

@@ -69,7 +69,7 @@ func TestAdmissionDecide(t *testing.T) {
 			wantAdmit: false,
 		},
 		{
-			// No fitted rate: the observed cluster EWMA stands in.
+			// No configured rate: the observed service rate stands in.
 			name:     "observed rate fallback",
 			cfg:      AdmissionConfig{},
 			jobTasks: 10, deadline: 2 * time.Second, workers: 2, observedRate: 10,
@@ -217,5 +217,51 @@ func TestMasterAdmitJobOpenGate(t *testing.T) {
 	m := NewMaster(MasterConfig{})
 	if d := m.AdmitJob("any", "", 1_000_000, time.Millisecond); !d.Admit {
 		t.Fatalf("open gate refused a job: %+v", d)
+	}
+}
+
+// observedGateMaster is a master whose gate has no configured rate, with
+// a pool of n attached workers that take 1 ms a task.
+func observedGateMaster(t *testing.T, n int) *Master {
+	t.Helper()
+	m := NewMaster(MasterConfig{ResultBuffer: 64, Admission: &AdmissionConfig{}})
+	p := NewPool(m, func(ctx context.Context, payload []byte) ([]byte, error) {
+		time.Sleep(time.Millisecond)
+		return payload, nil
+	})
+	t.Cleanup(p.Close)
+	p.Resize(context.Background(), n)
+	waitFor(t, func() bool { return m.WorkerCount() == n }, "workers to attach")
+	return m
+}
+
+// TestMasterAdmitJobBeforeFirstCompletion: a gate that measures its own
+// rate has none until a task completes. It must admit then — refusing
+// would mean nothing ever completes and the rate never leaves zero.
+func TestMasterAdmitJobBeforeFirstCompletion(t *testing.T) {
+	m := observedGateMaster(t, 1)
+	if d := m.AdmitJob("first", "", 4, 50*time.Millisecond); !d.Admit {
+		t.Fatalf("fresh pool refused its first deadline job: %+v", d)
+	}
+}
+
+// TestMasterAdmitJobIdlePoolMeasuresServiceRate: the observed rate is the
+// workers' service rate, 1000/(exec+transfer ms), not their throughput
+// under the offered load. 1 ms tasks at ten a second keep two workers
+// almost idle, at 5 to 10 completions/s each; predicted from that, a
+// 4-task job would take 200 ms or more and miss a 50 ms deadline it meets
+// in under 10.
+func TestMasterAdmitJobIdlePoolMeasuresServiceRate(t *testing.T) {
+	m := observedGateMaster(t, 2)
+	for i := 0; i < 5; i++ {
+		if err := m.Submit(Task{ID: "sparse-" + string(rune('0'+i)), JobID: "bg"}); err != nil {
+			t.Fatal(err)
+		}
+		<-m.Results()
+		time.Sleep(100 * time.Millisecond)
+	}
+	d := m.AdmitJob("small", "", 4, 50*time.Millisecond)
+	if !d.Admit || d.RatePerWorker < 40 {
+		t.Fatalf("idle pool of 1 ms workers: %+v, want admitted at a rate of hundreds of tasks/s", d)
 	}
 }

@@ -36,44 +36,44 @@ import (
 // Task is one unit of work. Tasks belong to jobs (the paper's TD jobs); a
 // job's priority governs how often its tasks are picked.
 type Task struct {
-	ID      string `json:"id"`
-	JobID   string `json:"job_id"`
-	Payload []byte `json:"payload,omitempty"`
+	ID      string
+	JobID   string
+	Payload []byte
 	// Span optionally links the task under a submitter-side trace span
 	// (the TD job's root span), so the master's queue/execute spans nest
 	// correctly in the job timeline.
-	Span int64 `json:"span,omitempty"`
+	Span int64
 	// Trace carries the distributed trace context across the wire; nil
 	// disables worker-side stage spans for this task (old submitters).
-	Trace *TraceContext `json:"trace,omitempty"`
+	Trace *TraceContext
 	// SentUnixNano is stamped by the master just before the task goes on
 	// the wire (master clock). The worker reports back the observed
 	// delivery delta, one leg of the NTP-style clock-skew estimate.
-	SentUnixNano int64 `json:"sent_ns,omitempty"`
+	SentUnixNano int64
 	// TimeoutNs is the execution budget the worker enforces for this
 	// task (zero = none). The master stamps it from its TaskTimeout so
 	// a hung executor self-reports a timeout result before the master's
 	// own deadline severs the connection.
-	TimeoutNs int64 `json:"timeout_ns,omitempty"`
+	TimeoutNs int64
 }
 
 // Result is the outcome of one task execution.
 type Result struct {
-	TaskID   string `json:"task_id"`
-	JobID    string `json:"job_id"`
-	WorkerID string `json:"worker_id"`
-	Output   []byte `json:"output,omitempty"`
-	Err      string `json:"error,omitempty"`
+	TaskID   string
+	JobID    string
+	WorkerID string
+	Output   []byte
+	Err      string
 	// ErrStage names the execution stage that produced Err (see
 	// StageDecode / StageExec / StageEncode); empty on success.
-	ErrStage string `json:"error_stage,omitempty"`
+	ErrStage string
 	// ErrTrace is the worker-side error return trace (obs.Wrap frames,
 	// origin first, " -> "-joined): the path Err took through the worker
 	// before it was reported. Diagnostic only — like the clock stamps it
 	// is excluded from the CRC, so a frame that damages only the trace
 	// still delivers its result.
-	ErrTrace string        `json:"error_trace,omitempty"`
-	Elapsed  time.Duration `json:"elapsed_ns"`
+	ErrTrace string
+	Elapsed  time.Duration
 }
 
 // WorkerStats is a worker's compact self-reported telemetry snapshot,
@@ -153,27 +153,27 @@ func (t msgType) String() string {
 // cross-host dump collection.
 type FreezeRequest struct {
 	// Seq correlates the reply with one collection round.
-	Seq int64 `json:"seq"`
+	Seq int64
 	// Trigger/Detail describe why the master is collecting.
-	Trigger string `json:"trigger,omitempty"`
-	Detail  string `json:"detail,omitempty"`
+	Trigger string
+	Detail  string
 	// WindowNs bounds how far back the snapshot reaches (0 = the
 	// worker recorder's full retained history).
-	WindowNs int64 `json:"window_ns,omitempty"`
+	WindowNs int64
 }
 
 // FlightDump is a worker's flight-recorder snapshot shipped to the
 // master. Event timestamps are on the worker's clock; the master applies
 // its per-worker skew estimate when merging.
 type FlightDump struct {
-	Seq     int64  `json:"seq"`
-	Host    string `json:"host"`
-	Trigger string `json:"trigger,omitempty"`
-	Detail  string `json:"detail,omitempty"`
+	Seq     int64
+	Host    string
+	Trigger string
+	Detail  string
 	// Events is the snapshot payload. Like telemetry it is excluded from
 	// the CRC: a damaged diagnostic dump is not worth severing the
 	// connection over.
-	Events []flightrec.Event `json:"events,omitempty"`
+	Events []flightrec.Event
 }
 
 // message is the wire envelope: one binary frame each (wire.go).

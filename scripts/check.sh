@@ -5,10 +5,9 @@
 #   scripts/check.sh race       tier-2: vet + full test suite under -race
 #   scripts/check.sh bench      microbenchmarks -> BENCH_obs.json + BENCH_hmm.json + BENCH_wire.json; front-end layer benches printed
 #   scripts/check.sh chaos      chaos soak: seeded fault-injection schedules under -race
-#   scripts/check.sh load       10-second capacity smoke sweep -> BENCH_load.json
-#   scripts/check.sh wire       wire-codec batching smoke: round-trip/golden tests + 2-worker batched sweep
-#   scripts/check.sh flightrec  flight-recorder smoke: forced deep-dive dump in a 2-worker run
-#   scripts/check.sh telemetry  telemetry-plane smoke: SLO burn -> merged multi-host cluster trace
+#   scripts/check.sh wire       wire-codec batching smoke: round-trip/golden tests + sstd-master/sstd-worker with -batch 8
+#   scripts/check.sh flightrec  flight-recorder smoke: forced deep-dive dump in a 2-worker run (FLIGHTREC_DIR keeps it)
+#   scripts/check.sh telemetry  telemetry-plane smoke: SLO burn -> merged multi-host cluster trace (TELEMETRY_DIR keeps it)
 #   scripts/check.sh sched      sharded-scheduler tier: fairness/invariant tests + contention benches -> BENCH_sched.json + 100k-claim sweep
 #   scripts/check.sh accuracy   accuracy gate: SSTD rows of Tables III-V against the checked-in golden + HMM kernel equivalence
 #   scripts/check.sh all        tier-1 + tier-2
@@ -132,65 +131,43 @@ chaos() {
 	go test -race -count=1 -run 'TestRequeueBackoffBoundsRetryRate|TestQuarantineLifecycle' ./internal/workqueue
 }
 
-load() {
-	# Smoke sweep: a real master + 2 in-process workers (full wire protocol
-	# over net.Pipe), offered load ramped until the deadline-miss knee,
-	# capped at ~10 seconds of wall time. Asserts the harness produces a
-	# non-empty capacity report with a sweep and a fitted model.
-	echo "== load: 10-second capacity smoke sweep =="
-	go run ./cmd/loadgen -trace boston -scale 0.005 -workers 1,2 \
-		-start-rate 4 -rate-factor 2 -max-rate 64 \
-		-deadline 100ms -step 800ms -duration 10s -work-delay 100us \
-		-out BENCH_load.json
-	test -s BENCH_load.json
-	grep -q '"sweep"' BENCH_load.json
-	grep -q '"perWorkerTasksPerSec"' BENCH_load.json
-	echo "BENCH_load.json OK ($(grep -c '"offeredRate"' BENCH_load.json) sweep points)"
-}
-
 wire() {
 	# Wire-codec batching smoke: the codec-correctness suite (send → recv
 	# round-trip property, golden frame fixtures, rejection of damaged
-	# frames and non-frames, batching invariants), then a short 2-worker
-	# loadgen sweep with task batching on — the whole cluster speaking the
-	# wire format end to end.
+	# frames and non-frames, batching invariants), then the shipped
+	# sstd-master and sstd-worker binaries over TCP — the whole cluster
+	# speaking the wire format end to end, lock-step and with -batch 8,
+	# and required to print the same truth both ways.
 	echo "== wire: round-trip/golden codec tests + batching invariants =="
 	go test -count=1 -run 'TestWireRoundTrip|TestRoundTripCovers|TestGolden|TestBatch|TestPartialBatch|TestUnbatched|TestMidBatch|TestWireFrames|TestShiftBinary|TestBinary|TestNonFrame|FuzzDecode' ./internal/workqueue
 	# What travels inside the frames: the goldens of both task kinds and
 	# their answers, the decoders' rejection table and the three fuzz
 	# targets' seed corpora.
 	go test -count=1 -run 'TestGoldenPayloadsStable|TestDecodersRejectMalformed|TestCodecMatchesMapReferenceBits|FuzzDecodeTask|FuzzFoldOutput|FuzzTruthResult' ./internal/dtm
-	echo "== wire: 2-worker batched sweep over the wire codec =="
-	dir=$(mktemp -d)
-	go run ./cmd/loadgen -trace boston -scale 0.005 -workers 2 \
-		-start-rate 4 -rate-factor 2 -max-rate 32 \
-		-deadline 100ms -step 800ms -duration 8s -work-delay 100us \
-		-batch 8 -admit-factor 0 -quiet \
-		-out "$dir/BENCH_wire_smoke.json"
-	test -s "$dir/BENCH_wire_smoke.json"
-	grep -q '"sweep"' "$dir/BENCH_wire_smoke.json"
-	grep -q '"perWorkerTasksPerSec"' "$dir/BENCH_wire_smoke.json"
-	echo "wire smoke OK ($(grep -c '"offeredRate"' "$dir/BENCH_wire_smoke.json") sweep points, batch=8)"
-	rm -rf "$dir"
+	echo "== wire: sstd-master + 2 sstd-workers, -batch 8 against lock-step =="
+	go test -count=1 -v -run 'TestCLIMasterTruthIndependentOfWorkerCount' .
+}
+
+# trace_dir prints the directory a smoke's trace is kept in — the one the
+# caller named (CI points it somewhere uploadable) or a fresh temporary
+# one — emptied of earlier traces.
+trace_dir() {
+	dir="${1:-$(mktemp -d)}"
+	mkdir -p "$dir"
+	rm -f "$dir"/flightrec-*.trace.json
+	echo "$dir"
 }
 
 flightrec() {
-	# Flight-recorder smoke: a 2-worker loadgen run with a 1ms deadline no
-	# real job can meet, so the deadline-miss burst trips a deep-dive dump.
-	# Asserts the merged Chrome trace exists and contains both HMM
-	# kernel-phase and codec frame probe events. FLIGHTREC_DIR overrides
-	# the dump directory (CI points it somewhere uploadable).
+	# Flight-recorder smoke: a 2-worker cluster runs jobs with a 1ns
+	# deadline no real job can meet, so the deadline-miss burst trips a
+	# deep-dive dump. The test asserts the HMM kernel-phase and codec frame
+	# probe events nest under the right spans; the greps after it hold the
+	# file it leaves in FLIGHTREC_DIR to the same.
 	echo "== flightrec: deep-dive smoke (2 workers, forced deadline-miss trigger) =="
-	dir="${FLIGHTREC_DIR:-$(mktemp -d)}"
-	mkdir -p "$dir"
-	rm -f "$dir"/flightrec-*.trace.json
-	go run ./cmd/loadgen -trace boston -scale 0.002 -workers 2 \
-		-start-rate 4 -rate-factor 2 -max-rate 8 \
-		-deadline 1ms -step 800ms -duration 8s -work-delay 200us \
-		-admit-factor 0 -quiet \
-		-out "$dir/BENCH_flightrec.json" -flight-record "$dir" -flight-dump-on deadline-miss
-	dump=$(ls "$dir"/flightrec-*.trace.json 2>/dev/null | head -n 1)
-	test -n "$dump"
+	dir=$(trace_dir "${FLIGHTREC_DIR:-}")
+	FLIGHTREC_DIR="$dir" go test -count=1 -v -run 'TestFlightRecorderDeadlineMissDeepDive' ./internal/dtm
+	dump=$(ls "$dir"/flightrec-*.trace.json | head -n 1)
 	test -s "$dump"
 	grep -q '"hmm\.' "$dump"
 	grep -q '"codec\.' "$dump"
@@ -198,54 +175,17 @@ flightrec() {
 }
 
 telemetry() {
-	# Telemetry-plane smoke: a 2-worker loadgen sweep with the plane armed
-	# (-telemetry endpoint + armed flight recorder) and a 1ms deadline no
-	# real job can meet, so the SLO deadline error budget burns in both
-	# windows, trips the recorder and cascades into a cross-host FreezeRings
-	# collection — ONE merged Chrome trace with master and both workers on
-	# distinct lanes. While the harness lingers, sstdctl reads the live
-	# /query (shipped worker series) and /slo (alert count) endpoints.
-	# TELEMETRY_DIR overrides the dump directory (CI uploads the trace).
+	# Telemetry-plane smoke: a 2-worker cluster with the plane armed and a
+	# 1ns deadline no real job can meet, so the SLO deadline error budget
+	# burns in both windows, trips the recorder and cascades into a
+	# cross-host FreezeRings collection — ONE merged Chrome trace with
+	# master and both workers on distinct lanes. The test reads the shipped
+	# worker series on /query and the fired alert on /slo through the
+	# sstdctl client; the greps hold the file it leaves in TELEMETRY_DIR.
 	echo "== telemetry: cluster plane smoke (2 workers, SLO burn -> merged cluster trace) =="
-	dir="${TELEMETRY_DIR:-$(mktemp -d)}"
-	addr="127.0.0.1:${TELEMETRY_PORT:-19381}"
-	mkdir -p "$dir"
-	rm -f "$dir"/flightrec-*.trace.json
-	go build -o "$dir/sstdctl" ./cmd/sstdctl
-	go run ./cmd/loadgen -trace boston -scale 0.002 -workers 2 \
-		-start-rate 4 -rate-factor 2 -max-rate 8 \
-		-deadline 1ms -step 800ms -duration 8s -work-delay 200us \
-		-admit-factor -1 -quiet \
-		-telemetry "$addr" -linger 60s \
-		-slo-fast 1s -slo-slow 2s -slo-burn 1 \
-		-out "$dir/BENCH_telemetry.json" -flight-record "$dir" &
-	lg=$!
-	trap 'kill -INT "$lg" 2>/dev/null || true' EXIT
-	# Poll the live /query endpoint until a worker's shipped series shows up.
-	tries=0
-	until "$dir/sstdctl" -addr "http://$addr" query -series worker_tasks_executed_total 2>/dev/null |
-		grep -q 'host="pool-worker-'; do
-		tries=$((tries + 1))
-		test "$tries" -le 120 || { echo "telemetry: no shipped worker series after 120s" >&2; exit 1; }
-		sleep 1
-	done
-	echo "-- sstdctl query (shipped worker series live) --"
-	"$dir/sstdctl" -addr "http://$addr" query -series worker_tasks_executed_total
-	# The alert needs a couple of seconds of miss samples in both windows;
-	# the engine's alert counter is cumulative, so poll until the edge lands.
-	tries=0
-	until "$dir/sstdctl" -addr "http://$addr" slo 2>/dev/null | grep -q 'alerts: [1-9]'; do
-		tries=$((tries + 1))
-		test "$tries" -le 60 || { echo "telemetry: SLO burn alert never fired" >&2; exit 1; }
-		sleep 1
-	done
-	echo "-- sstdctl slo (burn alert fired) --"
-	"$dir/sstdctl" -addr "http://$addr" slo
-	kill -INT "$lg" 2>/dev/null || true
-	wait "$lg" || true
-	trap - EXIT
-	dump=$(ls "$dir"/flightrec-cluster-*.trace.json 2>/dev/null | head -n 1)
-	test -n "$dump"
+	dir=$(trace_dir "${TELEMETRY_DIR:-}")
+	TELEMETRY_DIR="$dir" go test -count=1 -v -run 'TestClusterTelemetryPlaneEndToEnd' ./internal/dtm
+	dump=$(ls "$dir"/flightrec-cluster-*.trace.json | head -n 1)
 	test -s "$dump"
 	grep -q '"master"' "$dump"
 	grep -q '"host pool-worker-0"' "$dump"
@@ -287,7 +227,6 @@ tier1) tier1 ;;
 race) race ;;
 bench) bench ;;
 chaos) chaos ;;
-load) load ;;
 wire) wire ;;
 flightrec) flightrec ;;
 telemetry) telemetry ;;
@@ -298,7 +237,7 @@ all)
 	race
 	;;
 *)
-	echo "usage: $0 [tier1|race|bench|chaos|load|wire|flightrec|telemetry|sched|accuracy|all]" >&2
+	echo "usage: $0 [tier1|race|bench|chaos|wire|flightrec|telemetry|sched|accuracy|all]" >&2
 	exit 2
 	;;
 esac
