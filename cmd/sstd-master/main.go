@@ -171,7 +171,7 @@ func run() error {
 				case <-planeStop:
 					return
 				case now := <-t.C:
-					store.ScrapeRegistry(metrics, "master", now)
+					store.Ingest("master", metrics.Snapshot(), now)
 				}
 			}
 		}()

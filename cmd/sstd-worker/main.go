@@ -5,10 +5,12 @@
 // connected workers.
 //
 // While running it heartbeats to the master (so a hung worker is evicted
-// rather than stalling the cluster) and periodically ships a telemetry
-// snapshot: task counts, exec-time histogram, connection byte counters,
-// goroutines and heap. The same numbers can be served locally with
-// -telemetry, alongside /debug/pprof for on-the-spot profiling.
+// rather than stalling the cluster), and every -stats-every-th heartbeat
+// carries a telemetry ship of its metrics registry: task counts,
+// exec-time histogram, connection byte counters, goroutines and heap. The
+// same numbers can be served locally with -telemetry, alongside
+// /debug/pprof for on-the-spot profiling. The master alone picks the task
+// batch size (its -batch); a lock-step master sends one task per frame.
 //
 // Usage:
 //
@@ -46,12 +48,11 @@ func run() error {
 		master     = flag.String("master", "localhost:9123", "master address")
 		id         = flag.String("id", "", "worker id (defaults to host-pid)")
 		heartbeat  = flag.Duration("heartbeat", time.Second, "liveness ping interval to the master (0 disables)")
-		statsEvery = flag.Int("stats-every", 5, "ship a telemetry snapshot every N heartbeats")
+		statsEvery = flag.Int("stats-every", 5, "every N-th heartbeat carries a telemetry ship")
 		telemetry  = flag.String("telemetry", "", "optional address serving /metrics, /trace, /logs and /debug/pprof (e.g. :9200)")
 		logLevel   = flag.String("log-level", "info", "structured log threshold: debug, info, warn or error")
 
 		execTimeout = flag.Duration("exec-timeout", 0, "per-task execution budget; a task past it is cancelled and reported failed (0 = none)")
-		maxBatch    = flag.Int("max-batch", 0, "largest task batch to accept per wire frame (0 = a generous default, -1 = refuse batching, lock-step frames only)")
 		reconnects  = flag.Int("reconnects", 0, "reconnect with backoff after connection loss, giving up after this many consecutive failed attempts (0 = exit on first loss)")
 
 		chaosSpec = flag.String("chaos-spec", "", "TEST ONLY: fault-injection spec, e.g. drop=0.3,corrupt=0.05,delay=0.1:1ms-5ms (see internal/chaos)")
@@ -135,7 +136,6 @@ func run() error {
 		HeartbeatEvery: *heartbeat,
 		StatsEvery:     *statsEvery,
 		ExecTimeout:    *execTimeout,
-		MaxBatch:       *maxBatch,
 		MaxReconnects:  *reconnects,
 		Metrics:        metrics,
 		Tracer:         tracer,

@@ -138,7 +138,7 @@ func goldenFrame(t *testing.T, name string) []byte {
 // TestCorruptFrameModes: each damage shape is deterministic and does to
 // the frame what its name says.
 func TestCorruptFrameModes(t *testing.T) {
-	frame := goldenFrame(t, "result")
+	frame := goldenFrame(t, "result-batch")
 	_, lenBytes := binary.Uvarint(frame[2:])
 	hdr := 2 + lenBytes // magic, version, body length
 	seen := map[string]bool{}
@@ -194,7 +194,7 @@ func TestSkewShiftsStampsExactly(t *testing.T) {
 	if int64(float64(stamp+skew)) == stamp+skew {
 		t.Fatal("test stamp is float64-representable — it proves nothing")
 	}
-	frame := goldenFrame(t, "task")
+	frame := goldenFrame(t, "task-batch")
 	before, after := binary.AppendVarint(nil, stamp), binary.AppendVarint(nil, stamp+skew)
 	if !bytes.Contains(frame, before) {
 		t.Fatal("golden task frame does not carry the expected stamp")

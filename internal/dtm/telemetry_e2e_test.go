@@ -174,7 +174,7 @@ func TestClusterTelemetryPlaneEndToEnd(t *testing.T) {
 	defer srv.Close()
 	c := &sstdctl.Client{Base: srv.URL}
 
-	// Worker telemetry ships ride the heartbeat stats cadence; wait for the
+	// Worker telemetry ships ride every StatsEvery-th heartbeat; wait for the
 	// shipped task counts to land. Either worker may have run every task —
 	// they are that small — so the count is taken over both hosts.
 	deadline = time.Now().Add(10 * time.Second)

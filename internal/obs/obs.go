@@ -286,40 +286,43 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
+// Quantile estimates the q-quantile (0 < q < 1); see
+// HistogramSnapshot.Quantile. Returns 0 with no observations or a nil
+// receiver.
+func (h *Histogram) Quantile(q float64) float64 {
+	return h.Snapshot().Quantile(q)
+}
+
 // Quantile estimates the q-quantile (0 < q < 1) by linear interpolation
 // within the bucket holding the target rank. Samples in the overflow
 // bucket are attributed to the highest finite bound. Returns 0 with no
-// observations or a nil receiver.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
+// observations or no bounds — a snapshot rebuilt from a remote ship may
+// have neither.
+func (s HistogramSnapshot) Quantile(q float64) float64 {
+	if s.Count == 0 || len(s.Bounds) == 0 {
 		return 0
 	}
-	total := h.total.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
+	rank := q * float64(s.Count)
 	cum := int64(0)
-	for i := range h.counts {
-		n := h.counts[i].Load()
+	for i, n := range s.Counts {
 		if n == 0 {
 			continue
 		}
 		if float64(cum+n) >= rank {
-			if i >= len(h.bounds) { // overflow bucket
-				return h.bounds[len(h.bounds)-1]
+			if i >= len(s.Bounds) { // overflow bucket
+				return s.Bounds[len(s.Bounds)-1]
 			}
 			lo := 0.0
 			if i > 0 {
-				lo = h.bounds[i-1]
+				lo = s.Bounds[i-1]
 			}
-			hi := h.bounds[i]
+			hi := s.Bounds[i]
 			frac := (rank - float64(cum)) / float64(n)
 			return lo + (hi-lo)*frac
 		}
 		cum += n
 	}
-	return h.bounds[len(h.bounds)-1]
+	return s.Bounds[len(s.Bounds)-1]
 }
 
 // HistogramSnapshot is a consistent-enough read of a histogram.
@@ -346,14 +349,17 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Sum:    h.Sum(),
 		Bounds: append([]float64(nil), h.bounds...),
 		Counts: make([]int64, len(h.counts)),
-		P50:    h.Quantile(0.5),
-		P90:    h.Quantile(0.9),
-		P99:    h.Quantile(0.99),
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
 	}
+	s.fillQuantiles()
 	return s
+}
+
+// fillQuantiles derives P50/P90/P99 from the bucket counts.
+func (s *HistogramSnapshot) fillQuantiles() {
+	s.P50, s.P90, s.P99 = s.Quantile(0.5), s.Quantile(0.9), s.Quantile(0.99)
 }
 
 // RegistrySnapshot is a point-in-time copy of every metric, the payload

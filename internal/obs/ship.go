@@ -1,6 +1,9 @@
 package obs
 
-import "sync"
+import (
+	"maps"
+	"sync"
+)
 
 // TelemetryShip is a delta-encoded snapshot of a Registry, sized to
 // piggyback on the heartbeat cadence: counters travel as increments since
@@ -125,6 +128,60 @@ func (s *Shipper) Ship() *TelemetryShip {
 	}
 	s.prev = cur
 	return t
+}
+
+// ShipReceiver is the receive half of a Shipper: it folds one sender's
+// successive ships back into that sender's cumulative registry snapshot.
+// Not safe for concurrent use; the zero value is ready.
+type ShipReceiver struct {
+	cur RegistrySnapshot
+}
+
+// Receive applies t and returns the sender's cumulative snapshot, with
+// histogram quantiles recomputed from the accumulated buckets. A Full
+// ship (the sender's first, or its first after a reconnect) replaces the
+// state; a delta ship without prior state applies onto zero, the best
+// available. Histogram deltas whose layout no longer matches are dropped
+// until the sender resends bounds. The returned maps are fresh on every
+// call, so callers may keep them.
+func (r *ShipReceiver) Receive(t *TelemetryShip) RegistrySnapshot {
+	prev := r.cur
+	if t.Full {
+		prev = RegistrySnapshot{}
+	}
+	cur := RegistrySnapshot{
+		Counters:   make(map[string]int64, len(prev.Counters)+len(t.Counters)),
+		Gauges:     make(map[string]float64, len(prev.Gauges)+len(t.Gauges)),
+		Histograms: make(map[string]HistogramSnapshot, len(prev.Histograms)+len(t.Hists)),
+	}
+	maps.Copy(cur.Counters, prev.Counters)
+	for name, d := range t.Counters {
+		cur.Counters[name] += d
+	}
+	maps.Copy(cur.Gauges, prev.Gauges)
+	maps.Copy(cur.Gauges, t.Gauges)
+	maps.Copy(cur.Histograms, prev.Histograms)
+	for name, d := range t.Hists {
+		h, known := cur.Histograms[name]
+		switch {
+		case !known || len(d.Bounds) > 0:
+			// First sight or a layout change: the delta carries absolute
+			// counts and authoritative bounds.
+			h = HistogramSnapshot{Bounds: d.Bounds, Counts: append([]int64(nil), d.Counts...), Count: d.Count, Sum: d.Sum}
+		case len(h.Counts) == len(d.Counts):
+			counts := make([]int64, len(d.Counts))
+			for i, c := range d.Counts {
+				counts[i] = h.Counts[i] + c
+			}
+			h.Counts, h.Count, h.Sum = counts, h.Count+d.Count, h.Sum+d.Sum
+		default:
+			continue
+		}
+		h.fillQuantiles()
+		cur.Histograms[name] = h
+	}
+	r.cur = cur
+	return cur
 }
 
 func sameBounds(a, b []float64) bool {

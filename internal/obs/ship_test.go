@@ -104,6 +104,46 @@ func TestShipperNil(t *testing.T) {
 	}
 }
 
+// TestShipReceiverAccumulates: the receive half rebuilds the sender's
+// cumulative registry from a Full ship plus deltas — quantiles included,
+// by the same loop the sender's histogram uses — and a later Full ship
+// (the sender reconnected with a fresh Shipper) resets it.
+func TestShipReceiverAccumulates(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.Counter("c")
+	g := reg.Gauge("g")
+	h := reg.Histogram("h", []float64{1, 10})
+	c.Add(3)
+	g.Set(2)
+	h.Observe(5)
+	s := NewShipper(reg)
+	var rx ShipReceiver
+
+	first := rx.Receive(s.Ship())
+	c.Add(2)
+	h.Observe(0.5)
+	h.Observe(50)
+	got := rx.Receive(s.Ship())
+	want := reg.Snapshot()
+	if got.Counters["c"] != 5 || got.Gauges["g"] != 2 {
+		t.Errorf("cumulative state = %+v, want c=5 g=2 (unchanged gauge kept)", got)
+	}
+	if gh, wh := got.Histograms["h"], want.Histograms["h"]; gh.Count != 3 || gh.Sum != 55.5 ||
+		gh.P50 != wh.P50 || gh.P90 != wh.P90 || gh.P99 != wh.P99 {
+		t.Errorf("received hist = %+v, sender's = %+v", gh, wh)
+	}
+	if first.Counters["c"] != 3 {
+		t.Errorf("an earlier snapshot changed under a later ship: %+v", first.Counters)
+	}
+
+	reg2 := NewRegistry()
+	reg2.Counter("c").Add(1)
+	got = rx.Receive(NewShipper(reg2).Ship())
+	if got.Counters["c"] != 1 || len(got.Gauges) != 0 || len(got.Histograms) != 0 {
+		t.Errorf("state after a second Full ship = %+v, want only c=1", got)
+	}
+}
+
 func BenchmarkTelemetryShipEncode(b *testing.B) {
 	reg := NewRegistry()
 	for i := 0; i < 8; i++ {

@@ -1,7 +1,7 @@
 // Package tsdb is the master-side retained time-series store of the
 // cluster telemetry plane: fixed-capacity per-series point rings keyed by
-// metric name + label set, fed by local registry scrapes and by
-// TelemetryShip deltas arriving from workers over the wire, and queryable
+// metric name + label set, fed by registry snapshots — the master's own, and
+// each worker's as its telemetry ships arrive over the wire — and queryable
 // through the /query debug endpoint (and `sstdctl query`).
 //
 // Retention is bounded by construction — capacity points per series, so
@@ -43,7 +43,6 @@ type Store struct {
 	mu     sync.RWMutex
 	cap    int
 	series map[string]*ring // canonical key -> ring
-	ships  map[string]*shipState
 }
 
 type ring struct {
@@ -52,20 +51,6 @@ type ring struct {
 	pts    []Point
 	next   int
 	full   bool
-}
-
-// shipState is the per-host cumulative decoder state for ApplyShip.
-type shipState struct {
-	seq      int64
-	counters map[string]int64
-	hists    map[string]*histState
-}
-
-type histState struct {
-	bounds []float64
-	counts []int64
-	count  int64
-	sum    float64
 }
 
 // New creates a store retaining capacity points per series
@@ -77,7 +62,6 @@ func New(capacity int) *Store {
 	return &Store{
 		cap:    capacity,
 		series: make(map[string]*ring),
-		ships:  make(map[string]*shipState),
 	}
 }
 
@@ -116,14 +100,15 @@ func (s *Store) append(base string, labels map[string]string, tms int64, v float
 	s.mu.Unlock()
 }
 
-// ScrapeRegistry samples every metric in reg into the store under the
-// given host label. Histograms expand to _count, _sum and _p50/_p90/_p99
-// series. Nil-safe on both receiver and registry.
-func (s *Store) ScrapeRegistry(reg *obs.Registry, host string, now time.Time) {
-	if s == nil || reg == nil {
+// Ingest samples one registry snapshot into the store under the given
+// host label: the master's own registry on its scrape tick, or a worker's
+// cumulative state as its telemetry ship decodes (obs.ShipReceiver), so
+// every ship appends one point per series. Histograms expand to _count,
+// _sum and _p50/_p90/_p99 series. Nil-safe.
+func (s *Store) Ingest(host string, snap obs.RegistrySnapshot, now time.Time) {
+	if s == nil {
 		return
 	}
-	snap := reg.Snapshot()
 	tms := now.UnixMilli()
 	for name, v := range snap.Counters {
 		base, labels := splitName(name)
@@ -142,104 +127,6 @@ func (s *Store) ScrapeRegistry(reg *obs.Registry, host string, now time.Time) {
 		s.append(base+"_p90", labels, tms, h.P90)
 		s.append(base+"_p99", labels, tms, h.P99)
 	}
-}
-
-// ApplyShip folds one TelemetryShip from a worker into the store: counter
-// deltas accumulate onto per-host cumulative state (reset by Full ships),
-// gauges append directly, histogram bucket deltas accumulate and append
-// _count/_sum plus interpolated _p50/_p90/_p99 series. Every resulting
-// series carries host as its host label. Nil-safe.
-func (s *Store) ApplyShip(host string, ship *obs.TelemetryShip, now time.Time) {
-	if s == nil || ship == nil {
-		return
-	}
-	tms := now.UnixMilli()
-	s.mu.Lock()
-	st, ok := s.ships[host]
-	if !ok || ship.Full {
-		// Unknown host or an explicit resync: start cumulative state from
-		// zero (a non-Full stream without prior state applies deltas from
-		// zero — the best available).
-		st = &shipState{counters: make(map[string]int64), hists: make(map[string]*histState)}
-		s.ships[host] = st
-	}
-	st.seq = ship.Seq
-	// Snapshot the cumulative values to append outside the histogram math.
-	type sample struct {
-		name string
-		v    float64
-	}
-	samples := make([]sample, 0, len(ship.Counters)+len(ship.Gauges)+5*len(ship.Hists))
-	for name, d := range ship.Counters {
-		if ship.Full {
-			st.counters[name] = d
-		} else {
-			st.counters[name] += d
-		}
-		samples = append(samples, sample{name, float64(st.counters[name])})
-	}
-	for name, v := range ship.Gauges {
-		samples = append(samples, sample{name, v})
-	}
-	for name, d := range ship.Hists {
-		h := st.hists[name]
-		if h == nil || len(d.Bounds) > 0 {
-			// Full ship, first sight of the series, or a layout change:
-			// the delta carries absolute counts and authoritative bounds.
-			h = &histState{bounds: append([]float64(nil), d.Bounds...)}
-			st.hists[name] = h
-			h.counts = append([]int64(nil), d.Counts...)
-			h.count, h.sum = d.Count, d.Sum
-		} else {
-			if len(h.counts) != len(d.Counts) {
-				continue // layout mismatch without bounds: drop the delta
-			}
-			for i, c := range d.Counts {
-				h.counts[i] += c
-			}
-			h.count += d.Count
-			h.sum += d.Sum
-		}
-		samples = append(samples,
-			sample{name + "_count", float64(h.count)},
-			sample{name + "_sum", h.sum},
-			sample{name + "_p50", h.quantile(0.5)},
-			sample{name + "_p90", h.quantile(0.9)},
-			sample{name + "_p99", h.quantile(0.99)})
-	}
-	s.mu.Unlock()
-	for _, sm := range samples {
-		base, labels := splitName(sm.name)
-		s.append(base, withHost(labels, host), tms, sm.v)
-	}
-}
-
-// quantile mirrors obs.Histogram.Quantile over the accumulated bucket
-// counts (linear interpolation within the target bucket).
-func (h *histState) quantile(q float64) float64 {
-	if h.count == 0 || len(h.bounds) == 0 {
-		return 0
-	}
-	rank := q * float64(h.count)
-	cum := int64(0)
-	for i, n := range h.counts {
-		if n == 0 {
-			continue
-		}
-		if float64(cum+int64(n)) >= rank {
-			if i >= len(h.bounds) {
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			return lo + (hi-lo)*(rank-float64(cum))/float64(n)
-		}
-		cum += n
-	}
-	return h.bounds[len(h.bounds)-1]
 }
 
 // Query selects retained series.

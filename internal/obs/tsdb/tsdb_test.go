@@ -122,7 +122,7 @@ func TestScrapeRegistry(t *testing.T) {
 	reg.Histogram("h_ms", []float64{1, 10}).Observe(5)
 
 	s := New(8)
-	s.ScrapeRegistry(reg, "master", t0)
+	s.Ingest("master", reg.Snapshot(), t0)
 
 	if got := s.Run(Query{Name: "c_total"}, t0); len(got) != 1 || got[0].Points[0].V != 7 || got[0].Labels["host"] != "master" {
 		t.Errorf("scraped counter = %+v", got)
@@ -137,45 +137,44 @@ func TestScrapeRegistry(t *testing.T) {
 	}
 }
 
-func TestApplyShipAccumulates(t *testing.T) {
+// TestIngestShipsAppendPerShip: a worker's ships, decoded by the receive
+// half of its Shipper, land as one point per series per ship under the
+// worker's host label — cumulative counters, and a gauge that did not
+// change still gets its point.
+func TestIngestShipsAppendPerShip(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := reg.Counter("worker_tasks_total")
+	reg.Gauge("worker_goroutines").Set(4)
 	h := reg.Histogram("exec_ms", []float64{1, 10})
 	c.Add(3)
 	h.Observe(5)
 	shipper := obs.NewShipper(reg)
+	var rx obs.ShipReceiver
 
 	s := New(16)
-	s.ApplyShip("w-1", shipper.Ship(), t0) // full
+	s.Ingest("w-1", rx.Receive(shipper.Ship()), t0) // full
 	c.Add(2)
 	h.Observe(0.5)
-	s.ApplyShip("w-1", shipper.Ship(), t0.Add(time.Second)) // delta
+	s.Ingest("w-1", rx.Receive(shipper.Ship()), t0.Add(time.Second)) // delta
 
-	got := s.Run(Query{Name: "worker_tasks_total"}, t0.Add(time.Minute))
-	if len(got) != 1 || got[0].Labels["host"] != "w-1" {
-		t.Fatalf("shipped counter = %+v", got)
+	for name, want := range map[string][]float64{
+		"worker_tasks_total": {3, 5},
+		"worker_goroutines":  {4, 4},
+		"exec_ms_count":      {1, 2},
+	} {
+		got := s.Run(Query{Name: name}, t0.Add(time.Minute))
+		if len(got) != 1 || got[0].Labels["host"] != "w-1" || len(got[0].Points) != len(want) {
+			t.Fatalf("%s = %+v, want one w-1 series with %d points", name, got, len(want))
+		}
+		for i, p := range got[0].Points {
+			if p.V != want[i] {
+				t.Errorf("%s points = %+v, want %v", name, got[0].Points, want)
+				break
+			}
+		}
 	}
-	pts := got[0].Points
-	if len(pts) != 2 || pts[0].V != 3 || pts[1].V != 5 {
-		t.Errorf("cumulative counter points = %+v, want 3 then 5", pts)
-	}
-	got = s.Run(Query{Name: "exec_ms_count"}, t0.Add(time.Minute))
-	if len(got) != 1 || got[0].Points[1].V != 2 {
-		t.Errorf("hist count series = %+v", got)
-	}
-	got = s.Run(Query{Name: "exec_ms_p50"}, t0.Add(time.Minute))
-	if len(got) != 1 || len(got[0].Points) != 2 {
+	if got := s.Run(Query{Name: "exec_ms_p50"}, t0.Add(time.Minute)); len(got) != 1 || got[0].Points[1].V <= 0 {
 		t.Errorf("hist p50 series = %+v", got)
-	}
-
-	// A second Full ship (worker restart) resets cumulative state.
-	reg2 := obs.NewRegistry()
-	reg2.Counter("worker_tasks_total").Add(1)
-	s.ApplyShip("w-1", obs.NewShipper(reg2).Ship(), t0.Add(2*time.Second))
-	got = s.Run(Query{Name: "worker_tasks_total"}, t0.Add(time.Minute))
-	pts = got[0].Points
-	if pts[len(pts)-1].V != 1 {
-		t.Errorf("post-restart counter = %+v, want reset to 1", pts)
 	}
 }
 
@@ -231,15 +230,16 @@ func BenchmarkTelemetryShipApply(b *testing.B) {
 		reg.Histogram(fmt.Sprintf("h%d", i), nil).Observe(float64(i))
 	}
 	shipper := obs.NewShipper(reg)
+	var rx obs.ShipReceiver
 	s := New(256)
-	s.ApplyShip("w", shipper.Ship(), t0)
+	s.Ingest("w", rx.Receive(shipper.Ship()), t0)
 	hot := reg.Counter("c0")
 	h := reg.Histogram("h0", nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hot.Inc()
 		h.Observe(1)
-		s.ApplyShip("w", shipper.Ship(), t0)
+		s.Ingest("w", rx.Receive(shipper.Ship()), t0)
 	}
 }
 

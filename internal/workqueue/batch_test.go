@@ -1,11 +1,11 @@
 package workqueue
 
 // Batching property tests: N tasks in → N acks out, order preserved per
-// worker, partial batches flush promptly, negotiation respects the
-// worker's advertised capacity, and a connection reset mid-batch loses
-// no task. The in-process pool runs the real master handler and worker
-// loop over net.Pipe, so these exercise the production dispatch window,
-// not a model of it.
+// worker, partial batches flush promptly, lock-step is a window of one
+// single-task frame, and a connection reset mid-batch loses no task. The
+// in-process pool runs the real master handler and worker loop over
+// net.Pipe, so these exercise the production dispatch window, not a
+// model of it.
 
 import (
 	"context"
@@ -124,10 +124,10 @@ func TestPartialBatchFlush(t *testing.T) {
 	}
 }
 
-// fakeBatchWorker connects a raw codec to the master, advertises the
-// given batch capacity, and returns the codec plus a join func that
-// closes the connection and waits for the handler to exit.
-func fakeBatchWorker(t *testing.T, ctx context.Context, m *Master, id string, advert int) (*codec, func()) {
+// fakeBatchWorker connects a raw codec to the master and says hello, and
+// returns the codec plus a join func that closes the connection and
+// waits for the handler to exit.
+func fakeBatchWorker(t *testing.T, ctx context.Context, m *Master, id string) (*codec, func()) {
 	t.Helper()
 	server, client := net.Pipe()
 	handlerDone := make(chan struct{})
@@ -136,7 +136,7 @@ func fakeBatchWorker(t *testing.T, ctx context.Context, m *Master, id string, ad
 		close(handlerDone)
 	}()
 	c := newCodec(client)
-	if err := c.send(message{Type: msgHello, WorkerID: id, Batch: advert}); err != nil {
+	if err := c.send(message{Type: msgHello, WorkerID: id}); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
 	return c, func() {
@@ -145,101 +145,53 @@ func fakeBatchWorker(t *testing.T, ctx context.Context, m *Master, id string, ad
 	}
 }
 
-// ackAll replies one msgResultBatch per received frame, acking every
-// task in dispatch order, until total tasks have been acked. It returns
-// the per-frame task counts.
-func ackAll(t *testing.T, c *codec, id string, total int) (frameSizes []int, frameTypes []msgType) {
-	t.Helper()
-	acked := 0
-	for acked < total {
-		msg, err := c.recv()
-		if err != nil {
-			t.Fatalf("recv after %d acks: %v", acked, err)
-		}
-		var tasks []Task
-		switch msg.Type {
-		case msgTask:
-			tasks = []Task{*msg.Task}
-		case msgTaskBatch:
-			tasks = msg.Tasks
-		case msgShutdown:
-			t.Fatalf("shutdown after %d/%d acks", acked, total)
-		default:
-			continue // heartbeat-adjacent traffic: ignore
-		}
-		frameSizes = append(frameSizes, len(tasks))
-		frameTypes = append(frameTypes, msg.Type)
-		reply := message{Type: msgResultBatch, WorkerID: id}
-		for _, task := range tasks {
-			reply.Results = append(reply.Results, Result{
-				TaskID: task.ID, JobID: task.JobID, WorkerID: id,
-				Output: task.Payload, Elapsed: time.Millisecond,
-			})
-		}
-		if err := c.send(reply); err != nil {
-			t.Fatalf("ack: %v", err)
-		}
-		acked += len(tasks)
-	}
-	return frameSizes, frameTypes
-}
+// TestLockstepIsWindowOfOne: with BatchSize 0 or 1 every frame a worker
+// receives is a one-task task-batch, and the master never dispatches a
+// second task before the first is acked, however deep the queue.
+func TestLockstepIsWindowOfOne(t *testing.T) {
+	for _, batch := range []int{0, 1} {
+		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			m := NewMaster(MasterConfig{ResultBuffer: 16, BatchSize: batch})
+			const n = 5
+			for i := 0; i < n; i++ {
+				if err := m.Submit(Task{ID: fmt.Sprintf("t%d", i), JobID: "j", Payload: []byte("p")}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c, join := fakeBatchWorker(t, ctx, m, "w-lockstep")
+			defer join()
 
-// TestBatchNegotiationRespectsWorkerAdvert: the master's BatchSize is
-// capped by the worker's hello — a worker advertising 3 never receives
-// a larger frame, however deep the queue.
-func TestBatchNegotiationRespectsWorkerAdvert(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	m := NewMaster(MasterConfig{ResultBuffer: 32, BatchSize: 100})
-	const n = 10
-	for i := 0; i < n; i++ {
-		if err := m.Submit(Task{ID: fmt.Sprintf("t%d", i), JobID: "j", Payload: []byte("p")}); err != nil {
-			t.Fatal(err)
-		}
+			for i := 0; i < n; i++ {
+				msg, err := c.recv()
+				if err != nil {
+					t.Fatalf("recv frame %d: %v", i, err)
+				}
+				if msg.Type != msgTaskBatch || len(msg.Tasks) != 1 {
+					t.Fatalf("frame %d = %s with %d tasks, want a one-task %s", i, msg.Type, len(msg.Tasks), msgTaskBatch)
+				}
+				// Hold the ack a moment: a master dispatching past a window
+				// of one would assign the next task meanwhile.
+				time.Sleep(10 * time.Millisecond)
+				if h, _ := findWorker(m.ClusterHealth(), "w-lockstep"); h.InflightCount != 1 {
+					t.Fatalf("frame %d: %d tasks in flight before its ack, want 1", i, h.InflightCount)
+				}
+				task := msg.Tasks[0]
+				err = c.send(message{Type: msgResultBatch, WorkerID: "w-lockstep", Results: []Result{{
+					TaskID: task.ID, JobID: task.JobID, WorkerID: "w-lockstep", Output: task.Payload,
+				}}})
+				if err != nil {
+					t.Fatalf("ack frame %d: %v", i, err)
+				}
+			}
+			for i, r := range collect(t, m, n) {
+				if want := fmt.Sprintf("t%d", i); r.TaskID != want {
+					t.Errorf("result %d = %s, want %s", i, r.TaskID, want)
+				}
+			}
+		})
 	}
-	c, join := fakeBatchWorker(t, ctx, m, "w-advert3", 3)
-	defer join()
-
-	sizes, types := ackAll(t, c, "w-advert3", n)
-	for i, sz := range sizes {
-		if sz < 1 || sz > 3 {
-			t.Errorf("frame %d carried %d tasks, advert was 3", i, sz)
-		}
-		if types[i] != msgTaskBatch {
-			t.Errorf("frame %d type = %s, want %s", i, types[i], msgTaskBatch)
-		}
-	}
-	results := collect(t, m, n)
-	for i, r := range results {
-		if want := fmt.Sprintf("t%d", i); r.TaskID != want {
-			t.Errorf("result %d = %s, want %s", i, r.TaskID, want)
-		}
-	}
-}
-
-// TestUnbatchedWorkerGetsSingleFrames: a worker advertising no batch
-// capacity (hello batch 0 — the pre-batching protocol) is driven with
-// lock-step single-task frames even when the master batches.
-func TestUnbatchedWorkerGetsSingleFrames(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	m := NewMaster(MasterConfig{ResultBuffer: 16, BatchSize: 8})
-	const n = 5
-	for i := 0; i < n; i++ {
-		if err := m.Submit(Task{ID: fmt.Sprintf("t%d", i), JobID: "j"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c, join := fakeBatchWorker(t, ctx, m, "w-legacy", 0)
-	defer join()
-
-	_, types := ackAll(t, c, "w-legacy", n)
-	for i, typ := range types {
-		if typ != msgTask {
-			t.Errorf("frame %d type = %s, want %s (legacy worker must get single frames)", i, typ, msgTask)
-		}
-	}
-	collect(t, m, n)
 }
 
 // TestMidBatchResetRequeuesUnacked: a worker that dies with a batch
@@ -263,7 +215,7 @@ func TestMidBatchResetRequeuesUnacked(t *testing.T) {
 	// The flaky worker drains the whole pipelined window (the master's
 	// sends block on the unbuffered pipe otherwise), acks only the head
 	// task, and drops the connection.
-	c, join := fakeBatchWorker(t, ctx, m, "w-flaky", 4)
+	c, join := fakeBatchWorker(t, ctx, m, "w-flaky")
 	var received []Task
 	for len(received) < n {
 		msg, err := c.recv()

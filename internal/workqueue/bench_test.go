@@ -5,16 +5,15 @@ import (
 	"testing"
 )
 
-// benchTracedTaskMsg is a representative dispatch: a task carrying its
-// distributed-trace context and the master's send stamp.
-func benchTracedTaskMsg() message {
-	return message{Type: msgTask, Task: &Task{
+// benchTracedTask is a representative dispatched task, carrying its
+// distributed-trace context.
+func benchTracedTask() Task {
+	return Task{
 		ID: "claim-17/3", JobID: "claim-17",
-		Payload:      []byte(`{"claim":"claim-17","reports":[{"s":"src-1","t":"2017-04-01T10:00:00Z"}]}`),
-		Span:         91,
-		Trace:        &TraceContext{TraceID: "f3a9b2c1-42", ParentSpanID: 91},
-		SentUnixNano: 1491040800000000000,
-	}}
+		Payload: []byte(`{"claim":"claim-17","reports":[{"s":"src-1","t":"2017-04-01T10:00:00Z"}]}`),
+		Span:    91,
+		Trace:   &TraceContext{TraceID: "f3a9b2c1-42", ParentSpanID: 91},
+	}
 }
 
 // BenchmarkStageSpanTraced measures a worker recording one stage span on

@@ -58,12 +58,13 @@ type WorkerHealth struct {
 	// ClockSkewMs estimates the worker clock's offset from the master
 	// clock (positive = worker clock ahead); RTTMs the message round-trip
 	// time. Both are NTP-style estimates from the send/receive timestamps
-	// piggybacked on heartbeats, stats and results.
+	// carried on task frames, heartbeats and results.
 	ClockSkewMs float64 `json:"clockSkewMs"`
 	RTTMs       float64 `json:"rttMs"`
-	// Remote is the worker's last self-reported stats snapshot (nil
-	// until the first stats message arrives).
-	Remote *WorkerStats `json:"remote,omitempty"`
+	// Remote is the worker's metrics registry (worker_* counters, gauges
+	// and the exec-time histogram) as its telemetry ships rebuild it: nil
+	// until the first heartbeat carrying a ship arrives.
+	Remote *obs.RegistrySnapshot `json:"remote,omitempty"`
 }
 
 // EWMA smoothing factors: exec time favors history (straggler detection
@@ -113,8 +114,9 @@ type workerEntry struct {
 	ewmaExecMs  float64
 	ewmaRate    float64
 	lastDone    time.Time
-	remote      *WorkerStats
-	prev        WorkerStats // previous snapshot, for delta aggregation
+	// remote is the latest decoded telemetry; its maps are never mutated
+	// after decode, so health rows share it.
+	remote *obs.RegistrySnapshot
 
 	// Clock alignment: EWMAs of the two one-way message legs. d1 is the
 	// worker→master leg observed on the master clock (receive time minus
@@ -255,22 +257,21 @@ func (cl *cluster) heartbeat(id string) {
 	cl.cHeartbeats.Inc()
 }
 
-// recordStats ingests a worker's self-reported snapshot: it refreshes
-// liveness, stores the snapshot for /cluster, and folds the delta since
-// the previous snapshot into the master registry under per-worker labels.
-func (cl *cluster) recordStats(id string, s *WorkerStats) {
+// recordShip stores a worker's registry as its latest telemetry ship
+// rebuilt it, for /cluster, and folds the growth since the previous ship
+// into the master registry under per-worker labels. It reads the names
+// newWorkerInstruments registers.
+func (cl *cluster) recordShip(id string, snap obs.RegistrySnapshot) {
 	cl.mu.Lock()
 	e, ok := cl.active[id]
 	if !ok {
 		cl.mu.Unlock()
 		return
 	}
-	e.heartbeats++
-	cl.seenLocked(e)
-	cl.cHeartbeats.Inc()
-	prev := e.prev
-	e.prev = *s
-	snap := *s
+	var prev obs.RegistrySnapshot
+	if e.remote != nil {
+		prev = *e.remote
+	}
 	e.remote = &snap
 	reg := cl.reg
 	cl.mu.Unlock()
@@ -278,20 +279,21 @@ func (cl *cluster) recordStats(id string, s *WorkerStats) {
 	if reg == nil {
 		return
 	}
-	delta := func(cur, old int64) int64 {
+	// Counters and the connection-byte gauges are cumulative on the
+	// worker; only their growth since the previous ship is added.
+	grow := func(name string, cur, old int64) {
 		if cur > old {
-			return cur - old
+			reg.Counter(workerLabel(name, id)).Add(cur - old)
 		}
-		return 0
 	}
-	reg.Counter(workerLabel("wq_worker_tasks_total", id)).Add(delta(s.TasksExecuted, prev.TasksExecuted))
-	reg.Counter(workerLabel("wq_worker_tasks_failed_total", id)).Add(delta(s.TasksFailed, prev.TasksFailed))
-	reg.Counter(workerLabel("wq_worker_bytes_in_total", id)).Add(delta(s.BytesIn, prev.BytesIn))
-	reg.Counter(workerLabel("wq_worker_bytes_out_total", id)).Add(delta(s.BytesOut, prev.BytesOut))
-	reg.Gauge(workerLabel("wq_worker_goroutines", id)).SetInt(s.Goroutines)
-	reg.Gauge(workerLabel("wq_worker_heap_bytes", id)).Set(float64(s.HeapBytes))
-	if len(s.Exec.Bounds) > 0 {
-		reg.Histogram(workerLabel("wq_worker_exec_ms", id), s.Exec.Bounds).AddSnapshotDelta(prev.Exec, s.Exec)
+	grow("wq_worker_tasks_total", snap.Counters[mWorkerExecuted], prev.Counters[mWorkerExecuted])
+	grow("wq_worker_tasks_failed_total", snap.Counters[mWorkerFailed], prev.Counters[mWorkerFailed])
+	grow("wq_worker_bytes_in_total", int64(snap.Gauges[mWorkerBytesIn]), int64(prev.Gauges[mWorkerBytesIn]))
+	grow("wq_worker_bytes_out_total", int64(snap.Gauges[mWorkerBytesOut]), int64(prev.Gauges[mWorkerBytesOut]))
+	reg.Gauge(workerLabel("wq_worker_goroutines", id)).Set(snap.Gauges[mWorkerGoroutines])
+	reg.Gauge(workerLabel("wq_worker_heap_bytes", id)).Set(snap.Gauges[mWorkerHeap])
+	if exec := snap.Histograms[mWorkerExec]; len(exec.Bounds) > 0 {
+		reg.Histogram(workerLabel("wq_worker_exec_ms", id), exec.Bounds).AddSnapshotDelta(prev.Histograms[mWorkerExec], exec)
 	}
 }
 
@@ -582,10 +584,7 @@ func healthRow(e *workerEntry) WorkerHealth {
 		h.ClockSkewMs = skew / float64(time.Millisecond)
 		h.RTTMs = (e.d1Ns + e.d2Ns) / float64(time.Millisecond)
 	}
-	if e.remote != nil {
-		snap := *e.remote
-		h.Remote = &snap
-	}
+	h.Remote = e.remote
 	return h
 }
 

@@ -47,7 +47,7 @@ func TestSilentWorkerMarkedDeadAndTaskRequeued(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg, err := c.recv()
-	if err != nil || msg.Type != msgTask {
+	if err != nil || msg.Type != msgTaskBatch {
 		t.Fatalf("silent worker expected a task, got %+v, %v", msg, err)
 	}
 
@@ -127,9 +127,10 @@ func TestHeartbeatKeepsBusyWorkerAlive(t *testing.T) {
 	}
 }
 
-// TestWorkerStatsAggregatedIntoMasterRegistry: a worker's self-reported
-// snapshots must surface in the master's registry under per-worker
-// labels — counters by delta, the exec histogram by per-bucket delta.
+// TestWorkerStatsAggregatedIntoMasterRegistry: a worker's telemetry
+// ships must surface in the master's registry under per-worker labels —
+// counters by delta, the exec histogram by per-bucket delta — and as the
+// health row's rebuilt remote registry.
 func TestWorkerStatsAggregatedIntoMasterRegistry(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -142,7 +143,7 @@ func TestWorkerStatsAggregatedIntoMasterRegistry(t *testing.T) {
 			ID:             "w-1",
 			Exec:           echoExec,
 			HeartbeatEvery: 5 * time.Millisecond,
-			StatsEvery:     1, // every heartbeat carries stats
+			StatsEvery:     1, // every heartbeat carries a telemetry ship
 		}
 		_ = w.Run(ctx, wconn)
 	}()
@@ -154,7 +155,7 @@ func TestWorkerStatsAggregatedIntoMasterRegistry(t *testing.T) {
 		}
 	}
 	collect(t, m, n)
-	// Stats arrive on the heartbeat cadence; wait for the counters to
+	// Ships arrive on the heartbeat cadence; wait for the counters to
 	// catch up with the completed tasks.
 	waitFor(t, func() bool {
 		return reg.Counter(`wq_worker_tasks_total{worker="w-1"}`).Value() >= n
@@ -173,13 +174,16 @@ func TestWorkerStatsAggregatedIntoMasterRegistry(t *testing.T) {
 	if got := s.Counters["wq_heartbeats_total"]; got <= 0 {
 		t.Errorf("wq_heartbeats_total = %v, want > 0", got)
 	}
-	// The remote snapshot is attached to the health row.
+	// The rebuilt remote registry is attached to the health row.
 	h, ok := findWorker(m.ClusterHealth(), "w-1")
 	if !ok || h.Remote == nil {
-		t.Fatalf("health row missing remote stats: %+v", h)
+		t.Fatalf("health row missing remote registry: %+v", h)
 	}
-	if h.Remote.TasksExecuted < n || h.Remote.Goroutines <= 0 {
-		t.Errorf("remote stats = %+v, want >= %d tasks and goroutines > 0", h.Remote, n)
+	if got := h.Remote.Counters["worker_tasks_executed_total"]; got < n {
+		t.Errorf("remote worker_tasks_executed_total = %d, want >= %d", got, n)
+	}
+	if got := h.Remote.Gauges["worker_goroutines"]; got <= 0 {
+		t.Errorf("remote worker_goroutines = %v, want > 0", got)
 	}
 }
 

@@ -54,33 +54,38 @@ const clusterDumpRetention = 32
 // per-connection reader goroutines to the collecting goroutine.
 type dumpCollector struct {
 	seq     int64
-	replies chan FlightDump
+	replies chan hostDump
 }
 
-// handleFlightDump routes an incoming worker dump: a reply whose Seq
-// matches the pending collection feeds that round; an unsolicited dump
-// (worker-initiated trip, Trigger set) starts a new cluster-wide
-// collection seeded with the worker's own events.
+// hostDump is a worker's flight dump filed under the connection it
+// arrived on — the only host identity the master trusts, since it picks
+// the merged trace's lane and the clock-skew correction.
+type hostDump struct {
+	host string
+	dump FlightDump
+}
+
+// handleFlightDump routes a dump arriving on workerID's connection: a
+// reply whose Seq matches the pending collection feeds that round; an
+// unsolicited dump (worker-initiated trip, Trigger set) starts a new
+// cluster-wide collection seeded with the worker's own events.
 func (m *Master) handleFlightDump(workerID string, d *FlightDump) {
 	if d == nil || m.clusterDumps == nil {
 		return
 	}
-	dd := *d
-	if dd.Host == "" {
-		dd.Host = workerID
-	}
+	hd := hostDump{host: workerID, dump: *d}
 	m.dumpMu.Lock()
 	col := m.dumpPending
 	m.dumpMu.Unlock()
-	if col != nil && dd.Seq == col.seq {
+	if col != nil && d.Seq == col.seq {
 		select {
-		case col.replies <- dd:
+		case col.replies <- hd:
 		default:
 		}
 		return
 	}
-	if dd.Trigger != "" {
-		go func() { _, _ = m.collectClusterDump(dd.Trigger, dd.Detail, []FlightDump{dd}) }()
+	if d.Trigger != "" {
+		go func() { _, _ = m.collectClusterDump(d.Trigger, d.Detail, []hostDump{hd}) }()
 	}
 }
 
@@ -92,7 +97,7 @@ func (m *Master) CollectClusterDump(trigger, detail string) (*ClusterDumpInfo, e
 	return m.collectClusterDump(trigger, detail, nil)
 }
 
-func (m *Master) collectClusterDump(trigger, detail string, seed []FlightDump) (*ClusterDumpInfo, error) {
+func (m *Master) collectClusterDump(trigger, detail string, seed []hostDump) (*ClusterDumpInfo, error) {
 	cfg := m.clusterDumps
 	if cfg == nil {
 		return nil, errors.New("workqueue: cluster dump collection is not enabled")
@@ -119,7 +124,7 @@ func (m *Master) collectClusterDump(trigger, detail string, seed []FlightDump) (
 	seq := m.dumpSeq
 	m.dumpLast = time.Now()
 	targets := m.cluster.codecs()
-	col := &dumpCollector{seq: seq, replies: make(chan FlightDump, len(targets)+1)}
+	col := &dumpCollector{seq: seq, replies: make(chan hostDump, len(targets)+1)}
 	m.dumpPending = col
 	m.dumpMu.Unlock()
 	defer func() {
@@ -130,7 +135,7 @@ func (m *Master) collectClusterDump(trigger, detail string, seed []FlightDump) (
 
 	got := make(map[string]FlightDump, len(targets)+len(seed))
 	for _, d := range seed {
-		got[d.Host] = d
+		got[d.host] = d.dump
 	}
 
 	// Broadcast FreezeRings. Codec sends are mutex-serialized, so writing
@@ -150,10 +155,10 @@ func (m *Master) collectClusterDump(trigger, detail string, seed []FlightDump) (
 	for expect > 0 {
 		select {
 		case d := <-col.replies:
-			if _, dup := got[d.Host]; !dup {
+			if _, dup := got[d.host]; !dup {
 				expect--
 			}
-			got[d.Host] = d
+			got[d.host] = d.dump
 		case <-deadline.C:
 			expect = 0
 		}

@@ -17,10 +17,18 @@ func DecodeFrame(frame []byte) error {
 	return err
 }
 
+// Wire constants for the frames external tests build by hand.
+const (
+	WireVersion     = wireVersion
+	TypeResultBatch = byte(msgResultBatch)
+	FlagResults     = wfResults
+)
+
 // EncodeTaskFrameBinary produces one complete wire frame, CRC stamped,
-// carrying a task — pristine material for external tests to mangle.
+// carrying one task as lock-step dispatch sends it — pristine material
+// for external tests to mangle.
 func EncodeTaskFrameBinary(id, job string, payload []byte) []byte {
-	m := message{Type: msgTask, Task: &Task{ID: id, JobID: job, Payload: payload}}
+	m := message{Type: msgTaskBatch, Tasks: []Task{{ID: id, JobID: job, Payload: payload}}}
 	m.CRC = m.checksum()
 	return appendWireFrame(nil, &m)
 }

@@ -48,8 +48,8 @@ func TestMasterTaskStateDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msg.Type != msgTask {
-		t.Fatalf("flaky worker got %q, want task", msg.Type)
+	if msg.Type != msgTaskBatch {
+		t.Fatalf("flaky worker got %q, want %s", msg.Type, msgTaskBatch)
 	}
 	_ = c.close()
 	<-handlerDone

@@ -70,9 +70,7 @@ type MasterConfig struct {
 	// many queued tasks into one task-batch frame per worker and keeps a
 	// pipelined window of two batches un-acked, so the worker's next
 	// batch is already in its socket buffer while the current one
-	// executes. The effective batch is min(BatchSize, the worker
-	// hello's advertised capacity). <= 1 disables batching and keeps the
-	// original lock-step one-task-one-result exchange.
+	// executes. <= 1 is lock-step: a window of one single-task frame.
 	BatchSize int
 	// Metrics and Tracer enable telemetry (both may be nil: the master
 	// then keeps no per-task timing state and every hook no-ops). Logger
@@ -102,8 +100,8 @@ type MasterConfig struct {
 	Admission *AdmissionConfig
 	// Telemetry, when set, retains the workers' shipped metrics snapshots
 	// as labeled time series (the /query endpoint's backing store). Each
-	// worker's TelemetryShip deltas are applied under a host=<worker-id>
-	// label on arrival.
+	// worker's registry, as its telemetry ships rebuild it, is ingested
+	// under a host=<worker-id> label on arrival.
 	Telemetry *tsdb.Store
 	// FlightRec overrides the recorder whose trips cascade into cross-host
 	// dump collection (default: the process-global flightrec.Active()).
@@ -413,7 +411,7 @@ func (m *Master) Serve(ctx context.Context, l net.Listener) error {
 // net.Pipe with the identical protocol.
 //
 // Three goroutines cooperate per connection: a reader that drains every
-// incoming message (so heartbeats and stats are seen even while the
+// incoming message (so heartbeats are seen even while the
 // worker executes or idles), an optional liveness monitor that severs
 // the connection when the worker goes silent past DeadAfter, and this
 // handler loop, which assigns tasks and waits for their results.
@@ -446,20 +444,11 @@ func (m *Master) HandleWorker(ctx context.Context, conn net.Conn) error {
 		m.gWorkers.SetInt(m.cluster.count())
 	}()
 
-	// Batch negotiation: the worker's hello advertises the largest task
-	// batch it accepts per frame; the master dispatches up to the smaller
-	// of that and its own BatchSize. Either side at <= 0 keeps the
-	// original lock-step protocol (a window of one single-task frame).
+	// Lock-step (BatchSize <= 1) is a window of one single-task frame.
 	// With batching the un-acked window is two batches deep, so the next
 	// batch is already in the worker's socket buffer while the current
 	// one executes — the pipelining that hides the dispatch round trip.
-	batchMax := m.batchSize
-	if hello.Batch < batchMax {
-		batchMax = hello.Batch
-	}
-	if batchMax < 1 {
-		batchMax = 1
-	}
+	batchMax := max(m.batchSize, 1)
 	maxInflight := batchMax
 	if batchMax > 1 {
 		maxInflight = 2 * batchMax
@@ -474,10 +463,11 @@ func (m *Master) HandleWorker(ctx context.Context, conn net.Conn) error {
 	defer m.sched.putWaiter(w)
 
 	// Reader: demultiplex the worker's messages. Results flow to the
-	// handler loop; heartbeats and stats feed the health registry
-	// directly. Any receive error (including the liveness monitor or
-	// handler closing the connection) lands in readErr and wakes the
-	// handler if it is blocked waiting for a task. handlerDone is the
+	// handler loop; heartbeats and their telemetry feed the health
+	// registry and time-series store directly. Any receive error
+	// (including the liveness monitor or handler closing the connection)
+	// lands in readErr and wakes the handler if it is blocked waiting for
+	// a task. handlerDone is the
 	// reader's escape hatch for a stray result nobody will consume —
 	// it must not race with normal delivery, so it closes only when this
 	// handler returns, not on mere context cancellation.
@@ -493,6 +483,9 @@ func (m *Master) HandleWorker(ctx context.Context, conn net.Conn) error {
 	handlerDone := make(chan struct{})
 	defer close(handlerDone)
 	go func() {
+		// ships rebuilds this worker's registry from its telemetry: the
+		// one decode both the health registry and the tsdb read.
+		var ships obs.ShipReceiver
 		for {
 			msg, err := c.recv()
 			if err != nil {
@@ -509,38 +502,20 @@ func (m *Master) HandleWorker(ctx context.Context, conn net.Conn) error {
 			}
 			m.cluster.observeClock(workerID, d1, msg.TaskDelayNs)
 			m.ingestRemoteSpans(workerID, msg.Spans)
-			if msg.Telemetry != nil && m.telemetry != nil {
-				// Shipped metrics snapshot (piggybacked on the stats
-				// cadence): fold the deltas into the retained time-series
-				// store under this worker's host label.
-				m.telemetry.ApplyShip(workerID, msg.Telemetry, time.Now())
+			if msg.Telemetry != nil {
+				snap := ships.Receive(msg.Telemetry)
+				m.cluster.recordShip(workerID, snap)
+				m.telemetry.Ingest(workerID, snap, time.Now())
 			}
 			switch msg.Type {
 			case msgHeartbeat:
 				m.cluster.heartbeat(workerID)
-			case msgStats:
-				if msg.Stats != nil {
-					m.cluster.recordStats(workerID, msg.Stats)
-				} else {
-					m.cluster.heartbeat(workerID)
-				}
 			case msgFlightDump:
 				// Either the answer to our FreezeRings broadcast or a
 				// worker-initiated cluster trip; a dump is also proof of
 				// life for the liveness monitor.
 				m.cluster.heartbeat(workerID)
 				m.handleFlightDump(workerID, msg.Dump)
-			case msgResult:
-				if msg.Result == nil {
-					readErr <- fmt.Errorf("workqueue: result message without result")
-					wake()
-					return
-				}
-				select {
-				case results <- []Result{*msg.Result}:
-				case <-handlerDone:
-					return
-				}
 			case msgResultBatch:
 				if len(msg.Results) == 0 {
 					readErr <- fmt.Errorf("workqueue: result-batch message without results")
@@ -619,11 +594,10 @@ func (m *Master) HandleWorker(ctx context.Context, conn net.Conn) error {
 	// behind its batch-mates is not misread as wire time.
 	var lastAck time.Time
 
-	// dispatch ships one batch. Each task goes out as a stamped copy: the
-	// send timestamp feeds the worker's leg of the clock-skew estimate,
-	// and the rewritten TraceContext parents the worker's stage spans
-	// directly under that task's exec span. A window of one task keeps
-	// the original single-task frame so pre-batching peers interoperate.
+	// dispatch ships one batch as one task-batch frame. The frame's send
+	// stamp feeds the worker's leg of the clock-skew estimate, and each
+	// task goes out as a copy whose rewritten TraceContext parents the
+	// worker's stage spans directly under that task's exec span.
 	dispatch := func(batch []Task) error {
 		tp := m.fr.Start()
 		wires := make([]Task, len(batch))
@@ -645,7 +619,6 @@ func (m *Master) HandleWorker(ctx context.Context, conn net.Conn) error {
 				// the connection.
 				wire.TimeoutNs = int64(m.taskTimeout) * 4 / 5
 			}
-			wire.SentUnixNano = sentAt.UnixNano()
 			wires[i] = wire
 			payloadBytes += int64(len(wire.Payload))
 			if i == 0 {
@@ -653,11 +626,7 @@ func (m *Master) HandleWorker(ctx context.Context, conn net.Conn) error {
 			}
 			outstanding = append(outstanding, sentTask{task: task, sentAt: sentAt})
 		}
-		env := message{Type: msgTaskBatch, Tasks: wires}
-		if batchMax == 1 {
-			env = message{Type: msgTask, Task: &wires[0]}
-		}
-		if err := c.send(env); err != nil {
+		if err := c.send(message{Type: msgTaskBatch, Tasks: wires, SentUnixNano: sentAt.UnixNano()}); err != nil {
 			requeueOutstanding()
 			return obs.Wrap(err)
 		}

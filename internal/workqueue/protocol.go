@@ -6,10 +6,11 @@
 // and leave at any time, and job priorities may be retuned while tasks are
 // in flight (the paper's Local Control Knob).
 //
-// Beyond the task/result exchange, workers ship heartbeat and stats
-// messages: periodic liveness pings plus compact telemetry snapshots
-// (task counts, exec-time histogram, connection bytes, runtime stats)
-// that feed the master's per-worker health registry (cluster.go).
+// Beyond the task/result exchange, workers send heartbeats: periodic
+// liveness pings, some carrying a delta-encoded snapshot of the worker's
+// metrics registry (task counts, exec-time histogram, connection bytes,
+// runtime stats) that feeds the master's per-worker health registry
+// (cluster.go) and its time-series store.
 //
 // Every message travels as one length-prefixed binary frame (wire.go);
 // there is no second format and no negotiation. This file holds the
@@ -46,10 +47,6 @@ type Task struct {
 	// Trace carries the distributed trace context across the wire; nil
 	// disables worker-side stage spans for this task (old submitters).
 	Trace *TraceContext
-	// SentUnixNano is stamped by the master just before the task goes on
-	// the wire (master clock). The worker reports back the observed
-	// delivery delta, one leg of the NTP-style clock-skew estimate.
-	SentUnixNano int64
 	// TimeoutNs is the execution budget the worker enforces for this
 	// task (zero = none). The master stamps it from its TaskTimeout so
 	// a hung executor self-reports a timeout result before the master's
@@ -76,40 +73,22 @@ type Result struct {
 	Elapsed  time.Duration
 }
 
-// WorkerStats is a worker's compact self-reported telemetry snapshot,
-// shipped with stats messages. All counts are cumulative since the
-// worker connected; the master aggregates deltas between consecutive
-// snapshots into its own registry under per-worker labels.
-type WorkerStats struct {
-	TasksExecuted int64 `json:"tasks_executed"`
-	TasksFailed   int64 `json:"tasks_failed"`
-	// BytesIn / BytesOut count wire bytes over the master connection as
-	// seen by the worker.
-	BytesIn  int64 `json:"bytes_in"`
-	BytesOut int64 `json:"bytes_out"`
-	// Goroutines and HeapBytes sample the worker process runtime.
-	Goroutines int    `json:"goroutines"`
-	HeapBytes  uint64 `json:"heap_bytes"`
-	UptimeMs   int64  `json:"uptime_ms"`
-	// Exec is the worker-side task execution time histogram (ms).
-	Exec obs.HistogramSnapshot `json:"exec"`
-}
-
 // msgType is a message's kind and, as a number, its type byte on the
 // wire: values are part of the format, so new kinds are appended.
 type msgType byte
 
-// Message types exchanged between master and worker.
+// Message types exchanged between master and worker, one per concern.
 const (
 	msgHello msgType = iota + 1
-	msgTask
-	msgResult
-	msgShutdown
-	// msgHeartbeat is a worker liveness ping; msgStats is a heartbeat
-	// carrying a WorkerStats snapshot. Both may arrive at any time,
-	// including while a task is executing.
+	// msgTaskBatch carries one or more tasks (master→worker) — lock-step
+	// dispatch is a batch of one; msgResultBatch carries their results
+	// back (worker→master), in dispatch order.
+	msgTaskBatch
+	msgResultBatch
+	// msgHeartbeat is a worker liveness ping. It may arrive at any time,
+	// including while a task is executing, and may carry a telemetry ship.
 	msgHeartbeat
-	msgStats
+	msgShutdown
 	// msgFreeze is the master's FreezeRings broadcast: every worker
 	// snapshots its flight-recorder rings and replies with msgFlightDump.
 	// A worker may also send msgFlightDump unsolicited (Seq 0, Trigger
@@ -117,12 +96,6 @@ const (
 	// cluster-wide trip.
 	msgFreeze
 	msgFlightDump
-	// msgTaskBatch carries several tasks in one frame (master→worker);
-	// msgResultBatch carries several results back (worker→master). Both
-	// sides fall back to the singular forms when batching is not
-	// negotiated (hello.Batch == 0).
-	msgTaskBatch
-	msgResultBatch
 )
 
 // wireTypeName names every message type. The names are hashed into the
@@ -130,15 +103,12 @@ const (
 // type byte without a name here is rejected by the decoder.
 var wireTypeName = [...]string{
 	msgHello:       "hello",
-	msgTask:        "task",
-	msgResult:      "result",
-	msgShutdown:    "shutdown",
-	msgHeartbeat:   "heartbeat",
-	msgStats:       "stats",
-	msgFreeze:      "freeze",
-	msgFlightDump:  "flight-dump",
 	msgTaskBatch:   "task-batch",
 	msgResultBatch: "result-batch",
+	msgHeartbeat:   "heartbeat",
+	msgShutdown:    "shutdown",
+	msgFreeze:      "freeze",
+	msgFlightDump:  "flight-dump",
 }
 
 // String returns the type's name, or "" for a byte that names no type.
@@ -163,11 +133,11 @@ type FreezeRequest struct {
 }
 
 // FlightDump is a worker's flight-recorder snapshot shipped to the
-// master. Event timestamps are on the worker's clock; the master applies
-// its per-worker skew estimate when merging.
+// master. It names no host: the master files it under the connection it
+// arrived on. Event timestamps are on the worker's clock; the master
+// applies that connection's skew estimate when merging.
 type FlightDump struct {
 	Seq     int64
-	Host    string
 	Trigger string
 	Detail  string
 	// Events is the snapshot payload. Like telemetry it is excluded from
@@ -180,37 +150,30 @@ type FlightDump struct {
 type message struct {
 	Type     msgType
 	WorkerID string
-	Task     *Task
-	Result   *Result
-	Stats    *WorkerStats
-	// SentUnixNano stamps the worker's clock as the message goes on the
-	// wire; the master's receive time minus it is the worker→master leg
-	// of the clock-skew estimate. TaskDelayNs is the worker-observed
-	// master→worker delivery delta of the most recent task (receive time
-	// minus Task.SentUnixNano) — the opposite leg. Offsetting the two
-	// cancels transit and leaves clock skew (NTP's derivation); summing
-	// them estimates the RTT. Both ride on heartbeats, stats and results,
+	// SentUnixNano stamps the sender's clock as the message goes on the
+	// wire. On a task-batch it is the master's send time; the worker
+	// reports receive time minus it back as TaskDelayNs, the
+	// master→worker leg of the clock-skew estimate. On worker messages the
+	// master's receive time minus it is the worker→master leg. Offsetting
+	// the two cancels transit and leaves clock skew (NTP's derivation);
+	// summing them estimates the RTT. Both ride on heartbeats and results,
 	// so skew converges even for workers that never heartbeat.
 	SentUnixNano int64
 	TaskDelayNs  int64
 	// Spans are finished worker-side stage spans being shipped to the
-	// master (on results, heartbeats and stats messages alike).
+	// master (on results and heartbeats alike).
 	Spans []RemoteSpan
-	// Telemetry piggybacks a delta-encoded metrics snapshot on stats
-	// messages, feeding the master's time-series store. Excluded from the
-	// CRC like the clock stamps: telemetry damage is not worth a
-	// disconnect.
+	// Telemetry rides on every StatsEvery-th heartbeat: a delta-encoded
+	// snapshot of the worker's metrics registry, feeding the master's
+	// health registry and time-series store. Excluded from the CRC like
+	// the clock stamps: telemetry damage is not worth a disconnect.
 	Telemetry *obs.TelemetryShip
 	// Freeze rides on msgFreeze (master→worker); Dump on msgFlightDump
 	// (worker→master).
 	Freeze *FreezeRequest
 	Dump   *FlightDump
-	// Batch rides on hello: the largest task batch the worker is willing
-	// to accept in one frame (0 = unbatched, the pre-batching protocol).
-	// The master dispatches min(its configured batch size, this).
-	Batch int
-	// Tasks rides on msgTaskBatch, Results on msgResultBatch. Like their
-	// singular counterparts both are CRC-guarded, element by element.
+	// Tasks rides on msgTaskBatch, Results on msgResultBatch. Both are
+	// CRC-guarded, element by element.
 	Tasks   []Task
 	Results []Result
 	// CRC guards the corruption-sensitive fields (message type, task and
@@ -228,36 +191,25 @@ type message struct {
 func (m *message) checksum() uint32 {
 	h := crc32.NewIEEE()
 	write := func(s string) { _, _ = io.WriteString(h, s); _, _ = h.Write([]byte{0}) }
-	sumTask := func(t *Task) {
+	blob := func(b []byte) { _, _ = h.Write(b); _, _ = h.Write([]byte{0}) }
+	write(m.Type.String())
+	write(m.WorkerID)
+	for i := range m.Tasks {
+		t := &m.Tasks[i]
 		write("task")
 		write(t.ID)
 		write(t.JobID)
-		_, _ = h.Write(t.Payload)
-		_, _ = h.Write([]byte{0})
+		blob(t.Payload)
 	}
-	sumResult := func(r *Result) {
+	for i := range m.Results {
+		r := &m.Results[i]
 		write("result")
 		write(r.TaskID)
 		write(r.JobID)
 		write(r.WorkerID)
 		write(r.Err)
 		write(r.ErrStage)
-		_, _ = h.Write(r.Output)
-		_, _ = h.Write([]byte{0})
-	}
-	write(m.Type.String())
-	write(m.WorkerID)
-	if m.Task != nil {
-		sumTask(m.Task)
-	}
-	if m.Result != nil {
-		sumResult(m.Result)
-	}
-	for i := range m.Tasks {
-		sumTask(&m.Tasks[i])
-	}
-	for i := range m.Results {
-		sumResult(&m.Results[i])
+		blob(r.Output)
 	}
 	return h.Sum32()
 }
@@ -270,7 +222,7 @@ var ErrChecksum = errors.New("workqueue: frame checksum mismatch")
 // wire format (wire.go). Sends are serialized by a mutex so a worker's
 // heartbeat goroutine and its task loop can share the connection; recv
 // is single-reader. Wire bytes are counted in both directions for the
-// stats snapshots.
+// worker's connection-byte gauges.
 type codec struct {
 	conn     net.Conn
 	r        *bufio.Reader
@@ -302,9 +254,6 @@ func newCodecWith(conn net.Conn, rec *flightrec.Recorder) *codec {
 // flightParent links a frame's codec events under the span that owns the
 // task it carries; telemetry-only frames stay unparented.
 func (m *message) flightParent() int64 {
-	if m.Task != nil && m.Task.Trace != nil {
-		return m.Task.Trace.ParentSpanID
-	}
 	if len(m.Tasks) > 0 && m.Tasks[0].Trace != nil {
 		return m.Tasks[0].Trace.ParentSpanID
 	}

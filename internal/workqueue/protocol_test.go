@@ -3,9 +3,6 @@ package workqueue
 import (
 	"errors"
 	"testing"
-	"time"
-
-	"github.com/social-sensing/sstd/internal/obs"
 )
 
 // TestHeartbeatRoundTrip: the minimal liveness message survives the wire
@@ -21,55 +18,8 @@ func TestHeartbeatRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Type != msgHeartbeat || m.WorkerID != "w" || m.Stats != nil {
+	if m.Type != msgHeartbeat || m.WorkerID != "w" || m.Telemetry != nil {
 		t.Errorf("heartbeat round trip = %+v", m)
-	}
-}
-
-// TestStatsRoundTrip: a stats message carries the full snapshot,
-// including the exec-time histogram layout.
-func TestStatsRoundTrip(t *testing.T) {
-	h := obs.NewRegistry().Histogram("exec_ms", []float64{1, 10, 100})
-	h.Observe(0.5)
-	h.Observe(50)
-	sent := WorkerStats{
-		TasksExecuted: 7,
-		TasksFailed:   1,
-		BytesIn:       1024,
-		BytesOut:      2048,
-		Goroutines:    9,
-		HeapBytes:     1 << 20,
-		UptimeMs:      12345,
-		Exec:          h.Snapshot(),
-	}
-
-	a, b := pipePair()
-	ca, cb := newCodec(a), newCodec(b)
-	defer func() { _ = ca.close() }()
-	go func() {
-		_ = ca.send(message{Type: msgStats, WorkerID: "w", Stats: &sent})
-	}()
-	m, err := cb.recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Type != msgStats || m.Stats == nil {
-		t.Fatalf("stats round trip = %+v", m)
-	}
-	got := *m.Stats
-	if got.TasksExecuted != 7 || got.TasksFailed != 1 ||
-		got.BytesIn != 1024 || got.BytesOut != 2048 ||
-		got.Goroutines != 9 || got.HeapBytes != 1<<20 || got.UptimeMs != 12345 {
-		t.Errorf("scalar fields lost: %+v", got)
-	}
-	if got.Exec.Count != 2 || got.Exec.Sum != 50.5 {
-		t.Errorf("histogram summary lost: %+v", got.Exec)
-	}
-	if len(got.Exec.Bounds) != 3 || len(got.Exec.Counts) != 4 {
-		t.Fatalf("histogram layout lost: %+v", got.Exec)
-	}
-	if got.Exec.Counts[0] != 1 || got.Exec.Counts[2] != 1 {
-		t.Errorf("histogram buckets lost: %+v", got.Exec.Counts)
 	}
 }
 
@@ -79,16 +29,16 @@ func TestResultCarriesStage(t *testing.T) {
 	ca, cb := newCodec(a), newCodec(b)
 	defer func() { _ = ca.close() }()
 	go func() {
-		_ = ca.send(message{Type: msgResult, Result: &Result{
+		_ = ca.send(message{Type: msgResultBatch, Results: []Result{{
 			TaskID: "t", Err: "boom", ErrStage: StageDecode,
-		}})
+		}}})
 	}()
 	m, err := cb.recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Result == nil || m.Result.ErrStage != StageDecode {
-		t.Errorf("result stage lost: %+v", m.Result)
+	if len(m.Results) != 1 || m.Results[0].ErrStage != StageDecode {
+		t.Errorf("result stage lost: %+v", m.Results)
 	}
 }
 
@@ -145,27 +95,5 @@ func TestStageErrorDefaultsToExec(t *testing.T) {
 	}
 	if StageError(StageDecode, nil) != nil {
 		t.Errorf("StageError(nil) must be nil")
-	}
-}
-
-// TestWorkerStatsSnapshotFields: the worker's self-measurement is
-// internally consistent.
-func TestWorkerStatsSnapshotFields(t *testing.T) {
-	inst := newWorkerInstruments(obs.NewRegistry())
-	inst.start = time.Now().Add(-time.Second)
-	inst.cExecuted.Add(3)
-	inst.hExec.Observe(4)
-	a, _ := pipePair()
-	c := newCodec(a)
-	defer func() { _ = c.close() }()
-	s := inst.snapshot(c)
-	if s.TasksExecuted != 3 || s.Exec.Count != 1 {
-		t.Errorf("snapshot counters = %+v", s)
-	}
-	if s.Goroutines <= 0 || s.HeapBytes == 0 {
-		t.Errorf("runtime fields empty: %+v", s)
-	}
-	if s.UptimeMs < 900 {
-		t.Errorf("uptime = %dms, want ~1000", s.UptimeMs)
 	}
 }

@@ -38,7 +38,7 @@ func crashLoopTask(t *testing.T, ctx context.Context, m *Master, id string, dead
 		if err != nil {
 			return false // deadline hit while the task backs off
 		}
-		if msg.Type == msgTask {
+		if msg.Type == msgTaskBatch {
 			return true // crash with the task in flight
 		}
 		if msg.Type == msgShutdown {
@@ -165,12 +165,12 @@ func TestQuarantineLifecycle(t *testing.T) {
 	}
 	_ = client.SetReadDeadline(time.Now().Add(10 * time.Second))
 	msg, err := c.recv()
-	if err != nil || msg.Type != msgTask || msg.Task.ID != "poison" {
+	if err != nil || msg.Type != msgTaskBatch || msg.Tasks[0].ID != "poison" {
 		t.Fatalf("healthy worker expected the released task, got %+v err=%v", msg, err)
 	}
-	if err := c.send(message{Type: msgResult, WorkerID: "healthy", Result: &Result{
+	if err := c.send(message{Type: msgResultBatch, WorkerID: "healthy", Results: []Result{{
 		TaskID: "poison", JobID: "j", WorkerID: "healthy", Output: []byte("ok"),
-	}}); err != nil {
+	}}}); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -15,9 +15,9 @@ import (
 
 // TestShutdownFlushesFinalStatsAndTelemetry is the regression test for
 // the graceful-shutdown flush: a short-lived worker that never reached
-// its stats cadence must still deliver its final WorkerStats snapshot
-// and telemetry ship on the way out, so its last window of work reaches
-// the master's registry and time-series store.
+// its telemetry cadence must still deliver a final telemetry ship on the
+// way out, so its last window of work reaches the master's registry and
+// time-series store — both fed from that one ship.
 func TestShutdownFlushesFinalStatsAndTelemetry(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -34,8 +34,8 @@ func TestShutdownFlushesFinalStatsAndTelemetry(t *testing.T) {
 			ID:      "brief",
 			Exec:    echoExec,
 			Metrics: obs.NewRegistry(),
-			// A long heartbeat interval: no periodic stats can fire during
-			// the test, so any snapshot the master sees came from the
+			// A long heartbeat interval: no periodic ship can fire during
+			// the test, so any telemetry the master sees came from the
 			// shutdown flush.
 			HeartbeatEvery: time.Hour,
 		}
@@ -204,6 +204,110 @@ func TestWorkerTripStartsClusterCollection(t *testing.T) {
 	}
 	if _, err := os.Stat(h.Path); err != nil {
 		t.Errorf("merged trace missing: %v", err)
+	}
+}
+
+// TestFlightDumpFiledUnderConnection is the regression test for trusting
+// a worker's word about whose dump it sends: the merged trace's lane and
+// the clock-skew correction come from the connection the dump arrived
+// on. A raw-codec worker whose clock runs an hour ahead answers the
+// freeze calling itself "master"; its event must still land on its own
+// lane, shifted back onto the master clock by its own skew.
+func TestFlightDumpFiledUnderConnection(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	mrec := mustRecorder(t)
+	m := NewMaster(MasterConfig{
+		ResultBuffer: 8,
+		FlightRec:    mrec,
+		ClusterDumps: &ClusterDumpConfig{Dir: t.TempDir(), Timeout: 5 * time.Second, Cooldown: time.Millisecond},
+	})
+	defer m.Shutdown()
+	// A reference event on the master clock.
+	ref := mrec.NewRing("ref")
+	ref.Probe(flightrec.ProbeMasterAck, ref.Start(), 0, 0)
+
+	mconn, wconn := pipePair()
+	go func() { _ = m.HandleWorker(ctx, mconn) }()
+	c := newCodec(wconn)
+	defer func() { _ = c.close() }()
+	if err := c.send(message{Type: msgHello, WorkerID: "w-fake"}); err != nil {
+		t.Fatal(err)
+	}
+	// Both legs of the skew estimate say the worker clock is an hour ahead.
+	const skew = int64(time.Hour)
+	if err := c.send(message{Type: msgHeartbeat, WorkerID: "w-fake", SentUnixNano: time.Now().UnixNano() + skew, TaskDelayNs: skew}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool {
+		h, _ := findWorker(m.ClusterHealth(), "w-fake")
+		return h.ClockSkewMs > 3500e3
+	}, "skew estimate for w-fake")
+
+	done := make(chan *ClusterDumpInfo, 1)
+	go func() {
+		info, err := m.CollectClusterDump(flightrec.TrigManual, "forged identity")
+		if err != nil {
+			t.Error(err)
+		}
+		done <- info
+	}()
+	msg, err := c.recv()
+	if err != nil || msg.Type != msgFreeze {
+		t.Fatalf("want a freeze, got %+v, %v", msg, err)
+	}
+	at := time.Now().UnixNano() + skew
+	if err := c.send(message{Type: msgFlightDump, WorkerID: "master", Dump: &FlightDump{
+		Seq: msg.Freeze.Seq, Trigger: msg.Freeze.Trigger,
+		Events: []flightrec.Event{{Ring: "codec", Probe: "codec.encode", T0: at, T1: at + 1000}},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	info := <-done
+	if info == nil {
+		t.FailNow()
+	}
+	if len(info.Hosts) != 2 || info.Hosts[0] != "master" || info.Hosts[1] != "w-fake" {
+		t.Fatalf("dump hosts = %v, want [master w-fake]", info.Hosts)
+	}
+
+	raw, err := os.ReadFile(info.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			Ph   string            `json:"ph"`
+			Ts   int64             `json:"ts"`
+			Pid  int               `json:"pid"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	lanes := map[string]int{}
+	ts := map[string]int64{}
+	for _, e := range doc.TraceEvents {
+		switch {
+		case e.Ph == "M" && e.Name == "process_name":
+			lanes[e.Args["name"]] = e.Pid
+		case e.Name == "codec.encode":
+			ts["worker"] = e.Ts
+			if e.Args["host"] != "w-fake" || e.Pid != lanes["host w-fake"] {
+				t.Errorf("worker event on host %q pid %d, want host w-fake on its lane (lanes %v)", e.Args["host"], e.Pid, lanes)
+			}
+		case e.Name == "master.ack":
+			ts["master"] = e.Ts
+		}
+	}
+	if len(ts) != 2 {
+		t.Fatalf("merged trace lacks the worker or the reference event: %v", ts)
+	}
+	// Uncorrected, the worker event would sit an hour after the reference.
+	if d := time.Duration(ts["worker"]-ts["master"]) * time.Microsecond; d < -time.Minute || d > time.Minute {
+		t.Errorf("worker event %v from the master reference, want it within a minute after skew correction", d)
 	}
 }
 

@@ -12,31 +12,30 @@ import (
 	"github.com/social-sensing/sstd/internal/obs"
 )
 
-// TestTaskTraceContextRoundTrip: the trace context and master send stamp
-// survive the wire on a task message.
+// TestTaskTraceContextRoundTrip: the trace context and the master's
+// frame send stamp survive the wire on a task frame.
 func TestTaskTraceContextRoundTrip(t *testing.T) {
 	a, b := pipePair()
 	ca, cb := newCodec(a), newCodec(b)
 	defer func() { _ = ca.close() }()
 	go func() {
-		_ = ca.send(message{Type: msgTask, Task: &Task{
+		_ = ca.send(message{Type: msgTaskBatch, SentUnixNano: 12345, Tasks: []Task{{
 			ID: "t1", JobID: "j",
-			Trace:        &TraceContext{TraceID: "abc-1", ParentSpanID: 7},
-			SentUnixNano: 12345,
-		}})
+			Trace: &TraceContext{TraceID: "abc-1", ParentSpanID: 7},
+		}}})
 	}()
 	m, err := cb.recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Task == nil || m.Task.Trace == nil {
-		t.Fatalf("trace context lost: %+v", m.Task)
+	if len(m.Tasks) != 1 || m.Tasks[0].Trace == nil {
+		t.Fatalf("trace context lost: %+v", m.Tasks)
 	}
-	if m.Task.Trace.TraceID != "abc-1" || m.Task.Trace.ParentSpanID != 7 {
-		t.Errorf("trace context = %+v", m.Task.Trace)
+	if tc := m.Tasks[0].Trace; tc.TraceID != "abc-1" || tc.ParentSpanID != 7 {
+		t.Errorf("trace context = %+v", tc)
 	}
-	if m.Task.SentUnixNano != 12345 {
-		t.Errorf("sent stamp = %d, want 12345", m.Task.SentUnixNano)
+	if m.SentUnixNano != 12345 {
+		t.Errorf("sent stamp = %d, want 12345", m.SentUnixNano)
 	}
 }
 
@@ -48,8 +47,8 @@ func TestRemoteSpanRoundTrip(t *testing.T) {
 	defer func() { _ = ca.close() }()
 	go func() {
 		_ = ca.send(message{
-			Type:         msgResult,
-			Result:       &Result{TaskID: "t1", WorkerID: "w"},
+			Type:         msgResultBatch,
+			Results:      []Result{{TaskID: "t1", WorkerID: "w"}},
 			SentUnixNano: 500,
 			TaskDelayNs:  900,
 			Spans: []RemoteSpan{
@@ -83,15 +82,15 @@ func TestUntracedMessagesTraceOff(t *testing.T) {
 	ca, cb := newCodec(a), newCodec(b)
 	defer func() { _ = ca.close() }()
 	go func() {
-		_ = ca.send(message{Type: msgTask, Task: &Task{ID: "t", JobID: "j", Payload: []byte("x")}})
-		_ = ca.send(message{Type: msgResult, Result: &Result{TaskID: "t", WorkerID: "w", Elapsed: 5}})
+		_ = ca.send(message{Type: msgTaskBatch, Tasks: []Task{{ID: "t", JobID: "j", Payload: []byte("x")}}})
+		_ = ca.send(message{Type: msgResultBatch, Results: []Result{{TaskID: "t", WorkerID: "w", Elapsed: 5}}})
 	}()
 	m, err := cb.recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Task == nil || m.Task.Trace != nil || m.Task.SentUnixNano != 0 {
-		t.Errorf("untraced task gained trace state: %+v", m.Task)
+	if len(m.Tasks) != 1 || m.Tasks[0].Trace != nil || m.SentUnixNano != 0 {
+		t.Errorf("untraced task gained trace state: %+v", m)
 	}
 	m, err = cb.recv()
 	if err != nil {

@@ -3,13 +3,13 @@ package workqueue
 // wire.go is the length-prefixed binary wire format — the only format
 // the cluster speaks. A frame is
 //
-//	magic(0xF5) version(0x01) uvarint(bodyLen) body
+//	magic(0xF5) version(0x02) uvarint(bodyLen) body
 //
 // and the body is one message: a type byte, a field-presence bitmap, then
 // the present fields in fixed order. Strings and byte slices travel as
 // uvarint length + raw bytes, integers as varints, floats as fixed 8-byte
-// IEEE 754 little-endian, and repeated structures (spans, batched tasks
-// and results, histogram buckets, telemetry samples) as flat
+// IEEE 754 little-endian, and repeated structures (spans, tasks, results,
+// histogram buckets, telemetry samples) as flat
 // count-prefixed arrays — no field names, no base64, no per-field
 // allocation. Map-backed telemetry is emitted with sorted keys so
 // encoding is deterministic and golden frames stay byte-stable.
@@ -38,12 +38,15 @@ import (
 const WireMagic byte = 0xF5
 
 // wireVersion is the binary format revision. Bump it for incompatible
-// layout changes; the decoder rejects versions it does not know.
-const wireVersion byte = 1
+// layout changes; the decoder rejects versions it does not know. Version
+// 2 has one message type per concern: every task frame is a batch, stats
+// ride on the heartbeat, and the hello negotiates nothing. Version 1
+// frames are kept under testdata/golden/v1 as proof they are refused.
+const wireVersion byte = 2
 
 // ErrWireFormat is returned by recv for a structurally invalid frame: a
 // wrong magic byte or version, truncated varints, lengths past the frame
-// end, unknown message types or trailing garbage.
+// end, unknown message types or presence bits, or trailing garbage.
 var ErrWireFormat = errors.New("workqueue: malformed binary frame")
 
 // Field-presence bits, in encode order.
@@ -52,16 +55,14 @@ const (
 	wfSent
 	wfTaskDelay
 	wfCRC
-	wfBatch
-	wfTask
-	wfResult
-	wfStats
 	wfSpans
 	wfTelemetry
 	wfFreeze
 	wfDump
 	wfTasks
 	wfResults
+	// wfKnown is every bit above; the decoder rejects any other.
+	wfKnown = 1<<iota - 1
 )
 
 // wireBufPool recycles encode scratch and recv body buffers. Buffers are
@@ -269,7 +270,6 @@ func wirePutTask(w *wireWriter, t *Task) {
 	} else {
 		w.bool(false)
 	}
-	w.i64(t.SentUnixNano)
 	w.i64(t.TimeoutNs)
 }
 
@@ -282,7 +282,6 @@ func wireGetTask(r *wireReader) Task {
 	if r.bool() {
 		t.Trace = &TraceContext{TraceID: r.str(), ParentSpanID: r.i64()}
 	}
-	t.SentUnixNano = r.i64()
 	t.TimeoutNs = r.i64()
 	return t
 }
@@ -309,52 +308,6 @@ func wireGetResult(r *wireReader) Result {
 	res.ErrTrace = r.str()
 	res.Elapsed = time.Duration(r.i64())
 	return res
-}
-
-func wirePutHistogram(w *wireWriter, h *obs.HistogramSnapshot) {
-	w.i64(h.Count)
-	w.f64(h.Sum)
-	w.f64s(h.Bounds)
-	w.i64s(h.Counts)
-	w.f64(h.P50)
-	w.f64(h.P90)
-	w.f64(h.P99)
-}
-
-func wireGetHistogram(r *wireReader) obs.HistogramSnapshot {
-	var h obs.HistogramSnapshot
-	h.Count = r.i64()
-	h.Sum = r.f64()
-	h.Bounds = r.f64s()
-	h.Counts = r.i64s()
-	h.P50 = r.f64()
-	h.P90 = r.f64()
-	h.P99 = r.f64()
-	return h
-}
-
-func wirePutStats(w *wireWriter, s *WorkerStats) {
-	w.i64(s.TasksExecuted)
-	w.i64(s.TasksFailed)
-	w.i64(s.BytesIn)
-	w.i64(s.BytesOut)
-	w.i64(int64(s.Goroutines))
-	w.u64(s.HeapBytes)
-	w.i64(s.UptimeMs)
-	wirePutHistogram(w, &s.Exec)
-}
-
-func wireGetStats(r *wireReader) WorkerStats {
-	var s WorkerStats
-	s.TasksExecuted = r.i64()
-	s.TasksFailed = r.i64()
-	s.BytesIn = r.i64()
-	s.BytesOut = r.i64()
-	s.Goroutines = int(r.i64())
-	s.HeapBytes = r.u64()
-	s.UptimeMs = r.i64()
-	s.Exec = wireGetHistogram(r)
-	return s
 }
 
 func wirePutSpan(w *wireWriter, s *RemoteSpan) {
@@ -458,7 +411,6 @@ func wireGetFreeze(r *wireReader) *FreezeRequest {
 
 func wirePutDump(w *wireWriter, d *FlightDump) {
 	w.i64(d.Seq)
-	w.str(d.Host)
 	w.str(d.Trigger)
 	w.str(d.Detail)
 	w.u64(uint64(len(d.Events)))
@@ -476,7 +428,6 @@ func wirePutDump(w *wireWriter, d *FlightDump) {
 func wireGetDump(r *wireReader) *FlightDump {
 	d := &FlightDump{}
 	d.Seq = r.i64()
-	d.Host = r.str()
 	d.Trigger = r.str()
 	d.Detail = r.str()
 	if n := r.count(6); n > 0 {
@@ -510,18 +461,6 @@ func wireFlags(m *message) uint64 {
 	}
 	if m.CRC != 0 {
 		f |= wfCRC
-	}
-	if m.Batch != 0 {
-		f |= wfBatch
-	}
-	if m.Task != nil {
-		f |= wfTask
-	}
-	if m.Result != nil {
-		f |= wfResult
-	}
-	if m.Stats != nil {
-		f |= wfStats
 	}
 	if len(m.Spans) > 0 {
 		f |= wfSpans
@@ -568,18 +507,6 @@ func appendWireFrame(dst []byte, m *message) []byte {
 	}
 	if flags&wfCRC != 0 {
 		w.u32(m.CRC)
-	}
-	if flags&wfBatch != 0 {
-		w.i64(int64(m.Batch))
-	}
-	if flags&wfTask != 0 {
-		wirePutTask(&w, m.Task)
-	}
-	if flags&wfResult != 0 {
-		wirePutResult(&w, m.Result)
-	}
-	if flags&wfStats != 0 {
-		wirePutStats(&w, m.Stats)
 	}
 	if flags&wfSpans != 0 {
 		w.u64(uint64(len(m.Spans)))
@@ -634,6 +561,9 @@ func decodeWireBody(body []byte) (message, error) {
 		return message{}, fmt.Errorf("%w: unknown message type %d", ErrWireFormat, byte(m.Type))
 	}
 	flags := r.u64()
+	if flags&^wfKnown != 0 {
+		return message{}, obs.Wrap(fmt.Errorf("%w: unknown presence bits %#x (type %q)", ErrWireFormat, flags&^wfKnown, m.Type))
+	}
 	if flags&wfWorkerID != 0 {
 		m.WorkerID = r.str()
 	}
@@ -645,21 +575,6 @@ func decodeWireBody(body []byte) (message, error) {
 	}
 	if flags&wfCRC != 0 {
 		m.CRC = r.u32()
-	}
-	if flags&wfBatch != 0 {
-		m.Batch = int(r.i64())
-	}
-	if flags&wfTask != 0 {
-		t := wireGetTask(&r)
-		m.Task = &t
-	}
-	if flags&wfResult != 0 {
-		res := wireGetResult(&r)
-		m.Result = &res
-	}
-	if flags&wfStats != 0 {
-		s := wireGetStats(&r)
-		m.Stats = &s
 	}
 	if flags&wfSpans != 0 {
 		if n := r.count(6); n > 0 {
@@ -679,9 +594,10 @@ func decodeWireBody(body []byte) (message, error) {
 		m.Dump = wireGetDump(&r)
 	}
 	if flags&wfTasks != 0 {
-		// A task is at least 8 bytes (two strings, a blob, five varints,
-		// a trace flag); the floor bounds allocation from a corrupt count.
-		if n := r.count(8); n > 0 {
+		// A task is at least 6 bytes (two strings, a blob, two varints,
+		// a trace flag) and a result 8; the floors bound allocation from
+		// a corrupt count.
+		if n := r.count(6); n > 0 {
 			m.Tasks = make([]Task, n)
 			for i := range m.Tasks {
 				m.Tasks[i] = wireGetTask(&r)
@@ -739,8 +655,8 @@ func WireFrameSplit(buf []byte) (int, bool) {
 
 // ShiftBinaryStamps rewrites the absolute clock stamps of one complete
 // frame by deltaNs — the chaos layer's clock-skew fault. Shifted fields
-// are the envelope and task send stamps (SentUnixNano) and remote span
-// starts (StartUnixNano), moved as int64 nanoseconds with no float in
+// are the envelope send stamp (SentUnixNano) and remote span starts
+// (StartUnixNano), moved as int64 nanoseconds with no float in
 // between. Relative fields (TaskDelayNs, durations, timeout budgets) and
 // the CRC-guarded identity fields are untouched, so a skewed frame still
 // passes its checksum — skew stays a timing condition, not corruption. A
@@ -762,12 +678,6 @@ func ShiftBinaryStamps(frame []byte, deltaNs int64) []byte {
 		}
 	}
 	shift(&m.SentUnixNano)
-	if m.Task != nil {
-		shift(&m.Task.SentUnixNano)
-	}
-	for i := range m.Tasks {
-		shift(&m.Tasks[i].SentUnixNano)
-	}
 	for i := range m.Spans {
 		shift(&m.Spans[i].StartUnixNano)
 	}

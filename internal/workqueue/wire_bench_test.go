@@ -14,13 +14,13 @@ import (
 	"time"
 )
 
-// benchSpanResultMsg is the traced reply: a result plus all five worker
-// stage spans and the clock stamps — the shape that dominates
-// master-side decode.
+// benchSpanResultMsg is the traced lock-step reply: a one-result
+// result-batch plus all five worker stage spans and the clock stamps —
+// the shape that dominates master-side decode.
 func benchSpanResultMsg() message {
 	m := message{
-		Type:         msgResult,
-		Result:       &Result{TaskID: "claim-17/3", JobID: "claim-17", WorkerID: "w-1", Output: []byte(`{"sums":{"0":1.5}}`), Elapsed: 2 * time.Millisecond},
+		Type:         msgResultBatch,
+		Results:      []Result{{TaskID: "claim-17/3", JobID: "claim-17", WorkerID: "w-1", Output: []byte(`{"sums":{"0":1.5}}`), Elapsed: 2 * time.Millisecond}},
 		SentUnixNano: 1491040800002000000,
 		TaskDelayNs:  150000,
 	}
@@ -34,20 +34,23 @@ func benchSpanResultMsg() message {
 	return m
 }
 
+// benchTaskBatchMsg is a dispatch of n traced tasks with the master's
+// send stamp; n = 1 is the lock-step frame.
 func benchTaskBatchMsg(n int) message {
-	m := message{Type: msgTaskBatch}
+	m := message{Type: msgTaskBatch, SentUnixNano: 1491040800000000000}
 	for i := 0; i < n; i++ {
-		t := benchTracedTaskMsg().Task
+		t := benchTracedTask()
 		t.ID = fmt.Sprintf("claim-17/%d", i)
-		m.Tasks = append(m.Tasks, *t)
+		m.Tasks = append(m.Tasks, t)
 	}
 	m.CRC = m.checksum()
 	return m
 }
 
-// BenchmarkWireEncodeTaskBinary: serializing one traced dispatch.
+// BenchmarkWireEncodeTaskBinary: serializing one traced lock-step
+// dispatch (a one-task task-batch).
 func BenchmarkWireEncodeTaskBinary(b *testing.B) {
-	m := benchTracedTaskMsg()
+	m := benchTaskBatchMsg(1)
 	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -1,21 +1,25 @@
 package workqueue
 
 // Golden wire-frame fixtures: one checked-in binary frame per message
-// type, byte-exact. They freeze wire format v1 — a codec change that
-// alters the bytes of an existing frame breaks TestGoldenFramesStable
-// (bump wireVersion and regenerate with -update if the change is
-// intentional), and a codec change that can no longer decode the
-// checked-in bytes breaks TestGoldenFramesDecode (that one must never
-// be regenerated away: old peers hold those bytes).
+// type, plus a heartbeat carrying a telemetry ship, byte-exact. They
+// freeze wire format v2 — a codec change that alters the bytes of an
+// existing frame breaks TestGoldenFramesStable (bump wireVersion and
+// regenerate with -update if the change is intentional), and a codec
+// change that can no longer decode the checked-in bytes breaks
+// TestGoldenFramesDecode. The v1 frames under testdata/golden/v1 are the
+// retired format's, kept so TestWireV1Retired proves v1 is refused on
+// purpose rather than by accident.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/social-sensing/sstd/internal/obs"
@@ -24,21 +28,26 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden wire frames under testdata/golden")
 
-// goldenMessages is the fixture set: every message type, every field
+// goldenFrame is one fixture: a message and the file its frame lives in.
+type goldenFrame struct {
+	name string
+	m    message
+}
+
+// goldenFrames is the fixture set: every message type, every field
 // populated with fixed values (telemetry map encoding is
-// deterministically sorted, so the frames are byte-stable).
-func goldenMessages() []message {
+// deterministically sorted, so the frames are byte-stable), named after
+// the type — plus heartbeat-telemetry, a heartbeat carrying a ship.
+func goldenFrames() []goldenFrame {
 	task := Task{
-		ID:      "task-0001",
-		JobID:   "job-alpha",
-		Payload: []byte(`{"tweet":"earthquake near pier 39","geo":[37.8,-122.4]}`),
-		Span:    101,
-		Trace:   &TraceContext{TraceID: "trace-cafe", ParentSpanID: 202},
-		// Fixed stamps: 2024-08-06T00:00:00.123456789Z-ish.
-		SentUnixNano: 1722900000123456789,
-		TimeoutNs:    2_000_000_000,
+		ID:        "task-0001",
+		JobID:     "job-alpha",
+		Payload:   []byte(`{"tweet":"earthquake near pier 39","geo":[37.8,-122.4]}`),
+		Span:      101,
+		Trace:     &TraceContext{TraceID: "trace-cafe", ParentSpanID: 202},
+		TimeoutNs: 2_000_000_000,
 	}
-	task2 := Task{ID: "task-0002", JobID: "job-alpha", Payload: []byte("second"), SentUnixNano: 1722900000123456790}
+	task2 := Task{ID: "task-0002", JobID: "job-alpha", Payload: []byte("second")}
 	result := Result{
 		TaskID:   "task-0001",
 		JobID:    "job-alpha",
@@ -54,24 +63,14 @@ func goldenMessages() []message {
 		{TraceID: "trace-cafe", Parent: 202, Name: "task.recv", TaskID: "task-0001", StartUnixNano: 1722900000123500000, DurNs: 1000},
 		{TraceID: "trace-cafe", Parent: 202, Name: "task.exec", TaskID: "task-0001", StartUnixNano: 1722900000123501000, DurNs: 41_000_000},
 	}
-	return []message{
-		{Type: msgHello, WorkerID: "w0", Batch: 256},
-		{Type: msgTask, Task: &task},
-		{Type: msgResult, WorkerID: "w0", Result: &result,
-			SentUnixNano: 1722900000165000000, TaskDelayNs: 250_000, Spans: spans},
-		{Type: msgShutdown},
-		{Type: msgHeartbeat, WorkerID: "w0", SentUnixNano: 1722900000200000000, TaskDelayNs: -1500},
-		{Type: msgStats, WorkerID: "w0", SentUnixNano: 1722900000300000000,
-			Stats: &WorkerStats{
-				TasksExecuted: 12, TasksFailed: 1, BytesIn: 4096, BytesOut: 8192,
-				Goroutines: 9, HeapBytes: 1 << 21, UptimeMs: 60000,
-				Exec: obs.HistogramSnapshot{
-					Count: 13, Sum: 101.5,
-					Bounds: []float64{1, 10, 100},
-					Counts: []int64{4, 6, 3, 0},
-					P50:    8.5, P90: 52.0, P99: 98.0,
-				},
-			},
+	return []goldenFrame{
+		{"hello", message{Type: msgHello, WorkerID: "w0"}},
+		// Fixed stamps: 2024-08-06T00:00:00.123456789Z-ish.
+		{"task-batch", message{Type: msgTaskBatch, SentUnixNano: 1722900000123456789, Tasks: []Task{task, task2}}},
+		{"result-batch", message{Type: msgResultBatch, WorkerID: "w0", SentUnixNano: 1722900000170000000,
+			TaskDelayNs: 250_000, Results: []Result{result, result2}, Spans: spans}},
+		{"heartbeat", message{Type: msgHeartbeat, WorkerID: "w0", SentUnixNano: 1722900000200000000, TaskDelayNs: -1500}},
+		{"heartbeat-telemetry", message{Type: msgHeartbeat, WorkerID: "w0", SentUnixNano: 1722900000300000000,
 			Telemetry: &obs.TelemetryShip{
 				Seq: 7, Full: true,
 				Counters: map[string]int64{"wq_tasks_total": 12, "wq_tasks_failed_total": 1},
@@ -79,35 +78,33 @@ func goldenMessages() []message {
 				Hists: map[string]obs.HistogramDelta{
 					"wq_exec_ms": {Bounds: []float64{1, 10}, Counts: []int64{2, 1, 0}, Count: 3, Sum: 14.5},
 				},
-			}},
-		{Type: msgFreeze, Freeze: &FreezeRequest{Seq: 3, Trigger: "slo_burn", Detail: "p99 over budget", WindowNs: 5_000_000_000}},
-		{Type: msgFlightDump, WorkerID: "w0", Dump: &FlightDump{
-			Seq: 3, Host: "w0", Trigger: "slo_burn", Detail: "p99 over budget",
+			}}},
+		{"shutdown", message{Type: msgShutdown}},
+		{"freeze", message{Type: msgFreeze, Freeze: &FreezeRequest{Seq: 3, Trigger: "slo_burn", Detail: "p99 over budget", WindowNs: 5_000_000_000}}},
+		{"flight-dump", message{Type: msgFlightDump, WorkerID: "w0", Dump: &FlightDump{
+			Seq: 3, Trigger: "slo_burn", Detail: "p99 over budget",
 			Events: []flightrec.Event{
 				{Ring: "codec", Probe: "codec.encode", T0: 1722900000123456000, T1: 1722900000123457000, Arg: 512, Parent: 202},
 				{Ring: "exec", Probe: "exec.run", T0: 1722900000123460000, T1: 1722900000164000000, Parent: 202},
 			},
-		}},
-		{Type: msgTaskBatch, Tasks: []Task{task, task2}},
-		{Type: msgResultBatch, WorkerID: "w0", SentUnixNano: 1722900000170000000,
-			TaskDelayNs: 250_000, Results: []Result{result, result2}, Spans: spans},
+		}}},
 	}
 }
 
-func goldenPath(typ msgType) string {
-	return filepath.Join("testdata", "golden", typ.String()+".bin")
+func goldenPath(name string) string {
+	return filepath.Join("testdata", "golden", name+".bin")
 }
 
 // TestGoldenFramesStable: encoding the fixture messages must reproduce
 // the checked-in frames byte for byte. A diff here means the encoder's
 // output changed — a wire format break for already-deployed peers.
 func TestGoldenFramesStable(t *testing.T) {
-	for _, m := range goldenMessages() {
-		m := m
-		t.Run(m.Type.String(), func(t *testing.T) {
+	for _, g := range goldenFrames() {
+		m := g.m
+		t.Run(g.name, func(t *testing.T) {
 			m.CRC = m.checksum()
 			frame := appendWireFrame(nil, &m)
-			path := goldenPath(m.Type)
+			path := goldenPath(g.name)
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
@@ -136,16 +133,16 @@ func TestGoldenFramesStable(t *testing.T) {
 
 // TestGoldenFramesDecode: the checked-in bytes must decode through the
 // production recv path (header, body, CRC) to exactly the fixture
-// message. This is the backward-compatibility contract: bytes already in
-// flight from old peers keep decoding.
+// message. This is the compatibility contract within a wire version:
+// bytes already in flight from peers of the same version keep decoding.
 func TestGoldenFramesDecode(t *testing.T) {
 	if *updateGolden {
 		t.Skip("regenerating")
 	}
-	for _, m := range goldenMessages() {
-		m := m
-		t.Run(m.Type.String(), func(t *testing.T) {
-			frame, err := os.ReadFile(goldenPath(m.Type))
+	for _, g := range goldenFrames() {
+		m := g.m
+		t.Run(g.name, func(t *testing.T) {
+			frame, err := os.ReadFile(goldenPath(g.name))
 			if err != nil {
 				t.Fatalf("read golden (regenerate with -update): %v", err)
 			}
@@ -174,32 +171,77 @@ func TestGoldenFramesDecode(t *testing.T) {
 // integrity check off. Every golden frame re-framed that way is refused
 // with ErrChecksum.
 func TestGoldenFrameWithoutCRCRejected(t *testing.T) {
-	for _, m := range goldenMessages() {
-		golden, err := os.ReadFile(goldenPath(m.Type))
+	for _, g := range goldenFrames() {
+		golden, err := os.ReadFile(goldenPath(g.name))
 		if err != nil {
 			t.Fatal(err)
 		}
+		m := g.m
 		m.CRC = 0 // wireFlags leaves wfCRC clear and the field unwritten
 		stripped := appendWireFrame(nil, &m)
 		if len(stripped) != len(golden)-4 {
-			t.Fatalf("%s: stripped frame is %d bytes, golden %d — want exactly the CRC gone", m.Type, len(stripped), len(golden))
+			t.Fatalf("%s: stripped frame is %d bytes, golden %d — want exactly the CRC gone", g.name, len(stripped), len(golden))
 		}
 		if err := DecodeFrame(stripped); !errors.Is(err, ErrChecksum) {
-			t.Errorf("%s: frame without a CRC: got %v, want ErrChecksum", m.Type, err)
+			t.Errorf("%s: frame without a CRC: got %v, want ErrChecksum", g.name, err)
 		}
 	}
 }
 
-// TestGoldenCoversAllWireTypes: a new message type must ship a golden
-// frame with it.
+// TestGoldenCoversAllWireTypes: wire v2 has exactly seven message types,
+// and a new one must ship a golden frame with it.
 func TestGoldenCoversAllWireTypes(t *testing.T) {
 	have := make(map[msgType]bool)
-	for _, m := range goldenMessages() {
-		have[m.Type] = true
+	for _, g := range goldenFrames() {
+		have[g.m.Type] = true
 	}
+	named := 0
 	for typ, name := range wireTypeName {
-		if name != "" && !have[msgType(typ)] {
-			t.Errorf("wire type %q has no golden frame — add it to goldenMessages and run -update", name)
+		if name == "" {
+			continue
+		}
+		named++
+		if !have[msgType(typ)] {
+			t.Errorf("wire type %q has no golden frame — add it to goldenFrames and run -update", name)
 		}
 	}
+	if named != 7 {
+		t.Errorf("wire v2 names %d message types, want 7", named)
+	}
+}
+
+// TestWireV1Retired: wire v1 is refused on purpose, not by accident. Each
+// of its ten golden frames, frozen under testdata/golden/v1, fails to
+// decode with ErrWireFormat; so does a v2 frame with a presence bit
+// outside the v2 set.
+func TestWireV1Retired(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "golden", "v1", "*.bin"))
+	if err != nil || len(paths) != 10 {
+		t.Fatalf("want the ten v1 golden frames, got %d (err %v)", len(paths), err)
+	}
+	for _, p := range paths {
+		t.Run(strings.TrimSuffix(filepath.Base(p), ".bin"), func(t *testing.T) {
+			frame, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := DecodeFrame(frame); !errors.Is(err, ErrWireFormat) {
+				t.Errorf("v1 frame: got %v, want ErrWireFormat", err)
+			}
+		})
+	}
+	t.Run("unknown-presence-bit", func(t *testing.T) {
+		m := message{Type: msgHeartbeat, WorkerID: "w0"}
+		m.CRC = m.checksum()
+		frame := appendWireFrame(nil, &m)
+		_, n := binary.Uvarint(frame[2:])
+		body := frame[2+n:]
+		flags, k := binary.Uvarint(body[1:])
+		forged := binary.AppendUvarint([]byte{body[0]}, flags|(wfKnown+1))
+		forged = append(forged, body[1+k:]...)
+		frame = append(binary.AppendUvarint([]byte{WireMagic, wireVersion}, uint64(len(forged))), forged...)
+		if err := DecodeFrame(frame); !errors.Is(err, ErrWireFormat) {
+			t.Errorf("frame with presence bit %#x: got %v, want ErrWireFormat", wfKnown+1, err)
+		}
+	})
 }

@@ -44,12 +44,11 @@ func genBytes(rng *rand.Rand) []byte {
 
 func genTask(rng *rand.Rand) Task {
 	t := Task{
-		ID:           genString(rng),
-		JobID:        genString(rng),
-		Payload:      genBytes(rng),
-		Span:         rng.Int63() - rng.Int63(),
-		SentUnixNano: rng.Int63(),
-		TimeoutNs:    rng.Int63n(int64(time.Minute)),
+		ID:        genString(rng),
+		JobID:     genString(rng),
+		Payload:   genBytes(rng),
+		Span:      rng.Int63() - rng.Int63(),
+		TimeoutNs: rng.Int63n(int64(time.Minute)),
 	}
 	if rng.Intn(2) == 0 {
 		t.Trace = &TraceContext{TraceID: genString(rng), ParentSpanID: rng.Int63()}
@@ -68,26 +67,6 @@ func genResult(rng *rand.Rand) Result {
 		ErrTrace: genString(rng),
 		Elapsed:  time.Duration(rng.Int63n(int64(time.Hour))),
 	}
-}
-
-func genHistogramSnapshot(rng *rand.Rand) obs.HistogramSnapshot {
-	n := 1 + rng.Intn(5)
-	h := obs.HistogramSnapshot{
-		Count:  rng.Int63n(1 << 40),
-		Sum:    rng.NormFloat64() * 1e6,
-		Bounds: make([]float64, n),
-		Counts: make([]int64, n+1),
-		P50:    rng.Float64() * 100,
-		P90:    rng.Float64() * 1000,
-		P99:    rng.Float64() * 10000,
-	}
-	for i := range h.Bounds {
-		h.Bounds[i] = float64(i+1) * rng.Float64() * 10
-	}
-	for i := range h.Counts {
-		h.Counts[i] = rng.Int63n(1 << 30)
-	}
-	return h
 }
 
 func genSpans(rng *rand.Rand) []RemoteSpan {
@@ -125,10 +104,16 @@ func genTelemetry(rng *rand.Rand) *obs.TelemetryShip {
 	if n := rng.Intn(3); n > 0 {
 		t.Hists = make(map[string]obs.HistogramDelta, n)
 		for i := 0; i < n; i++ {
-			hs := genHistogramSnapshot(rng)
-			t.Hists[genString(rng)+"h"] = obs.HistogramDelta{
-				Bounds: hs.Bounds, Counts: hs.Counts, Count: hs.Count, Sum: hs.Sum,
+			nb := 1 + rng.Intn(5)
+			h := obs.HistogramDelta{Bounds: make([]float64, nb), Counts: make([]int64, nb+1),
+				Count: rng.Int63n(1 << 40), Sum: rng.NormFloat64() * 1e6}
+			for i := range h.Bounds {
+				h.Bounds[i] = float64(i+1) * rng.Float64() * 10
 			}
+			for i := range h.Counts {
+				h.Counts[i] = rng.Int63n(1 << 30)
+			}
+			t.Hists[genString(rng)+"h"] = h
 		}
 	}
 	return t
@@ -137,7 +122,6 @@ func genTelemetry(rng *rand.Rand) *obs.TelemetryShip {
 func genDump(rng *rand.Rand) *FlightDump {
 	d := &FlightDump{
 		Seq:     rng.Int63(),
-		Host:    genString(rng),
 		Trigger: genString(rng),
 		Detail:  genString(rng),
 	}
@@ -156,44 +140,18 @@ func genDump(rng *rand.Rand) *FlightDump {
 
 // genMessage builds a seeded message of the given type with the field
 // population the production senders use, plus randomized optional
-// envelope fields (clock stamps, piggybacked spans).
+// envelope fields (clock stamps, spans, telemetry).
 func genMessage(rng *rand.Rand, typ msgType) message {
 	m := message{Type: typ}
 	switch typ {
 	case msgHello:
 		m.WorkerID = "w-" + genString(rng)
-		m.Batch = rng.Intn(512)
-	case msgTask:
-		t := genTask(rng)
-		m.Task = &t
-	case msgResult:
-		r := genResult(rng)
-		m.Result = &r
-		m.WorkerID = r.WorkerID
-		m.SentUnixNano = rng.Int63()
-		m.TaskDelayNs = rng.Int63() - rng.Int63()
-		m.Spans = genSpans(rng)
 	case msgShutdown:
 		// bare envelope
 	case msgHeartbeat:
 		m.WorkerID = "w-" + genString(rng)
 		m.SentUnixNano = rng.Int63()
 		m.TaskDelayNs = rng.Int63() - rng.Int63()
-		m.Spans = genSpans(rng)
-	case msgStats:
-		m.WorkerID = "w-" + genString(rng)
-		m.SentUnixNano = rng.Int63()
-		s := WorkerStats{
-			TasksExecuted: rng.Int63n(1 << 30),
-			TasksFailed:   rng.Int63n(1 << 20),
-			BytesIn:       rng.Int63n(1 << 40),
-			BytesOut:      rng.Int63n(1 << 40),
-			Goroutines:    rng.Intn(10000),
-			HeapBytes:     uint64(rng.Int63()),
-			UptimeMs:      rng.Int63n(1 << 32),
-			Exec:          genHistogramSnapshot(rng),
-		}
-		m.Stats = &s
 		m.Spans = genSpans(rng)
 		if rng.Intn(2) == 0 {
 			m.Telemetry = genTelemetry(rng)
@@ -207,6 +165,7 @@ func genMessage(rng *rand.Rand, typ msgType) message {
 		m.WorkerID = "w-" + genString(rng)
 		m.Dump = genDump(rng)
 	case msgTaskBatch:
+		m.SentUnixNano = rng.Int63()
 		m.Tasks = make([]Task, 1+rng.Intn(8))
 		for i := range m.Tasks {
 			m.Tasks[i] = genTask(rng)
@@ -231,8 +190,8 @@ func genMessage(rng *rand.Rand, typ msgType) message {
 // fails TestRoundTripCoversAllWireTypes below.
 func wireMessageTypes() []msgType {
 	return []msgType{
-		msgHello, msgTask, msgResult, msgShutdown, msgHeartbeat,
-		msgStats, msgFreeze, msgFlightDump, msgTaskBatch, msgResultBatch,
+		msgHello, msgTaskBatch, msgResultBatch, msgHeartbeat,
+		msgShutdown, msgFreeze, msgFlightDump,
 	}
 }
 
@@ -341,8 +300,8 @@ func TestWireFramesConcatenate(t *testing.T) {
 }
 
 // TestShiftBinaryStampsMovesClocksOnly: the chaos skew rewrite shifts
-// exactly the absolute clock stamps (envelope and task SentUnixNano,
-// span starts) and nothing else, to the nanosecond — stamps above 2^53
+// exactly the absolute clock stamps (the envelope's SentUnixNano, span
+// starts) and nothing else, to the nanosecond — stamps above 2^53
 // that a float64 would round come out exact — and the shifted frame still
 // passes its CRC, because skew must read as a timing condition, not
 // corruption.
@@ -359,7 +318,7 @@ func TestShiftBinaryStampsMovesClocksOnly(t *testing.T) {
 			precise++
 		}
 	}
-	for _, typ := range []msgType{msgHeartbeat, msgTask, msgTaskBatch, msgResultBatch} {
+	for _, typ := range []msgType{msgHeartbeat, msgTaskBatch, msgResultBatch} {
 		m := genMessage(rng, typ)
 		m.CRC = m.checksum()
 		shifted := ShiftBinaryStamps(appendWireFrame(nil, &m), delta)
@@ -373,15 +332,6 @@ func TestShiftBinaryStampsMovesClocksOnly(t *testing.T) {
 		}
 		want := m
 		shift(&want.SentUnixNano)
-		if want.Task != nil {
-			tt := *want.Task
-			shift(&tt.SentUnixNano)
-			want.Task = &tt
-		}
-		want.Tasks = append([]Task(nil), want.Tasks...)
-		for i := range want.Tasks {
-			shift(&want.Tasks[i].SentUnixNano)
-		}
 		want.Spans = append([]RemoteSpan(nil), want.Spans...)
 		for i := range want.Spans {
 			shift(&want.Spans[i].StartUnixNano)

@@ -28,17 +28,17 @@ type Worker struct {
 	// HeartbeatEvery ships a liveness ping to the master on this
 	// interval, even while a task is executing, so the master's health
 	// registry can tell a busy worker from a hung one. Every StatsEvery-th
-	// ping carries a WorkerStats telemetry snapshot. Zero disables
-	// heartbeats (the pre-heartbeat protocol remains valid).
+	// ping carries a telemetry ship of the worker's metrics registry. Zero
+	// disables heartbeats.
 	HeartbeatEvery time.Duration
-	// StatsEvery is how many heartbeats elapse between stats snapshots;
-	// <= 0 means the default of 5. The first heartbeat always carries
-	// stats so the master learns the worker's bucket layout immediately.
+	// StatsEvery is how many heartbeats elapse between telemetry ships;
+	// <= 0 means the default of 5. The first heartbeat always carries one
+	// so the master learns the worker's bucket layout immediately.
 	StatsEvery int
 	// Metrics optionally supplies the worker-side telemetry registry
 	// (worker_* metrics), letting the process expose the same numbers on
 	// its own /metrics endpoint. When nil and heartbeats are enabled, a
-	// private registry backs the snapshots.
+	// private registry backs the telemetry ships.
 	Metrics *obs.Registry
 	// Tracer optionally mirrors the worker's stage spans into a local
 	// ring (the worker process's own /trace endpoint). Stage spans are
@@ -77,34 +77,13 @@ type Worker struct {
 	// master as unsolicited flight dumps, making any host's trip a
 	// cluster-wide collection.
 	FlightRec *flightrec.Recorder
-	// MaxBatch is the largest task batch this worker advertises in its
-	// hello (the master dispatches min(its BatchSize, this) per frame).
-	// Zero advertises the default of 256; negative advertises 0, opting
-	// out of batching entirely.
-	MaxBatch int
 }
-
-// defaultWorkerBatch is the batch capacity a worker advertises when
-// MaxBatch is unset — generous, because the master's own BatchSize caps
-// the effective batch and an unbatching master ignores it entirely.
-const defaultWorkerBatch = 256
 
 // resultFlushEvery chunks a batch's return path: results ship every this
 // many completions (and at batch end), so the master's ack window keeps
 // moving while the rest of the batch executes instead of waiting for one
 // giant result frame.
 const resultFlushEvery = 16
-
-// batchAdvert resolves the hello's advertised batch capacity.
-func (w *Worker) batchAdvert() int {
-	if w.MaxBatch < 0 {
-		return 0
-	}
-	if w.MaxBatch == 0 {
-		return defaultWorkerBatch
-	}
-	return w.MaxBatch
-}
 
 // recorder resolves the worker's flight recorder.
 func (w *Worker) recorder() *flightrec.Recorder {
@@ -114,11 +93,22 @@ func (w *Worker) recorder() *flightrec.Recorder {
 	return flightrec.Active()
 }
 
+// Worker-side metric names. The telemetry ship carries the registry they
+// live in; the master reads them back out of it (cluster.recordShip).
+const (
+	mWorkerExecuted   = "worker_tasks_executed_total"
+	mWorkerFailed     = "worker_tasks_failed_total"
+	mWorkerExec       = "worker_exec_ms"
+	mWorkerGoroutines = "worker_goroutines"
+	mWorkerHeap       = "worker_heap_bytes"
+	mWorkerBytesIn    = "worker_conn_bytes_in"
+	mWorkerBytesOut   = "worker_conn_bytes_out"
+)
+
 // workerInstruments holds the worker-side metric handles. All methods
 // tolerate nil handles, so a worker without telemetry pays only nil
 // checks.
 type workerInstruments struct {
-	start      time.Time
 	cExecuted  *obs.Counter
 	cFailed    *obs.Counter
 	hExec      *obs.Histogram
@@ -130,14 +120,13 @@ type workerInstruments struct {
 
 func newWorkerInstruments(reg *obs.Registry) *workerInstruments {
 	return &workerInstruments{
-		start:      time.Now(),
-		cExecuted:  reg.Counter("worker_tasks_executed_total"),
-		cFailed:    reg.Counter("worker_tasks_failed_total"),
-		hExec:      reg.Histogram("worker_exec_ms", nil),
-		gGoroutine: reg.Gauge("worker_goroutines"),
-		gHeap:      reg.Gauge("worker_heap_bytes"),
-		gBytesIn:   reg.Gauge("worker_conn_bytes_in"),
-		gBytesOut:  reg.Gauge("worker_conn_bytes_out"),
+		cExecuted:  reg.Counter(mWorkerExecuted),
+		cFailed:    reg.Counter(mWorkerFailed),
+		hExec:      reg.Histogram(mWorkerExec, nil),
+		gGoroutine: reg.Gauge(mWorkerGoroutines),
+		gHeap:      reg.Gauge(mWorkerHeap),
+		gBytesIn:   reg.Gauge(mWorkerBytesIn),
+		gBytesOut:  reg.Gauge(mWorkerBytesOut),
 	}
 }
 
@@ -150,27 +139,15 @@ func (i *workerInstruments) observe(elapsed time.Duration, failed bool) {
 	i.hExec.ObserveDuration(elapsed)
 }
 
-// snapshot builds the WorkerStats payload of a stats message, updating
-// the runtime gauges as a side effect.
-func (i *workerInstruments) snapshot(c *codec) WorkerStats {
+// refreshRuntime samples the process runtime and the connection byte
+// counters into their gauges, just before a telemetry ship.
+func (i *workerInstruments) refreshRuntime(c *codec) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	goroutines := runtime.NumGoroutine()
-	in, out := c.bytesIn.Load(), c.bytesOut.Load()
-	i.gGoroutine.SetInt(goroutines)
+	i.gGoroutine.SetInt(runtime.NumGoroutine())
 	i.gHeap.Set(float64(ms.HeapAlloc))
-	i.gBytesIn.Set(float64(in))
-	i.gBytesOut.Set(float64(out))
-	return WorkerStats{
-		TasksExecuted: i.cExecuted.Value(),
-		TasksFailed:   i.cFailed.Value(),
-		BytesIn:       in,
-		BytesOut:      out,
-		Goroutines:    goroutines,
-		HeapBytes:     ms.HeapAlloc,
-		UptimeMs:      time.Since(i.start).Milliseconds(),
-		Exec:          i.hExec.Snapshot(),
-	}
+	i.gBytesIn.Set(float64(c.bytesIn.Load()))
+	i.gBytesOut.Set(float64(c.bytesOut.Load()))
 }
 
 // workerRun is the per-connection mutable state shared between the task
@@ -180,7 +157,7 @@ type workerRun struct {
 	spans         spanBuffer
 	lastTaskDelay atomic.Int64
 	// shipper delta-encodes the worker registry for the telemetry
-	// piggyback on stats messages (nil when telemetry is off).
+	// carried on heartbeats (nil when telemetry is off).
 	shipper *obs.Shipper
 }
 
@@ -204,7 +181,7 @@ func (w *Worker) Run(ctx context.Context, conn net.Conn) error {
 	stop := context.AfterFunc(ctx, func() { _ = conn.Close() })
 	defer stop()
 
-	if err := c.send(message{Type: msgHello, WorkerID: w.ID, Batch: w.batchAdvert()}); err != nil {
+	if err := c.send(message{Type: msgHello, WorkerID: w.ID}); err != nil {
 		return err
 	}
 	reg := w.Metrics
@@ -224,7 +201,7 @@ func (w *Worker) Run(ctx context.Context, conn net.Conn) error {
 		// recorder: hooking the process-wide one would hijack a co-located
 		// master's own trip hook.
 		rec.SetOnTrip(func(trigger, detail string) {
-			d := FlightDump{Host: w.ID, Trigger: trigger, Detail: detail, Events: rec.Events(0)}
+			d := FlightDump{Trigger: trigger, Detail: detail, Events: rec.Events(0)}
 			env := message{Type: msgFlightDump, WorkerID: w.ID, Dump: &d}
 			run.stamp(&env)
 			_ = c.send(env)
@@ -243,18 +220,16 @@ func (w *Worker) Run(ctx context.Context, conn net.Conn) error {
 		}
 		switch m.Type {
 		case msgShutdown:
-			// Flush buffered spans AND a final stats/telemetry snapshot on
-			// the way out (mirroring the PR 6 final-control-tick flush), so
-			// a short-lived worker's last window of work still reaches the
+			// Flush buffered spans AND a final telemetry ship on the way
+			// out (mirroring the PR 6 final-control-tick flush), so a
+			// short-lived worker's last window of work still reaches the
 			// master's registry and time-series store.
 			fin := message{Type: msgHeartbeat, WorkerID: w.ID, Spans: run.spans.drain()}
 			if reg != nil {
-				s := inst.snapshot(c)
-				fin.Type = msgStats
-				fin.Stats = &s
+				inst.refreshRuntime(c)
 				fin.Telemetry = run.shipper.Ship()
 			}
-			if fin.Stats != nil || len(fin.Spans) > 0 {
+			if fin.Telemetry != nil || len(fin.Spans) > 0 {
 				run.stamp(&fin)
 				_ = c.send(fin)
 			}
@@ -269,7 +244,6 @@ func (w *Worker) Run(ctx context.Context, conn net.Conn) error {
 			}
 			d := FlightDump{
 				Seq:     m.Freeze.Seq,
-				Host:    w.ID,
 				Trigger: m.Freeze.Trigger,
 				Detail:  m.Freeze.Detail,
 				Events:  rec.Events(time.Duration(m.Freeze.WindowNs)),
@@ -279,41 +253,12 @@ func (w *Worker) Run(ctx context.Context, conn net.Conn) error {
 			if err := c.send(env); err != nil {
 				return err
 			}
-		case msgTask:
-			if m.Task == nil {
-				return fmt.Errorf("workqueue: worker %s got task message without task", w.ID)
-			}
-			if m.Task.SentUnixNano != 0 {
-				run.lastTaskDelay.Store(recvAt.UnixNano() - m.Task.SentUnixNano)
-			}
-			res, tt, ok := w.execOne(ctx, m.Task, recvAt, inst, run, lg)
-			if !ok {
-				// The worker is being preempted (pool shrink or
-				// shutdown): exit without reporting so the master
-				// requeues the task onto a live worker.
-				return nil
-			}
-			// Ship everything finished so far: spans buffered from the
-			// previous task (its send span) plus this task's stages.
-			env := message{Type: msgResult, Result: &res, Spans: run.spans.drain()}
-			run.stamp(&env)
-			w.mirror(env.Spans)
-			sendStart := time.Now()
-			if err := c.send(env); err != nil {
-				return err
-			}
-			if tt != nil {
-				tt.add(StageSend, sendStart, time.Now())
-				sent := tt.take()
-				run.spans.add(sent...)
-				w.mirror(sent)
-			}
 		case msgTaskBatch:
 			if len(m.Tasks) == 0 {
 				return fmt.Errorf("workqueue: worker %s got task-batch message without tasks", w.ID)
 			}
-			if m.Tasks[0].SentUnixNano != 0 {
-				run.lastTaskDelay.Store(recvAt.UnixNano() - m.Tasks[0].SentUnixNano)
+			if m.SentUnixNano != 0 {
+				run.lastTaskDelay.Store(recvAt.UnixNano() - m.SentUnixNano)
 			}
 			if err := w.runBatch(ctx, c, m.Tasks, recvAt, inst, run, lg); err != nil {
 				return err
@@ -374,9 +319,11 @@ func (w *Worker) execOne(ctx context.Context, task *Task, arrivedAt time.Time, i
 // runBatch executes one task-batch frame in order, streaming results
 // back as chunked result-batch frames: a flush every resultFlushEvery
 // completions (and at batch end) bounds result latency and keeps the
-// master's ack window moving while the rest of the batch executes. A
-// preemption mid-batch returns nil with ctx cancelled; the un-reported
-// remainder is requeued by the master.
+// master's ack window moving while the rest of the batch executes. Each
+// result frame also ships the spans finished so far — the previous
+// frame's send span plus these tasks' stages. A preemption mid-batch
+// (pool shrink or shutdown) returns nil with ctx cancelled; the
+// un-reported remainder is requeued by the master.
 func (w *Worker) runBatch(ctx context.Context, c *codec, tasks []Task, recvAt time.Time, inst *workerInstruments, run *workerRun, lg *obs.Logger) error {
 	var done []Result
 	var lastTT *TaskTrace
@@ -444,9 +391,10 @@ func (w *Worker) mirror(spans []RemoteSpan) {
 	}
 }
 
-// heartbeatLoop ships liveness pings (and periodic stats snapshots) until
-// the worker exits or the connection fails. It runs concurrently with
-// task execution: the codec serializes the writes. Each ping carries the
+// heartbeatLoop ships liveness pings, every StatsEvery-th carrying a
+// telemetry ship, until the worker exits or the connection fails. It runs
+// concurrently with task execution: the codec serializes the writes.
+// Each ping carries the
 // clock-skew timestamps and any buffered stage spans, so span delivery
 // does not wait for the next result.
 func (w *Worker) heartbeatLoop(ctx context.Context, c *codec, inst *workerInstruments, run *workerRun, stop <-chan struct{}) {
@@ -465,11 +413,9 @@ func (w *Worker) heartbeatLoop(ctx context.Context, c *codec, inst *workerInstru
 		case <-t.C:
 			m := message{Type: msgHeartbeat, WorkerID: w.ID, Spans: run.spans.drain()}
 			if n%statsEvery == 0 {
-				s := inst.snapshot(c)
-				m.Type = msgStats
-				m.Stats = &s
-				// Piggyback the delta-encoded metrics snapshot on the
-				// stats cadence — the worker half of the telemetry plane.
+				// The worker half of the telemetry plane: the
+				// delta-encoded registry, runtime gauges freshly sampled.
+				inst.refreshRuntime(c)
 				m.Telemetry = run.shipper.Ship()
 			}
 			run.stamp(&m)

@@ -5,7 +5,7 @@
 #   scripts/check.sh race       tier-2: vet + full test suite under -race
 #   scripts/check.sh bench      microbenchmarks -> BENCH_obs.json + BENCH_hmm.json + BENCH_wire.json; front-end layer benches printed
 #   scripts/check.sh chaos      chaos soak: seeded fault-injection schedules under -race
-#   scripts/check.sh wire       wire-codec batching smoke: round-trip/golden tests + sstd-master/sstd-worker with -batch 8
+#   scripts/check.sh wire       wire-codec smoke: round-trip/golden/v1-retirement tests, 10s FuzzDecode + sstd-master/sstd-worker with -batch 8
 #   scripts/check.sh flightrec  flight-recorder smoke: forced deep-dive dump in a 2-worker run (FLIGHTREC_DIR keeps it)
 #   scripts/check.sh telemetry  telemetry-plane smoke: SLO burn -> merged multi-host cluster trace (TELEMETRY_DIR keeps it)
 #   scripts/check.sh sched      sharded-scheduler tier: fairness/invariant tests + contention benches -> BENCH_sched.json + 100k-claim sweep
@@ -132,14 +132,17 @@ chaos() {
 }
 
 wire() {
-	# Wire-codec batching smoke: the codec-correctness suite (send → recv
-	# round-trip property, golden frame fixtures, rejection of damaged
-	# frames and non-frames, batching invariants), then the shipped
-	# sstd-master and sstd-worker binaries over TCP — the whole cluster
-	# speaking the wire format end to end, lock-step and with -batch 8,
-	# and required to print the same truth both ways.
-	echo "== wire: round-trip/golden codec tests + batching invariants =="
-	go test -count=1 -run 'TestWireRoundTrip|TestRoundTripCovers|TestGolden|TestBatch|TestPartialBatch|TestUnbatched|TestMidBatch|TestWireFrames|TestShiftBinary|TestBinary|TestNonFrame|FuzzDecode' ./internal/workqueue
+	# Wire-codec smoke: the codec-correctness suite for wire v2 (send →
+	# recv round-trip property, golden frame fixtures, the retired v1
+	# frames and unknown presence bits refused, rejection of damaged frames
+	# and non-frames, batching invariants with lock-step as a window of
+	# one), ten seconds of FuzzDecode past its seed corpus, then the
+	# shipped sstd-master and sstd-worker binaries over TCP — the whole
+	# cluster speaking the wire format end to end, lock-step and with
+	# -batch 8, and required to print the same truth both ways.
+	echo "== wire: round-trip/golden/v1-retirement codec tests + batching invariants =="
+	go test -count=1 -run 'TestWireRoundTrip|TestRoundTripCovers|TestGolden|TestWireV1Retired|TestBatch|TestPartialBatch|TestLockstepIsWindowOfOne|TestMidBatch|TestWireFrames|TestShiftBinary|TestBinary|TestNonFrame|FuzzDecode' ./internal/workqueue
+	go test -count=1 -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/workqueue
 	# What travels inside the frames: the goldens of both task kinds and
 	# their answers, the decoders' rejection table and the three fuzz
 	# targets' seed corpora.
