@@ -54,7 +54,6 @@ func run() error {
 		window     = flag.Int("window", 3, "ACS sliding window in intervals")
 		tasksPer   = flag.Int("tasks-per-job", 4, "tasks per TD job")
 		minWorkers = flag.Int("min-workers", 1, "wait for this many workers before submitting")
-		status     = flag.String("status", "", "optional address for the JSON status endpoint (e.g. :9124)")
 		telemetry  = flag.String("telemetry", "", "optional address serving /metrics, /trace, /logs, /cluster, /status and /debug/pprof (e.g. :9125)")
 		traceOut   = flag.String("trace-out", "", "write the merged Chrome trace_event file here at exit (implies tracing)")
 		logLevel   = flag.String("log-level", "info", "structured log threshold: debug, info, warn or error")
@@ -153,8 +152,8 @@ func run() error {
 	// The telemetry plane: worker TelemetryShip frames land in the retained
 	// time-series store alongside a 1s self-scrape of the master registry,
 	// and the SLO engine burns its error budget from the configured counter
-	// pair. Its firing edge trips the flight recorder (when armed), which
-	// cascades into a cross-host FreezeRings collection.
+	// pair. Its firing edge trips the flight recorder (when armed), whose
+	// dump gathers every worker's rings into the same trace file.
 	var (
 		store     *tsdb.Store
 		sloEngine *slo.Engine
@@ -180,10 +179,6 @@ func run() error {
 			Target: *sloTarget, FastWindow: *sloFast, SlowWindow: *sloSlow, BurnThreshold: *sloBurn,
 		})
 		go sloEngine.Run(planeStop, time.Second)
-	}
-	var clusterDumps *workqueue.ClusterDumpConfig
-	if *flightRecord != "" {
-		clusterDumps = &workqueue.ClusterDumpConfig{Dir: *flightRecord}
 	}
 	var recorder *obs.ControlRecorder
 	if *controlOut != "" {
@@ -213,7 +208,6 @@ func run() error {
 	cfg.SampleEvery = *sampleEvery
 	cfg.Telemetry = store
 	cfg.FlightRec = flightRec
-	cfg.ClusterDumps = clusterDumps
 	mgr, err := dtm.New(cfg)
 	if err != nil {
 		return err
@@ -238,19 +232,6 @@ func run() error {
 	defer stop()
 	mgr.Start(ctx)
 	mgr.Serve(l)
-	if *status != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/", master.StatusHandler())
-		mux.Handle("/cluster", master.ClusterHandler())
-		statusSrv := &http.Server{Addr: *status, Handler: mux}
-		go func() {
-			if err := statusSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fmt.Fprintln(os.Stderr, "sstd-master: status endpoint:", err)
-			}
-		}()
-		defer func() { _ = statusSrv.Close() }()
-		fmt.Printf("status endpoint on %s (/, /cluster)\n", *status)
-	}
 	if *telemetry != "" {
 		mux := http.NewServeMux()
 		mux.Handle("/", obs.Handler(metrics, tracer, logger))
@@ -258,9 +239,6 @@ func run() error {
 		mux.Handle("/status", master.StatusHandler())
 		mux.Handle("/query", store.Handler())
 		mux.Handle("/slo", sloEngine.Handler())
-		if clusterDumps != nil {
-			mux.Handle("/dump/cluster", master.ClusterDumpHandler())
-		}
 		if flightRec != nil {
 			mux.Handle("/debug/flightrec", flightRec.Handler())
 			mux.Handle("/debug/flightrec/", flightRec.Handler())
@@ -298,8 +276,8 @@ func run() error {
 		// Let a trip near shutdown land its deep-dive file before exit.
 		flightRec.Wait()
 		for _, d := range flightRec.Dumps() {
-			fmt.Printf("flight recorder deep dive: %s (%s: %d events, %d spans)\n",
-				d.Path, d.Trigger, d.Events, d.Spans)
+			fmt.Printf("flight recorder deep dive: %s (%s: %d events, %d spans, hosts %v)\n",
+				d.Path, d.Trigger, d.Events, d.Spans, d.Hosts)
 		}
 	}
 	return runErr

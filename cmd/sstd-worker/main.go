@@ -141,8 +141,8 @@ func run() error {
 		Tracer:         tracer,
 		Logger:         logger,
 		// With a recorder armed the worker answers the master's FreezeRings
-		// broadcasts (and ships its own trips), so this host's probe events
-		// land on a lane in the master's merged cluster trace.
+		// broadcasts (and forwards its own trips to the master), so this
+		// host's probe events land on a lane of the master's deep dives.
 		FlightRec: flightRec,
 	}
 	if *chaosSpec != "" || *chaosSeed != 0 {

@@ -123,15 +123,14 @@ type Config struct {
 	// retained time-series store for the workers' shipped metrics
 	// snapshots (the telemetry plane's /query backing store).
 	Telemetry *tsdb.Store
-	// ClusterDumps enables cross-host flight-dump collection on the
-	// master: any flight-recorder trip then broadcasts FreezeRings and
-	// writes one merged multi-host Chrome trace. FlightRec overrides the
-	// recorder whose trips cascade (default flightrec.Active()).
-	ClusterDumps *workqueue.ClusterDumpConfig
-	FlightRec    *flightrec.Recorder
+	// FlightRec overrides the master's flight recorder (default
+	// flightrec.Active()), whose every dump gathers the workers' rings
+	// into one trace with a lane per host.
+	FlightRec *flightrec.Recorder
 	// WorkerFlightRec is a test seam: a private recorder per pool worker,
 	// so in-process workers answer FreezeRings with per-host rings. Nil,
-	// as every binary leaves it, shares the process recorder.
+	// as every binary leaves it, shares the process recorder, and the
+	// pool workers' probes land on the master's lane.
 	WorkerFlightRec func(id string) *flightrec.Recorder
 }
 
@@ -318,7 +317,6 @@ func New(cfg Config) (*Manager, error) {
 		Admission:       cfg.Admission,
 		Telemetry:       cfg.Telemetry,
 		FlightRec:       cfg.FlightRec,
-		ClusterDumps:    cfg.ClusterDumps,
 	})
 	// The pool's executor is ExecuteTask plus the artificial per-report cost.
 	delay := cfg.WorkDelay

@@ -18,8 +18,10 @@ import (
 // deadline, the deadline-miss burst trips the recorder, and the dumped
 // Chrome trace must contain HMM kernel-phase events nested under the
 // job's decode span and codec frame events nested under task exec spans.
-// It is the flightrec tier of scripts/check.sh, which names the directory
-// the dump is left in.
+// The pool workers share the process recorder, so the master's gather
+// step freezes them too, but they answer with no events: every probe sits
+// once, on the master's lane. It is half of the flightrec tier of
+// scripts/check.sh, which names the directory the dump is left in.
 func TestFlightRecorderDeadlineMissDeepDive(t *testing.T) {
 	dir := dumpDir(t, "FLIGHTREC_DIR")
 	tracer := obs.NewTracer(4096)
@@ -84,6 +86,9 @@ func TestFlightRecorderDeadlineMissDeepDive(t *testing.T) {
 	if d.Path == "" || d.Events == 0 || d.Spans == 0 {
 		t.Fatalf("dump incomplete: %+v", d)
 	}
+	if len(d.Hosts) != 1 || d.Hosts[0] != "master" {
+		t.Errorf("dump hosts = %v, want [master]: the pool workers own no rings", d.Hosts)
+	}
 
 	raw, err := os.ReadFile(d.Path)
 	if err != nil {
@@ -94,6 +99,9 @@ func TestFlightRecorderDeadlineMissDeepDive(t *testing.T) {
 			Name string            `json:"name"`
 			Cat  string            `json:"cat"`
 			Ph   string            `json:"ph"`
+			Ts   int64             `json:"ts"`
+			Dur  int64             `json:"dur"`
+			Pid  int               `json:"pid"`
 			Args map[string]string `json:"args"`
 		} `json:"traceEvents"`
 	}
@@ -129,11 +137,24 @@ func TestFlightRecorderDeadlineMissDeepDive(t *testing.T) {
 
 	kernelNested, codecNested := false, false
 	probes := map[string]int{}
+	type probeKey struct {
+		name    string
+		ts, dur int64
+	}
+	pidOf := map[probeKey]int{}
 	for _, ev := range trace.TraceEvents {
 		if ev.Cat != "flightrec" {
 			continue
 		}
 		probes[ev.Name]++
+		k := probeKey{ev.Name, ev.Ts, ev.Dur}
+		if pid, seen := pidOf[k]; seen && pid != ev.Pid {
+			t.Errorf("probe %+v is on pids %d and %d: a shared recorder was copied onto a worker lane", k, pid, ev.Pid)
+		}
+		pidOf[k] = ev.Pid
+		if strings.HasPrefix(ev.Name, "master.") && ev.Pid != 1 {
+			t.Errorf("master probe %s on pid %d, want the master's pid 1", ev.Name, ev.Pid)
+		}
 		parent := ev.Args["parent"]
 		if strings.HasPrefix(ev.Name, "hmm.") && decodeSpans[parent] {
 			kernelNested = true

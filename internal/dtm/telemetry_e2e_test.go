@@ -15,26 +15,23 @@ import (
 	"github.com/social-sensing/sstd/internal/obs/slo"
 	"github.com/social-sensing/sstd/internal/obs/tsdb"
 	"github.com/social-sensing/sstd/internal/socialsensing"
-	"github.com/social-sensing/sstd/internal/sstdctl"
-	"github.com/social-sensing/sstd/internal/workqueue"
 )
 
 // TestClusterTelemetryPlaneEndToEnd exercises the whole telemetry plane
 // against a live 2-worker cluster: workers ship delta-encoded metrics
 // snapshots into the master's time-series store, an SLO burn-rate alert
-// trips the flight recorder, the trip cascades into a cross-host
-// FreezeRings collection, and the result is ONE merged Chrome trace with
-// master and both workers on distinct per-host lanes — all visible
-// through the sstdctl client against the real HTTP endpoints. It is the
-// telemetry tier of scripts/check.sh, which names the directory the
-// merged trace is left in.
+// trips the master's flight recorder, whose gather step freezes both
+// workers over the wire, and the result is ONE Chrome trace with master
+// and both workers on distinct per-host lanes — all visible on the real
+// HTTP endpoints sstdctl reads. It is half of the flightrec tier of
+// scripts/check.sh, which names the directory the trace is left in.
 func TestClusterTelemetryPlaneEndToEnd(t *testing.T) {
 	dir := dumpDir(t, "TELEMETRY_DIR")
 	tracer := obs.NewTracer(4096)
 	reg := obs.NewRegistry()
 	store := tsdb.New(0)
 	mrec, err := flightrec.NewRecorder(flightrec.Config{
-		Window: 30 * time.Second, Cooldown: time.Millisecond, Tracer: tracer,
+		Dir: dir, Window: 30 * time.Second, Cooldown: time.Millisecond, Tracer: tracer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,9 +53,6 @@ func TestClusterTelemetryPlaneEndToEnd(t *testing.T) {
 	cfg.Tracer = tracer
 	cfg.Telemetry = store
 	cfg.FlightRec = mrec
-	cfg.ClusterDumps = &workqueue.ClusterDumpConfig{
-		Dir: dir, Timeout: 5 * time.Second, Cooldown: time.Millisecond,
-	}
 	cfg.WorkerFlightRec = func(id string) *flightrec.Recorder { return wrecs[id] }
 	m, err := New(cfg)
 	if err != nil {
@@ -67,7 +61,7 @@ func TestClusterTelemetryPlaneEndToEnd(t *testing.T) {
 	m.Start(context.Background())
 	defer m.Close()
 	// Both workers must have registered before any job runs: jobs this
-	// small can all finish on the first worker, and a dump collected then
+	// small can all finish on the first worker, and a dump gathered then
 	// has two hosts, not three.
 	for start := time.Now(); len(m.ClusterHealth()) < cfg.Workers; runtime.Gosched() {
 		if time.Since(start) > 10*time.Second {
@@ -76,7 +70,7 @@ func TestClusterTelemetryPlaneEndToEnd(t *testing.T) {
 	}
 
 	// The SLO engine watches the dtm deadline counters; its firing edge
-	// trips the master-side recorder, which cascades into collection.
+	// trips the master-side recorder, whose dump gathers the workers.
 	engine := slo.New(slo.Config{
 		Source: reg, Metrics: reg,
 		OnAlert: func(o slo.Objective, s slo.Status) {
@@ -102,16 +96,14 @@ func TestClusterTelemetryPlaneEndToEnd(t *testing.T) {
 		t.Fatalf("slo not firing after sustained misses: %+v", s)
 	}
 
-	// The trip cascades asynchronously (dump goroutine → FreezeRings →
-	// worker replies); poll for the merged trace.
-	deadline := time.Now().Add(10 * time.Second)
-	for len(m.Master().ClusterDumpHistory()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("slo burn trip produced no cluster dump")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The trip's gather step (FreezeRings → worker replies) has run once
+	// the recorder's dump is done.
+	mrec.Wait()
+	dumps := mrec.Dumps()
+	if len(dumps) != 1 {
+		t.Fatalf("slo burn trip produced %d dumps, want 1", len(dumps))
 	}
-	d := m.Master().ClusterDumpHistory()[0]
+	d := dumps[0]
 	if d.Trigger != flightrec.TrigSLOBurn {
 		t.Errorf("dump trigger = %q, want %q", d.Trigger, flightrec.TrigSLOBurn)
 	}
@@ -165,24 +157,35 @@ func TestClusterTelemetryPlaneEndToEnd(t *testing.T) {
 	}
 
 	// The live endpoints serve the plane to sstdctl: shipped worker series
-	// in /query, the firing objective in /slo, the dump in /dump/cluster.
+	// in /query, the firing objective in /slo, the dump in /debug/flightrec.
 	mux := http.NewServeMux()
 	mux.Handle("/query", store.Handler())
 	mux.Handle("/slo", engine.Handler())
-	mux.Handle("/dump/cluster", m.Master().ClusterDumpHandler())
+	mux.Handle("/debug/flightrec", mrec.Handler())
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
-	c := &sstdctl.Client{Base: srv.URL}
+	get := func(path string, v any) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = resp.Body.Close() }()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s", path, resp.Status)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+	}
 
 	// Worker telemetry ships ride every StatsEvery-th heartbeat; wait for the
 	// shipped task counts to land. Either worker may have run every task —
 	// they are that small — so the count is taken over both hosts.
-	deadline = time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for executed := 0.0; executed == 0; time.Sleep(10 * time.Millisecond) {
-		series, err := c.Query(sstdctl.QueryOpts{Series: "worker_tasks_executed_total"})
-		if err != nil {
-			t.Fatal(err)
-		}
+		var series tsdb.QueryResult
+		get("/query?series=worker_tasks_executed_total", &series)
 		for _, s := range series.Series {
 			if n := len(s.Points); n > 0 {
 				executed += s.Points[n-1].V
@@ -192,18 +195,14 @@ func TestClusterTelemetryPlaneEndToEnd(t *testing.T) {
 			t.Fatal("no shipped worker task counts reached the time-series store")
 		}
 	}
-	statuses, err := c.SLO()
-	if err != nil {
-		t.Fatal(err)
-	}
+	var statuses []slo.Status
+	get("/slo", &statuses)
 	if len(statuses) != 1 || !statuses[0].Firing || statuses[0].BadTotal != int64(len(claims)) {
 		t.Fatalf("slo over the wire = %+v, want firing with %d misses", statuses, len(claims))
 	}
-	dumps, err := c.Dumps()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dumps) == 0 || dumps[0].Path != d.Path {
-		t.Errorf("dump history over the wire = %+v, want %+v", dumps, d)
+	var st struct{ Dumps []flightrec.DumpInfo }
+	get("/debug/flightrec", &st)
+	if len(st.Dumps) != 1 || st.Dumps[0].Path != d.Path {
+		t.Errorf("dump history over the wire = %+v, want %+v", st.Dumps, d)
 	}
 }

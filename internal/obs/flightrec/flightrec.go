@@ -4,8 +4,9 @@
 // stream windows), passive until an SLO trigger fires — a deadline-miss
 // burst, a straggler flag, an admission rejection spike, a task
 // quarantine — at which point the recorder freezes, snapshots the last
-// window of events across all rings, and writes a deep-dive Chrome
-// trace_event file merged with the span tracer's timeline.
+// window of events across all rings, and writes one deep-dive Chrome
+// trace_event file merged with the span tracer's timeline — on a master,
+// with every worker's rings gathered onto lanes of their own (SetOnTrip).
 //
 // The probe fast path is two nil/flag checks, two clock reads, one
 // atomic cursor increment and five atomic stores — no allocation, no
@@ -18,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -210,12 +212,12 @@ type Config struct {
 	Metrics *obs.Registry
 	// Logger, when set, gets a line per trip and per dump.
 	Logger *obs.Logger
-	// OnTrip, when set, runs on the dump goroutine after each completed
-	// local dump — the hook the cluster master uses to cascade a local
-	// trip into a cross-host flight-dump collection. Replaceable later
-	// with SetOnTrip.
-	OnTrip func(trigger, detail string)
 }
+
+// TripHook is a dump's gather step (see SetOnTrip). It gets the trip's
+// trigger and detail and the recorder's window, and returns other hosts'
+// events to merge into the same trace file; nil adds none.
+type TripHook func(trigger, detail string, window time.Duration) []obs.HostEvents
 
 // DumpInfo describes one completed deep-dive dump.
 type DumpInfo struct {
@@ -223,8 +225,11 @@ type DumpInfo struct {
 	Trigger string    `json:"trigger"`
 	Detail  string    `json:"detail,omitempty"`
 	Path    string    `json:"path,omitempty"`
-	Events  int       `json:"events"`
-	Spans   int       `json:"spans"`
+	// Hosts lists the trace's lanes: "master" (the local recorder) first,
+	// then every host the trip hook returned events for, sorted.
+	Hosts  []string `json:"hosts"`
+	Events int      `json:"events"`
+	Spans  int      `json:"spans"`
 }
 
 // Recorder owns the probe rings and the trigger/dump machinery. A nil
@@ -242,7 +247,7 @@ type Recorder struct {
 	baseWall int64
 
 	frozen atomic.Bool
-	onTrip atomic.Pointer[func(trigger, detail string)]
+	onTrip atomic.Pointer[TripHook]
 
 	cDropped *obs.Counter
 	cTrips   *obs.Counter
@@ -314,10 +319,6 @@ func NewRecorder(cfg Config) (*Recorder, error) {
 		baseWall: now.UnixNano(),
 		byName:   make(map[string]*Ring),
 	}
-	if cfg.OnTrip != nil {
-		fn := cfg.OnTrip
-		r.onTrip.Store(&fn)
-	}
 	if cfg.Metrics != nil {
 		r.cDropped = cfg.Metrics.Counter("flightrec_events_dropped_total")
 		r.cTrips = cfg.Metrics.Counter("flightrec_trips_total")
@@ -374,10 +375,11 @@ func (r *Recorder) NewRing(name string) *Ring {
 	return r.Ring(name)
 }
 
-// SetOnTrip replaces the post-dump trip hook (nil clears it). The hook
-// runs on the dump goroutine after the local dump lands, so it may block
-// on network collection without stalling probe writers. Nil-safe.
-func (r *Recorder) SetOnTrip(fn func(trigger, detail string)) {
+// SetOnTrip replaces the trip hook (nil clears it). The hook runs on the
+// dump goroutine after the local snapshot thaws the rings, so it may
+// block on the network without stalling probe writers; the dump's file
+// waits for it. Nil-safe.
+func (r *Recorder) SetOnTrip(fn TripHook) {
 	if r == nil {
 		return
 	}
@@ -429,33 +431,43 @@ func (r *Recorder) Trip(trigger, detail string) bool {
 	return true
 }
 
-// dump runs off the hot path: snapshot under freeze, write, thaw.
+// dump runs off the hot path: snapshot under freeze, thaw, gather the
+// hook's hosts, write one trace file.
 func (r *Recorder) dump(seq int, trigger, detail string) {
 	// Probes that passed the frozen check just before the trip may still
 	// be completing their stores; give them a beat before snapshotting.
 	time.Sleep(time.Millisecond)
-	events := r.Events(r.window)
+	hosts := []obs.HostEvents{{Events: r.Events(r.window)}}
 	spans := r.tracer.Spans()
-	info := DumpInfo{Time: time.Now(), Trigger: trigger, Detail: detail, Events: len(events), Spans: len(spans)}
+	r.frozen.Store(false)
+	info := DumpInfo{Time: time.Now(), Trigger: trigger, Detail: detail, Hosts: []string{"master"}, Spans: len(spans)}
+	// The hook runs before dumping clears, so Wait() covers it and
+	// concurrent trips stay suppressed while it gathers. A host with no
+	// events gets no lane.
+	if fn := r.onTrip.Load(); fn != nil {
+		for _, h := range (*fn)(trigger, detail, r.window) {
+			if len(h.Events) > 0 {
+				hosts = append(hosts, h)
+				info.Hosts = append(info.Hosts, h.Host)
+			}
+		}
+		sort.Strings(info.Hosts[1:])
+	}
+	for _, h := range hosts {
+		info.Events += len(h.Events)
+	}
 	if r.dir != "" {
 		path := filepath.Join(r.dir, fmt.Sprintf("flightrec-%03d-%s.trace.json", seq, trigger))
-		if err := obs.WriteChromeTraceFile(path, spans, []obs.HostEvents{{Events: events}}); err != nil {
+		if err := obs.WriteChromeTraceFile(path, spans, hosts); err != nil {
 			r.logger.Error("flightrec dump failed", obs.F("err", err.Error()), obs.F("path", path))
 		} else {
 			info.Path = path
 			r.cDumps.Inc()
-			r.logger.Info("flightrec deep-dive written", obs.F("path", path),
-				obs.F("events", len(events)), obs.F("spans", len(spans)), obs.F("trigger", trigger))
+			r.logger.Info("flightrec deep-dive written", obs.F("path", path), obs.F("hosts", len(hosts)),
+				obs.F("events", info.Events), obs.F("spans", len(spans)), obs.F("trigger", trigger))
 		}
 	} else {
 		r.cDumps.Inc()
-	}
-	r.frozen.Store(false)
-	// Run the trip hook (cross-host collection) before clearing dumping,
-	// so Wait() covers it and concurrent trips stay suppressed while the
-	// cluster collection is in flight.
-	if fn := r.onTrip.Load(); fn != nil {
-		(*fn)(trigger, detail)
 	}
 	r.mu.Lock()
 	r.dumping = false

@@ -184,6 +184,46 @@ func TestTripWritesDumpAndHonorsCooldown(t *testing.T) {
 	}
 }
 
+// TestTripHookGathersHosts: the hook runs once the rings have thawed, gets
+// the recorder's window, and the hosts it returns land in the trip's one
+// file; a host with no events gets no lane and is not listed.
+func TestTripHookGathersHosts(t *testing.T) {
+	dir := t.TempDir()
+	r := newTestRecorder(t, Config{Dir: dir, Window: 3 * time.Second})
+	g := r.Ring("master")
+	g.Probe(ProbeMasterAck, g.Start(), 0, 0)
+	var window time.Duration
+	frozen := true
+	r.SetOnTrip(func(trigger, detail string, w time.Duration) []obs.HostEvents {
+		window, frozen = w, r.Frozen()
+		now := time.Now().UnixNano()
+		ev := []Event{{Ring: "codec", Probe: "codec.encode", T0: now, T1: now + 1}}
+		return []obs.HostEvents{{Host: "w-b", Events: ev}, {Host: "w-idle"}, {Host: "w-a", Events: ev}}
+	})
+	if !r.Trip(TrigManual, "gather") {
+		t.Fatal("trip refused")
+	}
+	r.Wait()
+	if window != 3*time.Second || frozen {
+		t.Errorf("hook got window %v with rings frozen=%v, want 3s and thawed", window, frozen)
+	}
+	d := r.Dumps()[0]
+	if strings.Join(d.Hosts, ",") != "master,w-a,w-b" || d.Events != 3 {
+		t.Errorf("dump hosts %v events %d, want [master w-a w-b] and 3", d.Hosts, d.Events)
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil || len(files) != 1 {
+		t.Fatalf("dump dir holds %v (%v), want one file", files, err)
+	}
+	b, err := os.ReadFile(d.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := string(b); !strings.Contains(s, `"host w-a"`) || !strings.Contains(s, `"host w-b"`) || strings.Contains(s, "w-idle") {
+		t.Errorf("trace lanes wrong:\n%s", s)
+	}
+}
+
 func TestTripRespectsDumpOn(t *testing.T) {
 	r := newTestRecorder(t, Config{DumpOn: []string{TrigStraggler}})
 	if r.Trip(TrigDeadlineMiss, "") {

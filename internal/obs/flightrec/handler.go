@@ -82,12 +82,13 @@ func (r *Recorder) Handler() http.Handler {
 					http.StatusTooManyRequests)
 				return
 			}
-			// Wait briefly so the response can report the dump.
+			// Wait so the response can report the dump: long enough to
+			// outlast a master's gather step (2 s for worker replies).
 			done := make(chan struct{})
 			go func() { r.Wait(); close(done) }()
 			select {
 			case <-done:
-			case <-time.After(2 * time.Second):
+			case <-time.After(5 * time.Second):
 			}
 			dumps := r.Dumps()
 			w.Header().Set("Content-Type", "application/json")

@@ -501,7 +501,7 @@ type workerCodec struct {
 }
 
 // codecs snapshots the attached workers' codecs (sorted by ID) so the
-// cluster-dump collector can broadcast FreezeRings outside cl.mu.
+// master's gather step can broadcast FreezeRings outside cl.mu.
 func (cl *cluster) codecs() []workerCodec {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()

@@ -1,6 +1,18 @@
 package workqueue
 
-import "net"
+import (
+	"net"
+	"testing"
+	"time"
+)
+
+// shortenGather sets the gather step's wait for worker replies to d for
+// the rest of the test.
+func shortenGather(t *testing.T, d time.Duration) {
+	old := gatherTimeout
+	gatherTimeout = d
+	t.Cleanup(func() { gatherTimeout = old })
+}
 
 // DecodeFrame runs one frame through the production codec's recv path.
 // It exists for external test packages (FuzzDecode lives outside the

@@ -103,15 +103,10 @@ type MasterConfig struct {
 	// worker's registry, as its telemetry ships rebuild it, is ingested
 	// under a host=<worker-id> label on arrival.
 	Telemetry *tsdb.Store
-	// FlightRec overrides the recorder whose trips cascade into cross-host
-	// dump collection (default: the process-global flightrec.Active()).
+	// FlightRec overrides the recorder whose dumps gather every attached
+	// worker's rings, one lane per host (default: the process-global
+	// flightrec.Active(); with neither, worker dumps are ignored).
 	FlightRec *flightrec.Recorder
-	// ClusterDumps enables cross-host flight-dump collection: on a trip,
-	// the master broadcasts FreezeRings to every attached worker, gathers
-	// their ring snapshots, applies per-worker clock-skew correction and
-	// writes one merged multi-host Chrome trace. Nil disables collection
-	// (worker dumps are then ignored).
-	ClusterDumps *ClusterDumpConfig
 }
 
 // Master owns the task pool and serves workers. It mirrors the Work Queue
@@ -153,15 +148,11 @@ type Master struct {
 	// telemetry is the retained time-series store fed by worker ships;
 	// nil when the telemetry plane is off.
 	telemetry *tsdb.Store
-	// Cross-host dump collection state (clusterdump.go). clusterRec is
-	// the master-side recorder whose events (and trips) participate.
-	clusterDumps *ClusterDumpConfig
-	clusterRec   *flightrec.Recorder
-	dumpMu       sync.Mutex
-	dumpSeq      int64
-	dumpPending  *dumpCollector
-	dumpLast     time.Time
-	dumpHistory  []ClusterDumpInfo
+	// rec is the flight recorder whose trip hook gathers the workers'
+	// rings (clusterdump.go); dumpPending is the gather round in flight.
+	rec         *flightrec.Recorder
+	dumpSeq     atomic.Int64
+	dumpPending atomic.Pointer[dumpCollector]
 
 	// shards partitions all per-job and per-task bookkeeping by job hash
 	// (the same hash the scheduler shards by), so a completion ack only
@@ -267,21 +258,13 @@ func NewMaster(cfg MasterConfig) *Master {
 		}
 	}
 	m.telemetry = cfg.Telemetry
-	if cfg.ClusterDumps != nil {
-		cd := *cfg.ClusterDumps
-		m.clusterDumps = &cd
-		rec := cfg.FlightRec
-		if rec == nil {
-			rec = flightrec.Active()
-		}
-		m.clusterRec = rec
-		// Cascade any local trip (deadline-miss burst, SLO burn, manual)
-		// into a cluster-wide collection. The hook runs on the recorder's
-		// dump goroutine, after the local dump thaws the rings.
-		rec.SetOnTrip(func(trigger, detail string) {
-			_, _ = m.collectClusterDump(trigger, detail, nil)
-		})
+	// Every dump of the master's recorder (deadline-miss burst, SLO burn,
+	// manual, a worker's trip) gathers the workers' rings into its file.
+	m.rec = cfg.FlightRec
+	if m.rec == nil {
+		m.rec = flightrec.Active()
 	}
+	m.rec.SetOnTrip(m.gather)
 	return m
 }
 
@@ -512,8 +495,8 @@ func (m *Master) HandleWorker(ctx context.Context, conn net.Conn) error {
 				m.cluster.heartbeat(workerID)
 			case msgFlightDump:
 				// Either the answer to our FreezeRings broadcast or a
-				// worker-initiated cluster trip; a dump is also proof of
-				// life for the liveness monitor.
+				// worker-initiated trip; a dump is also proof of life for
+				// the liveness monitor.
 				m.cluster.heartbeat(workerID)
 				m.handleFlightDump(workerID, msg.Dump)
 			case msgResultBatch:
@@ -1107,12 +1090,9 @@ func (m *Master) taskStateSizes() (inflight, attempts int) {
 // delivering into a full Results channel is released and its result
 // dropped; with a reader still draining nothing is lost.
 func (m *Master) Shutdown() {
-	if m.clusterDumps != nil {
-		// Detach the trip cascade: a later trip (possibly under a new
-		// master sharing the process recorder) must not collect against
-		// this closed pool.
-		m.clusterRec.SetOnTrip(nil)
-	}
+	// Detach the gather step: a later trip (possibly under a new master
+	// sharing the process recorder) must not freeze this closed pool.
+	m.rec.SetOnTrip(nil)
 	m.stopOnce.Do(func() { close(m.stopping) })
 	m.sched.close()
 	m.wg.Wait()

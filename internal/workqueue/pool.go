@@ -43,8 +43,8 @@ type Pool struct {
 	RespawnDelay time.Duration
 	// WorkerRecorder, when set, supplies each spawned worker's private
 	// flight recorder (see Worker.FlightRec): in-process workers then
-	// keep their frame-leg probe events in per-host rings, so cluster
-	// dump collection gets true per-host provenance without process
+	// keep their frame-leg probe events in per-host rings, so the master's
+	// gather step gets true per-host provenance without process
 	// isolation. Called once per incarnation with the worker's ID.
 	WorkerRecorder func(id string) *flightrec.Recorder
 

@@ -92,8 +92,7 @@ const (
 	// msgFreeze is the master's FreezeRings broadcast: every worker
 	// snapshots its flight-recorder rings and replies with msgFlightDump.
 	// A worker may also send msgFlightDump unsolicited (Seq 0, Trigger
-	// set) when its own recorder trips, which the master treats as a
-	// cluster-wide trip.
+	// set) when its own recorder trips, which trips the master's.
 	msgFreeze
 	msgFlightDump
 )
@@ -120,9 +119,9 @@ func (t msgType) String() string {
 }
 
 // FreezeRequest asks a worker for its flight-recorder snapshot, part of
-// cross-host dump collection.
+// the master's gather step.
 type FreezeRequest struct {
-	// Seq correlates the reply with one collection round.
+	// Seq correlates the reply with one gather round (never 0).
 	Seq int64
 	// Trigger/Detail describe why the master is collecting.
 	Trigger string
@@ -242,7 +241,7 @@ func newCodec(conn net.Conn) *codec {
 
 // newCodecWith builds a codec probing into an explicit recorder — the
 // hook that lets each worker of an in-process pool keep its frame-leg
-// events in its own private recorder, so cross-host dump collection gets
+// events in its own private recorder, so the master's gather step gets
 // true per-host provenance even without process isolation.
 func newCodecWith(conn net.Conn, rec *flightrec.Recorder) *codec {
 	c := &codec{conn: conn, fr: rec.NewRing("codec")}

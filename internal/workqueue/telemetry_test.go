@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -72,23 +73,15 @@ func TestShutdownFlushesFinalStatsAndTelemetry(t *testing.T) {
 	}
 }
 
-// TestCollectClusterDumpMergesHosts drives a full cross-host collection
-// round: two in-process workers with private recorders answer the
-// FreezeRings broadcast, and the master writes one merged multi-host
-// Chrome trace with master and both workers on distinct process lanes.
+// TestCollectClusterDumpMergesHosts drives a full gather round: two
+// in-process workers with private recorders answer the FreezeRings
+// broadcast of the master recorder's trip, and the one file that trip
+// writes puts master and both workers on distinct process lanes.
 func TestCollectClusterDumpMergesHosts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	dir := t.TempDir()
-	mrec, err := flightrec.NewRecorder(flightrec.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMaster(MasterConfig{
-		ResultBuffer: 8,
-		FlightRec:    mrec,
-		ClusterDumps: &ClusterDumpConfig{Dir: dir, Timeout: 5 * time.Second, Cooldown: time.Millisecond},
-	})
+	mrec := mustRecorder(t)
+	m := NewMaster(MasterConfig{ResultBuffer: 8, FlightRec: mrec})
 	defer m.Shutdown()
 
 	for _, id := range []string{"w-1", "w-2"} {
@@ -113,44 +106,30 @@ func TestCollectClusterDumpMergesHosts(t *testing.T) {
 	}
 	collect(t, m, 4)
 
-	info, err := m.CollectClusterDump(flightrec.TrigManual, "test collection")
-	if err != nil {
-		t.Fatal(err)
+	if !mrec.Trip(flightrec.TrigManual, "test collection") {
+		t.Fatal("master recorder refused the trip")
 	}
+	mrec.Wait()
+	info := mrec.Dumps()[0]
 	wantHosts := []string{"master", "w-1", "w-2"}
-	if len(info.Hosts) != 3 {
+	if strings.Join(info.Hosts, ",") != strings.Join(wantHosts, ",") {
 		t.Fatalf("dump hosts = %v, want %v", info.Hosts, wantHosts)
-	}
-	for i, h := range wantHosts {
-		if info.Hosts[i] != h {
-			t.Fatalf("dump hosts = %v, want %v", info.Hosts, wantHosts)
-		}
 	}
 	if info.Events == 0 {
 		t.Error("merged dump carries no events")
 	}
-	if want := filepath.Join(dir, "flightrec-cluster-001-manual.trace.json"); info.Path != want {
-		t.Errorf("dump path = %q, want %q", info.Path, want)
-	}
-
-	// The merged trace parses and puts each host on its own pid lane.
-	raw, err := os.ReadFile(info.Path)
+	// One trip, one file.
+	files, err := os.ReadDir(filepath.Dir(info.Path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string            `json:"name"`
-			Ph   string            `json:"ph"`
-			Pid  int               `json:"pid"`
-			Args map[string]string `json:"args"`
-		} `json:"traceEvents"`
+	if len(files) != 1 || files[0].Name() != "flightrec-001-manual.trace.json" {
+		t.Errorf("dump directory holds %v, want exactly flightrec-001-manual.trace.json", files)
 	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("merged trace does not parse: %v", err)
-	}
+
+	// The trace parses and puts each host on its own pid lane.
 	lanes := map[string]int{}
-	for _, e := range doc.TraceEvents {
+	for _, e := range readTrace(t, info.Path) {
 		if e.Ph == "M" && e.Name == "process_name" {
 			lanes[e.Args["name"]] = e.Pid
 		}
@@ -160,29 +139,22 @@ func TestCollectClusterDumpMergesHosts(t *testing.T) {
 			t.Errorf("lane %q = pid %d, want %d (all lanes: %v)", name, lanes[name], want, lanes)
 		}
 	}
-
-	// History records the round; a second collection inside the pending
-	// window is refused, not stacked.
-	if h := m.ClusterDumpHistory(); len(h) != 1 || h[0].Seq != 1 {
-		t.Errorf("dump history = %+v, want the one round", h)
-	}
 }
 
 // TestWorkerTripStartsClusterCollection: a worker-local recorder trip
-// ships an unsolicited dump, which the master must turn into a full
-// cluster-wide collection seeded with that worker's events.
+// ships an unsolicited dump, which trips the master's recorder; its
+// gather step freezes every worker, the tripping one included.
 func TestWorkerTripStartsClusterCollection(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	dir := t.TempDir()
-	m := NewMaster(MasterConfig{
-		ResultBuffer: 8,
-		FlightRec:    mustRecorder(t),
-		ClusterDumps: &ClusterDumpConfig{Dir: dir, Timeout: 5 * time.Second, Cooldown: time.Millisecond},
-	})
+	mrec := mustRecorder(t)
+	m := NewMaster(MasterConfig{ResultBuffer: 8, FlightRec: mrec})
 	defer m.Shutdown()
 
-	wrec := mustRecorder(t)
+	wrec, err := flightrec.NewRecorder(flightrec.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	mconn, wconn := pipePair()
 	go func() { _ = m.HandleWorker(ctx, mconn) }()
 	go func() {
@@ -194,46 +166,37 @@ func TestWorkerTripStartsClusterCollection(t *testing.T) {
 	if !wrec.Trip(flightrec.TrigManual, "worker-side trip") {
 		t.Fatal("worker recorder refused the trip")
 	}
-	waitFor(t, func() bool { return len(m.ClusterDumpHistory()) == 1 }, "cluster collection after worker trip")
-	h := m.ClusterDumpHistory()[0]
-	if h.Trigger != flightrec.TrigManual {
-		t.Errorf("collection trigger = %q, want %q", h.Trigger, flightrec.TrigManual)
+	waitFor(t, func() bool { mrec.Wait(); return len(mrec.Dumps()) == 1 }, "master dump after worker trip")
+	h := mrec.Dumps()[0]
+	if h.Trigger != flightrec.TrigManual || h.Detail != "worker tripper: worker-side trip" {
+		t.Errorf("dump trigger/detail = %q/%q, want %q/%q", h.Trigger, h.Detail, flightrec.TrigManual, "worker tripper: worker-side trip")
 	}
 	if len(h.Hosts) != 2 || h.Hosts[0] != "master" || h.Hosts[1] != "tripper" {
-		t.Errorf("collection hosts = %v, want [master tripper]", h.Hosts)
+		t.Errorf("dump hosts = %v, want [master tripper]", h.Hosts)
 	}
 	if _, err := os.Stat(h.Path); err != nil {
-		t.Errorf("merged trace missing: %v", err)
+		t.Errorf("trace missing: %v", err)
 	}
 }
 
 // TestFlightDumpFiledUnderConnection is the regression test for trusting
-// a worker's word about whose dump it sends: the merged trace's lane and
-// the clock-skew correction come from the connection the dump arrived
-// on. A raw-codec worker whose clock runs an hour ahead answers the
-// freeze calling itself "master"; its event must still land on its own
-// lane, shifted back onto the master clock by its own skew.
+// a worker's word about whose dump it sends: the trace's lane and the
+// clock-skew correction come from the connection the dump arrived on. A
+// raw-codec worker whose clock runs an hour ahead answers the freeze
+// calling itself "master"; its event must still land on its own lane,
+// shifted back onto the master clock by its own skew.
 func TestFlightDumpFiledUnderConnection(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	mrec := mustRecorder(t)
-	m := NewMaster(MasterConfig{
-		ResultBuffer: 8,
-		FlightRec:    mrec,
-		ClusterDumps: &ClusterDumpConfig{Dir: t.TempDir(), Timeout: 5 * time.Second, Cooldown: time.Millisecond},
-	})
+	m := NewMaster(MasterConfig{ResultBuffer: 8, FlightRec: mrec})
 	defer m.Shutdown()
 	// A reference event on the master clock.
 	ref := mrec.NewRing("ref")
 	ref.Probe(flightrec.ProbeMasterAck, ref.Start(), 0, 0)
 
-	mconn, wconn := pipePair()
-	go func() { _ = m.HandleWorker(ctx, mconn) }()
-	c := newCodec(wconn)
+	c := rawWorker(t, ctx, m, "w-fake")
 	defer func() { _ = c.close() }()
-	if err := c.send(message{Type: msgHello, WorkerID: "w-fake"}); err != nil {
-		t.Fatal(err)
-	}
 	// Both legs of the skew estimate say the worker clock is an hour ahead.
 	const skew = int64(time.Hour)
 	if err := c.send(message{Type: msgHeartbeat, WorkerID: "w-fake", SentUnixNano: time.Now().UnixNano() + skew, TaskDelayNs: skew}); err != nil {
@@ -244,14 +207,9 @@ func TestFlightDumpFiledUnderConnection(t *testing.T) {
 		return h.ClockSkewMs > 3500e3
 	}, "skew estimate for w-fake")
 
-	done := make(chan *ClusterDumpInfo, 1)
-	go func() {
-		info, err := m.CollectClusterDump(flightrec.TrigManual, "forged identity")
-		if err != nil {
-			t.Error(err)
-		}
-		done <- info
-	}()
+	if !mrec.Trip(flightrec.TrigManual, "forged identity") {
+		t.Fatal("master recorder refused the trip")
+	}
 	msg, err := c.recv()
 	if err != nil || msg.Type != msgFreeze {
 		t.Fatalf("want a freeze, got %+v, %v", msg, err)
@@ -263,33 +221,15 @@ func TestFlightDumpFiledUnderConnection(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	info := <-done
-	if info == nil {
-		t.FailNow()
-	}
+	mrec.Wait()
+	info := mrec.Dumps()[0]
 	if len(info.Hosts) != 2 || info.Hosts[0] != "master" || info.Hosts[1] != "w-fake" {
 		t.Fatalf("dump hosts = %v, want [master w-fake]", info.Hosts)
 	}
 
-	raw, err := os.ReadFile(info.Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string            `json:"name"`
-			Ph   string            `json:"ph"`
-			Ts   int64             `json:"ts"`
-			Pid  int               `json:"pid"`
-			Args map[string]string `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
 	lanes := map[string]int{}
 	ts := map[string]int64{}
-	for _, e := range doc.TraceEvents {
+	for _, e := range readTrace(t, info.Path) {
 		switch {
 		case e.Ph == "M" && e.Name == "process_name":
 			lanes[e.Args["name"]] = e.Pid
@@ -311,9 +251,88 @@ func TestFlightDumpFiledUnderConnection(t *testing.T) {
 	}
 }
 
+// TestLateFreezeReplyStartsNoRound is the regression test for a freeze
+// reply that outlives its round: it carries the round's trigger, but only
+// Seq 0 asks for a trip, so the master drops it instead of gathering
+// again.
+func TestLateFreezeReplyStartsNoRound(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	shortenGather(t, 20*time.Millisecond)
+	mrec := mustRecorder(t)
+	m := NewMaster(MasterConfig{ResultBuffer: 8, FlightRec: mrec})
+	defer m.Shutdown()
+	c := rawWorker(t, ctx, m, "w-late")
+	defer func() { _ = c.close() }()
+
+	if !mrec.Trip(flightrec.TrigManual, "round 1") {
+		t.Fatal("master recorder refused the trip")
+	}
+	msg, err := c.recv()
+	if err != nil || msg.Type != msgFreeze {
+		t.Fatalf("want a freeze, got %+v, %v", msg, err)
+	}
+	mrec.Wait() // round 1 times out without the reply
+	at := time.Now().UnixNano()
+	if err := c.send(message{Type: msgFlightDump, WorkerID: "w-late", Dump: &FlightDump{
+		Seq: msg.Freeze.Seq, Trigger: msg.Freeze.Trigger, Detail: msg.Freeze.Detail,
+		Events: []flightrec.Event{{Ring: "codec", Probe: "codec.encode", T0: at, T1: at + 1000}},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	// A second round would freeze this worker again.
+	_ = c.conn.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
+	if msg, err := c.recv(); err == nil {
+		t.Fatalf("late reply started another round: got %+v", msg)
+	}
+	mrec.Wait()
+	if d := mrec.Dumps(); len(d) != 1 || strings.Join(d[0].Hosts, ",") != "master" {
+		t.Errorf("dumps = %+v, want one with the master lane only", d)
+	}
+}
+
+// rawWorker attaches a hand-driven worker connection to m under id. The
+// caller closes it before shutting m down, which would otherwise block
+// sending the shutdown frame nobody reads.
+func rawWorker(t *testing.T, ctx context.Context, m *Master, id string) *codec {
+	t.Helper()
+	mconn, wconn := pipePair()
+	go func() { _ = m.HandleWorker(ctx, mconn) }()
+	c := newCodec(wconn)
+	if err := c.send(message{Type: msgHello, WorkerID: id}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { _, ok := findWorker(m.ClusterHealth(), id); return ok }, "worker "+id+" attached")
+	return c
+}
+
+type traceEvent struct {
+	Name string            `json:"name"`
+	Ph   string            `json:"ph"`
+	Ts   int64             `json:"ts"`
+	Pid  int               `json:"pid"`
+	Args map[string]string `json:"args"`
+}
+
+// readTrace parses a Chrome trace file's events.
+func readTrace(t *testing.T, path string) []traceEvent {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []traceEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("trace %s does not parse: %v", path, err)
+	}
+	return doc.TraceEvents
+}
+
 func mustRecorder(t *testing.T) *flightrec.Recorder {
 	t.Helper()
-	rec, err := flightrec.NewRecorder(flightrec.Config{Cooldown: time.Millisecond})
+	rec, err := flightrec.NewRecorder(flightrec.Config{Dir: t.TempDir(), Cooldown: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,12 +70,12 @@ type Worker struct {
 	// cancelled). The counter resets whenever a connection is
 	// established.
 	MaxReconnects int
-	// FlightRec is the flight recorder whose rings this worker's codec
-	// probes into and whose snapshot answers the master's FreezeRings
-	// broadcast. Nil uses the process-wide recorder (flightrec.Active).
-	// When set, the worker also forwards the recorder's own trips to the
-	// master as unsolicited flight dumps, making any host's trip a
-	// cluster-wide collection.
+	// FlightRec is the worker's own flight recorder: its codec probes into
+	// it, its snapshot answers the master's FreezeRings broadcast, and its
+	// trips are forwarded to the master, which trips its own recorder and
+	// gathers every host. Nil probes into the process-wide recorder
+	// (flightrec.Active) and answers a freeze with no events: those rings
+	// are already the process's own, a co-located master's included.
 	FlightRec *flightrec.Recorder
 }
 
@@ -196,15 +196,15 @@ func (w *Worker) Run(ctx context.Context, conn net.Conn) error {
 		go w.heartbeatLoop(ctx, c, inst, run, hbStop)
 	}
 	if w.FlightRec != nil {
-		// A local trip ships an unsolicited dump — the master turns it
-		// into a cluster-wide collection. Only wired for a dedicated
-		// recorder: hooking the process-wide one would hijack a co-located
-		// master's own trip hook.
-		rec.SetOnTrip(func(trigger, detail string) {
-			d := FlightDump{Trigger: trigger, Detail: detail, Events: rec.Events(0)}
-			env := message{Type: msgFlightDump, WorkerID: w.ID, Dump: &d}
+		// A local trip ships an unsolicited dump (Seq 0, no events): the
+		// master trips its own recorder, whose gather step freezes this
+		// worker too. Only wired for a dedicated recorder: hooking the
+		// process-wide one would hijack a co-located master's gather.
+		rec.SetOnTrip(func(trigger, detail string, _ time.Duration) []obs.HostEvents {
+			env := message{Type: msgFlightDump, WorkerID: w.ID, Dump: &FlightDump{Trigger: trigger, Detail: detail}}
 			run.stamp(&env)
 			_ = c.send(env)
+			return nil
 		})
 		defer rec.SetOnTrip(nil)
 	}
@@ -235,10 +235,10 @@ func (w *Worker) Run(ctx context.Context, conn net.Conn) error {
 			}
 			return nil
 		case msgFreeze:
-			// FreezeRings: snapshot this host's probe rings and ship them
-			// back for the master's merged cluster trace. Handled between
-			// tasks (the loop is synchronous), so a freeze that lands
-			// mid-task is answered as soon as the task's result is sent.
+			// FreezeRings: snapshot this host's own probe rings and ship
+			// them back for the master's trace. Handled between tasks (the
+			// loop is synchronous), so a freeze that lands mid-task is
+			// answered as soon as the task's result is sent.
 			if m.Freeze == nil {
 				return fmt.Errorf("workqueue: worker %s got freeze message without request", w.ID)
 			}
@@ -246,7 +246,7 @@ func (w *Worker) Run(ctx context.Context, conn net.Conn) error {
 				Seq:     m.Freeze.Seq,
 				Trigger: m.Freeze.Trigger,
 				Detail:  m.Freeze.Detail,
-				Events:  rec.Events(time.Duration(m.Freeze.WindowNs)),
+				Events:  w.FlightRec.Events(time.Duration(m.Freeze.WindowNs)),
 			}
 			env := message{Type: msgFlightDump, WorkerID: w.ID, Dump: &d}
 			run.stamp(&env)

@@ -6,8 +6,7 @@
 #   scripts/check.sh bench      microbenchmarks -> BENCH_obs.json + BENCH_hmm.json + BENCH_wire.json; front-end layer benches printed
 #   scripts/check.sh chaos      chaos soak: seeded fault-injection schedules under -race
 #   scripts/check.sh wire       wire-codec smoke: round-trip/golden/v1-retirement tests, 10s FuzzDecode + sstd-master/sstd-worker with -batch 8
-#   scripts/check.sh flightrec  flight-recorder smoke: forced deep-dive dump in a 2-worker run (FLIGHTREC_DIR keeps it)
-#   scripts/check.sh telemetry  telemetry-plane smoke: SLO burn -> merged multi-host cluster trace (TELEMETRY_DIR keeps it)
+#   scripts/check.sh flightrec  flight-recorder smoke: deadline-miss deep dive (FLIGHTREC_DIR keeps it) + SLO burn -> 3-lane trace (TELEMETRY_DIR keeps it)
 #   scripts/check.sh sched      sharded-scheduler tier: fairness/invariant tests + contention benches -> BENCH_sched.json + 100k-claim sweep
 #   scripts/check.sh accuracy   accuracy gate: SSTD rows of Tables III-V against the checked-in golden + HMM kernel equivalence
 #   scripts/check.sh all        tier-1 + tier-2
@@ -162,38 +161,34 @@ trace_dir() {
 }
 
 flightrec() {
-	# Flight-recorder smoke: a 2-worker cluster runs jobs with a 1ns
-	# deadline no real job can meet, so the deadline-miss burst trips a
-	# deep-dive dump. The test asserts the HMM kernel-phase and codec frame
-	# probe events nest under the right spans; the greps after it hold the
-	# file it leaves in FLIGHTREC_DIR to the same.
-	echo "== flightrec: deep-dive smoke (2 workers, forced deadline-miss trigger) =="
+	# Flight-recorder smoke, both end-to-end tests. The deep dive: a
+	# 2-worker cluster runs jobs with a 1ns deadline no real job can meet,
+	# so the deadline-miss burst trips the process recorder; the test
+	# asserts the HMM kernel-phase and codec frame probe events nest under
+	# the right spans, each once, on the master's lane. The SLO burn: the
+	# same cluster with the telemetry plane armed and a recorder per worker
+	# burns its deadline error budget in both windows and trips the
+	# master's recorder, whose gather step freezes both workers over the
+	# wire — ONE Chrome trace with master and both workers on distinct
+	# lanes, while the test reads /query, /slo and /debug/flightrec. The
+	# greps hold the files they leave in FLIGHTREC_DIR and TELEMETRY_DIR
+	# to the same.
+	echo "== flightrec: deadline-miss deep dive + SLO burn to a 3-lane trace (2 workers) =="
 	dir=$(trace_dir "${FLIGHTREC_DIR:-}")
-	FLIGHTREC_DIR="$dir" go test -count=1 -v -run 'TestFlightRecorderDeadlineMissDeepDive' ./internal/dtm
+	tdir=$(trace_dir "${TELEMETRY_DIR:-}")
+	FLIGHTREC_DIR="$dir" TELEMETRY_DIR="$tdir" go test -count=1 -v \
+		-run 'TestFlightRecorderDeadlineMissDeepDive|TestClusterTelemetryPlaneEndToEnd' ./internal/dtm
 	dump=$(ls "$dir"/flightrec-*.trace.json | head -n 1)
 	test -s "$dump"
 	grep -q '"hmm\.' "$dump"
 	grep -q '"codec\.' "$dump"
 	echo "flightrec deep dive OK: $dump ($(wc -c <"$dump") bytes)"
-}
-
-telemetry() {
-	# Telemetry-plane smoke: a 2-worker cluster with the plane armed and a
-	# 1ns deadline no real job can meet, so the SLO deadline error budget
-	# burns in both windows, trips the recorder and cascades into a
-	# cross-host FreezeRings collection — ONE merged Chrome trace with
-	# master and both workers on distinct lanes. The test reads the shipped
-	# worker series on /query and the fired alert on /slo through the
-	# sstdctl client; the greps hold the file it leaves in TELEMETRY_DIR.
-	echo "== telemetry: cluster plane smoke (2 workers, SLO burn -> merged cluster trace) =="
-	dir=$(trace_dir "${TELEMETRY_DIR:-}")
-	TELEMETRY_DIR="$dir" go test -count=1 -v -run 'TestClusterTelemetryPlaneEndToEnd' ./internal/dtm
-	dump=$(ls "$dir"/flightrec-cluster-*.trace.json | head -n 1)
+	dump=$(ls "$tdir"/flightrec-*.trace.json | head -n 1)
 	test -s "$dump"
 	grep -q '"master"' "$dump"
 	grep -q '"host pool-worker-0"' "$dump"
 	grep -q '"host pool-worker-1"' "$dump"
-	echo "merged cluster trace OK: $dump ($(wc -c <"$dump") bytes)"
+	echo "3-lane trace OK: $dump ($(wc -c <"$dump") bytes)"
 }
 
 sched() {
@@ -232,7 +227,6 @@ bench) bench ;;
 chaos) chaos ;;
 wire) wire ;;
 flightrec) flightrec ;;
-telemetry) telemetry ;;
 sched) sched ;;
 accuracy) accuracy ;;
 all)
@@ -240,7 +234,7 @@ all)
 	race
 	;;
 *)
-	echo "usage: $0 [tier1|race|bench|chaos|wire|flightrec|telemetry|sched|accuracy|all]" >&2
+	echo "usage: $0 [tier1|race|bench|chaos|wire|flightrec|sched|accuracy|all]" >&2
 	exit 2
 	;;
 esac
