@@ -148,14 +148,15 @@ func BenchmarkBaumWelch(b *testing.B) {
 	}
 	cfg := hmm.DefaultTrainConfig()
 	cfg.MaxIterations = 20
+	ws := hmm.NewWorkspace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := hmm.NewDiscrete(2, 2)
-		if err != nil {
-			b.Fatal(err)
+		m := &hmm.Discrete{
+			A:  [][]float64{{0.5, 0.5}, {0.5, 0.5}},
+			B:  [][]float64{{0.7, 0.3}, {0.3, 0.7}},
+			Pi: []float64{0.5, 0.5},
 		}
-		m.B = [][]float64{{0.7, 0.3}, {0.3, 0.7}}
-		if _, err := m.BaumWelch([][]int{obs}, cfg); err != nil {
+		if _, err := m.BaumWelchWS(ws, [][]int{obs}, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

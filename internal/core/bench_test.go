@@ -65,7 +65,7 @@ func BenchmarkDecodeClaimSeed(b *testing.B) {
 		series := st.acc.Series()
 		obs := e.decoder.disc.QuantizeAll(series)
 		path, _ := hmmtest.Viterbi(model.Discrete, obs)
-		truth := pathToTruth(path, model.TrueState)
+		truth := pathToTruthInto(path, model.TrueState, nil)
 		est := make([]Estimate, len(truth))
 		for t, v := range truth {
 			est[t] = Estimate{Claim: "c", Interval: t, Start: st.acc.IntervalStart(t), Value: v}

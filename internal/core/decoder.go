@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/social-sensing/sstd/internal/hmm"
 	"github.com/social-sensing/sstd/internal/socialsensing"
@@ -146,32 +147,10 @@ func (d *Decoder) TrainWarmScratch(sc *DecodeScratch, acs []float64, prev *Train
 
 // DecodeWith Viterbi-decodes the series under a previously trained model.
 func (d *Decoder) DecodeWith(m *TrainedModel, acs []float64) ([]socialsensing.TruthValue, error) {
-	if len(acs) == 0 {
-		return nil, nil
-	}
-	if m == nil {
-		return nil, fmt.Errorf("core: nil trained model")
-	}
-	switch m.Emissions {
-	case GaussianEmissions:
-		if m.Gauss == nil {
-			return nil, fmt.Errorf("core: gaussian model missing parameters")
-		}
-		path, _, err := m.Gauss.Viterbi(acs)
-		if err != nil {
-			return nil, fmt.Errorf("decode claim truth: %w", err)
-		}
-		return pathToTruth(path, m.TrueState), nil
-	default:
-		if m.Discrete == nil {
-			return nil, fmt.Errorf("core: discrete model missing parameters")
-		}
-		path, _, err := m.Discrete.Viterbi(d.disc.QuantizeAll(acs))
-		if err != nil {
-			return nil, fmt.Errorf("decode claim truth: %w", err)
-		}
-		return pathToTruth(path, m.TrueState), nil
-	}
+	sc := getScratch()
+	defer putScratch(sc)
+	truth, err := d.DecodeWithScratch(sc, m, acs)
+	return slices.Clone(truth), err
 }
 
 // DecodeWithScratch is DecodeWith running on the caller's scratch: the
@@ -328,18 +307,6 @@ func (d *Decoder) newGaussianModel(acs []float64) (*hmm.Gaussian, error) {
 	}
 	m.A = [][]float64{{0.9, 0.1}, {0.1, 0.9}}
 	return m, nil
-}
-
-func pathToTruth(path []int, trueState int) []socialsensing.TruthValue {
-	out := make([]socialsensing.TruthValue, len(path))
-	for i, s := range path {
-		if s == trueState {
-			out[i] = socialsensing.True
-		} else {
-			out[i] = socialsensing.False
-		}
-	}
-	return out
 }
 
 // emissionCenter is the expected bin index under an emission distribution.

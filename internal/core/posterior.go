@@ -16,64 +16,24 @@ func (d *Decoder) Posterior(acs []float64) ([]float64, error) {
 	if len(acs) == 0 {
 		return nil, nil
 	}
-	switch d.cfg.Emissions {
-	case GaussianEmissions:
-		return d.posteriorGaussian(acs)
-	default:
-		return d.posteriorDiscrete(acs)
-	}
-}
-
-func (d *Decoder) posteriorDiscrete(acs []float64) ([]float64, error) {
 	sc := getScratch()
 	defer putScratch(sc)
-	tm, _, err := d.trainDiscreteWS(sc, acs, nil)
+	tm, _, err := d.TrainWarmScratch(sc, acs, nil)
 	if err != nil {
 		return nil, err
 	}
-	m := tm.Discrete
-	gamma, err := m.PosteriorWS(sc.ws, sc.obs, nil)
+	var gamma []float64
+	if tm.Emissions == GaussianEmissions {
+		gamma, err = tm.Gauss.PosteriorWS(sc.ws, acs, nil)
+	} else {
+		gamma, err = tm.Discrete.PosteriorWS(sc.ws, sc.obs, nil)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("posterior: %w", err)
 	}
-	n := m.States()
-	out := make([]float64, len(acs))
-	for t := range out {
-		out[t] = gamma[t*n+tm.TrueState]
-	}
-	return out, nil
-}
-
-func (d *Decoder) posteriorGaussian(acs []float64) ([]float64, error) {
-	sc := getScratch()
-	defer putScratch(sc)
-	tm, _, err := d.trainGaussianWS(sc, acs, nil)
-	if err != nil {
-		return nil, err
-	}
-	m := tm.Gauss
-	ts := tm.TrueState
-	alpha, scale, _, err := m.ForwardWS(sc.ws, acs)
-	if err != nil {
-		return nil, fmt.Errorf("posterior forward: %w", err)
-	}
-	beta, err := m.BackwardWS(sc.ws, acs, scale)
-	if err != nil {
-		return nil, fmt.Errorf("posterior backward: %w", err)
-	}
-	n := m.States()
-	out := make([]float64, len(acs))
-	for t := range acs {
-		num := alpha[t*n+ts] * beta[t*n+ts]
-		den := alpha[t*n] * beta[t*n]
-		for i := 1; i < n; i++ {
-			den += alpha[t*n+i] * beta[t*n+i]
-		}
-		if den > 0 {
-			out[t] = num / den
-		}
-	}
-	return out, nil
+	// Row TrueState of the lattice is the claim's posterior of being true.
+	T := len(acs)
+	return gamma[tm.TrueState*T : (tm.TrueState+1)*T : (tm.TrueState+1)*T], nil
 }
 
 // PosteriorClaim computes the smoothed truth posterior for one claim's

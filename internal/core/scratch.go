@@ -54,8 +54,8 @@ func (sc *DecodeScratch) seqFloat(obs []float64) [][]float64 {
 	return sc.seqF
 }
 
-// pathToTruthInto is pathToTruth writing into dst, growing it only when
-// capacity is insufficient.
+// pathToTruthInto maps a Viterbi state path to truth values into dst,
+// growing it only when capacity is insufficient.
 func pathToTruthInto(path []int, trueState int, dst []socialsensing.TruthValue) []socialsensing.TruthValue {
 	if cap(dst) < len(path) {
 		dst = make([]socialsensing.TruthValue, len(path))

@@ -10,9 +10,8 @@ import (
 // The workspace kernels promise zero steady-state heap allocations — the
 // property that keeps long-running TD workers free of GC-driven latency
 // spikes. These tests pin it with testing.AllocsPerRun on explicitly-owned
-// workspaces (the pool would make the measurements GC-dependent). One
-// warm-up call sizes every buffer; after that, any allocation is a
-// regression.
+// workspaces. One warm-up call sizes every buffer; after that, any
+// allocation is a regression.
 
 func restoreDiscrete(dst, src *hmm.Discrete) {
 	copy(dst.Pi, src.Pi)
@@ -33,7 +32,7 @@ func restoreGaussian(dst, src *hmm.Gaussian) {
 
 func TestDiscreteBaumWelchWSZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	m := randDiscrete(rng, 2, 5)
+	m := randDiscrete(rng, 5)
 	pristine := m.Clone()
 	obs := randObs(rng, 64, 5)
 	seqs := [][]int{obs}
@@ -55,7 +54,7 @@ func TestDiscreteBaumWelchWSZeroAllocs(t *testing.T) {
 
 func TestDiscreteViterbiWSZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	m := randDiscrete(rng, 2, 5)
+	m := randDiscrete(rng, 5)
 	obs := randObs(rng, 64, 5)
 	ws := hmm.NewWorkspace()
 	path := make([]int, len(obs))
@@ -73,7 +72,7 @@ func TestDiscreteViterbiWSZeroAllocs(t *testing.T) {
 
 func TestDiscretePosteriorWSZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	m := randDiscrete(rng, 2, 5)
+	m := randDiscrete(rng, 5)
 	obs := randObs(rng, 64, 5)
 	ws := hmm.NewWorkspace()
 	dst := make([]float64, len(obs)*2)
@@ -91,7 +90,7 @@ func TestDiscretePosteriorWSZeroAllocs(t *testing.T) {
 
 func TestGaussianBaumWelchWSZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	m := randGaussian(rng, 2)
+	m := randGaussian(rng)
 	pristine := m.Clone()
 	obs := randGaussObs(rng, 64)
 	seqs := [][]float64{obs}
@@ -111,9 +110,27 @@ func TestGaussianBaumWelchWSZeroAllocs(t *testing.T) {
 	}
 }
 
+func TestGaussianPosteriorWSZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	m := randGaussian(rng)
+	obs := randGaussObs(rng, 64)
+	ws := hmm.NewWorkspace()
+	dst := make([]float64, len(obs)*2)
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		dst, err = m.PosteriorWS(ws, obs, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("gaussian PosteriorWS allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
 func TestGaussianViterbiWSZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	m := randGaussian(rng, 2)
+	m := randGaussian(rng)
 	obs := randGaussObs(rng, 64)
 	ws := hmm.NewWorkspace()
 	path := make([]int, len(obs))

@@ -25,21 +25,18 @@ type TrainConfig struct {
 	// every probability strictly positive (important for short, sparse
 	// social sensing sequences). Defaults 1e-3.
 	SmoothA, SmoothB, SmoothPi float64
-	// FreezeEmissions skips the emission (B) re-estimation, fitting only
-	// the transition matrix and initial distribution. With informative
-	// emission priors and a single short training sequence per claim,
-	// full EM can drift the state semantics; freezing B keeps the states
+	// FreezeEmissions skips the discrete emission (B) re-estimation. With
+	// informative emission priors and one short sequence per claim, full
+	// EM can drift the state semantics; freezing B keeps the states
 	// anchored while still learning the truth dynamics.
 	FreezeEmissions bool
 	// WarmStart declares that the model's current parameters are a
-	// previous fit of (a prefix of) the same data rather than a cold
-	// init. Training then additionally converges in parameter space:
-	// when an iteration's M-step moves no parameter by more than
-	// WarmStartParamTol the seeded model is already at the EM fixed point
-	// and training stops after that iteration, instead of paying the
-	// two-iteration minimum the log-likelihood criterion needs. The
-	// numeric updates are unchanged — a warm run on fresh data follows
-	// exactly the same EM trajectory it would cold from those parameters.
+	// previous fit of (a prefix of) the same data. Training then also
+	// stops after an iteration whose M-step moves no parameter by more
+	// than WarmStartParamTol, instead of paying the two-iteration minimum
+	// the log-likelihood criterion needs. The numeric updates are
+	// unchanged: a warm run follows the EM trajectory a cold one would
+	// from those parameters.
 	WarmStart bool
 }
 
@@ -73,181 +70,56 @@ type TrainResult struct {
 	WarmStarted bool
 }
 
-// BaumWelch fits the model in place to one or more observation sequences by
-// expectation maximization (the paper's Eq. 5, solved with the classic
-// Baum 1970 procedure), returning the final log-likelihood. Multiple
-// sequences are combined by accumulating expected counts across sequences.
-func (m *Discrete) BaumWelch(sequences [][]int, cfg TrainConfig) (TrainResult, error) {
-	ws := GetWorkspace()
-	defer PutWorkspace(ws)
-	return m.BaumWelchWS(ws, sequences, cfg)
-}
-
-// BaumWelchWS is BaumWelch running entirely on ws's flat buffers: the
-// E-step lattices, the expected-count accumulators and the flattened
-// parameter copies are all reused, so steady state performs zero heap
-// allocations. ws must not be shared with concurrent kernel calls.
-func (m *Discrete) BaumWelchWS(ws *Workspace, sequences [][]int, cfg TrainConfig) (TrainResult, error) {
+// baumWelch is the EM loop of both emission families (the paper's Eq. 5,
+// solved with the classic Baum 1970 procedure), fitting pi and A in
+// place; multiple sequences are combined by accumulating expected counts.
+// Each iteration emit fills the step tables and returns the log of the
+// prescale it folded into them, the fused pass runs over each sequence's
+// table indices in seqs, adding γ to ws.gamma's two rows of stride
+// entries (none if stride is 0), and refit re-estimates the emissions
+// from ws.gamma, returning its largest parameter move.
+func (ws *Workspace) baumWelch(pi []float64, A [][]float64, seqs [][]int, stride int, cfg TrainConfig,
+	emit func() (float64, error), refit func() float64) (TrainResult, error) {
 	cfg.fillDefaults()
-	if len(sequences) == 0 {
-		return TrainResult{}, ErrEmptySequence
-	}
-	for _, obs := range sequences {
-		if err := m.checkObs(obs); err != nil {
-			return TrainResult{}, err
-		}
-	}
-	n, sym := m.States(), m.Symbols()
-	ws.piAcc = growF(ws.piAcc, n)
-	ws.aNum = growF(ws.aNum, n*n)
-	ws.bNum = growF(ws.bNum, n*sym)
-	ws.gamma = growF(ws.gamma, n)
-	ws.row = growF(ws.row, max(n, sym))
+	ws.gamma = grow(ws.gamma, 2*stride)
+	gamma := ws.gamma
 	prevLL := math.Inf(-1)
 	res := TrainResult{WarmStarted: cfg.WarmStart}
 	fr, frParent := ws.ring(), ws.frParent
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
-		piAcc, aNum, bNum, gamma := ws.piAcc, ws.aNum, ws.bNum, ws.gamma
-		zeroF(piAcc)
-		zeroF(aNum)
-		zeroF(bNum)
-		ws.loadDiscrete(m)
-		totalLL := 0.0
+		ws.piAcc, ws.aNum = [2]float64{}, [4]float64{}
+		clear(gamma)
 
-		// Flight-recorder phase probes chain one timestamp through the
-		// iteration: forward/backward (and, for n > 2, the E-step) per
-		// sequence, then the M-step, each tagged with the iteration number.
+		// Flight-recorder probes chain one timestamp through the iteration:
+		// forward (the first includes emit) and backward per sequence, then
+		// the M-step, each tagged with the iteration number.
 		tp := fr.Start()
-		// Per-symbol γ is read only by the emission re-estimate.
-		symGamma := bNum
-		if cfg.FreezeEmissions {
-			symGamma = nil
+		totalLL, err := emit()
+		if err != nil {
+			return res, err
 		}
-		if n == 2 {
-			ws.loadPairTable(sym)
-		}
-		for _, obs := range sequences {
-			T := len(obs)
-			if n == 2 {
-				// The decoder's models are always 2-state: one fused pass
-				// whose backward sweep is also the E-step.
-				ll, err := ws.forwardPair(m.Pi, obs, sym)
-				if err != nil {
-					return res, fmt.Errorf("baum-welch E-step: %w", err)
-				}
-				tp = fr.Probe(flightrec.ProbeHMMForward, tp, int64(iter), frParent)
-				totalLL += ll
-				ws.backwardPair(obs, sym, piAcc, aNum, symGamma)
-				tp = fr.Probe(flightrec.ProbeHMMBackward, tp, int64(iter), frParent)
-				continue
-			}
-			ll, err := m.forwardWS(ws, obs)
+		for _, idx := range seqs {
+			ll, err := ws.forwardPair(pi, idx)
 			if err != nil {
 				return res, fmt.Errorf("baum-welch E-step: %w", err)
 			}
 			tp = fr.Probe(flightrec.ProbeHMMForward, tp, int64(iter), frParent)
 			totalLL += ll
-			m.backwardWS(ws, obs, ws.scale)
+			ws.backwardPair(idx, gamma)
 			tp = fr.Probe(flightrec.ProbeHMMBackward, tp, int64(iter), frParent)
-			a, b, alpha, beta := ws.a, ws.b, ws.alpha, ws.beta
-			// gamma[t][i] and xi accumulation.
-			for t := 0; t < T; t++ {
-				gsum := 0.0
-				for i := 0; i < n; i++ {
-					g := alpha[t*n+i] * beta[t*n+i]
-					gamma[i] = g
-					gsum += g
-				}
-				if gsum <= 0 {
-					continue
-				}
-				ginv := 1 / gsum
-				ot := obs[t]
-				for i := 0; i < n; i++ {
-					g := gamma[i] * ginv
-					if t == 0 {
-						piAcc[i] += g
-					}
-					bNum[i*sym+ot] += g
-				}
-			}
-			// xi[t][i][j] without materializing the 3-D tensor. With the
-			// scaled alpha/beta used here, xi = alpha[t][i]*A[i][j]*
-			// B[j][obs[t+1]]*beta[t+1][j] already normalized per t. The
-			// emission-weighted betas are shared across source states;
-			// stage them in ws.row once per step.
-			en := ws.row[:n]
-			for t := 0; t < T-1; t++ {
-				on := obs[t+1]
-				next := beta[(t+1)*n : (t+2)*n]
-				for j := 0; j < n; j++ {
-					en[j] = b[j*sym+on] * next[j]
-				}
-				for i := 0; i < n; i++ {
-					ai := alpha[t*n+i]
-					if ai == 0 {
-						continue
-					}
-					for j := 0; j < n; j++ {
-						aNum[i*n+j] += ai * a[i*n+j] * en[j]
-					}
-				}
-			}
-			tp = fr.Probe(flightrec.ProbeHMMEStep, tp, int64(iter), frParent)
 		}
 
-		// M-step with smoothing pseudo-counts. Under WarmStart, track the
-		// largest parameter movement for the fixed-point early stop.
-		maxDelta := 0.0
-		for i := 0; i < n; i++ {
-			piAcc[i] += cfg.SmoothPi
-		}
-		normalizeRow(piAcc)
-		if cfg.WarmStart {
-			for i := 0; i < n; i++ {
-				maxDelta = math.Max(maxDelta, math.Abs(piAcc[i]-m.Pi[i]))
-			}
-		}
-		copy(m.Pi, piAcc)
-		for i := 0; i < n; i++ {
-			rowA := m.A[i]
-			if cfg.WarmStart {
-				copy(ws.row[:n], rowA)
-			}
-			for j := 0; j < n; j++ {
-				rowA[j] = aNum[i*n+j] + cfg.SmoothA
-			}
-			normalizeRow(rowA)
-			if cfg.WarmStart {
-				for j := 0; j < n; j++ {
-					maxDelta = math.Max(maxDelta, math.Abs(rowA[j]-ws.row[j]))
-				}
-			}
-			if !cfg.FreezeEmissions {
-				rowB := m.B[i]
-				if cfg.WarmStart {
-					copy(ws.row[:sym], rowB)
-				}
-				for k := 0; k < sym; k++ {
-					rowB[k] = bNum[i*sym+k] + cfg.SmoothB
-				}
-				normalizeRow(rowB)
-				if cfg.WarmStart {
-					for k := 0; k < sym; k++ {
-						maxDelta = math.Max(maxDelta, math.Abs(rowB[k]-ws.row[k]))
-					}
-				}
-			}
-		}
-
+		// M-step with smoothing pseudo-counts. Under WarmStart the
+		// largest parameter move decides the fixed-point early stop.
+		moved := max(reestimate(pi, ws.piAcc[:], cfg.SmoothPi),
+			reestimate(A[0], ws.aNum[:2], cfg.SmoothA),
+			reestimate(A[1], ws.aNum[2:], cfg.SmoothA),
+			refit())
 		fr.Probe(flightrec.ProbeHMMMStep, tp, int64(iter), frParent)
+
 		res.Iterations = iter + 1
 		res.LogLikelihood = totalLL
-		if totalLL-prevLL < cfg.Tolerance && iter > 0 {
-			res.Converged = true
-			break
-		}
-		if cfg.WarmStart && maxDelta < WarmStartParamTol {
+		if totalLL-prevLL < cfg.Tolerance && iter > 0 || cfg.WarmStart && moved < WarmStartParamTol {
 			res.Converged = true
 			break
 		}
@@ -256,48 +128,55 @@ func (m *Discrete) BaumWelchWS(ws *Workspace, sequences [][]int, cfg TrainConfig
 	return res, nil
 }
 
-// The 2-state EM pass keeps α and β unnormalised and rescales them only
-// when the running α mass drops below pairRescaleBelow, always by the
-// same power of two. Multiplying by a power of two changes the exponent
-// field and nothing else, so the rescaled recursions carry exactly the
-// mantissas of the unscaled ones: the scaling contributes no rounding,
-// needs no reciprocal in either dependency chain, and leaves the
-// log-likelihood as log(final mass) minus an integer count of rescales
-// times ln 2^64 — one math.Log per sequence. The threshold leaves 958
-// binary orders of headroom above the subnormals, so a single step would
-// have to shrink the mass by more than 1e-288 to lose precision (the
-// per-step normalisation this replaced reached 1e-308).
+// reestimate sets row to acc plus the smoothing pseudo-count, normalised
+// to sum 1 (left as is if the sum is not positive), and returns the
+// largest change it made to any entry.
+func reestimate(row, acc []float64, smooth float64) float64 {
+	sum := 0.0
+	for _, v := range acc {
+		sum += v + smooth
+	}
+	moved := 0.0
+	for k, v := range acc {
+		v += smooth
+		if sum > 0 {
+			v /= sum
+		}
+		moved = max(moved, math.Abs(v-row[k]))
+		row[k] = v
+	}
+	return moved
+}
+
+// The fused pass keeps α and β unnormalised and rescales them only when
+// the running α mass drops below pairRescaleBelow, always by the same
+// power of two. That changes the exponent field and nothing else: the
+// scaling adds no rounding, needs no reciprocal in either dependency
+// chain, and leaves the log-likelihood as log(final mass) minus the
+// rescale count times ln 2^64 — one math.Log per sequence. The threshold
+// leaves 958 binary orders of headroom above the subnormals, so one step
+// would have to shrink the mass by more than 1e-288 to lose precision.
+// Scaling up is enough because no step table grows the mass: a row of
+// M_t sums to at most the step's larger emission, a probability for
+// discrete models and a density the Gaussian fill prescales to ≤ 1.
 const (
 	pairRescaleBelow = 0x1p-64
 	pairRescaleBy    = 0x1p+64
 	pairRescaleLog   = 64 * math.Ln2
 )
 
-// loadPairTable fills ws.pair with M[k][i][j] = a_ij * b_j(k) from the
-// flattened parameters loadDiscrete left in ws, so a recursion step in
-// either direction is four multiplies and two adds.
-func (ws *Workspace) loadPairTable(sym int) {
-	if cap(ws.pair) < sym {
-		ws.pair = make([][4]float64, sym)
-	}
-	ws.pair = ws.pair[:sym]
-	a, b := ws.a, ws.b
-	for k := range ws.pair {
-		b0, b1 := b[k], b[sym+k]
-		ws.pair[k] = [4]float64{a[0] * b0, a[1] * b1, a[2] * b0, a[3] * b1}
-	}
-}
-
-// forwardPair is the forward sweep of the fused 2-state pass. It fills
-// ws.alpha (T*2) with the unnormalised α, records in ws.rescaled every
-// step after which α was multiplied by pairRescaleBy (once per entry),
-// and returns the sequence's log-likelihood.
-func (ws *Workspace) forwardPair(pi []float64, obs []int, sym int) (float64, error) {
-	T := len(obs)
-	ws.alpha = growF(ws.alpha, T*2)
+// forwardPair is the forward sweep of the fused pass over the step tables
+// at the indices idx. It fills ws.alpha (T*2) with the unnormalised α,
+// records in ws.rescaled every step after which α was multiplied by
+// pairRescaleBy (once per entry), and returns the sequence's
+// log-likelihood.
+func (ws *Workspace) forwardPair(pi []float64, idx []int) (float64, error) {
+	T := len(idx)
+	ws.alpha = grow(ws.alpha, T*2)
 	alpha, pair, rescaled := ws.alpha, ws.pair, ws.rescaled[:0]
-	p0 := pi[0] * ws.b[obs[0]]
-	p1 := pi[1] * ws.b[sym+obs[0]]
+	e := &ws.emit[idx[0]]
+	p0 := pi[0] * e[0]
+	p1 := pi[1] * e[1]
 	for t := 0; ; {
 		if s := p0 + p1; s < pairRescaleBelow {
 			if s <= 0 {
@@ -314,7 +193,7 @@ func (ws *Workspace) forwardPair(pi []float64, obs []int, sym int) (float64, err
 		if t++; t == T {
 			break
 		}
-		m := &pair[obs[t]]
+		m := &pair[idx[t]]
 		p0, p1 = p0*m[0]+p1*m[2], p0*m[1]+p1*m[3]
 	}
 	ws.rescaled = rescaled
@@ -323,20 +202,20 @@ func (ws *Workspace) forwardPair(pi []float64, obs []int, sym int) (float64, err
 
 // backwardPair is the backward sweep and the E-step in one: β lives in
 // two registers, scaled by the final α mass and by the rescales
-// forwardPair recorded, so that α_t(i)·M[o_t+1][i][j]·β_t+1(j) is the
+// forwardPair recorded, so that α_t(i)·M_t+1[i][j]·β_t+1(j) is the
 // transition posterior ξ_t(i,j) as it stands — no β lattice, no per-step
-// normalisation. It adds Σ_t ξ_t to aNum and γ_0 to piAcc, and, when
-// bNum is non-nil (emissions are being re-estimated), γ_t to
-// bNum[i][o_t].
-func (ws *Workspace) backwardPair(obs []int, sym int, piAcc, aNum, bNum []float64) {
-	T := len(obs)
+// normalisation. It adds Σ_t ξ_t to ws.aNum, γ_0 to ws.piAcc and γ_t(i)
+// to gamma[i*stride+idx[t]], gamma being two rows of stride entries (or
+// empty, to skip γ).
+func (ws *Workspace) backwardPair(idx []int, gamma []float64) {
+	T, stride := len(idx), len(gamma)/2
 	alpha, pair, rescaled := ws.alpha[:2*T], ws.pair, ws.rescaled
 	c0 := 1 / (alpha[2*T-2] + alpha[2*T-1])
 	c1 := c0
-	if bNum != nil {
-		o := obs[T-1]
-		bNum[o] += alpha[2*T-2] * c0
-		bNum[sym+o] += alpha[2*T-1] * c1
+	if stride > 0 {
+		o := idx[T-1]
+		gamma[o] += alpha[2*T-2] * c0
+		gamma[stride+o] += alpha[2*T-1] * c1
 	}
 	// A rescale recorded at step p moved α_p and everything after it, so
 	// β picks it up between the steps for t = p and t = p-1; rescales at
@@ -353,7 +232,7 @@ func (ws *Workspace) backwardPair(obs []int, sym int, piAcc, aNum, bNum []float6
 			lo = int(rescaled[e])
 		}
 		for t := hi; t >= lo; t-- {
-			m := &pair[obs[t+1]]
+			m := &pair[idx[t+1]]
 			al0, al1 := alpha[2*t], alpha[2*t+1]
 			e00, e01, e10, e11 := m[0]*c0, m[1]*c1, m[2]*c0, m[3]*c1
 			c0, c1 = e00+e01, e10+e11
@@ -361,10 +240,10 @@ func (ws *Workspace) backwardPair(obs []int, sym int, piAcc, aNum, bNum []float6
 			x01 += al0 * e01
 			x10 += al1 * e10
 			x11 += al1 * e11
-			if bNum != nil {
-				o := obs[t]
-				bNum[o] += al0 * c0
-				bNum[sym+o] += al1 * c1
+			if stride > 0 {
+				o := idx[t]
+				gamma[o] += al0 * c0
+				gamma[stride+o] += al1 * c1
 			}
 		}
 		if e < first {
@@ -374,10 +253,66 @@ func (ws *Workspace) backwardPair(obs []int, sym int, piAcc, aNum, bNum []float6
 		c1 *= pairRescaleBy
 		hi = lo - 1
 	}
-	piAcc[0] += alpha[0] * c0
-	piAcc[1] += alpha[1] * c1
-	aNum[0] += x00
-	aNum[1] += x01
-	aNum[2] += x10
-	aNum[3] += x11
+	ws.piAcc = [2]float64{ws.piAcc[0] + alpha[0]*c0, ws.piAcc[1] + alpha[1]*c1}
+	a := &ws.aNum
+	a[0], a[1], a[2], a[3] = a[0]+x00, a[1]+x01, a[2]+x10, a[3]+x11
+}
+
+// posterior runs the fused pass over the first T step tables, filled by
+// step, and returns the posterior lattice γ_t(i) at dst[i*T+t], growing
+// dst only when its capacity is insufficient.
+func (ws *Workspace) posterior(pi []float64, T int, dst []float64) ([]float64, error) {
+	idx := ws.stepIndex(T)
+	if _, err := ws.forwardPair(pi, idx); err != nil {
+		return nil, err
+	}
+	dst = grow(dst, 2*T)
+	clear(dst)
+	ws.backwardPair(idx, dst)
+	// γ_t sums to 1 only up to rounding; normalised, every entry is ≤ 1.
+	for t := range T {
+		s := dst[t] + dst[T+t]
+		dst[t] /= s
+		dst[T+t] /= s
+	}
+	return dst, nil
+}
+
+// viterbi is the 2-state log-space Viterbi recursion (Eq. 7-8) over the
+// log emission pairs in ws.le[:T]. It decodes into path, grown only when
+// its capacity is insufficient, and returns it with its log score. Ties
+// go to the lower state.
+func (ws *Workspace) viterbi(pi []float64, A [][]float64, T int, path []int) ([]int, float64) {
+	la00, la01 := safeLog(A[0][0]), safeLog(A[0][1])
+	la10, la11 := safeLog(A[1][0]), safeLog(A[1][1])
+	le := ws.le[:T]
+	ws.psi = grow(ws.psi, T)
+	psi := ws.psi
+	d0, d1 := safeLog(pi[0])+le[0][0], safeLog(pi[1])+le[0][1]
+	for t := 1; t < T; t++ {
+		n0, b0 := argmax(d0+la00, d1+la10)
+		n1, b1 := argmax(d0+la01, d1+la11)
+		psi[t] = [2]uint8{b0, b1}
+		d0, d1 = n0+le[t][0], n1+le[t][1]
+	}
+	best, last := argmax(d0, d1)
+	path = grow(path, T)
+	path[T-1] = int(last)
+	for t := T - 1; t > 0; t-- {
+		path[t-1] = int(psi[t][path[t]])
+	}
+	return path, best
+}
+
+// argmax returns the larger of v0 and v1 and its state; a tie, or two
+// -Inf scores, goes to state 0.
+func argmax(v0, v1 float64) (float64, uint8) {
+	best := math.Inf(-1)
+	if v0 > best {
+		best = v0
+	}
+	if v1 > best {
+		return v1, 1
+	}
+	return best, 0
 }

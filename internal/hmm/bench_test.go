@@ -33,7 +33,7 @@ func benchCfg() hmm.TrainConfig {
 
 func benchModelAndObs() (*hmm.Discrete, []int) {
 	rng := rand.New(rand.NewSource(42))
-	return randDiscrete(rng, 2, benchSym), randObs(rng, benchT, benchSym)
+	return randDiscrete(rng, benchSym), randObs(rng, benchT, benchSym)
 }
 
 func BenchmarkBaumWelch(b *testing.B) {
@@ -177,7 +177,7 @@ func BenchmarkViterbiSeed(b *testing.B) {
 
 func BenchmarkGaussianBaumWelch(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
-	m := randGaussian(rng, 2)
+	m := randGaussian(rng)
 	obs := randGaussObs(rng, benchT)
 	pristine := m.Clone()
 	seqs := [][]float64{obs}
@@ -198,7 +198,7 @@ func BenchmarkGaussianBaumWelch(b *testing.B) {
 
 func BenchmarkGaussianBaumWelchSeed(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
-	m := randGaussian(rng, 2)
+	m := randGaussian(rng)
 	obs := randGaussObs(rng, benchT)
 	pristine := m.Clone()
 	seqs := [][]float64{obs}

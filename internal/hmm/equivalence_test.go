@@ -11,9 +11,10 @@ import (
 	"github.com/social-sensing/sstd/internal/hmm/hmmtest"
 )
 
-// equivTol is the drift budget against the frozen seed kernels: the
-// rewritten kernels use reciprocal-multiply scaling, precomputed Gaussian
-// density constants and log-space Viterbi, each of which may drift from
+// equivTol is the drift budget against the frozen seed kernels: the fused
+// pass replaces per-step normalisation with power-of-two rescaling and
+// register-carried β, the Gaussian tables use precomputed density
+// constants and Viterbi runs in log space, each of which may drift from
 // the seed arithmetic by a few ulps but never near 1e-12.
 const equivTol = 1e-12
 
@@ -35,15 +36,11 @@ func randRow(rng *rand.Rand, n int) []float64 {
 	return row
 }
 
-func randDiscrete(rng *rand.Rand, n, sym int) *hmm.Discrete {
-	m := &hmm.Discrete{
-		A:  make([][]float64, n),
-		B:  make([][]float64, n),
-		Pi: randRow(rng, n),
-	}
-	for i := 0; i < n; i++ {
-		m.A[i] = randRow(rng, n)
-		m.B[i] = randRow(rng, sym)
+func randDiscrete(rng *rand.Rand, sym int) *hmm.Discrete {
+	m := &hmm.Discrete{Pi: randRow(rng, 2)}
+	for i := 0; i < 2; i++ {
+		m.A = append(m.A, randRow(rng, 2))
+		m.B = append(m.B, randRow(rng, sym))
 	}
 	return m
 }
@@ -56,10 +53,9 @@ func randObs(rng *rand.Rand, T, sym int) []int {
 	return obs
 }
 
-func randGaussian(rng *rand.Rand, n int) *hmm.Gaussian {
-	means := make([]float64, n)
-	vars := make([]float64, n)
-	for i := 0; i < n; i++ {
+func randGaussian(rng *rand.Rand) *hmm.Gaussian {
+	means, vars := make([]float64, 2), make([]float64, 2)
+	for i := range means {
 		means[i] = -3 + 6*rng.Float64()
 		vars[i] = 0.3 + 2*rng.Float64()
 	}
@@ -67,10 +63,8 @@ func randGaussian(rng *rand.Rand, n int) *hmm.Gaussian {
 	if err != nil {
 		panic(err)
 	}
-	m.Pi = randRow(rng, n)
-	for i := 0; i < n; i++ {
-		m.A[i] = randRow(rng, n)
-	}
+	m.Pi = randRow(rng, 2)
+	m.A = [][]float64{randRow(rng, 2), randRow(rng, 2)}
 	return m
 }
 
@@ -82,130 +76,119 @@ func randGaussObs(rng *rand.Rand, T int) []float64 {
 	return obs
 }
 
+// gaussPosterior is the seed forward-backward smoother for Gaussian
+// models, built from the frozen reference passes.
+func gaussPosterior(m *hmm.Gaussian, obs []float64) ([][]float64, error) {
+	alpha, scale, _, err := hmmtest.GaussForward(m, obs)
+	if err != nil {
+		return nil, err
+	}
+	beta := hmmtest.GaussBackward(m, obs, scale)
+	gamma := make([][]float64, len(obs))
+	for t := range gamma {
+		g0, g1 := alpha[t][0]*beta[t][0], alpha[t][1]*beta[t][1]
+		gamma[t] = []float64{g0 / (g0 + g1), g1 / (g0 + g1)}
+	}
+	return gamma, nil
+}
+
+// oneIteration is the log-likelihood one EM iteration reports for the
+// parameters a clone of the model started from: log P(obs | model).
+func oneIteration(ws *hmm.Workspace, m *hmm.Discrete, obs []int) (float64, error) {
+	res, err := m.Clone().BaumWelchWS(ws, [][]int{obs}, hmm.TrainConfig{MaxIterations: 1})
+	return res.LogLikelihood, err
+}
+
+func gaussOneIteration(ws *hmm.Workspace, m *hmm.Gaussian, obs []float64) (float64, error) {
+	res, err := m.Clone().BaumWelchWS(ws, [][]float64{obs}, hmm.TrainConfig{MaxIterations: 1})
+	return res.LogLikelihood, err
+}
+
+// checkLattice compares a posterior lattice (gamma[i*T+t]) with the
+// reference's gamma[t][i].
+func checkLattice(t *testing.T, name string, got []float64, want [][]float64) {
+	t.Helper()
+	T := len(want)
+	for tt := range want {
+		for i := 0; i < 2; i++ {
+			if !close2(got[i*T+tt], want[tt][i]) {
+				t.Fatalf("%s: gamma[%d][%d] %v vs %v", name, tt, i, got[i*T+tt], want[tt][i])
+			}
+		}
+	}
+}
+
+// checkPath compares a Viterbi result with the reference's.
+func checkPath(t *testing.T, name string, gotPath []int, gotScore float64, wantPath []int, wantScore float64) {
+	t.Helper()
+	if !close2(gotScore, wantScore) {
+		t.Fatalf("%s: viterbi score %v vs %v", name, gotScore, wantScore)
+	}
+	for tt := range wantPath {
+		if gotPath[tt] != wantPath[tt] {
+			t.Fatalf("%s: path[%d] = %d, reference %d", name, tt, gotPath[tt], wantPath[tt])
+		}
+	}
+}
+
 func TestDiscreteKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	ws := hmm.NewWorkspace()
 	for trial := 0; trial < 60; trial++ {
-		n := 2 + rng.Intn(3)
+		name := fmt.Sprintf("trial %d", trial)
 		sym := 2 + rng.Intn(4)
-		m := randDiscrete(rng, n, sym)
+		m := randDiscrete(rng, sym)
 		obs := randObs(rng, 3+rng.Intn(70), sym)
 
-		wantAlpha, wantScale, wantLL, err := hmmtest.Forward(m, obs)
+		_, _, wantLL, err := hmmtest.Forward(m, obs)
 		if err != nil {
-			t.Fatalf("trial %d: reference forward: %v", trial, err)
+			t.Fatalf("%s: reference forward: %v", name, err)
 		}
-		gotAlpha, gotScale, gotLL, err := m.ForwardWS(ws, obs)
+		gotLL, err := oneIteration(ws, m, obs)
 		if err != nil {
-			t.Fatalf("trial %d: ForwardWS: %v", trial, err)
+			t.Fatalf("%s: BaumWelchWS: %v", name, err)
 		}
 		if !close2(gotLL, wantLL) {
-			t.Fatalf("trial %d: logProb %v, reference %v", trial, gotLL, wantLL)
-		}
-		for tt := range obs {
-			if !close2(gotScale[tt], wantScale[tt]) {
-				t.Fatalf("trial %d: scale[%d] %v vs %v", trial, tt, gotScale[tt], wantScale[tt])
-			}
-			for i := 0; i < n; i++ {
-				if !close2(gotAlpha[tt*n+i], wantAlpha[tt][i]) {
-					t.Fatalf("trial %d: alpha[%d][%d] %v vs %v", trial, tt, i, gotAlpha[tt*n+i], wantAlpha[tt][i])
-				}
-			}
-		}
-
-		wantBeta := hmmtest.Backward(m, obs, wantScale)
-		gotBeta, err := m.BackwardWS(ws, obs, gotScale)
-		if err != nil {
-			t.Fatalf("trial %d: BackwardWS: %v", trial, err)
-		}
-		for tt := range obs {
-			for i := 0; i < n; i++ {
-				if !close2(gotBeta[tt*n+i], wantBeta[tt][i]) {
-					t.Fatalf("trial %d: beta[%d][%d] %v vs %v", trial, tt, i, gotBeta[tt*n+i], wantBeta[tt][i])
-				}
-			}
+			t.Fatalf("%s: logProb %v, reference %v", name, gotLL, wantLL)
 		}
 
 		wantGamma, err := hmmtest.Posterior(m, obs)
 		if err != nil {
-			t.Fatalf("trial %d: reference posterior: %v", trial, err)
+			t.Fatalf("%s: reference posterior: %v", name, err)
 		}
 		gotGamma, err := m.PosteriorWS(ws, obs, nil)
 		if err != nil {
-			t.Fatalf("trial %d: PosteriorWS: %v", trial, err)
+			t.Fatalf("%s: PosteriorWS: %v", name, err)
 		}
-		for tt := range obs {
-			for i := 0; i < n; i++ {
-				if !close2(gotGamma[tt*n+i], wantGamma[tt][i]) {
-					t.Fatalf("trial %d: gamma[%d][%d] %v vs %v", trial, tt, i, gotGamma[tt*n+i], wantGamma[tt][i])
-				}
-			}
-		}
+		checkLattice(t, name, gotGamma, wantGamma)
 
 		wantPath, wantScore := hmmtest.Viterbi(m, obs)
 		gotPath, gotScore, err := m.ViterbiWS(ws, obs, nil)
 		if err != nil {
-			t.Fatalf("trial %d: ViterbiWS: %v", trial, err)
+			t.Fatalf("%s: ViterbiWS: %v", name, err)
 		}
-		if !close2(gotScore, wantScore) {
-			t.Fatalf("trial %d: viterbi score %v vs %v", trial, gotScore, wantScore)
-		}
-		for tt := range wantPath {
-			if gotPath[tt] != wantPath[tt] {
-				t.Fatalf("trial %d: path[%d] = %d, reference %d", trial, tt, gotPath[tt], wantPath[tt])
-			}
-		}
+		checkPath(t, name, gotPath, gotScore, wantPath, wantScore)
 	}
 }
 
 func TestDiscreteBaumWelchMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	for trial := 0; trial < 25; trial++ {
-		n := 2 + rng.Intn(2)
 		sym := 3 + rng.Intn(3)
-		m1 := randDiscrete(rng, n, sym)
-		m2 := m1.Clone()
-		nseq := 1 + rng.Intn(3)
-		seqs := make([][]int, nseq)
+		m := randDiscrete(rng, sym)
+		seqs := make([][]int, 1+rng.Intn(3))
 		for s := range seqs {
 			seqs[s] = randObs(rng, 10+rng.Intn(40), sym)
 		}
 		cfg := hmm.TrainConfig{
-			MaxIterations: 8,
-			Tolerance:     1e-12,
-			SmoothA:       1e-3,
-			SmoothB:       1e-3,
-			SmoothPi:      1e-3,
+			MaxIterations:   8,
+			Tolerance:       1e-12,
+			SmoothA:         1e-3,
+			SmoothB:         1e-3,
+			SmoothPi:        1e-3,
+			FreezeEmissions: trial%3 == 0,
 		}
-		if trial%3 == 0 {
-			cfg.FreezeEmissions = true
-		}
-		r1, err := m1.BaumWelch(seqs, cfg)
-		if err != nil {
-			t.Fatalf("trial %d: BaumWelch: %v", trial, err)
-		}
-		r2, err := hmmtest.BaumWelch(m2, seqs, cfg)
-		if err != nil {
-			t.Fatalf("trial %d: reference BaumWelch: %v", trial, err)
-		}
-		if r1.Iterations != r2.Iterations || !close2(r1.LogLikelihood, r2.LogLikelihood) {
-			t.Fatalf("trial %d: result %+v vs reference %+v", trial, r1, r2)
-		}
-		for i := 0; i < n; i++ {
-			if !close2(m1.Pi[i], m2.Pi[i]) {
-				t.Fatalf("trial %d: Pi[%d] %v vs %v", trial, i, m1.Pi[i], m2.Pi[i])
-			}
-			for j := 0; j < n; j++ {
-				if !close2(m1.A[i][j], m2.A[i][j]) {
-					t.Fatalf("trial %d: A[%d][%d] %v vs %v", trial, i, j, m1.A[i][j], m2.A[i][j])
-				}
-			}
-			for k := 0; k < sym; k++ {
-				if !close2(m1.B[i][k], m2.B[i][k]) {
-					t.Fatalf("trial %d: B[%d][%d] %v vs %v", trial, i, k, m1.B[i][k], m2.B[i][k])
-				}
-			}
-		}
+		matchReferenceFit(t, fmt.Sprintf("trial %d", trial), m, seqs, cfg)
 	}
 }
 
@@ -213,141 +196,56 @@ func TestGaussianKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	ws := hmm.NewWorkspace()
 	for trial := 0; trial < 60; trial++ {
-		n := 2 + rng.Intn(3)
-		m := randGaussian(rng, n)
+		name := fmt.Sprintf("trial %d", trial)
+		m := randGaussian(rng)
 		obs := randGaussObs(rng, 3+rng.Intn(70))
 
-		wantAlpha, wantScale, wantLL, err := hmmtest.GaussForward(m, obs)
+		_, _, wantLL, err := hmmtest.GaussForward(m, obs)
 		if err != nil {
-			t.Fatalf("trial %d: reference forward: %v", trial, err)
+			t.Fatalf("%s: reference forward: %v", name, err)
 		}
-		gotAlpha, gotScale, gotLL, err := m.ForwardWS(ws, obs)
+		gotLL, err := gaussOneIteration(ws, m, obs)
 		if err != nil {
-			t.Fatalf("trial %d: ForwardWS: %v", trial, err)
+			t.Fatalf("%s: BaumWelchWS: %v", name, err)
 		}
 		if !close2(gotLL, wantLL) {
-			t.Fatalf("trial %d: logProb %v vs %v", trial, gotLL, wantLL)
-		}
-		for tt := range obs {
-			for i := 0; i < n; i++ {
-				if !close2(gotAlpha[tt*n+i], wantAlpha[tt][i]) {
-					t.Fatalf("trial %d: alpha[%d][%d] %v vs %v", trial, tt, i, gotAlpha[tt*n+i], wantAlpha[tt][i])
-				}
-			}
+			t.Fatalf("%s: logProb %v vs %v", name, gotLL, wantLL)
 		}
 
-		wantBeta := hmmtest.GaussBackward(m, obs, wantScale)
-		gotBeta, err := m.BackwardWS(ws, obs, gotScale)
+		wantGamma, err := gaussPosterior(m, obs)
 		if err != nil {
-			t.Fatalf("trial %d: BackwardWS: %v", trial, err)
+			t.Fatalf("%s: reference posterior: %v", name, err)
 		}
-		for tt := range obs {
-			for i := 0; i < n; i++ {
-				if !close2(gotBeta[tt*n+i], wantBeta[tt][i]) {
-					t.Fatalf("trial %d: beta[%d][%d] %v vs %v", trial, tt, i, gotBeta[tt*n+i], wantBeta[tt][i])
-				}
-			}
+		gotGamma, err := m.PosteriorWS(ws, obs, nil)
+		if err != nil {
+			t.Fatalf("%s: PosteriorWS: %v", name, err)
 		}
+		checkLattice(t, name, gotGamma, wantGamma)
 
 		wantPath, wantScore := hmmtest.GaussViterbi(m, obs)
 		gotPath, gotScore, err := m.ViterbiWS(ws, obs, nil)
 		if err != nil {
-			t.Fatalf("trial %d: ViterbiWS: %v", trial, err)
+			t.Fatalf("%s: ViterbiWS: %v", name, err)
 		}
-		if !close2(gotScore, wantScore) {
-			t.Fatalf("trial %d: viterbi score %v vs %v", trial, gotScore, wantScore)
-		}
-		for tt := range wantPath {
-			if gotPath[tt] != wantPath[tt] {
-				t.Fatalf("trial %d: path[%d] = %d, reference %d", trial, tt, gotPath[tt], wantPath[tt])
-			}
-		}
+		checkPath(t, name, gotPath, gotScore, wantPath, wantScore)
 	}
 }
 
 func TestGaussianBaumWelchMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
 	for trial := 0; trial < 25; trial++ {
-		n := 2
-		m1 := randGaussian(rng, n)
-		m2 := m1.Clone()
-		seqs := [][]float64{randGaussObs(rng, 20+rng.Intn(40))}
+		m := randGaussian(rng)
+		seqs := make([][]float64, 1+rng.Intn(3))
+		for s := range seqs {
+			seqs[s] = randGaussObs(rng, 20+rng.Intn(40))
+		}
 		cfg := hmm.TrainConfig{
 			MaxIterations: 8,
 			Tolerance:     1e-12,
 			SmoothA:       1e-3,
 			SmoothPi:      1e-3,
 		}
-		r1, err := m1.BaumWelch(seqs, cfg)
-		if err != nil {
-			t.Fatalf("trial %d: BaumWelch: %v", trial, err)
-		}
-		r2, err := hmmtest.GaussBaumWelch(m2, seqs, cfg)
-		if err != nil {
-			t.Fatalf("trial %d: reference BaumWelch: %v", trial, err)
-		}
-		if r1.Iterations != r2.Iterations || !close2(r1.LogLikelihood, r2.LogLikelihood) {
-			t.Fatalf("trial %d: result %+v vs reference %+v", trial, r1, r2)
-		}
-		for i := 0; i < n; i++ {
-			if !close2(m1.Pi[i], m2.Pi[i]) || !close2(m1.Mean[i], m2.Mean[i]) || !close2(m1.Var[i], m2.Var[i]) {
-				t.Fatalf("trial %d: state %d params (%v,%v,%v) vs (%v,%v,%v)",
-					trial, i, m1.Pi[i], m1.Mean[i], m1.Var[i], m2.Pi[i], m2.Mean[i], m2.Var[i])
-			}
-			for j := 0; j < n; j++ {
-				if !close2(m1.A[i][j], m2.A[i][j]) {
-					t.Fatalf("trial %d: A[%d][%d] %v vs %v", trial, i, j, m1.A[i][j], m2.A[i][j])
-				}
-			}
-		}
-	}
-}
-
-// TestOldAPIMatchesReference pins the exported seed-signature entry points
-// (which now delegate to the workspace kernels through the pool) to the
-// reference implementations too.
-func TestOldAPIMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(505))
-	for trial := 0; trial < 20; trial++ {
-		n, sym := 2, 5
-		m := randDiscrete(rng, n, sym)
-		obs := randObs(rng, 30, sym)
-		_, _, wantLL, err := hmmtest.Forward(m, obs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotLL, err := m.LogLikelihood(obs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !close2(gotLL, wantLL) {
-			t.Fatalf("trial %d: LogLikelihood %v vs %v", trial, gotLL, wantLL)
-		}
-		wantGamma, err := hmmtest.Posterior(m, obs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotGamma, err := m.Posterior(obs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for tt := range obs {
-			for i := 0; i < n; i++ {
-				if !close2(gotGamma[tt][i], wantGamma[tt][i]) {
-					t.Fatalf("trial %d: gamma[%d][%d] %v vs %v", trial, tt, i, gotGamma[tt][i], wantGamma[tt][i])
-				}
-			}
-		}
-		wantPath, _ := hmmtest.Viterbi(m, obs)
-		gotPath, _, err := m.Viterbi(obs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for tt := range wantPath {
-			if gotPath[tt] != wantPath[tt] {
-				t.Fatalf("trial %d: path[%d] = %d, reference %d", trial, tt, gotPath[tt], wantPath[tt])
-			}
-		}
+		matchGaussFit(t, fmt.Sprintf("trial %d", trial), m, seqs, cfg)
 	}
 }
 
@@ -365,11 +263,57 @@ func runObs(rng *rand.Rand, T, sym, mean int) []int {
 	return obs
 }
 
+// runGaussObs draws T observations from m's emission densities along a
+// state path that persists for runs of 1..2*mean-1 steps.
+func runGaussObs(rng *rand.Rand, m *hmm.Gaussian, T, mean int) []float64 {
+	obs := make([]float64, T)
+	for i, st := range runObs(rng, T, 2, mean) {
+		obs[i] = m.Mean[st] + rng.NormFloat64()*math.Sqrt(m.Var[st])
+	}
+	return obs
+}
+
+// refConfig is the reference run's config for a kernel fit that took
+// res: the reference knows no warm start, so a warm fit is compared with
+// a reference run capped at the iterations the warm fit took.
+func refConfig(cfg hmm.TrainConfig, res hmm.TrainResult) hmm.TrainConfig {
+	if cfg.WarmStart {
+		cfg.MaxIterations = res.Iterations
+	}
+	return cfg
+}
+
+// matchFit requires a kernel fit (r1, got) and a reference fit (r2, want)
+// of clones of one model to agree: the same iteration count, and the
+// log-likelihood and every parameter within equivTol and finite.
+func matchFit(t *testing.T, name string, r1, r2 hmm.TrainResult, got, want [][]float64) {
+	t.Helper()
+	if r1.Iterations != r2.Iterations || !close2(r1.LogLikelihood, r2.LogLikelihood) {
+		t.Fatalf("%s: result %+v vs reference %+v", name, r1, r2)
+	}
+	if math.IsNaN(r1.LogLikelihood) || math.IsInf(r1.LogLikelihood, 0) {
+		t.Fatalf("%s: log-likelihood %v", name, r1.LogLikelihood)
+	}
+	for r := range want {
+		for i := range want[r] {
+			// !close2 alone would let a NaN pair through.
+			if g := got[r][i]; math.IsNaN(g) || math.IsInf(g, 0) || !close2(g, want[r][i]) {
+				t.Fatalf("%s: parameter row %d [%d] = %v, reference %v", name, r, i, g, want[r][i])
+			}
+		}
+	}
+}
+
+func discreteParams(m *hmm.Discrete) [][]float64 {
+	return [][]float64{m.Pi, m.A[0], m.A[1], m.B[0], m.B[1]}
+}
+
+func gaussParams(m *hmm.Gaussian) [][]float64 {
+	return [][]float64{m.Pi, m.A[0], m.A[1], m.Mean, m.Var}
+}
+
 // matchReferenceFit trains a clone of m with the package kernel and
-// another with the frozen reference and requires the same iteration
-// count and every result within equivTol. The reference knows no warm
-// start, so a warm fit is compared with a reference run capped at the
-// iterations the warm fit took.
+// another with the frozen reference and requires matchFit's agreement.
 func matchReferenceFit(t *testing.T, name string, m *hmm.Discrete, seqs [][]int, cfg hmm.TrainConfig) {
 	t.Helper()
 	m1, m2 := m.Clone(), m.Clone()
@@ -377,43 +321,46 @@ func matchReferenceFit(t *testing.T, name string, m *hmm.Discrete, seqs [][]int,
 	if err != nil {
 		t.Fatalf("%s: BaumWelchWS: %v", name, err)
 	}
-	refCfg := cfg
-	if cfg.WarmStart {
-		refCfg.MaxIterations = r1.Iterations
-	}
-	r2, err := hmmtest.BaumWelch(m2, seqs, refCfg)
+	r2, err := hmmtest.BaumWelch(m2, seqs, refConfig(cfg, r1))
 	if err != nil {
 		t.Fatalf("%s: reference BaumWelch: %v", name, err)
 	}
-	if r1.Iterations != r2.Iterations || !close2(r1.LogLikelihood, r2.LogLikelihood) {
-		t.Fatalf("%s: result %+v vs reference %+v", name, r1, r2)
+	matchFit(t, name, r1, r2, discreteParams(m1), discreteParams(m2))
+}
+
+// matchGaussFit is matchReferenceFit for Gaussian models.
+func matchGaussFit(t *testing.T, name string, m *hmm.Gaussian, seqs [][]float64, cfg hmm.TrainConfig) {
+	t.Helper()
+	m1, m2 := m.Clone(), m.Clone()
+	r1, err := m1.BaumWelchWS(hmm.NewWorkspace(), seqs, cfg)
+	if err != nil {
+		t.Fatalf("%s: BaumWelchWS: %v", name, err)
 	}
-	check := func(what string, got, want []float64) {
-		for i := range want {
-			// !close2 alone would let a NaN pair through.
-			if math.IsNaN(got[i]) || math.IsInf(got[i], 0) || !close2(got[i], want[i]) {
-				t.Fatalf("%s: %s[%d] = %v, reference %v", name, what, i, got[i], want[i])
-			}
-		}
+	r2, err := hmmtest.GaussBaumWelch(m2, seqs, refConfig(cfg, r1))
+	if err != nil {
+		t.Fatalf("%s: reference GaussBaumWelch: %v", name, err)
 	}
-	if math.IsNaN(r1.LogLikelihood) || math.IsInf(r1.LogLikelihood, 0) {
-		t.Fatalf("%s: log-likelihood %v", name, r1.LogLikelihood)
+	matchFit(t, name, r1, r2, gaussParams(m1), gaussParams(m2))
+}
+
+// halves returns the first half of every sequence.
+func halves[E any](seqs [][]E) [][]E {
+	half := make([][]E, len(seqs))
+	for i, s := range seqs {
+		half[i] = s[:(len(s)+1)/2]
 	}
-	check("Pi", m1.Pi, m2.Pi)
-	for i := range m2.A {
-		check("A row", m1.A[i], m2.A[i])
-		check("B row", m1.B[i], m2.B[i])
-	}
+	return half
 }
 
 // TestPairPassMatchesReferenceAtTheEdges drives the fused 2-state EM pass
 // through the inputs its power-of-two rescaling and register-carried β
-// could get wrong: sequences long enough to rescale hundreds of times,
-// sequences too short to have a transition, constant observations,
-// emissions small enough to rescale at step 0 and several times per
-// step, a single step that takes the mass down by 1e-250, an exact-zero
-// emission, and every combination of frozen or
-// re-estimated emissions, one to three sequences, cold and warm.
+// could get wrong, for both emission families: sequences long enough to
+// rescale hundreds of times, sequences too short to have a transition,
+// constant observations, emissions small enough to rescale at step 0 and
+// several times per step, a single step that takes the mass down by
+// 1e-250, an exact-zero emission, Gaussian densities far above 1 (σ² =
+// 1e-4), and every combination of frozen or re-estimated emissions, one
+// to three sequences, cold and warm.
 func TestPairPassMatchesReferenceAtTheEdges(t *testing.T) {
 	const sym = 5
 	rng := rand.New(rand.NewSource(606))
@@ -422,7 +369,7 @@ func TestPairPassMatchesReferenceAtTheEdges(t *testing.T) {
 	for i := range constant {
 		constant[i] = 3
 	}
-	tiny := randDiscrete(rng, 2, sym)
+	tiny := randDiscrete(rng, sym)
 	tiny.B[0][0], tiny.B[0][1] = 1e-100, tiny.B[0][1]+tiny.B[0][0]-1e-100
 	tiny.B[1][0], tiny.B[1][1] = 3e-90, tiny.B[1][1]+tiny.B[1][0]-3e-90
 	mostlyZeros := make([]int, 400)
@@ -431,7 +378,7 @@ func TestPairPassMatchesReferenceAtTheEdges(t *testing.T) {
 	}
 	// One step that shrinks the mass by 1e-250 wherever the mass stood
 	// before it: the rescale threshold has to leave that much headroom.
-	cliff := randDiscrete(rng, 2, sym)
+	cliff := randDiscrete(rng, sym)
 	cliff.B[0][0], cliff.B[0][1] = 1e-250, cliff.B[0][1]+cliff.B[0][0]-1e-250
 	cliff.B[1][0], cliff.B[1][1] = 3e-250, cliff.B[1][1]+cliff.B[1][0]-3e-250
 	rareZeros := make([]int, 600)
@@ -441,7 +388,7 @@ func TestPairPassMatchesReferenceAtTheEdges(t *testing.T) {
 	for i := 5; i < len(rareZeros); i += 41 {
 		rareZeros[i] = 0
 	}
-	oneSided := randDiscrete(rng, 2, sym)
+	oneSided := randDiscrete(rng, sym)
 	oneSided.B[0][2], oneSided.B[0][3] = 0, oneSided.B[0][3]+oneSided.B[0][2]
 
 	cases := []struct {
@@ -449,15 +396,15 @@ func TestPairPassMatchesReferenceAtTheEdges(t *testing.T) {
 		m    *hmm.Discrete
 		seqs [][]int
 	}{
-		{"T=100k", randDiscrete(rng, 2, sym), [][]int{runObs(rng, 100_000, sym, 7)}},
-		{"T=1", randDiscrete(rng, 2, sym), [][]int{{2}}},
-		{"T=2", randDiscrete(rng, 2, sym), [][]int{{4, 0}}},
-		{"T=1,2,3 together", randDiscrete(rng, 2, sym), [][]int{{1}, {0, 3}, {2, 2, 4}}},
-		{"constant", randDiscrete(rng, 2, sym), [][]int{constant}},
+		{"T=100k", randDiscrete(rng, sym), [][]int{runObs(rng, 100_000, sym, 7)}},
+		{"T=1", randDiscrete(rng, sym), [][]int{{2}}},
+		{"T=2", randDiscrete(rng, sym), [][]int{{4, 0}}},
+		{"T=1,2,3 together", randDiscrete(rng, sym), [][]int{{1}, {0, 3}, {2, 2, 4}}},
+		{"constant", randDiscrete(rng, sym), [][]int{constant}},
 		{"1e-100 emissions", tiny, [][]int{mostlyZeros, {0}, {0, 0, 0}}},
 		{"1e-250 emission in a single step", cliff, [][]int{rareZeros, {0, 2}}},
 		{"zero emission in one state", oneSided, [][]int{runObs(rng, 500, sym, 3), runObs(rng, 200, sym, 3)}},
-		{"three sequences", randDiscrete(rng, 2, sym), [][]int{runObs(rng, 700, sym, 7), runObs(rng, 90, sym, 2), runObs(rng, 1500, sym, 12)}},
+		{"three sequences", randDiscrete(rng, sym), [][]int{runObs(rng, 700, sym, 7), runObs(rng, 90, sym, 2), runObs(rng, 1500, sym, 12)}},
 	}
 	for _, tc := range cases {
 		for _, freeze := range []bool{true, false} {
@@ -469,16 +416,65 @@ func TestPairPassMatchesReferenceAtTheEdges(t *testing.T) {
 			// Warm: seed from the cold fit's own result, on the same data
 			// and on its first half, so both warm stops are exercised.
 			seed := tc.m.Clone()
-			if _, err := seed.BaumWelch(tc.seqs, cfg); err != nil {
+			if _, err := seed.BaumWelchWS(hmm.NewWorkspace(), tc.seqs, cfg); err != nil {
 				t.Fatalf("%s: seeding fit: %v", name, err)
 			}
 			cfg.WarmStart = true
 			matchReferenceFit(t, name+"/warm", seed, tc.seqs, cfg)
-			half := make([][]int, len(tc.seqs))
-			for i, s := range tc.seqs {
-				half[i] = s[:(len(s)+1)/2]
-			}
-			matchReferenceFit(t, name+"/warm-prefix", seed, half, cfg)
+			matchReferenceFit(t, name+"/warm-prefix", seed, halves(tc.seqs), cfg)
+		}
+	}
+
+	// Gaussian: sticky, well-separated states; σ² = 1e-4 puts every
+	// density near its mean at ≈40, so α grows ×40 a step unless the step
+	// tables are prescaled, and overflows after ≈190 steps.
+	sticky := func(mean0, mean1, v float64) *hmm.Gaussian {
+		m, err := hmm.NewGaussian([]float64{mean0, mean1}, []float64{v, v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.A = [][]float64{{0.95, 0.05}, {0.1, 0.9}}
+		m.Pi = []float64{0.3, 0.7}
+		return m
+	}
+	wide, narrow := sticky(-1, 2, 1.5), sticky(0, 1, 1e-4)
+	gcases := []struct {
+		name string
+		m    *hmm.Gaussian
+		seqs [][]float64
+	}{
+		{"gaussian/T=100k", wide, [][]float64{runGaussObs(rng, wide, 100_000, 7)}},
+		{"gaussian/T=1", wide, [][]float64{{0.3}}},
+		{"gaussian/T=2", wide, [][]float64{{0.3, 1.7}}},
+		{"gaussian/T=1,2,3 together", wide, [][]float64{{1}, {0, 3}, {2, -2, 4}}},
+		{"gaussian/three sequences", wide, [][]float64{runGaussObs(rng, wide, 700, 7), runGaussObs(rng, wide, 90, 2), runGaussObs(rng, wide, 1500, 12)}},
+		{"gaussian/variance 1e-4", narrow, [][]float64{runGaussObs(rng, narrow, 3000, 9), runGaussObs(rng, narrow, 400, 4)}},
+	}
+	for _, tc := range gcases {
+		cfg := base
+		matchGaussFit(t, tc.name+"/cold", tc.m, tc.seqs, cfg)
+		seed := tc.m.Clone()
+		if _, err := seed.BaumWelchWS(hmm.NewWorkspace(), tc.seqs, cfg); err != nil {
+			t.Fatalf("%s: seeding fit: %v", tc.name, err)
+		}
+		cfg.WarmStart = true
+		matchGaussFit(t, tc.name+"/warm", seed, tc.seqs, cfg)
+		matchGaussFit(t, tc.name+"/warm-prefix", seed, halves(tc.seqs), cfg)
+	}
+
+	// A far-tail observation underflows both densities to zero: the fit
+	// must fail naming that step, as the reference does.
+	for _, at := range []int{0, 1, 250, 2999} {
+		obs := runGaussObs(rng, narrow, 3000, 9)
+		obs[at] = 500
+		seqs := [][]float64{runGaussObs(rng, narrow, 300, 9), obs}
+		want := fmt.Sprintf("observation at t=%d", at)
+		res, err := narrow.Clone().BaumWelchWS(hmm.NewWorkspace(), seqs, base)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("gaussian far tail at=%d: err = %v (result %+v), want it to contain %q", at, err, res, want)
+		}
+		if _, refErr := hmmtest.GaussBaumWelch(narrow.Clone(), seqs, base); refErr == nil || !strings.Contains(refErr.Error(), want) {
+			t.Fatalf("gaussian far tail at=%d: reference err = %v, want it to contain %q", at, refErr, want)
 		}
 	}
 }
@@ -490,7 +486,7 @@ func TestPairPassMatchesReferenceAtTheEdges(t *testing.T) {
 func TestPairPassZeroProbabilityNamesTheStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(707))
 	for _, at := range []int{0, 1, 17, 4999} {
-		m := randDiscrete(rng, 2, 4)
+		m := randDiscrete(rng, 4)
 		for i := range m.B {
 			m.B[i][2] += m.B[i][3]
 			m.B[i][3] = 0
@@ -502,7 +498,7 @@ func TestPairPassZeroProbabilityNamesTheStep(t *testing.T) {
 			for _, freeze := range []bool{true, false} {
 				cfg := hmm.TrainConfig{MaxIterations: 3, FreezeEmissions: freeze, SmoothA: 1e-3, SmoothPi: 1e-3}
 				mm := m.Clone()
-				res, err := mm.BaumWelch(seqs, cfg)
+				res, err := mm.BaumWelchWS(hmm.NewWorkspace(), seqs, cfg)
 				want := fmt.Sprintf("zero-probability observation at t=%d", at)
 				if err == nil || !strings.Contains(err.Error(), want) {
 					t.Fatalf("at=%d freeze=%v: err = %v (result %+v), want it to contain %q", at, freeze, err, res, want)

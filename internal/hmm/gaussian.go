@@ -1,15 +1,18 @@
 package hmm
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/social-sensing/sstd/internal/obs/flightrec"
 )
 
-// Gaussian is an HMM whose per-state emissions are univariate normal
-// distributions. It is used with raw (continuous) Aggregated Contribution
-// Score sequences, avoiding the quantization step the discrete model needs.
+// Gaussian is a 2-state HMM whose per-state emissions are univariate
+// normal distributions. It is used with raw (continuous) Aggregated
+// Contribution Score sequences, avoiding the quantization step the
+// discrete model needs.
 type Gaussian struct {
 	// A[i][j] is the transition probability from state i to state j.
 	A [][]float64
@@ -24,25 +27,20 @@ type Gaussian struct {
 	VarFloor float64
 }
 
-// NewGaussian allocates a model with uniform transitions and the given
-// initial emission parameters. len(means) defines the state count and must
-// equal len(vars).
+// NewGaussian returns a validated model with uniform transitions and
+// initial distribution and the given emission parameters, one mean and
+// one variance per state.
 func NewGaussian(means, vars []float64) (*Gaussian, error) {
-	if len(means) == 0 || len(means) != len(vars) {
-		return nil, fmt.Errorf("hmm: need matching non-empty means/vars, got %d/%d", len(means), len(vars))
+	m := &Gaussian{
+		A:    [][]float64{{0.5, 0.5}, {0.5, 0.5}},
+		Pi:   []float64{0.5, 0.5},
+		Mean: slices.Clone(means),
+		Var:  slices.Clone(vars),
 	}
-	for i, v := range vars {
-		if v <= 0 {
-			return nil, fmt.Errorf("hmm: var[%d] = %v must be positive", i, v)
-		}
+	if err := m.Validate(); err != nil {
+		return nil, err
 	}
-	n := len(means)
-	return &Gaussian{
-		A:    uniformMatrix(n, n),
-		Pi:   uniformVector(n),
-		Mean: cloneVector(means),
-		Var:  cloneVector(vars),
-	}, nil
+	return m, nil
 }
 
 // States returns the number of hidden states.
@@ -52,11 +50,23 @@ func (m *Gaussian) States() int { return len(m.Pi) }
 func (m *Gaussian) Clone() *Gaussian {
 	return &Gaussian{
 		A:        cloneMatrix(m.A),
-		Pi:       cloneVector(m.Pi),
-		Mean:     cloneVector(m.Mean),
-		Var:      cloneVector(m.Var),
+		Pi:       slices.Clone(m.Pi),
+		Mean:     slices.Clone(m.Mean),
+		Var:      slices.Clone(m.Var),
 		VarFloor: m.VarFloor,
 	}
+}
+
+// Validate checks that the model has 2 states, that pi and the rows of A
+// are probability distributions, that the means are finite, and that
+// every variance, the floor included, has finite density constants.
+func (m *Gaussian) Validate() error {
+	if err := m.checkShape(); err != nil {
+		return err
+	}
+	_, err := m.densities()
+	_, _, floorErr := density(m.varFloor())
+	return errors.Join(checkChain(m.Pi, m.A), err, floorErr)
 }
 
 func (m *Gaussian) varFloor() float64 {
@@ -66,359 +76,187 @@ func (m *Gaussian) varFloor() float64 {
 	return 1e-4
 }
 
-// density returns the emission density of observation x in state i. The
-// kernels use the equivalent precomputed form 1/(σ√2π)·exp(-d²/(2σ²))
-// from the workspace instead of calling this per observation.
-func (m *Gaussian) density(i int, x float64) float64 {
-	v := m.Var[i]
-	d := x - m.Mean[i]
-	return math.Exp(-d*d/(2*v)) / math.Sqrt(2*math.Pi*v)
-}
-
-func checkGaussObs(obs []float64) error {
-	if len(obs) == 0 {
-		return ErrEmptySequence
+// checkShape refuses a model whose parameters a kernel could index past:
+// anything but 2 states and a 2×2 A.
+func (m *Gaussian) checkShape() error {
+	if len(m.Pi) != 2 || len(m.A) != 2 || len(m.Mean) != 2 || len(m.Var) != 2 {
+		return fmt.Errorf("%w (pi %d, A %d rows, %d means, %d variances)", ErrStates, len(m.Pi), len(m.A), len(m.Mean), len(m.Var))
+	}
+	if len(m.A[0]) != 2 || len(m.A[1]) != 2 {
+		return fmt.Errorf("hmm: A rows have %d and %d entries, want 2", len(m.A[0]), len(m.A[1]))
 	}
 	return nil
 }
 
-// forwardWS is the scaled forward kernel; assumes ws.loadGaussian(m) has
-// run. Fills ws.alpha (T*n row-major) and ws.scale.
-func (m *Gaussian) forwardWS(ws *Workspace, obs []float64) (float64, error) {
-	n, T := m.States(), len(obs)
-	ws.alpha = growF(ws.alpha, T*n)
-	ws.scale = growF(ws.scale, T)
-	a, alpha, scale := ws.a, ws.alpha, ws.scale
-	coef, negInv, mean := ws.gCoef, ws.gNegInv, m.Mean
-	for i := 0; i < n; i++ {
-		d := obs[0] - mean[i]
-		alpha[i] = m.Pi[i] * (coef[i] * math.Exp(d*d*negInv[i]))
+// check validates the model and an observation sequence and returns the
+// model's densities.
+func (m *Gaussian) check(obs []float64) (densities, error) {
+	if err := m.checkShape(); err != nil {
+		return densities{}, err
 	}
-	scale[0] = normalizeRow(alpha[:n])
-	for t := 1; t < T; t++ {
-		prev := alpha[(t-1)*n : t*n]
-		cur := alpha[t*n : (t+1)*n]
-		x := obs[t]
-		for j := 0; j < n; j++ {
-			sum := 0.0
-			for i := 0; i < n; i++ {
-				sum += prev[i] * a[i*n+j]
-			}
-			d := x - mean[j]
-			cur[j] = sum * (coef[j] * math.Exp(d*d*negInv[j]))
-		}
-		scale[t] = normalizeRow(cur)
+	if len(obs) == 0 {
+		return densities{}, ErrEmptySequence
 	}
-	logProb := 0.0
-	for t := 0; t < T; t++ {
-		if scale[t] <= 0 {
-			return 0, fmt.Errorf("hmm: zero-density observation at t=%d", t)
-		}
-		logProb += math.Log(scale[t])
-	}
-	return logProb, nil
-}
-
-// backwardWS is the scaled backward kernel; assumes ws.loadGaussian(m) has
-// run. Fills ws.beta (T*n row-major).
-func (m *Gaussian) backwardWS(ws *Workspace, obs []float64, scale []float64) {
-	n, T := m.States(), len(obs)
-	ws.beta = growF(ws.beta, T*n)
-	a, beta := ws.a, ws.beta
-	coef, negInv, mean := ws.gCoef, ws.gNegInv, m.Mean
-	for i := 0; i < n; i++ {
-		beta[(T-1)*n+i] = 1 / scale[T-1]
-	}
-	// Per-step emission densities of obs[t+1] are shared by every i; stage
-	// them in ws.gamma to avoid recomputing exp n times per state.
-	ws.gamma = growF(ws.gamma, n)
-	dens := ws.gamma
-	for t := T - 2; t >= 0; t-- {
-		next := beta[(t+1)*n : (t+2)*n]
-		cur := beta[t*n : (t+1)*n]
-		x := obs[t+1]
-		for j := 0; j < n; j++ {
-			d := x - mean[j]
-			dens[j] = coef[j] * math.Exp(d*d*negInv[j])
-		}
-		for i := 0; i < n; i++ {
-			sum := 0.0
-			for j := 0; j < n; j++ {
-				sum += a[i*n+j] * dens[j] * next[j]
-			}
-			cur[i] = sum / scale[t]
+	for t, x := range obs {
+		if !finite(x) {
+			return densities{}, fmt.Errorf("hmm: obs[%d] = %v is not finite", t, x)
 		}
 	}
+	return m.densities()
 }
 
-// ForwardWS runs the scaled forward kernel on ws and returns views of the
-// scaled alpha lattice (T*n row-major) and the scaling coefficients, plus
-// the log-likelihood (up to the density normalization inherent to
-// continuous HMMs). The slices are backed by ws and valid until the next
-// kernel call on it.
-func (m *Gaussian) ForwardWS(ws *Workspace, obs []float64) (alpha, scale []float64, logProb float64, err error) {
-	if err := checkGaussObs(obs); err != nil {
-		return nil, nil, 0, err
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// densities holds both states' emission densities in closed form: state
+// i's density at x is coef[i]·exp(d²·negInv[i]) with d = x − mean[i],
+// coef = 1/(σ√2π) and negInv = −1/(2σ²) — one multiply and one exp per
+// density instead of a division and a square root.
+type densities struct{ mean, coef, negInv [2]float64 }
+
+// density returns the constants of a normal density with variance v, or
+// an error when they are not finite and positive.
+func density(v float64) (coef, negInv float64, err error) {
+	coef, negInv = 1/math.Sqrt(2*math.Pi*v), -1/(2*v)
+	if !(v > 0) || !(coef > 0) || math.IsInf(coef, 0) || math.IsInf(negInv, 0) {
+		return 0, 0, fmt.Errorf("hmm: variance %v has no finite normal density", v)
 	}
-	ws.loadGaussian(m)
-	lp, err := m.forwardWS(ws, obs)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return ws.alpha, ws.scale, lp, nil
+	return coef, negInv, nil
 }
 
-// BackwardWS runs the scaled backward kernel on ws with the forward
-// scaling coefficients; the returned beta lattice (T*n row-major) is
-// backed by ws and valid until the next kernel call.
-func (m *Gaussian) BackwardWS(ws *Workspace, obs []float64, scale []float64) ([]float64, error) {
-	if err := checkGaussObs(obs); err != nil {
-		return nil, err
+// densities returns the model's densities, or an error when a mean is
+// not finite or a variance has no finite density (a subnormal variance
+// has none: −1/(2σ²) overflows).
+func (m *Gaussian) densities() (densities, error) {
+	g := densities{mean: [2]float64{m.Mean[0], m.Mean[1]}}
+	var err0, err1, errMean error
+	g.coef[0], g.negInv[0], err0 = density(m.Var[0])
+	g.coef[1], g.negInv[1], err1 = density(m.Var[1])
+	if !finite(g.mean[0]) || !finite(g.mean[1]) {
+		errMean = fmt.Errorf("hmm: means %v are not finite", m.Mean)
 	}
-	if len(scale) != len(obs) {
-		return nil, fmt.Errorf("hmm: scale length %d != T %d", len(scale), len(obs))
-	}
-	ws.loadGaussian(m)
-	m.backwardWS(ws, obs, scale)
-	return ws.beta, nil
+	return g, errors.Join(err0, err1, errMean)
 }
 
-// Forward runs the scaled forward pass; logProb is log P(obs|model) up to
-// the density (not probability) normalization inherent to continuous HMMs.
-func (m *Gaussian) Forward(obs []float64) (alpha [][]float64, scale []float64, logProb float64, err error) {
-	if err := checkGaussObs(obs); err != nil {
-		return nil, nil, 0, err
+// fillDensities sets table entries k, k+1, … to the emission pairs of
+// obs and returns the sum of the binary exponents it prescaled them by:
+// a density exceeds 1 whenever σ² < 1/(2π), and such a step's pair is
+// scaled by a power of two, exactly, until the larger lies in [½, 1).
+// Scaling a step's pair alike leaves every posterior unchanged.
+func (ws *Workspace) fillDensities(g densities, obs []float64, k int) (shift int) {
+	for _, x := range obs {
+		d0, d1 := x-g.mean[0], x-g.mean[1]
+		e0 := g.coef[0] * math.Exp(d0*d0*g.negInv[0])
+		e1 := g.coef[1] * math.Exp(d1*d1*g.negInv[1])
+		if top := max(e0, e1); top > 1 {
+			_, s := math.Frexp(top)
+			e0, e1 = math.Ldexp(e0, -s), math.Ldexp(e1, -s)
+			shift += s
+		}
+		ws.setEntry(k, e0, e1)
+		k++
 	}
-	ws := GetWorkspace()
-	defer PutWorkspace(ws)
-	ws.loadGaussian(m)
-	lp, err := m.forwardWS(ws, obs)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	n, T := m.States(), len(obs)
-	return unflatten(ws.alpha, T, n), cloneVector(ws.scale[:T]), lp, nil
+	return shift
 }
 
-// Backward runs the scaled backward pass with the forward scaling factors.
-func (m *Gaussian) Backward(obs []float64, scale []float64) ([][]float64, error) {
-	if err := checkGaussObs(obs); err != nil {
-		return nil, err
+// BaumWelchWS fits transitions, initial distribution and emission
+// moments in place by EM and reports the final log-likelihood (of
+// densities, so it may be positive). The tables are filled by step of the
+// sequences laid end to end, so γ is the lattice the moments come from.
+func (m *Gaussian) BaumWelchWS(ws *Workspace, sequences [][]float64, cfg TrainConfig) (TrainResult, error) {
+	if len(sequences) == 0 {
+		return TrainResult{}, ErrEmptySequence
 	}
-	n, T := m.States(), len(obs)
-	if len(scale) != T {
-		return nil, fmt.Errorf("hmm: scale length %d != T %d", len(scale), T)
+	total := 0
+	for _, obs := range sequences {
+		if _, err := m.check(obs); err != nil {
+			return TrainResult{}, err
+		}
+		total += len(obs)
 	}
-	ws := GetWorkspace()
-	defer PutWorkspace(ws)
-	ws.loadGaussian(m)
-	m.backwardWS(ws, obs, scale)
-	return unflatten(ws.beta, T, n), nil
+	steps := ws.stepIndex(total)
+	ws.seqs = ws.seqs[:0]
+	for _, obs := range sequences {
+		ws.seqs = append(ws.seqs, steps[:len(obs)])
+		steps = steps[len(obs):]
+	}
+	emit := func() (float64, error) {
+		g, err := m.densities()
+		if err != nil {
+			return 0, err
+		}
+		ws.tables(m.A, total)
+		shift, k := 0, 0
+		for _, obs := range sequences {
+			shift += ws.fillDensities(g, obs, k)
+			k += len(obs)
+		}
+		return float64(shift) * math.Ln2, nil
+	}
+	refit := func() float64 {
+		return max(m.refit(0, ws.gamma[:total], sequences), m.refit(1, ws.gamma[total:], sequences))
+	}
+	return ws.baumWelch(m.Pi, m.A, ws.seqs, total, cfg, emit, refit)
 }
 
-// PosteriorWS computes the flat posterior lattice gamma[t*n+i] =
-// P(state_t = i | obs, model) into dst, growing it only when its capacity
-// is insufficient, and returns it. Steady state performs zero heap
-// allocations.
-func (m *Gaussian) PosteriorWS(ws *Workspace, obs []float64, dst []float64) ([]float64, error) {
-	if err := checkGaussObs(obs); err != nil {
-		return nil, err
+// refit re-estimates state i's mean and variance from its γ row, one
+// entry per step of the sequences laid end to end, and returns the larger
+// of the two moves. A state with no posterior mass keeps its moments.
+func (m *Gaussian) refit(i int, gamma []float64, sequences [][]float64) float64 {
+	var mass, sum, sq float64
+	for _, obs := range sequences {
+		for t, x := range obs {
+			g := gamma[t]
+			mass += g
+			sum += g * x
+			sq += g * x * x
+		}
+		gamma = gamma[len(obs):]
 	}
-	ws.loadGaussian(m)
-	if _, err := m.forwardWS(ws, obs); err != nil {
-		return nil, err
+	if !(mass > 0) {
+		return 0
 	}
-	m.backwardWS(ws, obs, ws.scale)
-	return posteriorWS(ws, dst, len(obs), m.States()), nil
+	mean := sum / mass
+	variance := sq/mass - mean*mean
+	if floor := m.varFloor(); variance < floor {
+		variance = floor
+	}
+	moved := max(math.Abs(mean-m.Mean[i]), math.Abs(variance-m.Var[i]))
+	m.Mean[i], m.Var[i] = mean, variance
+	return moved
 }
 
 // ViterbiWS decodes the most likely state sequence into path (grown only
 // when its capacity is insufficient) and returns it with its log score.
-// The emission log densities are evaluated directly in log space
-// (log coef + d²·(-1/2σ²)), which both avoids exp/log round trips and
+// The log emission pair of a step is evaluated directly in log space
+// (log coef + d²·(−1/2σ²)), which both avoids exp/log round trips and
 // keeps far-tail observations finite.
 func (m *Gaussian) ViterbiWS(ws *Workspace, obs []float64, path []int) ([]int, float64, error) {
-	if err := checkGaussObs(obs); err != nil {
+	g, err := m.check(obs)
+	if err != nil {
 		return nil, 0, err
 	}
 	tp := ws.ring().Start()
-	n := ws.loadGaussianLogs(m)
-	T := len(obs)
-	ws.le = growF(ws.le, T*n)
-	le, lcoef, negInv, mean := ws.le, ws.gLogCoef, ws.gNegInv, m.Mean
+	l0, l1 := safeLog(g.coef[0]), safeLog(g.coef[1])
+	ws.le = grow(ws.le, len(obs))
 	for t, x := range obs {
-		for i := 0; i < n; i++ {
-			d := x - mean[i]
-			le[t*n+i] = lcoef[i] + d*d*negInv[i]
-		}
+		d0, d1 := x-g.mean[0], x-g.mean[1]
+		ws.le[t] = [2]float64{l0 + d0*d0*g.negInv[0], l1 + d1*d1*g.negInv[1]}
 	}
-	path, best := viterbiWS(ws, T, n, path)
-	ws.fr.Probe(flightrec.ProbeHMMViterbi, tp, int64(T), ws.frParent)
+	path, best := ws.viterbi(m.Pi, m.A, len(obs), path)
+	ws.fr.Probe(flightrec.ProbeHMMViterbi, tp, int64(len(obs)), ws.frParent)
 	return path, best, nil
 }
 
-// Viterbi returns the most likely state sequence and its log score.
-func (m *Gaussian) Viterbi(obs []float64) ([]int, float64, error) {
-	ws := GetWorkspace()
-	defer PutWorkspace(ws)
-	return m.ViterbiWS(ws, obs, nil)
-}
-
-// BaumWelch fits transitions, initial distribution and emission moments to
-// the sequences by EM.
-func (m *Gaussian) BaumWelch(sequences [][]float64, cfg TrainConfig) (TrainResult, error) {
-	ws := GetWorkspace()
-	defer PutWorkspace(ws)
-	return m.BaumWelchWS(ws, sequences, cfg)
-}
-
-// BaumWelchWS is BaumWelch running entirely on ws's flat buffers; steady
-// state performs zero heap allocations. ws must not be shared with
-// concurrent kernel calls.
-func (m *Gaussian) BaumWelchWS(ws *Workspace, sequences [][]float64, cfg TrainConfig) (TrainResult, error) {
-	cfg.fillDefaults()
-	if len(sequences) == 0 {
-		return TrainResult{}, ErrEmptySequence
+// PosteriorWS computes the posterior lattice gamma[i*T+t] =
+// P(state_t = i | obs, model) into dst, growing it only when its capacity
+// is insufficient, and returns it; row i is state i's posterior over the
+// whole sequence.
+func (m *Gaussian) PosteriorWS(ws *Workspace, obs []float64, dst []float64) ([]float64, error) {
+	g, err := m.check(obs)
+	if err != nil {
+		return nil, err
 	}
-	for _, obs := range sequences {
-		if len(obs) == 0 {
-			return TrainResult{}, ErrEmptySequence
-		}
-	}
-	n := m.States()
-	ws.piAcc = growF(ws.piAcc, n)
-	ws.aNum = growF(ws.aNum, n*n)
-	ws.gSum = growF(ws.gSum, n)
-	ws.oSum = growF(ws.oSum, n)
-	ws.oSq = growF(ws.oSq, n)
-	ws.row = growF(ws.row, n)
-	prevLL := math.Inf(-1)
-	res := TrainResult{WarmStarted: cfg.WarmStart}
-	fr, frParent := ws.ring(), ws.frParent
-	for iter := 0; iter < cfg.MaxIterations; iter++ {
-		piAcc, aNum := ws.piAcc, ws.aNum
-		gammaSum, obsSum, obsSqSum := ws.gSum, ws.oSum, ws.oSq
-		zeroF(piAcc)
-		zeroF(aNum)
-		zeroF(gammaSum)
-		zeroF(obsSum)
-		zeroF(obsSqSum)
-		ws.loadGaussian(m)
-		totalLL := 0.0
-
-		tp := fr.Start()
-		for _, obs := range sequences {
-			T := len(obs)
-			ll, err := m.forwardWS(ws, obs)
-			if err != nil {
-				return res, fmt.Errorf("gaussian baum-welch E-step: %w", err)
-			}
-			tp = fr.Probe(flightrec.ProbeHMMForward, tp, int64(iter), frParent)
-			totalLL += ll
-			m.backwardWS(ws, obs, ws.scale)
-			tp = fr.Probe(flightrec.ProbeHMMBackward, tp, int64(iter), frParent)
-			a, alpha, beta := ws.a, ws.alpha, ws.beta
-			coef, negInv, mean := ws.gCoef, ws.gNegInv, m.Mean
-			for t := 0; t < T; t++ {
-				gsum := 0.0
-				// Accumulate the per-step posterior over ws.row (n wide).
-				gamma := ws.row
-				for i := 0; i < n; i++ {
-					g := alpha[t*n+i] * beta[t*n+i]
-					gamma[i] = g
-					gsum += g
-				}
-				if gsum <= 0 {
-					continue
-				}
-				x := obs[t]
-				for i := 0; i < n; i++ {
-					g := gamma[i] / gsum
-					if t == 0 {
-						piAcc[i] += g
-					}
-					gammaSum[i] += g
-					obsSum[i] += g * x
-					obsSqSum[i] += g * x * x
-				}
-			}
-			// Stage obs[t+1]'s emission densities once per step (shared by
-			// all source states i) in ws.gamma.
-			ws.gamma = growF(ws.gamma, n)
-			dens := ws.gamma
-			for t := 0; t < T-1; t++ {
-				x := obs[t+1]
-				for j := 0; j < n; j++ {
-					d := x - mean[j]
-					dens[j] = coef[j] * math.Exp(d*d*negInv[j])
-				}
-				next := beta[(t+1)*n : (t+2)*n]
-				for i := 0; i < n; i++ {
-					ai := alpha[t*n+i]
-					if ai == 0 {
-						continue
-					}
-					for j := 0; j < n; j++ {
-						aNum[i*n+j] += ai * a[i*n+j] * dens[j] * next[j]
-					}
-				}
-			}
-			tp = fr.Probe(flightrec.ProbeHMMEStep, tp, int64(iter), frParent)
-		}
-
-		maxDelta := 0.0
-		for i := 0; i < n; i++ {
-			piAcc[i] += cfg.SmoothPi
-		}
-		normalizeRow(piAcc)
-		if cfg.WarmStart {
-			for i := 0; i < n; i++ {
-				maxDelta = math.Max(maxDelta, math.Abs(piAcc[i]-m.Pi[i]))
-			}
-		}
-		copy(m.Pi, piAcc)
-		floor := m.varFloor()
-		for i := 0; i < n; i++ {
-			rowA := m.A[i]
-			if cfg.WarmStart {
-				copy(ws.row[:n], rowA)
-			}
-			for j := 0; j < n; j++ {
-				rowA[j] = aNum[i*n+j] + cfg.SmoothA
-			}
-			normalizeRow(rowA)
-			if cfg.WarmStart {
-				for j := 0; j < n; j++ {
-					maxDelta = math.Max(maxDelta, math.Abs(rowA[j]-ws.row[j]))
-				}
-			}
-			if gammaSum[i] > 0 {
-				mean := obsSum[i] / gammaSum[i]
-				variance := obsSqSum[i]/gammaSum[i] - mean*mean
-				if variance < floor {
-					variance = floor
-				}
-				if cfg.WarmStart {
-					maxDelta = math.Max(maxDelta, math.Abs(mean-m.Mean[i]))
-					maxDelta = math.Max(maxDelta, math.Abs(variance-m.Var[i]))
-				}
-				m.Mean[i] = mean
-				m.Var[i] = variance
-			}
-		}
-		fr.Probe(flightrec.ProbeHMMMStep, tp, int64(iter), frParent)
-
-		res.Iterations = iter + 1
-		res.LogLikelihood = totalLL
-		if totalLL-prevLL < cfg.Tolerance && iter > 0 {
-			res.Converged = true
-			break
-		}
-		if cfg.WarmStart && maxDelta < WarmStartParamTol {
-			res.Converged = true
-			break
-		}
-		prevLL = totalLL
-	}
-	return res, nil
+	ws.tables(m.A, len(obs))
+	ws.fillDensities(g, obs, 0)
+	return ws.posterior(m.Pi, len(obs), dst)
 }

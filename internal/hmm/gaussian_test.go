@@ -1,6 +1,7 @@
 package hmm
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -34,11 +35,17 @@ func TestNewGaussianValidation(t *testing.T) {
 	if _, err := NewGaussian(nil, nil); err == nil {
 		t.Error("empty means accepted")
 	}
-	if _, err := NewGaussian([]float64{0}, []float64{0, 1}); err == nil {
+	if _, err := NewGaussian([]float64{0, 1}, []float64{0, 1}); err == nil {
+		t.Error("zero variance accepted")
+	}
+	if _, err := NewGaussian([]float64{0, 1}, []float64{1}); err == nil {
 		t.Error("mismatched lengths accepted")
 	}
-	if _, err := NewGaussian([]float64{0}, []float64{-1}); err == nil {
+	if _, err := NewGaussian([]float64{0, 1}, []float64{-1, 1}); err == nil {
 		t.Error("negative variance accepted")
+	}
+	if _, err := NewGaussian([]float64{0, math.NaN()}, []float64{1, 1}); err == nil {
+		t.Error("NaN mean accepted")
 	}
 	m, err := NewGaussian([]float64{-1, 1}, []float64{1, 2})
 	if err != nil {
@@ -49,11 +56,46 @@ func TestNewGaussianValidation(t *testing.T) {
 	}
 }
 
+// TestGaussianSubnormalVarianceRefused: a variance whose density
+// constants are not finite (−1/(2σ²) overflows for σ² = 1e-320) used to
+// be accepted and then turned every posterior, every EM parameter and the
+// Viterbi labels into NaN garbage with no error. Validate refuses it at
+// construction and on deserialisation, and so does every kernel.
+func TestGaussianSubnormalVarianceRefused(t *testing.T) {
+	raw := `{"transitions":[[0.9,0.1],[0.1,0.9]],"initial":[0.5,0.5],"means":[0,1],"variances":[1e-320,1]}`
+	var m Gaussian
+	if err := json.Unmarshal([]byte(raw), &m); err == nil {
+		t.Errorf("UnmarshalJSON accepted variance 1e-320: %+v", m)
+	}
+	if _, err := NewGaussian([]float64{0, 1}, []float64{1e-320, 1}); err == nil {
+		t.Error("NewGaussian accepted variance 1e-320")
+	}
+	floor := gaussRef()
+	floor.VarFloor = 1e-320
+	if err := floor.Validate(); err == nil {
+		t.Error("Validate accepted variance floor 1e-320")
+	}
+
+	direct := gaussRef()
+	direct.Var[0] = 1e-320
+	obs := []float64{-3, -3, 3, 3}
+	ws := NewWorkspace()
+	if _, err := direct.Clone().BaumWelchWS(ws, [][]float64{obs}, DefaultTrainConfig()); err == nil {
+		t.Error("BaumWelchWS trained on variance 1e-320")
+	}
+	if _, _, err := direct.ViterbiWS(ws, obs, nil); err == nil {
+		t.Error("ViterbiWS decoded with variance 1e-320")
+	}
+	if _, err := direct.PosteriorWS(ws, obs, nil); err == nil {
+		t.Error("PosteriorWS ran with variance 1e-320")
+	}
+}
+
 func TestGaussianViterbiRecoversStates(t *testing.T) {
 	m := gaussRef()
 	rng := rand.New(rand.NewSource(17))
 	obs, states := sampleGauss(m, 300, rng)
-	path, _, err := m.Viterbi(obs)
+	path, _, err := m.ViterbiWS(NewWorkspace(), obs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,23 +110,32 @@ func TestGaussianViterbiRecoversStates(t *testing.T) {
 	}
 }
 
+// TestGaussianForwardBackwardConsistency: the fused pass's log-likelihood
+// and posterior are the path-sum ones, with variances small enough that
+// most densities exceed 1 and the step tables are prescaled.
 func TestGaussianForwardBackwardConsistency(t *testing.T) {
 	m := gaussRef()
-	rng := rand.New(rand.NewSource(23))
-	obs, _ := sampleGauss(m, 60, rng)
-	alpha, scale, _, err := m.Forward(obs)
+	m.Mean, m.Var = []float64{-0.2, 0.3}, []float64{0.01, 0.04}
+	obs, _ := sampleGauss(m, 12, rand.New(rand.NewSource(23)))
+	density := func(t, i int) float64 {
+		d := obs[t] - m.Mean[i]
+		return math.Exp(-d*d/(2*m.Var[i])) / math.Sqrt(2*math.Pi*m.Var[i])
+	}
+	total, want := bruteForce(m.Pi, m.A, len(obs), density)
+	res, err := m.Clone().BaumWelchWS(NewWorkspace(), [][]float64{obs}, TrainConfig{MaxIterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	beta, err := m.Backward(obs, scale)
+	if ll := math.Log(total); math.Abs(res.LogLikelihood-ll) > 1e-12*math.Abs(ll) {
+		t.Errorf("logP = %v, brute force = %v", res.LogLikelihood, ll)
+	}
+	gamma, err := m.PosteriorWS(NewWorkspace(), obs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for tt := 0; tt < len(obs); tt++ {
-		sum := alpha[tt][0]*beta[tt][0] + alpha[tt][1]*beta[tt][1]
-		want := 1 / scale[tt]
-		if math.Abs(sum-want) > 1e-9*math.Abs(want) {
-			t.Fatalf("alpha·beta at t=%d is %v, want 1/scale = %v", tt, sum, want)
+	for tt, w := range want {
+		if math.Abs(gamma[len(obs)+tt]-w) > 1e-12 || math.Abs(gamma[tt]+w-1) > 1e-12 {
+			t.Fatalf("gamma at t=%d = (%v, %v), brute force P(state 1) = %v", tt, gamma[tt], gamma[len(obs)+tt], w)
 		}
 	}
 }
@@ -101,7 +152,7 @@ func TestGaussianBaumWelchRecoversMeans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.BaumWelch(seqs, DefaultTrainConfig())
+	res, err := m.BaumWelchWS(NewWorkspace(), seqs, DefaultTrainConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +182,9 @@ func TestGaussianBaumWelchMonotone(t *testing.T) {
 	cfg.MaxIterations = 1
 	cfg.SmoothA, cfg.SmoothPi = 0, 0
 	prev := math.Inf(-1)
+	ws := NewWorkspace()
 	for i := 0; i < 12; i++ {
-		res, err := m.BaumWelch([][]float64{obs}, cfg)
+		res, err := m.BaumWelchWS(ws, [][]float64{obs}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +200,7 @@ func TestGaussianVarianceFloorPreventsCollapse(t *testing.T) {
 	// floor.
 	m, _ := NewGaussian([]float64{0, 1}, []float64{1, 1})
 	obs := make([]float64, 50) // all zeros
-	if _, err := m.BaumWelch([][]float64{obs}, DefaultTrainConfig()); err != nil {
+	if _, err := m.BaumWelchWS(NewWorkspace(), [][]float64{obs}, DefaultTrainConfig()); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range m.Var {
@@ -163,23 +215,27 @@ func TestGaussianVarianceFloorPreventsCollapse(t *testing.T) {
 
 func TestGaussianErrors(t *testing.T) {
 	m := gaussRef()
-	if _, _, _, err := m.Forward(nil); !errors.Is(err, ErrEmptySequence) {
-		t.Errorf("Forward(nil) err = %v", err)
+	ws := NewWorkspace()
+	if _, err := m.PosteriorWS(ws, nil, nil); !errors.Is(err, ErrEmptySequence) {
+		t.Errorf("PosteriorWS(nil) err = %v", err)
 	}
-	if _, _, err := m.Viterbi(nil); !errors.Is(err, ErrEmptySequence) {
-		t.Errorf("Viterbi(nil) err = %v", err)
+	if _, _, err := m.ViterbiWS(ws, nil, nil); !errors.Is(err, ErrEmptySequence) {
+		t.Errorf("ViterbiWS(nil) err = %v", err)
 	}
-	if _, err := m.BaumWelch([][]float64{{}}, DefaultTrainConfig()); !errors.Is(err, ErrEmptySequence) {
-		t.Errorf("BaumWelch empty seq err = %v", err)
+	if _, err := m.BaumWelchWS(ws, [][]float64{{}}, DefaultTrainConfig()); !errors.Is(err, ErrEmptySequence) {
+		t.Errorf("BaumWelchWS empty seq err = %v", err)
 	}
-	if _, err := m.Backward([]float64{0}, []float64{1, 2}); err == nil {
-		t.Error("Backward wrong scale accepted")
+	if _, _, err := m.ViterbiWS(ws, []float64{0, math.NaN()}, nil); err == nil {
+		t.Error("ViterbiWS accepted a NaN observation")
+	}
+	if _, err := m.BaumWelchWS(ws, [][]float64{{math.Inf(1)}}, DefaultTrainConfig()); err == nil {
+		t.Error("BaumWelchWS accepted an infinite observation")
 	}
 }
 
 func TestGaussianSingleObservation(t *testing.T) {
 	m := gaussRef()
-	path, _, err := m.Viterbi([]float64{2.9})
+	path, _, err := m.ViterbiWS(NewWorkspace(), []float64{2.9}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,20 +1,24 @@
-// Package hmm implements the Hidden Markov Model machinery the SSTD scheme
-// is built on (§III of the paper): scaled forward-backward inference,
-// unsupervised Baum-Welch (EM) parameter estimation (Eq. 5) and Viterbi
-// decoding (Eq. 6-8). Two emission families are provided: discrete symbols
-// (used with a quantized ACS alphabet) and univariate Gaussians (used with
-// raw ACS values).
+// Package hmm is the 2-state Hidden Markov Model the SSTD scheme is built
+// on (§III of the paper): the hidden state of a claim is False or True,
+// trained by unsupervised Baum-Welch (EM, Eq. 5) and decoded by Viterbi
+// (Eq. 6-8), with forward-backward posteriors for consumers that want
+// calibrated confidence. Two emission families are provided: discrete
+// symbols (used with a quantized ACS alphabet) and univariate Gaussians
+// (used with raw ACS values).
 //
-// Every algorithm runs on flat, strided kernels backed by a reusable
-// Workspace (the *WS entry points), which perform zero heap allocations in
-// steady state. The original matrix-returning API is kept intact and
-// delegates to the kernels through a pooled workspace.
+// Both families run one fused forward/backward pass over per-step 2×2
+// tables M_t[i][j] = a_ij·e_j(o_t) and one log-space Viterbi; a family
+// only fills a step's emission pair — a table lookup for discrete, two
+// densities for Gaussian. Every kernel runs on a caller-owned Workspace
+// with zero steady-state heap allocations. A state count other than 2 is
+// an error.
 package hmm
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/social-sensing/sstd/internal/obs/flightrec"
 )
@@ -23,9 +27,10 @@ import (
 var (
 	ErrEmptySequence = errors.New("hmm: observation sequence is empty")
 	ErrBadSymbol     = errors.New("hmm: observation symbol out of range")
+	ErrStates        = errors.New("hmm: the model must have exactly 2 states")
 )
 
-// Discrete is a discrete-emission HMM with N hidden states and M
+// Discrete is a discrete-emission HMM with 2 hidden states and M
 // observation symbols.
 type Discrete struct {
 	// A[i][j] is the transition probability from state i to state j.
@@ -34,19 +39,6 @@ type Discrete struct {
 	B [][]float64
 	// Pi[i] is the initial state distribution.
 	Pi []float64
-}
-
-// NewDiscrete allocates a model with uniform parameters.
-func NewDiscrete(states, symbols int) (*Discrete, error) {
-	if states < 1 || symbols < 1 {
-		return nil, fmt.Errorf("hmm: need >=1 states and symbols, got %d, %d", states, symbols)
-	}
-	m := &Discrete{
-		A:  uniformMatrix(states, states),
-		B:  uniformMatrix(states, symbols),
-		Pi: uniformVector(states),
-	}
-	return m, nil
 }
 
 // States returns the number of hidden states.
@@ -60,33 +52,13 @@ func (m *Discrete) Symbols() int {
 	return len(m.B[0])
 }
 
-// Validate checks that all rows are probability distributions.
+// Validate checks that the model has 2 states and that all rows are
+// probability distributions.
 func (m *Discrete) Validate() error {
-	n := m.States()
-	if len(m.A) != n || len(m.B) != n {
-		return fmt.Errorf("hmm: inconsistent dimensions (pi=%d, A=%d, B=%d)", n, len(m.A), len(m.B))
-	}
-	if err := checkDistribution("pi", m.Pi); err != nil {
+	if err := m.checkShape(); err != nil {
 		return err
 	}
-	for i := range m.A {
-		if len(m.A[i]) != n {
-			return fmt.Errorf("hmm: A row %d has %d entries, want %d", i, len(m.A[i]), n)
-		}
-		if err := checkDistribution(fmt.Sprintf("A[%d]", i), m.A[i]); err != nil {
-			return err
-		}
-	}
-	sym := m.Symbols()
-	for i := range m.B {
-		if len(m.B[i]) != sym {
-			return fmt.Errorf("hmm: B row %d has %d entries, want %d", i, len(m.B[i]), sym)
-		}
-		if err := checkDistribution(fmt.Sprintf("B[%d]", i), m.B[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return errors.Join(checkChain(m.Pi, m.A), distribution("B[0]", m.B[0]), distribution("B[1]", m.B[1]))
 }
 
 // Clone returns a deep copy of the model.
@@ -94,12 +66,28 @@ func (m *Discrete) Clone() *Discrete {
 	return &Discrete{
 		A:  cloneMatrix(m.A),
 		B:  cloneMatrix(m.B),
-		Pi: cloneVector(m.Pi),
+		Pi: slices.Clone(m.Pi),
 	}
 }
 
-// checkObs validates an observation sequence against the alphabet.
-func (m *Discrete) checkObs(obs []int) error {
+// checkShape refuses a model whose parameters a kernel could index past:
+// anything but 2 states, a 2×2 A and two equally wide B rows.
+func (m *Discrete) checkShape() error {
+	if len(m.Pi) != 2 || len(m.A) != 2 || len(m.B) != 2 {
+		return fmt.Errorf("%w (pi has %d, A %d rows, B %d rows)", ErrStates, len(m.Pi), len(m.A), len(m.B))
+	}
+	if len(m.A[0]) != 2 || len(m.A[1]) != 2 || len(m.B[1]) != len(m.B[0]) {
+		return fmt.Errorf("hmm: want 2 entries per A row and equally wide B rows, got %v and %v", m.A, m.B)
+	}
+	return nil
+}
+
+// check validates the model's shape and an observation sequence against
+// the alphabet.
+func (m *Discrete) check(obs []int) error {
+	if err := m.checkShape(); err != nil {
+		return err
+	}
 	if len(obs) == 0 {
 		return ErrEmptySequence
 	}
@@ -112,421 +100,96 @@ func (m *Discrete) checkObs(obs []int) error {
 	return nil
 }
 
-// forwardWS is the scaled forward kernel. It assumes ws.loadDiscrete(m)
-// has run and obs is valid; it fills ws.alpha (T*n row-major) and
-// ws.scale (T) and returns the total log-likelihood.
-func (m *Discrete) forwardWS(ws *Workspace, obs []int) (float64, error) {
-	n, sym, T := m.States(), m.Symbols(), len(obs)
-	ws.alpha = growF(ws.alpha, T*n)
-	ws.scale = growF(ws.scale, T)
-	a, b, alpha, scale := ws.a, ws.b, ws.alpha, ws.scale
-	if n == 2 {
-		// The decoder's models are always 2-state; the unrolled recursion
-		// keeps both alpha entries in registers across steps.
-		a00, a01, a10, a11 := a[0], a[1], a[2], a[3]
-		p0 := m.Pi[0] * b[obs[0]]
-		p1 := m.Pi[1] * b[sym+obs[0]]
-		s := p0 + p1
-		scale[0] = s
-		if s > 0 {
-			inv := 1 / s
-			p0 *= inv
-			p1 *= inv
-		}
-		alpha[0], alpha[1] = p0, p1
-		for t := 1; t < T; t++ {
-			ot := obs[t]
-			q0 := (p0*a00 + p1*a10) * b[ot]
-			q1 := (p0*a01 + p1*a11) * b[sym+ot]
-			s := q0 + q1
-			scale[t] = s
-			if s > 0 {
-				inv := 1 / s
-				q0 *= inv
-				q1 *= inv
-			}
-			alpha[t*2], alpha[t*2+1] = q0, q1
-			p0, p1 = q0, q1
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			alpha[i] = m.Pi[i] * b[i*sym+obs[0]]
-		}
-		scale[0] = scaleRow(alpha[:n])
-		for t := 1; t < T; t++ {
-			prev := alpha[(t-1)*n : t*n]
-			cur := alpha[t*n : (t+1)*n]
-			for j := 0; j < n; j++ {
-				sum := 0.0
-				for i := 0; i < n; i++ {
-					sum += prev[i] * a[i*n+j]
-				}
-				cur[j] = sum * b[j*sym+obs[t]]
-			}
-			scale[t] = scaleRow(cur)
+// BaumWelchWS fits the model in place to one or more observation
+// sequences by EM and reports the final log-likelihood. The tables are
+// indexed by symbol, so γ is the per-symbol expected counts the emission
+// re-estimate needs (not accumulated under FreezeEmissions).
+func (m *Discrete) BaumWelchWS(ws *Workspace, sequences [][]int, cfg TrainConfig) (TrainResult, error) {
+	if len(sequences) == 0 {
+		return TrainResult{}, ErrEmptySequence
+	}
+	for _, obs := range sequences {
+		if err := m.check(obs); err != nil {
+			return TrainResult{}, err
 		}
 	}
-	logProb := 0.0
-	for t := 0; t < T; t++ {
-		if scale[t] <= 0 {
-			return 0, fmt.Errorf("hmm: zero-probability observation at t=%d", t)
+	sym, stride := m.Symbols(), m.Symbols()
+	if cfg.FreezeEmissions {
+		stride = 0
+	}
+	emit := func() (float64, error) {
+		ws.tables(m.A, sym)
+		for k := range sym {
+			ws.setEntry(k, m.B[0][k], m.B[1][k])
 		}
-		logProb += math.Log(scale[t])
+		return 0, nil
 	}
-	return logProb, nil
-}
-
-// backwardWS is the scaled backward kernel, reusing the forward scaling
-// coefficients in scale. It assumes ws.loadDiscrete(m) has run; it fills
-// ws.beta (T*n row-major).
-func (m *Discrete) backwardWS(ws *Workspace, obs []int, scale []float64) {
-	n, sym, T := m.States(), m.Symbols(), len(obs)
-	ws.beta = growF(ws.beta, T*n)
-	a, b, beta := ws.a, ws.b, ws.beta
-	if n == 2 {
-		a00, a01, a10, a11 := a[0], a[1], a[2], a[3]
-		p0 := 1 / scale[T-1]
-		p1 := p0
-		beta[(T-1)*2], beta[(T-1)*2+1] = p0, p1
-		for t := T - 2; t >= 0; t-- {
-			on := obs[t+1]
-			e0 := b[on] * p0
-			e1 := b[sym+on] * p1
-			inv := 1 / scale[t]
-			p0 = (a00*e0 + a01*e1) * inv
-			p1 = (a10*e0 + a11*e1) * inv
-			beta[t*2], beta[t*2+1] = p0, p1
+	refit := func() float64 {
+		if cfg.FreezeEmissions {
+			return 0
 		}
-		return
+		return max(reestimate(m.B[0], ws.gamma[:sym], cfg.SmoothB),
+			reestimate(m.B[1], ws.gamma[sym:], cfg.SmoothB))
 	}
-	for i := 0; i < n; i++ {
-		beta[(T-1)*n+i] = 1 / scale[T-1]
-	}
-	// The emission-weighted next-step betas b[j][obs[t+1]]*next[j] are
-	// shared by every source state i; stage them in ws.gamma so the inner
-	// recursion is a plain dot product, and scale by a single reciprocal
-	// instead of n divisions.
-	ws.gamma = growF(ws.gamma, n)
-	en := ws.gamma
-	for t := T - 2; t >= 0; t-- {
-		next := beta[(t+1)*n : (t+2)*n]
-		cur := beta[t*n : (t+1)*n]
-		on := obs[t+1]
-		for j := 0; j < n; j++ {
-			en[j] = b[j*sym+on] * next[j]
-		}
-		inv := 1 / scale[t]
-		for i := 0; i < n; i++ {
-			sum := 0.0
-			for j := 0; j < n; j++ {
-				sum += a[i*n+j] * en[j]
-			}
-			cur[i] = sum * inv
-		}
-	}
-}
-
-// ForwardWS runs the scaled forward kernel on ws and returns views of the
-// scaled alpha lattice (T*n row-major) and the scaling coefficients, plus
-// the total log-likelihood. The returned slices are backed by ws and are
-// valid until the next kernel call on it; steady state performs zero heap
-// allocations.
-func (m *Discrete) ForwardWS(ws *Workspace, obs []int) (alpha, scale []float64, logProb float64, err error) {
-	if err := m.checkObs(obs); err != nil {
-		return nil, nil, 0, err
-	}
-	ws.loadDiscrete(m)
-	lp, err := m.forwardWS(ws, obs)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return ws.alpha, ws.scale, lp, nil
-}
-
-// BackwardWS runs the scaled backward kernel on ws with the forward
-// scaling coefficients and returns the beta lattice (T*n row-major, backed
-// by ws, valid until the next kernel call).
-func (m *Discrete) BackwardWS(ws *Workspace, obs []int, scale []float64) ([]float64, error) {
-	if err := m.checkObs(obs); err != nil {
-		return nil, err
-	}
-	if len(scale) != len(obs) {
-		return nil, fmt.Errorf("hmm: scale length %d != T %d", len(scale), len(obs))
-	}
-	ws.loadDiscrete(m)
-	m.backwardWS(ws, obs, scale)
-	return ws.beta, nil
-}
-
-// Forward runs the scaled forward algorithm and returns the per-step scaled
-// alpha matrix, the scaling coefficients and the total log-likelihood
-// log P(obs | model).
-func (m *Discrete) Forward(obs []int) (alpha [][]float64, scale []float64, logProb float64, err error) {
-	if err := m.checkObs(obs); err != nil {
-		return nil, nil, 0, err
-	}
-	ws := GetWorkspace()
-	defer PutWorkspace(ws)
-	ws.loadDiscrete(m)
-	lp, err := m.forwardWS(ws, obs)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	n, T := m.States(), len(obs)
-	return unflatten(ws.alpha, T, n), cloneVector(ws.scale[:T]), lp, nil
-}
-
-// Backward runs the scaled backward algorithm reusing the forward scaling
-// coefficients.
-func (m *Discrete) Backward(obs []int, scale []float64) ([][]float64, error) {
-	if err := m.checkObs(obs); err != nil {
-		return nil, err
-	}
-	n, T := m.States(), len(obs)
-	if len(scale) != T {
-		return nil, fmt.Errorf("hmm: scale length %d != T %d", len(scale), T)
-	}
-	ws := GetWorkspace()
-	defer PutWorkspace(ws)
-	ws.loadDiscrete(m)
-	m.backwardWS(ws, obs, scale)
-	return unflatten(ws.beta, T, n), nil
-}
-
-// LogLikelihood returns log P(obs | model).
-func (m *Discrete) LogLikelihood(obs []int) (float64, error) {
-	if err := m.checkObs(obs); err != nil {
-		return 0, err
-	}
-	ws := GetWorkspace()
-	defer PutWorkspace(ws)
-	ws.loadDiscrete(m)
-	return m.forwardWS(ws, obs)
-}
-
-// posteriorWS computes gamma[t*n+i] = P(state_t = i | obs) into dst
-// (grown as needed) from the alpha/beta lattices already in ws.
-func posteriorWS(ws *Workspace, dst []float64, T, n int) []float64 {
-	dst = growF(dst, T*n)
-	alpha, beta := ws.alpha, ws.beta
-	for t := 0; t < T; t++ {
-		row := dst[t*n : (t+1)*n]
-		sum := 0.0
-		for i := 0; i < n; i++ {
-			row[i] = alpha[t*n+i] * beta[t*n+i]
-			sum += row[i]
-		}
-		if sum > 0 {
-			for i := 0; i < n; i++ {
-				row[i] /= sum
-			}
-		}
-	}
-	return dst
-}
-
-// PosteriorWS computes the flat posterior lattice gamma[t*n+i] =
-// P(state_t = i | obs, model) into dst, growing it only when its capacity
-// is insufficient, and returns it. Steady state performs zero heap
-// allocations.
-func (m *Discrete) PosteriorWS(ws *Workspace, obs []int, dst []float64) ([]float64, error) {
-	if err := m.checkObs(obs); err != nil {
-		return nil, err
-	}
-	ws.loadDiscrete(m)
-	if _, err := m.forwardWS(ws, obs); err != nil {
-		return nil, err
-	}
-	m.backwardWS(ws, obs, ws.scale)
-	return posteriorWS(ws, dst, len(obs), m.States()), nil
-}
-
-// Posterior returns gamma[t][i] = P(state_t = i | obs, model).
-func (m *Discrete) Posterior(obs []int) ([][]float64, error) {
-	if err := m.checkObs(obs); err != nil {
-		return nil, err
-	}
-	ws := GetWorkspace()
-	defer PutWorkspace(ws)
-	n, T := m.States(), len(obs)
-	flat := makeVector(T * n)
-	if _, err := m.PosteriorWS(ws, obs, flat); err != nil {
-		return nil, err
-	}
-	return unflatten(flat, T, n), nil
-}
-
-// viterbiWS is the Viterbi kernel over precomputed log-space parameters:
-// ws.la/ws.lp hold log transitions and log initial probabilities and
-// ws.le the T*n emission log lattice (filled by the caller). Pure flat
-// arithmetic — no math.Log calls, no closures, no allocations beyond
-// growing path when its capacity is insufficient.
-func viterbiWS(ws *Workspace, T, n int, path []int) ([]int, float64) {
-	ws.delta = growF(ws.delta, T*n)
-	ws.psi = growI32(ws.psi, T*n)
-	la, lp, le, delta, psi := ws.la, ws.lp, ws.le, ws.delta, ws.psi
-	for i := 0; i < n; i++ {
-		delta[i] = lp[i] + le[i]
-	}
-	for t := 1; t < T; t++ {
-		prev := delta[(t-1)*n : t*n]
-		for j := 0; j < n; j++ {
-			best := math.Inf(-1)
-			arg := 0
-			for i := 0; i < n; i++ {
-				v := prev[i] + la[i*n+j]
-				if v > best {
-					best = v
-					arg = i
-				}
-			}
-			delta[t*n+j] = best + le[t*n+j]
-			psi[t*n+j] = int32(arg)
-		}
-	}
-	best := math.Inf(-1)
-	last := 0
-	for i := 0; i < n; i++ {
-		if delta[(T-1)*n+i] > best {
-			best = delta[(T-1)*n+i]
-			last = i
-		}
-	}
-	if cap(path) < T {
-		path = make([]int, T)
-	}
-	path = path[:T]
-	path[T-1] = last
-	for t := T - 1; t > 0; t-- {
-		path[t-1] = int(psi[t*n+path[t]])
-	}
-	return path, best
+	return ws.baumWelch(m.Pi, m.A, sequences, stride, cfg, emit, refit)
 }
 
 // ViterbiWS decodes the most likely hidden state sequence into path
 // (grown only when its capacity is insufficient) and returns it with its
-// log probability. Steady state performs zero heap allocations: the
-// log-space parameters and the emission log lattice are precomputed once
-// per call into ws, so the lattice recursion is pure flat arithmetic.
+// log probability. The log emission pair of a step is a lookup in a
+// per-symbol log table, so the recursion makes no math.Log calls.
 func (m *Discrete) ViterbiWS(ws *Workspace, obs []int, path []int) ([]int, float64, error) {
-	if err := m.checkObs(obs); err != nil {
+	if err := m.check(obs); err != nil {
 		return nil, 0, err
 	}
 	tp := ws.ring().Start()
-	n, sym := ws.loadDiscreteLogs(m)
-	T := len(obs)
-	ws.le = growF(ws.le, T*n)
-	le, lb := ws.le, ws.lb
-	for t, o := range obs {
-		for i := 0; i < n; i++ {
-			le[t*n+i] = lb[i*sym+o]
-		}
+	sym := m.Symbols()
+	ws.emit = grow(ws.emit, sym)
+	for k := range sym {
+		ws.emit[k] = [2]float64{safeLog(m.B[0][k]), safeLog(m.B[1][k])}
 	}
-	path, best := viterbiWS(ws, T, n, path)
-	ws.fr.Probe(flightrec.ProbeHMMViterbi, tp, int64(T), ws.frParent)
+	ws.le = grow(ws.le, len(obs))
+	for t, o := range obs {
+		ws.le[t] = ws.emit[o]
+	}
+	path, best := ws.viterbi(m.Pi, m.A, len(obs), path)
+	ws.fr.Probe(flightrec.ProbeHMMViterbi, tp, int64(len(obs)), ws.frParent)
 	return path, best, nil
 }
 
-// Viterbi returns the most likely hidden state sequence for obs and its log
-// probability (Eq. 7-8 of the paper).
-func (m *Discrete) Viterbi(obs []int) ([]int, float64, error) {
-	ws := GetWorkspace()
-	defer PutWorkspace(ws)
-	return m.ViterbiWS(ws, obs, nil)
+// PosteriorWS computes the posterior lattice gamma[i*T+t] =
+// P(state_t = i | obs, model) into dst, growing it only when its capacity
+// is insufficient, and returns it; row i is state i's posterior over the
+// whole sequence.
+func (m *Discrete) PosteriorWS(ws *Workspace, obs []int, dst []float64) ([]float64, error) {
+	if err := m.check(obs); err != nil {
+		return nil, err
+	}
+	ws.tables(m.A, len(obs))
+	for t, o := range obs {
+		ws.setEntry(t, m.B[0][o], m.B[1][o])
+	}
+	return ws.posterior(m.Pi, len(obs), dst)
 }
 
 // --- shared helpers ---
 
-func uniformMatrix(rows, cols int) [][]float64 {
-	m := makeMatrix(rows, cols)
-	v := 1 / float64(cols)
-	for i := range m {
-		for j := range m[i] {
-			m[i][j] = v
-		}
-	}
-	return m
-}
-
-func uniformVector(n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1 / float64(n)
-	}
-	return v
-}
-
-func makeVector(n int) []float64 { return make([]float64, n) }
-
-func makeMatrix(rows, cols int) [][]float64 {
-	return sliceRows(make([]float64, rows*cols), rows, cols)
-}
-
-// sliceRows carves a rows×cols backing array into row views.
-func sliceRows(backing []float64, rows, cols int) [][]float64 {
-	m := make([][]float64, rows)
-	for i := range m {
-		m[i], backing = backing[:cols:cols], backing[cols:]
-	}
-	return m
-}
-
-// unflatten copies a flat row-major lattice into a freshly allocated
-// rows×cols matrix (the compatibility shape of the original API).
-func unflatten(flat []float64, rows, cols int) [][]float64 {
-	backing := make([]float64, rows*cols)
-	copy(backing, flat[:rows*cols])
-	return sliceRows(backing, rows, cols)
-}
-
 func cloneMatrix(m [][]float64) [][]float64 {
-	out := makeMatrix(len(m), len(m[0]))
-	for i := range m {
-		copy(out[i], m[i])
+	out := make([][]float64, len(m))
+	for i, row := range m {
+		out[i] = slices.Clone(row)
 	}
 	return out
 }
 
-func cloneVector(v []float64) []float64 {
-	out := make([]float64, len(v))
-	copy(out, v)
-	return out
+// checkChain checks the parameters both families share, pi and the rows
+// of A, are probability distributions.
+func checkChain(pi []float64, A [][]float64) error {
+	return errors.Join(distribution("pi", pi), distribution("A[0]", A[0]), distribution("A[1]", A[1]))
 }
 
-// normalizeRow scales row to sum 1 and returns the original sum.
-func normalizeRow(row []float64) float64 {
-	sum := 0.0
-	for _, v := range row {
-		sum += v
-	}
-	if sum > 0 {
-		for i := range row {
-			row[i] /= sum
-		}
-	}
-	return sum
-}
-
-// scaleRow is normalizeRow for the lattice hot paths: one division and n
-// multiplies instead of n divisions. The reciprocal form differs from
-// element-wise division only in the last ulp, well inside the kernels'
-// 1e-12 equivalence budget; the M-step keeps normalizeRow so re-estimated
-// parameters stay in the seed's exact arithmetic.
-func scaleRow(row []float64) float64 {
-	sum := 0.0
-	for _, v := range row {
-		sum += v
-	}
-	if sum > 0 {
-		inv := 1 / sum
-		for i := range row {
-			row[i] *= inv
-		}
-	}
-	return sum
-}
-
-func checkDistribution(name string, row []float64) error {
+// distribution checks row is a probability distribution.
+func distribution(name string, row []float64) error {
 	sum := 0.0
 	for i, v := range row {
 		if v < 0 || math.IsNaN(v) {

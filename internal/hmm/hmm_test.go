@@ -1,6 +1,7 @@
 package hmm
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -16,6 +17,16 @@ func twoStateModel() *Discrete {
 		A:  [][]float64{{0.9, 0.1}, {0.2, 0.8}},
 		B:  [][]float64{{0.85, 0.15}, {0.1, 0.9}},
 		Pi: []float64{0.6, 0.4},
+	}
+}
+
+// uniformModel is a 2-state model with uniform transitions and initial
+// distribution and the given emission rows.
+func uniformModel(b0, b1 []float64) *Discrete {
+	return &Discrete{
+		A:  [][]float64{{0.5, 0.5}, {0.5, 0.5}},
+		B:  [][]float64{b0, b1},
+		Pi: []float64{0.5, 0.5},
 	}
 }
 
@@ -44,20 +55,21 @@ func drawFrom(dist []float64, rng *rand.Rand) int {
 	return len(dist) - 1
 }
 
-func TestNewDiscreteUniform(t *testing.T) {
-	m, err := NewDiscrete(3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.States() != 3 || m.Symbols() != 4 {
-		t.Fatalf("dims = %d states, %d symbols", m.States(), m.Symbols())
-	}
-	if err := m.Validate(); err != nil {
-		t.Errorf("uniform model invalid: %v", err)
-	}
-	if _, err := NewDiscrete(0, 2); err == nil {
-		t.Error("NewDiscrete(0,2) accepted")
-	}
+// train runs BaumWelchWS on a fresh workspace.
+func train(m *Discrete, seqs [][]int, cfg TrainConfig) (TrainResult, error) {
+	return m.BaumWelchWS(NewWorkspace(), seqs, cfg)
+}
+
+// viterbi runs ViterbiWS on a fresh workspace.
+func viterbi(m *Discrete, obs []int) ([]int, float64, error) {
+	return m.ViterbiWS(NewWorkspace(), obs, nil)
+}
+
+// logLikelihood is log P(obs | m): the log-likelihood one EM iteration
+// reports for the parameters it started from (run on a clone).
+func logLikelihood(m *Discrete, obs []int) (float64, error) {
+	res, err := train(m.Clone(), [][]int{obs}, TrainConfig{MaxIterations: 1})
+	return res.LogLikelihood, err
 }
 
 func TestValidateCatchesBadModels(t *testing.T) {
@@ -70,6 +82,7 @@ func TestValidateCatchesBadModels(t *testing.T) {
 		{"pi not summing", func(m *Discrete) { m.Pi[0] = 0.9 }},
 		{"nan", func(m *Discrete) { m.A[0][0] = math.NaN() }},
 		{"missing row entries", func(m *Discrete) { m.A[0] = m.A[0][:1] }},
+		{"ragged emissions", func(m *Discrete) { m.B[1] = append(m.B[1], 0) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -82,60 +95,118 @@ func TestValidateCatchesBadModels(t *testing.T) {
 	}
 }
 
+// TestStateCountRefused: the package is the paper's 2-state HMM. A model
+// with one or three states is an error from Validate, from UnmarshalJSON
+// and from every kernel entry point — never an index panic.
+func TestStateCountRefused(t *testing.T) {
+	third := 1.0 / 3
+	discrete := map[string]*Discrete{
+		"1 state": {A: [][]float64{{1}}, B: [][]float64{{0.5, 0.5}}, Pi: []float64{1}},
+		"3 states": {
+			A:  [][]float64{{third, third, third}, {third, third, third}, {third, third, third}},
+			B:  [][]float64{{0.5, 0.5}, {0.5, 0.5}, {0.5, 0.5}},
+			Pi: []float64{third, third, third},
+		},
+	}
+	gaussian := map[string]*Gaussian{
+		"1 state": {A: [][]float64{{1}}, Pi: []float64{1}, Mean: []float64{0}, Var: []float64{1}},
+		"3 states": {
+			A:    [][]float64{{third, third, third}, {third, third, third}, {third, third, third}},
+			Pi:   []float64{third, third, third},
+			Mean: []float64{-1, 0, 1},
+			Var:  []float64{1, 1, 1},
+		},
+	}
+	ws := NewWorkspace()
+	cfg := DefaultTrainConfig()
+	refused := func(name, what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrStates) {
+			t.Errorf("%s: %s err = %v, want ErrStates", name, what, err)
+		}
+	}
+	for name, m := range discrete {
+		refused(name, "Validate", m.Validate())
+		raw, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var restored Discrete
+		refused(name, "UnmarshalJSON", json.Unmarshal(raw, &restored))
+		_, err = m.BaumWelchWS(ws, [][]int{{0, 1, 1}}, cfg)
+		refused(name, "BaumWelchWS", err)
+		_, _, err = m.ViterbiWS(ws, []int{0, 1, 1}, nil)
+		refused(name, "ViterbiWS", err)
+		_, err = m.PosteriorWS(ws, []int{0, 1, 1}, nil)
+		refused(name, "PosteriorWS", err)
+	}
+	for name, m := range gaussian {
+		refused(name, "Validate", m.Validate())
+		raw, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var restored Gaussian
+		refused(name, "UnmarshalJSON", json.Unmarshal(raw, &restored))
+		_, err = NewGaussian(m.Mean, m.Var)
+		refused(name, "NewGaussian", err)
+		_, err = m.BaumWelchWS(ws, [][]float64{{0, 1, 1}}, cfg)
+		refused(name, "BaumWelchWS", err)
+		_, _, err = m.ViterbiWS(ws, []float64{0, 1, 1}, nil)
+		refused(name, "ViterbiWS", err)
+		_, err = m.PosteriorWS(ws, []float64{0, 1, 1}, nil)
+		refused(name, "PosteriorWS", err)
+	}
+}
+
+// bruteForce sums the joint probability of every hidden path of a
+// 2-state chain over T steps, where emit(t, i) is state i's emission
+// probability (or density) at step t, and returns P(obs) and the
+// posterior P(state_t = 1 | obs) of every step.
+func bruteForce(pi []float64, A [][]float64, T int, emit func(t, i int) float64) (float64, []float64) {
+	total, true1 := 0.0, make([]float64, T)
+	for p := 0; p < 1<<T; p++ {
+		prob := pi[p&1] * emit(0, p&1)
+		for t := 1; t < T; t++ {
+			prob *= A[p>>(t-1)&1][p>>t&1] * emit(t, p>>t&1)
+		}
+		total += prob
+		for t := range true1 {
+			true1[t] += prob * float64(p>>t&1)
+		}
+	}
+	for t := range true1 {
+		true1[t] /= total
+	}
+	return total, true1
+}
+
 func TestForwardLikelihoodMatchesBruteForce(t *testing.T) {
 	m := twoStateModel()
 	obs := []int{0, 1, 1, 0, 1}
-	_, _, got, err := m.Forward(obs)
+	got, err := logLikelihood(m, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Brute-force P(obs) by summing over all 2^5 hidden paths.
-	n, T := m.States(), len(obs)
-	total := 0.0
-	paths := 1
-	for i := 0; i < T; i++ {
-		paths *= n
-	}
-	for p := 0; p < paths; p++ {
-		states := make([]int, T)
-		x := p
-		for t := 0; t < T; t++ {
-			states[t] = x % n
-			x /= n
-		}
-		prob := m.Pi[states[0]] * m.B[states[0]][obs[0]]
-		for t := 1; t < T; t++ {
-			prob *= m.A[states[t-1]][states[t]] * m.B[states[t]][obs[t]]
-		}
-		total += prob
-	}
+	total, _ := bruteForce(m.Pi, m.A, len(obs), func(t, i int) float64 { return m.B[i][obs[t]] })
 	if math.Abs(got-math.Log(total)) > 1e-9 {
 		t.Errorf("Forward logP = %v, brute force = %v", got, math.Log(total))
 	}
 }
 
+// TestForwardBackwardConsistency: the fused pass's posterior is the
+// path-sum posterior, step by step.
 func TestForwardBackwardConsistency(t *testing.T) {
-	// With Rabiner scaling, sum_i alpha[t][i]*beta[t][i] = 1/scale[t]
-	// for every t.
 	m := twoStateModel()
-	rng := rand.New(rand.NewSource(7))
-	obs, _ := sample(m, 50, rng)
-	alpha, scale, _, err := m.Forward(obs)
+	obs, _ := sample(m, 12, rand.New(rand.NewSource(7)))
+	_, want := bruteForce(m.Pi, m.A, len(obs), func(t, i int) float64 { return m.B[i][obs[t]] })
+	gamma, err := m.PosteriorWS(NewWorkspace(), obs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	beta, err := m.Backward(obs, scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tt := 0; tt < len(obs); tt++ {
-		sum := 0.0
-		for i := range alpha[tt] {
-			sum += alpha[tt][i] * beta[tt][i]
-		}
-		want := 1 / scale[tt]
-		if math.Abs(sum-want) > 1e-9*math.Abs(want) {
-			t.Fatalf("alpha·beta at t=%d is %v, want 1/scale = %v", tt, sum, want)
+	for tt, w := range want {
+		if math.Abs(gamma[len(obs)+tt]-w) > 1e-12 || math.Abs(gamma[tt]+w-1) > 1e-12 {
+			t.Fatalf("gamma at t=%d = (%v, %v), brute force P(state 1) = %v", tt, gamma[tt], gamma[len(obs)+tt], w)
 		}
 	}
 }
@@ -144,20 +215,20 @@ func TestPosteriorRowsSumToOne(t *testing.T) {
 	m := twoStateModel()
 	rng := rand.New(rand.NewSource(11))
 	obs, _ := sample(m, 80, rng)
-	gamma, err := m.Posterior(obs)
+	gamma, err := m.PosteriorWS(NewWorkspace(), obs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for tt, row := range gamma {
-		sum := 0.0
-		for _, v := range row {
-			sum += v
+	T := len(obs)
+	for tt := 0; tt < T; tt++ {
+		g0, g1 := gamma[tt], gamma[T+tt]
+		for _, v := range []float64{g0, g1} {
 			if v < 0 || v > 1+1e-12 {
-				t.Fatalf("gamma[%d] = %v out of [0,1]", tt, v)
+				t.Fatalf("gamma at t=%d = %v out of [0,1]", tt, v)
 			}
 		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("gamma[%d] sums to %v", tt, sum)
+		if math.Abs(g0+g1-1) > 1e-9 {
+			t.Fatalf("gamma at t=%d sums to %v", tt, g0+g1)
 		}
 	}
 }
@@ -172,7 +243,7 @@ func TestViterbiRecoversPlantedPath(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	obs, states := sample(m, 200, rng)
-	path, _, err := m.Viterbi(obs)
+	path, _, err := viterbi(m, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +264,7 @@ func TestViterbiPathScoreIsAchievable(t *testing.T) {
 	m := twoStateModel()
 	rng := rand.New(rand.NewSource(5))
 	obs, _ := sample(m, 40, rng)
-	path, score, err := m.Viterbi(obs)
+	path, score, err := viterbi(m, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +281,7 @@ func TestViterbiBeatsRandomPaths(t *testing.T) {
 	m := twoStateModel()
 	rng := rand.New(rand.NewSource(9))
 	obs, _ := sample(m, 20, rng)
-	_, best, err := m.Viterbi(obs)
+	_, best, err := viterbi(m, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,21 +308,17 @@ func TestBaumWelchImprovesLikelihood(t *testing.T) {
 		obs, _ := sample(truth, 100, rng)
 		seqs = append(seqs, obs)
 	}
-	m, err := NewDiscrete(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Break symmetry slightly so EM can move.
-	m.B = [][]float64{{0.6, 0.4}, {0.4, 0.6}}
+	m := uniformModel([]float64{0.6, 0.4}, []float64{0.4, 0.6})
 	before := 0.0
 	for _, s := range seqs {
-		ll, err := m.LogLikelihood(s)
+		ll, err := logLikelihood(m, s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		before += ll
 	}
-	res, err := m.BaumWelch(seqs, DefaultTrainConfig())
+	res, err := train(m, seqs, DefaultTrainConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,14 +339,13 @@ func TestBaumWelchMonotoneLikelihood(t *testing.T) {
 	truth := twoStateModel()
 	rng := rand.New(rand.NewSource(2))
 	obs, _ := sample(truth, 150, rng)
-	m, _ := NewDiscrete(2, 2)
-	m.B = [][]float64{{0.7, 0.3}, {0.3, 0.7}}
+	m := uniformModel([]float64{0.7, 0.3}, []float64{0.3, 0.7})
 	cfg := DefaultTrainConfig()
 	cfg.MaxIterations = 1
 	cfg.SmoothA, cfg.SmoothB, cfg.SmoothPi = 0, 0, 0
 	prev := math.Inf(-1)
 	for i := 0; i < 15; i++ {
-		res, err := m.BaumWelch([][]int{obs}, cfg)
+		res, err := train(m, [][]int{obs}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,9 +368,8 @@ func TestBaumWelchRecoversEmissionStructure(t *testing.T) {
 		obs, _ := sample(truth, 200, rng)
 		seqs = append(seqs, obs)
 	}
-	m, _ := NewDiscrete(2, 2)
-	m.B = [][]float64{{0.55, 0.45}, {0.45, 0.55}}
-	if _, err := m.BaumWelch(seqs, DefaultTrainConfig()); err != nil {
+	m := uniformModel([]float64{0.55, 0.45}, []float64{0.45, 0.55})
+	if _, err := train(m, seqs, DefaultTrainConfig()); err != nil {
 		t.Fatal(err)
 	}
 	// Up to state relabelling, each state should strongly prefer one
@@ -321,20 +386,21 @@ func TestBaumWelchRecoversEmissionStructure(t *testing.T) {
 
 func TestErrorsPropagate(t *testing.T) {
 	m := twoStateModel()
-	if _, _, _, err := m.Forward(nil); !errors.Is(err, ErrEmptySequence) {
-		t.Errorf("Forward(nil) err = %v", err)
+	ws := NewWorkspace()
+	if _, err := m.PosteriorWS(ws, nil, nil); !errors.Is(err, ErrEmptySequence) {
+		t.Errorf("PosteriorWS(nil) err = %v", err)
 	}
-	if _, _, _, err := m.Forward([]int{0, 5}); !errors.Is(err, ErrBadSymbol) {
-		t.Errorf("Forward bad symbol err = %v", err)
+	if _, err := m.PosteriorWS(ws, []int{0, 5}, nil); !errors.Is(err, ErrBadSymbol) {
+		t.Errorf("PosteriorWS bad symbol err = %v", err)
 	}
-	if _, _, err := m.Viterbi([]int{-1}); !errors.Is(err, ErrBadSymbol) {
-		t.Errorf("Viterbi bad symbol err = %v", err)
+	if _, _, err := m.ViterbiWS(ws, []int{-1}, nil); !errors.Is(err, ErrBadSymbol) {
+		t.Errorf("ViterbiWS bad symbol err = %v", err)
 	}
-	if _, err := m.BaumWelch(nil, DefaultTrainConfig()); !errors.Is(err, ErrEmptySequence) {
-		t.Errorf("BaumWelch(nil) err = %v", err)
+	if _, err := m.BaumWelchWS(ws, nil, DefaultTrainConfig()); !errors.Is(err, ErrEmptySequence) {
+		t.Errorf("BaumWelchWS(nil) err = %v", err)
 	}
-	if _, err := m.Backward([]int{0}, []float64{1, 1}); err == nil {
-		t.Error("Backward with wrong scale length accepted")
+	if _, err := m.BaumWelchWS(ws, [][]int{{0}, {2}}, DefaultTrainConfig()); !errors.Is(err, ErrBadSymbol) {
+		t.Errorf("BaumWelchWS bad symbol err = %v", err)
 	}
 }
 
@@ -363,7 +429,7 @@ func TestLikelihoodPropertySumsUnderOne(t *testing.T) {
 		for i, b := range raw {
 			obs[i] = int(b) % 2
 		}
-		lp, err := m.LogLikelihood(obs)
+		lp, err := logLikelihood(m, obs)
 		if err != nil {
 			return false
 		}
@@ -374,83 +440,9 @@ func TestLikelihoodPropertySumsUnderOne(t *testing.T) {
 	}
 }
 
-func TestThreeStateModel(t *testing.T) {
-	// The machinery is generic in the state count; exercise a 3-state,
-	// 3-symbol model end to end (e.g. rising / steady / falling truth
-	// regimes).
-	truth := &Discrete{
-		A: [][]float64{
-			{0.90, 0.05, 0.05},
-			{0.05, 0.90, 0.05},
-			{0.05, 0.05, 0.90},
-		},
-		B: [][]float64{
-			{0.90, 0.05, 0.05},
-			{0.05, 0.90, 0.05},
-			{0.05, 0.05, 0.90},
-		},
-		Pi: []float64{1.0 / 3, 1.0 / 3, 1.0 / 3},
-	}
-	if err := truth.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(77))
-	obs, states := sample(truth, 300, rng)
-	path, _, err := truth.Viterbi(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrong := 0
-	for i := range path {
-		if path[i] != states[i] {
-			wrong++
-		}
-	}
-	if frac := float64(wrong) / float64(len(path)); frac > 0.15 {
-		t.Errorf("3-state Viterbi error rate %.3f", frac)
-	}
-	// Training a mildly perturbed model improves its likelihood.
-	m, err := NewDiscrete(3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.B = [][]float64{
-		{0.5, 0.25, 0.25},
-		{0.25, 0.5, 0.25},
-		{0.25, 0.25, 0.5},
-	}
-	before, err := m.LogLikelihood(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.BaumWelch([][]int{obs}, DefaultTrainConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LogLikelihood <= before {
-		t.Errorf("3-state training did not improve LL: %v -> %v", before, res.LogLikelihood)
-	}
-	if err := m.Validate(); err != nil {
-		t.Errorf("trained 3-state model invalid: %v", err)
-	}
-	gamma, err := m.Posterior(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tt, row := range gamma {
-		sum := 0.0
-		for _, v := range row {
-			sum += v
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("3-state gamma[%d] sums to %v", tt, sum)
-		}
-	}
-}
-
 func TestSingleObservation(t *testing.T) {
 	m := twoStateModel()
-	lp, err := m.LogLikelihood([]int{1})
+	lp, err := logLikelihood(m, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +450,7 @@ func TestSingleObservation(t *testing.T) {
 	if math.Abs(lp-want) > 1e-12 {
 		t.Errorf("single obs LL = %v, want %v", lp, want)
 	}
-	path, _, err := m.Viterbi([]int{1})
+	path, _, err := viterbi(m, []int{1})
 	if err != nil || len(path) != 1 {
 		t.Fatalf("Viterbi single obs: path=%v err=%v", path, err)
 	}

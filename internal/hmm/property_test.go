@@ -6,20 +6,25 @@ import (
 	"testing"
 )
 
-// randDiscrete builds a random strictly-positive model (every row a
-// proper distribution) from a seeded rng.
-func randDiscrete(rng *rand.Rand, states, symbols int) *Discrete {
-	m, _ := NewDiscrete(states, symbols)
-	fill := func(row []float64) {
-		for i := range row {
-			row[i] = rng.Float64() + 0.05
+// randDiscrete builds a random strictly-positive 2-state model (every row
+// a proper distribution) from a seeded rng.
+func randDiscrete(rng *rand.Rand, symbols int) *Discrete {
+	row := func(n int) []float64 {
+		r := make([]float64, n)
+		sum := 0.0
+		for i := range r {
+			r[i] = rng.Float64() + 0.05
+			sum += r[i]
 		}
-		normalizeRow(row)
+		for i := range r {
+			r[i] /= sum
+		}
+		return r
 	}
-	fill(m.Pi)
-	for i := range m.A {
-		fill(m.A[i])
-		fill(m.B[i])
+	m := &Discrete{Pi: row(2)}
+	for i := 0; i < 2; i++ {
+		m.A = append(m.A, row(2))
+		m.B = append(m.B, row(symbols))
 	}
 	return m
 }
@@ -50,13 +55,12 @@ func TestViterbiDominatesSampledPaths(t *testing.T) {
 	const eps = 1e-9
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		states := 2 + rng.Intn(3)  // 2..4
 		symbols := 2 + rng.Intn(3) // 2..4
 		T := 5 + rng.Intn(30)
-		m := randDiscrete(rng, states, symbols)
+		m := randDiscrete(rng, symbols)
 		obs := randObs(rng, symbols, T)
 
-		path, score, err := m.Viterbi(obs)
+		path, score, err := viterbi(m, obs)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -73,7 +77,7 @@ func TestViterbiDominatesSampledPaths(t *testing.T) {
 				}
 			} else {
 				for u := range cand {
-					cand[u] = rng.Intn(states)
+					cand[u] = rng.Intn(2)
 				}
 			}
 			if lp := pathLogProb(m, cand, obs); lp > score+eps {
@@ -89,10 +93,10 @@ func TestViterbiMatchesExhaustiveSearch(t *testing.T) {
 	const eps = 1e-9
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed + 100))
-		const states, symbols, T = 3, 2, 5
-		m := randDiscrete(rng, states, symbols)
+		const states, symbols, T = 2, 3, 8
+		m := randDiscrete(rng, symbols)
 		obs := randObs(rng, symbols, T)
-		_, score, err := m.Viterbi(obs)
+		_, score, err := viterbi(m, obs)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -127,9 +131,8 @@ func TestBaumWelchMonotoneLogLikelihood(t *testing.T) {
 	const eps = 1e-9
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed + 200))
-		states := 2 + rng.Intn(2)
 		symbols := 2 + rng.Intn(2)
-		m := randDiscrete(rng, states, symbols)
+		m := randDiscrete(rng, symbols)
 		seqs := [][]int{
 			randObs(rng, symbols, 30),
 			randObs(rng, symbols, 20),
@@ -137,7 +140,7 @@ func TestBaumWelchMonotoneLogLikelihood(t *testing.T) {
 		cfg := TrainConfig{MaxIterations: 1} // Smooth* zero: pure EM
 		prev := math.Inf(-1)
 		for iter := 0; iter < 30; iter++ {
-			res, err := m.BaumWelch(seqs, cfg)
+			res, err := train(m, seqs, cfg)
 			if err != nil {
 				t.Fatalf("seed %d iter %d: %v", seed, iter, err)
 			}
@@ -163,10 +166,10 @@ func TestBaumWelchRowsStayStochastic(t *testing.T) {
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(300))
-			m := randDiscrete(rng, 3, 3)
+			m := randDiscrete(rng, 3)
 			seqs := [][]int{randObs(rng, 3, 40)}
 			for iter := 0; iter < 15; iter++ {
-				if _, err := m.BaumWelch(seqs, cfg); err != nil {
+				if _, err := train(m, seqs, cfg); err != nil {
 					t.Fatalf("iter %d: %v", iter, err)
 				}
 				if err := m.Validate(); err != nil {

@@ -57,25 +57,10 @@ func (m *Gaussian) UnmarshalJSON(raw []byte) error {
 	if err := json.Unmarshal(raw, &w); err != nil {
 		return fmt.Errorf("hmm: decode gaussian model: %w", err)
 	}
-	if len(w.Pi) == 0 || len(w.Mean) != len(w.Pi) || len(w.Var) != len(w.Pi) || len(w.A) != len(w.Pi) {
-		return fmt.Errorf("hmm: deserialized gaussian model has inconsistent dimensions")
+	restored := Gaussian{A: w.A, Pi: w.Pi, Mean: w.Mean, Var: w.Var, VarFloor: w.VarFloor}
+	if err := restored.Validate(); err != nil {
+		return fmt.Errorf("hmm: deserialized model invalid: %w", err)
 	}
-	for i, v := range w.Var {
-		if v <= 0 {
-			return fmt.Errorf("hmm: deserialized variance[%d] = %v not positive", i, v)
-		}
-	}
-	if err := checkDistribution("pi", w.Pi); err != nil {
-		return err
-	}
-	for i := range w.A {
-		if len(w.A[i]) != len(w.Pi) {
-			return fmt.Errorf("hmm: deserialized A row %d has %d entries", i, len(w.A[i]))
-		}
-		if err := checkDistribution(fmt.Sprintf("A[%d]", i), w.A[i]); err != nil {
-			return err
-		}
-	}
-	*m = Gaussian{A: w.A, Pi: w.Pi, Mean: w.Mean, Var: w.Var, VarFloor: w.VarFloor}
+	*m = restored
 	return nil
 }

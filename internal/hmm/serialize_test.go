@@ -21,11 +21,11 @@ func TestDiscreteJSONRoundTrip(t *testing.T) {
 	// equality.
 	rng := rand.New(rand.NewSource(1))
 	obs, _ := sample(orig, 60, rng)
-	l1, err := orig.LogLikelihood(obs)
+	l1, err := logLikelihood(orig, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := restored.LogLikelihood(obs)
+	l2, err := logLikelihood(&restored, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +61,11 @@ func TestGaussianJSONRoundTrip(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(2))
 	obs, _ := sampleGauss(orig, 50, rng)
-	path1, s1, err := orig.Viterbi(obs)
+	path1, s1, err := orig.ViterbiWS(NewWorkspace(), obs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path2, s2, err := restored.Viterbi(obs)
+	path2, s2, err := restored.ViterbiWS(NewWorkspace(), obs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,9 +85,11 @@ func TestGaussianJSONRoundTrip(t *testing.T) {
 func TestGaussianUnmarshalRejectsInvalid(t *testing.T) {
 	cases := []string{
 		`{`,
-		`{"transitions":[[1]],"initial":[1],"means":[0],"variances":[0]}`,                       // zero variance
-		`{"transitions":[[1]],"initial":[1],"means":[0,1],"variances":[1]}`,                     // dim mismatch
-		`{"transitions":[[0.5,0.5],[1,0]],"initial":[0.7,0.7],"means":[0,1],"variances":[1,1]}`, // bad pi
+		`{"transitions":[[0.5,0.5],[1,0]],"initial":[0.5,0.5],"means":[0,1],"variances":[0,1]}`,      // zero variance
+		`{"transitions":[[0.5,0.5],[1,0]],"initial":[0.5,0.5],"means":[0,1],"variances":[1]}`,        // dim mismatch
+		`{"transitions":[[0.5,0.5],[1,0]],"initial":[0.7,0.7],"means":[0,1],"variances":[1,1]}`,      // bad pi
+		`{"transitions":[[0.5,0.5],[1,0]],"initial":[0.5,0.5],"means":[0,1],"variances":[1e-320,1]}`, // no finite density
+		`{"transitions":[[1]],"initial":[1],"means":[0],"variances":[1]}`,                            // 1 state
 	}
 	for i, raw := range cases {
 		var m Gaussian
@@ -103,12 +105,8 @@ func TestTrainedModelSurvivesRoundTrip(t *testing.T) {
 	truth := twoStateModel()
 	rng := rand.New(rand.NewSource(9))
 	obs, _ := sample(truth, 150, rng)
-	m, err := NewDiscrete(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.B = [][]float64{{0.7, 0.3}, {0.3, 0.7}}
-	if _, err := m.BaumWelch([][]int{obs}, DefaultTrainConfig()); err != nil {
+	m := uniformModel([]float64{0.7, 0.3}, []float64{0.3, 0.7})
+	if _, err := train(m, [][]int{obs}, DefaultTrainConfig()); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := json.Marshal(m)
@@ -119,11 +117,11 @@ func TestTrainedModelSurvivesRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &restored); err != nil {
 		t.Fatal(err)
 	}
-	p1, _, err := m.Viterbi(obs)
+	p1, _, err := viterbi(m, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, _, err := restored.Viterbi(obs)
+	p2, _, err := viterbi(&restored, obs)
 	if err != nil {
 		t.Fatal(err)
 	}

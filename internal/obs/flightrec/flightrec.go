@@ -34,14 +34,11 @@ type ProbeID int32
 
 const (
 	// HMM kernel phases, one probe per Baum-Welch iteration phase plus
-	// the Viterbi decode — the θ1 kernel cost of Eq. 10. The discrete
-	// 2-state pass accumulates its expected counts inside the backward
-	// sweep, so its iterations report forward, backward and M-step only;
-	// ProbeHMMEStep is the separate third sweep of the general-n
-	// discrete and the Gaussian paths.
+	// the Viterbi decode — the θ1 kernel cost of Eq. 10. The fused pass
+	// accumulates its expected counts inside the backward sweep, so an
+	// iteration reports forward and backward per sequence, then M-step.
 	ProbeHMMForward ProbeID = iota
 	ProbeHMMBackward
-	ProbeHMMEStep
 	ProbeHMMMStep
 	ProbeHMMViterbi
 	// Codec frame legs: CRC stamping/checking and JSON encode/decode —
@@ -65,7 +62,7 @@ const (
 )
 
 var probeNames = [numProbes]string{
-	"hmm.forward", "hmm.backward", "hmm.estep", "hmm.mstep", "hmm.viterbi",
+	"hmm.forward", "hmm.backward", "hmm.mstep", "hmm.viterbi",
 	"codec.crc", "codec.encode", "codec.decode",
 	"master.assign", "master.requeue", "master.ack",
 	"dtm.merge", "dtm.finalize",

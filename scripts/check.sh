@@ -8,7 +8,7 @@
 #   scripts/check.sh wire       wire-codec smoke: round-trip/golden/v1-retirement tests, 10s FuzzDecode + sstd-master/sstd-worker with -batch 8
 #   scripts/check.sh flightrec  flight-recorder smoke: deadline-miss deep dive (FLIGHTREC_DIR keeps it) + SLO burn -> 3-lane trace (TELEMETRY_DIR keeps it)
 #   scripts/check.sh sched      sharded-scheduler tier: fairness/invariant tests + contention benches -> BENCH_sched.json + 100k-claim sweep
-#   scripts/check.sh accuracy   accuracy gate: SSTD rows of Tables III-V against the checked-in golden + HMM kernel equivalence
+#   scripts/check.sh accuracy   accuracy gate: SSTD rows of Tables III-V against the checked-in golden + HMM kernel equivalence + truth digests and decode payload goldens
 #   scripts/check.sh all        tier-1 + tier-2
 #
 # scripts/benchdiff.sh wraps the bench tier with a regression gate against
@@ -210,14 +210,17 @@ sched() {
 accuracy() {
 	# The product is the decoded truth timeline: recompute the SSTD rows of
 	# Tables III-V (scale 0.02, seed 7) against
-	# internal/experiments/testdata/accuracy_golden.json, then the two
-	# checks that say why they hold — the kernels against the frozen
-	# reference at 1e-12 and the pinned EM iteration counts on the
-	# benchmark's series.
-	echo "== accuracy: Tables III-V golden + kernel equivalence =="
+	# internal/experiments/testdata/accuracy_golden.json, then the checks
+	# that say why they hold — both emission families' kernels against the
+	# frozen reference at 1e-12, the pinned EM iteration counts on the
+	# benchmark's series, and the bits the distributed decode must keep:
+	# the eight truth digests and the decode payload goldens (the Gaussian
+	# `flips` truth among them).
+	echo "== accuracy: Tables III-V golden + kernel equivalence + truth bits =="
 	go test -count=1 -v -run 'TestAccuracyGolden' ./internal/experiments
 	go test -count=1 -run 'MatchesReference|TestPairPass' ./internal/hmm
 	go test -count=1 -run 'TestEMIterationCountsPinned' ./internal/core
+	go test -count=1 -run 'TestTruthDigestsMatchParent|TestGoldenPayloadsStable' ./internal/dtm
 }
 
 case "${1:-tier1}" in
