@@ -46,10 +46,10 @@ func (c ACSConfig) validate() error {
 // keeps only per-interval sums, so memory is O(#intervals), independent of
 // report volume.
 type ACSAccumulator struct {
-	cfg    ACSConfig
-	origin time.Time
-	sums   []float64 // per-interval contribution score totals
-	count  int       // reports ingested
+	cfg   ACSConfig
+	grid  Grid
+	sums  []float64 // per-interval contribution score totals
+	count int       // reports ingested
 }
 
 // NewACSAccumulator creates an accumulator whose interval grid starts at
@@ -58,13 +58,13 @@ func NewACSAccumulator(cfg ACSConfig, origin time.Time) (*ACSAccumulator, error)
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &ACSAccumulator{cfg: cfg, origin: origin}, nil
+	return &ACSAccumulator{cfg: cfg, grid: NewGrid(origin, cfg.Interval)}, nil
 }
 
 // Add ingests one report. Reports earlier than the origin are clamped into
 // the first interval.
 func (a *ACSAccumulator) Add(r socialsensing.Report) {
-	idx := a.intervalIndex(r.Timestamp)
+	idx := a.grid.Index(r.Timestamp)
 	for len(a.sums) <= idx {
 		a.sums = append(a.sums, 0)
 	}
@@ -72,12 +72,33 @@ func (a *ACSAccumulator) Add(r socialsensing.Report) {
 	a.count++
 }
 
-// intervalIndex maps a timestamp to its interval number.
-func (a *ACSAccumulator) intervalIndex(t time.Time) int {
-	if t.Before(a.origin) {
-		return 0
+// Grid is the ACS interval grid: slot k holds the reports of
+// [origin+k·interval, origin+(k+1)·interval).
+type Grid struct {
+	origin    time.Time
+	interval  time.Duration
+	sec, nsec int64 // the origin's Unix time
+	mono      bool  // the origin carries a monotonic clock reading
+}
+
+// NewGrid returns the grid of interval-wide slots from origin; interval
+// must be positive. Round(0) strips a monotonic reading and nothing else.
+func NewGrid(origin time.Time, interval time.Duration) Grid {
+	return Grid{origin, interval, origin.Unix(), int64(origin.Nanosecond()), origin != origin.Round(0)}
+}
+
+// Index is the slot of t: t.Sub(origin)/interval for t after the origin
+// and 0 for anything else, Sub's saturation at ±292 years included. Up to
+// 9e9 s (≈285 years) apart, Sub's wall-clock arithmetic cannot overflow,
+// so Index does it without Sub's overflow check; a longer gap, or an origin
+// with a monotonic reading (Sub then compares monotonic clocks), takes Sub.
+func (g *Grid) Index(t time.Time) int {
+	s := t.Unix() - g.sec
+	d := time.Duration(s)*time.Second + time.Duration(int64(t.Nanosecond())-g.nsec)
+	if s < -9e9 || s > 9e9 || g.mono {
+		d = t.Sub(g.origin)
 	}
-	return int(t.Sub(a.origin) / a.cfg.Interval)
+	return int(max(d, 0) / g.interval)
 }
 
 // Len returns the number of intervals currently covered.
@@ -127,7 +148,7 @@ func (a *ACSAccumulator) SeriesInto(dst []float64) []float64 {
 
 // IntervalStart returns the wall-clock start of interval t.
 func (a *ACSAccumulator) IntervalStart(t int) time.Time {
-	return a.origin.Add(time.Duration(t) * a.cfg.Interval)
+	return a.grid.origin.Add(time.Duration(t) * a.grid.interval)
 }
 
 // Discretizer quantizes continuous ACS values into the symbol alphabet of

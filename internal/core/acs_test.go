@@ -127,6 +127,84 @@ func TestACSWindowSumMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// subIndex and beforeIndex are the two Sub-based slot definitions Grid
+// replaced: the task encoder's and the accumulator's.
+func subIndex(ts, origin time.Time, interval time.Duration) int {
+	if d := ts.Sub(origin); d > 0 {
+		return int(d / interval)
+	}
+	return 0
+}
+
+func beforeIndex(ts, origin time.Time, interval time.Duration) int {
+	if ts.Before(origin) {
+		return 0
+	}
+	return int(ts.Sub(origin) / interval)
+}
+
+// TestGridIndexMatchesSub holds Grid.Index to both definitions on times
+// before, at and after the origin, ±1 ns around slot boundaries, both
+// ends of Sub's ±292-year saturation and of Index's ≈285-year exact
+// range, origins and timestamps with and without monotonic readings, and
+// non-UTC locations.
+func TestGridIndexMatchesSub(t *testing.T) {
+	const maxDur = time.Duration(math.MaxInt64)
+	now := time.Now() // carries a monotonic reading
+	tokyo, minus := time.FixedZone("JST", 9*3600), time.FixedZone("X", -(3*3600+30*60))
+	origins := []time.Time{origin(), origin().In(tokyo), now, now.Round(0), now.Round(0).In(minus), {}, time.Unix(0, 999_999_999)}
+	intervals := []time.Duration{1, 7, time.Second, 1500 * time.Millisecond, time.Minute, time.Hour, 24 * time.Hour}
+	rng := uint64(42)
+	next := func() int64 { rng = rng*6364136223846793005 + 1442695040888963407; return int64(rng >> 1) }
+	checked := 0
+	for _, o := range origins {
+		for _, iv := range intervals {
+			var offsets []time.Duration
+			for _, k := range []int64{-3, -1, 0, 1, 2, 59, 1e6, 1e9} {
+				b := time.Duration(k) * iv
+				offsets = append(offsets, b-1, b, b+1)
+			}
+			offsets = append(offsets, maxDur, maxDur-1, -maxDur, -maxDur-1, 9e9*time.Second, -9e9*time.Second)
+			for i := 0; i < 200; i++ {
+				offsets = append(offsets, time.Duration(next()%int64(1000*iv+1)), -time.Duration(next()%int64(1000*iv+1)), time.Duration(next()))
+			}
+			var stamps []time.Time
+			for _, d := range offsets {
+				ts := o.Add(d)
+				stamps = append(stamps, ts, ts.Round(0), ts.In(tokyo), ts.Add(time.Nanosecond).In(minus))
+			}
+			for _, years := range []int{-300, -293, -292, -286, -285, 285, 286, 292, 293, 300} {
+				ts := o.AddDate(years, 0, 0)
+				stamps = append(stamps, ts, ts.Add(-1), ts.Add(1))
+			}
+			g := NewGrid(o, iv)
+			for _, ts := range stamps {
+				got, want := g.Index(ts), subIndex(ts, o, iv)
+				if got != want || want != beforeIndex(ts, o, iv) {
+					t.Fatalf("NewGrid(%v, %v).Index(%v) = %d, Sub-based slot %d, Before-guarded %d", o, iv, ts, got, want, beforeIndex(ts, o, iv))
+				}
+				checked++
+			}
+		}
+	}
+	// Times derived by Add keep equal wall and monotonic gaps; two separate
+	// clock readings usually do not, by a few ns, which tells Sub's
+	// monotonic path from its wall-clock one on a 1 ns grid.
+	diverged := 0
+	for i := 0; i < 1000; i++ {
+		o, ts := time.Now(), time.Now()
+		if ts.Sub(o) == ts.Round(0).Sub(o.Round(0)) {
+			continue
+		}
+		g := NewGrid(o, 1)
+		if got, want := g.Index(ts), subIndex(ts, o, 1); got != want {
+			t.Fatalf("monotonic origin %v: Index(%v) = %d, Sub-based slot %d", o, ts, got, want)
+		}
+		diverged++
+	}
+	t.Logf("%d (origin, interval, timestamp) triples agree, %d of them with diverging clocks", checked+diverged, diverged)
+}
+
 func TestDiscretizerBins(t *testing.T) {
 	d, err := NewSymmetricDiscretizer(0.5, 2)
 	if err != nil {

@@ -406,18 +406,19 @@ func (m *Manager) SubmitJob(claim socialsensing.ClaimID, reports []socialsensing
 		return errors.New("dtm: job needs a claim id")
 	}
 	jobID := string(claim)
-	// Encode first: a report the codec refuses must fail the call before
-	// the job is registered, admitted or traced.
-	chunks := splitReports(reports, m.cfg.TasksPerJob)
-	payloads, intervals, err := encodeTasks(chunks, m.cfg.Origin, m.cfg.ACS.Interval)
-	if err != nil {
-		return obs.Wrap(fmt.Errorf("dtm: submit job %s: %w", jobID, err))
-	}
+	// Refuse a duplicate before it costs an encode; the lock below re-checks.
 	m.mu.Lock()
 	_, dup := m.jobs[jobID]
 	m.mu.Unlock()
 	if dup {
 		return fmt.Errorf("dtm: job %q already submitted", jobID)
+	}
+	// Encode next: a report the codec refuses must fail the call before
+	// the job is registered, admitted or traced.
+	chunks := splitReports(reports, m.cfg.TasksPerJob)
+	payloads, intervals, err := encodeTasks(chunks, m.cfg.Origin, m.cfg.ACS.Interval)
+	if err != nil {
+		return obs.Wrap(fmt.Errorf("dtm: submit job %s: %w", jobID, err))
 	}
 	js := &jobState{
 		claim:     claim,

@@ -6,7 +6,9 @@ package dtm
 // falls in and its contribution score ρ·(1−κ)·η, computed once at submit,
 // as two columns — no claim id, source, timestamp or text leaves the
 // master, and one score column is cheaper to encode, checksum, copy and
-// decode than ρ, κ and η. The decode task is the job's last: its merged
+// decode than ρ, κ and η. The encoder visits each report once, storing its
+// core.Grid slot and its score in pooled columns, then writes the payloads
+// from the columns. The decode task is the job's last: its merged
 // sums plus all a stateless worker needs to turn them into a truth
 // timeline — the Eq. 4 window and the decoder configuration.
 //
@@ -87,19 +89,18 @@ func splitReports(reports []socialsensing.Report, n int) [][]socialsensing.Repor
 	return chunks
 }
 
-// intervalIndex is the ACS grid slot of a report: 0 for anything not
-// after the origin.
-func intervalIndex(ts, origin time.Time, interval time.Duration) int {
-	if d := ts.Sub(origin); d > 0 {
-		return int(d / interval)
-	}
-	return 0
-}
-
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // varintLen is the encoded size of binary.AppendVarint(nil, int64(d)).
 func varintLen(d int) int { return uvarintLen(uint64(d<<1) ^ uint64(d>>63)) }
+
+// columnPool recycles encodeTasks' scratch: each report's slot and score.
+var columnPool = sync.Pool{New: func() any { return new(columns) }}
+
+type columns struct {
+	idx    []int
+	scores []float64
+}
 
 // encodeTasks encodes one task payload per chunk of a job's reports, all
 // in a single buffer, and reports the number of grid intervals the job
@@ -110,19 +111,32 @@ func encodeTasks(chunks [][]socialsensing.Report, origin time.Time, interval tim
 	if interval <= 0 {
 		return nil, 0, errors.New("dtm: task encoding needs a positive interval")
 	}
-	// First pass: each chunk's index range and encoded size, so the job
-	// gets one buffer of exactly the size its payloads fill.
+	col := columnPool.Get().(*columns)
+	defer columnPool.Put(col)
+	n := 0
+	for _, chunk := range chunks {
+		n += len(chunk)
+	}
+	col.idx, col.scores = slices.Grow(col.idx[:0], n)[:n], slices.Grow(col.scores[:0], n)[:n]
+	grid := core.NewGrid(origin, interval)
+	// The one visit of each report: its slot and score into the columns,
+	// and each chunk's index range and encoded size, so the job gets one
+	// buffer of exactly the size its payloads fill.
 	type layout struct{ base, span int }
 	layouts := make([]layout, len(chunks))
 	size, seen := 0, 0
 	for c, chunk := range chunks {
 		first, lo, hi, prev := 0, 0, -1, 0
 		for i := range chunk {
-			r := &chunk[i] // a Report is 96 bytes: do not copy it per pass
-			if s := r.ContributionScore(); math.IsNaN(s) || math.IsInf(s, 0) {
+			// Eq. 1 through the pointer: ContributionScore's value receiver
+			// would copy all 96 bytes of the report.
+			r := &chunk[i]
+			s := float64(r.Attitude) * (1 - r.Uncertainty) * r.Independence
+			if s-s != 0 {
 				return nil, 0, fmt.Errorf("dtm: claim %s report %d: contribution score is %v", r.Claim, seen+i, s)
 			}
-			idx := intervalIndex(r.Timestamp, origin, interval)
+			idx := grid.Index(r.Timestamp)
+			col.idx[seen+i], col.scores[seen+i] = idx, s
 			if i == 0 {
 				first, lo, hi = idx, idx, idx
 			} else {
@@ -148,6 +162,7 @@ func encodeTasks(chunks [][]socialsensing.Report, origin time.Time, interval tim
 	}
 	buf := make([]byte, 0, size)
 	payloads = make([][]byte, len(chunks))
+	seen = 0
 	for c, chunk := range chunks {
 		start := len(buf)
 		buf = append(buf, payloadVersion)
@@ -155,14 +170,14 @@ func encodeTasks(chunks [][]socialsensing.Report, origin time.Time, interval tim
 		buf = binary.AppendUvarint(buf, uint64(layouts[c].base))
 		buf = binary.AppendUvarint(buf, uint64(layouts[c].span))
 		prev := layouts[c].base
-		for i := range chunk {
-			idx := intervalIndex(chunk[i].Timestamp, origin, interval)
+		for _, idx := range col.idx[seen : seen+len(chunk)] {
 			buf = binary.AppendVarint(buf, int64(idx-prev))
 			prev = idx
 		}
-		for i := range chunk {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(chunk[i].ContributionScore()))
+		for _, s := range col.scores[seen : seen+len(chunk)] {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s))
 		}
+		seen += len(chunk)
 		payloads[c] = buf[start:len(buf):len(buf)]
 	}
 	return payloads, intervals, nil

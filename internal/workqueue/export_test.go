@@ -1,7 +1,10 @@
 package workqueue
 
 import (
+	"errors"
+	"fmt"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -14,19 +17,35 @@ func shortenGather(t *testing.T, d time.Duration) {
 	t.Cleanup(func() { gatherTimeout = old })
 }
 
-// DecodeFrame runs one frame through the production codec's recv path.
-// It exists for external test packages (FuzzDecode lives outside the
-// package because its corpus is built with internal/chaos, which imports
+// ErrModesDiffer is DecodeFrame's answer for a frame that the copying and
+// the aliasing recv decode into different messages or errors.
+var ErrModesDiffer = errors.New("copying and aliasing recv disagree")
+
+// DecodeFrame runs one frame through the production codec's recv path in
+// both its modes — copying, as the master reads, and aliasing the receive
+// buffer, as a worker reads — and returns the error they agree on. It
+// exists for external test packages (FuzzDecode lives outside the package
+// because its corpus is built with internal/chaos, which imports
 // workqueue — an in-package import would cycle).
 func DecodeFrame(frame []byte) error {
+	copied, err := decodeFrame(frame, false)
+	aliased, aerr := decodeFrame(frame, true)
+	if !reflect.DeepEqual(copied, aliased) || fmt.Sprint(err) != fmt.Sprint(aerr) {
+		return fmt.Errorf("%w: %+v, %v against %+v, %v", ErrModesDiffer, copied, err, aliased, aerr)
+	}
+	return err
+}
+
+func decodeFrame(frame []byte, alias bool) (message, error) {
 	a, b := net.Pipe()
 	defer func() { _ = a.Close(); _ = b.Close() }()
 	go func() {
 		_, _ = a.Write(frame)
 		_ = a.Close() // EOF ends a frame that promises more bytes than it has
 	}()
-	_, err := newCodec(b).recv()
-	return err
+	c := newCodec(b)
+	c.alias = alias
+	return c.recv()
 }
 
 // Wire constants for the frames external tests build by hand.

@@ -26,6 +26,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -233,7 +234,16 @@ type codec struct {
 	// recorder. The send side is mutex-serialized and recv is
 	// single-reader, so one ring per codec keeps writers private.
 	fr *flightrec.Ring
+	// arena is the connection's receive buffer. With alias set recv decodes
+	// task payloads and result outputs as views of it, valid until the next
+	// recv: only a worker sets it, whose loop is recv, execute, send, recv.
+	arena []byte
+	alias bool
 }
+
+// arenaBytes caps a codec's receive buffer: a larger frame gets a buffer
+// of its own, so no connection keeps a MaxFrameBytes arena.
+const arenaBytes = 1 << 20
 
 func newCodec(conn net.Conn) *codec {
 	return newCodecWith(conn, flightrec.Active())
@@ -289,8 +299,8 @@ const MaxFrameBytes = 32 << 20
 // exceeds MaxFrameBytes.
 var ErrFrameTooLarge = errors.New("workqueue: frame exceeds size limit")
 
-// recv reads the next frame into a pooled buffer, decodes it and checks
-// its CRC. Every error is fatal to the connection: after a bad magic
+// recv reads the next frame into the arena, decodes it and checks its
+// CRC. Every error is fatal to the connection: after a bad magic
 // byte, version, length or body the stream has no frame boundary left to
 // resynchronise on. A frame announcing more than MaxFrameBytes is
 // rejected with ErrFrameTooLarge before any of its body is buffered.
@@ -316,19 +326,18 @@ func (c *codec) recv() (message, error) {
 	if n > MaxFrameBytes {
 		return message{}, obs.Wrap(ErrFrameTooLarge)
 	}
-	bp := wireBufPool.Get().(*[]byte)
-	defer wireBufPool.Put(bp)
-	body := *bp
-	if cap(body) < int(n) {
+	var body []byte
+	if n <= arenaBytes {
+		c.arena = slices.Grow(c.arena[:0], int(n))[:n]
+		body = c.arena
+	} else {
 		body = make([]byte, n)
 	}
-	body = body[:n]
-	*bp = body[:0]
 	if _, err := io.ReadFull(c.r, body); err != nil {
 		return message{}, obs.Wrap(fmt.Errorf("workqueue: read frame: %w", err))
 	}
 	tp := c.fr.Start()
-	m, err := decodeWireBody(body)
+	m, err := decodeWireBody(body, c.alias)
 	if err != nil {
 		return message{}, err
 	}

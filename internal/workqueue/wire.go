@@ -65,9 +65,9 @@ const (
 	wfKnown = 1<<iota - 1
 )
 
-// wireBufPool recycles encode scratch and recv body buffers. Buffers are
-// returned at their grown capacity, so steady-state encode and decode of
-// same-shaped traffic allocates nothing.
+// wireBufPool recycles encode scratch. Buffers are returned at their grown
+// capacity, so steady-state encode of same-shaped traffic allocates
+// nothing.
 var wireBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
 
 // wireHeaderRoom reserves space in the encode buffer for the frame
@@ -113,9 +113,10 @@ func (w *wireWriter) i64s(vs []int64) {
 // error: the first malformed read poisons the reader and every later
 // read returns zero values, so decode paths stay straight-line.
 type wireReader struct {
-	b   []byte
-	off int
-	err error
+	b     []byte
+	off   int
+	err   error
+	alias bool // blob returns sub-slices of b instead of copies
 }
 
 func (r *wireReader) fail() {
@@ -192,16 +193,18 @@ func (r *wireReader) str() string {
 	return s
 }
 
-// blob returns a copy of the next byte string (the frame buffer is
-// pooled; decoded messages must own their bytes). Zero length decodes as
-// nil.
+// blob returns the next byte string: a copy, or with alias set the
+// frame's own bytes, capped so an append cannot spill into what follows.
+// Zero length decodes as nil.
 func (r *wireReader) blob() []byte {
 	n := r.count(1)
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.b[r.off:r.off+n])
+	out := r.b[r.off : r.off+n : r.off+n]
+	if !r.alias {
+		out = append([]byte(nil), out...)
+	}
 	r.off += n
 	return out
 }
@@ -554,8 +557,9 @@ func appendWireFrame(dst []byte, m *message) []byte {
 }
 
 // decodeWireBody decodes one binary frame body (header already consumed).
-func decodeWireBody(body []byte) (message, error) {
-	r := wireReader{b: body}
+// With alias set, task payloads and result outputs are sub-slices of body.
+func decodeWireBody(body []byte, alias bool) (message, error) {
+	r := wireReader{b: body, alias: alias}
 	m := message{Type: msgType(r.byte())}
 	if m.Type.String() == "" {
 		return message{}, fmt.Errorf("%w: unknown message type %d", ErrWireFormat, byte(m.Type))
@@ -668,7 +672,7 @@ func ShiftBinaryStamps(frame []byte, deltaNs int64) []byte {
 		return frame
 	}
 	_, used := binary.Uvarint(frame[2:])
-	m, err := decodeWireBody(frame[2+used:])
+	m, err := decodeWireBody(frame[2+used:], false)
 	if err != nil {
 		return frame
 	}

@@ -78,7 +78,7 @@ func BenchmarkWireDecodeResultSpansBinary(b *testing.B) {
 	body := frame[2+used:]
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := decodeWireBody(body); err != nil {
+		if _, err := decodeWireBody(body, false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -195,12 +195,14 @@ func wireMessageTypes() []msgType {
 	}
 }
 
-// codecRoundTrip pushes m through the production send/recv paths and
-// returns the decoded message.
-func codecRoundTrip(t *testing.T, m message) message {
+// codecRoundTrip pushes m through the production send/recv paths, the
+// receiver copying (the master's) or aliasing its receive buffer (a
+// worker's), and returns the decoded message.
+func codecRoundTrip(t *testing.T, m message, alias bool) message {
 	t.Helper()
 	a, b := pipePair()
 	ca, cb := newCodec(a), newCodec(b)
+	cb.alias = alias
 	defer func() { _ = ca.close() }()
 	errc := make(chan error, 1)
 	go func() { errc <- ca.send(m) }()
@@ -218,7 +220,8 @@ func codecRoundTrip(t *testing.T, m message) message {
 // and many seeds, what recv returns equals what send was given
 // (CRC-stamped), field for field — and sending the received value again
 // reproduces it, checksum included, which is what lets the chaos layer
-// decode, shift and re-encode a frame without tripping the CRC.
+// decode, shift and re-encode a frame without tripping the CRC. The first
+// trip lands in a copying codec, the second in an aliasing one.
 func TestWireRoundTrip(t *testing.T) {
 	const seedsPerType = 200
 	for _, typ := range wireMessageTypes() {
@@ -229,11 +232,11 @@ func TestWireRoundTrip(t *testing.T) {
 				m := genMessage(rng, typ)
 				want := m
 				want.CRC = m.checksum() // send stamps this
-				got := codecRoundTrip(t, m)
+				got := codecRoundTrip(t, m, false)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d: round trip diverged\n got %+v\nwant %+v", seed, got, want)
 				}
-				if again := codecRoundTrip(t, got); !reflect.DeepEqual(again, want) {
+				if again := codecRoundTrip(t, got, true); !reflect.DeepEqual(again, want) {
 					t.Fatalf("seed %d: re-encoding the decoded message diverged\n got %+v\nwant %+v", seed, again, want)
 				}
 			}
@@ -286,7 +289,7 @@ func TestWireFramesConcatenate(t *testing.T) {
 		frame := buf[:n]
 		buf = buf[n:]
 		_, used := binary.Uvarint(frame[2:])
-		got, err := decodeWireBody(frame[2+used:])
+		got, err := decodeWireBody(frame[2+used:], false)
 		if err != nil {
 			t.Fatalf("frame %d (%s): decode: %v", i, want.Type, err)
 		}
@@ -323,7 +326,7 @@ func TestShiftBinaryStampsMovesClocksOnly(t *testing.T) {
 		m.CRC = m.checksum()
 		shifted := ShiftBinaryStamps(appendWireFrame(nil, &m), delta)
 		_, used := binary.Uvarint(shifted[2:])
-		got, err := decodeWireBody(shifted[2+used:])
+		got, err := decodeWireBody(shifted[2+used:], false)
 		if err != nil {
 			t.Fatalf("%s: shifted frame does not decode: %v", typ, err)
 		}

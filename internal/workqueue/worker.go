@@ -1,6 +1,7 @@
 package workqueue
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -17,6 +18,10 @@ import (
 // StageError to tag decode/encode failures so the master sees which
 // stage of the task pipeline broke, and StartStageSpan to time the same
 // stages on the task's distributed trace.
+//
+// payload is valid only until Exec returns: it views the worker's receive
+// buffer, which the next frame overwrites, so keeping any of it takes a
+// copy. The output may alias it: results are sent before the next recv.
 type Executor func(ctx context.Context, payload []byte) ([]byte, error)
 
 // Worker executes tasks pulled from a master.
@@ -176,6 +181,7 @@ func (w *Worker) Run(ctx context.Context, conn net.Conn) error {
 	lg := w.Logger.With(obs.WorkerID(w.ID))
 	rec := w.recorder()
 	c := newCodecWith(conn, rec)
+	c.alias = true // the loop below is synchronous: recv, runBatch, recv
 	defer func() { _ = c.close() }()
 	// Unblock reads when ctx is cancelled.
 	stop := context.AfterFunc(ctx, func() { _ = conn.Close() })
@@ -450,8 +456,9 @@ func (w *Worker) runExec(ctx context.Context, t *Task) ([]byte, error) {
 		err error
 	}
 	done := make(chan execOut, 1)
+	payload := bytes.Clone(t.Payload) // the executor may outlive the receive buffer
 	go func() {
-		out, err := w.Exec(ectx, t.Payload)
+		out, err := w.Exec(ectx, payload)
 		done <- execOut{out, err}
 	}()
 	select {

@@ -5,10 +5,10 @@
 #   scripts/check.sh race       tier-2: vet + full test suite under -race
 #   scripts/check.sh bench      microbenchmarks -> BENCH_obs.json + BENCH_hmm.json + BENCH_wire.json; front-end layer benches printed
 #   scripts/check.sh chaos      chaos soak: seeded fault-injection schedules under -race
-#   scripts/check.sh wire       wire-codec smoke: round-trip/golden/v1-retirement tests, 10s FuzzDecode + sstd-master/sstd-worker with -batch 8
+#   scripts/check.sh wire       wire-codec smoke: round-trip/golden/v1-retirement tests, worker receive-buffer tests under -race, 10s FuzzDecode + sstd-master/sstd-worker with -batch 8
 #   scripts/check.sh flightrec  flight-recorder smoke: deadline-miss deep dive (FLIGHTREC_DIR keeps it) + SLO burn -> 3-lane trace (TELEMETRY_DIR keeps it)
 #   scripts/check.sh sched      sharded-scheduler tier: fairness/invariant tests + contention benches -> BENCH_sched.json + 100k-claim sweep
-#   scripts/check.sh accuracy   accuracy gate: SSTD rows of Tables III-V against the checked-in golden + HMM kernel equivalence + truth digests and decode payload goldens
+#   scripts/check.sh accuracy   accuracy gate: SSTD rows of Tables III-V against the checked-in golden + HMM kernel equivalence + ACS grid against Time.Sub + truth digests and decode payload goldens
 #   scripts/check.sh all        tier-1 + tier-2
 #
 # scripts/benchdiff.sh wraps the bench tier with a regression gate against
@@ -135,12 +135,17 @@ wire() {
 	# recv round-trip property, golden frame fixtures, the retired v1
 	# frames and unknown presence bits refused, rejection of damaged frames
 	# and non-frames, batching invariants with lock-step as a window of
-	# one), ten seconds of FuzzDecode past its seed corpus, then the
-	# shipped sstd-master and sstd-worker binaries over TCP — the whole
-	# cluster speaking the wire format end to end, lock-step and with
-	# -batch 8, and required to print the same truth both ways.
+	# one), the worker's receive buffer under -race (a budgeted executor
+	# that outlives its budget keeps its payload, echoed outputs survive
+	# the next frame, payloads cost recv no allocation), ten seconds of
+	# FuzzDecode past its seed corpus with the copying and aliasing
+	# decodes required to agree, then the shipped sstd-master and
+	# sstd-worker binaries over TCP — the whole cluster speaking the wire
+	# format end to end, lock-step and with -batch 8, and required to
+	# print the same truth both ways.
 	echo "== wire: round-trip/golden/v1-retirement codec tests + batching invariants =="
 	go test -count=1 -run 'TestWireRoundTrip|TestRoundTripCovers|TestGolden|TestWireV1Retired|TestBatch|TestPartialBatch|TestLockstepIsWindowOfOne|TestMidBatch|TestWireFrames|TestShiftBinary|TestBinary|TestNonFrame|FuzzDecode' ./internal/workqueue
+	go test -race -count=1 -run 'TestArena' ./internal/workqueue
 	go test -count=1 -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/workqueue
 	# What travels inside the frames: the goldens of both task kinds and
 	# their answers, the decoders' rejection table and the three fuzz
@@ -213,13 +218,14 @@ accuracy() {
 	# internal/experiments/testdata/accuracy_golden.json, then the checks
 	# that say why they hold — both emission families' kernels against the
 	# frozen reference at 1e-12, the pinned EM iteration counts on the
-	# benchmark's series, and the bits the distributed decode must keep:
-	# the eight truth digests and the decode payload goldens (the Gaussian
-	# `flips` truth among them).
+	# benchmark's series, the ACS grid's integer slot mapping against the
+	# Time.Sub definition it replaced, and the bits the distributed decode
+	# must keep: the eight truth digests and the decode payload goldens
+	# (the Gaussian `flips` truth among them).
 	echo "== accuracy: Tables III-V golden + kernel equivalence + truth bits =="
 	go test -count=1 -v -run 'TestAccuracyGolden' ./internal/experiments
 	go test -count=1 -run 'MatchesReference|TestPairPass' ./internal/hmm
-	go test -count=1 -run 'TestEMIterationCountsPinned' ./internal/core
+	go test -count=1 -run 'TestEMIterationCountsPinned|TestGridIndexMatchesSub' ./internal/core
 	go test -count=1 -run 'TestTruthDigestsMatchParent|TestGoldenPayloadsStable' ./internal/dtm
 }
 
