@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/social-sensing/sstd/internal/socialsensing"
@@ -99,6 +100,52 @@ func (g *Grid) Index(t time.Time) int {
 		d = t.Sub(g.origin)
 	}
 	return int(max(d, 0) / g.interval)
+}
+
+// GridCursor walks timestamps that mostly arrive in order. It remembers
+// the slot it last sought and the Unix seconds wholly inside that slot, so
+// its caller asks Index only for a timestamp outside them: Holds is one
+// compare pair, small enough to inline, where Index pays a 64-bit
+// division.
+type GridCursor struct {
+	g      *Grid
+	sec    int64
+	lo, hi int64 // the seconds [lo, hi) from the origin's lie in slot
+	slot   int
+}
+
+// Cursor returns a cursor over g that holds no timestamp yet.
+func (g *Grid) Cursor() GridCursor { return GridCursor{g: g, sec: g.sec} }
+
+// Holds reports whether t lies in Slot: Index(t) == Slot() when it does.
+func (c *GridCursor) Holds(t time.Time) bool {
+	s := t.Unix() - c.sec
+	return s >= c.lo && s < c.hi
+}
+
+// Slot is the slot of the timestamp last sought.
+func (c *GridCursor) Slot() int { return c.slot }
+
+// Seek returns Index(t) and makes it the cursor's slot.
+func (c *GridCursor) Seek(t time.Time) int {
+	g := c.g
+	c.slot, c.lo, c.hi = g.Index(t), 0, 0
+	if s := t.Unix() - c.sec; g.mono || s < -9e9 || s > 9e9 {
+		return c.slot // Index took Sub: wall seconds do not tell its slot
+	}
+	// Second s from the origin's spans the offsets [s·1e9 − nsec,
+	// (s+1)·1e9 − nsec), which Index computes without Sub for |s| ≤ 9e9.
+	// Keep the seconds whose offsets all lie in the slot: [k·iv, (k+1)·iv),
+	// and everything before the origin too for k = 0.
+	c.lo, c.hi = -9e9, 9e9+1
+	lo, iv := int64(c.slot)*int64(g.interval), int64(g.interval)
+	if c.slot > 0 {
+		c.lo = (lo + g.nsec + 1e9 - 1) / 1e9
+	}
+	if hi := lo + iv; hi > lo && hi <= math.MaxInt64-1e9 {
+		c.hi = min(c.hi, (hi+g.nsec)/1e9)
+	}
+	return c.slot
 }
 
 // Len returns the number of intervals currently covered.

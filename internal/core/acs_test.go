@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -178,12 +179,30 @@ func TestGridIndexMatchesSub(t *testing.T) {
 				stamps = append(stamps, ts, ts.Add(-1), ts.Add(1))
 			}
 			g := NewGrid(o, iv)
+			// A cursor holding a timestamp holds its slot: over the stamps
+			// as listed, where neighbours share a slot, and in time order.
+			cursorIndex := func(c *GridCursor, ts time.Time) int {
+				if c.Holds(ts) {
+					return c.Slot()
+				}
+				return c.Seek(ts)
+			}
+			cur, sorted := g.Cursor(), g.Cursor()
 			for _, ts := range stamps {
 				got, want := g.Index(ts), subIndex(ts, o, iv)
 				if got != want || want != beforeIndex(ts, o, iv) {
 					t.Fatalf("NewGrid(%v, %v).Index(%v) = %d, Sub-based slot %d, Before-guarded %d", o, iv, ts, got, want, beforeIndex(ts, o, iv))
 				}
+				if c := cursorIndex(&cur, ts); c != want {
+					t.Fatalf("NewGrid(%v, %v) cursor at %v: slot %d, Index %d", o, iv, ts, c, want)
+				}
 				checked++
+			}
+			slices.SortFunc(stamps, time.Time.Compare)
+			for _, ts := range stamps {
+				if c, want := cursorIndex(&sorted, ts), g.Index(ts); c != want {
+					t.Fatalf("NewGrid(%v, %v) cursor in time order at %v: slot %d, Index %d", o, iv, ts, c, want)
+				}
 			}
 		}
 	}
@@ -199,6 +218,13 @@ func TestGridIndexMatchesSub(t *testing.T) {
 		g := NewGrid(o, 1)
 		if got, want := g.Index(ts), subIndex(ts, o, 1); got != want {
 			t.Fatalf("monotonic origin %v: Index(%v) = %d, Sub-based slot %d", o, ts, got, want)
+		}
+		// Clocks this far apart can put a timestamp in a slot its wall
+		// clock does not: a cursor must not answer from wall seconds.
+		hours := NewGrid(o, time.Hour)
+		cur := hours.Cursor()
+		if cur.Seek(ts); cur.Holds(ts) {
+			t.Fatalf("monotonic origin %v: a cursor holds %v by its wall clock", o, ts)
 		}
 		diverged++
 	}

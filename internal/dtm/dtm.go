@@ -15,6 +15,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/social-sensing/sstd/internal/control"
@@ -206,6 +207,10 @@ type jobState struct {
 	// carried: its answer must be a timeline of exactly that length.
 	outputs              [][]byte
 	intervals, seriesLen int
+	// buf holds the job's payloads; retried marks a job one of whose tasks
+	// was sent more than once, whose payload memory is never reused.
+	buf     *jobBuf
+	retried bool
 	// priority is the scheduler weight the Manager last gave the job (shed
 	// lane or tuner LCK; zero: none yet). The master forgets a job whose
 	// scatter tasks have drained, so the decode task's submit re-applies it.
@@ -242,6 +247,8 @@ type Manager struct {
 	// missBurst trips a deep-dive dump when job deadline misses cluster.
 	fr        *flightrec.Ring
 	missBurst *flightrec.Burst
+	// recycled counts the job buffers put back into jobBufs.
+	recycled atomic.Int64
 
 	// Telemetry handles; all nil when telemetry is off.
 	tracer        *obs.Tracer
@@ -416,7 +423,8 @@ func (m *Manager) SubmitJob(claim socialsensing.ClaimID, reports []socialsensing
 	// Encode next: a report the codec refuses must fail the call before
 	// the job is registered, admitted or traced.
 	chunks := splitReports(reports, m.cfg.TasksPerJob)
-	payloads, intervals, err := encodeTasks(chunks, m.cfg.Origin, m.cfg.ACS.Interval)
+	buf := jobBufs.Get().(*jobBuf)
+	intervals, err := encodeTasks(buf, chunks, m.cfg.Origin, m.cfg.ACS.Interval)
 	if err != nil {
 		return obs.Wrap(fmt.Errorf("dtm: submit job %s: %w", jobID, err))
 	}
@@ -430,12 +438,13 @@ func (m *Manager) SubmitJob(claim socialsensing.ClaimID, reports []socialsensing
 		pending:   map[string]taskSlot{jobID + "/decode": {index: len(chunks)}},
 		outputs:   make([][]byte, len(chunks)),
 		intervals: intervals,
+		buf:       buf,
 	}
 	tasks := make([]workqueue.Task, len(chunks))
 	for i, chunk := range chunks {
 		taskID := fmt.Sprintf("%s/%d", jobID, i)
 		js.pending[taskID] = taskSlot{index: i, reports: len(chunk)}
-		tasks[i] = workqueue.Task{ID: taskID, JobID: jobID, Payload: payloads[i]}
+		tasks[i] = workqueue.Task{ID: taskID, JobID: jobID, Payload: buf.payloads[i]}
 	}
 	// Open the job's root span before publishing js: the collector may
 	// touch a finished job's span as soon as it is visible. The root span
@@ -480,7 +489,8 @@ func (m *Manager) SubmitJob(claim socialsensing.ClaimID, reports []socialsensing
 		task.Span, task.Trace = js.span.SpanID(), tc
 		if err := m.master.Submit(task); err != nil {
 			// Unregister: a job short of tasks would never complete. What
-			// was already enqueued runs for nobody and is dropped on arrival.
+			// was already enqueued runs for nobody and is dropped on
+			// arrival, and may still be sent: the buffer stays with the GC.
 			m.unregister(jobID)
 			js.span.SetAttr("error", err.Error())
 			js.span.Finish()
@@ -631,6 +641,10 @@ func (m *Manager) handleResult(ctx context.Context, r workqueue.Result) {
 	js.remaining = max(0, js.remaining-float64(slot.reports))
 	m.mu.Unlock()
 	// What follows touches only what the collector alone reads and writes.
+	if r.Retried {
+		// Another copy of the task may still be on its way to a worker.
+		js.buf, js.retried = new(jobBuf), true
+	}
 	if slot.index == js.tasks {
 		m.finalize(ctx, js, r)
 		return
@@ -666,15 +680,16 @@ func (m *Manager) handleResult(ctx context.Context, r workqueue.Result) {
 // hosts.
 const mergeShardCount = 4
 
-// mergeOutputs encodes a job's decode task, header first, from its scatter
-// outputs — outputs[i] from chunk i, through checkOutput against intervals,
-// nil for a lost task — and returns it with the length of the series it
-// carries. Chunk i folds into partial sum i%mergeShardCount in ascending
-// chunk order and the partial sums fold in shard order: a pure function of
-// the task set — float addition is not associative, so this is what keeps
-// the merged floats, and therefore the decoded truth, bit-identical however
-// the results arrived. Both buffers come from the pool and go back to it.
-func mergeOutputs(header []byte, outputs [][]byte, intervals int) (payload []byte, n int) {
+// mergeOutputs appends to dst a job's decode task, header first, from its
+// scatter outputs — outputs[i] from chunk i, through checkOutput against
+// intervals, nil for a lost task — and returns it with the length of the
+// series it carries. Chunk i folds into partial sum i%mergeShardCount in
+// ascending chunk order and the partial sums fold in shard order: a pure
+// function of the task set — float addition is not associative, so this is
+// what keeps the merged floats, and therefore the decoded truth,
+// bit-identical however the results arrived. Both float buffers come from
+// the pool and go back to it.
+func mergeOutputs(dst, header []byte, outputs [][]byte, intervals int) (payload []byte, n int) {
 	merged, shard := getFloats(intervals), getFloats(intervals)
 	defer floatPool.Put(merged)
 	defer floatPool.Put(shard)
@@ -695,7 +710,7 @@ func mergeOutputs(header []byte, outputs [][]byte, intervals int) (payload []byt
 			}
 		}
 	}
-	return encodeOutput(header, (*merged)[:n], 0), n
+	return appendOutput(append(dst, header...), (*merged)[:n], 0), n
 }
 
 // submitDecode starts a job's second phase once its last scatter result is
@@ -704,9 +719,10 @@ func (m *Manager) submitDecode(ctx context.Context, js *jobState) {
 	jobID := string(js.claim)
 	tp := m.fr.Start()
 	merge := m.tracer.NewSpan("merge "+jobID, js.span.SpanID())
-	var payload []byte
-	payload, js.seriesLen = mergeOutputs(m.decodeHeader, js.outputs, js.intervals)
-	js.outputs = nil
+	// Every scatter task has answered: unless one was sent twice, nothing
+	// reads the job's buffer any more, and the decode task reuses it.
+	payload, n := mergeOutputs(js.buf.bytes[:0], m.decodeHeader, js.outputs, js.intervals)
+	js.buf.bytes, js.seriesLen, js.outputs = payload, n, nil
 	merge.Finish()
 	m.fr.Probe(flightrec.ProbeDTMMerge, tp, int64(js.seriesLen), merge.SpanID())
 	js.decode = m.tracer.NewSpan("decode "+jobID, js.span.SpanID())
@@ -753,6 +769,10 @@ func (m *Manager) finish(ctx context.Context, js *jobState, res JobResult) {
 	res.Elapsed = time.Since(js.submitted)
 	res.MetDeadline = js.deadline == 0 || res.Elapsed <= js.deadline
 	m.unregister(string(js.claim))
+	if !js.retried {
+		jobBufs.Put(js.buf)
+		m.recycled.Add(1)
+	}
 	// Observe before emitting: whoever holds a JobResult may rely on the
 	// counters and the trace already including that job.
 	m.observeJob(js, res)

@@ -127,7 +127,7 @@ func TestMergeOrderIndependentBits(t *testing.T) {
 // output v1 that ends its decode task, folded into a dense buffer.
 func mergedSums(t testing.TB, outputs [][]byte, intervals int) []float64 {
 	t.Helper()
-	payload, n := mergeOutputs(nil, outputs, intervals)
+	payload, n := mergeOutputs(nil, nil, outputs, intervals)
 	got, err := checkOutput(payload, max(n, 1))
 	if err != nil || got != n {
 		t.Fatalf("decode task carries a series of %d, %v; the merge says %d", got, err, n)

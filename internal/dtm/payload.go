@@ -2,33 +2,39 @@ package dtm
 
 // payload.go is the task codec — the one place that knows what a TD job's
 // two kinds of task and their results look like on the wire. A scatter
-// task carries one chunk of reports: per report only the ACS interval it
-// falls in and its contribution score ρ·(1−κ)·η, computed once at submit,
-// as two columns — no claim id, source, timestamp or text leaves the
-// master, and one score column is cheaper to encode, checksum, copy and
-// decode than ρ, κ and η. The encoder visits each report once, storing its
-// core.Grid slot and its score in pooled columns, then writes the payloads
-// from the columns. The decode task is the job's last: its merged
-// sums plus all a stateless worker needs to turn them into a truth
-// timeline — the Eq. 4 window and the decoder configuration.
+// task carries one chunk of reports: per report only its contribution
+// score ρ·(1−κ)·η, computed once at submit, and the ACS interval it falls
+// in — no claim id, source, timestamp or text leaves the master, and one
+// score column is cheaper to encode, checksum, copy and decode than ρ, κ
+// and η. Reports arrive in time order, so the intervals travel as runs:
+// a run is one slot and how many consecutive reports fall in it. The
+// encoder visits each report once, writing its score straight into the
+// job's buffer and counting it into the current run; only a report outside
+// the seconds the last slot holds costs a core.Grid lookup. The scores
+// come first because their column's size is known before the visit and
+// the runs' is not. The decode task is the job's last: its merged sums
+// plus all a stateless worker needs to turn them into a truth timeline —
+// the Eq. 4 window and the decoder configuration.
 //
-//	task v1:   0x01 | uvarint n | uvarint base | uvarint span |
-//	           n × zigzag-varint Δidx (the first relative to base) |
-//	           n × float64-LE score
+//	task v2:   0x03 | uvarint n | n × float64-LE score | uvarint base |
+//	           uvarint span | uvarint r | r × (zigzag-varint Δidx,
+//	           uvarint count), the first Δidx relative to base
 //	output v1: 0x01 | uvarint k | k × (uvarint Δidx, float64-LE sum)
 //	decode v1: 0x02 | uvarints window, emission kind, max iterations,
 //	           freeze emissions (0 or 1), #thresholds | float64-LE
 //	           tolerance, smoothing A, B, π, thresholds | output v1
 //	truth v1:  0x01 | uvarint T | first value | uvarint run lengths
 //
-// The first byte of a task is its kind. Every index of a scatter task lies
-// in [base, base+span). An output lists, strictly ascending (the first
-// Δidx is the index itself), every interval whose sum is non-zero plus
-// always the highest touched, so the length of the job's series survives a
-// trailing zero sum. A timeline's runs alternate from the first value, none
-// is empty and they sum to T. The decoders read outside input: they
-// allocate nothing from a length they have not checked against the bytes
-// that remain or a fixed cap.
+// The first byte of a task is its kind; task v1 (0x01, an index per
+// report) is refused. Every index of a scatter task lies in [base,
+// base+span), every count is at least one and the counts sum to n: run i
+// covers the next count scores, in report order. An output lists,
+// strictly ascending (the first Δidx is the index itself), every interval
+// whose sum is non-zero plus always the highest touched, so the length of
+// the job's series survives a trailing zero sum. A timeline's runs
+// alternate from the first value, none is empty and they sum to T. The
+// decoders read outside input: they allocate nothing from a length they
+// have not checked against the bytes that remain or a fixed cap.
 
 import (
 	"context"
@@ -48,11 +54,12 @@ import (
 	"github.com/social-sensing/sstd/internal/workqueue"
 )
 
-// payloadVersion opens a scatter task, an output and a truth timeline;
-// kindDecode opens a decode task.
+// payloadVersion opens an output and a truth timeline; kindDecode opens a
+// decode task and kindScatter a scatter task.
 const (
 	payloadVersion byte = 1
 	kindDecode     byte = 2
+	kindScatter    byte = 3
 )
 
 // maxSpan caps the interval range one task may touch. The worker folds
@@ -91,103 +98,99 @@ func splitReports(reports []socialsensing.Report, n int) [][]socialsensing.Repor
 
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// varintLen is the encoded size of binary.AppendVarint(nil, int64(d)).
-func varintLen(d int) int { return uvarintLen(uint64(d<<1) ^ uint64(d>>63)) }
+// jobBufs recycles the jobs' payload memory.
+var jobBufs = sync.Pool{New: func() any { return new(jobBuf) }}
 
-// columnPool recycles encodeTasks' scratch: each report's slot and score.
-var columnPool = sync.Pool{New: func() any { return new(columns) }}
-
-type columns struct {
-	idx    []int
-	scores []float64
+// jobBuf is one job's payload memory. encodeTasks writes the scatter
+// payloads into bytes, and once every one is answered the decode task
+// reuses it. The Manager puts it back into jobBufs only when the job ends
+// with no task ever sent twice: a requeued task's copy may still be on its
+// way to a worker, so such a job leaves its buffer to the GC. That holds
+// because no conn keeps what Write was given once it returns: the codec
+// copies each payload into its frame.
+type jobBuf struct {
+	bytes    []byte
+	payloads [][]byte // views of bytes, one per chunk
+	runs     []run    // one chunk's runs while it is encoded
 }
 
-// encodeTasks encodes one task payload per chunk of a job's reports, all
-// in a single buffer, and reports the number of grid intervals the job
-// spans — the bound handleResult holds the tasks' outputs to. A NaN or ±Inf
-// contribution score is an error naming the claim and the report's
-// position in the job: it would poison every window it falls in.
-func encodeTasks(chunks [][]socialsensing.Report, origin time.Time, interval time.Duration) (payloads [][]byte, intervals int, err error) {
+// run is a slot and how many consecutive reports fall in it.
+type run struct{ slot, count int }
+
+// encodeTasks encodes one task payload per chunk of a job's reports into
+// jb, and reports the number of grid intervals the job spans — the bound
+// handleResult holds the tasks' outputs to. A NaN or ±Inf contribution
+// score is an error naming the claim and the report's position in the
+// job: it would poison every window it falls in.
+func encodeTasks(jb *jobBuf, chunks [][]socialsensing.Report, origin time.Time, interval time.Duration) (intervals int, err error) {
 	if interval <= 0 {
-		return nil, 0, errors.New("dtm: task encoding needs a positive interval")
+		return 0, errors.New("dtm: task encoding needs a positive interval")
 	}
-	col := columnPool.Get().(*columns)
-	defer columnPool.Put(col)
-	n := 0
-	for _, chunk := range chunks {
-		n += len(chunk)
-	}
-	col.idx, col.scores = slices.Grow(col.idx[:0], n)[:n], slices.Grow(col.scores[:0], n)[:n]
 	grid := core.NewGrid(origin, interval)
-	// The one visit of each report: its slot and score into the columns,
-	// and each chunk's index range and encoded size, so the job gets one
-	// buffer of exactly the size its payloads fill.
-	type layout struct{ base, span int }
-	layouts := make([]layout, len(chunks))
-	size, seen := 0, 0
-	for c, chunk := range chunks {
-		first, lo, hi, prev := 0, 0, -1, 0
+	cursor := grid.Cursor()
+	buf, seen := jb.bytes[:0], 0
+	var endBuf [8]int
+	ends := endBuf[:0]
+	for _, chunk := range chunks {
+		buf = binary.AppendUvarint(append(buf, kindScatter), uint64(len(chunk)))
+		at := len(buf)
+		buf = slices.Grow(buf, 8*len(chunk))[:at+8*len(chunk)]
+		// The one visit of each report: its score into the payload, its
+		// slot into the current run or a new one.
+		scores, runs, lo, hi := buf[at:], jb.runs[:0], math.MaxInt, -1
 		for i := range chunk {
 			// Eq. 1 through the pointer: ContributionScore's value receiver
 			// would copy all 96 bytes of the report.
 			r := &chunk[i]
 			s := float64(r.Attitude) * (1 - r.Uncertainty) * r.Independence
 			if s-s != 0 {
-				return nil, 0, fmt.Errorf("dtm: claim %s report %d: contribution score is %v", r.Claim, seen+i, s)
+				return 0, fmt.Errorf("dtm: claim %s report %d: contribution score is %v", r.Claim, seen+i, s)
 			}
-			idx := grid.Index(r.Timestamp)
-			col.idx[seen+i], col.scores[seen+i] = idx, s
-			if i == 0 {
-				first, lo, hi = idx, idx, idx
+			binary.LittleEndian.PutUint64(scores[8*i:], math.Float64bits(s))
+			slot := cursor.Slot()
+			if !cursor.Holds(r.Timestamp) {
+				slot = cursor.Seek(r.Timestamp)
+			}
+			if len(runs) > 0 && runs[len(runs)-1].slot == slot {
+				runs[len(runs)-1].count++
 			} else {
-				size += varintLen(idx - prev)
-				lo, hi = min(lo, idx), max(hi, idx)
+				runs = append(runs, run{slot, 1})
+				lo, hi = min(lo, slot), max(hi, slot)
 			}
-			prev = idx
 		}
 		seen += len(chunk)
-		l := layout{base: lo, span: hi - lo + 1}
-		if l.span > maxSpan {
-			return nil, 0, fmt.Errorf("dtm: a task spans %d intervals, more than the %d one task can carry", l.span, maxSpan)
+		jb.runs, lo = runs, min(lo, hi+1) // an empty chunk has base 0, span 0
+		if span := hi - lo + 1; span > maxSpan {
+			return 0, fmt.Errorf("dtm: a task spans %d intervals, more than the %d one task can carry", span, maxSpan)
 		}
-		layouts[c] = l
-		intervals = max(intervals, l.base+l.span)
-		size += 1 + uvarintLen(uint64(len(chunk))) + uvarintLen(uint64(l.base)) + uvarintLen(uint64(l.span)) + 8*len(chunk)
-		if len(chunk) > 0 {
-			size += varintLen(first - lo)
+		intervals = max(intervals, hi+1)
+		buf = binary.AppendUvarint(binary.AppendUvarint(buf, uint64(lo)), uint64(hi-lo+1))
+		buf = binary.AppendUvarint(buf, uint64(len(runs)))
+		prev := lo
+		for _, r := range runs {
+			buf = binary.AppendUvarint(binary.AppendVarint(buf, int64(r.slot-prev)), uint64(r.count))
+			prev = r.slot
 		}
+		ends = append(ends, len(buf))
 	}
 	if intervals > maxSpan {
-		return nil, 0, fmt.Errorf("dtm: the job spans %d intervals, more than the %d its decode task can carry", intervals, maxSpan)
+		return 0, fmt.Errorf("dtm: the job spans %d intervals, more than the %d its decode task can carry", intervals, maxSpan)
 	}
-	buf := make([]byte, 0, size)
-	payloads = make([][]byte, len(chunks))
-	seen = 0
-	for c, chunk := range chunks {
-		start := len(buf)
-		buf = append(buf, payloadVersion)
-		buf = binary.AppendUvarint(buf, uint64(len(chunk)))
-		buf = binary.AppendUvarint(buf, uint64(layouts[c].base))
-		buf = binary.AppendUvarint(buf, uint64(layouts[c].span))
-		prev := layouts[c].base
-		for _, idx := range col.idx[seen : seen+len(chunk)] {
-			buf = binary.AppendVarint(buf, int64(idx-prev))
-			prev = idx
-		}
-		for _, s := range col.scores[seen : seen+len(chunk)] {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s))
-		}
-		seen += len(chunk)
-		payloads[c] = buf[start:len(buf):len(buf)]
+	// Views only now: appending may have moved the bytes.
+	jb.bytes, jb.payloads = buf, jb.payloads[:0]
+	start := 0
+	for _, end := range ends {
+		jb.payloads = append(jb.payloads, buf[start:end:end])
+		start = end
 	}
-	return payloads, intervals, nil
+	return intervals, nil
 }
 
-// taskView is a task payload with its header decoded and its two columns
+// taskView is a scatter task with its header decoded and its two columns
 // located; the columns' contents are not yet checked.
 type taskView struct {
-	n, base, span int
-	idx, scores   []byte
+	n, base, span, runs int
+	scores, col         []byte
 }
 
 // header reads the first byte, which must be kind, and then fields
@@ -199,7 +202,12 @@ func header(p []byte, kind byte, fields ...*uint64) (int, error) {
 	if p[0] != kind {
 		return 0, errors.New("unknown version")
 	}
-	off := 1
+	return uvarints(p, 1, fields...)
+}
+
+// uvarints reads fields uvarints from p at off, returning the offset of
+// what follows them.
+func uvarints(p []byte, off int, fields ...*uint64) (int, error) {
 	for _, f := range fields {
 		v, w := binary.Uvarint(p[off:])
 		if w <= 0 {
@@ -211,23 +219,30 @@ func header(p []byte, kind byte, fields ...*uint64) (int, error) {
 }
 
 func parseTask(p []byte) (taskView, error) {
-	var n, base, span uint64
-	off, err := header(p, payloadVersion, &n, &base, &span)
+	var n, base, span, runs uint64
+	off, err := header(p, kindScatter, &n)
 	if err != nil {
 		return taskView{}, err
 	}
-	// A report is at least one index byte and eight score bytes.
-	if n > uint64(len(p)-off)/9 {
+	if n > uint64(len(p)-off)/8 {
 		return taskView{}, errors.New("count exceeds the bytes that follow")
 	}
-	if span > maxSpan {
-		return taskView{}, errors.New("interval span over the cap")
+	scores := p[off : off+8*int(n)]
+	off, err = uvarints(p, off+len(scores), &base, &span, &runs)
+	switch {
+	case err != nil:
+	case span > maxSpan:
+		err = errors.New("interval span over the cap")
+	case base > math.MaxInt64-maxSpan:
+		err = errors.New("interval index out of range")
+	// A run covers at least one report and takes at least two bytes.
+	case runs > n || runs > uint64(len(p)-off)/2:
+		err = errors.New("more runs than reports or bytes")
 	}
-	if base > math.MaxInt64-maxSpan {
-		return taskView{}, errors.New("interval index out of range")
+	if err != nil {
+		return taskView{}, err
 	}
-	scores := len(p) - 8*int(n)
-	return taskView{n: int(n), base: int(base), span: int(span), idx: p[off:scores], scores: p[scores:]}, nil
+	return taskView{n: int(n), base: int(base), span: int(span), runs: int(runs), scores: scores, col: p[off:]}, nil
 }
 
 // floatPool recycles the dense per-interval buffers of both sides: the
@@ -284,10 +299,6 @@ func executeTask(ctx context.Context, payload []byte, perReport time.Duration) (
 			}
 		}
 	}
-	if t.n == 0 {
-		decode.Finish()
-		return []byte{payloadVersion, 0}, nil
-	}
 	buf := getFloats(t.span)
 	defer floatPool.Put(buf)
 	top, err := t.scatter(*buf)
@@ -295,9 +306,12 @@ func executeTask(ctx context.Context, payload []byte, perReport time.Duration) (
 		return nil, obs.Wrap(malformed("payload", err))
 	}
 	decode.Finish()
+	if t.n == 0 {
+		return []byte{payloadVersion, 0}, nil
+	}
 
 	encode := workqueue.StartStageSpan(ctx, workqueue.StageEncode)
-	out := encodeOutput(nil, (*buf)[:top+1], t.base)
+	out := appendOutput(nil, (*buf)[:top+1], t.base)
 	encode.Finish()
 	return out, nil
 }
@@ -343,30 +357,46 @@ func executeDecode(ctx context.Context, payload []byte) ([]byte, error) {
 
 // scatter adds the task's scores into sums — span zeroed slots, slot 0
 // being interval base — in report order, so each interval sees its addends
-// in the order the reports were submitted. It returns the highest slot
-// touched.
+// in the order the reports were submitted: a run's scores one after the
+// other into its slot. It returns the highest slot touched.
 func (t taskView) scatter(sums []float64) (top int, err error) {
-	off, at := 0, 0
-	for i := 0; i < t.n; i++ {
-		d, w := binary.Varint(t.idx[off:])
+	off, at, i := 0, 0, 0
+	for k := 0; k < t.runs; k++ {
+		d, w := binary.Varint(t.col[off:])
 		if w <= 0 {
-			return 0, errors.New("index and score columns do not fill the payload")
+			return 0, errors.New("truncated run")
+		}
+		off += w
+		c, w := binary.Uvarint(t.col[off:])
+		if w <= 0 {
+			return 0, errors.New("truncated run")
 		}
 		off += w
 		// at is inside [0, span), so neither bound can wrap.
 		if d < int64(-at) || d >= int64(t.span-at) {
 			return 0, errors.New("interval index out of range")
 		}
+		if c == 0 || c > uint64(t.n-i) {
+			return 0, errors.New("run counts do not sum to the report count")
+		}
 		at += int(d)
 		top = max(top, at)
-		s := math.Float64frombits(binary.LittleEndian.Uint64(t.scores[8*i:]))
-		if s-s != 0 {
-			return 0, errors.New("score is not finite")
+		acc := sums[at]
+		for run := t.scores[8*i : 8*(i+int(c))]; len(run) >= 8; run = run[8:] {
+			s := math.Float64frombits(binary.LittleEndian.Uint64(run))
+			if s-s != 0 {
+				return 0, errors.New("score is not finite")
+			}
+			acc += s
 		}
-		sums[at] += s
+		sums[at] = acc
+		i += int(c)
 	}
-	if off != len(t.idx) {
-		return 0, errors.New("index and score columns do not fill the payload")
+	if i != t.n {
+		return 0, errors.New("run counts do not sum to the report count")
+	}
+	if off != len(t.col) {
+		return 0, errors.New("trailing bytes")
 	}
 	return top, nil
 }
@@ -377,9 +407,10 @@ func malformed(what string, err error) error {
 	return workqueue.StageError(workqueue.StageDecode, fmt.Errorf("dtm: bad task %s: %w", what, err))
 }
 
-// encodeOutput returns prefix followed by sums, slot 0 being interval
-// base, as an output v1: the non-zero sums and always the last.
-func encodeOutput(prefix []byte, sums []float64, base int) []byte {
+// appendOutput appends sums, slot 0 being interval base, to dst as an
+// output v1: the non-zero sums and always the last. It grows dst at most
+// once.
+func appendOutput(dst []byte, sums []float64, base int) []byte {
 	last := len(sums) - 1
 	k, size, prev := 0, 0, 0
 	for i, s := range sums {
@@ -387,16 +418,12 @@ func encodeOutput(prefix []byte, sums []float64, base int) []byte {
 			k, size, prev = k+1, size+uvarintLen(uint64(base+i-prev))+8, base+i
 		}
 	}
-	out := make([]byte, len(prefix)+1+uvarintLen(uint64(k))+size)
-	off := copy(out, prefix)
-	out[off] = payloadVersion
-	off += 1 + binary.PutUvarint(out[off+1:], uint64(k))
+	out := binary.AppendUvarint(append(slices.Grow(dst, 1+uvarintLen(uint64(k))+size), payloadVersion), uint64(k))
 	prev = 0
 	for i, s := range sums {
 		if s != 0 || i == last {
-			off += binary.PutUvarint(out[off:], uint64(base+i-prev))
-			binary.LittleEndian.PutUint64(out[off:], math.Float64bits(s))
-			off, prev = off+8, base+i
+			out = binary.LittleEndian.AppendUint64(binary.AppendUvarint(out, uint64(base+i-prev)), math.Float64bits(s))
+			prev = base + i
 		}
 	}
 	return out

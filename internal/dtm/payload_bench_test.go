@@ -37,22 +37,37 @@ func abs(x int) int { return max(x, -x) }
 
 var benchSink int
 
+// reportNsPerReport adds b's time per report to its row: one op handles
+// the job's reports, divided between its chunks parts.
+func reportNsPerReport(b *testing.B, chunks [][]socialsensing.Report, parts int) {
+	reports := 0
+	for _, c := range chunks {
+		reports += len(c)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())*float64(parts)/float64(b.N)/float64(reports), "ns/report")
+}
+
+// BenchmarkWireTaskEncode is SubmitJob's encode of the whole job per op:
+// a buffer from the pool, all four payloads into it, the buffer back.
 func BenchmarkWireTaskEncode(b *testing.B) {
 	chunks, origin := benchJob(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		payloads, _, err := encodeTasks(chunks[i%4:i%4+1], origin, time.Hour)
-		if err != nil {
+		buf := jobBufs.Get().(*jobBuf)
+		if _, err := encodeTasks(buf, chunks, origin, time.Hour); err != nil {
 			b.Fatal(err)
 		}
-		benchSink += len(payloads[0])
+		benchSink += len(buf.payloads[0])
+		jobBufs.Put(buf)
 	}
+	reportNsPerReport(b, chunks, 1)
 }
 
+// BenchmarkWireTaskExec executes one of the job's scatter tasks per op.
 func BenchmarkWireTaskExec(b *testing.B) {
 	chunks, origin := benchJob(b)
-	payloads, _, err := encodeTasks(chunks, origin, time.Hour)
+	payloads, _, err := encodeJob(chunks, origin, time.Hour)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -66,11 +81,12 @@ func BenchmarkWireTaskExec(b *testing.B) {
 		}
 		benchSink += len(out)
 	}
+	reportNsPerReport(b, chunks, len(chunks))
 }
 
 func BenchmarkWireOutputFold(b *testing.B) {
 	chunks, origin := benchJob(b)
-	payloads, intervals, err := encodeTasks(chunks, origin, time.Hour)
+	payloads, intervals, err := encodeJob(chunks, origin, time.Hour)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -116,7 +132,7 @@ func benchOutputs(b *testing.B, scale float64, grid time.Duration) (outputs [][]
 		}
 		chunks, origin = splitReports(tr.ReportsByClaim()[tr.Claims[0].ID], 4), tr.Start
 	}
-	payloads, intervals, err := encodeTasks(chunks, origin, grid)
+	payloads, intervals, err := encodeJob(chunks, origin, grid)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -140,7 +156,7 @@ func BenchmarkWireDecodeTaskEncode(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				payload, n := mergeOutputs(benchHeader, outputs, intervals)
+				payload, n := mergeOutputs(nil, benchHeader, outputs, intervals)
 				benchSink += len(payload) + n
 			}
 		})
@@ -155,7 +171,7 @@ func BenchmarkWireDecodeTaskExec(b *testing.B) {
 	for _, shape := range decodeShapes {
 		b.Run(shape.name, func(b *testing.B) {
 			outputs, intervals := benchOutputs(b, shape.scale, shape.grid)
-			payload, _ := mergeOutputs(benchHeader, outputs, intervals)
+			payload, _ := mergeOutputs(nil, benchHeader, outputs, intervals)
 			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -174,7 +190,7 @@ func BenchmarkWireDecodeKernel(b *testing.B) {
 	for _, shape := range decodeShapes {
 		b.Run(shape.name, func(b *testing.B) {
 			outputs, intervals := benchOutputs(b, shape.scale, shape.grid)
-			payload, n := mergeOutputs(benchHeader, outputs, intervals)
+			payload, n := mergeOutputs(nil, benchHeader, outputs, intervals)
 			end, window, dec, err := parseDecodeHeader(payload)
 			if err != nil {
 				b.Fatal(err)
@@ -201,7 +217,7 @@ func BenchmarkWireTruthExpand(b *testing.B) {
 	for _, shape := range decodeShapes {
 		b.Run(shape.name, func(b *testing.B) {
 			outputs, intervals := benchOutputs(b, shape.scale, shape.grid)
-			payload, n := mergeOutputs(benchHeader, outputs, intervals)
+			payload, n := mergeOutputs(nil, benchHeader, outputs, intervals)
 			out, err := ExecuteTask(context.Background(), payload)
 			if err != nil {
 				b.Fatal(err)

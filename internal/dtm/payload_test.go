@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -23,8 +24,16 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden task payloads and outputs under testdata")
 
-// goldenChunks are the fixtures behind testdata/task_v1_*.bin and
-// output_v1_*.bin, on a one-minute grid from origin().
+// encodeJob is encodeTasks into a buffer of its own.
+func encodeJob(chunks [][]socialsensing.Report, origin time.Time, interval time.Duration) ([][]byte, int, error) {
+	var buf jobBuf
+	intervals, err := encodeTasks(&buf, chunks, origin, interval)
+	return buf.payloads, intervals, err
+}
+
+// goldenChunks are the fixtures behind testdata/task_v2_*.bin and
+// output_v1_*.bin, on a one-minute grid from origin(). The retired
+// task_v1_*.bin encode the same chunks one index per report.
 func goldenChunks() map[string][]socialsensing.Report {
 	at := func(d time.Duration, att socialsensing.Attitude) socialsensing.Report {
 		return socialsensing.Report{
@@ -97,19 +106,27 @@ func goldenDecodes() map[string]struct {
 	}
 }
 
-// TestGoldenPayloadsStable freezes the four v1 layouts: re-encoding the
+// TestGoldenPayloadsStable freezes the four layouts: re-encoding the
 // fixtures must reproduce the checked-in bytes, and executing a checked-in
-// task must reproduce the checked-in answer. Regenerate with -update only
-// together with a version bump.
+// task must reproduce the checked-in answer — a v2 task the very output
+// its v1 twin was answered with, while the v1 twin itself is refused.
+// Regenerate with -update only together with a version bump.
 func TestGoldenPayloadsStable(t *testing.T) {
 	for name, chunk := range goldenChunks() {
-		payloads, intervals, err := encodeTasks([][]socialsensing.Report{chunk}, origin(), time.Minute)
+		payloads, intervals, err := encodeJob([][]socialsensing.Report{chunk}, origin(), time.Minute)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		task := goldenFile(t, "task_v1_"+name+".bin", payloads[0])
+		task := goldenFile(t, "task_v2_"+name+".bin", payloads[0])
 		if !bytes.Equal(payloads[0], task) {
 			t.Errorf("%s: task payload %x, golden %x", name, payloads[0], task)
+		}
+		v1, err := os.ReadFile(filepath.Join("testdata", "task_v1_"+name+".bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, err := ExecuteTask(context.Background(), v1); err == nil || !strings.Contains(err.Error(), "unknown version") {
+			t.Errorf("%s: task v1 answered %x, %v; want it refused as an unknown version", name, out, err)
 		}
 		out, err := ExecuteTask(context.Background(), task)
 		if err != nil {
@@ -130,7 +147,12 @@ func TestGoldenPayloadsStable(t *testing.T) {
 		for idx, v := range g.sums {
 			dense[idx] = v
 		}
-		payload, n := mergeOutputs(appendDecodeHeader(nil, 3, g.cfg), [][]byte{outputOf(dense)}, len(g.sums))
+		payload, n := mergeOutputs(nil, appendDecodeHeader(nil, 3, g.cfg), [][]byte{outputOf(dense)}, len(g.sums))
+		// Appended to what a buffer already holds, the same bytes.
+		held := []byte("scatter payloads")
+		if again, _ := mergeOutputs(held, appendDecodeHeader(nil, 3, g.cfg), [][]byte{outputOf(dense)}, len(g.sums)); !bytes.Equal(again[len(held):], payload) {
+			t.Errorf("%s: decode task appended to a buffer %x, alone %x", name, again[len(held):], payload)
+		}
 		task := goldenFile(t, "decode_v1_"+name+".bin", payload)
 		if !bytes.Equal(payload, task) || n != len(g.sums) {
 			t.Errorf("%s: decode task %x of %d intervals, golden %x of %d", name, payload, n, task, len(g.sums))
@@ -190,7 +212,7 @@ func TestCodecMatchesMapReferenceBits(t *testing.T) {
 		for _, tasks := range []int{1, 3, 4, 8} {
 			for _, grid := range []time.Duration{time.Minute, time.Hour} {
 				chunks := splitReports(reports, tasks)
-				payloads, intervals, err := encodeTasks(chunks, tr.Start, grid)
+				payloads, intervals, err := encodeJob(chunks, tr.Start, grid)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -214,6 +236,114 @@ func TestCodecMatchesMapReferenceBits(t *testing.T) {
 	}
 }
 
+// TestScatterMatchesMapReference is the property behind task v2's run
+// column: over generated chunks of every shape it has to get right, the
+// executed scatter task answers byte for byte the output of the map-based
+// reference's sums — every slot whose sum is non-zero, and the highest.
+func TestScatterMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	// at makes one report per minute offset, a score of wildly varying
+	// magnitude each, so a changed addend order shows in the low bits.
+	at := func(minutes ...float64) []socialsensing.Report {
+		out := make([]socialsensing.Report, len(minutes))
+		for i, m := range minutes {
+			out[i] = socialsensing.Report{
+				Claim: "p", Timestamp: origin().Add(time.Duration(m * float64(time.Minute))),
+				Attitude: socialsensing.Attitude(1 - 2*rng.Intn(2)), Uncertainty: rng.Float64(),
+				Independence: rng.Float64() * math.Pow(10, float64(rng.Intn(9)-4)),
+			}
+		}
+		return out
+	}
+	spread := func(n int, lo, hi float64) []float64 {
+		m := make([]float64, n)
+		for i := range m {
+			m[i] = lo + rng.Float64()*(hi-lo)
+		}
+		return m
+	}
+	repeat := func(m float64, n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = m
+		}
+		return out
+	}
+	shapes := []struct {
+		name string
+		gen  func() []socialsensing.Report
+	}{
+		{"empty", func() []socialsensing.Report { return nil }},
+		{"single report", func() []socialsensing.Report { return at(rng.Float64() * 100) }},
+		{"sorted", func() []socialsensing.Report {
+			m := spread(1+rng.Intn(500), 0, 200)
+			slices.Sort(m)
+			return at(m...)
+		}},
+		{"shuffled", func() []socialsensing.Report { return at(spread(1+rng.Intn(500), 0, 200)...) }},
+		{"one slot", func() []socialsensing.Report {
+			k := float64(rng.Intn(50))
+			return at(spread(1+rng.Intn(300), k, k+0.999)...)
+		}},
+		{"alternating slots", func() []socialsensing.Report {
+			m := make([]float64, 2+rng.Intn(100))
+			for i := range m {
+				m[i] = float64(7 + i%2)
+			}
+			return at(m...)
+		}},
+		{"before the origin", func() []socialsensing.Report {
+			m := spread(1+rng.Intn(200), -30, 10)
+			slices.Sort(m)
+			return at(m...)
+		}},
+		{"duplicate timestamps", func() []socialsensing.Report {
+			m := make([]float64, 0, 64)
+			for len(m) < 60 {
+				m = append(m, repeat(float64(rng.Intn(20)), 1+rng.Intn(4))...)
+			}
+			return at(m...)
+		}},
+		// zigzag(±63) and zigzag(-64) take one byte, zigzag(64) and
+		// zigzag(-65) two.
+		{"Δ across the varint boundary", func() []socialsensing.Report {
+			return at(0, 63, 126, 63, 127, 63, 128, 64, 0, 129, 64)
+		}},
+		{"counts across the varint boundary", func() []socialsensing.Report {
+			var m []float64
+			for _, n := range []int{127, 128, 1, 129, 255, 256} {
+				m = append(m, repeat(float64(rng.Intn(10)), n)...)
+			}
+			return at(m...)
+		}},
+	}
+	for trial := 0; trial < 20; trial++ {
+		for _, shape := range shapes {
+			chunk := shape.gen()
+			payloads, _, err := encodeJob([][]socialsensing.Report{chunk}, origin(), time.Minute)
+			if err != nil {
+				t.Fatalf("%s: %v", shape.name, err)
+			}
+			out, err := ExecuteTask(context.Background(), payloads[0])
+			if err != nil {
+				t.Fatalf("%s: %v", shape.name, err)
+			}
+			ref, top := refTaskSums(chunk, origin(), time.Minute), 0
+			for idx := range ref {
+				top = max(top, idx)
+			}
+			for idx, sum := range ref {
+				if sum == 0 && idx != top {
+					delete(ref, idx)
+				}
+			}
+			if want := outputOf(ref); !bytes.Equal(out, want) {
+				t.Fatalf("%s, trial %d: output %x, map reference %x", shape.name, trial, out, want)
+			}
+		}
+	}
+}
+
 // TestDecodersRejectMalformed hands both decoders the damage the wire
 // layer's parsers are held to. None may be accepted, panic or allocate
 // from an unchecked length.
@@ -232,22 +362,46 @@ func TestDecodersRejectMalformed(t *testing.T) {
 		return b
 	}
 	zz := func(d int64) byte { return byte(uint64(d<<1) ^ uint64(d>>63)) } // |d| < 64
+	// A scatter task: n and the scores, base, span and the run count, then
+	// the run column's bytes.
+	scatter := func(n uint64, scores []float64, base, span, runs uint64, col ...byte) []byte {
+		b := f64(binary.AppendUvarint([]byte{kindScatter}, n), scores...)
+		for _, v := range []uint64{base, span, runs} {
+			b = binary.AppendUvarint(b, v)
+		}
+		return append(b, col...)
+	}
 	tasks := map[string][]byte{
-		"empty":               nil,
-		"unknown kind":        {3, 0, 0, 0},
-		"truncated header":    {payloadVersion, 1, 0x80},
-		"n over bytes left":   f64(append(uv(3, 0, 1), 0, 0), 1, 1),
-		"huge n":              uv(math.MaxUint64, 0, 1),
-		"span over cap":       f64(append(uv(1, 0, maxSpan+1), 0), 1),
-		"base near overflow":  f64(append(uv(1, math.MaxInt64, 1), 0), 1),
-		"index below base":    f64(append(uv(1, 5, 2), zz(-1)), 1),
-		"index past span":     f64(append(uv(1, 5, 2), zz(2)), 1),
-		"index with no span":  f64(append(uv(1, 5, 0), zz(0)), 1),
-		"short score column":  f64(append(uv(2, 0, 1), 0x80, 0, 0), 1, 1)[:4+3+15],
-		"trailing bytes":      append(f64(append(uv(1, 0, 1), 0), 1), 0),
-		"score NaN":           f64(append(uv(1, 0, 1), 0), math.NaN()),
-		"score Inf":           f64(append(uv(1, 0, 1), 0), math.Inf(-1)),
-		"well-formed control": f64(append(uv(2, 5, 2), zz(1), zz(-1)), 1, 2),
+		"empty":                      nil,
+		"unknown kind":               {4, 0, 0, 0, 0},
+		"task v1":                    f64(append(uv(1, 0, 1), 0), 1),
+		"truncated header":           {kindScatter, 0x80},
+		"n over bytes left":          f64(binary.AppendUvarint([]byte{kindScatter}, 3), 1, 1),
+		"huge n":                     binary.AppendUvarint([]byte{kindScatter}, math.MaxUint64),
+		"no header after scores":     f64([]byte{kindScatter, 1}, 1),
+		"span over cap":              scatter(1, []float64{1}, 0, maxSpan+1, 1, zz(0), 1),
+		"base near overflow":         scatter(1, []float64{1}, math.MaxInt64, 1, 1, zz(0), 1),
+		"index below base":           scatter(1, []float64{1}, 5, 2, 1, zz(-1), 1),
+		"index past span":            scatter(1, []float64{1}, 5, 2, 1, zz(2), 1),
+		"index with no span":         scatter(1, []float64{1}, 5, 0, 1, zz(0), 1),
+		"walk leaves the span":       scatter(2, []float64{1, 1}, 5, 2, 2, zz(1), 1, zz(-2), 1),
+		"count 0":                    scatter(1, []float64{1}, 0, 1, 1, zz(0), 0),
+		"counts under n":             scatter(2, []float64{1, 1}, 0, 2, 1, zz(0), 1),
+		"counts over n":              scatter(2, []float64{1, 1}, 0, 2, 2, zz(0), 2, zz(1), 1),
+		"huge count":                 scatter(1, []float64{1}, 0, 1, 1, append([]byte{zz(0)}, binary.AppendUvarint(nil, math.MaxUint64)...)...),
+		"runs over n":                scatter(1, []float64{1}, 0, 1, 2, zz(0), 1, zz(0), 1),
+		"runs for no reports":        scatter(0, nil, 0, 1, 1, zz(0), 1),
+		"no runs":                    scatter(1, []float64{1}, 0, 1, 0),
+		"runs over bytes left":       scatter(2, []float64{1, 1}, 0, 2, 2, zz(0), 1, zz(1)),
+		"truncated run":              scatter(1, []float64{1}, 0, 1, 1, zz(0), 0x80),
+		"truncated second run":       scatter(2, []float64{1, 1}, 0, 2, 2, zz(0), 1, 0x80, 0x80),
+		"trailing bytes":             scatter(1, []float64{1}, 0, 1, 1, zz(0), 1, 0),
+		"trailing bytes, no reports": scatter(0, nil, 0, 0, 0, 0),
+		"score NaN":                  scatter(1, []float64{math.NaN()}, 0, 1, 1, zz(0), 1),
+		"score Inf mid-run":          scatter(3, []float64{1, math.Inf(-1), 1}, 0, 1, 1, zz(0), 3),
+		// Two runs of the span's two slots, the second back at the first:
+		// slot 6 gets 1+2, slot 5 gets 4.
+		"well-formed control": scatter(3, []float64{1, 2, 4}, 5, 2, 2, zz(1), 2, zz(-1), 1),
 	}
 	// A decode task: kind, five uvarints (window, emission kind, iteration
 	// bound, freeze flag, threshold count), the training floats and the
@@ -284,7 +438,7 @@ func TestDecodersRejectMalformed(t *testing.T) {
 	for name, p := range tasks {
 		out, err := ExecuteTask(context.Background(), p)
 		if name == "well-formed control" {
-			if err != nil || !bytes.Equal(out, outputOf(map[int]float64{5: 2, 6: 1})) {
+			if err != nil || !bytes.Equal(out, outputOf(map[int]float64{5: 4, 6: 3})) {
 				t.Errorf("task %q: %x, %v", name, out, err)
 			}
 			continue
@@ -515,25 +669,25 @@ func openSpans(tr *obs.Tracer) int {
 
 // TestCodecAllocs bounds the allocations of the hot paths: an executed
 // scatter task makes its output (and at most a scratch the pool did not
-// have), encoding a job costs the same few allocations however many
-// reports it carries (outside the race detector, whose pools drop what
-// they are given at random), and an executed decode task adds to what the
-// decode itself allocates its answer, its parameters and a decoder (four
-// allocations inside core.NewDecoder) — every buffer is pooled.
+// have), encoding a job into a buffer it has used before allocates
+// nothing however many reports it carries, and an executed decode task
+// adds to what the decode itself allocates its answer, its parameters and
+// a decoder (four allocations inside core.NewDecoder) — every buffer is
+// pooled.
 func TestCodecAllocs(t *testing.T) {
 	encode := func(n int) float64 {
 		chunks := splitReports(flipReports("c", n/10, n/20, 10, 0.1, 3), 4)
+		var buf jobBuf
 		return testing.AllocsPerRun(20, func() {
-			if _, _, err := encodeTasks(chunks, origin(), time.Minute); err != nil {
+			if _, err := encodeTasks(&buf, chunks, origin(), time.Minute); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	small, large := encode(100), encode(10000)
-	if !raceEnabled && (small != large || large > 3) {
-		t.Errorf("encodeTasks allocations: %v for 100 reports, %v for 10000; want equal and <= 3", small, large)
+	if small, large := encode(100), encode(10000); small != 0 || large != 0 {
+		t.Errorf("encodeTasks allocations into a used buffer: %v for 100 reports, %v for 10000; want 0", small, large)
 	}
-	payloads, _, err := encodeTasks(splitReports(flipReports("c", 1000, 500, 10, 0.1, 3), 4), origin(), time.Minute)
+	payloads, _, err := encodeJob(splitReports(flipReports("c", 1000, 500, 10, 0.1, 3), 4), origin(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +705,7 @@ func TestCodecAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	decode, n := mergeOutputs(appendDecodeHeader(nil, 3, core.DefaultDecoderConfig()), outputs, 1000)
+	decode, n := mergeOutputs(nil, appendDecodeHeader(nil, 3, core.DefaultDecoderConfig()), outputs, 1000)
 	end, window, dec, err := parseDecodeHeader(decode)
 	if err != nil {
 		t.Fatal(err)
@@ -603,10 +757,12 @@ func fuzzSeeds(f *testing.F, prefix string) {
 // FuzzDecodeTask drives arbitrary bytes through the executor: it must
 // never panic, and for whatever it accepts its answer must be what a
 // map-based reading of the same bytes gives — the sums of a scatter task,
-// the decoded timeline of a decode task.
+// the decoded timeline of a decode task. The retired task v1 vectors seed
+// it as inputs to refuse.
 func FuzzDecodeTask(f *testing.F) {
 	fuzzSeeds(f, "task_v1_")
 	fuzzSeeds(f, "decode_v1_")
+	fuzzSeeds(f, "task_v2_")
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		out, err := ExecuteTask(context.Background(), payload)
 		if err != nil {
@@ -616,7 +772,7 @@ func FuzzDecodeTask(f *testing.F) {
 			checkDecodeAnswer(t, payload, out)
 			return
 		}
-		// Accepted, so the header is sound; read the columns the slow way.
+		// Accepted, so the header is sound; read the runs the slow way.
 		task, err := parseTask(payload)
 		if err != nil {
 			t.Fatalf("executed a payload parseTask rejects: %v", err)
@@ -625,11 +781,14 @@ func FuzzDecodeTask(f *testing.F) {
 			t.Fatalf("%d output bytes for %d reports", len(out), task.n)
 		}
 		sums := make(map[int]float64)
-		at, idx, top := task.base, task.idx, 0
-		for i := 0; i < task.n; i++ {
-			d, w := binary.Varint(idx)
-			at, idx = at+int(d), idx[w:]
-			sums[at] += math.Float64frombits(binary.LittleEndian.Uint64(task.scores[8*i:]))
+		at, col, i, top := task.base, task.col, 0, 0
+		for k := 0; k < task.runs; k++ {
+			d, w := binary.Varint(col)
+			count, v := binary.Uvarint(col[w:])
+			at, col = at+int(d), col[w+v:]
+			for end := i + int(count); i < end; i++ {
+				sums[at] += math.Float64frombits(binary.LittleEndian.Uint64(task.scores[8*i:]))
+			}
 			top = max(top, at)
 		}
 		for at, sum := range sums {
@@ -764,10 +923,10 @@ func ExampleExecuteTask() {
 		{Claim: "c", Timestamp: origin().Add(2 * time.Minute), Attitude: socialsensing.Agree, Uncertainty: 0.5, Independence: 1},
 		{Claim: "c", Timestamp: origin().Add(2 * time.Minute), Attitude: socialsensing.Agree, Uncertainty: 0.5, Independence: 0.5},
 	}
-	payloads, intervals, _ := encodeTasks(splitReports(reports, 1), origin(), time.Minute)
+	payloads, intervals, _ := encodeJob(splitReports(reports, 1), origin(), time.Minute)
 	out, _ := ExecuteTask(context.Background(), payloads[0])
 	header := appendDecodeHeader(nil, 2, core.DefaultDecoderConfig())
-	decode, n := mergeOutputs(header, [][]byte{out}, intervals)
+	decode, n := mergeOutputs(nil, header, [][]byte{out}, intervals)
 	truth, _ := ExecuteTask(context.Background(), decode)
 	estimates, _ := decodeEstimates(truth, n, "c", origin(), time.Minute)
 	fmt.Println(len(payloads[0]), "payload bytes,", len(decode)-len(header), "bytes of merged sums,", len(truth), "truth bytes")
@@ -775,7 +934,7 @@ func ExampleExecuteTask() {
 		fmt.Println(e.Interval, e.Value)
 	}
 	// Output:
-	// 22 payload bytes, 11 bytes of merged sums, 4 truth bytes
+	// 23 payload bytes, 11 bytes of merged sums, 4 truth bytes
 	// 0 true
 	// 1 true
 	// 2 true

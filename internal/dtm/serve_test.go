@@ -1,11 +1,13 @@
 package dtm
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -86,8 +88,10 @@ func TestLateWorkerCompletesQueuedJob(t *testing.T) {
 
 // TestTCPWorkerDeathRequeuesSameBits kills one of two TCP workers'
 // connections while it holds a task — a scatter task in one run, the
-// decode task in the other: the master requeues it onto the survivor and
-// the job's estimates equal the pool-only run bit for bit.
+// decode task in the other: the master requeues it onto the survivor, the
+// survivor is sent the very bytes the victim held, and the job's estimates
+// equal the pool-only run bit for bit. The job that was sent a task twice
+// never puts its payload buffer back into the pool; the pool-only job does.
 func TestTCPWorkerDeathRequeuesSameBits(t *testing.T) {
 	cfg := DefaultConfig(origin())
 	cfg.ACS.WindowIntervals = 3
@@ -95,7 +99,7 @@ func TestTCPWorkerDeathRequeuesSameBits(t *testing.T) {
 	cfg.Workers = 2
 	cfg.RequeueBackoff = workqueue.BackoffConfig{Base: time.Millisecond, Max: 5 * time.Millisecond}
 	reports := flipReports("c1", 60, 25, 6, 0.1, 9)
-	run := func(t *testing.T, cfg Config, attach func(m *Manager) (wait func())) JobResult {
+	run := func(t *testing.T, cfg Config, attach func(m *Manager) (wait func())) (JobResult, int64) {
 		t.Helper()
 		m, err := New(cfg)
 		if err != nil {
@@ -112,35 +116,53 @@ func TestTCPWorkerDeathRequeuesSameBits(t *testing.T) {
 		if res.Err != nil || res.Degraded {
 			t.Fatalf("err=%v degraded=%t failed=%d", res.Err, res.Degraded, res.FailedTasks)
 		}
-		return res
+		return res, m.recycled.Load()
 	}
-	pool := run(t, cfg, func(*Manager) func() { return func() {} })
+	pool, recycled := run(t, cfg, func(*Manager) func() { return func() {} })
+	if recycled != 1 {
+		t.Fatalf("the pool-only job recycled %d buffers, want 1", recycled)
+	}
 
-	for phase, kind := range map[string]byte{"scatter": payloadVersion, "decode": kindDecode} {
+	for phase, kind := range map[string]byte{"scatter": kindScatter, "decode": kindDecode} {
 		t.Run(phase, func(t *testing.T) {
 			cfg := cfg
 			cfg.Workers = 0
 			cfg.Metrics = obs.NewRegistry()
-			tcp := run(t, cfg, func(m *Manager) func() {
+			var (
+				held     []byte   // the task the victim held, as it got it
+				survived [][]byte // every task of the kind the survivor got
+			)
+			tcp, recycled := run(t, cfg, func(m *Manager) func() {
 				addr := serveTCP(t, m)
 				// The victim is alone when the job arrives, so it holds a task of
 				// the kind when the survivor joins and its own connection is cut
 				// underneath it.
 				var (
-					conn         net.Conn
-					holding      = make(chan struct{})
-					cut          = make(chan struct{})
-					once         sync.Once
-					wg           sync.WaitGroup
-					waitSurvivor func()
+					conn    net.Conn
+					holding = make(chan struct{})
+					cut     = make(chan struct{})
+					once    sync.Once
+					mu      sync.Mutex
+					wg      sync.WaitGroup
 				)
 				victim := &workqueue.Worker{
 					ID:       "tcp-victim",
 					WrapConn: func(c net.Conn) net.Conn { conn = c; return c },
 					Exec: func(ctx context.Context, p []byte) ([]byte, error) {
 						if p[0] == kind {
-							once.Do(func() { close(holding) })
+							once.Do(func() { held = bytes.Clone(p); close(holding) })
 							<-cut
+						}
+						return ExecuteTask(ctx, p)
+					},
+				}
+				survivor := &workqueue.Worker{
+					ID: "tcp-survivor",
+					Exec: func(ctx context.Context, p []byte) ([]byte, error) {
+						if p[0] == kind {
+							mu.Lock()
+							survived = append(survived, bytes.Clone(p))
+							mu.Unlock()
 						}
 						return ExecuteTask(ctx, p)
 					},
@@ -150,7 +172,8 @@ func TestTCPWorkerDeathRequeuesSameBits(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					<-holding
-					waitSurvivor = dialWorkers(addr, 1)
+					wg.Add(1)
+					go func() { defer wg.Done(); _ = survivor.Dial(context.Background(), addr) }()
 					for m.Master().WorkerCount() < 2 {
 						time.Sleep(time.Millisecond)
 					}
@@ -162,10 +185,16 @@ func TestTCPWorkerDeathRequeuesSameBits(t *testing.T) {
 						t.Fatal("victim never attached")
 					}
 				}
-				return func() { wg.Wait(); waitSurvivor() }
+				return wg.Wait
 			})
 			if cfg.Metrics.Counter("wq_task_retries_total").Value() == 0 {
 				t.Fatal("no task was requeued: the death tested nothing")
+			}
+			if !slices.ContainsFunc(survived, func(p []byte) bool { return bytes.Equal(p, held) }) {
+				t.Errorf("the survivor was sent none of the bytes the victim held (%d tasks of the kind)", len(survived))
+			}
+			if recycled != 0 {
+				t.Errorf("the job whose %s task was sent twice recycled %d buffers, want 0", phase, recycled)
 			}
 			if !reflect.DeepEqual(pool.Estimates, tcp.Estimates) {
 				t.Error("estimates after a TCP worker death differ from the pool-only run")

@@ -912,6 +912,7 @@ func (m *Master) requeue(t Task) {
 			JobID:    t.JobID,
 			Err:      qerr.Error(),
 			ErrTrace: obs.ReturnTraceString(qerr),
+			Retried:  true,
 		})
 		return
 	}
@@ -1012,6 +1013,7 @@ func (m *Master) complete(r Result) {
 	sh := m.shardFor(r.JobID)
 	sh.mu.Lock()
 	delete(sh.inflight, r.TaskID)
+	r.Retried = r.Retried || sh.attempts[r.TaskID] > 0
 	delete(sh.attempts, r.TaskID)
 	if sh.queuedAt != nil {
 		delete(sh.queuedAt, r.TaskID)

@@ -72,6 +72,10 @@ type Result struct {
 	// still delivers its result.
 	ErrTrace string
 	Elapsed  time.Duration
+	// Retried is the master's mark, never on the wire, that the task was
+	// requeued (so maybe sent more than once) or quarantined before this
+	// result: a copy of its payload may still be on its way to a worker.
+	Retried bool
 }
 
 // msgType is a message's kind and, as a number, its type byte on the

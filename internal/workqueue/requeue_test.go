@@ -136,6 +136,9 @@ func TestQuarantineLifecycle(t *testing.T) {
 	if failed.TaskID != "poison" || !strings.Contains(failed.Err, "quarantined") {
 		t.Fatalf("want quarantine failure for poison, got %+v", failed)
 	}
+	if !failed.Retried {
+		t.Fatal("the quarantine result does not carry the Retried mark")
+	}
 
 	q := m.Quarantined()
 	if len(q) != 1 || q[0].Task.ID != "poison" || q[0].Attempts != 3 {

@@ -8,6 +8,7 @@ package workqueue
 // this is the codec's correctness argument.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"reflect"
@@ -241,6 +242,20 @@ func TestWireRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRetriedMarkStaysOffTheWire: the master's Retried mark is its own
+// bookkeeping — a result batch frames to the same bytes with or without it.
+func TestRetriedMarkStaysOffTheWire(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m := genMessage(rng, msgResultBatch)
+	plain := appendWireFrame(nil, &m)
+	for i := range m.Results {
+		m.Results[i].Retried = true
+	}
+	if marked := appendWireFrame(nil, &m); !bytes.Equal(plain, marked) || len(m.Results) == 0 {
+		t.Fatalf("marking %d results changed their frame", len(m.Results))
 	}
 }
 

@@ -234,8 +234,15 @@ func TestWorkerLossRequeuesTask(t *testing.T) {
 	p.Resize(ctx, 1)
 
 	r := collect(t, m, 1)[0]
-	if r.TaskID != "t1" || r.Err != "" {
-		t.Errorf("requeued task result = %+v", r)
+	if r.TaskID != "t1" || r.Err != "" || !r.Retried {
+		t.Errorf("requeued task result = %+v, want it marked Retried", r)
+	}
+	// A task sent once is not.
+	if err := m.Submit(Task{ID: "t2", JobID: "j", Payload: []byte("y")}); err != nil {
+		t.Fatal(err)
+	}
+	if r := collect(t, m, 1)[0]; r.TaskID != "t2" || r.Retried {
+		t.Errorf("result of a task sent once = %+v, want it unmarked", r)
 	}
 }
 

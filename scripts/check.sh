@@ -5,7 +5,7 @@
 #   scripts/check.sh race       tier-2: vet + full test suite under -race
 #   scripts/check.sh bench      microbenchmarks -> BENCH_obs.json + BENCH_hmm.json + BENCH_wire.json; front-end layer benches printed
 #   scripts/check.sh chaos      chaos soak: seeded fault-injection schedules under -race
-#   scripts/check.sh wire       wire-codec smoke: round-trip/golden/v1-retirement tests, worker receive-buffer tests under -race, 10s FuzzDecode + sstd-master/sstd-worker with -batch 8
+#   scripts/check.sh wire       wire-codec smoke: round-trip/golden/v1-retirement tests, worker receive-buffer tests under -race, 10s FuzzDecode, task-payload property/rejection tests + 10s FuzzDecodeTask, sstd-master/sstd-worker with -batch 8
 #   scripts/check.sh flightrec  flight-recorder smoke: deadline-miss deep dive (FLIGHTREC_DIR keeps it) + SLO burn -> 3-lane trace (TELEMETRY_DIR keeps it)
 #   scripts/check.sh sched      sharded-scheduler tier: fairness/invariant tests + contention benches -> BENCH_sched.json + 100k-claim sweep
 #   scripts/check.sh accuracy   accuracy gate: SSTD rows of Tables III-V against the checked-in golden + HMM kernel equivalence + ACS grid against Time.Sub + truth digests and decode payload goldens
@@ -47,6 +47,7 @@ bench_json() {
 				if ($(i + 1) == "ns/op") printf ",\"ns_per_op\":%s", $i
 				if ($(i + 1) == "B/op") printf ",\"bytes_per_op\":%s", $i
 				if ($(i + 1) == "allocs/op") printf ",\"allocs_per_op\":%s", $i
+				if ($(i + 1) == "ns/report") printf ",\"ns_per_report\":%s", $i
 			}
 			printf "}"
 		}
@@ -72,9 +73,9 @@ bench() {
 	# batched, on a raw pipe (internal/workqueue) and across a
 	# 250µs-per-frame delay link (internal/chaos), where batching's
 	# amortization is the headline ratio. internal/dtm adds what goes
-	# inside the frame: encoding one payload_heavy-sized task payload,
-	# executing it, and checking + folding its output; then, at both
-	# workloads' series lengths, encoding a job's decode task, executing it
+	# inside the frame: encoding a payload_heavy-sized job's task payloads
+	# and executing one (both also per report), and checking + folding its
+	# output; then, at both workloads' series lengths, encoding a job's decode task, executing it
 	# (next to the bare decode kernel on the same series) and expanding its
 	# answer.
 	echo "== bench: go test -bench '^BenchmarkWire' on internal/workqueue, internal/chaos and internal/dtm =="
@@ -126,8 +127,11 @@ chaos() {
 	# command to re-run it.
 	echo "== chaos: seeded fault-injection soak under -race =="
 	go test -race -count=1 -v -run 'TestChaosSoak' ./internal/chaos
-	go test -race -count=1 -run 'TestDecodedTruthIdenticalUnderChaos|TestDegradedJobCompletion|TestHungTaskDegradesJob|TestTCPWorkerDeathRequeuesSameBits|TestLostDecodeTaskFailsJob' ./internal/dtm
-	go test -race -count=1 -run 'TestRequeueBackoffBoundsRetryRate|TestQuarantineLifecycle' ./internal/workqueue
+	# A job sent a task twice, or refused part-way, keeps its payload buffer
+	# out of the pool, and the buffers jobs do share carry intact bytes
+	# under a drop plan; the master marks requeued and quarantined results.
+	go test -race -count=1 -run 'TestDecodedTruthIdenticalUnderChaos|TestDegradedJobCompletion|TestHungTaskDegradesJob|TestTCPWorkerDeathRequeuesSameBits|TestLostDecodeTaskFailsJob|TestRecycledBuffersUnderChaos|TestRefusedSubmitNeverRecycles' ./internal/dtm
+	go test -race -count=1 -run 'TestRequeueBackoffBoundsRetryRate|TestQuarantineLifecycle|TestWorkerLossRequeuesTask' ./internal/workqueue
 }
 
 wire() {
@@ -144,13 +148,16 @@ wire() {
 	# format end to end, lock-step and with -batch 8, and required to
 	# print the same truth both ways.
 	echo "== wire: round-trip/golden/v1-retirement codec tests + batching invariants =="
-	go test -count=1 -run 'TestWireRoundTrip|TestRoundTripCovers|TestGolden|TestWireV1Retired|TestBatch|TestPartialBatch|TestLockstepIsWindowOfOne|TestMidBatch|TestWireFrames|TestShiftBinary|TestBinary|TestNonFrame|FuzzDecode' ./internal/workqueue
+	go test -count=1 -run 'TestWireRoundTrip|TestRetriedMarkStaysOffTheWire|TestRoundTripCovers|TestGolden|TestWireV1Retired|TestBatch|TestPartialBatch|TestLockstepIsWindowOfOne|TestMidBatch|TestWireFrames|TestShiftBinary|TestBinary|TestNonFrame|FuzzDecode' ./internal/workqueue
 	go test -race -count=1 -run 'TestArena' ./internal/workqueue
 	go test -count=1 -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/workqueue
 	# What travels inside the frames: the goldens of both task kinds and
-	# their answers, the decoders' rejection table and the three fuzz
-	# targets' seed corpora.
-	go test -count=1 -run 'TestGoldenPayloadsStable|TestDecodersRejectMalformed|TestCodecMatchesMapReferenceBits|FuzzDecodeTask|FuzzFoldOutput|FuzzTruthResult' ./internal/dtm
+	# their answers (the retired task v1 refused), the scatter task's run
+	# column held to the map reference over generated chunks, the decoders'
+	# rejection table and the three fuzz targets' seed corpora, then ten
+	# seconds of FuzzDecodeTask.
+	go test -count=1 -run 'TestGoldenPayloadsStable|TestScatterMatchesMapReference|TestDecodersRejectMalformed|TestCodecMatchesMapReferenceBits|FuzzDecodeTask|FuzzFoldOutput|FuzzTruthResult' ./internal/dtm
+	go test -count=1 -run '^$' -fuzz FuzzDecodeTask -fuzztime 10s ./internal/dtm
 	echo "== wire: sstd-master + 2 sstd-workers, -batch 8 against lock-step =="
 	go test -count=1 -v -run 'TestCLIMasterTruthIndependentOfWorkerCount' .
 }
