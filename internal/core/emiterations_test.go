@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math/bits"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -75,6 +77,61 @@ func TestEMIterationCountsPinned(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: EM iterations per claim = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestRunCompressionGate pins the premise of discrete EM's piece pass on
+// the same series: an iteration costs one step per binary piece of a
+// symbol run, which beats one per interval by enough to pay for its
+// tables only while the quantized series are mostly long runs. The gate
+// is a median of at most one run per four intervals (0.126 Boston and
+// 0.198 College Football when this was written). A discretizer or ACS
+// window change that breaks the premise fails here.
+func TestRunCompressionGate(t *testing.T) {
+	dec, err := NewDecoder(DefaultDecoderConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	median := func(v []float64) float64 {
+		slices.Sort(v)
+		return v[len(v)/2]
+	}
+	for _, tc := range []struct {
+		name string
+		prof tracegen.Profile
+	}{
+		{"boston", tracegen.BostonBombing()},
+		{"college-football", tracegen.CollegeFootball()},
+	} {
+		var runsPerT, piecesPerT []float64
+		for _, series := range claimSeries(t, tc.prof) {
+			obs := dec.disc.QuantizeAllInto(series, nil)
+			runs := 1
+			for i := 1; i < len(obs); i++ {
+				if obs[i] != obs[i-1] {
+					runs++
+				}
+			}
+			// The pass cuts steps 1..T-1: a run of L steps is one piece
+			// per bit of L.
+			pieces := 0
+			for i := 1; i < len(obs); {
+				run := 1
+				for i+run < len(obs) && obs[i+run] == obs[i] {
+					run++
+				}
+				pieces += bits.OnesCount(uint(run))
+				i += run
+			}
+			T := float64(len(obs))
+			runsPerT = append(runsPerT, float64(runs)/T)
+			piecesPerT = append(piecesPerT, float64(pieces)/T)
+		}
+		runs, pieces := median(runsPerT), median(piecesPerT)
+		t.Logf("%s: %d claims, median runs/T %.3f, median pieces/T %.3f", tc.name, len(runsPerT), runs, pieces)
+		if runs > 0.25 {
+			t.Errorf("%s: median runs/T = %.3f, want ≤ 1/4", tc.name, runs)
 		}
 	}
 }

@@ -73,13 +73,14 @@ type TrainResult struct {
 // baumWelch is the EM loop of both emission families (the paper's Eq. 5,
 // solved with the classic Baum 1970 procedure), fitting pi and A in
 // place; multiple sequences are combined by accumulating expected counts.
-// Each iteration emit fills the step tables and returns the log of the
+// Each iteration emit fills the tables and returns the log of the
 // prescale it folded into them, the fused pass runs over each sequence's
-// table indices in seqs, adding γ to ws.gamma's two rows of stride
-// entries (none if stride is 0), and refit re-estimates the emissions
-// from ws.gamma, returning its largest parameter move.
+// table indices in seqs — forwardPair, then backward, which adds Σξ to
+// ws.aNum, γ_0 to ws.piAcc and γ to ws.gamma's two rows of stride entries
+// — and refit re-estimates the emissions from ws.gamma, returning its
+// largest parameter move.
 func (ws *Workspace) baumWelch(pi []float64, A [][]float64, seqs [][]int, stride int, cfg TrainConfig,
-	emit func() (float64, error), refit func() float64) (TrainResult, error) {
+	emit func() (float64, error), backward func(idx []int), refit func() float64) (TrainResult, error) {
 	cfg.fillDefaults()
 	ws.gamma = grow(ws.gamma, 2*stride)
 	gamma := ws.gamma
@@ -105,7 +106,7 @@ func (ws *Workspace) baumWelch(pi []float64, A [][]float64, seqs [][]int, stride
 			}
 			tp = fr.Probe(flightrec.ProbeHMMForward, tp, int64(iter), frParent)
 			totalLL += ll
-			ws.backwardPair(idx, gamma)
+			backward(idx)
 			tp = fr.Probe(flightrec.ProbeHMMBackward, tp, int64(iter), frParent)
 		}
 
@@ -129,19 +130,20 @@ func (ws *Workspace) baumWelch(pi []float64, A [][]float64, seqs [][]int, stride
 }
 
 // reestimate sets row to acc plus the smoothing pseudo-count, normalised
-// to sum 1 (left as is if the sum is not positive), and returns the
-// largest change it made to any entry.
+// to sum 1, and returns the largest change it made to any entry. A row
+// whose sum is not positive — no expected counts and no smoothing — is
+// left as is and reports no move.
 func reestimate(row, acc []float64, smooth float64) float64 {
 	sum := 0.0
 	for _, v := range acc {
 		sum += v + smooth
 	}
+	if !(sum > 0) {
+		return 0
+	}
 	moved := 0.0
 	for k, v := range acc {
-		v += smooth
-		if sum > 0 {
-			v /= sum
-		}
+		v = (v + smooth) / sum
 		moved = max(moved, math.Abs(v-row[k]))
 		row[k] = v
 	}
@@ -156,20 +158,22 @@ func reestimate(row, acc []float64, smooth float64) float64 {
 // rescale count times ln 2^64 — one math.Log per sequence. The threshold
 // leaves 958 binary orders of headroom above the subnormals, so one step
 // would have to shrink the mass by more than 1e-288 to lose precision.
-// Scaling up is enough because no step table grows the mass: a row of
-// M_t sums to at most the step's larger emission, a probability for
-// discrete models and a density the Gaussian fill prescales to ≤ 1.
+// Scaling up is enough because no table grows the mass: a row of M_t
+// sums to at most the step's larger emission, a probability for discrete
+// models and a density the Gaussian fill prescales to ≤ 1, and powers
+// prescales each piece table until its largest row sum is in (2⁻⁶⁴, 1].
 const (
 	pairRescaleBelow = 0x1p-64
 	pairRescaleBy    = 0x1p+64
 	pairRescaleLog   = 64 * math.Ln2
 )
 
-// forwardPair is the forward sweep of the fused pass over the step tables
-// at the indices idx. It fills ws.alpha (T*2) with the unnormalised α,
-// records in ws.rescaled every step after which α was multiplied by
-// pairRescaleBy (once per entry), and returns the sequence's
-// log-likelihood.
+// forwardPair is the forward sweep of the fused pass over the tables at
+// the indices idx: step 0's emission pair, then one table per step or per
+// piece. It fills ws.alpha (len(idx)*2) with the unnormalised α at each
+// index, records in ws.rescaled every index after which α was multiplied
+// by pairRescaleBy (once per entry), and returns the sequence's
+// log-likelihood less the tables' prescale.
 func (ws *Workspace) forwardPair(pi []float64, idx []int) (float64, error) {
 	T := len(idx)
 	ws.alpha = grow(ws.alpha, T*2)
@@ -181,7 +185,7 @@ func (ws *Workspace) forwardPair(pi []float64, idx []int) (float64, error) {
 		if s := p0 + p1; s < pairRescaleBelow {
 			if s <= 0 {
 				ws.rescaled = rescaled
-				return 0, fmt.Errorf("hmm: zero-probability observation at t=%d", t)
+				return 0, fmt.Errorf("hmm: zero-probability observation at t=%d", ws.zeroStep(idx, t))
 			}
 			for ; s < pairRescaleBelow; s *= pairRescaleBy {
 				p0 *= pairRescaleBy
@@ -205,18 +209,16 @@ func (ws *Workspace) forwardPair(pi []float64, idx []int) (float64, error) {
 // forwardPair recorded, so that α_t(i)·M_t+1[i][j]·β_t+1(j) is the
 // transition posterior ξ_t(i,j) as it stands — no β lattice, no per-step
 // normalisation. It adds Σ_t ξ_t to ws.aNum, γ_0 to ws.piAcc and γ_t(i)
-// to gamma[i*stride+idx[t]], gamma being two rows of stride entries (or
-// empty, to skip γ).
+// to gamma[i*stride+idx[t]], gamma being two rows of stride entries. The
+// tables must be filled by step.
 func (ws *Workspace) backwardPair(idx []int, gamma []float64) {
 	T, stride := len(idx), len(gamma)/2
 	alpha, pair, rescaled := ws.alpha[:2*T], ws.pair, ws.rescaled
 	c0 := 1 / (alpha[2*T-2] + alpha[2*T-1])
 	c1 := c0
-	if stride > 0 {
-		o := idx[T-1]
-		gamma[o] += alpha[2*T-2] * c0
-		gamma[stride+o] += alpha[2*T-1] * c1
-	}
+	o := idx[T-1]
+	gamma[o] += alpha[2*T-2] * c0
+	gamma[stride+o] += alpha[2*T-1] * c1
 	// A rescale recorded at step p moved α_p and everything after it, so
 	// β picks it up between the steps for t = p and t = p-1; rescales at
 	// step 0 have no earlier step to reach.
@@ -240,11 +242,9 @@ func (ws *Workspace) backwardPair(idx []int, gamma []float64) {
 			x01 += al0 * e01
 			x10 += al1 * e10
 			x11 += al1 * e11
-			if stride > 0 {
-				o := idx[t]
-				gamma[o] += al0 * c0
-				gamma[stride+o] += al1 * c1
-			}
+			o := idx[t]
+			gamma[o] += al0 * c0
+			gamma[stride+o] += al1 * c1
 		}
 		if e < first {
 			break

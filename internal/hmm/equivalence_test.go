@@ -18,9 +18,12 @@ import (
 // the seed arithmetic by a few ulps but never near 1e-12.
 const equivTol = 1e-12
 
-func close2(got, want float64) bool {
-	diff := math.Abs(got - want)
-	return diff <= equivTol*math.Max(1, math.Abs(want))
+func close2(got, want float64) bool { return within(got, want, equivTol) }
+
+// within reports whether got is within tol of want, relative to |want|
+// where that exceeds 1.
+func within(got, want, tol float64) bool {
+	return math.Abs(got-want) <= tol*math.Max(1, math.Abs(want))
 }
 
 func randRow(rng *rand.Rand, n int) []float64 {
@@ -188,7 +191,7 @@ func TestDiscreteBaumWelchMatchesReference(t *testing.T) {
 			SmoothPi:        1e-3,
 			FreezeEmissions: trial%3 == 0,
 		}
-		matchReferenceFit(t, fmt.Sprintf("trial %d", trial), m, seqs, cfg)
+		matchReferenceFit(t, fmt.Sprintf("trial %d", trial), m, seqs, cfg, equivTol)
 	}
 }
 
@@ -285,10 +288,10 @@ func refConfig(cfg hmm.TrainConfig, res hmm.TrainResult) hmm.TrainConfig {
 
 // matchFit requires a kernel fit (r1, got) and a reference fit (r2, want)
 // of clones of one model to agree: the same iteration count, and the
-// log-likelihood and every parameter within equivTol and finite.
-func matchFit(t *testing.T, name string, r1, r2 hmm.TrainResult, got, want [][]float64) {
+// log-likelihood and every parameter within tol and finite.
+func matchFit(t *testing.T, name string, r1, r2 hmm.TrainResult, got, want [][]float64, tol float64) {
 	t.Helper()
-	if r1.Iterations != r2.Iterations || !close2(r1.LogLikelihood, r2.LogLikelihood) {
+	if r1.Iterations != r2.Iterations || !within(r1.LogLikelihood, r2.LogLikelihood, tol) {
 		t.Fatalf("%s: result %+v vs reference %+v", name, r1, r2)
 	}
 	if math.IsNaN(r1.LogLikelihood) || math.IsInf(r1.LogLikelihood, 0) {
@@ -296,8 +299,8 @@ func matchFit(t *testing.T, name string, r1, r2 hmm.TrainResult, got, want [][]f
 	}
 	for r := range want {
 		for i := range want[r] {
-			// !close2 alone would let a NaN pair through.
-			if g := got[r][i]; math.IsNaN(g) || math.IsInf(g, 0) || !close2(g, want[r][i]) {
+			// !within alone would let a NaN pair through.
+			if g := got[r][i]; math.IsNaN(g) || math.IsInf(g, 0) || !within(g, want[r][i], tol) {
 				t.Fatalf("%s: parameter row %d [%d] = %v, reference %v", name, r, i, g, want[r][i])
 			}
 		}
@@ -313,8 +316,9 @@ func gaussParams(m *hmm.Gaussian) [][]float64 {
 }
 
 // matchReferenceFit trains a clone of m with the package kernel and
-// another with the frozen reference and requires matchFit's agreement.
-func matchReferenceFit(t *testing.T, name string, m *hmm.Discrete, seqs [][]int, cfg hmm.TrainConfig) {
+// another with the frozen reference and requires matchFit's agreement
+// within tol.
+func matchReferenceFit(t *testing.T, name string, m *hmm.Discrete, seqs [][]int, cfg hmm.TrainConfig, tol float64) {
 	t.Helper()
 	m1, m2 := m.Clone(), m.Clone()
 	r1, err := m1.BaumWelchWS(hmm.NewWorkspace(), seqs, cfg)
@@ -325,7 +329,7 @@ func matchReferenceFit(t *testing.T, name string, m *hmm.Discrete, seqs [][]int,
 	if err != nil {
 		t.Fatalf("%s: reference BaumWelch: %v", name, err)
 	}
-	matchFit(t, name, r1, r2, discreteParams(m1), discreteParams(m2))
+	matchFit(t, name, r1, r2, discreteParams(m1), discreteParams(m2), tol)
 }
 
 // matchGaussFit is matchReferenceFit for Gaussian models.
@@ -340,7 +344,7 @@ func matchGaussFit(t *testing.T, name string, m *hmm.Gaussian, seqs [][]float64,
 	if err != nil {
 		t.Fatalf("%s: reference GaussBaumWelch: %v", name, err)
 	}
-	matchFit(t, name, r1, r2, gaussParams(m1), gaussParams(m2))
+	matchFit(t, name, r1, r2, gaussParams(m1), gaussParams(m2), equivTol)
 }
 
 // halves returns the first half of every sequence.
@@ -411,7 +415,7 @@ func TestPairPassMatchesReferenceAtTheEdges(t *testing.T) {
 			cfg := base
 			cfg.FreezeEmissions = freeze
 			name := fmt.Sprintf("%s/freeze=%v", tc.name, freeze)
-			matchReferenceFit(t, name+"/cold", tc.m, tc.seqs, cfg)
+			matchReferenceFit(t, name+"/cold", tc.m, tc.seqs, cfg, equivTol)
 
 			// Warm: seed from the cold fit's own result, on the same data
 			// and on its first half, so both warm stops are exercised.
@@ -420,8 +424,8 @@ func TestPairPassMatchesReferenceAtTheEdges(t *testing.T) {
 				t.Fatalf("%s: seeding fit: %v", name, err)
 			}
 			cfg.WarmStart = true
-			matchReferenceFit(t, name+"/warm", seed, tc.seqs, cfg)
-			matchReferenceFit(t, name+"/warm-prefix", seed, halves(tc.seqs), cfg)
+			matchReferenceFit(t, name+"/warm", seed, tc.seqs, cfg, equivTol)
+			matchReferenceFit(t, name+"/warm-prefix", seed, halves(tc.seqs), cfg, equivTol)
 		}
 	}
 
@@ -508,6 +512,89 @@ func TestPairPassZeroProbabilityNamesTheStep(t *testing.T) {
 					t.Fatalf("at=%d: reference err = %v, want it to contain %q", at, refErr, want)
 				}
 			}
+		}
+	}
+}
+
+// exactRuns draws runs of n(k) steps for random k in 0..9, each run a
+// different symbol from the one before.
+func exactRuns(rng *rand.Rand, T, sym int, n func(k int) int) []int {
+	obs := make([]int, 0, T)
+	s := 0
+	for len(obs) < T {
+		s = (s + 1 + rng.Intn(sym-1)) % sym
+		for range min(n(rng.Intn(10)), T-len(obs)) {
+			obs = append(obs, s)
+		}
+	}
+	return obs
+}
+
+// TestPiecePassMatchesReference holds discrete EM, which runs over the
+// binary pieces of symbol runs, to the frozen per-step reference over the
+// run shapes the cut and the power tables could get wrong: iid symbols,
+// runs of mean 1 to 50, runs of exactly 2^k and 2^k − 1 steps, one symbol
+// for 100k steps (the power tables have to prescale), 1-step sequences
+// among longer ones and a symbol that never occurs — each with frozen and
+// re-estimated emissions, cold and warm, for up to 60 iterations. Where
+// the forward mass dies inside a piece, both must name the same step.
+func TestPiecePassMatchesReference(t *testing.T) {
+	const sym, tol = 5, 1e-10
+	rng := rand.New(rand.NewSource(808))
+	one := make([]int, 100_000)
+	for i := range one {
+		one[i] = 2
+	}
+	cases := []struct {
+		name string
+		seqs [][]int
+	}{
+		{"iid", [][]int{randObs(rng, 3000, sym)}},
+		{"one symbol, T=100k", [][]int{one}},
+		{"runs of 2^k", [][]int{exactRuns(rng, 4000, sym, func(k int) int { return 1 << k })}},
+		{"runs of 2^k-1", [][]int{exactRuns(rng, 4000, sym, func(k int) int { return 1<<k - 1 })}},
+		{"T=1 among several", [][]int{{3}, runObs(rng, 700, sym, 9), {0}, runObs(rng, 40, sym, 3), {4}}},
+		{"unused symbol", [][]int{runObs(rng, 2000, sym-1, 7), runObs(rng, 300, sym-1, 2)}},
+	}
+	for _, mean := range []int{1, 2, 7, 20, 50} {
+		cases = append(cases, struct {
+			name string
+			seqs [][]int
+		}{fmt.Sprintf("run mean %d", mean), [][]int{runObs(rng, 5000, sym, mean)}})
+	}
+	for _, tc := range cases {
+		for _, freeze := range []bool{true, false} {
+			m := randDiscrete(rng, sym)
+			cfg := hmm.TrainConfig{MaxIterations: 60, SmoothA: 1e-3, SmoothB: 1e-3, SmoothPi: 1e-3, FreezeEmissions: freeze}
+			name := fmt.Sprintf("%s/freeze=%v", tc.name, freeze)
+			matchReferenceFit(t, name+"/cold", m, tc.seqs, cfg, tol)
+			seed := m.Clone()
+			if _, err := seed.BaumWelchWS(hmm.NewWorkspace(), halves(tc.seqs), cfg); err != nil {
+				t.Fatalf("%s: seeding fit: %v", name, err)
+			}
+			cfg.WarmStart = true
+			matchReferenceFit(t, name+"/warm", seed, tc.seqs, cfg, tol)
+		}
+	}
+
+	// State 1 cannot emit symbol 4 and state 0 cannot stay in state 0, so
+	// the mass dies at the second step of a run of 4s — inside its first
+	// piece, which spans eight steps.
+	m := randDiscrete(rng, sym)
+	m.A[0] = []float64{0, 1}
+	m.B[1][3], m.B[1][4] = m.B[1][3]+m.B[1][4], 0
+	for _, at := range []int{1, 100, 2990} {
+		obs := runObs(rng, 3000, sym-1, 5)
+		for i := at; i < min(at+11, len(obs)); i++ {
+			obs[i] = 4
+		}
+		want := fmt.Sprintf("observation at t=%d", at+1)
+		_, err := m.Clone().BaumWelchWS(hmm.NewWorkspace(), [][]int{obs}, hmm.DefaultTrainConfig())
+		if err == nil || !strings.HasSuffix(err.Error(), want) {
+			t.Fatalf("dies at %d: err = %v, want it to end in %q", at+1, err, want)
+		}
+		if _, refErr := hmmtest.BaumWelch(m.Clone(), [][]int{obs}, hmm.DefaultTrainConfig()); refErr == nil || !strings.HasSuffix(refErr.Error(), want) {
+			t.Fatalf("dies at %d: reference err = %v, want it to end in %q", at+1, refErr, want)
 		}
 	}
 }

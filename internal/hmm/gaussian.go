@@ -184,7 +184,7 @@ func (m *Gaussian) BaumWelchWS(ws *Workspace, sequences [][]float64, cfg TrainCo
 		if err != nil {
 			return 0, err
 		}
-		ws.tables(m.A, total)
+		ws.tables(m.A, total, 0)
 		shift, k := 0, 0
 		for _, obs := range sequences {
 			shift += ws.fillDensities(g, obs, k)
@@ -195,7 +195,8 @@ func (m *Gaussian) BaumWelchWS(ws *Workspace, sequences [][]float64, cfg TrainCo
 	refit := func() float64 {
 		return max(m.refit(0, ws.gamma[:total], sequences), m.refit(1, ws.gamma[total:], sequences))
 	}
-	return ws.baumWelch(m.Pi, m.A, ws.seqs, total, cfg, emit, refit)
+	backward := func(idx []int) { ws.backwardPair(idx, ws.gamma) }
+	return ws.baumWelch(m.Pi, m.A, ws.seqs, total, cfg, emit, backward, refit)
 }
 
 // refit re-estimates state i's mean and variance from its γ row, one
@@ -256,7 +257,7 @@ func (m *Gaussian) PosteriorWS(ws *Workspace, obs []float64, dst []float64) ([]f
 	if err != nil {
 		return nil, err
 	}
-	ws.tables(m.A, len(obs))
+	ws.tables(m.A, len(obs), 0)
 	ws.fillDensities(g, obs, 0)
 	return ws.posterior(m.Pi, len(obs), dst)
 }

@@ -9,7 +9,9 @@
 // Both families run one fused forward/backward pass over per-step 2×2
 // tables M_t[i][j] = a_ij·e_j(o_t) and one log-space Viterbi; a family
 // only fills a step's emission pair — a table lookup for discrete, two
-// densities for Gaussian. Every kernel runs on a caller-owned Workspace
+// densities for Gaussian. Discrete EM runs the pass over binary pieces of
+// symbol runs, one step through a power of M per piece (pieces.go).
+// Every kernel runs on a caller-owned Workspace
 // with zero steady-state heap allocations. A state count other than 2 is
 // an error.
 package hmm
@@ -101,9 +103,10 @@ func (m *Discrete) check(obs []int) error {
 }
 
 // BaumWelchWS fits the model in place to one or more observation
-// sequences by EM and reports the final log-likelihood. The tables are
-// indexed by symbol, so γ is the per-symbol expected counts the emission
-// re-estimate needs (not accumulated under FreezeEmissions).
+// sequences by EM and reports the final log-likelihood. The fused pass
+// runs over the binary pieces of each sequence's symbol runs (pieces.go),
+// so an iteration costs one step per piece, not per interval; γ comes out
+// per symbol, the expected counts the emission re-estimate needs.
 func (m *Discrete) BaumWelchWS(ws *Workspace, sequences [][]int, cfg TrainConfig) (TrainResult, error) {
 	if len(sequences) == 0 {
 		return TrainResult{}, ErrEmptySequence
@@ -113,16 +116,14 @@ func (m *Discrete) BaumWelchWS(ws *Workspace, sequences [][]int, cfg TrainConfig
 			return TrainResult{}, err
 		}
 	}
-	sym, stride := m.Symbols(), m.Symbols()
-	if cfg.FreezeEmissions {
-		stride = 0
-	}
+	sym := m.Symbols()
+	ws.cutPieces(sequences, sym)
 	emit := func() (float64, error) {
-		ws.tables(m.A, sym)
+		ws.tables(m.A, len(ws.w), sym)
 		for k := range sym {
 			ws.setEntry(k, m.B[0][k], m.B[1][k])
 		}
-		return 0, nil
+		return ws.powers(), nil
 	}
 	refit := func() float64 {
 		if cfg.FreezeEmissions {
@@ -131,7 +132,7 @@ func (m *Discrete) BaumWelchWS(ws *Workspace, sequences [][]int, cfg TrainConfig
 		return max(reestimate(m.B[0], ws.gamma[:sym], cfg.SmoothB),
 			reestimate(m.B[1], ws.gamma[sym:], cfg.SmoothB))
 	}
-	return ws.baumWelch(m.Pi, m.A, sequences, stride, cfg, emit, refit)
+	return ws.baumWelch(m.Pi, m.A, ws.seqs, sym, cfg, emit, ws.backwardPieces, refit)
 }
 
 // ViterbiWS decodes the most likely hidden state sequence into path
@@ -165,7 +166,7 @@ func (m *Discrete) PosteriorWS(ws *Workspace, obs []int, dst []float64) ([]float
 	if err := m.check(obs); err != nil {
 		return nil, err
 	}
-	ws.tables(m.A, len(obs))
+	ws.tables(m.A, len(obs), 0)
 	for t, o := range obs {
 		ws.setEntry(t, m.B[0][o], m.B[1][o])
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -437,6 +438,41 @@ func TestLikelihoodPropertySumsUnderOne(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRowWithoutCountsIsKept: a 1-interval sequence has no transition, so
+// with no smoothing neither row of A gets an expected count. EM must
+// leave such a row as it was — a zeroed row is not a distribution — for
+// both emission families.
+func TestRowWithoutCountsIsKept(t *testing.T) {
+	cfg := TrainConfig{MaxIterations: 5, FreezeEmissions: true}
+	m := twoStateModel()
+	wantA := cloneMatrix(m.A)
+	if _, err := m.BaumWelchWS(NewWorkspace(), [][]int{{1}}, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m.A, wantA) {
+		t.Errorf("discrete: A = %v, want it kept at %v", m.A, wantA)
+	}
+	if err := m.Validate(); err != nil {
+		t.Errorf("discrete: %v", err)
+	}
+
+	g, err := NewGaussian([]float64{-1, 1}, []float64{1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.A = [][]float64{{0.9, 0.1}, {0.2, 0.8}}
+	wantA = cloneMatrix(g.A)
+	if _, err := g.BaumWelchWS(NewWorkspace(), [][]float64{{0.3}}, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(g.A, wantA) {
+		t.Errorf("gaussian: A = %v, want it kept at %v", g.A, wantA)
+	}
+	if err := g.Validate(); err != nil {
+		t.Errorf("gaussian: %v", err)
 	}
 }
 

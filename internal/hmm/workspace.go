@@ -14,16 +14,29 @@ type Workspace struct {
 	// a is the transition matrix A, row-major, loaded at kernel entry.
 	a [4]float64
 
-	// Step tables: entry k holds an emission pair (e_0, e_1) and its 2×2
-	// step matrix M[i][j] = a_ij·e_j, indexed by symbol for discrete EM
-	// and by step otherwise; steps is that by-step index (0, 1, 2, …) and
-	// seqs slices it per sequence.
+	// Tables: entry k holds an emission pair (e_0, e_1) and a 2×2 matrix,
+	// by step the step matrix M[i][j] = a_ij·e_j. For discrete EM sym is
+	// the alphabet size and entry l·sym+s holds M_s^(2^l) (pieces.go);
+	// otherwise sym is 0 and steps is the by-step index (0, 1, 2, …).
+	// seqs slices steps or pieces per sequence.
 	emit  [][2]float64
 	pair  [][4]float64
+	sym   int
 	steps []int
 	seqs  [][]int
 
-	// The unnormalised forward lattice (T*2) and its rescaled steps.
+	// Discrete EM's pieces, cut once per call: the table ids, each
+	// symbol's highest level, the pieces per table, the prescale each
+	// table's level adds (in powers of 2^64) and the per-table
+	// accumulators of α̃ ⊗ β̃.
+	pieces []int
+	top    []int
+	uses   []int
+	lift   []int
+	w      [][4]float64
+
+	// The unnormalised forward lattice (2 per index) and its rescaled
+	// indices.
 	alpha    []float64
 	rescaled []int32
 
@@ -69,10 +82,12 @@ func grow[E any](s []E, n int) []E {
 	return s[:n]
 }
 
-// tables loads A for setEntry and sizes the step tables to n entries.
-func (ws *Workspace) tables(A [][]float64, n int) {
+// tables loads A for setEntry, sizes the tables to n entries and records
+// sym, the alphabet size when they hold discrete EM's powers (0 by step).
+func (ws *Workspace) tables(A [][]float64, n, sym int) {
 	ws.a = [4]float64{A[0][0], A[0][1], A[1][0], A[1][1]}
 	ws.emit, ws.pair = grow(ws.emit, n), grow(ws.pair, n)
+	ws.sym = sym
 }
 
 // setEntry stores table entry k: the emission pair and its step matrix.

@@ -224,15 +224,17 @@ accuracy() {
 	# Tables III-V (scale 0.02, seed 7) against
 	# internal/experiments/testdata/accuracy_golden.json, then the checks
 	# that say why they hold — both emission families' kernels against the
-	# frozen reference at 1e-12, the pinned EM iteration counts on the
-	# benchmark's series, the ACS grid's integer slot mapping against the
+	# frozen reference at 1e-12 (discrete EM's piece pass also over
+	# generated run shapes at 1e-10), the pinned EM iteration counts on
+	# the benchmark's series and the run-length premise of the piece pass
+	# on the same series, the ACS grid's integer slot mapping against the
 	# Time.Sub definition it replaced, and the bits the distributed decode
 	# must keep: the eight truth digests and the decode payload goldens
 	# (the Gaussian `flips` truth among them).
 	echo "== accuracy: Tables III-V golden + kernel equivalence + truth bits =="
 	go test -count=1 -v -run 'TestAccuracyGolden' ./internal/experiments
 	go test -count=1 -run 'MatchesReference|TestPairPass' ./internal/hmm
-	go test -count=1 -run 'TestEMIterationCountsPinned|TestGridIndexMatchesSub' ./internal/core
+	go test -count=1 -v -run 'TestEMIterationCountsPinned|TestRunCompressionGate|TestGridIndexMatchesSub' ./internal/core
 	go test -count=1 -run 'TestTruthDigestsMatchParent|TestGoldenPayloadsStable' ./internal/dtm
 }
 
