@@ -86,8 +86,7 @@ func run() error {
 		sloSlow   = flag.Duration("slo-slow", time.Hour, "slow burn-rate window")
 		sloBurn   = flag.Float64("slo-burn", 14.4, "burn-rate multiple that fires the alert (both windows)")
 
-		schedShards = flag.Int("sched-shards", 0, "scheduler shard count (0 = GOMAXPROCS)")
-		tsdbPoints  = flag.Int("tsdb-points", 0, "retained points per telemetry time series (0 = default 512)")
+		tsdbPoints = flag.Int("tsdb-points", 0, "retained points per telemetry time series (0 = default 512)")
 
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -193,7 +192,6 @@ func run() error {
 	cfg.TasksPerJob = *tasksPer
 	cfg.Workers = 0 // every worker is an sstd-worker dialling -listen
 	cfg.Seed = *seed
-	cfg.SchedShards = *schedShards
 	cfg.SuspectAfter = *suspectAfter
 	cfg.DeadAfter = *deadAfter
 	cfg.StragglerFactor = *straggler

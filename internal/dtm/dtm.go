@@ -104,9 +104,6 @@ type Config struct {
 
 	// Seed drives scheduler randomness.
 	Seed int64
-	// SchedShards overrides the work-queue scheduler's shard count
-	// (0 = GOMAXPROCS; see workqueue.MasterConfig.SchedShards).
-	SchedShards int
 
 	// Metrics, Tracer and ControlLog enable telemetry (each may be nil;
 	// the instrumentation then costs one nil check per event). Metrics
@@ -309,7 +306,6 @@ func New(cfg Config) (*Manager, error) {
 	}
 	m.master = workqueue.NewMaster(workqueue.MasterConfig{
 		Seed:            cfg.Seed,
-		SchedShards:     cfg.SchedShards,
 		ResultBuffer:    256,
 		MaxRetries:      cfg.MaxTaskRetries,
 		TaskTimeout:     cfg.TaskTimeout,

@@ -28,7 +28,7 @@ func TestDecodeTaskKeepsJobPriority(t *testing.T) {
 			order   = make(chan int, 2) // series length of each decode task, in execution order
 		)
 		cfg := DefaultConfig(origin())
-		cfg.Seed, cfg.SchedShards = seed, 1
+		cfg.Seed = seed
 		cfg.Workers, cfg.TasksPerJob = 2, 1
 		cfg.RespawnWorkers = false
 		cfg.Admission = &workqueue.AdmissionConfig{TaskRatePerWorker: 0.001, Shed: true}

@@ -87,11 +87,7 @@ const deadRetention = 64
 
 // workerEntry is the registry's mutable record for one worker.
 type workerEntry struct {
-	id string
-	// seq is the worker's attach sequence number; the master uses it to
-	// stagger each handler's preferred scheduler shard so idle handlers
-	// do not all start their steal scan at shard zero.
-	seq         int
+	id          string
 	state       WorkerState
 	reason      string
 	connectedAt time.Time
@@ -153,9 +149,6 @@ type cluster struct {
 	mu     sync.Mutex
 	active map[string]*workerEntry
 	gone   []*workerEntry // most recent last, capped at deadRetention
-	// attachSeq numbers attaches; each worker's entry keeps its value so
-	// the master can spread handlers across scheduler shards.
-	attachSeq int
 
 	reg    *obs.Registry // master metrics registry; may be nil
 	factor float64       // straggler threshold multiplier
@@ -187,17 +180,15 @@ func workerLabel(name, id string) string {
 
 // attach registers a connecting worker. Duplicate live IDs are rejected:
 // two connections claiming one identity would corrupt the health record.
-func (cl *cluster) attach(id string, wake context.CancelFunc, conn net.Conn, c *codec) (*workerEntry, error) {
+func (cl *cluster) attach(id string, wake context.CancelFunc, conn net.Conn, c *codec) error {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if _, dup := cl.active[id]; dup {
-		return nil, fmt.Errorf("workqueue: worker id %q already attached", id)
+		return fmt.Errorf("workqueue: worker id %q already attached", id)
 	}
 	now := time.Now()
-	cl.attachSeq++
 	e := &workerEntry{
 		id:          id,
-		seq:         cl.attachSeq,
 		state:       WorkerAlive,
 		connectedAt: now,
 		lastSeen:    now,
@@ -207,7 +198,7 @@ func (cl *cluster) attach(id string, wake context.CancelFunc, conn net.Conn, c *
 	}
 	cl.active[id] = e
 	cl.reg.Gauge(workerLabel("wq_worker_up", id)).Set(1)
-	return e, nil
+	return nil
 }
 
 // detach removes a worker from the active set when its handler exits,

@@ -195,7 +195,7 @@ func TestStragglerFlag(t *testing.T) {
 	cl := m.cluster
 	noop := func() {}
 	for _, id := range []string{"fast-a", "fast-b", "slow"} {
-		if _, err := cl.attach(id, noop, nil, nil); err != nil {
+		if err := cl.attach(id, noop, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -223,7 +223,7 @@ func TestStragglerFlag(t *testing.T) {
 // there is no cluster median to be slower than.
 func TestStragglerNeedsQuorum(t *testing.T) {
 	m := NewMaster(MasterConfig{})
-	if _, err := m.cluster.attach("only", func() {}, nil, nil); err != nil {
+	if err := m.cluster.attach("only", func() {}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	m.cluster.taskFinished("only", Result{Elapsed: 10 * time.Second})

@@ -35,10 +35,6 @@ func (js JobStats) Done() bool { return js.Submitted > 0 && js.Completed+js.Fail
 type MasterConfig struct {
 	// Seed drives the weighted-random job picker (deterministic tests).
 	Seed int64
-	// SchedShards sets how many lock shards the task pool and the
-	// master's per-job bookkeeping are partitioned into. <= 0 picks
-	// GOMAXPROCS. One shard reproduces the old single-mutex behavior.
-	SchedShards int
 	// ResultBuffer sizes the Results channel. Default 1.
 	ResultBuffer int
 	// MaxRetries bounds how many times a task lost to worker failure is
@@ -154,32 +150,17 @@ type Master struct {
 	dumpSeq     atomic.Int64
 	dumpPending atomic.Pointer[dumpCollector]
 
-	// shards partitions all per-job and per-task bookkeeping by job hash
-	// (the same hash the scheduler shards by), so a completion ack only
-	// ever contends with traffic for jobs on its own shard. closed is
-	// atomic: the hot paths read it without any lock.
-	shards []masterShard
-	closed atomic.Bool
-	// stopping is closed when Shutdown begins: it releases handlers blocked
-	// delivering into a full results channel nobody reads any more.
-	stopping chan struct{}
-	stopOnce sync.Once
-
-	wg sync.WaitGroup
-}
-
-// masterShard is one lock domain of the master's bookkeeping: job stats,
-// the in-flight window, retry attempts, backoff timers, the poison-task
-// quarantine and telemetry state for every job hashing to it.
-type masterShard struct {
+	// mu guards the per-job and per-task bookkeeping below. It is not the
+	// scheduler's lock, and no path holds both. closed is atomic: the hot
+	// paths read it without any lock.
 	mu       sync.Mutex
-	rng      *rand.Rand // jitter source for requeue backoff; guarded by mu
+	rng      *rand.Rand // jitter source for requeue backoff
 	stats    map[string]*JobStats
 	inflight map[string]Task // taskID -> task, for requeue on worker loss
 	attempts map[string]int  // taskID -> requeues so far
 	// pending holds the backoff timers of tasks waiting to re-enter the
 	// queue after a worker loss; quarantine holds tasks that exhausted
-	// their retry budget (capped at quarantineRetention per shard).
+	// their retry budget (capped at quarantineRetention).
 	pending    map[string]*time.Timer
 	quarantine map[string]*QuarantinedTask
 	// queuedAt / taskSpans back the queue-wait histogram and per-task
@@ -187,12 +168,13 @@ type masterShard struct {
 	// holds each in-flight task's currently open span (queue or exec).
 	queuedAt  map[string]time.Time
 	taskSpans map[string]*obs.Span
-	_         [24]byte
-}
+	closed    atomic.Bool
+	// stopping is closed when Shutdown begins: it releases handlers blocked
+	// delivering into a full results channel nobody reads any more.
+	stopping chan struct{}
+	stopOnce sync.Once
 
-// shardFor maps a job to its bookkeeping shard.
-func (m *Master) shardFor(jobID string) *masterShard {
-	return &m.shards[shardIndex(jobID, len(m.shards))]
+	wg sync.WaitGroup
 }
 
 // NewMaster creates a master.
@@ -202,7 +184,7 @@ func NewMaster(cfg MasterConfig) *Master {
 		buf = 1
 	}
 	m := &Master{
-		sched:        newScheduler(cfg.Seed, cfg.SchedShards),
+		sched:        newScheduler(cfg.Seed),
 		results:      make(chan Result, buf),
 		stopping:     make(chan struct{}),
 		maxRetries:   cfg.MaxRetries,
@@ -213,20 +195,12 @@ func NewMaster(cfg MasterConfig) *Master {
 		batchSize:    cfg.BatchSize,
 		backoff:      cfg.RequeueBackoff.withDefaults(5*time.Millisecond, 2*time.Second),
 		fr:           flightrec.Shared("master"),
-	}
-	// Bookkeeping shards mirror the scheduler's so a job's queue entries
-	// and its in-flight/quarantine state share one lock domain. Each
-	// shard carries its own jitter rng: requeue backoff never serializes
-	// against dispatch on another shard.
-	m.shards = make([]masterShard, len(m.sched.shards))
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.rng = rand.New(rand.NewSource(cfg.Seed + 1 + int64(i)))
-		sh.stats = make(map[string]*JobStats)
-		sh.inflight = make(map[string]Task)
-		sh.attempts = make(map[string]int)
-		sh.pending = make(map[string]*time.Timer)
-		sh.quarantine = make(map[string]*QuarantinedTask)
+		rng:          rand.New(rand.NewSource(cfg.Seed + 1)),
+		stats:        make(map[string]*JobStats),
+		inflight:     make(map[string]Task),
+		attempts:     make(map[string]int),
+		pending:      make(map[string]*time.Timer),
+		quarantine:   make(map[string]*QuarantinedTask),
 	}
 	if cfg.RequeueBackoff.Jitter == 0 {
 		m.backoff.Jitter = 0.2
@@ -249,13 +223,11 @@ func NewMaster(cfg MasterConfig) *Master {
 		m.admission = newAdmissionGate(*cfg.Admission, cfg.Metrics, cfg.Logger)
 	}
 	m.sched.instrument(cfg.Metrics)
-	for i := range m.shards {
-		if cfg.Metrics != nil || cfg.Tracer != nil {
-			m.shards[i].queuedAt = make(map[string]time.Time)
-		}
-		if cfg.Tracer != nil {
-			m.shards[i].taskSpans = make(map[string]*obs.Span)
-		}
+	if cfg.Metrics != nil || cfg.Tracer != nil {
+		m.queuedAt = make(map[string]time.Time)
+	}
+	if cfg.Tracer != nil {
+		m.taskSpans = make(map[string]*obs.Span)
 	}
 	m.telemetry = cfg.Telemetry
 	// Every dump of the master's recorder (deadline-miss burst, SLO burn,
@@ -273,16 +245,15 @@ func (m *Master) Submit(t Task) error {
 	if m.closed.Load() {
 		return errors.New("workqueue: master is shut down")
 	}
-	sh := m.shardFor(t.JobID)
-	sh.mu.Lock()
-	js, ok := sh.stats[t.JobID]
+	m.mu.Lock()
+	js, ok := m.stats[t.JobID]
 	if !ok {
 		js = &JobStats{JobID: t.JobID, FirstSubmit: time.Now()}
-		sh.stats[t.JobID] = js
+		m.stats[t.JobID] = js
 	}
 	js.Submitted++
-	m.markQueuedLocked(sh, t)
-	sh.mu.Unlock()
+	m.markQueuedLocked(t)
+	m.mu.Unlock()
 	m.cSubmitted.Inc()
 	m.sched.push(t)
 	m.gQueue.SetInt(m.sched.len())
@@ -290,16 +261,16 @@ func (m *Master) Submit(t Task) error {
 }
 
 // markQueuedLocked opens the task's queue-wait measurement (and span).
-// Callers hold sh.mu for the task's shard.
-func (m *Master) markQueuedLocked(sh *masterShard, t Task) {
-	if sh.queuedAt != nil {
-		sh.queuedAt[t.ID] = time.Now()
+// Callers hold m.mu.
+func (m *Master) markQueuedLocked(t Task) {
+	if m.queuedAt != nil {
+		m.queuedAt[t.ID] = time.Now()
 	}
-	if sh.taskSpans != nil {
+	if m.taskSpans != nil {
 		s := m.tracer.NewSpan("queue "+t.ID, t.Span)
 		s.SetAttr("job", t.JobID)
 		s.SetTrace(t.Trace.traceID())
-		sh.taskSpans[t.ID] = s
+		m.taskSpans[t.ID] = s
 	}
 }
 
@@ -314,25 +285,21 @@ func (m *Master) Results() <-chan Result { return m.results }
 // Stats returns a snapshot of the named job's progress (zero value when
 // unknown).
 func (m *Master) Stats(jobID string) JobStats {
-	sh := m.shardFor(jobID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if js, ok := sh.stats[jobID]; ok {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if js, ok := m.stats[jobID]; ok {
 		return *js
 	}
 	return JobStats{JobID: jobID}
 }
 
-// AllStats snapshots every job across all shards.
+// AllStats snapshots every job.
 func (m *Master) AllStats() []JobStats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	var out []JobStats
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for _, js := range sh.stats {
-			out = append(out, *js)
-		}
-		sh.mu.Unlock()
+	for _, js := range m.stats {
+		out = append(out, *js)
 	}
 	return out
 }
@@ -340,10 +307,9 @@ func (m *Master) AllStats() []JobStats {
 // ForgetJob drops what the master keeps per job, its stats row and its
 // scheduler entry: for submitters that know when a job is over.
 func (m *Master) ForgetJob(jobID string) {
-	sh := m.shardFor(jobID)
-	sh.mu.Lock()
-	delete(sh.stats, jobID)
-	sh.mu.Unlock()
+	m.mu.Lock()
+	delete(m.stats, jobID)
+	m.mu.Unlock()
 	m.sched.forgetJob(jobID)
 }
 
@@ -415,8 +381,7 @@ func (m *Master) HandleWorker(ctx context.Context, conn net.Conn) error {
 	lg := m.logger.With(obs.WorkerID(workerID))
 	wctx, wake := context.WithCancel(ctx)
 	defer wake()
-	entry, err := m.cluster.attach(workerID, wake, conn, c)
-	if err != nil {
+	if err := m.cluster.attach(workerID, wake, conn, c); err != nil {
 		return err
 	}
 	lg.Info("worker attached")
@@ -439,10 +404,8 @@ func (m *Master) HandleWorker(ctx context.Context, conn net.Conn) error {
 
 	// This connection's dispatch endpoint: while idle the handler parks on
 	// the waiter's private one-slot channel and a push hands it the task
-	// directly — no shard lock, no broadcast storm. The cluster attach
-	// sequence staggers each handler's steal-scan start shard.
+	// directly — no broadcast storm.
 	w := m.sched.getWaiter()
-	w.preferred = uint32(entry.seq)
 	defer m.sched.putWaiter(w)
 
 	// Reader: demultiplex the worker's messages. Results flow to the
@@ -799,33 +762,32 @@ func (m *Master) ingestRemoteSpans(workerID string, spans []RemoteSpan) {
 // tracing is off) — the parent under which the worker's remote stage
 // spans will nest.
 func (m *Master) trackInflight(t Task, workerID string) int64 {
-	sh := m.shardFor(t.JobID)
-	sh.mu.Lock()
-	sh.inflight[t.ID] = t
+	m.mu.Lock()
+	m.inflight[t.ID] = t
 	var wait time.Duration
 	waited := false
-	if sh.queuedAt != nil {
-		if at, ok := sh.queuedAt[t.ID]; ok {
+	if m.queuedAt != nil {
+		if at, ok := m.queuedAt[t.ID]; ok {
 			wait, waited = time.Since(at), true
-			delete(sh.queuedAt, t.ID)
+			delete(m.queuedAt, t.ID)
 		}
 	}
 	var execSpanID int64
-	if sh.taskSpans != nil {
+	if m.taskSpans != nil {
 		// Guard the lookup: a task assigned without ever being marked
 		// queued (a direct scheduler push, or queuedAt/taskSpans enabled
 		// mid-run) has no open queue span to finish.
-		if s := sh.taskSpans[t.ID]; s != nil {
+		if s := m.taskSpans[t.ID]; s != nil {
 			s.Finish()
 		}
 		s := m.tracer.NewSpan("exec "+t.ID, t.Span)
 		s.SetAttr("job", t.JobID)
 		s.SetAttr("worker", workerID)
 		s.SetTrace(t.Trace.traceID())
-		sh.taskSpans[t.ID] = s
+		m.taskSpans[t.ID] = s
 		execSpanID = s.SpanID()
 	}
-	sh.mu.Unlock()
+	m.mu.Unlock()
 	if waited {
 		m.hWait.ObserveDuration(wait)
 	}
@@ -855,40 +817,37 @@ type QuarantinedTask struct {
 // quarantined and reported as a failed Result instead.
 func (m *Master) requeue(t Task) {
 	tp := m.fr.Start()
-	sh := m.shardFor(t.JobID)
-	sh.mu.Lock()
-	delete(sh.inflight, t.ID)
-	if sh.taskSpans != nil {
-		if s := sh.taskSpans[t.ID]; s != nil {
+	m.mu.Lock()
+	delete(m.inflight, t.ID)
+	if m.taskSpans != nil {
+		if s := m.taskSpans[t.ID]; s != nil {
 			s.SetAttr("outcome", "lost")
 			s.Finish()
 		}
-		delete(sh.taskSpans, t.ID)
+		delete(m.taskSpans, t.ID)
 	}
 	closed := m.closed.Load()
-	sh.attempts[t.ID]++
-	attempts := sh.attempts[t.ID]
+	m.attempts[t.ID]++
+	attempts := m.attempts[t.ID]
 	exhausted := m.maxRetries > 0 && attempts > m.maxRetries
 	if exhausted || closed {
 		// Drop the attempt count either way: an exhausted task is done,
 		// and a closed master will never retry — keeping the entry
 		// would leak it forever.
-		delete(sh.attempts, t.ID)
+		delete(m.attempts, t.ID)
 	}
-	if closed && sh.queuedAt != nil {
-		delete(sh.queuedAt, t.ID)
+	if closed && m.queuedAt != nil {
+		delete(m.queuedAt, t.ID)
 	}
 	var delay time.Duration
 	if !closed && !exhausted {
-		m.markQueuedLocked(sh, t)
-		// The jitter rng is per shard: backoff for one job never
-		// serializes against dispatch or acks for jobs on other shards.
-		delay = m.backoff.Delay(attempts, sh.rng)
+		m.markQueuedLocked(t)
+		delay = m.backoff.Delay(attempts, m.rng)
 	}
 	if exhausted && !closed {
-		m.quarantineLocked(sh, t, attempts)
+		m.quarantineLocked(t, attempts)
 	}
-	sh.mu.Unlock()
+	m.mu.Unlock()
 	m.fr.Probe(flightrec.ProbeMasterRequeue, tp, int64(attempts), t.Span)
 	if closed {
 		return
@@ -925,27 +884,26 @@ func (m *Master) requeue(t Task) {
 		m.gQueue.SetInt(m.sched.len())
 		return
 	}
-	sh.mu.Lock()
+	m.mu.Lock()
 	if m.closed.Load() {
-		sh.mu.Unlock()
+		m.mu.Unlock()
 		return
 	}
-	sh.pending[t.ID] = time.AfterFunc(delay, func() { m.firePending(t) })
-	sh.mu.Unlock()
+	m.pending[t.ID] = time.AfterFunc(delay, func() { m.firePending(t) })
+	m.mu.Unlock()
 }
 
 // firePending moves a backed-off task into the scheduler when its delay
 // elapses. A master closed in the meantime drops the task (its job can
 // never complete anyway — the Results channel is gone).
 func (m *Master) firePending(t Task) {
-	sh := m.shardFor(t.JobID)
-	sh.mu.Lock()
-	delete(sh.pending, t.ID)
+	m.mu.Lock()
+	delete(m.pending, t.ID)
 	closed := m.closed.Load()
-	if closed && sh.queuedAt != nil {
-		delete(sh.queuedAt, t.ID)
+	if closed && m.queuedAt != nil {
+		delete(m.queuedAt, t.ID)
 	}
-	sh.mu.Unlock()
+	m.mu.Unlock()
 	if closed {
 		return
 	}
@@ -954,32 +912,29 @@ func (m *Master) firePending(t Task) {
 }
 
 // quarantineLocked parks a poisoned task, evicting the oldest entry past
-// the retention cap (applied per shard). Callers hold sh.mu.
-func (m *Master) quarantineLocked(sh *masterShard, t Task, attempts int) {
-	if len(sh.quarantine) >= quarantineRetention {
+// the retention cap. Callers hold m.mu.
+func (m *Master) quarantineLocked(t Task, attempts int) {
+	if len(m.quarantine) >= quarantineRetention {
 		oldestID := ""
 		var oldestAt time.Time
-		for id, q := range sh.quarantine {
+		for id, q := range m.quarantine {
 			if oldestID == "" || q.QuarantinedAt.Before(oldestAt) {
 				oldestID, oldestAt = id, q.QuarantinedAt
 			}
 		}
-		delete(sh.quarantine, oldestID)
+		delete(m.quarantine, oldestID)
 	}
-	sh.quarantine[t.ID] = &QuarantinedTask{Task: t, Attempts: attempts, QuarantinedAt: time.Now()}
+	m.quarantine[t.ID] = &QuarantinedTask{Task: t, Attempts: attempts, QuarantinedAt: time.Now()}
 }
 
 // Quarantined snapshots the poison-task quarantine, sorted by task ID.
 func (m *Master) Quarantined() []QuarantinedTask {
+	m.mu.Lock()
 	var out []QuarantinedTask
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for _, q := range sh.quarantine {
-			out = append(out, *q)
-		}
-		sh.mu.Unlock()
+	for _, q := range m.quarantine {
+		out = append(out, *q)
 	}
+	m.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Task.ID < out[j].Task.ID })
 	return out
 }
@@ -988,19 +943,12 @@ func (m *Master) Quarantined() []QuarantinedTask {
 // budget (e.g. after the fault that poisoned it was fixed). The release
 // counts as a new submission in its job's stats.
 func (m *Master) ReleaseQuarantined(taskID string) error {
-	// Only the task ID is known here, not its job, so scan the shards;
-	// releases are rare administrative operations.
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		q, ok := sh.quarantine[taskID]
-		if ok {
-			delete(sh.quarantine, taskID)
-		}
-		sh.mu.Unlock()
-		if ok {
-			return m.Submit(q.Task)
-		}
+	m.mu.Lock()
+	q, ok := m.quarantine[taskID]
+	delete(m.quarantine, taskID)
+	m.mu.Unlock()
+	if ok {
+		return m.Submit(q.Task)
 	}
 	return fmt.Errorf("workqueue: task %q is not quarantined", taskID)
 }
@@ -1008,18 +956,15 @@ func (m *Master) ReleaseQuarantined(taskID string) error {
 func (m *Master) complete(r Result) {
 	tp := m.fr.Start()
 	var ackParent int64
-	// The entire ack path touches only the result's job shard: an ack
-	// for one job never contends with a push or requeue for another.
-	sh := m.shardFor(r.JobID)
-	sh.mu.Lock()
-	delete(sh.inflight, r.TaskID)
-	r.Retried = r.Retried || sh.attempts[r.TaskID] > 0
-	delete(sh.attempts, r.TaskID)
-	if sh.queuedAt != nil {
-		delete(sh.queuedAt, r.TaskID)
+	m.mu.Lock()
+	delete(m.inflight, r.TaskID)
+	r.Retried = r.Retried || m.attempts[r.TaskID] > 0
+	delete(m.attempts, r.TaskID)
+	if m.queuedAt != nil {
+		delete(m.queuedAt, r.TaskID)
 	}
-	if sh.taskSpans != nil {
-		if s := sh.taskSpans[r.TaskID]; s != nil {
+	if m.taskSpans != nil {
+		if s := m.taskSpans[r.TaskID]; s != nil {
 			ackParent = s.SpanID()
 			if r.Err != "" {
 				s.SetAttr("error", r.Err)
@@ -1031,12 +976,12 @@ func (m *Master) complete(r Result) {
 			}
 			s.Finish()
 		}
-		delete(sh.taskSpans, r.TaskID)
+		delete(m.taskSpans, r.TaskID)
 	}
-	js, ok := sh.stats[r.JobID]
+	js, ok := m.stats[r.JobID]
 	if !ok {
 		js = &JobStats{JobID: r.JobID}
-		sh.stats[r.JobID] = js
+		m.stats[r.JobID] = js
 	}
 	if r.Err != "" {
 		js.Failed++
@@ -1047,7 +992,7 @@ func (m *Master) complete(r Result) {
 	js.LastCompletion = time.Now()
 	jobDone := js.Done()
 	closed := m.closed.Load()
-	sh.mu.Unlock()
+	m.mu.Unlock()
 	m.fr.Probe(flightrec.ProbeMasterAck, tp, int64(len(r.Output)), ackParent)
 	if jobDone {
 		// The scheduler entry of a drained job goes; ForgetJob drops the rest.
@@ -1077,14 +1022,9 @@ func (m *Master) complete(r Result) {
 // taskStateSizes reports the internal per-task map sizes; tests assert
 // they drain to zero after a run so long-lived masters cannot leak.
 func (m *Master) taskStateSizes() (inflight, attempts int) {
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		inflight += len(sh.inflight)
-		attempts += len(sh.attempts)
-		sh.mu.Unlock()
-	}
-	return inflight, attempts
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.inflight), len(m.attempts)
 }
 
 // Shutdown closes the task pool, waits for worker handlers spawned by
@@ -1103,14 +1043,11 @@ func (m *Master) Shutdown() {
 	}
 	// Stop backed-off requeue timers: the tasks can never run (the pool
 	// is closed), and an already-fired timer sees closed and drops out.
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for id, timer := range sh.pending {
-			timer.Stop()
-			delete(sh.pending, id)
-		}
-		sh.mu.Unlock()
+	m.mu.Lock()
+	for id, timer := range m.pending {
+		timer.Stop()
+		delete(m.pending, id)
 	}
+	m.mu.Unlock()
 	close(m.results)
 }

@@ -100,6 +100,27 @@ func TestRequeueBackoffBoundsRetryRate(t *testing.T) {
 	t.Logf("retries in %v: %d with backoff, %d without", window, backed, hot)
 }
 
+// TestQuarantineCapIsGlobal quarantines tasks of many jobs past the
+// retention cap and expects the cap to hold for the master as a whole:
+// exactly quarantineRetention entries, the oldest ones dropped.
+func TestQuarantineCapIsGlobal(t *testing.T) {
+	m := NewMaster(MasterConfig{MaxRetries: 1, RequeueBackoff: BackoffConfig{Base: -1}, ResultBuffer: 256})
+	defer m.Shutdown()
+	const n = quarantineRetention + 2
+	for i := 0; i < n; i++ {
+		task := Task{ID: fmt.Sprintf("t%03d", i), JobID: fmt.Sprintf("j%d", i)}
+		m.requeue(task) // first loss: back into the pool
+		m.requeue(task) // second loss exhausts MaxRetries: quarantined
+	}
+	q := m.Quarantined()
+	if len(q) != quarantineRetention {
+		t.Fatalf("%d tasks quarantined, want the cap %d", len(q), quarantineRetention)
+	}
+	if first, last := q[0].Task.ID, q[len(q)-1].Task.ID; first != "t002" || last != fmt.Sprintf("t%03d", n-1) {
+		t.Fatalf("quarantine holds %s..%s, want t002..t%03d (the two oldest dropped)", first, last, n-1)
+	}
+}
+
 // TestQuarantineLifecycle walks a poison task end to end: it exhausts
 // MaxRetries against crash-looping workers, lands in quarantine with a
 // failed Result (so its job finishes instead of stalling), and after

@@ -7,9 +7,8 @@ import (
 	"testing"
 )
 
-// Contention benchmarks for the sharded scheduler + lock-free dispatch
-// path, each at 1/4/16/64 simulated workers against the frozen
-// single-mutex baseline (sched_baseline_test.go):
+// Contention benchmarks for the scheduler and the master's bookkeeping,
+// each at 1/4/16/64 simulated workers:
 //
 //	BenchmarkSchedulerPushNext       push → blocking draw, the bare pool
 //	BenchmarkSchedulerDispatchAck    submit → draw → in-flight → ack, the
@@ -17,18 +16,13 @@ import (
 //	BenchmarkSchedulerMixedContended the above plus priority retunes and
 //	                                 stats reads racing each other
 //
-// The sharded side always runs 8 shards so the comparison measures the
-// sharded data structure (not GOMAXPROCS, which is 1 on the CI box).
 // scripts/check.sh sched flattens the results into BENCH_sched.json,
-// which the benchdiff gate then tracks; the ≥4× acceptance ratio at 16
-// workers is sharded vs mutex ns/op within one snapshot.
-
-const benchShards = 8
+// which the benchdiff gate then tracks.
 
 var benchWorkerCounts = []int{1, 4, 16, 64}
 
-// benchJob spreads goroutines over 16 jobs so both implementations see
-// a realistic multi-job pool (and the sharded one a populated hash).
+// benchJob spreads goroutines over 16 jobs so the weighted pick sees a
+// realistic multi-job pool.
 func benchJob(g int) string { return fmt.Sprintf("job%d", g%16) }
 
 // benchIDs precomputes a cycle of task IDs per simulated worker so ID
@@ -64,8 +58,8 @@ func splitN(b *testing.B, workers int, fn func(g, per int)) {
 
 func BenchmarkSchedulerPushNext(b *testing.B) {
 	for _, workers := range benchWorkerCounts {
-		b.Run(fmt.Sprintf("impl=sharded/workers=%d", workers), func(b *testing.B) {
-			s := newScheduler(1, benchShards)
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			s := newScheduler(1)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			splitN(b, workers, func(g, per int) {
@@ -81,168 +75,64 @@ func BenchmarkSchedulerPushNext(b *testing.B) {
 				}
 			})
 		})
-		b.Run(fmt.Sprintf("impl=mutex/workers=%d", workers), func(b *testing.B) {
-			s := newMutexScheduler(1)
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			splitN(b, workers, func(g, per int) {
-				task := Task{ID: "t", JobID: benchJob(g)}
-				for i := 0; i < per; i++ {
-					s.push(task)
-					if _, ok := s.next(ctx); !ok {
-						b.Error("draw failed")
-						return
-					}
-				}
-			})
-		})
 	}
+}
+
+// benchMasterCycle runs submit → draw → in-flight → ack cycles on a fresh
+// master; retune, when set, runs every 64th cycle of each goroutine.
+func benchMasterCycle(b *testing.B, workers int, retune func(m *Master, job string, i int)) {
+	m := NewMaster(MasterConfig{Seed: 1, ResultBuffer: 256})
+	ids := benchIDs(workers)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range m.results {
+		}
+	}()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	splitN(b, workers, func(g, per int) {
+		w := m.sched.getWaiter()
+		defer m.sched.putWaiter(w)
+		job := benchJob(g)
+		for i := 0; i < per; i++ {
+			id := ids[g][i%1024]
+			if err := m.Submit(Task{ID: id, JobID: job}); err != nil {
+				b.Error(err)
+				return
+			}
+			if retune != nil && i%64 == 0 {
+				retune(m, job, i)
+			}
+			task, ok := w.next(ctx)
+			if !ok {
+				b.Error("draw failed")
+				return
+			}
+			m.trackInflight(task, "bench-worker")
+			m.complete(Result{TaskID: task.ID, JobID: task.JobID})
+		}
+	})
+	b.StopTimer()
+	m.Shutdown()
+	<-done
 }
 
 func BenchmarkSchedulerDispatchAck(b *testing.B) {
 	for _, workers := range benchWorkerCounts {
-		b.Run(fmt.Sprintf("impl=sharded/workers=%d", workers), func(b *testing.B) {
-			m := NewMaster(MasterConfig{Seed: 1, SchedShards: benchShards, ResultBuffer: 256})
-			ids := benchIDs(workers)
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for range m.results {
-				}
-			}()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			splitN(b, workers, func(g, per int) {
-				w := m.sched.getWaiter()
-				defer m.sched.putWaiter(w)
-				w.preferred = uint32(g)
-				job := benchJob(g)
-				for i := 0; i < per; i++ {
-					id := ids[g][i%1024]
-					if err := m.Submit(Task{ID: id, JobID: job}); err != nil {
-						b.Error(err)
-						return
-					}
-					task, ok := w.next(ctx)
-					if !ok {
-						b.Error("draw failed")
-						return
-					}
-					m.trackInflight(task, "bench-worker")
-					m.complete(Result{TaskID: task.ID, JobID: task.JobID})
-				}
-			})
-			b.StopTimer()
-			m.Shutdown()
-			<-done
-		})
-		b.Run(fmt.Sprintf("impl=mutex/workers=%d", workers), func(b *testing.B) {
-			m := newBaselineMaster(1)
-			ids := benchIDs(workers)
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for range m.results {
-				}
-			}()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			splitN(b, workers, func(g, per int) {
-				job := benchJob(g)
-				for i := 0; i < per; i++ {
-					id := ids[g][i%1024]
-					m.submit(Task{ID: id, JobID: job})
-					task, ok := m.sched.next(ctx)
-					if !ok {
-						b.Error("draw failed")
-						return
-					}
-					m.trackInflight(task)
-					m.complete(Result{TaskID: task.ID, JobID: task.JobID})
-				}
-			})
-			b.StopTimer()
-			m.sched.close()
-			close(m.results)
-			<-done
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			benchMasterCycle(b, workers, nil)
 		})
 	}
 }
 
 func BenchmarkSchedulerMixedContended(b *testing.B) {
 	for _, workers := range benchWorkerCounts {
-		b.Run(fmt.Sprintf("impl=sharded/workers=%d", workers), func(b *testing.B) {
-			m := NewMaster(MasterConfig{Seed: 1, SchedShards: benchShards, ResultBuffer: 256})
-			ids := benchIDs(workers)
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for range m.results {
-				}
-			}()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			splitN(b, workers, func(g, per int) {
-				w := m.sched.getWaiter()
-				defer m.sched.putWaiter(w)
-				w.preferred = uint32(g)
-				job := benchJob(g)
-				for i := 0; i < per; i++ {
-					id := ids[g][i%1024]
-					if err := m.Submit(Task{ID: id, JobID: job}); err != nil {
-						b.Error(err)
-						return
-					}
-					if i%64 == 0 {
-						m.SetJobPriority(job, 1+float64(i%7))
-						_ = m.Stats(job)
-					}
-					task, ok := w.next(ctx)
-					if !ok {
-						b.Error("draw failed")
-						return
-					}
-					m.trackInflight(task, "bench-worker")
-					m.complete(Result{TaskID: task.ID, JobID: task.JobID})
-				}
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			benchMasterCycle(b, workers, func(m *Master, job string, i int) {
+				m.SetJobPriority(job, 1+float64(i%7))
+				_ = m.Stats(job)
 			})
-			b.StopTimer()
-			m.Shutdown()
-			<-done
-		})
-		b.Run(fmt.Sprintf("impl=mutex/workers=%d", workers), func(b *testing.B) {
-			m := newBaselineMaster(1)
-			ids := benchIDs(workers)
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for range m.results {
-				}
-			}()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			splitN(b, workers, func(g, per int) {
-				job := benchJob(g)
-				for i := 0; i < per; i++ {
-					id := ids[g][i%1024]
-					m.submit(Task{ID: id, JobID: job})
-					if i%64 == 0 {
-						m.sched.setPriority(job, 1+float64(i%7))
-						_ = m.stat(job)
-					}
-					task, ok := m.sched.next(ctx)
-					if !ok {
-						b.Error("draw failed")
-						return
-					}
-					m.trackInflight(task)
-					m.complete(Result{TaskID: task.ID, JobID: task.JobID})
-				}
-			})
-			b.StopTimer()
-			m.sched.close()
-			close(m.results)
-			<-done
 		})
 	}
 }

@@ -13,7 +13,7 @@ import (
 // call: a steady push/draw cycle through a leased waiter must not
 // allocate at all, cancellable context included.
 func TestSchedulerNextAllocFree(t *testing.T) {
-	s := newScheduler(7, 4)
+	s := newScheduler(7)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	w := s.getWaiter()
@@ -44,13 +44,10 @@ func TestSchedulerNextAllocFree(t *testing.T) {
 	}
 }
 
-// TestSchedulerWeightedFairnessAcrossShards is the chi-squared check
-// that draw frequencies track the paper's P_u = T_u / sum T_u weights
-// even though jobs are spread over independent shards: the two-level
-// pick (shard by priority mass, then job by priority) must compose to
-// the global weighted distribution.
-func TestSchedulerWeightedFairnessAcrossShards(t *testing.T) {
-	s := newScheduler(3, 4)
+// TestSchedulerWeightedFairness is the chi-squared check that draw
+// frequencies track the paper's P_u = T_u / sum T_u weights.
+func TestSchedulerWeightedFairness(t *testing.T) {
+	s := newScheduler(3)
 	w := s.getWaiter()
 	defer s.putWaiter(w)
 	priorities := []float64{5, 3, 1, 1, 0.5, 0.25}
@@ -66,9 +63,8 @@ func TestSchedulerWeightedFairnessAcrossShards(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		// One queued task per job, then a single counted draw: the first
 		// draw of each round samples the full weighted distribution.
-		for i, id := range jobs {
+		for _, id := range jobs {
 			s.push(Task{ID: fmt.Sprintf("%s-%d", id, trial), JobID: id})
-			_ = i
 		}
 		task, ok := w.tryNext()
 		if !ok {
@@ -94,52 +90,65 @@ func TestSchedulerWeightedFairnessAcrossShards(t *testing.T) {
 	}
 }
 
-// TestSchedulerColdShardNotStarved drains a hot shard stacked with
-// high-priority work and requires the lone task of a near-zero-priority
-// job on another shard to still come out: the steal scan (and the
-// exhaustive drain) guarantee progress, not just probability.
-func TestSchedulerColdShardNotStarved(t *testing.T) {
-	s := newScheduler(11, 4)
+// TestSchedulerLowPriorityJobNotStarved queues the lone task of a job at
+// the priority floor behind 500 tasks of a priority-1000 job and requires
+// it to come out within the drain: the weighted pick may make a job wait,
+// never lose it.
+func TestSchedulerLowPriorityJobNotStarved(t *testing.T) {
+	s := newScheduler(11)
 	w := s.getWaiter()
 	defer s.putWaiter(w)
-	// Pick two jobs living on different shards.
-	hot, cold := "hot0", ""
-	for i := 0; i < 64 && cold == ""; i++ {
-		id := fmt.Sprintf("cold%d", i)
-		if shardIndex(id, 4) != shardIndex(hot, 4) {
-			cold = id
-		}
-	}
-	if cold == "" {
-		t.Fatal("could not find a job on another shard")
-	}
-	s.setPriority(hot, 1000)
-	s.setPriority(cold, 1e-9) // clamped to the epsilon floor, ~0 weight
+	s.setPriority("hot", 1000)
+	s.setPriority("cold", 1e-9) // clamped to the 1e-6 floor
 	const hotTasks = 500
 	for i := 0; i < hotTasks; i++ {
-		s.push(Task{ID: fmt.Sprintf("h%d", i), JobID: hot})
+		s.push(Task{ID: fmt.Sprintf("h%d", i), JobID: "hot"})
 	}
-	s.push(Task{ID: "the-cold-one", JobID: cold})
+	s.push(Task{ID: "the-cold-one", JobID: "cold"})
 	seenCold := false
 	for i := 0; i < hotTasks+1; i++ {
 		task, ok := w.tryNext()
 		if !ok {
 			t.Fatalf("pool dried up after %d draws with %d queued", i, s.len())
 		}
-		if task.JobID == cold {
+		if task.JobID == "cold" {
 			seenCold = true
 		}
 	}
 	if !seenCold {
-		t.Fatal("cold shard's task never delivered — starved")
+		t.Fatal("the low-priority job's task never delivered — starved")
 	}
 	if s.len() != 0 {
 		t.Fatalf("queue not drained: %d left", s.len())
 	}
 }
 
+// TestSchedulerCancelKeepsHandoffAtHead drives next's cancel branch for a
+// waiter a pusher has already handed a task: the task goes back to the
+// head of its job's queue, ahead of the job's task queued since, so FIFO
+// within a job survives a worker released or lost mid-handoff.
+func TestSchedulerCancelKeepsHandoffAtHead(t *testing.T) {
+	s := newScheduler(1)
+	w := s.getWaiter()
+	defer s.putWaiter(w)
+	if _, _, parked := w.takeOrPark(context.Background()); !parked {
+		t.Fatal("waiter did not park on an empty pool")
+	}
+	s.push(Task{ID: "t0", JobID: "j"}) // handed to the parked waiter
+	s.push(Task{ID: "t1", JobID: "j"}) // queued: nobody is parked
+	if _, ok := w.cancel(); ok {
+		t.Fatal("cancelled draw returned a task")
+	}
+	for _, want := range []string{"t0", "t1"} {
+		task, ok := s.tryNext()
+		if !ok || task.ID != want {
+			t.Fatalf("drew %q (ok %v), want %s", task.ID, ok, want)
+		}
+	}
+}
+
 // TestSchedulerLoadSweep100k is the sched tier's load sweep: 100k claim
-// draws through the sharded pool at each simulated-worker count, with
+// draws through the pool at each simulated-worker count, with
 // exactly-once delivery and a full drain asserted at every step. The
 // per-step throughput lands in the -v log next to BENCH_sched.json.
 func TestSchedulerLoadSweep100k(t *testing.T) {
@@ -149,25 +158,24 @@ func TestSchedulerLoadSweep100k(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			s := newScheduler(9, 0) // production default shard count
+			s := newScheduler(9)
 			var delivered sync.WaitGroup
 			delivered.Add(claims)
 			var wg sync.WaitGroup
 			start := time.Now()
 			for g := 0; g < workers; g++ {
 				wg.Add(1)
-				go func(g int) {
+				go func() {
 					defer wg.Done()
 					w := s.getWaiter()
 					defer s.putWaiter(w)
-					w.preferred = uint32(g)
 					for {
 						if _, ok := w.next(context.Background()); !ok {
 							return
 						}
 						delivered.Done()
 					}
-				}(g)
+				}()
 			}
 			for i := 0; i < claims; i++ {
 				s.push(Task{ID: fmt.Sprintf("c%d", i), JobID: fmt.Sprintf("job%d", i%64)})
@@ -185,10 +193,10 @@ func TestSchedulerLoadSweep100k(t *testing.T) {
 	}
 }
 
-// TestSchedulerConcurrentExactlyOnce hammers the sharded pool from
-// concurrent pushers and waiter-holding workers and checks every task is
-// delivered exactly once — the invariant the handoff/park protocol must
-// keep under races (run under -race in the race tier).
+// TestSchedulerConcurrentExactlyOnce hammers the pool from concurrent
+// pushers and waiter-holding workers and checks every task is delivered
+// exactly once — the invariant the handoff/park protocol must keep under
+// races (run under -race in the race tier).
 func TestSchedulerConcurrentExactlyOnce(t *testing.T) {
 	const (
 		pushers        = 4
@@ -196,7 +204,7 @@ func TestSchedulerConcurrentExactlyOnce(t *testing.T) {
 		tasksPerPusher = 500
 		jobs           = 16
 	)
-	s := newScheduler(5, 4)
+	s := newScheduler(5)
 	delivered := make(chan string, pushers*tasksPerPusher)
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {

@@ -2,12 +2,9 @@ package workqueue
 
 import (
 	"context"
-	"hash/maphash"
-	"math"
 	"math/rand"
-	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/social-sensing/sstd/internal/obs"
 )
@@ -18,74 +15,41 @@ import (
 // generalized to arbitrary positive priorities tuned by the PID loop).
 // Within a job, tasks are FIFO.
 //
-// The pool is sharded: jobs hash to one of N shards (N defaults to
-// GOMAXPROCS), each with its own lock, FIFO queues, priority table and
-// rng, so a push for one job never contends with an ack or a draw for an
-// unrelated one. Global P_u fairness survives the sharding because a draw
-// first picks a shard weighted by its total pending priority mass (read
-// lock-free from per-shard atomics), then picks a job within the shard
-// weighted by priority: P(job) = (mass_s/Σmass)·(p_j/mass_s) = p_j/Σmass,
-// exactly the unsharded distribution. A draw that loses the race for its
-// picked shard steals from the others in preference order, so a hot shard
-// draining cannot starve a cold shard's job.
+// One mutex guards the whole pool: the job queues, the weighted pick's
+// state and the idle-waiter stack (DESIGN.md has the measurement that
+// retired the sharded pool).
 //
 // Dispatch is handoff-based instead of cond.Broadcast-based: each idle
 // worker parks on its own one-slot channel (its dispatch queue), and a
-// push hands the task directly to a parked worker without touching any
-// shard — the lock-free dispatch path. Only when every worker is busy
-// does a task enter its shard's queue.
+// push into an empty pool hands the task directly to a parked worker. A
+// waiter parks under the same lock push checks, so a push either sees the
+// parked waiter or comes before the waiter's own draw: no wakeup is lost.
 type scheduler struct {
-	shards []schedShard
-	// pending counts queued tasks across all shards (handed-off tasks are
-	// already dispatched and excluded, mirroring the old semantics where
-	// len() reported tasks waiting for a worker).
-	pending atomic.Int64
-	closed  atomic.Bool
-	seed    int64
-
-	// idle is the LIFO stack of parked waiters; idleMu serializes only
-	// park/claim transitions, never a task move. idleCount mirrors
-	// len(idle) so the push path skips the lock entirely while every
-	// worker is busy — the common case under load. The mirror may lag a
-	// concurrent park, but the parking waiter's pending re-check (see
-	// waiter.next) covers that window.
-	idleMu    sync.Mutex
-	idle      []*waiter
-	idleCount atomic.Int32
-
-	// waiters recycles waiter structs so the idle-worker loop stays
-	// allocation-free; waiterSeq spreads preferred shards round-robin.
-	waiters   sync.Pool
-	waiterSeq atomic.Uint32
-
-	// Telemetry (nil-safe): handoffs count tasks dispatched without ever
-	// touching a shard queue, wakeups the park/signal cycles, steals the
-	// draws served by a shard other than the weighted pick.
-	cHandoffs *obs.Counter
-	cWakeups  *obs.Counter
-	cSteals   *obs.Counter
-}
-
-// schedShard is one lock domain of the task pool. The pad keeps hot
-// shards on separate cache lines so uncontended shard locks stay
-// uncontended at the coherence level too.
-type schedShard struct {
 	mu sync.Mutex
 	// jobs holds one entry per known job (created on first push or
 	// setPriority, dropped by forgetJob); entries keep their queue
 	// capacity across empty→nonempty transitions so steady-state
 	// push/draw cycles allocate nothing. order holds the jobs with
 	// pending tasks (stable iteration) by pointer, so the weighted pick
-	// never touches the map.
+	// never touches the map; mass is their total priority.
 	jobs    map[string]*jobQueue
 	order   []*jobQueue
-	pending int
-	// mass is the total priority of jobs in order; massBits mirrors it
-	// for the lock-free weighted shard pick.
-	mass     float64
-	massBits atomic.Uint64
-	rng      *rand.Rand
-	_        [24]byte
+	mass    float64
+	rng     *rand.Rand
+	pending int // queued tasks; handed-off tasks are already dispatched
+	closed  bool
+	// idle is the LIFO stack of parked waiters. It is non-empty only while
+	// pending is zero: a push into an empty pool goes to a parked waiter
+	// first, and a waiter parks only when its draw finds nothing.
+	idle []*waiter
+
+	// waiters recycles waiter structs so the idle-worker loop stays
+	// allocation-free.
+	waiters sync.Pool
+
+	// cHandoffs (nil-safe) counts tasks dispatched to a parked waiter
+	// without ever entering a queue.
+	cHandoffs *obs.Counter
 }
 
 // jobQueue is one job's FIFO plus its scheduling weight. head indexes the
@@ -99,68 +63,34 @@ type jobQueue struct {
 
 func (q *jobQueue) pending() int { return len(q.tasks) - q.head }
 
-// wake is one message on a waiter's dispatch channel: either a direct
-// task handoff or a bare signal to rescan the shards.
+// wake is one message on a waiter's dispatch channel: a handed-off task,
+// or (ok false) the close signal.
 type wake struct {
-	task   Task
-	direct bool
+	task Task
+	ok   bool
 }
 
 // waiter is one worker's dispatch endpoint: a reusable parking slot with
-// a one-slot channel the push side hands tasks (or rescan signals) to.
-// A waiter is owned by a single goroutine; the channel crosses to pushers
-// only while the waiter sits on the idle stack, and every claim sends
-// exactly one message, so the channel is always empty when re-parked.
+// a one-slot channel the push side hands tasks to. A waiter is owned by a
+// single goroutine; the channel crosses to pushers only while the waiter
+// sits on the idle stack, and every claim sends exactly one message, so
+// the channel is always empty when re-parked.
 type waiter struct {
-	s         *scheduler
-	ch        chan wake
-	rng       *rand.Rand
-	preferred uint32
-	scratch   []float64 // per-shard mass snapshot for the weighted pick
+	s  *scheduler
+	ch chan wake
 }
 
-// schedSeed hashes job IDs onto shards. A process-wide random seed is
-// fine: shard placement only needs to be stable within one scheduler.
-var schedSeed = maphash.MakeSeed()
-
-func shardIndex(jobID string, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return int(maphash.String(schedSeed, jobID) % uint64(n))
-}
-
-// newScheduler builds a pool with nshards shards (<= 0 picks GOMAXPROCS).
-func newScheduler(seed int64, nshards int) *scheduler {
-	if nshards <= 0 {
-		nshards = runtime.GOMAXPROCS(0)
-	}
-	s := &scheduler{shards: make([]schedShard, nshards), seed: seed}
-	for i := range s.shards {
-		s.shards[i].jobs = make(map[string]*jobQueue)
-		s.shards[i].rng = rand.New(rand.NewSource(seed + int64(i)))
-	}
-	s.waiters.New = func() any {
-		return &waiter{
-			s:         s,
-			ch:        make(chan wake, 1),
-			rng:       rand.New(rand.NewSource(seed ^ int64(s.waiterSeq.Add(1))<<17)),
-			preferred: s.waiterSeq.Load(),
-			scratch:   make([]float64, nshards),
-		}
-	}
+func newScheduler(seed int64) *scheduler {
+	s := &scheduler{jobs: make(map[string]*jobQueue), rng: rand.New(rand.NewSource(seed))}
+	s.waiters.New = func() any { return &waiter{s: s, ch: make(chan wake, 1)} }
 	return s
 }
 
-// instrument attaches the scheduler's dispatch counters to a registry.
+// instrument attaches the scheduler's dispatch counter to a registry.
 func (s *scheduler) instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
+	if reg != nil {
+		s.cHandoffs = reg.Counter("wq_sched_handoffs_total")
 	}
-	s.cHandoffs = reg.Counter("wq_sched_handoffs_total")
-	s.cWakeups = reg.Counter("wq_sched_wakeups_total")
-	s.cSteals = reg.Counter("wq_sched_steals_total")
-	reg.Gauge("wq_sched_shards").SetInt(len(s.shards))
 }
 
 // getWaiter leases a dispatch endpoint (one per worker connection);
@@ -168,107 +98,49 @@ func (s *scheduler) instrument(reg *obs.Registry) {
 func (s *scheduler) getWaiter() *waiter  { return s.waiters.Get().(*waiter) }
 func (s *scheduler) putWaiter(w *waiter) { s.waiters.Put(w) }
 
-// push enqueues a task; jobs default to priority 1. When a worker is
-// parked and no task is queued anywhere, the task is handed to it
-// directly — the push never takes a shard lock on that path.
-func (s *scheduler) push(t Task) {
-	if s.closed.Load() {
+// push enqueues a task at the tail of its job's queue; jobs default to
+// priority 1.
+func (s *scheduler) push(t Task) { s.put(t, false) }
+
+// put hands t to a parked waiter if there is one — which implies nothing
+// is queued, so the handoff cannot jump a job's FIFO or bypass the
+// weighted pick — and otherwise queues it at the tail (front: the head)
+// of its job's queue.
+func (s *scheduler) put(t Task, front bool) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
 		return
 	}
-	// Direct handoff is only safe when the pool is empty: with tasks
-	// queued, jumping the queue would break FIFO-within-job and bypass
-	// the weighted pick.
-	if s.pending.Load() == 0 {
-		if w := s.claimIdle(); w != nil {
-			s.cHandoffs.Inc()
-			w.ch <- wake{task: t, direct: true}
-			return
-		}
+	if n := len(s.idle); n > 0 {
+		w := s.idle[n-1]
+		s.idle[n-1] = nil
+		s.idle = s.idle[:n-1]
+		s.mu.Unlock()
+		s.cHandoffs.Inc()
+		w.ch <- wake{task: t, ok: true}
+		return
 	}
-	sh := &s.shards[shardIndex(t.JobID, len(s.shards))]
-	sh.mu.Lock()
-	q := sh.jobs[t.JobID]
+	q := s.jobs[t.JobID]
 	if q == nil {
 		q = &jobQueue{id: t.JobID, priority: 1}
-		sh.jobs[t.JobID] = q
+		s.jobs[t.JobID] = q
 	}
 	if q.pending() == 0 {
-		sh.order = append(sh.order, q)
-		sh.setMassLocked(sh.mass + q.priority)
+		s.order = append(s.order, q)
+		s.mass += q.priority
 	}
-	q.tasks = append(q.tasks, t)
-	sh.pending++
-	sh.mu.Unlock()
-	s.pending.Add(1)
-	// Re-check for a parked worker after the task is visible: a worker
-	// that parked between the handoff check above and now would otherwise
-	// sleep on a non-empty pool (the classic lost wakeup).
-	if w := s.claimIdle(); w != nil {
-		s.cWakeups.Inc()
-		w.ch <- wake{}
+	switch {
+	case !front:
+		q.tasks = append(q.tasks, t)
+	case q.head > 0:
+		q.head--
+		q.tasks[q.head] = t
+	default:
+		q.tasks = slices.Insert(q.tasks, 0, t)
 	}
-}
-
-// claimIdle pops one parked waiter, transferring the exclusive right to
-// send on its channel to the caller. Nil when nobody is parked; that
-// case is a single atomic load, so pushes under load never touch the
-// idle lock.
-func (s *scheduler) claimIdle() *waiter {
-	if s.idleCount.Load() == 0 {
-		return nil
-	}
-	s.idleMu.Lock()
-	n := len(s.idle)
-	if n == 0 {
-		s.idleMu.Unlock()
-		return nil
-	}
-	w := s.idle[n-1]
-	s.idle[n-1] = nil
-	s.idle = s.idle[:n-1]
-	s.idleCount.Store(int32(n - 1))
-	s.idleMu.Unlock()
-	return w
-}
-
-// park adds the waiter to the idle stack; unpark removes it again and
-// reports whether the waiter was still there (false means a pusher or
-// close claimed it and exactly one message is in flight on its channel).
-func (w *waiter) park() {
-	s := w.s
-	s.idleMu.Lock()
-	s.idle = append(s.idle, w)
-	s.idleCount.Store(int32(len(s.idle)))
-	s.idleMu.Unlock()
-}
-
-func (w *waiter) unpark() bool {
-	s := w.s
-	s.idleMu.Lock()
-	for i, p := range s.idle {
-		if p == w {
-			last := len(s.idle) - 1
-			s.idle[i] = s.idle[last]
-			s.idle[last] = nil
-			s.idle = s.idle[:last]
-			s.idleCount.Store(int32(last))
-			s.idleMu.Unlock()
-			return true
-		}
-	}
-	s.idleMu.Unlock()
-	return false
-}
-
-// setMassLocked updates the shard's priority mass and its atomic mirror.
-// Callers hold sh.mu. Tiny negative residue from float cancellation is
-// clamped so the weighted pick never sees a negative weight.
-func (sh *schedShard) setMassLocked(m float64) {
-	if m < 0 {
-		m = 0
-	}
-	sh.mass = m
-	sh.massBits.Store(math.Float64bits(m))
+	s.pending++
+	s.mu.Unlock()
 }
 
 // setPriority tunes a job's scheduling weight. Non-positive values are
@@ -278,19 +150,22 @@ func (s *scheduler) setPriority(jobID string, p float64) {
 	if p < minPriority {
 		p = minPriority
 	}
-	sh := &s.shards[shardIndex(jobID, len(s.shards))]
-	sh.mu.Lock()
-	q := sh.jobs[jobID]
+	s.mu.Lock()
+	q := s.jobs[jobID]
 	if q == nil {
-		sh.jobs[jobID] = &jobQueue{id: jobID, priority: p}
+		s.jobs[jobID] = &jobQueue{id: jobID, priority: p}
 	} else {
 		if q.pending() > 0 {
-			sh.setMassLocked(sh.mass + p - q.priority)
+			s.setMassLocked(s.mass + p - q.priority)
 		}
 		q.priority = p
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 }
+
+// setMassLocked clamps tiny negative residue from float cancellation so
+// the weighted pick never sees a negative weight. Callers hold s.mu.
+func (s *scheduler) setMassLocked(m float64) { s.mass = max(m, 0) }
 
 // next blocks until a task is available (or ctx is done / scheduler
 // closed) and returns it. It leases a pooled waiter per call; the master
@@ -306,145 +181,83 @@ func (s *scheduler) next(ctx context.Context) (Task, bool) {
 // tryNext returns a queued task without blocking; ok=false when the pool
 // is empty or closed.
 func (s *scheduler) tryNext() (Task, bool) {
-	w := s.getWaiter()
-	t, ok := w.tryNext()
-	s.putWaiter(w)
-	return t, ok
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return Task{}, false
+	}
+	return s.takeLocked()
 }
 
 // next blocks until a task is available, the context is cancelled, or the
 // scheduler closes. The wait path parks on the waiter's own channel —
 // no per-call allocation, no broadcast wakeups.
 func (w *waiter) next(ctx context.Context) (Task, bool) {
-	s := w.s
-	done := ctx.Done()
-	for {
-		if s.closed.Load() {
-			return Task{}, false
-		}
-		if t, ok := w.take(); ok {
-			return t, true
-		}
-		// Cancellation is checked only when the draw would block: a
-		// ctx.Err() call takes the context's lock, which the hot
-		// task-available path must not touch.
-		if ctx.Err() != nil {
-			return Task{}, false
-		}
-		// Briefly yield-and-retry before parking: under load an empty
-		// pool is usually a transient gap between a peer's draw and the
-		// next push, and a retried scan is far cheaper than the full
-		// park/wake channel round trip.
-		retried := false
-		for spin := 0; spin < 2 && s.pending.Load() == 0 && !s.closed.Load(); spin++ {
-			runtime.Gosched()
-		}
-		if s.pending.Load() > 0 {
-			retried = true
-		}
-		if retried {
-			continue
-		}
-		w.park()
-		// Recheck after parking: a task pushed (or a close issued) between
-		// the failed take and the park would find no parked waiter to wake.
-		if s.pending.Load() > 0 || s.closed.Load() {
-			if w.unpark() {
-				continue
-			}
-			// A pusher claimed us in the window: its message is in flight,
-			// fall through and consume it.
-		}
-		select {
-		case m := <-w.ch:
-			if m.direct {
-				return m.task, true
-			}
-			// Signal: rescan the shards.
-		case <-done:
-			if w.unpark() {
-				return Task{}, false
-			}
-			// Claimed concurrently with cancellation: consume the in-flight
-			// message so the channel is empty for reuse, and never lose a
-			// handed-off task — push it back for another worker.
-			if m := <-w.ch; m.direct {
-				s.push(m.task)
-			}
-			return Task{}, false
-		}
+	if t, ok, parked := w.takeOrPark(ctx); !parked {
+		return t, ok
+	}
+	select {
+	case m := <-w.ch:
+		return m.task, m.ok
+	case <-ctx.Done():
+		return w.cancel()
 	}
 }
 
 // tryNext is the non-blocking draw (batching handlers use it to fill a
 // frame beyond the first blocking draw).
-func (w *waiter) tryNext() (Task, bool) {
-	if w.s.closed.Load() {
-		return Task{}, false
+func (w *waiter) tryNext() (Task, bool) { return w.s.tryNext() }
+
+// takeOrPark draws a queued task or, when none is queued and neither the
+// pool is closed nor ctx done, parks the waiter on the idle stack
+// (parked true): the next push hands it a task on its channel.
+func (w *waiter) takeOrPark(ctx context.Context) (t Task, ok, parked bool) {
+	s := w.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return Task{}, false, false
 	}
-	return w.take()
+	if t, ok := s.takeLocked(); ok {
+		return t, true, false
+	}
+	// Cancellation is checked only when the draw would block: a
+	// ctx.Err() call takes the context's lock, which the hot
+	// task-available path must not touch.
+	if ctx.Err() != nil {
+		return Task{}, false, false
+	}
+	s.idle = append(s.idle, w)
+	return Task{}, false, true
 }
 
-// take draws one task: weighted shard pick by priority mass, then
-// weighted job pick within the shard, falling back to stealing from the
-// other shards in preference order when the pick loses a race.
-func (w *waiter) take() (Task, bool) {
+// cancel is next's cancelled-context branch for a parked waiter. Still
+// on the idle stack, the waiter just leaves it. Otherwise a pusher (or
+// close) claimed it first and exactly one message is in flight: consume
+// it so the channel is empty for reuse, and put a handed-off task back at
+// the head of its job's queue, ahead of the job's tasks queued since.
+func (w *waiter) cancel() (Task, bool) {
 	s := w.s
-	if s.pending.Load() == 0 {
+	s.mu.Lock()
+	if i := slices.Index(s.idle, w); i >= 0 {
+		s.idle = slices.Delete(s.idle, i, i+1)
+		s.mu.Unlock()
 		return Task{}, false
 	}
-	n := len(s.shards)
-	picked := -1
-	if n > 1 {
-		total := 0.0
-		for i := range s.shards {
-			m := math.Float64frombits(s.shards[i].massBits.Load())
-			w.scratch[i] = m
-			total += m
-		}
-		if total > 0 {
-			r := w.rng.Float64() * total
-			acc := 0.0
-			for i, m := range w.scratch {
-				acc += m
-				if r < acc {
-					picked = i
-					break
-				}
-			}
-		}
-		if picked >= 0 {
-			if t, ok := s.shards[picked].takeOne(); ok {
-				s.pending.Add(-1)
-				return t, true
-			}
-		}
-	}
-	// Steal scan: preference order from this waiter's home shard. Covers
-	// the single-shard pool, a raced-away pick, and mass snapshots gone
-	// stale between the atomic reads and the lock.
-	for i := 0; i < n; i++ {
-		k := (int(w.preferred) + i) % n
-		if t, ok := s.shards[k].takeOne(); ok {
-			s.pending.Add(-1)
-			if picked >= 0 && k != picked {
-				s.cSteals.Inc()
-			}
-			return t, true
-		}
+	s.mu.Unlock()
+	if m := <-w.ch; m.ok {
+		s.put(m.task, true)
 	}
 	return Task{}, false
 }
 
-// takeOne pops the next task from one shard (priority-weighted job pick,
-// FIFO within the job).
-func (sh *schedShard) takeOne() (Task, bool) {
-	sh.mu.Lock()
-	if sh.pending == 0 {
-		sh.mu.Unlock()
+// takeLocked pops the next task: a priority-weighted job pick, FIFO within
+// the job. Callers hold s.mu.
+func (s *scheduler) takeLocked() (Task, bool) {
+	if s.pending == 0 {
 		return Task{}, false
 	}
-	q, idx := sh.pickJobLocked()
+	q, idx := s.pickJobLocked()
 	t := q.tasks[q.head]
 	q.tasks[q.head] = Task{} // release references for GC
 	q.head++
@@ -453,8 +266,8 @@ func (sh *schedShard) takeOne() (Task, bool) {
 		// weighted pick until the next push.
 		q.tasks = q.tasks[:0]
 		q.head = 0
-		sh.removeOrderLocked(idx)
-		sh.setMassLocked(sh.mass - q.priority)
+		s.order = slices.Delete(s.order, idx, idx+1)
+		s.setMassLocked(s.mass - q.priority)
 	} else if q.head >= 32 && q.head*2 >= len(q.tasks) {
 		// Compact once the consumed prefix dominates, so a queue that
 		// never fully drains does not grow its backing array without
@@ -465,32 +278,27 @@ func (sh *schedShard) takeOne() (Task, bool) {
 		q.tasks = q.tasks[:n]
 		q.head = 0
 	}
-	sh.pending--
-	sh.mu.Unlock()
+	s.pending--
 	return t, true
 }
 
 // pickJobLocked selects a job with pending tasks, weighted by priority.
-// sh.mass already holds the total weight of sh.order, so the pick is a
+// s.mass already holds the total weight of s.order, so the pick is a
 // single pass; float residue in the maintained total at worst biases the
 // last job by a few ulps (the fallthrough return).
-func (sh *schedShard) pickJobLocked() (*jobQueue, int) {
-	if len(sh.order) == 1 {
-		return sh.order[0], 0
+func (s *scheduler) pickJobLocked() (*jobQueue, int) {
+	if len(s.order) == 1 {
+		return s.order[0], 0
 	}
-	r := sh.rng.Float64() * sh.mass
+	r := s.rng.Float64() * s.mass
 	acc := 0.0
-	for i, q := range sh.order {
+	for i, q := range s.order {
 		acc += q.priority
 		if r < acc {
 			return q, i
 		}
 	}
-	return sh.order[len(sh.order)-1], len(sh.order) - 1
-}
-
-func (sh *schedShard) removeOrderLocked(i int) {
-	sh.order = append(sh.order[:i], sh.order[i+1:]...)
+	return s.order[len(s.order)-1], len(s.order) - 1
 }
 
 // forgetJob drops a drained job's entry so long-running masters do not
@@ -498,38 +306,36 @@ func (sh *schedShard) removeOrderLocked(i int) {
 // tasks keeps its entry; a task pushed later (e.g. a requeue) recreates
 // it at the default priority.
 func (s *scheduler) forgetJob(jobID string) {
-	sh := &s.shards[shardIndex(jobID, len(s.shards))]
-	sh.mu.Lock()
-	if q := sh.jobs[jobID]; q != nil && q.pending() == 0 {
-		delete(sh.jobs, jobID)
+	s.mu.Lock()
+	if q := s.jobs[jobID]; q != nil && q.pending() == 0 {
+		delete(s.jobs, jobID)
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // jobStateSizes reports internal map sizes (tests assert they drain):
 // queues counts jobs with pending tasks, priorities every known job.
 func (s *scheduler) jobStateSizes() (queues, priorities int) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		queues += len(sh.order)
-		priorities += len(sh.jobs)
-		sh.mu.Unlock()
-	}
-	return queues, priorities
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.order), len(s.jobs)
 }
 
 // len reports the number of queued tasks.
-func (s *scheduler) len() int { return int(s.pending.Load()) }
+func (s *scheduler) len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pending
+}
 
 // close wakes all parked waiters; subsequent pushes are dropped.
 func (s *scheduler) close() {
-	s.closed.Store(true)
-	for {
-		w := s.claimIdle()
-		if w == nil {
-			return
-		}
+	s.mu.Lock()
+	s.closed = true
+	idle := s.idle
+	s.idle = nil
+	s.mu.Unlock()
+	for _, w := range idle {
 		w.ch <- wake{}
 	}
 }

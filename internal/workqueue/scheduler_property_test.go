@@ -14,7 +14,7 @@ import (
 func TestSchedulerPropertyCompleteAndFIFO(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := newScheduler(seed, 1+rng.Intn(8))
+		s := newScheduler(seed)
 		n := 1 + rng.Intn(60)
 		jobs := 1 + rng.Intn(5)
 		pushed := make([]Task, 0, n)

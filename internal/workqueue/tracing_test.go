@@ -184,7 +184,7 @@ func TestAssignNeverQueuedTaskDoesNotBreakTracing(t *testing.T) {
 // worker observed on the worker clock) = transit + skew.
 func TestClockSkewEstimate(t *testing.T) {
 	cl := newCluster(nil, 0)
-	if _, err := cl.attach("w", nil, nil, nil); err != nil {
+	if err := cl.attach("w", nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Worker clock 5ms ahead, symmetric 10ms transit:
@@ -206,7 +206,7 @@ func TestClockSkewEstimate(t *testing.T) {
 
 	// One leg alone must not produce an estimate.
 	cl2 := newCluster(nil, 0)
-	if _, err := cl2.attach("w", nil, nil, nil); err != nil {
+	if err := cl2.attach("w", nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	cl2.observeClock("w", d1, 0)
@@ -222,7 +222,7 @@ func TestClockSkewEstimate(t *testing.T) {
 // smoothing factor and surfaces in WorkerHealth.
 func TestTransferEWMA(t *testing.T) {
 	cl := newCluster(nil, 0)
-	if _, err := cl.attach("w", nil, nil, nil); err != nil {
+	if err := cl.attach("w", nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	cl.observeTransfer("w", 10*time.Millisecond)

@@ -367,7 +367,7 @@ func TestSubmitAfterShutdownFails(t *testing.T) {
 }
 
 func TestSchedulerFIFOWithinJob(t *testing.T) {
-	s := newScheduler(1, 4)
+	s := newScheduler(1)
 	for i := 0; i < 10; i++ {
 		s.push(Task{ID: fmt.Sprintf("t%d", i), JobID: "j"})
 	}
@@ -384,7 +384,7 @@ func TestSchedulerFIFOWithinJob(t *testing.T) {
 }
 
 func TestSchedulerNextHonorsContext(t *testing.T) {
-	s := newScheduler(1, 4)
+	s := newScheduler(1)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -397,7 +397,7 @@ func TestSchedulerNextHonorsContext(t *testing.T) {
 }
 
 func TestSchedulerCloseWakesWaiters(t *testing.T) {
-	s := newScheduler(1, 4)
+	s := newScheduler(1)
 	done := make(chan bool, 1)
 	go func() {
 		_, ok := s.next(context.Background())

@@ -7,7 +7,7 @@
 #   scripts/check.sh chaos      chaos soak: seeded fault-injection schedules under -race
 #   scripts/check.sh wire       wire-codec smoke: round-trip/golden/v1-retirement tests, worker receive-buffer tests under -race, 10s FuzzDecode, task-payload property/rejection tests + 10s FuzzDecodeTask, sstd-master/sstd-worker with -batch 8
 #   scripts/check.sh flightrec  flight-recorder smoke: deadline-miss deep dive (FLIGHTREC_DIR keeps it) + SLO burn -> 3-lane trace (TELEMETRY_DIR keeps it)
-#   scripts/check.sh sched      sharded-scheduler tier: fairness/invariant tests + contention benches -> BENCH_sched.json + 100k-claim sweep
+#   scripts/check.sh sched      scheduler tier: fairness/invariant tests + contention benches -> BENCH_sched.json + 100k-claim sweep
 #   scripts/check.sh accuracy   accuracy gate: SSTD rows of Tables III-V against the checked-in golden + HMM kernel equivalence + ACS grid against Time.Sub + truth digests and decode payload goldens
 #   scripts/check.sh all        tier-1 + tier-2
 #
@@ -104,12 +104,10 @@ bench() {
 	bench_sched
 }
 
-# The sharded-scheduler contention baseline: push/draw, dispatch/ack and
-# mixed (priority retunes + stats reads) cycles at 1/4/16/64 simulated
-# workers, each against the frozen single-mutex implementation
-# (sched_baseline_test.go) in the same snapshot — so the checked-in
-# BENCH_sched.json carries its own before/after pair and the ≥4×
-# 16-worker scheduler ratio is verifiable from one file.
+# The scheduler contention baseline: push/draw, dispatch/ack and mixed
+# (priority retunes + stats reads) cycles at 1/4/16/64 simulated workers
+# through the one-lock pool and master, into BENCH_sched.json for the
+# benchdiff gate.
 bench_sched() {
 	echo "== bench: go test -bench '^BenchmarkScheduler' on internal/workqueue =="
 	out=$(go test -run '^$' -bench '^BenchmarkScheduler' -benchmem ./internal/workqueue)
@@ -204,14 +202,15 @@ flightrec() {
 }
 
 sched() {
-	# Sharded-scheduler tier: the fairness/invariant suite under -race
-	# (chi-squared P_u tracking across shards, cold-shard starvation,
-	# exactly-once under concurrency, the allocation-free idle loop and the
-	# DTM sharded-merge determinism), then the contention benches into
+	# Scheduler tier: the fairness/invariant suite under -race
+	# (chi-squared P_u tracking, low-priority starvation, FIFO within a job
+	# including a cancelled hand-off, exactly-once under concurrency, the
+	# allocation-free idle loop, the global quarantine cap and the DTM
+	# merge determinism), then the contention benches into
 	# BENCH_sched.json, then the 100k-claim load sweep at 1/4/16 workers.
 	echo "== sched: fairness + invariant tests under -race =="
 	go test -race -count=1 \
-		-run 'TestSchedulerWeightedFairnessAcrossShards|TestSchedulerColdShardNotStarved|TestSchedulerConcurrentExactlyOnce|TestSchedulerNextAllocFree|TestSchedulerFIFOWithinJob|TestSchedulerProperty' \
+		-run 'TestSchedulerWeightedFairness|TestSchedulerLowPriorityJobNotStarved|TestSchedulerCancelKeepsHandoffAtHead|TestSchedulerConcurrentExactlyOnce|TestSchedulerNextAllocFree|TestSchedulerFIFOWithinJob|TestSchedulerProperty|TestQuarantineCapIsGlobal' \
 		./internal/workqueue
 	go test -race -count=1 -run 'TestMergeOrderIndependentBits|TestMergeFailedTaskUnblocksShard' ./internal/dtm
 	bench_sched
