@@ -158,6 +158,12 @@ func (d *Decoder) DecodeWith(m *TrainedModel, acs []float64) ([]socialsensing.Tr
 // all live in sc, so a warmed scratch decodes with zero heap allocations.
 // The result is valid until the next call using sc.
 func (d *Decoder) DecodeWithScratch(sc *DecodeScratch, m *TrainedModel, acs []float64) ([]socialsensing.TruthValue, error) {
+	return d.decodeScratch(sc, m, acs, false)
+}
+
+// decodeScratch is DecodeWithScratch. fitted says m was just trained on
+// acs with sc, so a discrete model finds acs already quantized in sc.obs.
+func (d *Decoder) decodeScratch(sc *DecodeScratch, m *TrainedModel, acs []float64, fitted bool) ([]socialsensing.TruthValue, error) {
 	if len(acs) == 0 {
 		return nil, nil
 	}
@@ -178,7 +184,9 @@ func (d *Decoder) DecodeWithScratch(sc *DecodeScratch, m *TrainedModel, acs []fl
 		if m.Discrete == nil {
 			return nil, fmt.Errorf("core: discrete model missing parameters")
 		}
-		sc.obs = d.disc.QuantizeAllInto(acs, sc.obs)
+		if !fitted {
+			sc.obs = d.disc.QuantizeAllInto(acs, sc.obs)
+		}
 		path, _, err = m.Discrete.ViterbiWS(sc.ws, sc.obs, sc.path)
 	}
 	if err != nil {
@@ -191,7 +199,7 @@ func (d *Decoder) DecodeWithScratch(sc *DecodeScratch, m *TrainedModel, acs []fl
 
 // DecodeInto is Decode (train fresh, then Viterbi) running entirely on the
 // caller's scratch buffers; the returned truth slice is valid until the
-// next call using sc.
+// next call using sc. A discrete series is quantized once, for both.
 func (d *Decoder) DecodeInto(sc *DecodeScratch, acs []float64) ([]socialsensing.TruthValue, error) {
 	if len(acs) == 0 {
 		return nil, nil
@@ -200,7 +208,7 @@ func (d *Decoder) DecodeInto(sc *DecodeScratch, acs []float64) ([]socialsensing.
 	if err != nil {
 		return nil, err
 	}
-	return d.DecodeWithScratch(sc, m, acs)
+	return d.decodeScratch(sc, m, acs, true)
 }
 
 func (d *Decoder) trainDiscreteWS(sc *DecodeScratch, acs []float64, prev *TrainedModel) (*TrainedModel, hmm.TrainResult, error) {
@@ -239,16 +247,14 @@ func (d *Decoder) trainDiscreteWS(sc *DecodeScratch, acs []float64, prev *Traine
 
 // newDiscreteModel builds the informative-prior 2-state model: symbol bins
 // are ordered negative→positive, so the False state's emissions decay with
-// bin index and the True state's grow.
+// bin index and the True state's grow. Its parameters share one backing
+// array, rows capped so that an append cannot run into the next.
 func (d *Decoder) newDiscreteModel() *hmm.Discrete {
 	sym := d.disc.Symbols()
-	m := &hmm.Discrete{
-		A:  [][]float64{{0.9, 0.1}, {0.1, 0.9}},
-		B:  make([][]float64, 2),
-		Pi: []float64{0.5, 0.5},
-	}
-	m.B[0] = make([]float64, sym)
-	m.B[1] = make([]float64, sym)
+	v := make([]float64, 6+2*sym)
+	copy(v, []float64{0.5, 0.5, 0.9, 0.1, 0.1, 0.9})
+	rows := [][]float64{v[2:4:4], v[4:6:6], v[6 : 6+sym : 6+sym], v[6+sym:]}
+	m := &hmm.Discrete{A: rows[0:2:2], B: rows[2:], Pi: v[0:2:2]}
 	for k := 0; k < sym; k++ {
 		// Linear ramps: False prefers low bins, True prefers high bins.
 		m.B[0][k] = float64(sym - k)

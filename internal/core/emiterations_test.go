@@ -81,13 +81,16 @@ func TestEMIterationCountsPinned(t *testing.T) {
 	}
 }
 
-// TestRunCompressionGate pins the premise of discrete EM's piece pass on
-// the same series: an iteration costs one step per binary piece of a
-// symbol run, which beats one per interval by enough to pay for its
-// tables only while the quantized series are mostly long runs. The gate
-// is a median of at most one run per four intervals (0.126 Boston and
-// 0.198 College Football when this was written). A discretizer or ACS
-// window change that breaks the premise fails here.
+// TestRunCompressionGate pins the premise of discrete EM's run pass on
+// the same series: an iteration costs one step per symbol run plus one
+// 2×2 product per run table, which beats one step per interval only while
+// the quantized series are mostly long runs whose lengths repeat. The
+// gates are a median of at most one run per four intervals (0.126 Boston
+// and 0.198 College Football when this was written) and at most one run
+// table per four runs (0.107 and 0.059). A run table is what the kernel
+// builds for a run length that is not a power of two, and for each tail
+// of such a length below its top bit that is not one either. A
+// discretizer or ACS window change that breaks the premise fails here.
 func TestRunCompressionGate(t *testing.T) {
 	dec, err := NewDecoder(DefaultDecoderConfig())
 	if err != nil {
@@ -104,7 +107,7 @@ func TestRunCompressionGate(t *testing.T) {
 		{"boston", tracegen.BostonBombing()},
 		{"college-football", tracegen.CollegeFootball()},
 	} {
-		var runsPerT, piecesPerT []float64
+		var runsPerT, tablesPerRun, tablesPerClaim []float64
 		for _, series := range claimSeries(t, tc.prof) {
 			obs := dec.disc.QuantizeAllInto(series, nil)
 			runs := 1
@@ -113,25 +116,64 @@ func TestRunCompressionGate(t *testing.T) {
 					runs++
 				}
 			}
-			// The pass cuts steps 1..T-1: a run of L steps is one piece
-			// per bit of L.
-			pieces := 0
+			// The pass cuts steps 1..T-1 into runs.
+			cut := 0
+			tables := map[[2]int]bool{}
 			for i := 1; i < len(obs); {
 				run := 1
 				for i+run < len(obs) && obs[i+run] == obs[i] {
 					run++
 				}
-				pieces += bits.OnesCount(uint(run))
+				for n := run; bits.OnesCount(uint(n)) > 1; n -= 1 << (bits.Len(uint(n)) - 1) {
+					tables[[2]int{obs[i], n}] = true
+				}
+				cut++
 				i += run
 			}
-			T := float64(len(obs))
-			runsPerT = append(runsPerT, float64(runs)/T)
-			piecesPerT = append(piecesPerT, float64(pieces)/T)
+			runsPerT = append(runsPerT, float64(runs)/float64(len(obs)))
+			tablesPerRun = append(tablesPerRun, float64(len(tables))/float64(cut))
+			tablesPerClaim = append(tablesPerClaim, float64(len(tables)))
 		}
-		runs, pieces := median(runsPerT), median(piecesPerT)
-		t.Logf("%s: %d claims, median runs/T %.3f, median pieces/T %.3f", tc.name, len(runsPerT), runs, pieces)
+		runs, tables, perClaim := median(runsPerT), median(tablesPerRun), median(tablesPerClaim)
+		t.Logf("%s: %d claims, median runs/T %.3f, median run tables/run %.3f, median run tables per claim %.0f",
+			tc.name, len(runsPerT), runs, tables, perClaim)
 		if runs > 0.25 {
 			t.Errorf("%s: median runs/T = %.3f, want ≤ 1/4", tc.name, runs)
+		}
+		if tables > 0.25 {
+			t.Errorf("%s: median run tables/run = %.3f, want ≤ 1/4", tc.name, tables)
+		}
+	}
+}
+
+// TestDecodeIntoMatchesTrainThenDecode: DecodeInto runs Viterbi on the
+// symbols its training pass quantized instead of quantizing the series
+// again. On every claim series of both profiles, decoded on one reused
+// scratch, its truth must equal Train followed by DecodeWith bit for bit,
+// each on a fresh scratch so that neither can see the other's symbols.
+func TestDecodeIntoMatchesTrainThenDecode(t *testing.T) {
+	dec, err := NewDecoder(DefaultDecoderConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := NewDecodeScratch()
+	for _, prof := range []tracegen.Profile{tracegen.BostonBombing(), tracegen.CollegeFootball()} {
+		for i, series := range claimSeries(t, prof) {
+			m, _, err := dec.TrainWarmScratch(NewDecodeScratch(), series, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := dec.DecodeWithScratch(NewDecodeScratch(), m, series)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := dec.DecodeInto(sc, series)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s claim %d: DecodeInto differs from Train + DecodeWith", prof.Name, i)
+			}
 		}
 	}
 }

@@ -57,7 +57,8 @@ func NewStreamingDecoder(cfg DecoderConfig, lag int) (*StreamingDecoder, error) 
 // decoder scratch. With cfg.Train.WarmStart on, EM is seeded from the
 // previous append's fit — consecutive windows share all but one
 // observation, so the seed is already near the fixed point and the
-// per-append training cost collapses to one or two EM iterations. The
+// per-append training cost collapses to one or two EM iterations. A
+// discrete window is quantized once, for training and Viterbi both. The
 // returned truth is scratch-backed, valid until the next call.
 func (s *StreamingDecoder) decodeWindow() ([]socialsensing.TruthValue, error) {
 	win := s.windowSeries()
@@ -74,7 +75,7 @@ func (s *StreamingDecoder) decodeWindow() ([]socialsensing.TruthValue, error) {
 	}
 	s.model = model
 	s.trainIters += res.Iterations
-	return s.decoder.DecodeWithScratch(s.scratch, model, win)
+	return s.decoder.decodeScratch(s.scratch, model, win, true)
 }
 
 // TrainIterations returns the total EM iterations spent across every

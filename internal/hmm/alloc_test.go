@@ -34,8 +34,9 @@ func TestDiscreteBaumWelchWSZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := randDiscrete(rng, 5)
 	pristine := m.Clone()
-	// iid symbols and long runs: pieces of every level up to 2^5.
-	seqs := [][]int{randObs(rng, 64, 5), runObs(rng, 3000, 5, 30)}
+	// iid symbols, long runs and runs of lengths that share tails: binary
+	// tables of every level up to 2^7 and run tables built on run tables.
+	seqs := [][]int{randObs(rng, 64, 5), runObs(rng, 3000, 5, 30), lengthRuns(sharedTails, 1, 2)}
 	cfg := hmm.TrainConfig{MaxIterations: 5, Tolerance: 1e-300, SmoothA: 1e-3, SmoothB: 1e-3, SmoothPi: 1e-3}
 	ws := hmm.NewWorkspace()
 	if _, err := m.BaumWelchWS(ws, seqs, cfg); err != nil {

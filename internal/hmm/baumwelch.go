@@ -161,7 +161,7 @@ func reestimate(row, acc []float64, smooth float64) float64 {
 // Scaling up is enough because no table grows the mass: a row of M_t
 // sums to at most the step's larger emission, a probability for discrete
 // models and a density the Gaussian fill prescales to ≤ 1, and powers
-// prescales each piece table until its largest row sum is in (2⁻⁶⁴, 1].
+// prescales each run's table until its largest row sum is in (2⁻⁶⁴, 1].
 const (
 	pairRescaleBelow = 0x1p-64
 	pairRescaleBy    = 0x1p+64
@@ -170,7 +170,7 @@ const (
 
 // forwardPair is the forward sweep of the fused pass over the tables at
 // the indices idx: step 0's emission pair, then one table per step or per
-// piece. It fills ws.alpha (len(idx)*2) with the unnormalised α at each
+// symbol run. It fills ws.alpha (len(idx)*2) with the unnormalised α at each
 // index, records in ws.rescaled every index after which α was multiplied
 // by pairRescaleBy (once per entry), and returns the sequence's
 // log-likelihood less the tables' prescale.

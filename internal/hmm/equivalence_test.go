@@ -486,30 +486,48 @@ func TestPairPassMatchesReferenceAtTheEdges(t *testing.T) {
 // TestPairPassZeroProbabilityNamesTheStep: when no state can emit the
 // observed symbol the α mass is exactly zero from that step on. The pass
 // must report the first such step, as the per-step scaling it replaced
-// did, rather than carry a zero into its logarithm.
+// did, rather than carry a zero into its logarithm. Discrete EM counts the
+// steps before it through the run tables of the runs before it, so the
+// dead symbol also lands at every offset inside a run of 3, 7 and 100
+// steps, behind runs of the same lengths.
 func TestPairPassZeroProbabilityNamesTheStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(707))
+	type zeroCase struct {
+		obs []int
+		at  int
+	}
+	var cases []zeroCase
 	for _, at := range []int{0, 1, 17, 4999} {
+		obs := runObs(rng, 5000, 3, 7)
+		obs[at] = 3
+		cases = append(cases, zeroCase{obs, at})
+	}
+	for _, n := range []int{3, 7, 100} {
+		for off := range n {
+			obs := lengthRuns([]int{n}, 0, 1, 2)[:1+3*n]
+			obs[0], obs[1+2*n+off] = 1, 3
+			cases = append(cases, zeroCase{obs, 1 + 2*n + off})
+		}
+	}
+	for _, tc := range cases {
 		m := randDiscrete(rng, 4)
 		for i := range m.B {
 			m.B[i][2] += m.B[i][3]
 			m.B[i][3] = 0
 		}
-		obs := runObs(rng, 5000, 3, 7)
-		obs[at] = 3
+		want := fmt.Sprintf("zero-probability observation at t=%d", tc.at)
 		// Alone, and behind a sequence every symbol of which can be emitted.
-		for _, seqs := range [][][]int{{obs}, {runObs(rng, 300, 3, 7), obs}} {
+		for _, seqs := range [][][]int{{tc.obs}, {runObs(rng, 300, 3, 7), tc.obs}} {
 			for _, freeze := range []bool{true, false} {
 				cfg := hmm.TrainConfig{MaxIterations: 3, FreezeEmissions: freeze, SmoothA: 1e-3, SmoothPi: 1e-3}
 				mm := m.Clone()
 				res, err := mm.BaumWelchWS(hmm.NewWorkspace(), seqs, cfg)
-				want := fmt.Sprintf("zero-probability observation at t=%d", at)
-				if err == nil || !strings.Contains(err.Error(), want) {
-					t.Fatalf("at=%d freeze=%v: err = %v (result %+v), want it to contain %q", at, freeze, err, res, want)
+				if err == nil || !strings.HasSuffix(err.Error(), want) {
+					t.Fatalf("at=%d of %d freeze=%v: err = %v (result %+v), want it to end in %q", tc.at, len(tc.obs), freeze, err, res, want)
 				}
 				_, refErr := hmmtest.BaumWelch(m.Clone(), seqs, cfg)
-				if refErr == nil || !strings.Contains(refErr.Error(), want) {
-					t.Fatalf("at=%d: reference err = %v, want it to contain %q", at, refErr, want)
+				if refErr == nil || !strings.HasSuffix(refErr.Error(), want) {
+					t.Fatalf("at=%d of %d: reference err = %v, want it to end in %q", tc.at, len(tc.obs), refErr, want)
 				}
 			}
 		}
@@ -530,14 +548,42 @@ func exactRuns(rng *rand.Rand, T, sym int, n func(k int) int) []int {
 	return obs
 }
 
-// TestPiecePassMatchesReference holds discrete EM, which runs over the
-// binary pieces of symbol runs, to the frozen per-step reference over the
-// run shapes the cut and the power tables could get wrong: iid symbols,
-// runs of mean 1 to 50, runs of exactly 2^k and 2^k − 1 steps, one symbol
-// for 100k steps (the power tables have to prescale), 1-step sequences
-// among longer ones and a symbol that never occurs — each with frozen and
-// re-estimated emissions, cold and warm, for up to 60 iterations. Where
-// the forward mass dies inside a piece, both must name the same step.
+// lengthRuns lays out, after a step-0 symbol 4, two rounds of a run of
+// each length for each symbol of syms in turn; with one symbol, a step of
+// symbol 4 separates its runs.
+func lengthRuns(lengths []int, syms ...int) []int {
+	obs := []int{4}
+	for range 2 {
+		for _, n := range lengths {
+			for _, s := range syms {
+				for range n {
+					obs = append(obs, s)
+				}
+			}
+			if len(syms) == 1 {
+				obs = append(obs, 4)
+			}
+		}
+	}
+	return obs
+}
+
+// sharedTails are run lengths that are not powers of two and whose run
+// tables share tails: 7 and 11 end in 3's table, 13 in 5's, 100 in 36's.
+var sharedTails = []int{3, 5, 6, 7, 11, 13, 36, 100, 233}
+
+// TestPiecePassMatchesReference holds discrete EM, which runs over symbol
+// runs, to the frozen per-step reference over the run shapes the cut, the
+// binary tables and the run tables could get wrong: iid symbols, runs of
+// mean 1 to 50, runs of exactly 2^k and 2^k − 1 steps, one symbol for
+// 100k steps (the binary tables have to prescale), runs of lengths that
+// share tails under one symbol and under two, the same lengths of a
+// symbol emitted with probability 1e-30 (the run tables of 11, 13 and 36
+// steps and of the tails 9 and 105 then need their own prescale), 1-step
+// sequences among longer ones, several sequences in one call and a
+// symbol that never occurs — each with frozen and re-estimated
+// emissions, cold and warm, for up to 60 iterations. Where the forward
+// mass dies inside a run, both must name the same step.
 func TestPiecePassMatchesReference(t *testing.T) {
 	const sym, tol = 5, 1e-10
 	rng := rand.New(rand.NewSource(808))
@@ -545,26 +591,39 @@ func TestPiecePassMatchesReference(t *testing.T) {
 	for i := range one {
 		one[i] = 2
 	}
+	rare := randDiscrete(rng, sym)
+	for _, row := range rare.B {
+		row[2], row[3] = 1e-30, row[3]+row[2]-1e-30
+	}
 	cases := []struct {
 		name string
 		seqs [][]int
+		m    *hmm.Discrete // nil for a random model
 	}{
-		{"iid", [][]int{randObs(rng, 3000, sym)}},
-		{"one symbol, T=100k", [][]int{one}},
-		{"runs of 2^k", [][]int{exactRuns(rng, 4000, sym, func(k int) int { return 1 << k })}},
-		{"runs of 2^k-1", [][]int{exactRuns(rng, 4000, sym, func(k int) int { return 1<<k - 1 })}},
-		{"T=1 among several", [][]int{{3}, runObs(rng, 700, sym, 9), {0}, runObs(rng, 40, sym, 3), {4}}},
-		{"unused symbol", [][]int{runObs(rng, 2000, sym-1, 7), runObs(rng, 300, sym-1, 2)}},
+		{"iid", [][]int{randObs(rng, 3000, sym)}, nil},
+		{"one symbol, T=100k", [][]int{one}, nil},
+		{"runs of 2^k", [][]int{exactRuns(rng, 4000, sym, func(k int) int { return 1 << k })}, nil},
+		{"runs of 2^k-1", [][]int{exactRuns(rng, 4000, sym, func(k int) int { return 1<<k - 1 })}, nil},
+		{"shared tails, one symbol", [][]int{lengthRuns(sharedTails, 1)}, nil},
+		{"shared tails, two symbols", [][]int{lengthRuns(sharedTails, 0, 3)}, nil},
+		{"shared tails, 1e-30 emissions", [][]int{lengthRuns(sharedTails, 2)}, rare},
+		{"shared tails, several sequences", [][]int{lengthRuns(sharedTails[:4], 1, 2), {3}, lengthRuns(sharedTails[3:], 2), runObs(rng, 500, sym, 9)}, nil},
+		{"T=1 among several", [][]int{{3}, runObs(rng, 700, sym, 9), {0}, runObs(rng, 40, sym, 3), {4}}, nil},
+		{"unused symbol", [][]int{runObs(rng, 2000, sym-1, 7), runObs(rng, 300, sym-1, 2)}, nil},
 	}
 	for _, mean := range []int{1, 2, 7, 20, 50} {
 		cases = append(cases, struct {
 			name string
 			seqs [][]int
-		}{fmt.Sprintf("run mean %d", mean), [][]int{runObs(rng, 5000, sym, mean)}})
+			m    *hmm.Discrete
+		}{fmt.Sprintf("run mean %d", mean), [][]int{runObs(rng, 5000, sym, mean)}, nil})
 	}
 	for _, tc := range cases {
 		for _, freeze := range []bool{true, false} {
-			m := randDiscrete(rng, sym)
+			m := tc.m
+			if m == nil {
+				m = randDiscrete(rng, sym)
+			}
 			cfg := hmm.TrainConfig{MaxIterations: 60, SmoothA: 1e-3, SmoothB: 1e-3, SmoothPi: 1e-3, FreezeEmissions: freeze}
 			name := fmt.Sprintf("%s/freeze=%v", tc.name, freeze)
 			matchReferenceFit(t, name+"/cold", m, tc.seqs, cfg, tol)
@@ -578,23 +637,25 @@ func TestPiecePassMatchesReference(t *testing.T) {
 	}
 
 	// State 1 cannot emit symbol 4 and state 0 cannot stay in state 0, so
-	// the mass dies at the second step of a run of 4s — inside its first
-	// piece, which spans eight steps.
+	// the mass dies at the second step of a run of 4s — inside its binary
+	// table or its run table, which spans up to a hundred steps.
 	m := randDiscrete(rng, sym)
 	m.A[0] = []float64{0, 1}
 	m.B[1][3], m.B[1][4] = m.B[1][3]+m.B[1][4], 0
-	for _, at := range []int{1, 100, 2990} {
-		obs := runObs(rng, 3000, sym-1, 5)
-		for i := at; i < min(at+11, len(obs)); i++ {
-			obs[i] = 4
-		}
-		want := fmt.Sprintf("observation at t=%d", at+1)
-		_, err := m.Clone().BaumWelchWS(hmm.NewWorkspace(), [][]int{obs}, hmm.DefaultTrainConfig())
-		if err == nil || !strings.HasSuffix(err.Error(), want) {
-			t.Fatalf("dies at %d: err = %v, want it to end in %q", at+1, err, want)
-		}
-		if _, refErr := hmmtest.BaumWelch(m.Clone(), [][]int{obs}, hmm.DefaultTrainConfig()); refErr == nil || !strings.HasSuffix(refErr.Error(), want) {
-			t.Fatalf("dies at %d: reference err = %v, want it to end in %q", at+1, refErr, want)
+	for _, n := range []int{3, 7, 8, 11, 100} {
+		for _, at := range []int{1, 100, 2890} {
+			obs := runObs(rng, 3000, sym-1, 5)
+			for i := at; i < at+n; i++ {
+				obs[i] = 4
+			}
+			want := fmt.Sprintf("observation at t=%d", at+1)
+			_, err := m.Clone().BaumWelchWS(hmm.NewWorkspace(), [][]int{obs}, hmm.DefaultTrainConfig())
+			if err == nil || !strings.HasSuffix(err.Error(), want) {
+				t.Fatalf("run of %d dies at %d: err = %v, want it to end in %q", n, at+1, err, want)
+			}
+			if _, refErr := hmmtest.BaumWelch(m.Clone(), [][]int{obs}, hmm.DefaultTrainConfig()); refErr == nil || !strings.HasSuffix(refErr.Error(), want) {
+				t.Fatalf("run of %d dies at %d: reference err = %v, want it to end in %q", n, at+1, refErr, want)
+			}
 		}
 	}
 }

@@ -88,10 +88,13 @@ func (m *Gaussian) checkShape() error {
 	return nil
 }
 
-// check validates the model and an observation sequence and returns the
-// model's densities.
+// check validates the model's shape and entries and an observation
+// sequence and returns the model's densities.
 func (m *Gaussian) check(obs []float64) (densities, error) {
 	if err := m.checkShape(); err != nil {
+		return densities{}, err
+	}
+	if err := checkEntries(m.Pi, m.A, nil); err != nil {
 		return densities{}, err
 	}
 	if len(obs) == 0 {

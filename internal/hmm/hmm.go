@@ -9,8 +9,9 @@
 // Both families run one fused forward/backward pass over per-step 2×2
 // tables M_t[i][j] = a_ij·e_j(o_t) and one log-space Viterbi; a family
 // only fills a step's emission pair — a table lookup for discrete, two
-// densities for Gaussian. Discrete EM runs the pass over binary pieces of
-// symbol runs, one step through a power of M per piece (pieces.go).
+// densities for Gaussian. Discrete EM runs the pass over symbol runs, one
+// step through M_s^L per run of L steps of symbol s, its table shared by
+// every run of that symbol and length (pieces.go).
 // Every kernel runs on a caller-owned Workspace
 // with zero steady-state heap allocations. A state count other than 2 is
 // an error.
@@ -84,10 +85,13 @@ func (m *Discrete) checkShape() error {
 	return nil
 }
 
-// check validates the model's shape and an observation sequence against
-// the alphabet.
+// check validates the model's shape and entries and an observation
+// sequence against the alphabet.
 func (m *Discrete) check(obs []int) error {
 	if err := m.checkShape(); err != nil {
+		return err
+	}
+	if err := checkEntries(m.Pi, m.A, m.B); err != nil {
 		return err
 	}
 	if len(obs) == 0 {
@@ -104,9 +108,10 @@ func (m *Discrete) check(obs []int) error {
 
 // BaumWelchWS fits the model in place to one or more observation
 // sequences by EM and reports the final log-likelihood. The fused pass
-// runs over the binary pieces of each sequence's symbol runs (pieces.go),
-// so an iteration costs one step per piece, not per interval; γ comes out
-// per symbol, the expected counts the emission re-estimate needs.
+// runs over each sequence's symbol runs (pieces.go), so an iteration costs
+// one step per run and one 2×2 product per run table, not one step per
+// interval; γ comes out per symbol, the expected counts the emission
+// re-estimate needs.
 func (m *Discrete) BaumWelchWS(ws *Workspace, sequences [][]int, cfg TrainConfig) (TrainResult, error) {
 	if len(sequences) == 0 {
 		return TrainResult{}, ErrEmptySequence
@@ -138,20 +143,29 @@ func (m *Discrete) BaumWelchWS(ws *Workspace, sequences [][]int, cfg TrainConfig
 // ViterbiWS decodes the most likely hidden state sequence into path
 // (grown only when its capacity is insufficient) and returns it with its
 // log probability. The log emission pair of a step is a lookup in a
-// per-symbol log table, so the recursion makes no math.Log calls.
+// per-symbol log table, so the recursion makes no math.Log calls. The
+// table is filled as the symbols first occur (NaN marks one not yet
+// taken): a short window pays only for the few symbols it has.
 func (m *Discrete) ViterbiWS(ws *Workspace, obs []int, path []int) ([]int, float64, error) {
 	if err := m.check(obs); err != nil {
 		return nil, 0, err
 	}
 	tp := ws.ring().Start()
-	sym := m.Symbols()
-	ws.emit = grow(ws.emit, sym)
-	for k := range sym {
-		ws.emit[k] = [2]float64{safeLog(m.B[0][k]), safeLog(m.B[1][k])}
+	ws.emit = grow(ws.emit, m.Symbols())
+	for k := range ws.emit {
+		ws.emit[k][0] = math.NaN()
 	}
 	ws.le = grow(ws.le, len(obs))
-	for t, o := range obs {
-		ws.le[t] = ws.emit[o]
+	t := 0
+	for missing := len(ws.emit); missing > 0 && t < len(obs); t++ {
+		if o := obs[t]; math.IsNaN(ws.emit[o][0]) {
+			ws.emit[o] = [2]float64{safeLog(m.B[0][o]), safeLog(m.B[1][o])}
+			missing--
+		}
+		ws.le[t] = ws.emit[obs[t]]
+	}
+	for ; t < len(obs); t++ {
+		ws.le[t] = ws.emit[obs[t]]
 	}
 	path, best := ws.viterbi(m.Pi, m.A, len(obs), path)
 	ws.fr.Probe(flightrec.ProbeHMMViterbi, tp, int64(len(obs)), ws.frParent)
@@ -181,6 +195,23 @@ func cloneMatrix(m [][]float64) [][]float64 {
 		out[i] = slices.Clone(row)
 	}
 	return out
+}
+
+// checkEntries refuses a NaN, infinite or negative entry of pi, A or the
+// emission rows B (nil for Gaussian models), naming it: EM would carry it
+// into every parameter and the log-likelihood without an error.
+func checkEntries(pi []float64, A, B [][]float64) error {
+	for k, rows := range [][][]float64{{pi}, A, B} {
+		for i, row := range rows {
+			for j, v := range row {
+				if !(v >= 0 && v <= math.MaxFloat64) {
+					name := [3]string{"pi", fmt.Sprintf("A[%d]", i), fmt.Sprintf("B[%d]", i)}[k]
+					return fmt.Errorf("hmm: %s[%d] = %v is not a finite non-negative probability", name, j, v)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // checkChain checks the parameters both families share, pi and the rows

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -402,6 +403,66 @@ func TestErrorsPropagate(t *testing.T) {
 	}
 	if _, err := m.BaumWelchWS(ws, [][]int{{0}, {2}}, DefaultTrainConfig()); !errors.Is(err, ErrBadSymbol) {
 		t.Errorf("BaumWelchWS bad symbol err = %v", err)
+	}
+}
+
+// TestNonFiniteParametersRefused: a NaN, infinite or negative entry of
+// pi, A or a discrete B used to run every kernel to a NaN or infinite
+// log-likelihood, lattice or score with a nil error. Every kernel of both
+// families must refuse it at entry, naming the parameter.
+func TestNonFiniteParametersRefused(t *testing.T) {
+	obs := []int{0, 1, 1, 0, 0, 0, 1, 1}
+	gobs := []float64{-3, -2.5, 3, 3.2, 2.9, -3.1}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -0.5} {
+		for _, param := range []string{"pi[0]", "A[0][0]", "B[0][1]"} {
+			set := func(pi []float64, A, B [][]float64) {
+				switch param {
+				case "pi[0]":
+					pi[0] = bad
+				case "A[0][0]":
+					A[0][0] = bad
+				default:
+					B[0][1] = bad
+				}
+			}
+			d := twoStateModel()
+			set(d.Pi, d.A, d.B)
+			kernels := map[string]func() error{
+				"discrete BaumWelchWS": func() error {
+					_, err := d.Clone().BaumWelchWS(NewWorkspace(), [][]int{obs}, DefaultTrainConfig())
+					return err
+				},
+				"discrete ViterbiWS": func() error {
+					_, _, err := d.ViterbiWS(NewWorkspace(), obs, nil)
+					return err
+				},
+				"discrete PosteriorWS": func() error {
+					_, err := d.PosteriorWS(NewWorkspace(), obs, nil)
+					return err
+				},
+			}
+			if param != "B[0][1]" { // Gaussian models have no B
+				g := gaussRef()
+				set(g.Pi, g.A, nil)
+				kernels["gaussian BaumWelchWS"] = func() error {
+					_, err := g.Clone().BaumWelchWS(NewWorkspace(), [][]float64{gobs}, DefaultTrainConfig())
+					return err
+				}
+				kernels["gaussian ViterbiWS"] = func() error {
+					_, _, err := g.ViterbiWS(NewWorkspace(), gobs, nil)
+					return err
+				}
+				kernels["gaussian PosteriorWS"] = func() error {
+					_, err := g.PosteriorWS(NewWorkspace(), gobs, nil)
+					return err
+				}
+			}
+			for name, run := range kernels {
+				if err := run(); err == nil || !strings.Contains(err.Error(), param) {
+					t.Errorf("%s with %s = %v: err = %v, want one naming %s", name, param, bad, err, param)
+				}
+			}
+		}
 	}
 }
 

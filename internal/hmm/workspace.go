@@ -16,23 +16,29 @@ type Workspace struct {
 
 	// Tables: entry k holds an emission pair (e_0, e_1) and a 2×2 matrix,
 	// by step the step matrix M[i][j] = a_ij·e_j. For discrete EM sym is
-	// the alphabet size and entry l·sym+s holds M_s^(2^l) (pieces.go);
-	// otherwise sym is 0 and steps is the by-step index (0, 1, 2, …).
-	// seqs slices steps or pieces per sequence.
+	// the alphabet size, entry l·sym+s below base holds M_s^(2^l) and
+	// entry base+r run table runs[r] (pieces.go); otherwise sym is 0 and
+	// steps is the by-step index (0, 1, 2, …). seqs slices steps or
+	// pieces per sequence.
 	emit  [][2]float64
 	pair  [][4]float64
 	sym   int
+	base  int
 	steps []int
 	seqs  [][]int
 
-	// Discrete EM's pieces, cut once per call: the table ids, each
-	// symbol's highest level, the pieces per table, the prescale each
-	// table's level adds (in powers of 2^64) and the per-table
-	// accumulators of α̃ ⊗ β̃.
+	// Discrete EM's runs, cut once per call: the table ids, each symbol's
+	// highest level, the run tables and, per symbol, the run table of
+	// each length (zero between calls); per table the runs through it,
+	// the prescale of its own product and of all the products it is made
+	// of (in powers of 2^64), and the accumulator of α̃ ⊗ β̃.
 	pieces []int
 	top    []int
+	runs   []runTable
+	runAt  [][]int32
 	uses   []int
 	lift   []int
+	scale  []int
 	w      [][4]float64
 
 	// The unnormalised forward lattice (2 per index) and its rescaled

@@ -8,7 +8,7 @@
 #   scripts/check.sh wire       wire-codec smoke: round-trip/golden/v1-retirement tests, worker receive-buffer tests under -race, 10s FuzzDecode, task-payload property/rejection tests + 10s FuzzDecodeTask, sstd-master/sstd-worker with -batch 8
 #   scripts/check.sh flightrec  flight-recorder smoke: deadline-miss deep dive (FLIGHTREC_DIR keeps it) + SLO burn -> 3-lane trace (TELEMETRY_DIR keeps it)
 #   scripts/check.sh sched      scheduler tier: fairness/invariant tests + contention benches -> BENCH_sched.json + 100k-claim sweep
-#   scripts/check.sh accuracy   accuracy gate: SSTD rows of Tables III-V against the checked-in golden + HMM kernel equivalence + ACS grid against Time.Sub + truth digests and decode payload goldens
+#   scripts/check.sh accuracy   accuracy gate: SSTD rows of Tables III-V against the checked-in golden + HMM kernel equivalence (run tables and the zero step included) + non-finite parameters refused + quantize-once decode + ACS grid against Time.Sub + truth digests and decode payload goldens
 #   scripts/check.sh all        tier-1 + tier-2
 #
 # scripts/benchdiff.sh wraps the bench tier with a regression gate against
@@ -223,17 +223,21 @@ accuracy() {
 	# Tables III-V (scale 0.02, seed 7) against
 	# internal/experiments/testdata/accuracy_golden.json, then the checks
 	# that say why they hold — both emission families' kernels against the
-	# frozen reference at 1e-12 (discrete EM's piece pass also over
-	# generated run shapes at 1e-10), the pinned EM iteration counts on
-	# the benchmark's series and the run-length premise of the piece pass
-	# on the same series, the ACS grid's integer slot mapping against the
-	# Time.Sub definition it replaced, and the bits the distributed decode
-	# must keep: the eight truth digests and the decode payload goldens
-	# (the Gaussian `flips` truth among them).
+	# frozen reference at 1e-12 (discrete EM's run pass also over
+	# generated run shapes and run tables at 1e-10, naming the step where
+	# the mass dies inside a run, allocation-free), every kernel refusing
+	# a NaN, infinite or negative parameter, the pinned EM iteration
+	# counts on the benchmark's series, the run-length and run-table
+	# premise of the run pass on the same series, DecodeInto's
+	# quantize-once Viterbi against Train + DecodeWith, the ACS grid's
+	# integer slot mapping against the Time.Sub definition it replaced,
+	# and the bits the distributed decode must keep: the eight truth
+	# digests and the decode payload goldens (the Gaussian `flips` truth
+	# among them).
 	echo "== accuracy: Tables III-V golden + kernel equivalence + truth bits =="
 	go test -count=1 -v -run 'TestAccuracyGolden' ./internal/experiments
-	go test -count=1 -run 'MatchesReference|TestPairPass' ./internal/hmm
-	go test -count=1 -v -run 'TestEMIterationCountsPinned|TestRunCompressionGate|TestGridIndexMatchesSub' ./internal/core
+	go test -count=1 -run 'MatchesReference|TestPairPass|TestDiscreteBaumWelchWSZeroAllocs|TestNonFiniteParametersRefused' ./internal/hmm
+	go test -count=1 -v -run 'TestEMIterationCountsPinned|TestRunCompressionGate|TestDecodeIntoMatchesTrainThenDecode|TestGridIndexMatchesSub' ./internal/core
 	go test -count=1 -run 'TestTruthDigestsMatchParent|TestGoldenPayloadsStable' ./internal/dtm
 }
 
