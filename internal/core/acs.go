@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/social-sensing/sstd/internal/socialsensing"
@@ -43,14 +44,63 @@ func (c ACSConfig) validate() error {
 	return nil
 }
 
+// ScoreOne is a contribution score of 1 in the fixed point every score
+// travels and sums in: Q1.30, a step of 2⁻³⁰.
+const ScoreOne = 1 << 30
+
+// FixedScore is report r's contribution score ρ·(1−κ)·η (Eq. 1) in Q1.30
+// fixed point, rounded to the nearest step, ties to even. It is the one
+// place a score is rounded: every ACS sum, on one node or across a
+// cluster, adds these integers, and integer addition is exact, so neither
+// report order nor chunking nor the order partial sums meet in can change
+// a sum. A score that is not finite or exceeds 1 in magnitude is refused;
+// κ and η in [0, 1] keep it inside.
+func FixedScore(r *socialsensing.Report) (int32, error) {
+	s := float64(r.Attitude) * (1 - r.Uncertainty) * r.Independence
+	if !(s >= -1 && s <= 1) { // NaN fails both
+		return 0, scoreError(s)
+	}
+	// math.RoundToEven, at half its cost: next to 1.5·2⁵², whose ulp is 1,
+	// the sum rounds s·2³⁰ to an integer, ties to even, and the difference
+	// is exact.
+	return int32(s*ScoreOne + 0x1.8p52 - 0x1.8p52), nil
+}
+
+// scoreError is a contribution score FixedScore refuses. A plain value, so
+// that FixedScore stays small enough to inline into the encoders' loops.
+type scoreError float64
+
+func (s scoreError) Error() string {
+	return fmt.Sprintf("contribution score %v is not in [-1, 1]", float64(s))
+}
+
+// Window writes into dst, grown only when its capacity is short, the ACS
+// series of Eq. 4 over per-interval sums of fixed-point scores: at t, the
+// sum over the intervals (t−width, t]. The window is summed exactly in
+// int64, and each value becomes a float64 score only here, where the
+// discretizer and the Gaussian emission read it — so a series is a
+// function of the sums alone.
+func Window(dst []float64, sums []int64, width int) []float64 {
+	dst = slices.Grow(dst[:0], len(sums))[:len(sums)]
+	var acc int64
+	for t, s := range sums {
+		acc += s
+		if t >= width {
+			acc -= sums[t-width]
+		}
+		dst[t] = float64(acc) * 0x1p-30
+	}
+	return dst
+}
+
 // ACSAccumulator builds the ACS sequence for one claim incrementally. It
 // keeps only per-interval sums, so memory is O(#intervals), independent of
 // report volume.
 type ACSAccumulator struct {
 	cfg   ACSConfig
 	grid  Grid
-	sums  []float64 // per-interval contribution score totals
-	count int       // reports ingested
+	sums  []int64 // per-interval totals of FixedScore
+	count int     // reports ingested
 }
 
 // NewACSAccumulator creates an accumulator whose interval grid starts at
@@ -63,14 +113,20 @@ func NewACSAccumulator(cfg ACSConfig, origin time.Time) (*ACSAccumulator, error)
 }
 
 // Add ingests one report. Reports earlier than the origin are clamped into
-// the first interval.
-func (a *ACSAccumulator) Add(r socialsensing.Report) {
+// the first interval. A score FixedScore refuses is its error, and the
+// accumulator stays as it was.
+func (a *ACSAccumulator) Add(r socialsensing.Report) error {
+	s, err := FixedScore(&r)
+	if err != nil {
+		return err
+	}
 	idx := a.grid.Index(r.Timestamp)
 	for len(a.sums) <= idx {
 		a.sums = append(a.sums, 0)
 	}
-	a.sums[idx] += r.ContributionScore()
+	a.sums[idx] += int64(s)
 	a.count++
+	return nil
 }
 
 // Grid is the ACS interval grid: slot k holds the reports of
@@ -154,43 +210,10 @@ func (a *ACSAccumulator) Len() int { return len(a.sums) }
 // Count returns the number of reports ingested.
 func (a *ACSAccumulator) Count() int { return a.count }
 
-// Series materializes the ACS sequence: for each interval t the sum of
-// contribution scores over the trailing sliding window (Eq. 4). The
-// sequence has Len() entries; an empty accumulator yields nil.
+// Series materializes the ACS sequence, Window over the interval sums. It
+// has Len() entries; an empty accumulator yields nil.
 func (a *ACSAccumulator) Series() []float64 {
-	if len(a.sums) == 0 {
-		return nil
-	}
-	out := make([]float64, len(a.sums))
-	window := 0.0
-	for t := range a.sums {
-		window += a.sums[t]
-		if t >= a.cfg.WindowIntervals {
-			window -= a.sums[t-a.cfg.WindowIntervals]
-		}
-		out[t] = window
-	}
-	return out
-}
-
-// SeriesInto is Series writing into dst, growing it only when capacity is
-// insufficient — the allocation-free variant the engine's steady-state
-// decode path uses.
-func (a *ACSAccumulator) SeriesInto(dst []float64) []float64 {
-	if cap(dst) < len(a.sums) {
-		dst = make([]float64, len(a.sums))
-	} else {
-		dst = dst[:len(a.sums)]
-	}
-	window := 0.0
-	for t := range a.sums {
-		window += a.sums[t]
-		if t >= a.cfg.WindowIntervals {
-			window -= a.sums[t-a.cfg.WindowIntervals]
-		}
-		dst[t] = window
-	}
-	return dst
+	return Window(nil, a.sums, a.cfg.WindowIntervals)
 }
 
 // IntervalStart returns the wall-clock start of interval t.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -288,5 +289,101 @@ func TestQuantizeAll(t *testing.T) {
 	got := d.QuantizeAll([]float64{-5, 0, 5})
 	if !reflect.DeepEqual(got, []int{0, 1, 2}) {
 		t.Errorf("QuantizeAll = %v", got)
+	}
+}
+
+// TestFixedScoreRoundsAndRefuses: FixedScore is ρ·(1−κ)·η scaled by 2^30
+// and rounded to the nearest step, ties to even; ±1 are its ends, and a
+// score past them or not finite is refused.
+func TestFixedScoreRoundsAndRefuses(t *testing.T) {
+	score := func(att socialsensing.Attitude, kappa, eta float64) socialsensing.Report {
+		return socialsensing.Report{Claim: "c", Attitude: att, Uncertainty: kappa, Independence: eta}
+	}
+	const step = 0x1p-30
+	for _, tc := range []struct {
+		r    socialsensing.Report
+		want int32
+	}{
+		{score(socialsensing.Agree, 0, 1), ScoreOne},
+		{score(socialsensing.Disagree, 0, 1), -ScoreOne},
+		{score(socialsensing.NoReport, 0.3, 0.7), 0},
+		{score(socialsensing.Agree, 0.5, 1), ScoreOne / 2},
+		{score(socialsensing.Agree, 0, 0.5*step), 0}, // a tie rounds to even: 0
+		{score(socialsensing.Agree, 0, 1.5*step), 2}, // … and 2
+		{score(socialsensing.Agree, 0, 2.5*step), 2}, // … and 2
+		{score(socialsensing.Disagree, 0, 2.5*step), -2},
+		{score(socialsensing.Agree, 0, 0.75*step), 1}, // not a tie: nearest
+	} {
+		if got, err := FixedScore(&tc.r); err != nil || got != tc.want {
+			t.Errorf("FixedScore(ρ=%d κ=%v η=%v) = %d, %v; want %d", tc.r.Attitude, tc.r.Uncertainty, tc.r.Independence, got, err, tc.want)
+		}
+	}
+	for _, r := range []socialsensing.Report{
+		score(socialsensing.Agree, 0, math.Nextafter(1, 2)),
+		score(socialsensing.Disagree, -0.5, 1),
+		score(socialsensing.Agree, math.NaN(), 1),
+		score(socialsensing.Agree, 0, math.Inf(1)),
+		score(socialsensing.Disagree, math.Inf(-1), 1),
+	} {
+		if got, err := FixedScore(&r); err == nil {
+			t.Errorf("FixedScore(ρ=%d κ=%v η=%v) = %d, accepted", r.Attitude, r.Uncertainty, r.Independence, got)
+		}
+	}
+}
+
+// TestACSSeriesOrderFree: the interval sums are exact integers, so the
+// same reports ingested in any order give the same series bit for bit —
+// here scores of every magnitude from 1 down to 1e-8, whose float sums
+// would carry their addition order in the low bits — and each value is
+// the window's integer sum scaled to score units.
+func TestACSSeriesOrderFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	reports := make([]socialsensing.Report, 2000)
+	for i := range reports {
+		reports[i] = report(rng.Intn(30), socialsensing.Attitude(1-2*rng.Intn(2)))
+		reports[i].Uncertainty = rng.Float64()
+		reports[i].Independence = rng.Float64() * math.Pow(10, -float64(rng.Intn(9)))
+	}
+	cfg := ACSConfig{Interval: time.Minute, WindowIntervals: 4}
+	series := func(rs []socialsensing.Report) []float64 {
+		acc, err := NewACSAccumulator(cfg, origin())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rs {
+			if err := acc.Add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return acc.Series()
+	}
+	want := series(reports)
+	sums := make([]int64, len(want))
+	for i := range reports {
+		s, _ := FixedScore(&reports[i])
+		sums[int(reports[i].Timestamp.Sub(origin())/time.Minute)] += int64(s)
+	}
+	for i := range want {
+		var w int64
+		for j := max(0, i-cfg.WindowIntervals+1); j <= i; j++ {
+			w += sums[j]
+		}
+		if want[i] != float64(w)/ScoreOne {
+			t.Fatalf("ACS[%d] = %v, want the window's integer sum %d / 2^30", i, want[i], w)
+		}
+	}
+	for trial := 0; trial < 10; trial++ {
+		rng.Shuffle(len(reports), func(i, j int) { reports[i], reports[j] = reports[j], reports[i] })
+		got := series(reports)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: ACS[%d] = %v in a shuffled order, %v in the first", trial, i, got[i], want[i])
+			}
+		}
+	}
+	// Window reuses what dst can hold.
+	dst := make([]float64, 0, len(sums))
+	if got := Window(dst, sums, cfg.WindowIntervals); &got[0] != &dst[:1][0] || !slices.Equal(got, want) {
+		t.Error("Window did not write into dst's capacity, or wrote another series")
 	}
 }

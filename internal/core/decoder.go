@@ -97,42 +97,26 @@ type TrainedModel struct {
 
 // Decode estimates the truth value of the claim at every interval of the
 // ACS series. It trains a fresh 2-state HMM on the sequence and Viterbi-
-// decodes it. An empty series yields an empty result.
+// decodes it: DecodeInto on a pooled scratch, the result copied out. An
+// empty series yields an empty result.
 func (d *Decoder) Decode(acs []float64) ([]socialsensing.TruthValue, error) {
-	if len(acs) == 0 {
-		return nil, nil
-	}
-	m, err := d.Train(acs)
-	if err != nil {
-		return nil, err
-	}
-	return d.DecodeWith(m, acs)
-}
-
-// Train fits a claim model on the ACS series without decoding.
-func (d *Decoder) Train(acs []float64) (*TrainedModel, error) {
-	m, _, err := d.TrainWarm(acs, nil)
-	return m, err
-}
-
-// TrainWarm fits a claim model on the ACS series, seeding EM from prev —
-// a model previously fitted to a prefix of the same stream — instead of
-// the uniform informative prior. When the stream has only grown a little,
-// the previous fit is already near the EM fixed point and training
-// converges in one or two iterations instead of tens. prev is cloned, not
-// mutated (cached models are shared). A nil, family-mismatched or
-// shape-mismatched prev, and a warm fit that fails to converge within the
-// iteration budget, all fall back to the usual cold start, so warm
-// starting never degrades the fitted model. The returned TrainResult
-// reports the iterations actually spent and whether the warm seed was
-// used (WarmStarted).
-func (d *Decoder) TrainWarm(acs []float64, prev *TrainedModel) (*TrainedModel, hmm.TrainResult, error) {
 	sc := getScratch()
 	defer putScratch(sc)
-	return d.TrainWarmScratch(sc, acs, prev)
+	truth, err := d.DecodeInto(sc, acs)
+	return slices.Clone(truth), err
 }
 
-// TrainWarmScratch is TrainWarm running on the caller's scratch buffers.
+// TrainWarmScratch fits a claim model on the ACS series with the caller's
+// scratch buffers, seeding EM from prev — a model previously fitted to a
+// prefix of the same stream — instead of the uniform informative prior
+// when prev is non-nil. When the stream has only grown a little, the
+// previous fit is already near the EM fixed point and training converges
+// in one or two iterations instead of tens. prev is cloned, not mutated
+// (cached models are shared). A family-mismatched or shape-mismatched
+// prev, and a warm fit that fails to converge within the iteration budget,
+// fall back to the usual cold start, so warm starting never degrades the
+// fitted model. The returned TrainResult reports the iterations actually
+// spent and whether the warm seed was used (WarmStarted).
 func (d *Decoder) TrainWarmScratch(sc *DecodeScratch, acs []float64, prev *TrainedModel) (*TrainedModel, hmm.TrainResult, error) {
 	if len(acs) == 0 {
 		return nil, hmm.TrainResult{}, fmt.Errorf("core: cannot train on an empty series")
@@ -145,18 +129,11 @@ func (d *Decoder) TrainWarmScratch(sc *DecodeScratch, acs []float64, prev *Train
 	}
 }
 
-// DecodeWith Viterbi-decodes the series under a previously trained model.
-func (d *Decoder) DecodeWith(m *TrainedModel, acs []float64) ([]socialsensing.TruthValue, error) {
-	sc := getScratch()
-	defer putScratch(sc)
-	truth, err := d.DecodeWithScratch(sc, m, acs)
-	return slices.Clone(truth), err
-}
-
-// DecodeWithScratch is DecodeWith running on the caller's scratch: the
-// quantized observations, the Viterbi lattice and the returned truth slice
-// all live in sc, so a warmed scratch decodes with zero heap allocations.
-// The result is valid until the next call using sc.
+// DecodeWithScratch Viterbi-decodes the series under a previously trained
+// model on the caller's scratch: the quantized observations, the Viterbi
+// lattice and the returned truth slice all live in sc, so a warmed scratch
+// decodes with zero heap allocations. The result is valid until the next
+// call using sc.
 func (d *Decoder) DecodeWithScratch(sc *DecodeScratch, m *TrainedModel, acs []float64) ([]socialsensing.TruthValue, error) {
 	return d.decodeScratch(sc, m, acs, false)
 }

@@ -149,8 +149,9 @@ func TestRunCompressionGate(t *testing.T) {
 // TestDecodeIntoMatchesTrainThenDecode: DecodeInto runs Viterbi on the
 // symbols its training pass quantized instead of quantizing the series
 // again. On every claim series of both profiles, decoded on one reused
-// scratch, its truth must equal Train followed by DecodeWith bit for bit,
-// each on a fresh scratch so that neither can see the other's symbols.
+// scratch, its truth must equal TrainWarmScratch followed by
+// DecodeWithScratch bit for bit, each on a fresh scratch so that neither
+// can see the other's symbols.
 func TestDecodeIntoMatchesTrainThenDecode(t *testing.T) {
 	dec, err := NewDecoder(DefaultDecoderConfig())
 	if err != nil {
@@ -172,7 +173,7 @@ func TestDecodeIntoMatchesTrainThenDecode(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !slices.Equal(got, want) {
-				t.Fatalf("%s claim %d: DecodeInto differs from Train + DecodeWith", prof.Name, i)
+				t.Fatalf("%s claim %d: DecodeInto differs from TrainWarmScratch + DecodeWithScratch", prof.Name, i)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -120,14 +119,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 
 // Ingest adds one report to its claim's ACS accumulator, creating the
 // per-claim state on first sight (the paper dynamically spawns a TD job
-// when a new claim appears). A report whose contribution score is not
-// finite is refused: one NaN in an interval sum would poison every later
-// sliding-window value of its claim.
+// when a new claim appears). A report whose score FixedScore refuses is an
+// error naming the claim and the report's position among the claim's
+// reports, and leaves the engine as it was.
 func (e *Engine) Ingest(r socialsensing.Report) error {
-	if s := r.ContributionScore(); math.IsNaN(s) || math.IsInf(s, 0) {
-		return fmt.Errorf("core: report on claim %q at %v has non-finite contribution score %v (uncertainty %v, independence %v)",
-			r.Claim, r.Timestamp, s, r.Uncertainty, r.Independence)
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st, ok := e.claims[r.Claim]
@@ -137,10 +132,14 @@ func (e *Engine) Ingest(r socialsensing.Report) error {
 			return err
 		}
 		st = &claimState{acc: acc}
+	}
+	if err := st.acc.Add(r); err != nil {
+		return fmt.Errorf("core: claim %s report %d: %w", r.Claim, st.acc.Count(), err)
+	}
+	if !ok {
 		e.claims[r.Claim] = st
 		e.gClaims.SetInt(len(e.claims))
 	}
-	st.acc.Add(r)
 	e.cIngested.Inc()
 	return nil
 }
@@ -256,7 +255,7 @@ func (e *Engine) claimModel(st *claimState, sc *DecodeScratch) (*TrainedModel, [
 		e.cfg.RetrainGrowth <= 0 ||
 		float64(count) >= float64(st.trainedCount)*(1+e.cfg.RetrainGrowth)
 	acsStart := time.Now()
-	sc.series = st.acc.SeriesInto(sc.series)
+	sc.series = Window(sc.series, st.acc.sums, e.cfg.ACS.WindowIntervals)
 	series := sc.series
 	e.mu.Unlock()
 	e.hACS.ObserveDuration(time.Since(acsStart))

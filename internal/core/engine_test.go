@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -93,6 +95,39 @@ func TestIngestRejectsNonFiniteScore(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestIngestRejectsScoreOverOne: a score of magnitude over 1, out of the
+// fixed point's range, is refused with an error naming the claim and the
+// report's position among the claim's reports, and leaves no trace.
+func TestIngestRejectsScoreOverOne(t *testing.T) {
+	e := newTestEngine(t, 0)
+	good := socialsensing.Report{Source: "s", Claim: "c1", Timestamp: origin(), Attitude: socialsensing.Agree, Independence: 1}
+	for i := 0; i < 3; i++ {
+		if err := e.Ingest(good); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := e.ACSSeries("c1")
+	for _, bad := range []socialsensing.Report{
+		{Claim: "c1", Timestamp: origin(), Attitude: socialsensing.Agree, Independence: 1.5},
+		{Claim: "c1", Timestamp: origin(), Attitude: socialsensing.Disagree, Uncertainty: -0.5, Independence: 1},
+	} {
+		err := e.Ingest(bad)
+		if err == nil || !strings.Contains(err.Error(), "claim c1 report 3") {
+			t.Errorf("score %v: Ingest error %v, want one naming claim c1 report 3", bad.ContributionScore(), err)
+		}
+	}
+	if n, after := e.ReportCount(), e.ACSSeries("c1"); n != 3 || !slices.Equal(after, before) {
+		t.Errorf("refused reports left state behind: %d reports, series %v (was %v)", n, after, before)
+	}
+	err := e.Ingest(socialsensing.Report{Claim: "c2", Timestamp: origin(), Attitude: socialsensing.Agree, Independence: 2})
+	if err == nil || !strings.Contains(err.Error(), "claim c2 report 0") {
+		t.Errorf("first report of a claim: Ingest error %v, want one naming claim c2 report 0", err)
+	}
+	if claims := e.Claims(); len(claims) != 1 {
+		t.Errorf("a refused first report created its claim: %v", claims)
 	}
 }
 

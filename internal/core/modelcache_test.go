@@ -158,11 +158,11 @@ func TestTrainedModelSerializable(t *testing.T) {
 		t.Fatal(err)
 	}
 	series := e.ACSSeries("c")
-	a, err := d.DecodeWith(m, series)
+	a, err := d.DecodeWithScratch(NewDecodeScratch(), m, series)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := d.DecodeWith(&restored, series)
+	b, err := d.DecodeWithScratch(NewDecodeScratch(), &restored, series)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,16 +182,16 @@ func TestTrainedModelForUnknownClaim(t *testing.T) {
 
 func TestDecodeWithValidation(t *testing.T) {
 	d, _ := NewDecoder(DefaultDecoderConfig())
-	if _, err := d.DecodeWith(nil, []float64{1}); err == nil {
+	if _, err := d.DecodeWithScratch(NewDecodeScratch(), nil, []float64{1}); err == nil {
 		t.Error("nil model accepted")
 	}
-	if _, err := d.DecodeWith(&TrainedModel{Emissions: DiscreteEmissions}, []float64{1}); err == nil {
+	if _, err := d.DecodeWithScratch(NewDecodeScratch(), &TrainedModel{Emissions: DiscreteEmissions}, []float64{1}); err == nil {
 		t.Error("model without parameters accepted")
 	}
-	if _, err := d.Train(nil); err == nil {
+	if _, _, err := d.TrainWarmScratch(NewDecodeScratch(), nil, nil); err == nil {
 		t.Error("empty series trained")
 	}
-	got, err := d.DecodeWith(&TrainedModel{}, nil)
+	got, err := d.DecodeWithScratch(NewDecodeScratch(), &TrainedModel{}, nil)
 	if err != nil || got != nil {
 		t.Errorf("empty series decode = %v, %v", got, err)
 	}

@@ -28,7 +28,7 @@ func TestTrainWarmIterationsDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	series := flipSeries(80, 40, 9)
-	cold, resCold, err := d.TrainWarm(series, nil)
+	cold, resCold, err := d.TrainWarmScratch(NewDecodeScratch(), series, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestTrainWarmIterationsDrop(t *testing.T) {
 	// The same series again, seeded from its own fit: the parameters are
 	// already at the EM fixed point, so the warm run should stop after a
 	// single confirming iteration.
-	_, resSame, err := d.TrainWarm(series, cold)
+	_, resSame, err := d.TrainWarmScratch(NewDecodeScratch(), series, cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,11 @@ func TestTrainWarmIterationsDrop(t *testing.T) {
 	for i := len(series); i < len(grown); i++ {
 		grown[i] = -4 // truth stays flipped; the stream just grew
 	}
-	_, resWarm, err := d.TrainWarm(grown, cold)
+	_, resWarm, err := d.TrainWarmScratch(NewDecodeScratch(), grown, cold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, resCold2, err := d.TrainWarm(grown, nil)
+	_, resCold2, err := d.TrainWarmScratch(NewDecodeScratch(), grown, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +83,11 @@ func TestTrainWarmIncompatibleSeedFallsBackCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gauss, _, err := gd.TrainWarm(series, nil)
+	gauss, _, err := gd.TrainWarmScratch(NewDecodeScratch(), series, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, res, err := d.TrainWarm(series, gauss)
+	m, res, err := d.TrainWarmScratch(NewDecodeScratch(), series, gauss)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,16 +193,17 @@ type jobState struct {
 	dataSize  float64 // total reports
 	remaining float64 // reports not yet completed
 	// pending maps each task whose result is still to come to its report
-	// count and chunk index — which fixes a scatter task's merge shard and
-	// fold order; the decode task's is tasks. A result for any other task
-	// is a duplicate delivery (it raced a requeue) and must not count twice.
+	// count and chunk index; the decode task's index is tasks. A result for
+	// any other task is a duplicate delivery (it raced a requeue) and must
+	// not count twice.
 	pending map[string]taskSlot
-	// outputs holds the scatter tasks' checked outputs by chunk index, nil
-	// while one is outstanding and for good when it is lost; intervals, the
-	// number of grid intervals the job's reports span, is what no output
-	// may reach, and seriesLen the length of the series the decode task
-	// carried: its answer must be a timeline of exactly that length.
-	outputs              [][]byte
+	// sums holds the per-interval sums of the scatter outputs folded so
+	// far, in the order they arrived: integer sums are exact, so the order
+	// cannot show. intervals, the number of grid intervals the job's
+	// reports span, is what no output may reach, and seriesLen the length
+	// of the series the outputs describe — the decode task's, whose answer
+	// must be a timeline of exactly that length.
+	sums                 *[]int64
 	intervals, seriesLen int
 	// buf holds the job's payloads; retried marks a job one of whose tasks
 	// was sent more than once, whose payload memory is never reused.
@@ -432,7 +433,7 @@ func (m *Manager) SubmitJob(claim socialsensing.ClaimID, reports []socialsensing
 		dataSize:  float64(len(reports)),
 		remaining: float64(len(reports)),
 		pending:   map[string]taskSlot{jobID + "/decode": {index: len(chunks)}},
-		outputs:   make([][]byte, len(chunks)),
+		sums:      getSums(intervals),
 		intervals: intervals,
 		buf:       buf,
 	}
@@ -618,8 +619,8 @@ func (m *Manager) collect(ctx context.Context) {
 }
 
 // handleResult routes one task result to its job: a scatter output is
-// checked and kept, the last of them starts the decode phase, and the
-// decode task's answer completes the job.
+// checked and folded into the job's sums, the last of them starts the
+// decode phase, and the decode task's answer completes the job.
 func (m *Manager) handleResult(ctx context.Context, r workqueue.Result) {
 	m.mu.Lock()
 	js, ok := m.jobs[r.JobID]
@@ -648,12 +649,10 @@ func (m *Manager) handleResult(ctx context.Context, r workqueue.Result) {
 	var err error
 	if r.Err != "" {
 		err = errors.New(r.Err)
-	} else if _, bad := checkOutput(r.Output, js.intervals); bad != nil {
+	} else if bad := js.fold(r.Output, slot.reports); bad != nil {
 		err = obs.Wrap(malformed("output", bad))
 	}
-	if err == nil {
-		js.outputs[slot.index] = r.Output
-	} else {
+	if err != nil {
 		js.failed++
 		if js.firstErr == nil {
 			js.firstErr, js.firstErrTrace = err, r.ErrTrace
@@ -670,43 +669,13 @@ func (m *Manager) handleResult(ctx context.Context, r workqueue.Result) {
 	}
 }
 
-// mergeShardCount fixes how many partial sums a job's outputs fold into
-// before those fold into one. It is a constant, not GOMAXPROCS: the fold
-// order must not depend on the machine or the decode would drift across
-// hosts.
-const mergeShardCount = 4
-
-// mergeOutputs appends to dst a job's decode task, header first, from its
-// scatter outputs — outputs[i] from chunk i, through checkOutput against
-// intervals, nil for a lost task — and returns it with the length of the
-// series it carries. Chunk i folds into partial sum i%mergeShardCount in
-// ascending chunk order and the partial sums fold in shard order: a pure
-// function of the task set — float addition is not associative, so this is
-// what keeps the merged floats, and therefore the decoded truth,
-// bit-identical however the results arrived. Both float buffers come from
-// the pool and go back to it.
-func mergeOutputs(dst, header []byte, outputs [][]byte, intervals int) (payload []byte, n int) {
-	merged, shard := getFloats(intervals), getFloats(intervals)
-	defer floatPool.Put(merged)
-	defer floatPool.Put(shard)
-	for s := 0; s < mergeShardCount && s < len(outputs); s++ {
-		sums := *merged // the first partial sum is the start of the merge
-		if s > 0 {
-			sums = *shard
-			clear(sums)
-		}
-		for i := s; i < len(outputs); i += mergeShardCount {
-			if outputs[i] != nil {
-				n = max(n, foldOutput(sums, outputs[i]))
-			}
-		}
-		if s > 0 {
-			for idx, v := range sums {
-				(*merged)[idx] += v
-			}
-		}
-	}
-	return appendOutput(append(dst, header...), (*merged)[:n], 0), n
+// fold adds a scatter task's output into the job's sums, checking it in
+// full on the way — no interval past the job's, no more score than the
+// task's reports can carry. A refused output adds nothing.
+func (js *jobState) fold(out []byte, reports int) error {
+	n, err := foldOutput(js.sums, out, js.intervals, uint64(reports)*core.ScoreOne)
+	js.seriesLen = max(js.seriesLen, n)
+	return err
 }
 
 // submitDecode starts a job's second phase once its last scatter result is
@@ -717,8 +686,8 @@ func (m *Manager) submitDecode(ctx context.Context, js *jobState) {
 	merge := m.tracer.NewSpan("merge "+jobID, js.span.SpanID())
 	// Every scatter task has answered: unless one was sent twice, nothing
 	// reads the job's buffer any more, and the decode task reuses it.
-	payload, n := mergeOutputs(js.buf.bytes[:0], m.decodeHeader, js.outputs, js.intervals)
-	js.buf.bytes, js.seriesLen, js.outputs = payload, n, nil
+	payload := appendOutput(append(js.buf.bytes[:0], m.decodeHeader...), (*js.sums)[:js.seriesLen], 0)
+	js.buf.bytes = payload
 	merge.Finish()
 	m.fr.Probe(flightrec.ProbeDTMMerge, tp, int64(js.seriesLen), merge.SpanID())
 	js.decode = m.tracer.NewSpan("decode "+jobID, js.span.SpanID())
@@ -769,6 +738,7 @@ func (m *Manager) finish(ctx context.Context, js *jobState, res JobResult) {
 		jobBufs.Put(js.buf)
 		m.recycled.Add(1)
 	}
+	sumsPool.Put(js.sums)
 	// Observe before emitting: whoever holds a JobResult may rely on the
 	// counters and the trace already including that job.
 	m.observeJob(js, res)

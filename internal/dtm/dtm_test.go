@@ -411,13 +411,17 @@ func TestSplitReports(t *testing.T) {
 }
 
 func TestWindowedSeries(t *testing.T) {
-	sums := []float64{1, 1, 0, -1}
-	got := make([]float64, len(sums))
-	windowedSeries(got, sums, 2)
-	if want := []float64{1, 2, 1, -1}; !reflect.DeepEqual(got, want) {
-		t.Errorf("windowedSeries = %v, want %v", got, want)
+	// The worker windows the merged sums with core.Window, in score units.
+	one := int64(core.ScoreOne)
+	out := outputOf(map[int]int64{0: one, 1: one, 3: -one})
+	decode := append(appendDecodeHeader(nil, 2, DefaultConfig(origin()).Decoder), out...)
+	var got []float64
+	if _, err := readDecodeTask(decode, &got); err != nil {
+		t.Fatal(err)
 	}
-	windowedSeries(nil, nil, 2) // an empty series is no work
+	if want := []float64{1, 2, 1, -1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("decode task series = %v, want %v", got, want)
+	}
 	// A decode task never carries a window under one interval: the header
 	// clamps it, as the master-side window always was.
 	_, window, _, err := parseDecodeHeader(appendDecodeHeader(nil, 0, DefaultConfig(origin()).Decoder))

@@ -3,38 +3,44 @@ package dtm
 // payload.go is the task codec — the one place that knows what a TD job's
 // two kinds of task and their results look like on the wire. A scatter
 // task carries one chunk of reports: per report only its contribution
-// score ρ·(1−κ)·η, computed once at submit, and the ACS interval it falls
-// in — no claim id, source, timestamp or text leaves the master, and one
-// score column is cheaper to encode, checksum, copy and decode than ρ, κ
-// and η. Reports arrive in time order, so the intervals travel as runs:
-// a run is one slot and how many consecutive reports fall in it. The
-// encoder visits each report once, writing its score straight into the
-// job's buffer and counting it into the current run; only a report outside
-// the seconds the last slot holds costs a core.Grid lookup. The scores
-// come first because their column's size is known before the visit and
-// the runs' is not. The decode task is the job's last: its merged sums
-// plus all a stateless worker needs to turn them into a truth timeline —
-// the Eq. 4 window and the decoder configuration.
+// score ρ·(1−κ)·η in the Q1.30 fixed point of core.FixedScore, computed
+// once at submit, and the ACS interval it falls in — no claim id, source,
+// timestamp or text leaves the master, and a 4-byte score column is
+// cheaper to encode, checksum, copy and decode than ρ, κ and η. Reports
+// arrive in time order, so the intervals travel as runs: a run is one slot
+// and how many consecutive reports fall in it. The encoder visits each
+// report once, writing its score straight into the job's buffer and
+// counting it into the current run; only a report outside the seconds the
+// last slot holds costs a core.Grid lookup. The scores come first because
+// their column's size is known before the visit and the runs' is not.
+// Sums are integers, so they are exact: no report order, chunking or
+// arrival order of the outputs can change one. The decode task is the
+// job's last: its merged sums plus all a stateless worker needs to turn
+// them into a truth timeline — the Eq. 4 window and the decoder
+// configuration.
 //
-//	task v2:   0x03 | uvarint n | n × float64-LE score | uvarint base |
+//	task v3:   0x04 | uvarint n | n × int32-LE score | uvarint base |
 //	           uvarint span | uvarint r | r × (zigzag-varint Δidx,
 //	           uvarint count), the first Δidx relative to base
-//	output v1: 0x01 | uvarint k | k × (uvarint Δidx, float64-LE sum)
-//	decode v1: 0x02 | uvarints window, emission kind, max iterations,
+//	output v2: 0x02 | uvarint k | k × (uvarint Δidx, zigzag-varint sum)
+//	decode v2: 0x05 | uvarints window, emission kind, max iterations,
 //	           freeze emissions (0 or 1), #thresholds | float64-LE
-//	           tolerance, smoothing A, B, π, thresholds | output v1
+//	           tolerance, smoothing A, B, π, thresholds | output v2
 //	truth v1:  0x01 | uvarint T | first value | uvarint run lengths
 //
-// The first byte of a task is its kind; task v1 (0x01, an index per
-// report) is refused. Every index of a scatter task lies in [base,
-// base+span), every count is at least one and the counts sum to n: run i
-// covers the next count scores, in report order. An output lists,
-// strictly ascending (the first Δidx is the index itself), every interval
-// whose sum is non-zero plus always the highest touched, so the length of
-// the job's series survives a trailing zero sum. A timeline's runs
-// alternate from the first value, none is empty and they sum to T. The
-// decoders read outside input: they allocate nothing from a length they
-// have not checked against the bytes that remain or a fixed cap.
+// The first byte of a task is its kind, of an answer its version; the
+// retired task v1 (0x01), decode v1 (0x02, float sums), task v2 (0x03,
+// float scores) and output v1 (0x01, float sums) are refused. Every score
+// of a scatter task lies in [−2³⁰, 2³⁰], every index in [base, base+span),
+// every count is at least one and the counts sum to n: run i covers the
+// next count scores, in report order. An output lists, strictly ascending
+// (the first Δidx is the index itself), every interval whose sum is
+// non-zero plus always the highest touched, so the length of the job's
+// series survives a trailing zero sum; its sums' magnitudes total no more
+// than the scores behind them can. A timeline's runs alternate from the
+// first value, none is empty and they sum to T. The decoders read outside
+// input: they allocate nothing from a length they have not checked
+// against the bytes that remain or a fixed cap.
 
 import (
 	"context"
@@ -54,16 +60,17 @@ import (
 	"github.com/social-sensing/sstd/internal/workqueue"
 )
 
-// payloadVersion opens an output and a truth timeline; kindDecode opens a
-// decode task and kindScatter a scatter task.
+// truthVersion opens a truth timeline and outputVersion an output;
+// kindScatter opens a scatter task and kindDecode a decode task.
 const (
-	payloadVersion byte = 1
-	kindDecode     byte = 2
-	kindScatter    byte = 3
+	truthVersion  byte = 1
+	outputVersion byte = 2
+	kindScatter   byte = 4
+	kindDecode    byte = 5
 )
 
 // maxSpan caps the interval range one task may touch. The worker folds
-// into a dense buffer of that many floats, and a dense result of more
+// into a dense buffer of that many int64 sums, and a dense result of more
 // slots than one frame can hold could not come back anyway.
 const maxSpan = workqueue.MaxFrameBytes / 8
 
@@ -119,9 +126,9 @@ type run struct{ slot, count int }
 
 // encodeTasks encodes one task payload per chunk of a job's reports into
 // jb, and reports the number of grid intervals the job spans — the bound
-// handleResult holds the tasks' outputs to. A NaN or ±Inf contribution
-// score is an error naming the claim and the report's position in the
-// job: it would poison every window it falls in.
+// handleResult holds the tasks' outputs to. A score core.FixedScore
+// refuses is an error naming the claim and the report's position in the
+// job.
 func encodeTasks(jb *jobBuf, chunks [][]socialsensing.Report, origin time.Time, interval time.Duration) (intervals int, err error) {
 	if interval <= 0 {
 		return 0, errors.New("dtm: task encoding needs a positive interval")
@@ -134,19 +141,17 @@ func encodeTasks(jb *jobBuf, chunks [][]socialsensing.Report, origin time.Time, 
 	for _, chunk := range chunks {
 		buf = binary.AppendUvarint(append(buf, kindScatter), uint64(len(chunk)))
 		at := len(buf)
-		buf = slices.Grow(buf, 8*len(chunk))[:at+8*len(chunk)]
+		buf = slices.Grow(buf, 4*len(chunk))[:at+4*len(chunk)]
 		// The one visit of each report: its score into the payload, its
 		// slot into the current run or a new one.
 		scores, runs, lo, hi := buf[at:], jb.runs[:0], math.MaxInt, -1
 		for i := range chunk {
-			// Eq. 1 through the pointer: ContributionScore's value receiver
-			// would copy all 96 bytes of the report.
 			r := &chunk[i]
-			s := float64(r.Attitude) * (1 - r.Uncertainty) * r.Independence
-			if s-s != 0 {
-				return 0, fmt.Errorf("dtm: claim %s report %d: contribution score is %v", r.Claim, seen+i, s)
+			s, err := core.FixedScore(r)
+			if err != nil {
+				return 0, fmt.Errorf("dtm: claim %s report %d: %w", r.Claim, seen+i, err)
 			}
-			binary.LittleEndian.PutUint64(scores[8*i:], math.Float64bits(s))
+			binary.LittleEndian.PutUint32(scores[4*i:], uint32(s))
 			slot := cursor.Slot()
 			if !cursor.Holds(r.Timestamp) {
 				slot = cursor.Seek(r.Timestamp)
@@ -224,10 +229,10 @@ func parseTask(p []byte) (taskView, error) {
 	if err != nil {
 		return taskView{}, err
 	}
-	if n > uint64(len(p)-off)/8 {
+	if n > uint64(len(p)-off)/4 {
 		return taskView{}, errors.New("count exceeds the bytes that follow")
 	}
-	scores := p[off : off+8*int(n)]
+	scores := p[off : off+4*int(n)]
 	off, err = uvarints(p, off+len(scores), &base, &span, &runs)
 	switch {
 	case err != nil:
@@ -245,24 +250,25 @@ func parseTask(p []byte) (taskView, error) {
 	return taskView{n: int(n), base: int(base), span: int(span), runs: int(runs), scores: scores, col: p[off:]}, nil
 }
 
-// floatPool recycles the dense per-interval buffers of both sides: the
-// executors' scatter and decode buffers, the master's merge accumulators.
-// scratchPool holds the workers' HMM scratches, each with the flight
-// recorder it was made under: the kernels bind their probe ring once, so a
-// scratch does not outlive the process's recorder.
+// sumsPool recycles the dense per-interval sums of both sides: the
+// executors' scatter and decode buffers, the master's per-job sums.
+// scratchPool holds the workers' HMM scratches and windowed series, each
+// with the flight recorder it was made under: the kernels bind their probe
+// ring once, so a scratch does not outlive the process's recorder.
 var (
-	floatPool   = sync.Pool{New: func() any { return new([]float64) }}
+	sumsPool    = sync.Pool{New: func() any { return new([]int64) }}
 	scratchPool sync.Pool
 )
 
 type decodeScratch struct {
 	*core.DecodeScratch
-	rec *flightrec.Recorder
+	rec    *flightrec.Recorder
+	series []float64
 }
 
-// getFloats takes n zeroed floats from floatPool.
-func getFloats(n int) *[]float64 {
-	buf := floatPool.Get().(*[]float64)
+// getSums takes n zeroed sums from sumsPool.
+func getSums(n int) *[]int64 {
+	buf := sumsPool.Get().(*[]int64)
 	*buf = slices.Grow((*buf)[:0], n)[:n]
 	clear(*buf)
 	return buf
@@ -299,15 +305,15 @@ func executeTask(ctx context.Context, payload []byte, perReport time.Duration) (
 			}
 		}
 	}
-	buf := getFloats(t.span)
-	defer floatPool.Put(buf)
+	buf := getSums(t.span)
+	defer sumsPool.Put(buf)
 	top, err := t.scatter(*buf)
 	if err != nil {
 		return nil, obs.Wrap(malformed("payload", err))
 	}
 	decode.Finish()
 	if t.n == 0 {
-		return []byte{payloadVersion, 0}, nil
+		return []byte{outputVersion, 0}, nil
 	}
 
 	encode := workqueue.StartStageSpan(ctx, workqueue.StageEncode)
@@ -320,31 +326,21 @@ func executeTask(ctx context.Context, payload []byte, perReport time.Duration) (
 // buffer, window them, train and decode, answer with the timeline.
 func executeDecode(ctx context.Context, payload []byte) ([]byte, error) {
 	decode := workqueue.StartStageSpan(ctx, workqueue.StageDecode)
-	end, window, dec, err := parseDecodeHeader(payload)
+	sc, _ := scratchPool.Get().(*decodeScratch)
+	if rec := flightrec.Active(); sc == nil || sc.rec != rec {
+		sc = &decodeScratch{DecodeScratch: core.NewDecodeScratch(), rec: rec}
+	}
+	defer scratchPool.Put(sc)
+	dec, err := readDecodeTask(payload, &sc.series)
 	if err != nil {
 		return nil, obs.Wrap(malformed("payload", err))
 	}
-	merged := payload[end:]
-	n, err := checkOutput(merged, maxSpan)
-	if err != nil {
-		return nil, obs.Wrap(malformed("payload", err))
-	}
-	sums, series := getFloats(n), getFloats(n)
-	defer floatPool.Put(sums)
-	defer floatPool.Put(series)
-	foldOutput(*sums, merged)
-	windowedSeries(*series, *sums, window)
 	decode.Finish()
 
 	// The kernel's EM-phase flight events nest under the job's decode span,
 	// which the task was submitted under.
-	sc, _ := scratchPool.Get().(*decodeScratch)
-	if rec := flightrec.Active(); sc == nil || sc.rec != rec {
-		sc = &decodeScratch{core.NewDecodeScratch(), rec}
-	}
-	defer scratchPool.Put(sc)
 	sc.SetFlightParent(workqueue.TaskSpan(ctx))
-	truth, err := dec.DecodeInto(sc.DecodeScratch, *series)
+	truth, err := dec.DecodeInto(sc.DecodeScratch, sc.series)
 	sc.SetFlightParent(0)
 	if err != nil {
 		return nil, obs.Wrap(err)
@@ -355,11 +351,27 @@ func executeDecode(ctx context.Context, payload []byte) ([]byte, error) {
 	return out, nil
 }
 
+// readDecodeTask checks a decode task in full and returns a decoder of its
+// configuration, with the Eq. 4 series of its merged sums in series.
+func readDecodeTask(payload []byte, series *[]float64) (*core.Decoder, error) {
+	end, window, dec, err := parseDecodeHeader(payload)
+	if err != nil {
+		return nil, err
+	}
+	sums := getSums(0)
+	defer sumsPool.Put(sums)
+	n, err := foldOutput(sums, payload[end:], maxSpan, math.MaxInt64)
+	if err != nil {
+		return nil, err
+	}
+	*series = core.Window(*series, (*sums)[:n], window)
+	return dec, nil
+}
+
 // scatter adds the task's scores into sums — span zeroed slots, slot 0
-// being interval base — in report order, so each interval sees its addends
-// in the order the reports were submitted: a run's scores one after the
-// other into its slot. It returns the highest slot touched.
-func (t taskView) scatter(sums []float64) (top int, err error) {
+// being interval base — a run's scores one after the other into its slot.
+// It returns the highest slot touched.
+func (t taskView) scatter(sums []int64) (top int, err error) {
 	off, at, i := 0, 0, 0
 	for k := 0; k < t.runs; k++ {
 		d, w := binary.Varint(t.col[off:])
@@ -382,12 +394,12 @@ func (t taskView) scatter(sums []float64) (top int, err error) {
 		at += int(d)
 		top = max(top, at)
 		acc := sums[at]
-		for run := t.scores[8*i : 8*(i+int(c))]; len(run) >= 8; run = run[8:] {
-			s := math.Float64frombits(binary.LittleEndian.Uint64(run))
-			if s-s != 0 {
-				return 0, errors.New("score is not finite")
+		for run := t.scores[4*i : 4*(i+int(c))]; len(run) >= 4; run = run[4:] {
+			s := int32(binary.LittleEndian.Uint32(run))
+			if s < -core.ScoreOne || s > core.ScoreOne {
+				return 0, errors.New("score magnitude over 2^30")
 			}
-			acc += s
+			acc += int64(s)
 		}
 		sums[at] = acc
 		i += int(c)
@@ -408,93 +420,102 @@ func malformed(what string, err error) error {
 }
 
 // appendOutput appends sums, slot 0 being interval base, to dst as an
-// output v1: the non-zero sums and always the last. It grows dst at most
+// output v2: the non-zero sums and always the last. It grows dst at most
 // once.
-func appendOutput(dst []byte, sums []float64, base int) []byte {
+func appendOutput(dst []byte, sums []int64, base int) []byte {
 	last := len(sums) - 1
 	k, size, prev := 0, 0, 0
 	for i, s := range sums {
 		if s != 0 || i == last {
-			k, size, prev = k+1, size+uvarintLen(uint64(base+i-prev))+8, base+i
+			k, size, prev = k+1, size+uvarintLen(uint64(base+i-prev))+uvarintLen(uint64(s<<1)^uint64(s>>63)), base+i
 		}
 	}
-	out := binary.AppendUvarint(append(slices.Grow(dst, 1+uvarintLen(uint64(k))+size), payloadVersion), uint64(k))
+	out := binary.AppendUvarint(append(slices.Grow(dst, 1+uvarintLen(uint64(k))+size), outputVersion), uint64(k))
 	prev = 0
 	for i, s := range sums {
 		if s != 0 || i == last {
-			out = binary.LittleEndian.AppendUint64(binary.AppendUvarint(out, uint64(base+i-prev)), math.Float64bits(s))
+			out = binary.AppendVarint(binary.AppendUvarint(out, uint64(base+i-prev)), s)
 			prev = base + i
 		}
 	}
 	return out
 }
 
-// checkOutput validates an output in full — well formed, every interval
-// index below limit — and returns the length of the series it describes:
-// its highest interval plus one.
-func checkOutput(out []byte, limit int) (n int, err error) {
+// foldOutput checks out in full — well formed, every interval index below
+// limit, the sums' magnitudes totalling at most mass — while it adds its
+// sums into *sums, growing that with zeroed slots to reach at least the
+// highest interval, and returns the length of the series out describes:
+// that interval plus one. mass is what the scores behind out can add up
+// to; it keeps every sum and window over the output inside int64. A
+// refused output adds nothing: what the pairs before the damage added is
+// taken back.
+func foldOutput(sums *[]int64, out []byte, limit int, mass uint64) (n int, err error) {
 	var k uint64
-	off, err := header(out, payloadVersion, &k)
+	start, err := header(out, outputVersion, &k)
 	if err != nil {
 		return 0, err
 	}
-	// A pair is at least one index byte and eight sum bytes.
-	if k > uint64(len(out)-off)/9 {
+	// A pair is at least one index byte and one sum byte.
+	if k > uint64(len(out)-start)/2 {
 		return 0, errors.New("count exceeds the bytes that follow")
 	}
-	idx := uint64(0)
-	for i := uint64(0); i < k; i++ {
+	dst, off, idx, folded := *sums, start, uint64(0), 0
+	for ; folded < int(k); folded++ {
 		d, w := binary.Uvarint(out[off:])
-		if w <= 0 || len(out)-off-w < 8 {
-			return 0, errors.New("truncated")
+		if w <= 0 {
+			err = errors.New("truncated")
+			break
 		}
-		if i > 0 && d == 0 {
-			return 0, errors.New("interval indices not strictly ascending")
+		s, v := binary.Varint(out[off+w:])
+		if v <= 0 {
+			err = errors.New("truncated")
+			break
+		}
+		if folded > 0 && d == 0 {
+			err = errors.New("interval indices not strictly ascending")
+			break
 		}
 		// Both terms are at most limit, so the sum cannot wrap.
 		if d >= uint64(limit) || idx+d >= uint64(limit) {
-			return 0, errors.New("interval index out of range")
+			err = errors.New("interval index out of range")
+			break
 		}
-		idx += d
-		if s := math.Float64frombits(binary.LittleEndian.Uint64(out[off+w:])); s-s != 0 {
-			return 0, errors.New("value is not finite")
+		a := uint64(s)
+		if s < 0 {
+			a = -a
 		}
-		off += w + 8
+		if a > mass {
+			err = errors.New("sums exceed what the scores can add up to")
+			break
+		}
+		idx, mass, off = idx+d, mass-a, off+w+v
+		if int(idx) >= len(dst) {
+			// Double, so that a series read from nothing clears each slot once.
+			size := min(max(int(idx)+1, 2*len(dst)), limit)
+			grown := slices.Grow(dst, size-len(dst))[:size]
+			clear(grown[len(dst):])
+			dst = grown
+		}
+		dst[idx] += s
 		n = int(idx) + 1
 	}
-	if off != len(out) {
-		return 0, errors.New("trailing bytes")
+	if err == nil && off != len(out) {
+		err = errors.New("trailing bytes")
 	}
-	return n, nil
-}
-
-// foldOutput adds the sums of an output checkOutput has accepted into
-// sums, which reaches past the output's highest interval, and returns the
-// length of the series the output describes.
-func foldOutput(sums []float64, out []byte) (n int) {
-	k, w := binary.Uvarint(out[1:])
-	off, idx := 1+w, 0
-	for ; k > 0; k-- {
-		d, w := binary.Uvarint(out[off:])
-		idx += int(d)
-		sums[idx] += math.Float64frombits(binary.LittleEndian.Uint64(out[off+w:]))
-		off += w + 8
-		n = idx + 1
-	}
-	return n
-}
-
-// windowedSeries writes into series the sliding-window ACS sequence of
-// Eq. 4 over the per-interval sums.
-func windowedSeries(series, sums []float64, window int) {
-	acc := 0.0
-	for t := range sums {
-		acc += sums[t]
-		if t >= window {
-			acc -= sums[t-window]
+	if err != nil {
+		// Take back what the pairs before the damage added, and the slots.
+		off, idx = start, 0
+		for ; folded > 0; folded-- {
+			d, w := binary.Uvarint(out[off:])
+			s, v := binary.Varint(out[off+w:])
+			idx += d
+			dst[idx] -= s
+			off += w + v
 		}
-		series[t] = acc
+		dst, n = dst[:len(*sums)], 0
 	}
+	*sums = dst
+	return n, err
 }
 
 // appendDecodeHeader encodes what every decode task of one Manager starts
@@ -551,7 +572,7 @@ func parseDecodeHeader(p []byte) (end, window int, dec *core.Decoder, err error)
 
 // appendTruth appends a decoded timeline as a truth v1.
 func appendTruth(dst []byte, truth []socialsensing.TruthValue) []byte {
-	dst = binary.AppendUvarint(append(dst, payloadVersion), uint64(len(truth)))
+	dst = binary.AppendUvarint(append(dst, truthVersion), uint64(len(truth)))
 	first := socialsensing.False
 	if len(truth) > 0 {
 		first = truth[0]
@@ -569,7 +590,7 @@ func appendTruth(dst []byte, truth []socialsensing.TruthValue) []byte {
 // intervals into the job's estimates, refusing anything but that timeline.
 func decodeEstimates(out []byte, n int, claim socialsensing.ClaimID, origin time.Time, interval time.Duration) ([]core.Estimate, error) {
 	var t uint64
-	off, err := header(out, payloadVersion, &t)
+	off, err := header(out, truthVersion, &t)
 	switch {
 	case err != nil:
 		return nil, err

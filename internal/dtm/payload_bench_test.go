@@ -84,6 +84,8 @@ func BenchmarkWireTaskExec(b *testing.B) {
 	reportNsPerReport(b, chunks, len(chunks))
 }
 
+// BenchmarkWireOutputFold is the collector's fold of one scatter output
+// into its job's sums as it arrives, checked in full first.
 func BenchmarkWireOutputFold(b *testing.B) {
 	chunks, origin := benchJob(b)
 	payloads, intervals, err := encodeJob(chunks, origin, time.Hour)
@@ -94,15 +96,15 @@ func BenchmarkWireOutputFold(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sums := make([]float64, intervals)
+	js := &jobState{intervals: intervals, sums: getSums(intervals)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := checkOutput(out, intervals); err != nil {
+		clear(*js.sums)
+		if err := js.fold(out, len(chunks[0])); err != nil {
 			b.Fatal(err)
 		}
-		clear(sums)
-		benchSink += foldOutput(sums, out)
+		benchSink += js.seriesLen
 	}
 }
 
@@ -117,8 +119,8 @@ var decodeShapes = []struct {
 }{{"minute", 0.05, time.Minute}, {"hour", 0.5, time.Hour}}
 
 // benchOutputs is one job of the shape, executed: the four scatter outputs
-// submitDecode starts from, and the job's interval count.
-func benchOutputs(b *testing.B, scale float64, grid time.Duration) (outputs [][]byte, intervals int) {
+// the collector folds, their report counts and the job's interval count.
+func benchOutputs(b *testing.B, scale float64, grid time.Duration) (outputs [][]byte, reports []int, intervals int) {
 	b.Helper()
 	chunks, origin := benchJob(b)
 	if grid == time.Minute {
@@ -136,28 +138,45 @@ func benchOutputs(b *testing.B, scale float64, grid time.Duration) (outputs [][]
 	if err != nil {
 		b.Fatal(err)
 	}
-	outputs = make([][]byte, len(payloads))
+	outputs, reports = make([][]byte, len(payloads)), make([]int, len(payloads))
 	for i, p := range payloads {
 		if outputs[i], err = ExecuteTask(context.Background(), p); err != nil {
 			b.Fatal(err)
 		}
+		reports[i] = len(chunks[i])
 	}
-	return outputs, intervals
+	return outputs, reports, intervals
+}
+
+// benchDecodeTask is the decode task of a job of the shape.
+func benchDecodeTask(b *testing.B, scale float64, grid time.Duration) (payload []byte, n int) {
+	b.Helper()
+	outputs, _, intervals := benchOutputs(b, scale, grid)
+	return mergeJob(b, benchHeader, outputs, intervals, inOrder(len(outputs)))
 }
 
 var benchHeader = appendDecodeHeader(nil, core.DefaultACSConfig().WindowIntervals, core.DefaultDecoderConfig())
 
 // BenchmarkWireDecodeTaskEncode is the collector's share of a job's decode
-// phase: fold the four scatter outputs and encode the decode task.
+// phase: fold the four scatter outputs into the job's sums as they arrive,
+// then encode the decode task into the job's buffer.
 func BenchmarkWireDecodeTaskEncode(b *testing.B) {
 	for _, shape := range decodeShapes {
 		b.Run(shape.name, func(b *testing.B) {
-			outputs, intervals := benchOutputs(b, shape.scale, shape.grid)
+			outputs, reports, intervals := benchOutputs(b, shape.scale, shape.grid)
+			var buf []byte
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				payload, n := mergeOutputs(nil, benchHeader, outputs, intervals)
-				benchSink += len(payload) + n
+				js := &jobState{intervals: intervals, sums: getSums(intervals)}
+				for k, out := range outputs {
+					if err := js.fold(out, reports[k]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				buf = appendOutput(append(buf[:0], benchHeader...), (*js.sums)[:js.seriesLen], 0)
+				sumsPool.Put(js.sums)
+				benchSink += len(buf)
 			}
 		})
 	}
@@ -170,8 +189,7 @@ func BenchmarkWireDecodeTaskEncode(b *testing.B) {
 func BenchmarkWireDecodeTaskExec(b *testing.B) {
 	for _, shape := range decodeShapes {
 		b.Run(shape.name, func(b *testing.B) {
-			outputs, intervals := benchOutputs(b, shape.scale, shape.grid)
-			payload, _ := mergeOutputs(nil, benchHeader, outputs, intervals)
+			payload, _ := benchDecodeTask(b, shape.scale, shape.grid)
 			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -189,15 +207,13 @@ func BenchmarkWireDecodeTaskExec(b *testing.B) {
 func BenchmarkWireDecodeKernel(b *testing.B) {
 	for _, shape := range decodeShapes {
 		b.Run(shape.name, func(b *testing.B) {
-			outputs, intervals := benchOutputs(b, shape.scale, shape.grid)
-			payload, n := mergeOutputs(nil, benchHeader, outputs, intervals)
-			end, window, dec, err := parseDecodeHeader(payload)
+			payload, _ := benchDecodeTask(b, shape.scale, shape.grid)
+			var series []float64
+			dec, err := readDecodeTask(payload, &series)
 			if err != nil {
 				b.Fatal(err)
 			}
-			sums, series, sc := make([]float64, n), make([]float64, n), core.NewDecodeScratch()
-			foldOutput(sums, payload[end:])
-			windowedSeries(series, sums, window)
+			sc := core.NewDecodeScratch()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -216,8 +232,7 @@ func BenchmarkWireDecodeKernel(b *testing.B) {
 func BenchmarkWireTruthExpand(b *testing.B) {
 	for _, shape := range decodeShapes {
 		b.Run(shape.name, func(b *testing.B) {
-			outputs, intervals := benchOutputs(b, shape.scale, shape.grid)
-			payload, n := mergeOutputs(nil, benchHeader, outputs, intervals)
+			payload, n := benchDecodeTask(b, shape.scale, shape.grid)
 			out, err := ExecuteTask(context.Background(), payload)
 			if err != nil {
 				b.Fatal(err)

@@ -31,9 +31,10 @@ func encodeJob(chunks [][]socialsensing.Report, origin time.Time, interval time.
 	return buf.payloads, intervals, err
 }
 
-// goldenChunks are the fixtures behind testdata/task_v2_*.bin and
-// output_v1_*.bin, on a one-minute grid from origin(). The retired
-// task_v1_*.bin encode the same chunks one index per report.
+// goldenChunks are the fixtures behind testdata/task_v3_*.bin and
+// output_v2_*.bin, on a one-minute grid from origin(). The retired
+// task_v1_*.bin (an index per report), task_v2_*.bin (float scores) and
+// output_v1_*.bin (float sums) encode the same chunks.
 func goldenChunks() map[string][]socialsensing.Report {
 	at := func(d time.Duration, att socialsensing.Attitude) socialsensing.Report {
 		return socialsensing.Report{
@@ -74,9 +75,11 @@ func goldenFile(t testing.TB, name string, got []byte) []byte {
 	return want
 }
 
-// goldenDecodes are the fixtures behind testdata/decode_v1_*.bin: a
-// decoder configuration and a job's merged per-interval sums, window 3.
-// truth names the testdata/truth_v1_*.bin the task must be answered with.
+// goldenDecodes are the fixtures behind testdata/decode_v2_*.bin: a
+// decoder configuration and a job's merged per-interval sums, in score
+// units, window 3. truth names the testdata/truth_v1_*.bin the task must
+// be answered with. The retired decode_v1_*.bin carry the same sums as
+// floats.
 func goldenDecodes() map[string]struct {
 	cfg   core.DecoderConfig
 	sums  []float64
@@ -106,56 +109,73 @@ func goldenDecodes() map[string]struct {
 	}
 }
 
-// TestGoldenPayloadsStable freezes the four layouts: re-encoding the
-// fixtures must reproduce the checked-in bytes, and executing a checked-in
-// task must reproduce the checked-in answer — a v2 task the very output
-// its v1 twin was answered with, while the v1 twin itself is refused.
+// fixed is sums in the Q1.30 fixed point, rounded as core.FixedScore
+// rounds.
+func fixed(sums []float64) []int64 {
+	out := make([]int64, len(sums))
+	for i, v := range sums {
+		out[i] = int64(math.RoundToEven(v * core.ScoreOne))
+	}
+	return out
+}
+
+// TestGoldenPayloadsStable freezes the layouts: re-encoding the fixtures
+// must reproduce the checked-in bytes, and executing a checked-in task must
+// reproduce the checked-in answer, while every retired layout — task v1
+// and v2, output v1, decode v1 — is refused as an unknown version.
 // Regenerate with -update only together with a version bump.
 func TestGoldenPayloadsStable(t *testing.T) {
+	retired := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
 	for name, chunk := range goldenChunks() {
 		payloads, intervals, err := encodeJob([][]socialsensing.Report{chunk}, origin(), time.Minute)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		task := goldenFile(t, "task_v2_"+name+".bin", payloads[0])
+		task := goldenFile(t, "task_v3_"+name+".bin", payloads[0])
 		if !bytes.Equal(payloads[0], task) {
 			t.Errorf("%s: task payload %x, golden %x", name, payloads[0], task)
 		}
-		v1, err := os.ReadFile(filepath.Join("testdata", "task_v1_"+name+".bin"))
-		if err != nil {
-			t.Fatal(err)
+		for _, old := range []string{"task_v1_", "task_v2_"} {
+			if out, err := ExecuteTask(context.Background(), retired(old+name+".bin")); err == nil || !strings.Contains(err.Error(), "unknown version") {
+				t.Errorf("%s: %s answered %x, %v; want it refused as an unknown version", name, old, out, err)
+			}
 		}
-		if out, err := ExecuteTask(context.Background(), v1); err == nil || !strings.Contains(err.Error(), "unknown version") {
-			t.Errorf("%s: task v1 answered %x, %v; want it refused as an unknown version", name, out, err)
+		if _, err := foldOutput(new([]int64), retired("output_v1_"+name+".bin"), maxSpan, math.MaxInt64); err == nil || err.Error() != "unknown version" {
+			t.Errorf("%s: output v1 read with %v; want it refused as an unknown version", name, err)
 		}
 		out, err := ExecuteTask(context.Background(), task)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if want := goldenFile(t, "output_v1_"+name+".bin", out); !bytes.Equal(out, want) {
+		if want := goldenFile(t, "output_v2_"+name+".bin", out); !bytes.Equal(out, want) {
 			t.Errorf("%s: task output %x, golden %x", name, out, want)
 		}
-		got, err := foldOutputs(t, [][]byte{out}, intervals)
-		if want := refMerge([]map[int]float64{refTaskSums(chunk, origin(), time.Minute)}); err != nil || !sameBits(got, want) {
-			t.Errorf("%s: folded %v, %v, want %v", name, got, err, want)
+		got, _ := mergeJob(t, nil, [][]byte{out}, intervals, []int{0})
+		if want := listed(refTaskSums(t, chunk, origin(), time.Minute)); !bytes.Equal(got, want) {
+			t.Errorf("%s: merged %x, want %x", name, got, want)
 		}
 	}
 	for name, g := range goldenDecodes() {
 		// Through the merge, as submitDecode builds it: one scatter output
 		// listing every interval.
-		dense := make(map[int]float64, len(g.sums))
-		for idx, v := range g.sums {
+		sums := fixed(g.sums)
+		dense := make(map[int]int64, len(sums))
+		for idx, v := range sums {
 			dense[idx] = v
 		}
-		payload, n := mergeOutputs(nil, appendDecodeHeader(nil, 3, g.cfg), [][]byte{outputOf(dense)}, len(g.sums))
-		// Appended to what a buffer already holds, the same bytes.
-		held := []byte("scatter payloads")
-		if again, _ := mergeOutputs(held, appendDecodeHeader(nil, 3, g.cfg), [][]byte{outputOf(dense)}, len(g.sums)); !bytes.Equal(again[len(held):], payload) {
-			t.Errorf("%s: decode task appended to a buffer %x, alone %x", name, again[len(held):], payload)
-		}
-		task := goldenFile(t, "decode_v1_"+name+".bin", payload)
+		payload, n := mergeJob(t, appendDecodeHeader(nil, 3, g.cfg), [][]byte{outputOf(dense)}, len(sums), []int{0})
+		task := goldenFile(t, "decode_v2_"+name+".bin", payload)
 		if !bytes.Equal(payload, task) || n != len(g.sums) {
 			t.Errorf("%s: decode task %x of %d intervals, golden %x of %d", name, payload, n, task, len(g.sums))
+		}
+		if out, err := ExecuteTask(context.Background(), retired("decode_v1_"+name+".bin")); err == nil || !strings.Contains(err.Error(), "unknown version") {
+			t.Errorf("%s: decode v1 answered %x, %v; want it refused as an unknown version", name, out, err)
 		}
 		out, err := ExecuteTask(context.Background(), task)
 		if err != nil {
@@ -168,13 +188,11 @@ func TestGoldenPayloadsStable(t *testing.T) {
 		}
 		// The answer is the timeline a decoder built from the same
 		// configuration gives the same windowed series.
-		series := make([]float64, len(g.sums))
-		windowedSeries(series, g.sums, 3)
 		dec, err := core.NewDecoder(g.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := dec.Decode(series)
+		want, err := dec.Decode(core.Window(nil, sums, 3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +210,7 @@ func TestGoldenPayloadsStable(t *testing.T) {
 
 // TestCodecMatchesMapReferenceBits runs a generated trace through encode,
 // execute and fold for every shape the truth digests cover and requires
-// the merged sums to equal the map-based reference bit for bit.
+// the merged sums to equal the map-based reference's.
 func TestCodecMatchesMapReferenceBits(t *testing.T) {
 	gen, err := tracegen.New(tracegen.BostonBombing(), 11)
 	if err != nil {
@@ -217,18 +235,13 @@ func TestCodecMatchesMapReferenceBits(t *testing.T) {
 					t.Fatal(err)
 				}
 				outputs := make([][]byte, len(chunks))
-				ref := make([]map[int]float64, len(chunks))
 				for i, p := range payloads {
 					if outputs[i], err = ExecuteTask(context.Background(), p); err != nil {
 						t.Fatal(err)
 					}
-					ref[i] = refTaskSums(chunks[i], tr.Start, grid)
 				}
-				got, err := foldOutputs(t, outputs, intervals)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := refMerge(ref); !sameBits(got, want) {
+				got, _ := mergeJob(t, nil, outputs, intervals, inOrder(len(outputs)))
+				if want := listed(refTaskSums(t, reports, tr.Start, grid)); !bytes.Equal(got, want) {
 					t.Fatalf("claim %s tasks=%d grid=%s: merged sums differ from the map reference", claim, tasks, grid)
 				}
 			}
@@ -236,21 +249,21 @@ func TestCodecMatchesMapReferenceBits(t *testing.T) {
 	}
 }
 
-// TestScatterMatchesMapReference is the property behind task v2's run
-// column: over generated chunks of every shape it has to get right, the
+// TestScatterMatchesMapReference is the property behind the scatter
+// task's run column: over generated chunks of every shape it has to get right, the
 // executed scatter task answers byte for byte the output of the map-based
 // reference's sums — every slot whose sum is non-zero, and the highest.
 func TestScatterMatchesMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	// at makes one report per minute offset, a score of wildly varying
-	// magnitude each, so a changed addend order shows in the low bits.
+	// magnitude each.
 	at := func(minutes ...float64) []socialsensing.Report {
 		out := make([]socialsensing.Report, len(minutes))
 		for i, m := range minutes {
 			out[i] = socialsensing.Report{
 				Claim: "p", Timestamp: origin().Add(time.Duration(m * float64(time.Minute))),
 				Attitude: socialsensing.Attitude(1 - 2*rng.Intn(2)), Uncertainty: rng.Float64(),
-				Independence: rng.Float64() * math.Pow(10, float64(rng.Intn(9)-4)),
+				Independence: rng.Float64() * math.Pow(10, -float64(rng.Intn(9))),
 			}
 		}
 		return out
@@ -328,16 +341,7 @@ func TestScatterMatchesMapReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", shape.name, err)
 			}
-			ref, top := refTaskSums(chunk, origin(), time.Minute), 0
-			for idx := range ref {
-				top = max(top, idx)
-			}
-			for idx, sum := range ref {
-				if sum == 0 && idx != top {
-					delete(ref, idx)
-				}
-			}
-			if want := outputOf(ref); !bytes.Equal(out, want) {
+			if want := listed(refTaskSums(t, chunk, origin(), time.Minute)); !bytes.Equal(out, want) {
 				t.Fatalf("%s, trial %d: output %x, map reference %x", shape.name, trial, out, want)
 			}
 		}
@@ -348,8 +352,8 @@ func TestScatterMatchesMapReference(t *testing.T) {
 // layer's parsers are held to. None may be accepted, panic or allocate
 // from an unchecked length.
 func TestDecodersRejectMalformed(t *testing.T) {
-	uv := func(vs ...uint64) []byte {
-		b := []byte{payloadVersion}
+	uv := func(version byte, vs ...uint64) []byte {
+		b := []byte{version}
 		for _, v := range vs {
 			b = binary.AppendUvarint(b, v)
 		}
@@ -361,47 +365,59 @@ func TestDecodersRejectMalformed(t *testing.T) {
 		}
 		return b
 	}
-	zz := func(d int64) byte { return byte(uint64(d<<1) ^ uint64(d>>63)) } // |d| < 64
+	i32 := func(b []byte, vs ...int32) []byte {
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint32(b, uint32(v))
+		}
+		return b
+	}
+	zz := func(d int64) byte { return byte(d<<1 ^ d>>63) } // |d| < 64
+	const one = core.ScoreOne
 	// A scatter task: n and the scores, base, span and the run count, then
 	// the run column's bytes.
-	scatter := func(n uint64, scores []float64, base, span, runs uint64, col ...byte) []byte {
-		b := f64(binary.AppendUvarint([]byte{kindScatter}, n), scores...)
+	scatter := func(n uint64, scores []int32, base, span, runs uint64, col ...byte) []byte {
+		b := i32(binary.AppendUvarint([]byte{kindScatter}, n), scores...)
 		for _, v := range []uint64{base, span, runs} {
 			b = binary.AppendUvarint(b, v)
 		}
 		return append(b, col...)
 	}
+	control := scatter(3, []int32{one, 2, -one}, 5, 2, 2, zz(1), 2, zz(-1), 1)
 	tasks := map[string][]byte{
 		"empty":                      nil,
-		"unknown kind":               {4, 0, 0, 0, 0},
-		"task v1":                    f64(append(uv(1, 0, 1), 0), 1),
+		"unknown kind":               {6, 0, 0, 0, 0},
+		"task v1":                    f64(append(uv(1, 1, 0, 1), 0), 1),
+		"task v2":                    f64([]byte{3, 1}, 1),
 		"truncated header":           {kindScatter, 0x80},
-		"n over bytes left":          f64(binary.AppendUvarint([]byte{kindScatter}, 3), 1, 1),
+		"n over bytes left":          i32(binary.AppendUvarint([]byte{kindScatter}, 3), 1, 1),
 		"huge n":                     binary.AppendUvarint([]byte{kindScatter}, math.MaxUint64),
-		"no header after scores":     f64([]byte{kindScatter, 1}, 1),
-		"span over cap":              scatter(1, []float64{1}, 0, maxSpan+1, 1, zz(0), 1),
-		"base near overflow":         scatter(1, []float64{1}, math.MaxInt64, 1, 1, zz(0), 1),
-		"index below base":           scatter(1, []float64{1}, 5, 2, 1, zz(-1), 1),
-		"index past span":            scatter(1, []float64{1}, 5, 2, 1, zz(2), 1),
-		"index with no span":         scatter(1, []float64{1}, 5, 0, 1, zz(0), 1),
-		"walk leaves the span":       scatter(2, []float64{1, 1}, 5, 2, 2, zz(1), 1, zz(-2), 1),
-		"count 0":                    scatter(1, []float64{1}, 0, 1, 1, zz(0), 0),
-		"counts under n":             scatter(2, []float64{1, 1}, 0, 2, 1, zz(0), 1),
-		"counts over n":              scatter(2, []float64{1, 1}, 0, 2, 2, zz(0), 2, zz(1), 1),
-		"huge count":                 scatter(1, []float64{1}, 0, 1, 1, append([]byte{zz(0)}, binary.AppendUvarint(nil, math.MaxUint64)...)...),
-		"runs over n":                scatter(1, []float64{1}, 0, 1, 2, zz(0), 1, zz(0), 1),
+		"no header after scores":     i32([]byte{kindScatter, 1}, 1),
+		"span over cap":              scatter(1, []int32{1}, 0, maxSpan+1, 1, zz(0), 1),
+		"base near overflow":         scatter(1, []int32{1}, math.MaxInt64, 1, 1, zz(0), 1),
+		"index below base":           scatter(1, []int32{1}, 5, 2, 1, zz(-1), 1),
+		"index past span":            scatter(1, []int32{1}, 5, 2, 1, zz(2), 1),
+		"index with no span":         scatter(1, []int32{1}, 5, 0, 1, zz(0), 1),
+		"walk leaves the span":       scatter(2, []int32{1, 1}, 5, 2, 2, zz(1), 1, zz(-2), 1),
+		"count 0":                    scatter(1, []int32{1}, 0, 1, 1, zz(0), 0),
+		"counts under n":             scatter(2, []int32{1, 1}, 0, 2, 1, zz(0), 1),
+		"counts over n":              scatter(2, []int32{1, 1}, 0, 2, 2, zz(0), 2, zz(1), 1),
+		"huge count":                 scatter(1, []int32{1}, 0, 1, 1, append([]byte{zz(0)}, binary.AppendUvarint(nil, math.MaxUint64)...)...),
+		"runs over n":                scatter(1, []int32{1}, 0, 1, 2, zz(0), 1, zz(0), 1),
 		"runs for no reports":        scatter(0, nil, 0, 1, 1, zz(0), 1),
-		"no runs":                    scatter(1, []float64{1}, 0, 1, 0),
-		"runs over bytes left":       scatter(2, []float64{1, 1}, 0, 2, 2, zz(0), 1, zz(1)),
-		"truncated run":              scatter(1, []float64{1}, 0, 1, 1, zz(0), 0x80),
-		"truncated second run":       scatter(2, []float64{1, 1}, 0, 2, 2, zz(0), 1, 0x80, 0x80),
-		"trailing bytes":             scatter(1, []float64{1}, 0, 1, 1, zz(0), 1, 0),
+		"no runs":                    scatter(1, []int32{1}, 0, 1, 0),
+		"runs over bytes left":       scatter(2, []int32{1, 1}, 0, 2, 2, zz(0), 1, zz(1)),
+		"truncated run":              scatter(1, []int32{1}, 0, 1, 1, zz(0), 0x80),
+		"truncated second run":       scatter(2, []int32{1, 1}, 0, 2, 2, zz(0), 1, 0x80, 0x80),
+		"truncated scores":           control[:4],
+		"truncated control":          control[:len(control)-1],
+		"trailing bytes":             scatter(1, []int32{1}, 0, 1, 1, zz(0), 1, 0),
 		"trailing bytes, no reports": scatter(0, nil, 0, 0, 0, 0),
-		"score NaN":                  scatter(1, []float64{math.NaN()}, 0, 1, 1, zz(0), 1),
-		"score Inf mid-run":          scatter(3, []float64{1, math.Inf(-1), 1}, 0, 1, 1, zz(0), 3),
+		"score over 2^30":            scatter(1, []int32{one + 1}, 0, 1, 1, zz(0), 1),
+		"score under -2^30":          scatter(1, []int32{-one - 1}, 0, 1, 1, zz(0), 1),
+		"score min int32 mid-run":    scatter(3, []int32{1, math.MinInt32, 1}, 0, 1, 1, zz(0), 3),
 		// Two runs of the span's two slots, the second back at the first:
-		// slot 6 gets 1+2, slot 5 gets 4.
-		"well-formed control": scatter(3, []float64{1, 2, 4}, 5, 2, 2, zz(1), 2, zz(-1), 1),
+		// slot 6 gets 2^30+2, slot 5 gets -2^30.
+		"well-formed control": control,
 	}
 	// A decode task: kind, five uvarints (window, emission kind, iteration
 	// bound, freeze flag, threshold count), the training floats and the
@@ -413,8 +429,10 @@ func TestDecodersRejectMalformed(t *testing.T) {
 		}
 		return append(f64(f64(b, tolerance, 1e-3, 1e-3, 1e-3), thresholds...), sums...)
 	}
+	// An output v2 pair: an index step and a sum.
+	pair := func(b []byte, d uint64, v int64) []byte { return binary.AppendVarint(binary.AppendUvarint(b, d), v) }
 	th := []float64{0.5, 2}
-	sums := outputOf(map[int]float64{0: 1, 1: -1, 2: 1})
+	sums := outputOf(map[int]int64{0: one, 1: -one, 2: one})
 	tasks["decode: truncated header"] = decodeTask(3, 1, th, 1e-6, 1, sums)[:30]
 	tasks["decode: short of a threshold"] = decodeTask(3, 1, th, 1e-6, 1, nil)[:53]
 	tasks["decode: window 0"] = decodeTask(0, 1, th, 1e-6, 1, sums)
@@ -428,23 +446,26 @@ func TestDecodersRejectMalformed(t *testing.T) {
 	tasks["decode: tolerance Inf"] = decodeTask(3, 1, th, math.Inf(1), 1, sums)
 	tasks["decode: freeze flag 2"] = decodeTask(3, 1, th, 1e-6, 2, sums)
 	tasks["decode: no sums"] = decodeTask(3, 1, th, 1e-6, 1, nil)
-	tasks["decode: sums of unknown version"] = decodeTask(3, 1, th, 1e-6, 1, []byte{2, 0})
-	tasks["decode: pair count over bytes left"] = decodeTask(3, 1, th, 1e-6, 1, f64(append(uv(3), 1), 1))
-	tasks["decode: indices not ascending"] = decodeTask(3, 1, th, 1e-6, 1, f64(append(f64(append(uv(2), 3), 1), 0), 1))
-	tasks["decode: index over cap"] = decodeTask(3, 1, th, 1e-6, 1, f64(binary.AppendUvarint(uv(1), maxSpan), 1))
-	tasks["decode: sum NaN"] = decodeTask(3, 1, th, 1e-6, 1, f64(append(uv(1), 0), math.NaN()))
+	tasks["decode: sums of output v1"] = decodeTask(3, 1, th, 1e-6, 1, f64(uv(1, 1, 0), 1))
+	tasks["decode v1"] = append([]byte{2}, decodeTask(3, 1, th, 1e-6, 1, f64(uv(1, 1, 0), 1))[1:]...)
+	tasks["decode: pair count over bytes left"] = decodeTask(3, 1, th, 1e-6, 1, pair(uv(outputVersion, 3), 1, 1))
+	tasks["decode: indices not ascending"] = decodeTask(3, 1, th, 1e-6, 1, pair(pair(uv(outputVersion, 2), 3, 1), 0, 1))
+	tasks["decode: index over cap"] = decodeTask(3, 1, th, 1e-6, 1, pair(uv(outputVersion, 1), maxSpan, 1))
+	tasks["decode: truncated sum"] = decodeTask(3, 1, th, 1e-6, 1, append(uv(outputVersion, 1, 0), 0x80))
+	tasks["decode: sums over int64"] = decodeTask(3, 1, th, 1e-6, 1, pair(pair(uv(outputVersion, 2), 0, math.MaxInt64), 1, 1))
+	tasks["decode: sum of min int64"] = decodeTask(3, 1, th, 1e-6, 1, pair(uv(outputVersion, 1), 0, math.MinInt64))
 	tasks["decode: trailing bytes"] = append(decodeTask(3, 1, th, 1e-6, 1, sums), 0)
 	tasks["decode: well-formed control"] = decodeTask(3, 1, th, 1e-6, 1, sums)
 	for name, p := range tasks {
 		out, err := ExecuteTask(context.Background(), p)
 		if name == "well-formed control" {
-			if err != nil || !bytes.Equal(out, outputOf(map[int]float64{5: 4, 6: 3})) {
+			if err != nil || !bytes.Equal(out, outputOf(map[int]int64{5: -one, 6: one + 2})) {
 				t.Errorf("task %q: %x, %v", name, out, err)
 			}
 			continue
 		}
 		if name == "decode: well-formed control" {
-			if err != nil || !bytes.Equal(out, []byte{payloadVersion, 3, 1, 3}) {
+			if err != nil || !bytes.Equal(out, []byte{truthVersion, 3, 1, 3}) {
 				t.Errorf("task %q: %x, %v", name, out, err)
 			}
 			continue
@@ -455,27 +476,40 @@ func TestDecodersRejectMalformed(t *testing.T) {
 			t.Errorf("task %q: %v is not a traced decode-stage error", name, err)
 		}
 	}
+	// Outputs, every one offered for a series of at most limit intervals
+	// from scores adding up to at most 3·2^30 in magnitude.
 	const limit = 10
-	pair := func(b []byte, d uint64, v float64) []byte { return f64(binary.AppendUvarint(b, d), v) }
 	outputs := map[string][]byte{
-		"empty":               nil,
-		"unknown version":     {0, 0},
-		"truncated count":     {payloadVersion, 0x80},
-		"k over bytes left":   pair(uv(2), 1, 1),
-		"huge k":              uv(math.MaxUint64),
-		"not ascending":       pair(pair(uv(2), 3, 1), 0, 1),
-		"index at limit":      pair(uv(1), limit, 1),
-		"index past limit":    pair(pair(uv(2), limit-1, 1), 1, 1),
-		"delta wraps":         pair(pair(uv(2), 1, 1), math.MaxUint64, 1),
-		"short sum":           pair(uv(1), 1, 1)[:1+1+1+7],
-		"trailing bytes":      append(pair(uv(1), 1, 1), 0),
-		"sum NaN":             pair(uv(1), 1, math.NaN()),
-		"well-formed control": pair(pair(uv(2), 0, 1), limit-1, 0),
+		"empty":                nil,
+		"unknown version":      {0, 0},
+		"output v1":            f64(uv(1, 1, 1), 1),
+		"truncated count":      {outputVersion, 0x80},
+		"k over bytes left":    pair(uv(outputVersion, 2), 1, 1),
+		"huge k":               uv(outputVersion, math.MaxUint64),
+		"not ascending":        pair(pair(uv(outputVersion, 2), 3, 1), 0, 1),
+		"index at limit":       pair(uv(outputVersion, 1), limit, 1),
+		"index past limit":     pair(pair(uv(outputVersion, 2), limit-1, 1), 1, 1),
+		"delta wraps":          pair(pair(uv(outputVersion, 2), 1, 1), math.MaxUint64, 1),
+		"truncated index":      append(uv(outputVersion, 1), 0x80),
+		"truncated sum":        append(uv(outputVersion, 1, 1), 0x80),
+		"trailing bytes":       append(pair(uv(outputVersion, 1), 1, 1), 0),
+		"sum over the scores":  pair(uv(outputVersion, 1), 1, 3*one+1),
+		"sums over the scores": pair(pair(uv(outputVersion, 2), 1, -2*one), 1, one+1),
+		"well-formed control":  pair(pair(pair(uv(outputVersion, 3), 0, -2*one), 1, one), limit-2, 0),
 	}
 	for name, out := range outputs {
-		_, err := checkOutput(out, limit)
+		// Folded into sums already held: a refused output leaves them be.
+		held := []int64{7, -7, 7, -7}
+		n, err := foldOutput(&held, out, limit, 3*one)
 		if (err == nil) != (name == "well-formed control") {
 			t.Errorf("output %q: %v", name, err)
+		}
+		want := []int64{7, -7, 7, -7}
+		if err == nil {
+			want = []int64{7 - 2*one, -7 + one, 7, -7, 0, 0, 0, 0, 0, 0}
+		}
+		if !slices.Equal(held, want) || (err == nil) != (n == limit) {
+			t.Errorf("output %q: sums %v and series length %d after the fold, want %v", name, held, n, want)
 		}
 	}
 	// Truth timelines, every one offered as the answer to a series of
@@ -483,22 +517,22 @@ func TestDecodersRejectMalformed(t *testing.T) {
 	truths := map[string][]byte{
 		"empty":                 nil,
 		"unknown version":       {2, 5, 1, 5},
-		"truncated length":      {payloadVersion, 0x80},
-		"no first value":        {payloadVersion, 5},
-		"unknown first value":   {payloadVersion, 5, 2, 5},
-		"T under shipped":       {payloadVersion, 4, 1, 4},
-		"T over shipped":        {payloadVersion, 6, 1, 6},
-		"huge T":                append(uv(math.MaxUint64), 1, 5),
-		"runs stop short":       {payloadVersion, 5, 1, 2, 2},
-		"runs pass the end":     {payloadVersion, 5, 1, 2, 4},
-		"run length wraps":      append(append(uv(5), 1, 2), uv(math.MaxUint64)[1:]...),
-		"zero-length run":       {payloadVersion, 5, 1, 2, 0, 3},
-		"zero-length last run":  {payloadVersion, 5, 1, 5, 0},
-		"trailing bytes":        {payloadVersion, 5, 1, 2, 3, 0},
-		"truncated run":         {payloadVersion, 5, 1, 2, 0x80},
-		"well-formed control":   {payloadVersion, 5, 0, 2, 3},
-		"well-formed, one run":  {payloadVersion, 5, 1, 5},
-		"well-formed, all flip": {payloadVersion, 5, 1, 1, 1, 1, 1, 1},
+		"truncated length":      {truthVersion, 0x80},
+		"no first value":        {truthVersion, 5},
+		"unknown first value":   {truthVersion, 5, 2, 5},
+		"T under shipped":       {truthVersion, 4, 1, 4},
+		"T over shipped":        {truthVersion, 6, 1, 6},
+		"huge T":                append(uv(truthVersion, math.MaxUint64), 1, 5),
+		"runs stop short":       {truthVersion, 5, 1, 2, 2},
+		"runs pass the end":     {truthVersion, 5, 1, 2, 4},
+		"run length wraps":      append(append(uv(truthVersion, 5), 1, 2), uv(truthVersion, math.MaxUint64)[1:]...),
+		"zero-length run":       {truthVersion, 5, 1, 2, 0, 3},
+		"zero-length last run":  {truthVersion, 5, 1, 5, 0},
+		"trailing bytes":        {truthVersion, 5, 1, 2, 3, 0},
+		"truncated run":         {truthVersion, 5, 1, 2, 0x80},
+		"well-formed control":   {truthVersion, 5, 0, 2, 3},
+		"well-formed, one run":  {truthVersion, 5, 1, 5},
+		"well-formed, all flip": {truthVersion, 5, 1, 1, 1, 1, 1, 1},
 	}
 	for name, out := range truths {
 		est, err := decodeEstimates(out, 5, "c", origin(), time.Minute)
@@ -511,20 +545,30 @@ func TestDecodersRejectMalformed(t *testing.T) {
 		t.Errorf("well-formed truth expands to %v, %v", est, err)
 	}
 	// A worker answering with an output or a timeline the codec refuses
-	// fails its job with a traced decode-stage error.
-	for what, answer := range map[string]func(exec workqueue.Executor) workqueue.Executor{
-		"output": func(workqueue.Executor) workqueue.Executor {
+	// fails its job with a traced decode-stage error: an output out of
+	// shape, or one of more score than its task's reports carry.
+	for _, tc := range []struct {
+		what   string
+		answer func(exec workqueue.Executor) workqueue.Executor
+	}{
+		{"output", func(workqueue.Executor) workqueue.Executor {
 			return func(context.Context, []byte) ([]byte, error) { return outputs["not ascending"], nil }
-		},
-		"truth": func(exec workqueue.Executor) workqueue.Executor {
+		}},
+		{"output", func(workqueue.Executor) workqueue.Executor {
+			return func(context.Context, []byte) ([]byte, error) {
+				return pair(uv(outputVersion, 1), 0, math.MaxInt64), nil
+			}
+		}},
+		{"truth", func(exec workqueue.Executor) workqueue.Executor {
 			return func(ctx context.Context, p []byte) ([]byte, error) {
 				if p[0] == kindDecode {
 					return truths["zero-length run"], nil
 				}
 				return exec(ctx, p)
 			}
-		},
+		}},
 	} {
+		what, answer := tc.what, tc.answer
 		cfg := DefaultConfig(origin())
 		cfg.Workers, cfg.TasksPerJob = 1, 1
 		cfg.WrapExec = answer
@@ -579,6 +623,43 @@ func TestSubmitJobRejectsNonFiniteScores(t *testing.T) {
 	}
 	if res := drain(t, m, 1)[0]; res.Err != nil || len(res.Estimates) != 10 {
 		t.Fatalf("clean resubmission: %d estimates, err %v", len(res.Estimates), res.Err)
+	}
+}
+
+// TestSubmitJobRejectsScoreOverOne: a score of magnitude over 1 — out of
+// the Q1.30 range every sum is exact in — is refused at submit by claim
+// and report index, leaving nothing behind, while ±1 itself goes through.
+func TestSubmitJobRejectsScoreOverOne(t *testing.T) {
+	m, err := New(DefaultConfig(origin()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start(context.Background())
+	defer m.Close()
+	for name, set := range map[string]func(*socialsensing.Report){
+		"independence 1.5": func(r *socialsensing.Report) { r.Independence = 1.5 },
+		"uncertainty -0.5": func(r *socialsensing.Report) { r.Uncertainty, r.Independence = -0.5, 1 },
+		"just over 1":      func(r *socialsensing.Report) { r.Uncertainty, r.Independence = 0, math.Nextafter(1, 2) },
+	} {
+		reports := flipReports("c1", 10, 5, 4, 0.1, 1)
+		set(&reports[23])
+		err := m.SubmitJob("c1", reports, 0)
+		if err == nil || !strings.Contains(err.Error(), "claim c1 report 23") {
+			t.Errorf("%s: submit error %v, want one naming claim c1 report 23", name, err)
+		}
+		if p := m.Progress(); len(p) != 0 {
+			t.Fatalf("%s: refused job still in Progress: %+v", name, p)
+		}
+	}
+	reports := flipReports("c1", 10, 5, 4, 0.1, 1)
+	for i := range reports {
+		reports[i].Uncertainty, reports[i].Independence = 0, 1
+	}
+	if err := m.SubmitJob("c1", reports, 0); err != nil {
+		t.Fatalf("scores of ±1 refused: %v", err)
+	}
+	if res := drain(t, m, 1)[0]; res.Err != nil || len(res.Estimates) != 10 {
+		t.Fatalf("scores of ±1: %d estimates, err %v", len(res.Estimates), res.Err)
 	}
 }
 
@@ -705,14 +786,13 @@ func TestCodecAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	decode, n := mergeOutputs(nil, appendDecodeHeader(nil, 3, core.DefaultDecoderConfig()), outputs, 1000)
-	end, window, dec, err := parseDecodeHeader(decode)
+	decode, _ := mergeJob(t, appendDecodeHeader(nil, 3, core.DefaultDecoderConfig()), outputs, 1000, inOrder(len(outputs)))
+	var series []float64
+	dec, err := readDecodeTask(decode, &series)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums, series, sc := make([]float64, n), make([]float64, n), core.NewDecodeScratch()
-	foldOutput(sums, decode[end:])
-	windowedSeries(series, sums, window)
+	sc := core.NewDecodeScratch()
 	kernel := testing.AllocsPerRun(20, func() {
 		if _, err := dec.DecodeInto(sc, series); err != nil {
 			t.Fatal(err)
@@ -757,12 +837,14 @@ func fuzzSeeds(f *testing.F, prefix string) {
 // FuzzDecodeTask drives arbitrary bytes through the executor: it must
 // never panic, and for whatever it accepts its answer must be what a
 // map-based reading of the same bytes gives — the sums of a scatter task,
-// the decoded timeline of a decode task. The retired task v1 vectors seed
-// it as inputs to refuse.
+// the decoded timeline of a decode task. The retired task v1 and v2 and
+// decode v1 vectors seed it as inputs to refuse.
 func FuzzDecodeTask(f *testing.F) {
 	fuzzSeeds(f, "task_v1_")
 	fuzzSeeds(f, "decode_v1_")
 	fuzzSeeds(f, "task_v2_")
+	fuzzSeeds(f, "task_v3_")
+	fuzzSeeds(f, "decode_v2_")
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		out, err := ExecuteTask(context.Background(), payload)
 		if err != nil {
@@ -777,67 +859,63 @@ func FuzzDecodeTask(f *testing.F) {
 		if err != nil {
 			t.Fatalf("executed a payload parseTask rejects: %v", err)
 		}
-		if len(out) > 2+binary.MaxVarintLen64+18*task.n {
+		if len(out) > 2+binary.MaxVarintLen64+2*binary.MaxVarintLen64*task.n {
 			t.Fatalf("%d output bytes for %d reports", len(out), task.n)
 		}
-		sums := make(map[int]float64)
-		at, col, i, top := task.base, task.col, 0, 0
+		sums := make(map[int]int64)
+		at, col, i := task.base, task.col, 0
 		for k := 0; k < task.runs; k++ {
 			d, w := binary.Varint(col)
 			count, v := binary.Uvarint(col[w:])
 			at, col = at+int(d), col[w+v:]
 			for end := i + int(count); i < end; i++ {
-				sums[at] += math.Float64frombits(binary.LittleEndian.Uint64(task.scores[8*i:]))
-			}
-			top = max(top, at)
-		}
-		for at, sum := range sums {
-			if sum == 0 && at != top {
-				delete(sums, at)
+				sums[at] += int64(int32(binary.LittleEndian.Uint32(task.scores[4*i:])))
 			}
 		}
-		if want := outputOf(sums); !bytes.Equal(out, want) {
+		if want := listed(sums); !bytes.Equal(out, want) {
 			t.Fatalf("output %x, map reference %x", out, want)
 		}
 	})
 }
 
+// readPairs reads an accepted output's pairs the slow way, into a map.
+func readPairs(out []byte) map[int]int64 {
+	k, w := binary.Uvarint(out[1:])
+	rest, idx := out[1+w:], 0
+	sums := make(map[int]int64)
+	for ; k > 0; k-- {
+		d, w := binary.Uvarint(rest)
+		s, v := binary.Varint(rest[w:])
+		idx += int(d)
+		sums[idx] = s
+		rest = rest[w+v:]
+	}
+	return sums
+}
+
 // checkDecodeAnswer holds the answer to an accepted decode task to the
 // timeline core.Decoder.Decode gives the series read the slow way: pairs
-// into a map, a window summed per interval.
+// into a map, each interval's window summed afresh.
 func checkDecodeAnswer(t *testing.T, payload, out []byte) {
 	end, window, dec, err := parseDecodeHeader(payload)
 	if err != nil {
 		t.Fatalf("executed a payload parseDecodeHeader rejects: %v", err)
 	}
-	n, err := checkOutput(payload[end:], maxSpan)
+	n, err := foldOutput(new([]int64), payload[end:], maxSpan, math.MaxInt64)
 	if err != nil {
-		t.Fatalf("executed a payload whose sums checkOutput rejects: %v", err)
+		t.Fatalf("executed a payload whose sums foldOutput rejects: %v", err)
 	}
 	if n > 1<<16 {
 		return // accepted and answered; too long to decode twice per input
 	}
-	k, w := binary.Uvarint(payload[end+1:])
-	rest, idx := payload[end+1+w:], 0
-	sums := make(map[int]float64)
-	for ; k > 0; k-- {
-		d, w := binary.Uvarint(rest)
-		idx += int(d)
-		sums[idx] = math.Float64frombits(binary.LittleEndian.Uint64(rest[w:]))
-		rest = rest[w+8:]
-	}
+	sums := readPairs(payload[end:])
 	series := make([]float64, n)
 	for i := range series {
-		// Ascending, as the running window sums them, one addend at a time.
-		acc := 0.0
-		if i > 0 {
-			acc = series[i-1]
+		var acc int64
+		for j := max(0, i-window+1); j <= i; j++ {
+			acc += sums[j]
 		}
-		acc += sums[i]
-		if i >= window {
-			acc -= sums[i-window]
-		}
-		series[i] = acc
+		series[i] = float64(acc) / core.ScoreOne
 	}
 	want, err := dec.Decode(series)
 	if err != nil {
@@ -889,28 +967,30 @@ func FuzzTruthResult(f *testing.F) {
 
 // FuzzFoldOutput drives arbitrary bytes through the output decoder: it
 // must never panic or grow the sums past the limit, and whatever it
-// accepts must equal a map-based reading of the same pairs.
+// accepts must fold into the sums a map-based reading of the same pairs
+// gives. The retired output v1 vectors seed it as inputs to refuse.
 func FuzzFoldOutput(f *testing.F) {
 	fuzzSeeds(f, "output_v1_")
+	fuzzSeeds(f, "output_v2_")
 	f.Fuzz(func(t *testing.T, out []byte) {
 		const limit = 1 << 12
-		got, err := foldOutputs(t, [][]byte{out}, limit)
+		var got []int64
+		n, err := foldOutput(&got, out, limit, math.MaxInt64)
 		if err != nil {
+			if len(got) != 0 {
+				t.Fatalf("a refused output left %d sums behind", len(got))
+			}
 			return
 		}
-		if len(got) > limit {
-			t.Fatalf("%d sums past the limit %d", len(got), limit)
+		if n > limit || len(got) < n || slices.ContainsFunc(got[n:], func(s int64) bool { return s != 0 }) {
+			t.Fatalf("a series of %d in %d sums, limit %d, a sum past the series", n, len(got), limit)
 		}
-		k, w := binary.Uvarint(out[1:])
-		rest, idx := out[1+w:], 0
-		sums := make(map[int]float64)
-		for ; k > 0; k-- {
-			d, w := binary.Uvarint(rest)
-			idx += int(d)
-			sums[idx] = math.Float64frombits(binary.LittleEndian.Uint64(rest[w:]))
-			rest = rest[w+8:]
+		got = got[:n]
+		want := make([]int64, n)
+		for idx, s := range readPairs(out) {
+			want[idx] = s
 		}
-		if want := refMerge([]map[int]float64{sums}); !sameBits(got, want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("folded %v, map reference %v", got, want)
 		}
 	})
@@ -923,18 +1003,21 @@ func ExampleExecuteTask() {
 		{Claim: "c", Timestamp: origin().Add(2 * time.Minute), Attitude: socialsensing.Agree, Uncertainty: 0.5, Independence: 1},
 		{Claim: "c", Timestamp: origin().Add(2 * time.Minute), Attitude: socialsensing.Agree, Uncertainty: 0.5, Independence: 0.5},
 	}
-	payloads, intervals, _ := encodeJob(splitReports(reports, 1), origin(), time.Minute)
-	out, _ := ExecuteTask(context.Background(), payloads[0])
+	var job jobBuf
+	intervals, _ := encodeTasks(&job, splitReports(reports, 1), origin(), time.Minute)
+	out, _ := ExecuteTask(context.Background(), job.payloads[0])
+	js := &jobState{intervals: intervals, sums: getSums(intervals)}
+	_ = js.fold(out, len(reports))
 	header := appendDecodeHeader(nil, 2, core.DefaultDecoderConfig())
-	decode, n := mergeOutputs(nil, header, [][]byte{out}, intervals)
+	decode := appendOutput(header, (*js.sums)[:js.seriesLen], 0)
 	truth, _ := ExecuteTask(context.Background(), decode)
-	estimates, _ := decodeEstimates(truth, n, "c", origin(), time.Minute)
-	fmt.Println(len(payloads[0]), "payload bytes,", len(decode)-len(header), "bytes of merged sums,", len(truth), "truth bytes")
+	estimates, _ := decodeEstimates(truth, js.seriesLen, "c", origin(), time.Minute)
+	fmt.Println(len(job.payloads[0]), "payload bytes,", len(decode)-len(header), "bytes of merged sums,", len(truth), "truth bytes")
 	for _, e := range estimates {
 		fmt.Println(e.Interval, e.Value)
 	}
 	// Output:
-	// 23 payload bytes, 11 bytes of merged sums, 4 truth bytes
+	// 15 payload bytes, 8 bytes of merged sums, 4 truth bytes
 	// 0 true
 	// 1 true
 	// 2 true

@@ -3,6 +3,7 @@ package dtm
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -39,7 +40,7 @@ func TestDecodeTaskKeepsJobPriority(t *testing.T) {
 					if err != nil {
 						return nil, err
 					}
-					n, _ := checkOutput(p[end:], maxSpan)
+					n, _ := foldOutput(new([]int64), p[end:], maxSpan, math.MaxInt64)
 					order <- n
 				} else {
 					held <- struct{}{}

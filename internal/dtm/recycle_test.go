@@ -51,7 +51,7 @@ func TestRecycledBuffersUnderChaos(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		decode, _ := mergeOutputs(nil, appendDecodeHeader(nil, base.ACS.WindowIntervals, base.Decoder), outputs, intervals)
+		decode, _ := mergeJob(t, appendDecodeHeader(nil, base.ACS.WindowIntervals, base.Decoder), outputs, intervals, inOrder(len(outputs)))
 		want[string(decode)] = true
 	}
 

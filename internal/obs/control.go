@@ -112,13 +112,7 @@ func (r *ControlRecorder) Record(s ControlSample) {
 	s.Seq = r.seq
 	s.Tick = r.tick
 	r.seq++
-	if len(r.samples) >= r.max {
-		// Drop the oldest quarter in one move rather than one-by-one.
-		keep := r.max - r.max/4
-		copy(r.samples, r.samples[len(r.samples)-keep:])
-		r.samples = r.samples[:keep]
-	}
-	r.samples = append(r.samples, s)
+	r.samples = append(makeRoom(r.samples, r.max), s)
 }
 
 // RecordWorker appends one per-worker observation, stamping Seq and the
@@ -133,12 +127,19 @@ func (r *ControlRecorder) RecordWorker(s WorkerSample) {
 	s.Seq = r.wseq
 	s.Tick = r.tick
 	r.wseq++
-	if len(r.wsamples) >= r.max {
-		keep := r.max - r.max/4
-		copy(r.wsamples, r.wsamples[len(r.wsamples)-keep:])
-		r.wsamples = r.wsamples[:keep]
+	r.wsamples = append(makeRoom(r.wsamples, r.max), s)
+}
+
+// makeRoom returns s with room for one more sample under limit: a full s
+// drops its oldest quarter, at least one sample, in one move rather than
+// one by one.
+func makeRoom[T any](s []T, limit int) []T {
+	if len(s) < limit {
+		return s
 	}
-	r.wsamples = append(r.wsamples, s)
+	keep := limit - max(limit/4, 1)
+	copy(s, s[len(s)-keep:])
+	return s[:keep]
 }
 
 // WorkerSamples copies the recorded per-worker series. Safe on nil.

@@ -30,22 +30,34 @@ func TestControlRecorderTicksAndSeq(t *testing.T) {
 }
 
 func TestControlRecorderEvictsOldest(t *testing.T) {
-	rec := NewControlRecorder(8)
-	for i := 0; i < 20; i++ {
-		rec.Record(ControlSample{Job: "j", Error: float64(i)})
-	}
-	samples := rec.Samples()
-	if len(samples) > 8 {
-		t.Fatalf("recorder holds %d samples, cap is 8", len(samples))
-	}
-	// The newest sample always survives.
-	if last := samples[len(samples)-1]; last.Error != 19 {
-		t.Errorf("newest sample error = %v, want 19", last.Error)
-	}
-	// Order is preserved after eviction.
-	for i := 1; i < len(samples); i++ {
-		if samples[i].Seq <= samples[i-1].Seq {
-			t.Errorf("seq out of order at %d: %d after %d", i, samples[i].Seq, samples[i-1].Seq)
+	// Caps under four drop less than a quarter: still one sample.
+	for _, limit := range []int{1, 2, 3, 4, 5, 8} {
+		rec := NewControlRecorder(limit)
+		for i := 0; i < 20; i++ {
+			rec.Record(ControlSample{Job: "j", Error: float64(i)})
+			rec.RecordWorker(WorkerSample{Worker: "w", TasksPerSec: float64(i)})
+			if n, w := rec.Len(), len(rec.WorkerSamples()); n > limit || w > limit {
+				t.Fatalf("cap %d: recorder holds %d samples and %d worker samples", limit, n, w)
+			}
+		}
+		samples, workers := rec.Samples(), rec.WorkerSamples()
+		// The newest sample always survives.
+		if last := samples[len(samples)-1]; last.Error != 19 {
+			t.Errorf("cap %d: newest sample error = %v, want 19", limit, last.Error)
+		}
+		if last := workers[len(workers)-1]; last.TasksPerSec != 19 {
+			t.Errorf("cap %d: newest worker sample rate = %v, want 19", limit, last.TasksPerSec)
+		}
+		// Order is preserved after eviction.
+		for i := 1; i < len(samples); i++ {
+			if samples[i].Seq <= samples[i-1].Seq {
+				t.Errorf("cap %d: seq out of order at %d: %d after %d", limit, i, samples[i].Seq, samples[i-1].Seq)
+			}
+		}
+		for i := 1; i < len(workers); i++ {
+			if workers[i].Seq <= workers[i-1].Seq {
+				t.Errorf("cap %d: worker seq out of order at %d: %d after %d", limit, i, workers[i].Seq, workers[i-1].Seq)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -108,7 +109,7 @@ func (e LogEntry) MarshalJSON() ([]byte, error) {
 // optional JSON-lines writer plus a fixed-capacity ring of recent
 // entries backing the /logs endpoint.
 type logCore struct {
-	min int32 // LogLevel, read without the mutex via the methods below
+	min atomic.Int32 // LogLevel, read without the mutex
 
 	mu    sync.Mutex
 	w     io.Writer
@@ -136,12 +137,9 @@ func NewLogger(w io.Writer, min LogLevel, capacity int) *Logger {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &Logger{core: &logCore{
-		min:  int32(min),
-		w:    w,
-		ring: make([]LogEntry, 0, capacity),
-		cap:  capacity,
-	}}
+	c := &logCore{w: w, ring: make([]LogEntry, 0, capacity), cap: capacity}
+	c.min.Store(int32(min))
+	return &Logger{core: c}
 }
 
 // With returns a logger that attaches fields to every entry, sharing the
@@ -161,9 +159,7 @@ func (l *Logger) SetLevel(min LogLevel) {
 	if l == nil {
 		return
 	}
-	l.core.mu.Lock()
-	l.core.min = int32(min)
-	l.core.mu.Unlock()
+	l.core.min.Store(int32(min))
 }
 
 // Enabled reports whether entries at the given level are recorded
@@ -172,9 +168,7 @@ func (l *Logger) Enabled(level LogLevel) bool {
 	if l == nil {
 		return false
 	}
-	l.core.mu.Lock()
-	defer l.core.mu.Unlock()
-	return int32(level) >= l.core.min
+	return int32(level) >= l.core.min.Load()
 }
 
 // Debug logs at debug level. Nil-safe, like every level method.
@@ -190,7 +184,8 @@ func (l *Logger) Warn(msg string, fields ...Field) { l.log(LevelWarn, msg, field
 func (l *Logger) Error(msg string, fields ...Field) { l.log(LevelError, msg, fields) }
 
 func (l *Logger) log(level LogLevel, msg string, fields []Field) {
-	if l == nil {
+	// The level first: a filtered call reads no clock and builds no map.
+	if l == nil || int32(level) < l.core.min.Load() {
 		return
 	}
 	e := LogEntry{Time: time.Now(), Level: level.String(), Msg: msg}
@@ -212,10 +207,6 @@ func (l *Logger) log(level LogLevel, msg string, fields []Field) {
 	}
 	c := l.core
 	c.mu.Lock()
-	if int32(level) < c.min {
-		c.mu.Unlock()
-		return
-	}
 	if len(c.ring) < c.cap {
 		c.ring = append(c.ring, e)
 	} else {

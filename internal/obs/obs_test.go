@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"io"
 	"math"
 	"sync"
 	"testing"
@@ -178,5 +179,25 @@ func TestRegistryReturnsSameHandle(t *testing.T) {
 	}
 	if reg.Histogram("h", []float64{1}) != reg.Histogram("h", []float64{99}) {
 		t.Error("histogram handles differ across lookups (bounds fixed on first use)")
+	}
+}
+
+// TestLoggerBelowLevelAllocFree: a call under the logger's level costs a
+// level check and nothing else — no clock read, no fields map — and the
+// level set at runtime moves the cut.
+func TestLoggerBelowLevelAllocFree(t *testing.T) {
+	lg := NewLogger(io.Discard, LevelWarn, 8)
+	if got := testing.AllocsPerRun(100, func() {
+		lg.Debug("task assigned", F("worker_id", "w-1"), F("task_id", "t-42"))
+	}); got != 0 {
+		t.Errorf("below-level Debug with two fields: %v allocations, want 0", got)
+	}
+	if lg.Len() != 0 {
+		t.Fatalf("below-level entries recorded: %d", lg.Len())
+	}
+	lg.SetLevel(LevelDebug)
+	lg.Debug("task assigned", F("worker_id", "w-1"))
+	if !lg.Enabled(LevelDebug) || lg.Len() != 1 {
+		t.Errorf("after SetLevel(debug): enabled %t, %d entries", lg.Enabled(LevelDebug), lg.Len())
 	}
 }

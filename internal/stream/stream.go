@@ -1,14 +1,14 @@
 // Package stream turns a static trace into the data streams the paper's
 // streaming experiments consume: fixed-width interval batches (for
-// interval-by-interval truth discovery) and rate-controlled replays (for
-// the streaming-speed experiment of Fig. 5).
+// interval-by-interval truth discovery), fixed-rate streams (for the
+// streaming-speed experiment of Fig. 5) and prefixes (for the data-size
+// sweep of Fig. 4).
 package stream
 
 import (
 	"errors"
 	"time"
 
-	"github.com/social-sensing/sstd/internal/obs"
 	"github.com/social-sensing/sstd/internal/socialsensing"
 )
 
@@ -105,89 +105,6 @@ func RateStream(tr *socialsensing.Trace, rate int, duration time.Duration) ([]Ba
 	}
 	return batches, nil
 }
-
-// Replayer plays a trace back in accelerated wall-clock time: Next blocks
-// until the next report is "due" under the speedup factor, so a consumer
-// experiences the trace's real burst structure compressed into a live
-// demo. A speedup of 0 disables pacing (Next never blocks).
-type Replayer struct {
-	reports []socialsensing.Report
-	speedup float64
-	origin  time.Time
-
-	idx     int
-	started time.Time
-	now     func() time.Time
-	sleep   func(time.Duration)
-
-	// Telemetry handles; nil until Instrument is called.
-	cReplayed *obs.Counter
-	gLag      *obs.Gauge
-	gLeft     *obs.Gauge
-	logger    *obs.Logger
-}
-
-// Instrument reports replay progress into reg: a replayed-report counter
-// (its rate is the ingest rate), the replayer's lag behind the
-// accelerated schedule, and the reports remaining. Nil reg is a no-op.
-func (r *Replayer) Instrument(reg *obs.Registry) {
-	r.cReplayed = reg.Counter("stream_reports_replayed_total")
-	r.gLag = reg.Gauge("stream_replay_lag_ms")
-	r.gLeft = reg.Gauge("stream_reports_remaining")
-}
-
-// SetLogger attaches a structured logger; the replayer reports falling
-// behind the accelerated schedule at debug level. Nil disables it.
-func (r *Replayer) SetLogger(lg *obs.Logger) { r.logger = lg }
-
-// NewReplayer builds a replayer running the trace speedup× faster than
-// real time (e.g. 3600 plays an hour per second).
-func NewReplayer(tr *socialsensing.Trace, speedup float64) (*Replayer, error) {
-	if speedup < 0 {
-		return nil, errors.New("stream: speedup must be >= 0")
-	}
-	return &Replayer{
-		reports: tr.Reports,
-		speedup: speedup,
-		origin:  tr.Start,
-		now:     time.Now,
-		sleep:   time.Sleep,
-	}, nil
-}
-
-// Next returns the next report, blocking until its accelerated due time.
-// ok is false when the trace is exhausted.
-func (r *Replayer) Next() (socialsensing.Report, bool) {
-	if r.idx >= len(r.reports) {
-		return socialsensing.Report{}, false
-	}
-	rep := r.reports[r.idx]
-	r.idx++
-	if r.speedup > 0 {
-		if r.started.IsZero() {
-			r.started = r.now()
-		}
-		due := r.started.Add(time.Duration(float64(rep.Timestamp.Sub(r.origin)) / r.speedup))
-		if wait := due.Sub(r.now()); wait > 0 {
-			r.sleep(wait)
-			r.gLag.Set(0)
-		} else {
-			// The consumer is behind the accelerated schedule.
-			lagMs := float64(-wait) / float64(time.Millisecond)
-			r.gLag.Set(lagMs)
-			if lagMs > 0 && r.logger.Enabled(obs.LevelDebug) {
-				r.logger.Debug("replay behind schedule",
-					obs.F("lag_ms", lagMs), obs.F("remaining", len(r.reports)-r.idx))
-			}
-		}
-	}
-	r.cReplayed.Inc()
-	r.gLeft.SetInt(len(r.reports) - r.idx)
-	return rep, true
-}
-
-// Remaining reports how many reports are left.
-func (r *Replayer) Remaining() int { return len(r.reports) - r.idx }
 
 // Prefix returns a shallow copy of the trace truncated to its first n
 // reports (the Fig. 4 data-size sweep). Sources and claims are preserved.

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/social-sensing/sstd/internal/obs"
 	"github.com/social-sensing/sstd/internal/socialsensing"
 	"github.com/social-sensing/sstd/internal/tracegen"
 )
@@ -101,123 +100,6 @@ func TestRateStream(t *testing.T) {
 	}
 	if _, err := RateStream(tr, 1_000_000, time.Hour); err == nil {
 		t.Error("oversize request accepted")
-	}
-}
-
-func TestReplayerPacing(t *testing.T) {
-	tr := smallTrace(t)
-	// Hugely accelerated so the test itself is instant; capture the
-	// sleeps instead of performing them.
-	r, err := NewReplayer(tr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fake := tr.Start
-	r.now = func() time.Time { return fake }
-	var slept []time.Duration
-	r.sleep = func(d time.Duration) { slept = append(slept, d); fake = fake.Add(d) }
-
-	var prev socialsensing.Report
-	n := 0
-	for {
-		rep, ok := r.Next()
-		if !ok {
-			break
-		}
-		if n > 0 && rep.Timestamp.Before(prev.Timestamp) {
-			t.Fatal("replay out of order")
-		}
-		prev = rep
-		n++
-		if n > 50 {
-			break
-		}
-	}
-	if n == 0 {
-		t.Fatal("no reports replayed")
-	}
-	// At speedup 1 the simulated clock must track the trace timestamps:
-	// after replaying up to prev, the fake clock equals prev's due time.
-	if want := tr.Start.Add(prev.Timestamp.Sub(tr.Start)); !fake.Equal(want) {
-		t.Errorf("clock at %v, want %v", fake, want)
-	}
-	if len(slept) == 0 {
-		t.Error("pacing never slept despite spaced timestamps")
-	}
-}
-
-func TestReplayerUnpaced(t *testing.T) {
-	tr := smallTrace(t)
-	r, err := NewReplayer(tr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.sleep = func(time.Duration) { t.Fatal("unpaced replayer slept") }
-	count := 0
-	for {
-		if _, ok := r.Next(); !ok {
-			break
-		}
-		count++
-	}
-	if count != len(tr.Reports) {
-		t.Errorf("replayed %d, want %d", count, len(tr.Reports))
-	}
-	if r.Remaining() != 0 {
-		t.Errorf("remaining = %d", r.Remaining())
-	}
-	if _, err := NewReplayer(tr, -1); err == nil {
-		t.Error("negative speedup accepted")
-	}
-}
-
-func TestReplayLagGauge(t *testing.T) {
-	tr := smallTrace(t)
-	reg := obs.NewRegistry()
-	r, err := NewReplayer(tr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Instrument(reg)
-	fake := tr.Start
-	r.now = func() time.Time { return fake }
-	r.sleep = func(d time.Duration) { fake = fake.Add(d) }
-
-	// An on-schedule consumer: pacing sleeps up to the due time and the
-	// lag gauge reads zero. With started == origin and speedup 1, each
-	// report's due time is exactly its trace timestamp.
-	if _, ok := r.Next(); !ok {
-		t.Fatal("empty trace")
-	}
-	if got := reg.Gauge("stream_replay_lag_ms").Value(); got != 0 {
-		t.Errorf("on-schedule lag = %v ms, want 0", got)
-	}
-
-	// Fall behind: jump the clock 250ms past the next report's due time.
-	// Next must not sleep and the gauge must report the deficit.
-	fake = r.reports[r.idx].Timestamp.Add(250 * time.Millisecond)
-	r.sleep = func(time.Duration) { t.Fatal("behind-schedule replayer slept") }
-	if _, ok := r.Next(); !ok {
-		t.Fatal("trace exhausted early")
-	}
-	if got := reg.Gauge("stream_replay_lag_ms").Value(); got != 250 {
-		t.Errorf("behind-schedule lag = %v ms, want 250", got)
-	}
-
-	// The gauge lands in snapshots (what /metrics?format=json serves).
-	if got := reg.Snapshot().Gauges["stream_replay_lag_ms"]; got != 250 {
-		t.Errorf("snapshot lag = %v ms, want 250", got)
-	}
-
-	// Catching back up clears the gauge: rewind the clock so the next
-	// report is on or ahead of schedule again.
-	fake = tr.Start
-	r.sleep = func(d time.Duration) { fake = fake.Add(d) }
-	if _, ok := r.Next(); !ok {
-		t.Fatal("trace exhausted early")
-	}
-	if got := reg.Gauge("stream_replay_lag_ms").Value(); got != 0 {
-		t.Errorf("recovered lag = %v ms, want 0", got)
 	}
 }
 

@@ -5,10 +5,10 @@
 #   scripts/check.sh race       tier-2: vet + full test suite under -race
 #   scripts/check.sh bench      microbenchmarks -> BENCH_obs.json + BENCH_hmm.json + BENCH_wire.json; front-end layer benches printed
 #   scripts/check.sh chaos      chaos soak: seeded fault-injection schedules under -race
-#   scripts/check.sh wire       wire-codec smoke: round-trip/golden/v1-retirement tests, worker receive-buffer tests under -race, 10s FuzzDecode, task-payload property/rejection tests + 10s FuzzDecodeTask, sstd-master/sstd-worker with -batch 8
+#   scripts/check.sh wire       wire-codec smoke: round-trip/golden/v1-retirement tests, worker receive-buffer tests under -race, 10s FuzzDecode, task-payload golden/order-free/cross-path/rejection tests + 10s FuzzDecodeTask, sstd-master/sstd-worker with -batch 8
 #   scripts/check.sh flightrec  flight-recorder smoke: deadline-miss deep dive (FLIGHTREC_DIR keeps it) + SLO burn -> 3-lane trace (TELEMETRY_DIR keeps it)
 #   scripts/check.sh sched      scheduler tier: fairness/invariant tests + contention benches -> BENCH_sched.json + 100k-claim sweep
-#   scripts/check.sh accuracy   accuracy gate: SSTD rows of Tables III-V against the checked-in golden + HMM kernel equivalence (run tables and the zero step included) + non-finite parameters refused + quantize-once decode + ACS grid against Time.Sub + truth digests and decode payload goldens
+#   scripts/check.sh accuracy   accuracy gate: SSTD rows of Tables III-V against the checked-in golden + HMM kernel equivalence (run tables and the zero step included) + non-finite parameters refused + quantize-once decode + ACS grid against Time.Sub + fixed-point scores and order-free ACS sums + truth digests, decode payload goldens and the worker's series against the accumulator's
 #   scripts/check.sh all        tier-1 + tier-2
 #
 # scripts/benchdiff.sh wraps the bench tier with a regression gate against
@@ -150,11 +150,16 @@ wire() {
 	go test -race -count=1 -run 'TestArena' ./internal/workqueue
 	go test -count=1 -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/workqueue
 	# What travels inside the frames: the goldens of both task kinds and
-	# their answers (the retired task v1 refused), the scatter task's run
-	# column held to the map reference over generated chunks, the decoders'
-	# rejection table and the three fuzz targets' seed corpora, then ten
-	# seconds of FuzzDecodeTask.
-	go test -count=1 -run 'TestGoldenPayloadsStable|TestScatterMatchesMapReference|TestDecodersRejectMalformed|TestCodecMatchesMapReferenceBits|FuzzDecodeTask|FuzzFoldOutput|FuzzTruthResult' ./internal/dtm
+	# their answers — task v3, output v2, decode v2 — with the retired task
+	# v1 and v2, output v1 and decode v1 refused; the scatter task's run
+	# column held to the map reference over generated chunks; the
+	# order-free property (any permutation, split into 1-8 chunks and
+	# arrival order: the same output, decode-task and truth bytes); the
+	# worker's series against core.ACSAccumulator's, bit for bit; the
+	# decoders' rejection table and a score over 1 refused at submit; the
+	# three fuzz targets' seed corpora, retired and current formats; then
+	# ten seconds of FuzzDecodeTask.
+	go test -count=1 -run 'TestGoldenPayloadsStable|TestScatterMatchesMapReference|TestDecodersRejectMalformed|TestCodecMatchesMapReferenceBits|TestMergeOrderIndependentBits|TestWorkerSeriesMatchesAccumulator|TestSubmitJobRejectsScoreOverOne|FuzzDecodeTask|FuzzFoldOutput|FuzzTruthResult' ./internal/dtm
 	go test -count=1 -run '^$' -fuzz FuzzDecodeTask -fuzztime 10s ./internal/dtm
 	echo "== wire: sstd-master + 2 sstd-workers, -batch 8 against lock-step =="
 	go test -count=1 -v -run 'TestCLIMasterTruthIndependentOfWorkerCount' .
@@ -205,14 +210,14 @@ sched() {
 	# Scheduler tier: the fairness/invariant suite under -race
 	# (chi-squared P_u tracking, low-priority starvation, FIFO within a job
 	# including a cancelled hand-off, exactly-once under concurrency, the
-	# allocation-free idle loop, the global quarantine cap and the DTM
-	# merge determinism), then the contention benches into
+	# allocation-free idle loop, the global quarantine cap and the DTM's
+	# order-free merge), then the contention benches into
 	# BENCH_sched.json, then the 100k-claim load sweep at 1/4/16 workers.
 	echo "== sched: fairness + invariant tests under -race =="
 	go test -race -count=1 \
 		-run 'TestSchedulerWeightedFairness|TestSchedulerLowPriorityJobNotStarved|TestSchedulerCancelKeepsHandoffAtHead|TestSchedulerConcurrentExactlyOnce|TestSchedulerNextAllocFree|TestSchedulerFIFOWithinJob|TestSchedulerProperty|TestQuarantineCapIsGlobal' \
 		./internal/workqueue
-	go test -race -count=1 -run 'TestMergeOrderIndependentBits|TestMergeFailedTaskUnblocksShard' ./internal/dtm
+	go test -race -count=1 -run 'TestMergeOrderIndependentBits' ./internal/dtm
 	bench_sched
 	echo "== sched: 100k-claim load sweep =="
 	go test -count=1 -v -run 'TestSchedulerLoadSweep100k' ./internal/workqueue
@@ -229,16 +234,18 @@ accuracy() {
 	# a NaN, infinite or negative parameter, the pinned EM iteration
 	# counts on the benchmark's series, the run-length and run-table
 	# premise of the run pass on the same series, DecodeInto's
-	# quantize-once Viterbi against Train + DecodeWith, the ACS grid's
-	# integer slot mapping against the Time.Sub definition it replaced,
-	# and the bits the distributed decode must keep: the eight truth
-	# digests and the decode payload goldens (the Gaussian `flips` truth
-	# among them).
+	# quantize-once Viterbi against TrainWarmScratch + DecodeWithScratch,
+	# the ACS grid's integer slot mapping against the Time.Sub definition
+	# it replaced, the one fixed-point score (rounding, ties to even, and
+	# |score| > 1 refused by Ingest) and the order-free ACS series, and the
+	# bits the distributed decode must keep: the eight truth digests, the
+	# decode payload goldens (the Gaussian `flips` truth among them), the
+	# order-free merge and the worker's series against the accumulator's.
 	echo "== accuracy: Tables III-V golden + kernel equivalence + truth bits =="
 	go test -count=1 -v -run 'TestAccuracyGolden' ./internal/experiments
 	go test -count=1 -run 'MatchesReference|TestPairPass|TestDiscreteBaumWelchWSZeroAllocs|TestNonFiniteParametersRefused' ./internal/hmm
-	go test -count=1 -v -run 'TestEMIterationCountsPinned|TestRunCompressionGate|TestDecodeIntoMatchesTrainThenDecode|TestGridIndexMatchesSub' ./internal/core
-	go test -count=1 -run 'TestTruthDigestsMatchParent|TestGoldenPayloadsStable' ./internal/dtm
+	go test -count=1 -v -run 'TestEMIterationCountsPinned|TestRunCompressionGate|TestDecodeIntoMatchesTrainThenDecode|TestGridIndexMatchesSub|TestFixedScoreRoundsAndRefuses|TestACSSeriesOrderFree|TestIngestRejectsScoreOverOne' ./internal/core
+	go test -count=1 -run 'TestTruthDigestsMatchParent|TestGoldenPayloadsStable|TestMergeOrderIndependentBits|TestWorkerSeriesMatchesAccumulator' ./internal/dtm
 }
 
 case "${1:-tier1}" in
