@@ -4,16 +4,20 @@
 // cluster if it is close enough, otherwise it seeds a new cluster; a
 // cluster whose diameter exceeds a threshold is split in two.
 //
-// Each cluster keeps a bounded sample of its members and, derived from
-// that sample, their pairwise distances, per-token member counts and the
-// centroid. All three are adjusted by the one member that arrives and the
-// one it rotates out, never rebuilt from the whole sample.
+// Each cluster keeps a bounded sample of its members and, derived from it,
+// each token's bitmask of members, the pairwise distances with each row's
+// maximum, and the centroid. One sorted merge per post moves a member's
+// bit from the rotated-out post's tokens to the new post's and counts the
+// tokens the new post shares with each member, so a distance is one
+// division and the diameter a scan of the row maxima.
 package clustering
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/social-sensing/sstd/internal/textutil"
@@ -32,7 +36,9 @@ type Config struct {
 	MaxMembersTracked int
 	// Keywords optionally filters posts: when non-empty, posts containing
 	// none of the keywords are ignored (the paper first filters tweets by
-	// pre-specified event keywords).
+	// pre-specified event keywords). Keywords are tokenized as posts are,
+	// so "#Boston" and "boston" are one keyword, and an entry of several
+	// words matches a post holding any one of them.
 	Keywords []string
 }
 
@@ -66,18 +72,21 @@ type cluster struct {
 	// dist holds one row of MaxMembersTracked entries per member:
 	// dist[i*max+j] is the Jaccard distance between members i and j.
 	dist []float64
-	// counts says, for every token of the sample in hash order, how many
-	// members contain it.
-	counts []tokenCount
+	// rows[i] is the largest dist from member i to a later member (-1 for
+	// the last member) and the first member at that dist.
+	rows []rowMax
+	// tokens holds, for every token of the sample in hash order, its hash
+	// and then the bitmask of the members holding it: stride words each.
+	tokens []uint64
 	// centroid is the tokens found in at least half the members (a
 	// medoid-like set centroid suited to Jaccard space), or every token
 	// of the sample when no token is that common.
 	centroid []uint64
 }
 
-type tokenCount struct {
-	hash uint64
-	n    int
+type rowMax struct {
+	d float64
+	j int
 }
 
 // Clusterer assigns posts to clusters online. Not safe for concurrent use.
@@ -86,9 +95,11 @@ type Clusterer struct {
 	keywords []uint64
 	clusters []*cluster
 	nextID   int
-	// spare is the counts slice the last adjust replaced, reused by the
+	// spare is the tokens slice the last adjust replaced, reused by the
 	// next one.
-	spare []tokenCount
+	spare []uint64
+	// inter[j] is how many tokens the post being added shares with member j.
+	inter []int
 }
 
 // New returns a Clusterer with the given configuration.
@@ -96,8 +107,12 @@ func New(cfg Config) *Clusterer {
 	if cfg.MaxMembersTracked <= 0 {
 		cfg.MaxMembersTracked = 32
 	}
-	return &Clusterer{cfg: cfg, keywords: textutil.HashSet(cfg.Keywords)}
+	keywords := textutil.NewDoc(strings.Join(cfg.Keywords, " ")).Set
+	return &Clusterer{cfg: cfg, keywords: keywords, inter: make([]int, cfg.MaxMembersTracked)}
 }
+
+// stride is the words per token in cluster.tokens: hash, then 64 members a word.
+func (c *Clusterer) stride() int { return 1 + (c.cfg.MaxMembersTracked+63)/64 }
 
 // Assign routes text observed at time t into a cluster and returns the
 // cluster ID. It returns ok=false when the post is filtered out by the
@@ -108,12 +123,15 @@ func (c *Clusterer) Assign(text string, t time.Time) (clusterID string, ok bool)
 
 // AssignDoc is Assign for a post that is already tokenized.
 func (c *Clusterer) AssignDoc(d textutil.Doc, t time.Time) (clusterID string, ok bool) {
-	if len(c.keywords) > 0 && !d.HasAny(c.keywords) {
+	if len(c.cfg.Keywords) > 0 && !d.HasAny(c.keywords) {
 		return "", false
 	}
 	var best *cluster
 	bestDist := c.cfg.JoinThreshold
 	for _, cl := range c.clusters {
+		if 1-textutil.JaccardBound(len(d.Set), len(cl.centroid)) > bestDist {
+			continue
+		}
 		if dist := textutil.JaccardDistance(d.Set, cl.centroid); dist <= bestDist {
 			best, bestDist = cl, dist
 		}
@@ -124,7 +142,7 @@ func (c *Clusterer) AssignDoc(d textutil.Doc, t time.Time) (clusterID string, ok
 	}
 	at := c.add(best, d)
 	if len(best.members) >= 4 {
-		if ai, bi, diameter := best.farthest(c.cfg.MaxMembersTracked); diameter > c.cfg.SplitDiameter {
+		if ai, bi, diameter := best.farthest(); diameter > c.cfg.SplitDiameter {
 			best = c.split(best, ai, bi, at)
 		}
 	}
@@ -201,70 +219,124 @@ func (c *Clusterer) Compact() int {
 func (c *Clusterer) add(cl *cluster, d textutil.Doc) (at int) {
 	max := c.cfg.MaxMembersTracked
 	cl.size++
+	var gone []uint64
 	if at = len(cl.members); at < max {
 		cl.members = append(cl.members, d)
 		cl.dist = append(cl.dist, make([]float64, max)...)
+		cl.rows = append(cl.rows, rowMax{d: -1})
 	} else {
 		at = cl.size % max
-		c.adjust(cl, cl.members[at].Set, -1)
+		gone = cl.members[at].Set
 		cl.members[at] = d
 	}
+	c.adjust(cl, gone, d.Set, at)
+	// Fill row and column at. An earlier row only gains at as its maximum,
+	// or is rescanned when at was its maximum and moved closer.
 	for j, m := range cl.members {
-		if j != at {
-			dist := textutil.JaccardDistance(d.Set, m.Set)
-			cl.dist[at*max+j], cl.dist[j*max+at] = dist, dist
+		if j == at {
+			continue
+		}
+		dist := 1 - textutil.JaccardCount(c.inter[j], len(d.Set), len(m.Set))
+		cl.dist[at*max+j], cl.dist[j*max+at] = dist, dist
+		if r := &cl.rows[j]; j < at && (dist > r.d || dist == r.d && at < r.j) {
+			*r = rowMax{dist, at}
+		} else if j < at && r.j == at && dist < r.d {
+			*r = cl.scanRow(j, max)
 		}
 	}
-	c.adjust(cl, d.Set, +1)
+	cl.rows[at] = cl.scanRow(at, max)
 
-	threshold := (len(cl.members) + 1) / 2
+	// The centroid is the tokens at least half the members hold or, when
+	// none is that common, the union, which keeps it non-empty.
+	s := c.stride()
 	cl.centroid = cl.centroid[:0]
-	for _, tc := range cl.counts {
-		if tc.n >= threshold {
-			cl.centroid = append(cl.centroid, tc.hash)
+	for _, least := range [2]int{(len(cl.members) + 1) / 2, 1} {
+		for k := 0; k < len(cl.tokens); k += s {
+			if held(cl.tokens[k+1:k+s]) >= least {
+				cl.centroid = append(cl.centroid, cl.tokens[k])
+			}
 		}
-	}
-	if len(cl.centroid) == 0 {
-		// Degenerate case (no common tokens): fall back to the union to
-		// keep the centroid non-empty.
-		for _, tc := range cl.counts {
-			cl.centroid = append(cl.centroid, tc.hash)
+		if len(cl.centroid) > 0 {
+			break
 		}
 	}
 	return at
 }
 
-// adjust adds delta to the member count of every token in set, one merge
-// over the two sorted lists; a token whose count reaches zero is dropped.
-func (c *Clusterer) adjust(cl *cluster, set []uint64, delta int) {
-	out := c.spare[:0]
-	old := cl.counts
-	for _, h := range set {
-		for len(old) > 0 && old[0].hash < h {
-			out = append(out, old[0])
-			old = old[1:]
+// adjust moves member's bit from the tokens of gone, the post it held, to
+// those of set, the post it now holds, in one merge over the three sorted
+// lists; a token no member holds any more is dropped. It also counts, in
+// c.inter, the tokens of set each other member holds.
+func (c *Clusterer) adjust(cl *cluster, gone, set []uint64, member int) {
+	clear(c.inter)
+	s := c.stride()
+	out, old := c.spare[:0], cl.tokens
+	word, bit := 1+member/64, uint64(1)<<(member%64)
+	for len(gone) > 0 || len(set) > 0 {
+		h := ^uint64(0)
+		if len(gone) > 0 {
+			h = gone[0]
 		}
-		tc := tokenCount{hash: h}
-		if len(old) > 0 && old[0].hash == h {
-			tc, old = old[0], old[1:]
+		if len(set) > 0 {
+			h = min(h, set[0])
 		}
-		if tc.n += delta; tc.n > 0 {
-			out = append(out, tc)
+		k := 0
+		for k < len(old) && old[k] < h {
+			k += s
+		}
+		out, old = append(out, old[:k]...), old[k:]
+		if len(old) > 0 && old[0] == h {
+			out, old = append(out, old[:s]...), old[s:]
+		} else {
+			out = append(append(out, h), make([]uint64, s-1)...)
+		}
+		tok := out[len(out)-s:]
+		if len(gone) > 0 && gone[0] == h {
+			gone = gone[1:]
+			tok[word] &^= bit
+		}
+		if len(set) > 0 && set[0] == h {
+			set = set[1:]
+			for i, m := range tok[1:] {
+				for ; m != 0; m &= m - 1 {
+					c.inter[i*64+bits.TrailingZeros64(m)]++
+				}
+			}
+			tok[word] |= bit
+		}
+		if held(tok[1:]) == 0 {
+			out = out[:len(out)-s]
 		}
 	}
-	out = append(out, old...)
-	cl.counts, c.spare = out, cl.counts
+	cl.tokens, c.spare = append(out, old...), cl.tokens
+}
+
+// held counts the members a token's mask holds.
+func held(mask []uint64) (n int) {
+	for _, m := range mask {
+		n += bits.OnesCount64(m)
+	}
+	return n
+}
+
+// scanRow returns row i's largest distance to a later member, first at it.
+func (cl *cluster) scanRow(i, max int) rowMax {
+	r := rowMax{d: -1}
+	for j := i + 1; j < len(cl.members); j++ {
+		if d := cl.dist[i*max+j]; d > r.d {
+			r = rowMax{d, j}
+		}
+	}
+	return r
 }
 
 // farthest returns the first pair of tracked members, in index order, that
 // is farthest apart, and their Jaccard distance: the cluster's diameter.
-func (cl *cluster) farthest(max int) (ai, bi int, diameter float64) {
+func (cl *cluster) farthest() (ai, bi int, diameter float64) {
 	ai, bi, diameter = 0, 1, -1
-	for i := range cl.members {
-		for j := i + 1; j < len(cl.members); j++ {
-			if d := cl.dist[i*max+j]; d > diameter {
-				ai, bi, diameter = i, j, d
-			}
+	for i, r := range cl.rows {
+		if r.d > diameter {
+			ai, bi, diameter = i, r.j, r.d
 		}
 	}
 	return ai, bi, diameter

@@ -44,6 +44,30 @@ func TestKeywordFilter(t *testing.T) {
 	}
 }
 
+// TestKeywordSpellings holds keywords to the token rule posts follow: case,
+// a hashtag marker and punctuation do not change what a keyword matches,
+// and an entry of several words matches a post holding any one of them.
+func TestKeywordSpellings(t *testing.T) {
+	const post = "Explosion near the finish line in #Boston"
+	for _, tt := range []struct {
+		keyword string
+		kept    bool
+	}{
+		{"boston", true},
+		{"Boston", true},
+		{"#Boston", true},
+		{"BOSTON,", true},
+		{"Marathon Boston", true},
+		{"marathon", false},
+	} {
+		cfg := DefaultConfig()
+		cfg.Keywords = []string{tt.keyword}
+		if _, kept := New(cfg).Assign(post, at()); kept != tt.kept {
+			t.Errorf("keyword %q: post kept %v, want %v", tt.keyword, kept, tt.kept)
+		}
+	}
+}
+
 func TestClustersSnapshotSortedBySize(t *testing.T) {
 	c := New(DefaultConfig())
 	for i := 0; i < 5; i++ {

@@ -3,6 +3,7 @@ package clustering
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,18 +66,28 @@ func checkCluster(t *testing.T, c *Clusterer, cl *cluster) {
 	if len(cl.members) == 0 || len(cl.members) > max || len(cl.members) > cl.size {
 		t.Fatalf("%s: %d tracked members for size %d, max %d", cl.id, len(cl.members), cl.size, max)
 	}
-	counts := make(map[uint64]int)
-	for _, m := range cl.members {
+	// Tokens in strict hash order, each with the mask of the members
+	// holding it, one word per 64 tracked members.
+	stride := c.stride()
+	masks := make(map[uint64][]uint64)
+	for j, m := range cl.members {
 		for _, h := range m.Set {
-			counts[h]++
+			if masks[h] == nil {
+				masks[h] = make([]uint64, stride-1)
+			}
+			masks[h][j/64] |= 1 << (j % 64)
 		}
 	}
-	if len(cl.counts) != len(counts) {
-		t.Fatalf("%s: %d token counts, members hold %d distinct tokens", cl.id, len(cl.counts), len(counts))
+	if len(cl.tokens) != len(masks)*stride {
+		t.Fatalf("%s: %d token words, members hold %d distinct tokens at %d words each", cl.id, len(cl.tokens), len(masks), stride)
 	}
-	for i, tc := range cl.counts {
-		if tc.n != counts[tc.hash] || (i > 0 && cl.counts[i-1].hash >= tc.hash) {
-			t.Fatalf("%s: counts[%d] = %+v, members give %d (or order broken)", cl.id, i, tc, counts[tc.hash])
+	for k := 0; k < len(cl.tokens); k += stride {
+		h, got := cl.tokens[k], cl.tokens[k+1:k+stride]
+		if k > 0 && cl.tokens[k-stride] >= h {
+			t.Fatalf("%s: token %d out of hash order", cl.id, k/stride)
+		}
+		if want := masks[h]; !slices.Equal(got, want) {
+			t.Fatalf("%s: token %d's mask %x, members give %x", cl.id, k/stride, got, want)
 		}
 	}
 	var want []string
@@ -86,39 +97,65 @@ func checkCluster(t *testing.T, c *Clusterer, cl *cluster) {
 	if got, want := fmt.Sprint(cl.centroid), fmt.Sprint(textutil.HashSet(want)); got != want {
 		t.Fatalf("%s: centroid %s, from scratch %s", cl.id, got, want)
 	}
-	diameter := 0.0
-	for i, a := range cl.members {
-		for j, b := range cl.members {
-			want := refDistance(refSet(a), refSet(b))
-			if got := cl.dist[i*max+j]; got != want {
-				t.Fatalf("%s: dist[%d][%d] = %v, from scratch %v", cl.id, i, j, got, want)
+	// The distances, each row's maximum over later members and the first
+	// farthest pair, all by brute force.
+	sets := make([]map[string]bool, len(cl.members))
+	for i, m := range cl.members {
+		sets[i] = refSet(m)
+	}
+	ai, bi, diameter := 0, 1, -1.0
+	for i, a := range sets {
+		row := rowMax{d: -1}
+		for j := i; j < len(sets); j++ {
+			want := refDistance(a, sets[j])
+			if got, sym := cl.dist[i*max+j], cl.dist[j*max+i]; got != want || sym != want {
+				t.Fatalf("%s: dist[%d][%d] = %v and back %v, from scratch %v", cl.id, i, j, got, sym, want)
 			}
-			if want > diameter {
-				diameter = want
+			if j > i && want > row.d {
+				row = rowMax{want, j}
+			}
+			if j > i && want > diameter {
+				ai, bi, diameter = i, j, want
 			}
 		}
+		if cl.rows[i] != row {
+			t.Fatalf("%s: row %d keeps %+v, from scratch %+v", cl.id, i, cl.rows[i], row)
+		}
 	}
-	if _, _, got := cl.farthest(max); len(cl.members) > 1 && got != diameter {
-		t.Fatalf("%s: diameter %v, from scratch %v", cl.id, got, diameter)
+	if len(cl.rows) != len(cl.members) {
+		t.Fatalf("%s: %d row maxima for %d members", cl.id, len(cl.rows), len(cl.members))
+	}
+	if gotA, gotB, got := cl.farthest(); len(cl.members) > 1 && (gotA != ai || gotB != bi || got != diameter) {
+		t.Fatalf("%s: farthest pair (%d, %d) at %v, from scratch (%d, %d) at %v", cl.id, gotA, gotB, got, ai, bi, diameter)
 	}
 }
 
 // TestIncrementalMatchesFromScratch drives Assign and Compact with seeded
-// random streams over a sample small enough that rotation, split and merge
-// all fire, and after every step checks each cluster's counts, centroid,
-// distance matrix and diameter against a from-scratch rebuild, the join
-// decision against the reference centroids, and that the returned ID names
-// the cluster now tracking the post.
+// random streams, at a sample of 5 members and at one of 70 (member masks
+// two words wide), such that rotation, split and merge all fire and the
+// sample fills. After every step it checks each cluster's token masks,
+// centroid, distance matrix, row maxima and first farthest pair against a
+// from-scratch rebuild, the join decision against the reference centroids,
+// and that the returned ID names the cluster now tracking the post.
 func TestIncrementalMatchesFromScratch(t *testing.T) {
 	topics := [][]string{
 		{"marathon", "explosion", "smoke", "finish", "line", "boston"},
 		{"football", "touchdown", "crowd", "irish", "lead", "score"},
 		{"library", "suspect", "backpack", "police", "campus", "lockdown"},
 	}
-	var rotations, splits, merges int
+	for _, tracked := range []int{5, 70} {
+		t.Run(fmt.Sprintf("max=%d", tracked), func(t *testing.T) {
+			cfg := Config{JoinThreshold: 0.8, SplitDiameter: 0.85, MaxMembersTracked: tracked}
+			incrementalStreams(t, topics, cfg)
+		})
+	}
+}
+
+// incrementalStreams is TestIncrementalMatchesFromScratch at one config.
+func incrementalStreams(t *testing.T, topics [][]string, cfg Config) {
+	var rotations, splits, merges, widest int
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		cfg := Config{JoinThreshold: 0.8, SplitDiameter: 0.85, MaxMembersTracked: 5}
 		c := New(cfg)
 		for step := 0; step < 400; step++ {
 			// Three or four words of one topic, sometimes one borrowed
@@ -159,6 +196,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 				if cl.size > cfg.MaxMembersTracked {
 					rotations++
 				}
+				widest = max(widest, len(cl.members))
 				for _, m := range cl.members {
 					if m.Lower == d.Lower {
 						holders++
@@ -179,7 +217,9 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 			}
 		}
 	}
-	if rotations == 0 || splits == 0 || merges == 0 {
-		t.Errorf("streams fired %d rotations, %d splits, %d merges; the test needs all three", rotations, splits, merges)
+	if rotations == 0 || splits == 0 || merges == 0 || widest < cfg.MaxMembersTracked {
+		t.Errorf("streams fired %d rotations, %d splits, %d merges and filled %d of %d tracked members; the test needs all four",
+			rotations, splits, merges, widest, cfg.MaxMembersTracked)
 	}
+	t.Logf("%d rotations, %d splits, %d merges, widest sample %d", rotations, splits, merges, widest)
 }

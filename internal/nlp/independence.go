@@ -64,7 +64,7 @@ func (s *IndependenceScorer) ScoreDoc(claimID string, d textutil.Doc, t time.Tim
 		score = s.CopyScore
 	} else {
 		for _, prev := range window {
-			if t.Sub(prev.at) > s.Window {
+			if t.Sub(prev.at) > s.Window || textutil.JaccardBound(len(d.Set), len(prev.tokens)) < s.SimilarityThreshold {
 				continue
 			}
 			if textutil.Jaccard(d.Set, prev.tokens) >= s.SimilarityThreshold {

@@ -104,13 +104,21 @@ func b2i(b bool) int {
 
 // Jaccard returns the Jaccard similarity |A∩B| / |A∪B| of two hash sets.
 // Two empty sets are defined to have similarity 1.
-func Jaccard(a, b []uint64) float64 {
-	if len(a) == 0 && len(b) == 0 {
+func Jaccard(a, b []uint64) float64 { return JaccardCount(intersection(a, b), len(a), len(b)) }
+
+// JaccardCount is Jaccard of two sets of na and nb hashes that share
+// inter, for a caller that counted the intersection itself.
+func JaccardCount(inter, na, nb int) float64 {
+	if na == 0 && nb == 0 {
 		return 1
 	}
-	inter := intersection(a, b)
-	return float64(inter) / float64(len(a)+len(b)-inter)
+	return float64(inter) / float64(na+nb-inter)
 }
+
+// JaccardBound bounds Jaccard of sets of na and nb hashes from above: they
+// share at most min(na, nb) of max(na, nb) or more. IEEE division and 1 − x
+// are monotone, so a pair the float64 bound rules out is ruled out exactly.
+func JaccardBound(na, nb int) float64 { return JaccardCount(min(na, nb), na, nb) }
 
 // JaccardDistance returns 1 - Jaccard(a, b).
 func JaccardDistance(a, b []uint64) float64 { return 1 - Jaccard(a, b) }

@@ -75,6 +75,39 @@ func TestJaccardProperties(t *testing.T) {
 	}
 }
 
+// TestJaccardBound runs every intersection of two sets of up to 64 hashes:
+// the float64 Jaccard never exceeds JaccardBound and JaccardDistance never
+// falls below 1 − it, so neither skip built on the bound (a centroid
+// already farther than the best, a window entry below the copy threshold)
+// can drop a pair that would pass. Two empty sets bound at exactly their
+// similarity, 1, so they never prune.
+func TestJaccardBound(t *testing.T) {
+	run := func(from, n int) []uint64 {
+		set := make([]uint64, n)
+		for i := range set {
+			set[i] = uint64(from + i)
+		}
+		return set
+	}
+	for na := 0; na <= 64; na++ {
+		for nb := 0; nb <= 64; nb++ {
+			bound := JaccardBound(na, nb)
+			for inter := 0; inter <= min(na, nb) && na+nb > 0; inter++ {
+				a, b := run(0, na), run(na-inter, nb)
+				if got := intersection(a, b); got != inter {
+					t.Fatalf("sets of %d and %d share %d, want %d", na, nb, got, inter)
+				}
+				if j, d := Jaccard(a, b), JaccardDistance(a, b); j > bound || d < 1-bound {
+					t.Fatalf("na %d nb %d inter %d: Jaccard %v, distance %v against bound %v", na, nb, inter, j, d, bound)
+				}
+			}
+		}
+	}
+	if b := JaccardBound(0, 0); b != Jaccard(nil, nil) || 1-b != JaccardDistance(nil, nil) {
+		t.Errorf("two empty sets bound at %v, Jaccard %v", b, Jaccard(nil, nil))
+	}
+}
+
 func TestJaccardDistanceTriangleish(t *testing.T) {
 	// Jaccard distance is a metric; spot-check the triangle inequality on
 	// random word soups.

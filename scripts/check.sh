@@ -8,7 +8,7 @@
 #   scripts/check.sh wire       wire-codec smoke: round-trip/golden/v1-retirement tests, worker receive-buffer tests under -race, 10s FuzzDecode, task-payload golden/order-free/cross-path/rejection tests + 10s FuzzDecodeTask, sstd-master/sstd-worker with -batch 8
 #   scripts/check.sh flightrec  flight-recorder smoke: deadline-miss deep dive (FLIGHTREC_DIR keeps it) + SLO burn -> 3-lane trace (TELEMETRY_DIR keeps it)
 #   scripts/check.sh sched      scheduler tier: fairness/invariant tests + contention benches -> BENCH_sched.json + 100k-claim sweep
-#   scripts/check.sh accuracy   accuracy gate: SSTD rows of Tables III-V against the checked-in golden + HMM kernel equivalence (run tables and the zero step included) + non-finite parameters refused + quantize-once decode + ACS grid against Time.Sub + fixed-point scores and order-free ACS sums + truth digests, decode payload goldens and the worker's series against the accumulator's
+#   scripts/check.sh accuracy   accuracy gate: SSTD rows of Tables III-V against the checked-in golden + HMM kernel equivalence (run tables and the zero step included) + non-finite parameters refused + quantize-once decode + ACS grid against Time.Sub + fixed-point scores and order-free ACS sums + truth digests, decode payload goldens and the worker's series against the accumulator's + the front end's pinned claims and scores, its incremental cluster state against a rebuild and the Jaccard size bound
 #   scripts/check.sh all        tier-1 + tier-2
 #
 # scripts/benchdiff.sh wraps the bench tier with a regression gate against
@@ -241,11 +241,18 @@ accuracy() {
 	# bits the distributed decode must keep: the eight truth digests, the
 	# decode payload goldens (the Gaussian `flips` truth among them), the
 	# order-free merge and the worker's series against the accumulator's.
-	echo "== accuracy: Tables III-V golden + kernel equivalence + truth bits =="
+	# Then what the claims themselves rest on: every post's claim and
+	# scores on the three profiles (TestFrontEndGolden), the claim
+	# generator's incremental state — counts, member masks, distances, row
+	# maxima, farthest pair, centroid — against a from-scratch rebuild
+	# after every step, and the size bound its skips use, over every
+	# intersection of sets of up to 64 hashes.
+	echo "== accuracy: Tables III-V golden + kernel equivalence + truth bits + front-end decisions =="
 	go test -count=1 -v -run 'TestAccuracyGolden' ./internal/experiments
 	go test -count=1 -run 'MatchesReference|TestPairPass|TestDiscreteBaumWelchWSZeroAllocs|TestNonFiniteParametersRefused' ./internal/hmm
 	go test -count=1 -v -run 'TestEMIterationCountsPinned|TestRunCompressionGate|TestDecodeIntoMatchesTrainThenDecode|TestGridIndexMatchesSub|TestFixedScoreRoundsAndRefuses|TestACSSeriesOrderFree|TestIngestRejectsScoreOverOne' ./internal/core
 	go test -count=1 -run 'TestTruthDigestsMatchParent|TestGoldenPayloadsStable|TestMergeOrderIndependentBits|TestWorkerSeriesMatchesAccumulator' ./internal/dtm
+	go test -count=1 -v -run 'TestFrontEndGolden|TestIncrementalMatchesFromScratch|TestJaccardBound' ./internal/pipeline ./internal/clustering ./internal/textutil
 }
 
 case "${1:-tier1}" in
