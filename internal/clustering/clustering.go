@@ -80,8 +80,9 @@ type cluster struct {
 	tokens []uint64
 	// centroid is the tokens found in at least half the members (a
 	// medoid-like set centroid suited to Jaccard space), or every token
-	// of the sample when no token is that common.
+	// of the sample when no token is that common; union says which.
 	centroid []uint64
+	union    bool
 }
 
 type rowMax struct {
@@ -95,9 +96,6 @@ type Clusterer struct {
 	keywords []uint64
 	clusters []*cluster
 	nextID   int
-	// spare is the tokens slice the last adjust replaced, reused by the
-	// next one.
-	spare []uint64
 	// inter[j] is how many tokens the post being added shares with member j.
 	inter []int
 }
@@ -129,11 +127,9 @@ func (c *Clusterer) AssignDoc(d textutil.Doc, t time.Time) (clusterID string, ok
 	var best *cluster
 	bestDist := c.cfg.JoinThreshold
 	for _, cl := range c.clusters {
-		if 1-textutil.JaccardBound(len(d.Set), len(cl.centroid)) > bestDist {
-			continue
-		}
-		if dist := textutil.JaccardDistance(d.Set, cl.centroid); dist <= bestDist {
-			best, bestDist = cl, dist
+		need := within(len(d.Set), len(cl.centroid), bestDist)
+		if inter, ok := textutil.Overlap(d.Set, cl.centroid, need); ok {
+			best, bestDist = cl, 1-textutil.JaccardCount(inter, len(d.Set), len(cl.centroid))
 		}
 	}
 	if best == nil {
@@ -147,6 +143,19 @@ func (c *Clusterer) AssignDoc(d textutil.Doc, t time.Time) (clusterID string, ok
 		}
 	}
 	return best.id, true
+}
+
+// within is MinOverlap for a Jaccard distance of at most d: its walk settles
+// the rounding of 1 − d on the distance expression, monotone in the count.
+func within(na, nb int, d float64) int {
+	k := textutil.MinOverlap(na, nb, 1-d)
+	for k > 0 && 1-textutil.JaccardCount(k-1, na, nb) <= d {
+		k--
+	}
+	for k <= min(na, nb) && !(1-textutil.JaccardCount(k, na, nb) <= d) {
+		k++
+	}
+	return k
 }
 
 func (c *Clusterer) newCluster(created time.Time) *cluster {
@@ -220,7 +229,8 @@ func (c *Clusterer) add(cl *cluster, d textutil.Doc) (at int) {
 	max := c.cfg.MaxMembersTracked
 	cl.size++
 	var gone []uint64
-	if at = len(cl.members); at < max {
+	grew := len(cl.members) < max
+	if at = len(cl.members); grew {
 		cl.members = append(cl.members, d)
 		cl.dist = append(cl.dist, make([]float64, max)...)
 		cl.rows = append(cl.rows, rowMax{d: -1})
@@ -229,7 +239,7 @@ func (c *Clusterer) add(cl *cluster, d textutil.Doc) (at int) {
 		gone = cl.members[at].Set
 		cl.members[at] = d
 	}
-	c.adjust(cl, gone, d.Set, at)
+	crossed := c.adjust(cl, gone, d.Set, at)
 	// Fill row and column at. An earlier row only gains at as its maximum,
 	// or is rescanned when at was its maximum and moved closer.
 	for j, m := range cl.members {
@@ -247,9 +257,14 @@ func (c *Clusterer) add(cl *cluster, d textutil.Doc) (at int) {
 	cl.rows[at] = cl.scanRow(at, max)
 
 	// The centroid is the tokens at least half the members hold or, when
-	// none is that common, the union, which keeps it non-empty.
+	// none is that common, the union, which keeps it non-empty. It can
+	// only move when the sample grew, a token crossed the half mark, or
+	// it is the union.
+	if !grew && !crossed && !cl.union {
+		return at
+	}
 	s := c.stride()
-	cl.centroid = cl.centroid[:0]
+	cl.centroid, cl.union = cl.centroid[:0], false
 	for _, least := range [2]int{(len(cl.members) + 1) / 2, 1} {
 		for k := 0; k < len(cl.tokens); k += s {
 			if held(cl.tokens[k+1:k+s]) >= least {
@@ -259,20 +274,23 @@ func (c *Clusterer) add(cl *cluster, d textutil.Doc) (at int) {
 		if len(cl.centroid) > 0 {
 			break
 		}
+		cl.union = true
 	}
 	return at
 }
 
 // adjust moves member's bit from the tokens of gone, the post it held, to
-// those of set, the post it now holds, in one merge over the three sorted
-// lists; a token no member holds any more is dropped. It also counts, in
-// c.inter, the tokens of set each other member holds.
-func (c *Clusterer) adjust(cl *cluster, gone, set []uint64, member int) {
+// those of set, the post it now holds, in place in one merge over the three
+// sorted lists; a token no member held is inserted, and one no member holds
+// any more is dropped. It counts in c.inter the tokens of set each other
+// member holds, and reports whether a token crossed the half mark of the
+// sample.
+func (c *Clusterer) adjust(cl *cluster, gone, set []uint64, member int) (crossed bool) {
 	clear(c.inter)
 	s := c.stride()
-	out, old := c.spare[:0], cl.tokens
 	word, bit := 1+member/64, uint64(1)<<(member%64)
-	for len(gone) > 0 || len(set) > 0 {
+	half := (len(cl.members) + 1) / 2
+	for k := 0; len(gone) > 0 || len(set) > 0; {
 		h := ^uint64(0)
 		if len(gone) > 0 {
 			h = gone[0]
@@ -280,17 +298,17 @@ func (c *Clusterer) adjust(cl *cluster, gone, set []uint64, member int) {
 		if len(set) > 0 {
 			h = min(h, set[0])
 		}
-		k := 0
-		for k < len(old) && old[k] < h {
+		for k < len(cl.tokens) && cl.tokens[k] < h {
 			k += s
 		}
-		out, old = append(out, old[:k]...), old[k:]
-		if len(old) > 0 && old[0] == h {
-			out, old = append(out, old[:s]...), old[s:]
-		} else {
-			out = append(append(out, h), make([]uint64, s-1)...)
+		if k == len(cl.tokens) || cl.tokens[k] != h {
+			cl.tokens = append(cl.tokens, make([]uint64, s)...)
+			copy(cl.tokens[k+s:], cl.tokens[k:])
+			clear(cl.tokens[k : k+s])
+			cl.tokens[k] = h
 		}
-		tok := out[len(out)-s:]
+		tok := cl.tokens[k : k+s]
+		was := held(tok[1:])
 		if len(gone) > 0 && gone[0] == h {
 			gone = gone[1:]
 			tok[word] &^= bit
@@ -304,11 +322,13 @@ func (c *Clusterer) adjust(cl *cluster, gone, set []uint64, member int) {
 			}
 			tok[word] |= bit
 		}
-		if held(tok[1:]) == 0 {
-			out = out[:len(out)-s]
+		now := held(tok[1:])
+		crossed = crossed || (was >= half) != (now >= half)
+		if now == 0 {
+			cl.tokens = slices.Delete(cl.tokens, k, k+s)
 		}
 	}
-	cl.tokens, c.spare = append(out, old...), cl.tokens
+	return crossed
 }
 
 // held counts the members a token's mask holds.

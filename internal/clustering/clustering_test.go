@@ -2,8 +2,11 @@ package clustering
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
+
+	"github.com/social-sensing/sstd/internal/textutil"
 )
 
 func at() time.Time { return time.Date(2013, 4, 15, 14, 50, 0, 0, time.UTC) }
@@ -242,4 +245,36 @@ func TestZeroMaxMembersDefaulted(t *testing.T) {
 	if _, ok := c.Assign("hello world", at()); !ok {
 		t.Error("assign failed with defaulted config")
 	}
+}
+
+// TestWithinExact checks the join's bound: for the configured join
+// threshold, odd thresholds, and every distance two sets of up to 16
+// tokens can be apart (each may become the best distance so far), within
+// admits exactly the shared counts whose Jaccard distance is within the
+// threshold, for sets of up to 24 tokens.
+func TestWithinExact(t *testing.T) {
+	ds := map[float64]bool{0.7: true, 0: true, 1: true, 0.3: true, 0.5: true, -0.5: true, 2: true, 1 - 1e-15: true, math.Inf(1): true, math.Inf(-1): true}
+	for na := 0; na <= 16; na++ {
+		for nb := 0; nb <= 16; nb++ {
+			for k := 0; k <= min(na, nb); k++ {
+				ds[1-textutil.JaccardCount(k, na, nb)] = true
+			}
+		}
+	}
+	check := func(d float64) {
+		for na := 0; na <= 24; na++ {
+			for nb := 0; nb <= 24; nb++ {
+				need := within(na, nb, d)
+				for k := 0; k <= min(na, nb); k++ {
+					if pass := 1-textutil.JaccardCount(k, na, nb) <= d; pass != (k >= need) {
+						t.Fatalf("threshold %v: sizes %d, %d sharing %d pass %v, least count %d", d, na, nb, k, pass, need)
+					}
+				}
+			}
+		}
+	}
+	for d := range ds {
+		check(d)
+	}
+	check(math.NaN())
 }

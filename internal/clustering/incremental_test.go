@@ -151,6 +151,26 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 	}
 }
 
+// TestUnionCentroidFollowsRotation keeps one cluster whose members share
+// no token, so from three members on its centroid is the every-token
+// fallback, and rotates posts through it: every add moves that centroid
+// although no token crosses the half mark, and checkCluster compares it
+// with a rebuild after each one.
+func TestUnionCentroidFollowsRotation(t *testing.T) {
+	c := New(Config{JoinThreshold: 1, SplitDiameter: 2, MaxMembersTracked: 4})
+	for i := 0; i < 12; i++ {
+		c.Assign(fmt.Sprintf("a%d b%d", i, i), at())
+		if c.Len() != 1 {
+			t.Fatalf("post %d: %d clusters, want 1", i, c.Len())
+		}
+		cl := c.clusters[0]
+		checkCluster(t, c, cl)
+		if cl.union != (i >= 2) {
+			t.Fatalf("post %d: centroid is the union %v with %d members", i, cl.union, len(cl.members))
+		}
+	}
+}
+
 // incrementalStreams is TestIncrementalMatchesFromScratch at one config.
 func incrementalStreams(t *testing.T, topics [][]string, cfg Config) {
 	var rotations, splits, merges, widest int

@@ -158,6 +158,15 @@ func (g *Grid) Index(t time.Time) int {
 	return int(max(d, 0) / g.interval)
 }
 
+// Starts extends table, the slots' starts from slot 0, to n entries: a
+// caller that keeps it pays one time.Time.Add per slot, not per estimate.
+func (g Grid) Starts(table []time.Time, n int) []time.Time {
+	for len(table) < n {
+		table = append(table, g.origin.Add(time.Duration(len(table))*g.interval))
+	}
+	return table
+}
+
 // GridCursor walks timestamps that mostly arrive in order. It remembers
 // the slot it last sought and the Unix seconds wholly inside that slot, so
 // its caller asks Index only for a timestamp outside them: Holds is one
@@ -214,11 +223,6 @@ func (a *ACSAccumulator) Count() int { return a.count }
 // has Len() entries; an empty accumulator yields nil.
 func (a *ACSAccumulator) Series() []float64 {
 	return Window(nil, a.sums, a.cfg.WindowIntervals)
-}
-
-// IntervalStart returns the wall-clock start of interval t.
-func (a *ACSAccumulator) IntervalStart(t int) time.Time {
-	return a.grid.origin.Add(time.Duration(t) * a.grid.interval)
 }
 
 // Discretizer quantizes continuous ACS values into the symbol alphabet of

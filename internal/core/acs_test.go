@@ -80,10 +80,19 @@ func TestACSEmpty(t *testing.T) {
 	}
 }
 
+// TestACSIntervalStart reads interval starts from the grid's table: it
+// grows to the length asked for, keeps the entries it has, never shrinks.
 func TestACSIntervalStart(t *testing.T) {
-	acc, _ := NewACSAccumulator(ACSConfig{Interval: time.Minute, WindowIntervals: 1}, origin())
-	if got := acc.IntervalStart(3); !got.Equal(origin().Add(3 * time.Minute)) {
-		t.Errorf("IntervalStart(3) = %v", got)
+	g := NewGrid(origin(), time.Minute)
+	starts := g.Starts(nil, 4)
+	if len(starts) != 4 || !starts[3].Equal(origin().Add(3*time.Minute)) {
+		t.Fatalf("Starts(nil, 4) = %v", starts)
+	}
+	if more := g.Starts(starts, 6); len(more) != 6 || more[3] != starts[3] || !more[5].Equal(origin().Add(5*time.Minute)) {
+		t.Errorf("Starts(4 starts, 6) = %v", more)
+	}
+	if same := g.Starts(starts, 2); len(same) != 4 {
+		t.Errorf("Starts(4 starts, 2) has %d entries", len(same))
 	}
 }
 

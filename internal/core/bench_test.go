@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"github.com/social-sensing/sstd/internal/hmm/hmmtest"
 	"github.com/social-sensing/sstd/internal/tracegen"
@@ -68,7 +69,7 @@ func BenchmarkDecodeClaimSeed(b *testing.B) {
 		truth := pathToTruthInto(path, model.TrueState, nil)
 		est := make([]Estimate, len(truth))
 		for t, v := range truth {
-			est[t] = Estimate{Claim: "c", Interval: t, Start: st.acc.IntervalStart(t), Value: v}
+			est[t] = Estimate{Start: st.acc.grid.origin.Add(time.Duration(t) * st.acc.grid.interval), Value: v}
 		}
 		if len(est) == 0 {
 			b.Fatal("empty decode")

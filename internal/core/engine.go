@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -10,11 +11,9 @@ import (
 	"github.com/social-sensing/sstd/internal/socialsensing"
 )
 
-// Estimate is the decoded truth of one claim at one interval.
+// Estimate is the decoded truth of a claim over one interval. A claim's
+// estimates are a slice indexed by interval; the caller knows the claim.
 type Estimate struct {
-	Claim socialsensing.ClaimID
-	// Interval is the index of the HMM time step.
-	Interval int
 	// Start is the wall-clock start of the interval.
 	Start time.Time
 	Value socialsensing.TruthValue
@@ -72,6 +71,9 @@ type Engine struct {
 
 	mu     sync.RWMutex
 	claims map[socialsensing.ClaimID]*claimState
+	// starts is the interval starts estimates copy from, grown on the
+	// grid every claim shares.
+	starts []time.Time
 }
 
 // claimState is one claim's accumulator plus its cached trained model.
@@ -199,12 +201,11 @@ func (e *Engine) DecodeClaim(id socialsensing.ClaimID) ([]Estimate, error) {
 	return e.DecodeClaimInto(sc, id, nil)
 }
 
-// DecodeClaimInto is DecodeClaim running on the caller's scratch buffers,
-// writing the estimates into dst (grown only when capacity is
-// insufficient; pass nil for a fresh slice). On the steady-state path —
-// cached model still fresh, buffers warmed — it performs zero heap
-// allocations, which is what bounds the per-decode tail latency of a
-// long-running TD worker.
+// DecodeClaimInto is DecodeClaim on the caller's scratch buffers, writing
+// the estimates into dst (grown only when too small; nil for a fresh one).
+// On the steady-state path — cached model still fresh, buffers warmed — it
+// performs zero heap allocations, which is what bounds the per-decode tail
+// latency of a long-running TD worker.
 func (e *Engine) DecodeClaimInto(sc *DecodeScratch, id socialsensing.ClaimID, dst []Estimate) ([]Estimate, error) {
 	e.mu.RLock()
 	st, ok := e.claims[id]
@@ -226,18 +227,13 @@ func (e *Engine) DecodeClaimInto(sc *DecodeScratch, id socialsensing.ClaimID, ds
 	if err != nil {
 		return nil, fmt.Errorf("claim %q: %w", id, err)
 	}
-	if cap(dst) < len(truth) {
-		dst = make([]Estimate, len(truth))
-	} else {
-		dst = dst[:len(truth)]
-	}
+	dst = slices.Grow(dst[:0], len(truth))[:len(truth)]
+	e.mu.Lock()
+	starts := st.acc.grid.Starts(e.starts, len(truth))
+	e.starts = starts
+	e.mu.Unlock()
 	for t, v := range truth {
-		dst[t] = Estimate{
-			Claim:    id,
-			Interval: t,
-			Start:    st.acc.IntervalStart(t),
-			Value:    v,
-		}
+		dst[t] = Estimate{Start: starts[t], Value: v}
 	}
 	return dst, nil
 }

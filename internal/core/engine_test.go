@@ -145,9 +145,12 @@ func TestEngineRecoversTruthFlip(t *testing.T) {
 		t.Fatalf("got %d estimates, want %d", len(est), minutes)
 	}
 	correct := 0
-	for _, es := range est {
+	for i, es := range est {
+		if at := origin().Add(time.Duration(i) * e.cfg.ACS.Interval); !es.Start.Equal(at) {
+			t.Fatalf("estimate %d starts at %v, want %v", i, es.Start, at)
+		}
 		want := socialsensing.False
-		if es.Interval < flip {
+		if i < flip {
 			want = socialsensing.True
 		}
 		if es.Value == want {
@@ -218,9 +221,9 @@ func TestEngineGaussianEmissions(t *testing.T) {
 		t.Fatal(err)
 	}
 	correct := 0
-	for _, es := range est {
+	for i, es := range est {
 		want := socialsensing.False
-		if es.Interval < 30 {
+		if i < 30 {
 			want = socialsensing.True
 		}
 		if es.Value == want {
@@ -316,8 +319,8 @@ func TestEngineConfigValidation(t *testing.T) {
 
 func TestTruthAt(t *testing.T) {
 	est := []Estimate{
-		{Interval: 0, Start: origin(), Value: socialsensing.True},
-		{Interval: 1, Start: origin().Add(time.Minute), Value: socialsensing.False},
+		{Start: origin(), Value: socialsensing.True},
+		{Start: origin().Add(time.Minute), Value: socialsensing.False},
 	}
 	if v, ok := TruthAt(est, origin().Add(30*time.Second)); !ok || v != socialsensing.True {
 		t.Errorf("TruthAt mid-first-interval = %v,%v", v, ok)

@@ -74,7 +74,7 @@ func TestDecodedTruthIdenticalUnderChaos(t *testing.T) {
 	}
 	for i := range clean.Estimates {
 		if clean.Estimates[i].Value != chaotic.Estimates[i].Value ||
-			clean.Estimates[i].Interval != chaotic.Estimates[i].Interval {
+			!clean.Estimates[i].Start.Equal(chaotic.Estimates[i].Start) {
 			t.Fatalf("estimate %d diverged under chaos: %+v vs %+v",
 				i, clean.Estimates[i], chaotic.Estimates[i])
 		}

@@ -247,6 +247,8 @@ type Manager struct {
 	missBurst *flightrec.Burst
 	// recycled counts the job buffers put back into jobBufs.
 	recycled atomic.Int64
+	// starts is the collector's table of interval starts (core.Grid.Starts).
+	starts []time.Time
 
 	// Telemetry handles; all nil when telemetry is off.
 	tracer        *obs.Tracer
@@ -716,11 +718,10 @@ func (m *Manager) finalize(ctx context.Context, js *jobState, r workqueue.Result
 	} else {
 		tp := m.fr.Start()
 		m.hDecode.ObserveDuration(r.Elapsed)
-		est, err := decodeEstimates(r.Output, js.seriesLen, js.claim, m.cfg.Origin, m.cfg.ACS.Interval)
-		if err != nil {
-			err = obs.Wrap(malformed("truth", err))
+		m.starts = core.NewGrid(m.cfg.Origin, m.cfg.ACS.Interval).Starts(m.starts, js.seriesLen)
+		if res.Estimates, res.Err = decodeEstimates(r.Output, js.seriesLen, m.starts); res.Err != nil {
+			res.Err = obs.Wrap(malformed("truth", res.Err))
 		}
-		res.Estimates, res.Err = est, err
 		m.fr.Probe(flightrec.ProbeDTMFinalize, tp, int64(js.seriesLen), js.decode.SpanID())
 	}
 	m.finish(ctx, js, res)

@@ -14,6 +14,9 @@ import (
 
 func origin() time.Time { return time.Date(2016, 9, 30, 12, 0, 0, 0, time.UTC) }
 
+// minuteStarts is the starts of n one-minute intervals from origin.
+func minuteStarts(n int) []time.Time { return core.NewGrid(origin(), time.Minute).Starts(nil, n) }
+
 // flipReports builds reports for one claim whose truth flips at
 // flipMinute over the given number of minutes.
 func flipReports(claim socialsensing.ClaimID, minutes, flipMinute, perMinute int, noise float64, seed int64) []socialsensing.Report {
@@ -95,9 +98,9 @@ func TestManagerEndToEnd(t *testing.T) {
 		t.Fatalf("estimates = %d, want %d", len(res.Estimates), minutes)
 	}
 	correct := 0
-	for _, es := range res.Estimates {
+	for i, es := range res.Estimates {
 		want := socialsensing.False
-		if es.Interval < flip {
+		if i < flip {
 			want = socialsensing.True
 		}
 		if es.Value == want {

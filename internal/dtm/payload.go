@@ -587,8 +587,8 @@ func appendTruth(dst []byte, truth []socialsensing.TruthValue) []byte {
 }
 
 // decodeEstimates expands the truth v1 answering a decode task of n
-// intervals into the job's estimates, refusing anything but that timeline.
-func decodeEstimates(out []byte, n int, claim socialsensing.ClaimID, origin time.Time, interval time.Duration) ([]core.Estimate, error) {
+// intervals into estimates starting at starts, refusing any other timeline.
+func decodeEstimates(out []byte, n int, starts []time.Time) ([]core.Estimate, error) {
 	var t uint64
 	off, err := header(out, truthVersion, &t)
 	switch {
@@ -599,8 +599,7 @@ func decodeEstimates(out []byte, n int, claim socialsensing.ClaimID, origin time
 	case off == len(out) || out[off] > byte(socialsensing.True):
 		return nil, errors.New("no first truth value")
 	}
-	v := socialsensing.TruthValue(out[off])
-	off++
+	v, off := socialsensing.TruthValue(out[off]), off+1
 	est := make([]core.Estimate, n)
 	for at := 0; at < n; v = socialsensing.True - v {
 		d, w := binary.Uvarint(out[off:])
@@ -608,7 +607,7 @@ func decodeEstimates(out []byte, n int, claim socialsensing.ClaimID, origin time
 			return nil, errors.New("runs do not tile the timeline")
 		}
 		for end := at + int(d); at < end; at++ {
-			est[at] = core.Estimate{Claim: claim, Interval: at, Start: origin.Add(time.Duration(at) * interval), Value: v}
+			est[at] = core.Estimate{Start: starts[at], Value: v}
 		}
 		off += w
 	}

@@ -237,11 +237,11 @@ func BenchmarkWireTruthExpand(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			origin := time.Unix(0, 0)
+			starts := core.NewGrid(time.Unix(0, 0), shape.grid).Starts(nil, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				est, err := decodeEstimates(out, n, "claim", origin, shape.grid)
+				est, err := decodeEstimates(out, n, starts)
 				if err != nil {
 					b.Fatal(err)
 				}

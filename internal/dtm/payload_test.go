@@ -196,12 +196,12 @@ func TestGoldenPayloadsStable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := decodeEstimates(out, n, "golden", origin(), time.Minute)
+		est, err := decodeEstimates(out, n, minuteStarts(n))
 		if err != nil || len(est) != len(want) {
 			t.Fatalf("%s: %d estimates, %v; want %d", name, len(est), err, len(want))
 		}
 		for i, e := range est {
-			if e.Value != want[i] || e.Interval != i || !e.Start.Equal(origin().Add(time.Duration(i)*time.Minute)) {
+			if e.Value != want[i] || !e.Start.Equal(origin().Add(time.Duration(i)*time.Minute)) {
 				t.Fatalf("%s: estimate %d = %+v, want %v", name, i, e, want[i])
 			}
 		}
@@ -535,12 +535,12 @@ func TestDecodersRejectMalformed(t *testing.T) {
 		"well-formed, all flip": {truthVersion, 5, 1, 1, 1, 1, 1, 1},
 	}
 	for name, out := range truths {
-		est, err := decodeEstimates(out, 5, "c", origin(), time.Minute)
+		est, err := decodeEstimates(out, 5, minuteStarts(5))
 		if (err == nil) != strings.HasPrefix(name, "well-formed") {
 			t.Errorf("truth %q: %v, %v", name, est, err)
 		}
 	}
-	if est, err := decodeEstimates(truths["well-formed control"], 5, "c", origin(), time.Minute); err != nil ||
+	if est, err := decodeEstimates(truths["well-formed control"], 5, minuteStarts(5)); err != nil ||
 		est[0].Value != socialsensing.False || est[1].Value != socialsensing.False || est[2].Value != socialsensing.True || est[4].Value != socialsensing.True {
 		t.Errorf("well-formed truth expands to %v, %v", est, err)
 	}
@@ -921,7 +921,7 @@ func checkDecodeAnswer(t *testing.T, payload, out []byte) {
 	if err != nil {
 		t.Fatalf("the executor decoded a series Decode refuses: %v", err)
 	}
-	est, err := decodeEstimates(out, n, "fuzz", origin(), time.Minute)
+	est, err := decodeEstimates(out, n, minuteStarts(n))
 	if err != nil {
 		t.Fatalf("answer %x to a series of %d: %v", out, n, err)
 	}
@@ -944,7 +944,7 @@ func FuzzTruthResult(f *testing.F) {
 			claimed, _ := binary.Uvarint(out[1:])
 			n = int(min(claimed, 1<<12))
 		}
-		est, err := decodeEstimates(out, n, "fuzz", origin(), time.Minute)
+		est, err := decodeEstimates(out, n, minuteStarts(n))
 		if err != nil {
 			return
 		}
@@ -953,12 +953,12 @@ func FuzzTruthResult(f *testing.F) {
 		}
 		truth := make([]socialsensing.TruthValue, n)
 		for i, e := range est {
-			if e.Interval != i || (e.Value != socialsensing.False && e.Value != socialsensing.True) {
+			if !e.Start.Equal(origin().Add(time.Duration(i)*time.Minute)) || (e.Value != socialsensing.False && e.Value != socialsensing.True) {
 				t.Fatalf("estimate %d = %+v", i, e)
 			}
 			truth[i] = e.Value
 		}
-		again, err := decodeEstimates(appendTruth(nil, truth), n, "fuzz", origin(), time.Minute)
+		again, err := decodeEstimates(appendTruth(nil, truth), n, minuteStarts(n))
 		if err != nil || !slices.Equal(est, again) {
 			t.Fatalf("re-encoding the accepted timeline changes it: %v", err)
 		}
@@ -1011,10 +1011,10 @@ func ExampleExecuteTask() {
 	header := appendDecodeHeader(nil, 2, core.DefaultDecoderConfig())
 	decode := appendOutput(header, (*js.sums)[:js.seriesLen], 0)
 	truth, _ := ExecuteTask(context.Background(), decode)
-	estimates, _ := decodeEstimates(truth, js.seriesLen, "c", origin(), time.Minute)
+	estimates, _ := decodeEstimates(truth, js.seriesLen, minuteStarts(js.seriesLen))
 	fmt.Println(len(job.payloads[0]), "payload bytes,", len(decode)-len(header), "bytes of merged sums,", len(truth), "truth bytes")
-	for _, e := range estimates {
-		fmt.Println(e.Interval, e.Value)
+	for i, e := range estimates {
+		fmt.Println(i, e.Value)
 	}
 	// Output:
 	// 15 payload bytes, 8 bytes of merged sums, 4 truth bytes

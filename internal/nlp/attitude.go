@@ -20,7 +20,9 @@ type AttitudeScorer struct {
 	denyPhrases, supportPhrases [][]string // token sequences
 }
 
-// Lexicon lists the markers an AttitudeScorer looks for.
+// Lexicon lists the markers an AttitudeScorer looks for. Entries are
+// tokenized as posts are; a phrase with no tokens, such as "?!", would occur
+// in every post and is ignored.
 type Lexicon struct {
 	// DenyWords are single tokens indicating the source rejects the claim.
 	DenyWords []string
@@ -40,9 +42,11 @@ type Lexicon struct {
 // token sequences.
 func NewAttitudeScorer(lex Lexicon) *AttitudeScorer {
 	phrases := func(in []string) [][]string {
-		out := make([][]string, len(in))
-		for i, p := range in {
-			out[i] = textutil.Tokenize(p)
+		var out [][]string
+		for _, p := range in {
+			if tokens := textutil.Tokenize(p); len(tokens) > 0 {
+				out = append(out, tokens)
+			}
 		}
 		return out
 	}

@@ -28,18 +28,9 @@ var ErrEmptyCorpus = errors.New("nlp: hedge corpus must contain both hedged and 
 // TrainHedgeClassifier fits a multinomial Naive Bayes model with Laplace
 // smoothing on the labelled corpus.
 func TrainHedgeClassifier(corpus []LabeledSentence) (*HedgeClassifier, error) {
-	texts := make([]string, len(corpus))
-	labels := make([]bool, len(corpus))
-	for i, s := range corpus {
-		texts[i] = s.Text
-		labels[i] = s.Hedged
-	}
-	nb, err := trainBinaryNB(texts, labels)
-	if err != nil {
-		if errors.Is(err, errNBEmptyCorpus) {
-			return nil, ErrEmptyCorpus
-		}
-		return nil, err
+	nb := trainBinaryNB(len(corpus), func(i int) (string, bool) { return corpus[i].Text, corpus[i].Hedged })
+	if nb == nil {
+		return nil, ErrEmptyCorpus
 	}
 	return &HedgeClassifier{nb: nb}, nil
 }

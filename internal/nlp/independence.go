@@ -1,6 +1,7 @@
 package nlp
 
 import (
+	"slices"
 	"strings"
 	"time"
 
@@ -26,7 +27,13 @@ type IndependenceScorer struct {
 	// Default 0.95.
 	OriginalScore float64
 
-	recent map[string][]seenReport // key: claim id
+	recent map[string]*window // key: claim id
+}
+
+// window is a claim's reports in time order; those before start expired.
+type window struct {
+	seen  []seenReport
+	start int
 }
 
 type seenReport struct {
@@ -42,13 +49,12 @@ func NewIndependenceScorer() *IndependenceScorer {
 		SimilarityThreshold: 0.8,
 		CopyScore:           0.1,
 		OriginalScore:       0.95,
-		recent:              make(map[string][]seenReport),
 	}
 }
 
 // Score rates the independence of a report on the given claim at time t and
-// records it for future comparisons. Calls must be made in non-decreasing
-// time order per claim.
+// records it for future comparisons: against the claim's reports from the
+// Window before t on, whatever order they arrived in.
 func (s *IndependenceScorer) Score(claimID, text string, t time.Time) float64 {
 	return s.ScoreDoc(claimID, textutil.NewDoc(text), t)
 }
@@ -56,40 +62,54 @@ func (s *IndependenceScorer) Score(claimID, text string, t time.Time) float64 {
 // ScoreDoc is Score for a text that is already tokenized.
 func (s *IndependenceScorer) ScoreDoc(claimID string, d textutil.Doc, t time.Time) float64 {
 	if s.recent == nil {
-		s.recent = make(map[string][]seenReport)
+		s.recent = make(map[string]*window)
 	}
-	window := s.recent[claimID]
-	score := s.OriginalScore
-	if isRetweet(d.Lower) {
-		score = s.CopyScore
-	} else {
-		for _, prev := range window {
-			if t.Sub(prev.at) > s.Window || textutil.JaccardBound(len(d.Set), len(prev.tokens)) < s.SimilarityThreshold {
-				continue
-			}
-			if textutil.Jaccard(d.Set, prev.tokens) >= s.SimilarityThreshold {
-				score = s.CopyScore
-				break
-			}
-		}
+	w := s.recent[claimID]
+	if w == nil {
+		w = new(window)
+		s.recent[claimID] = w
 	}
-	// Remember the report and drop entries older than the window.
+	// The reports older than the Window before t are a prefix; every
+	// other one is compared.
 	cutoff := t.Add(-s.Window)
-	keep := 0
-	for _, prev := range window {
-		if !prev.at.Before(cutoff) {
-			window[keep] = prev
-			keep++
-		}
+	for w.start < len(w.seen) && w.seen[w.start].at.Before(cutoff) {
+		w.start++
 	}
-	s.recent[claimID] = append(window[:keep], seenReport{at: t, tokens: d.Set})
+	score := s.OriginalScore
+	if isRetweet(d.Lower) || s.copies(d.Set, w.seen[w.start:]) {
+		score = s.CopyScore
+	}
+	if len(w.seen) == cap(w.seen) && w.start > 0 { // reuse the expired prefix's room
+		w.seen, w.start = w.seen[:copy(w.seen, w.seen[w.start:])], 0
+	}
+	at := len(w.seen)
+	for at > w.start && t.Before(w.seen[at-1].at) {
+		at--
+	}
+	w.seen = slices.Insert(w.seen, at, seenReport{at: t, tokens: d.Set})
 	return score
 }
 
-// Reset discards all remembered reports.
-func (s *IndependenceScorer) Reset() {
-	s.recent = make(map[string][]seenReport)
+// copies reports whether set is a near-duplicate of a report in window.
+func (s *IndependenceScorer) copies(set []uint64, window []seenReport) bool {
+	var need [64]int // 1 + the least shared count, by entry size; 0 until asked
+	for _, prev := range window {
+		n, k := len(prev.tokens), 0
+		if n >= len(need) {
+			k = textutil.MinOverlap(len(set), n, s.SimilarityThreshold)
+		} else if k = need[n] - 1; k < 0 {
+			k = textutil.MinOverlap(len(set), n, s.SimilarityThreshold)
+			need[n] = k + 1
+		}
+		if _, ok := textutil.Overlap(set, prev.tokens, k); ok {
+			return true
+		}
+	}
+	return false
 }
+
+// Reset discards all remembered reports.
+func (s *IndependenceScorer) Reset() { s.recent = nil }
 
 // isRetweet detects the conventional retweet markers in lowercased text.
 func isRetweet(lower string) bool {

@@ -1,10 +1,10 @@
 package nlp
 
 import (
-	"errors"
+	"cmp"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 
 	"github.com/social-sensing/sstd/internal/textutil"
 )
@@ -23,21 +23,17 @@ type binaryNB struct {
 	priorNeg       float64
 }
 
-// errNBEmptyCorpus is returned when either class has no examples.
-var errNBEmptyCorpus = errors.New("nlp: corpus must contain both classes")
-
-// trainBinaryNB fits the model on (text, positive?) examples.
-func trainBinaryNB(texts []string, positive []bool) (*binaryNB, error) {
-	if len(texts) != len(positive) {
-		return nil, errors.New("nlp: texts and labels length mismatch")
-	}
+// trainBinaryNB fits the model on n examples, example(i) giving the i-th
+// text and whether it is positive. It returns nil when a class has none.
+func trainBinaryNB(n int, example func(i int) (text string, positive bool)) *binaryNB {
 	// counts[token] is the token's occurrences in {negative, positive}
 	// examples; totals and docs are the per-class sums.
 	counts := make(map[string][2]float64)
 	var totals, docs [2]float64
-	for i, text := range texts {
+	for i := range n {
+		text, positive := example(i)
 		class := 0
-		if positive[i] {
+		if positive {
 			class = 1
 		}
 		docs[class]++
@@ -49,7 +45,7 @@ func trainBinaryNB(texts []string, positive []bool) (*binaryNB, error) {
 		}
 	}
 	if docs[0] == 0 || docs[1] == 0 {
-		return nil, errNBEmptyCorpus
+		return nil
 	}
 	nb := &binaryNB{
 		priorPos: math.Log(docs[1] / (docs[1] + docs[0])),
@@ -59,14 +55,14 @@ func trainBinaryNB(texts []string, positive []bool) (*binaryNB, error) {
 	for t := range counts {
 		nb.vocab = append(nb.vocab, t)
 	}
-	sort.Slice(nb.vocab, func(i, j int) bool { return textutil.Hash(nb.vocab[i]) < textutil.Hash(nb.vocab[j]) })
+	slices.SortFunc(nb.vocab, func(a, b string) int { return cmp.Compare(textutil.Hash(a), textutil.Hash(b)) })
 	v := float64(len(nb.vocab))
 	for _, t := range nb.vocab {
 		nb.keys = append(nb.keys, textutil.Hash(t))
 		nb.logPos = append(nb.logPos, math.Log((counts[t][1]+1)/(totals[1]+v)))
 		nb.logNeg = append(nb.logNeg, math.Log((counts[t][0]+1)/(totals[0]+v)))
 	}
-	return nb, nil
+	return nb
 }
 
 // probPositive returns P(positive | doc), clamped strictly inside (0,1).
@@ -86,31 +82,14 @@ func (nb *binaryNB) probPositive(d textutil.Doc) float64 {
 	return math.Min(1-eps, math.Max(eps, p))
 }
 
-// scoredToken pairs a vocabulary token with a class-preference score.
-type scoredToken struct {
-	tok   string
-	score float64
-}
-
 // topPositiveTokens ranks vocabulary by log-likelihood ratio toward the
 // positive class.
 func (nb *binaryNB) topPositiveTokens(n int) []string {
-	all := make([]scoredToken, 0, len(nb.vocab))
+	score := make(map[string]float64, len(nb.vocab))
 	for idx, tok := range nb.vocab {
-		all = append(all, scoredToken{tok, nb.logPos[idx] - nb.logNeg[idx]})
+		score[tok] = nb.logPos[idx] - nb.logNeg[idx]
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].score != all[j].score {
-			return all[i].score > all[j].score
-		}
-		return all[i].tok < all[j].tok
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].tok
-	}
-	return out
+	all := slices.Clone(nb.vocab)
+	slices.SortFunc(all, func(a, b string) int { return cmp.Or(cmp.Compare(score[b], score[a]), strings.Compare(a, b)) })
+	return slices.Clip(all[:min(n, len(all))])
 }

@@ -54,6 +54,34 @@ func TestSportsAttitudeScorer(t *testing.T) {
 	}
 }
 
+// TestPhraseWithoutTokensIgnored scores lexicons holding a phrase that
+// tokenizes to nothing. Kept as an empty sequence, such a phrase would
+// occur in every post: a denial phrase would flip every report to
+// Disagree, a support phrase would make every report agree.
+func TestPhraseWithoutTokensIgnored(t *testing.T) {
+	const plain = "the bridge is closed by police"
+	tests := []struct {
+		name string
+		lex  Lexicon
+		text string
+		want socialsensing.Attitude
+	}{
+		{"deny ?! ignored", Lexicon{DenyWords: []string{"fake"}, DenyPhrases: []string{"not true", "?!"}}, plain, socialsensing.Agree},
+		{"deny blank ignored", Lexicon{DenyPhrases: []string{"   "}}, plain, socialsensing.Agree},
+		{"real deny phrase kept", Lexicon{DenyPhrases: []string{"not true", "?!"}}, "that is not true ?!", socialsensing.Disagree},
+		{"deny word kept", Lexicon{DenyWords: []string{"fake"}, DenyPhrases: []string{"?!"}}, "fake bridge story", socialsensing.Disagree},
+		{"support !!! ignored", Lexicon{SupportWords: []string{"score"}, SupportPhrases: []string{"!!!"}}, plain, socialsensing.Disagree},
+		{"support word kept", Lexicon{SupportWords: []string{"score"}, SupportPhrases: []string{"!!!"}}, "what a score !!!", socialsensing.Agree},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if got := NewAttitudeScorer(tt.lex).Score(tt.text); got != tt.want {
+				t.Errorf("Score(%q) = %v, want %v", tt.text, got, tt.want)
+			}
+		})
+	}
+}
+
 func TestHedgeClassifierSeparates(t *testing.T) {
 	c := NewDefaultHedgeClassifier()
 	hedged := []string{

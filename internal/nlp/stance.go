@@ -47,18 +47,9 @@ var ErrEmptyStanceCorpus = errors.New("nlp: stance corpus must contain both supp
 
 // TrainStanceClassifier fits the polarity model.
 func TrainStanceClassifier(corpus []LabeledStance) (*StanceClassifier, error) {
-	texts := make([]string, len(corpus))
-	labels := make([]bool, len(corpus))
-	for i, s := range corpus {
-		texts[i] = s.Text
-		labels[i] = s.Supports
-	}
-	nb, err := trainBinaryNB(texts, labels)
-	if err != nil {
-		if errors.Is(err, errNBEmptyCorpus) {
-			return nil, ErrEmptyStanceCorpus
-		}
-		return nil, err
+	nb := trainBinaryNB(len(corpus), func(i int) (string, bool) { return corpus[i].Text, corpus[i].Supports })
+	if nb == nil {
+		return nil, ErrEmptyStanceCorpus
 	}
 	return &StanceClassifier{nb: nb, NeutralBand: 0.1}, nil
 }

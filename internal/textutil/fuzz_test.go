@@ -8,32 +8,41 @@ import (
 	"unicode"
 )
 
-// referenceTokenize is the tokenizer as it stood before NewDoc: split on
-// white space, lowercase and trim field by field. NewDoc lowercases the
-// whole text once and slices it; the two must agree on every input.
-func referenceTokenize(text string) []string {
-	var tokens []string
-	for _, f := range strings.Fields(text) {
-		lf := strings.ToLower(f)
-		if strings.HasPrefix(lf, "http://") || strings.HasPrefix(lf, "https://") {
-			tokens = append(tokens, lf)
-			continue
+// referenceDoc is NewDoc as it stood before the one-scan tokenizer: split
+// the lowercased text with strings.Fields, trim each field with
+// strings.TrimFunc and hash the tokens with HashSet. NewDoc must agree with
+// it on every input, down to the nil sequence and the empty, non-nil set
+// of a text without tokens.
+func referenceDoc(text string) Doc {
+	d := Doc{Lower: strings.ToLower(text)}
+	fields := strings.Fields(d.Lower)
+	tokens := fields[:0]
+	for _, f := range fields {
+		if !strings.HasPrefix(f, "http://") && !strings.HasPrefix(f, "https://") {
+			f = strings.TrimFunc(f, func(r rune) bool {
+				return !unicode.IsLetter(r) && !unicode.IsNumber(r)
+			})
 		}
-		cleaned := strings.TrimFunc(lf, func(r rune) bool {
-			return !unicode.IsLetter(r) && !unicode.IsNumber(r)
-		})
-		cleaned = strings.TrimLeft(cleaned, "#@")
-		if cleaned != "" {
-			tokens = append(tokens, cleaned)
+		if f != "" {
+			tokens = append(tokens, f)
 		}
 	}
-	return tokens
+	if len(tokens) > 0 {
+		d.Tokens = tokens
+	}
+	set := make([]uint64, len(d.Tokens))
+	for i, tok := range d.Tokens {
+		set[i] = Hash(tok)
+	}
+	slices.Sort(set)
+	d.Set = slices.Compact(set)
+	return d
 }
 
 // FuzzTokenize checks, for arbitrary input, that the tokenizer never
-// panics, never emits empty tokens, agrees with the reference tokenizer,
-// and that the Doc's hash set is sorted, distinct and exactly the set of
-// its token sequence.
+// panics, never emits empty tokens, builds the reference's Doc field for
+// field, and that the Doc's hash set is sorted, distinct and exactly the
+// set of its token sequence.
 func FuzzTokenize(f *testing.F) {
 	seeds := []string{
 		"",
@@ -42,14 +51,20 @@ func FuzzTokenize(f *testing.F) {
 		"https://t.co/abc 日本語 café",
 		"\x00\xff\xfe broken utf8",
 		"#### @@@@",
+		"http://x.y/a,b https:// http:/ HTTPS://T.CO/Q (https://t.co/q)",
+		"tab\tnew\nline\vvt\fff\rcr\u0085nel\u00a0nbsp\u2003em\u3000ideo",
+		"ÀÉÎ İstanbul ǅemal ß ﬁ ½ ²³ ٣ x̧ ‐dash‐ «quote» 'don't'",
+		"a\xe6\x97 b\xe6\x97\xa5 \xef\xbf\xbd \xc0\x80 c\xed\xa0\x80d",
+		strings.Repeat("w ", 70) + strings.Repeat("v", 40),
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
-		d := NewDoc(text)
-		if want := referenceTokenize(text); !reflect.DeepEqual(d.Tokens, want) {
-			t.Fatalf("NewDoc(%q).Tokens = %q, reference tokenizer gives %q", text, d.Tokens, want)
+		d, want := NewDoc(text), referenceDoc(text)
+		// DeepEqual tells a nil slice from an empty one.
+		if !reflect.DeepEqual(d, want) {
+			t.Fatalf("NewDoc(%q) = %#v, reference gives %#v", text, d, want)
 		}
 		distinct := make(map[uint64]bool)
 		for i, tok := range d.Tokens {

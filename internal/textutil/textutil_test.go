@@ -2,7 +2,9 @@ package textutil
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -75,36 +77,74 @@ func TestJaccardProperties(t *testing.T) {
 	}
 }
 
-// TestJaccardBound runs every intersection of two sets of up to 64 hashes:
-// the float64 Jaccard never exceeds JaccardBound and JaccardDistance never
-// falls below 1 − it, so neither skip built on the bound (a centroid
-// already farther than the best, a window entry below the copy threshold)
-// can drop a pair that would pass. Two empty sets bound at exactly their
-// similarity, 1, so they never prune.
-func TestJaccardBound(t *testing.T) {
-	run := func(from, n int) []uint64 {
-		set := make([]uint64, n)
-		for i := range set {
-			set[i] = uint64(from + i)
-		}
-		return set
+// run is the set of n consecutive hashes from from.
+func run(from, n int) []uint64 {
+	set := make([]uint64, n)
+	for i := range set {
+		set[i] = uint64(from + i)
 	}
+	return set
+}
+
+// TestMinOverlap checks MinOverlap against the float expression it stands
+// for, for every pair of set sizes up to 64 and every shared count: at
+// each threshold, JaccardCount(k) ≥ sim holds exactly when k reaches the
+// bound. The thresholds include the copy detector's 0.8, the join's
+// 1 − 0.7, values no count or every count reaches, and NaN, which none
+// does. Two empty sets have similarity 1.
+func TestMinOverlap(t *testing.T) {
+	sims := []float64{0, 0.3, 1 - 0.7, 2.0 / 3, 0.75, 0.8, 1, 1.5, -0.5, math.NaN(), math.Inf(1), math.Inf(-1)}
 	for na := 0; na <= 64; na++ {
 		for nb := 0; nb <= 64; nb++ {
-			bound := JaccardBound(na, nb)
-			for inter := 0; inter <= min(na, nb) && na+nb > 0; inter++ {
-				a, b := run(0, na), run(na-inter, nb)
-				if got := intersection(a, b); got != inter {
-					t.Fatalf("sets of %d and %d share %d, want %d", na, nb, got, inter)
+			for _, sim := range sims {
+				bound := MinOverlap(na, nb, sim)
+				if bound < 0 || bound > min(na, nb)+1 {
+					t.Fatalf("MinOverlap(%d, %d, %v) = %d, out of [0, %d]", na, nb, sim, bound, min(na, nb)+1)
 				}
-				if j, d := Jaccard(a, b), JaccardDistance(a, b); j > bound || d < 1-bound {
-					t.Fatalf("na %d nb %d inter %d: Jaccard %v, distance %v against bound %v", na, nb, inter, j, d, bound)
+				for k := 0; k <= min(na, nb); k++ {
+					if pass := JaccardCount(k, na, nb) >= sim; pass != (k >= bound) {
+						t.Fatalf("na %d nb %d sim %v: JaccardCount(%d) = %v passes %v, bound %d", na, nb, sim, k, JaccardCount(k, na, nb), pass, bound)
+					}
 				}
 			}
 		}
 	}
-	if b := JaccardBound(0, 0); b != Jaccard(nil, nil) || 1-b != JaccardDistance(nil, nil) {
-		t.Errorf("two empty sets bound at %v, Jaccard %v", b, Jaccard(nil, nil))
+}
+
+// TestOverlap checks the bounded merge on random sets against a count by
+// binary search: whenever the sets share at least need hashes it returns
+// the exact count with ok, and otherwise it reports !ok. Needs run from
+// below zero to past both sizes, and every shared count up to 64 is met.
+func TestOverlap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pick := func(n, universe int) []uint64 {
+		set := make([]uint64, 0, n)
+		for _, h := range rng.Perm(universe)[:n] {
+			set = append(set, uint64(h))
+		}
+		slices.Sort(set)
+		return set
+	}
+	for trial := 0; trial < 20000; trial++ {
+		na, nb := rng.Intn(65), rng.Intn(65)
+		universe := max(na, nb) + rng.Intn(2*max(na, nb)+1)
+		a, b := pick(na, universe), pick(nb, universe)
+		if trial%7 == 0 { // a run of shared hashes too, to reach high counts
+			inter := rng.Intn(min(na, nb) + 1)
+			a, b = run(0, na), run(na-inter, nb)
+		}
+		inter := 0
+		for _, h := range a {
+			if _, ok := slices.BinarySearch(b, h); ok {
+				inter++
+			}
+		}
+		for need := -1; need <= max(na, nb)+1; need++ {
+			n, ok := Overlap(a, b, need)
+			if ok != (inter >= need) || ok && n != inter {
+				t.Fatalf("Overlap(%v, %v, %d) = %d, %v; they share %d", a, b, need, n, ok, inter)
+			}
+		}
 	}
 }
 

@@ -3,12 +3,12 @@
 #
 #   scripts/check.sh            tier-1: gofmt + build + tests (the ROADMAP gate)
 #   scripts/check.sh race       tier-2: vet + full test suite under -race
-#   scripts/check.sh bench      microbenchmarks -> BENCH_obs.json + BENCH_hmm.json + BENCH_wire.json; front-end layer benches printed
+#   scripts/check.sh bench      microbenchmarks -> BENCH_obs.json + BENCH_hmm.json + BENCH_wire.json; front-end layer benches (tokenizer included) printed
 #   scripts/check.sh chaos      chaos soak: seeded fault-injection schedules under -race
 #   scripts/check.sh wire       wire-codec smoke: round-trip/golden/v1-retirement tests, worker receive-buffer tests under -race, 10s FuzzDecode, task-payload golden/order-free/cross-path/rejection tests + 10s FuzzDecodeTask, sstd-master/sstd-worker with -batch 8
 #   scripts/check.sh flightrec  flight-recorder smoke: deadline-miss deep dive (FLIGHTREC_DIR keeps it) + SLO burn -> 3-lane trace (TELEMETRY_DIR keeps it)
 #   scripts/check.sh sched      scheduler tier: fairness/invariant tests + contention benches -> BENCH_sched.json + 100k-claim sweep
-#   scripts/check.sh accuracy   accuracy gate: SSTD rows of Tables III-V against the checked-in golden + HMM kernel equivalence (run tables and the zero step included) + non-finite parameters refused + quantize-once decode + ACS grid against Time.Sub + fixed-point scores and order-free ACS sums + truth digests, decode payload goldens and the worker's series against the accumulator's + the front end's pinned claims and scores, its incremental cluster state against a rebuild and the Jaccard size bound
+#   scripts/check.sh accuracy   accuracy gate: SSTD rows of Tables III-V against the checked-in golden + HMM kernel equivalence (run tables and the zero step included) + non-finite parameters refused + quantize-once decode + ACS grid against Time.Sub + fixed-point scores and order-free ACS sums + truth digests, decode payload goldens and the worker's series against the accumulator's + the front end's pinned claims and scores, its incremental cluster state against a rebuild, the exact minimum-overlap bounds, bounded merge, independence window and join against their references + 10s FuzzTokenize
 #   scripts/check.sh all        tier-1 + tier-2
 #
 # scripts/benchdiff.sh wraps the bench tier with a regression gate against
@@ -95,11 +95,11 @@ bench() {
 	echo "wrote BENCH_hmm.json ($(grep -c '"name"' BENCH_hmm.json) benchmarks)"
 
 	# The raw-post front end, layer by layer over one fixed Boston slice
-	# (scale 0.05, seed 42): claim generator, Eq. 1 scorers, and the whole
-	# Process call. Printed, not baselined: CHANGES.md carries the
+	# (scale 0.05, seed 42): tokenizer, claim generator, Eq. 1 scorers, and
+	# the whole Process call. Printed, not baselined: CHANGES.md carries the
 	# before/after of the PR that moved them.
-	echo "== bench: front end: BenchmarkAssign, BenchmarkScorePost, BenchmarkProcess =="
-	go test -run '^$' -bench '^Benchmark(Assign|ScorePost|Process)$' -benchmem ./internal/clustering ./internal/contrib ./internal/pipeline
+	echo "== bench: front end: BenchmarkNewDoc, BenchmarkAssign, BenchmarkScorePost, BenchmarkProcess =="
+	go test -run '^$' -bench '^Benchmark(NewDoc|Assign|ScorePost|Process)$' -benchmem ./internal/textutil ./internal/clustering ./internal/contrib ./internal/pipeline
 
 	bench_sched
 }
@@ -245,14 +245,21 @@ accuracy() {
 	# scores on the three profiles (TestFrontEndGolden), the claim
 	# generator's incremental state — counts, member masks, distances, row
 	# maxima, farthest pair, centroid — against a from-scratch rebuild
-	# after every step, and the size bound its skips use, over every
-	# intersection of sets of up to 64 hashes.
+	# after every step, and the threshold tests that stop each set merge
+	# early: the least shared count for a similarity (every count of sets
+	# of up to 64 hashes, odd thresholds and NaN included) and for the
+	# join's distance, the bounded merge against the full count on random
+	# sets, and the time-ordered independence window against the
+	# arrival-ordered one it replaced on random streams. Last, ten seconds
+	# of FuzzTokenize past its seed corpus: the one-scan tokenizer must
+	# build the strings.Fields reference's Doc on every input.
 	echo "== accuracy: Tables III-V golden + kernel equivalence + truth bits + front-end decisions =="
 	go test -count=1 -v -run 'TestAccuracyGolden' ./internal/experiments
 	go test -count=1 -run 'MatchesReference|TestPairPass|TestDiscreteBaumWelchWSZeroAllocs|TestNonFiniteParametersRefused' ./internal/hmm
 	go test -count=1 -v -run 'TestEMIterationCountsPinned|TestRunCompressionGate|TestDecodeIntoMatchesTrainThenDecode|TestGridIndexMatchesSub|TestFixedScoreRoundsAndRefuses|TestACSSeriesOrderFree|TestIngestRejectsScoreOverOne' ./internal/core
 	go test -count=1 -run 'TestTruthDigestsMatchParent|TestGoldenPayloadsStable|TestMergeOrderIndependentBits|TestWorkerSeriesMatchesAccumulator' ./internal/dtm
-	go test -count=1 -v -run 'TestFrontEndGolden|TestIncrementalMatchesFromScratch|TestJaccardBound' ./internal/pipeline ./internal/clustering ./internal/textutil
+	go test -count=1 -v -run 'TestFrontEndGolden|TestIncrementalMatchesFromScratch|TestWithinExact|TestMinOverlap|TestOverlap|TestIndependenceMatchesReference|FuzzTokenize' ./internal/pipeline ./internal/clustering ./internal/textutil ./internal/nlp
+	go test -count=1 -run '^$' -fuzz FuzzTokenize -fuzztime 10s ./internal/textutil
 }
 
 case "${1:-tier1}" in

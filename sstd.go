@@ -91,7 +91,8 @@ type (
 	ACSConfig = core.ACSConfig
 	// DecoderConfig controls the per-claim HMM decoder.
 	DecoderConfig = core.DecoderConfig
-	// Estimate is one decoded (claim, interval, truth) triple.
+	// Estimate is a claim's decoded truth over one interval: its start and
+	// value. A claim's estimates are a slice indexed by interval.
 	Estimate = core.Estimate
 	// StreamingDecoder decodes one claim incrementally with fixed-lag
 	// smoothing.
