@@ -148,11 +148,12 @@ func run() error {
 			Shed:              *admissionShed,
 		}
 	}
-	// The telemetry plane: worker TelemetryShip frames land in the retained
-	// time-series store alongside a 1s self-scrape of the master registry,
-	// and the SLO engine burns its error budget from the configured counter
-	// pair. Its firing edge trips the flight recorder (when armed), whose
-	// dump gathers every worker's rings into the same trace file.
+	// The telemetry plane: the registry snapshots workers ship on their
+	// heartbeats land in the retained time-series store alongside a 1s
+	// self-scrape of the master registry, and the SLO engine burns its
+	// error budget from the configured counter pair. Its firing edge
+	// trips the flight recorder (when armed), whose dump gathers every
+	// worker's rings into the same trace file.
 	var (
 		store     *tsdb.Store
 		sloEngine *slo.Engine

@@ -18,8 +18,8 @@ import (
 )
 
 // TestClusterTelemetryPlaneEndToEnd exercises the whole telemetry plane
-// against a live 2-worker cluster: workers ship delta-encoded metrics
-// snapshots into the master's time-series store, an SLO burn-rate alert
+// against a live 2-worker cluster: workers ship metrics snapshots into
+// the master's time-series store, an SLO burn-rate alert
 // trips the master's flight recorder, whose gather step freezes both
 // workers over the wire, and the result is ONE Chrome trace with master
 // and both workers on distinct per-host lanes — all visible on the real

@@ -229,12 +229,18 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 // delta and the sum delta. This is how the master folds a worker's
 // self-reported exec-time histogram into its own registry — remote
 // snapshots are cumulative, so only the increment since the previous
-// snapshot is added. prev may be the zero snapshot (first report).
-// Returns false (merging nothing) when cur's bucket layout does not match
-// h's, so a worker running different bounds cannot corrupt the aggregate.
+// snapshot is added. prev may be the zero snapshot (first report). A cur
+// whose count is below prev's is a reset (a fresh registry under the
+// same name): all of cur is growth, as Prometheus treats a counter that
+// goes down. Returns false (merging nothing) when cur's bucket layout
+// does not match h's, so a worker running different bounds cannot
+// corrupt the aggregate.
 func (h *Histogram) AddSnapshotDelta(prev, cur HistogramSnapshot) bool {
 	if h == nil {
 		return false
+	}
+	if cur.Count < prev.Count {
+		prev = HistogramSnapshot{}
 	}
 	if len(cur.Counts) != len(h.counts) || len(cur.Bounds) != len(h.bounds) {
 		return false
@@ -296,8 +302,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 // Quantile estimates the q-quantile (0 < q < 1) by linear interpolation
 // within the bucket holding the target rank. Samples in the overflow
 // bucket are attributed to the highest finite bound. Returns 0 with no
-// observations or no bounds — a snapshot rebuilt from a remote ship may
-// have neither.
+// observations or no bounds — a snapshot decoded off the wire may have
+// neither.
 func (s HistogramSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 || len(s.Bounds) == 0 {
 		return 0
@@ -353,12 +359,13 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
 	}
-	s.fillQuantiles()
+	s.FillQuantiles()
 	return s
 }
 
-// fillQuantiles derives P50/P90/P99 from the bucket counts.
-func (s *HistogramSnapshot) fillQuantiles() {
+// FillQuantiles derives P50/P90/P99 from the bucket counts — for a
+// snapshot rebuilt from its buckets, such as one decoded off the wire.
+func (s *HistogramSnapshot) FillQuantiles() {
 	s.P50, s.P90, s.P99 = s.Quantile(0.5), s.Quantile(0.9), s.Quantile(0.99)
 }
 

@@ -102,9 +102,9 @@ func (s *Store) append(base string, labels map[string]string, tms int64, v float
 
 // Ingest samples one registry snapshot into the store under the given
 // host label: the master's own registry on its scrape tick, or a worker's
-// cumulative state as its telemetry ship decodes (obs.ShipReceiver), so
-// every ship appends one point per series. Histograms expand to _count,
-// _sum and _p50/_p90/_p99 series. Nil-safe.
+// as its telemetry ship carries it, so every ship appends one point per
+// series. Histograms expand to _count, _sum and _p50/_p90/_p99 series.
+// Nil-safe.
 func (s *Store) Ingest(host string, snap obs.RegistrySnapshot, now time.Time) {
 	if s == nil {
 		return

@@ -137,10 +137,10 @@ func TestScrapeRegistry(t *testing.T) {
 	}
 }
 
-// TestIngestShipsAppendPerShip: a worker's ships, decoded by the receive
-// half of its Shipper, land as one point per series per ship under the
-// worker's host label — cumulative counters, and a gauge that did not
-// change still gets its point.
+// TestIngestShipsAppendPerShip: a worker's ships, each a snapshot of its
+// registry, land as one point per series per ship under the worker's
+// host label — cumulative counters, and a gauge that did not change
+// still gets its point.
 func TestIngestShipsAppendPerShip(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := reg.Counter("worker_tasks_total")
@@ -148,14 +148,12 @@ func TestIngestShipsAppendPerShip(t *testing.T) {
 	h := reg.Histogram("exec_ms", []float64{1, 10})
 	c.Add(3)
 	h.Observe(5)
-	shipper := obs.NewShipper(reg)
-	var rx obs.ShipReceiver
 
 	s := New(16)
-	s.Ingest("w-1", rx.Receive(shipper.Ship()), t0) // full
+	s.Ingest("w-1", reg.Snapshot(), t0)
 	c.Add(2)
 	h.Observe(0.5)
-	s.Ingest("w-1", rx.Receive(shipper.Ship()), t0.Add(time.Second)) // delta
+	s.Ingest("w-1", reg.Snapshot(), t0.Add(time.Second))
 
 	for name, want := range map[string][]float64{
 		"worker_tasks_total": {3, 5},
@@ -229,17 +227,15 @@ func BenchmarkTelemetryShipApply(b *testing.B) {
 		reg.Counter(fmt.Sprintf("c%d", i)).Add(int64(i))
 		reg.Histogram(fmt.Sprintf("h%d", i), nil).Observe(float64(i))
 	}
-	shipper := obs.NewShipper(reg)
-	var rx obs.ShipReceiver
 	s := New(256)
-	s.Ingest("w", rx.Receive(shipper.Ship()), t0)
+	s.Ingest("w", reg.Snapshot(), t0)
 	hot := reg.Counter("c0")
 	h := reg.Histogram("h0", nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hot.Inc()
 		h.Observe(1)
-		s.Ingest("w", rx.Receive(shipper.Ship()), t0)
+		s.Ingest("w", reg.Snapshot(), t0)
 	}
 }
 

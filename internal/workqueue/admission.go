@@ -54,7 +54,8 @@ type AdmissionDecision struct {
 	PredictedMs float64
 	// DeadlineMs is the budget the prediction was compared against.
 	DeadlineMs int64
-	// QueueDepth counts tasks ahead of the job (queued + in flight).
+	// QueueDepth counts tasks ahead of the job: queued, in flight, and
+	// waiting out a requeue backoff.
 	QueueDepth int
 	// Workers is the pool size used in the prediction.
 	Workers int
@@ -169,7 +170,9 @@ func (m *Master) AdmitJob(jobID, traceID string, jobTasks int, deadline time.Dur
 	if m.admission == nil {
 		return AdmissionDecision{Admit: true, PredictedMs: -1}
 	}
-	backlog, _ := m.taskStateSizes()
+	m.mu.Lock()
+	backlog := len(m.inflight) + len(m.pending)
+	m.mu.Unlock()
 	backlog += m.sched.len()
 	return m.admission.decide(jobID, traceID, jobTasks, deadline,
 		backlog, m.cluster.count(), m.observedRatePerWorker())

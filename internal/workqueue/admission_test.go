@@ -265,3 +265,26 @@ func TestMasterAdmitJobIdlePoolMeasuresServiceRate(t *testing.T) {
 		t.Fatalf("idle pool of 1 ms workers: %+v, want admitted at a rate of hundreds of tasks/s", d)
 	}
 }
+
+// TestAdmitJobCountsBackedOffTasks: a task waiting out its requeue
+// backoff is still ahead of a new job. Losing the one in-flight task to a
+// worker crash must not empty the gate's queue depth while the task sits
+// out an hour's backoff.
+func TestAdmitJobCountsBackedOffTasks(t *testing.T) {
+	m := NewMaster(MasterConfig{
+		Admission:      &AdmissionConfig{TaskRatePerWorker: 1},
+		RequeueBackoff: BackoffConfig{Base: time.Hour, Max: time.Hour},
+	})
+	defer m.Shutdown()
+	task := Task{ID: "t", JobID: "j"}
+	m.mu.Lock()
+	m.inflight[task.ID] = task
+	m.mu.Unlock()
+	if d := m.AdmitJob("probe", "", 1, 0); d.QueueDepth != 1 {
+		t.Fatalf("one task in flight: queue depth %d, want 1", d.QueueDepth)
+	}
+	m.requeue(task)
+	if d := m.AdmitJob("probe", "", 1, 0); d.QueueDepth != 1 {
+		t.Fatalf("one task in requeue backoff: queue depth %d, want 1", d.QueueDepth)
+	}
+}

@@ -62,8 +62,9 @@ type WorkerHealth struct {
 	ClockSkewMs float64 `json:"clockSkewMs"`
 	RTTMs       float64 `json:"rttMs"`
 	// Remote is the worker's metrics registry (worker_* counters, gauges
-	// and the exec-time histogram) as its telemetry ships rebuild it: nil
-	// until the first heartbeat carrying a ship arrives.
+	// and the exec-time histogram) as its latest telemetry ship carried
+	// it: nil until the first ship arrives, or on a re-attach the last
+	// ship of the worker's previous connection.
 	Remote *obs.RegistrySnapshot `json:"remote,omitempty"`
 }
 
@@ -110,8 +111,8 @@ type workerEntry struct {
 	ewmaExecMs  float64
 	ewmaRate    float64
 	lastDone    time.Time
-	// remote is the latest decoded telemetry; its maps are never mutated
-	// after decode, so health rows share it.
+	// remote is the latest telemetry as decoded; its maps are never
+	// mutated, so health rows share it.
 	remote *obs.RegistrySnapshot
 
 	// Clock alignment: EWMAs of the two one-way message legs. d1 is the
@@ -196,6 +197,13 @@ func (cl *cluster) attach(id string, wake context.CancelFunc, conn net.Conn, c *
 		conn:        conn,
 		codec:       c,
 	}
+	// A re-attaching worker's next ship grows from its last one.
+	for i := len(cl.gone) - 1; i >= 0; i-- {
+		if cl.gone[i].id == id {
+			e.remote = cl.gone[i].remote
+			break
+		}
+	}
 	cl.active[id] = e
 	cl.reg.Gauge(workerLabel("wq_worker_up", id)).Set(1)
 	return nil
@@ -248,11 +256,11 @@ func (cl *cluster) heartbeat(id string) {
 	cl.cHeartbeats.Inc()
 }
 
-// recordShip stores a worker's registry as its latest telemetry ship
-// rebuilt it, for /cluster, and folds the growth since the previous ship
-// into the master registry under per-worker labels. It reads the names
-// newWorkerInstruments registers.
-func (cl *cluster) recordShip(id string, snap obs.RegistrySnapshot) {
+// recordShip stores a worker's registry snapshot as its latest telemetry
+// ship carried it, for /cluster, and folds the growth since the previous
+// ship into the master registry under per-worker labels. It reads the
+// names newWorkerInstruments registers.
+func (cl *cluster) recordShip(id string, snap *obs.RegistrySnapshot) {
 	cl.mu.Lock()
 	e, ok := cl.active[id]
 	if !ok {
@@ -263,7 +271,7 @@ func (cl *cluster) recordShip(id string, snap obs.RegistrySnapshot) {
 	if e.remote != nil {
 		prev = *e.remote
 	}
-	e.remote = &snap
+	e.remote = snap
 	reg := cl.reg
 	cl.mu.Unlock()
 
@@ -271,8 +279,13 @@ func (cl *cluster) recordShip(id string, snap obs.RegistrySnapshot) {
 		return
 	}
 	// Counters and the connection-byte gauges are cumulative on the
-	// worker; only their growth since the previous ship is added.
+	// worker; only their growth since the previous ship is added. A value
+	// below the previous one is a reset (a fresh registry or connection),
+	// so all of it is growth: the Prometheus rule.
 	grow := func(name string, cur, old int64) {
+		if cur < old {
+			old = 0
+		}
 		if cur > old {
 			reg.Counter(workerLabel(name, id)).Add(cur - old)
 		}

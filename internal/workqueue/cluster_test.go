@@ -384,3 +384,48 @@ func TestDepartedWorkerRemembered(t *testing.T) {
 		t.Errorf("departed health = %+v, want dead with reason", h)
 	}
 }
+
+// TestReattachedWorkerCountsOnce: a worker that re-attaches under the
+// same ID has its task count and exec histogram added to the master's
+// registry once. Its registry may survive the redial (5 then 7 is 2 more
+// tasks) or be fresh (5 then 2 is a reset: 2 more).
+func TestReattachedWorkerCountsOnce(t *testing.T) {
+	// ship returns a snapshot of a worker registry that has executed n
+	// tasks of 1 ms each.
+	ship := func(reg *obs.Registry, n int) *obs.RegistrySnapshot {
+		inst := newWorkerInstruments(reg)
+		for range n - int(reg.Counter(mWorkerExecuted).Value()) {
+			inst.observe(time.Millisecond, false)
+		}
+		snap := reg.Snapshot()
+		return &snap
+	}
+	same := obs.NewRegistry()
+	for _, tc := range []struct {
+		name          string
+		before, after *obs.RegistrySnapshot
+	}{
+		{"same registry", ship(same, 5), ship(same, 7)},
+		{"fresh registry", ship(obs.NewRegistry(), 5), ship(obs.NewRegistry(), 2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			cl := newCluster(reg, 0)
+			if err := cl.attach("w", nil, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			cl.recordShip("w", tc.before)
+			cl.detach("w", "disconnected")
+			if err := cl.attach("w", nil, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			cl.recordShip("w", tc.after)
+			if got := reg.Counter(workerLabel("wq_worker_tasks_total", "w")).Value(); got != 7 {
+				t.Errorf("wq_worker_tasks_total = %d, want 7", got)
+			}
+			if got := reg.Snapshot().Histograms[workerLabel("wq_worker_exec_ms", "w")].Count; got != 7 {
+				t.Errorf("wq_worker_exec_ms count = %d, want 7", got)
+			}
+		})
+	}
+}

@@ -132,7 +132,6 @@ type Master struct {
 	cRetries     *obs.Counter
 	cTimeouts    *obs.Counter
 	cQuarantined *obs.Counter
-	gQueue       *obs.Gauge
 	gWorkers     *obs.Gauge
 	hExec        *obs.Histogram
 	hWait        *obs.Histogram
@@ -212,7 +211,6 @@ func NewMaster(cfg MasterConfig) *Master {
 		m.cRetries = reg.Counter("wq_task_retries_total")
 		m.cTimeouts = reg.Counter("wq_task_timeouts_total")
 		m.cQuarantined = reg.Counter("wq_tasks_quarantined_total")
-		m.gQueue = reg.Gauge("wq_queue_depth")
 		m.gWorkers = reg.Gauge("wq_workers")
 		m.hExec = reg.Histogram("wq_task_exec_ms", nil)
 		m.hWait = reg.Histogram("wq_task_queue_wait_ms", nil)
@@ -256,7 +254,6 @@ func (m *Master) Submit(t Task) error {
 	m.mu.Unlock()
 	m.cSubmitted.Inc()
 	m.sched.push(t)
-	m.gQueue.SetInt(m.sched.len())
 	return nil
 }
 
@@ -429,9 +426,6 @@ func (m *Master) HandleWorker(ctx context.Context, conn net.Conn) error {
 	handlerDone := make(chan struct{})
 	defer close(handlerDone)
 	go func() {
-		// ships rebuilds this worker's registry from its telemetry: the
-		// one decode both the health registry and the tsdb read.
-		var ships obs.ShipReceiver
 		for {
 			msg, err := c.recv()
 			if err != nil {
@@ -449,9 +443,8 @@ func (m *Master) HandleWorker(ctx context.Context, conn net.Conn) error {
 			m.cluster.observeClock(workerID, d1, msg.TaskDelayNs)
 			m.ingestRemoteSpans(workerID, msg.Spans)
 			if msg.Telemetry != nil {
-				snap := ships.Receive(msg.Telemetry)
-				m.cluster.recordShip(workerID, snap)
-				m.telemetry.Ingest(workerID, snap, time.Now())
+				m.cluster.recordShip(workerID, msg.Telemetry)
+				m.telemetry.Ingest(workerID, *msg.Telemetry, time.Now())
 			}
 			switch msg.Type {
 			case msgHeartbeat:
@@ -791,7 +784,6 @@ func (m *Master) trackInflight(t Task, workerID string) int64 {
 	if waited {
 		m.hWait.ObserveDuration(wait)
 	}
-	m.gQueue.SetInt(m.sched.len())
 	return execSpanID
 }
 
@@ -881,7 +873,6 @@ func (m *Master) requeue(t Task) {
 		obs.F("attempt", attempts), obs.F("backoff_ms", delay.Milliseconds()))
 	if delay <= 0 {
 		m.sched.push(t)
-		m.gQueue.SetInt(m.sched.len())
 		return
 	}
 	m.mu.Lock()
@@ -908,7 +899,6 @@ func (m *Master) firePending(t Task) {
 		return
 	}
 	m.sched.push(t)
-	m.gQueue.SetInt(m.sched.len())
 }
 
 // quarantineLocked parks a poisoned task, evicting the oldest entry past

@@ -7,10 +7,10 @@
 // in flight (the paper's Local Control Knob).
 //
 // Beyond the task/result exchange, workers send heartbeats: periodic
-// liveness pings, some carrying a delta-encoded snapshot of the worker's
-// metrics registry (task counts, exec-time histogram, connection bytes,
-// runtime stats) that feeds the master's per-worker health registry
-// (cluster.go) and its time-series store.
+// liveness pings, some carrying a snapshot of the worker's metrics
+// registry (task counts, exec-time histogram, connection bytes, runtime
+// stats) that feeds the master's per-worker health registry (cluster.go)
+// and its time-series store.
 //
 // Every message travels as one length-prefixed binary frame (wire.go);
 // there is no second format and no negotiation. This file holds the
@@ -167,11 +167,12 @@ type message struct {
 	// Spans are finished worker-side stage spans being shipped to the
 	// master (on results and heartbeats alike).
 	Spans []RemoteSpan
-	// Telemetry rides on every StatsEvery-th heartbeat: a delta-encoded
-	// snapshot of the worker's metrics registry, feeding the master's
-	// health registry and time-series store. Excluded from the CRC like
-	// the clock stamps: telemetry damage is not worth a disconnect.
-	Telemetry *obs.TelemetryShip
+	// Telemetry rides on every StatsEvery-th heartbeat: the worker's
+	// registry snapshot, feeding the master's health registry and
+	// time-series store. Excluded from the CRC like the clock stamps:
+	// telemetry damage is not worth a disconnect, and the next ship,
+	// absolute like every ship, sets it right.
+	Telemetry *obs.RegistrySnapshot
 	// Freeze rides on msgFreeze (master→worker); Dump on msgFlightDump
 	// (worker→master).
 	Freeze *FreezeRequest

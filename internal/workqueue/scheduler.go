@@ -48,8 +48,10 @@ type scheduler struct {
 	waiters sync.Pool
 
 	// cHandoffs (nil-safe) counts tasks dispatched to a parked waiter
-	// without ever entering a queue.
+	// without ever entering a queue; gQueue mirrors pending, set under
+	// s.mu wherever pending changes.
 	cHandoffs *obs.Counter
+	gQueue    *obs.Gauge
 }
 
 // jobQueue is one job's FIFO plus its scheduling weight. head indexes the
@@ -86,10 +88,12 @@ func newScheduler(seed int64) *scheduler {
 	return s
 }
 
-// instrument attaches the scheduler's dispatch counter to a registry.
+// instrument attaches the scheduler's dispatch counter and queue-depth
+// gauge to a registry.
 func (s *scheduler) instrument(reg *obs.Registry) {
 	if reg != nil {
 		s.cHandoffs = reg.Counter("wq_sched_handoffs_total")
+		s.gQueue = reg.Gauge("wq_queue_depth")
 	}
 }
 
@@ -140,6 +144,7 @@ func (s *scheduler) put(t Task, front bool) {
 		q.tasks = slices.Insert(q.tasks, 0, t)
 	}
 	s.pending++
+	s.gQueue.SetInt(s.pending)
 	s.mu.Unlock()
 }
 
@@ -279,6 +284,7 @@ func (s *scheduler) takeLocked() (Task, bool) {
 		q.head = 0
 	}
 	s.pending--
+	s.gQueue.SetInt(s.pending)
 	return t, true
 }
 

@@ -3,7 +3,7 @@ package workqueue
 // wire.go is the length-prefixed binary wire format — the only format
 // the cluster speaks. A frame is
 //
-//	magic(0xF5) version(0x02) uvarint(bodyLen) body
+//	magic(0xF5) version(0x03) uvarint(bodyLen) body
 //
 // and the body is one message: a type byte, a field-presence bitmap, then
 // the present fields in fixed order. Strings and byte slices travel as
@@ -40,9 +40,10 @@ const WireMagic byte = 0xF5
 // wireVersion is the binary format revision. Bump it for incompatible
 // layout changes; the decoder rejects versions it does not know. Version
 // 2 has one message type per concern: every task frame is a batch, stats
-// ride on the heartbeat, and the hello negotiates nothing. Version 1
-// frames are kept under testdata/golden/v1 as proof they are refused.
-const wireVersion byte = 2
+// ride on the heartbeat, and the hello negotiates nothing. Version 3
+// ships telemetry as a whole registry snapshot. Frames of versions 1
+// and 2 are kept under testdata/golden as proof they are refused.
+const wireVersion byte = 3
 
 // ErrWireFormat is returned by recv for a structurally invalid frame: a
 // wrong magic byte or version, truncated varints, lengths past the frame
@@ -344,9 +345,9 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-func wirePutTelemetry(w *wireWriter, t *obs.TelemetryShip) {
-	w.i64(t.Seq)
-	w.bool(t.Full)
+// wirePutTelemetry writes a worker's registry snapshot. Quantiles are
+// derived, so they stay off the wire; the decoder recomputes them.
+func wirePutTelemetry(w *wireWriter, t *obs.RegistrySnapshot) {
 	w.u64(uint64(len(t.Counters)))
 	for _, k := range sortedKeys(t.Counters) {
 		w.str(k)
@@ -357,9 +358,9 @@ func wirePutTelemetry(w *wireWriter, t *obs.TelemetryShip) {
 		w.str(k)
 		w.f64(t.Gauges[k])
 	}
-	w.u64(uint64(len(t.Hists)))
-	for _, k := range sortedKeys(t.Hists) {
-		h := t.Hists[k]
+	w.u64(uint64(len(t.Histograms)))
+	for _, k := range sortedKeys(t.Histograms) {
+		h := t.Histograms[k]
 		w.str(k)
 		w.f64s(h.Bounds)
 		w.i64s(h.Counts)
@@ -368,10 +369,8 @@ func wirePutTelemetry(w *wireWriter, t *obs.TelemetryShip) {
 	}
 }
 
-func wireGetTelemetry(r *wireReader) *obs.TelemetryShip {
-	t := &obs.TelemetryShip{}
-	t.Seq = r.i64()
-	t.Full = r.bool()
+func wireGetTelemetry(r *wireReader) *obs.RegistrySnapshot {
+	t := &obs.RegistrySnapshot{}
 	if n := r.count(2); n > 0 {
 		t.Counters = make(map[string]int64, n)
 		for i := 0; i < n; i++ {
@@ -387,15 +386,16 @@ func wireGetTelemetry(r *wireReader) *obs.TelemetryShip {
 		}
 	}
 	if n := r.count(2); n > 0 {
-		t.Hists = make(map[string]obs.HistogramDelta, n)
+		t.Histograms = make(map[string]obs.HistogramSnapshot, n)
 		for i := 0; i < n; i++ {
 			k := r.str()
-			var h obs.HistogramDelta
+			var h obs.HistogramSnapshot
 			h.Bounds = r.f64s()
 			h.Counts = r.i64s()
 			h.Count = r.i64()
 			h.Sum = r.f64()
-			t.Hists[k] = h
+			h.FillQuantiles()
+			t.Histograms[k] = h
 		}
 	}
 	return t

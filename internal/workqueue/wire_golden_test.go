@@ -2,13 +2,14 @@ package workqueue
 
 // Golden wire-frame fixtures: one checked-in binary frame per message
 // type, plus a heartbeat carrying a telemetry ship, byte-exact. They
-// freeze wire format v2 — a codec change that alters the bytes of an
-// existing frame breaks TestGoldenFramesStable (bump wireVersion and
-// regenerate with -update if the change is intentional), and a codec
-// change that can no longer decode the checked-in bytes breaks
-// TestGoldenFramesDecode. The v1 frames under testdata/golden/v1 are the
-// retired format's, kept so TestWireV1Retired proves v1 is refused on
-// purpose rather than by accident.
+// freeze wire format v3 — a codec change that alters the bytes of an
+// existing frame breaks TestGoldenFramesStable (bump wireVersion, copy
+// the frames to testdata/golden/v<old> and regenerate with -update if the
+// change is intentional), and a codec change that can no longer decode
+// the checked-in bytes breaks TestGoldenFramesDecode. The v1 and v2
+// frames under testdata/golden/v1 and v2 are the retired formats', kept
+// so TestWireOldVersionsRetired proves they are refused on purpose rather
+// than by accident.
 
 import (
 	"bytes"
@@ -63,6 +64,9 @@ func goldenFrames() []goldenFrame {
 		{TraceID: "trace-cafe", Parent: 202, Name: "task.recv", TaskID: "task-0001", StartUnixNano: 1722900000123500000, DurNs: 1000},
 		{TraceID: "trace-cafe", Parent: 202, Name: "task.exec", TaskID: "task-0001", StartUnixNano: 1722900000123501000, DurNs: 41_000_000},
 	}
+	// The decoder derives quantiles from the buckets, so the fixture does.
+	execMs := obs.HistogramSnapshot{Bounds: []float64{1, 10}, Counts: []int64{2, 1, 0}, Count: 3, Sum: 14.5}
+	execMs.FillQuantiles()
 	return []goldenFrame{
 		{"hello", message{Type: msgHello, WorkerID: "w0"}},
 		// Fixed stamps: 2024-08-06T00:00:00.123456789Z-ish.
@@ -71,13 +75,10 @@ func goldenFrames() []goldenFrame {
 			TaskDelayNs: 250_000, Results: []Result{result, result2}, Spans: spans}},
 		{"heartbeat", message{Type: msgHeartbeat, WorkerID: "w0", SentUnixNano: 1722900000200000000, TaskDelayNs: -1500}},
 		{"heartbeat-telemetry", message{Type: msgHeartbeat, WorkerID: "w0", SentUnixNano: 1722900000300000000,
-			Telemetry: &obs.TelemetryShip{
-				Seq: 7, Full: true,
-				Counters: map[string]int64{"wq_tasks_total": 12, "wq_tasks_failed_total": 1},
-				Gauges:   map[string]float64{"wq_queue_len": 3},
-				Hists: map[string]obs.HistogramDelta{
-					"wq_exec_ms": {Bounds: []float64{1, 10}, Counts: []int64{2, 1, 0}, Count: 3, Sum: 14.5},
-				},
+			Telemetry: &obs.RegistrySnapshot{
+				Counters:   map[string]int64{"wq_tasks_total": 12, "wq_tasks_failed_total": 1},
+				Gauges:     map[string]float64{"wq_queue_len": 3},
+				Histograms: map[string]obs.HistogramSnapshot{"wq_exec_ms": execMs},
 			}}},
 		{"shutdown", message{Type: msgShutdown}},
 		{"freeze", message{Type: msgFreeze, Freeze: &FreezeRequest{Seq: 3, Trigger: "slo_burn", Detail: "p99 over budget", WindowNs: 5_000_000_000}}},
@@ -188,7 +189,7 @@ func TestGoldenFrameWithoutCRCRejected(t *testing.T) {
 	}
 }
 
-// TestGoldenCoversAllWireTypes: wire v2 has exactly seven message types,
+// TestGoldenCoversAllWireTypes: wire v3 has exactly seven message types,
 // and a new one must ship a golden frame with it.
 func TestGoldenCoversAllWireTypes(t *testing.T) {
 	have := make(map[msgType]bool)
@@ -206,29 +207,35 @@ func TestGoldenCoversAllWireTypes(t *testing.T) {
 		}
 	}
 	if named != 7 {
-		t.Errorf("wire v2 names %d message types, want 7", named)
+		t.Errorf("wire v3 names %d message types, want 7", named)
 	}
 }
 
-// TestWireV1Retired: wire v1 is refused on purpose, not by accident. Each
-// of its ten golden frames, frozen under testdata/golden/v1, fails to
-// decode with ErrWireFormat; so does a v2 frame with a presence bit
-// outside the v2 set.
-func TestWireV1Retired(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("testdata", "golden", "v1", "*.bin"))
-	if err != nil || len(paths) != 10 {
-		t.Fatalf("want the ten v1 golden frames, got %d (err %v)", len(paths), err)
-	}
-	for _, p := range paths {
-		t.Run(strings.TrimSuffix(filepath.Base(p), ".bin"), func(t *testing.T) {
-			frame, err := os.ReadFile(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := DecodeFrame(frame); !errors.Is(err, ErrWireFormat) {
-				t.Errorf("v1 frame: got %v, want ErrWireFormat", err)
-			}
-		})
+// TestWireOldVersionsRetired: wires v1 and v2 are refused on purpose, not
+// by accident. Each of their golden frames, ten frozen under
+// testdata/golden/v1 and eight under v2 (whose telemetry was a delta
+// ship), fails to decode with ErrWireFormat; so does a v3 frame with a
+// presence bit outside the v3 set.
+func TestWireOldVersionsRetired(t *testing.T) {
+	for _, old := range []struct {
+		version string
+		frames  int
+	}{{"v1", 10}, {"v2", 8}} {
+		paths, err := filepath.Glob(filepath.Join("testdata", "golden", old.version, "*.bin"))
+		if err != nil || len(paths) != old.frames {
+			t.Fatalf("want the %d %s golden frames, got %d (err %v)", old.frames, old.version, len(paths), err)
+		}
+		for _, p := range paths {
+			t.Run(old.version+"/"+strings.TrimSuffix(filepath.Base(p), ".bin"), func(t *testing.T) {
+				frame, err := os.ReadFile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := DecodeFrame(frame); !errors.Is(err, ErrWireFormat) {
+					t.Errorf("%s frame: got %v, want ErrWireFormat", old.version, err)
+				}
+			})
+		}
 	}
 	t.Run("unknown-presence-bit", func(t *testing.T) {
 		m := message{Type: msgHeartbeat, WorkerID: "w0"}

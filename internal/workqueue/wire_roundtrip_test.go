@@ -88,8 +88,10 @@ func genSpans(rng *rand.Rand) []RemoteSpan {
 	return out
 }
 
-func genTelemetry(rng *rand.Rand) *obs.TelemetryShip {
-	t := &obs.TelemetryShip{Seq: rng.Int63(), Full: rng.Intn(2) == 0}
+// genTelemetry draws a registry snapshot. Quantiles are not on the wire:
+// the decoder derives them from the buckets, so the draw does too.
+func genTelemetry(rng *rand.Rand) *obs.RegistrySnapshot {
+	t := &obs.RegistrySnapshot{}
 	if n := rng.Intn(4); n > 0 {
 		t.Counters = make(map[string]int64, n)
 		for i := 0; i < n; i++ {
@@ -103,10 +105,10 @@ func genTelemetry(rng *rand.Rand) *obs.TelemetryShip {
 		}
 	}
 	if n := rng.Intn(3); n > 0 {
-		t.Hists = make(map[string]obs.HistogramDelta, n)
+		t.Histograms = make(map[string]obs.HistogramSnapshot, n)
 		for i := 0; i < n; i++ {
 			nb := 1 + rng.Intn(5)
-			h := obs.HistogramDelta{Bounds: make([]float64, nb), Counts: make([]int64, nb+1),
+			h := obs.HistogramSnapshot{Bounds: make([]float64, nb), Counts: make([]int64, nb+1),
 				Count: rng.Int63n(1 << 40), Sum: rng.NormFloat64() * 1e6}
 			for i := range h.Bounds {
 				h.Bounds[i] = float64(i+1) * rng.Float64() * 10
@@ -114,7 +116,8 @@ func genTelemetry(rng *rand.Rand) *obs.TelemetryShip {
 			for i := range h.Counts {
 				h.Counts[i] = rng.Int63n(1 << 30)
 			}
-			t.Hists[genString(rng)+"h"] = h
+			h.FillQuantiles()
+			t.Histograms[genString(rng)+"h"] = h
 		}
 	}
 	return t

@@ -161,9 +161,20 @@ func (i *workerInstruments) refreshRuntime(c *codec) {
 type workerRun struct {
 	spans         spanBuffer
 	lastTaskDelay atomic.Int64
-	// shipper delta-encodes the worker registry for the telemetry
-	// carried on heartbeats (nil when telemetry is off).
-	shipper *obs.Shipper
+	// reg is the worker registry whose snapshot rides on telemetry
+	// heartbeats (nil when telemetry is off).
+	reg *obs.Registry
+}
+
+// ship samples the runtime gauges and snapshots the registry for a
+// heartbeat's telemetry; nil when telemetry is off.
+func (r *workerRun) ship(c *codec, inst *workerInstruments) *obs.RegistrySnapshot {
+	if r.reg == nil {
+		return nil
+	}
+	inst.refreshRuntime(c)
+	snap := r.reg.Snapshot()
+	return &snap
 }
 
 // stamp fills the envelope's clock fields just before a send.
@@ -195,7 +206,7 @@ func (w *Worker) Run(ctx context.Context, conn net.Conn) error {
 		reg = obs.NewRegistry()
 	}
 	inst := newWorkerInstruments(reg)
-	run := &workerRun{shipper: obs.NewShipper(reg)}
+	run := &workerRun{reg: reg}
 	if w.HeartbeatEvery > 0 {
 		hbStop := make(chan struct{})
 		defer close(hbStop)
@@ -230,11 +241,7 @@ func (w *Worker) Run(ctx context.Context, conn net.Conn) error {
 			// out (mirroring the PR 6 final-control-tick flush), so a
 			// short-lived worker's last window of work still reaches the
 			// master's registry and time-series store.
-			fin := message{Type: msgHeartbeat, WorkerID: w.ID, Spans: run.spans.drain()}
-			if reg != nil {
-				inst.refreshRuntime(c)
-				fin.Telemetry = run.shipper.Ship()
-			}
+			fin := message{Type: msgHeartbeat, WorkerID: w.ID, Spans: run.spans.drain(), Telemetry: run.ship(c, inst)}
 			if fin.Telemetry != nil || len(fin.Spans) > 0 {
 				run.stamp(&fin)
 				_ = c.send(fin)
@@ -419,10 +426,8 @@ func (w *Worker) heartbeatLoop(ctx context.Context, c *codec, inst *workerInstru
 		case <-t.C:
 			m := message{Type: msgHeartbeat, WorkerID: w.ID, Spans: run.spans.drain()}
 			if n%statsEvery == 0 {
-				// The worker half of the telemetry plane: the
-				// delta-encoded registry, runtime gauges freshly sampled.
-				inst.refreshRuntime(c)
-				m.Telemetry = run.shipper.Ship()
+				// The worker half of the telemetry plane.
+				m.Telemetry = run.ship(c, inst)
 			}
 			run.stamp(&m)
 			w.mirror(m.Spans)

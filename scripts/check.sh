@@ -5,7 +5,7 @@
 #   scripts/check.sh race       tier-2: vet + full test suite under -race
 #   scripts/check.sh bench      microbenchmarks -> BENCH_obs.json + BENCH_hmm.json + BENCH_wire.json; front-end layer benches (tokenizer included) printed
 #   scripts/check.sh chaos      chaos soak: seeded fault-injection schedules under -race
-#   scripts/check.sh wire       wire-codec smoke: round-trip/golden/v1-retirement tests, worker receive-buffer tests under -race, 10s FuzzDecode, task-payload golden/order-free/cross-path/rejection tests + 10s FuzzDecodeTask, sstd-master/sstd-worker with -batch 8
+#   scripts/check.sh wire       wire-codec smoke: round-trip/golden/v1+v2-retirement tests, a lost and a damaged telemetry ship set right by the next, worker receive-buffer tests under -race, 10s FuzzDecode, task-payload golden/order-free/cross-path/rejection tests + 10s FuzzDecodeTask, sstd-master/sstd-worker with -batch 8
 #   scripts/check.sh flightrec  flight-recorder smoke: deadline-miss deep dive (FLIGHTREC_DIR keeps it) + SLO burn -> 3-lane trace (TELEMETRY_DIR keeps it)
 #   scripts/check.sh sched      scheduler tier: fairness/invariant tests + contention benches -> BENCH_sched.json + 100k-claim sweep
 #   scripts/check.sh accuracy   accuracy gate: SSTD rows of Tables III-V against the checked-in golden + HMM kernel equivalence (run tables and the zero step included) + non-finite parameters refused + quantize-once decode + ACS grid against Time.Sub + fixed-point scores and order-free ACS sums + truth digests, decode payload goldens and the worker's series against the accumulator's + the front end's pinned claims and scores, its incremental cluster state against a rebuild, the exact minimum-overlap bounds, bounded merge, independence window and join against their references + 10s FuzzTokenize
@@ -133,11 +133,13 @@ chaos() {
 }
 
 wire() {
-	# Wire-codec smoke: the codec-correctness suite for wire v2 (send →
-	# recv round-trip property, golden frame fixtures, the retired v1
-	# frames and unknown presence bits refused, rejection of damaged frames
-	# and non-frames, batching invariants with lock-step as a window of
-	# one), the worker's receive buffer under -race (a budgeted executor
+	# Wire-codec smoke: the codec-correctness suite for wire v3 (send →
+	# recv round-trip property, golden frame fixtures, the retired v1 and
+	# v2 frames and unknown presence bits refused, rejection of damaged
+	# frames and non-frames, batching invariants with lock-step as a window
+	# of one), a real worker's telemetry ship lost or damaged in flight and
+	# the master's view set right by the next, the worker's receive buffer
+	# under -race (a budgeted executor
 	# that outlives its budget keeps its payload, echoed outputs survive
 	# the next frame, payloads cost recv no allocation), ten seconds of
 	# FuzzDecode past its seed corpus with the copying and aliasing
@@ -145,8 +147,8 @@ wire() {
 	# sstd-worker binaries over TCP — the whole cluster speaking the wire
 	# format end to end, lock-step and with -batch 8, and required to
 	# print the same truth both ways.
-	echo "== wire: round-trip/golden/v1-retirement codec tests + batching invariants =="
-	go test -count=1 -run 'TestWireRoundTrip|TestRetriedMarkStaysOffTheWire|TestRoundTripCovers|TestGolden|TestWireV1Retired|TestBatch|TestPartialBatch|TestLockstepIsWindowOfOne|TestMidBatch|TestWireFrames|TestShiftBinary|TestBinary|TestNonFrame|FuzzDecode' ./internal/workqueue
+	echo "== wire: round-trip/golden/v1+v2-retirement codec tests + lost/damaged telemetry ships + batching invariants =="
+	go test -count=1 -run 'TestWireRoundTrip|TestRetriedMarkStaysOffTheWire|TestRoundTripCovers|TestGolden|TestWireOldVersionsRetired|TestLostTelemetryShipRecoversOnNext|TestDamagedTelemetryShipRecoversOnNext|TestBatch|TestPartialBatch|TestLockstepIsWindowOfOne|TestMidBatch|TestWireFrames|TestShiftBinary|TestBinary|TestNonFrame|FuzzDecode' ./internal/workqueue
 	go test -race -count=1 -run 'TestArena' ./internal/workqueue
 	go test -count=1 -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/workqueue
 	# What travels inside the frames: the goldens of both task kinds and
