@@ -20,7 +20,6 @@ package chaos
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -257,7 +256,7 @@ type Injector struct {
 const eventRetention = 4096
 
 // New builds an injector for the spec. Registry and tracer may be nil
-// (telemetry off): injected faults then only appear in Events().
+// (telemetry off): injected faults are then kept only in its event log.
 func New(spec Spec, reg *obs.Registry, tracer *obs.Tracer) *Injector {
 	return &Injector{
 		spec:   spec.withDefaults(),
@@ -266,9 +265,6 @@ func New(spec Spec, reg *obs.Registry, tracer *obs.Tracer) *Injector {
 		counts: make(map[string]*obs.Counter),
 	}
 }
-
-// Spec returns the injector's (defaulted) schedule.
-func (in *Injector) Spec() Spec { return in.spec }
 
 // splitmix64 is the standard finalizer-quality mixer; one pass turns a
 // structured key into an effectively random 64-bit value.
@@ -355,30 +351,6 @@ func (in *Injector) decide(candidates []string, stream string, index uint64) (st
 	return "", false
 }
 
-// FrameFault returns the transport fault for frame index on stream
-// ("" = none). Exposed for plan-equality assertions.
-func (in *Injector) FrameFault(stream string, index uint64) string {
-	f, _ := in.decide(transportFaults, stream, index)
-	return f
-}
-
-// ExecFault returns the exec fault for task index on stream ("" = none).
-func (in *Injector) ExecFault(stream string, index uint64) string {
-	f, _ := in.decide(execFaults, stream, index)
-	return f
-}
-
-// Plan materializes the first n frame decisions for a stream — the
-// reproducibility contract in executable form: equal specs yield equal
-// plans.
-func (in *Injector) Plan(stream string, n uint64) []string {
-	out := make([]string, n)
-	for i := uint64(0); i < n; i++ {
-		out[i] = in.FrameFault(stream, i)
-	}
-	return out
-}
-
 // delayFor derives the injected delay for one frame from its decision
 // hash, uniform in [DelayMin, DelayMax].
 func (in *Injector) delayFor(stream string, index uint64) time.Duration {
@@ -414,23 +386,6 @@ func (in *Injector) record(fault, stream string, index uint64, detail string, st
 			End:   time.Now(),
 		})
 	}
-}
-
-// Events snapshots the injected-fault log (capped at eventRetention),
-// sorted by stream then index so concurrent append order does not leak
-// into assertions.
-func (in *Injector) Events() []Event {
-	in.mu.Lock()
-	out := make([]Event, len(in.events))
-	copy(out, in.events)
-	in.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Stream != out[j].Stream {
-			return out[i].Stream < out[j].Stream
-		}
-		return out[i].Index < out[j].Index
-	})
-	return out
 }
 
 // InjectedCount reports the total number of injected faults, including

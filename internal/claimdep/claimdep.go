@@ -141,11 +141,6 @@ func EstimateGraph(series map[socialsensing.ClaimID][]float64, cfg Config) (*Gra
 	return g, nil
 }
 
-// Neighbors returns the retained correlations of a claim, strongest first.
-func (g *Graph) Neighbors(id socialsensing.ClaimID) []Correlation {
-	return append([]Correlation(nil), g.neighbors[id]...)
-}
-
 // Edges returns every retained pair once, strongest first.
 func (g *Graph) Edges() []Correlation {
 	var out []Correlation

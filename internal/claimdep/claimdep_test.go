@@ -70,7 +70,7 @@ func TestEstimateGraphFindsCorrelatedPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := func(x, y socialsensing.ClaimID) *Correlation {
-		for _, c := range g.Neighbors(x) {
+		for _, c := range g.neighbors[x] {
 			if c.B == y {
 				return &c
 			}
@@ -155,7 +155,7 @@ func TestMaxNeighborsBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := range series {
-		if n := len(g.Neighbors(id)); n > 2 {
+		if n := len(g.neighbors[id]); n > 2 {
 			t.Errorf("claim %s has %d neighbours, want <= 2", id, n)
 		}
 	}

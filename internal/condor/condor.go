@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 )
 
@@ -191,35 +190,4 @@ func (c *Cluster) Release(s Slot) error {
 	delete(c.slots, s.ID)
 	c.free[stored.Node] = c.free[stored.Node].add(stored.Req)
 	return nil
-}
-
-// FreeCores reports total unclaimed cores across the pool.
-func (c *Cluster) FreeCores() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := 0
-	for _, free := range c.free {
-		total += free.Cores
-	}
-	return total
-}
-
-// TotalCores reports pool capacity.
-func (c *Cluster) TotalCores() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := 0
-	for _, n := range c.nodes {
-		total += n.Capacity.Cores
-	}
-	return total
-}
-
-// Nodes returns a copy of the node list sorted by name.
-func (c *Cluster) Nodes() []Node {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := append([]Node(nil), c.nodes...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

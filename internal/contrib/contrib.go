@@ -28,11 +28,6 @@ type Scorer struct {
 	attitude     nlp.AttitudeModel
 	hedge        *nlp.HedgeClassifier
 	independence *nlp.IndependenceScorer
-
-	// DisableUncertainty and DisableIndependence switch off the
-	// corresponding factor of Eq. 1 (used by the ablation experiments).
-	DisableUncertainty  bool
-	DisableIndependence bool
 }
 
 // Option configures a Scorer.
@@ -41,34 +36,6 @@ type Option func(*Scorer)
 // WithAttitudeScorer replaces the default emergency-lexicon attitude scorer.
 func WithAttitudeScorer(a *nlp.AttitudeScorer) Option {
 	return func(s *Scorer) { s.attitude = a }
-}
-
-// WithAttitudeModel replaces the attitude component with any stance model,
-// e.g. the trained nlp.StanceClassifier (the paper's §VII polarity-analysis
-// upgrade path: "one can easily update or replace components ... as a
-// plugin of the system").
-func WithAttitudeModel(m nlp.AttitudeModel) Option {
-	return func(s *Scorer) { s.attitude = m }
-}
-
-// WithHedgeClassifier replaces the default hedge classifier.
-func WithHedgeClassifier(h *nlp.HedgeClassifier) Option {
-	return func(s *Scorer) { s.hedge = h }
-}
-
-// WithIndependenceScorer replaces the default independence scorer.
-func WithIndependenceScorer(i *nlp.IndependenceScorer) Option {
-	return func(s *Scorer) { s.independence = i }
-}
-
-// WithoutUncertainty disables the (1-kappa) factor (ablation E10).
-func WithoutUncertainty() Option {
-	return func(s *Scorer) { s.DisableUncertainty = true }
-}
-
-// WithoutIndependence disables the eta factor (ablation E10).
-func WithoutIndependence() Option {
-	return func(s *Scorer) { s.DisableIndependence = true }
 }
 
 // NewScorer builds a Scorer with the paper's default components.
@@ -100,27 +67,7 @@ func (s *Scorer) ScoreDoc(p Post, d textutil.Doc) socialsensing.Report {
 		Text:      p.Text,
 	}
 	r.Attitude = s.attitude.ScoreDoc(d)
-	if s.DisableUncertainty {
-		r.Uncertainty = 0
-	} else {
-		r.Uncertainty = s.hedge.UncertaintyDoc(d)
-	}
-	if s.DisableIndependence {
-		r.Independence = 1
-	} else {
-		r.Independence = s.independence.ScoreDoc(string(p.Claim), d, p.Timestamp)
-	}
+	r.Uncertainty = s.hedge.UncertaintyDoc(d)
+	r.Independence = s.independence.ScoreDoc(string(p.Claim), d, p.Timestamp)
 	return r
 }
-
-// ScoreAll scores a batch of posts in order.
-func (s *Scorer) ScoreAll(posts []Post) []socialsensing.Report {
-	out := make([]socialsensing.Report, len(posts))
-	for i, p := range posts {
-		out[i] = s.ScorePost(p)
-	}
-	return out
-}
-
-// Reset clears per-stream state (the independence window).
-func (s *Scorer) Reset() { s.independence.Reset() }

@@ -18,8 +18,6 @@ type JobStatus struct {
 	// ExpectedFinish is the WCET-model prediction of total runtime from
 	// the job's remaining data, current priority and pool size.
 	ExpectedFinish time.Duration
-	// Done marks finished jobs; they leave the control loop.
-	Done bool
 }
 
 // TunerConfig parameterizes knob actuation. Theta3 scales LCK (priority)
@@ -37,10 +35,10 @@ type TunerConfig struct {
 	// and minute-scale job deadlines. Absolute error (in seconds) is
 	// used when false or when a job has no deadline.
 	RelativeError bool
-	// MaxStep clamps how many workers one sampling step may add or
-	// remove. Zero means the default of 8.
-	MaxStep int
 }
+
+// maxStep clamps how many workers one sampling step may add or remove.
+const maxStep = 8
 
 // DefaultTunerConfig returns the paper's heuristic settings.
 func DefaultTunerConfig() TunerConfig {
@@ -96,11 +94,9 @@ func NewTuner(cfg TunerConfig, initialWorkers int) (*Tuner, error) {
 	}, nil
 }
 
-// Workers returns the current GCK value.
-func (t *Tuner) Workers() int { return t.workers }
-
 // PIDState returns the snapshot of one job's controller; ok is false when
-// the job has no controller (never stepped, or already done).
+// the job has no controller (never stepped, or left out of the last
+// sample).
 func (t *Tuner) PIDState(jobID string) (PIDState, bool) {
 	pid, ok := t.pids[jobID]
 	if !ok {
@@ -110,7 +106,8 @@ func (t *Tuner) PIDState(jobID string) (PIDState, bool) {
 }
 
 // Step ingests one monitoring sample for all live jobs and returns the
-// actuation decision. dt is the sampling period.
+// actuation decision. dt is the sampling period. A job the sample leaves
+// out has finished or been cancelled: its controller and priority go.
 func (t *Tuner) Step(statuses []JobStatus, dt time.Duration) (Decision, error) {
 	if dt <= 0 {
 		return Decision{}, fmt.Errorf("control: dt must be positive, got %v", dt)
@@ -119,19 +116,7 @@ func (t *Tuner) Step(statuses []JobStatus, dt time.Duration) (Decision, error) {
 		Priorities: make(map[string]float64),
 		Signals:    make(map[string]float64),
 	}
-	live := make([]JobStatus, 0, len(statuses))
-	for _, st := range statuses {
-		if st.Done {
-			delete(t.pids, st.JobID)
-			delete(t.priority, st.JobID)
-			continue
-		}
-		live = append(live, st)
-	}
-	if len(live) == 0 {
-		dec.Workers = t.workers
-		return dec, nil
-	}
+	live := append([]JobStatus(nil), statuses...)
 	sort.Slice(live, func(i, j int) bool { return live[i].JobID < live[j].JobID })
 
 	totalSignal := 0.0
@@ -155,6 +140,16 @@ func (t *Tuner) Step(statuses []JobStatus, dt time.Duration) (Decision, error) {
 		dec.Signals[st.JobID] = sig
 		totalSignal += sig
 	}
+	for id := range t.pids {
+		if _, ok := dec.Signals[id]; !ok {
+			delete(t.pids, id)
+			delete(t.priority, id)
+		}
+	}
+	if len(live) == 0 {
+		dec.Workers = t.workers
+		return dec, nil
+	}
 
 	// LCK: move priority mass toward late jobs. The multiplicative update
 	// exp(sig/theta3) keeps priorities positive; normalization makes them
@@ -175,10 +170,6 @@ func (t *Tuner) Step(statuses []JobStatus, dt time.Duration) (Decision, error) {
 	// shrink when comfortably early. The step is proportional to the
 	// mean signal scaled by theta4, bounded per sample to avoid thrash.
 	meanSig := totalSignal / float64(len(live))
-	maxStep := t.cfg.MaxStep
-	if maxStep <= 0 {
-		maxStep = 8
-	}
 	delta := clampInt(int(math.Round(meanSig*t.cfg.Theta4)), -maxStep, maxStep)
 	t.workers = clampInt(t.workers+delta, t.cfg.MinWorkers, t.cfg.MaxWorkers)
 	dec.Workers = t.workers

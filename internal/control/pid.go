@@ -104,14 +104,6 @@ func (p *PID) Snapshot() PIDState {
 	return s
 }
 
-// Reset clears accumulated state.
-func (p *PID) Reset() {
-	p.integral = 0
-	p.prevErr = 0
-	p.primed = false
-	p.last = PIDState{}
-}
-
 // WCETModel is the worst-case execution time model of Eq. 10-12.
 type WCETModel struct {
 	// InitTime is TI of Eq. 10.
@@ -126,24 +118,6 @@ type WCETModel struct {
 // dataSize units.
 func (m WCETModel) TaskTime(dataSize float64) time.Duration {
 	return m.InitTime + time.Duration(dataSize*float64(m.Theta1))
-}
-
-// JobWCET returns Eq. 11: WCET = TI*T_u + D*theta2 / (WK * P_u), the
-// worst-case completion time of a job with tasks tasks and priority
-// priority on a pool of workers workers.
-func (m WCETModel) JobWCET(dataSize float64, tasks, workers int, priority float64) (time.Duration, error) {
-	if tasks < 1 {
-		return 0, fmt.Errorf("control: job needs >= 1 task, got %d", tasks)
-	}
-	if workers < 1 {
-		return 0, fmt.Errorf("control: pool needs >= 1 worker, got %d", workers)
-	}
-	if priority <= 0 {
-		return 0, fmt.Errorf("control: priority must be positive, got %v", priority)
-	}
-	init := time.Duration(tasks) * m.InitTime
-	exec := time.Duration(dataSize * float64(m.Theta2) / (float64(workers) * priority))
-	return init + exec, nil
 }
 
 // JobWCETSimplified is Eq. 12, valid when the per-task init overhead is

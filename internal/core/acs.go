@@ -213,14 +213,11 @@ func (c *GridCursor) Seek(t time.Time) int {
 	return c.slot
 }
 
-// Len returns the number of intervals currently covered.
-func (a *ACSAccumulator) Len() int { return len(a.sums) }
-
 // Count returns the number of reports ingested.
 func (a *ACSAccumulator) Count() int { return a.count }
 
-// Series materializes the ACS sequence, Window over the interval sums. It
-// has Len() entries; an empty accumulator yields nil.
+// Series materializes the ACS sequence, Window over the interval sums: one
+// entry per interval covered; an empty accumulator yields nil.
 func (a *ACSAccumulator) Series() []float64 {
 	return Window(nil, a.sums, a.cfg.WindowIntervals)
 }
@@ -278,11 +275,6 @@ func (d *Discretizer) Quantize(v float64) int {
 		}
 	}
 	return len(d.edges)
-}
-
-// QuantizeAll maps a sequence.
-func (d *Discretizer) QuantizeAll(vs []float64) []int {
-	return d.QuantizeAllInto(vs, nil)
 }
 
 // QuantizeAllInto maps a sequence into dst, growing it only when capacity

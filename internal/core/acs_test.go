@@ -75,8 +75,8 @@ func TestACSEmpty(t *testing.T) {
 	if got := acc.Series(); got != nil {
 		t.Errorf("empty Series() = %v, want nil", got)
 	}
-	if acc.Len() != 0 || acc.Count() != 0 {
-		t.Errorf("empty accumulator Len=%d Count=%d", acc.Len(), acc.Count())
+	if len(acc.sums) != 0 || acc.Count() != 0 {
+		t.Errorf("empty accumulator: %d intervals, Count=%d", len(acc.sums), acc.Count())
 	}
 }
 
@@ -295,9 +295,9 @@ func TestDiscretizerValidation(t *testing.T) {
 
 func TestQuantizeAll(t *testing.T) {
 	d, _ := NewSymmetricDiscretizer(1)
-	got := d.QuantizeAll([]float64{-5, 0, 5})
+	got := d.QuantizeAllInto([]float64{-5, 0, 5}, nil)
 	if !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Errorf("QuantizeAll = %v", got)
+		t.Errorf("QuantizeAllInto = %v", got)
 	}
 }
 

@@ -64,7 +64,7 @@ func BenchmarkDecodeClaimSeed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		series := st.acc.Series()
-		obs := e.decoder.disc.QuantizeAll(series)
+		obs := e.decoder.disc.QuantizeAllInto(series, nil)
 		path, _ := hmmtest.Viterbi(model.Discrete, obs)
 		truth := pathToTruthInto(path, model.TrueState, nil)
 		est := make([]Estimate, len(truth))

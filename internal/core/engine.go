@@ -168,17 +168,6 @@ func (e *Engine) Claims() []socialsensing.ClaimID {
 	return out
 }
 
-// ReportCount returns the total number of ingested reports.
-func (e *Engine) ReportCount() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	n := 0
-	for _, st := range e.claims {
-		n += st.acc.Count()
-	}
-	return n
-}
-
 // ACSSeries returns the current ACS sequence for a claim (nil when the
 // claim is unknown).
 func (e *Engine) ACSSeries(id socialsensing.ClaimID) []float64 {
@@ -286,28 +275,6 @@ func (e *Engine) claimModel(st *claimState, sc *DecodeScratch) (*TrainedModel, [
 	}
 	e.mu.Unlock()
 	return model, series, nil
-}
-
-// TrainedModelFor exposes the claim's current fitted parameter set λ_u
-// (training it if needed), e.g. to persist offline-trained models. The
-// returned model is shared; treat it as read-only.
-func (e *Engine) TrainedModelFor(id socialsensing.ClaimID) (*TrainedModel, error) {
-	e.mu.RLock()
-	st, ok := e.claims[id]
-	e.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("core: unknown claim %q", id)
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	model, series, err := e.claimModel(st, sc)
-	if err != nil {
-		return nil, err
-	}
-	if len(series) == 0 {
-		return nil, fmt.Errorf("core: claim %q has no observations", id)
-	}
-	return model, nil
 }
 
 // DecodeAll decodes every claim, optionally in parallel, and returns the

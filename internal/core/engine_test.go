@@ -72,7 +72,7 @@ func TestIngestRejectsNonFiniteScore(t *testing.T) {
 				if err := e.Ingest(bad); err == nil {
 					t.Fatal("non-finite report accepted")
 				}
-				if n, claims := e.ReportCount(), e.Claims(); n != 0 || len(claims) != 0 {
+				if n, claims := reportCount(e), e.Claims(); n != 0 || len(claims) != 0 {
 					t.Fatalf("rejected report left state behind: %d reports, claims %v", n, claims)
 				}
 				// Five intervals of good reports around a second bad one:
@@ -119,7 +119,7 @@ func TestIngestRejectsScoreOverOne(t *testing.T) {
 			t.Errorf("score %v: Ingest error %v, want one naming claim c1 report 3", bad.ContributionScore(), err)
 		}
 	}
-	if n, after := e.ReportCount(), e.ACSSeries("c1"); n != 3 || !slices.Equal(after, before) {
+	if n, after := reportCount(e), e.ACSSeries("c1"); n != 3 || !slices.Equal(after, before) {
 		t.Errorf("refused reports left state behind: %d reports, series %v (was %v)", n, after, before)
 	}
 	err := e.Ingest(socialsensing.Report{Claim: "c2", Timestamp: origin(), Attitude: socialsensing.Agree, Independence: 2})
@@ -290,7 +290,7 @@ func TestEngineClaimsAndCounts(t *testing.T) {
 	if len(ids) != 2 || ids[0] != "a" || ids[1] != "b" {
 		t.Errorf("Claims() = %v, want sorted [a b]", ids)
 	}
-	if got := e.ReportCount(); got != 80 {
+	if got := reportCount(e); got != 80 {
 		t.Errorf("ReportCount() = %d, want 80", got)
 	}
 	if s := e.ACSSeries("a"); len(s) != 5 {

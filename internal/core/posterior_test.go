@@ -154,8 +154,8 @@ func TestStreamingDecoderMatchesBatchOnStablePhases(t *testing.T) {
 	if diff > 4 {
 		t.Errorf("streaming timeline differs from batch at %d/50 positions", diff)
 	}
-	if sd.Len() != 50 {
-		t.Errorf("Len = %d", sd.Len())
+	if len(sd.series) != 50 {
+		t.Errorf("ingested %d observations, want 50", len(sd.series))
 	}
 }
 

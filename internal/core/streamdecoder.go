@@ -78,10 +78,6 @@ func (s *StreamingDecoder) decodeWindow() ([]socialsensing.TruthValue, error) {
 	return s.decoder.decodeScratch(s.scratch, model, win, true)
 }
 
-// TrainIterations returns the total EM iterations spent across every
-// decode so far — the cost a warm-started stream saves on.
-func (s *StreamingDecoder) TrainIterations() int { return s.trainIters }
-
 // Append ingests the next ACS observation and returns the current estimate
 // for the newest interval.
 func (s *StreamingDecoder) Append(acs float64) (socialsensing.TruthValue, error) {
@@ -119,28 +115,4 @@ func (s *StreamingDecoder) offset() int {
 		return 0
 	}
 	return start
-}
-
-// Len returns the number of observations ingested.
-func (s *StreamingDecoder) Len() int { return len(s.series) }
-
-// Timeline returns the full estimate history: pinned decisions followed by
-// the current decode of the revisable suffix.
-func (s *StreamingDecoder) Timeline() ([]socialsensing.TruthValue, error) {
-	if len(s.series) == 0 {
-		return nil, nil
-	}
-	truth, err := s.decodeWindow()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]socialsensing.TruthValue, 0, len(s.series))
-	out = append(out, s.pinned[:s.frontier]...)
-	// The decode window starts at offset(); skip the part already pinned.
-	skip := s.frontier - s.offset()
-	if skip < 0 {
-		skip = 0
-	}
-	out = append(out, truth[skip:]...)
-	return out, nil
 }

@@ -141,7 +141,7 @@ func TestStreamingWarmColdTimelinesIdentical(t *testing.T) {
 			t.Fatalf("timeline[%d]: warm %v differs from cold %v", i, tlWarm[i], tlCold[i])
 		}
 	}
-	if w, c := sWarm.TrainIterations(), sCold.TrainIterations(); w >= c {
+	if w, c := sWarm.trainIters, sCold.trainIters; w >= c {
 		t.Errorf("warm stream spent %d EM iterations, cold spent %d — warm start saved nothing", w, c)
 	}
 }

@@ -153,21 +153,6 @@ func EvaluateDynamicPerClaim(tr *socialsensing.Trace, estimate TruthFunc, width 
 	return perClaim, total, nil
 }
 
-// HitRate is the fraction of intervals whose processing finished within
-// the deadline (Fig. 6's controllability metric).
-func HitRate(met []bool) float64 {
-	if len(met) == 0 {
-		return 0
-	}
-	hits := 0
-	for _, m := range met {
-		if m {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(met))
-}
-
 // SpeedupSeries is one curve of Fig. 7: speedup per worker count.
 type SpeedupSeries struct {
 	DataSize int

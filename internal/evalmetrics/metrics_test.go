@@ -176,12 +176,3 @@ func TestEvaluateDynamicPerClaim(t *testing.T) {
 		t.Error("zero width accepted")
 	}
 }
-
-func TestHitRate(t *testing.T) {
-	if got := HitRate(nil); got != 0 {
-		t.Errorf("HitRate(nil) = %v", got)
-	}
-	if got := HitRate([]bool{true, true, false, true}); got != 0.75 {
-		t.Errorf("HitRate = %v, want 0.75", got)
-	}
-}

@@ -46,25 +46,9 @@ func NewDefaultHedgeClassifier() *HedgeClassifier {
 	return c
 }
 
-// Uncertainty returns P(hedged | text) in (0,1) under the NB model. Text
+// UncertaintyDoc returns P(hedged | d) in (0,1) under the NB model. A text
 // with no known tokens falls back to the class prior.
-func (c *HedgeClassifier) Uncertainty(text string) float64 {
-	return c.UncertaintyDoc(textutil.NewDoc(text))
-}
-
-// UncertaintyDoc is Uncertainty for a text that is already tokenized.
 func (c *HedgeClassifier) UncertaintyDoc(d textutil.Doc) float64 { return c.nb.probPositive(d) }
-
-// VocabSize reports the number of distinct training tokens (used in tests
-// and diagnostics).
-func (c *HedgeClassifier) VocabSize() int { return len(c.nb.vocab) }
-
-// TopHedgeTokens returns up to n vocabulary tokens ranked by their
-// log-likelihood ratio toward the hedged class; useful for debugging a
-// trained model.
-func (c *HedgeClassifier) TopHedgeTokens(n int) []string {
-	return c.nb.topPositiveTokens(n)
-}
 
 // hedgeCorpus is the built-in training set standing in for the CoNLL-2010
 // shared-task data: short social-media style sentences labelled hedged

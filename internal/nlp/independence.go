@@ -52,14 +52,9 @@ func NewIndependenceScorer() *IndependenceScorer {
 	}
 }
 
-// Score rates the independence of a report on the given claim at time t and
-// records it for future comparisons: against the claim's reports from the
-// Window before t on, whatever order they arrived in.
-func (s *IndependenceScorer) Score(claimID, text string, t time.Time) float64 {
-	return s.ScoreDoc(claimID, textutil.NewDoc(text), t)
-}
-
-// ScoreDoc is Score for a text that is already tokenized.
+// ScoreDoc rates the independence of a report on the given claim at time t
+// and records it for future comparisons: against the claim's reports from
+// the Window before t on, whatever order they arrived in.
 func (s *IndependenceScorer) ScoreDoc(claimID string, d textutil.Doc, t time.Time) float64 {
 	if s.recent == nil {
 		s.recent = make(map[string]*window)
@@ -107,9 +102,6 @@ func (s *IndependenceScorer) copies(set []uint64, window []seenReport) bool {
 	}
 	return false
 }
-
-// Reset discards all remembered reports.
-func (s *IndependenceScorer) Reset() { s.recent = nil }
 
 // isRetweet detects the conventional retweet markers in lowercased text.
 func isRetweet(lower string) bool {

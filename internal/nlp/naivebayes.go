@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"strings"
 
 	"github.com/social-sensing/sstd/internal/textutil"
 )
@@ -14,10 +13,9 @@ import (
 // stance classifiers. Training leaves only what scoring reads: the two
 // log-likelihood tables and the log priors.
 type binaryNB struct {
-	// keys is the vocabulary as sorted token hashes; vocab, logPos and
-	// logNeg are indexed like it.
+	// keys is the vocabulary as sorted token hashes; logPos and logNeg
+	// are indexed like it.
 	keys           []uint64
-	vocab          []string
 	logPos, logNeg []float64
 	priorPos       float64
 	priorNeg       float64
@@ -50,14 +48,14 @@ func trainBinaryNB(n int, example func(i int) (text string, positive bool)) *bin
 	nb := &binaryNB{
 		priorPos: math.Log(docs[1] / (docs[1] + docs[0])),
 		priorNeg: math.Log(docs[0] / (docs[1] + docs[0])),
-		vocab:    make([]string, 0, len(counts)),
 	}
+	vocab := make([]string, 0, len(counts))
 	for t := range counts {
-		nb.vocab = append(nb.vocab, t)
+		vocab = append(vocab, t)
 	}
-	slices.SortFunc(nb.vocab, func(a, b string) int { return cmp.Compare(textutil.Hash(a), textutil.Hash(b)) })
-	v := float64(len(nb.vocab))
-	for _, t := range nb.vocab {
+	slices.SortFunc(vocab, func(a, b string) int { return cmp.Compare(textutil.Hash(a), textutil.Hash(b)) })
+	v := float64(len(vocab))
+	for _, t := range vocab {
 		nb.keys = append(nb.keys, textutil.Hash(t))
 		nb.logPos = append(nb.logPos, math.Log((counts[t][1]+1)/(totals[1]+v)))
 		nb.logNeg = append(nb.logNeg, math.Log((counts[t][0]+1)/(totals[0]+v)))
@@ -80,16 +78,4 @@ func (nb *binaryNB) probPositive(d textutil.Doc) float64 {
 	p := pp / (pp + pn)
 	const eps = 1e-4
 	return math.Min(1-eps, math.Max(eps, p))
-}
-
-// topPositiveTokens ranks vocabulary by log-likelihood ratio toward the
-// positive class.
-func (nb *binaryNB) topPositiveTokens(n int) []string {
-	score := make(map[string]float64, len(nb.vocab))
-	for idx, tok := range nb.vocab {
-		score[tok] = nb.logPos[idx] - nb.logNeg[idx]
-	}
-	all := slices.Clone(nb.vocab)
-	slices.SortFunc(all, func(a, b string) int { return cmp.Or(cmp.Compare(score[b], score[a]), strings.Compare(a, b)) })
-	return slices.Clip(all[:min(n, len(all))])
 }

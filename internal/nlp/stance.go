@@ -65,11 +65,6 @@ func NewDefaultStanceClassifier() *StanceClassifier {
 	return c
 }
 
-// SupportProbability returns P(text supports its claim) in (0,1).
-func (c *StanceClassifier) SupportProbability(text string) float64 {
-	return c.nb.probPositive(textutil.NewDoc(text))
-}
-
 // Score implements AttitudeModel: Agree above the neutral band, Disagree
 // below it, NoReport inside it or for empty text.
 func (c *StanceClassifier) Score(text string) socialsensing.Attitude {
@@ -90,12 +85,6 @@ func (c *StanceClassifier) ScoreDoc(d textutil.Doc) socialsensing.Attitude {
 	default:
 		return socialsensing.NoReport
 	}
-}
-
-// TopSupportTokens returns the n tokens most indicative of a supporting
-// stance.
-func (c *StanceClassifier) TopSupportTokens(n int) []string {
-	return c.nb.topPositiveTokens(n)
 }
 
 // stanceCorpus is the built-in training set: short social-media texts

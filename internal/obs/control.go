@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"io"
 	"os"
 	"sync"
 	"time"
@@ -170,31 +169,6 @@ func (r *ControlRecorder) Samples() []ControlSample {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]ControlSample(nil), r.samples...)
-}
-
-// WriteJSON writes the series as a JSON array.
-func (r *ControlRecorder) WriteJSON(w io.Writer) error {
-	samples := r.Samples()
-	if samples == nil {
-		samples = []ControlSample{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(samples)
-}
-
-// WriteFile writes the series to path, making experiment runs
-// reproducible artifacts. Nil recorders write an empty series.
-func (r *ControlRecorder) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.WriteJSON(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // Artifact is the payload of a -telemetry run file: the final metrics

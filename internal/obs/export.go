@@ -303,7 +303,7 @@ func Handler(reg *Registry, tr *Tracer, lg *Logger) http.Handler {
 		var since time.Time
 		if s := q.Get("since"); s != "" {
 			var ok bool
-			if since, ok = parseSince(s, time.Now()); !ok {
+			if since, ok = ParseSince(s, time.Now()); !ok {
 				http.Error(w, "bad since: want a duration (5m) or RFC3339 time", http.StatusBadRequest)
 				return
 			}
@@ -342,9 +342,10 @@ func boundedLimit(s string, def, max int) int {
 	return n
 }
 
-// parseSince accepts either a lookback duration ("5m" → now-5m) or an
-// absolute RFC3339 timestamp.
-func parseSince(s string, now time.Time) (time.Time, bool) {
+// ParseSince reads a ?since= lookback, the /logs and /query form: either a
+// non-negative duration ("5m" → now-5m) or an absolute RFC3339 timestamp.
+// ok is false for anything else.
+func ParseSince(s string, now time.Time) (time.Time, bool) {
 	if d, err := time.ParseDuration(s); err == nil && d >= 0 {
 		return now.Add(-d), true
 	}

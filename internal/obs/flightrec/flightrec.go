@@ -153,22 +153,6 @@ func (g *Ring) Probe(id ProbeID, t0, arg, parent int64) int64 {
 	return t1
 }
 
-// Name returns the ring's name ("" on nil).
-func (g *Ring) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
-}
-
-// Total reports how many events were ever written to the ring (0 on nil).
-func (g *Ring) Total() uint64 {
-	if g == nil {
-		return 0
-	}
-	return g.cur.Load()
-}
-
 // Trigger names accepted by Trip and the -flight-dump-on flag.
 const (
 	TrigDeadlineMiss = "deadline-miss" // burst of jobs past their deadline
@@ -179,6 +163,11 @@ const (
 	TrigManual       = "manual"        // /debug/flightrec/trip or tests
 )
 
+// maxRings caps how many distinct rings a recorder tracks; past the cap
+// NewRing degrades to the shared per-name ring so churning callers
+// (reconnecting codecs) cannot grow memory without bound.
+const maxRings = 64
+
 // Config parameterizes a Recorder. The zero value is usable: default
 // ring size, 1s dump window, 5s trip cooldown, all triggers armed, no
 // dump directory (snapshots available over HTTP only).
@@ -186,10 +175,6 @@ type Config struct {
 	// RingSize is the per-ring capacity in records, rounded up to a
 	// power of two (default 4096; one record is 40 bytes).
 	RingSize int
-	// MaxRings caps how many distinct rings the recorder tracks; past
-	// the cap NewRing degrades to the shared per-name ring so churning
-	// callers (reconnecting codecs) cannot grow memory without bound.
-	MaxRings int
 	// Window is how far back a deep-dive dump reaches (default 1s).
 	Window time.Duration
 	// Cooldown is the minimum gap between dumps (default 5s) so a
@@ -233,7 +218,6 @@ type DumpInfo struct {
 // *Recorder is valid: every method no-ops.
 type Recorder struct {
 	ringSize int
-	maxRings int
 	window   time.Duration
 	cooldown time.Duration
 	dir      string
@@ -270,10 +254,6 @@ func NewRecorder(cfg Config) (*Recorder, error) {
 	for pow < size {
 		pow <<= 1
 	}
-	maxRings := cfg.MaxRings
-	if maxRings <= 0 {
-		maxRings = 64
-	}
 	window := cfg.Window
 	if window <= 0 {
 		window = time.Second
@@ -305,7 +285,6 @@ func NewRecorder(cfg Config) (*Recorder, error) {
 	now := time.Now()
 	r := &Recorder{
 		ringSize: pow,
-		maxRings: maxRings,
 		window:   window,
 		cooldown: cooldown,
 		dir:      cfg.Dir,
@@ -357,13 +336,13 @@ func (r *Recorder) Ring(name string) *Ring {
 
 // NewRing returns a private ring under name — the per-goroutine shape:
 // one ring per workspace or codec means zero cursor contention. Past
-// Config.MaxRings it degrades to the shared per-name ring. Nil-safe.
+// maxRings it degrades to the shared per-name ring. Nil-safe.
 func (r *Recorder) NewRing(name string) *Ring {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	if len(r.rings) < r.maxRings {
+	if len(r.rings) < maxRings {
 		g := r.newRingLocked(name)
 		r.mu.Unlock()
 		return g
@@ -393,11 +372,6 @@ func (r *Recorder) Armed(trigger string) bool {
 		return false
 	}
 	return r.armed == nil || r.armed[trigger]
-}
-
-// Frozen reports whether a dump snapshot is in progress.
-func (r *Recorder) Frozen() bool {
-	return r != nil && r.frozen.Load()
 }
 
 // Trip fires a trigger: if it is armed and the cooldown has expired the

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -62,9 +61,6 @@ func F(key string, value any) Field { return Field{Key: key, Value: value} }
 // TraceID tags an entry with the distributed trace it belongs to.
 func TraceID(id string) Field { return Field{Key: "trace_id", Value: id} }
 
-// SpanID tags an entry with the span it was emitted under.
-func SpanID(id int64) Field { return Field{Key: "span_id", Value: id} }
-
 // WorkerID tags an entry with a worker.
 func WorkerID(id string) Field { return Field{Key: "worker_id", Value: id} }
 
@@ -109,14 +105,13 @@ func (e LogEntry) MarshalJSON() ([]byte, error) {
 // optional JSON-lines writer plus a fixed-capacity ring of recent
 // entries backing the /logs endpoint.
 type logCore struct {
-	min atomic.Int32 // LogLevel, read without the mutex
+	min LogLevel // fixed at construction, read without the mutex
 
-	mu    sync.Mutex
-	w     io.Writer
-	ring  []LogEntry
-	next  int
-	total int
-	cap   int
+	mu   sync.Mutex
+	w    io.Writer
+	ring []LogEntry
+	next int
+	cap  int
 }
 
 // Logger is a leveled, structured, zero-dependency logger. Entries go to
@@ -137,8 +132,7 @@ func NewLogger(w io.Writer, min LogLevel, capacity int) *Logger {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	c := &logCore{w: w, ring: make([]LogEntry, 0, capacity), cap: capacity}
-	c.min.Store(int32(min))
+	c := &logCore{min: min, w: w, ring: make([]LogEntry, 0, capacity), cap: capacity}
 	return &Logger{core: c}
 }
 
@@ -152,23 +146,6 @@ func (l *Logger) With(fields ...Field) *Logger {
 	base = append(base, l.base...)
 	base = append(base, fields...)
 	return &Logger{core: l.core, base: base}
-}
-
-// SetLevel adjusts the minimum level at runtime. Nil-safe.
-func (l *Logger) SetLevel(min LogLevel) {
-	if l == nil {
-		return
-	}
-	l.core.min.Store(int32(min))
-}
-
-// Enabled reports whether entries at the given level are recorded
-// (false on nil).
-func (l *Logger) Enabled(level LogLevel) bool {
-	if l == nil {
-		return false
-	}
-	return int32(level) >= l.core.min.Load()
 }
 
 // Debug logs at debug level. Nil-safe, like every level method.
@@ -185,7 +162,7 @@ func (l *Logger) Error(msg string, fields ...Field) { l.log(LevelError, msg, fie
 
 func (l *Logger) log(level LogLevel, msg string, fields []Field) {
 	// The level first: a filtered call reads no clock and builds no map.
-	if l == nil || int32(level) < l.core.min.Load() {
+	if l == nil || level < l.core.min {
 		return
 	}
 	e := LogEntry{Time: time.Now(), Level: level.String(), Msg: msg}
@@ -213,7 +190,6 @@ func (l *Logger) log(level LogLevel, msg string, fields []Field) {
 		c.ring[c.next] = e
 		c.next = (c.next + 1) % c.cap
 	}
-	c.total++
 	w := c.w
 	var line []byte
 	if w != nil {
@@ -229,26 +205,6 @@ func (l *Logger) log(level LogLevel, msg string, fields []Field) {
 		_, _ = w.Write(append(line, '\n'))
 	}
 	c.mu.Unlock()
-}
-
-// Len reports buffered entries (0 on nil).
-func (l *Logger) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.core.mu.Lock()
-	defer l.core.mu.Unlock()
-	return len(l.core.ring)
-}
-
-// Total reports entries ever recorded, including ones the ring evicted.
-func (l *Logger) Total() int {
-	if l == nil {
-		return 0
-	}
-	l.core.mu.Lock()
-	defer l.core.mu.Unlock()
-	return l.core.total
 }
 
 // Entries returns the buffered entries, oldest first. Safe on nil.
@@ -286,19 +242,8 @@ func (l *Logger) EntriesFiltered(since time.Time, min LogLevel, limit int) []Log
 	return out
 }
 
-// WriteJSON dumps the buffered entries as a JSON array (the /logs
-// payload).
-func (l *Logger) WriteJSON(w io.Writer) error {
-	entries := l.Entries()
-	if entries == nil {
-		entries = []LogEntry{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(entries)
-}
-
-// WriteJSONFiltered is WriteJSON bounded by EntriesFiltered's params.
+// WriteJSONFiltered dumps the entries EntriesFiltered returns as a JSON
+// array (the /logs payload).
 func (l *Logger) WriteJSONFiltered(w io.Writer, since time.Time, min LogLevel, limit int) error {
 	entries := l.EntriesFiltered(since, min, limit)
 	if entries == nil {

@@ -153,20 +153,6 @@ func (g *Gauge) Set(v float64) {
 // SetInt stores an integer value.
 func (g *Gauge) SetInt(v int) { g.Set(float64(v)) }
 
-// Add atomically adds d to the gauge.
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value reads the gauge (0 on nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -290,13 +276,6 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.sumBits.Load())
-}
-
-// Quantile estimates the q-quantile (0 < q < 1); see
-// HistogramSnapshot.Quantile. Returns 0 with no observations or a nil
-// receiver.
-func (h *Histogram) Quantile(q float64) float64 {
-	return h.Snapshot().Quantile(q)
 }
 
 // Quantile estimates the q-quantile (0 < q < 1) by linear interpolation

@@ -9,36 +9,30 @@ import (
 )
 
 // ProfileConfig selects which runtime profiles to collect. Any empty
-// path skips that profile. Mutex and block profiling carry a runtime
-// cost while armed, so they are sampled: MutexFraction is passed to
-// runtime.SetMutexProfileFraction (<= 0 defaults to 5, i.e. 1-in-5
-// contended mutex events recorded) and BlockRate to
-// runtime.SetBlockProfileRate in nanoseconds (<= 0 defaults to 10µs —
-// one sample per 10µs of goroutine blocking).
+// path skips that profile.
 type ProfileConfig struct {
 	CPUPath   string
 	MemPath   string
 	MutexPath string
 	BlockPath string
-
-	MutexFraction int
-	BlockRate     int
 }
 
-// StartProfiling starts a CPU profile at cpuPath and returns a stop
-// function that ends it and snapshots the heap to memPath. Either path may
-// be empty to skip that profile; the returned stop function is always
-// non-nil and idempotent — repeat calls return the first call's result
-// without re-running the stop work. The heap snapshot runs a GC first
-// so it reports live objects, not garbage awaiting collection.
-func StartProfiling(cpuPath, memPath string) (func() error, error) {
-	return StartProfilingWith(ProfileConfig{CPUPath: cpuPath, MemPath: memPath})
-}
+// Mutex and block profiling carry a runtime cost while armed, so they are
+// sampled: one contended mutex event in mutexFraction, and one sample per
+// blockRate nanoseconds of goroutine blocking.
+const (
+	mutexFraction = 5
+	blockRate     = 10_000
+)
 
-// StartProfilingWith is StartProfiling plus contention profiles: when
-// MutexPath or BlockPath is set the matching runtime sampler is armed
-// for the run and the accumulated profile is written at stop (then the
-// sampler is disarmed so the process returns to zero overhead).
+// StartProfilingWith starts the profiles cfg names and returns a stop
+// function that writes them. The CPU profile runs from now to stop; when
+// MutexPath or BlockPath is set the matching runtime sampler is armed for
+// the run, its profile written at stop and the sampler then disarmed, so
+// the process returns to zero overhead; MemPath gets a heap snapshot at
+// stop, taken after a GC so it reports live objects, not garbage awaiting
+// collection. The stop function is always non-nil and idempotent: repeat
+// calls return the first call's result without re-running the stop work.
 func StartProfilingWith(cfg ProfileConfig) (func() error, error) {
 	var cpuFile *os.File
 	if cfg.CPUPath != "" {
@@ -53,18 +47,10 @@ func StartProfilingWith(cfg ProfileConfig) (func() error, error) {
 		cpuFile = f
 	}
 	if cfg.MutexPath != "" {
-		frac := cfg.MutexFraction
-		if frac <= 0 {
-			frac = 5
-		}
-		runtime.SetMutexProfileFraction(frac)
+		runtime.SetMutexProfileFraction(mutexFraction)
 	}
 	if cfg.BlockPath != "" {
-		rate := cfg.BlockRate
-		if rate <= 0 {
-			rate = 10_000 // one sample per 10µs blocked
-		}
-		runtime.SetBlockProfileRate(rate)
+		runtime.SetBlockProfileRate(blockRate)
 	}
 	var once sync.Once
 	var stopErr error

@@ -12,9 +12,9 @@ func TestStartProfilingWritesArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
-	stop, err := StartProfiling(cpu, mem)
+	stop, err := StartProfilingWith(ProfileConfig{CPUPath: cpu, MemPath: mem})
 	if err != nil {
-		t.Fatalf("StartProfiling: %v", err)
+		t.Fatalf("StartProfilingWith: %v", err)
 	}
 	// Burn a little CPU so the profile has something to sample.
 	x := 0.0
@@ -38,9 +38,9 @@ func TestStartProfilingWritesArtifacts(t *testing.T) {
 
 func TestStartProfilingStopIdempotent(t *testing.T) {
 	dir := t.TempDir()
-	stop, err := StartProfiling(filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof"))
+	stop, err := StartProfilingWith(ProfileConfig{CPUPath: filepath.Join(dir, "cpu.pprof"), MemPath: filepath.Join(dir, "mem.pprof")})
 	if err != nil {
-		t.Fatalf("StartProfiling: %v", err)
+		t.Fatalf("StartProfilingWith: %v", err)
 	}
 	if err := stop(); err != nil {
 		t.Fatalf("first stop: %v", err)
@@ -58,9 +58,9 @@ func TestStartProfilingStopErrorSticky(t *testing.T) {
 	dir := t.TempDir()
 	// Heap snapshot into a directory that does not exist: stop fails, and
 	// every later call reports the same error instead of retrying.
-	stop, err := StartProfiling("", filepath.Join(dir, "missing", "mem.pprof"))
+	stop, err := StartProfilingWith(ProfileConfig{CPUPath: "", MemPath: filepath.Join(dir, "missing", "mem.pprof")})
 	if err != nil {
-		t.Fatalf("StartProfiling: %v", err)
+		t.Fatalf("StartProfilingWith: %v", err)
 	}
 	first := stop()
 	if first == nil {
@@ -73,7 +73,7 @@ func TestStartProfilingStopErrorSticky(t *testing.T) {
 
 func TestStartProfilingUnwritableCPUPath(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := StartProfiling(filepath.Join(dir, "missing", "cpu.pprof"), ""); err == nil {
+	if _, err := StartProfilingWith(ProfileConfig{CPUPath: filepath.Join(dir, "missing", "cpu.pprof"), MemPath: ""}); err == nil {
 		t.Fatal("unwritable cpu path should fail at start")
 	}
 }
@@ -122,9 +122,9 @@ func TestStartProfilingWithContentionProfiles(t *testing.T) {
 }
 
 func TestStartProfilingEmptyPathsNoop(t *testing.T) {
-	stop, err := StartProfiling("", "")
+	stop, err := StartProfilingWith(ProfileConfig{CPUPath: "", MemPath: ""})
 	if err != nil {
-		t.Fatalf("StartProfiling with no paths: %v", err)
+		t.Fatalf("StartProfilingWith with no paths: %v", err)
 	}
 	if err := stop(); err != nil {
 		t.Errorf("no-op stop returned %v", err)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
@@ -113,27 +112,10 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{capacity: capacity, now: time.Now, ring: make([]Span, 0, capacity)}
 }
 
-type spanCtxKey struct{}
-
-// StartSpan opens a span named name, linked under the span already in ctx
-// (if any), and returns a context carrying the new span for further
-// nesting. With a nil tracer it returns (ctx, nil) — and a nil span's
-// methods all no-op.
-func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	if t == nil {
-		return ctx, nil
-	}
-	parent := int64(0)
-	if p, ok := ctx.Value(spanCtxKey{}).(*Span); ok && p != nil {
-		parent = p.ID
-	}
-	s := t.NewSpan(name, parent)
-	return context.WithValue(ctx, spanCtxKey{}, s), s
-}
-
-// NewSpan opens a span with an explicit parent ID (0 = root) for call
-// sites without a context, e.g. the workqueue master linking task spans
-// under a job span received over the wire. Nil-safe.
+// NewSpan opens a span with an explicit parent ID (0 = root), e.g. the
+// workqueue master linking task spans under a job span received over the
+// wire. With a nil tracer it returns nil, and a nil span's methods all
+// no-op.
 func (t *Tracer) NewSpan(name string, parent int64) *Span {
 	if t == nil {
 		return nil
@@ -226,16 +208,6 @@ func (t *Tracer) Instrument(reg *Registry) {
 	}
 	t.cDropped = reg.Counter("obs_spans_dropped_total")
 	t.cDropped.Add(int64(t.dropped))
-}
-
-// Dropped reports how many spans the ring has overwritten (0 on nil).
-func (t *Tracer) Dropped() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // Len reports how many spans are currently buffered (0 on nil).

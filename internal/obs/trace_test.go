@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -29,8 +28,8 @@ func fakeClock() func() time.Time {
 
 func TestSpanParentChildLinkage(t *testing.T) {
 	tr := NewTracer(16)
-	ctx, job := tr.StartSpan(context.Background(), "job claim-1")
-	_, task := tr.StartSpan(ctx, "exec claim-1/0")
+	job := tr.NewSpan("job claim-1", 0)
+	task := tr.NewSpan("exec claim-1/0", job.SpanID())
 	task.Finish()
 	job.Finish()
 
@@ -78,9 +77,6 @@ func TestTracerRingEviction(t *testing.T) {
 			t.Errorf("evicted span %d still buffered", s.ID)
 		}
 	}
-	if tr.Dropped() != 6 {
-		t.Errorf("dropped = %d, want 6", tr.Dropped())
-	}
 }
 
 func TestTracerDroppedCounterExported(t *testing.T) {
@@ -99,9 +95,6 @@ func TestTracerDroppedCounterExported(t *testing.T) {
 	if c.Value() != 3 {
 		t.Errorf("counter = %d after 3 overwrites, want 3", c.Value())
 	}
-	if tr.Dropped() != 3 {
-		t.Errorf("Dropped() = %d, want 3", tr.Dropped())
-	}
 	// Re-instrumenting (or a nil tracer/registry) must not double count.
 	tr.Instrument(reg)
 	tr.Instrument(nil)
@@ -119,8 +112,8 @@ func TestTracerConcurrentSpans(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				ctx, parent := tr.StartSpan(context.Background(), "parent")
-				_, child := tr.StartSpan(ctx, "child")
+				parent := tr.NewSpan("parent", 0)
+				child := tr.NewSpan("child", parent.SpanID())
 				child.SetAttr("k", "v")
 				child.Finish()
 				parent.Finish()
@@ -143,16 +136,16 @@ func TestWriteChromeTraceGolden(t *testing.T) {
 	tr := NewTracer(32)
 	tr.now = fakeClock()
 
-	ctx, job := tr.StartSpan(context.Background(), "job claim-1")
+	job := tr.NewSpan("job claim-1", 0)
 	job.SetAttr("reports", "128")
 	q := tr.NewSpan("queue claim-1/0", job.SpanID())
 	q.Finish()
-	_, exec := tr.StartSpan(ctx, "exec claim-1/0")
+	exec := tr.NewSpan("exec claim-1/0", job.SpanID())
 	exec.SetAttr("worker", "w1")
 	exec.Finish()
-	_, merge := tr.StartSpan(ctx, "merge claim-1")
+	merge := tr.NewSpan("merge claim-1", job.SpanID())
 	merge.Finish()
-	_, dec := tr.StartSpan(ctx, "decode claim-1")
+	dec := tr.NewSpan("decode claim-1", job.SpanID())
 	dec.Finish()
 	job.Finish()
 

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"github.com/social-sensing/sstd/internal/obs"
 )
 
 // QueryResult is the /query response payload.
@@ -54,14 +56,12 @@ func (s *Store) Handler() http.Handler {
 		}
 		now := time.Now()
 		if sv := q.Get("since"); sv != "" {
-			if d, err := time.ParseDuration(sv); err == nil && d >= 0 {
-				query.Since = d
-			} else if t, err := time.Parse(time.RFC3339, sv); err == nil {
-				query.Since = now.Sub(t)
-			} else {
+			since, ok := obs.ParseSince(sv, now)
+			if !ok {
 				http.Error(w, "bad since: want a duration (5m) or RFC3339 time", http.StatusBadRequest)
 				return
 			}
+			query.Since = now.Sub(since)
 		}
 		if sv := q.Get("step"); sv != "" {
 			d, err := time.ParseDuration(sv)

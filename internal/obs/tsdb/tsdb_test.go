@@ -204,7 +204,15 @@ func TestHandlerQueryEndpoint(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || len(out.Names) != 1 || out.Names[0] != "m" {
 		t.Fatalf("names: err=%v body=%s", err, rec.Body.String())
 	}
-	for _, bad := range []string{"/?series=m&since=banana", "/?series=m&step=-1s", "/?series=m&limit=x", "/?series=m&label=nokey"} {
+	// since takes a duration or an RFC3339 time, as /logs does.
+	for _, since := range []string{"1h", time.Now().Add(-time.Hour).Format(time.RFC3339)} {
+		rec = get("/?series=m&since=" + since)
+		out = QueryResult{}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || len(out.Series) != 2 {
+			t.Errorf("since=%s: code=%d body=%s", since, rec.Code, rec.Body.String())
+		}
+	}
+	for _, bad := range []string{"/?series=m&since=banana", "/?series=m&since=-5m", "/?series=m&step=-1s", "/?series=m&limit=x", "/?series=m&label=nokey"} {
 		if rec := get(bad); rec.Code != 400 {
 			t.Errorf("GET %s: code=%d, want 400", bad, rec.Code)
 		}

@@ -13,7 +13,6 @@ import (
 	"github.com/social-sensing/sstd/internal/clustering"
 	"github.com/social-sensing/sstd/internal/contrib"
 	"github.com/social-sensing/sstd/internal/core"
-	"github.com/social-sensing/sstd/internal/obs"
 	"github.com/social-sensing/sstd/internal/socialsensing"
 	"github.com/social-sensing/sstd/internal/textutil"
 )
@@ -36,13 +35,6 @@ type Config struct {
 	// ScorerOptions customize semantic scoring (e.g. a sports attitude
 	// lexicon or a trained stance classifier).
 	ScorerOptions []contrib.Option
-	// Metrics enables pipeline ingest telemetry, and — unless the
-	// engine config carries its own registry — engine telemetry too.
-	// Nil disables it.
-	Metrics *obs.Registry
-	// Logger receives structured pipeline events (ingest failures,
-	// cluster compaction). Nil disables logging.
-	Logger *obs.Logger
 }
 
 // Pipeline is the composed ingestion path. It is not safe for concurrent
@@ -52,13 +44,6 @@ type Pipeline struct {
 	clusterer *clustering.Clusterer
 	scorer    *contrib.Scorer
 	engine    *core.Engine
-	logger    *obs.Logger
-
-	// Telemetry handles; nil when Config.Metrics is nil.
-	cPosts    *obs.Counter
-	cKept     *obs.Counter
-	cFiltered *obs.Counter
-	gClusters *obs.Gauge
 
 	posts    int
 	kept     int
@@ -70,9 +55,6 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.Engine.Origin.IsZero() {
 		return nil, errors.New("pipeline: engine config needs an origin time")
 	}
-	if cfg.Metrics != nil && cfg.Engine.Metrics == nil {
-		cfg.Engine.Metrics = cfg.Metrics
-	}
 	eng, err := core.NewEngine(cfg.Engine)
 	if err != nil {
 		return nil, err
@@ -81,13 +63,6 @@ func New(cfg Config) (*Pipeline, error) {
 		clusterer: clustering.New(cfg.Cluster),
 		scorer:    contrib.NewScorer(cfg.ScorerOptions...),
 		engine:    eng,
-		logger:    cfg.Logger,
-	}
-	if reg := cfg.Metrics; reg != nil {
-		p.cPosts = reg.Counter("pipeline_posts_total")
-		p.cKept = reg.Counter("pipeline_kept_total")
-		p.cFiltered = reg.Counter("pipeline_filtered_total")
-		p.gClusters = reg.Gauge("pipeline_claims")
 	}
 	return p, nil
 }
@@ -97,21 +72,15 @@ func New(cfg Config) (*Pipeline, error) {
 // it.
 func (p *Pipeline) Process(post RawPost) (claim socialsensing.ClaimID, kept bool, err error) {
 	p.posts++
-	p.cPosts.Inc()
 	report, ok := p.frontEnd(post)
 	if !ok {
 		p.filtered++
-		p.cFiltered.Inc()
 		return "", false, nil
 	}
 	if err := p.engine.Ingest(report); err != nil {
-		p.logger.Error("pipeline ingest failed",
-			obs.F("claim", string(report.Claim)), obs.F("source", string(post.Source)), obs.Err(err))
 		return "", false, fmt.Errorf("pipeline: ingest: %w", err)
 	}
 	p.kept++
-	p.cKept.Inc()
-	p.gClusters.SetInt(p.clusterer.Len())
 	return report.Claim, true, nil
 }
 
@@ -145,22 +114,6 @@ func (p *Pipeline) ProcessAll(posts []RawPost) error {
 // Engine exposes the underlying truth discovery engine for decoding and
 // posterior queries.
 func (p *Pipeline) Engine() *core.Engine { return p.engine }
-
-// Claims returns the current derived claims (clusters), largest first.
-func (p *Pipeline) Claims() []clustering.Cluster { return p.clusterer.Clusters() }
-
-// Compact re-fuses claim clusters that drifted apart during streaming and
-// returns the number of merges. Note that reports already ingested keep
-// their original claim IDs; call this between processing batches, before
-// decoding, when fragmentation is visible in Claims().
-func (p *Pipeline) Compact() int {
-	merges := p.clusterer.Compact()
-	if merges > 0 {
-		p.logger.Info("compacted claim clusters",
-			obs.F("merges", merges), obs.F("claims", p.clusterer.Len()))
-	}
-	return merges
-}
 
 // Stats summarizes pipeline throughput.
 type Stats struct {

@@ -51,8 +51,8 @@ func TestPipelineFiltersAndClusters(t *testing.T) {
 	if st.Posts != 3 || st.Kept != 2 || st.Filtered != 1 || st.Claims != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-	if len(p.Claims()) != 1 {
-		t.Errorf("claims = %d", len(p.Claims()))
+	if len(p.clusterer.Clusters()) != 1 {
+		t.Errorf("claims = %d", len(p.clusterer.Clusters()))
 	}
 }
 
@@ -86,7 +86,7 @@ func TestPipelineEndToEndDecode(t *testing.T) {
 	if st.Kept < len(posts)/2 {
 		t.Fatalf("kept only %d/%d posts", st.Kept, len(posts))
 	}
-	clusters := p.Claims()
+	clusters := p.clusterer.Clusters()
 	if len(clusters) == 0 {
 		t.Fatal("no claims derived")
 	}

@@ -212,9 +212,6 @@ func b2i(b bool) int {
 	return 0
 }
 
-// JaccardDistance returns 1 - Jaccard(a, b).
-func JaccardDistance(a, b []uint64) float64 { return 1 - Jaccard(a, b) }
-
 // HasAny reports whether any token of the doc is in the sorted set.
 func (d Doc) HasAny(set []uint64) bool {
 	_, ok := Overlap(d.Set, set, 1)

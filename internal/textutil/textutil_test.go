@@ -151,6 +151,7 @@ func TestOverlap(t *testing.T) {
 func TestJaccardDistanceTriangleish(t *testing.T) {
 	// Jaccard distance is a metric; spot-check the triangle inequality on
 	// random word soups.
+	dist := func(a, b []uint64) float64 { return 1 - Jaccard(a, b) }
 	words := []string{"boston", "paris", "osu", "shooting", "bombing", "police", "fake", "lead", "score", "touchdown"}
 	mk := func(seed int) []uint64 {
 		var s []string
@@ -165,9 +166,9 @@ func TestJaccardDistanceTriangleish(t *testing.T) {
 		for b := 1; b < 64; b += 5 {
 			for c := 1; c < 64; c += 11 {
 				da, db, dc := mk(a), mk(b), mk(c)
-				ab := JaccardDistance(da, db)
-				bc := JaccardDistance(db, dc)
-				ac := JaccardDistance(da, dc)
+				ab := dist(da, db)
+				bc := dist(db, dc)
+				ac := dist(da, dc)
 				if ac > ab+bc+1e-12 {
 					t.Fatalf("triangle violated: d(%d,%d)=%v > d(%d,%d)+d(%d,%d)=%v", a, c, ac, a, b, b, c, ab+bc)
 				}

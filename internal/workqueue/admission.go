@@ -101,7 +101,7 @@ func newAdmissionGate(cfg AdmissionConfig, reg *obs.Registry, logger *obs.Logger
 
 // decide predicts when the job's last task would complete — backlog plus
 // the job's own tasks, drained by workers×rate — and compares it to the
-// deadline. The gate mirrors Eq. 11's JobWCET ≈ D·θ2/W shape with the
+// deadline. The gate mirrors Eq. 11's WCET ≈ D·θ2/W shape with the
 // measured 1/rate standing in for θ2. With workers attached but nothing
 // completed yet there is no rate to predict from, and the job is
 // admitted: refusing it would keep the rate at zero for good.

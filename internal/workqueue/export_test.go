@@ -1,6 +1,7 @@
 package workqueue
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -77,4 +78,42 @@ func EncodeResultBatchFrameBinary(n, payloadBytes int) []byte {
 	}
 	m.CRC = m.checksum()
 	return appendWireFrame(nil, &m)
+}
+
+// Stats returns a snapshot of the named job's progress (zero value when
+// unknown).
+func (m *Master) Stats(jobID string) JobStats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if js, ok := m.stats[jobID]; ok {
+		return *js
+	}
+	return JobStats{JobID: jobID}
+}
+
+// taskStateSizes reports the internal per-task map sizes; tests assert
+// they drain to zero after a run so long-lived masters cannot leak.
+func (m *Master) taskStateSizes() (inflight, attempts int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.inflight), len(m.attempts)
+}
+
+// next blocks until a task is available (or ctx is done / scheduler
+// closed) and returns it. It leases a pooled waiter per call; the master
+// holds a waiter per worker connection instead (see getWaiter) so its
+// idle-dispatch loop is allocation-free.
+func (s *scheduler) next(ctx context.Context) (Task, bool) {
+	w := s.getWaiter()
+	t, ok := w.next(ctx)
+	s.putWaiter(w)
+	return t, ok
+}
+
+// jobStateSizes reports internal map sizes (tests assert they drain):
+// queues counts jobs with pending tasks, priorities every known job.
+func (s *scheduler) jobStateSizes() (queues, priorities int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.order), len(s.jobs)
 }

@@ -279,17 +279,6 @@ func (m *Master) SetJobPriority(jobID string, p float64) {
 // Results is the stream of task results. It is closed by Shutdown.
 func (m *Master) Results() <-chan Result { return m.results }
 
-// Stats returns a snapshot of the named job's progress (zero value when
-// unknown).
-func (m *Master) Stats(jobID string) JobStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if js, ok := m.stats[jobID]; ok {
-		return *js
-	}
-	return JobStats{JobID: jobID}
-}
-
 // AllStats snapshots every job.
 func (m *Master) AllStats() []JobStats {
 	m.mu.Lock()
@@ -794,8 +783,8 @@ const quarantineRetention = 128
 // QuarantinedTask is one poisoned task parked by the master after its
 // retry budget ran out: every attempt ended in a worker loss or a task
 // deadline, so re-running it would keep crash-looping the pool. The
-// task stays inspectable (and re-submittable via ReleaseQuarantined)
-// while a failed Result lets its job finish degraded instead of stalling.
+// task stays inspectable while a failed Result lets its job finish
+// degraded instead of stalling.
 type QuarantinedTask struct {
 	Task          Task      `json:"task"`
 	Attempts      int       `json:"attempts"`
@@ -929,20 +918,6 @@ func (m *Master) Quarantined() []QuarantinedTask {
 	return out
 }
 
-// ReleaseQuarantined re-submits a quarantined task with a fresh retry
-// budget (e.g. after the fault that poisoned it was fixed). The release
-// counts as a new submission in its job's stats.
-func (m *Master) ReleaseQuarantined(taskID string) error {
-	m.mu.Lock()
-	q, ok := m.quarantine[taskID]
-	delete(m.quarantine, taskID)
-	m.mu.Unlock()
-	if ok {
-		return m.Submit(q.Task)
-	}
-	return fmt.Errorf("workqueue: task %q is not quarantined", taskID)
-}
-
 func (m *Master) complete(r Result) {
 	tp := m.fr.Start()
 	var ackParent int64
@@ -1007,14 +982,6 @@ func (m *Master) complete(r Result) {
 		case <-m.stopping:
 		}
 	}
-}
-
-// taskStateSizes reports the internal per-task map sizes; tests assert
-// they drain to zero after a run so long-lived masters cannot leak.
-func (m *Master) taskStateSizes() (inflight, attempts int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.inflight), len(m.attempts)
 }
 
 // Shutdown closes the task pool, waits for worker handlers spawned by

@@ -35,12 +35,11 @@ type Pool struct {
 	// and worker ends and returns the (possibly wrapped) pair.
 	WrapConn func(master, worker net.Conn) (net.Conn, net.Conn)
 	// Respawn keeps the pool elastic under worker death: a worker whose
-	// connection drops without a graceful release is restarted (after
-	// RespawnDelay) under a fresh incarnation ID, mirroring how the
-	// paper's scavenged HTCondor pool backfills evicted nodes. Without
-	// it a crashed worker leaves the pool one slot short forever.
-	Respawn      bool
-	RespawnDelay time.Duration
+	// connection drops without a graceful release is restarted at once
+	// under a fresh incarnation ID, mirroring how the paper's scavenged
+	// HTCondor pool backfills evicted nodes. Without it a crashed worker
+	// leaves the pool one slot short forever.
+	Respawn bool
 	// WorkerRecorder, when set, supplies each spawned worker's private
 	// flight recorder (see Worker.FlightRec): in-process workers then
 	// keep their frame-leg probe events in per-host rings, so the master's
@@ -154,13 +153,6 @@ func (p *Pool) spawnSlotLocked(ctx context.Context, slot, incarnation int) {
 // worker's goroutine, so the pool's WaitGroup is still held across the
 // wg.Add of the replacement.
 func (p *Pool) respawn(ctx context.Context, id string, slot, incarnation int) {
-	if p.RespawnDelay > 0 {
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(p.RespawnDelay):
-		}
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	cancel, ok := p.workers[id]

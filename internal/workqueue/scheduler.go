@@ -172,17 +172,6 @@ func (s *scheduler) setPriority(jobID string, p float64) {
 // the weighted pick never sees a negative weight. Callers hold s.mu.
 func (s *scheduler) setMassLocked(m float64) { s.mass = max(m, 0) }
 
-// next blocks until a task is available (or ctx is done / scheduler
-// closed) and returns it. It leases a pooled waiter per call; the master
-// holds a waiter per worker connection instead (see getWaiter) so its
-// idle-dispatch loop is allocation-free.
-func (s *scheduler) next(ctx context.Context) (Task, bool) {
-	w := s.getWaiter()
-	t, ok := w.next(ctx)
-	s.putWaiter(w)
-	return t, ok
-}
-
 // tryNext returns a queued task without blocking; ok=false when the pool
 // is empty or closed.
 func (s *scheduler) tryNext() (Task, bool) {
@@ -317,14 +306,6 @@ func (s *scheduler) forgetJob(jobID string) {
 		delete(s.jobs, jobID)
 	}
 	s.mu.Unlock()
-}
-
-// jobStateSizes reports internal map sizes (tests assert they drain):
-// queues counts jobs with pending tasks, priorities every known job.
-func (s *scheduler) jobStateSizes() (queues, priorities int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.order), len(s.jobs)
 }
 
 // len reports the number of queued tasks.

@@ -65,11 +65,6 @@ type Worker struct {
 	// and Redial) before the protocol starts — the hook the chaos layer
 	// uses to inject transport faults. Nil means the raw connection.
 	WrapConn func(net.Conn) net.Conn
-	// ReconnectBackoff paces Redial's reconnect attempts after a dial
-	// failure or a dropped connection. The zero value applies the default
-	// schedule (50ms base, doubling to a 5s cap); a negative Base retries
-	// immediately.
-	ReconnectBackoff BackoffConfig
 	// MaxReconnects bounds consecutive failed reconnect attempts in
 	// Redial before it gives up (zero = keep retrying until ctx is
 	// cancelled). The counter resets whenever a connection is
@@ -496,6 +491,10 @@ func (w *Worker) Dial(ctx context.Context, addr string) error {
 	return w.Run(ctx, conn)
 }
 
+// reconnectBackoff paces Redial's reconnect attempts after a dial failure
+// or a dropped connection: 50ms, doubling to a 5s cap, 20% jitter.
+var reconnectBackoff = BackoffConfig{Base: 50 * time.Millisecond, Max: 5 * time.Second, Factor: 2, Jitter: 0.2}
+
 // Redial runs the worker against addr, reconnecting with exponential
 // backoff + jitter whenever the connection drops, until the master sends
 // a shutdown, ctx is cancelled, or MaxReconnects consecutive attempts
@@ -503,10 +502,6 @@ func (w *Worker) Dial(ctx context.Context, addr string) error {
 // restarts and transient partitions are routine (§IV's scavenged
 // deployments).
 func (w *Worker) Redial(ctx context.Context, addr string) error {
-	backoff := w.ReconnectBackoff.withDefaults(50*time.Millisecond, 5*time.Second)
-	if w.ReconnectBackoff.Jitter == 0 {
-		backoff.Jitter = 0.2
-	}
 	// The jitter draw is seeded from the worker ID: reconnect schedules
 	// stay reproducible for a fixed pool layout, while distinct workers
 	// de-synchronize after a shared master restart.
@@ -536,7 +531,7 @@ func (w *Worker) Redial(ctx context.Context, addr string) error {
 		if ctx.Err() != nil {
 			return nil
 		}
-		delay := backoff.Delay(attempt, rng)
+		delay := reconnectBackoff.Delay(attempt, rng)
 		lg.Info("reconnecting to master",
 			obs.F("addr", addr), obs.F("backoff_ms", delay.Milliseconds()), obs.Err(err))
 		select {

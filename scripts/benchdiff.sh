@@ -4,10 +4,12 @@
 # Re-runs the bench tier (scripts/check.sh bench) and compares every
 # benchmark's ns/op against the checked-in baselines (BENCH_obs.json,
 # BENCH_hmm.json, BENCH_wire.json, BENCH_sched.json). Exits non-zero if any benchmark regressed by more than
-# BENCHDIFF_THRESHOLD percent (default 25). Benchmarks present only on
-# one side are reported but never fail the gate — CI machines differ, but
-# a >25% same-machine-format regression against the committed baseline is
-# a signal worth breaking the build for.
+# BENCHDIFF_THRESHOLD percent (default 25), or if a baseline row names a
+# benchmark this run did not produce: a deleted or renamed benchmark must
+# take its row with it. Benchmarks with no baseline row are reported but
+# never fail the gate. CI machines differ, but a >25% same-machine-format
+# regression against the committed baseline is a signal worth breaking the
+# build for.
 #
 # The bench run overwrites the BENCH_*.json baselines in the working
 # tree with fresh numbers (same behavior as check.sh bench); use git to
@@ -57,8 +59,10 @@ for f in $BASELINES; do
 		}
 		END {
 			for (name in base) {
-				if (!(name in seen))
-					printf "  missing   %-60s (in baseline, not in this run)\n", name
+				if (!(name in seen)) {
+					printf "  MISSING   %-60s (in baseline, not in this run)\n", name
+					bad = 1
+				}
 			}
 			exit bad ? 1 : 0
 		}
@@ -66,7 +70,7 @@ for f in $BASELINES; do
 done
 
 if [ "$fail" -ne 0 ]; then
-	echo "benchdiff: ns/op regression above ${THRESHOLD}% against committed baselines" >&2
+	echo "benchdiff: ns/op regression above ${THRESHOLD}%, or a baseline row with no benchmark, against committed baselines" >&2
 	exit 1
 fi
 echo "benchdiff: no benchmark regressed more than ${THRESHOLD}%"

@@ -1,7 +1,7 @@
 #!/bin/sh
 # CI tiers for the SSTD reproduction.
 #
-#   scripts/check.sh            tier-1: gofmt + build + tests (the ROADMAP gate)
+#   scripts/check.sh            tier-1: gofmt + build + tests (the ROADMAP gate), TestAPIAudit among them: every top-level name under internal/ needs a caller outside its own package's tests, every exported field a write
 #   scripts/check.sh race       tier-2: vet + full test suite under -race
 #   scripts/check.sh bench      microbenchmarks -> BENCH_obs.json + BENCH_hmm.json + BENCH_wire.json; front-end layer benches (tokenizer included) printed
 #   scripts/check.sh chaos      chaos soak: seeded fault-injection schedules under -race

@@ -1,7 +1,8 @@
 #!/bin/sh
 # loc.sh — Go lines per package, non-test and test, counted the way
 # ROADMAP aim 2 counts them: `cat *.go | wc -l`, blank lines and comments
-# included.
+# included. Directories under testdata are skipped, as go build skips
+# them: the Go files there are test fixtures, not packages of the module.
 #
 #   scripts/loc.sh                                    every package, then a total
 #   scripts/loc.sh internal/workqueue internal/chaos  just these, then their total
@@ -11,7 +12,7 @@ cd "$(dirname "$0")/.."
 if [ "$#" -gt 0 ]; then
 	dirs=$*
 else
-	dirs=$(find . -name '*.go' -not -path './.git/*' -exec dirname {} \; | sort -u)
+	dirs=$(find . -name '*.go' -not -path './.git/*' -not -path '*/testdata/*' -exec dirname {} \; | sort -u)
 fi
 
 # lines DIR PATTERN... counts the lines of DIR's own files matching the
