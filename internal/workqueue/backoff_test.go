@@ -99,3 +99,23 @@ func TestBackoffWithDefaults(t *testing.T) {
 		t.Fatal("withDefaults must preserve disabled state")
 	}
 }
+
+// TestReconnectBackoffSchedule pins the worker's redial pacing: 50 ms
+// doubling to a 5 s cap, each delay jittered by at most ±10%.
+func TestReconnectBackoffSchedule(t *testing.T) {
+	want := []time.Duration{
+		50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond,
+		400 * time.Millisecond, 800 * time.Millisecond, 1600 * time.Millisecond,
+		3200 * time.Millisecond, 5 * time.Second, 5 * time.Second,
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i, w := range want {
+		if got := reconnectBackoff.Delay(i+1, nil); got != w {
+			t.Errorf("attempt %d: got %v, want %v", i+1, got, w)
+		}
+		lo, hi := time.Duration(float64(w)*0.9), time.Duration(float64(w)*1.1)
+		if got := reconnectBackoff.Delay(i+1, rng); got < lo || got > hi {
+			t.Errorf("attempt %d jittered: got %v, want in [%v, %v]", i+1, got, lo, hi)
+		}
+	}
+}
