@@ -38,24 +38,3 @@ func (e *Engine) TrainedModelFor(id socialsensing.ClaimID) (*TrainedModel, error
 	}
 	return model, nil
 }
-
-// Timeline returns the full estimate history: pinned decisions followed by
-// the current decode of the revisable suffix.
-func (s *StreamingDecoder) Timeline() ([]socialsensing.TruthValue, error) {
-	if len(s.series) == 0 {
-		return nil, nil
-	}
-	truth, err := s.decodeWindow()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]socialsensing.TruthValue, 0, len(s.series))
-	out = append(out, s.pinned[:s.frontier]...)
-	// The decode window starts at offset(); skip the part already pinned.
-	skip := s.frontier - s.offset()
-	if skip < 0 {
-		skip = 0
-	}
-	out = append(out, truth[skip:]...)
-	return out, nil
-}

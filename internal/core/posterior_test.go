@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/social-sensing/sstd/internal/socialsensing"
@@ -127,19 +128,21 @@ func TestStreamingDecoderMatchesBatchOnStablePhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	series := stepSeries(50, 25, 4)
-	var lastEstimates []socialsensing.TruthValue
+	// The stream's timeline: each interval's live estimate, as Append
+	// returned it, up to the final window, then that window's decode.
+	var timeline []socialsensing.TruthValue
 	for _, v := range series {
-		if _, err := sd.Append(v); err != nil {
+		est, err := sd.Append(v)
+		if err != nil {
 			t.Fatal(err)
 		}
+		timeline = append(timeline, est)
 	}
-	lastEstimates, err = sd.Timeline()
+	window, err := sd.decodeWindow()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lastEstimates) != 50 {
-		t.Fatalf("timeline length = %d", len(lastEstimates))
-	}
+	timeline = append(timeline[:len(series)-len(window)], window...)
 	d, _ := NewDecoder(cfg)
 	batch, err := d.Decode(series)
 	if err != nil {
@@ -147,15 +150,15 @@ func TestStreamingDecoderMatchesBatchOnStablePhases(t *testing.T) {
 	}
 	diff := 0
 	for i := range batch {
-		if batch[i] != lastEstimates[i] {
+		if batch[i] != timeline[i] {
 			diff++
 		}
 	}
 	if diff > 4 {
 		t.Errorf("streaming timeline differs from batch at %d/50 positions", diff)
 	}
-	if len(sd.series) != 50 {
-		t.Errorf("ingested %d observations, want 50", len(sd.series))
+	if sd.n != 50 {
+		t.Errorf("ingested %d observations, want 50", sd.n)
 	}
 }
 
@@ -193,35 +196,58 @@ func TestStreamingDecoderValidation(t *testing.T) {
 		t.Error("lag 0 accepted")
 	}
 	sd, _ := NewStreamingDecoder(DefaultDecoderConfig(), 3)
-	tl, err := sd.Timeline()
-	if err != nil || tl != nil {
-		t.Errorf("empty Timeline = %v, %v", tl, err)
+	window, err := sd.decodeWindow()
+	if err != nil || window != nil {
+		t.Errorf("empty window decodes to %v, %v", window, err)
 	}
 }
 
+// TestStreamingDecoderPinnedStable: an interval that has left the window
+// is pinned — nothing arriving later can revise it or move any later
+// decision — because the decoder keeps no trace of it: after every
+// append, the window's decode and the live estimate are exactly a fresh
+// decoder's on the last 2·lag observations alone.
 func TestStreamingDecoderPinnedStable(t *testing.T) {
-	// Once an interval falls out of the lag window its value must never
-	// change, no matter what arrives later.
-	sd, _ := NewStreamingDecoder(DefaultDecoderConfig(), 4)
-	var snapshots [][]socialsensing.TruthValue
+	const lag = 4
+	sd, _ := NewStreamingDecoder(DefaultDecoderConfig(), lag)
+	fresh, _ := NewDecoder(DefaultDecoderConfig())
 	series := stepSeries(30, 15, 4)
+	for i, v := range series {
+		live, err := sd.Append(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Decode(series[max(0, i+1-2*lag) : i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sd.decodeWindow()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) || live != want[len(want)-1] {
+			t.Fatalf("after %d appends: window %v, live %v; a fresh decode of the last %d gives %v", i+1, got, live, len(want), want)
+		}
+	}
+}
+
+// TestStreamingDecoderMemoryBounded: a long-lived stream keeps its window
+// and nothing else — ten thousand appends at lag 4 leave at most 4·lag
+// observations held, capacity included.
+func TestStreamingDecoderMemoryBounded(t *testing.T) {
+	const lag = 4
+	sd, err := NewStreamingDecoder(DefaultDecoderConfig(), lag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := stepSeries(10_000, 5_000, 4)
 	for _, v := range series {
 		if _, err := sd.Append(v); err != nil {
 			t.Fatal(err)
 		}
-		tl, err := sd.Timeline()
-		if err != nil {
-			t.Fatal(err)
-		}
-		snapshots = append(snapshots, tl)
 	}
-	final := snapshots[len(snapshots)-1]
-	for step, snap := range snapshots {
-		pinnedUpTo := step + 1 - 2*4 // conservative: beyond both lag and context
-		for i := 0; i < pinnedUpTo && i < len(snap); i++ {
-			if snap[i] != final[i] {
-				t.Fatalf("pinned interval %d changed after step %d: %v -> %v", i, step, snap[i], final[i])
-			}
-		}
+	if len(sd.series) != 2*lag || cap(sd.series) > 4*lag {
+		t.Errorf("after %d appends the stream holds %d observations in %d of capacity, want %d in at most %d",
+			len(series), len(sd.series), cap(sd.series), 2*lag, 4*lag)
 	}
 }

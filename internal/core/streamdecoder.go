@@ -20,16 +20,15 @@ type StreamingDecoder struct {
 	// Lag is how many trailing observations stay revisable.
 	lag int
 
+	// series holds the decode window, the last 2·lag observations; n
+	// counts every observation appended.
 	series []float64
-	// pinned[i] holds the frozen decision for interval i < frontier.
-	pinned   []socialsensing.TruthValue
-	frontier int
+	n      int
 
 	// scratch backs every per-append decode; model is the previous
 	// window's fit, the warm-start seed when cfg.Train.WarmStart is on.
-	scratch    *DecodeScratch
-	model      *TrainedModel
-	trainIters int
+	scratch *DecodeScratch
+	model   *TrainedModel
 
 	// fr probes window decodes and frontier rotations into the flight
 	// recorder (nil, and free, when none is enabled).
@@ -53,66 +52,50 @@ func NewStreamingDecoder(cfg DecoderConfig, lag int) (*StreamingDecoder, error) 
 	}, nil
 }
 
-// decodeWindow trains on and decodes the current window, reusing the
-// decoder scratch. With cfg.Train.WarmStart on, EM is seeded from the
-// previous append's fit — consecutive windows share all but one
-// observation, so the seed is already near the fixed point and the
-// per-append training cost collapses to one or two EM iterations. A
-// discrete window is quantized once, for training and Viterbi both. The
-// returned truth is scratch-backed, valid until the next call.
+// decodeWindow trains on and decodes the window: the trailing lag
+// observations extended backwards by one lag of context so the HMM has
+// history to anchor its state. It reuses the decoder scratch. With
+// cfg.Train.WarmStart on, EM is seeded from the previous append's fit —
+// consecutive windows share all but one observation, so the seed is
+// already near the EM fixed point and the per-append training cost
+// collapses to one or two EM passes. A discrete window is quantized once,
+// for training and Viterbi both. The returned truth is scratch-backed,
+// valid until the next call.
 func (s *StreamingDecoder) decodeWindow() ([]socialsensing.TruthValue, error) {
-	win := s.windowSeries()
-	if len(win) == 0 {
+	if len(s.series) == 0 {
 		return nil, nil
 	}
 	var prev *TrainedModel
 	if s.decoder.cfg.Train.WarmStart {
 		prev = s.model
 	}
-	model, res, err := s.decoder.TrainWarmScratch(s.scratch, win, prev)
+	model, _, err := s.decoder.TrainWarmScratch(s.scratch, s.series, prev)
 	if err != nil {
 		return nil, err
 	}
 	s.model = model
-	s.trainIters += res.Iterations
-	return s.decoder.decodeScratch(s.scratch, model, win, true)
+	return s.decoder.decodeScratch(s.scratch, model, s.series, true)
 }
 
 // Append ingests the next ACS observation and returns the current estimate
-// for the newest interval.
+// for the newest interval. The observation that leaves the window with it
+// is forgotten: its decision was pinned when it left the lag, and nothing
+// revises it.
 func (s *StreamingDecoder) Append(acs float64) (socialsensing.TruthValue, error) {
+	if len(s.series) == 2*s.lag {
+		s.series = append(s.series[:0], s.series[1:]...)
+	}
 	s.series = append(s.series, acs)
+	s.n++
 	tp := s.fr.Start()
 	truth, err := s.decodeWindow()
 	if err != nil {
 		return socialsensing.False, err
 	}
-	tp = s.fr.Probe(flightrec.ProbeStreamAppend, tp, int64(len(s.series)), 0)
-	// Pin everything that has fallen out of the lag window.
-	newFrontier := len(s.series) - s.lag
-	for i := s.frontier; i < newFrontier; i++ {
-		s.pinned = append(s.pinned, truth[i-s.offset()])
-	}
-	if newFrontier > s.frontier {
-		s.fr.Probe(flightrec.ProbeStreamRotate, tp, int64(newFrontier-s.frontier), 0)
-		s.frontier = newFrontier
+	tp = s.fr.Probe(flightrec.ProbeStreamAppend, tp, int64(s.n), 0)
+	if s.n > s.lag {
+		// Interval n − lag has left the lag window.
+		s.fr.Probe(flightrec.ProbeStreamRotate, tp, 1, 0)
 	}
 	return truth[len(truth)-1], nil
-}
-
-// windowSeries returns the revisable suffix plus pinned-context prefix the
-// decoder sees: the trailing lag observations extended backwards by one
-// lag of context so the HMM has history to anchor its state.
-func (s *StreamingDecoder) windowSeries() []float64 {
-	start := s.offset()
-	return s.series[start:]
-}
-
-// offset is the index of the first observation passed to the decoder.
-func (s *StreamingDecoder) offset() int {
-	start := len(s.series) - 2*s.lag
-	if start < 0 {
-		return 0
-	}
-	return start
 }

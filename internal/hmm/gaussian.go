@@ -182,6 +182,11 @@ func (m *Gaussian) BaumWelchWS(ws *Workspace, sequences [][]float64, cfg TrainCo
 		ws.seqs = append(ws.seqs, steps[:len(obs)])
 		steps = steps[len(obs):]
 	}
+	return m.baumWelch(ws, sequences, total, cfg)
+}
+
+// baumWelch runs EM over the sequences, of total steps, laid out in ws.seqs.
+func (m *Gaussian) baumWelch(ws *Workspace, sequences [][]float64, total int, cfg TrainConfig) (TrainResult, error) {
 	emit := func() (float64, error) {
 		g, err := m.densities()
 		if err != nil {
@@ -199,7 +204,11 @@ func (m *Gaussian) BaumWelchWS(ws *Workspace, sequences [][]float64, cfg TrainCo
 		return max(m.refit(0, ws.gamma[:total], sequences), m.refit(1, ws.gamma[total:], sequences))
 	}
 	backward := func(idx []int) { ws.backwardPair(idx, ws.gamma) }
-	return ws.baumWelch(m.Pi, m.A, ws.seqs, total, cfg, emit, backward, refit)
+	// An extrapolated variance under the floor refit keeps is infeasible
+	// (a mean that is not finite fails the pass).
+	feasible := func() bool { return min(m.Var[0], m.Var[1]) >= m.varFloor() }
+	theta := [][]float64{m.Pi, m.A[0], m.A[1], m.Mean, m.Var}
+	return ws.baumWelch(theta, ws.seqs, total, cfg, emit, backward, refit, feasible)
 }
 
 // refit re-estimates state i's mean and variance from its γ row, one

@@ -121,8 +121,13 @@ func (m *Discrete) BaumWelchWS(ws *Workspace, sequences [][]int, cfg TrainConfig
 			return TrainResult{}, err
 		}
 	}
+	ws.cutPieces(sequences, m.Symbols())
+	return m.baumWelch(ws, cfg)
+}
+
+// baumWelch runs EM over the runs ws.cutPieces cut last.
+func (m *Discrete) baumWelch(ws *Workspace, cfg TrainConfig) (TrainResult, error) {
 	sym := m.Symbols()
-	ws.cutPieces(sequences, sym)
 	emit := func() (float64, error) {
 		ws.tables(m.A, len(ws.w), sym)
 		for k := range sym {
@@ -137,7 +142,11 @@ func (m *Discrete) BaumWelchWS(ws *Workspace, sequences [][]int, cfg TrainConfig
 		return max(reestimate(m.B[0], ws.gamma[:sym], cfg.SmoothB),
 			reestimate(m.B[1], ws.gamma[sym:], cfg.SmoothB))
 	}
-	return ws.baumWelch(m.Pi, m.A, ws.seqs, sym, cfg, emit, ws.backwardPieces, refit)
+	theta := [][]float64{m.Pi, m.A[0], m.A[1], m.B[0], m.B[1]}
+	if cfg.FreezeEmissions {
+		theta = theta[:3]
+	}
+	return ws.baumWelch(theta, ws.seqs, sym, cfg, emit, ws.backwardPieces, refit, nil)
 }
 
 // ViterbiWS decodes the most likely hidden state sequence into path

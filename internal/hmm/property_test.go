@@ -208,3 +208,45 @@ func sampleIndex(rng *rand.Rand, dist []float64) int {
 	}
 	return len(dist) - 1
 }
+
+// TestExtrapolateRefusesStepsOffTheSimplex: extrapolate refuses a θ′ with
+// a distribution entry that is not positive — the step runs past the
+// simplex or onto its edge, or there is no step, v being zero — and
+// otherwise leaves every distribution row summing to 1. Rows past dists
+// are extrapolated as they are.
+func TestExtrapolateRefusesStepsOffTheSimplex(t *testing.T) {
+	sticky := []float64{0.9, 0.1, 0.2, 0.8}
+	for _, tc := range []struct {
+		name string
+		pi0  [3]float64 // π_0 in θ0, θ1, θ2; the rest of θ stays put
+		ok   bool
+		want float64 // θ′'s π_0 when kept
+	}{
+		{"halving steps: α = −2 lands inside", [3]float64{0.5, 0.3, 0.2}, true, 0.1},
+		{"geometric to 0: onto the edge", [3]float64{0.5, 0.25, 0.125}, false, 0},
+		{"past the simplex", [3]float64{0.5, 0.2, 0.05}, false, 0},
+		{"no step", [3]float64{0.5, 0.5, 0.5}, false, 0},
+	} {
+		var saved []float64
+		for _, p := range tc.pi0 {
+			saved = append(saved, p, 1-p)
+			saved = append(saved, sticky...)
+			saved = append(saved, 3)
+		}
+		theta := [][]float64{make([]float64, 2), make([]float64, 2), make([]float64, 2), make([]float64, 1)}
+		if ok := extrapolate(saved, theta, 3); ok != tc.ok {
+			t.Fatalf("%s: extrapolate = %v, want %v (θ′ %v)", tc.name, ok, tc.ok, theta)
+		}
+		if !tc.ok {
+			continue
+		}
+		if math.Abs(theta[0][0]-tc.want) > 1e-15 || math.Abs(theta[0][0]+theta[0][1]-1) > 1e-15 || theta[3][0] != 3 {
+			t.Errorf("%s: θ′ = %v, want π_0 %v and the free row at 3", tc.name, theta, tc.want)
+		}
+		for i, row := range theta[1:3] {
+			if math.Abs(row[0]-sticky[2*i]) > 1e-15 || math.Abs(row[0]+row[1]-1) > 1e-15 {
+				t.Errorf("%s: A row %d = %v, want %v", tc.name, i, row, sticky[2*i:2*i+2])
+			}
+		}
+	}
+}

@@ -47,10 +47,12 @@ type Workspace struct {
 	rescaled []int32
 
 	// Baum-Welch accumulators: γ_0, Σξ and the two γ rows, per symbol
-	// for discrete and per step for Gaussian.
+	// for discrete and per step for Gaussian; and the SQUAREM cycle's θ0,
+	// θ1 and θ2, each laid end to end.
 	piAcc [2]float64
 	aNum  [4]float64
 	gamma []float64
+	theta []float64
 
 	// Viterbi: per-step log emission pairs and backpointers.
 	le  [][2]float64

@@ -8,7 +8,7 @@
 #   scripts/check.sh wire       wire-codec smoke: round-trip/golden/v1+v2-retirement tests, a lost and a damaged telemetry ship set right by the next, worker receive-buffer tests under -race, 10s FuzzDecode, task-payload golden/order-free/cross-path/rejection tests + 10s FuzzDecodeTask, sstd-master/sstd-worker with -batch 8
 #   scripts/check.sh flightrec  flight-recorder smoke: deadline-miss deep dive (FLIGHTREC_DIR keeps it) + SLO burn -> 3-lane trace (TELEMETRY_DIR keeps it)
 #   scripts/check.sh sched      scheduler tier: fairness/invariant tests + contention benches -> BENCH_sched.json + 100k-claim sweep
-#   scripts/check.sh accuracy   accuracy gate: SSTD rows of Tables III-V against the checked-in golden + HMM kernel equivalence (run tables and the zero step included) + non-finite parameters refused + quantize-once decode + ACS grid against Time.Sub + fixed-point scores and order-free ACS sums + truth digests, decode payload goldens and the worker's series against the accumulator's + the front end's pinned claims and scores, its incremental cluster state against a rebuild, the exact minimum-overlap bounds, bounded merge, independence window and join against their references + 10s FuzzTokenize
+#   scripts/check.sh accuracy   accuracy gate: SSTD rows of Tables III-V against the checked-in golden + HMM kernel equivalence (run tables and the zero step included) + the accelerated EM loop's fixed point, monotone log-likelihood and safeguard + non-finite parameters refused + pinned EM pass counts + a bounded streaming decoder + quantize-once decode + ACS grid against Time.Sub + fixed-point scores and order-free ACS sums + truth digests, decode payload goldens and the worker's series against the accumulator's + the front end's pinned claims and scores, its incremental cluster state against a rebuild, the exact minimum-overlap bounds, bounded merge, independence window and join against their references + 10s FuzzTokenize
 #   scripts/check.sh all        tier-1 + tier-2
 #
 # scripts/benchdiff.sh wraps the bench tier with a regression gate against
@@ -232,10 +232,16 @@ accuracy() {
 	# that say why they hold — both emission families' kernels against the
 	# frozen reference at 1e-12 (discrete EM's run pass also over
 	# generated run shapes and run tables at 1e-10, naming the step where
-	# the mass dies inside a run, allocation-free), every kernel refusing
-	# a NaN, infinite or negative parameter, the pinned EM iteration
-	# counts on the benchmark's series, the run-length and run-table
-	# premise of the run pass on the same series, DecodeInto's
+	# the mass dies inside a run, allocation-free; the kernel's plain EM
+	# pass, the map the loop accelerates, taken one pass per call), the
+	# SQUAREM loop itself — its fit a fixed point of the plain pass, on
+	# the claim series within 1e-6 of plain EM's, its log-likelihood never
+	# falling as passes are added, passes from θ′ lost to θ1 falling back
+	# to θ2, steps off the simplex refused — every kernel refusing a NaN,
+	# infinite or negative parameter, the pinned EM pass counts on the
+	# benchmark's series, the run-length and run-table premise of the run
+	# pass on the same series, a streaming decoder holding no more than its
+	# window over ten thousand appends, DecodeInto's
 	# quantize-once Viterbi against TrainWarmScratch + DecodeWithScratch,
 	# the ACS grid's integer slot mapping against the Time.Sub definition
 	# it replaced, the one fixed-point score (rounding, ties to even, and
@@ -257,8 +263,8 @@ accuracy() {
 	# build the strings.Fields reference's Doc on every input.
 	echo "== accuracy: Tables III-V golden + kernel equivalence + truth bits + front-end decisions =="
 	go test -count=1 -v -run 'TestAccuracyGolden' ./internal/experiments
-	go test -count=1 -run 'MatchesReference|TestPairPass|TestDiscreteBaumWelchWSZeroAllocs|TestNonFiniteParametersRefused' ./internal/hmm
-	go test -count=1 -v -run 'TestEMIterationCountsPinned|TestRunCompressionGate|TestDecodeIntoMatchesTrainThenDecode|TestGridIndexMatchesSub|TestFixedScoreRoundsAndRefuses|TestACSSeriesOrderFree|TestIngestRejectsScoreOverOne' ./internal/core
+	go test -count=1 -run 'MatchesReference|TestPairPass|TestDiscreteBaumWelchWSZeroAllocs|TestNonFiniteParametersRefused|TestSquaremReachesThePlainFixedPoint|TestSquaremLogLikelihoodNeverFalls|TestSquaremSafeguardFallsBack|TestExtrapolateRefusesStepsOffTheSimplex' ./internal/hmm
+	go test -count=1 -v -run 'TestEMIterationCountsPinned|TestSquaremFixedPointOnClaimSeries|TestStreamingDecoderMemoryBounded|TestRunCompressionGate|TestDecodeIntoMatchesTrainThenDecode|TestGridIndexMatchesSub|TestFixedScoreRoundsAndRefuses|TestACSSeriesOrderFree|TestIngestRejectsScoreOverOne' ./internal/core
 	go test -count=1 -run 'TestTruthDigestsMatchParent|TestGoldenPayloadsStable|TestMergeOrderIndependentBits|TestWorkerSeriesMatchesAccumulator' ./internal/dtm
 	go test -count=1 -v -run 'TestFrontEndGolden|TestIncrementalMatchesFromScratch|TestWithinExact|TestMinOverlap|TestOverlap|TestIndependenceMatchesReference|FuzzTokenize' ./internal/pipeline ./internal/clustering ./internal/textutil ./internal/nlp
 	go test -count=1 -run '^$' -fuzz FuzzTokenize -fuzztime 10s ./internal/textutil
