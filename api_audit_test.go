@@ -18,23 +18,36 @@ import (
 	"testing"
 )
 
-// TestAPIAudit holds every name and knob under internal/ to a caller. It
+// TestAPIAudit holds every name and knob under internal/ to a program. It
 // type-checks every package in the module, then each package's tests, and
-// fails if
+// computes what the programs can reach. The roots are the main func of
+// every main package, the init funcs and the package-level initializers
+// that call a function of the module in every package a program links,
+// and the functions of the root package's example_test.go. From a
+// reachable body, any reference reaches what it names. A method is also
+// reached when reachable code converts its receiver type to an interface,
+// explicitly or implicitly (an argument, assignment, return, send or
+// composite element), and reachable code or the standard library calls an
+// interface method of the same name and signature; every method of a
+// named interface in the standard library counts as called, and so do the
+// Unwrap, Is and As that errors.Is and errors.As call through anonymous
+// interfaces. A converted type converts its components too, since
+// reflection-based encoders reach into them. `var _ I = (*T)(nil)` calls
+// nothing and so reaches nothing. The audit fails if
 //
 //   - a top-level func, method, type, var or const declared in a non-test
-//     file under internal/ is referenced by neither non-test code anywhere
-//     in the module nor another package's tests (a method also counts as
-//     referenced when its receiver implements a named interface with that
-//     method, declared in the program or in a standard package it
-//     imports; Unwrap always counts, since errors.Is and errors.As reach
-//     it through an anonymous interface), or
-//   - an exported struct field declared under internal/ is never written
-//     by any code, tests included: no composite-literal key, assignment,
-//     ++/-- target or &x.F.
+//     file under internal/ is not reachable. A package whose name ends in
+//     "test" is a test helper, as in net/http/httptest: its names need a
+//     reference from outside their own package's tests instead, and
+//   - an exported struct field of a reachable type under internal/ is
+//     written neither by reachable code nor by another package's tests:
+//     no composite-literal key, assignment, ++/-- target or &x.F. A field
+//     another package's test writes is a test seam, or
+//   - a package a program links imports a test helper package.
 //
-// A name that only its own package's tests use belongs in a _test.go file;
-// a field that nothing sets is a constant.
+// A name that only tests use belongs in a _test.go file, or in a test
+// helper package when tests of several packages share it; a field that
+// only its own package's tests set is a constant or an unexported field.
 func TestAPIAudit(t *testing.T) {
 	findings, err := auditModule(".")
 	if err != nil {
@@ -45,18 +58,27 @@ func TestAPIAudit(t *testing.T) {
 	}
 }
 
-// TestAPIAuditFixture runs the audit on a planted module: of an unused
-// func, a method nothing calls but an interface reaches, an Unwrap, a
-// field only a test writes and a field nothing writes, it must report
-// exactly the func and the never-written field.
+// TestAPIAuditFixture runs the audit on a planted module. It must report
+// exactly an unused func, a func only another package's benchmark calls, a
+// type and method used only in an interface assertion, a field only its
+// own package's test writes, a field nothing writes and a program that
+// imports a test helper. A method reached through an implicit conversion
+// to an interface, an Error and an Unwrap the error interface and errors.Is
+// reach, a field another package's test writes and a func only an example
+// reaches through the facade must pass.
 func TestAPIAuditFixture(t *testing.T) {
 	got, err := auditModule(filepath.Join("testdata", "apiaudit"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []string{
-		"internal/lib/lib.go:10: unreferenced Unused",
-		"internal/lib/lib.go:17: never written Config.NeverSet",
+		"cmd/fixture/main.go:8: program imports test helper example.com/apiaudit/internal/libtest",
+		"internal/lib/lib.go:12: unreachable Unused",
+		"internal/lib/lib.go:15: unreachable BenchOnly",
+		"internal/lib/lib.go:22: no program writes Config.TestSet",
+		"internal/lib/lib.go:24: no program writes Config.NeverSet",
+		"internal/lib/lib.go:48: unreachable Asserted",
+		"internal/lib/lib.go:50: unreachable Asserted.Error",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("audit of the fixture:\n got %q\nwant %q", got, want)
@@ -79,6 +101,7 @@ func auditModule(root string) ([]string, error) {
 		fset:  token.NewFileSet(),
 		pkgs:  map[string]*build.Package{},
 		files: map[string]*ast.File{},
+		infos: map[*ast.File]*types.Info{},
 	}
 	for _, line := range strings.Split(string(modFile), "\n") {
 		if rest, ok := strings.CutPrefix(line, "module "); ok {
@@ -118,6 +141,7 @@ type auditor struct {
 	pkgs         map[string]*build.Package // by import path
 	files        map[string]*ast.File      // parsed once, so positions agree across checks
 	checked      []checkedUnit
+	infos        map[*ast.File]*types.Info // a program's view of each non-test file, and example_test.go's
 }
 
 // load lists the module's packages, skipping testdata and hidden
@@ -178,20 +202,25 @@ func (a *auditor) parsed(bp *build.Package, names ...[]string) []*ast.File {
 	return files
 }
 
-func (a *auditor) check(path string, files []*ast.File, imp types.Importer) (*types.Package, error) {
+// helper reports whether path is a test helper package.
+func helper(path string) bool { return strings.HasSuffix(path, "test") }
+
+func (a *auditor) check(path string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Instances:  map[*ast.Ident]types.Instance{},
 	}
 	var errs []string
 	conf := types.Config{Importer: imp, Error: func(err error) { errs = append(errs, err.Error()) }}
 	pkg, _ := conf.Check(path, a.fset, files, info)
 	if len(errs) > 0 {
-		return nil, fmt.Errorf("type-check %s:\n%s", path, strings.Join(errs, "\n"))
+		return nil, nil, fmt.Errorf("type-check %s:\n%s", path, strings.Join(errs, "\n"))
 	}
 	a.checked = append(a.checked, checkedUnit{files, info})
-	return pkg, nil
+	return pkg, info, nil
 }
 
 // checkTests type-checks path's in-package tests with its own files, then
@@ -206,8 +235,17 @@ func (a *auditor) checkTests(base *auditImporter, path string) error {
 		}
 	}
 	if len(bp.XTestGoFiles) > 0 {
-		if _, err := a.check(path+"_test", a.parsed(bp, bp.XTestGoFiles), imp); err != nil {
+		files := a.parsed(bp, bp.XTestGoFiles)
+		_, info, err := a.check(path+"_test", files, imp)
+		if err != nil {
 			return err
+		}
+		if path == a.module {
+			for _, f := range files {
+				if filepath.Base(a.fset.Position(f.Pos()).Filename) == "example_test.go" {
+					a.infos[f] = info
+				}
+			}
 		}
 	}
 	return nil
@@ -240,9 +278,14 @@ func (imp *auditImporter) Import(path string) (*types.Package, error) {
 	if path == imp.test {
 		files = a.parsed(bp, bp.GoFiles, bp.TestGoFiles)
 	}
-	pkg, err := a.check(path, files, imp)
+	pkg, info, err := a.check(path, files, imp)
 	if err != nil {
 		return nil, err
+	}
+	if imp.parent == nil {
+		for _, f := range files {
+			a.infos[f] = info
+		}
 	}
 	imp.cache[path] = pkg
 	return pkg, nil
@@ -260,20 +303,31 @@ func (a *auditor) dependsOn(path, target string) bool {
 	return false
 }
 
-// findings walks every checked package for uses and field writes, then
-// reports the declarations under internal/ that have neither.
+// findings computes what the programs reach, then reports what the audit
+// holds under internal/ against it.
 func (a *auditor) findings(base *auditImporter) []string {
+	r := a.reach(base)
+
 	used := map[token.Pos][]token.Pos{} // declaration → the identifiers using it
-	written := map[token.Pos]bool{}
+	testWritten := map[token.Pos]bool{} // fields another package's test writes
 	for _, u := range a.checked {
 		for id, obj := range u.info.Uses {
 			used[obj.Pos()] = append(used[obj.Pos()], id.Pos())
 		}
 		for _, f := range u.files {
-			markWrites(f, u.info, written)
+			file := a.fset.Position(f.Pos()).Filename
+			if !strings.HasSuffix(file, "_test.go") && !helper(a.pathOf(file)) {
+				continue
+			}
+			w := map[token.Pos]bool{}
+			markWrites(f, u.info, w)
+			for pos := range w {
+				if filepath.Dir(a.fset.Position(pos).Filename) != filepath.Dir(file) {
+					testWritten[pos] = true
+				}
+			}
 		}
 	}
-	methods := a.interfaceMethods(base)
 
 	var out []string
 	report := func(pos token.Pos, what string) {
@@ -281,12 +335,20 @@ func (a *auditor) findings(base *auditImporter) []string {
 		rel, _ := filepath.Rel(a.root, p.Filename)
 		out = append(out, fmt.Sprintf("%s:%d: %s", filepath.ToSlash(rel), p.Line, what))
 	}
+	for path := range r.linked {
+		for _, f := range a.parsed(a.pkgs[path], a.pkgs[path].GoFiles) {
+			for _, s := range f.Imports {
+				if p := strings.Trim(s.Path.Value, `"`); a.pkgs[p] != nil && helper(p) {
+					report(s.Pos(), "program imports test helper "+p)
+				}
+			}
+		}
+	}
 	for path, bp := range a.pkgs {
 		rel, _ := filepath.Rel(a.root, bp.Dir)
 		if !strings.HasPrefix(filepath.ToSlash(rel)+"/", "internal/") {
 			continue
 		}
-		pkg := base.cache[path]
 		referenced := func(id *ast.Ident, decl ast.Node) bool {
 			for _, u := range used[id.Pos()] {
 				if u >= decl.Pos() && u < decl.End() {
@@ -300,60 +362,474 @@ func (a *auditor) findings(base *auditImporter) []string {
 			return false
 		}
 		for _, f := range a.parsed(bp, bp.GoFiles) {
-			for _, d := range f.Decls {
-				switch d := d.(type) {
-				case *ast.FuncDecl:
-					name := d.Name.Name
-					switch {
-					case d.Recv == nil && (name == "init" || referenced(d.Name, d)):
-					case d.Recv == nil:
-						report(d.Name.Pos(), "unreferenced "+name)
-					case name == "Unwrap" || referenced(d.Name, d) || satisfies(pkg, d, methods):
-					default:
-						report(d.Name.Pos(), "unreferenced "+recvName(d.Recv.List[0].Type)+"."+name)
+			for _, d := range declIdents(f) {
+				if d.id.Name == "_" {
+					continue
+				}
+				name := d.id.Name
+				if fd, ok := d.node.(*ast.FuncDecl); ok && fd.Recv != nil {
+					name = recvName(fd.Recv.List[0].Type) + "." + name
+				}
+				switch {
+				case helper(path):
+					if !referenced(d.id, d.node) {
+						report(d.id.Pos(), "unreferenced "+name)
 					}
-				case *ast.GenDecl:
-					for _, s := range d.Specs {
-						switch s := s.(type) {
-						case *ast.TypeSpec:
-							if !referenced(s.Name, s) {
-								report(s.Name.Pos(), "unreferenced "+s.Name.Name)
-							}
-						case *ast.ValueSpec:
-							for _, id := range s.Names {
-								if id.Name != "_" && !referenced(id, s) {
-									report(id.Pos(), "unreferenced "+id.Name)
+					continue
+				case !r.seen[d.id.Pos()]:
+					report(d.id.Pos(), "unreachable "+name)
+					continue
+				}
+				ast.Inspect(d.node, func(n ast.Node) bool {
+					ts, ok := n.(*ast.TypeSpec)
+					if !ok {
+						return true
+					}
+					if st, ok := ts.Type.(*ast.StructType); ok {
+						for _, fld := range st.Fields.List {
+							for _, id := range fld.Names {
+								if id.IsExported() && !r.written[id.Pos()] && !testWritten[id.Pos()] {
+									report(id.Pos(), "no program writes "+ts.Name.Name+"."+id.Name)
 								}
 							}
 						}
 					}
-				}
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSpec)
-				if !ok {
 					return true
-				}
-				if st, ok := ts.Type.(*ast.StructType); ok {
-					for _, fld := range st.Fields.List {
-						for _, id := range fld.Names {
-							if id.IsExported() && !written[id.Pos()] {
-								report(id.Pos(), "never written "+ts.Name.Name+"."+id.Name)
-							}
-						}
-					}
-				}
-				return true
-			})
+				})
+			}
 		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// markWrites records every struct field f writes: a composite-literal key
+// pathOf is the import path of the package file belongs to.
+func (a *auditor) pathOf(file string) string {
+	rel, _ := filepath.Rel(a.root, filepath.Dir(file))
+	if rel == "." {
+		return a.module
+	}
+	return a.module + "/" + filepath.ToSlash(rel)
+}
+
+// declIdent is one name a top-level declaration declares, and the part of
+// the declaration reaching it walks.
+type declIdent struct {
+	id   *ast.Ident
+	node ast.Node
+}
+
+// declIdents lists f's top-level names. A const spec without values
+// repeats the last one that has them, so it walks that one's type and
+// values too.
+func declIdents(f *ast.File) []declIdent {
+	var out []declIdent
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			out = append(out, declIdent{d.Name, d})
+		case *ast.GenDecl:
+			var last *ast.ValueSpec
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					out = append(out, declIdent{s.Name, s})
+				case *ast.ValueSpec:
+					var node ast.Node = s
+					if len(s.Values) > 0 {
+						last = s
+					} else if d.Tok == token.CONST && last != nil {
+						node = &ast.GenDecl{Specs: []ast.Spec{last, s}}
+					}
+					for _, id := range s.Names {
+						out = append(out, declIdent{id, node})
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// reachability is an RTA-style walk over the bodies the programs reach.
+type reachability struct {
+	a       *auditor
+	decls   map[token.Pos]reachDecl // by the position of the name declared
+	linked  map[string]bool         // module packages some program links
+	seen    map[token.Pos]bool      // reached declarations
+	queue   []reachDecl
+	written map[token.Pos]bool            // fields reachable code writes
+	conv    map[string]types.Type         // types converted to an interface
+	called  map[string][]*types.Signature // interface methods called, by name
+}
+
+type reachDecl struct {
+	node ast.Node
+	info *types.Info
+}
+
+func (a *auditor) reach(base *auditImporter) *reachability {
+	r := &reachability{
+		a:       a,
+		decls:   map[token.Pos]reachDecl{},
+		linked:  map[string]bool{},
+		seen:    map[token.Pos]bool{},
+		written: map[token.Pos]bool{},
+		conv:    map[string]types.Type{},
+		called:  map[string][]*types.Signature{},
+	}
+	var examples []*ast.File
+	for f, info := range a.infos {
+		for _, d := range declIdents(f) {
+			r.decls[d.id.Pos()] = reachDecl{d.node, info}
+		}
+		if strings.HasSuffix(a.fset.Position(f.Pos()).Filename, "_test.go") {
+			examples = append(examples, f)
+		}
+	}
+
+	errType := types.Universe.Lookup("error").Type()
+	tuple := func(ts ...types.Type) *types.Tuple {
+		var vs []*types.Var
+		for _, t := range ts {
+			vs = append(vs, types.NewParam(token.NoPos, nil, "", t))
+		}
+		return types.NewTuple(vs...)
+	}
+	boolType := types.Typ[types.Bool]
+	r.call("Unwrap", types.NewSignatureType(nil, nil, nil, nil, tuple(errType), false))
+	r.call("Unwrap", types.NewSignatureType(nil, nil, nil, nil, tuple(types.NewSlice(errType)), false))
+	r.call("Is", types.NewSignatureType(nil, nil, nil, tuple(errType), tuple(boolType), false))
+	r.call("As", types.NewSignatureType(nil, nil, nil, tuple(types.NewInterfaceType(nil, nil)), tuple(boolType), false))
+	r.callInterface(errType)
+	stdSeen := map[*types.Package]bool{}
+	var std func(p *types.Package)
+	std = func(p *types.Package) {
+		if stdSeen[p] {
+			return
+		}
+		stdSeen[p] = true
+		if a.pkgs[p.Path()] == nil {
+			for _, name := range p.Scope().Names() {
+				if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() && !tn.IsAlias() {
+					if named, ok := tn.Type().(*types.Named); ok && named.TypeParams() == nil {
+						r.callInterface(named)
+					}
+				}
+			}
+		}
+		for _, q := range p.Imports() {
+			std(q)
+		}
+	}
+	for _, pkg := range base.cache {
+		std(pkg)
+	}
+
+	var link func(path string)
+	link = func(path string) {
+		if r.linked[path] {
+			return
+		}
+		r.linked[path] = true
+		for _, p := range a.pkgs[path].Imports {
+			if a.pkgs[p] != nil {
+				link(p)
+			}
+		}
+	}
+	for path, bp := range a.pkgs {
+		if bp.Name == "main" {
+			link(path)
+		}
+	}
+	for _, f := range examples {
+		for _, s := range f.Imports {
+			if p := strings.Trim(s.Path.Value, `"`); a.pkgs[p] != nil {
+				link(p)
+			}
+		}
+		for _, d := range declIdents(f) {
+			r.mark(d.id.Pos())
+		}
+	}
+	for path := range r.linked {
+		for _, f := range a.parsed(a.pkgs[path], a.pkgs[path].GoFiles) {
+			info := a.infos[f]
+			for _, d := range declIdents(f) {
+				switch n := d.node.(type) {
+				case *ast.FuncDecl:
+					if n.Recv == nil && (n.Name.Name == "init" || n.Name.Name == "main" && a.pkgs[path].Name == "main") {
+						r.mark(d.id.Pos())
+					}
+				case *ast.ValueSpec:
+					if r.callsModule(n, info) {
+						r.mark(d.id.Pos())
+					}
+				}
+			}
+		}
+	}
+	for len(r.queue) > 0 {
+		d := r.queue[0]
+		r.queue = r.queue[1:]
+		var sig *types.Signature
+		if fd, ok := d.node.(*ast.FuncDecl); ok {
+			sig = d.info.Defs[fd.Name].Type().(*types.Signature)
+		}
+		ast.Walk(&reachWalker{r, d.info, sig}, d.node)
+		markWrites(d.node, d.info, r.written)
+	}
+	return r
+}
+
+// callsModule reports whether a package-level initializer calls a func
+// of the module when the package initializes.
+func (r *reachability) callsModule(s *ast.ValueSpec, info *types.Info) bool {
+	calls := false
+	for _, v := range s.Values {
+		ast.Inspect(v, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.CallExpr:
+				var id *ast.Ident
+				switch fn := ast.Unparen(n.Fun).(type) {
+				case *ast.Ident:
+					id = fn
+				case *ast.SelectorExpr:
+					id = fn.Sel
+				}
+				if fn, ok := info.Uses[id].(*types.Func); ok && fn.Pkg() != nil && r.a.pkgs[fn.Pkg().Path()] != nil {
+					calls = true
+				}
+			}
+			return !calls
+		})
+	}
+	return calls
+}
+
+// mark reaches the declaration whose name is at pos, if the module
+// declares one there.
+func (r *reachability) mark(pos token.Pos) {
+	if d, ok := r.decls[pos]; ok && !r.seen[pos] {
+		r.seen[pos] = true
+		r.queue = append(r.queue, d)
+	}
+}
+
+// callInterface calls every method of t, if t is an interface.
+func (r *reachability) callInterface(t types.Type) {
+	if it, ok := t.Underlying().(*types.Interface); ok {
+		for i := 0; i < it.NumMethods(); i++ {
+			m := it.Method(i)
+			r.call(m.Name(), m.Type().(*types.Signature))
+		}
+	}
+}
+
+// call records a call through an interface method, reaching that method
+// on every type already converted.
+func (r *reachability) call(name string, sig *types.Signature) {
+	for _, s := range r.called[name] {
+		if types.Identical(s, sig) {
+			return
+		}
+	}
+	r.called[name] = append(r.called[name], sig)
+	for _, t := range r.conv {
+		r.dispatch(t, name, sig)
+	}
+}
+
+// dispatch reaches t's method name if its signature is sig.
+func (r *reachability) dispatch(t types.Type, name string, sig *types.Signature) {
+	ms := types.NewMethodSet(t)
+	for i := 0; i < ms.Len(); i++ {
+		if m := ms.At(i).Obj(); m.Name() == name && types.Identical(m.Type(), sig) {
+			r.mark(m.Pos())
+		}
+	}
+}
+
+// convert records t as converted to an interface, with the types it is
+// made of, and reaches its methods that calls already recorded go through.
+func (r *reachability) convert(t types.Type) {
+	if t == nil || types.IsInterface(t) {
+		return
+	}
+	if b, ok := t.(*types.Basic); ok && b.Kind() == types.UntypedNil {
+		return
+	}
+	key := types.TypeString(t, nil)
+	if _, ok := r.conv[key]; ok {
+		return
+	}
+	r.conv[key] = t
+	for name, sigs := range r.called {
+		for _, sig := range sigs {
+			r.dispatch(t, name, sig)
+		}
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Pointer:
+		r.convert(u.Elem())
+	case *types.Slice:
+		r.convert(u.Elem())
+	case *types.Array:
+		r.convert(u.Elem())
+	case *types.Chan:
+		r.convert(u.Elem())
+	case *types.Map:
+		r.convert(u.Key())
+		r.convert(u.Elem())
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			r.convert(u.Field(i).Type())
+		}
+	}
+}
+
+// assign converts src's type if it goes into a value of interface type dst.
+func (r *reachability) assign(info *types.Info, dst types.Type, src ast.Expr) {
+	if dst != nil && types.IsInterface(dst) {
+		r.convert(info.Types[src].Type)
+	}
+}
+
+// reachWalker walks one reachable body; sig is the enclosing function's.
+type reachWalker struct {
+	r    *reachability
+	info *types.Info
+	sig  *types.Signature
+}
+
+func (w *reachWalker) Visit(n ast.Node) ast.Visitor {
+	r, info := w.r, w.info
+	switch n := n.(type) {
+	case *ast.FuncLit:
+		return &reachWalker{r, info, info.Types[n].Type.(*types.Signature)}
+	case *ast.Ident:
+		obj := info.Uses[n]
+		if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil && types.IsInterface(fn.Type().(*types.Signature).Recv().Type()) {
+			r.call(fn.Name(), fn.Type().(*types.Signature))
+		} else if obj != nil {
+			r.mark(obj.Pos())
+		}
+		if inst, ok := info.Instances[n]; ok {
+			for i := 0; i < inst.TypeArgs.Len(); i++ {
+				r.convert(inst.TypeArgs.At(i))
+			}
+		}
+	case *ast.CallExpr:
+		fun := info.Types[n.Fun]
+		if fun.IsType() {
+			for _, arg := range n.Args {
+				r.assign(info, fun.Type, arg)
+			}
+			break
+		}
+		if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
+			if b, ok := info.Uses[id].(*types.Builtin); ok {
+				switch b.Name() {
+				case "panic":
+					r.convert(info.Types[n.Args[0]].Type)
+				case "append":
+					if s, ok := info.Types[n].Type.Underlying().(*types.Slice); ok && n.Ellipsis == token.NoPos {
+						for _, arg := range n.Args[1:] {
+							r.assign(info, s.Elem(), arg)
+						}
+					}
+				}
+				break
+			}
+		}
+		if fun.Type == nil {
+			break
+		}
+		sig, ok := fun.Type.Underlying().(*types.Signature)
+		if !ok {
+			break
+		}
+		params := sig.Params()
+		if len(n.Args) == 1 && params.Len() > 1 {
+			if tup, ok := info.Types[n.Args[0]].Type.(*types.Tuple); ok {
+				for i := 0; i < tup.Len() && i < params.Len(); i++ {
+					if types.IsInterface(params.At(i).Type()) {
+						r.convert(tup.At(i).Type())
+					}
+				}
+				break
+			}
+		}
+		for i, arg := range n.Args {
+			switch {
+			case sig.Variadic() && i >= params.Len()-1 && n.Ellipsis == token.NoPos:
+				r.assign(info, params.At(params.Len()-1).Type().(*types.Slice).Elem(), arg)
+			case i < params.Len():
+				r.assign(info, params.At(i).Type(), arg)
+			}
+		}
+	case *ast.AssignStmt:
+		if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+			for i, lhs := range n.Lhs {
+				r.assign(info, info.Types[lhs].Type, n.Rhs[i])
+			}
+		}
+	case *ast.ValueSpec:
+		if n.Type != nil {
+			for _, v := range n.Values {
+				r.assign(info, info.Types[n.Type].Type, v)
+			}
+		}
+	case *ast.ReturnStmt:
+		if w.sig != nil && len(n.Results) == w.sig.Results().Len() {
+			for i, res := range n.Results {
+				r.assign(info, w.sig.Results().At(i).Type(), res)
+			}
+		}
+	case *ast.SendStmt:
+		if ch, ok := info.Types[n.Chan].Type.Underlying().(*types.Chan); ok {
+			r.assign(info, ch.Elem(), n.Value)
+		}
+	case *ast.CompositeLit:
+		switch u := info.Types[n].Type.Underlying().(type) {
+		case *types.Struct:
+			for i, e := range n.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					if fld, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+						r.assign(info, fld.Type(), kv.Value)
+					}
+				} else {
+					r.assign(info, u.Field(i).Type(), e)
+				}
+			}
+		case *types.Slice, *types.Array, *types.Map:
+			var key, elem types.Type
+			switch u := u.(type) {
+			case *types.Slice:
+				elem = u.Elem()
+			case *types.Array:
+				elem = u.Elem()
+			case *types.Map:
+				key, elem = u.Key(), u.Elem()
+			}
+			for _, e := range n.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					r.assign(info, key, kv.Key)
+					e = kv.Value
+				}
+				r.assign(info, elem, e)
+			}
+		}
+	}
+	return w
+}
+
+// markWrites records every struct field n writes: a composite-literal key
 // or position, an assignment, a ++/-- target or &x.F.
-func markWrites(f *ast.File, info *types.Info, written map[token.Pos]bool) {
+func markWrites(n ast.Node, info *types.Info, written map[token.Pos]bool) {
 	field := func(e ast.Expr) {
 		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
 			if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
@@ -361,7 +837,7 @@ func markWrites(f *ast.File, info *types.Info, written map[token.Pos]bool) {
 			}
 		}
 	}
-	ast.Inspect(f, func(n ast.Node) bool {
+	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CompositeLit:
 			st, ok := info.Types[n].Type.Underlying().(*types.Struct)
@@ -395,60 +871,6 @@ func markWrites(f *ast.File, info *types.Info, written map[token.Pos]bool) {
 		}
 		return true
 	})
-}
-
-// interfaceMethods indexes, by method name, the named interfaces declared
-// in the module and in the standard packages its non-test code imports,
-// plus error.
-func (a *auditor) interfaceMethods(base *auditImporter) map[string][]*types.Interface {
-	byName := map[string][]*types.Interface{}
-	add := func(obj types.Object) {
-		tn, ok := obj.(*types.TypeName)
-		if !ok || tn.IsAlias() {
-			return
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok || named.TypeParams() != nil {
-			return
-		}
-		if it, ok := named.Underlying().(*types.Interface); ok {
-			for i := 0; i < it.NumMethods(); i++ {
-				byName[it.Method(i).Name()] = append(byName[it.Method(i).Name()], it)
-			}
-		}
-	}
-	add(types.Universe.Lookup("error"))
-	seen := map[*types.Package]bool{}
-	for _, pkg := range base.cache {
-		for _, p := range append(pkg.Imports(), pkg) {
-			if seen[p] {
-				continue
-			}
-			seen[p] = true
-			_, ours := a.pkgs[p.Path()]
-			for _, name := range p.Scope().Names() {
-				if ours || token.IsExported(name) {
-					add(p.Scope().Lookup(name))
-				}
-			}
-		}
-	}
-	return byName
-}
-
-// satisfies reports whether the method d declares is one of a named
-// interface's that its receiver type implements.
-func satisfies(pkg *types.Package, d *ast.FuncDecl, methods map[string][]*types.Interface) bool {
-	tn, ok := pkg.Scope().Lookup(recvName(d.Recv.List[0].Type)).(*types.TypeName)
-	if !ok {
-		return false
-	}
-	for _, it := range methods[d.Name.Name] {
-		if types.Implements(tn.Type(), it) || types.Implements(types.NewPointer(tn.Type()), it) {
-			return true
-		}
-	}
-	return false
 }
 
 // recvName is the type name of a method's receiver.

@@ -22,7 +22,6 @@ import (
 	"github.com/social-sensing/sstd/internal/core"
 	"github.com/social-sensing/sstd/internal/experiments"
 	"github.com/social-sensing/sstd/internal/hmm"
-	"github.com/social-sensing/sstd/internal/nlp"
 	"github.com/social-sensing/sstd/internal/rto"
 	"github.com/social-sensing/sstd/internal/socialsensing"
 	"github.com/social-sensing/sstd/internal/tracegen"
@@ -245,7 +244,6 @@ func BenchmarkBaselines(b *testing.B) {
 	}
 	ds := baselines.BuildDataset(tr.Reports)
 	ests := []baselines.Estimator{
-		&baselines.MajorityVote{},
 		baselines.NewTruthFinder(),
 		baselines.NewRTD(),
 		baselines.NewCATD(),
@@ -380,7 +378,7 @@ func BenchmarkRTOSolve(b *testing.B) {
 		}
 	}
 	model := rto.Model{InitTime: time.Millisecond, Theta2: 50 * time.Microsecond}
-	limits := rto.DefaultLimits()
+	limits := rto.Limits{MinWorkers: 1, MaxWorkers: 64, MaxTasksPerJob: 8}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := rto.Solve(jobs, model, limits); err != nil {
@@ -406,20 +404,6 @@ func BenchmarkEvictionSimulation(b *testing.B) {
 		if _, err := condor.SimulateEvictions(tasks, slots, cm, ev); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkStanceClassifier measures trained polarity scoring.
-func BenchmarkStanceClassifier(b *testing.B) {
-	c := nlp.NewDefaultStanceClassifier()
-	texts := []string{
-		"confirmed two explosions at the marathon finish line",
-		"that shooting story is fake news stop spreading it",
-		"the game is tied now",
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Score(texts[i%len(texts)])
 	}
 }
 

@@ -53,7 +53,8 @@ func TestClientQueryAndDiscovery(t *testing.T) {
 	srv, store, _, _, _ := newTelemetryServer(t)
 	now := time.Now()
 	for i := 0; i < 5; i++ {
-		store.Append("wq_queue_depth", map[string]string{"host": "master"}, now.Add(time.Duration(i)*time.Second), float64(i))
+		snap := obs.RegistrySnapshot{Gauges: map[string]float64{"wq_queue_depth": float64(i)}}
+		store.Ingest("master", snap, now.Add(time.Duration(i)*time.Second))
 	}
 
 	// Discovery: no series selected lists names.

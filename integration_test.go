@@ -361,7 +361,6 @@ func TestSSTDBeatsBaselinesEndToEnd(t *testing.T) {
 	ests := []baselines.Estimator{
 		baselines.NewTruthFinder(), baselines.NewRTD(), baselines.NewCATD(),
 		baselines.NewInvest(), baselines.NewThreeEstimates(),
-		baselines.NewAvgLog(), baselines.NewPooledInvest(),
 	}
 	for _, est := range ests {
 		verdicts := est.Estimate(ds)

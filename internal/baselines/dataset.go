@@ -1,7 +1,6 @@
 // Package baselines implements the six state-of-the-art truth discovery
 // methods the paper compares SSTD against (§V-A1) — TruthFinder, RTD,
-// CATD, Invest, 3-Estimates and DynaTD — plus majority voting. All are
-// adapted to the paper's binary-claim social sensing setting: each report
+// CATD, Invest, 3-Estimates and DynaTD. All are adapted to the paper's binary-claim social sensing setting: each report
 // asserts a claim to be true (+1) or false (-1).
 package baselines
 
@@ -19,7 +18,7 @@ type Vote struct {
 	// Value is the asserted truth: True for agree, False for disagree.
 	Value socialsensing.TruthValue
 	// Weight reflects the evidence strength (e.g. |contribution score|
-	// summed over the source's reports); plain voting uses 1.
+	// summed over the source's reports).
 	Weight float64
 }
 

@@ -387,11 +387,3 @@ func (in *Injector) record(fault, stream string, index uint64, detail string, st
 		})
 	}
 }
-
-// InjectedCount reports the total number of injected faults, including
-// any beyond the event retention cap.
-func (in *Injector) InjectedCount() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return len(in.events) + in.dropped
-}

@@ -22,7 +22,7 @@ import (
 // and unfaulted, for the peer's codec to reject.
 //
 // Only the write side is faulted: wrapping both endpoints of a link
-// (as Injector.PoolWrapper does) covers both directions, and keeping
+// covers both directions, and keeping
 // reads transparent means a single frame counter per endpoint — the
 // property that makes plans interleaving-proof.
 type Conn struct {
@@ -145,19 +145,6 @@ func CorruptFrame(h uint64, frame []byte) ([]byte, string) {
 			out = append(out, byte(x))
 		}
 		return out, "garbage"
-	}
-}
-
-// PoolWrapper returns a workqueue.Pool-compatible WrapConn hook: each
-// spawned worker's pipe pair is wrapped on both ends under paired stream
-// names ("pair-N/master" carries master→worker frames, "pair-N/worker"
-// the reverse), so both directions follow the plan.
-func (in *Injector) PoolWrapper() func(master, worker net.Conn) (net.Conn, net.Conn) {
-	var n atomic.Uint64
-	return func(master, worker net.Conn) (net.Conn, net.Conn) {
-		i := n.Add(1) - 1
-		return in.WrapConn(fmt.Sprintf("pair-%d/master", i), master),
-			in.WrapConn(fmt.Sprintf("pair-%d/worker", i), worker)
 	}
 }
 

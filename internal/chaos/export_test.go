@@ -2,6 +2,14 @@ package chaos
 
 import "sort"
 
+// InjectedCount reports the total number of injected faults, including
+// any beyond the event retention cap.
+func (in *Injector) InjectedCount() int {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return len(in.events) + in.dropped
+}
+
 // FrameFault returns the transport fault for frame index on stream
 // ("" = none).
 func (in *Injector) FrameFault(stream string, index uint64) string {

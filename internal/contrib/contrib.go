@@ -25,30 +25,22 @@ type Post struct {
 // Scorer converts posts to fully scored reports. It is not safe for
 // concurrent use; create one per stream partition.
 type Scorer struct {
-	attitude     nlp.AttitudeModel
+	attitude     *nlp.AttitudeScorer
 	hedge        *nlp.HedgeClassifier
 	independence *nlp.IndependenceScorer
 }
 
-// Option configures a Scorer.
-type Option func(*Scorer)
-
-// WithAttitudeScorer replaces the default emergency-lexicon attitude scorer.
-func WithAttitudeScorer(a *nlp.AttitudeScorer) Option {
-	return func(s *Scorer) { s.attitude = a }
-}
-
 // NewScorer builds a Scorer with the paper's default components.
-func NewScorer(opts ...Option) *Scorer {
-	s := &Scorer{
-		attitude:     nlp.NewDefaultAttitudeScorer(),
+func NewScorer() *Scorer { return NewScorerWith(nlp.NewDefaultAttitudeScorer()) }
+
+// NewScorerWith builds a Scorer with the paper's hedge and independence
+// scorers and the given attitude scorer.
+func NewScorerWith(attitude *nlp.AttitudeScorer) *Scorer {
+	return &Scorer{
+		attitude:     attitude,
 		hedge:        nlp.NewDefaultHedgeClassifier(),
 		independence: nlp.NewIndependenceScorer(),
 	}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
 }
 
 // ScorePost labels a post with attitude, uncertainty and independence and

@@ -73,7 +73,7 @@ func TestScorePostDenial(t *testing.T) {
 }
 
 func TestWithCustomScorers(t *testing.T) {
-	s := NewScorer(WithAttitudeScorer(nlp.NewSportsAttitudeScorer()))
+	s := NewScorerWith(nlp.NewAttitudeScorer(nlp.Lexicon{SupportWords: []string{"score", "touchdown"}}))
 	r := s.ScorePost(Post{Source: "fan", Claim: "score", Timestamp: t0(), Text: "TOUCHDOWN irish"})
 	if r.Attitude != socialsensing.Agree {
 		t.Errorf("sports scorer attitude = %v, want Agree", r.Attitude)

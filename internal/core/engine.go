@@ -25,9 +25,6 @@ type Config struct {
 	Decoder DecoderConfig
 	// Origin anchors the interval grid. Required.
 	Origin time.Time
-	// Parallelism bounds concurrent per-claim decodes in DecodeAll.
-	// Zero means decode claims sequentially.
-	Parallelism int
 	// RetrainGrowth controls per-claim model caching: a claim's HMM is
 	// retrained only when its report count has grown by this fraction
 	// since the cached model was fitted (Viterbi still runs on the
@@ -277,49 +274,17 @@ func (e *Engine) claimModel(st *claimState, sc *DecodeScratch) (*TrainedModel, [
 	return model, series, nil
 }
 
-// DecodeAll decodes every claim, optionally in parallel, and returns the
-// estimates grouped by claim.
+// DecodeAll decodes every claim and returns the estimates grouped by
+// claim.
 func (e *Engine) DecodeAll() (map[socialsensing.ClaimID][]Estimate, error) {
 	ids := e.Claims()
 	out := make(map[socialsensing.ClaimID][]Estimate, len(ids))
-	if e.cfg.Parallelism <= 1 {
-		for _, id := range ids {
-			est, err := e.DecodeClaim(id)
-			if err != nil {
-				return nil, err
-			}
-			out[id] = est
-		}
-		return out, nil
-	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	sem := make(chan struct{}, e.cfg.Parallelism)
 	for _, id := range ids {
-		wg.Add(1)
-		go func(id socialsensing.ClaimID) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			est, err := e.DecodeClaim(id)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			out[id] = est
-		}(id)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		est, err := e.DecodeClaim(id)
+		if err != nil {
+			return nil, err
+		}
+		out[id] = est
 	}
 	return out, nil
 }

@@ -40,11 +40,10 @@ func synthClaim(e *Engine, claim socialsensing.ClaimID, minutes, flipMinute int,
 	return nil
 }
 
-func newTestEngine(t *testing.T, par int) *Engine {
+func newTestEngine(t *testing.T) *Engine {
 	t.Helper()
 	cfg := DefaultConfig(origin())
 	cfg.ACS.WindowIntervals = 3
-	cfg.Parallelism = par
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +65,7 @@ func TestIngestRejectsNonFiniteScore(t *testing.T) {
 			"independence": func(r *socialsensing.Report) { r.Independence = x },
 		} {
 			t.Run(name+" "+field, func(t *testing.T) {
-				e := newTestEngine(t, 0)
+				e := newTestEngine(t)
 				bad := good
 				set(&bad)
 				if err := e.Ingest(bad); err == nil {
@@ -102,7 +101,7 @@ func TestIngestRejectsNonFiniteScore(t *testing.T) {
 // fixed point's range, is refused with an error naming the claim and the
 // report's position among the claim's reports, and leaves no trace.
 func TestIngestRejectsScoreOverOne(t *testing.T) {
-	e := newTestEngine(t, 0)
+	e := newTestEngine(t)
 	good := socialsensing.Report{Source: "s", Claim: "c1", Timestamp: origin(), Attitude: socialsensing.Agree, Independence: 1}
 	for i := 0; i < 3; i++ {
 		if err := e.Ingest(good); err != nil {
@@ -132,7 +131,7 @@ func TestIngestRejectsScoreOverOne(t *testing.T) {
 }
 
 func TestEngineRecoversTruthFlip(t *testing.T) {
-	e := newTestEngine(t, 0)
+	e := newTestEngine(t)
 	const minutes, flip = 60, 30
 	if err := synthClaim(e, "c1", minutes, flip, 0.15, 42); err != nil {
 		t.Fatal(err)
@@ -167,7 +166,7 @@ func TestEngineRobustToNoiseSpike(t *testing.T) {
 	// reports inside a long true period) should not flip the decoded
 	// truth for long: HMM stickiness must smooth it out compared to
 	// per-interval voting.
-	e := newTestEngine(t, 0)
+	e := newTestEngine(t)
 	rng := rand.New(rand.NewSource(7))
 	const minutes = 60
 	for m := 0; m < minutes; m++ {
@@ -235,51 +234,15 @@ func TestEngineGaussianEmissions(t *testing.T) {
 	}
 }
 
-func TestEngineDecodeAllParallelMatchesSequential(t *testing.T) {
-	seq := newTestEngine(t, 0)
-	par := newTestEngine(t, 8)
-	for i, e := range []*Engine{seq, par} {
-		_ = i
-		for c := 0; c < 6; c++ {
-			claim := socialsensing.ClaimID(rune('a' + c))
-			if err := synthClaim(e, claim, 40, 10+c*4, 0.1, int64(c)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	got1, err := seq.DecodeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, err := par.DecodeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got1) != 6 || len(got2) != 6 {
-		t.Fatalf("claim counts: %d vs %d", len(got1), len(got2))
-	}
-	for id, e1 := range got1 {
-		e2 := got2[id]
-		if len(e1) != len(e2) {
-			t.Fatalf("claim %s lengths differ: %d vs %d", id, len(e1), len(e2))
-		}
-		for i := range e1 {
-			if e1[i].Value != e2[i].Value {
-				t.Fatalf("claim %s interval %d differs: %v vs %v", id, i, e1[i].Value, e2[i].Value)
-			}
-		}
-	}
-}
-
 func TestEngineUnknownClaim(t *testing.T) {
-	e := newTestEngine(t, 0)
+	e := newTestEngine(t)
 	if _, err := e.DecodeClaim("nope"); err == nil {
 		t.Error("unknown claim decoded without error")
 	}
 }
 
 func TestEngineClaimsAndCounts(t *testing.T) {
-	e := newTestEngine(t, 0)
+	e := newTestEngine(t)
 	if err := synthClaim(e, "b", 5, 2, 0, 1); err != nil {
 		t.Fatal(err)
 	}

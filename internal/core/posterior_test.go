@@ -102,7 +102,7 @@ func TestPosteriorEmpty(t *testing.T) {
 }
 
 func TestEnginePosteriorClaim(t *testing.T) {
-	e := newTestEngine(t, 0)
+	e := newTestEngine(t)
 	if err := synthClaim(e, "c1", 40, 20, 0.1, 3); err != nil {
 		t.Fatal(err)
 	}

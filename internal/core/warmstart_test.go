@@ -249,7 +249,7 @@ func TestDecodeClaimIntoZeroAllocs(t *testing.T) {
 // TestDecodeClaimIntoMatchesDecodeClaim pins the scratch path to the
 // allocating one.
 func TestDecodeClaimIntoMatchesDecodeClaim(t *testing.T) {
-	e := newTestEngine(t, 0)
+	e := newTestEngine(t)
 	if err := synthClaim(e, "c", 50, 25, 0.1, 17); err != nil {
 		t.Fatal(err)
 	}

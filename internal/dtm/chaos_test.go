@@ -2,12 +2,41 @@ package dtm
 
 import (
 	"context"
+	"fmt"
+	"net"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/social-sensing/sstd/internal/chaos"
+	"github.com/social-sensing/sstd/internal/obs"
 	"github.com/social-sensing/sstd/internal/workqueue"
 )
+
+// poolWrapper returns a Config.WrapConn hook: each spawned worker's pipe
+// pair is wrapped on both ends under paired stream names ("pair-N/master"
+// carries master→worker frames, "pair-N/worker" the reverse), so both
+// directions follow the plan.
+func poolWrapper(in *chaos.Injector) func(master, worker net.Conn) (net.Conn, net.Conn) {
+	var n atomic.Uint64
+	return func(master, worker net.Conn) (net.Conn, net.Conn) {
+		i := n.Add(1) - 1
+		return in.WrapConn(fmt.Sprintf("pair-%d/master", i), master),
+			in.WrapConn(fmt.Sprintf("pair-%d/worker", i), worker)
+	}
+}
+
+// injected totals the faults an injector built on reg has counted.
+func injected(reg *obs.Registry) int64 {
+	var n int64
+	for name, v := range reg.Snapshot().Counters {
+		if strings.HasPrefix(name, "chaos_injected_total") {
+			n += v
+		}
+	}
+	return n
+}
 
 // TestDecodedTruthIdenticalUnderChaos is acceptance criterion (d): the
 // decoded truth sequence of a cluster running under injected drops,
@@ -47,8 +76,9 @@ func TestDecodedTruthIdenticalUnderChaos(t *testing.T) {
 	faulty := base
 	faulty.TaskTimeout = 300 * time.Millisecond
 	faulty.MaxTaskRetries = 12
-	faulty.RequeueBackoff = workqueue.BackoffConfig{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond}
+	faulty.requeueBackoff = workqueue.BackoffConfig{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond}
 	faulty.RespawnWorkers = true
+	injReg := obs.NewRegistry()
 	inj := chaos.New(chaos.Spec{
 		Seed:     21,
 		Drop:     0.10,
@@ -56,8 +86,8 @@ func TestDecodedTruthIdenticalUnderChaos(t *testing.T) {
 		DelayMin: time.Millisecond,
 		DelayMax: 5 * time.Millisecond,
 		SkewNs:   int64(200 * time.Millisecond),
-	}, nil, nil)
-	faulty.WrapConn = inj.PoolWrapper()
+	}, injReg, nil)
+	faulty.WrapConn = poolWrapper(inj)
 
 	chaotic := run(faulty)
 	if chaotic.Err != nil {
@@ -66,7 +96,7 @@ func TestDecodedTruthIdenticalUnderChaos(t *testing.T) {
 	if chaotic.Degraded {
 		t.Fatalf("drops/delays/skew alone must be recoverable, got Degraded with %d failed tasks", chaotic.FailedTasks)
 	}
-	if inj.InjectedCount() == 0 {
+	if injected(injReg) == 0 {
 		t.Fatal("no faults injected — equivalence trivially holds")
 	}
 	if len(clean.Estimates) != len(chaotic.Estimates) {
@@ -128,7 +158,7 @@ func TestHungTaskDegradesJob(t *testing.T) {
 	cfg.Workers = 2
 	cfg.Heartbeat = 5 * time.Millisecond
 	cfg.TaskTimeout = 500 * time.Millisecond
-	cfg.ExecTimeout = 50 * time.Millisecond
+	cfg.execTimeout = 50 * time.Millisecond
 	poison := make(chan struct{})
 	cfg.WrapExec = func(exec workqueue.Executor) workqueue.Executor {
 		return func(ctx context.Context, payload []byte) ([]byte, error) {

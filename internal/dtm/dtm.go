@@ -67,16 +67,12 @@ type Config struct {
 	StragglerFactor float64
 
 	// TaskTimeout is the master-side per-task deadline (lost frames are
-	// recovered by severing the worker and requeueing); ExecTimeout is
-	// the worker-side execution cap. MaxTaskRetries bounds requeues
-	// before a poisoned task is quarantined and its job completes
-	// Degraded; RequeueBackoff paces those requeues. Zero values keep
-	// each mechanism at the master's defaults (TaskTimeout/ExecTimeout
-	// off, MaxTaskRetries unlimited).
+	// recovered by severing the worker and requeueing). MaxTaskRetries
+	// bounds requeues before a poisoned task is quarantined and its job
+	// completes Degraded. Zero values keep each mechanism at the master's
+	// defaults (TaskTimeout off, MaxTaskRetries unlimited).
 	TaskTimeout    time.Duration
-	ExecTimeout    time.Duration
 	MaxTaskRetries int
-	RequeueBackoff workqueue.BackoffConfig
 	// TaskBatch enables task batching on the work-queue master: up to
 	// this many tasks coalesce into one wire frame per worker, with a
 	// pipelined ack window (see workqueue.MasterConfig.BatchSize).
@@ -124,11 +120,17 @@ type Config struct {
 	// flightrec.Active()), whose every dump gathers the workers' rings
 	// into one trace with a lane per host.
 	FlightRec *flightrec.Recorder
-	// WorkerFlightRec is a test seam: a private recorder per pool worker,
-	// so in-process workers answer FreezeRings with per-host rings. Nil,
-	// as every binary leaves it, shares the process recorder, and the
-	// pool workers' probes land on the master's lane.
-	WorkerFlightRec func(id string) *flightrec.Recorder
+
+	// The package's tests set these; every binary leaves them zero.
+	// execTimeout is the pool workers' execution cap (zero: none), and
+	// requeueBackoff paces requeues (zero: the master's default).
+	// workerFlightRec gives each pool worker a private recorder, so
+	// in-process workers answer FreezeRings with per-host rings; nil
+	// shares the process recorder, and the pool workers' probes land on
+	// the master's lane.
+	execTimeout     time.Duration
+	requeueBackoff  workqueue.BackoffConfig
+	workerFlightRec func(id string) *flightrec.Recorder
 }
 
 // DefaultConfig returns a working configuration.
@@ -311,7 +313,7 @@ func New(cfg Config) (*Manager, error) {
 		ResultBuffer:    256,
 		MaxRetries:      cfg.MaxTaskRetries,
 		TaskTimeout:     cfg.TaskTimeout,
-		RequeueBackoff:  cfg.RequeueBackoff,
+		RequeueBackoff:  cfg.requeueBackoff,
 		BatchSize:       cfg.TaskBatch,
 		Metrics:         cfg.Metrics,
 		Tracer:          cfg.Tracer,
@@ -334,10 +336,10 @@ func New(cfg Config) (*Manager, error) {
 	m.pool = workqueue.NewPool(m.master, exec)
 	m.pool.Heartbeat = cfg.Heartbeat
 	m.pool.Logger = cfg.Logger
-	m.pool.ExecTimeout = cfg.ExecTimeout
+	m.pool.ExecTimeout = cfg.execTimeout
 	m.pool.WrapConn = cfg.WrapConn
 	m.pool.Respawn = cfg.RespawnWorkers
-	m.pool.WorkerRecorder = cfg.WorkerFlightRec
+	m.pool.WorkerRecorder = cfg.workerFlightRec
 	m.tracer = cfg.Tracer
 	m.logger = cfg.Logger
 	m.recorder = cfg.ControlLog

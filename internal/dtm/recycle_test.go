@@ -100,10 +100,10 @@ func TestRecycledBuffersUnderChaos(t *testing.T) {
 	faulty := base
 	faulty.TaskTimeout = 300 * time.Millisecond
 	faulty.MaxTaskRetries = 12
-	faulty.RequeueBackoff = workqueue.BackoffConfig{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond}
+	faulty.requeueBackoff = workqueue.BackoffConfig{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond}
 	faulty.Metrics = obs.NewRegistry()
 	inj := chaos.New(chaos.Spec{Seed: 21, Drop: 0.10}, nil, nil)
-	faulty.WrapConn = inj.PoolWrapper()
+	faulty.WrapConn = poolWrapper(inj)
 	chaotic, recycled := run(faulty)
 	retries := faulty.Metrics.Counter("wq_task_retries_total").Value()
 	if retries == 0 {

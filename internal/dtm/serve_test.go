@@ -97,7 +97,7 @@ func TestTCPWorkerDeathRequeuesSameBits(t *testing.T) {
 	cfg.ACS.WindowIntervals = 3
 	cfg.TasksPerJob = 8
 	cfg.Workers = 2
-	cfg.RequeueBackoff = workqueue.BackoffConfig{Base: time.Millisecond, Max: 5 * time.Millisecond}
+	cfg.requeueBackoff = workqueue.BackoffConfig{Base: time.Millisecond, Max: 5 * time.Millisecond}
 	reports := flipReports("c1", 60, 25, 6, 0.1, 9)
 	run := func(t *testing.T, cfg Config, attach func(m *Manager) (wait func())) (JobResult, int64) {
 		t.Helper()

@@ -53,7 +53,7 @@ func TestClusterTelemetryPlaneEndToEnd(t *testing.T) {
 	cfg.Tracer = tracer
 	cfg.Telemetry = store
 	cfg.FlightRec = mrec
-	cfg.WorkerFlightRec = func(id string) *flightrec.Recorder { return wrecs[id] }
+	cfg.workerFlightRec = func(id string) *flightrec.Recorder { return wrecs[id] }
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

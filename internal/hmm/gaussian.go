@@ -43,9 +43,6 @@ func NewGaussian(means, vars []float64) (*Gaussian, error) {
 	return m, nil
 }
 
-// States returns the number of hidden states.
-func (m *Gaussian) States() int { return len(m.Pi) }
-
 // Clone returns a deep copy of the model.
 func (m *Gaussian) Clone() *Gaussian {
 	return &Gaussian{

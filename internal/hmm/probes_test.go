@@ -14,11 +14,11 @@ import (
 // sequence (the fused pass has no E-step sweep of its own), then once for
 // the M-step.
 func TestBaumWelchPhaseProbes(t *testing.T) {
-	rec, err := flightrec.Enable(flightrec.Config{RingSize: 256})
+	rec, err := flightrec.Enable(flightrec.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer flightrec.Disable()
+	defer flightrec.EnableCLI("", "", nil, nil, nil) // recording off again
 	rng := rand.New(rand.NewSource(9))
 	cfg := hmm.TrainConfig{MaxIterations: 2, Tolerance: 1e-300, SmoothA: 1e-3, SmoothB: 1e-3, SmoothPi: 1e-3}
 	iteration := []string{"hmm.forward", "hmm.backward", "hmm.forward", "hmm.backward", "hmm.mstep"}

@@ -58,41 +58,21 @@ func NewAttitudeScorer(lex Lexicon) *AttitudeScorer {
 	}
 }
 
-// The denial lexicon the paper lists for the emergency traces, and the
-// lexicon for the College Football trace.
-var (
-	defaultLexicon = Lexicon{
-		DenyWords:   []string{"false", "fake", "rumor", "rumour", "hoax", "debunked", "untrue", "misinformation"},
-		DenyPhrases: []string{"not true", "no truth", "didn't happen", "did not happen", "fake news"},
-	}
-	sportsLexicon = Lexicon{
-		DenyWords:   []string{"false", "fake", "rumor", "rumour"},
-		DenyPhrases: []string{"not true", "no score", "still scoreless"},
-		SupportWords: []string{
-			"score", "scored", "scores", "touchdown", "td", "fieldgoal", "tied",
-		},
-		SupportPhrases: []string{"taking the lead", "takes the lead", "field goal", "in the lead"},
-	}
-)
+// defaultLexicon is the denial lexicon the paper lists for the emergency
+// traces.
+var defaultLexicon = Lexicon{
+	DenyWords:   []string{"false", "fake", "rumor", "rumour", "hoax", "debunked", "untrue", "misinformation"},
+	DenyPhrases: []string{"not true", "no truth", "didn't happen", "did not happen", "fake news"},
+}
 
 // NewDefaultAttitudeScorer returns the scorer configured with the
 // emergency lexicon. Reports without denial markers are treated as agreeing
 // with the claim they were clustered into.
 func NewDefaultAttitudeScorer() *AttitudeScorer { return NewAttitudeScorer(defaultLexicon) }
 
-// NewSportsAttitudeScorer returns the scorer configured for the College
-// Football trace: tweets containing score-change language agree with the
-// "score changed" claim, everything else disagrees.
-func NewSportsAttitudeScorer() *AttitudeScorer { return NewAttitudeScorer(sportsLexicon) }
-
-// Score returns the attitude of the report text: Disagree when a denial
-// marker is present, otherwise Agree (or Disagree when support markers are
-// configured and none match). Empty text yields NoReport.
-func (s *AttitudeScorer) Score(text string) socialsensing.Attitude {
-	return s.ScoreDoc(textutil.NewDoc(text))
-}
-
-// ScoreDoc is Score for a text that is already tokenized.
+// ScoreDoc returns the attitude of a tokenized report text: Disagree when a
+// denial marker is present, otherwise Agree (or Disagree when support
+// markers are configured and none match). Empty text yields NoReport.
 func (s *AttitudeScorer) ScoreDoc(d textutil.Doc) socialsensing.Attitude {
 	switch {
 	case len(d.Tokens) == 0:

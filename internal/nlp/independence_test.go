@@ -10,6 +10,13 @@ import (
 	"github.com/social-sensing/sstd/internal/textutil"
 )
 
+// jaccard is the reference similarity |A∩B| / |A∪B| of two hash sets; two
+// empty sets have similarity 1.
+func jaccard(a, b []uint64) float64 {
+	n, _ := textutil.Overlap(a, b, 0)
+	return textutil.JaccardCount(n, len(a), len(b))
+}
+
 // refIndependence is IndependenceScorer.ScoreDoc as it stood before the
 // window was kept in time order: reports in arrival order, every one
 // checked against the window by time and compared by a full Jaccard, and
@@ -29,7 +36,7 @@ func (r *refIndependence) scoreDoc(claimID string, d textutil.Doc, t time.Time) 
 			if t.Sub(prev.at) > s.Window {
 				continue
 			}
-			if textutil.Jaccard(d.Set, prev.tokens) >= s.SimilarityThreshold {
+			if jaccard(d.Set, prev.tokens) >= s.SimilarityThreshold {
 				score = s.CopyScore
 				break
 			}

@@ -32,8 +32,25 @@ func TestDefaultAttitudeScorer(t *testing.T) {
 	}
 }
 
+// sportsLexicon is the College Football trace's: tweets containing
+// score-change language agree with the "score changed" claim, everything
+// else disagrees.
+var sportsLexicon = Lexicon{
+	DenyWords:   []string{"false", "fake", "rumor", "rumour"},
+	DenyPhrases: []string{"not true", "no score", "still scoreless"},
+	SupportWords: []string{
+		"score", "scored", "scores", "touchdown", "td", "fieldgoal", "tied",
+	},
+	SupportPhrases: []string{"taking the lead", "takes the lead", "field goal", "in the lead"},
+}
+
+// Score is ScoreDoc for untokenized text.
+func (s *AttitudeScorer) Score(text string) socialsensing.Attitude {
+	return s.ScoreDoc(textutil.NewDoc(text))
+}
+
 func TestSportsAttitudeScorer(t *testing.T) {
-	s := NewSportsAttitudeScorer()
+	s := NewAttitudeScorer(sportsLexicon)
 	tests := []struct {
 		name string
 		text string

@@ -11,7 +11,7 @@ import (
 // string token sets only while distinct tokens hash apart. Every token
 // this repository can produce or look up — each profile's topics, keywords
 // and generated texts (which carry every hedge prefix, denial phrase and
-// agreement suffix of the trace generator), both Naive Bayes corpora and
+// agreement suffix of the trace generator), the hedge corpus and
 // both attitude lexicons — must hash to a value of its own.
 func TestShippedVocabularyHashesWithoutCollision(t *testing.T) {
 	byHash := make(map[uint64]string)
@@ -41,9 +41,6 @@ func TestShippedVocabularyHashesWithoutCollision(t *testing.T) {
 		}
 	}
 	for _, s := range hedgeCorpus() {
-		add(s.Text)
-	}
-	for _, s := range stanceCorpus() {
 		add(s.Text)
 	}
 	for _, lex := range []Lexicon{defaultLexicon, sportsLexicon} {

@@ -11,7 +11,7 @@ import (
 // acceptance bar is <100ns and 0 allocs/op so probes can stay on in
 // production.
 func BenchmarkProbe(b *testing.B) {
-	r, err := NewRecorder(Config{RingSize: 8192})
+	r, err := NewRecorder(Config{ringSize: 8192})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func BenchmarkProbe(b *testing.B) {
 // BenchmarkProbePair is the unchained shape — Start plus Probe, two
 // clock reads — paid by isolated probe sites.
 func BenchmarkProbePair(b *testing.B) {
-	r, err := NewRecorder(Config{RingSize: 8192})
+	r, err := NewRecorder(Config{ringSize: 8192})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func BenchmarkProbeDisabled(b *testing.B) {
 // BenchmarkProbeContended is the shared-ring worst case: GOMAXPROCS
 // goroutines fetch-adding one cursor.
 func BenchmarkProbeContended(b *testing.B) {
-	r, err := NewRecorder(Config{RingSize: 8192})
+	r, err := NewRecorder(Config{ringSize: 8192})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func BenchmarkBurstObserve(b *testing.B) {
 	if _, err := Enable(Config{Cooldown: time.Hour, DumpOn: []string{TrigStraggler}}); err != nil {
 		b.Fatal(err)
 	}
-	defer Disable()
+	defer EnableCLI("", "", nil, nil, nil)
 	// Deadline-miss is disarmed: Observe takes the cheap rejection path,
 	// as in a production process with dumps scoped to another trigger.
 	bd := NewBurst(TrigDeadlineMiss, 3, time.Minute)

@@ -172,9 +172,10 @@ const maxRings = 64
 // ring size, 1s dump window, 5s trip cooldown, all triggers armed, no
 // dump directory (snapshots available over HTTP only).
 type Config struct {
-	// RingSize is the per-ring capacity in records, rounded up to a
-	// power of two (default 4096; one record is 40 bytes).
-	RingSize int
+	// ringSize is the per-ring capacity in records, rounded up to a
+	// power of two (default 4096; one record is 40 bytes). Only the
+	// package's tests set it.
+	ringSize int
 	// Window is how far back a deep-dive dump reaches (default 1s).
 	Window time.Duration
 	// Cooldown is the minimum gap between dumps (default 5s) so a
@@ -245,7 +246,7 @@ type Recorder struct {
 
 // NewRecorder builds a recorder from cfg, creating cfg.Dir when set.
 func NewRecorder(cfg Config) (*Recorder, error) {
-	size := cfg.RingSize
+	size := cfg.ringSize
 	if size <= 0 {
 		size = 4096
 	}
@@ -494,12 +495,6 @@ func Enable(cfg Config) (*Recorder, error) {
 	return r, nil
 }
 
-// Disable uninstalls the process default recorder. Rings already handed
-// out keep recording into the old recorder; new ring lookups return nil.
-func Disable() {
-	active.Store(nil)
-}
-
 // Active returns the process default recorder, or nil.
 func Active() *Recorder { return active.Load() }
 
@@ -515,12 +510,15 @@ func Fresh(name string) *Ring { return Active().NewRing(name) }
 func Trip(trigger, detail string) bool { return Active().Trip(trigger, detail) }
 
 // EnableCLI installs the default recorder from the binaries' flag values:
-// dir is -flight-record (empty = recording off, returns nil), dumpOn is
-// the comma-separated -flight-dump-on trigger list ("" or "all" arms
-// everything). Call it before constructing the components to be probed —
-// rings are bound at component construction.
+// dir is -flight-record, dumpOn is the comma-separated -flight-dump-on
+// trigger list ("" or "all" arms everything). Call it before constructing
+// the components to be probed — rings are bound at component
+// construction. An empty dir turns recording off: it uninstalls any
+// default recorder and returns nil. Rings already handed out keep
+// recording into the old recorder; new ring lookups return nil.
 func EnableCLI(dir, dumpOn string, tracer *obs.Tracer, metrics *obs.Registry, logger *obs.Logger) (*Recorder, error) {
 	if dir == "" {
+		active.Store(nil)
 		return nil, nil
 	}
 	var on []string

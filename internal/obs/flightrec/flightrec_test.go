@@ -24,7 +24,7 @@ func newTestRecorder(t *testing.T, cfg Config) *Recorder {
 }
 
 func TestRingRecordsProbes(t *testing.T) {
-	r := newTestRecorder(t, Config{RingSize: 64})
+	r := newTestRecorder(t, Config{ringSize: 64})
 	g := r.Ring("test")
 	for i := 0; i < 5; i++ {
 		t0 := g.Start()
@@ -72,8 +72,14 @@ func TestNilSafety(t *testing.T) {
 	}
 	r.Wait()
 
-	// With no default recorder installed the package helpers are inert.
-	Disable()
+	// Once EnableCLI with no directory uninstalls the default recorder,
+	// the package helpers are inert.
+	if _, err := Enable(Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := EnableCLI("", "", nil, nil, nil); r != nil || err != nil {
+		t.Fatalf("EnableCLI with no directory = %v, %v; want recording off", r, err)
+	}
 	if Shared("x") != nil || Fresh("x") != nil || Trip(TrigManual, "") {
 		t.Error("package helpers must no-op without an active recorder")
 	}
@@ -84,7 +90,7 @@ func TestNilSafety(t *testing.T) {
 
 func TestRingOverflowCountsDrops(t *testing.T) {
 	reg := obs.NewRegistry()
-	r := newTestRecorder(t, Config{RingSize: 4, Metrics: reg})
+	r := newTestRecorder(t, Config{ringSize: 4, Metrics: reg})
 	g := r.Ring("small")
 	for i := 0; i < 10; i++ {
 		g.Probe(ProbeCodecCRC, g.Start(), 0, 0)
@@ -99,7 +105,7 @@ func TestRingOverflowCountsDrops(t *testing.T) {
 }
 
 func TestFrozenSkipsProbes(t *testing.T) {
-	r := newTestRecorder(t, Config{RingSize: 16})
+	r := newTestRecorder(t, Config{ringSize: 16})
 	g := r.Ring("x")
 	r.frozen.Store(true)
 	if g.Start() != 0 {
@@ -113,7 +119,7 @@ func TestFrozenSkipsProbes(t *testing.T) {
 }
 
 func TestEventsWindowFilter(t *testing.T) {
-	r := newTestRecorder(t, Config{RingSize: 16})
+	r := newTestRecorder(t, Config{ringSize: 16})
 	g := r.Ring("w")
 	g.Probe(ProbeDTMMerge, g.Start(), 0, 0)
 	g.Probe(ProbeDTMMerge, g.Start(), 0, 0)
@@ -135,7 +141,7 @@ func TestTripWritesDumpAndHonorsCooldown(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(64)
 	r := newTestRecorder(t, Config{
-		RingSize: 64, Dir: dir, Window: time.Minute,
+		ringSize: 64, Dir: dir, Window: time.Minute,
 		Cooldown: time.Hour, Metrics: reg, Tracer: tr,
 	})
 	sp := tr.NewTrace("job")
@@ -241,7 +247,7 @@ func TestBurstTrigger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer Disable()
+	defer EnableCLI("", "", nil, nil, nil)
 	b := NewBurst(TrigDeadlineMiss, 3, time.Minute)
 	b.Observe("miss 1")
 	b.Observe("miss 2")
@@ -262,7 +268,8 @@ func TestDeepDiveNestsEventsUnderSpans(t *testing.T) {
 	r := newTestRecorder(t, Config{Tracer: tr})
 
 	root := tr.NewTrace("job root")
-	child := tr.NewSpanIn(root.TraceID(), "decode claim", root.SpanID())
+	child := tr.NewSpan("decode claim", root.SpanID())
+	child.SetTrace(root.TraceID())
 	g := r.Ring("hmm")
 	g.Probe(ProbeHMMForward, g.Start(), 1, child.SpanID())
 	g2 := r.Ring("loose")
@@ -357,7 +364,7 @@ func TestHandler(t *testing.T) {
 // goroutines while snapshots and trips run — the acceptance bar is the
 // race detector staying quiet and no panics.
 func TestConcurrentProbesRaceClean(t *testing.T) {
-	r := newTestRecorder(t, Config{RingSize: 128, Cooldown: time.Millisecond})
+	r := newTestRecorder(t, Config{ringSize: 128, Cooldown: time.Millisecond})
 	g := r.Ring("contended")
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -391,7 +398,7 @@ func TestConcurrentProbesRaceClean(t *testing.T) {
 }
 
 func TestProbeZeroAllocs(t *testing.T) {
-	r := newTestRecorder(t, Config{RingSize: 1024})
+	r := newTestRecorder(t, Config{ringSize: 1024})
 	g := r.Ring("alloc")
 	allocs := testing.AllocsPerRun(1000, func() {
 		g.Probe(ProbeHMMForward, g.Start(), 7, 9)
@@ -405,7 +412,7 @@ func TestProbeZeroAllocs(t *testing.T) {
 // distinct; past the cap NewRing hands out the shared ring for the name,
 // so a churning caller stops growing the recorder.
 func TestNewRingPastCapSharesNamedRing(t *testing.T) {
-	r := newTestRecorder(t, Config{RingSize: 16})
+	r := newTestRecorder(t, Config{ringSize: 16})
 	seen := make(map[*Ring]bool, maxRings)
 	for i := 0; i < maxRings; i++ {
 		g := r.NewRing("codec")

@@ -151,14 +151,6 @@ func (t *Tracer) NewTrace(name string) *Span {
 	return s
 }
 
-// NewSpanIn opens a span inside an existing distributed trace with an
-// explicit parent ID. Nil-safe.
-func (t *Tracer) NewSpanIn(trace, name string, parent int64) *Span {
-	s := t.NewSpan(name, parent)
-	s.SetTrace(trace)
-	return s
-}
-
 // Ingest records an externally finished span — typically a worker-side
 // stage span shipped over the wire, already offset-adjusted onto this
 // process's clock. A zero ID is assigned a fresh one so ingested spans

@@ -65,25 +65,6 @@ func New(capacity int) *Store {
 	}
 }
 
-// Append records one sample. name may carry a `{k="v"}` label block
-// (parsed into the series' label set); labels adds or overrides pairs on
-// top of it. Nil-safe.
-func (s *Store) Append(name string, labels map[string]string, t time.Time, v float64) {
-	if s == nil {
-		return
-	}
-	base, parsed := splitName(name)
-	if len(labels) > 0 {
-		if parsed == nil {
-			parsed = make(map[string]string, len(labels))
-		}
-		for k, val := range labels {
-			parsed[k] = val
-		}
-	}
-	s.append(base, parsed, t.UnixMilli(), v)
-}
-
 func (s *Store) append(base string, labels map[string]string, tms int64, v float64) {
 	key := seriesKey(base, labels)
 	s.mu.Lock()

@@ -12,6 +12,25 @@ import (
 
 var t0 = time.Unix(1_700_000_000, 0)
 
+// Append records one sample. name may carry a `{k="v"}` label block
+// (parsed into the series' label set); labels adds or overrides pairs on
+// top of it. Nil-safe.
+func (s *Store) Append(name string, labels map[string]string, t time.Time, v float64) {
+	if s == nil {
+		return
+	}
+	base, parsed := splitName(name)
+	if len(labels) > 0 {
+		if parsed == nil {
+			parsed = make(map[string]string, len(labels))
+		}
+		for k, val := range labels {
+			parsed[k] = val
+		}
+	}
+	s.append(base, parsed, t.UnixMilli(), v)
+}
+
 func TestAppendAndQuery(t *testing.T) {
 	s := New(8)
 	for i := 0; i < 5; i++ {

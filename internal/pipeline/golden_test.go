@@ -27,6 +27,18 @@ func fnv1aBits(h uint64, f float64) uint64 {
 	return h
 }
 
+// sportsLexicon is the College Football trace's attitude lexicon: tweets
+// with score-change language agree with the "score changed" claim,
+// everything else disagrees.
+var sportsLexicon = nlp.Lexicon{
+	DenyWords:   []string{"false", "fake", "rumor", "rumour"},
+	DenyPhrases: []string{"not true", "no score", "still scoreless"},
+	SupportWords: []string{
+		"score", "scored", "scores", "touchdown", "td", "fieldgoal", "tied",
+	},
+	SupportPhrases: []string{"taking the lead", "takes the lead", "field goal", "in the lead"},
+}
+
 // TestFrontEndGolden pins what the preprocessing front end decides for
 // every post of the three trace profiles (scale 0.02, seed 7): the assign
 // digest covers each post's (claim ID, kept), the score digest each kept
@@ -57,12 +69,12 @@ func TestFrontEndGolden(t *testing.T) {
 		}
 		cfg := Config{Engine: core.DefaultConfig(tr.Start), Cluster: clustering.DefaultConfig()}
 		cfg.Cluster.Keywords = prof.Keywords
-		if prof.Name == "college-football" {
-			cfg.ScorerOptions = []contrib.Option{contrib.WithAttitudeScorer(nlp.NewSportsAttitudeScorer())}
-		}
 		p, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if prof.Name == "college-football" {
+			p.scorer = contrib.NewScorerWith(nlp.NewAttitudeScorer(sportsLexicon))
 		}
 		const offset = 14695981039346656037
 		assign, score := uint64(offset), uint64(offset)

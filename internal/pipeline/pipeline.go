@@ -32,9 +32,6 @@ type Config struct {
 	// Cluster configures claim generation; set Cluster.Keywords to the
 	// event filter.
 	Cluster clustering.Config
-	// ScorerOptions customize semantic scoring (e.g. a sports attitude
-	// lexicon or a trained stance classifier).
-	ScorerOptions []contrib.Option
 }
 
 // Pipeline is the composed ingestion path. It is not safe for concurrent
@@ -61,7 +58,7 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	p := &Pipeline{
 		clusterer: clustering.New(cfg.Cluster),
-		scorer:    contrib.NewScorer(cfg.ScorerOptions...),
+		scorer:    contrib.NewScorer(),
 		engine:    eng,
 	}
 	return p, nil

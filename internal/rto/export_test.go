@@ -2,6 +2,11 @@ package rto
 
 import "sort"
 
+// DefaultLimits returns practical bounds.
+func DefaultLimits() Limits {
+	return Limits{MinWorkers: 1, MaxWorkers: 64, MaxTasksPerJob: 8}
+}
+
 // SolveExhaustive enumerates the full integer space — exponential, only
 // usable for small instances — and returns the true optimum. It is the
 // reference Solve is checked against.

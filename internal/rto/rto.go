@@ -49,11 +49,6 @@ type Limits struct {
 	MaxTasksPerJob         int
 }
 
-// DefaultLimits returns practical bounds.
-func DefaultLimits() Limits {
-	return Limits{MinWorkers: 1, MaxWorkers: 64, MaxTasksPerJob: 8}
-}
-
 // Allocation is a solved assignment.
 type Allocation struct {
 	Workers int

@@ -152,13 +152,6 @@ func HashSet(tokens []string) []uint64 {
 	return slices.Compact(set)
 }
 
-// Jaccard returns the Jaccard similarity |A∩B| / |A∪B| of two hash sets.
-// Two empty sets are defined to have similarity 1.
-func Jaccard(a, b []uint64) float64 {
-	n, _ := Overlap(a, b, 0)
-	return JaccardCount(n, len(a), len(b))
-}
-
 // JaccardCount is Jaccard of two sets of na and nb hashes that share
 // inter, for a caller that counted the intersection itself.
 func JaccardCount(inter, na, nb int) float64 {

@@ -10,6 +10,14 @@ import (
 	"testing/quick"
 )
 
+// Jaccard returns the Jaccard similarity |A∩B| / |A∪B| of two hash sets,
+// the reference the threshold-bounded set tests are held to. Two empty
+// sets have similarity 1.
+func Jaccard(a, b []uint64) float64 {
+	n, _ := Overlap(a, b, 0)
+	return JaccardCount(n, len(a), len(b))
+}
+
 func TestTokenize(t *testing.T) {
 	tests := []struct {
 		name string

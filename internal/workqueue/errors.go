@@ -40,9 +40,6 @@ func (e *TaskError) Error() string {
 	return fmt.Sprintf("worker %s: task %s: %s: %v", e.WorkerID, e.TaskID, e.Stage, e.Err)
 }
 
-// Unwrap exposes the cause to errors.Is / errors.As.
-func (e *TaskError) Unwrap() error { return e.Err }
-
 // StageError tags err with the execution stage that produced it. Workers
 // unwrap the tag when building the TaskError they report, so the stage
 // travels with the error instead of being lost in a formatted string —
