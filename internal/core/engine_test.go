@@ -264,6 +264,39 @@ func TestEngineClaimsAndCounts(t *testing.T) {
 	}
 }
 
+// TestEngineDecodeAllMatchesDecodeClaim: DecodeAll returns, for every
+// claim, the timeline DecodeClaim decodes for it on an engine fed the
+// same reports.
+func TestEngineDecodeAllMatchesDecodeClaim(t *testing.T) {
+	all, one := newTestEngine(t), newTestEngine(t)
+	for _, e := range []*Engine{all, one} {
+		for c := 0; c < 6; c++ {
+			claim := socialsensing.ClaimID(rune('a' + c))
+			if err := synthClaim(e, claim, 40, 10+c*4, 0.1, int64(c)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got, err := all.DecodeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 6 {
+		t.Fatalf("DecodeAll decoded %d claims, want 6", len(got))
+	}
+	for _, id := range one.Claims() {
+		want, err := one.DecodeClaim(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(got[id], want, func(a, b Estimate) bool {
+			return a.Start.Equal(b.Start) && a.Value == b.Value
+		}) {
+			t.Errorf("claim %s: DecodeAll = %v, DecodeClaim = %v", id, got[id], want)
+		}
+	}
+}
+
 func TestEngineConfigValidation(t *testing.T) {
 	if _, err := NewEngine(Config{ACS: DefaultACSConfig(), Decoder: DefaultDecoderConfig()}); err == nil {
 		t.Error("zero origin accepted")

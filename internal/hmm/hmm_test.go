@@ -73,6 +73,32 @@ func logLikelihood(m *Discrete, obs []int) (float64, error) {
 	return res.LogLikelihood, err
 }
 
+// TestValidateCatchesBadModels: Validate (export_test.go) is the oracle
+// the training tests use to check a fitted model is still a 2-state HMM
+// of probability rows, so it must itself refuse every broken model.
+func TestValidateCatchesBadModels(t *testing.T) {
+	tests := []struct {
+		name   string
+		mutate func(*Discrete)
+	}{
+		{"negative prob", func(m *Discrete) { m.A[0][0] = -0.5; m.A[0][1] = 1.5 }},
+		{"row not summing", func(m *Discrete) { m.B[1][0] = 0.5 }},
+		{"pi not summing", func(m *Discrete) { m.Pi[0] = 0.9 }},
+		{"nan", func(m *Discrete) { m.A[0][0] = math.NaN() }},
+		{"missing row entries", func(m *Discrete) { m.A[0] = m.A[0][:1] }},
+		{"ragged emissions", func(m *Discrete) { m.B[1] = append(m.B[1], 0) }},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			m := twoStateModel()
+			tt.mutate(m)
+			if err := m.Validate(); err == nil {
+				t.Error("Validate accepted a broken model")
+			}
+		})
+	}
+}
+
 // TestStateCountRefused: the package is the paper's 2-state HMM. A model
 // with one or three states is an error from every kernel entry point and
 // from the Gaussian constructor — never an index panic.

@@ -1,8 +1,12 @@
 package obs
 
 import (
+	"bytes"
+	"errors"
 	"io"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -174,4 +178,123 @@ func TestLoggerBelowLevelAllocFree(t *testing.T) {
 	if n := len(lg.Entries()); n != 0 {
 		t.Fatalf("below-level entries recorded: %d", n)
 	}
+}
+
+// TestLogFieldConstructors: each trace-correlation constructor writes its
+// conventional key, and a nil error adds no field at all.
+func TestLogFieldConstructors(t *testing.T) {
+	for _, tt := range []struct {
+		field Field
+		key   string
+		value any
+	}{
+		{TraceID("tr-1"), "trace_id", "tr-1"},
+		{WorkerID("w-1"), "worker_id", "w-1"},
+		{TaskID("t-1"), "task_id", "t-1"},
+		{JobID("j-1"), "job_id", "j-1"},
+		{Err(errors.New("kaput")), "error", "kaput"},
+	} {
+		t.Run(tt.key, func(t *testing.T) {
+			lg := NewLogger(nil, LevelInfo, 4)
+			lg.Info("m", tt.field)
+			e := lg.Entries()
+			if len(e) != 1 || len(e[0].Fields) != 1 || e[0].Fields[tt.key] != tt.value {
+				t.Errorf("entries = %+v, want one field %s=%v", e, tt.key, tt.value)
+			}
+		})
+	}
+	t.Run("nil error", func(t *testing.T) {
+		lg := NewLogger(nil, LevelInfo, 4)
+		lg.Info("m", Err(nil))
+		if e := lg.Entries(); len(e) != 1 || e[0].Fields != nil {
+			t.Errorf("entries = %+v, want one entry without fields", e)
+		}
+	})
+}
+
+// TestLoggerWithSharesSink: a With-child logs into its parent's ring with
+// the parent's level, its base fields on every entry and the call's
+// fields winning on a clash; the parent's entries carry no base fields.
+func TestLoggerWithSharesSink(t *testing.T) {
+	var buf bytes.Buffer
+	parent := NewLogger(&buf, LevelWarn, 8)
+	child := parent.With(WorkerID("w-1"), TaskID("t-1"))
+	child.Info("filtered")
+	child.Error("failed", TaskID("t-2"))
+	parent.Warn("plain")
+
+	e := parent.Entries()
+	if len(e) != 2 {
+		t.Fatalf("entries = %+v, want 2", e)
+	}
+	if e[0].Level != "error" || e[0].Msg != "failed" ||
+		e[0].Fields["worker_id"] != "w-1" || e[0].Fields["task_id"] != "t-2" {
+		t.Errorf("child entry = %+v", e[0])
+	}
+	if e[1].Msg != "plain" || e[1].Fields != nil {
+		t.Errorf("parent entry = %+v, want no fields", e[1])
+	}
+	if got := strings.Count(buf.String(), "\n"); got != 2 {
+		t.Errorf("wrote %d JSON lines, want 2:\n%s", got, buf.String())
+	}
+	var nilLogger *Logger
+	if nilLogger.With(WorkerID("w")) != nil {
+		t.Error("With on a nil logger is not nil")
+	}
+}
+
+// TestHistogramAddSnapshotDelta: folding a remote histogram's cumulative
+// snapshots adds only their growth, treats a shrinking count as a reset,
+// and refuses a snapshot whose bucket layout differs.
+func TestHistogramAddSnapshotDelta(t *testing.T) {
+	bounds := []float64{1, 10}
+	remote := func(vals ...float64) HistogramSnapshot {
+		h := NewRegistry().Histogram("r", bounds)
+		for _, v := range vals {
+			h.Observe(v)
+		}
+		return h.Snapshot()
+	}
+	check := func(t *testing.T, h *Histogram, count int64, sum float64, counts []int64) {
+		t.Helper()
+		s := h.Snapshot()
+		if s.Count != count || s.Sum != sum || !slices.Equal(s.Counts, counts) {
+			t.Errorf("got count %d sum %v buckets %v, want %d %v %v", s.Count, s.Sum, s.Counts, count, sum, counts)
+		}
+	}
+	first, second := remote(0.5, 5), remote(0.5, 5, 20)
+
+	t.Run("first report", func(t *testing.T) {
+		h := NewRegistry().Histogram("h", bounds)
+		if !h.AddSnapshotDelta(HistogramSnapshot{}, first) {
+			t.Fatal("refused a matching layout")
+		}
+		check(t, h, 2, 5.5, []int64{1, 1, 0})
+	})
+	t.Run("growth only", func(t *testing.T) {
+		h := NewRegistry().Histogram("h", bounds)
+		h.AddSnapshotDelta(HistogramSnapshot{}, first)
+		h.AddSnapshotDelta(first, second)
+		h.AddSnapshotDelta(second, second)
+		check(t, h, 3, 25.5, []int64{1, 1, 1})
+	})
+	t.Run("reset", func(t *testing.T) {
+		h := NewRegistry().Histogram("h", bounds)
+		h.AddSnapshotDelta(HistogramSnapshot{}, second)
+		h.AddSnapshotDelta(second, remote(5))
+		check(t, h, 4, 30.5, []int64{1, 2, 1})
+	})
+	t.Run("layout mismatch", func(t *testing.T) {
+		h := NewRegistry().Histogram("h", []float64{1, 100})
+		if h.AddSnapshotDelta(HistogramSnapshot{}, first) {
+			t.Error("merged a snapshot with other bounds")
+		}
+		check(t, h, 0, 0, []int64{0, 0, 0})
+	})
+	t.Run("nil", func(t *testing.T) {
+		var h *Histogram
+		if h.AddSnapshotDelta(HistogramSnapshot{}, first) {
+			t.Error("nil histogram reported a merge")
+		}
+	})
 }

@@ -3,8 +3,10 @@ package obs
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -168,5 +170,64 @@ func TestWriteChromeTraceGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("chrome trace drifted from golden file:\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
+	}
+}
+
+// TestNewTraceStartsDistributedTrace: a root span from NewTrace carries a
+// trace ID ending in its own span ID, SetTrace relinks a span, and both
+// are no-ops that read "" on a nil span.
+func TestNewTraceStartsDistributedTrace(t *testing.T) {
+	tr := NewTracer(8)
+	root := tr.NewTrace("job")
+	if id := root.TraceID(); id == "" || !strings.HasSuffix(id, fmt.Sprintf("-%d", root.SpanID())) {
+		t.Errorf("root trace ID = %q for span %d", id, root.SpanID())
+	}
+	if other := tr.NewTrace("job 2"); other.TraceID() == root.TraceID() {
+		t.Errorf("two traces share ID %q", root.TraceID())
+	}
+	child := tr.NewSpan("exec", root.SpanID())
+	child.SetTrace(root.TraceID())
+	if child.TraceID() != root.TraceID() {
+		t.Errorf("child trace = %q, want %q", child.TraceID(), root.TraceID())
+	}
+	var nilSpan *Span
+	nilSpan.SetTrace("x")
+	if nilSpan.TraceID() != "" {
+		t.Error("nil span has a trace ID")
+	}
+	var nilTracer *Tracer
+	if nilTracer.NewTrace("job") != nil {
+		t.Error("nil tracer opened a span")
+	}
+}
+
+// TestIngestAssignsIDAndClampsEnd: an ingested remote span without an ID
+// gets a fresh one that no local span shares, and one that ends before
+// it starts is clamped to zero length.
+func TestIngestAssignsIDAndClampsEnd(t *testing.T) {
+	tr := NewTracer(8)
+	local := tr.NewSpan("local", 0)
+	local.Finish()
+	start := time.Date(2017, 6, 5, 12, 0, 0, 0, time.UTC)
+	tr.Ingest(Span{Name: "remote", Start: start, End: start.Add(-time.Second)})
+	tr.Ingest(Span{ID: 99, Name: "kept", Start: start, End: start.Add(time.Second)})
+
+	spans := tr.Spans()
+	if len(spans) != 3 {
+		t.Fatalf("buffered %d spans, want 3", len(spans))
+	}
+	byName := map[string]Span{}
+	for _, s := range spans {
+		byName[s.Name] = s
+	}
+	remote, kept := byName["remote"], byName["kept"]
+	if remote.ID == 0 || remote.ID == local.SpanID() {
+		t.Errorf("ingested span ID = %d, local span ID = %d", remote.ID, local.SpanID())
+	}
+	if !remote.End.Equal(remote.Start) {
+		t.Errorf("ingested span not clamped: %v .. %v", remote.Start, remote.End)
+	}
+	if kept.ID != 99 || kept.End.Sub(kept.Start) != time.Second {
+		t.Errorf("span with an ID = %+v, want ID 99 lasting 1s", kept)
 	}
 }

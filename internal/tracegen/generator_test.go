@@ -287,3 +287,33 @@ func TestPoisson(t *testing.T) {
 		t.Errorf("poisson(0) = %d", got)
 	}
 }
+
+// TestProfileByName: each paper trace is found under its short name and
+// under its Profile.Name; any other name is an error that lists the
+// accepted ones.
+func TestProfileByName(t *testing.T) {
+	for _, tt := range []struct{ name, want string }{
+		{"boston", "boston-bombing"},
+		{"boston-bombing", "boston-bombing"},
+		{"paris", "paris-shooting"},
+		{"paris-shooting", "paris-shooting"},
+		{"football", "college-football"},
+		{"college-football", "college-football"},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			prof, err := ProfileByName(tt.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prof.Name != tt.want {
+				t.Errorf("ProfileByName(%q).Name = %q, want %q", tt.name, prof.Name, tt.want)
+			}
+		})
+	}
+	t.Run("unknown", func(t *testing.T) {
+		_, err := ProfileByName("Boston")
+		if err == nil || !strings.Contains(err.Error(), "want boston, paris or football") {
+			t.Errorf("ProfileByName(Boston) error = %v", err)
+		}
+	})
+}

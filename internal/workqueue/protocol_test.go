@@ -93,3 +93,13 @@ func TestStageErrorDefaultsToExec(t *testing.T) {
 		t.Errorf("StageError(nil) must be nil")
 	}
 }
+
+// TestStageErrorMessage: a stage tag prefixes the cause's message, so a
+// tagged error still reads well where it is logged before a worker
+// strips the tag into a TaskError.
+func TestStageErrorMessage(t *testing.T) {
+	err := StageError(StageDecode, errors.New("short buffer"))
+	if want := StageDecode + ": short buffer"; err.Error() != want {
+		t.Errorf("Error() = %q, want %q", err.Error(), want)
+	}
+}
