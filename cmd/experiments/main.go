@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -33,33 +34,19 @@ func main() {
 
 func run() (retErr error) {
 	var (
-		exp          = flag.String("exp", "all", "experiment to run (comma separated), or all")
-		scale        = flag.Float64("scale", 0.02, "trace scale relative to the paper's datasets")
-		seed         = flag.Int64("seed", 7, "random seed")
-		workers      = flag.Int("workers", 4, "SSTD worker pool size")
-		cost         = flag.Duration("per-report-cost", 50*time.Microsecond, "modelled per-report preprocessing cost for the timing figures")
-		telemetry    = flag.String("telemetry", "", "write the control-loop time series of the PID-driven experiments (fig6, ablation-pid) to this JSON file")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		mutexprofile = flag.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
-		blockprofile = flag.String("blockprofile", "", "write a goroutine blocking profile to this file on exit")
+		exp       = flag.String("exp", "all", "experiment to run (comma separated), or all")
+		scale     = flag.Float64("scale", 0.02, "trace scale relative to the paper's datasets")
+		seed      = flag.Int64("seed", 7, "random seed")
+		workers   = flag.Int("workers", 4, "SSTD worker pool size")
+		cost      = flag.Duration("per-report-cost", 50*time.Microsecond, "modelled per-report preprocessing cost for the timing figures")
+		telemetry = flag.String("telemetry", "", "write the control-loop time series of the PID-driven experiments (fig6, ablation-pid) to this JSON file")
 	)
+	cli := obs.NewCLI(flag.CommandLine, false)
 	flag.Parse()
-
-	stopProf, err := obs.StartProfilingWith(obs.ProfileConfig{
-		CPUPath:   *cpuprofile,
-		MemPath:   *memprofile,
-		MutexPath: *mutexprofile,
-		BlockPath: *blockprofile,
-	})
-	if err != nil {
+	if err := cli.Start(); err != nil {
 		return err
 	}
-	defer func() {
-		if perr := stopProf(); perr != nil && retErr == nil {
-			retErr = perr
-		}
-	}()
+	defer func() { retErr = errors.Join(retErr, cli.Close()) }()
 
 	o := experiments.Options{
 		Scale:         *scale,

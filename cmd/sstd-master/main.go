@@ -43,7 +43,11 @@ func main() {
 	}
 }
 
-func run() error {
+// tasksObjective is the error budget /slo reports: 99% of tasks complete.
+// Its windows (5 m, 1 h) and burn threshold (14.4) are slo's defaults.
+var tasksObjective = slo.Objective{Name: "tasks", Good: "wq_tasks_completed_total", Bad: "wq_tasks_failed_total"}
+
+func run() (runErr error) {
 	var (
 		listen     = flag.String("listen", ":9123", "address to accept workers on")
 		in         = flag.String("in", "", "trace file (from the tracegen command)")
@@ -54,9 +58,7 @@ func run() error {
 		window     = flag.Int("window", 3, "ACS sliding window in intervals")
 		tasksPer   = flag.Int("tasks-per-job", 4, "tasks per TD job")
 		minWorkers = flag.Int("min-workers", 1, "wait for this many workers before submitting")
-		telemetry  = flag.String("telemetry", "", "optional address serving /metrics, /trace, /logs, /cluster, /status and /debug/pprof (e.g. :9125)")
 		traceOut   = flag.String("trace-out", "", "write the merged Chrome trace_event file here at exit (implies tracing)")
-		logLevel   = flag.String("log-level", "info", "structured log threshold: debug, info, warn or error")
 
 		suspectAfter = flag.Duration("suspect-after", 3*time.Second, "mark a worker suspect after this long without a message (0 disables liveness)")
 		deadAfter    = flag.Duration("dead-after", 10*time.Second, "evict a silent worker and requeue its task after this long (0 disables liveness)")
@@ -66,49 +68,20 @@ func run() error {
 		batch       = flag.Int("batch", 0, "task-batch size: coalesce up to N tasks per wire frame to each worker, with a pipelined ack window (0 = lock-step single-task frames)")
 		maxRetries  = flag.Int("max-retries", 0, "quarantine a task after this many lost attempts; its job then completes degraded, or fails if every task is lost (0 = retry forever)")
 
-		controlOut  = flag.String("control-out", "", "write the control/telemetry artifact (metrics snapshot + per-worker tick series) here at exit")
-		sampleEvery = flag.Duration("sample-every", time.Second, "per-worker sampling period for -control-out")
+		controlOut = flag.String("control-out", "", "write the control/telemetry artifact (metrics snapshot + per-worker tick series, sampled every second or every tenth of -deadline) here at exit")
 
 		deadline      = flag.Duration("deadline", 0, "per-job soft deadline: counted hit or missed at completion (a burst of misses trips the flight recorder) and the budget admission control predicts against (0 = none)")
 		admissionRate = flag.Float64("admission-rate", 0, "measured per-worker service rate (tasks/s) enabling admission control: 1000/(ewmaExecMs+ewmaTransferMs) as /cluster reports it for a busy pool; jobs predicted past -deadline are rejected")
 		admissionShed = flag.Bool("admission-shed", false, "shed over-deadline jobs to a near-zero-priority lane instead of rejecting them")
 
-		chaosSpec = flag.String("chaos-spec", "", "TEST ONLY: fault-injection spec applied to every accepted worker connection, e.g. drop=0.3,corrupt=0.05 (see internal/chaos)")
-		chaosSeed = flag.Int64("chaos-seed", 0, "TEST ONLY: seed for the fault-injection schedule (overrides any seed in -chaos-spec)")
-
-		flightRecord = flag.String("flight-record", "", "enable the always-on flight recorder; deep-dive trace files land in this directory when an SLO trigger fires")
-		flightDumpOn = flag.String("flight-dump-on", "all", "comma-separated triggers that dump a deep dive: deadline-miss, straggler, admission, quarantine, manual (or all)")
-
-		sloGood   = flag.String("slo-good", "wq_tasks_completed_total", "good-event counter for the error-budget objective (needs -telemetry)")
-		sloBad    = flag.String("slo-bad", "wq_tasks_failed_total", "bad-event counter for the error-budget objective")
-		sloTarget = flag.Float64("slo-target", 0.99, "success-ratio objective")
-		sloFast   = flag.Duration("slo-fast", 5*time.Minute, "fast burn-rate window")
-		sloSlow   = flag.Duration("slo-slow", time.Hour, "slow burn-rate window")
-		sloBurn   = flag.Float64("slo-burn", 14.4, "burn-rate multiple that fires the alert (both windows)")
-
-		tsdbPoints = flag.Int("tsdb-points", 0, "retained points per telemetry time series (0 = default 512)")
-
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		mutexprofile = flag.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
-		blockprofile = flag.String("blockprofile", "", "write a goroutine blocking profile to this file on exit")
+		chaosSpec = flag.String("chaos-spec", "", "TEST ONLY: fault-injection spec applied to every accepted worker connection, e.g. drop=0.3,corrupt=0.05,seed=7 (see internal/chaos)")
 	)
+	cli := obs.NewCLI(flag.CommandLine, true)
 	flag.Parse()
-
-	stopProf, err := obs.StartProfilingWith(obs.ProfileConfig{
-		CPUPath:   *cpuprofile,
-		MemPath:   *memprofile,
-		MutexPath: *mutexprofile,
-		BlockPath: *blockprofile,
-	})
-	if err != nil {
+	if err := cli.Start(); err != nil {
 		return err
 	}
-	defer func() {
-		if perr := stopProf(); perr != nil {
-			fmt.Fprintln(os.Stderr, "sstd-master: profile:", perr)
-		}
-	}()
+	defer func() { runErr = errors.Join(runErr, cli.Close()) }()
 
 	tr, err := traceio.LoadOrGenerate(*in, *trace, *scale, *seed)
 	if err != nil {
@@ -117,15 +90,15 @@ func run() error {
 	st := tr.Summarize()
 	fmt.Printf("trace %s: %d reports, %d claims\n", st.Name, st.Reports, st.Claims)
 
-	logger := obs.NewLogger(os.Stderr, obs.ParseLogLevel(*logLevel), 0)
+	logger := cli.Logger()
 	var (
 		metrics *obs.Registry
 		tracer  *obs.Tracer
 	)
-	if *telemetry != "" || *controlOut != "" {
+	if cli.Telemetry != "" || *controlOut != "" {
 		metrics = obs.NewRegistry()
 	}
-	if *telemetry != "" || *traceOut != "" || *flightRecord != "" {
+	if cli.Telemetry != "" || *traceOut != "" || cli.FlightRecord != "" {
 		// Flight-recorder deep dives merge the span timeline, so recording
 		// implies tracing even without a telemetry endpoint.
 		tracer = obs.NewTracer(0)
@@ -133,12 +106,12 @@ func run() error {
 	tracer.Instrument(metrics)
 	// Install the recorder before building the manager: probe rings bind
 	// at component construction.
-	flightRec, err := flightrec.EnableCLI(*flightRecord, *flightDumpOn, tracer, metrics, logger)
+	flightRec, err := flightrec.EnableCLI(cli.FlightRecord, tracer, metrics, logger)
 	if err != nil {
 		return err
 	}
 	if flightRec != nil {
-		fmt.Printf("flight recorder armed: deep dives to %s on [%s]\n", *flightRecord, *flightDumpOn)
+		fmt.Printf("flight recorder armed: deep dives to %s on every trigger\n", cli.FlightRecord)
 	}
 	var admission *workqueue.AdmissionConfig
 	if *admissionRate > 0 {
@@ -148,42 +121,37 @@ func run() error {
 			Shed:              *admissionShed,
 		}
 	}
-	// The telemetry plane: the registry snapshots workers ship on their
-	// heartbeats land in the retained time-series store alongside a 1s
-	// self-scrape of the master registry, and the SLO engine burns its
-	// error budget from the configured counter pair. Its firing edge
-	// trips the flight recorder (when armed), whose dump gathers every
-	// worker's rings into the same trace file.
+	// The telemetry plane, only when -telemetry serves it: the registry
+	// snapshots workers ship on their heartbeats land in the retained
+	// time-series store alongside a 1s self-scrape of the master
+	// registry, and the SLO engine burns its error budget from the task
+	// counters. Its firing edge trips the flight recorder (when armed),
+	// whose dump gathers every worker's rings into the same trace file.
 	var (
 		store     *tsdb.Store
 		sloEngine *slo.Engine
 	)
-	planeStop := make(chan struct{})
-	defer close(planeStop)
-	if metrics != nil {
-		store = tsdb.New(*tsdbPoints)
-		go func() {
+	if cli.Telemetry != "" {
+		store = tsdb.New(tsdb.DefaultCapacity)
+		cli.Go(func(done <-chan struct{}) {
 			t := time.NewTicker(time.Second)
 			defer t.Stop()
 			for {
 				select {
-				case <-planeStop:
+				case <-done:
 					return
 				case now := <-t.C:
 					store.Ingest("master", metrics.Snapshot(), now)
 				}
 			}
-		}()
-		sloEngine = slo.New(slo.Config{Source: metrics, Metrics: metrics, Logger: logger}, slo.Objective{
-			Name: "tasks", Good: *sloGood, Bad: *sloBad,
-			Target: *sloTarget, FastWindow: *sloFast, SlowWindow: *sloSlow, BurnThreshold: *sloBurn,
 		})
-		go sloEngine.Run(planeStop, time.Second)
+		sloEngine = slo.New(slo.Config{Source: metrics, Metrics: metrics, Logger: logger}, tasksObjective)
+		cli.Go(func(done <-chan struct{}) { sloEngine.Run(done, time.Second) })
 	}
 	var recorder *obs.ControlRecorder
 	if *controlOut != "" {
-		// One tick of per-worker health rows every -sample-every, plus a
-		// final one at Close so a run shorter than a tick still has its
+		// One tick of per-worker health rows every sampling period, plus
+		// a final one at Close so a run shorter than a tick still has its
 		// end state.
 		recorder = obs.NewControlRecorder(0)
 	}
@@ -204,7 +172,7 @@ func run() error {
 	cfg.Tracer = tracer
 	cfg.Logger = logger
 	cfg.ControlLog = recorder
-	cfg.SampleEvery = *sampleEvery
+	cfg.SampleEvery = dtm.SampleEveryFor(*deadline)
 	cfg.Telemetry = store
 	cfg.FlightRec = flightRec
 	mgr, err := dtm.New(cfg)
@@ -216,13 +184,10 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("listen %s: %w", *listen, err)
 	}
-	if *chaosSpec != "" || *chaosSeed != 0 {
+	if *chaosSpec != "" {
 		spec, err := chaos.ParseSpec(*chaosSpec)
 		if err != nil {
 			return fmt.Errorf("-chaos-spec: %w", err)
-		}
-		if *chaosSeed != 0 {
-			spec.Seed = *chaosSeed
 		}
 		l = chaos.New(spec, metrics, tracer).Listen(l)
 		fmt.Printf("CHAOS: fault injection armed (seed %d) — test use only\n", spec.Seed)
@@ -231,7 +196,7 @@ func run() error {
 	defer stop()
 	mgr.Start(ctx)
 	mgr.Serve(l)
-	if *telemetry != "" {
+	if cli.Telemetry != "" {
 		mux := http.NewServeMux()
 		mux.Handle("/", obs.Handler(metrics, tracer, logger))
 		mux.Handle("/cluster", master.ClusterHandler())
@@ -242,17 +207,14 @@ func run() error {
 			mux.Handle("/debug/flightrec", flightRec.Handler())
 			mux.Handle("/debug/flightrec/", flightRec.Handler())
 		}
-		telemetrySrv := &http.Server{Addr: *telemetry, Handler: mux}
-		go func() {
-			if err := telemetrySrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fmt.Fprintln(os.Stderr, "sstd-master: telemetry endpoint:", err)
-			}
-		}()
-		defer func() { _ = telemetrySrv.Close() }()
-		fmt.Printf("telemetry endpoint on %s (/metrics, /trace, /logs, /query, /slo, /cluster, /status, /debug/pprof)\n", *telemetry)
+		if err := cli.Serve(mux); err != nil {
+			mgr.Close()
+			return err
+		}
+		fmt.Printf("telemetry endpoint on %s (/metrics, /trace, /logs, /query, /slo, /cluster, /status, /debug/pprof)\n", cli.Telemetry)
 	}
 	fmt.Printf("listening on %s, waiting for %d worker(s)...\n", l.Addr(), *minWorkers)
-	runErr := runJobs(ctx, mgr, tr, *minWorkers, *deadline)
+	runErr = runJobs(ctx, mgr, tr, *minWorkers, *deadline)
 	// However the run ended, write what was asked for. Close first: the
 	// workers' final span flush (their last send spans) arrives before the
 	// connections close, so the artifacts are complete.

@@ -11,6 +11,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -35,38 +36,24 @@ func main() {
 
 func run() (retErr error) {
 	var (
-		in           = flag.String("in", "", "trace file to process (from the tracegen command)")
-		trace        = flag.String("trace", "paris", "synthetic profile when -in is absent: boston, paris or football")
-		scale        = flag.Float64("scale", 0.01, "synthetic trace scale")
-		seed         = flag.Int64("seed", 1, "random seed")
-		workers      = flag.Int("workers", 4, "worker pool size (0 = run in-process without the distributed layer)")
-		intervals    = flag.Int("intervals", 80, "HMM time steps across the trace")
-		window       = flag.Int("window", 3, "ACS sliding window in intervals")
-		show         = flag.Int("show", 3, "number of claim timelines to print")
-		rank         = flag.Int("rank-sources", 0, "also print the N most / least reliable sources (0 = off)")
-		telemetry    = flag.String("telemetry", "", "write a metrics + control-loop JSON artifact to this file")
-		deadline     = flag.Duration("deadline", 0, "per-job deadline enabling the PID control loop (distributed runs only)")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		mutexprofile = flag.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
-		blockprofile = flag.String("blockprofile", "", "write a goroutine blocking profile to this file on exit")
+		in        = flag.String("in", "", "trace file to process (from the tracegen command)")
+		trace     = flag.String("trace", "paris", "synthetic profile when -in is absent: boston, paris or football")
+		scale     = flag.Float64("scale", 0.01, "synthetic trace scale")
+		seed      = flag.Int64("seed", 1, "random seed")
+		workers   = flag.Int("workers", 4, "worker pool size (0 = run in-process without the distributed layer)")
+		intervals = flag.Int("intervals", 80, "HMM time steps across the trace")
+		window    = flag.Int("window", 3, "ACS sliding window in intervals")
+		show      = flag.Int("show", 3, "number of claim timelines to print")
+		rank      = flag.Int("rank-sources", 0, "also print the N most / least reliable sources (0 = off)")
+		telemetry = flag.String("telemetry", "", "write a metrics + control-loop JSON artifact to this file")
+		deadline  = flag.Duration("deadline", 0, "per-job deadline enabling the PID control loop (distributed runs only)")
 	)
+	cli := obs.NewCLI(flag.CommandLine, false)
 	flag.Parse()
-
-	stopProf, err := obs.StartProfilingWith(obs.ProfileConfig{
-		CPUPath:   *cpuprofile,
-		MemPath:   *memprofile,
-		MutexPath: *mutexprofile,
-		BlockPath: *blockprofile,
-	})
-	if err != nil {
+	if err := cli.Start(); err != nil {
 		return err
 	}
-	defer func() {
-		if perr := stopProf(); perr != nil && retErr == nil {
-			retErr = perr
-		}
-	}()
+	defer func() { retErr = errors.Join(retErr, cli.Close()) }()
 
 	tr, err := traceio.LoadOrGenerate(*in, *trace, *scale, *seed)
 	if err != nil {
@@ -180,12 +167,9 @@ func decode(tr *socialsensing.Trace, cfg core.Config, workers int, seed int64, d
 	mcfg.Tracer = tel.tracer
 	mcfg.ControlLog = tel.control
 	if deadline > 0 {
-		// Deadlines only matter if the PID loop can react to them; sample
-		// well within the deadline so short jobs still see a few ticks.
+		// Deadlines only matter if the PID loop can react to them.
 		mcfg.EnableControl = true
-		if s := deadline / 10; s < mcfg.SampleEvery {
-			mcfg.SampleEvery = s
-		}
+		mcfg.SampleEvery = dtm.SampleEveryFor(deadline)
 	}
 	m, err := dtm.New(mcfg)
 	if err != nil {

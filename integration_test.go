@@ -282,15 +282,17 @@ func buildCLI(t *testing.T, names ...string) string {
 
 // TestCLIMasterInterrupt sends SIGINT to an sstd-master still waiting for
 // its first worker: it must exit within 5 s, non-zero, with the requested
-// trace file written.
+// trace file and all four -profile files written.
 func TestCLIMasterInterrupt(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the CLI binary")
 	}
 	dir := buildCLI(t, "sstd-master")
 	traceOut := filepath.Join(dir, "trace.json")
+	profDir := filepath.Join(dir, "prof")
 	master := exec.Command(filepath.Join(dir, "sstd-master"),
-		"-listen", "127.0.0.1:0", "-scale", "0.003", "-min-workers", "1", "-trace-out", traceOut, "-log-level", "error")
+		"-listen", "127.0.0.1:0", "-scale", "0.003", "-min-workers", "1", "-trace-out", traceOut, "-log-level", "error",
+		"-profile", profDir)
 	stdout, err := master.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -321,6 +323,47 @@ func TestCLIMasterInterrupt(t *testing.T) {
 	}
 	if _, err := os.Stat(traceOut); err != nil {
 		t.Errorf("-trace-out not written on SIGINT: %v", err)
+	}
+	for _, kind := range []string{"cpu", "heap", "mutex", "block"} {
+		if fi, err := os.Stat(filepath.Join(profDir, kind+".pprof")); err != nil || fi.Size() == 0 {
+			t.Errorf("-profile: %s profile not written on SIGINT (%v)", kind, err)
+		}
+	}
+}
+
+// TestCLIMasterChaosSeed: the fault schedule's seed rides inside
+// -chaos-spec, and the master says which one it armed. With every fault
+// probability zero the run is otherwise untouched; SIGINT ends it.
+func TestCLIMasterChaosSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the CLI binary")
+	}
+	dir := buildCLI(t, "sstd-master")
+	master := exec.Command(filepath.Join(dir, "sstd-master"),
+		"-listen", "127.0.0.1:0", "-scale", "0.003", "-min-workers", "1", "-log-level", "error", "-chaos-spec", "seed=7")
+	stdout, err := master.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := master.Start(); err != nil {
+		t.Fatal(err)
+	}
+	timer := time.AfterFunc(30*time.Second, func() { _ = master.Process.Kill() })
+	defer timer.Stop()
+	var armed string
+	lines := bufio.NewScanner(stdout)
+	for lines.Scan() {
+		line := lines.Text()
+		if strings.HasPrefix(line, "CHAOS: ") {
+			armed = line
+		}
+		if strings.HasPrefix(line, "listening on ") {
+			_ = master.Process.Signal(os.Interrupt)
+		}
+	}
+	_ = master.Wait()
+	if !strings.Contains(armed, "(seed 7)") {
+		t.Errorf("-chaos-spec seed=7: master printed %q, want it to name (seed 7)", armed)
 	}
 }
 

@@ -15,7 +15,8 @@
 // override the probabilistic plan for exact frame ranges.
 //
 // The layer is test-only in spirit: the sstd-master/sstd-worker binaries
-// gate it behind -chaos-spec / -chaos-seed flags that default to off.
+// gate it behind a -chaos-spec flag that defaults to off; its seed= entry
+// picks the schedule.
 package chaos
 
 import (

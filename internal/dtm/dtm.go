@@ -157,6 +157,16 @@ func DefaultConfig(origin time.Time) Config {
 	}
 }
 
+// SampleEveryFor is the sampling period for jobs due within deadline:
+// the paper's 1 s, or a tenth of the deadline when that is shorter, so
+// short jobs still see a few ticks. A zero deadline keeps 1 s.
+func SampleEveryFor(deadline time.Duration) time.Duration {
+	if s := deadline / 10; s > 0 && s < time.Second {
+		return s
+	}
+	return time.Second
+}
+
 // JobResult is the outcome of one TD job.
 type JobResult struct {
 	Claim     socialsensing.ClaimID

@@ -34,7 +34,7 @@ func TestFlightRecorderDeadlineMissDeepDive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer flightrec.EnableCLI("", "", nil, nil, nil) // recording off again
+	defer flightrec.EnableCLI("", nil, nil, nil) // recording off again
 
 	cfg := DefaultConfig(origin())
 	cfg.ACS.WindowIntervals = 3

@@ -179,7 +179,7 @@ func TestClusterTelemetryPlaneEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Worker telemetry ships ride every StatsEvery-th heartbeat; wait for the
+	// Worker telemetry ships ride every fifth heartbeat; wait for the
 	// shipped task counts to land. Either worker may have run every task —
 	// they are that small — so the count is taken over both hosts.
 	deadline := time.Now().Add(10 * time.Second)

@@ -18,7 +18,7 @@ func TestBaumWelchPhaseProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer flightrec.EnableCLI("", "", nil, nil, nil) // recording off again
+	defer flightrec.EnableCLI("", nil, nil, nil) // recording off again
 	rng := rand.New(rand.NewSource(9))
 	cfg := hmm.TrainConfig{MaxIterations: 2, Tolerance: 1e-300, SmoothA: 1e-3, SmoothB: 1e-3, SmoothPi: 1e-3}
 	iteration := []string{"hmm.forward", "hmm.backward", "hmm.forward", "hmm.backward", "hmm.mstep"}

@@ -72,22 +72,19 @@ type WorkerSample struct {
 // *ControlRecorder is valid and records nothing.
 type ControlRecorder struct {
 	mu       sync.Mutex
-	samples  []ControlSample
-	wsamples []WorkerSample
-	max      int
-	seq      int
-	wseq     int
+	samples  Ring[ControlSample]
+	wsamples Ring[WorkerSample]
 	tick     int
 }
 
-// NewControlRecorder creates a recorder keeping at most max samples
-// (default 1<<20 when max <= 0); once full, the oldest samples are
-// dropped in blocks so long experiments keep their tail.
+// NewControlRecorder creates a recorder keeping the newest max samples of
+// each series (default 1<<20 when max <= 0), so long experiments keep
+// their tail.
 func NewControlRecorder(max int) *ControlRecorder {
 	if max <= 0 {
 		max = 1 << 20
 	}
-	return &ControlRecorder{max: max}
+	return &ControlRecorder{samples: NewRing[ControlSample](max), wsamples: NewRing[WorkerSample](max)}
 }
 
 // BeginTick starts a new controller step: samples recorded until the next
@@ -108,10 +105,8 @@ func (r *ControlRecorder) Record(s ControlSample) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s.Seq = r.seq
-	s.Tick = r.tick
-	r.seq++
-	r.samples = append(makeRoom(r.samples, r.max), s)
+	s.Seq, s.Tick = r.samples.Pushes(), r.tick
+	r.samples.Push(s)
 }
 
 // RecordWorker appends one per-worker observation, stamping Seq and the
@@ -123,22 +118,8 @@ func (r *ControlRecorder) RecordWorker(s WorkerSample) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s.Seq = r.wseq
-	s.Tick = r.tick
-	r.wseq++
-	r.wsamples = append(makeRoom(r.wsamples, r.max), s)
-}
-
-// makeRoom returns s with room for one more sample under limit: a full s
-// drops its oldest quarter, at least one sample, in one move rather than
-// one by one.
-func makeRoom[T any](s []T, limit int) []T {
-	if len(s) < limit {
-		return s
-	}
-	keep := limit - max(limit/4, 1)
-	copy(s, s[len(s)-keep:])
-	return s[:keep]
+	s.Seq, s.Tick = r.wsamples.Pushes(), r.tick
+	r.wsamples.Push(s)
 }
 
 // WorkerSamples copies the recorded per-worker series. Safe on nil.
@@ -148,7 +129,7 @@ func (r *ControlRecorder) WorkerSamples() []WorkerSample {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]WorkerSample(nil), r.wsamples...)
+	return r.wsamples.Ordered()
 }
 
 // Len reports recorded samples (0 on nil).
@@ -158,7 +139,7 @@ func (r *ControlRecorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.samples)
+	return r.samples.Len()
 }
 
 // Samples copies the recorded series. Safe on nil.
@@ -168,7 +149,7 @@ func (r *ControlRecorder) Samples() []ControlSample {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]ControlSample(nil), r.samples...)
+	return r.samples.Ordered()
 }
 
 // Artifact is the payload of a -telemetry run file: the final metrics
@@ -184,12 +165,9 @@ type Artifact struct {
 // WriteArtifactFile writes an Artifact for reg and rec (either may be
 // nil) to path.
 func WriteArtifactFile(path string, reg *Registry, rec *ControlRecorder) error {
-	art := Artifact{Metrics: reg.Snapshot(), Control: rec.Samples(), Workers: rec.WorkerSamples()}
-	if art.Control == nil {
-		art.Control = []ControlSample{}
-	}
-	if art.Workers == nil {
-		art.Workers = []WorkerSample{}
+	art := Artifact{Metrics: reg.Snapshot(), Control: []ControlSample{}, Workers: []WorkerSample{}}
+	if rec != nil {
+		art.Control, art.Workers = rec.Samples(), rec.WorkerSamples()
 	}
 	f, err := os.Create(path)
 	if err != nil {

@@ -153,64 +153,57 @@ func escapeLabelValue(v string) string {
 }
 
 // sanitizeLabels reparses a `k="v",...` label block and re-escapes every
-// value, so metric names assembled without Label (or with hostile
-// embedded IDs) cannot break the exposition format. Escaped sequences in
-// the input are decoded first to avoid double-escaping; anything after a
-// structural parse failure (e.g. an injected `"} fake_metric 1`) is
-// dropped.
+// key and value, so metric names assembled without Label (or with hostile
+// embedded IDs) cannot break the exposition format: an injected
+// `"} fake_metric 1` ends up inside a label, not on a line of its own.
 func sanitizeLabels(block string) string {
-	var out strings.Builder
-	i, n := 0, len(block)
-	for i < n {
-		j := strings.IndexByte(block[i:], '=')
-		if j < 0 {
-			break
+	var out []string
+	ParseLabels(block, func(k, v string) {
+		out = append(out, sanitizeLabelKey(k)+`="`+escapeLabelValue(v)+`"`)
+	})
+	return strings.Join(out, ",")
+}
+
+// ParseLabels walks a `k="v",...` label block — the inside of a metric
+// name's {...} — calling each with every non-empty key and its value,
+// escapes decoded (the inverse of Label). A value runs to its closing
+// quote; what follows, up to the next '=', is the next key.
+func ParseLabels(block string, each func(key, value string)) {
+	for {
+		eq := strings.IndexByte(block, '=')
+		if eq < 0 {
+			return
 		}
-		key := sanitizeLabelKey(strings.TrimSpace(block[i : i+j]))
-		i += j + 1
-		if i < n && block[i] == '"' {
-			i++
-		}
+		key := strings.TrimSpace(block[:eq])
+		block = strings.TrimPrefix(block[eq+1:], `"`)
 		var val strings.Builder
-		for i < n {
+		i := 0
+		for ; i < len(block); i++ {
 			c := block[i]
-			if c == '\\' && i+1 < n {
-				switch block[i+1] {
-				case '\\':
-					val.WriteByte('\\')
-				case '"':
-					val.WriteByte('"')
-				case 'n':
-					val.WriteByte('\n')
-				default:
-					val.WriteByte('\\')
-					val.WriteByte(block[i+1])
-				}
-				i += 2
-				continue
-			}
 			if c == '"' {
 				i++
 				break
 			}
+			if c == '\\' && i+1 < len(block) {
+				i++
+				switch block[i] {
+				case 'n':
+					val.WriteByte('\n')
+				case '\\', '"':
+					val.WriteByte(block[i])
+				default:
+					val.WriteByte('\\')
+					val.WriteByte(block[i])
+				}
+				continue
+			}
 			val.WriteByte(c)
-			i++
 		}
-		for i < n && (block[i] == ',' || block[i] == ' ') {
-			i++
+		block = strings.TrimLeft(block[i:], ", ")
+		if key != "" {
+			each(key, val.String())
 		}
-		if key == "" {
-			continue
-		}
-		if out.Len() > 0 {
-			out.WriteByte(',')
-		}
-		out.WriteString(key)
-		out.WriteString(`="`)
-		out.WriteString(escapeLabelValue(val.String()))
-		out.WriteByte('"')
 	}
-	return out.String()
 }
 
 func sanitizeLabelKey(key string) string {

@@ -72,7 +72,7 @@ func BenchmarkBurstObserve(b *testing.B) {
 	if _, err := Enable(Config{Cooldown: time.Hour, DumpOn: []string{TrigStraggler}}); err != nil {
 		b.Fatal(err)
 	}
-	defer EnableCLI("", "", nil, nil, nil)
+	defer EnableCLI("", nil, nil, nil)
 	// Deadline-miss is disarmed: Observe takes the cheap rejection path,
 	// as in a production process with dumps scoped to another trigger.
 	bd := NewBurst(TrigDeadlineMiss, 3, time.Minute)

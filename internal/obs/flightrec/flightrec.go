@@ -20,7 +20,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -153,7 +152,7 @@ func (g *Ring) Probe(id ProbeID, t0, arg, parent int64) int64 {
 	return t1
 }
 
-// Trigger names accepted by Trip and the -flight-dump-on flag.
+// Trigger names accepted by Trip and Config.DumpOn.
 const (
 	TrigDeadlineMiss = "deadline-miss" // burst of jobs past their deadline
 	TrigStraggler    = "straggler"     // health registry flags a slow worker
@@ -272,10 +271,6 @@ func NewRecorder(cfg Config) (*Recorder, error) {
 	if len(cfg.DumpOn) > 0 {
 		armed = make(map[string]bool, len(cfg.DumpOn))
 		for _, t := range cfg.DumpOn {
-			t = strings.TrimSpace(t)
-			if t == "" {
-				continue
-			}
 			if t == "all" {
 				armed = nil
 				break
@@ -509,21 +504,16 @@ func Fresh(name string) *Ring { return Active().NewRing(name) }
 // Trip fires a trigger on the default recorder.
 func Trip(trigger, detail string) bool { return Active().Trip(trigger, detail) }
 
-// EnableCLI installs the default recorder from the binaries' flag values:
-// dir is -flight-record, dumpOn is the comma-separated -flight-dump-on
-// trigger list ("" or "all" arms everything). Call it before constructing
-// the components to be probed — rings are bound at component
-// construction. An empty dir turns recording off: it uninstalls any
-// default recorder and returns nil. Rings already handed out keep
-// recording into the old recorder; new ring lookups return nil.
-func EnableCLI(dir, dumpOn string, tracer *obs.Tracer, metrics *obs.Registry, logger *obs.Logger) (*Recorder, error) {
+// EnableCLI installs the default recorder from the binaries'
+// -flight-record directory, with every trigger armed. Call it before
+// constructing the components to be probed — rings are bound at
+// component construction. An empty dir turns recording off: it
+// uninstalls any default recorder and returns nil. Rings already handed
+// out keep recording into the old recorder; new ring lookups return nil.
+func EnableCLI(dir string, tracer *obs.Tracer, metrics *obs.Registry, logger *obs.Logger) (*Recorder, error) {
 	if dir == "" {
 		active.Store(nil)
 		return nil, nil
 	}
-	var on []string
-	if dumpOn != "" {
-		on = strings.Split(dumpOn, ",")
-	}
-	return Enable(Config{Dir: dir, DumpOn: on, Tracer: tracer, Metrics: metrics, Logger: logger})
+	return Enable(Config{Dir: dir, Tracer: tracer, Metrics: metrics, Logger: logger})
 }

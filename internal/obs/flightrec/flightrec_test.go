@@ -77,7 +77,7 @@ func TestNilSafety(t *testing.T) {
 	if _, err := Enable(Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if r, err := EnableCLI("", "", nil, nil, nil); r != nil || err != nil {
+	if r, err := EnableCLI("", nil, nil, nil); r != nil || err != nil {
 		t.Fatalf("EnableCLI with no directory = %v, %v; want recording off", r, err)
 	}
 	if Shared("x") != nil || Fresh("x") != nil || Trip(TrigManual, "") {
@@ -247,7 +247,7 @@ func TestBurstTrigger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer EnableCLI("", "", nil, nil, nil)
+	defer EnableCLI("", nil, nil, nil)
 	b := NewBurst(TrigDeadlineMiss, 3, time.Minute)
 	b.Observe("miss 1")
 	b.Observe("miss 2")

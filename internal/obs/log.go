@@ -109,9 +109,7 @@ type logCore struct {
 
 	mu   sync.Mutex
 	w    io.Writer
-	ring []LogEntry
-	next int
-	cap  int
+	ring Ring[LogEntry]
 }
 
 // Logger is a leveled, structured, zero-dependency logger. Entries go to
@@ -132,7 +130,7 @@ func NewLogger(w io.Writer, min LogLevel, capacity int) *Logger {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	c := &logCore{min: min, w: w, ring: make([]LogEntry, 0, capacity), cap: capacity}
+	c := &logCore{min: min, w: w, ring: NewRing[LogEntry](capacity)}
 	return &Logger{core: c}
 }
 
@@ -184,12 +182,7 @@ func (l *Logger) log(level LogLevel, msg string, fields []Field) {
 	}
 	c := l.core
 	c.mu.Lock()
-	if len(c.ring) < c.cap {
-		c.ring = append(c.ring, e)
-	} else {
-		c.ring[c.next] = e
-		c.next = (c.next + 1) % c.cap
-	}
+	c.ring.Push(e)
 	w := c.w
 	var line []byte
 	if w != nil {
@@ -215,10 +208,7 @@ func (l *Logger) Entries() []LogEntry {
 	c := l.core
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]LogEntry, len(c.ring))
-	n := copy(out, c.ring[c.next:])
-	copy(out[n:], c.ring[:c.next])
-	return out
+	return c.ring.Ordered()
 }
 
 // EntriesFiltered returns buffered entries newer than since (zero time =

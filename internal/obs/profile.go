@@ -1,21 +1,14 @@
 package obs
 
 import (
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"sync"
 )
-
-// ProfileConfig selects which runtime profiles to collect. Any empty
-// path skips that profile.
-type ProfileConfig struct {
-	CPUPath   string
-	MemPath   string
-	MutexPath string
-	BlockPath string
-}
 
 // Mutex and block profiling carry a runtime cost while armed, so they are
 // sampled: one contended mutex event in mutexFraction, and one sample per
@@ -25,89 +18,58 @@ const (
 	blockRate     = 10_000
 )
 
-// StartProfilingWith starts the profiles cfg names and returns a stop
-// function that writes them. The CPU profile runs from now to stop; when
-// MutexPath or BlockPath is set the matching runtime sampler is armed for
-// the run, its profile written at stop and the sampler then disarmed, so
-// the process returns to zero overhead; MemPath gets a heap snapshot at
-// stop, taken after a GC so it reports live objects, not garbage awaiting
-// collection. The stop function is always non-nil and idempotent: repeat
-// calls return the first call's result without re-running the stop work.
-func StartProfilingWith(cfg ProfileConfig) (func() error, error) {
-	var cpuFile *os.File
-	if cfg.CPUPath != "" {
-		f, err := os.Create(cfg.CPUPath)
-		if err != nil {
-			return nil, fmt.Errorf("cpu profile: %w", err)
+// StartProfiling profiles the process into dir, creating it if needed,
+// and returns a stop function that writes the profiles: cpu.pprof runs
+// from now to stop; mutex.pprof and block.pprof come from runtime
+// samplers armed for the run and disarmed at stop, so the process
+// returns to zero overhead; heap.pprof is a snapshot taken at stop after
+// a GC, so it reports live objects, not garbage awaiting collection. An
+// empty dir profiles nothing. Stop runs every step even when one fails,
+// returns their errors joined, and is idempotent: repeat calls return the
+// first call's result without re-running the stop work.
+func StartProfiling(dir string) (func() error, error) {
+	if dir == "" {
+		return func() error { return nil }, nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("profile: %w", err)
+	}
+	cpu, err := os.Create(filepath.Join(dir, "cpu.pprof"))
+	if err != nil {
+		return nil, fmt.Errorf("cpu profile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(cpu); err != nil {
+		cpu.Close()
+		return nil, fmt.Errorf("cpu profile: %w", err)
+	}
+	runtime.SetMutexProfileFraction(mutexFraction)
+	runtime.SetBlockProfileRate(blockRate)
+	return sync.OnceValue(func() error {
+		pprof.StopCPUProfile()
+		var errs []error
+		if err := cpu.Close(); err != nil {
+			errs = append(errs, fmt.Errorf("cpu profile: %w", err))
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("cpu profile: %w", err)
+		runtime.GC()
+		for _, kind := range []string{"mutex", "block", "heap"} {
+			errs = append(errs, writeProfile(kind, filepath.Join(dir, kind+".pprof")))
 		}
-		cpuFile = f
-	}
-	if cfg.MutexPath != "" {
-		runtime.SetMutexProfileFraction(mutexFraction)
-	}
-	if cfg.BlockPath != "" {
-		runtime.SetBlockProfileRate(blockRate)
-	}
-	var once sync.Once
-	var stopErr error
-	stop := func() error {
-		once.Do(func() {
-			if cpuFile != nil {
-				pprof.StopCPUProfile()
-				if err := cpuFile.Close(); err != nil {
-					stopErr = fmt.Errorf("cpu profile: %w", err)
-					return
-				}
-			}
-			if cfg.MutexPath != "" {
-				err := writeLookupProfile("mutex", cfg.MutexPath)
-				runtime.SetMutexProfileFraction(0)
-				if err != nil {
-					stopErr = err
-					return
-				}
-			}
-			if cfg.BlockPath != "" {
-				err := writeLookupProfile("block", cfg.BlockPath)
-				runtime.SetBlockProfileRate(0)
-				if err != nil {
-					stopErr = err
-					return
-				}
-			}
-			if cfg.MemPath != "" {
-				f, err := os.Create(cfg.MemPath)
-				if err != nil {
-					stopErr = fmt.Errorf("mem profile: %w", err)
-					return
-				}
-				defer f.Close()
-				runtime.GC()
-				if err := pprof.WriteHeapProfile(f); err != nil {
-					stopErr = fmt.Errorf("mem profile: %w", err)
-				}
-			}
-		})
-		return stopErr
-	}
-	return stop, nil
+		runtime.SetMutexProfileFraction(0)
+		runtime.SetBlockProfileRate(0)
+		return errors.Join(errs...)
+	}), nil
 }
 
-func writeLookupProfile(kind, path string) error {
-	p := pprof.Lookup(kind)
-	if p == nil {
-		return fmt.Errorf("%s profile: runtime profile missing", kind)
-	}
+func writeProfile(kind, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("%s profile: %w", kind, err)
 	}
-	defer f.Close()
-	if err := p.WriteTo(f, 0); err != nil {
+	err = pprof.Lookup(kind).WriteTo(f, 0)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return fmt.Errorf("%s profile: %w", kind, err)
 	}
 	return nil

@@ -88,16 +88,12 @@ func (s *Span) Finish() {
 // Tracer records finished spans into a fixed-capacity ring buffer; the
 // newest spans win. A nil *Tracer is valid and disables tracing.
 type Tracer struct {
-	capacity int
-	nextID   atomic.Int64
+	nextID atomic.Int64
 	// now is a test hook for deterministic timestamps.
 	now func() time.Time
 
-	mu      sync.Mutex
-	ring    []Span
-	next    int
-	total   int
-	dropped int
+	mu   sync.Mutex
+	ring Ring[Span]
 	// cDropped, when instrumented, exports overwrites as
 	// obs_spans_dropped_total — ring overflow is otherwise silent.
 	cDropped *Counter
@@ -109,7 +105,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &Tracer{capacity: capacity, now: time.Now, ring: make([]Span, 0, capacity)}
+	return &Tracer{now: time.Now, ring: NewRing[Span](capacity)}
 }
 
 // NewSpan opens a span with an explicit parent ID (0 = root), e.g. the
@@ -174,15 +170,9 @@ func (t *Tracer) record(s Span) {
 	s.tr = nil
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.ring) < t.capacity {
-		t.ring = append(t.ring, s)
-	} else {
-		t.ring[t.next] = s
-		t.next = (t.next + 1) % t.capacity
-		t.dropped++
+	if t.ring.Push(s) {
 		t.cDropped.Inc()
 	}
-	t.total++
 }
 
 // Instrument exports the tracer's overflow count to reg as
@@ -199,7 +189,7 @@ func (t *Tracer) Instrument(reg *Registry) {
 		return
 	}
 	t.cDropped = reg.Counter("obs_spans_dropped_total")
-	t.cDropped.Add(int64(t.dropped))
+	t.cDropped.Add(int64(t.ring.Overwrites()))
 }
 
 // Len reports how many spans are currently buffered (0 on nil).
@@ -209,7 +199,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.ring)
+	return t.ring.Len()
 }
 
 // Total reports how many spans were ever recorded, including those the
@@ -220,7 +210,7 @@ func (t *Tracer) Total() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.total
+	return t.ring.Pushes()
 }
 
 // Spans returns the buffered spans ordered by start time. Safe on nil.
@@ -229,10 +219,7 @@ func (t *Tracer) Spans() []Span {
 		return nil
 	}
 	t.mu.Lock()
-	out := make([]Span, len(t.ring))
-	// Unroll the ring: oldest first.
-	n := copy(out, t.ring[t.next:])
-	copy(out[n:], t.ring[:t.next])
+	out := t.ring.Ordered()
 	t.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
 	return out

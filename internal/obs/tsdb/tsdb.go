@@ -48,9 +48,7 @@ type Store struct {
 type ring struct {
 	name   string
 	labels map[string]string
-	pts    []Point
-	next   int
-	full   bool
+	pts    obs.Ring[Point]
 }
 
 // New creates a store retaining capacity points per series
@@ -70,14 +68,10 @@ func (s *Store) append(base string, labels map[string]string, tms int64, v float
 	s.mu.Lock()
 	r, ok := s.series[key]
 	if !ok {
-		r = &ring{name: base, labels: labels, pts: make([]Point, s.cap)}
+		r = &ring{name: base, labels: labels, pts: obs.NewRing[Point](s.cap)}
 		s.series[key] = r
 	}
-	r.pts[r.next] = Point{T: tms, V: v}
-	r.next++
-	if r.next == len(r.pts) {
-		r.next, r.full = 0, true
-	}
+	r.pts.Push(Point{T: tms, V: v})
 	s.mu.Unlock()
 }
 
@@ -169,7 +163,8 @@ func (s *Store) Run(q Query, now time.Time) []Series {
 	out := make([]Series, 0, len(keys))
 	for _, key := range keys {
 		r := s.series[key]
-		pts := r.ordered()
+		// A copy, so downsampling can compact it in place.
+		pts := r.pts.Ordered()
 		if cutoff > 0 {
 			i := sort.Search(len(pts), func(i int) bool { return pts[i].T >= cutoff })
 			pts = pts[i:]
@@ -209,18 +204,6 @@ func (s *Store) SeriesNames() []string {
 	return names
 }
 
-// ordered returns a copy of the ring's points, oldest first. (A copy, so
-// downsampling can compact in place without touching ring storage.)
-func (r *ring) ordered() []Point {
-	if !r.full {
-		return append([]Point(nil), r.pts[:r.next]...)
-	}
-	out := make([]Point, len(r.pts))
-	n := copy(out, r.pts[r.next:])
-	copy(out[n:], r.pts[:r.next])
-	return out
-}
-
 // downsample keeps the last point of each stepMs-wide time bucket.
 func downsample(pts []Point, stepMs int64) []Point {
 	if stepMs <= 0 || len(pts) == 0 {
@@ -239,57 +222,14 @@ func downsample(pts []Point, stepMs int64) []Point {
 // splitName separates a `base{k="v",...}` metric name into base and
 // parsed labels (nil when unlabelled).
 func splitName(name string) (string, map[string]string) {
-	base, rest, has := strings.Cut(name, "{")
-	if !has {
-		return base, nil
-	}
-	rest = strings.TrimSuffix(rest, "}")
-	labels := make(map[string]string)
-	for rest != "" {
-		eq := strings.IndexByte(rest, '=')
-		if eq < 0 {
-			break
+	base, block, _ := strings.Cut(name, "{")
+	var labels map[string]string
+	obs.ParseLabels(strings.TrimSuffix(block, "}"), func(k, v string) {
+		if labels == nil {
+			labels = make(map[string]string)
 		}
-		key := strings.TrimSpace(rest[:eq])
-		rest = rest[eq+1:]
-		if rest == "" || rest[0] != '"' {
-			break
-		}
-		rest = rest[1:]
-		var val strings.Builder
-		i := 0
-		for i < len(rest) {
-			c := rest[i]
-			if c == '\\' && i+1 < len(rest) {
-				switch rest[i+1] {
-				case '\\':
-					val.WriteByte('\\')
-				case '"':
-					val.WriteByte('"')
-				case 'n':
-					val.WriteByte('\n')
-				default:
-					val.WriteByte('\\')
-					val.WriteByte(rest[i+1])
-				}
-				i += 2
-				continue
-			}
-			if c == '"' {
-				i++
-				break
-			}
-			val.WriteByte(c)
-			i++
-		}
-		rest = strings.TrimLeft(rest[i:], ", ")
-		if key != "" {
-			labels[key] = val.String()
-		}
-	}
-	if len(labels) == 0 {
-		return base, nil
-	}
+		labels[k] = v
+	})
 	return base, labels
 }
 

@@ -73,7 +73,7 @@ func TestRingRetentionBound(t *testing.T) {
 	}
 }
 
-// TestConfigurableCapacityRetention covers the -tsdb-points path: a
+// TestConfigurableCapacityRetention covers a capacity set through New: a
 // capacity above the default retains exactly that many points per
 // series, and New(0) falls back to DefaultCapacity.
 func TestConfigurableCapacityRetention(t *testing.T) {

@@ -143,7 +143,7 @@ func TestWorkerStatsAggregatedIntoMasterRegistry(t *testing.T) {
 			ID:             "w-1",
 			Exec:           echoExec,
 			HeartbeatEvery: 5 * time.Millisecond,
-			StatsEvery:     1, // every heartbeat carries a telemetry ship
+			statsEvery:     1, // every heartbeat carries a telemetry ship
 		}
 		_ = w.Run(ctx, wconn)
 	}()

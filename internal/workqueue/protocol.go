@@ -167,7 +167,7 @@ type message struct {
 	// Spans are finished worker-side stage spans being shipped to the
 	// master (on results and heartbeats alike).
 	Spans []RemoteSpan
-	// Telemetry rides on every StatsEvery-th heartbeat: the worker's
+	// Telemetry rides on every fifth heartbeat: the worker's
 	// registry snapshot, feeding the master's health registry and
 	// time-series store. Excluded from the CRC like the clock stamps:
 	// telemetry damage is not worth a disconnect, and the next ship,

@@ -64,7 +64,7 @@ func joinShippingWorker(t *testing.T, reg *obs.Registry, fault func(frame []byte
 	done := make(chan struct{}, 2)
 	go func() { _ = m.HandleWorker(ctx, mconn); done <- struct{}{} }()
 	go func() {
-		w := &Worker{ID: shipWorkerID, Exec: echoExec, Metrics: reg, HeartbeatEvery: 2 * time.Millisecond, StatsEvery: 1}
+		w := &Worker{ID: shipWorkerID, Exec: echoExec, Metrics: reg, HeartbeatEvery: 2 * time.Millisecond, statsEvery: 1}
 		_ = w.Run(ctx, &frameConn{Conn: wconn, edit: edit})
 		done <- struct{}{}
 	}()

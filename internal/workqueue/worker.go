@@ -32,14 +32,15 @@ type Worker struct {
 	Exec Executor
 	// HeartbeatEvery ships a liveness ping to the master on this
 	// interval, even while a task is executing, so the master's health
-	// registry can tell a busy worker from a hung one. Every StatsEvery-th
-	// ping carries a telemetry ship of the worker's metrics registry. Zero
+	// registry can tell a busy worker from a hung one. Every fifth ping
+	// carries a telemetry ship of the worker's metrics registry. Zero
 	// disables heartbeats.
 	HeartbeatEvery time.Duration
-	// StatsEvery is how many heartbeats elapse between telemetry ships;
-	// <= 0 means the default of 5. The first heartbeat always carries one
-	// so the master learns the worker's bucket layout immediately.
-	StatsEvery int
+	// statsEvery is how many heartbeats elapse between telemetry ships;
+	// <= 0 means the default of 5, and only this package's tests set it.
+	// The first heartbeat always carries one so the master learns the
+	// worker's bucket layout immediately.
+	statsEvery int
 	// Metrics optionally supplies the worker-side telemetry registry
 	// (worker_* metrics), letting the process expose the same numbers on
 	// its own /metrics endpoint. When nil and heartbeats are enabled, a
@@ -399,14 +400,14 @@ func (w *Worker) mirror(spans []RemoteSpan) {
 	}
 }
 
-// heartbeatLoop ships liveness pings, every StatsEvery-th carrying a
+// heartbeatLoop ships liveness pings, every statsEvery-th carrying a
 // telemetry ship, until the worker exits or the connection fails. It runs
 // concurrently with task execution: the codec serializes the writes.
 // Each ping carries the
 // clock-skew timestamps and any buffered stage spans, so span delivery
 // does not wait for the next result.
 func (w *Worker) heartbeatLoop(ctx context.Context, c *codec, inst *workerInstruments, run *workerRun, stop <-chan struct{}) {
-	statsEvery := w.StatsEvery
+	statsEvery := w.statsEvery
 	if statsEvery <= 0 {
 		statsEvery = 5
 	}
