@@ -78,8 +78,8 @@ type Spec struct {
 	// DelayMin/DelayMax bound the injected delivery delay (defaults
 	// 1ms..20ms when Delay > 0).
 	DelayMin, DelayMax time.Duration
-	// SkewNs shifts every clock stamp (message and task send times,
-	// span starts) crossing the wrapped connection, simulating a worker
+	// SkewNs shifts every clock stamp (message send times, span starts,
+	// flight-dump events) crossing the wrapped connection, simulating a worker
 	// whose clock runs ahead (positive) or behind (negative) of the master's.
 	SkewNs int64
 

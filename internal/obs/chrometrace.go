@@ -21,12 +21,10 @@ type ProbeEvent struct {
 }
 
 // HostEvents is one host's probe events for WriteChromeTrace: a worker's
-// frozen ring snapshot, or the local recorder's (Host "" or "master").
+// frozen ring snapshot, its stamps already on the master's clock, or the
+// local recorder's (Host "" or "master").
 type HostEvents struct {
-	Host string
-	// SkewNs is added to every event timestamp to place it on the master's
-	// clock; zero for the master's own events.
-	SkewNs int64
+	Host   string
 	Events []ProbeEvent
 }
 
@@ -65,8 +63,7 @@ const orphanLaneBase = int64(1) << 40
 // run. Within a process each root span gets its own lane (tid) and
 // descendants share it, which renders a TD job's queue → execute → merge →
 // decode legs as one row; spans carry id/parent/trace args. Probe events
-// are shifted onto the master's clock by their host's SkewNs and render on
-// that host's pid — in their owning span's lane when the span is known,
+// render on their host's pid — in their owning span's lane when the span is known,
 // else on one synthetic lane per (host, ring). Timestamps are microseconds
 // from the earliest record and the file is time-ordered.
 func WriteChromeTrace(w io.Writer, spans []Span, hosts []HostEvents) error {
@@ -95,7 +92,7 @@ func WriteChromeTrace(w io.Writer, spans []Span, hosts []HostEvents) error {
 	for _, h := range hosts {
 		note(h.Host)
 		for _, e := range h.Events {
-			earliest(time.Unix(0, e.T0+h.SkewNs))
+			earliest(time.Unix(0, e.T0))
 		}
 	}
 	lane := func(id int64) int64 {
@@ -168,7 +165,7 @@ func WriteChromeTrace(w io.Writer, spans []Span, hosts []HostEvents) error {
 			}
 			events = append(events, chromeEvent{
 				Name: e.Probe, Cat: "flightrec", Ph: "X",
-				Ts:  time.Unix(0, e.T0+h.SkewNs).Sub(origin).Microseconds(),
+				Ts:  time.Unix(0, e.T0).Sub(origin).Microseconds(),
 				Dur: (e.T1 - e.T0) / int64(time.Microsecond),
 				Pid: pid, Tid: tid,
 				Args: args,
@@ -176,7 +173,7 @@ func WriteChromeTrace(w io.Writer, spans []Span, hosts []HostEvents) error {
 		}
 	}
 	// Chrome sorts internally, but a time-ordered file makes the merged
-	// timeline greppable and the skew-correction tests direct.
+	// timeline greppable and the merge-order tests direct.
 	sort.SliceStable(events, func(i, j int) bool { return events[i].Ts < events[j].Ts })
 
 	// The envelope: metadata records first, then the events, one JSON

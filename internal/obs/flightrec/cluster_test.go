@@ -27,9 +27,11 @@ type chromeDoc struct {
 }
 
 // TestClusterTraceSkewCorrection merges a synthetic 3-worker dump whose
-// hosts run with known clock skews. The local (uncorrected) timestamp
-// order is deliberately the REVERSE of the true order, so the test fails
-// if skew correction is dropped or applied with the wrong sign.
+// events arrive already shifted onto the master clock (the master's
+// connection reader applies each worker's skew estimate), listed in the
+// REVERSE of their clock order: the merge must order them by stamp
+// across hosts, each host on its own lane. The shift itself is
+// workqueue's TestWorkerStampsLandOnMasterClock.
 func TestClusterTraceSkewCorrection(t *testing.T) {
 	base := int64(1_000_000_000_000_000) // arbitrary wall-clock origin, ns
 	us := int64(time.Microsecond)
@@ -37,11 +39,11 @@ func TestClusterTraceSkewCorrection(t *testing.T) {
 		return []Event{{Ring: ring, Probe: "codec.encode", T0: localT0, T1: localT0 + 10*us}}
 	}
 	hosts := []obs.HostEvents{
-		// True master-clock times: master 50µs, w-b 100µs, w-c 200µs, w-a 300µs.
+		// Master-clock times: master 50µs, w-b 100µs, w-c 200µs, w-a 300µs.
 		{Host: "master", Events: ev("master", base+50*us)},
-		{Host: "w-a", SkewNs: 500 * us, Events: ev("codec", base+300*us-500*us)},
-		{Host: "w-b", SkewNs: -300 * us, Events: ev("codec", base+100*us+300*us)},
-		{Host: "w-c", SkewNs: 0, Events: ev("codec", base+200*us)},
+		{Host: "w-a", Events: ev("codec", base+300*us)},
+		{Host: "w-b", Events: ev("codec", base+100*us)},
+		{Host: "w-c", Events: ev("codec", base+200*us)},
 	}
 
 	var buf bytes.Buffer
@@ -71,7 +73,7 @@ func TestClusterTraceSkewCorrection(t *testing.T) {
 		}
 	}
 
-	// Event ordering: skew-corrected master-clock order, not local order.
+	// Event ordering: master-clock order, not listing order.
 	var order []string
 	var ts []int64
 	pidByHost := map[string]int{}
@@ -92,10 +94,10 @@ func TestClusterTraceSkewCorrection(t *testing.T) {
 	}
 	for i := range want {
 		if order[i] != want[i] {
-			t.Fatalf("skew-corrected order = %v, want %v", order, want)
+			t.Fatalf("merged order = %v, want %v", order, want)
 		}
 	}
-	// Origin is the earliest corrected timestamp (master's 50µs event), so
+	// Origin is the earliest timestamp (master's 50µs event), so
 	// relative times are 0, 50, 150, 250µs.
 	wantTs := []int64{0, 50, 150, 250}
 	for i := range wantTs {

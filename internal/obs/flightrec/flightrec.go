@@ -40,8 +40,8 @@ const (
 	ProbeHMMBackward
 	ProbeHMMMStep
 	ProbeHMMViterbi
-	// Codec frame legs: CRC stamping/checking and JSON encode/decode —
-	// the wire transfer terms of Eq. 10.
+	// Codec frame legs: CRC stamping/checking and binary frame
+	// encode/decode — the wire transfer terms of Eq. 10.
 	ProbeCodecCRC
 	ProbeCodecEncode
 	ProbeCodecDecode
@@ -53,7 +53,8 @@ const (
 	// DTM job legs: outputs merged into the decode task; its answer expanded.
 	ProbeDTMMerge
 	ProbeDTMFinalize
-	// Streaming decoder: window append (decode) and frontier rotation.
+	// Streaming decoder: window append (a decode), and a mark when an
+	// interval leaves the lag window.
 	ProbeStreamAppend
 	ProbeStreamRotate
 

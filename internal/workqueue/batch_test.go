@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -57,6 +58,117 @@ func TestBatchedRoundTripAllDelivered(t *testing.T) {
 		if !js.Done() {
 			t.Errorf("job %s not done: %+v", js.JobID, js)
 		}
+	}
+}
+
+// TestPipelinedTransferExcludesPreviousBatch: with a window two batches
+// deep, a batch waits on the worker while the one before it executes.
+// Its transfer estimate runs from the later of its dispatch and the
+// previous ack, so that wait is not read as wire time: the estimate stays
+// near one frame's execution, not two.
+func TestPipelinedTransferExcludesPreviousBatch(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const batch, n, exec = 4, 16, 20 * time.Millisecond
+	m := NewMaster(MasterConfig{ResultBuffer: n, BatchSize: batch})
+	defer m.Shutdown()
+	for i := 0; i < n; i++ {
+		if err := m.Submit(Task{ID: fmt.Sprintf("t%02d", i), JobID: "j"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mconn, wconn := pipePair()
+	go func() { _ = m.HandleWorker(ctx, mconn) }()
+	slow := func(_ context.Context, p []byte) ([]byte, error) {
+		time.Sleep(exec)
+		return p, nil
+	}
+	go func() { _ = (&Worker{ID: "w", Exec: slow}).Run(ctx, wconn) }()
+	collect(t, m, n)
+	// A frame's first result reads its batch-mates' execution, 3 × 20 ms;
+	// counted from dispatch it would also read the previous batch's 80 ms.
+	h, _ := findWorker(m.ClusterHealth(), "w")
+	if limit := float64(5*exec) / float64(time.Millisecond); h.EWMATransferMs > limit {
+		t.Errorf("transfer estimate %.1f ms, want under %.0f ms: the previous batch's execution counted as wire time", h.EWMATransferMs, limit)
+	}
+}
+
+// TestOutOfOrderResultSevers: results come back in dispatch order
+// (DESIGN's wire table). A result for any task but the window's head is a
+// protocol violation: the master drops the connection and requeues the
+// task rather than complete it with another task's answer.
+func TestOutOfOrderResultSevers(t *testing.T) {
+	m := NewMaster(MasterConfig{ResultBuffer: 4, RequeueBackoff: BackoffConfig{Base: -1}})
+	defer m.Shutdown()
+	mconn, wconn := pipePair()
+	lost := make(chan error, 1)
+	go func() { lost <- m.HandleWorker(context.Background(), mconn) }()
+	c := newCodec(wconn)
+	defer c.close()
+	if err := c.send(message{Type: msgHello, WorkerID: "liar"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Submit(Task{ID: "t", JobID: "j"}); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := c.recv(); err != nil || msg.Type != msgTaskBatch {
+		t.Fatalf("worker got %v, %v; want the task", msg.Type, err)
+	}
+	if err := c.send(message{Type: msgResultBatch, Results: []Result{{TaskID: "other", JobID: "j"}}}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-lost:
+		if err == nil || !strings.Contains(err.Error(), `answered task t with result for "other"`) {
+			t.Fatalf("handler returned %v, want the out-of-order answer refused", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the handler kept the connection after an out-of-order answer")
+	}
+	select {
+	case r := <-m.Results():
+		t.Fatalf("out-of-order answer delivered: %+v", r)
+	default:
+	}
+	if q := m.QueueLen(); q != 1 {
+		t.Errorf("queue length %d after the refused answer, want the task requeued", q)
+	}
+}
+
+// TestResultsFlushEverySixteen: a worker streams a long batch's results
+// back in frames of resultFlushEvery, so the master's acks, and the
+// TaskTimeout progress deadline each ack restarts, keep moving while the
+// rest of the batch runs.
+func TestResultsFlushEverySixteen(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	mconn, wconn := pipePair()
+	go func() { _ = (&Worker{ID: "w", Exec: echoExec}).Run(ctx, wconn) }()
+	c := newCodec(mconn)
+	defer c.close()
+	if _, err := c.recv(); err != nil {
+		t.Fatal(err)
+	}
+	tasks := make([]Task, 2*resultFlushEvery+8)
+	for i := range tasks {
+		tasks[i] = Task{ID: fmt.Sprintf("t%02d", i), JobID: "j"}
+	}
+	if err := c.send(message{Type: msgTaskBatch, Tasks: tasks}); err != nil {
+		t.Fatal(err)
+	}
+	var frames []int
+	for n := 0; n < len(tasks); {
+		m, err := c.recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Type == msgResultBatch {
+			frames = append(frames, len(m.Results))
+			n += len(m.Results)
+		}
+	}
+	if fmt.Sprint(frames) != fmt.Sprint([]int{resultFlushEvery, resultFlushEvery, 8}) {
+		t.Fatalf("result frames of %v tasks, want %d, %d, 8", frames, resultFlushEvery, resultFlushEvery)
 	}
 }
 

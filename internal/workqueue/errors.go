@@ -3,6 +3,7 @@ package workqueue
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"github.com/social-sensing/sstd/internal/obs"
 )
@@ -76,13 +77,4 @@ func newTaskError(workerID, taskID string, err error) *TaskError {
 
 // ReturnTrace renders the error's worker-side return path as the compact
 // " -> "-joined wire form (empty when untraced).
-func (e *TaskError) ReturnTrace() string {
-	out := ""
-	for i, f := range e.Trace {
-		if i > 0 {
-			out += " -> "
-		}
-		out += f
-	}
-	return out
-}
+func (e *TaskError) ReturnTrace() string { return strings.Join(e.Trace, " -> ") }

@@ -85,8 +85,8 @@ func (p *Pool) Resize(ctx context.Context, n int) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for len(p.workers) < n {
-		p.spawnLocked(ctx)
+	for ; len(p.workers) < n; p.next++ {
+		p.spawnSlotLocked(ctx, p.next, 0)
 	}
 	for id := range p.workers {
 		if len(p.workers) <= n {
@@ -98,15 +98,9 @@ func (p *Pool) Resize(ctx context.Context, n int) {
 	}
 }
 
-// spawnLocked starts one worker goroutine pair (worker + master handler)
-// bridged by an in-process pipe.
-func (p *Pool) spawnLocked(ctx context.Context) {
-	p.spawnSlotLocked(ctx, p.next, 0)
-	p.next++
-}
-
-// spawnSlotLocked starts the given incarnation of one worker slot. The
-// first incarnation keeps the bare slot name; respawns append -rK so a
+// spawnSlotLocked starts the given incarnation of one worker slot: a
+// worker and its master handler bridged by an in-process pipe. The first
+// incarnation keeps the bare slot name; respawns append -rK so a
 // restarted worker never races its dying predecessor for the same ID in
 // the master's registry.
 func (p *Pool) spawnSlotLocked(ctx context.Context, slot, incarnation int) {
@@ -117,7 +111,7 @@ func (p *Pool) spawnSlotLocked(ctx context.Context, slot, incarnation int) {
 	wctx, cancel := context.WithCancel(ctx)
 	p.workers[id] = cancel
 
-	mconn, wconn := pipePair()
+	mconn, wconn := net.Pipe()
 	if p.WrapConn != nil {
 		mconn, wconn = p.WrapConn(mconn, wconn)
 	}

@@ -138,8 +138,8 @@ type FreezeRequest struct {
 
 // FlightDump is a worker's flight-recorder snapshot shipped to the
 // master. It names no host: the master files it under the connection it
-// arrived on. Event timestamps are on the worker's clock; the master
-// applies that connection's skew estimate when merging.
+// arrived on. Event timestamps are on the worker's clock until the
+// master's connection reader shifts them by its skew estimate.
 type FlightDump struct {
 	Seq     int64
 	Trigger string

@@ -24,13 +24,12 @@ type Status struct {
 
 // JobStatus is the wire form of one job's progress.
 type JobStatus struct {
-	JobID       string        `json:"jobId"`
-	Submitted   int           `json:"submitted"`
-	Completed   int           `json:"completed"`
-	Failed      int           `json:"failed"`
-	Done        bool          `json:"done"`
-	ExecTime    time.Duration `json:"execTimeNs"`
-	FirstSubmit time.Time     `json:"firstSubmit"`
+	JobID       string    `json:"jobId"`
+	Submitted   int       `json:"submitted"`
+	Completed   int       `json:"completed"`
+	Failed      int       `json:"failed"`
+	Done        bool      `json:"done"`
+	FirstSubmit time.Time `json:"firstSubmit"`
 }
 
 // Status snapshots the master.
@@ -51,7 +50,6 @@ func (m *Master) Status() Status {
 			Completed:   js.Completed,
 			Failed:      js.Failed,
 			Done:        js.Done(),
-			ExecTime:    js.ExecTime,
 			FirstSubmit: js.FirstSubmit,
 		})
 	}
@@ -60,14 +58,19 @@ func (m *Master) Status() Status {
 
 // StatusHandler serves the master's Status as JSON — mount it on any mux
 // (GET only).
-func (m *Master) StatusHandler() http.Handler {
+func (m *Master) StatusHandler() http.Handler { return jsonHandler(func() any { return m.Status() }) }
+
+// jsonHandler serves the snapshot as indented JSON (GET only).
+func jsonHandler(snapshot func() any) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(m.Status()); err != nil {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(snapshot()); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

@@ -44,9 +44,7 @@ type TaskTrace struct {
 	parent  int64
 	span    int64 // Task.Span
 	taskID  string
-
-	mu    sync.Mutex
-	spans []RemoteSpan
+	spans   spanBuffer
 }
 
 func newTaskTrace(tc *TraceContext, taskID string, span int64) *TaskTrace {
@@ -61,11 +59,7 @@ func (tt *TaskTrace) add(name string, start, end time.Time) {
 	if tt == nil {
 		return
 	}
-	if end.Before(start) {
-		end = start
-	}
-	tt.mu.Lock()
-	tt.spans = append(tt.spans, RemoteSpan{
+	tt.spans.add(RemoteSpan{
 		TraceID:       tt.traceID,
 		Parent:        tt.parent,
 		Name:          name,
@@ -73,7 +67,6 @@ func (tt *TaskTrace) add(name string, start, end time.Time) {
 		StartUnixNano: start.UnixNano(),
 		DurNs:         int64(end.Sub(start)),
 	})
-	tt.mu.Unlock()
 }
 
 // take drains the collected spans.
@@ -81,11 +74,7 @@ func (tt *TaskTrace) take() []RemoteSpan {
 	if tt == nil {
 		return nil
 	}
-	tt.mu.Lock()
-	out := tt.spans
-	tt.spans = nil
-	tt.mu.Unlock()
-	return out
+	return tt.spans.drain()
 }
 
 type taskTraceKey struct{}
@@ -144,18 +133,19 @@ func (s *StageSpan) Finish() {
 	s.tt.add(s.name, s.start, time.Now())
 }
 
-// spanBuffer accumulates finished remote spans on the worker between
-// outgoing messages: a task's recv/decode/exec/encode spans ship with
-// its result, while its send span (finished only after the result is on
-// the wire) ships with the next result, heartbeat or the final flush at
-// shutdown. Shared by the task loop and the heartbeat goroutine.
+// spanBuffer accumulates finished remote spans: one task's stages in its
+// TaskTrace, and on the worker between outgoing messages, where a task's
+// recv/decode/exec/encode spans ship with its result, while its send span
+// (finished only after the result is on the wire) ships with the next
+// result, heartbeat or the final flush at shutdown. Shared by the task
+// loop and the heartbeat goroutine.
 type spanBuffer struct {
 	mu    sync.Mutex
 	spans []RemoteSpan
 }
 
 func (b *spanBuffer) add(spans ...RemoteSpan) {
-	if b == nil || len(spans) == 0 {
+	if len(spans) == 0 {
 		return
 	}
 	b.mu.Lock()
@@ -164,9 +154,6 @@ func (b *spanBuffer) add(spans ...RemoteSpan) {
 }
 
 func (b *spanBuffer) drain() []RemoteSpan {
-	if b == nil {
-		return nil
-	}
 	b.mu.Lock()
 	out := b.spans
 	b.spans = nil

@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/social-sensing/sstd/internal/obs"
+	"github.com/social-sensing/sstd/internal/obs/flightrec"
 )
 
 // TestTaskTraceContextRoundTrip: the trace context and the master's
@@ -183,7 +185,7 @@ func TestAssignNeverQueuedTaskDoesNotBreakTracing(t *testing.T) {
 // master observed on the master clock) = transit − skew; d2 (master→
 // worker observed on the worker clock) = transit + skew.
 func TestClockSkewEstimate(t *testing.T) {
-	cl := newCluster(nil, 0)
+	cl := newCluster(nil, 0, nil)
 	if err := cl.attach("w", nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +207,7 @@ func TestClockSkewEstimate(t *testing.T) {
 	}
 
 	// One leg alone must not produce an estimate.
-	cl2 := newCluster(nil, 0)
+	cl2 := newCluster(nil, 0, nil)
 	if err := cl2.attach("w", nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -218,18 +220,116 @@ func TestClockSkewEstimate(t *testing.T) {
 	}
 }
 
+// skewConn shifts the clock stamps of every frame written through it by
+// delta, as the chaos layer's skew= fault does (one codec send is one
+// Write of one whole frame).
+type skewConn struct {
+	net.Conn
+	delta int64
+}
+
+func (c skewConn) Write(p []byte) (int, error) {
+	if _, err := c.Conn.Write(ShiftBinaryStamps(p, c.delta)); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// TestWorkerStampsLandOnMasterClock runs a worker whose clock reads an
+// hour ahead of the master's: every stamp it sends is shifted forward
+// and every stamp it receives back, so both legs of the skew estimate see
+// it. The connection reader must shift the stage spans it ingests and the
+// flight-dump events a gather collects back onto the master clock; an
+// unshifted stamp lands an hour off.
+func TestWorkerStampsLandOnMasterClock(t *testing.T) {
+	const skew = int64(time.Hour)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	before := time.Now()
+	tr := obs.NewTracer(0)
+	m := NewMaster(MasterConfig{ResultBuffer: 8, Tracer: tr, FlightRec: mustRecorder(t)})
+	defer m.Shutdown()
+	wrec, err := flightrec.NewRecorder(flightrec.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mconn, wconn := pipePair()
+	go func() { _ = m.HandleWorker(ctx, skewConn{mconn, -skew}) }()
+	go func() {
+		w := &Worker{ID: "ahead", Exec: echoExec, FlightRec: wrec}
+		_ = w.Run(ctx, skewConn{wconn, skew})
+	}()
+	for i := 0; i < 3; i++ {
+		if err := m.Submit(Task{ID: fmt.Sprintf("t%d", i), JobID: "j", Payload: []byte("x"), Trace: &TraceContext{TraceID: "tr"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	collect(t, m, 3)
+	hosts := m.gather(flightrec.TrigManual, "skew test", time.Minute)
+	after := time.Now()
+
+	// The estimate is off by half the difference of the two transits.
+	lo, hi := before.Add(-time.Second).UnixNano(), after.Add(time.Second).UnixNano()
+	spans := 0
+	for _, s := range tr.Spans() {
+		if s.Proc != "ahead" {
+			continue
+		}
+		spans++
+		if at := s.Start.UnixNano(); at < lo || at > hi {
+			t.Errorf("worker span %q starts %v from the master clock's run window", s.Name, time.Duration(at-lo))
+		}
+	}
+	events := 0
+	for _, h := range hosts {
+		for _, e := range h.Events {
+			events++
+			if e.T0 < lo || e.T0 > hi {
+				t.Errorf("worker %s event %s at %v from the master clock's run window", h.Host, e.Probe, time.Duration(e.T0-lo))
+			}
+		}
+	}
+	if spans == 0 || events == 0 {
+		t.Fatalf("%d worker spans and %d dump events reached the master, want some of each", spans, events)
+	}
+}
+
+// TestWorkerMirrorsStageSpans: a worker with a Tracer keeps a copy of
+// the stage spans it ships, for its own process's /trace endpoint.
+func TestWorkerMirrorsStageSpans(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m := NewMaster(MasterConfig{ResultBuffer: 4})
+	defer m.Shutdown()
+	local := obs.NewTracer(0)
+	mconn, wconn := pipePair()
+	go func() { _ = m.HandleWorker(ctx, mconn) }()
+	go func() { _ = (&Worker{ID: "w", Exec: echoExec, Tracer: local}).Run(ctx, wconn) }()
+	if err := m.Submit(Task{ID: "t", JobID: "j", Payload: []byte("x"), Trace: &TraceContext{TraceID: "tr"}}); err != nil {
+		t.Fatal(err)
+	}
+	collect(t, m, 1)
+	names := map[string]bool{}
+	for _, s := range local.Spans() {
+		names[s.Name] = true
+	}
+	if !names[StageRecv] || !names[StageExec] {
+		t.Fatalf("worker tracer holds %v, want its recv and exec stage spans", names)
+	}
+}
+
 // TestTransferEWMA: the measured transfer folds with the documented
 // smoothing factor and surfaces in WorkerHealth.
 func TestTransferEWMA(t *testing.T) {
-	cl := newCluster(nil, 0)
+	cl := newCluster(nil, 0, nil)
 	if err := cl.attach("w", nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	cl.observeTransfer("w", 10*time.Millisecond)
+	cl.taskFinished("w", Result{}, 10*time.Millisecond, nil)
 	if h := cl.health()[0]; h.EWMATransferMs != 10 {
 		t.Errorf("first transfer EWMA = %v, want 10", h.EWMATransferMs)
 	}
-	cl.observeTransfer("w", 20*time.Millisecond)
+	cl.taskFinished("w", Result{}, 20*time.Millisecond, nil)
 	want := ewmaTransferAlpha*20 + (1-ewmaTransferAlpha)*10
 	if h := cl.health()[0]; h.EWMATransferMs != want {
 		t.Errorf("second transfer EWMA = %v, want %v", h.EWMATransferMs, want)

@@ -322,7 +322,7 @@ func TestWireFramesConcatenate(t *testing.T) {
 
 // TestShiftBinaryStampsMovesClocksOnly: the chaos skew rewrite shifts
 // exactly the absolute clock stamps (the envelope's SentUnixNano, span
-// starts) and nothing else, to the nanosecond — stamps above 2^53
+// starts, flight-dump event stamps) and nothing else, to the nanosecond — stamps above 2^53
 // that a float64 would round come out exact — and the shifted frame still
 // passes its CRC, because skew must read as a timing condition, not
 // corruption.
@@ -339,7 +339,7 @@ func TestShiftBinaryStampsMovesClocksOnly(t *testing.T) {
 			precise++
 		}
 	}
-	for _, typ := range []msgType{msgHeartbeat, msgTaskBatch, msgResultBatch} {
+	for _, typ := range []msgType{msgHeartbeat, msgTaskBatch, msgResultBatch, msgFlightDump} {
 		m := genMessage(rng, typ)
 		m.CRC = m.checksum()
 		shifted := ShiftBinaryStamps(appendWireFrame(nil, &m), delta)
@@ -356,6 +356,15 @@ func TestShiftBinaryStampsMovesClocksOnly(t *testing.T) {
 		want.Spans = append([]RemoteSpan(nil), want.Spans...)
 		for i := range want.Spans {
 			shift(&want.Spans[i].StartUnixNano)
+		}
+		if m.Dump != nil {
+			d := *m.Dump
+			d.Events = append([]flightrec.Event(nil), d.Events...)
+			for i := range d.Events {
+				shift(&d.Events[i].T0)
+				shift(&d.Events[i].T1)
+			}
+			want.Dump = &d
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: skew rewrote more than the clock stamps\n got %+v\nwant %+v", typ, got, want)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"net"
 	"runtime"
@@ -85,14 +86,6 @@ type Worker struct {
 // moving while the rest of the batch executes instead of waiting for one
 // giant result frame.
 const resultFlushEvery = 16
-
-// recorder resolves the worker's flight recorder.
-func (w *Worker) recorder() *flightrec.Recorder {
-	if w.FlightRec != nil {
-		return w.FlightRec
-	}
-	return flightrec.Active()
-}
 
 // Worker-side metric names. The telemetry ship carries the registry they
 // live in; the master reads them back out of it (cluster.recordShip).
@@ -186,7 +179,10 @@ func (w *Worker) Run(ctx context.Context, conn net.Conn) error {
 		return fmt.Errorf("workqueue: worker needs ID and Exec")
 	}
 	lg := w.Logger.With(obs.WorkerID(w.ID))
-	rec := w.recorder()
+	rec := w.FlightRec
+	if rec == nil {
+		rec = flightrec.Active()
+	}
 	c := newCodecWith(conn, rec)
 	c.alias = true // the loop below is synchronous: recv, runBatch, recv
 	defer func() { _ = c.close() }()
@@ -221,7 +217,7 @@ func (w *Worker) Run(ctx context.Context, conn net.Conn) error {
 		})
 		defer rec.SetOnTrip(nil)
 	}
-	for {
+	for ctx.Err() == nil {
 		m, err := c.recv()
 		recvAt := time.Now()
 		if err != nil {
@@ -233,10 +229,9 @@ func (w *Worker) Run(ctx context.Context, conn net.Conn) error {
 		}
 		switch m.Type {
 		case msgShutdown:
-			// Flush buffered spans AND a final telemetry ship on the way
-			// out (mirroring the PR 6 final-control-tick flush), so a
-			// short-lived worker's last window of work still reaches the
-			// master's registry and time-series store.
+			// Flush buffered spans and a final telemetry ship on the way
+			// out, so a short-lived worker's last window of work still
+			// reaches the master's registry and time-series store.
 			fin := message{Type: msgHeartbeat, WorkerID: w.ID, Spans: run.spans.drain(), Telemetry: run.ship(c, inst)}
 			if fin.Telemetry != nil || len(fin.Spans) > 0 {
 				run.stamp(&fin)
@@ -272,16 +267,13 @@ func (w *Worker) Run(ctx context.Context, conn net.Conn) error {
 			if err := w.runBatch(ctx, c, m.Tasks, recvAt, inst, run, lg); err != nil {
 				return err
 			}
-			if ctx.Err() != nil {
-				// Preempted mid-batch: exit without reporting the rest so
-				// the master requeues its un-acked window onto live
-				// workers.
-				return nil
-			}
 		default:
 			return fmt.Errorf("workqueue: worker %s got unexpected message %q", w.ID, m.Type)
 		}
 	}
+	// Preempted (mid-batch, say): exit without reporting the rest, so the
+	// master requeues the un-acked window onto live workers.
+	return nil
 }
 
 // execOne runs one task through the full stage pipeline — recv span,
@@ -428,8 +420,6 @@ func (w *Worker) heartbeatLoop(ctx context.Context, c *codec, inst *workerInstru
 			run.stamp(&m)
 			w.mirror(m.Spans)
 			if err := c.send(m); err != nil {
-				// Return undelivered spans so a later flush can retry.
-				run.spans.add(m.Spans...)
 				return
 			}
 		}
@@ -506,7 +496,9 @@ func (w *Worker) Redial(ctx context.Context, addr string) error {
 	// The jitter draw is seeded from the worker ID: reconnect schedules
 	// stay reproducible for a fixed pool layout, while distinct workers
 	// de-synchronize after a shared master restart.
-	rng := rand.New(rand.NewSource(int64(hashString(w.ID))))
+	seed := fnv.New32a()
+	_, _ = seed.Write([]byte(w.ID))
+	rng := rand.New(rand.NewSource(int64(seed.Sum32())))
 	lg := w.Logger.With(obs.WorkerID(w.ID))
 	var d net.Dialer
 	failures := 0
@@ -541,14 +533,4 @@ func (w *Worker) Redial(ctx context.Context, addr string) error {
 		case <-time.After(delay):
 		}
 	}
-}
-
-// hashString is FNV-1a, used to derive per-worker jitter seeds.
-func hashString(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }

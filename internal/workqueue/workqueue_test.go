@@ -355,6 +355,139 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// TestTaskTimeoutBudgetsTheWorker: the master hands 80% of TaskTimeout
+// to the worker as the task's execution budget (Task.TimeoutNs), so a
+// hung executor self-reports a StageExec timeout before the master's own
+// deadline severs the link and requeues the task.
+func TestTaskTimeoutBudgetsTheWorker(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m := NewMaster(MasterConfig{ResultBuffer: 4, TaskTimeout: time.Second})
+	defer m.Shutdown()
+	hang := func(c context.Context, _ []byte) ([]byte, error) {
+		<-c.Done()
+		return nil, c.Err()
+	}
+	mconn, wconn := pipePair()
+	go func() { _ = m.HandleWorker(ctx, mconn) }()
+	go func() { _ = (&Worker{ID: "w", Exec: hang}).Run(ctx, wconn) }()
+	if err := m.Submit(Task{ID: "t", JobID: "j"}); err != nil {
+		t.Fatal(err)
+	}
+	r := collect(t, m, 1)[0]
+	if r.ErrStage != StageExec || !strings.Contains(r.Err, "budget") || r.Retried {
+		t.Fatalf("hung task result = %+v, want the worker's own StageExec budget timeout, never requeued", r)
+	}
+}
+
+// TestRedialGivesUpAfterMaxReconnects: Redial (sstd-worker's
+// -reconnects) stops after MaxReconnects consecutive failed dials.
+func TestRedialGivesUpAfterMaxReconnects(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	_ = l.Close() // nothing listens there now
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- (&Worker{ID: "w", Exec: echoExec, MaxReconnects: 2}).Redial(ctx, addr) }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "2 consecutive dial failures") {
+			t.Fatalf("Redial returned %v, want it to give up after 2 failed dials", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Redial kept dialing past MaxReconnects")
+	}
+}
+
+// TestWorkerRefusesMalformedMessages: a worker drops a master whose
+// message it cannot act on rather than act on half of it.
+func TestWorkerRefusesMalformedMessages(t *testing.T) {
+	for _, tc := range []struct {
+		msg     message
+		wantErr string
+	}{
+		{message{Type: msgTaskBatch}, "task-batch message without tasks"},
+		{message{Type: msgFreeze}, "freeze message without request"},
+		{message{Type: msgHello, WorkerID: "m"}, "unexpected message"},
+	} {
+		mconn, wconn := pipePair()
+		done := make(chan error, 1)
+		go func() { done <- (&Worker{ID: "w", Exec: echoExec}).Run(context.Background(), wconn) }()
+		c := newCodec(mconn)
+		if _, err := c.recv(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.send(tc.msg); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: worker returned %v, want %q", tc.msg.Type, err, tc.wantErr)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: worker kept the link", tc.msg.Type)
+		}
+		_ = c.close()
+	}
+}
+
+// noCloseConn ignores Close, so a worker's cancelled context does not
+// sever its link.
+type noCloseConn struct{ net.Conn }
+
+func (noCloseConn) Close() error { return nil }
+
+// TestPreemptedTaskNotReported: a task whose executor fails because its
+// worker is being preempted is not reported, so the master requeues it
+// (Pool.Resize's hard preemption). A failed result would end the task
+// instead, and degrade its job. The link stays up here: only the worker's
+// own check keeps it from reporting.
+func TestPreemptedTaskNotReported(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	mconn, wconn := pipePair()
+	started := make(chan struct{})
+	exec := func(c context.Context, _ []byte) ([]byte, error) {
+		close(started)
+		<-c.Done()
+		return nil, c.Err()
+	}
+	ran := make(chan struct{})
+	go func() { _ = (&Worker{ID: "w", Exec: exec}).Run(ctx, noCloseConn{wconn}); close(ran) }()
+	c := newCodec(mconn)
+	defer c.close()
+	if _, err := c.recv(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.send(message{Type: msgTaskBatch, Tasks: []Task{{ID: "t", JobID: "j"}}}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	type recvd struct {
+		m   message
+		err error
+	}
+	next := make(chan recvd, 1)
+	go func() {
+		m, err := c.recv()
+		next <- recvd{m, err}
+	}()
+	cancel()
+	select {
+	case <-ran:
+	case <-time.After(5 * time.Second):
+		t.Fatal("preempted worker did not exit")
+	}
+	_ = wconn.Close()
+	if r := <-next; r.err == nil {
+		t.Fatalf("preempted worker sent %s %+v, want nothing", r.m.Type, r.m.Results)
+	}
+}
+
 func TestSubmitAfterShutdownFails(t *testing.T) {
 	m := NewMaster(MasterConfig{})
 	m.Shutdown()
