@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"time"
 
 	"github.com/social-sensing/sstd/internal/obs"
 )
@@ -58,17 +59,28 @@ type scheduler struct {
 // next task; when the queue drains, the backing array is reset and kept.
 type jobQueue struct {
 	id       string
-	tasks    []Task
+	tasks    []queued
 	head     int
 	priority float64
 }
 
 func (q *jobQueue) pending() int { return len(q.tasks) - q.head }
 
+// queued is a task as the pool holds it: with the attempts it has lost to
+// worker failures so far, when it entered the queue (for the queue-wait
+// histogram; zero without metrics) and its open queue span (nil without a
+// tracer).
+type queued struct {
+	Task
+	attempts int
+	at       time.Time
+	span     *obs.Span
+}
+
 // wake is one message on a waiter's dispatch channel: a handed-off task,
 // or (ok false) the close signal.
 type wake struct {
-	task Task
+	task queued
 	ok   bool
 }
 
@@ -102,20 +114,13 @@ func (s *scheduler) instrument(reg *obs.Registry) {
 func (s *scheduler) getWaiter() *waiter  { return s.waiters.Get().(*waiter) }
 func (s *scheduler) putWaiter(w *waiter) { s.waiters.Put(w) }
 
-// push enqueues a task at the tail of its job's queue; jobs default to
-// priority 1.
-func (s *scheduler) push(t Task) { s.put(t, false) }
-
 // put hands t to a parked waiter if there is one — which implies nothing
 // is queued, so the handoff cannot jump a job's FIFO or bypass the
 // weighted pick — and otherwise queues it at the tail (front: the head)
-// of its job's queue.
-func (s *scheduler) put(t Task, front bool) {
+// of its job's queue; jobs default to priority 1. A closed pool has no
+// parked waiter and still queues t, for drain.
+func (s *scheduler) put(t queued, front bool) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
 	if n := len(s.idle); n > 0 {
 		w := s.idle[n-1]
 		s.idle[n-1] = nil
@@ -174,11 +179,11 @@ func (s *scheduler) setMassLocked(m float64) { s.mass = max(m, 0) }
 
 // tryNext returns a queued task without blocking; ok=false when the pool
 // is empty or closed.
-func (s *scheduler) tryNext() (Task, bool) {
+func (s *scheduler) tryNext() (queued, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return Task{}, false
+		return queued{}, false
 	}
 	return s.takeLocked()
 }
@@ -186,7 +191,7 @@ func (s *scheduler) tryNext() (Task, bool) {
 // next blocks until a task is available, the context is cancelled, or the
 // scheduler closes. The wait path parks on the waiter's own channel —
 // no per-call allocation, no broadcast wakeups.
-func (w *waiter) next(ctx context.Context) (Task, bool) {
+func (w *waiter) next(ctx context.Context) (queued, bool) {
 	if t, ok, parked := w.takeOrPark(ctx); !parked {
 		return t, ok
 	}
@@ -200,17 +205,17 @@ func (w *waiter) next(ctx context.Context) (Task, bool) {
 
 // tryNext is the non-blocking draw (batching handlers use it to fill a
 // frame beyond the first blocking draw).
-func (w *waiter) tryNext() (Task, bool) { return w.s.tryNext() }
+func (w *waiter) tryNext() (queued, bool) { return w.s.tryNext() }
 
 // takeOrPark draws a queued task or, when none is queued and neither the
 // pool is closed nor ctx done, parks the waiter on the idle stack
 // (parked true): the next push hands it a task on its channel.
-func (w *waiter) takeOrPark(ctx context.Context) (t Task, ok, parked bool) {
+func (w *waiter) takeOrPark(ctx context.Context) (t queued, ok, parked bool) {
 	s := w.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return Task{}, false, false
+		return queued{}, false, false
 	}
 	if t, ok := s.takeLocked(); ok {
 		return t, true, false
@@ -219,10 +224,10 @@ func (w *waiter) takeOrPark(ctx context.Context) (t Task, ok, parked bool) {
 	// ctx.Err() call takes the context's lock, which the hot
 	// task-available path must not touch.
 	if ctx.Err() != nil {
-		return Task{}, false, false
+		return queued{}, false, false
 	}
 	s.idle = append(s.idle, w)
-	return Task{}, false, true
+	return queued{}, false, true
 }
 
 // cancel is next's cancelled-context branch for a parked waiter. Still
@@ -230,30 +235,30 @@ func (w *waiter) takeOrPark(ctx context.Context) (t Task, ok, parked bool) {
 // close) claimed it first and exactly one message is in flight: consume
 // it so the channel is empty for reuse, and put a handed-off task back at
 // the head of its job's queue, ahead of the job's tasks queued since.
-func (w *waiter) cancel() (Task, bool) {
+func (w *waiter) cancel() (queued, bool) {
 	s := w.s
 	s.mu.Lock()
 	if i := slices.Index(s.idle, w); i >= 0 {
 		s.idle = slices.Delete(s.idle, i, i+1)
 		s.mu.Unlock()
-		return Task{}, false
+		return queued{}, false
 	}
 	s.mu.Unlock()
 	if m := <-w.ch; m.ok {
 		s.put(m.task, true)
 	}
-	return Task{}, false
+	return queued{}, false
 }
 
 // takeLocked pops the next task: a priority-weighted job pick, FIFO within
 // the job. Callers hold s.mu.
-func (s *scheduler) takeLocked() (Task, bool) {
+func (s *scheduler) takeLocked() (queued, bool) {
 	if s.pending == 0 {
-		return Task{}, false
+		return queued{}, false
 	}
 	q, idx := s.pickJobLocked()
 	t := q.tasks[q.head]
-	q.tasks[q.head] = Task{} // release references for GC
+	q.tasks[q.head] = queued{} // release references for GC
 	q.head++
 	if q.pending() == 0 {
 		// Keep the entry (and its queue capacity) but drop it from the
@@ -315,7 +320,19 @@ func (s *scheduler) len() int {
 	return s.pending
 }
 
-// close wakes all parked waiters; subsequent pushes are dropped.
+// drain empties the pool and returns what it held.
+func (s *scheduler) drain() []queued {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]queued, 0, s.pending)
+	for t, ok := s.takeLocked(); ok; t, ok = s.takeLocked() {
+		out = append(out, t)
+	}
+	return out
+}
+
+// close wakes all parked waiters and stops every draw; tasks put later
+// are only queued, for drain.
 func (s *scheduler) close() {
 	s.mu.Lock()
 	s.closed = true
