@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -249,6 +250,11 @@ type Manager struct {
 	results      chan JobResult
 	tuner        *control.Tuner
 
+	// encoders share SubmitJob's encode: one per core beyond the
+	// submitter's, and none that a job's chunks would leave without one
+	// to claim.
+	encoders []encodeHelper
+
 	mu   sync.Mutex
 	jobs map[string]*jobState
 
@@ -279,8 +285,9 @@ type Manager struct {
 	hDecode       *obs.Histogram
 
 	// ctx ends at Close (or when Start's parent does); wg tracks the
-	// collector and control loop, serving the accept loops of Serve, which
-	// must be gone before the master shuts down.
+	// encode helpers, the collector and the control loop, serving the
+	// accept loops of Serve, which must be gone before the master shuts
+	// down.
 	ctx       context.Context
 	cancel    context.CancelFunc
 	wg        sync.WaitGroup
@@ -317,6 +324,10 @@ func New(cfg Config) (*Manager, error) {
 		jobs:         make(map[string]*jobState),
 		fr:           flightrec.Shared("dtm"),
 		missBurst:    flightrec.NewBurst(flightrec.TrigDeadlineMiss, 0, 0),
+	}
+	m.encoders = make([]encodeHelper, min(runtime.GOMAXPROCS(0), cfg.TasksPerJob)-1)
+	for i := range m.encoders {
+		m.encoders[i].wake = make(chan struct{})
 	}
 	m.master = workqueue.NewMaster(workqueue.MasterConfig{
 		Seed:            cfg.Seed,
@@ -378,14 +389,22 @@ func New(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// Start brings up the worker pool, the result collector and (when enabled)
-// the control loop. Cancelling ctx stops the workers and the control loop
-// and makes the collector drop what still arrives, but only Close shuts
-// the master down and ends the collector: call Close after cancelling too.
+// Start brings up the worker pool, the encode helpers, the result
+// collector and (when enabled) the control loop. Cancelling ctx stops the
+// workers, the helpers and the control loop and makes the collector drop
+// what still arrives, but only Close shuts the master down and ends the
+// collector: call Close after cancelling too.
 func (m *Manager) Start(ctx context.Context) {
 	ctx, m.cancel = context.WithCancel(ctx)
 	m.ctx = ctx
 	m.pool.Resize(ctx, m.cfg.Workers)
+	for i := range m.encoders {
+		m.wg.Add(1)
+		go func() {
+			defer m.wg.Done()
+			m.encoders[i].run(ctx)
+		}()
+	}
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
@@ -434,7 +453,7 @@ func (m *Manager) SubmitJob(claim socialsensing.ClaimID, reports []socialsensing
 	// the job is registered, admitted or traced.
 	chunks := splitReports(reports, m.cfg.TasksPerJob)
 	buf := jobBufs.Get().(*jobBuf)
-	intervals, err := encodeTasks(buf, chunks, m.cfg.Origin, m.cfg.ACS.Interval)
+	intervals, err := encodeShared(buf, chunks, m.cfg.Origin, m.cfg.ACS.Interval, m.encoders)
 	if err != nil {
 		return obs.Wrap(fmt.Errorf("dtm: submit job %s: %w", jobID, err))
 	}
@@ -664,8 +683,9 @@ func (m *Manager) submitDecode(ctx context.Context, js *jobState) {
 	merge := m.tracer.NewSpan("merge "+jobID, js.span.SpanID())
 	// Every scatter task has answered: unless one was sent twice, nothing
 	// reads the job's buffer any more, and the decode task reuses it.
-	payload := appendOutput(append(js.buf.bytes[:0], m.decodeHeader...), (*js.sums)[:js.seriesLen], 0)
-	js.buf.bytes = payload
+	mem := js.buf.decodeBuf()
+	*mem = appendOutput(append((*mem)[:0], m.decodeHeader...), (*js.sums)[:js.seriesLen], 0)
+	payload := *mem
 	merge.Finish()
 	m.fr.Probe(flightrec.ProbeDTMMerge, tp, int64(js.seriesLen), merge.SpanID())
 	js.decode = m.tracer.NewSpan("decode "+jobID, js.span.SpanID())

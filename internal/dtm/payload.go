@@ -51,6 +51,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/social-sensing/sstd/internal/core"
@@ -108,87 +109,187 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 // jobBufs recycles the jobs' payload memory.
 var jobBufs = sync.Pool{New: func() any { return new(jobBuf) }}
 
-// jobBuf is one job's payload memory. encodeTasks writes the scatter
-// payloads into bytes, and once every one is answered the decode task
-// reuses it. The Manager puts it back into jobBufs only when the job ends
-// with no task ever sent twice: a requeued task's copy may still be on its
-// way to a worker, so such a job leaves its buffer to the GC. That holds
-// because no conn keeps what Write was given once it returns: the codec
-// copies each payload into its frame.
+// jobBuf is one job's payload memory and, while the job is encoded, the
+// encode itself. Each chunk encodes into a buffer of its own, so the
+// submitter and idle encode helpers can fill different chunks at once,
+// and once every scatter task is answered the decode task reuses the
+// first chunk's. The Manager puts a jobBuf back into jobBufs only when
+// the job ends with no task ever sent twice: a requeued task's copy may
+// still be on its way to a worker, so such a job leaves its buffers to
+// the GC. That holds because no conn keeps what Write was given once it
+// returns: the codec copies each payload into its frame.
 type jobBuf struct {
-	bytes    []byte
-	payloads [][]byte // views of bytes, one per chunk
-	runs     []run    // one chunk's runs while it is encoded
+	payloads [][]byte   // one per chunk: chunks[i].bytes
+	chunks   []chunkBuf // every chunk buffer the jobBuf has had
+
+	// The encode in progress: the job's chunks of reports and its grid,
+	// the next chunk to claim, and the offers to helpers not yet taken
+	// back or done with.
+	reports [][]socialsensing.Report
+	grid    core.Grid
+	next    atomic.Int64
+	helpers sync.WaitGroup
+}
+
+// chunkBuf is one chunk's payload, its runs while it is encoded, and what
+// its encode found: the highest interval it touches plus one, or the
+// error that refused it.
+type chunkBuf struct {
+	bytes []byte
+	runs  []run
+	top   int
+	err   error
+}
+
+// decodeBuf is memory for the job's decode task: the first chunk's, which
+// no scatter task reads once every one has answered.
+func (jb *jobBuf) decodeBuf() *[]byte {
+	if len(jb.chunks) == 0 {
+		jb.chunks = append(jb.chunks, chunkBuf{})
+	}
+	return &jb.chunks[0].bytes
 }
 
 // run is a slot and how many consecutive reports fall in it.
 type run struct{ slot, count int }
 
-// encodeTasks encodes one task payload per chunk of a job's reports into
-// jb, and reports the number of grid intervals the job spans — the bound
+// encodeShared encodes one task payload per chunk of a job's reports into
+// jb and reports the number of grid intervals the job spans — the bound
 // handleResult holds the tasks' outputs to. A score core.FixedScore
 // refuses is an error naming the claim and the report's position in the
-// job.
-func encodeTasks(jb *jobBuf, chunks [][]socialsensing.Report, origin time.Time, interval time.Duration) (intervals int, err error) {
+// job. The caller shares the chunks with the helpers free to take them:
+// it offers the job to each that holds no other, wakes it if it is
+// idle, and takes back whatever offer no helper has taken once it has
+// claimed the last chunk itself, so a helper that is busy, or slow to
+// wake, never delays it. Every chunk has a buffer of its own and the
+// result is read from them in chunk order, so neither the payloads nor
+// the error depend on who encoded what.
+func encodeShared(jb *jobBuf, chunks [][]socialsensing.Report, origin time.Time, interval time.Duration, helpers []encodeHelper) (intervals int, err error) {
 	if interval <= 0 {
 		return 0, errors.New("dtm: task encoding needs a positive interval")
 	}
-	grid := core.NewGrid(origin, interval)
-	cursor := grid.Cursor()
-	buf, seen := jb.bytes[:0], 0
-	var endBuf [8]int
-	ends := endBuf[:0]
-	for _, chunk := range chunks {
-		buf = binary.AppendUvarint(append(buf, kindScatter), uint64(len(chunk)))
-		at := len(buf)
-		buf = slices.Grow(buf, 4*len(chunk))[:at+4*len(chunk)]
-		// The one visit of each report: its score into the payload, its
-		// slot into the current run or a new one.
-		scores, runs, lo, hi := buf[at:], jb.runs[:0], math.MaxInt, -1
-		for i := range chunk {
-			r := &chunk[i]
-			s, err := core.FixedScore(r)
-			if err != nil {
-				return 0, fmt.Errorf("dtm: claim %s report %d: %w", r.Claim, seen+i, err)
-			}
-			binary.LittleEndian.PutUint32(scores[4*i:], uint32(s))
-			slot := cursor.Slot()
-			if !cursor.Holds(r.Timestamp) {
-				slot = cursor.Seek(r.Timestamp)
-			}
-			if len(runs) > 0 && runs[len(runs)-1].slot == slot {
-				runs[len(runs)-1].count++
-			} else {
-				runs = append(runs, run{slot, 1})
-				lo, hi = min(lo, slot), max(hi, slot)
-			}
+	for len(jb.chunks) < len(chunks) {
+		jb.chunks = append(jb.chunks, chunkBuf{})
+	}
+	jb.reports, jb.grid = chunks, core.NewGrid(origin, interval)
+	jb.next.Store(0)
+	for i, offers := 0, 0; i < len(helpers) && offers < len(chunks)-1; i++ {
+		// Count the offer first: a helper woken for an offer taken back
+		// may take this one the moment it is made.
+		jb.helpers.Add(1)
+		h := &helpers[i]
+		if !h.job.CompareAndSwap(nil, jb) {
+			jb.helpers.Done()
+			continue
 		}
-		seen += len(chunk)
-		jb.runs, lo = runs, min(lo, hi+1) // an empty chunk has base 0, span 0
-		if span := hi - lo + 1; span > maxSpan {
-			return 0, fmt.Errorf("dtm: a task spans %d intervals, more than the %d one task can carry", span, maxSpan)
+		offers++
+		select {
+		case h.wake <- struct{}{}:
+		default:
 		}
-		intervals = max(intervals, hi+1)
-		buf = binary.AppendUvarint(binary.AppendUvarint(buf, uint64(lo)), uint64(hi-lo+1))
-		buf = binary.AppendUvarint(buf, uint64(len(runs)))
-		prev := lo
-		for _, r := range runs {
-			buf = binary.AppendUvarint(binary.AppendVarint(buf, int64(r.slot-prev)), uint64(r.count))
-			prev = r.slot
+	}
+	jb.encodeClaimed()
+	for i := range helpers {
+		if helpers[i].job.CompareAndSwap(jb, nil) {
+			jb.helpers.Done()
 		}
-		ends = append(ends, len(buf))
+	}
+	jb.helpers.Wait()
+	jb.reports, jb.payloads = nil, jb.payloads[:0]
+	for i := range chunks {
+		c := &jb.chunks[i]
+		if c.err != nil {
+			return 0, c.err
+		}
+		intervals = max(intervals, c.top)
+		jb.payloads = append(jb.payloads, c.bytes)
 	}
 	if intervals > maxSpan {
 		return 0, fmt.Errorf("dtm: the job spans %d intervals, more than the %d its decode task can carry", intervals, maxSpan)
 	}
-	// Views only now: appending may have moved the bytes.
-	jb.bytes, jb.payloads = buf, jb.payloads[:0]
-	start := 0
-	for _, end := range ends {
-		jb.payloads = append(jb.payloads, buf[start:end:end])
-		start = end
-	}
 	return intervals, nil
+}
+
+// encodeHelper is a goroutine that encodes chunks of the jobs offered to
+// it. job holds the one offered and not yet taken, by the helper or back
+// by its submitter; wake, unbuffered, reaches the helper only while it
+// waits for work.
+type encodeHelper struct {
+	job  atomic.Pointer[jobBuf]
+	wake chan struct{}
+}
+
+// run takes each job offered to h and encodes chunks of it until ctx
+// ends.
+func (h *encodeHelper) run(ctx context.Context) {
+	for {
+		select {
+		case <-h.wake:
+			if jb := h.job.Swap(nil); jb != nil {
+				jb.encodeClaimed()
+				jb.helpers.Done()
+			}
+		case <-ctx.Done():
+			return
+		}
+	}
+}
+
+// encodeClaimed claims the job's chunks one at a time and encodes each,
+// until none is left.
+func (jb *jobBuf) encodeClaimed() {
+	for i := int(jb.next.Add(1)) - 1; i < len(jb.reports); i = int(jb.next.Add(1)) - 1 {
+		jb.encodeChunk(i)
+	}
+}
+
+// encodeChunk encodes the job's chunk i into its own buffer.
+func (jb *jobBuf) encodeChunk(i int) {
+	c, chunk, cursor := &jb.chunks[i], jb.reports[i], jb.grid.Cursor()
+	c.err = nil
+	buf := binary.AppendUvarint(append(c.bytes[:0], kindScatter), uint64(len(chunk)))
+	at := len(buf)
+	buf = slices.Grow(buf, 4*len(chunk))[:at+4*len(chunk)]
+	// The one visit of each report: its score into the payload, its slot
+	// into the current run or a new one.
+	scores, runs, lo, hi := buf[at:], c.runs[:0], math.MaxInt, -1
+	for k := range chunk {
+		r := &chunk[k]
+		s, err := core.FixedScore(r)
+		if err != nil {
+			seen := 0
+			for _, before := range jb.reports[:i] {
+				seen += len(before)
+			}
+			c.err = fmt.Errorf("dtm: claim %s report %d: %w", r.Claim, seen+k, err)
+			return
+		}
+		binary.LittleEndian.PutUint32(scores[4*k:], uint32(s))
+		slot := cursor.Slot()
+		if !cursor.Holds(r.Timestamp) {
+			slot = cursor.Seek(r.Timestamp)
+		}
+		if len(runs) > 0 && runs[len(runs)-1].slot == slot {
+			runs[len(runs)-1].count++
+		} else {
+			runs = append(runs, run{slot, 1})
+			lo, hi = min(lo, slot), max(hi, slot)
+		}
+	}
+	c.runs, lo = runs, min(lo, hi+1) // an empty chunk has base 0, span 0
+	if span := hi - lo + 1; span > maxSpan {
+		c.err = fmt.Errorf("dtm: a task spans %d intervals, more than the %d one task can carry", span, maxSpan)
+		return
+	}
+	c.top = hi + 1
+	buf = binary.AppendUvarint(binary.AppendUvarint(buf, uint64(lo)), uint64(hi-lo+1))
+	buf = binary.AppendUvarint(buf, uint64(len(runs)))
+	prev := lo
+	for _, r := range runs {
+		buf = binary.AppendUvarint(binary.AppendVarint(buf, int64(r.slot-prev)), uint64(r.count))
+		prev = r.slot
+	}
+	c.bytes = buf
 }
 
 // taskView is a scatter task with its header decoded and its two columns
@@ -430,7 +531,13 @@ func appendOutput(dst []byte, sums []int64, base int) []byte {
 			k, size, prev = k+1, size+uvarintLen(uint64(base+i-prev))+uvarintLen(uint64(s<<1)^uint64(s>>63)), base+i
 		}
 	}
-	out := binary.AppendUvarint(append(slices.Grow(dst, 1+uvarintLen(uint64(k))+size), outputVersion), uint64(k))
+	out := dst
+	if n := 1 + uvarintLen(uint64(k)) + size; cap(out)-len(out) < n {
+		// One allocation, in a -race build too: there slices.Grow's
+		// append of a make costs two.
+		out = append(make([]byte, 0, len(dst)+n), dst...)
+	}
+	out = binary.AppendUvarint(append(out, outputVersion), uint64(k))
 	prev = 0
 	for i, s := range sums {
 		if s != 0 || i == last {

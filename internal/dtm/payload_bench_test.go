@@ -2,6 +2,7 @@ package dtm
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -56,6 +57,25 @@ func BenchmarkWireTaskEncode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf := jobBufs.Get().(*jobBuf)
 		if _, err := encodeTasks(buf, chunks, origin, time.Hour); err != nil {
+			b.Fatal(err)
+		}
+		benchSink += len(buf.payloads[0])
+		jobBufs.Put(buf)
+	}
+	reportNsPerReport(b, chunks, 1)
+}
+
+// BenchmarkWireTaskEncodeShared is BenchmarkWireTaskEncode with the
+// chunks offered to SubmitJob's encode helpers, one per core beyond the
+// caller's.
+func BenchmarkWireTaskEncodeShared(b *testing.B) {
+	chunks, origin := benchJob(b)
+	helpers := startHelpers(b, min(runtime.GOMAXPROCS(0), len(chunks))-1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf := jobBufs.Get().(*jobBuf)
+		if _, err := encodeShared(buf, chunks, origin, time.Hour, helpers); err != nil {
 			b.Fatal(err)
 		}
 		benchSink += len(buf.payloads[0])

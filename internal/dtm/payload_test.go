@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,6 +24,11 @@ import (
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden task payloads and outputs under testdata")
+
+// encodeTasks is encodeShared on the calling goroutine alone.
+func encodeTasks(jb *jobBuf, chunks [][]socialsensing.Report, origin time.Time, interval time.Duration) (int, error) {
+	return encodeShared(jb, chunks, origin, interval, nil)
+}
 
 // encodeJob is encodeTasks into a buffer of its own.
 func encodeJob(chunks [][]socialsensing.Report, origin time.Time, interval time.Duration) ([][]byte, int, error) {
@@ -811,6 +817,104 @@ func TestCodecAllocs(t *testing.T) {
 	}
 	if got > kernel+6 {
 		t.Errorf("ExecuteTask allocations on a decode task = %v, want <= %v (DecodeInto's own) + 6", got, kernel)
+	}
+}
+
+// startHelpers runs n encode helpers until the test ends.
+func startHelpers(t testing.TB, n int) []encodeHelper {
+	ctx, cancel := context.WithCancel(context.Background())
+	helpers := make([]encodeHelper, n)
+	var wg sync.WaitGroup
+	for i := range helpers {
+		helpers[i].wake = make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			helpers[i].run(ctx)
+		}()
+	}
+	t.Cleanup(func() {
+		cancel()
+		wg.Wait()
+	})
+	return helpers
+}
+
+// TestSharedEncodeAllocs: the encode SubmitJob runs, the job offered to
+// idle helpers, allocates nothing into a used buffer either.
+func TestSharedEncodeAllocs(t *testing.T) {
+	helpers := startHelpers(t, 3)
+	chunks := splitReports(flipReports("c", 1000, 500, 10, 0.1, 3), 4)
+	var buf jobBuf
+	if got := testing.AllocsPerRun(50, func() {
+		if _, err := encodeShared(&buf, chunks, origin(), time.Minute, helpers); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("encodeShared allocations into a used buffer = %v, want 0", got)
+	}
+}
+
+// TestSharedEncodeMatchesSerial: however a job's chunks fall between its
+// submitter and the encode helpers, the payloads are the ones the
+// submitter writes alone, byte for byte, and a job with refused scores in
+// two chunks names the lower report.
+func TestSharedEncodeMatchesSerial(t *testing.T) {
+	helpers := startHelpers(t, 3)
+	rng := rand.New(rand.NewSource(46))
+	var alone, shared jobBuf
+	for _, n := range []int{0, 1, 4000 + rng.Intn(2000)} {
+		reports := make([]socialsensing.Report, n)
+		at := origin().Add(-time.Hour)
+		for i := range reports {
+			// Mostly forward in time, with gaps and steps back.
+			at = at.Add(time.Duration(rng.Intn(40)-4) * time.Second)
+			reports[i] = socialsensing.Report{
+				Claim: "c", Timestamp: at,
+				Attitude:    socialsensing.Attitude(rng.Intn(3) - 1),
+				Uncertainty: rng.Float64(), Independence: rng.Float64(),
+			}
+		}
+		for tasks := 1; tasks <= 16; tasks++ {
+			chunks := splitReports(reports, tasks)
+			wantIv, err := encodeTasks(&alone, chunks, origin(), time.Minute)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round < 4; round++ {
+				iv, err := encodeShared(&shared, chunks, origin(), time.Minute, helpers)
+				if err != nil || iv != wantIv || len(shared.payloads) != len(alone.payloads) {
+					t.Fatalf("%d reports in %d tasks: %d intervals, %d payloads, %v; want %d, %d",
+						n, tasks, iv, len(shared.payloads), err, wantIv, len(alone.payloads))
+				}
+				for i := range alone.payloads {
+					if !bytes.Equal(shared.payloads[i], alone.payloads[i]) {
+						t.Fatalf("%d reports in %d tasks: payload %d differs from the submitter's own", n, tasks, i)
+					}
+				}
+			}
+			if len(chunks) < 2 {
+				continue
+			}
+			// Refuse a report in each of two chunks.
+			bad := slices.Clone(reports)
+			first := rng.Intn(len(chunks) - 1)
+			second := first + 1 + rng.Intn(len(chunks)-1-first)
+			pick := func(c int) int {
+				start := 0
+				for _, before := range chunks[:c] {
+					start += len(before)
+				}
+				return start + rng.Intn(len(chunks[c]))
+			}
+			lo, hi := pick(first), pick(second)
+			bad[hi].Independence = math.NaN()
+			bad[lo].Attitude, bad[lo].Uncertainty, bad[lo].Independence = socialsensing.Agree, 0, 2
+			_, err = encodeShared(&shared, splitReports(bad, tasks), origin(), time.Minute, helpers)
+			if want := fmt.Sprintf("report %d:", lo); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%d reports in %d tasks, refused at %d and %d: error %v, want it to name %q", n, tasks, lo, hi, err, want)
+			}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -204,8 +205,10 @@ func TestTCPWorkerDeathRequeuesSameBits(t *testing.T) {
 }
 
 // TestCloseStopsServing: Close with a live listener returns promptly,
-// closes the listener and leaves no goroutine of the accept loop or its
-// handlers behind.
+// closes the listener and leaves no goroutine of the accept loop, its
+// handlers or the encode helpers behind. Start runs one helper per core
+// beyond the submitter's, up to a job's chunks less one: none under
+// GOMAXPROCS=1.
 func TestCloseStopsServing(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	cfg := DefaultConfig(origin())
@@ -222,6 +225,9 @@ func TestCloseStopsServing(t *testing.T) {
 			t.Fatal("workers never attached")
 		}
 	}
+	if got, want := encodeHelpers(), min(runtime.GOMAXPROCS(0), cfg.TasksPerJob)-1; got != want {
+		t.Errorf("%d encode helpers running, want %d", got, want)
+	}
 	closed := make(chan struct{})
 	go func() {
 		m.Close()
@@ -237,10 +243,19 @@ func TestCloseStopsServing(t *testing.T) {
 		_ = c.Close()
 		t.Error("listener still accepts after Close")
 	}
+	if n := encodeHelpers(); n != 0 {
+		t.Errorf("%d encode helpers still running after Close", n)
+	}
 	for start := time.Now(); runtime.NumGoroutine() > baseline; time.Sleep(10 * time.Millisecond) {
 		if time.Since(start) > 5*time.Second {
 			buf := make([]byte, 1<<16)
 			t.Fatalf("goroutine leak: %d alive, %d before\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
 		}
 	}
+}
+
+// encodeHelpers counts the goroutines running an encodeHelper.
+func encodeHelpers() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "dtm.(*encodeHelper).run(")
 }

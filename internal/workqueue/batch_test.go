@@ -67,9 +67,29 @@ func TestBatchedRoundTripAllDelivered(t *testing.T) {
 // previous ack, so that wait is not read as wire time: the estimate stays
 // near one frame's execution, not two.
 func TestPipelinedTransferExcludesPreviousBatch(t *testing.T) {
+	const exec = 20 * time.Millisecond
+	if got, limit := batchedTransferMs(t, 4, 16, exec), float64(5*exec)/float64(time.Millisecond); got > limit {
+		t.Errorf("transfer estimate %.1f ms, want under %.0f ms: the previous batch's execution counted as wire time", got, limit)
+	}
+}
+
+// TestBatchedTransferExcludesFrameMates: a worker sends a batch's results
+// in one frame once the last task is done, so the frame's first result
+// waited three tasks' execution on the worker. The transfer ends where the
+// frame's tasks started, not at the frame's arrival, and over net.Pipe,
+// where the wire costs microseconds, it reads far under one task's 20 ms.
+func TestBatchedTransferExcludesFrameMates(t *testing.T) {
+	if got := batchedTransferMs(t, 4, 16, 20*time.Millisecond); got >= 5 {
+		t.Errorf("transfer estimate %.1f ms, want under 5 ms: frame-mates' execution counted as wire time", got)
+	}
+}
+
+// batchedTransferMs runs n tasks of exec each through one worker over
+// net.Pipe in batches of batch and returns the worker's transfer EWMA.
+func batchedTransferMs(t *testing.T, batch, n int, exec time.Duration) float64 {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	const batch, n, exec = 4, 16, 20 * time.Millisecond
 	m := NewMaster(MasterConfig{ResultBuffer: n, BatchSize: batch})
 	defer m.Shutdown()
 	for i := 0; i < n; i++ {
@@ -85,12 +105,8 @@ func TestPipelinedTransferExcludesPreviousBatch(t *testing.T) {
 	}
 	go func() { _ = (&Worker{ID: "w", Exec: slow}).Run(ctx, wconn) }()
 	collect(t, m, n)
-	// A frame's first result reads its batch-mates' execution, 3 × 20 ms;
-	// counted from dispatch it would also read the previous batch's 80 ms.
 	h, _ := findWorker(m.ClusterHealth(), "w")
-	if limit := float64(5*exec) / float64(time.Millisecond); h.EWMATransferMs > limit {
-		t.Errorf("transfer estimate %.1f ms, want under %.0f ms: the previous batch's execution counted as wire time", h.EWMATransferMs, limit)
-	}
+	return h.EWMATransferMs
 }
 
 // TestOutOfOrderResultSevers: results come back in dispatch order

@@ -52,7 +52,7 @@ type WorkerHealth struct {
 	InflightCount int    `json:"inflightCount,omitempty"`
 	Heartbeats    int64  `json:"heartbeats"`
 	// EWMATransferMs is the master-measured wire transfer time per task
-	// (round trip minus worker-reported execution), smoothed.
+	// (round trip minus the execution of its result frame), smoothed.
 	EWMATransferMs float64 `json:"ewmaTransferMs"`
 	// ClockSkewMs estimates the worker clock's offset from the master
 	// clock (positive = worker clock ahead); RTTMs the message round-trip
@@ -122,8 +122,7 @@ type workerEntry struct {
 	// skew = (d2−d1)/2 and RTT = d1+d2 — NTP's derivation.
 	d1Ns, d2Ns   float64
 	hasD1, hasD2 bool
-	// ewmaTransferMs smooths the master-measured per-task wire transfer
-	// time (round trip minus worker-reported execution).
+	// ewmaTransferMs smooths the wire transfer of EWMATransferMs.
 	ewmaTransferMs float64
 	hasTransfer    bool
 	// wasStraggler remembers the previous health snapshot's straggler

@@ -8,11 +8,16 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"github.com/social-sensing/sstd/internal/obs/flightrec"
 )
 
 // pipePair returns the master and worker ends of an in-process
 // connection.
 func pipePair() (masterSide, workerSide net.Conn) { return net.Pipe() }
+
+// newCodec is a codec on conn probing into the process's recorder.
+func newCodec(conn net.Conn) *codec { return newCodecWith(conn, flightrec.Active()) }
 
 // shortenGather sets the gather step's wait for worker replies to d for
 // the rest of the test.

@@ -348,7 +348,7 @@ func (m *Master) Serve(ctx context.Context, l net.Listener) error {
 func (m *Master) HandleWorker(ctx context.Context, conn net.Conn) error {
 	m.wg.Add(1)
 	defer m.wg.Done()
-	c := newCodec(conn)
+	c := newCodecWith(conn, flightrec.Active())
 	defer func() { _ = c.close() }()
 
 	hello, err := c.recv()
@@ -514,10 +514,9 @@ func (m *Master) HandleWorker(ctx context.Context, conn net.Conn) error {
 		}
 		outstanding = nil
 	}
-	// lastAck approximates when the worker finished its previous result.
-	// The transfer estimate for a batched result measures from the later
-	// of its dispatch and the previous ack, so time a task spent queued
-	// behind its batch-mates is not misread as wire time.
+	// lastAck, when the last result frame arrived, is about when the
+	// worker ended the task before the next frame's: time queued behind
+	// that frame is not wire time.
 	var lastAck time.Time
 
 	// dispatch ships one batch as one task-batch frame. The frame's send
@@ -585,6 +584,10 @@ func (m *Master) HandleWorker(ctx context.Context, conn net.Conn) error {
 			requeueOutstanding()
 			return fmt.Errorf("workqueue: worker %s: task %s deadline (%s) exceeded", workerID, head.ID, m.taskTimeout)
 		case rs := <-results:
+			start := time.Now()
+			for _, r := range rs {
+				start = start.Add(-r.Elapsed)
+			}
 			for _, r := range rs {
 				if len(outstanding) == 0 || r.TaskID != outstanding[0].task.ID {
 					expect := "nothing"
@@ -596,18 +599,19 @@ func (m *Master) HandleWorker(ctx context.Context, conn net.Conn) error {
 				}
 				st := outstanding[0]
 				outstanding = outstanding[1:]
-				// Round trip minus the worker-reported execution is the
-				// wire transfer (send + result serialization + transit
-				// both ways) — the measured counterpart of the WCET
-				// model's transfer budget.
+				// From the later of its dispatch and lastAck to the start
+				// of its frame's tasks, which ran back to back until the
+				// frame left, is the wire transfer (send + result
+				// serialization + transit both ways) — the measured
+				// counterpart of the WCET model's transfer budget.
 				from := st.sentAt
 				if lastAck.After(from) {
 					from = lastAck
 				}
-				m.cluster.taskFinished(workerID, r, time.Since(from)-r.Elapsed, outstanding)
-				lastAck = time.Now()
+				m.cluster.taskFinished(workerID, r, start.Sub(from), outstanding)
 				m.complete(r)
 			}
+			lastAck = time.Now()
 			return nil
 		case err := <-readErr:
 			head := outstanding[0].task

@@ -30,6 +30,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/social-sensing/sstd/internal/obs"
 	"github.com/social-sensing/sstd/internal/obs/flightrec"
@@ -190,33 +191,35 @@ type message struct {
 	CRC uint32
 }
 
-// checksum computes the integrity check over the guarded fields. It
-// hashes decoded field values, not wire bytes, so a frame that is decoded
-// and re-encoded (the chaos layer's clock-skew rewrite) keeps its CRC.
+// checksum computes the CRC32 (IEEE) of the guarded fields, each followed
+// by a 0 byte. It hashes decoded field values, not wire bytes, so a frame
+// decoded and re-encoded (the chaos layer's clock-skew rewrite) keeps it.
 func (m *message) checksum() uint32 {
-	h := crc32.NewIEEE()
-	write := func(s string) { _, _ = io.WriteString(h, s); _, _ = h.Write([]byte{0}) }
-	blob := func(b []byte) { _, _ = h.Write(b); _, _ = h.Write([]byte{0}) }
-	write(m.Type.String())
-	write(m.WorkerID)
+	crc := crcStrings(0, m.Type.String(), m.WorkerID)
 	for i := range m.Tasks {
 		t := &m.Tasks[i]
-		write("task")
-		write(t.ID)
-		write(t.JobID)
-		blob(t.Payload)
+		crc = crcField(crcStrings(crc, "task", t.ID, t.JobID), t.Payload)
 	}
 	for i := range m.Results {
 		r := &m.Results[i]
-		write("result")
-		write(r.TaskID)
-		write(r.JobID)
-		write(r.WorkerID)
-		write(r.Err)
-		write(r.ErrStage)
-		blob(r.Output)
+		crc = crcField(crcStrings(crc, "result", r.TaskID, r.JobID, r.WorkerID, r.Err, r.ErrStage), r.Output)
 	}
-	return h.Sum32()
+	return crc
+}
+
+// crcField adds field b and its 0 terminator to crc.
+func crcField(crc uint32, b []byte) uint32 {
+	return crc32.Update(crc32.Update(crc, crc32.IEEETable, b), crc32.IEEETable, fieldEnd)
+}
+
+var fieldEnd = []byte{0}
+
+// crcStrings adds each string as a field, as a view of its bytes.
+func crcStrings(crc uint32, fields ...string) uint32 {
+	for _, f := range fields {
+		crc = crcField(crc, unsafe.Slice(unsafe.StringData(f), len(f)))
+	}
+	return crc
 }
 
 // ErrChecksum is returned by recv for a frame whose CRC does not match
@@ -250,14 +253,8 @@ type codec struct {
 // of its own, so no connection keeps a MaxFrameBytes arena.
 const arenaBytes = 1 << 20
 
-func newCodec(conn net.Conn) *codec {
-	return newCodecWith(conn, flightrec.Active())
-}
-
-// newCodecWith builds a codec probing into an explicit recorder — the
-// hook that lets each worker of an in-process pool keep its frame-leg
-// events in its own private recorder, so the master's gather step gets
-// true per-host provenance even without process isolation.
+// newCodecWith builds a codec probing into rec: each worker of an
+// in-process pool can keep its frame-leg events in a recorder of its own.
 func newCodecWith(conn net.Conn, rec *flightrec.Recorder) *codec {
 	c := &codec{conn: conn, fr: rec.NewRing("codec")}
 	c.r = bufio.NewReader(countingReader{conn, &c.bytesIn})

@@ -103,3 +103,18 @@ func TestStageErrorMessage(t *testing.T) {
 		t.Errorf("Error() = %q, want %q", err.Error(), want)
 	}
 }
+
+// TestChecksumAllocs: a frame's checksum allocates nothing, on a task
+// batch or a result batch: it runs at send and at receive on both legs.
+func TestChecksumAllocs(t *testing.T) {
+	results := benchSpanResultMsg()
+	results.Results = append(results.Results, Result{
+		TaskID: "claim-17/4", JobID: "claim-17", WorkerID: "w-1",
+		Err: "exec: boom", ErrStage: StageExec,
+	})
+	for name, m := range map[string]message{"task batch": benchTaskBatchMsg(4), "result batch": results} {
+		if got := testing.AllocsPerRun(100, func() { m.CRC = m.checksum() }); got != 0 {
+			t.Errorf("%s checksum allocations = %v, want 0", name, got)
+		}
+	}
+}

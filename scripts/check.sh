@@ -20,7 +20,7 @@ cd "$(dirname "$0")/.."
 # docBudget caps README.md + DESIGN.md together, in bytes, as loc.sh's
 # total shows code size. Raising it is a decision to make in the change
 # that needs it, not a fix for a failing check.
-docBudget=103449
+docBudget=103426
 
 # flagBudget caps the flags sstd-master, sstd-worker, sstd, experiments
 # and tracegen list under -h, summed, as docBudget caps the docs. Raising
