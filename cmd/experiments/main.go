@@ -8,8 +8,7 @@
 //
 // Experiments: table2, table3 (Boston), table4 (Paris), table5 (Football),
 // fig4, fig5, fig6, fig7 (incl. churned-pool variant), robustness,
-// ablation-window, ablation-cs, ablation-emissions, ablation-dependency,
-// ablation-pid.
+// ablation-window, ablation-cs, ablation-dependency, ablation-pid.
 package main
 
 import (
@@ -204,14 +203,6 @@ func run() (retErr error) {
 			return err
 		}
 		experiments.PrintAblation(w, "Ablation - contribution score components (Paris)", pts)
-		fmt.Fprintln(w)
-	}
-	if want("ablation-emissions") {
-		pts, err := experiments.AblationEmissions(tracegen.BostonBombing(), o)
-		if err != nil {
-			return err
-		}
-		experiments.PrintAblation(w, "Ablation - HMM emission family (Boston)", pts)
 		fmt.Fprintln(w)
 	}
 	if want("ablation-dependency") {

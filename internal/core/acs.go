@@ -78,8 +78,7 @@ func (s scoreError) Error() string {
 // series of Eq. 4 over per-interval sums of fixed-point scores: at t, the
 // sum over the intervals (t−width, t]. The window is summed exactly in
 // int64, and each value becomes a float64 score only here, where the
-// discretizer and the Gaussian emission read it — so a series is a
-// function of the sums alone.
+// discretizer reads it — so a series is a function of the sums alone.
 func Window(dst []float64, sums []int64, width int) []float64 {
 	dst = slices.Grow(dst[:0], len(sums))[:len(sums)]
 	var acc int64

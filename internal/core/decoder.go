@@ -8,25 +8,10 @@ import (
 	"github.com/social-sensing/sstd/internal/socialsensing"
 )
 
-// EmissionKind selects the HMM emission family used to model ACS
-// observations.
-type EmissionKind int
-
-// Emission families.
-const (
-	// DiscreteEmissions quantizes ACS values into symbol bins (the
-	// model described in the paper).
-	DiscreteEmissions EmissionKind = iota + 1
-	// GaussianEmissions models raw ACS values with per-state normal
-	// densities (an extension; avoids choosing bin edges).
-	GaussianEmissions
-)
-
 // DecoderConfig parameterizes the per-claim HMM truth decoder.
 type DecoderConfig struct {
-	Emissions EmissionKind
-	// Thresholds defines the symmetric discretizer bins for
-	// DiscreteEmissions. Default (0.5, 2).
+	// Thresholds defines the symmetric discretizer bins that quantize
+	// ACS values into the HMM's symbols. Default (0.5, 2).
 	Thresholds []float64
 	// Train controls Baum-Welch.
 	Train hmm.TrainConfig
@@ -36,13 +21,11 @@ type DecoderConfig struct {
 // default training regime fits transitions and the initial distribution by
 // EM while keeping the informative emission prior frozen: with one short
 // ACS sequence per claim, full emission re-estimation drifts the hidden
-// state semantics and measurably hurts decode accuracy (see the emission
-// ablation in EXPERIMENTS.md).
+// state semantics and measurably hurts decode accuracy (EXPERIMENTS.md).
 func DefaultDecoderConfig() DecoderConfig {
 	train := hmm.DefaultTrainConfig()
 	train.FreezeEmissions = true
 	return DecoderConfig{
-		Emissions:  DiscreteEmissions,
 		Thresholds: []float64{0.5, 2},
 		Train:      train,
 	}
@@ -61,36 +44,23 @@ type Decoder struct {
 
 // NewDecoder validates the configuration and builds a decoder.
 func NewDecoder(cfg DecoderConfig) (*Decoder, error) {
-	switch cfg.Emissions {
-	case DiscreteEmissions, GaussianEmissions:
-	default:
-		return nil, fmt.Errorf("core: unknown emission kind %d", cfg.Emissions)
+	th := cfg.Thresholds
+	if len(th) == 0 {
+		th = []float64{0.5, 2}
 	}
-	d := &Decoder{cfg: cfg}
-	if cfg.Emissions == DiscreteEmissions {
-		th := cfg.Thresholds
-		if len(th) == 0 {
-			th = []float64{0.5, 2}
-		}
-		disc, err := NewSymmetricDiscretizer(th...)
-		if err != nil {
-			return nil, err
-		}
-		d.disc = disc
+	disc, err := NewSymmetricDiscretizer(th...)
+	if err != nil {
+		return nil, err
 	}
-	return d, nil
+	return &Decoder{cfg: cfg, disc: disc}, nil
 }
 
 // TrainedModel is a fitted per-claim parameter set λ_u (Eq. 5) with its
 // state semantics resolved. Models can be trained offline, serialized
-// (both HMM families marshal to JSON) and reused across decodes — the
-// paper trains offline and decodes online, and the Engine caches these per
-// claim.
+// (the HMM marshals to JSON) and reused across decodes — the paper trains
+// offline and decodes online, and the Engine caches these per claim.
 type TrainedModel struct {
-	// Exactly one of Discrete / Gauss is set, matching Emissions.
-	Discrete  *hmm.Discrete `json:"discrete,omitempty"`
-	Gauss     *hmm.Gaussian `json:"gaussian,omitempty"`
-	Emissions EmissionKind  `json:"emissions"`
+	Discrete *hmm.Discrete `json:"discrete,omitempty"`
 	// TrueState is the hidden state index meaning "claim is true".
 	TrueState int `json:"trueState"`
 }
@@ -112,89 +82,20 @@ func (d *Decoder) Decode(acs []float64) ([]socialsensing.TruthValue, error) {
 // when prev is non-nil. When the stream has only grown a little, the
 // previous fit is already near the EM fixed point and training converges
 // in one or two iterations instead of tens. prev is cloned, not mutated
-// (cached models are shared). A family-mismatched or shape-mismatched
-// prev, and a warm fit that fails to converge within the iteration budget,
-// fall back to the usual cold start, so warm starting never degrades the
-// fitted model. The returned TrainResult reports the iterations actually
-// spent and whether the warm seed was used (WarmStarted).
+// (cached models are shared). A prev over another alphabet, and a warm
+// fit that fails to converge within the iteration budget, fall back to
+// the usual cold start, so warm starting never degrades the fitted model.
+// The returned TrainResult reports the iterations actually spent and
+// whether the warm seed was used (WarmStarted).
 func (d *Decoder) TrainWarmScratch(sc *DecodeScratch, acs []float64, prev *TrainedModel) (*TrainedModel, hmm.TrainResult, error) {
 	if len(acs) == 0 {
 		return nil, hmm.TrainResult{}, fmt.Errorf("core: cannot train on an empty series")
 	}
-	switch d.cfg.Emissions {
-	case GaussianEmissions:
-		return d.trainGaussianWS(sc, acs, prev)
-	default:
-		return d.trainDiscreteWS(sc, acs, prev)
-	}
-}
-
-// DecodeWithScratch Viterbi-decodes the series under a previously trained
-// model on the caller's scratch: the quantized observations, the Viterbi
-// lattice and the returned truth slice all live in sc, so a warmed scratch
-// decodes with zero heap allocations. The result is valid until the next
-// call using sc.
-func (d *Decoder) DecodeWithScratch(sc *DecodeScratch, m *TrainedModel, acs []float64) ([]socialsensing.TruthValue, error) {
-	return d.decodeScratch(sc, m, acs, false)
-}
-
-// decodeScratch is DecodeWithScratch. fitted says m was just trained on
-// acs with sc, so a discrete model finds acs already quantized in sc.obs.
-func (d *Decoder) decodeScratch(sc *DecodeScratch, m *TrainedModel, acs []float64, fitted bool) ([]socialsensing.TruthValue, error) {
-	if len(acs) == 0 {
-		return nil, nil
-	}
-	if m == nil {
-		return nil, fmt.Errorf("core: nil trained model")
-	}
-	var (
-		path []int
-		err  error
-	)
-	switch m.Emissions {
-	case GaussianEmissions:
-		if m.Gauss == nil {
-			return nil, fmt.Errorf("core: gaussian model missing parameters")
-		}
-		path, _, err = m.Gauss.ViterbiWS(sc.ws, acs, sc.path)
-	default:
-		if m.Discrete == nil {
-			return nil, fmt.Errorf("core: discrete model missing parameters")
-		}
-		if !fitted {
-			sc.obs = d.disc.QuantizeAllInto(acs, sc.obs)
-		}
-		path, _, err = m.Discrete.ViterbiWS(sc.ws, sc.obs, sc.path)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("decode claim truth: %w", err)
-	}
-	sc.path = path
-	sc.truth = pathToTruthInto(path, m.TrueState, sc.truth)
-	return sc.truth, nil
-}
-
-// DecodeInto is Decode (train fresh, then Viterbi) running entirely on the
-// caller's scratch buffers; the returned truth slice is valid until the
-// next call using sc. A discrete series is quantized once, for both.
-func (d *Decoder) DecodeInto(sc *DecodeScratch, acs []float64) ([]socialsensing.TruthValue, error) {
-	if len(acs) == 0 {
-		return nil, nil
-	}
-	m, _, err := d.TrainWarmScratch(sc, acs, nil)
-	if err != nil {
-		return nil, err
-	}
-	return d.decodeScratch(sc, m, acs, true)
-}
-
-func (d *Decoder) trainDiscreteWS(sc *DecodeScratch, acs []float64, prev *TrainedModel) (*TrainedModel, hmm.TrainResult, error) {
 	sc.obs = d.disc.QuantizeAllInto(acs, sc.obs)
 	seqs := sc.seqInt(sc.obs)
 	cfg := d.cfg.Train
 	var m *hmm.Discrete
-	warm := prev != nil && prev.Emissions == DiscreteEmissions &&
-		prev.Discrete != nil && prev.Discrete.Symbols() == d.disc.Symbols()
+	warm := prev != nil && prev.Discrete != nil && prev.Discrete.Symbols() == d.disc.Symbols()
 	if warm {
 		m = prev.Discrete.Clone()
 	} else {
@@ -219,7 +120,54 @@ func (d *Decoder) trainDiscreteWS(sc *DecodeScratch, acs []float64, prev *Traine
 	if emissionCenter(m.B[1]) < emissionCenter(m.B[0]) {
 		trueState = 0
 	}
-	return &TrainedModel{Discrete: m, Emissions: DiscreteEmissions, TrueState: trueState}, res, nil
+	return &TrainedModel{Discrete: m, TrueState: trueState}, res, nil
+}
+
+// DecodeWithScratch Viterbi-decodes the series under a previously trained
+// model on the caller's scratch: the quantized observations, the Viterbi
+// lattice and the returned truth slice all live in sc, so a warmed scratch
+// decodes with zero heap allocations. The result is valid until the next
+// call using sc.
+func (d *Decoder) DecodeWithScratch(sc *DecodeScratch, m *TrainedModel, acs []float64) ([]socialsensing.TruthValue, error) {
+	return d.decodeScratch(sc, m, acs, false)
+}
+
+// decodeScratch is DecodeWithScratch. fitted says m was just trained on
+// acs with sc, so acs is already quantized in sc.obs.
+func (d *Decoder) decodeScratch(sc *DecodeScratch, m *TrainedModel, acs []float64, fitted bool) ([]socialsensing.TruthValue, error) {
+	if len(acs) == 0 {
+		return nil, nil
+	}
+	if m == nil {
+		return nil, fmt.Errorf("core: nil trained model")
+	}
+	if m.Discrete == nil {
+		return nil, fmt.Errorf("core: discrete model missing parameters")
+	}
+	if !fitted {
+		sc.obs = d.disc.QuantizeAllInto(acs, sc.obs)
+	}
+	path, _, err := m.Discrete.ViterbiWS(sc.ws, sc.obs, sc.path)
+	if err != nil {
+		return nil, fmt.Errorf("decode claim truth: %w", err)
+	}
+	sc.path = path
+	sc.truth = pathToTruthInto(path, m.TrueState, sc.truth)
+	return sc.truth, nil
+}
+
+// DecodeInto is Decode (train fresh, then Viterbi) running entirely on the
+// caller's scratch buffers; the returned truth slice is valid until the
+// next call using sc. The series is quantized once, for both.
+func (d *Decoder) DecodeInto(sc *DecodeScratch, acs []float64) ([]socialsensing.TruthValue, error) {
+	if len(acs) == 0 {
+		return nil, nil
+	}
+	m, _, err := d.TrainWarmScratch(sc, acs, nil)
+	if err != nil {
+		return nil, err
+	}
+	return d.decodeScratch(sc, m, acs, true)
 }
 
 // newDiscreteModel builds the informative-prior 2-state model: symbol bins
@@ -242,56 +190,6 @@ func (d *Decoder) newDiscreteModel() *hmm.Discrete {
 	return m
 }
 
-func (d *Decoder) trainGaussianWS(sc *DecodeScratch, acs []float64, prev *TrainedModel) (*TrainedModel, hmm.TrainResult, error) {
-	seqs := sc.seqFloat(acs)
-	cfg := d.cfg.Train
-	var m *hmm.Gaussian
-	warm := prev != nil && prev.Emissions == GaussianEmissions && prev.Gauss != nil
-	if warm {
-		m = prev.Gauss.Clone()
-	} else {
-		var err error
-		m, err = d.newGaussianModel(acs)
-		if err != nil {
-			return nil, hmm.TrainResult{}, err
-		}
-	}
-	cfg.WarmStart = warm
-	res, err := m.BaumWelchWS(sc.ws, seqs, cfg)
-	if warm && (err != nil || !res.Converged) {
-		m, err = d.newGaussianModel(acs)
-		if err != nil {
-			return nil, res, err
-		}
-		cfg.WarmStart = false
-		res, err = m.BaumWelchWS(sc.ws, seqs, cfg)
-	}
-	if err != nil {
-		return nil, res, fmt.Errorf("train claim model: %w", err)
-	}
-	trueState := 1
-	if m.Mean[1] < m.Mean[0] {
-		trueState = 0
-	}
-	return &TrainedModel{Gauss: m, Emissions: GaussianEmissions, TrueState: trueState}, res, nil
-}
-
-func (d *Decoder) newGaussianModel(acs []float64) (*hmm.Gaussian, error) {
-	spread := maxAbs(acs)
-	if spread == 0 {
-		spread = 1
-	}
-	m, err := hmm.NewGaussian(
-		[]float64{-spread / 2, spread / 2},
-		[]float64{spread, spread},
-	)
-	if err != nil {
-		return nil, fmt.Errorf("init gaussian model: %w", err)
-	}
-	m.A = [][]float64{{0.9, 0.1}, {0.1, 0.9}}
-	return m, nil
-}
-
 // emissionCenter is the expected bin index under an emission distribution.
 func emissionCenter(b []float64) float64 {
 	c := 0.0
@@ -311,17 +209,4 @@ func normalize(row []float64) {
 			row[i] /= sum
 		}
 	}
-}
-
-func maxAbs(vs []float64) float64 {
-	m := 0.0
-	for _, v := range vs {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }

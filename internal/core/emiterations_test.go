@@ -183,13 +183,11 @@ func TestDecodeIntoMatchesTrainThenDecode(t *testing.T) {
 	}
 }
 
-// claimFit is one claim's fit in one of hmm's two families: the
-// decoder's start model and the sequence it trains on.
+// claimFit is one claim's fit: the decoder's start model and the
+// quantized sequence it trains on.
 type claimFit struct {
-	disc  *hmm.Discrete
-	obs   []int
-	gauss *hmm.Gaussian
-	acs   []float64
+	m   *hmm.Discrete
+	obs []int
 }
 
 // fit trains a clone of the start with cfg: by the loop, or, settle, by
@@ -199,22 +197,12 @@ type claimFit struct {
 func (c claimFit) fit(tb testing.TB, cfg hmm.TrainConfig, settle bool) ([]float64, float64) {
 	tb.Helper()
 	ws := hmm.NewWorkspace()
-	var pass func(hmm.TrainConfig) (hmm.TrainResult, error)
-	var rows [][]float64
-	if c.disc != nil {
-		m := c.disc.Clone()
-		pass = func(cfg hmm.TrainConfig) (hmm.TrainResult, error) { return m.BaumWelchWS(ws, [][]int{c.obs}, cfg) }
-		rows = [][]float64{m.Pi, m.A[0], m.A[1], m.B[0], m.B[1]}
-	} else {
-		m := c.gauss.Clone()
-		pass = func(cfg hmm.TrainConfig) (hmm.TrainResult, error) { return m.BaumWelchWS(ws, [][]float64{c.acs}, cfg) }
-		rows = [][]float64{m.Pi, m.A[0], m.A[1], m.Mean, m.Var}
-	}
-	params := func() []float64 { return slices.Concat(rows...) }
+	m := c.m.Clone()
+	params := func() []float64 { return slices.Concat(m.Pi, m.A[0], m.A[1], m.B[0], m.B[1]) }
 	one := cfg
 	one.MaxIterations = 1
 	run := func(cfg hmm.TrainConfig) hmm.TrainResult {
-		res, err := pass(cfg)
+		res, err := m.BaumWelchWS(ws, [][]int{c.obs}, cfg)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -247,74 +235,36 @@ func maxDiff(a, b []float64) float64 {
 }
 
 // TestSquaremFixedPointOnClaimSeries: on every claim series of both
-// profiles, trained as the decoder trains them (discrete, emissions
-// frozen) and with Gaussian emissions, the accelerated loop fitted to
-// Tolerance 1e-12 lands within 1e-6 of plain EM's fixed point, and with
-// the default config its fit's log-likelihood is no lower, to the
-// default Tolerance, than the frozen reference's: the plain EM this loop
-// replaced, stopped by its own rule.
-//
-// One Gaussian fit leaves plain EM's basin, pinned here by name. From the
-// decoder's start, plain EM on Boston claim 6 drifts over some twenty
-// passes into a degenerate optimum, a state of variance at the 1e-4 floor
-// on the claim's zero intervals (log-likelihood 2081); the loop's early
-// extrapolations settle instead at another local maximum, two states of
-// variance 0.18 and 0.15 (log-likelihood −3899), which plain EM started
-// there never leaves. The decoder's discrete fits all stay.
+// profiles, trained as the decoder trains them (emissions frozen), the
+// accelerated loop fitted to Tolerance 1e-12 lands within 1e-6 of plain
+// EM's fixed point, and with the default config its fit's log-likelihood
+// is no lower, to the default Tolerance, than the frozen reference's: the
+// plain EM this loop replaced, stopped by its own rule.
 func TestSquaremFixedPointOnClaimSeries(t *testing.T) {
-	disc, err := NewDecoder(DefaultDecoderConfig())
+	dec, err := NewDecoder(DefaultDecoderConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gcfg := DefaultDecoderConfig()
-	gcfg.Emissions = GaussianEmissions
-	gauss, err := NewDecoder(gcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	otherBasin := map[string]bool{"boston-bombing claim 6 gaussian": true}
 	for _, prof := range []tracegen.Profile{tracegen.BostonBombing(), tracegen.CollegeFootball()} {
 		for i, series := range claimSeries(t, prof) {
-			g, err := gauss.newGaussianModel(series)
-			if err != nil {
+			c := claimFit{m: dec.newDiscreteModel(), obs: dec.disc.QuantizeAllInto(series, nil)}
+			name := fmt.Sprintf("%s claim %d", prof.Name, i)
+			def := DefaultDecoderConfig().Train
+			tight := def
+			tight.Tolerance, tight.MaxIterations = 1e-12, 100_000
+			got, _ := c.fit(t, tight, false)
+			want, _ := c.fit(t, tight, true)
+			if d := maxDiff(got, want); d > 1e-6 {
+				t.Errorf("%s: the loop lands %g from plain EM's fixed point", name, d)
+			}
+			_, ll := c.fit(t, def, false)
+			m := c.m.Clone()
+			if _, err := hmmtest.BaumWelch(m, [][]int{c.obs}, def); err != nil {
 				t.Fatal(err)
 			}
-			for _, c := range []claimFit{
-				{disc: disc.newDiscreteModel(), obs: disc.disc.QuantizeAllInto(series, nil)},
-				{gauss: g, acs: series},
-			} {
-				name := fmt.Sprintf("%s claim %d discrete", prof.Name, i)
-				def := DefaultDecoderConfig().Train
-				if c.gauss != nil {
-					name, def.FreezeEmissions = fmt.Sprintf("%s claim %d gaussian", prof.Name, i), false
-				}
-				tight := def
-				tight.Tolerance, tight.MaxIterations = 1e-12, 100_000
-				got, _ := c.fit(t, tight, false)
-				want, _ := c.fit(t, tight, true)
-				if d := maxDiff(got, want); otherBasin[name] != (d > 1e-6) {
-					t.Errorf("%s: the loop lands %g from plain EM's fixed point", name, d)
-				}
-				if otherBasin[name] {
-					continue
-				}
-				_, ll := c.fit(t, def, false)
-				var ref hmm.TrainResult
-				if c.disc != nil {
-					m := c.disc.Clone()
-					_, err = hmmtest.BaumWelch(m, [][]int{c.obs}, def)
-					ref, _ = m.BaumWelchWS(hmm.NewWorkspace(), [][]int{c.obs}, hmm.TrainConfig{MaxIterations: 1})
-				} else {
-					m := c.gauss.Clone()
-					_, err = hmmtest.GaussBaumWelch(m, [][]float64{c.acs}, def)
-					ref, _ = m.BaumWelchWS(hmm.NewWorkspace(), [][]float64{c.acs}, hmm.TrainConfig{MaxIterations: 1})
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ll < ref.LogLikelihood-def.Tolerance {
-					t.Errorf("%s: default fit's log-likelihood %.12g is below plain EM's %.12g", name, ll, ref.LogLikelihood)
-				}
+			ref, _ := m.BaumWelchWS(hmm.NewWorkspace(), [][]int{c.obs}, hmm.TrainConfig{MaxIterations: 1})
+			if ll < ref.LogLikelihood-def.Tolerance {
+				t.Errorf("%s: default fit's log-likelihood %.12g is below plain EM's %.12g", name, ll, ref.LogLikelihood)
 			}
 		}
 	}

@@ -204,36 +204,6 @@ func TestEngineRobustToNoiseSpike(t *testing.T) {
 	}
 }
 
-func TestEngineGaussianEmissions(t *testing.T) {
-	cfg := DefaultConfig(origin())
-	cfg.ACS.WindowIntervals = 3
-	cfg.Decoder.Emissions = GaussianEmissions
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := synthClaim(e, "c1", 60, 30, 0.15, 11); err != nil {
-		t.Fatal(err)
-	}
-	est, err := e.DecodeClaim("c1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	correct := 0
-	for i, es := range est {
-		want := socialsensing.False
-		if i < 30 {
-			want = socialsensing.True
-		}
-		if es.Value == want {
-			correct++
-		}
-	}
-	if acc := float64(correct) / 60.0; acc < 0.8 {
-		t.Errorf("gaussian flip recovery = %.2f, want >= 0.8", acc)
-	}
-}
-
 func TestEngineUnknownClaim(t *testing.T) {
 	e := newTestEngine(t)
 	if _, err := e.DecodeClaim("nope"); err == nil {
@@ -307,9 +277,9 @@ func TestEngineConfigValidation(t *testing.T) {
 		t.Error("negative interval accepted")
 	}
 	cfg = DefaultConfig(origin())
-	cfg.Decoder.Emissions = 0
+	cfg.Decoder.Thresholds = []float64{2, 0.5}
 	if _, err := NewEngine(cfg); err == nil {
-		t.Error("invalid emission kind accepted")
+		t.Error("descending thresholds accepted")
 	}
 }
 

@@ -149,7 +149,7 @@ func TestTrainedModelSerializable(t *testing.T) {
 	if err := json.Unmarshal(raw, &restored); err != nil {
 		t.Fatal(err)
 	}
-	if restored.Emissions != m.Emissions || restored.TrueState != m.TrueState {
+	if restored.TrueState != m.TrueState {
 		t.Errorf("metadata lost: %+v vs %+v", restored, m)
 	}
 	// The restored model decodes identically.
@@ -185,7 +185,7 @@ func TestDecodeWithValidation(t *testing.T) {
 	if _, err := d.DecodeWithScratch(NewDecodeScratch(), nil, []float64{1}); err == nil {
 		t.Error("nil model accepted")
 	}
-	if _, err := d.DecodeWithScratch(NewDecodeScratch(), &TrainedModel{Emissions: DiscreteEmissions}, []float64{1}); err == nil {
+	if _, err := d.DecodeWithScratch(NewDecodeScratch(), &TrainedModel{}, []float64{1}); err == nil {
 		t.Error("model without parameters accepted")
 	}
 	if _, _, err := d.TrainWarmScratch(NewDecodeScratch(), nil, nil); err == nil {

@@ -22,12 +22,7 @@ func (d *Decoder) Posterior(acs []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	var gamma []float64
-	if tm.Emissions == GaussianEmissions {
-		gamma, err = tm.Gauss.PosteriorWS(sc.ws, acs, nil)
-	} else {
-		gamma, err = tm.Discrete.PosteriorWS(sc.ws, sc.obs, nil)
-	}
+	gamma, err := tm.Discrete.PosteriorWS(sc.ws, sc.obs, nil)
 	if err != nil {
 		return nil, fmt.Errorf("posterior: %w", err)
 	}

@@ -21,31 +21,26 @@ func stepSeries(n, flip int, magnitude float64) []float64 {
 }
 
 func TestPosteriorTracksEvidence(t *testing.T) {
-	for _, kind := range []EmissionKind{DiscreteEmissions, GaussianEmissions} {
-		cfg := DefaultDecoderConfig()
-		cfg.Emissions = kind
-		d, err := NewDecoder(cfg)
-		if err != nil {
-			t.Fatal(err)
+	d, err := NewDecoder(DefaultDecoderConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	post, err := d.Posterior(stepSeries(40, 20, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(post) != 40 {
+		t.Fatalf("posterior length = %d", len(post))
+	}
+	for i, p := range post {
+		if p < 0 || p > 1 {
+			t.Fatalf("posterior[%d] = %v outside [0,1]", i, p)
 		}
-		series := stepSeries(40, 20, 4)
-		post, err := d.Posterior(series)
-		if err != nil {
-			t.Fatalf("emissions %d: %v", kind, err)
+		if i < 18 && p < 0.7 {
+			t.Errorf("true-phase posterior[%d] = %.3f, want high", i, p)
 		}
-		if len(post) != 40 {
-			t.Fatalf("posterior length = %d", len(post))
-		}
-		for i, p := range post {
-			if p < 0 || p > 1 {
-				t.Fatalf("posterior[%d] = %v outside [0,1]", i, p)
-			}
-			if i < 18 && p < 0.7 {
-				t.Errorf("emissions %d: true-phase posterior[%d] = %.3f, want high", kind, i, p)
-			}
-			if i > 22 && p > 0.3 {
-				t.Errorf("emissions %d: false-phase posterior[%d] = %.3f, want low", kind, i, p)
-			}
+		if i > 22 && p > 0.3 {
+			t.Errorf("false-phase posterior[%d] = %.3f, want low", i, p)
 		}
 	}
 }

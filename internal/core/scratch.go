@@ -21,7 +21,6 @@ type DecodeScratch struct {
 	truth  []socialsensing.TruthValue
 	series []float64
 	seqI   [][]int
-	seqF   [][]float64
 }
 
 // NewDecodeScratch returns an empty scratch; buffers are allocated by the
@@ -47,11 +46,6 @@ func putScratch(sc *DecodeScratch) { scratchPool.Put(sc) }
 func (sc *DecodeScratch) seqInt(obs []int) [][]int {
 	sc.seqI = append(sc.seqI[:0], obs)
 	return sc.seqI
-}
-
-func (sc *DecodeScratch) seqFloat(obs []float64) [][]float64 {
-	sc.seqF = append(sc.seqF[:0], obs)
-	return sc.seqF
 }
 
 // pathToTruthInto maps a Viterbi state path to truth values into dst,

@@ -79,23 +79,23 @@ func TestTrainWarmIncompatibleSeedFallsBackCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	series := flipSeries(40, 20, 3)
-	// A Gaussian seed offered to a discrete decoder must be ignored.
-	gd, err := NewDecoder(DecoderConfig{Emissions: GaussianEmissions, Train: DefaultDecoderConfig().Train})
+	// A seed over another alphabet (7 symbols, not 5) must be ignored.
+	od, err := NewDecoder(DecoderConfig{Thresholds: []float64{0.5, 1, 2}, Train: DefaultDecoderConfig().Train})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gauss, _, err := gd.TrainWarmScratch(NewDecodeScratch(), series, nil)
+	other, _, err := od.TrainWarmScratch(NewDecodeScratch(), series, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, res, err := d.TrainWarmScratch(NewDecodeScratch(), series, gauss)
+	m, res, err := d.TrainWarmScratch(NewDecodeScratch(), series, other)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.WarmStarted {
-		t.Error("family-mismatched seed was warm started")
+		t.Error("alphabet-mismatched seed was warm started")
 	}
-	if m.Discrete == nil || m.Emissions != DiscreteEmissions {
+	if m.Discrete == nil || m.Discrete.Symbols() != 5 {
 		t.Errorf("fallback produced wrong model: %+v", m)
 	}
 }

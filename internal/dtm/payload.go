@@ -23,9 +23,10 @@ package dtm
 //	           uvarint span | uvarint r | r × (zigzag-varint Δidx,
 //	           uvarint count), the first Δidx relative to base
 //	output v2: 0x02 | uvarint k | k × (uvarint Δidx, zigzag-varint sum)
-//	decode v2: 0x05 | uvarints window, emission kind, max iterations,
-//	           freeze emissions (0 or 1), #thresholds | float64-LE
-//	           tolerance, smoothing A, B, π, thresholds | output v2
+//	decode v2: 0x05 | uvarints window, emission kind (1),
+//	           max iterations, freeze emissions (0 or 1), #thresholds |
+//	           float64-LE tolerance, smoothing A, B, π, thresholds |
+//	           output v2
 //	truth v1:  0x01 | uvarint T | first value | uvarint run lengths
 //
 // The first byte of a task is its kind, of an answer its version; the
@@ -62,12 +63,16 @@ import (
 )
 
 // truthVersion opens a truth timeline and outputVersion an output;
-// kindScatter opens a scatter task and kindDecode a decode task.
+// kindScatter opens a scatter task and kindDecode a decode task, whose
+// emission kind is discreteEmissions: the kind the retired Gaussian HMM
+// used, 2, is refused.
 const (
 	truthVersion  byte = 1
 	outputVersion byte = 2
 	kindScatter   byte = 4
 	kindDecode    byte = 5
+
+	discreteEmissions = 1
 )
 
 // maxSpan caps the interval range one task may touch. The worker folds
@@ -634,7 +639,7 @@ func appendDecodeHeader(dst []byte, window int, cfg core.DecoderConfig) []byte {
 	}
 	dst = append(dst, kindDecode)
 	// A window is at least one interval and no longer than any series.
-	for _, v := range [...]int{min(max(window, 1), maxSpan), int(cfg.Emissions), max(tr.MaxIterations, 0), freeze, len(cfg.Thresholds)} {
+	for _, v := range [...]int{min(max(window, 1), maxSpan), discreteEmissions, max(tr.MaxIterations, 0), freeze, len(cfg.Thresholds)} {
 		dst = binary.AppendUvarint(dst, uint64(v))
 	}
 	for _, v := range append([]float64{tr.Tolerance, tr.SmoothA, tr.SmoothB, tr.SmoothPi}, cfg.Thresholds...) {
@@ -652,7 +657,7 @@ func parseDecodeHeader(p []byte) (end, window int, dec *core.Decoder, err error)
 	case err != nil:
 	case w == 0 || w > maxSpan:
 		err = errors.New("window out of range")
-	case kind != uint64(core.DiscreteEmissions) && kind != uint64(core.GaussianEmissions):
+	case kind != discreteEmissions:
 		err = errors.New("unknown emission kind")
 	case iterations > math.MaxInt32 || freeze > 1:
 		err = errors.New("training parameter out of range")
@@ -670,7 +675,7 @@ func parseDecodeHeader(p []byte) (end, window int, dec *core.Decoder, err error)
 	if bad != 0 {
 		return 0, 0, nil, errors.New("decoder parameter is not finite")
 	}
-	cfg := core.DecoderConfig{Emissions: core.EmissionKind(kind), Thresholds: params[4:]}
+	cfg := core.DecoderConfig{Thresholds: params[4:]}
 	cfg.Train.MaxIterations, cfg.Train.FreezeEmissions = int(iterations), freeze == 1
 	cfg.Train.Tolerance, cfg.Train.SmoothA, cfg.Train.SmoothB, cfg.Train.SmoothPi = params[0], params[1], params[2], params[3]
 	dec, err = core.NewDecoder(cfg)

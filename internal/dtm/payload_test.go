@@ -85,7 +85,8 @@ func goldenFile(t testing.TB, name string, got []byte) []byte {
 // decoder configuration and a job's merged per-interval sums, in score
 // units, window 3. truth names the testdata/truth_v1_*.bin the task must
 // be answered with. The retired decode_v1_*.bin carry the same sums as
-// floats.
+// floats, and decode_v2_gaussian.bin the phases sums under the retired
+// Gaussian emission kind (2); both are refused.
 func goldenDecodes() map[string]struct {
 	cfg   core.DecoderConfig
 	sums  []float64
@@ -99,8 +100,6 @@ func goldenDecodes() map[string]struct {
 			phases[i] = -1.5
 		}
 	}
-	gaussian := core.DefaultDecoderConfig()
-	gaussian.Emissions, gaussian.Thresholds = core.GaussianEmissions, nil
 	return map[string]struct {
 		cfg   core.DecoderConfig
 		sums  []float64
@@ -111,7 +110,7 @@ func goldenDecodes() map[string]struct {
 		// The series is five intervals long although the last three sums
 		// are zero: the highest interval always travels.
 		"trailing_zero": {cfg: core.DefaultDecoderConfig(), sums: []float64{0, 0.81, 0, 0, 0}},
-		"gaussian":      {cfg: gaussian, sums: phases, truth: "flips"},
+		"phases":        {cfg: core.DefaultDecoderConfig(), sums: phases, truth: "flips"},
 	}
 }
 
@@ -128,7 +127,8 @@ func fixed(sums []float64) []int64 {
 // TestGoldenPayloadsStable freezes the layouts: re-encoding the fixtures
 // must reproduce the checked-in bytes, and executing a checked-in task must
 // reproduce the checked-in answer, while every retired layout — task v1
-// and v2, output v1, decode v1 — is refused as an unknown version.
+// and v2, output v1, decode v1 — is refused as an unknown version, and a
+// decode task of the retired Gaussian emission kind as an unknown kind.
 // Regenerate with -update only together with a version bump.
 func TestGoldenPayloadsStable(t *testing.T) {
 	retired := func(name string) []byte {
@@ -180,9 +180,6 @@ func TestGoldenPayloadsStable(t *testing.T) {
 		if !bytes.Equal(payload, task) || n != len(g.sums) {
 			t.Errorf("%s: decode task %x of %d intervals, golden %x of %d", name, payload, n, task, len(g.sums))
 		}
-		if out, err := ExecuteTask(context.Background(), retired("decode_v1_"+name+".bin")); err == nil || !strings.Contains(err.Error(), "unknown version") {
-			t.Errorf("%s: decode v1 answered %x, %v; want it refused as an unknown version", name, out, err)
-		}
 		out, err := ExecuteTask(context.Background(), task)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -211,6 +208,18 @@ func TestGoldenPayloadsStable(t *testing.T) {
 				t.Fatalf("%s: estimate %d = %+v, want %v", name, i, e, want[i])
 			}
 		}
+	}
+	v1, err := filepath.Glob(filepath.Join("testdata", "decode_v1_*.bin"))
+	if err != nil || len(v1) == 0 {
+		t.Fatalf("decode v1 fixtures: %v, %v", v1, err)
+	}
+	for _, path := range v1 {
+		if out, err := ExecuteTask(context.Background(), retired(filepath.Base(path))); err == nil || !strings.Contains(err.Error(), "unknown version") {
+			t.Errorf("%s answered %x, %v; want it refused as an unknown version", path, out, err)
+		}
+	}
+	if out, err := ExecuteTask(context.Background(), retired("decode_v2_gaussian.bin")); err == nil || !strings.Contains(err.Error(), "unknown emission kind") {
+		t.Errorf("decode_v2_gaussian.bin answered %x, %v; want it refused as an unknown emission kind", out, err)
 	}
 }
 
@@ -444,6 +453,7 @@ func TestDecodersRejectMalformed(t *testing.T) {
 	tasks["decode: window 0"] = decodeTask(0, 1, th, 1e-6, 1, sums)
 	tasks["decode: window over cap"] = decodeTask(maxSpan+1, 1, th, 1e-6, 1, sums)
 	tasks["decode: unknown emission kind"] = decodeTask(3, 3, th, 1e-6, 1, sums)
+	tasks["decode: retired Gaussian emission kind"] = decodeTask(3, 2, th, 1e-6, 1, sums)
 	tasks["decode: huge emission kind"] = decodeTask(3, math.MaxUint64, th, 1e-6, 1, sums)
 	tasks["decode: threshold count over bytes left"] = f64(binary.AppendUvarint([]byte{kindDecode, 3, 1, 100, 1}, 1<<40), 1e-6, 1e-3, 1e-3, 1e-3, 0.5)
 	tasks["decode: iteration bound out of range"] = f64([]byte{kindDecode, 3, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 0}, 1e-6, 1e-3, 1e-3, 1e-3)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"strconv"
 
-	"github.com/social-sensing/sstd/internal/core"
 	"github.com/social-sensing/sstd/internal/evalmetrics"
 	"github.com/social-sensing/sstd/internal/socialsensing"
 	"github.com/social-sensing/sstd/internal/tracegen"
@@ -83,38 +82,6 @@ func AblationContribution(prof tracegen.Profile, o Options) ([]AblationPoint, er
 			return nil, err
 		}
 		out = append(out, AblationPoint{Label: v.label, Report: evalmetrics.ReportOf("SSTD", conf)})
-	}
-	return out, nil
-}
-
-// AblationEmissions compares the paper's discrete-emission HMM against the
-// Gaussian-emission extension.
-func AblationEmissions(prof tracegen.Profile, o Options) ([]AblationPoint, error) {
-	o = o.withDefaults()
-	tr, err := generate(prof, o)
-	if err != nil {
-		return nil, err
-	}
-	kinds := []struct {
-		label string
-		set   func(*Options)
-	}{
-		{"discrete", func(op *Options) { op.Emissions = core.DiscreteEmissions }},
-		{"gaussian", func(op *Options) { op.Emissions = core.GaussianEmissions }},
-	}
-	var out []AblationPoint
-	for _, k := range kinds {
-		ok := o
-		k.set(&ok)
-		fn, err := sstdBatch(tr, ok)
-		if err != nil {
-			return nil, err
-		}
-		conf, err := evalmetrics.EvaluateDynamic(tr, fn, evalWidth(tr, ok))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, AblationPoint{Label: k.label, Report: evalmetrics.ReportOf("SSTD", conf)})
 	}
 	return out, nil
 }

@@ -32,9 +32,6 @@ type Options struct {
 	// Workers is the SSTD pool size for distributed runs (the paper
 	// uses 4 in Fig. 4). Default 4.
 	Workers int
-	// Emissions selects the HMM emission family (zero = the paper's
-	// discrete model).
-	Emissions core.EmissionKind
 	// PerReportCost models the per-report semantic preprocessing cost
 	// (attitude/uncertainty/independence scoring) that dominates TD job
 	// time on real traces. The timing experiments (Figs. 4-6) charge it
@@ -87,9 +84,6 @@ func engineConfig(tr *socialsensing.Trace, o Options) core.Config {
 	cfg := core.DefaultConfig(tr.Start)
 	cfg.ACS.Interval = width
 	cfg.ACS.WindowIntervals = o.WindowIntervals
-	if o.Emissions != 0 {
-		cfg.Decoder.Emissions = o.Emissions
-	}
 	return cfg
 }
 

@@ -264,21 +264,6 @@ func TestAblationContribution(t *testing.T) {
 	}
 }
 
-func TestAblationEmissions(t *testing.T) {
-	pts, err := AblationEmissions(tracegen.BostonBombing(), quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	for _, p := range pts {
-		if p.Report.Accuracy < 0.6 {
-			t.Errorf("%s accuracy = %.3f", p.Label, p.Report.Accuracy)
-		}
-	}
-}
-
 func TestAblationDependency(t *testing.T) {
 	pts, err := AblationDependency(tracegen.BostonBombing(), quick())
 	if err != nil {

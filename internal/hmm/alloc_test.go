@@ -21,15 +21,6 @@ func restoreDiscrete(dst, src *hmm.Discrete) {
 	}
 }
 
-func restoreGaussian(dst, src *hmm.Gaussian) {
-	copy(dst.Pi, src.Pi)
-	for i := range dst.A {
-		copy(dst.A[i], src.A[i])
-	}
-	copy(dst.Mean, src.Mean)
-	copy(dst.Var, src.Var)
-}
-
 func TestDiscreteBaumWelchWSZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := randDiscrete(rng, 5)
@@ -86,63 +77,5 @@ func TestDiscretePosteriorWSZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("PosteriorWS allocates %.1f objects per run, want 0", allocs)
-	}
-}
-
-func TestGaussianBaumWelchWSZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	m := randGaussian(rng)
-	pristine := m.Clone()
-	obs := randGaussObs(rng, 64)
-	seqs := [][]float64{obs}
-	cfg := hmm.TrainConfig{MaxIterations: 5, Tolerance: 1e-300, SmoothA: 1e-3, SmoothPi: 1e-3}
-	ws := hmm.NewWorkspace()
-	if _, err := m.BaumWelchWS(ws, seqs, cfg); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		restoreGaussian(m, pristine)
-		if _, err := m.BaumWelchWS(ws, seqs, cfg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("gaussian BaumWelchWS allocates %.1f objects per run, want 0", allocs)
-	}
-}
-
-func TestGaussianPosteriorWSZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	m := randGaussian(rng)
-	obs := randGaussObs(rng, 64)
-	ws := hmm.NewWorkspace()
-	dst := make([]float64, len(obs)*2)
-	allocs := testing.AllocsPerRun(100, func() {
-		var err error
-		dst, err = m.PosteriorWS(ws, obs, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("gaussian PosteriorWS allocates %.1f objects per run, want 0", allocs)
-	}
-}
-
-func TestGaussianViterbiWSZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := randGaussian(rng)
-	obs := randGaussObs(rng, 64)
-	ws := hmm.NewWorkspace()
-	path := make([]int, len(obs))
-	allocs := testing.AllocsPerRun(100, func() {
-		var err error
-		path, _, err = m.ViterbiWS(ws, obs, path)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("gaussian ViterbiWS allocates %.1f objects per run, want 0", allocs)
 	}
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // WarmStartParamTol is the parameter-space convergence threshold used by
-// warm-started training: when an EM update moves no probability (or
-// Gaussian moment) by more than this, the seeded parameters are already at
-// the EM fixed point and training stops after that single iteration.
+// warm-started training: when an EM update moves no probability by more
+// than this, the seeded parameters are already at the EM fixed point and
+// training stops after that single iteration.
 const WarmStartParamTol = 1e-9
 
 // TrainConfig controls Baum-Welch training.
@@ -74,38 +74,38 @@ type TrainResult struct {
 	WarmStarted bool
 }
 
-// baumWelch is the EM loop of both emission families (the paper's Eq. 5,
-// solved with the classic Baum 1970 procedure), fitting θ in place: π,
-// A's rows, then the emission rows refit re-estimates; multiple sequences
-// are combined by accumulating expected counts. Each pass emit fills the
-// tables and returns the log of the prescale it folded into them, the
-// fused pass runs over each sequence's table indices in seqs —
-// forwardPair, then backward, which adds Σξ to ws.aNum, γ_0 to ws.piAcc
-// and γ to ws.gamma's two rows of stride entries — and refit re-estimates
-// the emissions from ws.gamma, returning its largest parameter move.
+// baumWelch is the EM loop (the paper's Eq. 5, solved with the classic
+// Baum 1970 procedure) over the runs ws.cutPieces cut last, fitting π, A
+// and, unless FreezeEmissions, B in place; multiple sequences are
+// combined by accumulating expected counts. Each pass fills the run
+// tables (powers returns the log of the prescale folded into them) and
+// runs the fused pass over each sequence's runs in ws.seqs —
+// forwardPair, then backwardPieces, which adds Σξ to ws.aNum, γ_0 to
+// ws.piAcc and the per-symbol γ to ws.gamma — and the M-step
+// re-estimates the parameters from those counts.
 //
 // The passes are plain EM, sped up by safeguarded SQUAREM (Varadhan &
 // Roland 2008): after passes θ0 → θ1 → θ2 the next starts from θ′
-// (extrapolate) unless θ′ is infeasible, and falls back to θ2, with no
-// M-step, when it fails or finds the objective below θ1's. The objective
-// is the log-likelihood plus logPrior, which smoothed EM never lowers;
-// Tolerance applies to its gain over a plain pass. The rows past A's are
-// distributions when feasible is nil; otherwise feasible checks them.
-func (ws *Workspace) baumWelch(theta [][]float64, seqs [][]int, stride int, cfg TrainConfig,
-	emit func() (float64, error), backward func(idx []int), refit func() float64, feasible func() bool) (TrainResult, error) {
+// (extrapolate) unless θ′ leaves the simplex, and falls back to θ2, with
+// no M-step, when it fails or finds the objective below θ1's. The
+// objective is the log-likelihood plus logPrior, which smoothed EM never
+// lowers; Tolerance applies to its gain over a plain pass.
+func (m *Discrete) baumWelch(ws *Workspace, cfg TrainConfig) (TrainResult, error) {
 	cfg.fillDefaults()
-	pi, A, dists, n := theta[0], theta[1:3], len(theta), 0
+	sym, seqs := m.Symbols(), ws.seqs
+	theta := [][]float64{m.Pi, m.A[0], m.A[1], m.B[0], m.B[1]}
+	if cfg.FreezeEmissions {
+		theta = theta[:3]
+	}
+	n := 0
 	for _, row := range theta {
 		n += len(row)
-	}
-	if feasible != nil {
-		dists = 3
 	}
 	// saved holds the cycle's θ0, θ1 and θ2; lead counts the cycle's
 	// passes, and the one made at lead 2 starts from θ′.
 	ws.theta = grow(ws.theta, 3*n)
 	saved, lead := ws.theta, 0
-	ws.gamma = grow(ws.gamma, 2*stride)
+	ws.gamma = grow(ws.gamma, 2*sym)
 	gamma := ws.gamma
 	prevObj := math.Inf(-1)
 	res := TrainResult{WarmStarted: cfg.WarmStart}
@@ -118,23 +118,28 @@ func (ws *Workspace) baumWelch(theta [][]float64, seqs [][]int, stride int, cfg 
 		clear(gamma)
 
 		// Flight-recorder probes chain one timestamp through the pass:
-		// forward (the first includes emit) and backward per sequence, then
-		// the M-step, each tagged with the pass number.
+		// forward (the first includes the tables) and backward per
+		// sequence, then the M-step, each tagged with the pass number.
 		tp := fr.Start()
-		totalLL, err := emit()
-		for i := 0; i < len(seqs) && err == nil; i++ {
+		ws.tables(m.A, len(ws.w), sym)
+		for k := range sym {
+			ws.setEntry(k, m.B[0][k], m.B[1][k])
+		}
+		totalLL := ws.powers()
+		var err error
+		for _, idx := range seqs {
 			var ll float64
-			if ll, err = ws.forwardPair(pi, seqs[i]); err != nil {
+			if ll, err = ws.forwardPair(m.Pi, idx); err != nil {
 				err = fmt.Errorf("baum-welch E-step: %w", err)
 				break
 			}
 			tp = fr.Probe(flightrec.ProbeHMMForward, tp, int64(iter), frParent)
 			totalLL += ll
-			backward(seqs[i])
+			ws.backwardPieces(idx)
 			tp = fr.Probe(flightrec.ProbeHMMBackward, tp, int64(iter), frParent)
 		}
 		res.Iterations = iter + 1
-		obj := totalLL + logPrior(theta[:dists], cfg)
+		obj := totalLL + logPrior(theta, cfg)
 		if lead == 2 && (err != nil || !(obj >= prevObj)) {
 			copyTheta(saved[2*n:], theta, true)
 			lead = 0
@@ -145,10 +150,13 @@ func (ws *Workspace) baumWelch(theta [][]float64, seqs [][]int, stride int, cfg 
 
 		// M-step with smoothing pseudo-counts. Under WarmStart the
 		// largest parameter move decides the fixed-point early stop.
-		moved := max(reestimate(pi, ws.piAcc[:], cfg.SmoothPi),
-			reestimate(A[0], ws.aNum[:2], cfg.SmoothA),
-			reestimate(A[1], ws.aNum[2:], cfg.SmoothA),
-			refit())
+		moved := max(reestimate(m.Pi, ws.piAcc[:], cfg.SmoothPi),
+			reestimate(m.A[0], ws.aNum[:2], cfg.SmoothA),
+			reestimate(m.A[1], ws.aNum[2:], cfg.SmoothA))
+		if !cfg.FreezeEmissions {
+			moved = max(moved, reestimate(m.B[0], gamma[:sym], cfg.SmoothB),
+				reestimate(m.B[1], gamma[sym:], cfg.SmoothB))
+		}
 		fr.Probe(flightrec.ProbeHMMMStep, tp, int64(iter), frParent)
 
 		// θ′'s gain over θ1 is no EM step's and stops nothing.
@@ -160,7 +168,7 @@ func (ws *Workspace) baumWelch(theta [][]float64, seqs [][]int, stride int, cfg 
 		prevObj = obj
 		if lead = (lead + 1) % 3; lead == 2 && iter+1 < cfg.MaxIterations {
 			copyTheta(saved[2*n:], theta, false)
-			if !extrapolate(saved, theta, dists) || feasible != nil && !feasible() {
+			if !extrapolate(saved, theta) {
 				copyTheta(saved[2*n:], theta, true)
 				lead = 0
 			}
@@ -180,14 +188,14 @@ func copyTheta(flat []float64, theta [][]float64, back bool) {
 	}
 }
 
-// logPrior is Σ c·log p over the distribution rows, c their pseudo-count:
+// logPrior is Σ c·log p over θ's rows, c their pseudo-count:
 // the log-density of the Dirichlet prior whose mode the M-step returns.
 // Rows that share c share one logarithm, of their product, flushed before
 // it falls under 2⁻⁵⁰⁰: a logarithm is most of its cost.
-func logPrior(dists [][]float64, cfg TrainConfig) float64 {
+func logPrior(theta [][]float64, cfg TrainConfig) float64 {
 	c := [...]float64{cfg.SmoothPi, cfg.SmoothA, cfg.SmoothA, cfg.SmoothB, cfg.SmoothB}
 	sum, prod := 0.0, 1.0
-	for i, row := range dists {
+	for i, row := range theta {
 		if c[i] == 0 {
 			continue
 		}
@@ -196,7 +204,7 @@ func logPrior(dists [][]float64, cfg TrainConfig) float64 {
 				sum, prod = sum+c[i]*math.Log(prod), 1
 			}
 		}
-		if i+1 == len(dists) || c[i+1] != c[i] {
+		if i+1 == len(theta) || c[i+1] != c[i] {
 			sum, prod = sum+c[i]*math.Log(prod), 1
 		}
 	}
@@ -205,9 +213,9 @@ func logPrior(dists [][]float64, cfg TrainConfig) float64 {
 
 // extrapolate sets θ to θ′ = θ0 − 2αr + α²v for the θ0, θ1, θ2 in saved,
 // r = θ1 − θ0, v = θ2 − 2θ1 + θ0, α = min(−‖r‖/‖v‖, −1), renormalising
-// its first dists rows; it refuses a θ′ with an entry of those that is
-// not positive (past the simplex, or no step when v is zero).
-func extrapolate(saved []float64, theta [][]float64, dists int) bool {
+// its rows; it refuses a θ′ with an entry that is not positive (past the
+// simplex, or no step when v is zero).
+func extrapolate(saved []float64, theta [][]float64) bool {
 	n := len(saved) / 3
 	t0, t1, t2 := saved[:n], saved[n:2*n], saved[2*n:]
 	var rr, vv float64
@@ -216,13 +224,13 @@ func extrapolate(saved []float64, theta [][]float64, dists int) bool {
 		rr, vv = rr+r*r, vv+v*v
 	}
 	alpha, k := min(-math.Sqrt(rr/vv), -1), 0
-	for i, row := range theta {
+	for _, row := range theta {
 		sum := 0.0
 		for j := range row {
 			row[j] = t0[k] - 2*alpha*(t1[k]-t0[k]) + alpha*alpha*(t2[k]-2*t1[k]+t0[k])
 			sum, k = sum+row[j], k+1
 		}
-		for j := 0; i < dists && j < len(row); j++ {
+		for j := range row {
 			if row[j] /= sum; !(row[j] > 0) {
 				return false
 			}
@@ -261,8 +269,7 @@ func reestimate(row, acc []float64, smooth float64) float64 {
 // leaves 958 binary orders of headroom above the subnormals, so one step
 // would have to shrink the mass by more than 1e-288 to lose precision.
 // Scaling up is enough because no table grows the mass: a row of M_t
-// sums to at most the step's larger emission, a probability for discrete
-// models and a density the Gaussian fill prescales to ≤ 1, and powers
+// sums to at most the step's larger emission, a probability, and powers
 // prescales each run's table until its largest row sum is in (2⁻⁶⁴, 1].
 const (
 	pairRescaleBelow = 0x1p-64
@@ -358,26 +365,6 @@ func (ws *Workspace) backwardPair(idx []int, gamma []float64) {
 	ws.piAcc = [2]float64{ws.piAcc[0] + alpha[0]*c0, ws.piAcc[1] + alpha[1]*c1}
 	a := &ws.aNum
 	a[0], a[1], a[2], a[3] = a[0]+x00, a[1]+x01, a[2]+x10, a[3]+x11
-}
-
-// posterior runs the fused pass over the first T step tables, filled by
-// step, and returns the posterior lattice γ_t(i) at dst[i*T+t], growing
-// dst only when its capacity is insufficient.
-func (ws *Workspace) posterior(pi []float64, T int, dst []float64) ([]float64, error) {
-	idx := ws.stepIndex(T)
-	if _, err := ws.forwardPair(pi, idx); err != nil {
-		return nil, err
-	}
-	dst = grow(dst, 2*T)
-	clear(dst)
-	ws.backwardPair(idx, dst)
-	// γ_t sums to 1 only up to rounding; normalised, every entry is ≤ 1.
-	for t := range T {
-		s := dst[t] + dst[T+t]
-		dst[t] /= s
-		dst[T+t] /= s
-	}
-	return dst, nil
 }
 
 // viterbi is the 2-state log-space Viterbi recursion (Eq. 7-8) over the

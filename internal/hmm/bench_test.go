@@ -13,7 +13,7 @@ import (
 // numbers side by side on the same machine. scripts/check.sh bench
 // flattens both into BENCH_hmm.json, the tracked baseline.
 //
-// BaumWelch, BaumWelchLong and GaussianBaumWelch measure the plain EM
+// BaumWelch and BaumWelchLong measure the plain EM
 // pass: an op is a fixed number of them (PlainPasses: one-pass fits,
 // which never extrapolate, the sequences laid out once). TrainLong
 // measures what a claim's fit costs, passes and extrapolations together.
@@ -203,44 +203,6 @@ func BenchmarkViterbiSeed(b *testing.B) {
 		path, _ := hmmtest.Viterbi(m, obs)
 		if len(path) != len(obs) {
 			b.Fatal("bad path")
-		}
-	}
-}
-
-func BenchmarkGaussianBaumWelch(b *testing.B) {
-	rng := rand.New(rand.NewSource(42))
-	m := randGaussian(rng)
-	obs := randGaussObs(rng, benchT)
-	pristine := m.Clone()
-	seqs := [][]float64{obs}
-	cfg := benchCfg()
-	ws := hmm.NewWorkspace()
-	if err := m.PlainPasses(ws, seqs, cfg, 1); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		restoreGaussian(m, pristine)
-		if err := m.PlainPasses(ws, seqs, cfg, benchIters); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGaussianBaumWelchSeed(b *testing.B) {
-	rng := rand.New(rand.NewSource(42))
-	m := randGaussian(rng)
-	obs := randGaussObs(rng, benchT)
-	pristine := m.Clone()
-	seqs := [][]float64{obs}
-	cfg := benchCfg()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		restoreGaussian(m, pristine)
-		if _, err := hmmtest.GaussBaumWelch(m, seqs, cfg); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -13,9 +13,8 @@ import (
 
 // equivTol is the drift budget against the frozen seed kernels: the fused
 // pass replaces per-step normalisation with power-of-two rescaling and
-// register-carried β, the Gaussian tables use precomputed density
-// constants and Viterbi runs in log space, each of which may drift from
-// the seed arithmetic by a few ulps but never near 1e-12.
+// register-carried β and Viterbi runs in log space, each of which may
+// drift from the seed arithmetic by a few ulps but never near 1e-12.
 const equivTol = 1e-12
 
 func close2(got, want float64) bool { return within(got, want, equivTol) }
@@ -56,54 +55,10 @@ func randObs(rng *rand.Rand, T, sym int) []int {
 	return obs
 }
 
-func randGaussian(rng *rand.Rand) *hmm.Gaussian {
-	means, vars := make([]float64, 2), make([]float64, 2)
-	for i := range means {
-		means[i] = -3 + 6*rng.Float64()
-		vars[i] = 0.3 + 2*rng.Float64()
-	}
-	m, err := hmm.NewGaussian(means, vars)
-	if err != nil {
-		panic(err)
-	}
-	m.Pi = randRow(rng, 2)
-	m.A = [][]float64{randRow(rng, 2), randRow(rng, 2)}
-	return m
-}
-
-func randGaussObs(rng *rand.Rand, T int) []float64 {
-	obs := make([]float64, T)
-	for t := range obs {
-		obs[t] = -4 + 8*rng.Float64()
-	}
-	return obs
-}
-
-// gaussPosterior is the seed forward-backward smoother for Gaussian
-// models, built from the frozen reference passes.
-func gaussPosterior(m *hmm.Gaussian, obs []float64) ([][]float64, error) {
-	alpha, scale, _, err := hmmtest.GaussForward(m, obs)
-	if err != nil {
-		return nil, err
-	}
-	beta := hmmtest.GaussBackward(m, obs, scale)
-	gamma := make([][]float64, len(obs))
-	for t := range gamma {
-		g0, g1 := alpha[t][0]*beta[t][0], alpha[t][1]*beta[t][1]
-		gamma[t] = []float64{g0 / (g0 + g1), g1 / (g0 + g1)}
-	}
-	return gamma, nil
-}
-
 // oneIteration is the log-likelihood one EM iteration reports for the
 // parameters a clone of the model started from: log P(obs | model).
 func oneIteration(ws *hmm.Workspace, m *hmm.Discrete, obs []int) (float64, error) {
 	res, err := m.Clone().BaumWelchWS(ws, [][]int{obs}, hmm.TrainConfig{MaxIterations: 1})
-	return res.LogLikelihood, err
-}
-
-func gaussOneIteration(ws *hmm.Workspace, m *hmm.Gaussian, obs []float64) (float64, error) {
-	res, err := m.Clone().BaumWelchWS(ws, [][]float64{obs}, hmm.TrainConfig{MaxIterations: 1})
 	return res.LogLikelihood, err
 }
 
@@ -195,63 +150,6 @@ func TestDiscreteBaumWelchMatchesReference(t *testing.T) {
 	}
 }
 
-func TestGaussianKernelsMatchReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(303))
-	ws := hmm.NewWorkspace()
-	for trial := 0; trial < 60; trial++ {
-		name := fmt.Sprintf("trial %d", trial)
-		m := randGaussian(rng)
-		obs := randGaussObs(rng, 3+rng.Intn(70))
-
-		_, _, wantLL, err := hmmtest.GaussForward(m, obs)
-		if err != nil {
-			t.Fatalf("%s: reference forward: %v", name, err)
-		}
-		gotLL, err := gaussOneIteration(ws, m, obs)
-		if err != nil {
-			t.Fatalf("%s: BaumWelchWS: %v", name, err)
-		}
-		if !close2(gotLL, wantLL) {
-			t.Fatalf("%s: logProb %v vs %v", name, gotLL, wantLL)
-		}
-
-		wantGamma, err := gaussPosterior(m, obs)
-		if err != nil {
-			t.Fatalf("%s: reference posterior: %v", name, err)
-		}
-		gotGamma, err := m.PosteriorWS(ws, obs, nil)
-		if err != nil {
-			t.Fatalf("%s: PosteriorWS: %v", name, err)
-		}
-		checkLattice(t, name, gotGamma, wantGamma)
-
-		wantPath, wantScore := hmmtest.GaussViterbi(m, obs)
-		gotPath, gotScore, err := m.ViterbiWS(ws, obs, nil)
-		if err != nil {
-			t.Fatalf("%s: ViterbiWS: %v", name, err)
-		}
-		checkPath(t, name, gotPath, gotScore, wantPath, wantScore)
-	}
-}
-
-func TestGaussianBaumWelchMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(404))
-	for trial := 0; trial < 25; trial++ {
-		m := randGaussian(rng)
-		seqs := make([][]float64, 1+rng.Intn(3))
-		for s := range seqs {
-			seqs[s] = randGaussObs(rng, 20+rng.Intn(40))
-		}
-		cfg := hmm.TrainConfig{
-			MaxIterations: 8,
-			Tolerance:     1e-12,
-			SmoothA:       1e-3,
-			SmoothPi:      1e-3,
-		}
-		matchGaussFit(t, fmt.Sprintf("trial %d", trial), m, seqs, cfg)
-	}
-}
-
 // runObs draws T symbols that persist for runs of 1..2*mean-1 steps, the
 // shape of a quantized ACS series.
 func runObs(rng *rand.Rand, T, sym, mean int) []int {
@@ -262,16 +160,6 @@ func runObs(rng *rand.Rand, T, sym, mean int) []int {
 			obs[t] = k
 			t++
 		}
-	}
-	return obs
-}
-
-// runGaussObs draws T observations from m's emission densities along a
-// state path that persists for runs of 1..2*mean-1 steps.
-func runGaussObs(rng *rand.Rand, m *hmm.Gaussian, T, mean int) []float64 {
-	obs := make([]float64, T)
-	for i, st := range runObs(rng, T, 2, mean) {
-		obs[i] = m.Mean[st] + rng.NormFloat64()*math.Sqrt(m.Var[st])
 	}
 	return obs
 }
@@ -317,10 +205,6 @@ func discreteParams(m *hmm.Discrete) [][]float64 {
 	return [][]float64{m.Pi, m.A[0], m.A[1], m.B[0], m.B[1]}
 }
 
-func gaussParams(m *hmm.Gaussian) [][]float64 {
-	return [][]float64{m.Pi, m.A[0], m.A[1], m.Mean, m.Var}
-}
-
 // matchReferenceFit fits a clone of m with plain passes of the package
 // kernel (plainFit: the EM map the loop accelerates) and another with as
 // many iterations of the frozen reference, and requires matchFit's
@@ -339,39 +223,24 @@ func matchReferenceFit(t *testing.T, name string, m *hmm.Discrete, seqs [][]int,
 	matchFit(t, name, r1, r2, discreteParams(m1), discreteParams(m2), tol)
 }
 
-// matchGaussFit is matchReferenceFit for Gaussian models.
-func matchGaussFit(t *testing.T, name string, m *hmm.Gaussian, seqs [][]float64, cfg hmm.TrainConfig) {
-	t.Helper()
-	m1, m2 := m.Clone(), m.Clone()
-	r1, err := plainGaussian(m1, seqs, cfg)
-	if err != nil {
-		t.Fatalf("%s: BaumWelchWS: %v", name, err)
-	}
-	r2, err := reference(r1.Iterations, cfg, func(c hmm.TrainConfig) (hmm.TrainResult, error) { return hmmtest.GaussBaumWelch(m2, seqs, c) })
-	if err != nil {
-		t.Fatalf("%s: reference GaussBaumWelch: %v", name, err)
-	}
-	matchFit(t, name, r1, r2, gaussParams(m1), gaussParams(m2), equivTol)
-}
-
 // halves returns the first half of every sequence.
-func halves[E any](seqs [][]E) [][]E {
-	half := make([][]E, len(seqs))
+func halves(seqs [][]int) [][]int {
+	half := make([][]int, len(seqs))
 	for i, s := range seqs {
 		half[i] = s[:(len(s)+1)/2]
 	}
 	return half
 }
 
-// TestPairPassMatchesReferenceAtTheEdges drives the fused 2-state EM pass
+// TestPairPassMatchesReferenceAtTheEdges drives the fused 2-state pass
 // through the inputs its power-of-two rescaling and register-carried β
-// could get wrong, for both emission families: sequences long enough to
-// rescale hundreds of times, sequences too short to have a transition,
-// constant observations, emissions small enough to rescale at step 0 and
-// several times per step, a single step that takes the mass down by
-// 1e-250, an exact-zero emission, Gaussian densities far above 1 (σ² =
-// 1e-4), and every combination of frozen or re-estimated emissions, one
-// to three sequences, cold and warm.
+// could get wrong: sequences long enough to rescale hundreds of times,
+// sequences too short to have a transition, constant observations,
+// emissions small enough to rescale at step 0 and several times per step,
+// a single step that takes the mass down by 1e-250 and an exact-zero
+// emission. EM runs the pass over symbol runs, in every combination of
+// frozen or re-estimated emissions, one to three sequences, cold and
+// warm; PosteriorWS runs it by step over each sequence.
 func TestPairPassMatchesReferenceAtTheEdges(t *testing.T) {
 	const sym = 5
 	rng := rand.New(rand.NewSource(606))
@@ -434,58 +303,16 @@ func TestPairPassMatchesReferenceAtTheEdges(t *testing.T) {
 			matchReferenceFit(t, name+"/warm", seed, tc.seqs, cfg, equivTol)
 			matchReferenceFit(t, name+"/warm-prefix", seed, halves(tc.seqs), cfg, equivTol)
 		}
-	}
-
-	// Gaussian: sticky, well-separated states; σ² = 1e-4 puts every
-	// density near its mean at ≈40, so α grows ×40 a step unless the step
-	// tables are prescaled, and overflows after ≈190 steps.
-	sticky := func(mean0, mean1, v float64) *hmm.Gaussian {
-		m, err := hmm.NewGaussian([]float64{mean0, mean1}, []float64{v, v})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.A = [][]float64{{0.95, 0.05}, {0.1, 0.9}}
-		m.Pi = []float64{0.3, 0.7}
-		return m
-	}
-	wide, narrow := sticky(-1, 2, 1.5), sticky(0, 1, 1e-4)
-	gcases := []struct {
-		name string
-		m    *hmm.Gaussian
-		seqs [][]float64
-	}{
-		{"gaussian/T=100k", wide, [][]float64{runGaussObs(rng, wide, 100_000, 7)}},
-		{"gaussian/T=1", wide, [][]float64{{0.3}}},
-		{"gaussian/T=2", wide, [][]float64{{0.3, 1.7}}},
-		{"gaussian/T=1,2,3 together", wide, [][]float64{{1}, {0, 3}, {2, -2, 4}}},
-		{"gaussian/three sequences", wide, [][]float64{runGaussObs(rng, wide, 700, 7), runGaussObs(rng, wide, 90, 2), runGaussObs(rng, wide, 1500, 12)}},
-		{"gaussian/variance 1e-4", narrow, [][]float64{runGaussObs(rng, narrow, 3000, 9), runGaussObs(rng, narrow, 400, 4)}},
-	}
-	for _, tc := range gcases {
-		cfg := base
-		matchGaussFit(t, tc.name+"/cold", tc.m, tc.seqs, cfg)
-		seed := tc.m.Clone()
-		if _, err := seed.BaumWelchWS(hmm.NewWorkspace(), tc.seqs, cfg); err != nil {
-			t.Fatalf("%s: seeding fit: %v", tc.name, err)
-		}
-		cfg.WarmStart = true
-		matchGaussFit(t, tc.name+"/warm", seed, tc.seqs, cfg)
-		matchGaussFit(t, tc.name+"/warm-prefix", seed, halves(tc.seqs), cfg)
-	}
-
-	// A far-tail observation underflows both densities to zero: the fit
-	// must fail naming that step, as the reference does.
-	for _, at := range []int{0, 1, 250, 2999} {
-		obs := runGaussObs(rng, narrow, 3000, 9)
-		obs[at] = 500
-		seqs := [][]float64{runGaussObs(rng, narrow, 300, 9), obs}
-		want := fmt.Sprintf("observation at t=%d", at)
-		res, err := narrow.Clone().BaumWelchWS(hmm.NewWorkspace(), seqs, base)
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("gaussian far tail at=%d: err = %v (result %+v), want it to contain %q", at, err, res, want)
-		}
-		if _, refErr := hmmtest.GaussBaumWelch(narrow.Clone(), seqs, base); refErr == nil || !strings.Contains(refErr.Error(), want) {
-			t.Fatalf("gaussian far tail at=%d: reference err = %v, want it to contain %q", at, refErr, want)
+		for i, obs := range tc.seqs {
+			want, err := hmmtest.Posterior(tc.m, obs)
+			if err != nil {
+				t.Fatalf("%s: reference posterior %d: %v", tc.name, i, err)
+			}
+			got, err := tc.m.PosteriorWS(hmm.NewWorkspace(), obs, nil)
+			if err != nil {
+				t.Fatalf("%s: PosteriorWS %d: %v", tc.name, i, err)
+			}
+			checkLattice(t, fmt.Sprintf("%s: posterior %d", tc.name, i), got, want)
 		}
 	}
 }
@@ -523,6 +350,9 @@ func TestPairPassZeroProbabilityNamesTheStep(t *testing.T) {
 			m.B[i][3] = 0
 		}
 		want := fmt.Sprintf("zero-probability observation at t=%d", tc.at)
+		if _, err := m.PosteriorWS(hmm.NewWorkspace(), tc.obs, nil); err == nil || !strings.HasSuffix(err.Error(), want) {
+			t.Fatalf("at=%d of %d: PosteriorWS err = %v, want it to end in %q", tc.at, len(tc.obs), err, want)
+		}
 		// Alone, and behind a sequence every symbol of which can be emitted.
 		for _, seqs := range [][][]int{{tc.obs}, {runObs(rng, 300, 3, 7), tc.obs}} {
 			for _, freeze := range []bool{true, false} {

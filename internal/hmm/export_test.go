@@ -1,6 +1,10 @@
 package hmm
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+	"math"
+)
 
 // Validate checks that the model has 2 states and that all rows are
 // probability distributions.
@@ -22,16 +26,22 @@ func (m *Discrete) PlainPasses(ws *Workspace, sequences [][]int, cfg TrainConfig
 	return err
 }
 
-// PlainPasses is Discrete.PlainPasses for Gaussian models.
-func (m *Gaussian) PlainPasses(ws *Workspace, sequences [][]float64, cfg TrainConfig, n int) error {
-	cfg.MaxIterations = 1
-	_, err := m.BaumWelchWS(ws, sequences, cfg)
-	total := 0
-	for _, obs := range sequences {
-		total += len(obs)
+// checkChain checks pi and the rows of A are probability distributions.
+func checkChain(pi []float64, A [][]float64) error {
+	return errors.Join(distribution("pi", pi), distribution("A[0]", A[0]), distribution("A[1]", A[1]))
+}
+
+// distribution checks row is a probability distribution.
+func distribution(name string, row []float64) error {
+	sum := 0.0
+	for i, v := range row {
+		if v < 0 || math.IsNaN(v) {
+			return fmt.Errorf("hmm: %s[%d] = %v is not a probability", name, i, v)
+		}
+		sum += v
 	}
-	for ; n > 1 && err == nil; n-- {
-		_, err = m.baumWelch(ws, sequences, total, cfg)
+	if math.Abs(sum-1) > 1e-6 {
+		return fmt.Errorf("hmm: %s sums to %v, want 1", name, sum)
 	}
-	return err
+	return nil
 }

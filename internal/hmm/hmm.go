@@ -1,20 +1,16 @@
 // Package hmm is the 2-state Hidden Markov Model the SSTD scheme is built
 // on (§III of the paper): the hidden state of a claim is False or True,
+// its observations are symbols of a quantized ACS alphabet, and it is
 // trained by unsupervised Baum-Welch (EM, Eq. 5) and decoded by Viterbi
 // (Eq. 6-8), with forward-backward posteriors for consumers that want
-// calibrated confidence. Two emission families are provided: discrete
-// symbols (used with a quantized ACS alphabet) and univariate Gaussians
-// (used with raw ACS values).
+// calibrated confidence.
 //
-// Both families run one fused forward/backward pass over per-step 2×2
-// tables M_t[i][j] = a_ij·e_j(o_t) and one log-space Viterbi; a family
-// only fills a step's emission pair — a table lookup for discrete, two
-// densities for Gaussian. Discrete EM runs the pass over symbol runs, one
+// Posteriors run one fused forward/backward pass over per-step 2×2
+// tables M_t[i][j] = a_ij·e_j(o_t); EM runs it over symbol runs, one
 // step through M_s^L per run of L steps of symbol s, its table shared by
-// every run of that symbol and length (pieces.go).
-// Every kernel runs on a caller-owned Workspace
-// with zero steady-state heap allocations. A state count other than 2 is
-// an error.
+// every run of that symbol and length (pieces.go). Viterbi runs in log
+// space. Every kernel runs on a caller-owned Workspace with zero
+// steady-state heap allocations. A state count other than 2 is an error.
 package hmm
 
 import (
@@ -113,30 +109,6 @@ func (m *Discrete) BaumWelchWS(ws *Workspace, sequences [][]int, cfg TrainConfig
 	return m.baumWelch(ws, cfg)
 }
 
-// baumWelch runs EM over the runs ws.cutPieces cut last.
-func (m *Discrete) baumWelch(ws *Workspace, cfg TrainConfig) (TrainResult, error) {
-	sym := m.Symbols()
-	emit := func() (float64, error) {
-		ws.tables(m.A, len(ws.w), sym)
-		for k := range sym {
-			ws.setEntry(k, m.B[0][k], m.B[1][k])
-		}
-		return ws.powers(), nil
-	}
-	refit := func() float64 {
-		if cfg.FreezeEmissions {
-			return 0
-		}
-		return max(reestimate(m.B[0], ws.gamma[:sym], cfg.SmoothB),
-			reestimate(m.B[1], ws.gamma[sym:], cfg.SmoothB))
-	}
-	theta := [][]float64{m.Pi, m.A[0], m.A[1], m.B[0], m.B[1]}
-	if cfg.FreezeEmissions {
-		theta = theta[:3]
-	}
-	return ws.baumWelch(theta, ws.seqs, sym, cfg, emit, ws.backwardPieces, refit, nil)
-}
-
 // ViterbiWS decodes the most likely hidden state sequence into path
 // (grown only when its capacity is insufficient) and returns it with its
 // log probability. The log emission pair of a step is a lookup in a
@@ -172,16 +144,30 @@ func (m *Discrete) ViterbiWS(ws *Workspace, obs []int, path []int) ([]int, float
 // PosteriorWS computes the posterior lattice gamma[i*T+t] =
 // P(state_t = i | obs, model) into dst, growing it only when its capacity
 // is insufficient, and returns it; row i is state i's posterior over the
-// whole sequence.
+// whole sequence. The fused pass runs over one table per step.
 func (m *Discrete) PosteriorWS(ws *Workspace, obs []int, dst []float64) ([]float64, error) {
 	if err := m.check(obs); err != nil {
 		return nil, err
 	}
-	ws.tables(m.A, len(obs), 0)
+	T := len(obs)
+	ws.tables(m.A, T, 0)
 	for t, o := range obs {
 		ws.setEntry(t, m.B[0][o], m.B[1][o])
 	}
-	return ws.posterior(m.Pi, len(obs), dst)
+	idx := ws.stepIndex(T)
+	if _, err := ws.forwardPair(m.Pi, idx); err != nil {
+		return nil, err
+	}
+	dst = grow(dst, 2*T)
+	clear(dst)
+	ws.backwardPair(idx, dst)
+	// γ_t sums to 1 only up to rounding; normalised, every entry is ≤ 1.
+	for t := range T {
+		s := dst[t] + dst[T+t]
+		dst[t] /= s
+		dst[T+t] /= s
+	}
+	return dst, nil
 }
 
 // --- shared helpers ---
@@ -195,8 +181,8 @@ func cloneMatrix(m [][]float64) [][]float64 {
 }
 
 // checkEntries refuses a NaN, infinite or negative entry of pi, A or the
-// emission rows B (nil for Gaussian models), naming it: EM would carry it
-// into every parameter and the log-likelihood without an error.
+// emission rows B, naming it: EM would carry it into every parameter and
+// the log-likelihood without an error.
 func checkEntries(pi []float64, A, B [][]float64) error {
 	for k, rows := range [][][]float64{{pi}, A, B} {
 		for i, row := range rows {
@@ -207,27 +193,6 @@ func checkEntries(pi []float64, A, B [][]float64) error {
 				}
 			}
 		}
-	}
-	return nil
-}
-
-// checkChain checks the parameters both families share, pi and the rows
-// of A, are probability distributions.
-func checkChain(pi []float64, A [][]float64) error {
-	return errors.Join(distribution("pi", pi), distribution("A[0]", A[0]), distribution("A[1]", A[1]))
-}
-
-// distribution checks row is a probability distribution.
-func distribution(name string, row []float64) error {
-	sum := 0.0
-	for i, v := range row {
-		if v < 0 || math.IsNaN(v) {
-			return fmt.Errorf("hmm: %s[%d] = %v is not a probability", name, i, v)
-		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-6 {
-		return fmt.Errorf("hmm: %s sums to %v, want 1", name, sum)
 	}
 	return nil
 }

@@ -101,7 +101,7 @@ func TestValidateCatchesBadModels(t *testing.T) {
 
 // TestStateCountRefused: the package is the paper's 2-state HMM. A model
 // with one or three states is an error from every kernel entry point and
-// from the Gaussian constructor — never an index panic.
+// from Validate — never an index panic.
 func TestStateCountRefused(t *testing.T) {
 	third := 1.0 / 3
 	discrete := map[string]*Discrete{
@@ -110,15 +110,6 @@ func TestStateCountRefused(t *testing.T) {
 			A:  [][]float64{{third, third, third}, {third, third, third}, {third, third, third}},
 			B:  [][]float64{{0.5, 0.5}, {0.5, 0.5}, {0.5, 0.5}},
 			Pi: []float64{third, third, third},
-		},
-	}
-	gaussian := map[string]*Gaussian{
-		"1 state": {A: [][]float64{{1}}, Pi: []float64{1}, Mean: []float64{0}, Var: []float64{1}},
-		"3 states": {
-			A:    [][]float64{{third, third, third}, {third, third, third}, {third, third, third}},
-			Pi:   []float64{third, third, third},
-			Mean: []float64{-1, 0, 1},
-			Var:  []float64{1, 1, 1},
 		},
 	}
 	ws := NewWorkspace()
@@ -130,6 +121,7 @@ func TestStateCountRefused(t *testing.T) {
 		}
 	}
 	for name, m := range discrete {
+		refused(name, "Validate", m.Validate())
 		_, err := m.BaumWelchWS(ws, [][]int{{0, 1, 1}}, cfg)
 		refused(name, "BaumWelchWS", err)
 		_, _, err = m.ViterbiWS(ws, []int{0, 1, 1}, nil)
@@ -137,22 +129,11 @@ func TestStateCountRefused(t *testing.T) {
 		_, err = m.PosteriorWS(ws, []int{0, 1, 1}, nil)
 		refused(name, "PosteriorWS", err)
 	}
-	for name, m := range gaussian {
-		refused(name, "Validate", m.Validate())
-		_, err := NewGaussian(m.Mean, m.Var)
-		refused(name, "NewGaussian", err)
-		_, err = m.BaumWelchWS(ws, [][]float64{{0, 1, 1}}, cfg)
-		refused(name, "BaumWelchWS", err)
-		_, _, err = m.ViterbiWS(ws, []float64{0, 1, 1}, nil)
-		refused(name, "ViterbiWS", err)
-		_, err = m.PosteriorWS(ws, []float64{0, 1, 1}, nil)
-		refused(name, "PosteriorWS", err)
-	}
 }
 
 // bruteForce sums the joint probability of every hidden path of a
 // 2-state chain over T steps, where emit(t, i) is state i's emission
-// probability (or density) at step t, and returns P(obs) and the
+// probability at step t, and returns P(obs) and the
 // posterior P(state_t = 1 | obs) of every step.
 func bruteForce(pi []float64, A [][]float64, T int, emit func(t, i int) float64) (float64, []float64) {
 	total, true1 := 0.0, make([]float64, T)
@@ -384,11 +365,17 @@ func TestErrorsPropagate(t *testing.T) {
 	if _, err := m.PosteriorWS(ws, []int{0, 5}, nil); !errors.Is(err, ErrBadSymbol) {
 		t.Errorf("PosteriorWS bad symbol err = %v", err)
 	}
+	if _, _, err := m.ViterbiWS(ws, nil, nil); !errors.Is(err, ErrEmptySequence) {
+		t.Errorf("ViterbiWS(nil) err = %v", err)
+	}
 	if _, _, err := m.ViterbiWS(ws, []int{-1}, nil); !errors.Is(err, ErrBadSymbol) {
 		t.Errorf("ViterbiWS bad symbol err = %v", err)
 	}
 	if _, err := m.BaumWelchWS(ws, nil, DefaultTrainConfig()); !errors.Is(err, ErrEmptySequence) {
 		t.Errorf("BaumWelchWS(nil) err = %v", err)
+	}
+	if _, err := m.BaumWelchWS(ws, [][]int{{0}, {}}, DefaultTrainConfig()); !errors.Is(err, ErrEmptySequence) {
+		t.Errorf("BaumWelchWS empty sequence err = %v", err)
 	}
 	if _, err := m.BaumWelchWS(ws, [][]int{{0}, {2}}, DefaultTrainConfig()); !errors.Is(err, ErrBadSymbol) {
 		t.Errorf("BaumWelchWS bad symbol err = %v", err)
@@ -397,11 +384,10 @@ func TestErrorsPropagate(t *testing.T) {
 
 // TestNonFiniteParametersRefused: a NaN, infinite or negative entry of
 // pi, A or a discrete B used to run every kernel to a NaN or infinite
-// log-likelihood, lattice or score with a nil error. Every kernel of both
-// families must refuse it at entry, naming the parameter.
+// log-likelihood, lattice or score with a nil error. Every kernel must
+// refuse it at entry, naming the parameter.
 func TestNonFiniteParametersRefused(t *testing.T) {
 	obs := []int{0, 1, 1, 0, 0, 0, 1, 1}
-	gobs := []float64{-3, -2.5, 3, 3.2, 2.9, -3.1}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), -0.5} {
 		for _, param := range []string{"pi[0]", "A[0][0]", "B[0][1]"} {
 			set := func(pi []float64, A, B [][]float64) {
@@ -429,22 +415,6 @@ func TestNonFiniteParametersRefused(t *testing.T) {
 					_, err := d.PosteriorWS(NewWorkspace(), obs, nil)
 					return err
 				},
-			}
-			if param != "B[0][1]" { // Gaussian models have no B
-				g := gaussRef()
-				set(g.Pi, g.A, nil)
-				kernels["gaussian BaumWelchWS"] = func() error {
-					_, err := g.Clone().BaumWelchWS(NewWorkspace(), [][]float64{gobs}, DefaultTrainConfig())
-					return err
-				}
-				kernels["gaussian ViterbiWS"] = func() error {
-					_, _, err := g.ViterbiWS(NewWorkspace(), gobs, nil)
-					return err
-				}
-				kernels["gaussian PosteriorWS"] = func() error {
-					_, err := g.PosteriorWS(NewWorkspace(), gobs, nil)
-					return err
-				}
 			}
 			for name, run := range kernels {
 				if err := run(); err == nil || !strings.Contains(err.Error(), param) {
@@ -493,8 +463,7 @@ func TestLikelihoodPropertySumsUnderOne(t *testing.T) {
 
 // TestRowWithoutCountsIsKept: a 1-interval sequence has no transition, so
 // with no smoothing neither row of A gets an expected count. EM must
-// leave such a row as it was — a zeroed row is not a distribution — for
-// both emission families.
+// leave such a row as it was — a zeroed row is not a distribution.
 func TestRowWithoutCountsIsKept(t *testing.T) {
 	cfg := TrainConfig{MaxIterations: 5, FreezeEmissions: true}
 	m := twoStateModel()
@@ -509,21 +478,6 @@ func TestRowWithoutCountsIsKept(t *testing.T) {
 		t.Errorf("discrete: %v", err)
 	}
 
-	g, err := NewGaussian([]float64{-1, 1}, []float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.A = [][]float64{{0.9, 0.1}, {0.2, 0.8}}
-	wantA = cloneMatrix(g.A)
-	if _, err := g.BaumWelchWS(NewWorkspace(), [][]float64{{0.3}}, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(g.A, wantA) {
-		t.Errorf("gaussian: A = %v, want it kept at %v", g.A, wantA)
-	}
-	if err := g.Validate(); err != nil {
-		t.Errorf("gaussian: %v", err)
-	}
 }
 
 func TestSingleObservation(t *testing.T) {

@@ -2,7 +2,7 @@ package hmm
 
 import "math/bits"
 
-// Discrete EM runs the fused pass over symbol runs instead of steps. The
+// EM runs the fused pass over symbol runs instead of steps. The
 // symbols never change across iterations and every step of a run of
 // symbol s multiplies by the same table M_s, so the sequences are cut
 // once per call into runs, and a run of L steps costs one 2×2 step
@@ -16,7 +16,7 @@ import "math/bits"
 // two, and the ids of its head and tail.
 type runTable struct{ s, n, head, tail int }
 
-// cutPieces lays the sequences out for discrete EM in ws.pieces, sliced
+// cutPieces lays the sequences out for EM in ws.pieces, sliced
 // per sequence in ws.seqs: each sequence's step-0 symbol, then the table
 // id of each run of its steps 1..T-1. It sizes the binary tables for the
 // longest sequence, records each symbol's highest level in ws.top (-1 if

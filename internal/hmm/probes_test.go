@@ -10,9 +10,9 @@ import (
 )
 
 // TestBaumWelchPhaseProbes pins which flight-recorder phases one EM
-// iteration reports for both emission families: forward and backward per
-// sequence (the fused pass has no E-step sweep of its own), then once for
-// the M-step.
+// iteration reports, emissions frozen or re-estimated: forward and
+// backward per sequence (the fused pass has no E-step sweep of its own),
+// then once for the M-step.
 func TestBaumWelchPhaseProbes(t *testing.T) {
 	rec, err := flightrec.Enable(flightrec.Config{})
 	if err != nil {
@@ -20,21 +20,13 @@ func TestBaumWelchPhaseProbes(t *testing.T) {
 	}
 	defer flightrec.EnableCLI("", nil, nil, nil) // recording off again
 	rng := rand.New(rand.NewSource(9))
-	cfg := hmm.TrainConfig{MaxIterations: 2, Tolerance: 1e-300, SmoothA: 1e-3, SmoothB: 1e-3, SmoothPi: 1e-3}
 	iteration := []string{"hmm.forward", "hmm.backward", "hmm.forward", "hmm.backward", "hmm.mstep"}
 	want := append(append([]string(nil), iteration...), iteration...) // two iterations
-	for family, fit := range map[string]func(*hmm.Workspace) (hmm.TrainResult, error){
-		"discrete": func(ws *hmm.Workspace) (hmm.TrainResult, error) {
-			seqs := [][]int{randObs(rng, 40, 4), randObs(rng, 25, 4)}
-			return randDiscrete(rng, 4).BaumWelchWS(ws, seqs, cfg)
-		},
-		"gaussian": func(ws *hmm.Workspace) (hmm.TrainResult, error) {
-			seqs := [][]float64{randGaussObs(rng, 40), randGaussObs(rng, 25)}
-			return randGaussian(rng).BaumWelchWS(ws, seqs, cfg)
-		},
-	} {
+	for _, freeze := range []bool{false, true} {
+		cfg := hmm.TrainConfig{MaxIterations: 2, Tolerance: 1e-300, SmoothA: 1e-3, SmoothB: 1e-3, SmoothPi: 1e-3, FreezeEmissions: freeze}
+		seqs := [][]int{randObs(rng, 40, 4), randObs(rng, 25, 4)}
 		before := len(rec.Events(0))
-		if _, err := fit(hmm.NewWorkspace()); err != nil {
+		if _, err := randDiscrete(rng, 4).BaumWelchWS(hmm.NewWorkspace(), seqs, cfg); err != nil {
 			t.Fatal(err)
 		}
 		var got []string
@@ -42,7 +34,7 @@ func TestBaumWelchPhaseProbes(t *testing.T) {
 			got = append(got, e.Probe)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: phases %v, want %v", family, got, want)
+			t.Errorf("freeze=%v: phases %v, want %v", freeze, got, want)
 		}
 	}
 }

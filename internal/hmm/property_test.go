@@ -212,8 +212,7 @@ func sampleIndex(rng *rand.Rand, dist []float64) int {
 // TestExtrapolateRefusesStepsOffTheSimplex: extrapolate refuses a θ′ with
 // a distribution entry that is not positive — the step runs past the
 // simplex or onto its edge, or there is no step, v being zero — and
-// otherwise leaves every distribution row summing to 1. Rows past dists
-// are extrapolated as they are.
+// otherwise leaves every row summing to 1.
 func TestExtrapolateRefusesStepsOffTheSimplex(t *testing.T) {
 	sticky := []float64{0.9, 0.1, 0.2, 0.8}
 	for _, tc := range []struct {
@@ -231,17 +230,16 @@ func TestExtrapolateRefusesStepsOffTheSimplex(t *testing.T) {
 		for _, p := range tc.pi0 {
 			saved = append(saved, p, 1-p)
 			saved = append(saved, sticky...)
-			saved = append(saved, 3)
 		}
-		theta := [][]float64{make([]float64, 2), make([]float64, 2), make([]float64, 2), make([]float64, 1)}
-		if ok := extrapolate(saved, theta, 3); ok != tc.ok {
+		theta := [][]float64{make([]float64, 2), make([]float64, 2), make([]float64, 2)}
+		if ok := extrapolate(saved, theta); ok != tc.ok {
 			t.Fatalf("%s: extrapolate = %v, want %v (θ′ %v)", tc.name, ok, tc.ok, theta)
 		}
 		if !tc.ok {
 			continue
 		}
-		if math.Abs(theta[0][0]-tc.want) > 1e-15 || math.Abs(theta[0][0]+theta[0][1]-1) > 1e-15 || theta[3][0] != 3 {
-			t.Errorf("%s: θ′ = %v, want π_0 %v and the free row at 3", tc.name, theta, tc.want)
+		if math.Abs(theta[0][0]-tc.want) > 1e-15 || math.Abs(theta[0][0]+theta[0][1]-1) > 1e-15 {
+			t.Errorf("%s: θ′ = %v, want π_0 %v", tc.name, theta, tc.want)
 		}
 		for i, row := range theta[1:3] {
 			if math.Abs(row[0]-sticky[2*i]) > 1e-15 || math.Abs(row[0]+row[1]-1) > 1e-15 {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"github.com/social-sensing/sstd/internal/hmm"
@@ -68,12 +67,6 @@ func plainDiscrete(m *hmm.Discrete, seqs [][]int, cfg hmm.TrainConfig) (hmm.Trai
 	return plainFit(cfg, prior, func(c hmm.TrainConfig) (hmm.TrainResult, error) { return m.BaumWelchWS(ws, seqs, c) })
 }
 
-func plainGaussian(m *hmm.Gaussian, seqs [][]float64, cfg hmm.TrainConfig) (hmm.TrainResult, error) {
-	ws := hmm.NewWorkspace()
-	prior := func() float64 { return logPrior(cfg.SmoothPi, m.Pi) + logPrior(cfg.SmoothA, m.A...) }
-	return plainFit(cfg, prior, func(c hmm.TrainConfig) (hmm.TrainResult, error) { return m.BaumWelchWS(ws, seqs, c) })
-}
-
 // maxMove is the largest difference between two parameter sets.
 func maxMove(a, b [][]float64) float64 {
 	d := 0.0
@@ -85,14 +78,11 @@ func maxMove(a, b [][]float64) float64 {
 	return d
 }
 
-// fitCase is one fit of the loop tests: a start model of either family
-// (the other nil) and its sequences.
+// fitCase is one fit of the loop tests: a start model and its sequences.
 type fitCase struct {
-	name  string
-	disc  *hmm.Discrete
-	seqs  [][]int
-	gauss *hmm.Gaussian
-	gseqs [][]float64
+	name string
+	m    *hmm.Discrete
+	seqs [][]int
 }
 
 // fit returns a copy of c's model, fitted with cfg by the loop
@@ -101,28 +91,16 @@ func (c fitCase) fit(t *testing.T, cfg hmm.TrainConfig, plain bool) (fitCase, []
 	t.Helper()
 	var res hmm.TrainResult
 	var err error
-	if c.disc != nil {
-		c.disc = c.disc.Clone()
-		if plain {
-			res, err = plainDiscrete(c.disc, c.seqs, cfg)
-		} else {
-			res, err = c.disc.BaumWelchWS(hmm.NewWorkspace(), c.seqs, cfg)
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		return c, discreteParams(c.disc), res
-	}
-	c.gauss = c.gauss.Clone()
+	c.m = c.m.Clone()
 	if plain {
-		res, err = plainGaussian(c.gauss, c.gseqs, cfg)
+		res, err = plainDiscrete(c.m, c.seqs, cfg)
 	} else {
-		res, err = c.gauss.BaumWelchWS(hmm.NewWorkspace(), c.gseqs, cfg)
+		res, err = c.m.BaumWelchWS(hmm.NewWorkspace(), c.seqs, cfg)
 	}
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}
-	return c, gaussParams(c.gauss), res
+	return c, discreteParams(c.m), res
 }
 
 // logLikelihood is log P(seqs | c's model): what a one-pass fit of a
@@ -161,9 +139,8 @@ func sticky(rng *rand.Rand, A [][]float64) {
 
 // loopCases are fits whose EM fixed point is well defined: sequences
 // drawn from a sticky 2-state model whose states emit apart — symbols
-// ramping down in state 0 and up in state 1, or normal densities two
-// to four deviations apart — fitted from the decoder's kind of start,
-// the same ramps (or spread-apart means) and A = [[0.9 0.1] [0.1 0.9]].
+// ramping down in state 0 and up in state 1 — fitted from the decoder's
+// kind of start, the same ramps and A = [[0.9 0.1] [0.1 0.9]].
 // EM's rate tends to 1 as the states' emissions merge; there a fit stopped
 // by any gain tolerance is not within 1e-6 of its fixed point, whichever
 // loop made it, and there is nothing to compare.
@@ -195,19 +172,7 @@ func loopCases(seed int64, n int) []fitCase {
 		if i%2 == 1 {
 			seqs = append(seqs, sampleDiscrete(rng, truth, 200+rng.Intn(500)))
 		}
-		cases = append(cases, fitCase{name: fmt.Sprintf("discrete %d", i), disc: start, seqs: seqs})
-
-		g := randGaussian(rng)
-		sticky(rng, g.A)
-		g.Mean[1] = g.Mean[0] + (2+2*rng.Float64())*math.Sqrt(max(g.Var[0], g.Var[1]))
-		obs := runGaussObs(rng, g, 1000+rng.Intn(3000), 5+rng.Intn(20))
-		spread := max(math.Abs(slices.Min(obs)), math.Abs(slices.Max(obs)))
-		gstart, err := hmm.NewGaussian([]float64{-spread / 2, spread / 2}, []float64{spread, spread})
-		if err != nil {
-			panic(err)
-		}
-		gstart.A = [][]float64{{0.9, 0.1}, {0.1, 0.9}}
-		cases = append(cases, fitCase{name: fmt.Sprintf("gaussian %d", i), gauss: gstart, gseqs: [][]float64{obs}})
+		cases = append(cases, fitCase{name: fmt.Sprintf("discrete %d", i), m: start, seqs: seqs})
 	}
 	return cases
 }
@@ -216,23 +181,19 @@ func loopCases(seed int64, n int) []fitCase {
 // plus the log prior of cfg's pseudo-counts on the rows EM re-estimates.
 func (c fitCase) objective(t *testing.T, cfg hmm.TrainConfig) float64 {
 	t.Helper()
-	obj := c.logLikelihood(t)
-	if c.disc != nil {
-		obj += logPrior(cfg.SmoothPi, c.disc.Pi) + logPrior(cfg.SmoothA, c.disc.A...)
-		if !cfg.FreezeEmissions {
-			obj += logPrior(cfg.SmoothB, c.disc.B...)
-		}
-		return obj
+	obj := c.logLikelihood(t) + logPrior(cfg.SmoothPi, c.m.Pi) + logPrior(cfg.SmoothA, c.m.A...)
+	if !cfg.FreezeEmissions {
+		obj += logPrior(cfg.SmoothB, c.m.B...)
 	}
-	return obj + logPrior(cfg.SmoothPi, c.gauss.Pi) + logPrior(cfg.SmoothA, c.gauss.A...)
+	return obj
 }
 
 // TestSquaremReachesThePlainFixedPoint: the extrapolation changes the
 // route to an EM fixed point, not what a fixed point is. Fitted to
 // Tolerance 1e-12, the loop's parameters are a fixed point of the plain
 // pass (one more moves none by over 1e-6) whose objective is no lower
-// than plain EM's fitted to the same tolerance, for both families,
-// discrete emissions frozen and re-estimated, in fewer passes overall.
+// than plain EM's fitted to the same tolerance, emissions frozen and
+// re-estimated, in fewer passes overall.
 // With the default config the loop's objective is no lower than the frozen
 // reference's plain fit, stopped by that EM's own rule, to ten
 // times the default Tolerance: each fit stops where a pass gains less
@@ -248,9 +209,6 @@ func TestSquaremReachesThePlainFixedPoint(t *testing.T) {
 	loopPasses, plainPasses := 0, 0
 	for _, c := range loopCases(1101, 12) {
 		for _, freeze := range []bool{true, false} {
-			if c.gauss != nil && freeze {
-				continue
-			}
 			name := fmt.Sprintf("%s/freeze=%v", c.name, freeze)
 			cfg := tight
 			cfg.FreezeEmissions = freeze
@@ -273,15 +231,8 @@ func TestSquaremReachesThePlainFixedPoint(t *testing.T) {
 			def.FreezeEmissions = freeze
 			acc, _, _ = c.fit(t, def, false)
 			ref := c
-			var err error
-			if c.disc != nil {
-				ref.disc = c.disc.Clone()
-				_, err = hmmtest.BaumWelch(ref.disc, c.seqs, def)
-			} else {
-				ref.gauss = c.gauss.Clone()
-				_, err = hmmtest.GaussBaumWelch(ref.gauss, c.gseqs, def)
-			}
-			if err != nil {
+			ref.m = c.m.Clone()
+			if _, err := hmmtest.BaumWelch(ref.m, c.seqs, def); err != nil {
 				t.Fatal(err)
 			}
 			if got, want := acc.objective(t, def), ref.objective(t, def); got < want-10*def.Tolerance {

@@ -15,11 +15,11 @@ type Workspace struct {
 	a [4]float64
 
 	// Tables: entry k holds an emission pair (e_0, e_1) and a 2×2 matrix,
-	// by step the step matrix M[i][j] = a_ij·e_j. For discrete EM sym is
-	// the alphabet size, entry l·sym+s below base holds M_s^(2^l) and
-	// entry base+r run table runs[r] (pieces.go); otherwise sym is 0 and
-	// steps is the by-step index (0, 1, 2, …). seqs slices steps or
-	// pieces per sequence.
+	// by step the step matrix M[i][j] = a_ij·e_j. For EM sym is the
+	// alphabet size, entry l·sym+s below base holds M_s^(2^l) and entry
+	// base+r run table runs[r] (pieces.go), and seqs slices pieces per
+	// sequence; for a posterior sym is 0 and steps is the by-step index
+	// (0, 1, 2, …).
 	emit  [][2]float64
 	pair  [][4]float64
 	sym   int
@@ -27,7 +27,7 @@ type Workspace struct {
 	steps []int
 	seqs  [][]int
 
-	// Discrete EM's runs, cut once per call: the table ids, each symbol's
+	// EM's runs, cut once per call: the table ids, each symbol's
 	// highest level, the run tables and, per symbol, the run table of
 	// each length (zero between calls); per table the runs through it,
 	// the prescale of its own product and of all the products it is made
@@ -46,9 +46,8 @@ type Workspace struct {
 	alpha    []float64
 	rescaled []int32
 
-	// Baum-Welch accumulators: γ_0, Σξ and the two γ rows, per symbol
-	// for discrete and per step for Gaussian; and the SQUAREM cycle's θ0,
-	// θ1 and θ2, each laid end to end.
+	// Baum-Welch accumulators: γ_0, Σξ and the two γ rows, per symbol;
+	// and the SQUAREM cycle's θ0, θ1 and θ2, each laid end to end.
 	piAcc [2]float64
 	aNum  [4]float64
 	gamma []float64
@@ -91,7 +90,7 @@ func grow[E any](s []E, n int) []E {
 }
 
 // tables loads A for setEntry, sizes the tables to n entries and records
-// sym, the alphabet size when they hold discrete EM's powers (0 by step).
+// sym, the alphabet size when they hold EM's powers (0 by step).
 func (ws *Workspace) tables(A [][]float64, n, sym int) {
 	ws.a = [4]float64{A[0][0], A[0][1], A[1][0], A[1][1]}
 	ws.emit, ws.pair = grow(ws.emit, n), grow(ws.pair, n)

@@ -1,7 +1,7 @@
 #!/bin/sh
 # CI tiers for the SSTD reproduction.
 #
-#   scripts/check.sh            tier-1: README.md + DESIGN.md within their byte budget + the five main binaries' -h flags within their count budget + internal/workqueue's non-test lines within their budget + gofmt + build + tests (the ROADMAP gate), TestAPIAudit among them: every top-level name under internal/ must be reachable from a program's main or the root package's examples, every exported field written by a program or another package's test, and no program may import a test helper package
+#   scripts/check.sh            tier-1: README.md + DESIGN.md within their byte budget + the five main binaries' -h flags within their count budget + internal/workqueue's and internal/hmm's non-test lines within their budgets + gofmt + build + tests (the ROADMAP gate), TestAPIAudit among them: every top-level name under internal/ must be reachable from a program's main or the root package's examples, every exported field written by a program or another package's test, and no program may import a test helper package
 #   scripts/check.sh race       tier-2: vet + full test suite under -race
 #   scripts/check.sh bench      microbenchmarks -> BENCH_obs.json + BENCH_hmm.json + BENCH_wire.json; front-end layer benches (tokenizer included) printed
 #   scripts/check.sh chaos      chaos soak: seeded fault-injection schedules under -race
@@ -20,7 +20,7 @@ cd "$(dirname "$0")/.."
 # docBudget caps README.md + DESIGN.md together, in bytes, as loc.sh's
 # total shows code size. Raising it is a decision to make in the change
 # that needs it, not a fix for a failing check.
-docBudget=103426
+docBudget=101707
 
 # flagBudget caps the flags sstd-master, sstd-worker, sstd, experiments
 # and tracegen list under -h, summed, as docBudget caps the docs. Raising
@@ -35,8 +35,14 @@ flagBudget=58
 # failing check.
 wqBudget=4281
 
+# hmmBudget caps internal/hmm's non-test lines the same way: the package
+# is the paper's one model, a 2-state HMM over quantized ACS symbols, and
+# holds no second emission family. Raising it is a decision to make in the
+# change that needs it, not a fix for a failing check.
+hmmBudget=1007
+
 tier1() {
-	echo "== tier-1: doc budget && flag budget && workqueue line budget && gofmt -l . && go build ./... && go test ./... =="
+	echo "== tier-1: doc budget && flag budget && workqueue and hmm line budgets && gofmt -l . && go build ./... && go test ./... =="
 	docBytes=$(cat README.md DESIGN.md | wc -c)
 	if [ "$docBytes" -gt "$docBudget" ]; then
 		echo "README.md + DESIGN.md are $docBytes bytes, over the budget of $docBudget (scripts/check.sh)" >&2
@@ -57,6 +63,11 @@ tier1() {
 	wqLines=$(scripts/loc.sh internal/workqueue | awk '$1 == "internal/workqueue" { print $2 }')
 	if [ "$wqLines" -gt "$wqBudget" ]; then
 		echo "internal/workqueue is $wqLines non-test lines, over the budget of $wqBudget (scripts/check.sh)" >&2
+		exit 1
+	fi
+	hmmLines=$(scripts/loc.sh internal/hmm | awk '$1 == "internal/hmm" { print $2 }')
+	if [ "$hmmLines" -gt "$hmmBudget" ]; then
+		echo "internal/hmm is $hmmLines non-test lines, over the budget of $hmmBudget (scripts/check.sh)" >&2
 		exit 1
 	fi
 	unformatted=$(gofmt -l .)
@@ -269,11 +280,12 @@ accuracy() {
 	# The product is the decoded truth timeline: recompute the SSTD rows of
 	# Tables III-V (scale 0.02, seed 7) against
 	# internal/experiments/testdata/accuracy_golden.json, then the checks
-	# that say why they hold — both emission families' kernels against the
-	# frozen reference at 1e-12 (discrete EM's run pass also over
-	# generated run shapes and run tables at 1e-10, naming the step where
-	# the mass dies inside a run, allocation-free; the kernel's plain EM
-	# pass, the map the loop accelerates, taken one pass per call), the
+	# that say why they hold — the HMM kernels against the frozen
+	# reference at 1e-12 (EM's run pass also over generated run shapes
+	# and run tables at 1e-10, naming the step where the mass dies inside
+	# a run, allocation-free; the kernel's plain EM pass, the map the loop
+	# accelerates, taken one pass per call; the by-step posterior pass at
+	# T=1 and T=100k), the
 	# SQUAREM loop itself — its fit a fixed point of the plain pass, on
 	# the claim series within 1e-6 of plain EM's, its log-likelihood never
 	# falling as passes are added, passes from θ′ lost to θ1 falling back
@@ -287,7 +299,7 @@ accuracy() {
 	# it replaced, the one fixed-point score (rounding, ties to even, and
 	# |score| > 1 refused by Ingest) and the order-free ACS series, and the
 	# bits the distributed decode must keep: the eight truth digests, the
-	# decode payload goldens (the Gaussian `flips` truth among them), the
+	# decode payload goldens (the retired Gaussian kind refused), the
 	# order-free merge and the worker's series against the accumulator's.
 	# Then what the claims themselves rest on: every post's claim and
 	# scores on the three profiles (TestFrontEndGolden), the claim
