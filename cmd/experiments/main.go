@@ -15,7 +15,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -25,23 +27,38 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run() (retErr error) {
+// experimentNames are the names -exp answers to, in the order they run.
+var experimentNames = []string{"table2", "table3", "table4", "table5", "fig4", "fig5", "fig6", "fig7",
+	"robustness", "ablation-window", "ablation-cs", "ablation-dependency", "ablation-pid"}
+
+// run parses args, refuses an -exp name no experiment answers to before
+// anything runs, and prints the selected experiments to w.
+func run(args []string, w io.Writer) (retErr error) {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
 	var (
-		exp       = flag.String("exp", "all", "experiment to run (comma separated), or all")
-		scale     = flag.Float64("scale", 0.02, "trace scale relative to the paper's datasets")
-		seed      = flag.Int64("seed", 7, "random seed")
-		workers   = flag.Int("workers", 4, "SSTD worker pool size")
-		cost      = flag.Duration("per-report-cost", 50*time.Microsecond, "modelled per-report preprocessing cost for the timing figures")
-		telemetry = flag.String("telemetry", "", "write the control-loop time series of the PID-driven experiments (fig6, ablation-pid) to this JSON file")
+		exp       = fs.String("exp", "all", "experiment to run (comma separated), or all")
+		scale     = fs.Float64("scale", 0.02, "trace scale relative to the paper's datasets")
+		seed      = fs.Int64("seed", 7, "random seed")
+		workers   = fs.Int("workers", 4, "SSTD worker pool size")
+		cost      = fs.Duration("per-report-cost", 50*time.Microsecond, "modelled per-report preprocessing cost for the timing figures")
+		telemetry = fs.String("telemetry", "", "write the control-loop time series of the PID-driven experiments (fig6, ablation-pid) to this JSON file")
 	)
-	cli := obs.NewCLI(flag.CommandLine, false)
-	flag.Parse()
+	cli := obs.NewCLI(fs, false)
+	fs.Parse(args)
+	selected := map[string]bool{}
+	for _, e := range strings.Split(*exp, ",") {
+		e = strings.TrimSpace(e)
+		if e != "all" && !slices.Contains(experimentNames, e) {
+			return fmt.Errorf("unknown experiment %q (want all or a comma-separated list of %s)", e, strings.Join(experimentNames, ", "))
+		}
+		selected[e] = true
+	}
 	if err := cli.Start(); err != nil {
 		return err
 	}
@@ -58,14 +75,9 @@ func run() (retErr error) {
 		controlLog = obs.NewControlRecorder(0)
 		o.ControlLog = controlLog
 	}
-	selected := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		selected[strings.TrimSpace(e)] = true
-	}
 	all := selected["all"]
 	want := func(name string) bool { return all || selected[name] }
 
-	w := os.Stdout
 	if want("table2") {
 		stats, err := experiments.TableII(o)
 		if err != nil {

@@ -266,16 +266,6 @@ func NewSymmetricDiscretizer(thresholds ...float64) (*Discretizer, error) {
 // Symbols returns the alphabet size (number of bins).
 func (d *Discretizer) Symbols() int { return len(d.edges) + 1 }
 
-// Quantize maps a single value to its bin.
-func (d *Discretizer) Quantize(v float64) int {
-	for i, e := range d.edges {
-		if v <= e {
-			return i
-		}
-	}
-	return len(d.edges)
-}
-
 // QuantizeAllInto maps a sequence into dst, growing it only when capacity
 // is insufficient.
 func (d *Discretizer) QuantizeAllInto(vs []float64, dst []int) []int {
@@ -284,8 +274,32 @@ func (d *Discretizer) QuantizeAllInto(vs []float64, dst []int) []int {
 	} else {
 		dst = dst[:len(vs)]
 	}
+	edges := d.edges
 	for i, v := range vs {
-		dst[i] = d.Quantize(v)
+		dst[i] = bin(edges, v)
 	}
 	return dst
+}
+
+// bin is the number of ascending edges v is past: those before the first
+// edge >= v, or all of them for a NaN, which is past every edge by <=. It
+// counts every edge, two at a time and with no early exit, so no branch
+// depends on v.
+func bin(edges []float64, v float64) int {
+	n := 0
+	for ; len(edges) >= 2; edges = edges[2:] {
+		n += past(v, edges[0]) + past(v, edges[1])
+	}
+	if len(edges) == 1 {
+		n += past(v, edges[0])
+	}
+	return n
+}
+
+// past is 1 when v is past edge e, !(v <= e), and 0 otherwise.
+func past(v, e float64) int {
+	if v <= e {
+		return 0
+	}
+	return 1
 }

@@ -278,6 +278,46 @@ func TestDiscretizerMonotone(t *testing.T) {
 	}
 }
 
+// TestQuantizeMatchesFirstEdgeLoop pins the edge count bin makes to
+// the early-exit loop it replaced — the index of the first edge >= v, or
+// the top bin — on NaN, ±Inf, ±0, values exactly on an edge and a step to
+// either side of one, and random values, for one to four edges;
+// QuantizeAllInto must agree with Quantize value by value.
+func TestQuantizeMatchesFirstEdgeLoop(t *testing.T) {
+	firstEdge := func(edges []float64, v float64) int {
+		for i, e := range edges {
+			if v <= e {
+				return i
+			}
+		}
+		return len(edges)
+	}
+	rng := rand.New(rand.NewSource(48))
+	for _, edges := range [][]float64{{0}, {-1, 3}, {-2, -0.5, 0.5, 2}, {-1e300, -5e-324, 5e-324, 1e300}} {
+		d, err := NewDiscretizer(edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), math.MaxFloat64, -math.MaxFloat64}
+		for _, e := range edges {
+			vs = append(vs, e, math.Nextafter(e, math.Inf(-1)), math.Nextafter(e, math.Inf(1)))
+		}
+		for range 1000 {
+			vs = append(vs, rng.NormFloat64()*3)
+		}
+		all := d.QuantizeAllInto(vs, nil)
+		for i, v := range vs {
+			want := firstEdge(edges, v)
+			if got := d.Quantize(v); got != want {
+				t.Errorf("edges %v: Quantize(%v) = %d, the first-edge loop %d", edges, v, got, want)
+			}
+			if all[i] != want {
+				t.Errorf("edges %v: QuantizeAllInto gives %v bin %d, the first-edge loop %d", edges, v, all[i], want)
+			}
+		}
+	}
+}
+
 func TestDiscretizerValidation(t *testing.T) {
 	if _, err := NewDiscretizer(nil); err == nil {
 		t.Error("empty edges accepted")

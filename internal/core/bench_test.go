@@ -128,3 +128,30 @@ func BenchmarkStreamAppend(b *testing.B) {
 	b.Run("cold", func(b *testing.B) { bench(b, false) })
 	b.Run("warm", func(b *testing.B) { bench(b, true) })
 }
+
+// BenchmarkViterbiLong is the Viterbi step of BenchmarkDecodeClaimLong
+// alone: the model trained once on the series, then the quantized series
+// decoded under it per op. It reports the cost per interval.
+func BenchmarkViterbiLong(b *testing.B) {
+	series := claimSeries(b, tracegen.BostonBombing())[0]
+	dec, err := NewDecoder(DefaultDecoderConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := NewDecodeScratch()
+	m, _, err := dec.TrainWarmScratch(sc, series, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if sc.path, _, err = m.Discrete.ViterbiWS(sc.ws, sc.obs, sc.path); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sc.path, _, err = m.Discrete.ViterbiWS(sc.ws, sc.obs, sc.path); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(series)), "ns/interval")
+}

@@ -38,3 +38,6 @@ func (e *Engine) TrainedModelFor(id socialsensing.ClaimID) (*TrainedModel, error
 	}
 	return model, nil
 }
+
+// Quantize maps a single value to its bin.
+func (d *Discretizer) Quantize(v float64) int { return bin(d.edges, v) }

@@ -75,9 +75,10 @@ const (
 	discreteEmissions = 1
 )
 
-// maxSpan caps the interval range one task may touch. The worker folds
-// into a dense buffer of that many int64 sums, and a dense result of more
-// slots than one frame can hold could not come back anyway.
+// maxSpan caps the interval range one task may touch. A worker folds
+// unsorted reports into a dense buffer of that many int64 sums, and a
+// dense result of more slots than one frame can hold could not come back
+// anyway.
 const maxSpan = workqueue.MaxFrameBytes / 8
 
 // splitReports divides reports into at most n contiguous chunks of nearly
@@ -357,14 +358,23 @@ func parseTask(p []byte) (taskView, error) {
 }
 
 // sumsPool recycles the dense per-interval sums of both sides: the
-// executors' scatter and decode buffers, the master's per-job sums.
-// scratchPool holds the workers' HMM scratches and windowed series, each
-// with the flight recorder it was made under: the kernels bind their probe
-// ring once, so a scratch does not outlive the process's recorder.
+// executors' fallback scatter and decode buffers, the master's per-job
+// sums. runSumsPool recycles the executors' per-run sums. scratchPool
+// holds the workers' HMM scratches and windowed series, each with the
+// flight recorder it was made under: the kernels bind their probe ring
+// once, so a scratch does not outlive the process's recorder.
 var (
 	sumsPool    = sync.Pool{New: func() any { return new([]int64) }}
+	runSumsPool = sync.Pool{New: func() any { return new([]runSum) }}
 	scratchPool sync.Pool
 )
+
+// runSum is a run's slot, relative to its task's base, and the sum of its
+// scores.
+type runSum struct {
+	slot int
+	sum  int64
+}
 
 type decodeScratch struct {
 	*core.DecodeScratch
@@ -411,9 +421,10 @@ func executeTask(ctx context.Context, payload []byte, perReport time.Duration) (
 			}
 		}
 	}
-	buf := getSums(t.span)
-	defer sumsPool.Put(buf)
-	top, err := t.scatter(*buf)
+	runs := runSumsPool.Get().(*[]runSum)
+	defer runSumsPool.Put(runs)
+	var ascending bool
+	*runs, ascending, err = t.sumRuns((*runs)[:0])
 	if err != nil {
 		return nil, obs.Wrap(malformed("payload", err))
 	}
@@ -423,7 +434,14 @@ func executeTask(ctx context.Context, payload []byte, perReport time.Duration) (
 	}
 
 	encode := workqueue.StartStageSpan(ctx, workqueue.StageEncode)
-	out := appendOutput(nil, (*buf)[:top+1], t.base)
+	var out []byte
+	if ascending {
+		// Reports arrive in time order, so this is the usual case: each
+		// slot has one run, and the output is the runs' own sums.
+		out = appendRunOutput(nil, *runs, t.base)
+	} else {
+		out = denseOutput(*runs, t.span, t.base)
+	}
 	encode.Finish()
 	return out, nil
 }
@@ -474,49 +492,92 @@ func readDecodeTask(payload []byte, series *[]float64) (*core.Decoder, error) {
 	return dec, nil
 }
 
-// scatter adds the task's scores into sums — span zeroed slots, slot 0
-// being interval base — a run's scores one after the other into its slot.
-// It returns the highest slot touched.
-func (t taskView) scatter(sums []int64) (top int, err error) {
+// sumRuns checks the task's runs and scores and appends to dst each run's
+// slot and the sum of its scores, in task order. It reports whether the
+// slots strictly ascend.
+func (t taskView) sumRuns(dst []runSum) (_ []runSum, ascending bool, err error) {
+	dst = slices.Grow(dst, t.runs)
 	off, at, i := 0, 0, 0
+	ascending = true
 	for k := 0; k < t.runs; k++ {
-		d, w := binary.Varint(t.col[off:])
-		if w <= 0 {
-			return 0, errors.New("truncated run")
+		var d int64
+		var c uint64
+		if off+1 < len(t.col) && t.col[off]|t.col[off+1] < 0x80 {
+			// A one-byte Δidx and count, the usual run.
+			z := uint64(t.col[off])
+			d, c, off = int64(z>>1)^-int64(z&1), uint64(t.col[off+1]), off+2
+		} else {
+			var w int
+			if d, w = binary.Varint(t.col[off:]); w <= 0 {
+				return nil, false, errors.New("truncated run")
+			}
+			off += w
+			if c, w = binary.Uvarint(t.col[off:]); w <= 0 {
+				return nil, false, errors.New("truncated run")
+			}
+			off += w
 		}
-		off += w
-		c, w := binary.Uvarint(t.col[off:])
-		if w <= 0 {
-			return 0, errors.New("truncated run")
-		}
-		off += w
 		// at is inside [0, span), so neither bound can wrap.
 		if d < int64(-at) || d >= int64(t.span-at) {
-			return 0, errors.New("interval index out of range")
+			return nil, false, errors.New("interval index out of range")
 		}
 		if c == 0 || c > uint64(t.n-i) {
-			return 0, errors.New("run counts do not sum to the report count")
+			return nil, false, errors.New("run counts do not sum to the report count")
 		}
+		// The first Δidx is relative to base, so it may be 0.
+		ascending = ascending && (d > 0 || k == 0)
 		at += int(d)
-		top = max(top, at)
-		acc := sums[at]
+		acc := int64(0)
 		for run := t.scores[4*i : 4*(i+int(c))]; len(run) >= 4; run = run[4:] {
 			s := int32(binary.LittleEndian.Uint32(run))
 			if s < -core.ScoreOne || s > core.ScoreOne {
-				return 0, errors.New("score magnitude over 2^30")
+				return nil, false, errors.New("score magnitude over 2^30")
 			}
 			acc += int64(s)
 		}
-		sums[at] = acc
+		dst = append(dst, runSum{at, acc})
 		i += int(c)
 	}
 	if i != t.n {
-		return 0, errors.New("run counts do not sum to the report count")
+		return nil, false, errors.New("run counts do not sum to the report count")
 	}
 	if off != len(t.col) {
-		return 0, errors.New("trailing bytes")
+		return nil, false, errors.New("trailing bytes")
 	}
-	return top, nil
+	return dst, ascending, nil
+}
+
+// denseOutput is the output of runs whose slots do not ascend: their sums
+// added into span zeroed slots, slot 0 being interval base, then listed up
+// to the highest slot a run touched.
+func denseOutput(runs []runSum, span, base int) []byte {
+	buf := getSums(span)
+	defer sumsPool.Put(buf)
+	sums, top := *buf, 0
+	for _, r := range runs {
+		sums[r.slot] += r.sum
+		top = max(top, r.slot)
+	}
+	return appendOutput(nil, sums[:top+1], base)
+}
+
+// uvarint is binary.Uvarint. A value that ends within the first 8 of at
+// least 8 bytes, as a sum's does, is read with one load and no loop, so its
+// length costs no mispredicted branch.
+func uvarint(p []byte) (uint64, int) {
+	if len(p) < 8 {
+		return binary.Uvarint(p)
+	}
+	x := binary.LittleEndian.Uint64(p)
+	stop := ^x & 0x8080808080808080 // the high bit of each byte that ends a value
+	if stop == 0 {
+		return binary.Uvarint(p)
+	}
+	n := bits.TrailingZeros64(stop) + 1 // the bits of the value's bytes
+	x &= 1<<n - 1
+	x = x&0x7f | x>>1&(0x7f<<7) | x>>2&(0x7f<<14) | x>>3&(0x7f<<21) |
+		x>>4&(0x7f<<28) | x>>5&(0x7f<<35) | x>>6&(0x7f<<42) | x>>7&(0x7f<<49)
+	return x, n / 8
 }
 
 // malformed marks a payload, output or truth timeline the codec refuses as
@@ -526,32 +587,72 @@ func malformed(what string, err error) error {
 }
 
 // appendOutput appends sums, slot 0 being interval base, to dst as an
-// output v2: the non-zero sums and always the last. It grows dst at most
-// once.
+// output v2: the non-zero sums and always the last. A first pass, with no
+// branch on the sums, counts the pairs and bounds their bytes, so dst
+// grows at most once; a second writes them.
 func appendOutput(dst []byte, sums []int64, base int) []byte {
+	if len(sums) == 0 {
+		return append(dst, outputVersion, 0)
+	}
 	last := len(sums) - 1
-	k, size, prev := 0, 0, 0
-	for i, s := range sums {
-		if s != 0 || i == last {
-			k, size, prev = k+1, size+uvarintLen(uint64(base+i-prev))+uvarintLen(uint64(s<<1)^uint64(s>>63)), base+i
-		}
+	k, widest := 1, zigzag(sums[last])
+	for _, s := range sums[:last] {
+		k += nonZero(s)
+		widest |= zigzag(s)
 	}
-	out := dst
-	if n := 1 + uvarintLen(uint64(k)) + size; cap(out)-len(out) < n {
-		// One allocation, in a -race build too: there slices.Grow's
-		// append of a make costs two.
-		out = append(make([]byte, 0, len(dst)+n), dst...)
-	}
-	out = binary.AppendUvarint(append(out, outputVersion), uint64(k))
-	prev = 0
-	for i, s := range sums {
-		if s != 0 || i == last {
-			out = binary.AppendVarint(binary.AppendUvarint(out, uint64(base+i-prev)), s)
+	out, prev := reserveOutput(dst, k, base+last, widest), 0
+	for i, s := range sums[:last] {
+		if s != 0 {
+			out = appendPair(out, base+i-prev, s)
 			prev = base + i
 		}
 	}
-	return out
+	return appendPair(out, base+last-prev, sums[last])
 }
+
+// appendRunOutput is appendOutput for runs whose slots strictly ascend, at
+// least one: the last run holds the highest slot.
+func appendRunOutput(dst []byte, runs []runSum, base int) []byte {
+	last := runs[len(runs)-1]
+	runs = runs[:len(runs)-1]
+	k, widest := 1, zigzag(last.sum)
+	for _, r := range runs {
+		k += nonZero(r.sum)
+		widest |= zigzag(r.sum)
+	}
+	out, prev := reserveOutput(dst, k, base+last.slot, widest), 0
+	for _, r := range runs {
+		if r.sum != 0 {
+			out = appendPair(out, base+r.slot-prev, r.sum)
+			prev = base + r.slot
+		}
+	}
+	return appendPair(out, base+last.slot-prev, last.sum)
+}
+
+// reserveOutput appends an output's header to dst for k pairs, growing it
+// once to hold them too: no Δidx is over top and no zigzag sum has a bit
+// widest lacks.
+func reserveOutput(dst []byte, k, top int, widest uint64) []byte {
+	if n := 1 + uvarintLen(uint64(k)) + k*(uvarintLen(uint64(top))+uvarintLen(widest)); cap(dst)-len(dst) < n {
+		// One allocation, in a -race build too: there slices.Grow's
+		// append of a make costs two.
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
+	return binary.AppendUvarint(append(dst, outputVersion), uint64(k))
+}
+
+// appendPair appends one output pair: a Δidx and a sum.
+func appendPair(dst []byte, d int, s int64) []byte {
+	return binary.AppendVarint(binary.AppendUvarint(dst, uint64(d)), s)
+}
+
+// zigzag is the unsigned value binary.AppendVarint writes for s.
+func zigzag(s int64) uint64 { return uint64(s<<1) ^ uint64(s>>63) }
+
+// nonZero is 1 when s is not 0 and 0 when it is, without a branch: s|-s
+// has its sign bit set exactly when s is not 0.
+func nonZero(s int64) int { return int(uint64(s|-s) >> 63) }
 
 // foldOutput checks out in full — well formed, every interval index below
 // limit, the sums' magnitudes totalling at most mass — while it adds its
@@ -573,12 +674,14 @@ func foldOutput(sums *[]int64, out []byte, limit int, mass uint64) (n int, err e
 	}
 	dst, off, idx, folded := *sums, start, uint64(0), 0
 	for ; folded < int(k); folded++ {
-		d, w := binary.Uvarint(out[off:])
-		if w <= 0 {
+		d, w := uint64(0), 1
+		if off < len(out) && out[off] < 0x80 {
+			d = uint64(out[off]) // a one-byte Δidx, the usual pair
+		} else if d, w = binary.Uvarint(out[off:]); w <= 0 {
 			err = errors.New("truncated")
 			break
 		}
-		s, v := binary.Varint(out[off+w:])
+		z, v := uvarint(out[off+w:])
 		if v <= 0 {
 			err = errors.New("truncated")
 			break
@@ -592,10 +695,8 @@ func foldOutput(sums *[]int64, out []byte, limit int, mass uint64) (n int, err e
 			err = errors.New("interval index out of range")
 			break
 		}
-		a := uint64(s)
-		if s < 0 {
-			a = -a
-		}
+		// The sum and its magnitude, with no branch on its sign.
+		s, a := int64(z>>1)^-int64(z&1), z>>1+z&1
 		if a > mass {
 			err = errors.New("sums exceed what the scores can add up to")
 			break

@@ -84,24 +84,30 @@ func BenchmarkWireTaskEncodeShared(b *testing.B) {
 	reportNsPerReport(b, chunks, 1)
 }
 
-// BenchmarkWireTaskExec executes one of the job's scatter tasks per op.
+// BenchmarkWireTaskExec executes one of the job's scatter tasks per op, at
+// both workloads' shapes: the minute grid's tasks span thousands of slots
+// with hundreds of runs each, the hour grid's a few dozen slots.
 func BenchmarkWireTaskExec(b *testing.B) {
-	chunks, origin := benchJob(b)
-	payloads, _, err := encodeJob(chunks, origin, time.Hour)
-	if err != nil {
-		b.Fatal(err)
+	for _, shape := range decodeShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			chunks, origin := shapeJob(b, shape.scale, shape.grid)
+			payloads, _, err := encodeJob(chunks, origin, shape.grid)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out, err := ExecuteTask(ctx, payloads[i%len(payloads)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += len(out)
+			}
+			reportNsPerReport(b, chunks, len(chunks))
+		})
 	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := ExecuteTask(ctx, payloads[i%4])
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink += len(out)
-	}
-	reportNsPerReport(b, chunks, len(chunks))
 }
 
 // BenchmarkWireOutputFold is the collector's fold of one scatter output
@@ -138,22 +144,30 @@ var decodeShapes = []struct {
 	grid  time.Duration
 }{{"minute", 0.05, time.Minute}, {"hour", 0.5, time.Hour}}
 
+// shapeJob is the job of a shape, split into 4 chunks: benchJob's on the
+// hour grid, the first Boston claim's at the shape's scale on the minute
+// grid.
+func shapeJob(b *testing.B, scale float64, grid time.Duration) ([][]socialsensing.Report, time.Time) {
+	b.Helper()
+	if grid != time.Minute {
+		return benchJob(b)
+	}
+	gen, err := tracegen.New(tracegen.BostonBombing(), 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := gen.Generate(scale)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return splitReports(tr.ReportsByClaim()[tr.Claims[0].ID], 4), tr.Start
+}
+
 // benchOutputs is one job of the shape, executed: the four scatter outputs
 // the collector folds, their report counts and the job's interval count.
 func benchOutputs(b *testing.B, scale float64, grid time.Duration) (outputs [][]byte, reports []int, intervals int) {
 	b.Helper()
-	chunks, origin := benchJob(b)
-	if grid == time.Minute {
-		gen, err := tracegen.New(tracegen.BostonBombing(), 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tr, err := gen.Generate(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		chunks, origin = splitReports(tr.ReportsByClaim()[tr.Claims[0].ID], 4), tr.Start
-	}
+	chunks, origin := shapeJob(b, scale, grid)
 	payloads, intervals, err := encodeJob(chunks, origin, grid)
 	if err != nil {
 		b.Fatal(err)

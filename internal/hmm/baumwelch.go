@@ -367,41 +367,47 @@ func (ws *Workspace) backwardPair(idx []int, gamma []float64) {
 	a[0], a[1], a[2], a[3] = a[0]+x00, a[1]+x01, a[2]+x10, a[3]+x11
 }
 
-// viterbi is the 2-state log-space Viterbi recursion (Eq. 7-8) over the
-// log emission pairs in ws.le[:T]. It decodes into path, grown only when
-// its capacity is insufficient, and returns it with its log score. Ties
-// go to the lower state.
-func (ws *Workspace) viterbi(pi []float64, A [][]float64, T int, path []int) ([]int, float64) {
+// viterbi is the 2-state log-space Viterbi recursion (Eq. 7-8) over obs,
+// its log emission pairs read from ws.emit by symbol. It decodes into
+// path, grown only when its capacity is insufficient, and returns it with
+// its log score; ok is false at a symbol after the first outside ws.emit.
+// A step's two backpointers share a byte, bit j for state j. Ties go to
+// the lower state.
+func (ws *Workspace) viterbi(pi []float64, A [][]float64, obs []int, path []int) (_ []int, best float64, ok bool) {
 	la00, la01 := safeLog(A[0][0]), safeLog(A[0][1])
 	la10, la11 := safeLog(A[1][0]), safeLog(A[1][1])
-	le := ws.le[:T]
+	emit, T := ws.emit, len(obs)
 	ws.psi = grow(ws.psi, T)
-	psi := ws.psi
-	d0, d1 := safeLog(pi[0])+le[0][0], safeLog(pi[1])+le[0][1]
+	psi := ws.psi[:T]
+	e := emit[obs[0]]
+	d0, d1 := safeLog(pi[0])+e[0], safeLog(pi[1])+e[1]
 	for t := 1; t < T; t++ {
+		o := obs[t]
+		if uint(o) >= uint(len(emit)) {
+			return nil, 0, false
+		}
+		e := &emit[o]
 		n0, b0 := argmax(d0+la00, d1+la10)
 		n1, b1 := argmax(d0+la01, d1+la11)
-		psi[t] = [2]uint8{b0, b1}
-		d0, d1 = n0+le[t][0], n1+le[t][1]
+		psi[t] = b0 | b1<<1
+		d0, d1 = n0+e[0], n1+e[1]
 	}
-	best, last := argmax(d0, d1)
+	best, s := argmax(d0, d1)
 	path = grow(path, T)
-	path[T-1] = int(last)
+	path[T-1] = int(s)
 	for t := T - 1; t > 0; t-- {
-		path[t-1] = int(psi[t][path[t]])
+		s = psi[t] >> s & 1
+		path[t-1] = int(s)
 	}
-	return path, best
+	return path, best, true
 }
 
 // argmax returns the larger of v0 and v1 and its state; a tie, or two
-// -Inf scores, goes to state 0.
+// -Inf scores, goes to state 0. Neither is NaN: every log is finite or
+// -Inf, and no sum of them is +Inf.
 func argmax(v0, v1 float64) (float64, uint8) {
-	best := math.Inf(-1)
-	if v0 > best {
-		best = v0
-	}
-	if v1 > best {
+	if v1 > v0 {
 		return v1, 1
 	}
-	return best, 0
+	return v0, 0
 }

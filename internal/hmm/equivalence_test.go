@@ -1,9 +1,11 @@
 package hmm_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -127,6 +129,84 @@ func TestDiscreteKernelsMatchReference(t *testing.T) {
 		}
 		checkPath(t, name, gotPath, gotScore, wantPath, wantScore)
 	}
+}
+
+// TestViterbiExactAtTheEdges holds ViterbiWS to the frozen reference bit
+// for bit, path and score, where its selects could part from the
+// reference's argmax: zero transition, emission and initial entries (-Inf
+// logs, down to every score of a step), exact ties between predecessors,
+// which go to state 0, a single step and a 100k-step sequence. The float
+// operations are the reference's, in its order, so nothing is left to a
+// tolerance.
+func TestViterbiExactAtTheEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(707))
+	const sym = 4
+	model := func(pi []float64, a, b [2][]float64) *hmm.Discrete {
+		return &hmm.Discrete{Pi: pi, A: [][]float64{a[0], a[1]}, B: [][]float64{b[0], b[1]}}
+	}
+	half := []float64{0.5, 0.5}
+	flat := []float64{0.25, 0.25, 0.25, 0.25}
+	models := map[string]*hmm.Discrete{
+		"random":            randDiscrete(rng, sym),
+		"zero transition":   model(half, [2][]float64{{1, 0}, {0.3, 0.7}}, [2][]float64{randRow(rng, sym), randRow(rng, sym)}),
+		"absorbing state 1": model([]float64{0, 1}, [2][]float64{{0.6, 0.4}, {0, 1}}, [2][]float64{randRow(rng, sym), randRow(rng, sym)}),
+		"zero emissions":    model(half, [2][]float64{randRow(rng, 2), randRow(rng, 2)}, [2][]float64{{0.5, 0, 0.5, 0}, {0, 0.5, 0, 0.5}}),
+		// Symbol 3 is emitted by neither state: from its first step on
+		// every score is -Inf.
+		"no state emits 3": model(half, [2][]float64{randRow(rng, 2), randRow(rng, 2)}, [2][]float64{{0.5, 0.5, 0, 0}, {0.2, 0.8, 0, 0}}),
+		// Symmetric: both predecessors tie at every step.
+		"all ties":      model(half, [2][]float64{half, half}, [2][]float64{flat, flat}),
+		"symmetric A":   model(half, [2][]float64{{0.8, 0.2}, {0.2, 0.8}}, [2][]float64{flat, flat}),
+		"mirror states": model(half, [2][]float64{{0.9, 0.1}, {0.1, 0.9}}, [2][]float64{{0.4, 0.1, 0.1, 0.4}, {0.1, 0.4, 0.4, 0.1}}),
+	}
+	seqs := map[string][]int{
+		"T=1":          randObs(rng, 1, sym),
+		"T=2":          randObs(rng, 2, sym),
+		"iid":          randObs(rng, 300, sym),
+		"runs":         runObs(rng, 300, sym, 7),
+		"constant 3":   []int{3, 3, 3, 3, 3, 3, 3, 3},
+		"100k runs":    runObs(rng, 100_000, sym, 7),
+		"100k iid":     randObs(rng, 100_000, sym),
+		"zeros then 3": []int{0, 0, 0, 0, 0, 0, 0, 0, 3, 1, 2},
+	}
+	ws := hmm.NewWorkspace()
+	for mname, m := range models {
+		for sname, obs := range seqs {
+			wantPath, wantScore := hmmtest.Viterbi(m, obs)
+			gotPath, gotScore, err := m.ViterbiWS(ws, obs, nil)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", mname, sname, err)
+			}
+			if gotScore != wantScore {
+				t.Fatalf("%s, %s: score %v, reference %v", mname, sname, gotScore, wantScore)
+			}
+			if !slices.Equal(gotPath, wantPath) {
+				t.Fatalf("%s, %s: path differs from the reference's at %d", mname, sname, firstDiff(gotPath, wantPath))
+			}
+		}
+	}
+	// Ties throughout go to state 0 at every step.
+	path, _, err := models["all ties"].ViterbiWS(ws, seqs["iid"], nil)
+	if err != nil || slices.Max(path) != 0 {
+		t.Fatalf("all ties: path %v, %v; want all state 0", path, err)
+	}
+	// The recursion checks the symbols after the first: one out of range
+	// is refused and named.
+	for _, bad := range []int{-1, sym} {
+		_, _, err := models["random"].ViterbiWS(ws, []int{0, 1, bad, 2}, nil)
+		if !errors.Is(err, hmm.ErrBadSymbol) || !strings.Contains(err.Error(), fmt.Sprintf("obs[2]=%d", bad)) {
+			t.Fatalf("symbol %d at step 2: err = %v, want ErrBadSymbol naming obs[2]", bad, err)
+		}
+	}
+}
+
+func firstDiff(a, b []int) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
 }
 
 func TestDiscreteBaumWelchMatchesReference(t *testing.T) {

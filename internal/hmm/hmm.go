@@ -83,7 +83,7 @@ func (m *Discrete) check(obs []int) error {
 	}
 	sym := m.Symbols()
 	for t, o := range obs {
-		if o < 0 || o >= sym {
+		if uint(o) >= uint(sym) {
 			return fmt.Errorf("%w: obs[%d]=%d, alphabet size %d", ErrBadSymbol, t, o, sym)
 		}
 	}
@@ -111,32 +111,24 @@ func (m *Discrete) BaumWelchWS(ws *Workspace, sequences [][]int, cfg TrainConfig
 
 // ViterbiWS decodes the most likely hidden state sequence into path
 // (grown only when its capacity is insufficient) and returns it with its
-// log probability. The log emission pair of a step is a lookup in a
-// per-symbol log table, so the recursion makes no math.Log calls. The
-// table is filled as the symbols first occur (NaN marks one not yet
-// taken): a short window pays only for the few symbols it has.
+// log probability. The recursion reads each step's log emission pair from
+// a per-symbol table filled once per call, so it makes no math.Log calls
+// and keeps no per-step emission lattice.
 func (m *Discrete) ViterbiWS(ws *Workspace, obs []int, path []int) ([]int, float64, error) {
-	if err := m.check(obs); err != nil {
+	// The recursion checks each symbol after the first as it reads it;
+	// should one be out of range, the full check names it.
+	if err := m.check(obs[:min(len(obs), 1)]); err != nil {
 		return nil, 0, err
 	}
 	tp := ws.ring().Start()
 	ws.emit = grow(ws.emit, m.Symbols())
 	for k := range ws.emit {
-		ws.emit[k][0] = math.NaN()
+		ws.emit[k] = [2]float64{safeLog(m.B[0][k]), safeLog(m.B[1][k])}
 	}
-	ws.le = grow(ws.le, len(obs))
-	t := 0
-	for missing := len(ws.emit); missing > 0 && t < len(obs); t++ {
-		if o := obs[t]; math.IsNaN(ws.emit[o][0]) {
-			ws.emit[o] = [2]float64{safeLog(m.B[0][o]), safeLog(m.B[1][o])}
-			missing--
-		}
-		ws.le[t] = ws.emit[obs[t]]
+	path, best, ok := ws.viterbi(m.Pi, m.A, obs, path)
+	if !ok {
+		return nil, 0, m.check(obs)
 	}
-	for ; t < len(obs); t++ {
-		ws.le[t] = ws.emit[obs[t]]
-	}
-	path, best := ws.viterbi(m.Pi, m.A, len(obs), path)
 	ws.fr.Probe(flightrec.ProbeHMMViterbi, tp, int64(len(obs)), ws.frParent)
 	return path, best, nil
 }

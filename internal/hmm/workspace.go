@@ -53,9 +53,8 @@ type Workspace struct {
 	gamma []float64
 	theta []float64
 
-	// Viterbi: per-step log emission pairs and backpointers.
-	le  [][2]float64
-	psi [][2]uint8
+	// Viterbi's backpointers, one byte per step.
+	psi []uint8
 
 	// Kernels probe phase timings into fr, a private single-writer ring,
 	// tagged with frParent, the tracer span that owns the current work.

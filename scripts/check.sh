@@ -125,7 +125,8 @@ bench() {
 	# 250µs-per-frame delay link (internal/chaos), where batching's
 	# amortization is the headline ratio. internal/dtm adds what goes
 	# inside the frame: encoding a payload_heavy-sized job's task payloads
-	# and executing one (both also per report), and checking + folding its
+	# and executing one, also at decode_heavy's minute-grid shape (both
+	# also per report), and checking + folding its
 	# output; then, at both workloads' series lengths, encoding a job's decode task, executing it
 	# (next to the bare decode kernel on the same series) and expanding its
 	# answer.
@@ -205,14 +206,15 @@ wire() {
 	# What travels inside the frames: the goldens of both task kinds and
 	# their answers — task v3, output v2, decode v2 — with the retired task
 	# v1 and v2, output v1 and decode v1 refused; the scatter task's run
-	# column held to the map reference over generated chunks; the
+	# column held to the map reference over generated chunks, its run
+	# sums to the dense path and the varint reader to binary.Uvarint; the
 	# order-free property (any permutation, split into 1-8 chunks and
 	# arrival order: the same output, decode-task and truth bytes); the
 	# worker's series against core.ACSAccumulator's, bit for bit; the
 	# decoders' rejection table and a score over 1 refused at submit; the
 	# three fuzz targets' seed corpora, retired and current formats; then
 	# ten seconds of FuzzDecodeTask.
-	go test -count=1 -run 'TestGoldenPayloadsStable|TestScatterMatchesMapReference|TestDecodersRejectMalformed|TestCodecMatchesMapReferenceBits|TestMergeOrderIndependentBits|TestWorkerSeriesMatchesAccumulator|TestSubmitJobRejectsScoreOverOne|FuzzDecodeTask|FuzzFoldOutput|FuzzTruthResult' ./internal/dtm
+	go test -count=1 -run 'TestGoldenPayloadsStable|TestScatterMatchesMapReference|TestScatterRunsMatchDense|TestUvarintMatchesBinary|TestDecodersRejectMalformed|TestCodecMatchesMapReferenceBits|TestMergeOrderIndependentBits|TestWorkerSeriesMatchesAccumulator|TestSubmitJobRejectsScoreOverOne|FuzzDecodeTask|FuzzFoldOutput|FuzzTruthResult' ./internal/dtm
 	go test -count=1 -run '^$' -fuzz FuzzDecodeTask -fuzztime 10s ./internal/dtm
 	echo "== wire: sstd-master + 2 sstd-workers, -batch 8 against lock-step =="
 	go test -count=1 -v -run 'TestCLIMasterTruthIndependentOfWorkerCount' .
@@ -281,7 +283,8 @@ accuracy() {
 	# Tables III-V (scale 0.02, seed 7) against
 	# internal/experiments/testdata/accuracy_golden.json, then the checks
 	# that say why they hold — the HMM kernels against the frozen
-	# reference at 1e-12 (EM's run pass also over generated run shapes
+	# reference at 1e-12 (Viterbi bit for bit, ties, zero entries and 100k
+	# steps included; EM's run pass also over generated run shapes
 	# and run tables at 1e-10, naming the step where the mass dies inside
 	# a run, allocation-free; the kernel's plain EM pass, the map the loop
 	# accelerates, taken one pass per call; the by-step posterior pass at
@@ -295,7 +298,8 @@ accuracy() {
 	# pass on the same series, a streaming decoder holding no more than its
 	# window over ten thousand appends, DecodeInto's
 	# quantize-once Viterbi against TrainWarmScratch + DecodeWithScratch,
-	# the ACS grid's integer slot mapping against the Time.Sub definition
+	# quantization against the first-edge loop (NaN, ±Inf, values on an
+	# edge), the ACS grid's integer slot mapping against the Time.Sub definition
 	# it replaced, the one fixed-point score (rounding, ties to even, and
 	# |score| > 1 refused by Ingest) and the order-free ACS series, and the
 	# bits the distributed decode must keep: the eight truth digests, the
@@ -315,8 +319,8 @@ accuracy() {
 	# build the strings.Fields reference's Doc on every input.
 	echo "== accuracy: Tables III-V golden + kernel equivalence + truth bits + front-end decisions =="
 	go test -count=1 -v -run 'TestAccuracyGolden' ./internal/experiments
-	go test -count=1 -run 'MatchesReference|TestPairPass|TestDiscreteBaumWelchWSZeroAllocs|TestNonFiniteParametersRefused|TestSquaremReachesThePlainFixedPoint|TestSquaremLogLikelihoodNeverFalls|TestSquaremSafeguardFallsBack|TestExtrapolateRefusesStepsOffTheSimplex' ./internal/hmm
-	go test -count=1 -v -run 'TestEMIterationCountsPinned|TestSquaremFixedPointOnClaimSeries|TestStreamingDecoderMemoryBounded|TestRunCompressionGate|TestDecodeIntoMatchesTrainThenDecode|TestGridIndexMatchesSub|TestFixedScoreRoundsAndRefuses|TestACSSeriesOrderFree|TestIngestRejectsScoreOverOne' ./internal/core
+	go test -count=1 -run 'MatchesReference|TestViterbiExactAtTheEdges|TestPairPass|TestDiscreteBaumWelchWSZeroAllocs|TestNonFiniteParametersRefused|TestSquaremReachesThePlainFixedPoint|TestSquaremLogLikelihoodNeverFalls|TestSquaremSafeguardFallsBack|TestExtrapolateRefusesStepsOffTheSimplex' ./internal/hmm
+	go test -count=1 -v -run 'TestEMIterationCountsPinned|TestSquaremFixedPointOnClaimSeries|TestStreamingDecoderMemoryBounded|TestRunCompressionGate|TestDecodeIntoMatchesTrainThenDecode|TestQuantizeMatchesFirstEdgeLoop|TestGridIndexMatchesSub|TestFixedScoreRoundsAndRefuses|TestACSSeriesOrderFree|TestIngestRejectsScoreOverOne' ./internal/core
 	go test -count=1 -run 'TestTruthDigestsMatchParent|TestGoldenPayloadsStable|TestMergeOrderIndependentBits|TestWorkerSeriesMatchesAccumulator' ./internal/dtm
 	go test -count=1 -v -run 'TestFrontEndGolden|TestIncrementalMatchesFromScratch|TestWithinExact|TestMinOverlap|TestOverlap|TestIndependenceMatchesReference|FuzzTokenize' ./internal/pipeline ./internal/clustering ./internal/textutil ./internal/nlp
 	go test -count=1 -run '^$' -fuzz FuzzTokenize -fuzztime 10s ./internal/textutil
