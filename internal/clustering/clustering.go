@@ -83,6 +83,7 @@ type cluster struct {
 	// of the sample when no token is that common; union says which.
 	centroid []uint64
 	union    bool
+	sig      uint64 // textutil.Sig of centroid
 }
 
 type rowMax struct {
@@ -98,6 +99,8 @@ type Clusterer struct {
 	nextID   int
 	// inter[j] is how many tokens the post being added shares with member j.
 	inter []int
+	// joinNeed[na][nb] is 1 + within(na, nb, JoinThreshold), 0 until asked.
+	joinNeed [64][64]uint8
 }
 
 // New returns a Clusterer with the given configuration.
@@ -116,20 +119,28 @@ func (c *Clusterer) stride() int { return 1 + (c.cfg.MaxMembersTracked+63)/64 }
 // cluster ID. It returns ok=false when the post is filtered out by the
 // keyword list.
 func (c *Clusterer) Assign(text string, t time.Time) (clusterID string, ok bool) {
-	return c.AssignDoc(textutil.NewDoc(text), t)
+	d := textutil.NewDoc(text)
+	return c.AssignDoc(&d, t)
 }
 
 // AssignDoc is Assign for a post that is already tokenized.
-func (c *Clusterer) AssignDoc(d textutil.Doc, t time.Time) (clusterID string, ok bool) {
+func (c *Clusterer) AssignDoc(d *textutil.Doc, t time.Time) (clusterID string, ok bool) {
 	if len(c.cfg.Keywords) > 0 && !d.HasAny(c.keywords) {
 		return "", false
 	}
+	// A centroid within the join threshold shares at least its need, and
+	// then Overlap's count is exact: the distance is monotone in it.
 	var best *cluster
-	bestDist := c.cfg.JoinThreshold
+	bestDist, sig := c.cfg.JoinThreshold, textutil.Sig(d.Set)
 	for _, cl := range c.clusters {
-		need := within(len(d.Set), len(cl.centroid), bestDist)
+		need := c.need(len(d.Set), len(cl.centroid))
+		if textutil.SharedBound(len(d.Set), sig, len(cl.centroid), cl.sig) < need {
+			continue
+		}
 		if inter, ok := textutil.Overlap(d.Set, cl.centroid, need); ok {
-			best, bestDist = cl, 1-textutil.JaccardCount(inter, len(d.Set), len(cl.centroid))
+			if dist := 1 - textutil.JaccardCount(inter, len(d.Set), len(cl.centroid)); dist <= bestDist {
+				best, bestDist = cl, dist
+			}
 		}
 	}
 	if best == nil {
@@ -158,6 +169,19 @@ func within(na, nb int, d float64) int {
 	return k
 }
 
+// need is within(na, nb, JoinThreshold), memoized for sets of fewer than
+// 64 hashes.
+func (c *Clusterer) need(na, nb int) int {
+	if max(na, nb) >= len(c.joinNeed) {
+		return within(na, nb, c.cfg.JoinThreshold)
+	}
+	p := &c.joinNeed[na][nb]
+	if *p == 0 {
+		*p = uint8(within(na, nb, c.cfg.JoinThreshold) + 1)
+	}
+	return int(*p) - 1
+}
+
 func (c *Clusterer) newCluster(created time.Time) *cluster {
 	cl := &cluster{id: fmt.Sprintf("cluster-%d", c.nextID), created: created}
 	c.nextID++
@@ -170,9 +194,9 @@ func (c *Clusterer) Clusters() []Cluster {
 	for i, cl := range c.clusters {
 		centroid := make(map[string]bool, len(cl.centroid))
 		for _, m := range cl.members {
-			for _, tok := range m.Tokens {
-				if _, ok := slices.BinarySearch(cl.centroid, textutil.Hash(tok)); ok {
-					centroid[tok] = true
+			for i, h := range m.Hashes {
+				if _, ok := slices.BinarySearch(cl.centroid, h); ok {
+					centroid[m.Tokens[i]] = true
 				}
 			}
 		}
@@ -194,28 +218,28 @@ func (c *Clusterer) Len() int { return len(c.clusters) }
 // returned position: appended while the sample has room, then in place of
 // the member a deterministic rotation picks, which keeps the sample fresh
 // without randomness or unbounded growth.
-func (c *Clusterer) add(cl *cluster, d textutil.Doc) (at int) {
+func (c *Clusterer) add(cl *cluster, d *textutil.Doc) (at int) {
 	max := c.cfg.MaxMembersTracked
 	cl.size++
 	var gone []uint64
 	grew := len(cl.members) < max
 	if at = len(cl.members); grew {
-		cl.members = append(cl.members, d)
+		cl.members = append(cl.members, *d)
 		cl.dist = append(cl.dist, make([]float64, max)...)
 		cl.rows = append(cl.rows, rowMax{d: -1})
 	} else {
 		at = cl.size % max
 		gone = cl.members[at].Set
-		cl.members[at] = d
+		cl.members[at] = *d
 	}
 	crossed := c.adjust(cl, gone, d.Set, at)
 	// Fill row and column at. An earlier row only gains at as its maximum,
 	// or is rescanned when at was its maximum and moved closer.
-	for j, m := range cl.members {
+	for j := range cl.members {
 		if j == at {
 			continue
 		}
-		dist := 1 - textutil.JaccardCount(c.inter[j], len(d.Set), len(m.Set))
+		dist := 1 - textutil.JaccardCount(c.inter[j], len(d.Set), len(cl.members[j].Set))
 		cl.dist[at*max+j], cl.dist[j*max+at] = dist, dist
 		if r := &cl.rows[j]; j < at && (dist > r.d || dist == r.d && at < r.j) {
 			*r = rowMax{dist, at}
@@ -245,6 +269,7 @@ func (c *Clusterer) add(cl *cluster, d textutil.Doc) (at int) {
 		}
 		cl.union = true
 	}
+	cl.sig = textutil.Sig(cl.centroid)
 	return at
 }
 
@@ -253,12 +278,16 @@ func (c *Clusterer) add(cl *cluster, d textutil.Doc) (at int) {
 // sorted lists; a token no member held is inserted, and one no member holds
 // any more is dropped. It counts in c.inter the tokens of set each other
 // member holds, and reports whether a token crossed the half mark of the
-// sample.
+// sample. When one mask word holds the sample and set has fewer than 256
+// tokens, each mask byte is spread to one bit a byte and added to eight
+// words of byte lanes, one lane a member: no lane can carry into the next.
 func (c *Clusterer) adjust(cl *cluster, gone, set []uint64, member int) (crossed bool) {
 	clear(c.inter)
 	s := c.stride()
 	word, bit := 1+member/64, uint64(1)<<(member%64)
 	half := (len(cl.members) + 1) / 2
+	var lanes [8]uint64 // when bytewise, member j's count is byte j%8 of lanes[j/8]
+	bytewise := s == 2 && len(set) < 256
 	for k := 0; len(gone) > 0 || len(set) > 0; {
 		h := ^uint64(0)
 		if len(gone) > 0 {
@@ -284,9 +313,16 @@ func (c *Clusterer) adjust(cl *cluster, gone, set []uint64, member int) (crossed
 		}
 		if len(set) > 0 && set[0] == h {
 			set = set[1:]
-			for i, m := range tok[1:] {
-				for ; m != 0; m &= m - 1 {
-					c.inter[i*64+bits.TrailingZeros64(m)]++
+			if bytewise { // bit i of each mask byte to the low bit of byte i
+				for w := range (len(cl.members) + 7) / 8 {
+					b := tok[1] >> (8 * w) & 0xff * 0x0101010101010101 & 0x8040201008040201
+					lanes[w%8] += (b + 0x00406070787c7e7f) >> 7 & 0x0101010101010101
+				}
+			} else {
+				for i, m := range tok[1:] {
+					for ; m != 0; m &= m - 1 {
+						c.inter[i*64+bits.TrailingZeros64(m)]++
+					}
 				}
 			}
 			tok[word] |= bit
@@ -296,6 +332,9 @@ func (c *Clusterer) adjust(cl *cluster, gone, set []uint64, member int) (crossed
 		if now == 0 {
 			cl.tokens = slices.Delete(cl.tokens, k, k+s)
 		}
+	}
+	for j := 0; bytewise && j < len(cl.members); j++ {
+		c.inter[j] = int(uint8(lanes[j/8%8] >> (j % 8 * 8)))
 	}
 	return crossed
 }
@@ -355,11 +394,11 @@ func (c *Clusterer) split(cl *cluster, ai, bi, at int) *cluster {
 	}
 	size := cl.size - len(move)
 	*cl = cluster{id: cl.id, created: cl.created}
-	for _, m := range keep {
-		c.add(cl, m)
+	for i := range keep {
+		c.add(cl, &keep[i])
 	}
-	for _, m := range move {
-		c.add(newCl, m)
+	for i := range move {
+		c.add(newCl, &move[i])
 	}
 	cl.size = size
 	c.clusters = append(c.clusters, newCl)

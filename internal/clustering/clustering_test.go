@@ -3,6 +3,8 @@ package clustering
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -249,9 +251,8 @@ func TestZeroMaxMembersDefaulted(t *testing.T) {
 
 // TestWithinExact checks the join's bound: for the configured join
 // threshold, odd thresholds, and every distance two sets of up to 16
-// tokens can be apart (each may become the best distance so far), within
-// admits exactly the shared counts whose Jaccard distance is within the
-// threshold, for sets of up to 24 tokens.
+// tokens can be apart, within admits exactly the shared counts whose
+// Jaccard distance is within the threshold, for sets of up to 24 tokens.
 func TestWithinExact(t *testing.T) {
 	ds := map[float64]bool{0.7: true, 0: true, 1: true, 0.3: true, 0.5: true, -0.5: true, 2: true, 1 - 1e-15: true, math.Inf(1): true, math.Inf(-1): true}
 	for na := 0; na <= 16; na++ {
@@ -277,4 +278,64 @@ func TestWithinExact(t *testing.T) {
 		check(d)
 	}
 	check(math.NaN())
+}
+
+// TestJoinNeedMatchesWithin holds the clusterer's memo of the join's least
+// shared count to within itself for every pair of sizes below 64 and a
+// few past it, asked twice (filled, then read), at the default and odd
+// join thresholds.
+func TestJoinNeedMatchesWithin(t *testing.T) {
+	for _, d := range []float64{0.7, 0, 0.3, 0.5, 1, 1 - 1e-15, -0.5, 2, math.NaN()} {
+		cfg := DefaultConfig()
+		cfg.JoinThreshold = d
+		c := New(cfg)
+		for pass := 0; pass < 2; pass++ {
+			for na := 0; na < 67; na++ {
+				for nb := 0; nb < 67; nb++ {
+					if got, want := c.need(na, nb), within(na, nb, d); got != want {
+						t.Fatalf("threshold %v pass %d: need(%d, %d) = %d, within gives %d", d, pass, na, nb, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSharedCountsMatchIntersections holds the counts adjust leaves for
+// each member, by byte lanes or by the bit loop, to the member's
+// intersection with the post just added: at every sample size from 1 to 64
+// members (one mask word, byte lanes), at 70 (two words, the bit loop), and
+// for posts of 256 tokens and more (the bit loop, as a lane would
+// overflow), while the sample fills and rotates.
+func TestSharedCountsMatchIntersections(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	post := func(n, vocab int) textutil.Doc {
+		words := make([]string, n)
+		for i, w := range rng.Perm(vocab)[:n] {
+			words[i] = fmt.Sprint("w", w)
+		}
+		return textutil.NewDoc(strings.Join(words, " "))
+	}
+	for _, size := range append(rng.Perm(64), 69) {
+		cfg := DefaultConfig()
+		cfg.MaxMembersTracked = size + 1
+		c := New(cfg)
+		cl, big := c.newCluster(at()), 0
+		for step := 0; step < 3*(size+1)+20; step++ {
+			d := post(1+rng.Intn(12), 60)
+			if step%17 == 5 { // two of these share 256 tokens or more
+				n := 264 + rng.Intn(30)
+				d, big = post(n, n+8), big+1
+			}
+			added := c.add(cl, &d)
+			for j, m := range cl.members {
+				if want, _ := textutil.Overlap(d.Set, m.Set, 0); j != added && c.inter[j] != want {
+					t.Fatalf("%d members, step %d: member %d shares %d tokens with a %d-token post, counted %d", size+1, step, j, want, len(d.Set), c.inter[j])
+				}
+			}
+		}
+		if big == 0 {
+			t.Fatal("no post of 256 tokens or more")
+		}
+	}
 }

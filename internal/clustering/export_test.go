@@ -28,8 +28,8 @@ func (c *Clusterer) Compact() int {
 				c.clusters[i] = a
 			}
 			a.size += b.size
-			for _, m := range b.members {
-				c.add(a, m)
+			for i := range b.members {
+				c.add(a, &b.members[i])
 				a.size-- // add already counted the member once
 			}
 			c.clusters = append(c.clusters[:j], c.clusters[j+1:]...)

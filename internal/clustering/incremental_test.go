@@ -198,7 +198,7 @@ func incrementalStreams(t *testing.T, topics [][]string, cfg Config) {
 				}
 			}
 			before := c.Len()
-			id, ok := c.AssignDoc(d, at())
+			id, ok := c.AssignDoc(&d, at())
 			if !ok {
 				t.Fatalf("seed %d step %d: post filtered with no keywords set", seed, step)
 			}

@@ -47,11 +47,12 @@ func NewScorerWith(attitude *nlp.AttitudeScorer) *Scorer {
 // returns the resulting report. Posts must arrive in non-decreasing time
 // order per claim for independence detection to work.
 func (s *Scorer) ScorePost(p Post) socialsensing.Report {
-	return s.ScoreDoc(p, textutil.NewDoc(p.Text))
+	d := textutil.NewDoc(p.Text)
+	return s.ScoreDoc(p, &d)
 }
 
 // ScoreDoc is ScorePost for a post whose text is already tokenized into d.
-func (s *Scorer) ScoreDoc(p Post, d textutil.Doc) socialsensing.Report {
+func (s *Scorer) ScoreDoc(p Post, d *textutil.Doc) socialsensing.Report {
 	r := socialsensing.Report{
 		Source:    p.Source,
 		Claim:     p.Claim,

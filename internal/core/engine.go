@@ -199,7 +199,7 @@ func (e *Engine) DecodeClaimInto(sc *DecodeScratch, id socialsensing.ClaimID, ds
 	if !ok {
 		return nil, fmt.Errorf("core: unknown claim %q", id)
 	}
-	model, series, err := e.claimModel(st, sc)
+	model, series, fitted, err := e.claimModel(st, sc)
 	if err != nil {
 		return nil, fmt.Errorf("claim %q: %w", id, err)
 	}
@@ -207,7 +207,7 @@ func (e *Engine) DecodeClaimInto(sc *DecodeScratch, id socialsensing.ClaimID, ds
 		return dst[:0], nil
 	}
 	viterbiStart := time.Now()
-	truth, err := e.decoder.DecodeWithScratch(sc, model, series)
+	truth, err := e.decoder.decodeScratch(sc, model, series, fitted)
 	e.hViterbi.ObserveDuration(time.Since(viterbiStart))
 	e.cDecodes.Inc()
 	if err != nil {
@@ -226,9 +226,10 @@ func (e *Engine) DecodeClaimInto(sc *DecodeScratch, id socialsensing.ClaimID, ds
 
 // claimModel returns the claim's trained model and the ACS series the
 // cache decision was made against, refitting when the cache is cold or
-// stale. With warm starting enabled, a stale cache entry still serves as
-// the EM seed for its own replacement.
-func (e *Engine) claimModel(st *claimState, sc *DecodeScratch) (*TrainedModel, []float64, error) {
+// stale; fitted says it refit, which left the series quantized in sc.
+// With warm starting enabled, a stale cache entry still serves as the EM
+// seed for its own replacement.
+func (e *Engine) claimModel(st *claimState, sc *DecodeScratch) (*TrainedModel, []float64, bool, error) {
 	e.mu.Lock()
 	count := st.acc.Count()
 	cached := st.model
@@ -242,10 +243,10 @@ func (e *Engine) claimModel(st *claimState, sc *DecodeScratch) (*TrainedModel, [
 	e.mu.Unlock()
 	e.hACS.ObserveDuration(time.Since(acsStart))
 	if len(series) == 0 {
-		return nil, nil, nil
+		return nil, nil, false, nil
 	}
 	if !stale {
-		return cached, series, nil
+		return cached, series, false, nil
 	}
 	var prev *TrainedModel
 	if e.cfg.Decoder.Train.WarmStart {
@@ -256,7 +257,7 @@ func (e *Engine) claimModel(st *claimState, sc *DecodeScratch) (*TrainedModel, [
 	e.hTrain.ObserveDuration(time.Since(trainStart))
 	e.cTrains.Inc()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 	if res.WarmStarted {
 		e.cTrainsWarm.Inc()
@@ -271,7 +272,7 @@ func (e *Engine) claimModel(st *claimState, sc *DecodeScratch) (*TrainedModel, [
 		st.coldIters = res.Iterations
 	}
 	e.mu.Unlock()
-	return model, series, nil
+	return model, series, true, nil
 }
 
 // DecodeAll decodes every claim and returns the estimates grouped by

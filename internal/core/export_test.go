@@ -29,7 +29,7 @@ func (e *Engine) TrainedModelFor(id socialsensing.ClaimID) (*TrainedModel, error
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	model, series, err := e.claimModel(st, sc)
+	model, series, _, err := e.claimModel(st, sc)
 	if err != nil {
 		return nil, err
 	}

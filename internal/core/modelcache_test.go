@@ -196,3 +196,51 @@ func TestDecodeWithValidation(t *testing.T) {
 		t.Errorf("empty series decode = %v, %v", got, err)
 	}
 }
+
+// TestEngineDecodeMatchesRequantized holds DecodeClaimInto, which decodes a
+// claim it has just refit from the symbols the fit left in the scratch, to
+// a decode of the same model over the same window quantized afresh: through
+// cold and warm refits and through cache hits, which quantize for
+// themselves.
+func TestEngineDecodeMatchesRequantized(t *testing.T) {
+	for _, warm := range []bool{false, true} {
+		cfg := DefaultConfig(origin())
+		cfg.ACS.WindowIntervals = 3
+		cfg.RetrainGrowth = 0.3
+		cfg.Decoder.Train.WarmStart = warm
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, refits, steps := NewDecodeScratch(), 0, 12
+		for step := 1; step <= steps; step++ {
+			if err := synthClaim(e, "c", 10+5*step, 3*step, 0.2, int64(step)); err != nil {
+				t.Fatal(err)
+			}
+			before := e.claims["c"].model
+			got, err := e.DecodeClaimInto(sc, "c", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := e.claims["c"]
+			if st.model != before {
+				refits++
+			}
+			want, err := e.decoder.DecodeWithScratch(NewDecodeScratch(), st.model, Window(nil, st.acc.sums, cfg.ACS.WindowIntervals))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("warm %v step %d: %d estimates, fresh decode gives %d", warm, step, len(got), len(want))
+			}
+			for i, est := range got {
+				if est.Value != want[i] {
+					t.Fatalf("warm %v step %d interval %d: %v, fresh decode gives %v", warm, step, i, est.Value, want[i])
+				}
+			}
+		}
+		if refits < 2 || refits == steps {
+			t.Fatalf("warm %v: %d refits in %d decodes; the test needs refits and cache hits both", warm, refits, steps)
+		}
+	}
+}

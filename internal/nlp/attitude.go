@@ -17,7 +17,7 @@ import (
 // keywords (or the absence of denial for the emergency traces) yield Agree.
 type AttitudeScorer struct {
 	deny, support               []uint64   // token hash sets
-	denyPhrases, supportPhrases [][]string // token sequences
+	denyPhrases, supportPhrases [][]uint64 // token hash sequences
 }
 
 // Lexicon lists the markers an AttitudeScorer looks for. Entries are
@@ -39,13 +39,13 @@ type Lexicon struct {
 }
 
 // NewAttitudeScorer compiles a lexicon: words into hash sets, phrases into
-// token sequences.
+// token hash sequences.
 func NewAttitudeScorer(lex Lexicon) *AttitudeScorer {
-	phrases := func(in []string) [][]string {
-		var out [][]string
+	phrases := func(in []string) [][]uint64 {
+		var out [][]uint64
 		for _, p := range in {
-			if tokens := textutil.Tokenize(p); len(tokens) > 0 {
-				out = append(out, tokens)
+			if d := textutil.NewDoc(p); len(d.Hashes) > 0 {
+				out = append(out, d.Hashes)
 			}
 		}
 		return out
@@ -73,23 +73,26 @@ func NewDefaultAttitudeScorer() *AttitudeScorer { return NewAttitudeScorer(defau
 // ScoreDoc returns the attitude of a tokenized report text: Disagree when a
 // denial marker is present, otherwise Agree (or Disagree when support
 // markers are configured and none match). Empty text yields NoReport.
-func (s *AttitudeScorer) ScoreDoc(d textutil.Doc) socialsensing.Attitude {
+func (s *AttitudeScorer) ScoreDoc(d *textutil.Doc) socialsensing.Attitude {
+	sig := textutil.Sig(d.Set)
 	switch {
-	case len(d.Tokens) == 0:
+	case len(d.Hashes) == 0:
 		return socialsensing.NoReport
-	case d.HasAny(s.deny) || hasAnyPhrase(d, s.denyPhrases):
+	case d.HasAny(s.deny) || hasAnyPhrase(d, sig, s.denyPhrases):
 		return socialsensing.Disagree
 	case len(s.support) == 0 && len(s.supportPhrases) == 0:
 		return socialsensing.Agree
-	case d.HasAny(s.support) || hasAnyPhrase(d, s.supportPhrases):
+	case d.HasAny(s.support) || hasAnyPhrase(d, sig, s.supportPhrases):
 		return socialsensing.Agree
 	}
 	return socialsensing.Disagree
 }
 
-func hasAnyPhrase(d textutil.Doc, phrases [][]string) bool {
+// hasAnyPhrase reports whether d, of signature sig, holds one of the
+// phrases; the signature passes over most of them without a scan.
+func hasAnyPhrase(d *textutil.Doc, sig uint64, phrases [][]uint64) bool {
 	for _, p := range phrases {
-		if d.HasPhrase(p) {
+		if textutil.MayHold(sig, p[0]) && d.HasPhrase(p) {
 			return true
 		}
 	}

@@ -48,7 +48,7 @@ func NewDefaultHedgeClassifier() *HedgeClassifier {
 
 // UncertaintyDoc returns P(hedged | d) in (0,1) under the NB model. A text
 // with no known tokens falls back to the class prior.
-func (c *HedgeClassifier) UncertaintyDoc(d textutil.Doc) float64 { return c.nb.probPositive(d) }
+func (c *HedgeClassifier) UncertaintyDoc(d *textutil.Doc) float64 { return c.nb.probPositive(d) }
 
 // hedgeCorpus is the built-in training set standing in for the CoNLL-2010
 // shared-task data: short social-media style sentences labelled hedged

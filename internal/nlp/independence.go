@@ -39,6 +39,7 @@ type window struct {
 type seenReport struct {
 	at     time.Time
 	tokens []uint64 // the report's Doc.Set
+	sig    uint64   // textutil.Sig of tokens
 }
 
 // NewIndependenceScorer returns a scorer with the default window and
@@ -55,7 +56,7 @@ func NewIndependenceScorer() *IndependenceScorer {
 // ScoreDoc rates the independence of a report on the given claim at time t
 // and records it for future comparisons: against the claim's reports from
 // the Window before t on, whatever order they arrived in.
-func (s *IndependenceScorer) ScoreDoc(claimID string, d textutil.Doc, t time.Time) float64 {
+func (s *IndependenceScorer) ScoreDoc(claimID string, d *textutil.Doc, t time.Time) float64 {
 	if s.recent == nil {
 		s.recent = make(map[string]*window)
 	}
@@ -70,8 +71,8 @@ func (s *IndependenceScorer) ScoreDoc(claimID string, d textutil.Doc, t time.Tim
 	for w.start < len(w.seen) && w.seen[w.start].at.Before(cutoff) {
 		w.start++
 	}
-	score := s.OriginalScore
-	if isRetweet(d.Lower) || s.copies(d.Set, w.seen[w.start:]) {
+	score, sig := s.OriginalScore, textutil.Sig(d.Set)
+	if isRetweet(d.Lower) || s.copies(d.Set, sig, w.seen[w.start:]) {
 		score = s.CopyScore
 	}
 	if len(w.seen) == cap(w.seen) && w.start > 0 { // reuse the expired prefix's room
@@ -81,12 +82,13 @@ func (s *IndependenceScorer) ScoreDoc(claimID string, d textutil.Doc, t time.Tim
 	for at > w.start && t.Before(w.seen[at-1].at) {
 		at--
 	}
-	w.seen = slices.Insert(w.seen, at, seenReport{at: t, tokens: d.Set})
+	w.seen = slices.Insert(w.seen, at, seenReport{at: t, tokens: d.Set, sig: sig})
 	return score
 }
 
-// copies reports whether set is a near-duplicate of a report in window.
-func (s *IndependenceScorer) copies(set []uint64, window []seenReport) bool {
+// copies reports whether set, of signature sig, is a near-duplicate of a
+// report in window.
+func (s *IndependenceScorer) copies(set []uint64, sig uint64, window []seenReport) bool {
 	var need [64]int // 1 + the least shared count, by entry size; 0 until asked
 	for _, prev := range window {
 		n, k := len(prev.tokens), 0
@@ -95,6 +97,9 @@ func (s *IndependenceScorer) copies(set []uint64, window []seenReport) bool {
 		} else if k = need[n] - 1; k < 0 {
 			k = textutil.MinOverlap(len(set), n, s.SimilarityThreshold)
 			need[n] = k + 1
+		}
+		if textutil.SharedBound(len(set), sig, n, prev.sig) < k {
+			continue
 		}
 		if _, ok := textutil.Overlap(set, prev.tokens, k); ok {
 			return true

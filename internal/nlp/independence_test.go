@@ -96,7 +96,7 @@ func TestIndependenceMatchesReference(t *testing.T) {
 			claim := []string{"c1", "c2", "c3"}[rng.Intn(3)]
 			d := textutil.NewDoc(text)
 			want := ref.scoreDoc(claim, d, at)
-			if g := got.ScoreDoc(claim, d, at); math.Float64bits(g) != math.Float64bits(want) {
+			if g := got.ScoreDoc(claim, &d, at); math.Float64bits(g) != math.Float64bits(want) {
 				t.Fatalf("seed %d report %d (%q on %s at %v): score %v, reference %v", seed, i, text, claim, at, g, want)
 			}
 			if want == cfg.CopyScore && !isRetweet(d.Lower) {

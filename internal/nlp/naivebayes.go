@@ -1,24 +1,29 @@
 package nlp
 
 import (
-	"cmp"
 	"math"
-	"slices"
+	"math/bits"
 
 	"github.com/social-sensing/sstd/internal/textutil"
 )
 
 // binaryNB is a multinomial Naive Bayes model over two classes (positive /
-// negative) with Laplace smoothing — the shared core behind the hedge and
-// stance classifiers. Training leaves only what scoring reads: the two
-// log-likelihood tables and the log priors.
+// negative) with Laplace smoothing, behind the hedge classifier. Training
+// leaves only what scoring reads: the vocabulary's log likelihoods and the
+// log priors.
 type binaryNB struct {
-	// keys is the vocabulary as sorted token hashes; logPos and logNeg
-	// are indexed like it.
-	keys           []uint64
-	logPos, logNeg []float64
-	priorPos       float64
-	priorNeg       float64
+	// vocab holds each token's hash and log likelihoods, open-addressed
+	// from the hash's top bits past shift, at most half full.
+	vocab    []nbToken
+	shift    uint
+	priorPos float64
+	priorNeg float64
+}
+
+type nbToken struct {
+	hash           uint64
+	logPos, logNeg float64
+	used           bool
 }
 
 // trainBinaryNB fits the model on n examples, example(i) giving the i-th
@@ -48,28 +53,34 @@ func trainBinaryNB(n int, example func(i int) (text string, positive bool)) *bin
 	nb := &binaryNB{
 		priorPos: math.Log(docs[1] / (docs[1] + docs[0])),
 		priorNeg: math.Log(docs[0] / (docs[1] + docs[0])),
+		shift:    uint(64 - bits.Len(uint(2*len(counts)))),
 	}
-	vocab := make([]string, 0, len(counts))
-	for t := range counts {
-		vocab = append(vocab, t)
-	}
-	slices.SortFunc(vocab, func(a, b string) int { return cmp.Compare(textutil.Hash(a), textutil.Hash(b)) })
-	v := float64(len(vocab))
-	for _, t := range vocab {
-		nb.keys = append(nb.keys, textutil.Hash(t))
-		nb.logPos = append(nb.logPos, math.Log((counts[t][1]+1)/(totals[1]+v)))
-		nb.logNeg = append(nb.logNeg, math.Log((counts[t][0]+1)/(totals[0]+v)))
+	nb.vocab = make([]nbToken, 1<<(64-nb.shift))
+	v := float64(len(counts))
+	for t, c := range counts {
+		h := textutil.Hash(t)
+		*nb.lookup(h) = nbToken{h, math.Log((c[1] + 1) / (totals[1] + v)), math.Log((c[0] + 1) / (totals[0] + v)), true}
 	}
 	return nb
 }
 
+// lookup returns the vocabulary entry of hash h, or the unused one where
+// its probe ends.
+func (nb *binaryNB) lookup(h uint64) *nbToken {
+	for j := h >> nb.shift; ; j = (j + 1) & uint64(len(nb.vocab)-1) {
+		if e := &nb.vocab[j]; !e.used || e.hash == h {
+			return e
+		}
+	}
+}
+
 // probPositive returns P(positive | doc), clamped strictly inside (0,1).
-func (nb *binaryNB) probPositive(d textutil.Doc) float64 {
+func (nb *binaryNB) probPositive(d *textutil.Doc) float64 {
 	logPos, logNeg := nb.priorPos, nb.priorNeg
-	for _, t := range d.Tokens {
-		if idx, ok := slices.BinarySearch(nb.keys, textutil.Hash(t)); ok {
-			logPos += nb.logPos[idx]
-			logNeg += nb.logNeg[idx]
+	for _, h := range d.Hashes {
+		if e := nb.lookup(h); e.used {
+			logPos += e.logPos
+			logNeg += e.logNeg
 		}
 	}
 	m := math.Max(logPos, logNeg)

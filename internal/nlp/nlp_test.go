@@ -44,9 +44,15 @@ var sportsLexicon = Lexicon{
 	SupportPhrases: []string{"taking the lead", "takes the lead", "field goal", "in the lead"},
 }
 
+// doc tokenizes text for the scorers, which read a Doc by pointer.
+func doc(text string) *textutil.Doc {
+	d := textutil.NewDoc(text)
+	return &d
+}
+
 // Score is ScoreDoc for untokenized text.
 func (s *AttitudeScorer) Score(text string) socialsensing.Attitude {
-	return s.ScoreDoc(textutil.NewDoc(text))
+	return s.ScoreDoc(doc(text))
 }
 
 func TestSportsAttitudeScorer(t *testing.T) {
@@ -115,12 +121,12 @@ func TestHedgeClassifierSeparates(t *testing.T) {
 		"two explosions at the marathon finish line",
 	}
 	for _, h := range hedged {
-		if u := c.UncertaintyDoc(textutil.NewDoc(h)); u <= 0.5 {
+		if u := c.UncertaintyDoc(doc(h)); u <= 0.5 {
 			t.Errorf("Uncertainty(%q) = %v, want > 0.5", h, u)
 		}
 	}
 	for _, p := range plain {
-		if u := c.UncertaintyDoc(textutil.NewDoc(p)); u >= 0.5 {
+		if u := c.UncertaintyDoc(doc(p)); u >= 0.5 {
 			t.Errorf("Uncertainty(%q) = %v, want < 0.5", p, u)
 		}
 	}
@@ -130,7 +136,7 @@ func TestHedgeClassifierBounds(t *testing.T) {
 	c := NewDefaultHedgeClassifier()
 	texts := []string{"", "zzz qqq xxx unknownwords", "might might might", "confirmed confirmed"}
 	for _, x := range texts {
-		u := c.UncertaintyDoc(textutil.NewDoc(x))
+		u := c.UncertaintyDoc(doc(x))
 		if u <= 0 || u >= 1 {
 			t.Errorf("Uncertainty(%q) = %v, want strictly in (0,1)", x, u)
 		}
@@ -140,7 +146,7 @@ func TestHedgeClassifierBounds(t *testing.T) {
 func TestHedgeClassifierUnknownFallsBackToPrior(t *testing.T) {
 	c := NewDefaultHedgeClassifier()
 	// Built-in corpus is balanced, so unknown text should be ~0.5.
-	u := c.UncertaintyDoc(textutil.NewDoc("zzzz yyyy xxxx"))
+	u := c.UncertaintyDoc(doc("zzzz yyyy xxxx"))
 	if u < 0.4 || u > 0.6 {
 		t.Errorf("prior fallback = %v, want near 0.5", u)
 	}
@@ -159,10 +165,10 @@ func TestTrainHedgeClassifierErrors(t *testing.T) {
 func TestIndependenceScorerRetweets(t *testing.T) {
 	s := NewIndependenceScorer()
 	t0 := time.Date(2013, 4, 15, 14, 0, 0, 0, time.UTC)
-	if got := s.ScoreDoc("c1", textutil.NewDoc("RT @user: two explosions at the finish line"), t0); got != s.CopyScore {
+	if got := s.ScoreDoc("c1", doc("RT @user: two explosions at the finish line"), t0); got != s.CopyScore {
 		t.Errorf("retweet independence = %v, want %v", got, s.CopyScore)
 	}
-	if got := s.ScoreDoc("c1", textutil.NewDoc("I saw smoke near the finish line myself"), t0.Add(time.Minute)); got != s.OriginalScore {
+	if got := s.ScoreDoc("c1", doc("I saw smoke near the finish line myself"), t0.Add(time.Minute)); got != s.OriginalScore {
 		t.Errorf("original independence = %v, want %v", got, s.OriginalScore)
 	}
 }
@@ -171,15 +177,15 @@ func TestIndependenceScorerNearDuplicates(t *testing.T) {
 	s := NewIndependenceScorer()
 	t0 := time.Date(2013, 4, 15, 14, 0, 0, 0, time.UTC)
 	orig := "two explosions reported at the boston marathon finish line"
-	if got := s.ScoreDoc("c1", textutil.NewDoc(orig), t0); got != s.OriginalScore {
+	if got := s.ScoreDoc("c1", doc(orig), t0); got != s.OriginalScore {
 		t.Fatalf("first report scored %v, want original", got)
 	}
 	// Near-identical copy inside the window.
-	if got := s.ScoreDoc("c1", textutil.NewDoc("two explosions reported at the boston marathon finish line!"), t0.Add(2*time.Minute)); got != s.CopyScore {
+	if got := s.ScoreDoc("c1", doc("two explosions reported at the boston marathon finish line!"), t0.Add(2*time.Minute)); got != s.CopyScore {
 		t.Errorf("near-duplicate scored %v, want copy %v", got, s.CopyScore)
 	}
 	// Same text after the window has expired is original again.
-	if got := s.ScoreDoc("c1", textutil.NewDoc(orig+" update"), t0.Add(time.Hour)); got != s.OriginalScore {
+	if got := s.ScoreDoc("c1", doc(orig+" update"), t0.Add(time.Hour)); got != s.OriginalScore {
 		t.Errorf("post-window duplicate scored %v, want original", got)
 	}
 }
@@ -188,9 +194,9 @@ func TestIndependenceScorerPerClaimIsolation(t *testing.T) {
 	s := NewIndependenceScorer()
 	t0 := time.Date(2015, 1, 7, 11, 0, 0, 0, time.UTC)
 	text := "shots fired at the charlie hebdo office in paris"
-	s.ScoreDoc("c1", textutil.NewDoc(text), t0)
+	s.ScoreDoc("c1", doc(text), t0)
 	// The same text on a different claim is not a copy.
-	if got := s.ScoreDoc("c2", textutil.NewDoc(text), t0.Add(time.Minute)); got != s.OriginalScore {
+	if got := s.ScoreDoc("c2", doc(text), t0.Add(time.Minute)); got != s.OriginalScore {
 		t.Errorf("cross-claim duplicate scored %v, want original", got)
 	}
 }
@@ -201,7 +207,7 @@ func TestIndependenceScorerZeroValueUsable(t *testing.T) {
 	s.SimilarityThreshold = 0.8
 	s.CopyScore = 0.1
 	s.OriginalScore = 0.9
-	got := s.ScoreDoc("c", textutil.NewDoc("hello world report"), time.Now())
+	got := s.ScoreDoc("c", doc("hello world report"), time.Now())
 	if got != 0.9 {
 		t.Errorf("zero-value scorer = %v, want 0.9", got)
 	}
@@ -212,9 +218,9 @@ func TestIndependenceScorerZeroValueUsable(t *testing.T) {
 func TestHedgeCuesRaiseUncertainty(t *testing.T) {
 	c := NewDefaultHedgeClassifier()
 	plain := "there was an explosion downtown"
-	base := c.UncertaintyDoc(textutil.NewDoc(plain))
+	base := c.UncertaintyDoc(doc(plain))
 	for _, cue := range []string{"might", "maybe", "possibly", "may"} {
-		if u := c.UncertaintyDoc(textutil.NewDoc(cue + " " + plain)); u <= base {
+		if u := c.UncertaintyDoc(doc(cue + " " + plain)); u <= base {
 			t.Errorf("cue %q: uncertainty %v, want above the plain text's %v", cue, u, base)
 		}
 	}

@@ -86,7 +86,7 @@ func (p *Pipeline) Process(post RawPost) (claim socialsensing.ClaimID, kept bool
 // Doc. ok is false when the keyword filter dropped the post.
 func (p *Pipeline) frontEnd(post RawPost) (report socialsensing.Report, ok bool) {
 	doc := textutil.NewDoc(post.Text)
-	clusterID, ok := p.clusterer.AssignDoc(doc, post.Time)
+	clusterID, ok := p.clusterer.AssignDoc(&doc, post.Time)
 	if !ok {
 		return report, false
 	}
@@ -95,7 +95,7 @@ func (p *Pipeline) frontEnd(post RawPost) (report socialsensing.Report, ok bool)
 		Claim:     socialsensing.ClaimID(clusterID),
 		Timestamp: post.Time,
 		Text:      post.Text,
-	}, doc), true
+	}, &doc), true
 }
 
 // ProcessAll routes a batch of posts in order.

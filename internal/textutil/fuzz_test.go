@@ -10,7 +10,7 @@ import (
 
 // referenceDoc is NewDoc as it stood before the one-scan tokenizer: split
 // the lowercased text with strings.Fields, trim each field with
-// strings.TrimFunc and hash the tokens with HashSet. NewDoc must agree with
+// strings.TrimFunc and hash each token with Hash. NewDoc must agree with
 // it on every input, down to the nil sequence and the empty, non-nil set
 // of a text without tokens.
 func referenceDoc(text string) Doc {
@@ -30,9 +30,10 @@ func referenceDoc(text string) Doc {
 	if len(tokens) > 0 {
 		d.Tokens = tokens
 	}
+	d.Hashes = make([]uint64, len(d.Tokens))
 	set := make([]uint64, len(d.Tokens))
 	for i, tok := range d.Tokens {
-		set[i] = Hash(tok)
+		d.Hashes[i], set[i] = Hash(tok), Hash(tok)
 	}
 	slices.Sort(set)
 	d.Set = slices.Compact(set)
@@ -56,6 +57,7 @@ func FuzzTokenize(f *testing.F) {
 		"ÀÉÎ İstanbul ǅemal ß ﬁ ½ ²³ ٣ x̧ ‐dash‐ «quote» 'don't'",
 		"a\xe6\x97 b\xe6\x97\xa5 \xef\xbf\xbd \xc0\x80 c\xed\xa0\x80d",
 		strings.Repeat("w ", 70) + strings.Repeat("v", 40),
+		strings.Repeat("Word#1 ", 50) + "HTTPS://T.CO/Long,",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -1,22 +1,24 @@
 // Package textutil provides the lightweight text processing primitives used
-// throughout the pipeline: one-pass tokenization of a post into a Doc and
-// Jaccard similarity over hashed token sets. Jaccard distance over token
+// throughout the pipeline: tokenizing and hashing a post once, into a Doc,
+// and Jaccard similarity over hashed token sets. Jaccard distance over token
 // sets is the micro-blog clustering metric used by the paper (citing Uddin
 // et al.).
 package textutil
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"unicode"
 	"unicode/utf8"
 )
 
-// Doc is one text tokenized once, in the two forms the raw-post path
-// reads: the token sequence (phrase matching, Naive Bayes lookups) and the
-// set of its tokens as sorted, distinct 64-bit hashes (Jaccard, lexicon
-// tests). A Doc is immutable and its slices may be shared.
+// Doc is one text tokenized once, in the forms the raw-post path reads:
+// the token sequence, each token's hash in sequence order (phrase
+// matching, Naive Bayes lookups) and the set of its tokens as sorted,
+// distinct 64-bit hashes (Jaccard, lexicon tests). A Doc is immutable and
+// its slices may be shared.
 //
 // Sets compare tokens by Hash alone. Two distinct tokens collide with
 // probability 2⁻⁶⁴ per pair, so a vocabulary of a million tokens holds a
@@ -29,6 +31,8 @@ type Doc struct {
 	Lower string
 	// Tokens is the token sequence, as Tokenize returns it.
 	Tokens []string
+	// Hashes is Hash of every token, in token order.
+	Hashes []uint64
 	// Set is Hash of every token: ascending, without repeats.
 	Set []uint64
 }
@@ -38,70 +42,86 @@ type Doc struct {
 // heuristics of the paper's preprocessing. Punctuation is dropped; URLs
 // are kept whole so retweet detection can match them.
 //
-// One scan over the lowercased text splits it at white space, trims each
-// field to the span from its first letter or number to the end of its
-// last, and hashes that token on the way.
+// One branch-free pass lowers the ASCII letters of the text and classes
+// its bytes. Text that is not ASCII is lowered by strings.ToLower instead
+// and classed a rune at a time. A Doc is 88 bytes: readers take it by
+// pointer.
 func NewDoc(text string) Doc {
-	lower := strings.ToLower(text)
-	// The tokens and their hashes wait on the stack for their final size.
-	tokens, set := make([]string, 0, 32), make([]uint64, 0, 32)
-	for i := 0; i < len(lower); {
-		class, size := byteClass[lower[i]], 1
-		if class == wide {
-			class, size = classAt(lower, i)
-		}
-		if class == space {
-			i += size
-			continue
-		}
-		next, first, end, h := field(lower, i)
-		if f := lower[i:next]; strings.HasPrefix(f, "http://") || strings.HasPrefix(f, "https://") {
-			tokens, set = append(tokens, f), append(set, Hash(f))
-		} else if first >= 0 {
-			tokens, set = append(tokens, lower[first:end]), append(set, h)
-		}
-		i = next
+	var lowBuf, clsBuf [256]byte
+	low, cls := lowBuf[:], clsBuf[:]
+	if len(text) > len(low) {
+		low, cls = make([]byte, len(text)), make([]byte, len(text))
 	}
-	slices.Sort(set)
-	set = slices.Compact(set)
-	d := Doc{Lower: lower, Set: append(make([]uint64, 0, len(set)), set...)}
-	if len(tokens) > 0 { // none is the nil sequence
-		d.Tokens = append(make([]string, 0, len(tokens)), tokens...)
+	var upper, high byte // the bits lowering changed; every byte's bits
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		l := lowerByte[c]
+		low[i], cls[i], upper, high = l, byteClass[c], upper|(l^c), high|c
 	}
+	s := text
+	if high >= utf8.RuneSelf {
+		if s = strings.ToLower(text); len(s) > len(cls) {
+			cls = make([]byte, len(s))
+		}
+		for i := 0; i < len(s); { // each byte of a rune gets the rune's class
+			class, size := classAt(s, i)
+			for end := i + size; i < end; i++ {
+				cls[i] = class
+			}
+		}
+	} else if upper != 0 {
+		s = string(low[:len(text)])
+	}
+	var spanBuf [32][2]int // each token's bounds in s
+	spans := tokens(s, cls[:len(s)], spanBuf[:0])
+	d, n := Doc{Lower: s}, len(spans)
+	hashes := make([]uint64, 2*n) // Hashes, then Set: one allocation
+	if n > 0 {                    // none is the nil sequence
+		d.Tokens = make([]string, n)
+		for k, sp := range spans {
+			d.Tokens[k] = s[sp[0]:sp[1]]
+			hashes[k] = Hash(d.Tokens[k])
+		}
+	}
+	copy(hashes[n:], hashes[:n])
+	slices.Sort(hashes[n:])
+	set := slices.Compact(hashes[n:])
+	d.Hashes, d.Set = hashes[:n:n], set[:len(set):len(set)]
 	return d
 }
 
-// field scans the field that starts at s[i] up to the next white space or
-// the end of s, which it returns as next. The field's token is s[first:end]
-// and hashes to h; first is -1 when the field holds no letter or number.
-func field(s string, i int) (next, first, end int, h uint64) {
-	first = -1
-	var run uint64 // the hash from first to i
-	for i < len(s) {
-		class, size := byteClass[s[i]], 1
-		if class == wide {
-			class, size = classAt(s, i)
+// tokens appends to spans the bounds of the tokens of s, whose bytes are
+// of the classes cls: each field between white space is a URL kept whole
+// or, trimmed to the span from its first letter or number to the end of
+// its last, a token when that is not empty.
+func tokens(s string, cls []byte, spans [][2]int) [][2]int {
+	for i := 0; i < len(cls); {
+		for i < len(cls) && cls[i] == space {
+			i++
 		}
-		if class == space {
-			break
+		start := i
+		for i < len(cls) && cls[i] != space {
+			i++
 		}
-		if first < 0 && class == word {
-			first, run = i, offset64
+		first, end := start, i
+		for first < end && cls[first] != word {
+			first++
 		}
-		for j := i; j < i+size; j++ { // before first, run is dropped
-			run = (run ^ uint64(s[j])) * prime64
+		for end > first && cls[end-1] != word {
+			end--
 		}
-		if i += size; class == word {
-			end, h = i, run
+		if f := s[start:i]; f != "" && f[0] == 'h' && (strings.HasPrefix(f, "http://") || strings.HasPrefix(f, "https://")) {
+			spans = append(spans, [2]int{start, i})
+		} else if first < end {
+			spans = append(spans, [2]int{first, end})
 		}
 	}
-	return i, first, end, h
+	return spans
 }
 
 // The classes of a rune: a letter or number is part of a token, white
 // space separates fields, anything else is trimmed from a field's ends.
-// A byte of 0x80 or more is wide: it starts a rune classAt decodes.
-const word, other, space, wide uint8 = 0, 1, 2, 3
+const word, other, space uint8 = 0, 1, 2
 
 // classAt is the class of the rune at s[i] and its width in bytes.
 func classAt(s string, i int) (uint8, int) {
@@ -115,14 +135,17 @@ func classAt(s string, i int) (uint8, int) {
 	return other, size
 }
 
-// byteClass is classAt of every ASCII byte, and wide for the rest.
-var byteClass = func() (c [256]uint8) {
-	for b := range c {
-		if c[b] = wide; b < utf8.RuneSelf {
+// byteClass is classAt of every ASCII byte (and of no other: NewDoc
+// classes text that is not ASCII a rune at a time). lowerByte lowers the
+// ASCII letters and keeps every other byte.
+var byteClass, lowerByte = func() (c, l [256]byte) {
+	for b := range l {
+		if l[b] = byte(b); b < utf8.RuneSelf {
 			c[b], _ = classAt(string(rune(b)), 0)
+			l[b] = byte(unicode.ToLower(rune(b)))
 		}
 	}
-	return c
+	return c, l
 }()
 
 // Tokenize splits text into lowercase word tokens (NewDoc's sequence).
@@ -198,6 +221,24 @@ func Overlap(a, b []uint64, need int) (n int, ok bool) {
 	return n, n >= need // a merge that gave up counted fewer
 }
 
+// Sig is the signature of a hash set: bit h>>58 of each of its hashes h.
+func Sig(set []uint64) (sig uint64) {
+	for _, h := range set {
+		sig |= 1 << (h >> 58)
+	}
+	return sig
+}
+
+// MayHold is false when a set of signature sig cannot hold hash h.
+func MayHold(sig, h uint64) bool { return sig>>(h>>58)&1 != 0 }
+
+// SharedBound bounds the hashes sets of na and nb hashes and signatures
+// sa and sb share: each sets a bit of sa&sb, and at most
+// min(na − |sa|, nb − |sb|) of them a bit another has set.
+func SharedBound(na int, sa uint64, nb int, sb uint64) int {
+	return bits.OnesCount64(sa&sb) + min(na-bits.OnesCount64(sa), nb-bits.OnesCount64(sb))
+}
+
 func b2i(b bool) int {
 	if b {
 		return 1
@@ -205,23 +246,27 @@ func b2i(b bool) int {
 	return 0
 }
 
-// HasAny reports whether any token of the doc is in the sorted set.
-func (d Doc) HasAny(set []uint64) bool {
-	_, ok := Overlap(d.Set, set, 1)
-	return ok
+// HasAny reports whether any token of the doc is in the set. The doc's
+// signature passes over most of the set without a search.
+func (d *Doc) HasAny(set []uint64) bool {
+	sig := Sig(d.Set)
+	for _, h := range set {
+		if !MayHold(sig, h) {
+			continue
+		} else if _, ok := slices.BinarySearch(d.Set, h); ok {
+			return true
+		}
+	}
+	return false
 }
 
-// HasPhrase reports whether the token sequence phrase occurs contiguously
-// in the doc. The empty phrase occurs in every doc.
-func (d Doc) HasPhrase(phrase []string) bool {
-outer:
-	for i := 0; i+len(phrase) <= len(d.Tokens); i++ {
-		for j, p := range phrase {
-			if d.Tokens[i+j] != p {
-				continue outer
-			}
+// HasPhrase reports whether the token hashes phrase occur contiguously in
+// the doc's Hashes. The empty phrase occurs in every doc.
+func (d *Doc) HasPhrase(phrase []uint64) bool {
+	for i := 0; i+len(phrase) <= len(d.Hashes); i++ {
+		if slices.Equal(d.Hashes[i:i+len(phrase)], phrase) {
+			return true
 		}
-		return true
 	}
 	return false
 }

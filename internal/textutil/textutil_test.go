@@ -212,8 +212,9 @@ func TestContainsPhrase(t *testing.T) {
 		{"", true},
 		{"the irish are taking the lead in the game extra words", false},
 	}
+	d := NewDoc(text)
 	for _, tt := range tests {
-		if got := NewDoc(text).HasPhrase(Tokenize(tt.phrase)); got != tt.want {
+		if got := d.HasPhrase(NewDoc(tt.phrase).Hashes); got != tt.want {
 			t.Errorf("HasPhrase(%q) = %v, want %v", tt.phrase, got, tt.want)
 		}
 	}
@@ -234,6 +235,67 @@ func TestTokenizeUnicode(t *testing.T) {
 	for _, tok := range got {
 		if strings.TrimSpace(tok) == "" {
 			t.Errorf("blank token in %v", got)
+		}
+	}
+}
+
+// TestDocHashes holds NewDoc's Hashes to Hash of each token, in token
+// order, on both paths: ASCII text lowered in NewDoc's own pass (upper
+// case, URLs, past the 256-byte and 32-token stack buffers) and text that
+// is not ASCII, which strings.ToLower lowers.
+func TestDocHashes(t *testing.T) {
+	long := strings.Repeat("Word#1 ", 50) + "HTTPS://T.CO/Long,"
+	for _, text := range []string{
+		"",
+		"   ",
+		"RT @User: Two EXPLOSIONS at the #Boston marathon!! https://t.co/AbC",
+		"http://x.y/a,b https:// http:/ HTTPS://T.CO/Q (https://t.co/q) hTtP://MiXeD",
+		long,
+		strings.ToUpper(long),
+		"Café NAÏVE 日本語 İstanbul https://t.co/ÀÉ «quote» ǅemal",
+		"a\xe6\x97 B\xe6\x97\xa5 \xef\xbf\xbd \xc0\x80 C\xed\xa0\x80D",
+	} {
+		d := NewDoc(text)
+		if len(d.Hashes) != len(d.Tokens) {
+			t.Fatalf("NewDoc(%q): %d hashes for %d tokens", text, len(d.Hashes), len(d.Tokens))
+		}
+		for i, tok := range d.Tokens {
+			if d.Hashes[i] != Hash(tok) {
+				t.Fatalf("NewDoc(%q): hash %d is %x, Hash(%q) = %x", text, i, d.Hashes[i], tok, Hash(tok))
+			}
+		}
+		if want := referenceDoc(text); !reflect.DeepEqual(d, want) {
+			t.Fatalf("NewDoc(%q) = %#v, reference gives %#v", text, d, want)
+		}
+	}
+}
+
+// TestSharedBoundNeverBelowCount holds SharedBound, from two sets' sizes
+// and signatures alone, to at least the hashes the sets share, and MayHold
+// to true for every hash a set holds. The hashes are drawn so that many
+// share a signature bit: a few top-six-bit patterns under random low bits.
+func TestSharedBoundNeverBelowCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20000; trial++ {
+		tops := 1 + rng.Intn(64)
+		draw := func() []uint64 {
+			set := make([]uint64, rng.Intn(40))
+			for i := range set {
+				set[i] = uint64(rng.Intn(tops))<<58 | uint64(rng.Intn(24))
+			}
+			slices.Sort(set)
+			return slices.Compact(set)
+		}
+		a, b := draw(), draw()
+		shared, _ := Overlap(a, b, 0)
+		sa, sb := Sig(a), Sig(b)
+		if bound := SharedBound(len(a), sa, len(b), sb); bound < shared {
+			t.Fatalf("SharedBound(%d, %x, %d, %x) = %d, the sets share %d", len(a), sa, len(b), sb, bound, shared)
+		}
+		for _, h := range a {
+			if !MayHold(sa, h) {
+				t.Fatalf("MayHold(%x, %x) is false for a hash of the set", sa, h)
+			}
 		}
 	}
 }

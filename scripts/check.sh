@@ -8,7 +8,7 @@
 #   scripts/check.sh wire       wire-codec smoke: round-trip/golden/v1+v2-retirement tests, a lost and a damaged telemetry ship set right by the next, worker receive-buffer tests under -race, 10s FuzzDecode, task-payload golden/order-free/cross-path/rejection tests + 10s FuzzDecodeTask, sstd-master/sstd-worker with -batch 8
 #   scripts/check.sh flightrec  flight-recorder smoke: deadline-miss deep dive (FLIGHTREC_DIR keeps it) + SLO burn -> 3-lane trace (TELEMETRY_DIR keeps it)
 #   scripts/check.sh sched      scheduler tier: fairness/invariant tests + contention benches -> BENCH_sched.json + 100k-claim sweep
-#   scripts/check.sh accuracy   accuracy gate: SSTD rows of Tables III-V against the checked-in golden + HMM kernel equivalence (run tables and the zero step included) + the accelerated EM loop's fixed point, monotone log-likelihood and safeguard + non-finite parameters refused + pinned EM pass counts + a bounded streaming decoder + quantize-once decode + ACS grid against Time.Sub + fixed-point scores and order-free ACS sums + truth digests, decode payload goldens and the worker's series against the accumulator's + the front end's pinned claims and scores, its incremental cluster state against a rebuild, the exact minimum-overlap bounds, bounded merge, independence window and join against their references + 10s FuzzTokenize
+#   scripts/check.sh accuracy   accuracy gate: SSTD rows of Tables III-V against the checked-in golden + HMM kernel equivalence (run tables and the zero step included) + the accelerated EM loop's fixed point, monotone log-likelihood and safeguard + non-finite parameters refused + pinned EM pass counts + a bounded streaming decoder + quantize-once decode + ACS grid against Time.Sub + fixed-point scores and order-free ACS sums + truth digests, decode payload goldens and the worker's series against the accumulator's + the front end's pinned claims and scores, its incremental cluster state against a rebuild, the exact minimum-overlap bounds, bounded merge, signature bound, independence window and join (and its memo) against their references, every path that reads a post's hashes against the one that read its tokens + 10s FuzzTokenize
 #   scripts/check.sh all        tier-1 + tier-2
 #
 # scripts/benchdiff.sh wraps the bench tier with a regression gate against
@@ -298,6 +298,8 @@ accuracy() {
 	# pass on the same series, a streaming decoder holding no more than its
 	# window over ten thousand appends, DecodeInto's
 	# quantize-once Viterbi against TrainWarmScratch + DecodeWithScratch,
+	# and the engine's, which decodes a claim it just refit from the fit's
+	# symbols, against a fresh quantization of the same window,
 	# quantization against the first-edge loop (NaN, ±Inf, values on an
 	# edge), the ACS grid's integer slot mapping against the Time.Sub definition
 	# it replaced, the one fixed-point score (rounding, ties to even, and
@@ -312,17 +314,24 @@ accuracy() {
 	# after every step, and the threshold tests that stop each set merge
 	# early: the least shared count for a similarity (every count of sets
 	# of up to 64 hashes, odd thresholds and NaN included) and for the
-	# join's distance, the bounded merge against the full count on random
-	# sets, and the time-ordered independence window against the
-	# arrival-ordered one it replaced on random streams. Last, ten seconds
-	# of FuzzTokenize past its seed corpus: the one-scan tokenizer must
-	# build the strings.Fields reference's Doc on every input.
+	# join's distance, with the clusterer's memo of it for every pair of
+	# sizes below 64, the bounded merge against the full count on random
+	# sets, the signature bound against the true count, and the
+	# time-ordered independence window against the arrival-ordered one it
+	# replaced on random streams. Each path that reads a post's hashes is
+	# held to the one that read its tokens: the Doc's hashes to Hash of
+	# each token, the byte-lane member counts to the intersections at 1-64
+	# and 70 members and for posts of 256 tokens and more, hashed attitude
+	# phrases to string ones, and Naive Bayes over hashes to Naive Bayes
+	# over token strings, bit for bit. Last, ten seconds of FuzzTokenize
+	# past its seed corpus: the tokenizer must build the strings.Fields
+	# reference's Doc on every input.
 	echo "== accuracy: Tables III-V golden + kernel equivalence + truth bits + front-end decisions =="
 	go test -count=1 -v -run 'TestAccuracyGolden' ./internal/experiments
 	go test -count=1 -run 'MatchesReference|TestViterbiExactAtTheEdges|TestPairPass|TestDiscreteBaumWelchWSZeroAllocs|TestNonFiniteParametersRefused|TestSquaremReachesThePlainFixedPoint|TestSquaremLogLikelihoodNeverFalls|TestSquaremSafeguardFallsBack|TestExtrapolateRefusesStepsOffTheSimplex' ./internal/hmm
-	go test -count=1 -v -run 'TestEMIterationCountsPinned|TestSquaremFixedPointOnClaimSeries|TestStreamingDecoderMemoryBounded|TestRunCompressionGate|TestDecodeIntoMatchesTrainThenDecode|TestQuantizeMatchesFirstEdgeLoop|TestGridIndexMatchesSub|TestFixedScoreRoundsAndRefuses|TestACSSeriesOrderFree|TestIngestRejectsScoreOverOne' ./internal/core
+	go test -count=1 -v -run 'TestEMIterationCountsPinned|TestSquaremFixedPointOnClaimSeries|TestStreamingDecoderMemoryBounded|TestRunCompressionGate|TestDecodeIntoMatchesTrainThenDecode|TestEngineDecodeMatchesRequantized|TestQuantizeMatchesFirstEdgeLoop|TestGridIndexMatchesSub|TestFixedScoreRoundsAndRefuses|TestACSSeriesOrderFree|TestIngestRejectsScoreOverOne' ./internal/core
 	go test -count=1 -run 'TestTruthDigestsMatchParent|TestGoldenPayloadsStable|TestMergeOrderIndependentBits|TestWorkerSeriesMatchesAccumulator' ./internal/dtm
-	go test -count=1 -v -run 'TestFrontEndGolden|TestIncrementalMatchesFromScratch|TestWithinExact|TestMinOverlap|TestOverlap|TestIndependenceMatchesReference|FuzzTokenize' ./internal/pipeline ./internal/clustering ./internal/textutil ./internal/nlp
+	go test -count=1 -v -run 'TestFrontEndGolden|TestIncrementalMatchesFromScratch|TestWithinExact|TestJoinNeedMatchesWithin|TestSharedCountsMatchIntersections|TestMinOverlap|TestOverlap|TestDocHashes|TestSharedBoundNeverBelowCount|TestIndependenceMatchesReference|TestAttitudeMatchesStringReference|TestNaiveBayesMatchesTokenReference|FuzzTokenize' ./internal/pipeline ./internal/clustering ./internal/textutil ./internal/nlp
 	go test -count=1 -run '^$' -fuzz FuzzTokenize -fuzztime 10s ./internal/textutil
 }
 
