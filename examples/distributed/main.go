@@ -31,7 +31,13 @@ func main() {
 	cfg.TasksPerJob = 4
 	cfg.EnableControl = true
 	cfg.SampleEvery = 20 * time.Millisecond
-	cfg.WorkDelay = 100 * time.Microsecond // emulate preprocessing cost
+	// Emulate preprocessing cost: every task takes 5 ms longer.
+	cfg.WrapExec = func(exec sstd.TaskExecutor) sstd.TaskExecutor {
+		return func(ctx context.Context, payload []byte) ([]byte, error) {
+			time.Sleep(5 * time.Millisecond)
+			return exec(ctx, payload)
+		}
+	}
 
 	// Telemetry: metrics + per-tick control-loop samples, summarized below.
 	metrics := sstd.NewMetricsRegistry()

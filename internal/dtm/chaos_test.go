@@ -51,7 +51,7 @@ func TestDecodedTruthIdenticalUnderChaos(t *testing.T) {
 	base.ACS.WindowIntervals = 3
 	base.TasksPerJob = 6
 	base.Workers = 3
-	base.Heartbeat = 5 * time.Millisecond
+	base.heartbeat = 5 * time.Millisecond
 	reports := flipReports("c1", 40, 20, 6, 0.1, 7)
 
 	run := func(cfg Config) JobResult {
@@ -77,7 +77,6 @@ func TestDecodedTruthIdenticalUnderChaos(t *testing.T) {
 	faulty.TaskTimeout = 300 * time.Millisecond
 	faulty.MaxTaskRetries = 12
 	faulty.requeueBackoff = workqueue.BackoffConfig{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond}
-	faulty.RespawnWorkers = true
 	injReg := obs.NewRegistry()
 	inj := chaos.New(chaos.Spec{
 		Seed:     21,
@@ -119,6 +118,7 @@ func TestDegradedJobCompletion(t *testing.T) {
 	cfg.ACS.WindowIntervals = 3
 	cfg.TasksPerJob = 6
 	cfg.Workers = 2
+	cfg.Metrics = obs.NewRegistry()
 	// The first two executor invocations fail outright (scripted), so
 	// exactly two tasks are lost; the other four decode.
 	inj := chaos.New(chaos.Spec{
@@ -146,6 +146,7 @@ func TestDegradedJobCompletion(t *testing.T) {
 	if len(res.Estimates) == 0 {
 		t.Fatal("degraded job produced no estimates at all")
 	}
+	checkJobCounters(t, cfg.Metrics, 1, 1, 0, 1)
 }
 
 // TestHungTaskDegradesJob hangs the executor forever on one task and
@@ -156,7 +157,7 @@ func TestHungTaskDegradesJob(t *testing.T) {
 	cfg.ACS.WindowIntervals = 3
 	cfg.TasksPerJob = 4
 	cfg.Workers = 2
-	cfg.Heartbeat = 5 * time.Millisecond
+	cfg.heartbeat = 5 * time.Millisecond
 	cfg.TaskTimeout = 500 * time.Millisecond
 	cfg.execTimeout = 50 * time.Millisecond
 	poison := make(chan struct{})

@@ -51,18 +51,12 @@ type Config struct {
 	// SampleEvery is the control sampling period (paper: 1 s).
 	SampleEvery time.Duration
 
-	// WorkDelay adds an artificial per-report processing cost in the
-	// executor, used by experiments to emulate computation-heavy loads.
-	WorkDelay time.Duration
-
-	// Heartbeat is the worker liveness ping interval; SuspectAfter and
-	// DeadAfter are the master-side thresholds for demoting a silent
-	// worker to suspect and evicting it (requeueing its in-flight task).
-	// StragglerFactor flags workers whose smoothed exec time exceeds the
-	// cluster median by this factor. Zero values disable each mechanism.
-	// The defaults are deliberately generous: a false eviction costs a
-	// task re-execution, a missed one only delays it.
-	Heartbeat       time.Duration
+	// SuspectAfter and DeadAfter are the master-side thresholds for
+	// demoting a silent worker to suspect and evicting it (requeueing its
+	// in-flight task). StragglerFactor flags workers whose smoothed exec
+	// time exceeds the cluster median by this factor. Zero values disable
+	// each mechanism. The defaults are deliberately generous: a false
+	// eviction costs a task re-execution, a missed one only delays it.
 	SuspectAfter    time.Duration
 	DeadAfter       time.Duration
 	StragglerFactor float64
@@ -79,10 +73,6 @@ type Config struct {
 	// pipelined ack window (see workqueue.MasterConfig.BatchSize).
 	// Zero keeps the lock-step one-task-per-frame protocol.
 	TaskBatch int
-	// RespawnWorkers keeps the pool at its target size when a worker
-	// dies without a graceful release (the paper's scavenged pool
-	// backfilling evicted nodes).
-	RespawnWorkers bool
 
 	// WrapConn and WrapExec are the chaos layer's injection hooks: the
 	// former wraps each pool worker's pipe pair, the latter the task
@@ -122,13 +112,16 @@ type Config struct {
 	// into one trace with a lane per host.
 	FlightRec *flightrec.Recorder
 
-	// The package's tests set these; every binary leaves them zero.
-	// execTimeout is the pool workers' execution cap (zero: none), and
-	// requeueBackoff paces requeues (zero: the master's default).
+	// heartbeat is the pool workers' liveness ping interval, 250 ms unless
+	// a test shortens it. The package's tests set the rest; every binary
+	// leaves them zero. execTimeout is the pool workers' execution cap
+	// (zero: none), and requeueBackoff paces requeues (zero: the master's
+	// default).
 	// workerFlightRec gives each pool worker a private recorder, so
 	// in-process workers answer FreezeRings with per-host rings; nil
 	// shares the process recorder, and the pool workers' probes land on
 	// the master's lane.
+	heartbeat       time.Duration
 	execTimeout     time.Duration
 	requeueBackoff  workqueue.BackoffConfig
 	workerFlightRec func(id string) *flightrec.Recorder
@@ -149,12 +142,11 @@ func DefaultConfig(origin time.Time) Config {
 			Theta2:   40 * time.Microsecond,
 		},
 		SampleEvery:     time.Second,
-		Heartbeat:       250 * time.Millisecond,
 		SuspectAfter:    2 * time.Second,
 		DeadAfter:       10 * time.Second,
 		StragglerFactor: 2,
 		MaxTaskRetries:  8,
-		RespawnWorkers:  true,
+		heartbeat:       250 * time.Millisecond,
 	}
 }
 
@@ -219,12 +211,8 @@ type jobState struct {
 	intervals, seriesLen int
 	// buf holds the job's payloads; retried marks a job one of whose tasks
 	// was sent more than once, whose payload memory is never reused.
-	buf     *jobBuf
-	retried bool
-	// priority is the scheduler weight the Manager last gave the job (shed
-	// lane or tuner LCK; zero: none yet). The master forgets a job whose
-	// scatter tasks have drained, so the decode task's submit re-applies it.
-	priority float64
+	buf      *jobBuf
+	retried  bool
 	firstErr error
 	// firstErrTrace is the worker-side return trace that rode the wire
 	// with the first failed result (Result.ErrTrace), kept alongside
@@ -277,10 +265,6 @@ type Manager struct {
 	cJobsDegraded *obs.Counter
 	cDeadlineHit  *obs.Counter
 	cDeadlineMiss *obs.Counter
-	cTicks        *obs.Counter
-	cResizes      *obs.Counter
-	gGCK          *obs.Gauge
-	gInflight     *obs.Gauge
 	hJobLatency   *obs.Histogram
 	hDecode       *obs.Histogram
 
@@ -346,20 +330,19 @@ func New(cfg Config) (*Manager, error) {
 		Telemetry:       cfg.Telemetry,
 		FlightRec:       cfg.FlightRec,
 	})
-	// The pool's executor is ExecuteTask plus the artificial per-report cost.
-	delay := cfg.WorkDelay
-	exec := workqueue.Executor(func(ctx context.Context, payload []byte) ([]byte, error) {
-		return executeTask(ctx, payload, delay)
-	})
+	exec := workqueue.Executor(ExecuteTask)
 	if cfg.WrapExec != nil {
 		exec = cfg.WrapExec(exec)
 	}
 	m.pool = workqueue.NewPool(m.master, exec)
-	m.pool.Heartbeat = cfg.Heartbeat
+	m.pool.Heartbeat = cfg.heartbeat
 	m.pool.Logger = cfg.Logger
 	m.pool.ExecTimeout = cfg.execTimeout
 	m.pool.WrapConn = cfg.WrapConn
-	m.pool.Respawn = cfg.RespawnWorkers
+	// A worker that dies without a graceful release is replaced, keeping
+	// the pool at its target size (the paper's scavenged pool backfilling
+	// evicted nodes).
+	m.pool.Respawn = true
 	m.pool.WorkerRecorder = cfg.workerFlightRec
 	m.tracer = cfg.Tracer
 	m.logger = cfg.Logger
@@ -371,11 +354,6 @@ func New(cfg Config) (*Manager, error) {
 		m.cJobsDegraded = reg.Counter("dtm_jobs_degraded_total")
 		m.cDeadlineHit = reg.Counter("dtm_deadline_hit_total")
 		m.cDeadlineMiss = reg.Counter("dtm_deadline_miss_total")
-		m.cTicks = reg.Counter("dtm_control_ticks_total")
-		m.cResizes = reg.Counter("dtm_pool_resizes_total")
-		m.gGCK = reg.Gauge("dtm_gck_workers")
-		m.gGCK.SetInt(cfg.Workers)
-		m.gInflight = reg.Gauge("dtm_jobs_inflight")
 		m.hJobLatency = reg.Histogram("dtm_job_latency_ms", nil)
 		m.hDecode = reg.Histogram("dtm_decode_ms", nil)
 	}
@@ -491,7 +469,7 @@ func (m *Manager) SubmitJob(claim socialsensing.ClaimID, reports []socialsensing
 		js.span.Finish()
 		return obs.Wrap(fmt.Errorf("dtm: submit job %s: %w", jobID, d.Err))
 	} else if d.Shed {
-		js.shed, js.priority = true, shedPriority
+		js.shed = true
 		js.span.SetAttr("admission", "shed")
 	}
 	m.mu.Lock()
@@ -502,10 +480,8 @@ func (m *Manager) SubmitJob(claim socialsensing.ClaimID, reports []socialsensing
 		return fmt.Errorf("dtm: job %q already submitted", jobID)
 	}
 	m.jobs[jobID] = js
-	inflight := len(m.jobs)
 	m.mu.Unlock()
 	m.cJobs.Inc()
-	m.gInflight.SetInt(inflight)
 	m.logger.Info("job submitted",
 		obs.JobID(jobID), obs.TraceID(js.span.TraceID()),
 		obs.F("tasks", len(chunks)+1), obs.F("reports", len(reports)))
@@ -539,20 +515,17 @@ func (m *Manager) SubmitJob(claim socialsensing.ClaimID, reports []socialsensing
 func (m *Manager) unregister(jobID string) {
 	m.mu.Lock()
 	delete(m.jobs, jobID)
-	inflight := len(m.jobs)
 	m.mu.Unlock()
-	m.gInflight.SetInt(inflight)
 	m.master.ForgetJob(jobID)
 }
 
-// setPriority actuates a job's Local Control Knob and remembers the value
-// for its decode task. A finished job is left alone: the master has
-// forgotten it and must not learn of it again.
+// setPriority actuates a job's Local Control Knob. The master keeps the
+// weight, for the decode task too, until unregister forgets the job; a
+// finished job is left alone, so the master does not learn of it again.
 func (m *Manager) setPriority(jobID string, p float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if js, ok := m.jobs[jobID]; ok {
-		js.priority = p
+	if _, ok := m.jobs[jobID]; ok {
 		m.master.SetJobPriority(jobID, p)
 	}
 }
@@ -693,13 +666,6 @@ func (m *Manager) submitDecode(ctx context.Context, js *jobState) {
 	if trace := js.span.TraceID(); trace != "" {
 		task.Trace = &workqueue.TraceContext{TraceID: trace, ParentSpanID: task.Span}
 	}
-	// The master forgot the job, priority included, with its last scatter
-	// task: the decode task must not re-enter at the default.
-	m.mu.Lock()
-	if js.priority > 0 {
-		m.master.SetJobPriority(jobID, js.priority)
-	}
-	m.mu.Unlock()
 	if err := m.master.Submit(task); err != nil {
 		err = obs.Wrap(fmt.Errorf("dtm: submit decode task of job %s: %w", jobID, err))
 		m.finish(ctx, js, JobResult{Err: err})
@@ -848,16 +814,9 @@ func (m *Manager) controlStep(ctx context.Context) {
 	for jobID, p := range dec.Priorities {
 		m.setPriority(jobID, p)
 	}
-	resized := dec.Workers != m.pool.Size()
-	if resized {
+	if dec.Workers != m.pool.Size() {
 		m.pool.Resize(ctx, dec.Workers)
 	}
-
-	m.cTicks.Inc()
-	if resized {
-		m.cResizes.Inc()
-	}
-	m.gGCK.SetInt(dec.Workers)
 	if m.recorder != nil {
 		now := time.Now()
 		m.recorder.BeginTick()

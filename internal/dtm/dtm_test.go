@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"github.com/social-sensing/sstd/internal/core"
+	"github.com/social-sensing/sstd/internal/obs"
 	"github.com/social-sensing/sstd/internal/socialsensing"
+	"github.com/social-sensing/sstd/internal/workqueue"
 )
 
 func origin() time.Time { return time.Date(2016, 9, 30, 12, 0, 0, 0, time.UTC) }
@@ -70,6 +72,40 @@ func drain(t *testing.T, m *Manager, n int) []JobResult {
 		}
 	}
 	return out
+}
+
+// checkJobCounters holds the job counters README names to one job's
+// outcome: submitted, completed (degraded ones included), failed and
+// degraded.
+func checkJobCounters(t *testing.T, reg *obs.Registry, submitted, completed, failed, degraded int64) {
+	t.Helper()
+	for name, want := range map[string]int64{
+		"dtm_jobs_submitted_total": submitted,
+		"dtm_jobs_completed_total": completed,
+		"dtm_jobs_failed_total":    failed,
+		"dtm_jobs_degraded_total":  degraded,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// perReportDelay makes the pool's executor take d longer per report of a
+// scatter task, as a computation-heavy load would, keeping jobs in flight.
+func perReportDelay(d time.Duration) func(workqueue.Executor) workqueue.Executor {
+	return func(exec workqueue.Executor) workqueue.Executor {
+		return func(ctx context.Context, p []byte) ([]byte, error) {
+			if t, err := parseTask(p); err == nil {
+				select {
+				case <-time.After(time.Duration(t.n) * d):
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			}
+			return exec(ctx, p)
+		}
+	}
 }
 
 func TestManagerEndToEnd(t *testing.T) {
@@ -225,7 +261,7 @@ func TestManagerDeadlines(t *testing.T) {
 
 func TestManagerDuplicateJobRejected(t *testing.T) {
 	cfg := DefaultConfig(origin())
-	cfg.WorkDelay = time.Millisecond // keep the first job in flight
+	cfg.WrapExec = perReportDelay(time.Millisecond) // keep the first job in flight
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +301,7 @@ func TestManagerControlLoopAdjustsPool(t *testing.T) {
 	cfg.Workers = 1
 	cfg.EnableControl = true
 	cfg.SampleEvery = 20 * time.Millisecond
-	cfg.WorkDelay = 2 * time.Millisecond // make work visible to the monitor
+	cfg.WrapExec = perReportDelay(2 * time.Millisecond) // make work visible to the monitor
 	cfg.Tuner.MaxWorkers = 16
 	// Calibrate WCET so the model predicts lateness under the tight
 	// deadline below.
@@ -318,7 +354,7 @@ func TestManagerControlLoopAdjustsPool(t *testing.T) {
 func TestManagerProgress(t *testing.T) {
 	cfg := DefaultConfig(origin())
 	cfg.Workers = 1
-	cfg.WorkDelay = time.Millisecond // keep the job in flight briefly
+	cfg.WrapExec = perReportDelay(time.Millisecond) // keep the job in flight briefly
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

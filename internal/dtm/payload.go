@@ -397,12 +397,6 @@ func getSums(n int) *[]int64 {
 // own HMM, the TD job the paper hands its workers. It is a
 // workqueue.Executor; a malformed payload is a decode-stage error.
 func ExecuteTask(ctx context.Context, payload []byte) ([]byte, error) {
-	return executeTask(ctx, payload, 0)
-}
-
-// executeTask is ExecuteTask with an artificial cost of perReport busy
-// time for every report of a scatter chunk.
-func executeTask(ctx context.Context, payload []byte, perReport time.Duration) ([]byte, error) {
 	if len(payload) > 0 && payload[0] == kindDecode {
 		return executeDecode(ctx, payload)
 	}
@@ -410,16 +404,6 @@ func executeTask(ctx context.Context, payload []byte, perReport time.Duration) (
 	t, err := parseTask(payload)
 	if err != nil {
 		return nil, obs.Wrap(malformed("payload", err))
-	}
-	if perReport > 0 {
-		// Busy-burn rather than sleep: sub-millisecond per-report costs
-		// matter here and sleep granularity would distort them. Stay
-		// responsive to preemption.
-		for deadline := time.Now().Add(time.Duration(t.n) * perReport); time.Now().Before(deadline); {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-		}
 	}
 	runs := runSumsPool.Get().(*[]runSum)
 	defer runSumsPool.Put(runs)

@@ -711,7 +711,7 @@ func TestSubmitAfterCloseLeavesNoJob(t *testing.T) {
 func TestDuplicateSubmitLeavesNoOpenSpan(t *testing.T) {
 	cfg := DefaultConfig(origin())
 	cfg.Tracer = obs.NewTracer(0)
-	cfg.WorkDelay = time.Millisecond // keep the first job in flight
+	cfg.WrapExec = perReportDelay(time.Millisecond) // keep the first job in flight
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -735,7 +735,7 @@ func TestDuplicateSubmitLeavesNoOpenSpan(t *testing.T) {
 // score, still get the duplicate's error.
 func TestDuplicateRefusedBeforeEncode(t *testing.T) {
 	cfg := DefaultConfig(origin())
-	cfg.WorkDelay = time.Millisecond // keep the first job in flight
+	cfg.WrapExec = perReportDelay(time.Millisecond) // keep the first job in flight
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -31,7 +31,6 @@ func TestDecodeTaskKeepsJobPriority(t *testing.T) {
 		cfg := DefaultConfig(origin())
 		cfg.Seed = seed
 		cfg.Workers, cfg.TasksPerJob = 2, 1
-		cfg.RespawnWorkers = false
 		cfg.Admission = &workqueue.AdmissionConfig{TaskRatePerWorker: 0.001, Shed: true}
 		cfg.WrapExec = func(exec workqueue.Executor) workqueue.Executor {
 			return func(ctx context.Context, p []byte) ([]byte, error) {
@@ -164,9 +163,7 @@ func TestLostDecodeTaskFailsJob(t *testing.T) {
 	if res.Err == nil || !strings.Contains(res.Err.Error(), "decode task lost") || res.Degraded || res.FailedTasks != 0 || res.Estimates != nil {
 		t.Errorf("result %+v, want the decode task's error and nothing else", res)
 	}
-	if failed := cfg.Metrics.Counter("dtm_jobs_failed_total").Value(); failed != 1 {
-		t.Errorf("dtm_jobs_failed_total = %d, want 1", failed)
-	}
+	checkJobCounters(t, cfg.Metrics, 1, 0, 1, 0)
 	if len(m.Master().AllStats()) != 0 || len(m.Progress()) != 0 {
 		t.Error("the failed job left state behind")
 	}

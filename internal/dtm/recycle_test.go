@@ -31,7 +31,7 @@ func TestRecycledBuffersUnderChaos(t *testing.T) {
 	base.ACS.WindowIntervals = 3
 	base.TasksPerJob = 4
 	base.Workers = 3
-	base.Heartbeat = 5 * time.Millisecond
+	base.heartbeat = 5 * time.Millisecond
 	reports := make([][]socialsensing.Report, jobs)
 	// want holds every payload the jobs may send: the scatter tasks and
 	// the decode task each job's outputs merge into.

@@ -48,7 +48,7 @@ func TestClusterTelemetryPlaneEndToEnd(t *testing.T) {
 	cfg := DefaultConfig(origin())
 	cfg.ACS.WindowIntervals = 3
 	cfg.Workers = 2
-	cfg.Heartbeat = 20 * time.Millisecond
+	cfg.heartbeat = 20 * time.Millisecond
 	cfg.Metrics = reg
 	cfg.Tracer = tracer
 	cfg.Telemetry = store

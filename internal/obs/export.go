@@ -28,7 +28,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	s := r.Snapshot()
 	lastType := ""
-	for _, name := range sortedKeys(s.Counters) {
+	for _, name := range SortedKeys(s.Counters) {
 		base, labels := promName(name)
 		if base != lastType {
 			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n", base); err != nil {
@@ -41,7 +41,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	lastType = ""
-	for _, name := range sortedKeys(s.Gauges) {
+	for _, name := range SortedKeys(s.Gauges) {
 		base, labels := promName(name)
 		if base != lastType {
 			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", base); err != nil {
@@ -53,13 +53,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			return err
 		}
 	}
-	hnames := make([]string, 0, len(s.Histograms))
-	for name := range s.Histograms {
-		hnames = append(hnames, name)
-	}
-	sort.Strings(hnames)
 	lastType = ""
-	for _, name := range hnames {
+	for _, name := range SortedKeys(s.Histograms) {
 		h := s.Histograms[name]
 		base, labels := promName(name)
 		if base != lastType {
@@ -348,7 +343,10 @@ func ParseSince(s string, now time.Time) (time.Time, bool) {
 	return time.Time{}, false
 }
 
-func sortedKeys[V any](m map[string]V) []string {
+// SortedKeys returns m's keys in ascending order: the exporters, the
+// telemetry store and the wire's telemetry encoding list a map in that
+// order, so their output is byte-stable across runs.
+func SortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -196,12 +196,7 @@ func (s *Store) SeriesNames() []string {
 		set[r.name] = struct{}{}
 	}
 	s.mu.RUnlock()
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return obs.SortedKeys(set)
 }
 
 // downsample keeps the last point of each stepMs-wide time bucket.
@@ -247,14 +242,9 @@ func seriesKey(base string, labels map[string]string) string {
 	if len(labels) == 0 {
 		return base
 	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var b strings.Builder
 	b.WriteString(base)
-	for _, k := range keys {
+	for _, k := range obs.SortedKeys(labels) {
 		b.WriteByte('\x00')
 		b.WriteString(k)
 		b.WriteByte('=')

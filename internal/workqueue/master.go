@@ -286,7 +286,8 @@ func (m *Master) AllStats() []JobStats {
 }
 
 // ForgetJob drops what the master keeps per job, its stats row and its
-// scheduler entry: for submitters that know when a job is over.
+// scheduler entry with the job's priority. Both stay until the submitter,
+// which alone knows when a job is over, calls it.
 func (m *Master) ForgetJob(jobID string) {
 	m.mu.Lock()
 	delete(m.stats, jobID)
@@ -656,7 +657,7 @@ func (m *Master) HandleWorker(ctx context.Context, conn net.Conn) error {
 			// Fill the rest of the frame opportunistically — never
 			// blocking while work is already queued or in flight.
 			for len(batch) < room {
-				task, ok := w.tryNext()
+				task, ok := m.sched.tryNext()
 				if !ok {
 					break
 				}
@@ -892,14 +893,9 @@ func (m *Master) complete(r Result) {
 	} else {
 		js.Completed++
 	}
-	jobDone := js.Done()
 	closed := m.closed.Load()
 	m.mu.Unlock()
 	m.fr.Probe(flightrec.ProbeMasterAck, tp, int64(len(r.Output)), ackParent)
-	if jobDone {
-		// The scheduler entry of a drained job goes; ForgetJob drops the rest.
-		m.sched.forgetJob(r.JobID)
-	}
 	if r.Err != "" {
 		m.cFailed.Inc()
 	} else {

@@ -35,7 +35,7 @@ func TestSchedulerNextAllocFree(t *testing.T) {
 	}
 	tryAllocs := testing.AllocsPerRun(1000, func() {
 		s.push(Task{ID: "t", JobID: "j"})
-		if _, ok := w.tryNext(); !ok {
+		if _, ok := s.tryNext(); !ok {
 			t.Fatal("tryNext failed")
 		}
 	})
@@ -48,8 +48,6 @@ func TestSchedulerNextAllocFree(t *testing.T) {
 // frequencies track the paper's P_u = T_u / sum T_u weights.
 func TestSchedulerWeightedFairness(t *testing.T) {
 	s := newScheduler(3)
-	w := s.getWaiter()
-	defer s.putWaiter(w)
 	priorities := []float64{5, 3, 1, 1, 0.5, 0.25}
 	jobs := make([]string, len(priorities))
 	total := 0.0
@@ -66,13 +64,13 @@ func TestSchedulerWeightedFairness(t *testing.T) {
 		for _, id := range jobs {
 			s.push(Task{ID: fmt.Sprintf("%s-%d", id, trial), JobID: id})
 		}
-		task, ok := w.tryNext()
+		task, ok := s.tryNext()
 		if !ok {
 			t.Fatal("draw from non-empty pool failed")
 		}
 		counts[task.JobID]++
 		for {
-			if _, ok := w.tryNext(); !ok {
+			if _, ok := s.tryNext(); !ok {
 				break
 			}
 		}
@@ -96,8 +94,6 @@ func TestSchedulerWeightedFairness(t *testing.T) {
 // never lose it.
 func TestSchedulerLowPriorityJobNotStarved(t *testing.T) {
 	s := newScheduler(11)
-	w := s.getWaiter()
-	defer s.putWaiter(w)
 	s.setPriority("hot", 1000)
 	s.setPriority("cold", 1e-9) // clamped to the 1e-6 floor
 	const hotTasks = 500
@@ -107,7 +103,7 @@ func TestSchedulerLowPriorityJobNotStarved(t *testing.T) {
 	s.push(Task{ID: "the-cold-one", JobID: "cold"})
 	seenCold := false
 	for i := 0; i < hotTasks+1; i++ {
-		task, ok := w.tryNext()
+		task, ok := s.tryNext()
 		if !ok {
 			t.Fatalf("pool dried up after %d draws with %d queued", i, s.len())
 		}

@@ -58,7 +58,6 @@ type scheduler struct {
 // jobQueue is one job's FIFO plus its scheduling weight. head indexes the
 // next task; when the queue drains, the backing array is reset and kept.
 type jobQueue struct {
-	id       string
 	tasks    []queued
 	head     int
 	priority float64
@@ -132,7 +131,7 @@ func (s *scheduler) put(t queued, front bool) {
 	}
 	q := s.jobs[t.JobID]
 	if q == nil {
-		q = &jobQueue{id: t.JobID, priority: 1}
+		q = &jobQueue{priority: 1}
 		s.jobs[t.JobID] = q
 	}
 	if q.pending() == 0 {
@@ -163,7 +162,7 @@ func (s *scheduler) setPriority(jobID string, p float64) {
 	s.mu.Lock()
 	q := s.jobs[jobID]
 	if q == nil {
-		s.jobs[jobID] = &jobQueue{id: jobID, priority: p}
+		s.jobs[jobID] = &jobQueue{priority: p}
 	} else {
 		if q.pending() > 0 {
 			s.setMassLocked(s.mass + p - q.priority)
@@ -202,10 +201,6 @@ func (w *waiter) next(ctx context.Context) (queued, bool) {
 		return w.cancel()
 	}
 }
-
-// tryNext is the non-blocking draw (batching handlers use it to fill a
-// frame beyond the first blocking draw).
-func (w *waiter) tryNext() (queued, bool) { return w.s.tryNext() }
 
 // takeOrPark draws a queued task or, when none is queued and neither the
 // pool is closed nor ctx done, parks the waiter on the idle stack

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -309,32 +308,21 @@ func wireGetSpan(r *wireReader) RemoteSpan {
 		TaskID: r.str(), StartUnixNano: r.i64(), DurNs: r.i64()}
 }
 
-// sortedKeys returns map keys in sorted order so telemetry encoding is
-// deterministic (golden frames are byte-stable across runs).
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // wirePutTelemetry writes a worker's registry snapshot. Quantiles are
 // derived, so they stay off the wire; the decoder recomputes them.
 func wirePutTelemetry(w *wireWriter, t *obs.RegistrySnapshot) {
 	w.u64(uint64(len(t.Counters)))
-	for _, k := range sortedKeys(t.Counters) {
+	for _, k := range obs.SortedKeys(t.Counters) {
 		w.str(k)
 		w.i64(t.Counters[k])
 	}
 	w.u64(uint64(len(t.Gauges)))
-	for _, k := range sortedKeys(t.Gauges) {
+	for _, k := range obs.SortedKeys(t.Gauges) {
 		w.str(k)
 		w.f64(t.Gauges[k])
 	}
 	w.u64(uint64(len(t.Histograms)))
-	for _, k := range sortedKeys(t.Histograms) {
+	for _, k := range obs.SortedKeys(t.Histograms) {
 		h := t.Histograms[k]
 		w.str(k)
 		w.f64s(h.Bounds)

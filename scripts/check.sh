@@ -1,7 +1,7 @@
 #!/bin/sh
 # CI tiers for the SSTD reproduction.
 #
-#   scripts/check.sh            tier-1: README.md + DESIGN.md within their byte budget + the five main binaries' -h flags within their count budget + internal/workqueue's and internal/hmm's non-test lines within their budgets + gofmt + build + tests (the ROADMAP gate), TestAPIAudit among them: every top-level name under internal/ must be reachable from a program's main or the root package's examples, every exported field written by a program or another package's test, and no program may import a test helper package
+#   scripts/check.sh            tier-1: README.md + DESIGN.md within their byte budget + the five main binaries' -h flags within their count budget + the non-test lines of internal/workqueue, internal/hmm and internal/dtm each within its budget + gofmt + build + tests (the ROADMAP gate), TestAPIAudit among them: every top-level name under internal/ must be reachable from a program's main or the root package's examples, every exported field written by a program or another package's test, and no program may import a test helper package
 #   scripts/check.sh race       tier-2: vet + full test suite under -race
 #   scripts/check.sh bench      microbenchmarks -> BENCH_obs.json + BENCH_hmm.json + BENCH_wire.json; front-end layer benches (tokenizer included) printed
 #   scripts/check.sh chaos      chaos soak: seeded fault-injection schedules under -race
@@ -20,7 +20,7 @@ cd "$(dirname "$0")/.."
 # docBudget caps README.md + DESIGN.md together, in bytes, as loc.sh's
 # total shows code size. Raising it is a decision to make in the change
 # that needs it, not a fix for a failing check.
-docBudget=101707
+docBudget=101486
 
 # flagBudget caps the flags sstd-master, sstd-worker, sstd, experiments
 # and tracegen list under -h, summed, as docBudget caps the docs. Raising
@@ -28,21 +28,22 @@ docBudget=101707
 # failing check.
 flagBudget=58
 
-# wqBudget caps internal/workqueue's non-test lines, as scripts/loc.sh
-# counts them: the work queue is the largest package, and each of its
-# mechanisms earns its lines with a test that fails without it. Raising
-# it is a decision to make in the change that needs it, not a fix for a
-# failing check.
-wqBudget=4281
-
-# hmmBudget caps internal/hmm's non-test lines the same way: the package
-# is the paper's one model, a 2-state HMM over quantized ACS symbols, and
-# holds no second emission family. Raising it is a decision to make in the
-# change that needs it, not a fix for a failing check.
+# The line budgets cap a package's non-test lines, as scripts/loc.sh
+# counts them, one package=budget pair each. Raising one is a decision to
+# make in the change that needs it, not a fix for a failing check.
+#   wqBudget: the work queue is the largest package, and each of its
+#   mechanisms earns its lines with a test that fails without it.
+#   hmmBudget: the paper's one model, a 2-state HMM over quantized ACS
+#   symbols, with no second emission family.
+#   dtmBudget: the Dynamic Task Manager, whose mechanisms earn their lines
+#   the same way, and whose Config holds no knob only its tests set.
+wqBudget=4260
 hmmBudget=1007
+dtmBudget=1698
+lineBudgets="internal/workqueue=$wqBudget internal/hmm=$hmmBudget internal/dtm=$dtmBudget"
 
 tier1() {
-	echo "== tier-1: doc budget && flag budget && workqueue and hmm line budgets && gofmt -l . && go build ./... && go test ./... =="
+	echo "== tier-1: doc budget && flag budget && workqueue, hmm and dtm line budgets && gofmt -l . && go build ./... && go test ./... =="
 	docBytes=$(cat README.md DESIGN.md | wc -c)
 	if [ "$docBytes" -gt "$docBudget" ]; then
 		echo "README.md + DESIGN.md are $docBytes bytes, over the budget of $docBudget (scripts/check.sh)" >&2
@@ -60,16 +61,14 @@ tier1() {
 		echo "the binaries list $flags flags under -h, over the budget of $flagBudget (scripts/check.sh)" >&2
 		exit 1
 	fi
-	wqLines=$(scripts/loc.sh internal/workqueue | awk '$1 == "internal/workqueue" { print $2 }')
-	if [ "$wqLines" -gt "$wqBudget" ]; then
-		echo "internal/workqueue is $wqLines non-test lines, over the budget of $wqBudget (scripts/check.sh)" >&2
-		exit 1
-	fi
-	hmmLines=$(scripts/loc.sh internal/hmm | awk '$1 == "internal/hmm" { print $2 }')
-	if [ "$hmmLines" -gt "$hmmBudget" ]; then
-		echo "internal/hmm is $hmmLines non-test lines, over the budget of $hmmBudget (scripts/check.sh)" >&2
-		exit 1
-	fi
+	for pair in $lineBudgets; do
+		pkg=${pair%=*} budget=${pair#*=}
+		lines=$(scripts/loc.sh "$pkg" | awk -v pkg="$pkg" '$1 == pkg { print $2 }')
+		if [ "$lines" -gt "$budget" ]; then
+			echo "$pkg is $lines non-test lines, over the budget of $budget (scripts/check.sh)" >&2
+			exit 1
+		fi
+	done
 	unformatted=$(gofmt -l .)
 	if [ -n "$unformatted" ]; then
 		echo "gofmt -l names:" >&2

@@ -133,6 +133,9 @@ type (
 	// WorkerState is a worker's liveness classification (alive, suspect
 	// or dead).
 	WorkerState = workqueue.WorkerState
+	// TaskExecutor runs one task's payload on a worker;
+	// ManagerConfig.WrapExec wraps the pool's.
+	TaskExecutor = workqueue.Executor
 )
 
 // Worker liveness states.
