@@ -118,7 +118,7 @@ func TestDegradedJobCompletion(t *testing.T) {
 	cfg.ACS.WindowIntervals = 3
 	cfg.TasksPerJob = 6
 	cfg.Workers = 2
-	cfg.Metrics = obs.NewRegistry()
+	cfg.Metrics, cfg.Tracer = obs.NewRegistry(), obs.NewTracer(64)
 	// The first two executor invocations fail outright (scripted), so
 	// exactly two tasks are lost; the other four decode.
 	inj := chaos.New(chaos.Spec{
@@ -147,6 +147,9 @@ func TestDegradedJobCompletion(t *testing.T) {
 		t.Fatal("degraded job produced no estimates at all")
 	}
 	checkJobCounters(t, cfg.Metrics, 1, 1, 0, 1)
+	if a := rootAttrs(t, cfg.Tracer, "c1"); a["degraded"] != "2/6 tasks lost" || a["reports"] != "240" {
+		t.Errorf("root span attributes %v, want degraded=2/6 tasks lost and reports=240", a)
+	}
 }
 
 // TestHungTaskDegradesJob hangs the executor forever on one task and

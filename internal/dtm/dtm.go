@@ -290,9 +290,6 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.Workers < 0 {
 		return nil, errors.New("dtm: config has a negative worker count")
 	}
-	if cfg.EnableControl && cfg.Workers == 0 {
-		return nil, errors.New("dtm: the control loop resizes the in-process pool and needs Workers > 0")
-	}
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = time.Second
 	}
@@ -301,10 +298,20 @@ func New(cfg Config) (*Manager, error) {
 	if _, _, _, err := parseDecodeHeader(header); err != nil {
 		return nil, fmt.Errorf("dtm: decoder config: %w", err)
 	}
+	var tuner *control.Tuner
+	if cfg.EnableControl {
+		// The tuner refuses a pool of no workers: the loop resizes the
+		// in-process pool.
+		var err error
+		if tuner, err = control.NewTuner(cfg.Tuner, cfg.Workers); err != nil {
+			return nil, err
+		}
+	}
 	m := &Manager{
 		cfg:          cfg,
 		decodeHeader: header,
 		results:      make(chan JobResult, 64),
+		tuner:        tuner,
 		jobs:         make(map[string]*jobState),
 		fr:           flightrec.Shared("dtm"),
 		missBurst:    flightrec.NewBurst(flightrec.TrigDeadlineMiss, 0, 0),
@@ -357,20 +364,13 @@ func New(cfg Config) (*Manager, error) {
 		m.hJobLatency = reg.Histogram("dtm_job_latency_ms", nil)
 		m.hDecode = reg.Histogram("dtm_decode_ms", nil)
 	}
-	if cfg.EnableControl {
-		tn, err := control.NewTuner(cfg.Tuner, cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
-		m.tuner = tn
-	}
 	return m, nil
 }
 
 // Start brings up the worker pool, the encode helpers, the result
 // collector and (when enabled) the control loop. Cancelling ctx stops the
-// workers, the helpers and the control loop and makes the collector drop
-// what still arrives, but only Close shuts the master down and ends the
+// workers, the helpers and the control loop, and a job that finishes after
+// it may go unreported, but only Close shuts the master down and ends the
 // collector: call Close after cancelling too.
 func (m *Manager) Start(ctx context.Context) {
 	ctx, m.cancel = context.WithCancel(ctx)
@@ -574,17 +574,14 @@ func (m *Manager) close() {
 	close(m.results)
 }
 
-// collect merges task results into jobs and finalizes completed jobs.
+// collect merges task results into jobs and finalizes completed jobs. It
+// receives until Master.Shutdown closes the channel: the pool's connection
+// handlers block on it while delivering, and close() waits for them, so a
+// collector that stopped at cancellation would leave Close hanging once
+// more results are pending than the channel buffers.
 func (m *Manager) collect(ctx context.Context) {
-	// Keep receiving until Master.Shutdown closes the channel: the pool's
-	// connection handlers block on it while delivering, and close() waits
-	// for them, so a collector that stopped at cancellation would leave
-	// Close hanging once more results are pending than the channel
-	// buffers. Results that arrive after cancellation are dropped.
 	for r := range m.master.Results() {
-		if ctx.Err() == nil {
-			m.handleResult(ctx, r)
-		}
+		m.handleResult(ctx, r)
 	}
 }
 
@@ -781,10 +778,9 @@ func (m *Manager) controlStep(ctx context.Context) {
 		m.recordWorkerRows(time.Now())
 		return
 	}
+	// The tuner keeps the pool at MinWorkers (at least one); a pool a test
+	// emptied predicts no finish, and the tick actuates nothing.
 	workers := m.pool.Size()
-	if workers < 1 {
-		workers = 1
-	}
 	m.mu.Lock()
 	statuses := make([]control.JobStatus, 0, len(m.jobs))
 	for id, js := range m.jobs {

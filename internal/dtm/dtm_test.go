@@ -3,8 +3,10 @@ package dtm
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -88,6 +90,52 @@ func checkJobCounters(t *testing.T, reg *obs.Registry, submitted, completed, fai
 		if got := reg.Counter(name).Value(); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
+	}
+}
+
+// rootAttrs is the attributes of the finished root span of claim's job.
+func rootAttrs(t *testing.T, tr *obs.Tracer, claim string) map[string]string {
+	t.Helper()
+	for _, s := range tr.Spans() {
+		if s.Name == "job "+claim {
+			return s.Attrs
+		}
+	}
+	t.Fatalf("no root span for job %s", claim)
+	return nil
+}
+
+// TestTaskStagesJoinJobTrace: every task carries its job's trace, so the
+// stages a worker times for a scatter task, as for the decode task, land
+// in the job's trace.
+func TestTaskStagesJoinJobTrace(t *testing.T) {
+	cfg := DefaultConfig(origin())
+	cfg.Workers, cfg.Tracer = 2, obs.NewTracer(1024)
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start(context.Background())
+	defer m.Close()
+	if err := m.SubmitJob("c", flipReports("c", 20, 10, 4, 0.1, 1), 0); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, m, 1)
+	spans, trace := cfg.Tracer.Spans(), ""
+	for _, s := range spans {
+		if s.Name == "job c" {
+			trace = s.Trace
+		}
+	}
+	stages := map[string]int{}
+	for _, s := range spans {
+		if s.Proc != "" && s.Trace != "" && s.Trace == trace {
+			stages[s.Name]++
+		}
+	}
+	want := cfg.TasksPerJob + 1
+	if stages[workqueue.StageDecode] != want || stages[workqueue.StageEncode] != want {
+		t.Errorf("worker stage spans in the job's trace %v, want %d %q and %q spans", stages, want, workqueue.StageDecode, workqueue.StageEncode)
 	}
 }
 
@@ -303,6 +351,7 @@ func TestManagerControlLoopAdjustsPool(t *testing.T) {
 	cfg.SampleEvery = 20 * time.Millisecond
 	cfg.WrapExec = perReportDelay(2 * time.Millisecond) // make work visible to the monitor
 	cfg.Tuner.MaxWorkers = 16
+	cfg.ControlLog = obs.NewControlRecorder(0)
 	// Calibrate WCET so the model predicts lateness under the tight
 	// deadline below.
 	cfg.WCET.Theta2 = 10 * time.Millisecond
@@ -348,6 +397,19 @@ func TestManagerControlLoopAdjustsPool(t *testing.T) {
 	}
 	if maxWorkers <= 1 {
 		t.Errorf("control loop never grew the pool: peak %d workers", maxWorkers)
+	}
+	// Each tick records every job's PID state and knobs, and each worker's
+	// observed exec time beside the WCET model's prediction.
+	samples := cfg.ControlLog.Samples()
+	if len(samples) == 0 || samples[0].Job == "" || samples[0].LCK <= 0 || samples[0].GCK < 1 || samples[0].DeadlineMs != 300 {
+		t.Errorf("control samples %+v, want rows of the jobs' knobs", samples)
+	}
+	predicted := false
+	for _, w := range cfg.ControlLog.WorkerSamples() {
+		predicted = predicted || w.PredictedExecMs > 0
+	}
+	if !predicted {
+		t.Error("no worker row carries the model's predicted exec time")
 	}
 }
 
@@ -403,14 +465,184 @@ func TestManagerValidation(t *testing.T) {
 		t.Error("control loop accepted with no pool to resize")
 	}
 	cfg = DefaultConfig(origin())
+	cfg.Decoder.Train.Tolerance = math.NaN()
+	if _, err := New(cfg); err == nil {
+		t.Error("a decoder configuration the workers' parser refuses accepted")
+	}
+	cfg = DefaultConfig(origin())
+	cfg.TasksPerJob, cfg.SampleEvery = 0, 0
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.cfg.TasksPerJob != 4 || m.cfg.SampleEvery != time.Second {
+		t.Errorf("zero TasksPerJob and SampleEvery became %d and %s, want 4 and 1s", m.cfg.TasksPerJob, m.cfg.SampleEvery)
+	}
+	m.Start(context.Background())
+	defer m.Close()
+	if err := m.SubmitJob("", nil, 0); err == nil {
+		t.Error("empty claim accepted")
+	}
+}
+
+func TestSampleEveryFor(t *testing.T) {
+	for deadline, want := range map[time.Duration]time.Duration{
+		0:                      time.Second,
+		150 * time.Millisecond: 15 * time.Millisecond,
+		time.Minute:            time.Second,
+	} {
+		if got := SampleEveryFor(deadline); got != want {
+			t.Errorf("SampleEveryFor(%s) = %s, want %s", deadline, got, want)
+		}
+	}
+}
+
+// TestConcurrentDuplicateSubmit: of the submits of one claim that race
+// each other past the pre-check, exactly one registers the job.
+func TestConcurrentDuplicateSubmit(t *testing.T) {
+	cfg := DefaultConfig(origin())
+	cfg.Workers = 0 // nothing runs: every job stays registered
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Start(context.Background())
 	defer m.Close()
-	if err := m.SubmitJob("", nil, 0); err == nil {
-		t.Error("empty claim accepted")
+	const rounds, racers = 10, 8
+	for k := 0; k < rounds; k++ {
+		claim := socialsensing.ClaimID(fmt.Sprintf("c%d", k))
+		reports := flipReports(claim, 100, 50, 20, 0.1, int64(k)) // an encode long enough to race
+		start, errs := make(chan struct{}), make(chan error, racers)
+		for range racers {
+			go func() {
+				<-start
+				errs <- m.SubmitJob(claim, reports, 0)
+			}()
+		}
+		close(start)
+		accepted := 0
+		for range racers {
+			if <-errs == nil {
+				accepted++
+			}
+		}
+		if accepted != 1 {
+			t.Fatalf("%d of %d concurrent submits of %s accepted, want 1", accepted, racers, claim)
+		}
+	}
+	if got := len(m.Progress()); got != rounds {
+		t.Errorf("%d jobs registered, want %d", got, rounds)
+	}
+}
+
+// scatterResult runs scatter task i of job claim, which no worker was
+// given, and returns its result as a worker would deliver it.
+func scatterResult(t *testing.T, m *Manager, claim string, i int) workqueue.Result {
+	t.Helper()
+	m.mu.Lock()
+	payload := m.jobs[claim].buf.payloads[i]
+	m.mu.Unlock()
+	out, err := ExecuteTask(context.Background(), payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return workqueue.Result{TaskID: fmt.Sprintf("%s/%d", claim, i), JobID: claim, Output: out}
+}
+
+// TestDuplicateResultCountsOnce: a task requeued while its first copy was
+// still running can answer twice. The first answer counts, once, toward
+// the job's tasks done and its remaining reports, which the control loop
+// predicts the job's finish from.
+func TestDuplicateResultCountsOnce(t *testing.T) {
+	cfg := DefaultConfig(origin())
+	cfg.Workers, cfg.TasksPerJob = 0, 2 // no pool: the test delivers the results
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start(context.Background())
+	defer m.Close()
+	if err := m.SubmitJob("c", flipReports("c", 10, 5, 2, 0.1, 1), 0); err != nil {
+		t.Fatal(err)
+	}
+	r := scatterResult(t, m, "c", 0)
+	m.handleResult(m.ctx, r)
+	m.handleResult(m.ctx, r)
+	if p := m.Progress(); len(p) != 1 || p[0].TasksDone != 1 || p[0].Remaining != 10 {
+		t.Errorf("progress after one task's result delivered twice: %+v, want 1 task done and 10 of 20 reports left", p)
+	}
+}
+
+// TestRefusedDecodeTaskFailsJob: a job whose decode task the master
+// refuses (it has shut down) ends with that error instead of staying in
+// flight.
+func TestRefusedDecodeTaskFailsJob(t *testing.T) {
+	cfg := DefaultConfig(origin())
+	cfg.Workers, cfg.TasksPerJob = 0, 1 // no pool: the test delivers the result
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start(context.Background())
+	defer m.Close()
+	if err := m.SubmitJob("c", flipReports("c", 10, 5, 2, 0.1, 1), 0); err != nil {
+		t.Fatal(err)
+	}
+	r := scatterResult(t, m, "c", 0)
+	m.master.Shutdown()
+	m.handleResult(m.ctx, r)
+	if res := drain(t, m, 1)[0]; res.Err == nil || !strings.Contains(res.Err.Error(), "submit decode task") {
+		t.Errorf("result %+v, want the refused decode task's error", res)
+	}
+	if p := m.Progress(); len(p) != 0 {
+		t.Errorf("the failed job is still in flight: %+v", p)
+	}
+}
+
+// TestPriorityForUnknownJobIgnored: a tuner decision for a job the manager
+// no longer holds (one that finished after the tick sampled it) must not
+// reach the master, which would keep the weight until the claim's next job
+// and schedule that job by it. Here the decision comes before claim c's
+// job: with it ignored, c's task and d's are a fair pick for the one
+// worker, and c's comes first for some scheduler seed.
+func TestPriorityForUnknownJobIgnored(t *testing.T) {
+	cFirst := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		first := make(chan int, 2) // report count of each scatter task, in execution order
+		cfg := DefaultConfig(origin())
+		cfg.Seed, cfg.Workers, cfg.TasksPerJob = seed, 0, 1
+		cfg.WrapExec = func(exec workqueue.Executor) workqueue.Executor {
+			return func(ctx context.Context, p []byte) ([]byte, error) {
+				if t, err := parseTask(p); err == nil {
+					select {
+					case first <- t.n:
+					default: // a retried copy; the first two are in
+					}
+				}
+				return exec(ctx, p)
+			}
+		}
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Start(context.Background())
+		m.setPriority("c", shedPriority)
+		if err := m.SubmitJob("c", flipReports("c", 10, 5, 1, 0.1, 1), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SubmitJob("d", flipReports("d", 10, 5, 2, 0.1, 2), 0); err != nil {
+			t.Fatal(err)
+		}
+		m.pool.Resize(context.Background(), 1)
+		drain(t, m, 2)
+		m.Close()
+		if <-first == 10 {
+			cFirst++
+		}
+	}
+	if cFirst == 0 {
+		t.Error("claim c's task never ran first in 20 seeds: it ran at a weight set before the job existed")
 	}
 }
 

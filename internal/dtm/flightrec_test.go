@@ -169,7 +169,7 @@ func TestFlightRecorderDeadlineMissDeepDive(t *testing.T) {
 	if !codecNested {
 		t.Errorf("no codec frame event nested under a task exec span; probes seen: %v", probes)
 	}
-	for _, want := range []string{"hmm.forward", "hmm.backward", "master.assign", "dtm.finalize"} {
+	for _, want := range []string{"hmm.forward", "hmm.backward", "master.assign", "dtm.merge", "dtm.finalize"} {
 		if probes[want] == 0 {
 			t.Errorf("deep dive missing %s events; probes seen: %v", want, probes)
 		}

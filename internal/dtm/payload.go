@@ -282,11 +282,9 @@ func (jb *jobBuf) encodeChunk(i int) {
 			lo, hi = min(lo, slot), max(hi, slot)
 		}
 	}
-	c.runs, lo = runs, min(lo, hi+1) // an empty chunk has base 0, span 0
-	if span := hi - lo + 1; span > maxSpan {
-		c.err = fmt.Errorf("dtm: a task spans %d intervals, more than the %d one task can carry", span, maxSpan)
-		return
-	}
+	// An empty chunk has base 0, span 0. No span is over the job's
+	// intervals, which encodeShared holds to maxSpan.
+	c.runs, lo = runs, min(lo, hi+1)
 	c.top = hi + 1
 	buf = binary.AppendUvarint(binary.AppendUvarint(buf, uint64(lo)), uint64(hi-lo+1))
 	buf = binary.AppendUvarint(buf, uint64(len(runs)))
@@ -347,9 +345,9 @@ func parseTask(p []byte) (taskView, error) {
 		err = errors.New("interval span over the cap")
 	case base > math.MaxInt64-maxSpan:
 		err = errors.New("interval index out of range")
-	// A run covers at least one report and takes at least two bytes.
-	case runs > n || runs > uint64(len(p)-off)/2:
-		err = errors.New("more runs than reports or bytes")
+	// A run covers at least one report.
+	case runs > n:
+		err = errors.New("more runs than reports")
 	}
 	if err != nil {
 		return taskView{}, err

@@ -418,6 +418,7 @@ func TestDecodersRejectMalformed(t *testing.T) {
 		"counts over n":              scatter(2, []int32{1, 1}, 0, 2, 2, zz(0), 2, zz(1), 1),
 		"huge count":                 scatter(1, []int32{1}, 0, 1, 1, append([]byte{zz(0)}, binary.AppendUvarint(nil, math.MaxUint64)...)...),
 		"runs over n":                scatter(1, []int32{1}, 0, 1, 2, zz(0), 1, zz(0), 1),
+		"a run of no reports":        scatter(2, []int32{1, 1}, 0, 2, 2, zz(0), 2, zz(1), 0),
 		"runs for no reports":        scatter(0, nil, 0, 1, 1, zz(0), 1),
 		"no runs":                    scatter(1, []int32{1}, 0, 1, 0),
 		"runs over bytes left":       scatter(2, []int32{1, 1}, 0, 2, 2, zz(0), 1, zz(1)),
@@ -607,6 +608,25 @@ func TestDecodersRejectMalformed(t *testing.T) {
 // TestSubmitJobRejectsNonFiniteScores: a NaN or ±Inf score is refused at
 // submit, by claim and report index, and the refused job leaves nothing
 // behind — the same claim goes through once its reports are clean.
+// TestEncodeRefusesOverlongJobs: a grid of no interval length encodes
+// nothing, and neither does a job spanning more intervals than its decode
+// task carries, whether one chunk or several span them.
+func TestEncodeRefusesOverlongJobs(t *testing.T) {
+	rs := flipReports("c", 1, 1, 2, 0, 1) // two reports at the origin
+	one := [][]socialsensing.Report{rs}
+	if _, err := encodeTasks(new(jobBuf), one, origin(), 0); err == nil {
+		t.Error("encoded on a zero interval")
+	}
+	for _, span := range []int{maxSpan, maxSpan + 1} {
+		rs[1].Timestamp = origin().Add(time.Duration(span-1) * time.Nanosecond)
+		for _, chunks := range [][][]socialsensing.Report{one, {rs[:1], rs[1:]}} {
+			if _, err := encodeTasks(new(jobBuf), chunks, origin(), time.Nanosecond); (err == nil) != (span <= maxSpan) {
+				t.Errorf("a job of %d chunks spanning %d intervals: %v", len(chunks), span, err)
+			}
+		}
+	}
+}
+
 func TestSubmitJobRejectsNonFiniteScores(t *testing.T) {
 	m, err := New(DefaultConfig(origin()))
 	if err != nil {

@@ -13,14 +13,14 @@ import (
 	"github.com/social-sensing/sstd/internal/workqueue"
 )
 
-// TestDecodeTaskKeepsJobPriority: the master forgets a job, priority
-// included, the instant its scatter tasks have all completed — which is
-// now the instant before its decode task is submitted. A shed job and a
-// normal job both reach their decode phase with no worker attached; the
-// one worker that then joins makes exactly one weighted pick between the
-// two decode tasks, and takes the normal job's for every scheduler seed.
-// With the shed job's decode task back at the default 1.0 that pick is a
-// coin flip per seed.
+// TestDecodeTaskKeepsJobPriority: a job's priority outlives the instant
+// its scatter tasks have all completed, the instant before its decode task
+// is submitted; the master keeps it until the manager forgets the job. A
+// shed job and a normal job both reach their decode phase with no worker
+// attached; the one worker that then joins makes exactly one weighted pick
+// between the two decode tasks, and takes the normal job's for every
+// scheduler seed. With the shed job's decode task back at the default 1.0
+// that pick is a coin flip per seed.
 func TestDecodeTaskKeepsJobPriority(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		var (
@@ -98,7 +98,7 @@ func TestDeadlineCountsTheDecode(t *testing.T) {
 	const deadline = 20 * time.Millisecond
 	cfg := DefaultConfig(origin())
 	cfg.Workers = 2
-	cfg.Metrics = obs.NewRegistry()
+	cfg.Metrics, cfg.Tracer = obs.NewRegistry(), obs.NewTracer(64)
 	cfg.WrapExec = func(exec workqueue.Executor) workqueue.Executor {
 		return func(ctx context.Context, p []byte) ([]byte, error) {
 			if p[0] == kindDecode {
@@ -133,6 +133,9 @@ func TestDeadlineCountsTheDecode(t *testing.T) {
 	if h := snap.Histograms["dtm_job_latency_ms"]; h.Count != 1 || h.Sum < float64(deadline/time.Millisecond) {
 		t.Errorf("dtm_job_latency_ms = %+v, want the decode included", h)
 	}
+	if a := rootAttrs(t, cfg.Tracer, "c"); a["deadline_met"] != "false" {
+		t.Errorf("root span attributes %v, want deadline_met=false", a)
+	}
 }
 
 // TestLostDecodeTaskFailsJob: there is no timeline without the decode
@@ -141,11 +144,11 @@ func TestDeadlineCountsTheDecode(t *testing.T) {
 func TestLostDecodeTaskFailsJob(t *testing.T) {
 	cfg := DefaultConfig(origin())
 	cfg.Workers = 2
-	cfg.Metrics = obs.NewRegistry()
+	cfg.Metrics, cfg.Tracer, cfg.Logger = obs.NewRegistry(), obs.NewTracer(64), obs.NewLogger(nil, obs.LevelInfo, 0)
 	cfg.WrapExec = func(exec workqueue.Executor) workqueue.Executor {
 		return func(ctx context.Context, p []byte) ([]byte, error) {
 			if p[0] == kindDecode {
-				return nil, fmt.Errorf("decode task lost")
+				return nil, obs.Wrap(fmt.Errorf("decode task lost"))
 			}
 			return exec(ctx, p)
 		}
@@ -164,6 +167,17 @@ func TestLostDecodeTaskFailsJob(t *testing.T) {
 		t.Errorf("result %+v, want the decode task's error and nothing else", res)
 	}
 	checkJobCounters(t, cfg.Metrics, 1, 0, 1, 0)
+	if a := rootAttrs(t, cfg.Tracer, "c"); !strings.Contains(a["error"], "decode task lost") {
+		t.Errorf("root span attributes %v, want the decode task's error", a)
+	}
+	// The job-failed line carries the return trace the worker sent.
+	logged := false
+	for _, e := range cfg.Logger.Entries() {
+		logged = logged || e.Msg == "job failed" && e.Fields["worker_err_trace"] != nil
+	}
+	if !logged {
+		t.Errorf("no job-failed log line with the worker's err trace in %+v", cfg.Logger.Entries())
+	}
 	if len(m.Master().AllStats()) != 0 || len(m.Progress()) != 0 {
 		t.Error("the failed job left state behind")
 	}

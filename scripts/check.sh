@@ -39,7 +39,7 @@ flagBudget=58
 #   the same way, and whose Config holds no knob only its tests set.
 wqBudget=4260
 hmmBudget=1007
-dtmBudget=1698
+dtmBudget=1692
 lineBudgets="internal/workqueue=$wqBudget internal/hmm=$hmmBudget internal/dtm=$dtmBudget"
 
 tier1() {
