@@ -413,6 +413,58 @@ func TestManagerControlLoopAdjustsPool(t *testing.T) {
 	}
 }
 
+// TestControlStepActuatesLCK: a control tick hands the tuner's priorities
+// to the master (the Local Control Knob). With the one worker busy, a job
+// predicted to miss its deadline and a job with an hour to spare queue up;
+// after one tick the late job's task is picked first for every scheduler
+// seed, where equal weights would make the pick a coin flip per seed.
+func TestControlStepActuatesLCK(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		held, release := make(chan struct{}), make(chan struct{})
+		order := make(chan int, 3) // report count of each scatter task, in execution order
+		cfg := DefaultConfig(origin())
+		cfg.Seed, cfg.Workers, cfg.TasksPerJob = seed, 1, 1
+		cfg.EnableControl, cfg.SampleEvery = true, time.Hour // the test ticks
+		cfg.Tuner.MaxWorkers = 1
+		cfg.WrapExec = func(exec workqueue.Executor) workqueue.Executor {
+			return func(ctx context.Context, p []byte) ([]byte, error) {
+				if t, err := parseTask(p); err == nil {
+					if t.n == 1 { // the job that keeps the worker busy
+						held <- struct{}{}
+						<-release
+					}
+					select {
+					case order <- t.n:
+					default: // a retried copy
+					}
+				}
+				return exec(ctx, p)
+			}
+		}
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Start(context.Background())
+		submit := func(claim socialsensing.ClaimID, reports int, deadline time.Duration) {
+			if err := m.SubmitJob(claim, flipReports(claim, reports, reports/2, 1, 0.1, 1), deadline); err != nil {
+				t.Fatal(err)
+			}
+		}
+		submit("busy", 1, 0)
+		<-held
+		submit("late", 10, time.Nanosecond)
+		submit("lax", 20, time.Hour)
+		m.controlStep(m.ctx)
+		close(release)
+		drain(t, m, 3)
+		m.Close()
+		if busy, first := <-order, <-order; busy != 1 || first != 10 {
+			t.Fatalf("seed %d: scatter tasks ran in the order %d, %d reports; want the late job's 10 right after the busy job's 1", seed, busy, first)
+		}
+	}
+}
+
 func TestManagerProgress(t *testing.T) {
 	cfg := DefaultConfig(origin())
 	cfg.Workers = 1
