@@ -588,7 +588,7 @@ func TestDecodersRejectMalformed(t *testing.T) {
 		what, answer := tc.what, tc.answer
 		cfg := DefaultConfig(origin())
 		cfg.Workers, cfg.TasksPerJob = 1, 1
-		cfg.WrapExec = answer
+		cfg.WrapExec, cfg.Logger = answer, obs.NewLogger(nil, obs.LevelInfo, 0)
 		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -601,13 +601,17 @@ func TestDecodersRejectMalformed(t *testing.T) {
 			!strings.Contains(err.Error(), workqueue.StageDecode+": dtm: bad task "+what) || len(obs.ReturnTrace(err)) == 0 {
 			t.Errorf("job error %v is not a traced decode-stage error about the %s", err, what)
 		}
+		logged := false
+		for _, e := range cfg.Logger.Entries() {
+			logged = logged || e.Msg == "job failed" && e.Fields["err_trace"] != nil
+		}
+		if !logged {
+			t.Errorf("no job-failed log line with the error's return trace in %+v", cfg.Logger.Entries())
+		}
 		m.Close()
 	}
 }
 
-// TestSubmitJobRejectsNonFiniteScores: a NaN or ±Inf score is refused at
-// submit, by claim and report index, and the refused job leaves nothing
-// behind — the same claim goes through once its reports are clean.
 // TestEncodeRefusesOverlongJobs: a grid of no interval length encodes
 // nothing, and neither does a job spanning more intervals than its decode
 // task carries, whether one chunk or several span them.
@@ -627,6 +631,9 @@ func TestEncodeRefusesOverlongJobs(t *testing.T) {
 	}
 }
 
+// TestSubmitJobRejectsNonFiniteScores: a NaN or ±Inf score is refused at
+// submit, by claim and report index, and the refused job leaves nothing
+// behind — the same claim goes through once its reports are clean.
 func TestSubmitJobRejectsNonFiniteScores(t *testing.T) {
 	m, err := New(DefaultConfig(origin()))
 	if err != nil {
