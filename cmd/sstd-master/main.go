@@ -121,12 +121,12 @@ func run() (runErr error) {
 			Shed:              *admissionShed,
 		}
 	}
-	// The telemetry plane, only when -telemetry serves it: the registry
-	// snapshots workers ship on their heartbeats land in the retained
-	// time-series store alongside a 1s self-scrape of the master
-	// registry, and the SLO engine burns its error budget from the task
-	// counters. Its firing edge trips the flight recorder (when armed),
-	// whose dump gathers every worker's rings into the same trace file.
+	// The telemetry plane, only when -telemetry serves it: a 1s scrape of
+	// the master registry, which holds every worker's shipped series under
+	// its worker label, fills the retained time-series store, and the SLO
+	// engine burns its error budget from the task counters. Its firing
+	// edge trips the flight recorder (when armed), whose dump gathers
+	// every worker's rings into the same trace file.
 	var (
 		store     *tsdb.Store
 		sloEngine *slo.Engine
@@ -141,7 +141,7 @@ func run() (runErr error) {
 				case <-done:
 					return
 				case now := <-t.C:
-					store.Ingest("master", metrics.Snapshot(), now)
+					store.Ingest(metrics.Snapshot(), now)
 				}
 			}
 		})
@@ -173,7 +173,6 @@ func run() (runErr error) {
 	cfg.Logger = logger
 	cfg.ControlLog = recorder
 	cfg.SampleEvery = dtm.SampleEveryFor(*deadline)
-	cfg.Telemetry = store
 	cfg.FlightRec = flightRec
 	mgr, err := dtm.New(cfg)
 	if err != nil {

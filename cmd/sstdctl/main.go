@@ -1,8 +1,8 @@
 // Command sstdctl inspects a running master's cluster telemetry plane:
 //
 //	sstdctl -addr http://localhost:8080 query                 # list retained series
-//	sstdctl query -series worker_tasks_executed_total \
-//	       -label host=pool-worker-0 -since 5m -step 1s       # fetch points
+//	sstdctl query -series wq_worker_tasks_total \
+//	       -label worker=pool-worker-0 -since 5m -step 1s     # fetch points
 //	sstdctl slo                                               # error-budget status
 //	sstdctl dump                                              # trip the flight recorder: one trace, a lane per host
 //	sstdctl dump -list                                        # list the recorder's dumps

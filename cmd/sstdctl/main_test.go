@@ -53,23 +53,23 @@ func TestClientQueryAndDiscovery(t *testing.T) {
 	srv, store, _, _, _ := newTelemetryServer(t)
 	now := time.Now()
 	for i := 0; i < 5; i++ {
-		snap := obs.RegistrySnapshot{Gauges: map[string]float64{"wq_queue_depth": float64(i)}}
-		store.Ingest("master", snap, now.Add(time.Duration(i)*time.Second))
+		snap := obs.RegistrySnapshot{Gauges: map[string]float64{`wq_worker_goroutines{worker="w-1"}`: float64(i)}}
+		store.Ingest(snap, now.Add(time.Duration(i)*time.Second))
 	}
 
 	// Discovery: no series selected lists names.
-	if out := sstdctl(t, srv, "query"); out != "1 series:\n  wq_queue_depth\n" {
+	if out := sstdctl(t, srv, "query"); out != "1 series:\n  wq_worker_goroutines\n" {
 		t.Fatalf("discovery output = %q", out)
 	}
 
 	// Selection with a label matcher; -limit caps the points served.
-	out := sstdctl(t, srv, "query", "-series", "wq_queue_depth", "-label", "host=master", "-limit", "3")
-	if !strings.HasPrefix(out, `wq_queue_depth{host="master"}  (3 points)`) {
+	out := sstdctl(t, srv, "query", "-series", "wq_worker_goroutines", "-label", "worker=w-1", "-limit", "3")
+	if !strings.HasPrefix(out, `wq_worker_goroutines{worker="w-1"}  (3 points)`) {
 		t.Errorf("series output = %q", out)
 	}
 
 	// A mismatched matcher selects nothing.
-	if out := sstdctl(t, srv, "query", "-series", "wq_queue_depth", "-label", "host=elsewhere"); out != "no series retained\n" {
+	if out := sstdctl(t, srv, "query", "-series", "wq_worker_goroutines", "-label", "worker=elsewhere"); out != "no series retained\n" {
 		t.Errorf("matcher should have excluded all series: %q", out)
 	}
 }

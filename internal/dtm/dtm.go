@@ -22,7 +22,6 @@ import (
 	"github.com/social-sensing/sstd/internal/core"
 	"github.com/social-sensing/sstd/internal/obs"
 	"github.com/social-sensing/sstd/internal/obs/flightrec"
-	"github.com/social-sensing/sstd/internal/obs/tsdb"
 	"github.com/social-sensing/sstd/internal/socialsensing"
 	"github.com/social-sensing/sstd/internal/workqueue"
 )
@@ -103,10 +102,6 @@ type Config struct {
 	ControlLog *obs.ControlRecorder
 	Logger     *obs.Logger
 
-	// Telemetry, when set, is handed to the work-queue master as the
-	// retained time-series store for the workers' shipped metrics
-	// snapshots (the telemetry plane's /query backing store).
-	Telemetry *tsdb.Store
 	// FlightRec overrides the master's flight recorder (default
 	// flightrec.Active()), whose every dump gathers the workers' rings
 	// into one trace with a lane per host.
@@ -334,7 +329,6 @@ func New(cfg Config) (*Manager, error) {
 		DeadAfter:       cfg.DeadAfter,
 		StragglerFactor: cfg.StragglerFactor,
 		Admission:       cfg.Admission,
-		Telemetry:       cfg.Telemetry,
 		FlightRec:       cfg.FlightRec,
 	})
 	exec := workqueue.Executor(ExecuteTask)

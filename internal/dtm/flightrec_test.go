@@ -176,6 +176,47 @@ func TestFlightRecorderDeadlineMissDeepDive(t *testing.T) {
 	}
 }
 
+// TestDecodeTaskRecordsIntoInstalledRecorder: a decode task records its
+// kernel phases into the flight recorder installed when it runs, though
+// the scratch it decodes on may come from a pool filled under another
+// recorder, or none: each recorder a process installs in turn, as this
+// package's tests do, sees the decodes it was installed for.
+func TestDecodeTaskRecordsIntoInstalledRecorder(t *testing.T) {
+	const tasks = 4
+	reports := flipReports("c1", 40, 20, 6, 0.1, 7)
+	payloads, intervals, err := encodeJob(splitReports(reports, tasks), origin(), time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outputs := make([][]byte, tasks)
+	for i, p := range payloads {
+		if outputs[i], err = ExecuteTask(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := DefaultConfig(origin())
+	decode, _ := mergeJob(t, appendDecodeHeader(nil, 3, cfg.Decoder), outputs, intervals, inOrder(tasks))
+	defer flightrec.EnableCLI("", nil, nil, nil) // recording off again
+	for run := 0; run < 3; run++ {
+		rec, err := flightrec.Enable(flightrec.Config{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ExecuteTask(context.Background(), decode); err != nil {
+			t.Fatal(err)
+		}
+		kernel := 0
+		for _, e := range rec.Events(0) {
+			if strings.HasPrefix(e.Probe, "hmm.") {
+				kernel++
+			}
+		}
+		if kernel == 0 {
+			t.Fatalf("recorder %d saw no kernel-phase events of the decode it was installed for", run)
+		}
+	}
+}
+
 // dumpDir is where an end-to-end test leaves its trace: the directory env
 // names when scripts/check.sh or CI set it (CI uploads the trace), a
 // temporary one otherwise.

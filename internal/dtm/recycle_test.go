@@ -1,8 +1,11 @@
 package dtm
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"strings"
 	"sync"
@@ -136,6 +139,62 @@ func TestRefusedSubmitNeverRecycles(t *testing.T) {
 	}
 	if n := m.recycled.Load(); n != 0 {
 		t.Errorf("a refused submit recycled %d buffers", n)
+	}
+}
+
+// TestQuarantinedTaskKeepsItsPayload: a task whose every attempt loses
+// its worker is quarantined, and Master.Quarantined shows its payload.
+// The job still decodes from its other tasks, and the decode task must
+// not be written over the memory that payload lives in.
+func TestQuarantinedTaskKeepsItsPayload(t *testing.T) {
+	cfg := DefaultConfig(origin())
+	cfg.ACS.WindowIntervals = 3
+	cfg.TasksPerJob = 4
+	cfg.Workers = 1
+	cfg.MaxTaskRetries = 1
+	cfg.requeueBackoff = workqueue.BackoffConfig{Base: -1}
+	var (
+		mu   sync.Mutex
+		conn net.Conn // the worker side of the live connection
+	)
+	cfg.WrapConn = func(master, worker net.Conn) (net.Conn, net.Conn) {
+		mu.Lock()
+		conn = worker
+		mu.Unlock()
+		return master, worker
+	}
+	cfg.WrapExec = func(exec workqueue.Executor) workqueue.Executor {
+		return func(ctx context.Context, p []byte) ([]byte, error) {
+			if containsEarliest(p) {
+				// The first chunk kills its worker, as a crash does.
+				mu.Lock()
+				_ = conn.Close()
+				mu.Unlock()
+				return nil, errors.New("worker died")
+			}
+			return exec(ctx, p)
+		}
+	}
+	reports := flipReports("c1", 40, 20, 6, 0.1, 7)
+	payloads, _, err := encodeJob(splitReports(reports, cfg.TasksPerJob), origin(), cfg.ACS.Interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start(context.Background())
+	defer m.Close()
+	if err := m.SubmitJob("c1", reports, 0); err != nil {
+		t.Fatal(err)
+	}
+	if res := drain(t, m, 1)[0]; res.Err != nil || res.FailedTasks != 1 {
+		t.Fatalf("job: err=%v, %d failed tasks; want it decoded without its first chunk", res.Err, res.FailedTasks)
+	}
+	q := m.Master().Quarantined()
+	if len(q) != 1 || !bytes.Equal(q[0].Task.Payload, payloads[0]) {
+		t.Fatalf("quarantine holds %d tasks; want the first chunk's with its payload intact", len(q))
 	}
 }
 

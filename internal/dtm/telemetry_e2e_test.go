@@ -19,7 +19,8 @@ import (
 
 // TestClusterTelemetryPlaneEndToEnd exercises the whole telemetry plane
 // against a live 2-worker cluster: workers ship metrics snapshots into
-// the master's time-series store, an SLO burn-rate alert
+// the master's registry, whose scrapes feed the time-series store, an
+// SLO burn-rate alert
 // trips the master's flight recorder, whose gather step freezes both
 // workers over the wire, and the result is ONE Chrome trace with master
 // and both workers on distinct per-host lanes — all visible on the real
@@ -51,7 +52,6 @@ func TestClusterTelemetryPlaneEndToEnd(t *testing.T) {
 	cfg.heartbeat = 20 * time.Millisecond
 	cfg.Metrics = reg
 	cfg.Tracer = tracer
-	cfg.Telemetry = store
 	cfg.FlightRec = mrec
 	cfg.workerFlightRec = func(id string) *flightrec.Recorder { return wrecs[id] }
 	m, err := New(cfg)
@@ -180,12 +180,14 @@ func TestClusterTelemetryPlaneEndToEnd(t *testing.T) {
 	}
 
 	// Worker telemetry ships ride every fifth heartbeat; wait for the
-	// shipped task counts to land. Either worker may have run every task —
-	// they are that small — so the count is taken over both hosts.
+	// shipped task counts to land, scraping the master registry into the
+	// store as sstd-master does. Either worker may have run every task —
+	// they are that small — so the count is taken over both workers.
 	deadline := time.Now().Add(10 * time.Second)
 	for executed := 0.0; executed == 0; time.Sleep(10 * time.Millisecond) {
+		store.Ingest(reg.Snapshot(), time.Now())
 		var series tsdb.QueryResult
-		get("/query?series=worker_tasks_executed_total", &series)
+		get("/query?series=wq_worker_tasks_total", &series)
 		for _, s := range series.Series {
 			if n := len(s.Points); n > 0 {
 				executed += s.Points[n-1].V

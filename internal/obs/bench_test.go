@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"io"
 	"testing"
 )
@@ -89,5 +90,28 @@ func BenchmarkIngestRemoteSpan(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Ingest(s)
+	}
+}
+
+// BenchmarkTelemetryShipApply times a telemetry ship from a worker
+// registry of 8 counters and 8 histograms: the worker's snapshot and the
+// master's fold of it under the worker's label.
+func BenchmarkTelemetryShipApply(b *testing.B) {
+	reg, master := NewRegistry(), NewRegistry()
+	for i := 0; i < 8; i++ {
+		reg.Counter(fmt.Sprintf("c%d", i)).Add(int64(i))
+		reg.Histogram(fmt.Sprintf("h%d", i), nil).Observe(float64(i))
+	}
+	prev := reg.Snapshot()
+	master.Fold(RegistrySnapshot{}, prev, "worker", "w")
+	hot := reg.Counter("c0")
+	h := reg.Histogram("h0", nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hot.Inc()
+		h.Observe(1)
+		cur := reg.Snapshot()
+		master.Fold(prev, cur, "worker", "w")
+		prev = cur
 	}
 }

@@ -13,7 +13,9 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,20 +45,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c, ok := r.counters[name]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok = r.counters[name]; ok {
-		return c
-	}
-	c = &Counter{}
-	r.counters[name] = c
-	return c
+	return lookup(r, r.counters, name, newCounter)
 }
 
 // Gauge returns the named gauge, creating it on first use. Returns nil
@@ -65,20 +54,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok = r.gauges[name]; ok {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[name] = g
-	return g
+	return lookup(r, r.gauges, name, newGauge)
 }
 
 // Histogram returns the named histogram, creating it with the given
@@ -89,23 +65,73 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
+	return lookup(r, r.hists, name, func() *Histogram { return newHistogram(bounds) })
+}
+
+// lookup returns m[name], taking r's write lock only to create it.
+func lookup[T any](r *Registry, m map[string]*T, name string, mk func() *T) *T {
 	r.mu.RLock()
-	h, ok := r.hists[name]
+	v, ok := m[name]
 	r.mu.RUnlock()
 	if ok {
-		return h
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h, ok = r.hists[name]; ok {
-		return h
+	return lookupLocked(m, name, mk)
+}
+
+// lookupLocked returns m[name], creating it with mk. Callers hold r.mu.
+func lookupLocked[T any](m map[string]*T, name string, mk func() *T) *T {
+	v, ok := m[name]
+	if !ok {
+		v = mk()
+		m[name] = v
 	}
-	if bounds == nil {
-		bounds = DefaultDurationBuckets()
+	return v
+}
+
+func newCounter() *Counter { return &Counter{} }
+func newGauge() *Gauge     { return &Gauge{} }
+
+// Fold applies a ship — cur, a remote registry's cumulative snapshot,
+// whose previous ship was prev (zero on the first) — to r, each series
+// under its own name with key="value" added to its labels. Counters and
+// histograms add their growth since prev; a value below prev's is a
+// reset (a fresh registry under the same name), so all of it is growth,
+// as Prometheus treats a counter that goes down. Gauges take cur's value.
+// A histogram whose bucket layout differs from the one r holds under its
+// name is skipped, so a remote running other bounds cannot corrupt it.
+// The fold holds r's write lock, so Snapshot sees a ship whole or not at
+// all.
+func (r *Registry) Fold(prev, cur RegistrySnapshot, key, value string) {
+	if r == nil {
+		return
 	}
-	h = newHistogram(bounds)
-	r.hists[name] = h
-	return h
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for name, v := range cur.Counters {
+		if old := prev.Counters[name]; v >= old {
+			v -= old
+		}
+		lookupLocked(r.counters, withLabel(name, key, value), newCounter).Add(max(v, 0))
+	}
+	for name, v := range cur.Gauges {
+		lookupLocked(r.gauges, withLabel(name, key, value), newGauge).Set(v)
+	}
+	for name, s := range cur.Histograms {
+		h := lookupLocked(r.hists, withLabel(name, key, value), func() *Histogram { return newHistogram(s.Bounds) })
+		h.fold(prev.Histograms[name], s)
+	}
+}
+
+// withLabel adds key="value" to a metric name's label block.
+func withLabel(name, key, value string) string {
+	label := Label("", key, value)
+	if base, ok := strings.CutSuffix(name, "}"); ok {
+		return base + "," + label[1:]
+	}
+	return name + label
 }
 
 // Counter is a monotonically increasing count. The padding keeps two
@@ -170,7 +196,12 @@ type Histogram struct {
 	sumBits atomic.Uint64 // float64 sum, CAS-updated
 }
 
+// newHistogram makes a histogram with the given bounds, or with
+// DefaultDurationBuckets when bounds is nil.
 func newHistogram(bounds []float64) *Histogram {
+	if bounds == nil {
+		bounds = DefaultDurationBuckets()
+	}
 	b := make([]float64, len(bounds))
 	copy(b, bounds)
 	sort.Float64s(b)
@@ -195,6 +226,11 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	h.total.Add(1)
+	h.addSum(v)
+}
+
+// addSum adds v to the histogram's float64 sum.
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -210,56 +246,29 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(float64(d) / float64(time.Millisecond))
 }
 
-// AddSnapshotDelta merges the growth between two cumulative snapshots of
-// a remote histogram into h: per-bucket count deltas, the total count
-// delta and the sum delta. This is how the master folds a worker's
-// self-reported exec-time histogram into its own registry — remote
-// snapshots are cumulative, so only the increment since the previous
-// snapshot is added. prev may be the zero snapshot (first report). A cur
-// whose count is below prev's is a reset (a fresh registry under the
-// same name): all of cur is growth, as Prometheus treats a counter that
-// goes down. Returns false (merging nothing) when cur's bucket layout
-// does not match h's, so a worker running different bounds cannot
-// corrupt the aggregate.
-func (h *Histogram) AddSnapshotDelta(prev, cur HistogramSnapshot) bool {
-	if h == nil {
-		return false
-	}
+// fold adds the growth from prev to cur, two cumulative snapshots of a
+// remote histogram, to h: per-bucket counts, the total count and the
+// sum. A cur whose count is below prev's is a reset: all of it is
+// growth. A cur whose bucket layout differs from h's adds nothing.
+func (h *Histogram) fold(prev, cur HistogramSnapshot) {
 	if cur.Count < prev.Count {
 		prev = HistogramSnapshot{}
 	}
-	if len(cur.Counts) != len(h.counts) || len(cur.Bounds) != len(h.bounds) {
-		return false
+	if len(cur.Counts) != len(h.counts) || !slices.Equal(cur.Bounds, h.bounds) {
+		return
 	}
-	for i, b := range cur.Bounds {
-		if h.bounds[i] != b {
-			return false
-		}
-	}
-	var dTotal int64
-	for i := range cur.Counts {
-		var p int64
+	for i, n := range cur.Counts {
 		if i < len(prev.Counts) {
-			p = prev.Counts[i]
+			n -= prev.Counts[i]
 		}
-		if d := cur.Counts[i] - p; d > 0 {
-			h.counts[i].Add(d)
-			dTotal += d
+		if n > 0 {
+			h.counts[i].Add(n)
+			h.total.Add(n)
 		}
-	}
-	if dTotal > 0 {
-		h.total.Add(dTotal)
 	}
 	if ds := cur.Sum - prev.Sum; ds > 0 {
-		for {
-			old := h.sumBits.Load()
-			next := math.Float64bits(math.Float64frombits(old) + ds)
-			if h.sumBits.CompareAndSwap(old, next) {
-				break
-			}
-		}
+		h.addSum(ds)
 	}
-	return true
 }
 
 // Count returns the number of observations (0 on nil).
@@ -356,7 +365,8 @@ type RegistrySnapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
-// Snapshot copies the registry. Safe on nil (returns empty maps).
+// Snapshot copies the registry: counters, then gauges, then histograms.
+// Safe on nil (returns empty maps).
 func (r *Registry) Snapshot() RegistrySnapshot {
 	s := RegistrySnapshot{
 		Counters:   map[string]int64{},

@@ -243,58 +243,94 @@ func TestLoggerWithSharesSink(t *testing.T) {
 	}
 }
 
-// TestHistogramAddSnapshotDelta: folding a remote histogram's cumulative
-// snapshots adds only their growth, treats a shrinking count as a reset,
-// and refuses a snapshot whose bucket layout differs.
-func TestHistogramAddSnapshotDelta(t *testing.T) {
+// TestRegistryFold: folding a remote registry's cumulative ships adds
+// only counter and histogram growth, treats a value that went down as a
+// reset, sets gauges, adds the label to each name, and refuses a
+// histogram whose bucket layout differs from the one already held.
+func TestRegistryFold(t *testing.T) {
 	bounds := []float64{1, 10}
-	remote := func(vals ...float64) HistogramSnapshot {
-		h := NewRegistry().Histogram("r", bounds)
+	remote := func(n int64, gauge float64, vals ...float64) RegistrySnapshot {
+		reg := NewRegistry()
+		reg.Counter("n_total").Add(n)
+		reg.Gauge(`g{k="v"}`).Set(gauge)
+		h := reg.Histogram("h", bounds)
 		for _, v := range vals {
 			h.Observe(v)
 		}
-		return h.Snapshot()
+		return reg.Snapshot()
 	}
-	check := func(t *testing.T, h *Histogram, count int64, sum float64, counts []int64) {
+	check := func(t *testing.T, reg *Registry, n int64, gauge float64, count int64, sum float64, counts []int64) {
 		t.Helper()
-		s := h.Snapshot()
-		if s.Count != count || s.Sum != sum || !slices.Equal(s.Counts, counts) {
-			t.Errorf("got count %d sum %v buckets %v, want %d %v %v", s.Count, s.Sum, s.Counts, count, sum, counts)
+		s := reg.Snapshot()
+		h := s.Histograms[`h{w="1"}`]
+		if s.Counters[`n_total{w="1"}`] != n || s.Gauges[`g{k="v",w="1"}`] != gauge {
+			t.Errorf("got counter %d gauge %v, want %d %v", s.Counters[`n_total{w="1"}`], s.Gauges[`g{k="v",w="1"}`], n, gauge)
+		}
+		if h.Count != count || h.Sum != sum || !slices.Equal(h.Counts, counts) {
+			t.Errorf("got count %d sum %v buckets %v, want %d %v %v", h.Count, h.Sum, h.Counts, count, sum, counts)
 		}
 	}
-	first, second := remote(0.5, 5), remote(0.5, 5, 20)
+	first, second := remote(2, 7, 0.5, 5), remote(3, 4, 0.5, 5, 20)
 
-	t.Run("first report", func(t *testing.T) {
-		h := NewRegistry().Histogram("h", bounds)
-		if !h.AddSnapshotDelta(HistogramSnapshot{}, first) {
-			t.Fatal("refused a matching layout")
-		}
-		check(t, h, 2, 5.5, []int64{1, 1, 0})
+	t.Run("first ship", func(t *testing.T) {
+		reg := NewRegistry()
+		reg.Fold(RegistrySnapshot{}, first, "w", "1")
+		check(t, reg, 2, 7, 2, 5.5, []int64{1, 1, 0})
 	})
 	t.Run("growth only", func(t *testing.T) {
-		h := NewRegistry().Histogram("h", bounds)
-		h.AddSnapshotDelta(HistogramSnapshot{}, first)
-		h.AddSnapshotDelta(first, second)
-		h.AddSnapshotDelta(second, second)
-		check(t, h, 3, 25.5, []int64{1, 1, 1})
+		reg := NewRegistry()
+		reg.Fold(RegistrySnapshot{}, first, "w", "1")
+		reg.Fold(first, second, "w", "1")
+		reg.Fold(second, second, "w", "1")
+		check(t, reg, 3, 4, 3, 25.5, []int64{1, 1, 1})
 	})
 	t.Run("reset", func(t *testing.T) {
-		h := NewRegistry().Histogram("h", bounds)
-		h.AddSnapshotDelta(HistogramSnapshot{}, second)
-		h.AddSnapshotDelta(second, remote(5))
-		check(t, h, 4, 30.5, []int64{1, 2, 1})
+		reg := NewRegistry()
+		reg.Fold(RegistrySnapshot{}, second, "w", "1")
+		reg.Fold(second, remote(1, 9, 5), "w", "1")
+		check(t, reg, 4, 9, 4, 30.5, []int64{1, 2, 1})
 	})
 	t.Run("layout mismatch", func(t *testing.T) {
-		h := NewRegistry().Histogram("h", []float64{1, 100})
-		if h.AddSnapshotDelta(HistogramSnapshot{}, first) {
-			t.Error("merged a snapshot with other bounds")
-		}
-		check(t, h, 0, 0, []int64{0, 0, 0})
+		reg := NewRegistry()
+		reg.Histogram(`h{w="1"}`, []float64{1, 100})
+		reg.Fold(RegistrySnapshot{}, first, "w", "1")
+		check(t, reg, 2, 7, 0, 0, []int64{0, 0, 0})
 	})
 	t.Run("nil", func(t *testing.T) {
-		var h *Histogram
-		if h.AddSnapshotDelta(HistogramSnapshot{}, first) {
-			t.Error("nil histogram reported a merge")
-		}
+		var reg *Registry
+		reg.Fold(RegistrySnapshot{}, first, "w", "1")
 	})
+}
+
+// TestFoldIsWholeToSnapshot: one goroutine folds a stream of ships, in
+// each of which a counter equals a histogram's count, while another
+// snapshots without stopping. Every snapshot must show the two equal: a
+// ship is seen whole or not at all.
+func TestFoldIsWholeToSnapshot(t *testing.T) {
+	const ships = 20000
+	reg := NewRegistry()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var prev RegistrySnapshot
+		for i := int64(1); i <= ships; i++ {
+			cur := RegistrySnapshot{
+				Counters:   map[string]int64{"n_total": i},
+				Histograms: map[string]HistogramSnapshot{"h": {Count: i, Sum: float64(i), Bounds: []float64{1}, Counts: []int64{i, 0}}},
+			}
+			reg.Fold(prev, cur, "worker", "w")
+			prev = cur
+		}
+	}()
+	for seen := 0; ; seen++ {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		s := reg.Snapshot()
+		if n, c := s.Counters[`n_total{worker="w"}`], s.Histograms[`h{worker="w"}`].Count; n != c {
+			t.Fatalf("snapshot %d saw counter %d and histogram count %d: half a ship", seen, n, c)
+		}
+	}
 }

@@ -1,14 +1,13 @@
 // Package tsdb is the master-side retained time-series store of the
 // cluster telemetry plane: fixed-capacity per-series point rings keyed by
-// metric name + label set, fed by registry snapshots — the master's own, and
-// each worker's as its telemetry ships arrive over the wire — and queryable
-// through the /query debug endpoint (and `sstdctl query`).
+// metric name + label set, fed by snapshots of the master's registry —
+// which holds each worker's shipped series under its worker label — and
+// queryable through the /query debug endpoint (and `sstdctl query`).
 //
 // Retention is bounded by construction — capacity points per series, so
 // memory is O(series × capacity) regardless of uptime. Series identity
 // follows the repo's label convention: a metric name may carry a
-// `{k="v",...}` block; the store adds a `host` label to everything it
-// ingests so one store holds the whole cluster.
+// `{k="v",...}` block.
 package tsdb
 
 import (
@@ -75,27 +74,24 @@ func (s *Store) append(base string, labels map[string]string, tms int64, v float
 	s.mu.Unlock()
 }
 
-// Ingest samples one registry snapshot into the store under the given
-// host label: the master's own registry on its scrape tick, or a worker's
-// as its telemetry ship carries it, so every ship appends one point per
-// series. Histograms expand to _count, _sum and _p50/_p90/_p99 series.
-// Nil-safe.
-func (s *Store) Ingest(host string, snap obs.RegistrySnapshot, now time.Time) {
+// Ingest samples one registry snapshot into the store, one point per
+// series: the master's registry on its scrape tick. Histograms expand to
+// _count, _sum and _p50/_p90/_p99 series. Nil-safe.
+func (s *Store) Ingest(snap obs.RegistrySnapshot, now time.Time) {
 	if s == nil {
 		return
 	}
 	tms := now.UnixMilli()
 	for name, v := range snap.Counters {
 		base, labels := splitName(name)
-		s.append(base, withHost(labels, host), tms, float64(v))
+		s.append(base, labels, tms, float64(v))
 	}
 	for name, v := range snap.Gauges {
 		base, labels := splitName(name)
-		s.append(base, withHost(labels, host), tms, v)
+		s.append(base, labels, tms, v)
 	}
 	for name, h := range snap.Histograms {
 		base, labels := splitName(name)
-		labels = withHost(labels, host)
 		s.append(base+"_count", labels, tms, float64(h.Count))
 		s.append(base+"_sum", labels, tms, h.Sum)
 		s.append(base+"_p50", labels, tms, h.P50)
@@ -226,16 +222,6 @@ func splitName(name string) (string, map[string]string) {
 		labels[k] = v
 	})
 	return base, labels
-}
-
-func withHost(labels map[string]string, host string) map[string]string {
-	if labels == nil {
-		labels = make(map[string]string, 1)
-	}
-	if host != "" {
-		labels["host"] = host
-	}
-	return labels
 }
 
 func seriesKey(base string, labels map[string]string) string {

@@ -2,7 +2,6 @@ package tsdb
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -141,9 +140,9 @@ func TestScrapeRegistry(t *testing.T) {
 	reg.Histogram("h_ms", []float64{1, 10}).Observe(5)
 
 	s := New(8)
-	s.Ingest("master", reg.Snapshot(), t0)
+	s.Ingest(reg.Snapshot(), t0)
 
-	if got := s.Run(Query{Name: "c_total"}, t0); len(got) != 1 || got[0].Points[0].V != 7 || got[0].Labels["host"] != "master" {
+	if got := s.Run(Query{Name: "c_total"}, t0); len(got) != 1 || got[0].Points[0].V != 7 || len(got[0].Labels) != 0 {
 		t.Errorf("scraped counter = %+v", got)
 	}
 	if got := s.Run(Query{Name: "g"}, t0); len(got) != 1 || got[0].Labels["worker"] != "w-1" {
@@ -156,31 +155,30 @@ func TestScrapeRegistry(t *testing.T) {
 	}
 }
 
-// TestIngestShipsAppendPerShip: a worker's ships, each a snapshot of its
-// registry, land as one point per series per ship under the worker's
-// host label — cumulative counters, and a gauge that did not change
-// still gets its point.
-func TestIngestShipsAppendPerShip(t *testing.T) {
+// TestIngestAppendsPerScrape: each scrape of a registry lands as one
+// point per series, under the series' own labels — cumulative counters,
+// and a gauge that did not change still gets its point.
+func TestIngestAppendsPerScrape(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := reg.Counter("worker_tasks_total")
-	reg.Gauge("worker_goroutines").Set(4)
-	h := reg.Histogram("exec_ms", []float64{1, 10})
+	c := reg.Counter(`wq_worker_tasks_total{worker="w-1"}`)
+	reg.Gauge(`wq_worker_goroutines{worker="w-1"}`).Set(4)
+	h := reg.Histogram(`exec_ms{worker="w-1"}`, []float64{1, 10})
 	c.Add(3)
 	h.Observe(5)
 
 	s := New(16)
-	s.Ingest("w-1", reg.Snapshot(), t0)
+	s.Ingest(reg.Snapshot(), t0)
 	c.Add(2)
 	h.Observe(0.5)
-	s.Ingest("w-1", reg.Snapshot(), t0.Add(time.Second))
+	s.Ingest(reg.Snapshot(), t0.Add(time.Second))
 
 	for name, want := range map[string][]float64{
-		"worker_tasks_total": {3, 5},
-		"worker_goroutines":  {4, 4},
-		"exec_ms_count":      {1, 2},
+		"wq_worker_tasks_total": {3, 5},
+		"wq_worker_goroutines":  {4, 4},
+		"exec_ms_count":         {1, 2},
 	} {
 		got := s.Run(Query{Name: name}, t0.Add(time.Minute))
-		if len(got) != 1 || got[0].Labels["host"] != "w-1" || len(got[0].Points) != len(want) {
+		if len(got) != 1 || got[0].Labels["worker"] != "w-1" || len(got[0].Points) != len(want) {
 			t.Fatalf("%s = %+v, want one w-1 series with %d points", name, got, len(want))
 		}
 		for i, p := range got[0].Points {
@@ -245,24 +243,6 @@ func TestHandlerLimitClamped(t *testing.T) {
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/?series=m&limit=99999999", nil))
 	if rec.Code != 200 {
 		t.Fatalf("clamped limit: code=%d", rec.Code)
-	}
-}
-
-func BenchmarkTelemetryShipApply(b *testing.B) {
-	reg := obs.NewRegistry()
-	for i := 0; i < 8; i++ {
-		reg.Counter(fmt.Sprintf("c%d", i)).Add(int64(i))
-		reg.Histogram(fmt.Sprintf("h%d", i), nil).Observe(float64(i))
-	}
-	s := New(256)
-	s.Ingest("w", reg.Snapshot(), t0)
-	hot := reg.Counter("c0")
-	h := reg.Histogram("h0", nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hot.Inc()
-		h.Observe(1)
-		s.Ingest("w", reg.Snapshot(), t0)
 	}
 }
 

@@ -60,11 +60,6 @@ type WorkerHealth struct {
 	// carried on task frames, heartbeats and results.
 	ClockSkewMs float64 `json:"clockSkewMs"`
 	RTTMs       float64 `json:"rttMs"`
-	// Remote is the worker's metrics registry (worker_* counters, gauges
-	// and the exec-time histogram) as its latest telemetry ship carried
-	// it: nil until the first ship arrives, or on a re-attach the last
-	// ship of the worker's previous connection.
-	Remote *obs.RegistrySnapshot `json:"remote,omitempty"`
 }
 
 // EWMA smoothing factors: exec time favors history (straggler detection
@@ -110,9 +105,9 @@ type workerEntry struct {
 	ewmaExecMs  float64
 	ewmaRate    float64
 	lastDone    time.Time
-	// remote is the latest telemetry as decoded; its maps are never
-	// mutated, so health rows share it.
-	remote *obs.RegistrySnapshot
+	// ship is the worker's latest telemetry ship, the baseline the next
+	// one's growth is folded from.
+	ship obs.RegistrySnapshot
 
 	// Clock alignment: EWMAs of the two one-way message legs. d1 is the
 	// worker→master leg observed on the master clock (receive time minus
@@ -141,9 +136,9 @@ func (e *workerEntry) skewNs() (float64, bool) {
 }
 
 // cluster is the master's per-worker health registry: it tracks every
-// attached worker's liveness, throughput and self-reported telemetry,
-// aggregates remote snapshots into the master's metrics registry under
-// per-worker labels, and keeps recently departed workers visible.
+// attached worker's liveness and throughput, folds each worker's
+// telemetry ships into the master's metrics registry under per-worker
+// labels, and keeps recently departed workers visible.
 type cluster struct {
 	mu     sync.Mutex
 	active map[string]*workerEntry
@@ -192,10 +187,9 @@ func (cl *cluster) gaugesLocked(e *workerEntry) {
 	cl.reg.Gauge("wq_workers_suspect").SetInt(suspect)
 }
 
-// workerLabel builds a per-worker labeled metric name that the obs
-// Prometheus exporter renders as name{worker="id"}.
+// workerLabel builds a per-worker labeled metric name, name{worker="id"}.
 func workerLabel(name, id string) string {
-	return fmt.Sprintf("%s{worker=%q}", name, id)
+	return obs.Label(name, "worker", id)
 }
 
 // attach registers a connecting worker. Duplicate live IDs are rejected:
@@ -219,7 +213,7 @@ func (cl *cluster) attach(id string, wake context.CancelFunc, conn net.Conn, c *
 	// A re-attaching worker's next ship grows from its last one.
 	for i := len(cl.gone) - 1; i >= 0; i-- {
 		if cl.gone[i].id == id {
-			e.remote = cl.gone[i].remote
+			e.ship = cl.gone[i].ship
 			break
 		}
 	}
@@ -288,49 +282,14 @@ func (cl *cluster) heartbeat(id string) {
 	})
 }
 
-// recordShip stores a worker's registry snapshot as its latest telemetry
-// ship carried it, for /cluster, and folds the growth since the previous
-// ship into the master registry under per-worker labels. It reads the
-// names newWorkerInstruments registers.
+// recordShip folds a worker's telemetry ship into the master registry
+// under its worker label: the growth since its previous ship, or the
+// shipped value for a gauge.
 func (cl *cluster) recordShip(id string, snap *obs.RegistrySnapshot) {
-	cl.mu.Lock()
-	e, ok := cl.active[id]
-	if !ok {
-		cl.mu.Unlock()
-		return
-	}
-	var prev obs.RegistrySnapshot
-	if e.remote != nil {
-		prev = *e.remote
-	}
-	e.remote = snap
-	reg := cl.reg
-	cl.mu.Unlock()
-
-	if reg == nil {
-		return
-	}
-	// Counters and the connection-byte gauges are cumulative on the
-	// worker; only their growth since the previous ship is added. A value
-	// below the previous one is a reset (a fresh registry or connection),
-	// so all of it is growth: the Prometheus rule.
-	grow := func(name string, cur, old int64) {
-		if cur < old {
-			old = 0
-		}
-		if cur > old {
-			reg.Counter(workerLabel(name, id)).Add(cur - old)
-		}
-	}
-	grow("wq_worker_tasks_total", snap.Counters[mWorkerExecuted], prev.Counters[mWorkerExecuted])
-	grow("wq_worker_tasks_failed_total", snap.Counters[mWorkerFailed], prev.Counters[mWorkerFailed])
-	grow("wq_worker_bytes_in_total", int64(snap.Gauges[mWorkerBytesIn]), int64(prev.Gauges[mWorkerBytesIn]))
-	grow("wq_worker_bytes_out_total", int64(snap.Gauges[mWorkerBytesOut]), int64(prev.Gauges[mWorkerBytesOut]))
-	reg.Gauge(workerLabel("wq_worker_goroutines", id)).Set(snap.Gauges[mWorkerGoroutines])
-	reg.Gauge(workerLabel("wq_worker_heap_bytes", id)).Set(snap.Gauges[mWorkerHeap])
-	if exec := snap.Histograms[mWorkerExec]; len(exec.Bounds) > 0 {
-		reg.Histogram(workerLabel("wq_worker_exec_ms", id), exec.Bounds).AddSnapshotDelta(prev.Histograms[mWorkerExec], exec)
-	}
+	cl.with(id, func(e *workerEntry) {
+		cl.reg.Fold(e.ship, *snap, "worker", id)
+		e.ship = *snap
+	})
 }
 
 // setWindowLocked records the head and length of a handler's un-acked
@@ -533,7 +492,6 @@ func healthRow(e *workerEntry) WorkerHealth {
 		h.ClockSkewMs = skew / float64(time.Millisecond)
 		h.RTTMs = (e.d1Ns + e.d2Ns) / float64(time.Millisecond)
 	}
-	h.Remote = e.remote
 	return h
 }
 

@@ -13,7 +13,6 @@ import (
 
 	"github.com/social-sensing/sstd/internal/obs"
 	"github.com/social-sensing/sstd/internal/obs/flightrec"
-	"github.com/social-sensing/sstd/internal/obs/tsdb"
 )
 
 // JobStats tracks per-job progress for the feedback control loop.
@@ -91,11 +90,6 @@ type MasterConfig struct {
 	// refuses (or sheds) jobs the pool could not finish in time. Nil
 	// leaves the gate open.
 	Admission *AdmissionConfig
-	// Telemetry, when set, retains the workers' shipped metrics snapshots
-	// as labeled time series (the /query endpoint's backing store). Each
-	// worker's registry, as its telemetry ships rebuild it, is ingested
-	// under a host=<worker-id> label on arrival.
-	Telemetry *tsdb.Store
 	// FlightRec overrides the recorder whose dumps gather every attached
 	// worker's rings, one lane per host (default: the process-global
 	// flightrec.Active(); with neither, worker dumps are ignored).
@@ -136,9 +130,6 @@ type Master struct {
 	// recorder; handler goroutines share it (the ring cursor is atomic).
 	fr *flightrec.Ring
 
-	// telemetry is the retained time-series store fed by worker ships;
-	// nil when the telemetry plane is off.
-	telemetry *tsdb.Store
 	// rec is the flight recorder whose trip hook gathers the workers'
 	// rings (clusterdump.go); dumpPending is the gather round in flight.
 	rec         *flightrec.Recorder
@@ -227,7 +218,6 @@ func NewMaster(cfg MasterConfig) *Master {
 		m.admission = newAdmissionGate(*cfg.Admission, cfg.Metrics, cfg.Logger)
 	}
 	m.sched.instrument(cfg.Metrics)
-	m.telemetry = cfg.Telemetry
 	m.rec = rec
 	m.rec.SetOnTrip(m.gather)
 	return m
@@ -390,7 +380,7 @@ func (m *Master) HandleWorker(ctx context.Context, conn net.Conn) error {
 
 	// Reader: demultiplex the worker's messages. Results go to the handler
 	// loop; heartbeats, telemetry and flight dumps feed the health
-	// registry, the time-series store and the recorder directly. A receive
+	// registry, the metrics registry and the recorder directly. A receive
 	// error (the liveness monitor or the handler closing the connection
 	// included) lands in readErr and wakes an idle handler. handlerDone
 	// closes only when the handler returns, releasing a reader blocked on
@@ -437,7 +427,6 @@ func (m *Master) HandleWorker(ctx context.Context, conn net.Conn) error {
 			m.ingestRemoteSpans(workerID, msg.Spans)
 			if msg.Telemetry != nil {
 				m.cluster.recordShip(workerID, msg.Telemetry)
-				m.telemetry.Ingest(workerID, *msg.Telemetry, time.Now())
 			}
 			switch msg.Type {
 			case msgHeartbeat:

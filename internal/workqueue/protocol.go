@@ -7,10 +7,10 @@
 // in flight (the paper's Local Control Knob).
 //
 // Beyond the task/result exchange, workers send heartbeats: periodic
-// liveness pings, some carrying a snapshot of the worker's metrics
-// registry (task counts, exec-time histogram, connection bytes, runtime
-// stats) that feeds the master's per-worker health registry (cluster.go)
-// and its time-series store.
+// liveness pings for the master's per-worker health registry
+// (cluster.go), some carrying a snapshot of the worker's metrics registry
+// (task counts, exec-time histogram, connection bytes, runtime stats)
+// that the master folds into its own under the worker's label.
 //
 // Every message travels as one length-prefixed binary frame (wire.go);
 // there is no second format and no negotiation. This file holds the
@@ -169,10 +169,10 @@ type message struct {
 	// master (on results and heartbeats alike).
 	Spans []RemoteSpan
 	// Telemetry rides on every fifth heartbeat: the worker's
-	// registry snapshot, feeding the master's health registry and
-	// time-series store. Excluded from the CRC like the clock stamps:
-	// telemetry damage is not worth a disconnect, and the next ship,
-	// absolute like every ship, sets it right.
+	// registry snapshot, which the master folds into its own registry.
+	// Excluded from the CRC like the clock stamps: telemetry damage is
+	// not worth a disconnect, and the next ship, cumulative like every
+	// ship, sets a gauge right.
 	Telemetry *obs.RegistrySnapshot
 	// Freeze rides on msgFreeze (master→worker); Dump on msgFlightDump
 	// (worker→master).
@@ -230,7 +230,7 @@ var ErrChecksum = errors.New("workqueue: frame checksum mismatch")
 // wire format (wire.go). Sends are serialized by a mutex so a worker's
 // heartbeat goroutine and its task loop can share the connection; recv
 // is single-reader. Wire bytes are counted in both directions for the
-// worker's connection-byte gauges.
+// worker's connection-byte counters.
 type codec struct {
 	conn     net.Conn
 	r        *bufio.Reader

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"maps"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -45,9 +46,9 @@ const shipWorkerID = "ship-w"
 // frameConn. The worker ships reg, which the test holds, on every
 // heartbeat, a few milliseconds apart. Each telemetry frame that reports
 // a nonzero task count goes through fault, decoded; every other frame
-// passes. It returns once the worker's first ship has arrived, with the
-// master and the master's registry.
-func joinShippingWorker(t *testing.T, reg *obs.Registry, fault func(frame []byte, m message) []byte) (*Master, *obs.Registry) {
+// passes. It returns the master's registry once the worker's first ship
+// has arrived.
+func joinShippingWorker(t *testing.T, reg *obs.Registry, fault func(frame []byte, m message) []byte) *obs.Registry {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	mreg := obs.NewRegistry()
@@ -69,24 +70,37 @@ func joinShippingWorker(t *testing.T, reg *obs.Registry, fault func(frame []byte
 		done <- struct{}{}
 	}()
 	t.Cleanup(func() { cancel(); <-done; <-done })
-	waitFor(t, func() bool { return remoteOf(m) != nil }, "the worker's first ship")
-	return m, mreg
+	waitFor(t, func() bool { return len(remoteOf(mreg).Counters) > 0 }, "the worker's first ship")
+	return mreg
 }
 
-// remoteOf is the worker's registry as the master's health row shows it.
-func remoteOf(m *Master) *obs.RegistrySnapshot {
-	h, _ := findWorker(m.ClusterHealth(), shipWorkerID)
-	return h.Remote
+// remoteOf is the worker's counters and gauges as the master's registry
+// holds them under the worker's label, keyed by the names it ships them
+// under.
+func remoteOf(mreg *obs.Registry) obs.RegistrySnapshot {
+	s, out := mreg.Snapshot(), obs.RegistrySnapshot{Counters: map[string]int64{}, Gauges: map[string]float64{}}
+	label := workerLabel("", shipWorkerID)
+	for name, v := range s.Counters {
+		if base, ok := strings.CutSuffix(name, label); ok {
+			out.Counters[base] = v
+		}
+	}
+	for name, v := range s.Gauges {
+		if base, ok := strings.CutSuffix(name, label); ok {
+			out.Gauges[base] = v
+		}
+	}
+	return out
 }
 
 // TestLostTelemetryShipRecoversOnNext: a heartbeat carrying telemetry is
 // lost on the way. The next ship must bring the master's view of the
-// worker, the health row's Remote and the per-worker task counter, back
-// to the worker's own registry.
+// worker, its counters under the worker's label, back to the worker's
+// own registry.
 func TestLostTelemetryShipRecoversOnNext(t *testing.T) {
 	reg := obs.NewRegistry()
 	var dropped atomic.Bool
-	m, mreg := joinShippingWorker(t, reg, func(frame []byte, _ message) []byte {
+	mreg := joinShippingWorker(t, reg, func(frame []byte, _ message) []byte {
 		if dropped.CompareAndSwap(false, true) {
 			return nil
 		}
@@ -95,33 +109,37 @@ func TestLostTelemetryShipRecoversOnNext(t *testing.T) {
 	reg.Counter(mWorkerExecuted).Add(5)
 	tasks := mreg.Counter(workerLabel("wq_worker_tasks_total", shipWorkerID))
 	waitFor(t, func() bool {
-		r := remoteOf(m)
-		return dropped.Load() && maps.Equal(r.Counters, reg.Snapshot().Counters) && tasks.Value() == 5
+		return dropped.Load() && maps.Equal(remoteOf(mreg).Counters, reg.Snapshot().Counters) && tasks.Value() == 5
 	}, "the ship after the lost one to match the worker registry")
 }
 
 // TestDamagedTelemetryShipRecoversOnNext: one telemetry frame arrives
-// with a counter changed in flight; telemetry is outside the frame CRC,
-// so it decodes. The master's Remote is wrong for that ship and right
-// again after the next.
+// with a gauge changed in flight; telemetry is outside the frame CRC, so
+// it decodes. The master's gauge under the worker's label is wrong for
+// that ship and right again after the next. (A damaged counter is counted
+// by the reset rule instead, as Prometheus counts one that goes down.)
 func TestDamagedTelemetryShipRecoversOnNext(t *testing.T) {
 	reg := obs.NewRegistry()
+	const queueDepth = "queue_depth"
 	var damaged atomic.Bool
 	// Later ships wait until the test has seen the damaged one land.
 	release := make(chan struct{})
 	releaseOnce := sync.OnceFunc(func() { close(release) })
 	defer releaseOnce()
-	m, _ := joinShippingWorker(t, reg, func(frame []byte, msg message) []byte {
+	mreg := joinShippingWorker(t, reg, func(frame []byte, msg message) []byte {
 		if damaged.CompareAndSwap(false, true) {
-			msg.Telemetry.Counters[mWorkerExecuted] += 100
+			msg.Telemetry.Gauges[queueDepth] += 100
 			return appendWireFrame(nil, &msg)
 		}
 		<-release
 		return frame
 	})
+	// Set before the count that arms the fault: a snapshot reads counters
+	// first, so the damaged ship carries it.
+	reg.Gauge(queueDepth).Set(7)
 	reg.Counter(mWorkerExecuted).Add(5)
-	waitFor(t, func() bool { return remoteOf(m).Counters[mWorkerExecuted] == 105 }, "the damaged ship")
+	waitFor(t, func() bool { return remoteOf(mreg).Gauges[queueDepth] == 107 }, "the damaged ship")
 	releaseOnce()
-	waitFor(t, func() bool { return maps.Equal(remoteOf(m).Counters, reg.Snapshot().Counters) },
+	waitFor(t, func() bool { return remoteOf(mreg).Gauges[queueDepth] == 7 },
 		"the ship after the damaged one to match the worker registry")
 }

@@ -32,16 +32,15 @@ func (c slowConn) Write(p []byte) (int, error) {
 // TestShutdownFlushesFinalStatsAndTelemetry is the regression test for
 // the graceful-shutdown flush: a short-lived worker that never reached
 // its telemetry cadence must still deliver a final telemetry ship on the
-// way out, so its last window of work reaches the master's registry and
-// time-series store — both fed from that one ship. The worker writes
+// way out, so its last window of work reaches the master's registry, and
+// the time-series store through the master's scrape of it. The worker writes
 // slowly, so the ship arrives only because the master waits for the
 // worker to hang up after asking it to leave.
 func TestShutdownFlushesFinalStatsAndTelemetry(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	reg := obs.NewRegistry()
-	store := tsdb.New(0)
-	m := NewMaster(MasterConfig{ResultBuffer: 8, Metrics: reg, Telemetry: store})
+	m := NewMaster(MasterConfig{ResultBuffer: 8, Metrics: reg})
 
 	mconn, wconn := pipePair()
 	done := make(chan struct{})
@@ -76,17 +75,19 @@ func TestShutdownFlushesFinalStatsAndTelemetry(t *testing.T) {
 	if got := reg.Counter(workerLabel("wq_worker_tasks_total", "brief")).Value(); got != 3 {
 		t.Errorf("wq_worker_tasks_total{worker=brief} = %d, want 3 (shutdown flush)", got)
 	}
-	// ...and the telemetry ship landed in the time-series store under the
-	// host label.
+	// ...and a scrape of that registry, as sstd-master's, puts it in the
+	// time-series store under the same label.
+	store := tsdb.New(0)
+	store.Ingest(reg.Snapshot(), time.Now())
 	res := store.Run(tsdb.Query{
-		Name:     "worker_tasks_executed_total",
-		Matchers: map[string]string{"host": "brief"},
+		Name:     "wq_worker_tasks_total",
+		Matchers: map[string]string{"worker": "brief"},
 	}, time.Now())
 	if len(res) != 1 || len(res[0].Points) == 0 {
 		t.Fatalf("tsdb series for brief worker = %+v, want 1 series with points", res)
 	}
 	if last := res[0].Points[len(res[0].Points)-1].V; last != 3 {
-		t.Errorf("worker_tasks_executed_total last point = %v, want 3", last)
+		t.Errorf("wq_worker_tasks_total last point = %v, want 3", last)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -43,7 +44,7 @@ type Worker struct {
 	// worker's bucket layout immediately.
 	statsEvery int
 	// Metrics optionally supplies the worker-side telemetry registry
-	// (worker_* metrics), letting the process expose the same numbers on
+	// (wq_worker_* metrics), letting the process expose the same numbers on
 	// its own /metrics endpoint. When nil and heartbeats are enabled, a
 	// private registry backs the telemetry ships.
 	Metrics *obs.Registry
@@ -88,15 +89,16 @@ type Worker struct {
 const resultFlushEvery = 16
 
 // Worker-side metric names. The telemetry ship carries the registry they
-// live in; the master reads them back out of it (cluster.recordShip).
+// live in, and the master folds every series of it into its own under
+// the same name with a worker label (cluster.recordShip).
 const (
-	mWorkerExecuted   = "worker_tasks_executed_total"
-	mWorkerFailed     = "worker_tasks_failed_total"
-	mWorkerExec       = "worker_exec_ms"
-	mWorkerGoroutines = "worker_goroutines"
-	mWorkerHeap       = "worker_heap_bytes"
-	mWorkerBytesIn    = "worker_conn_bytes_in"
-	mWorkerBytesOut   = "worker_conn_bytes_out"
+	mWorkerExecuted   = "wq_worker_tasks_total"
+	mWorkerFailed     = "wq_worker_tasks_failed_total"
+	mWorkerExec       = "wq_worker_exec_ms"
+	mWorkerGoroutines = "wq_worker_goroutines"
+	mWorkerHeap       = "wq_worker_heap_bytes"
+	mWorkerBytesIn    = "wq_worker_bytes_in_total"
+	mWorkerBytesOut   = "wq_worker_bytes_out_total"
 )
 
 // workerInstruments holds the worker-side metric handles. All methods
@@ -108,8 +110,13 @@ type workerInstruments struct {
 	hExec      *obs.Histogram
 	gGoroutine *obs.Gauge
 	gHeap      *obs.Gauge
-	gBytesIn   *obs.Gauge
-	gBytesOut  *obs.Gauge
+	cBytesIn   *obs.Counter
+	cBytesOut  *obs.Counter
+	// mu serializes refreshRuntime, which the heartbeat goroutine and the
+	// shutdown flush may both call; bytesIn and bytesOut are the
+	// connection's byte counts as last added to the counters.
+	mu                sync.Mutex
+	bytesIn, bytesOut int64
 }
 
 func newWorkerInstruments(reg *obs.Registry) *workerInstruments {
@@ -119,29 +126,36 @@ func newWorkerInstruments(reg *obs.Registry) *workerInstruments {
 		hExec:      reg.Histogram(mWorkerExec, nil),
 		gGoroutine: reg.Gauge(mWorkerGoroutines),
 		gHeap:      reg.Gauge(mWorkerHeap),
-		gBytesIn:   reg.Gauge(mWorkerBytesIn),
-		gBytesOut:  reg.Gauge(mWorkerBytesOut),
+		cBytesIn:   reg.Counter(mWorkerBytesIn),
+		cBytesOut:  reg.Counter(mWorkerBytesOut),
 	}
 }
 
-// observe records one task execution.
+// observe records one task execution. The histogram goes first: a
+// snapshot reads counters before histograms, so a ship that counts n
+// tasks carries at least n exec times.
 func (i *workerInstruments) observe(elapsed time.Duration, failed bool) {
+	i.hExec.ObserveDuration(elapsed)
 	i.cExecuted.Inc()
 	if failed {
 		i.cFailed.Inc()
 	}
-	i.hExec.ObserveDuration(elapsed)
 }
 
-// refreshRuntime samples the process runtime and the connection byte
-// counters into their gauges, just before a telemetry ship.
+// refreshRuntime samples the process runtime into its gauges, and adds
+// the connection's bytes since the last refresh to their counters, just
+// before a telemetry ship.
 func (i *workerInstruments) refreshRuntime(c *codec) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	i.gGoroutine.SetInt(runtime.NumGoroutine())
 	i.gHeap.Set(float64(ms.HeapAlloc))
-	i.gBytesIn.Set(float64(c.bytesIn.Load()))
-	i.gBytesOut.Set(float64(c.bytesOut.Load()))
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	in, out := c.bytesIn.Load(), c.bytesOut.Load()
+	i.cBytesIn.Add(in - i.bytesIn)
+	i.cBytesOut.Add(out - i.bytesOut)
+	i.bytesIn, i.bytesOut = in, out
 }
 
 // workerRun is the per-connection mutable state shared between the task
@@ -231,7 +245,7 @@ func (w *Worker) Run(ctx context.Context, conn net.Conn) error {
 		case msgShutdown:
 			// Flush buffered spans and a final telemetry ship on the way
 			// out, so a short-lived worker's last window of work still
-			// reaches the master's registry and time-series store.
+			// reaches the master's registry.
 			fin := message{Type: msgHeartbeat, WorkerID: w.ID, Spans: run.spans.drain(), Telemetry: run.ship(c, inst)}
 			if fin.Telemetry != nil || len(fin.Spans) > 0 {
 				run.stamp(&fin)

@@ -1,7 +1,7 @@
 #!/bin/sh
 # CI tiers for the SSTD reproduction.
 #
-#   scripts/check.sh            tier-1: README.md + DESIGN.md within their byte budget + the five main binaries' -h flags within their count budget + the non-test lines of internal/workqueue, internal/hmm and internal/dtm each within its budget + gofmt + build + tests (the ROADMAP gate), TestAPIAudit among them: every top-level name under internal/ must be reachable from a program's main or the root package's examples, every exported field written by a program or another package's test, and no program may import a test helper package
+#   scripts/check.sh            tier-1: README.md + DESIGN.md within their byte budget + the five main binaries' -h flags within their count budget + the non-test lines of internal/workqueue, internal/hmm, internal/dtm and internal/obs each within its budget + gofmt + build + tests (the ROADMAP gate), TestAPIAudit among them: every top-level name under internal/ must be reachable from a program's main or the root package's examples, every exported field written by a program or another package's test, and no program may import a test helper package
 #   scripts/check.sh race       tier-2: vet + full test suite under -race
 #   scripts/check.sh bench      microbenchmarks -> BENCH_obs.json + BENCH_hmm.json + BENCH_wire.json; front-end layer benches (tokenizer included) printed
 #   scripts/check.sh chaos      chaos soak: seeded fault-injection schedules under -race
@@ -20,7 +20,7 @@ cd "$(dirname "$0")/.."
 # docBudget caps README.md + DESIGN.md together, in bytes, as loc.sh's
 # total shows code size. Raising it is a decision to make in the change
 # that needs it, not a fix for a failing check.
-docBudget=101486
+docBudget=101474
 
 # flagBudget caps the flags sstd-master, sstd-worker, sstd, experiments
 # and tracegen list under -h, summed, as docBudget caps the docs. Raising
@@ -37,13 +37,16 @@ flagBudget=58
 #   symbols, with no second emission family.
 #   dtmBudget: the Dynamic Task Manager, whose mechanisms earn their lines
 #   the same way, and whose Config holds no knob only its tests set.
-wqBudget=4260
+#   obsBudget: the telemetry layer, whose metrics registry is the one home
+#   of every metric, a worker's shipped series included.
+wqBudget=4221
 hmmBudget=1007
-dtmBudget=1692
-lineBudgets="internal/workqueue=$wqBudget internal/hmm=$hmmBudget internal/dtm=$dtmBudget"
+dtmBudget=1686
+obsBudget=1979
+lineBudgets="internal/workqueue=$wqBudget internal/hmm=$hmmBudget internal/dtm=$dtmBudget internal/obs=$obsBudget"
 
 tier1() {
-	echo "== tier-1: doc budget && flag budget && workqueue, hmm and dtm line budgets && gofmt -l . && go build ./... && go test ./... =="
+	echo "== tier-1: doc budget && flag budget && workqueue, hmm, dtm and obs line budgets && gofmt -l . && go build ./... && go test ./... =="
 	docBytes=$(cat README.md DESIGN.md | wc -c)
 	if [ "$docBytes" -gt "$docBudget" ]; then
 		echo "README.md + DESIGN.md are $docBytes bytes, over the budget of $docBudget (scripts/check.sh)" >&2
